@@ -1,7 +1,7 @@
 // Package repro_test is the benchmark harness of the reproduction: one
-// benchmark per table and figure of the paper (see DESIGN.md §5 for the
-// experiment index), plus ablation benches for the design choices called
-// out in DESIGN.md §6.
+// benchmark per table and figure of the paper (internal/experiments is
+// the experiment index), plus ablation benches for the design choices
+// internal/experiments/ablations.go isolates.
 //
 // Run with:
 //
@@ -10,7 +10,7 @@
 // Accuracy benches report the paper's metric as the custom unit
 // "err_rate/op" (mean |err(ℓ)| of Eq. 6); timing benches report the usual
 // ns/op. Fixtures run at reduced dataset scale (same code paths, smaller
-// graphs — DESIGN.md §4); the cmd/experiments binary with -full reproduces
+// graphs — see internal/dataset); the cmd/experiments binary with -full reproduces
 // the published parameters.
 package repro_test
 
@@ -191,8 +191,8 @@ func BenchmarkFigure2Accuracy(b *testing.B) {
 }
 
 // BenchmarkAblationBuilders compares histogram construction algorithms on
-// the same sum-based domain — the DESIGN.md §6 ablation of "how much is
-// the bucketing algorithm vs the ordering".
+// the same sum-based domain — the ablation of "how much is the bucketing
+// algorithm vs the ordering" (experiments.BuilderAblation).
 func BenchmarkAblationBuilders(b *testing.B) {
 	const k = 3
 	f := getFixture(b, 0, k, 0.1)
@@ -280,7 +280,7 @@ func BenchmarkCensusParallel(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := paths.NewCensusParallel(g, k, workers)
+				c := paths.NewCensusHybrid(g, k, paths.CensusOptions{Workers: workers})
 				if c.Total() == 0 {
 					b.Fatal("empty census")
 				}
@@ -498,7 +498,9 @@ func BenchmarkExecEngines(b *testing.B) {
 	b.Run("hybrid/forward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				exec.ExecutePlan(g, q, exec.Plan{Start: 0}, exec.Options{})
+				if _, _, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: 0}, exec.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -512,14 +514,18 @@ func BenchmarkExecEngines(b *testing.B) {
 	b.Run("hybrid/backward", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				exec.ExecutePlan(g, q, exec.Plan{Start: len(q) - 1}, exec.Options{})
+				if _, _, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: len(q) - 1}, exec.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
 	b.Run("hybrid/zigzag", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				exec.ExecutePlan(g, q, exec.Plan{Start: 1}, exec.Options{})
+				if _, _, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: 1}, exec.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

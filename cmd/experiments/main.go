@@ -1,6 +1,6 @@
 // Command experiments reproduces the paper's evaluation tables and
 // figures. By default it runs every experiment at a reduced dataset scale
-// (same code paths, smaller graphs — see DESIGN.md §4); -full switches to
+// (same code paths, smaller graphs — see internal/dataset); -full switches to
 // the published parameters (slow: the Figure 2 sweep recomputes exact
 // selectivity censuses at k = 6 on ~200k-edge graphs).
 //

@@ -25,7 +25,7 @@ func main() {
 		g.NumVertices(), g.NumEdges(), g.NumLabels())
 
 	const k = 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	ph, _, err := core.BuildForGraph(g, ordering.MethodSumBased, core.BuilderVOptimal, k, 24)
 	if err != nil {
 		log.Fatal(err)
@@ -54,7 +54,10 @@ func main() {
 		var result int64
 		works := make([]int64, len(q))
 		for s := range q {
-			_, st := exec.ExecutePlan(g, q, exec.Plan{Start: s}, exec.Options{})
+			_, st, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: s}, exec.Options{})
+			if err != nil {
+				log.Fatal(err)
+			}
 			works[s] = st.Work
 			result = st.Result
 			mark := "  "

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := x.Execute()
+		st, err := x.ExecuteCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	res, err := est.ExecuteExprBatch(xs, pathsel.BatchOptions{Workers: 2})
+	res, err := est.ExecuteExprBatchCtx(context.Background(), xs, pathsel.BatchOptions{Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

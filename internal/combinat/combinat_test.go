@@ -318,7 +318,7 @@ func TestPowOverflowPanics(t *testing.T) {
 
 func TestGeometricSum(t *testing.T) {
 	// |L6| over 6 labels: 6+36+216+1296+7776+46656 = 55986 (the paper's
-	// stated 55996 is a typo; see DESIGN.md).
+	// stated 55996 is a typo).
 	if got := GeometricSum(6, 6); got != 55986 {
 		t.Fatalf("GeometricSum(6,6) = %d, want 55986", got)
 	}

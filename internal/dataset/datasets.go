@@ -28,7 +28,7 @@ func Table3() []Spec {
 // Generate builds the dataset described by spec at the given scale with a
 // deterministic seed. Scale 1.0 reproduces the published vertex/edge
 // counts; smaller scales shrink both proportionally (used for fast default
-// experiment runs; see DESIGN.md §4). Scale must be in (0, 1].
+// experiment runs). Scale must be in (0, 1].
 func Generate(spec Spec, scale float64, seed int64) *graph.Graph {
 	if scale <= 0 || scale > 1 {
 		panic(fmt.Sprintf("dataset: scale %v out of (0,1]", scale))

@@ -6,7 +6,7 @@
 //
 // The two real-world datasets of the paper (Moreno Health from Konect and a
 // DBpedia subgraph) are not redistributable/downloadable in this offline
-// environment. Per DESIGN.md §4 they are substituted with generators from
+// environment. They are substituted with generators from
 // the same family of graphs: scale-free preferential-attachment digraphs
 // with skewed, degree-correlated edge labels, matching the published
 // |V|/|E|/|L| counts. The two synthetic datasets (SNAP-ER and SNAP-FF) are

@@ -5,10 +5,8 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
-	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/paths"
-	"repro/internal/sched"
 )
 
 // MaxTreeLength bounds the bushy planner's dynamic program. The DP
@@ -165,7 +163,7 @@ func buildTree(dp [][]treeCell, i, j int) *PlanTree {
 
 // CostTree returns the estimated intermediate volume of the best plan
 // tree for p — the bushy analogue of PlanCost∘ChoosePlan. With an exact
-// estimator it equals ExecuteTree's Stats.Work for the chosen tree.
+// estimator it equals ExecuteTreeChecked's Stats.Work for the chosen tree.
 // Beyond MaxTreeLength it falls back to the best zig-zag plan's cost. It
 // panics on an empty path.
 func (pl Planner) CostTree(p paths.Path) float64 {
@@ -177,9 +175,9 @@ func (pl Planner) CostTree(p paths.Path) float64 {
 // space (every way to split the query into independently built segments
 // joined pairwise) on top of the linear zig-zag space. When no bushy
 // decomposition is estimated to beat the best zig-zag plan the result is
-// a single leaf — the planner falls back to linear execution, and
-// ExecuteTree delegates to ExecutePlan. Beyond MaxTreeLength the bushy
-// space is not enumerated at all. It panics on an empty path.
+// a single leaf — the planner falls back to linear execution. Beyond
+// MaxTreeLength the bushy space is not enumerated at all. It panics on
+// an empty path.
 func (pl Planner) ChooseTree(p paths.Path) *PlanTree {
 	tree, _ := pl.ChooseTreeWithCost(p)
 	return tree
@@ -201,219 +199,109 @@ func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
 	return buildTree(dp, 0, k), dp[0][k].cost
 }
 
-// treeExec carries one ExecuteTree call's invariants through the
-// recursion.
-type treeExec struct {
-	g   *graph.CSR
-	p   paths.Path
-	opt Options
-
-	// mu guards sched: sibling subtrees run concurrently and both fold
-	// their scheduler counters into the shared aggregate.
-	mu    sync.Mutex
-	sched SchedStats
-}
-
-// addSched folds a subtree execution's scheduler stats into the tree-wide
-// aggregate. Safe from concurrently running sibling subtrees.
-func (tx *treeExec) addSched(s SchedStats) {
-	tx.mu.Lock()
-	tx.sched.merge(s)
-	tx.mu.Unlock()
-}
-
-// run executes the subtree with the given worker budget and returns the
-// segment's relation, the intermediate sizes it materialized along the
-// way (in deterministic post-order: left subtree's, right subtree's,
-// then — for join nodes — the two join inputs themselves), and the
-// subtree's segment-cache hit/miss counts. A join node whose whole
-// segment is already cached adopts it without building either child —
-// this is how a warm cache gives bushy plans their leaf inputs, and
-// whole subtrees, for free.
-//
-// On error every relation the subtree materialized has been released
-// back to the options' pool; a failing child cancels the shared
-// canceller, so its concurrently building sibling aborts too instead of
-// running to completion against a dead query.
-func (tx *treeExec) run(t *PlanTree, workers int) (*bitset.HybridRelation, []int64, int, int, error) {
+// tree builds segment p[t.Lo:t.Hi) with the plan tree t. A leaf is a
+// zig-zag plan. A join node whose whole segment is already cached adopts
+// it without building either child — this is how a warm cache gives
+// bushy plans their leaf inputs, and whole subtrees, for free; otherwise
+// it builds both children and joins them with the sharded
+// relation×relation kernel, recording both inputs as intermediates after
+// the children's own (left subtree's, then right subtree's).
+func (x *core) tree(p paths.Path, t *PlanTree) (*bitset.HybridRelation, error) {
+	seg := p[t.Lo:t.Hi]
 	if t.IsLeaf() {
-		opt := tx.opt
-		opt.Workers = workers
-		rel, st, err := ExecutePlanChecked(tx.g, tx.p[t.Lo:t.Hi], Plan{Start: t.Start - t.Lo}, opt)
-		tx.addSched(st.Sched)
-		return rel, st.Intermediates, st.CacheHits, st.CacheMisses, err
+		return x.leaf(seg, t.Start-t.Lo)
 	}
-	n := tx.g.NumVertices()
-	seg := tx.p[t.Lo:t.Hi]
-	if err := tx.opt.Cancel.Err(); err != nil {
-		return nil, nil, 0, 0, err
+	dst, hit, err := x.whole(seg)
+	if hit || err != nil {
+		return dst, err
 	}
-	sc := newSegCache(tx.opt.Cache, n, tx.opt.DensityThreshold)
-	if sc != nil {
-		dst := getRel(tx.opt.Pool, n, tx.opt.DensityThreshold)
-		if sc.adopt(seg, false, dst) {
-			if err := tx.opt.checkBudget(dst); err != nil {
-				putRel(tx.opt.Pool, dst)
-				return nil, nil, 0, 0, err
-			}
-			return dst, nil, 1, 0, nil
-		}
-		putRel(tx.opt.Pool, dst)
-	}
-	// The two segments are independent: split the worker budget and build
-	// them concurrently. Each child drives its own scheduler, so the two
-	// builds share nothing but the read-only graph, the thread-safe
-	// cache, pool, and canceller; adoption is bit-identical to
-	// recomputation, so their outputs — and therefore the join below —
-	// are unaffected by timing.
 	var (
-		lrel, rrel *bitset.HybridRelation
-		li, ri     []int64
-		lh, lm     int
-		rh, rm     int
+		l, r       *bitset.HybridRelation
 		lerr, rerr error
 	)
-	if workers > 1 {
-		lw := (workers + 1) / 2
+	if x.workers > 1 {
+		// The two segments are independent: split the worker budget and
+		// build them concurrently, each on its own fork and stepper, so
+		// the two builds share nothing but the read-only graph and the
+		// thread-safe cache, pool and canceller; adoption is
+		// bit-identical to recomputation, so their outputs — and
+		// therefore the join below — are unaffected by timing.
+		// A failing side cancels the shared canceller so its sibling
+		// stops too; with no caller canceller the join gets a private one.
+		if x.opt.Cancel == nil {
+			x.opt.Cancel = &Canceller{}
+		}
+		lw := (x.workers + 1) / 2
+		left, right := x.fork(lw), x.fork(x.workers-lw)
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// The subtree runs on this raw goroutine, not a scheduler
-			// worker, so a panic at a join-node boundary must be contained
-			// here or it crashes the process.
-			lerr = containPanics(func() (err error) {
-				lrel, li, lh, lm, err = tx.run(t.Left, lw)
-				return err
-			})
-			if lerr != nil {
-				tx.opt.Cancel.CancelIfSet(lerr)
-			}
+			l, lerr = left.child(p, t.Left)
 		}()
-		rrel, ri, rh, rm, rerr = tx.run(t.Right, workers-lw)
-		if rerr != nil {
-			tx.opt.Cancel.CancelIfSet(rerr)
-		}
+		r, rerr = right.child(p, t.Right)
 		wg.Wait()
-	} else {
-		lrel, li, lh, lm, lerr = tx.run(t.Left, 1)
-		if lerr == nil {
-			rrel, ri, rh, rm, rerr = tx.run(t.Right, 1)
-		}
+		x.absorb(left)
+		x.absorb(right)
+	} else if l, lerr = x.tree(p, t.Left); lerr == nil {
+		r, rerr = x.tree(p, t.Right)
 	}
-	if lerr != nil || rerr != nil {
-		putRel(tx.opt.Pool, lrel)
-		putRel(tx.opt.Pool, rrel)
-		if lerr != nil {
-			return nil, nil, 0, 0, lerr
-		}
-		return nil, nil, 0, 0, rerr
+	if lerr != nil {
+		return nil, lerr
 	}
-	ints := append(li, ri...)
-	ints = append(ints, lrel.Pairs(), rrel.Pairs())
-	dst := getRel(tx.opt.Pool, n, tx.opt.DensityThreshold)
-	stp := newStepper(n, workers)
-	stp.setCancel(tx.opt.Cancel.Flag())
-	faultinject.Fire("exec.step")
-	joinFail := func(err error) (*bitset.HybridRelation, []int64, int, int, error) {
-		putRel(tx.opt.Pool, lrel)
-		putRel(tx.opt.Pool, rrel)
-		putRel(tx.opt.Pool, dst)
-		return nil, nil, 0, 0, err
+	if rerr != nil {
+		return nil, rerr
 	}
-	if err := tx.opt.Cancel.Err(); err != nil {
-		return joinFail(err)
-	}
-	err := stp.join(lrel, dst, rrel)
-	var js SchedStats
-	js.add(stp.counters())
-	tx.addSched(js)
-	if err != nil {
-		return joinFail(err)
-	}
-	if err := tx.opt.Cancel.Err(); err != nil {
-		return joinFail(err) // partial join output: discard, never cache
-	}
-	// Publish the joined segment in forward orientation: a later zig-zag
-	// over the same labels, a repeat of this subtree, or the whole-query
-	// fast path can all adopt it.
-	sc.put(seg, false, dst)
-	putRel(tx.opt.Pool, lrel)
-	putRel(tx.opt.Pool, rrel)
-	if err := tx.opt.checkBudget(dst); err != nil {
-		putRel(tx.opt.Pool, dst)
-		return nil, nil, 0, 0, err
-	}
-	hits, misses := sc.counters()
-	return dst, ints, lh + rh + hits, lm + rm + misses, nil
+	x.ints = append(x.ints, l.Pairs(), r.Pairs())
+	// The joined segment is published in forward orientation: a later
+	// zig-zag over the same labels, a repeat of this subtree, or the
+	// whole-segment fast path can all adopt it.
+	err = x.step(seg, false, dst, func() error { return x.stepper().join(l, dst, r) })
+	x.drop(l)
+	x.drop(r)
+	return dst, err
 }
 
-// ExecuteTree evaluates p over g with the given plan tree: leaves run as
-// zig-zag plans on the hybrid substrate, and every join node builds its
-// two segments independently — in parallel when the worker budget allows,
+// child builds one side of a concurrent join on this fork. A failure
+// cancels the shared canceller, so the concurrently building sibling
+// aborts too instead of running to completion against a dead query. A
+// panic is contained here rather than in finish: one side runs on a raw
+// goroutine, where an escaping panic crashes the process, and the other
+// must not unwind past the wait for it.
+func (x *core) child(p paths.Path, t *PlanTree) (rel *bitset.HybridRelation, err error) {
+	err = containPanics(func() (e error) {
+		rel, e = x.tree(p, t)
+		return e
+	})
+	if err != nil {
+		x.opt.Cancel.CancelIfSet(err)
+	}
+	return rel, err
+}
+
+// ExecuteTreeChecked evaluates p over g with the given plan tree under
+// the checked contract of ExecutePlanChecked: leaves run as zig-zag
+// plans on the hybrid substrate, and every join node builds its two
+// segments independently — in parallel when the worker budget allows,
 // each child on its own scheduler — then joins them with the sharded
-// relation×relation kernel. The merge discipline of every sharded step is
-// deterministic, so the result is bit-identical to sequential execution
-// (and to ExecutePlan and ExecuteDense) at every worker count.
+// relation×relation kernel. The merge discipline of every sharded step
+// is deterministic, so the result is bit-identical to sequential
+// execution (and to ExecutePlanChecked and ExecuteDense) at every worker
+// count. A failing subtree cancels its concurrently building sibling,
+// whether or not the caller passed a canceller.
 //
 // Stats.Work counts every relation fed into a join step: for leaves the
 // usual zig-zag intermediates, and for join nodes both finished segment
 // relations — matching CostTree's model, so an exact estimator makes
-// CostTree equal the executed Work. A single-leaf tree delegates to
-// ExecutePlan. It panics on an empty path or a malformed tree.
-func ExecuteTree(g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats) {
-	rel, st, err := ExecuteTreeChecked(g, p, tree, opt)
-	if err != nil {
-		// Legacy callers pass no canceller or budget, so the only way
-		// here is a contained worker panic — re-raise it on the caller.
-		panic(fmt.Sprintf("exec: unchecked execution failed: %v", err))
-	}
-	return rel, st
-}
-
-// ExecuteTreeChecked is ExecuteTree with the checked contract of
-// ExecutePlanChecked: cancellation and deadline checks at every join
-// boundary (a failing subtree cancels its concurrently building
-// sibling), budget enforcement on every materialized segment, contained
-// worker panics as typed errors, and every pooled relation released on
-// abort. A join-node execution with no caller canceller gets a private
-// one, so failure containment between sibling subtrees works even when
-// the caller never intends to cancel.
+// CostTree equal the executed Work. It panics on an empty path or a
+// malformed tree.
 func ExecuteTreeChecked(g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats, error) {
-	k := len(p)
-	if k == 0 {
+	if len(p) == 0 {
 		panic("exec: empty path query")
 	}
-	tree.validate(0, k)
-	if tree.IsLeaf() {
-		rel, st, err := ExecutePlanChecked(g, p, Plan{Start: tree.Start}, opt)
-		st.Tree = tree
-		return rel, st, err
-	}
-	if opt.Cancel == nil {
-		opt.Cancel = &Canceller{}
-	}
-	tx := &treeExec{g: g, p: p, opt: opt}
-	// Preconditions (empty path, malformed tree) have panicked above;
-	// from here a caller-goroutine panic anywhere in the recursion is
-	// contained as a typed error, mirroring ExecutePlanChecked.
-	var (
-		rel          *bitset.HybridRelation
-		ints         []int64
-		hits, misses int
-	)
-	err := containPanics(func() (e error) {
-		rel, ints, hits, misses, e = tx.run(tree, sched.WorkerCount(opt.Workers))
-		return e
-	})
-	st := Stats{Plan: Plan{Start: -1}, Tree: tree, Intermediates: ints,
-		CacheHits: hits, CacheMisses: misses, Sched: tx.sched}
-	if err != nil {
-		return nil, st, err
-	}
-	st.Result = rel.Pairs()
-	for _, v := range ints {
-		st.Work += v
-	}
-	return rel, st, nil
+	tree.validate(0, len(p))
+	x := newCore(g, opt)
+	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.tree(p, tree) })
+	st.Plan, st.Tree = Plan{Start: tree.Start}, tree
+	return rel, st, err
 }

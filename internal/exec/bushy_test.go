@@ -56,7 +56,7 @@ func TestExecuteTreePropertyAllShapes(t *testing.T) {
 		dref, dst := ExecuteDense(g, p, Forward)
 		density := []float64{0, 1e-9, 1.0}[trial%3]
 		for ti, tree := range allTrees(0, k) {
-			rel, st := ExecuteTree(g, p, tree, Options{DensityThreshold: density, Workers: 1})
+			rel, st := runTree(t, g, p, tree, Options{DensityThreshold: density, Workers: 1})
 			ctx := fmt.Sprintf("trial %d path %v tree %d %s", trial, p, ti, tree.Describe(k))
 			if !rel.EqualRelation(dref) {
 				t.Fatalf("%s: pairs differ from dense reference", ctx)
@@ -92,10 +92,10 @@ func TestExecuteTreeParallelMatchesSequential(t *testing.T) {
 			if tree.IsLeaf() {
 				continue // covered by the zig-zag parallel suite
 			}
-			seqRel, seqSt := ExecuteTree(g, p, tree, Options{Workers: 1})
+			seqRel, seqSt := runTree(t, g, p, tree, Options{Workers: 1})
 			for workers := 2; workers <= 8; workers *= 2 {
 				ctx := fmt.Sprintf("trial %d tree %d %s workers %d", trial, ti, tree.Describe(k), workers)
-				rel, st := ExecuteTree(g, p, tree, Options{Workers: workers})
+				rel, st := runTree(t, g, p, tree, Options{Workers: workers})
 				if !rel.Equal(seqRel) {
 					t.Fatalf("%s: parallel relation differs from sequential", ctx)
 				}
@@ -125,7 +125,7 @@ func TestCostTreeMatchesExecutedWork(t *testing.T) {
 			}
 			tree := pl.ChooseTree(p)
 			cost := pl.CostTree(p)
-			_, st := ExecuteTree(g, p, tree, Options{})
+			_, st := runTree(t, g, p, tree, Options{})
 			if float64(st.Work) != cost {
 				t.Fatalf("trial %d path %v tree %s: CostTree %v != executed work %d",
 					trial, p, tree.Describe(k), cost, st.Work)
@@ -200,7 +200,7 @@ func TestExecuteTreeValidation(t *testing.T) {
 				t.Fatalf("%s: expected panic", name)
 			}
 		}()
-		ExecuteTree(g, p, tree, Options{})
+		runTree(t, g, p, tree, Options{})
 	}
 	expectPanic("wrong span", &PlanTree{Lo: 0, Hi: 2, Start: 0})
 	expectPanic("start out of range", &PlanTree{Lo: 0, Hi: 3, Start: 3})
@@ -232,8 +232,8 @@ func FuzzExecTreeEquivalence(f *testing.F) {
 		tree := randomTree(rand.New(rand.NewSource(treeSeed)), 0, k)
 		w := int(workers%8) + 1
 		dref, _ := ExecuteDense(g, p, Forward)
-		seqRel, seqSt := ExecuteTree(g, p, tree, Options{DensityThreshold: density, Workers: 1})
-		rel, st := ExecuteTree(g, p, tree, Options{DensityThreshold: density, Workers: w})
+		seqRel, seqSt := runTree(t, g, p, tree, Options{DensityThreshold: density, Workers: 1})
+		rel, st := runTree(t, g, p, tree, Options{DensityThreshold: density, Workers: w})
 		if !seqRel.EqualRelation(dref) {
 			t.Fatalf("path %v tree %s: bushy differs from dense", p, tree.Describe(k))
 		}

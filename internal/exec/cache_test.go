@@ -26,11 +26,11 @@ func TestExecutePlanCacheEquivalence(t *testing.T) {
 				p[i] = rng.Intn(labels)
 			}
 			for s := 0; s < k; s++ {
-				want, wantSt := ExecutePlan(g, p, Plan{Start: s}, Options{DensityThreshold: density})
+				want, wantSt := runPlan(t, g, p, Plan{Start: s}, Options{DensityThreshold: density})
 				cache := relcache.New(relcache.Options{})
 				opt := Options{DensityThreshold: density, Cache: cache}
 
-				cold, coldSt := ExecutePlan(g, p, Plan{Start: s}, opt)
+				cold, coldSt := runPlan(t, g, p, Plan{Start: s}, opt)
 				if !cold.Equal(want) || coldSt.Result != wantSt.Result {
 					t.Fatalf("trial %d path %v start %d: cold cached run differs", trial, p, s)
 				}
@@ -50,7 +50,7 @@ func TestExecutePlanCacheEquivalence(t *testing.T) {
 						trial, p, s, coldSt.CacheMisses, k-1)
 				}
 
-				warm, warmSt := ExecutePlan(g, p, Plan{Start: s}, opt)
+				warm, warmSt := runPlan(t, g, p, Plan{Start: s}, opt)
 				if !warm.Equal(want) || warmSt.Result != wantSt.Result {
 					t.Fatalf("trial %d path %v start %d: warm cached run differs", trial, p, s)
 				}
@@ -91,8 +91,8 @@ func TestExecutePlanCacheCrossPlan(t *testing.T) {
 	}
 	for qi, p := range queries {
 		for s := 0; s < len(p); s++ {
-			want, wantSt := ExecutePlan(g, p, Plan{Start: s}, Options{})
-			got, gotSt := ExecutePlan(g, p, Plan{Start: s}, opt)
+			want, wantSt := runPlan(t, g, p, Plan{Start: s}, Options{})
+			got, gotSt := runPlan(t, g, p, Plan{Start: s}, opt)
 			if !got.Equal(want) || gotSt.Result != wantSt.Result {
 				t.Fatalf("query %d %v start %d: cached run diverged", qi, p, s)
 			}
@@ -118,14 +118,14 @@ func TestExecutePlanCacheCrossOrientation(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(labels)
 		}
-		want, _ := ExecutePlan(g, p, Plan{Start: 0}, Options{})
+		want, _ := runPlan(t, g, p, Plan{Start: 0}, Options{})
 		cache := relcache.New(relcache.Options{})
 		opt := Options{Cache: cache}
 
 		// Forward plan publishes; the backward plan wants every segment in
 		// the opposite orientation and must adopt anyway.
-		ExecutePlan(g, p, Plan{Start: 0}, opt)
-		rel, st := ExecutePlan(g, p, Plan{Start: k - 1}, opt)
+		runPlan(t, g, p, Plan{Start: 0}, opt)
+		rel, st := runPlan(t, g, p, Plan{Start: k - 1}, opt)
 		if !rel.Equal(want) {
 			t.Fatalf("trial %d path %v: backward run over forward-warmed cache diverged", trial, p)
 		}
@@ -147,9 +147,9 @@ func TestExecutePlanCacheDensityMismatch(t *testing.T) {
 	g := randomGraph(11, 80, 2, 400)
 	p := paths.Path{0, 1, 0}
 	cache := relcache.New(relcache.Options{})
-	ExecutePlan(g, p, Plan{Start: 0}, Options{DensityThreshold: 1.0, Cache: cache})
-	want, _ := ExecutePlan(g, p, Plan{Start: 0}, Options{DensityThreshold: 1e-9})
-	got, st := ExecutePlan(g, p, Plan{Start: 0}, Options{DensityThreshold: 1e-9, Cache: cache})
+	runPlan(t, g, p, Plan{Start: 0}, Options{DensityThreshold: 1.0, Cache: cache})
+	want, _ := runPlan(t, g, p, Plan{Start: 0}, Options{DensityThreshold: 1e-9})
+	got, st := runPlan(t, g, p, Plan{Start: 0}, Options{DensityThreshold: 1e-9, Cache: cache})
 	if st.CacheHits != 0 {
 		t.Fatalf("adopted %d entries across density regimes", st.CacheHits)
 	}
@@ -176,11 +176,11 @@ func TestExecuteTreeCacheEquivalence(t *testing.T) {
 			p[i] = rng.Intn(labels)
 		}
 		for _, tree := range enumerateTestTrees(0, len(p)) {
-			want, wantSt := ExecuteTree(g, p, tree, Options{})
+			want, wantSt := runTree(t, g, p, tree, Options{})
 			cache := relcache.New(relcache.Options{})
 			for _, workers := range []int{1, 4} {
 				opt := Options{Workers: workers, Cache: cache}
-				rel, st := ExecuteTree(g, p, tree, opt)
+				rel, st := runTree(t, g, p, tree, opt)
 				if !rel.Equal(want) || st.Result != wantSt.Result {
 					t.Fatalf("trial %d tree %s workers %d: cached tree run diverged",
 						trial, tree.Describe(len(p)), workers)
@@ -188,7 +188,7 @@ func TestExecuteTreeCacheEquivalence(t *testing.T) {
 			}
 			// Second pass on the warm cache: join nodes adopt whole
 			// segments.
-			rel, st := ExecuteTree(g, p, tree, Options{Cache: cache})
+			rel, st := runTree(t, g, p, tree, Options{Cache: cache})
 			if !rel.Equal(want) || st.Result != wantSt.Result {
 				t.Fatalf("trial %d tree %s: warm tree run diverged", trial, tree.Describe(len(p)))
 			}
@@ -262,11 +262,11 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 	p := paths.Path{0, 1, 2, 0}
 	cache := relcache.New(relcache.Options{})
 	opt := Options{Cache: cache}
-	want, _ := ExecutePlan(g, p, Plan{Start: 0}, Options{})
+	want, _ := runPlan(t, g, p, Plan{Start: 0}, Options{})
 
 	// Warm the halves the way a workload would: execute them as queries.
-	ExecutePlan(g, p[:2], Plan{Start: 0}, opt)
-	ExecutePlan(g, p[2:], Plan{Start: 0}, opt)
+	runPlan(t, g, p[:2], Plan{Start: 0}, opt)
+	runPlan(t, g, p[2:], Plan{Start: 0}, opt)
 
 	pl := Planner{
 		Est:    EstimatorFunc(func(seg paths.Path) float64 { return float64(len(seg) * 100) }),
@@ -276,11 +276,34 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 	if tree.IsLeaf() {
 		t.Fatalf("warm cache did not flip the plan bushy: %s", tree.Describe(len(p)))
 	}
-	rel, st := ExecuteTree(g, p, tree, opt)
+	rel, st := runTree(t, g, p, tree, opt)
 	if !rel.Equal(want) {
 		t.Fatal("cache-aware bushy plan produced a different relation")
 	}
 	if st.CacheHits == 0 {
 		t.Fatal("cache-aware bushy plan never adopted the warmed halves")
+	}
+}
+
+// TestWholeQueryHitAllocatesNothingOfItsOwn pins the hot path of a warm
+// workload: a pooled execution answered by the whole-query fast path
+// builds no scheduler and keeps its state on the stack, so the only
+// allocation left is the cache lookup's own.
+func TestWholeQueryHitAllocatesNothingOfItsOwn(t *testing.T) {
+	g := randomGraph(7, 400, 2, 6000)
+	opt, pool, _ := checkedOptions(g.NumVertices(), 2)
+	opt.Cache = relcache.New(relcache.Options{})
+	p := paths.Path{0, 1, 0}
+	rel, _ := runPlan(t, g, p, Plan{}, opt) // publish
+	pool.Put(rel)
+	run := func() {
+		rel, st, err := ExecutePlanChecked(g, p, Plan{}, opt)
+		if err != nil || st.CacheHits != 1 || st.Sched.Tasks != 0 {
+			t.Fatalf("err=%v stats=%+v, want one hit and no scheduler", err, st)
+		}
+		pool.Put(rel)
+	}
+	if allocs := testing.AllocsPerRun(50, run); allocs > 1 {
+		t.Fatalf("whole-query hit allocates %.0f times per execution, want ≤ 1", allocs)
 	}
 }

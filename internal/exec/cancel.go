@@ -15,10 +15,10 @@ import (
 // context deadline into a Canceller, and the relation pool that abort
 // paths release their buffers into so a killed query leaks nothing.
 
-// Typed abort causes. Every error returned by ExecutePlanChecked /
-// ExecuteTreeChecked matches exactly one of these under errors.Is (a
-// contained worker panic additionally matches as *sched.PanicError via
-// errors.As, and unwraps to sched.ErrStopped).
+// Typed abort causes. Every error an execution returns matches exactly
+// one of these under errors.Is (a contained worker panic additionally
+// matches as *sched.PanicError via errors.As, and unwraps to
+// sched.ErrStopped).
 var (
 	// ErrCancelled is the cause of an execution aborted by an explicit
 	// Canceller.Cancel or a cancelled (non-deadline) context.
@@ -159,36 +159,6 @@ func (p *RelPool) InUse() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.inUse
-}
-
-// getRel draws a relation from the pool, or allocates one when the
-// execution runs unpooled.
-func getRel(pool *RelPool, n int, density float64) *bitset.HybridRelation {
-	if pool == nil {
-		return bitset.NewHybrid(n, density)
-	}
-	return pool.Get()
-}
-
-// putRel releases a relation when the execution is pooled; unpooled
-// relations are left to the garbage collector.
-func putRel(pool *RelPool, rel *bitset.HybridRelation) {
-	if pool != nil {
-		pool.Put(rel)
-	}
-}
-
-// checkBudget enforces Options.MaxResultBytes against one materialized
-// relation, pricing it at clone size (content bytes, the same measure
-// the relation cache accounts by). Over budget it cancels the
-// execution's canceller — so sibling subtree builds abort too — and
-// returns ErrBudgetExceeded.
-func (opt *Options) checkBudget(rel *bitset.HybridRelation) error {
-	if opt.MaxResultBytes <= 0 || int64(rel.CloneMemSize()) <= opt.MaxResultBytes {
-		return nil
-	}
-	opt.Cancel.CancelIfSet(ErrBudgetExceeded)
-	return ErrBudgetExceeded
 }
 
 // CancelIfSet is Cancel tolerating a nil receiver, for internal abort

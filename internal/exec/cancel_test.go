@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -10,7 +8,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/paths"
-	"repro/internal/sched"
 )
 
 // checkedOptions returns options wiring a fresh pool and canceller for an
@@ -19,157 +16,6 @@ func checkedOptions(n, workers int) (Options, *RelPool, *Canceller) {
 	pool := NewRelPool(n, 0)
 	c := &Canceller{}
 	return Options{Workers: workers, Pool: pool, Cancel: c}, pool, c
-}
-
-// TestExecuteCheckedMatchesUnchecked pins that the checked entry point
-// with a pool and a never-fired canceller is behavior-free: relation and
-// stats bit-identical to the legacy path, and the pool back to baseline
-// once the result is released.
-func TestExecuteCheckedMatchesUnchecked(t *testing.T) {
-	g := randomGraph(11, 200, 3, 2500)
-	p := paths.Path{0, 1, 2, 0}
-	for _, workers := range []int{1, 4} {
-		for s := range p {
-			ref, refSt := ExecutePlan(g, p, Plan{Start: s}, Options{Workers: workers})
-			opt, pool, _ := checkedOptions(g.NumVertices(), workers)
-			rel, st, err := ExecutePlanChecked(g, p, Plan{Start: s}, opt)
-			if err != nil {
-				t.Fatalf("workers=%d start=%d: checked execution failed: %v", workers, s, err)
-			}
-			if !rel.Equal(ref) {
-				t.Fatalf("workers=%d start=%d: checked relation differs", workers, s)
-			}
-			assertStatsEqual(t, "checked", st, refSt)
-			if got := pool.InUse(); got != 1 {
-				t.Fatalf("workers=%d start=%d: %d relations in use, want 1 (the result)", workers, s, got)
-			}
-			pool.Put(rel)
-			if got := pool.InUse(); got != 0 {
-				t.Fatalf("workers=%d start=%d: %d relations in use after release", workers, s, got)
-			}
-		}
-	}
-}
-
-// TestExecuteCheckedPreCancelled pins the admission-edge behavior: an
-// already-cancelled canceller aborts before any relation materializes.
-func TestExecuteCheckedPreCancelled(t *testing.T) {
-	g := randomGraph(3, 100, 2, 500)
-	opt, pool, c := checkedOptions(g.NumVertices(), 2)
-	c.Cancel(nil)
-	rel, _, err := ExecutePlanChecked(g, paths.Path{0, 1}, Plan{}, opt)
-	if rel != nil || !errors.Is(err, ErrCancelled) {
-		t.Fatalf("got rel=%v err=%v, want nil rel and ErrCancelled", rel, err)
-	}
-	if pool.InUse() != 0 {
-		t.Fatalf("%d relations leaked by pre-cancelled execution", pool.InUse())
-	}
-}
-
-// TestExecuteCheckedBudget pins budget enforcement: a byte budget below
-// the query's intermediate sizes aborts with ErrBudgetExceeded and leaks
-// nothing, for both the zig-zag and the bushy executor.
-func TestExecuteCheckedBudget(t *testing.T) {
-	g := randomGraph(5, 300, 2, 5000)
-	p := paths.Path{0, 1, 0}
-	opt, pool, _ := checkedOptions(g.NumVertices(), 2)
-	opt.MaxResultBytes = 64 // far below any materialized relation
-	rel, _, err := ExecutePlanChecked(g, p, Plan{}, opt)
-	if rel != nil || !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("plan: got rel=%v err=%v, want ErrBudgetExceeded", rel, err)
-	}
-	if pool.InUse() != 0 {
-		t.Fatalf("plan: %d relations leaked", pool.InUse())
-	}
-
-	tree := &PlanTree{Lo: 0, Hi: 3, Start: -1,
-		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},
-		Right: &PlanTree{Lo: 2, Hi: 3, Start: 2},
-	}
-	topt, tpool, _ := checkedOptions(g.NumVertices(), 4)
-	topt.MaxResultBytes = 64
-	rel, _, err = ExecuteTreeChecked(g, p, tree, topt)
-	if rel != nil || !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("tree: got rel=%v err=%v, want ErrBudgetExceeded", rel, err)
-	}
-	if tpool.InUse() != 0 {
-		t.Fatalf("tree: %d relations leaked", tpool.InUse())
-	}
-}
-
-// TestExecuteCheckedDeadline drives the context bridge: an injected delay
-// at every step boundary makes a short context deadline expire mid-query,
-// and the execution must surface ErrDeadlineExceeded without leaks.
-func TestExecuteCheckedDeadline(t *testing.T) {
-	faultinject.Install(faultinject.NewInjector(faultinject.Rule{
-		Site: "exec.step", Action: faultinject.ActDelay, Delay: 10 * time.Millisecond,
-	}))
-	t.Cleanup(faultinject.Uninstall)
-	g := randomGraph(13, 200, 2, 2000)
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
-	defer cancel()
-	canceller, release := NewCancellerContext(ctx)
-	defer release()
-	pool := NewRelPool(g.NumVertices(), 0)
-	rel, _, err := ExecutePlanChecked(g, paths.Path{0, 1, 0, 1}, Plan{},
-		Options{Workers: 2, Cancel: canceller, Pool: pool})
-	if rel != nil || !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("got rel=%v err=%v, want ErrDeadlineExceeded", rel, err)
-	}
-	if pool.InUse() != 0 {
-		t.Fatalf("%d relations leaked by deadline abort", pool.InUse())
-	}
-}
-
-// TestChaosPanicContainment injects a worker panic into a sharded join
-// step and asserts the containment contract end to end: the panic comes
-// back as a typed *sched.PanicError (never a crash), and the abort path
-// releases every pooled relation.
-func TestChaosPanicContainment(t *testing.T) {
-	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
-	p := paths.Path{0, 1, 0, 1}
-	for _, workers := range []int{2, 8} {
-		faultinject.Install(faultinject.NewInjector(faultinject.Rule{
-			Site: "exec.shard", Skip: 2, Count: 1, Action: faultinject.ActPanic,
-		}))
-		opt, pool, _ := checkedOptions(g.NumVertices(), workers)
-		rel, _, err := ExecutePlanChecked(g, p, Plan{}, opt)
-		faultinject.Uninstall()
-		var pe *sched.PanicError
-		if rel != nil || !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: got rel=%v err=%v, want *sched.PanicError", workers, rel, err)
-		}
-		if !errors.Is(err, sched.ErrStopped) {
-			t.Fatalf("workers=%d: panic error does not unwrap to sched.ErrStopped", workers)
-		}
-		if pool.InUse() != 0 {
-			t.Fatalf("workers=%d: %d relations leaked by panic abort", workers, pool.InUse())
-		}
-	}
-}
-
-// TestChaosTreePanicContainment is the bushy-plan variant: a panic in one
-// subtree's shard must cancel the sibling subtree and surface typed.
-func TestChaosTreePanicContainment(t *testing.T) {
-	g := randomGraph(7, 400, 2, 6000)
-	p := paths.Path{0, 1, 0, 1}
-	tree := &PlanTree{Lo: 0, Hi: 4, Start: -1,
-		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},
-		Right: &PlanTree{Lo: 2, Hi: 4, Start: 2},
-	}
-	faultinject.Install(faultinject.NewInjector(faultinject.Rule{
-		Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic,
-	}))
-	t.Cleanup(faultinject.Uninstall)
-	opt, pool, _ := checkedOptions(g.NumVertices(), 4)
-	rel, _, err := ExecuteTreeChecked(g, p, tree, opt)
-	var pe *sched.PanicError
-	if rel != nil || !errors.As(err, &pe) {
-		t.Fatalf("got rel=%v err=%v, want *sched.PanicError", rel, err)
-	}
-	if pool.InUse() != 0 {
-		t.Fatalf("%d relations leaked by tree panic abort", pool.InUse())
-	}
 }
 
 // waitForGoroutines polls until the goroutine count drops back to the
@@ -233,8 +79,8 @@ func TestCancelLeakHygiene(t *testing.T) {
 
 // FuzzCancelEquivalence pins two properties across fuzzed graphs and
 // queries: wiring a canceller and pool that never fire is bit-identical
-// to the unchecked path, and cancelling after completion affects nothing
-// (the relation already returned is untouched).
+// to running without them, and cancelling after completion affects
+// nothing (the relation already returned is untouched).
 func FuzzCancelEquivalence(f *testing.F) {
 	f.Add(int64(1), 80, 2, 400, uint16(0x0012), uint8(2))
 	f.Add(int64(9), 150, 3, 1200, uint16(0x0321), uint8(5))
@@ -251,14 +97,14 @@ func FuzzCancelEquivalence(f *testing.F) {
 		}
 		w := int(workers%8) + 1
 		start := rand.New(rand.NewSource(seed)).Intn(k)
-		ref, refSt := ExecutePlan(g, p, Plan{Start: start}, Options{Workers: w})
+		ref, refSt := runPlan(t, g, p, Plan{Start: start}, Options{Workers: w})
 		opt, pool, c := checkedOptions(g.NumVertices(), w)
 		rel, st, err := ExecutePlanChecked(g, p, Plan{Start: start}, opt)
 		if err != nil {
 			t.Fatalf("checked execution failed: %v", err)
 		}
 		if !rel.Equal(ref) || st.Result != refSt.Result || st.Work != refSt.Work {
-			t.Fatalf("path %v start %d workers %d: checked diverged from unchecked", p, start, w)
+			t.Fatalf("path %v start %d workers %d: canceller and pool changed the result", p, start, w)
 		}
 		// Cancel after completion: the returned relation must be unaffected.
 		c.Cancel(nil)

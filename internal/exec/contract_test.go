@@ -1,0 +1,211 @@
+package exec
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/bitset"
+	"repro/internal/faultinject"
+	"repro/internal/graph"
+	"repro/internal/paths"
+	"repro/internal/sched"
+)
+
+// planShape is one way to hand the executor a query: the entry point
+// with its plan bound, and the oracle a survivor must be bit-identical
+// to.
+type planShape struct {
+	name   string
+	run    func(Options) (*bitset.HybridRelation, Stats, error)
+	oracle func(*bitset.HybridRelation) bool
+}
+
+// contractShapes returns the three plan shapes over one graph: an
+// interior-start zig-zag plan, a bushy join of two zig-zag halves, and a
+// DAG whose fold joins a bushy run block with a repetition element.
+func contractShapes(t *testing.T, g *graph.CSR) []planShape {
+	p := paths.Path{0, 1, 0, 1}
+	tree := &PlanTree{Lo: 0, Hi: 4, Start: -1,
+		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},
+		Right: &PlanTree{Lo: 2, Hi: 4, Start: 2},
+	}
+	dense, _ := ExecuteDense(g, p, Forward)
+	rep := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 2}
+	dag := &RPQDag{Elems: []RPQElem{
+		{Labels: []int{0}, MinRep: 1, MaxRep: 1}, {Labels: []int{1}, MinRep: 1, MaxRep: 1},
+		{Labels: []int{0}, MinRep: 1, MaxRep: 1}, {Labels: []int{1}, MinRep: 1, MaxRep: 1},
+		rep,
+	}}
+	dp := &DagPlan{Blocks: []DagBlockPlan{
+		{Lo: 0, Hi: 4, Run: p, Tree: tree},
+		{Lo: 4, Hi: 5, Elem: rep},
+	}}
+	union := expansionUnion(t, g, dag, Options{})
+	return []planShape{
+		{"zigzag",
+			func(opt Options) (*bitset.HybridRelation, Stats, error) {
+				return ExecutePlanChecked(g, p, Plan{Start: 1}, opt)
+			},
+			func(rel *bitset.HybridRelation) bool { return rel.EqualRelation(dense) }},
+		{"bushy",
+			func(opt Options) (*bitset.HybridRelation, Stats, error) {
+				return ExecuteTreeChecked(g, p, tree, opt)
+			},
+			func(rel *bitset.HybridRelation) bool { return rel.EqualRelation(dense) }},
+		{"dag",
+			func(opt Options) (*bitset.HybridRelation, Stats, error) {
+				return ExecuteDagChecked(g, dag, dp, opt)
+			},
+			union.Equal},
+	}
+}
+
+// abortCase is one way to kill an execution: arm prepares the options
+// and the fault injector (returning a cleanup), and want reports whether
+// the returned error is the typed one the case must produce.
+type abortCase struct {
+	name string
+	arm  func(opt *Options, c *Canceller) (cleanup func())
+	want func(error) bool
+	// survives marks a case the execution may legitimately outlive (the
+	// fault site is never visited at this worker count).
+	survives bool
+}
+
+func isPanicError(err error) bool {
+	var pe *sched.PanicError
+	return errors.As(err, &pe)
+}
+
+func armFault(r faultinject.Rule) func(*Options, *Canceller) func() {
+	return func(*Options, *Canceller) func() {
+		faultinject.Install(faultinject.NewInjector(r))
+		return faultinject.Uninstall
+	}
+}
+
+// contractCases returns the abort table for a shape whose uncached run
+// crosses the given number of exec.step boundaries.
+func contractCases(boundaries, workers int) []abortCase {
+	cases := []abortCase{
+		{name: "pre-cancelled",
+			arm:  func(_ *Options, c *Canceller) func() { c.Cancel(nil); return func() {} },
+			want: func(err error) bool { return errors.Is(err, ErrCancelled) }},
+		{name: "deadline",
+			// An injected delay at every step boundary makes a short
+			// context deadline expire mid-query.
+			arm: func(opt *Options, _ *Canceller) func() {
+				faultinject.Install(faultinject.NewInjector(faultinject.Rule{
+					Site: "exec.step", Action: faultinject.ActDelay, Delay: 10 * time.Millisecond}))
+				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+				canc, release := NewCancellerContext(ctx)
+				opt.Cancel = canc
+				return func() { release(); cancel(); faultinject.Uninstall() }
+			},
+			want: func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }},
+		{name: "budget",
+			arm:  func(opt *Options, _ *Canceller) func() { opt.MaxResultBytes = 64; return func() {} },
+			want: func(err error) bool { return errors.Is(err, ErrBudgetExceeded) }},
+		{name: "shard-panic",
+			// A worker-side panic inside a sharded kernel task; the
+			// scheduler contains it and the error unwraps to ErrStopped.
+			arm: armFault(faultinject.Rule{Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic}),
+			want: func(err error) bool {
+				return isPanicError(err) && errors.Is(err, sched.ErrStopped)
+			},
+			survives: workers == 1},
+	}
+	// A caller-goroutine panic at each step boundary in turn: leaf
+	// steps, join-node boundaries (both children built and live), power
+	// and fold steps.
+	for i := 0; i < boundaries; i++ {
+		cases = append(cases, abortCase{
+			name: fmt.Sprintf("step-panic@%d", i),
+			arm:  armFault(faultinject.Rule{Site: "exec.step", Skip: i, Count: 1, Action: faultinject.ActPanic}),
+			want: isPanicError})
+	}
+	return cases
+}
+
+// TestContractEveryPlanShape pins the one execution contract on every
+// plan shape: {zig-zag, bushy, DAG} × {pre-cancelled, deadline, budget,
+// shard panic, step panic at each boundary} × workers {1, 4}. An aborted
+// execution returns its typed error and a nil relation, with every
+// pooled relation released and every goroutine gone; a survivor is
+// bit-identical to the dense reference or the expansion-union oracle and
+// holds exactly its result.
+func TestContractEveryPlanShape(t *testing.T) {
+	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
+	for _, sh := range contractShapes(t, g) {
+		for _, workers := range []int{1, 4} {
+			// A survival run under a never-triggering rule counts the
+			// shape's step boundaries and checks the survivor.
+			inj := faultinject.NewInjector(faultinject.Rule{Site: "exec.step", Skip: 1 << 30})
+			faultinject.Install(inj)
+			opt, pool, _ := checkedOptions(g.NumVertices(), workers)
+			rel, _, err := sh.run(opt)
+			faultinject.Uninstall()
+			if err != nil || !sh.oracle(rel) || pool.InUse() != 1 {
+				t.Fatalf("%s workers=%d: survivor err=%v, %d relations in use, want the oracle's relation and 1",
+					sh.name, workers, err, pool.InUse())
+			}
+			for _, ac := range contractCases(inj.Visits("exec.step"), workers) {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", sh.name, ac.name, workers), func(t *testing.T) {
+					base := runtime.NumGoroutine()
+					opt, pool, c := checkedOptions(g.NumVertices(), workers)
+					cleanup := ac.arm(&opt, c)
+					rel, _, err := sh.run(opt)
+					cleanup()
+					switch {
+					case err == nil && ac.survives:
+						if !sh.oracle(rel) {
+							t.Fatal("survivor differs from the oracle")
+						}
+						pool.Put(rel)
+					case rel != nil || !ac.want(err):
+						t.Fatalf("got relation=%t err=%v, want no relation and the case's typed error", rel != nil, err)
+					}
+					if n := pool.InUse(); n != 0 {
+						t.Fatalf("%d pooled relations leaked (err=%v)", n, err)
+					}
+					waitForGoroutines(t, base)
+				})
+			}
+		}
+	}
+}
+
+// TestContractBudgetSingleLabel pins that Options.MaxResultBytes bounds
+// every relation an execution hands out, including the single-label
+// base no join step ever produced: a length-1 query over budget is
+// killed on all three plan shapes.
+func TestContractBudgetSingleLabel(t *testing.T) {
+	g := randomGraph(7, 400, 2, 6000)
+	p := paths.Path{0}
+	dag := &RPQDag{Elems: []RPQElem{{Labels: []int{0}, MinRep: 1, MaxRep: 1}}}
+	for name, run := range map[string]func(Options) (*bitset.HybridRelation, Stats, error){
+		"zigzag": func(opt Options) (*bitset.HybridRelation, Stats, error) {
+			return ExecutePlanChecked(g, p, Plan{}, opt)
+		},
+		"bushy": func(opt Options) (*bitset.HybridRelation, Stats, error) {
+			return ExecuteTreeChecked(g, p, &PlanTree{Lo: 0, Hi: 1}, opt)
+		},
+		"dag": func(opt Options) (*bitset.HybridRelation, Stats, error) {
+			return ExecuteDagChecked(g, dag, nil, opt)
+		},
+	} {
+		opt, pool, _ := checkedOptions(g.NumVertices(), 1) // a fresh canceller per case
+		opt.MaxResultBytes = 1
+		rel, _, err := run(opt)
+		if rel != nil || !errors.Is(err, ErrBudgetExceeded) {
+			t.Errorf("%s: got relation=%t err=%v, want no relation and ErrBudgetExceeded", name, rel != nil, err)
+		}
+		if n := pool.InUse(); n != 0 {
+			t.Errorf("%s: %d pooled relations leaked", name, n)
+		}
+	}
+}

@@ -1,0 +1,293 @@
+package exec
+
+import (
+	"runtime/debug"
+
+	"repro/internal/bitset"
+	"repro/internal/faultinject"
+	"repro/internal/graph"
+	"repro/internal/paths"
+	"repro/internal/sched"
+)
+
+// This file is the one execution lifecycle behind the three plan-shape
+// entry points (ExecutePlanChecked, ExecuteTreeChecked,
+// ExecuteDagChecked). Every relation a plan node materializes goes
+// through core.take, every join through core.step, and every execution
+// ends in core.finish. The plan shapes themselves are node methods on
+// core — leaf (exec.go), tree (bushy.go), elem and fold (rpq.go) — that
+// nest freely, so a bushy run block inside an RPQ shares the cache view,
+// the live set and the stats of the query it belongs to.
+
+// core is one execution's state: the graph, the options, the execution's
+// view of the segment-relation cache, the set of live pooled relations —
+// released wholesale on every abort path so a killed query leaks nothing
+// — and the stats. It is one sequential strand: a zig-zag plan or an RPQ
+// fold runs on a single core, and a join node with a worker budget to
+// split forks one per child and absorbs both when they finish, so no
+// field is ever shared between goroutines.
+type core struct {
+	g   *graph.CSR
+	opt Options
+	n   int // vertex universe of the executing graph
+
+	// limit is the sparse promotion limit an adoptable cache entry must
+	// carry; with n it pins the representation regime, so adoption is
+	// bit-identical to recomputation no matter what the cache holds.
+	limit int
+
+	workers int
+	stp     *stepper // built on the first join step: a whole-query cache hit allocates no scheduler
+
+	// held[:nheld] and more are the live set: the relations checked out
+	// and not yet dropped. The first few sit inline so that a plan that
+	// never holds more at once (every zig-zag plan, every whole-query
+	// cache hit) tracks them without allocating; a slice pointing back
+	// into the core would force it to the heap.
+	held  [8]*bitset.HybridRelation
+	nheld int
+	more  []*bitset.HybridRelation
+
+	ints         []int64 // intermediates, in step order
+	hits, misses int
+	sched        SchedStats // absorbed forks; the core's own stepper is added by stats
+}
+
+// newCore returns the execution state for one call. It is a value so
+// that an execution that never forks keeps it on the caller's stack.
+func newCore(g *graph.CSR, opt Options) core {
+	x := core{g: g, opt: opt, n: g.NumVertices(), workers: sched.WorkerCount(opt.Workers)}
+	if opt.Cache != nil {
+		x.limit = bitset.SparseLimit(x.n, opt.DensityThreshold)
+	}
+	return x
+}
+
+// fork returns the state for one side of a concurrent join: the same
+// execution with its own worker budget, stepper, live set and tallies.
+func (x *core) fork(workers int) *core {
+	return &core{g: x.g, opt: x.opt, n: x.n, limit: x.limit, workers: workers}
+}
+
+// absorb folds a finished fork back into its parent — intermediates in
+// the executor's deterministic post-order, and whatever the fork still
+// holds live (its result, or on abort everything it had taken).
+func (x *core) absorb(c *core) {
+	x.ints = append(x.ints, c.ints...)
+	x.hits += c.hits
+	x.misses += c.misses
+	x.sched.merge(c.stats())
+	c.eachLive(x.track)
+}
+
+// stats returns the finished core's scheduler activity: its absorbed
+// forks plus its own stepper. Call it once.
+func (x *core) stats() SchedStats {
+	if x.stp != nil {
+		c := x.stp.counters()
+		x.sched.merge(SchedStats{Tasks: c.TotalTasks(), Steals: c.Steals, Parks: c.Parks, TasksPerWorker: c.Tasks})
+	}
+	return x.sched
+}
+
+// take checks a relation out of the pool and tracks it live. Unpooled
+// executions allocate, and leave what they drop to the garbage collector.
+func (x *core) take() *bitset.HybridRelation {
+	if x.opt.Pool == nil {
+		return bitset.NewHybrid(x.n, x.opt.DensityThreshold)
+	}
+	rel := x.opt.Pool.Get()
+	x.track(rel)
+	return rel
+}
+
+// track adds a checked-out relation to the live set.
+func (x *core) track(rel *bitset.HybridRelation) {
+	if x.nheld < len(x.held) {
+		x.held[x.nheld] = rel
+		x.nheld++
+	} else {
+		x.more = append(x.more, rel)
+	}
+}
+
+// eachLive visits the live set.
+func (x *core) eachLive(fn func(*bitset.HybridRelation)) {
+	for _, r := range x.held[:x.nheld] {
+		fn(r)
+	}
+	for _, r := range x.more {
+		fn(r)
+	}
+}
+
+// drop releases one live relation back to the pool.
+func (x *core) drop(rel *bitset.HybridRelation) {
+	if x.opt.Pool == nil {
+		return
+	}
+	for i, r := range x.held[:x.nheld] {
+		if r == rel {
+			x.nheld--
+			x.held[i] = x.held[x.nheld]
+			break
+		}
+	}
+	for i, r := range x.more {
+		if r == rel {
+			last := len(x.more) - 1
+			x.more[i] = x.more[last]
+			x.more = x.more[:last]
+			break
+		}
+	}
+	x.opt.Pool.Put(rel)
+}
+
+// price enforces Options.MaxResultBytes against one relation the
+// execution hands out, at clone size (content bytes, the measure the
+// relation cache accounts by). Over budget it cancels the execution's
+// canceller — so sibling subtree builds abort too — and returns
+// ErrBudgetExceeded.
+func (x *core) price(rel *bitset.HybridRelation) error {
+	if x.opt.MaxResultBytes <= 0 || int64(rel.CloneMemSize()) <= x.opt.MaxResultBytes {
+		return nil
+	}
+	x.opt.Cancel.CancelIfSet(ErrBudgetExceeded)
+	return ErrBudgetExceeded
+}
+
+// fill makes dst the union of the labels' edge relations — the base
+// every plan grows from — and prices it. Single-label relations are
+// near-verbatim CSR copies, which is why the cache never holds them.
+func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
+	dst.FillFromCSR(x.g.LabelOperand(labels[0]))
+	if len(labels) > 1 {
+		tmp := x.take()
+		for _, l := range labels[1:] {
+			tmp.FillFromCSR(x.g.LabelOperand(l))
+			dst.UnionWith(tmp)
+		}
+		x.drop(tmp)
+	}
+	return x.price(dst)
+}
+
+// stepper returns the core's stepper, building it on first use.
+func (x *core) stepper() *stepper {
+	if x.stp == nil {
+		x.stp = newStepper(x.n, x.workers)
+		x.stp.setCancel(x.opt.Cancel.Flag())
+	}
+	return x.stp
+}
+
+// cached materializes the cached relation of seg in the wanted
+// orientation into dst and reports whether an adoptable entry existed.
+// Only segments of length ≥ 2 are cached (a nil seg is an uncacheable
+// step). The cache stores one orientation per label sequence: a stored
+// orientation matching the wanted one copies verbatim, a mismatch
+// derives the inverse (ReverseInto) — bit-identical to recomputing,
+// because every kernel picks a row's representation purely from its
+// final population against dst's promotion limit. Entries from another
+// universe or promotion limit are ignored rather than adopted.
+func (x *core) cached(seg paths.Path, reversed bool, dst *bitset.HybridRelation) bool {
+	if x.opt.Cache == nil || len(seg) < 2 {
+		return false
+	}
+	rel, stored, ok := x.opt.Cache.Get(seg)
+	if !ok || rel.Universe() != x.n || rel.SparseMax() != x.limit {
+		return false
+	}
+	if stored == reversed {
+		rel.CopyInto(dst)
+	} else {
+		rel.ReverseInto(dst)
+	}
+	x.hits++
+	return true
+}
+
+// whole takes a relation and tries the whole-segment fast path every
+// node of length ≥ 2 starts with: a workload that repeats the segment
+// (or another plan that already joined these labels) left the finished
+// relation in the cache, so the node adopts it without building anything
+// below. On a miss dst is the node's first buffer.
+func (x *core) whole(seg paths.Path) (dst *bitset.HybridRelation, hit bool, err error) {
+	dst = x.take()
+	if x.cached(seg, false, dst) {
+		return dst, true, x.price(dst)
+	}
+	return dst, false, nil
+}
+
+// step is the one protocol every join step of every plan shape goes
+// through: fire the exec.step fault site (chaos tests insert delays and
+// panics here without touching real kernels), check cancellation, adopt
+// seg's relation from the cache or compute it into dst and publish it,
+// then price dst against the budget. A cancelled step's partial
+// destination is discarded, never cached. Every segment is materialized
+// either way, so recorded intermediates are identical to an uncached
+// run. On error dst stays live for finish to release.
+func (x *core) step(seg paths.Path, reversed bool, dst *bitset.HybridRelation, compute func() error) error {
+	faultinject.Fire("exec.step")
+	if err := x.opt.Cancel.Err(); err != nil {
+		return err
+	}
+	if !x.cached(seg, reversed, dst) {
+		if err := compute(); err != nil {
+			return err
+		}
+		if err := x.opt.Cancel.Err(); err != nil {
+			return err
+		}
+		if x.opt.Cache != nil && len(seg) >= 2 {
+			x.opt.Cache.Put(seg, reversed, dst)
+			x.misses++
+		}
+	}
+	return x.price(dst)
+}
+
+// containPanics invokes fn, converting an escaping panic into the same
+// typed *sched.PanicError the scheduler produces for a panic contained
+// on a worker; Worker −1 marks a goroutine the scheduler does not own.
+// A panic anywhere on the execution path — a fault-injection site, a
+// kernel bug — surfaces as an error instead of unwinding through the
+// caller (in a server, that unwind severs the client's connection).
+// Precondition panics (caller bugs) must be raised before entering fn.
+func containPanics(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &sched.PanicError{Worker: -1, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
+
+// finish runs the plan's root node and ends the execution — the one
+// place that happens. A dead canceller aborts before any relation
+// materializes; a panic on the caller's goroutine is contained as a
+// typed error (worker-side panics are contained by the scheduler before
+// they reach here); on any error the returned relation is nil and every
+// live relation is back in the pool; a survivor's result stays checked
+// out for the caller to release.
+func (x *core) finish(root func() (*bitset.HybridRelation, error)) (rel *bitset.HybridRelation, st Stats, err error) {
+	if err := x.opt.Cancel.Err(); err != nil {
+		return nil, st, err
+	}
+	err = containPanics(func() (e error) {
+		rel, e = root()
+		return e
+	})
+	st = Stats{Intermediates: x.ints, CacheHits: x.hits, CacheMisses: x.misses, Sched: x.stats()}
+	if err != nil {
+		x.eachLive(x.opt.Pool.Put)
+		return nil, st, err
+	}
+	for _, v := range st.Intermediates {
+		st.Work += v
+	}
+	st.Result = rel.Pairs()
+	return rel, st, nil
+}

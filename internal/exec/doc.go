@@ -12,9 +12,9 @@
 // selective label. All plans produce the same answer; their costs differ
 // by the sizes of the intermediate results, which are exactly the
 // selectivities of the plan's intermediate segments. A Planner costs every
-// plan from a selectivity estimator and picks the cheapest; ExecutePlan
-// carries the plan out and reports the actual intermediate sizes, so
-// planning quality is measurable end to end.
+// plan from a selectivity estimator and picks the cheapest;
+// ExecutePlanChecked carries the plan out and reports the actual
+// intermediate sizes, so planning quality is measurable end to end.
 //
 // Beyond the linear space, a PlanTree is a bushy plan: leaves build query
 // segments with zig-zag plans, and join nodes build their two child
@@ -23,8 +23,19 @@
 // kernel (bitset.JoinInto / JoinShardInto). Planner.ChooseTree searches
 // the tree space with a dynamic program over segment splits (bounded by
 // MaxTreeLength) and falls back to the best zig-zag plan whenever linear
-// growth is estimated cheaper; ExecuteTree carries a tree out,
-// bit-identical to ExecutePlan and ExecuteDense.
+// growth is estimated cheaper; ExecuteTreeChecked carries a tree out. A
+// regular path query compiles to an RPQDag, which Planner.PlanDag
+// decomposes into zig-zag/bushy run blocks and alternation/repetition
+// elements and ExecuteDagChecked folds left to right.
+//
+// The three entry points are plan-shape adapters over one execution
+// core (core.go): one step protocol — fire the exec.step fault site,
+// check cancellation, adopt the segment from the relation cache or
+// compute and publish it, price it against the byte budget — and one
+// finish — contain panics as typed errors, release every pooled
+// relation on abort, total the stats. Plan shapes are node methods that
+// nest, and every surviving execution is bit-identical to ExecuteDense
+// (or, for an RPQ, to the union of its expansions).
 //
 // Execution runs on the hybrid sparse/dense relation substrate
 // (bitset.HybridRelation): two pooled relations double-buffer through the

@@ -48,14 +48,14 @@ func TestExecutorsDegenerateGraphs(t *testing.T) {
 				opt := Options{Workers: workers}
 				for s := 0; s < k; s++ {
 					ctx := fmt.Sprintf("%s k=%d start=%d workers=%d", tc.name, k, s, workers)
-					rel, st := ExecutePlan(tc.g, p, Plan{Start: s}, opt)
+					rel, st := runPlan(t, tc.g, p, Plan{Start: s}, opt)
 					if !rel.EqualRelation(dref) || st.Result != dst.Result {
 						t.Fatalf("%s: zig-zag diverged from dense", ctx)
 					}
 				}
 				for ti, tree := range allTrees(0, k) {
 					ctx := fmt.Sprintf("%s k=%d tree=%d workers=%d", tc.name, k, ti, workers)
-					rel, st := ExecuteTree(tc.g, p, tree, opt)
+					rel, st := runTree(t, tc.g, p, tree, opt)
 					if !rel.EqualRelation(dref) || st.Result != dst.Result {
 						t.Fatalf("%s: bushy diverged from dense", ctx)
 					}

@@ -2,75 +2,12 @@ package exec
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"repro/internal/bitset"
-	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/paths"
 	"repro/internal/relcache"
-	"repro/internal/sched"
 )
-
-// callerPanic converts a panic recovered on the calling goroutine into
-// the same typed *sched.PanicError the scheduler produces for a panic
-// contained on a worker; Worker −1 marks the caller's own goroutine.
-// The checked executors use it so a panic anywhere on the execution
-// path — a fault-injection site, a kernel bug — surfaces as an error
-// instead of unwinding through the caller (in a server, that unwind
-// severs the client's connection).
-func callerPanic(r any) error {
-	return &sched.PanicError{Worker: -1, Value: r, Stack: debug.Stack()}
-}
-
-// containPanics invokes fn, converting an escaping panic into a
-// callerPanic error. Precondition panics (caller bugs) must be raised
-// before entering fn, not inside it.
-func containPanics(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = callerPanic(r)
-		}
-	}()
-	return fn()
-}
-
-// Direction is one of the two endpoint join orders for a path query. It
-// survives as convenience API over the general Plan: Forward is the plan
-// starting at position 0, Backward the plan starting at the last label.
-type Direction int
-
-// Join directions.
-const (
-	// Forward evaluates l1, l1/l2, … building prefixes left-to-right.
-	Forward Direction = iota
-	// Backward evaluates lk, l(k-1)/lk, … building suffixes right-to-left.
-	Backward
-)
-
-// String returns the direction name.
-func (d Direction) String() string {
-	switch d {
-	case Forward:
-		return "forward"
-	case Backward:
-		return "backward"
-	default:
-		return fmt.Sprintf("Direction(%d)", int(d))
-	}
-}
-
-// Plan returns the equivalent zig-zag plan for a length-k query.
-func (d Direction) Plan(k int) Plan {
-	switch d {
-	case Forward:
-		return Plan{Start: 0}
-	case Backward:
-		return Plan{Start: k - 1}
-	default:
-		panic(fmt.Sprintf("exec: unknown direction %d", int(d)))
-	}
-}
 
 // Plan is a zig-zag join plan for a length-k path query: begin with the
 // single-label relation at position Start, extend right to the end of the
@@ -126,17 +63,16 @@ type Options struct {
 	// it across graphs returns wrong relations.
 	Cache *relcache.Cache
 	// Cancel, when non-nil, makes the execution cooperatively
-	// cancellable: the checked executors consult it between join steps,
-	// and its kernel flag is wired into every compose scratch so even one
-	// huge step aborts with bounded latency. A cancelled execution
-	// returns the canceller's cause (ErrCancelled, ErrDeadlineExceeded,
-	// or ErrBudgetExceeded) from the Checked entry points; the legacy
-	// entry points panic on it, so only pair a canceller with
-	// ExecutePlanChecked/ExecuteTreeChecked.
+	// cancellable: the executor consults it at every join step, and its
+	// kernel flag is wired into every compose scratch so even one huge
+	// step aborts with bounded latency. A cancelled execution returns
+	// the canceller's cause (ErrCancelled, ErrDeadlineExceeded, or
+	// ErrBudgetExceeded).
 	Cancel *Canceller
 	// MaxResultBytes, when > 0, bounds every relation the execution
-	// materializes, priced at clone size (content bytes). The first
-	// intermediate or result over the bound aborts the execution with
+	// materializes — single-label bases included — priced at clone size
+	// (content bytes). The first base, intermediate or result over the
+	// bound aborts the execution with
 	// ErrBudgetExceeded — the executable form of the paper's thesis that
 	// intermediate volume is what makes a path query expensive.
 	MaxResultBytes int64
@@ -151,12 +87,12 @@ type Options struct {
 
 // Stats reports what an execution actually did.
 type Stats struct {
-	// Plan is the executed zig-zag join plan. For a bushy execution
-	// (ExecuteTree with a join node at the root) there is no single
-	// zig-zag start; Plan.Start is −1 and Tree holds the real plan.
+	// Plan is the executed zig-zag join plan. For a bushy execution (a
+	// join node at the root) or an RPQ there is no single zig-zag start;
+	// Plan.Start is −1 and Tree holds a bushy execution's real plan.
 	Plan Plan
-	// Tree is the executed plan tree, set by ExecuteTree (nil for plain
-	// zig-zag executions). A leaf tree is exactly a zig-zag plan.
+	// Tree is the executed plan tree, set by ExecuteTreeChecked (nil
+	// otherwise). A leaf tree is exactly a zig-zag plan.
 	Tree *PlanTree
 	// Intermediates holds the distinct-pair count of every relation
 	// entering a join step (the final result is Result). For zig-zag
@@ -211,21 +147,8 @@ type SchedStats struct {
 	TasksPerWorker []int64
 }
 
-// add folds one scheduler's counter snapshot into the aggregate.
-func (s *SchedStats) add(c sched.Counters) {
-	s.Tasks += c.TotalTasks()
-	s.Steals += c.Steals
-	s.Parks += c.Parks
-	for len(s.TasksPerWorker) < len(c.Tasks) {
-		s.TasksPerWorker = append(s.TasksPerWorker, 0)
-	}
-	for i, v := range c.Tasks {
-		s.TasksPerWorker[i] += v
-	}
-}
-
-// merge folds another aggregate in (used by the bushy executor, whose
-// subtree executions aggregate independently before joining).
+// merge folds another aggregate in: a core's own stepper, or a fork that
+// aggregated independently before its join.
 func (s *SchedStats) merge(o SchedStats) {
 	s.Tasks += o.Tasks
 	s.Steals += o.Steals
@@ -238,19 +161,8 @@ func (s *SchedStats) merge(o SchedStats) {
 	}
 }
 
-// Execute evaluates p over g with the endpoint plan of the given direction
-// and returns the result relation plus execution statistics. It panics on
-// an empty path. It is ExecutePlan with Direction sugar and default
-// options.
-func Execute(g *graph.CSR, p paths.Path, dir Direction) (*bitset.HybridRelation, Stats) {
-	if len(p) == 0 {
-		panic("exec: empty path query")
-	}
-	return ExecutePlan(g, p, dir.Plan(len(p)), Options{})
-}
-
-// ExecutePlan evaluates p over g with the given zig-zag plan, entirely on
-// the hybrid sparse/dense substrate: two pooled relations are
+// ExecutePlanChecked evaluates p over g with the given zig-zag plan,
+// entirely on the hybrid sparse/dense substrate: two pooled relations are
 // double-buffered through the specialized sparse×CSR / dense×CSR compose
 // kernels, and each row adapts its representation per step (a prefix that
 // densifies mid-join promotes in place; one that thins back out demotes).
@@ -263,32 +175,20 @@ func Execute(g *graph.CSR, p paths.Path, dir Direction) (*bitset.HybridRelation,
 // into shards, composed concurrently into the shared destination (rows
 // are disjoint across shards), and merged deterministically, so the
 // result is bit-identical to sequential execution at every worker count.
-// It panics on an empty path or an out-of-range plan start.
-func ExecutePlan(g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats) {
-	rel, st, err := ExecutePlanChecked(g, p, plan, opt)
-	if err != nil {
-		// Legacy callers pass no canceller or budget, so the only way
-		// here is a contained worker panic — re-raise it on the caller.
-		panic(fmt.Sprintf("exec: unchecked execution failed: %v", err))
-	}
-	return rel, st
-}
-
-// ExecutePlanChecked is ExecutePlan with cancellation, deadline, and
-// budget enforcement: it consults Options.Cancel before and after every
-// join step (and wires its kernel flag into the compose scratches, so
-// cancellation lands mid-step too), prices every materialized relation
-// against Options.MaxResultBytes, and contains worker panics as typed
-// errors. On error the returned relation is nil, every pooled relation
-// has been released back to Options.Pool, and the error matches
-// ErrCancelled / ErrDeadlineExceeded / ErrBudgetExceeded under errors.Is
-// (or *sched.PanicError under errors.As for a contained panic). A
-// cancelled step's partial destination is discarded, never cached, so a
-// surviving execution — cancelled after its last step or not cancelled
-// at all — is bit-identical to an unchecked run. Like ExecutePlan it
-// panics on an empty path or an out-of-range plan start (caller bugs,
-// not runtime failures).
-func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (rel *bitset.HybridRelation, st Stats, err error) {
+//
+// Like every entry point it runs under the checked contract: it consults
+// Options.Cancel before and after every join step (and wires its kernel
+// flag into the compose scratches, so cancellation lands mid-step too),
+// prices every materialized relation against Options.MaxResultBytes, and
+// contains panics as typed errors. On error the returned relation is
+// nil, every pooled relation has been released back to Options.Pool, and
+// the error matches ErrCancelled / ErrDeadlineExceeded /
+// ErrBudgetExceeded under errors.Is (or *sched.PanicError under
+// errors.As for a contained panic). A surviving execution — cancelled
+// after its last step or not cancelled at all — is bit-identical to
+// ExecuteDense. It panics on an empty path or an out-of-range plan start
+// (caller bugs, not runtime failures).
+func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats, error) {
 	k := len(p)
 	if k == 0 {
 		panic("exec: empty path query")
@@ -296,82 +196,36 @@ func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (rel
 	if plan.Start < 0 || plan.Start >= k {
 		panic(fmt.Sprintf("exec: plan start %d out of range [0,%d)", plan.Start, k))
 	}
-	st = Stats{Plan: plan}
-	n := g.NumVertices()
-	if err := opt.Cancel.Err(); err != nil {
-		return nil, st, err
+	x := newCore(g, opt)
+	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.leaf(p, plan.Start) })
+	st.Plan = plan
+	return rel, st, err
+}
+
+// leaf builds segment p with the zig-zag plan growing from position
+// start, double-buffering two relations through the core's stepper.
+func (x *core) leaf(p paths.Path, start int) (*bitset.HybridRelation, error) {
+	cur, hit, err := x.whole(p)
+	if hit || err != nil {
+		return cur, err
 	}
-	sc := newSegCache(opt.Cache, n, opt.DensityThreshold)
-	var cur, buf *bitset.HybridRelation
-	// Preconditions are validated; from here every panic — fault
-	// injection at a step boundary, a kernel bug on the caller's own
-	// goroutine — is contained as a typed error, with the in-flight
-	// relations released, matching the contract above. (Worker-side
-	// panics are contained by the scheduler before they reach here.)
-	defer func() {
-		if r := recover(); r != nil {
-			putRel(opt.Pool, cur)
-			putRel(opt.Pool, buf)
-			rel, err = nil, callerPanic(r)
-		}
-	}()
-	fail := func(err error) (*bitset.HybridRelation, Stats, error) {
-		putRel(opt.Pool, cur)
-		putRel(opt.Pool, buf)
-		return nil, st, err
+	if err := x.fill(cur, p[start:start+1]); err != nil || len(p) == 1 {
+		return cur, err
 	}
-	// Whole-query fast path: a workload that repeats this exact query (or
-	// a bushy plan that already joined these labels) left the finished
-	// relation in the cache — adopt it without materializing anything.
-	if sc != nil && k >= 2 {
-		buf = getRel(opt.Pool, n, opt.DensityThreshold)
-		if sc.adopt(p, false, buf) {
-			st.CacheHits, st.CacheMisses = sc.counters()
-			st.Result = buf.Pairs()
-			if err := opt.checkBudget(buf); err != nil {
-				return fail(err)
-			}
-			cur, buf = buf, nil
-			return cur, st, nil
-		}
-	}
-	cur = getRel(opt.Pool, n, opt.DensityThreshold)
-	cur.FillFromCSR(g.LabelOperand(p[plan.Start]))
-	if k == 1 {
-		putRel(opt.Pool, buf)
-		buf = nil
-		st.Result = cur.Pairs()
-		return cur, st, nil
-	}
-	if buf == nil {
-		buf = getRel(opt.Pool, n, opt.DensityThreshold)
-	}
-	stp := newStepper(n, opt.Workers)
-	stp.setCancel(opt.Cancel.Flag())
-	// Grow rightward: cur holds the segment p[Start:j). Each finished
-	// segment is adopted from the cache when available and published when
-	// not, so the recorded intermediates — every segment gets materialized
-	// either way — are identical to an uncached run. The faultinject site
-	// at each step boundary lets chaos tests insert deterministic delays
-	// (tripping deadlines) without touching real kernels.
-	for j := plan.Start + 1; j < k; j++ {
-		st.Intermediates = append(st.Intermediates, cur.Pairs())
-		faultinject.Fire("exec.step")
-		if err := opt.Cancel.Err(); err != nil {
-			return fail(err)
-		}
-		if seg := p[plan.Start : j+1]; !sc.adopt(seg, false, buf) {
-			if err := stp.compose(cur, buf, g.LabelOperand(p[j])); err != nil {
-				return fail(err)
-			}
-			if err := opt.Cancel.Err(); err != nil {
-				return fail(err) // partial step output: discard, never cache
-			}
-			sc.put(seg, false, buf)
-		}
+	buf := x.take()
+	// grow runs one join step cur ∘ op → buf and swaps the buffers; cur
+	// is the finished segment seg's input, whose size is the step's
+	// recorded intermediate.
+	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
+		x.ints = append(x.ints, cur.Pairs())
+		err := x.step(seg, reversed, buf, func() error { return x.stepper().compose(cur, buf, op) })
 		cur, buf = buf, cur
-		if err := opt.checkBudget(cur); err != nil {
-			return fail(err)
+		return err
+	}
+	// Grow rightward: cur holds the segment p[start:j).
+	for j := start + 1; j < len(p); j++ {
+		if err := grow(p[start:j+1], false, x.g.LabelOperand(p[j])); err != nil {
+			return nil, err
 		}
 	}
 	// Grow leftward on the reversed relation: prepending label l to a
@@ -379,44 +233,20 @@ func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (rel
 	// operand. Reversal is linear and does not change Pairs, so the
 	// recorded intermediates are still segment selectivities. Leftward
 	// segments are cached in their reversed orientation — a different
-	// pair set than the forward segment, hence the orientation marker.
-	if plan.Start > 0 {
+	// pair set than the forward segment, hence the orientation marker;
+	// the orientation-canonical cache derives the forward form for the
+	// whole-segment fast path.
+	if start > 0 {
 		cur.ReverseInto(buf)
 		cur, buf = buf, cur
-		for i := plan.Start - 1; i >= 0; i-- {
-			st.Intermediates = append(st.Intermediates, cur.Pairs())
-			faultinject.Fire("exec.step")
-			if err := opt.Cancel.Err(); err != nil {
-				return fail(err)
-			}
-			if seg := p[i:]; !sc.adopt(seg, true, buf) {
-				if err := stp.compose(cur, buf, g.PredecessorOperand(p[i])); err != nil {
-					return fail(err)
-				}
-				if err := opt.Cancel.Err(); err != nil {
-					return fail(err)
-				}
-				sc.put(seg, true, buf)
-			}
-			cur, buf = buf, cur
-			if err := opt.checkBudget(cur); err != nil {
-				return fail(err)
+		for i := start - 1; i >= 0; i-- {
+			if err := grow(p[i:], true, x.g.PredecessorOperand(p[i])); err != nil {
+				return nil, err
 			}
 		}
 		cur.ReverseInto(buf)
 		cur, buf = buf, cur
-		// No forward republish is needed for the fast path: the step
-		// loop cached the whole query in reversed orientation, and the
-		// orientation-canonical cache derives the forward form on
-		// adoption.
 	}
-	putRel(opt.Pool, buf)
-	buf = nil
-	for _, v := range st.Intermediates {
-		st.Work += v
-	}
-	st.CacheHits, st.CacheMisses = sc.counters()
-	st.Sched.add(stp.counters())
-	st.Result = cur.Pairs()
-	return cur, st, nil
+	x.drop(buf)
+	return cur, nil
 }

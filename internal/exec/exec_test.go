@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/paths"
@@ -12,6 +13,26 @@ import (
 func testGraph(t *testing.T) *graph.CSR {
 	t.Helper()
 	return dataset.ErdosRenyi(60, 400, dataset.NewZipfLabels(3, 1.1), 17).Freeze()
+}
+
+// runPlan executes a zig-zag plan that must survive.
+func runPlan(t testing.TB, g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats) {
+	t.Helper()
+	rel, st, err := ExecutePlanChecked(g, p, plan, opt)
+	if err != nil {
+		t.Fatalf("path %v start %d: %v", p, plan.Start, err)
+	}
+	return rel, st
+}
+
+// runTree executes a plan tree that must survive.
+func runTree(t testing.TB, g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats) {
+	t.Helper()
+	rel, st, err := ExecuteTreeChecked(g, p, tree, opt)
+	if err != nil {
+		t.Fatalf("path %v tree %s: %v", p, tree.Describe(len(p)), err)
+	}
+	return rel, st
 }
 
 func TestExecuteDirectionsAgree(t *testing.T) {
@@ -23,8 +44,8 @@ func TestExecuteDirectionsAgree(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(3)
 		}
-		fwd, fst := Execute(g, p, Forward)
-		bwd, bst := Execute(g, p, Backward)
+		fwd, fst := runPlan(t, g, p, Plan{Start: 0}, Options{})
+		bwd, bst := runPlan(t, g, p, Plan{Start: len(p) - 1}, Options{})
 		if !fwd.Equal(bwd) {
 			t.Fatalf("path %v: forward and backward results differ", p)
 		}
@@ -46,9 +67,9 @@ func TestExecuteAllPlansAgree(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(3)
 		}
-		ref, rst := ExecutePlan(g, p, Plan{Start: 0}, Options{})
+		ref, rst := runPlan(t, g, p, Plan{Start: 0}, Options{})
 		for s := 1; s < n; s++ {
-			rel, st := ExecutePlan(g, p, Plan{Start: s}, Options{})
+			rel, st := runPlan(t, g, p, Plan{Start: s}, Options{})
 			if !rel.Equal(ref) {
 				t.Fatalf("path %v: plan start %d result differs from forward", p, s)
 			}
@@ -66,7 +87,7 @@ func TestExecuteAllPlansAgree(t *testing.T) {
 func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 	g := testGraph(t)
 	p := paths.Path{0, 1, 2}
-	_, fst := Execute(g, p, Forward)
+	_, fst := runPlan(t, g, p, Plan{Start: 0}, Options{})
 	if len(fst.Intermediates) != 2 {
 		t.Fatalf("forward intermediates = %v", fst.Intermediates)
 	}
@@ -76,7 +97,7 @@ func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 	if fst.Intermediates[1] != paths.Selectivity(g, p[:2]) {
 		t.Fatal("second forward intermediate should be f(l1/l2)")
 	}
-	_, bst := Execute(g, p, Backward)
+	_, bst := runPlan(t, g, p, Plan{Start: len(p) - 1}, Options{})
 	if bst.Intermediates[0] != paths.Selectivity(g, p[2:]) {
 		t.Fatal("first backward intermediate should be f(l3)")
 	}
@@ -87,7 +108,7 @@ func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 		t.Fatal("work must sum intermediates")
 	}
 	// A zig-zag start at 1 materializes f(l2), then f(l2/l3), then prepends.
-	_, zst := ExecutePlan(g, p, Plan{Start: 1}, Options{})
+	_, zst := runPlan(t, g, p, Plan{Start: 1}, Options{})
 	if zst.Intermediates[0] != paths.Selectivity(g, p[1:2]) {
 		t.Fatal("first zig-zag intermediate should be f(l2)")
 	}
@@ -98,7 +119,7 @@ func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 
 func TestExecuteSingleLabel(t *testing.T) {
 	g := testGraph(t)
-	_, st := Execute(g, paths.Path{1}, Backward)
+	_, st := runPlan(t, g, paths.Path{1}, Plan{Start: 0}, Options{})
 	if len(st.Intermediates) != 0 || st.Work != 0 {
 		t.Fatal("single-label query has no intermediates")
 	}
@@ -110,11 +131,11 @@ func TestExecuteSingleLabel(t *testing.T) {
 func TestExecutePanics(t *testing.T) {
 	g := testGraph(t)
 	for name, fn := range map[string]func(){
-		"empty path":        func() { Execute(g, paths.Path{}, Forward) },
-		"bad direction":     func() { Execute(g, paths.Path{0}, Direction(7)) },
-		"empty plan":        func() { ExecutePlan(g, paths.Path{}, Plan{}, Options{}) },
-		"plan start low":    func() { ExecutePlan(g, paths.Path{0, 1}, Plan{Start: -1}, Options{}) },
-		"plan start high":   func() { ExecutePlan(g, paths.Path{0, 1}, Plan{Start: 2}, Options{}) },
+		"dense empty path":  func() { ExecuteDense(g, paths.Path{}, Forward) },
+		"bad direction":     func() { ExecuteDense(g, paths.Path{0}, Direction(7)) },
+		"empty plan":        func() { ExecutePlanChecked(g, paths.Path{}, Plan{}, Options{}) },
+		"plan start low":    func() { ExecutePlanChecked(g, paths.Path{0, 1}, Plan{Start: -1}, Options{}) },
+		"plan start high":   func() { ExecutePlanChecked(g, paths.Path{0, 1}, Plan{Start: 2}, Options{}) },
 		"cost empty":        func() { Planner{}.PlanCost(paths.Path{}, 0) },
 		"cost start range":  func() { Planner{}.PlanCost(paths.Path{0}, 1) },
 		"choose empty plan": func() { Planner{}.ChoosePlan(paths.Path{}) },
@@ -162,29 +183,20 @@ func TestPlannerCostsFromExactEstimates(t *testing.T) {
 		}
 		// With exact estimates, every plan's cost equals its actual work.
 		for s := 0; s < n; s++ {
-			_, st := ExecutePlan(g, p, Plan{Start: s}, Options{})
+			_, st := runPlan(t, g, p, Plan{Start: s}, Options{})
 			if got := pl.PlanCost(p, s); got != float64(st.Work) {
 				t.Fatalf("path %v start %d: cost %v != actual work %d", p, s, got, st.Work)
 			}
 		}
 		// Therefore the chosen plan is globally cheapest.
 		chosen := pl.ChoosePlan(p)
-		_, cst := ExecutePlan(g, p, chosen, Options{})
+		_, cst := runPlan(t, g, p, chosen, Options{})
 		for s := 0; s < n; s++ {
-			_, st := ExecutePlan(g, p, Plan{Start: s}, Options{})
+			_, st := runPlan(t, g, p, Plan{Start: s}, Options{})
 			if cst.Work > st.Work {
 				t.Fatalf("path %v: chose start %d (work %d) over cheaper start %d (work %d)",
 					p, chosen.Start, cst.Work, s, st.Work)
 			}
-		}
-		// And the legacy 2-plan API agrees with the endpoint costs.
-		_, fst := Execute(g, p, Forward)
-		_, bst := Execute(g, p, Backward)
-		if got := pl.Cost(p, Forward); got != float64(fst.Work) {
-			t.Fatalf("forward cost %v != actual work %d", got, fst.Work)
-		}
-		if got := pl.Cost(p, Backward); got != float64(bst.Work) {
-			t.Fatalf("backward cost %v != actual work %d", got, bst.Work)
 		}
 	}
 }
@@ -209,9 +221,6 @@ func TestPlannerCostsSlice(t *testing.T) {
 
 func TestPlannerTieGoesForward(t *testing.T) {
 	pl := Planner{Est: EstimatorFunc(func(paths.Path) float64 { return 1 })}
-	if pl.Choose(paths.Path{0, 1}) != Forward {
-		t.Fatal("ties should go forward")
-	}
 	if pl.ChoosePlan(paths.Path{0, 1, 2}).Start != 0 {
 		t.Fatal("plan ties should go forward")
 	}

@@ -8,17 +8,41 @@ import (
 	"repro/internal/paths"
 )
 
+// Direction is one of the two endpoint join orders of a path query — the
+// whole plan space of the dense reference executor.
+type Direction int
+
+// Join directions.
+const (
+	// Forward evaluates l1, l1/l2, … building prefixes left-to-right.
+	Forward Direction = iota
+	// Backward evaluates lk, l(k-1)/lk, … building suffixes right-to-left.
+	Backward
+)
+
+// String returns the direction name.
+func (d Direction) String() string {
+	switch d {
+	case Forward:
+		return "forward"
+	case Backward:
+		return "backward"
+	default:
+		return fmt.Sprintf("Direction(%d)", int(d))
+	}
+}
+
 // ExecuteDense is the retired dense-only executor, kept solely as the
-// reference implementation: equivalence tests pin ExecutePlan bit-identical
-// to it, and the perf bench measures the hybrid engine's speedup against
-// it. It supports only the two endpoint plans and allocates a fresh dense
-// bitset.Relation per join step. Production callers use Execute or
-// ExecutePlan.
+// reference implementation: equivalence tests pin the hybrid engine
+// bit-identical to it, and the perf bench measures the hybrid engine's
+// speedup against it. It supports only the two endpoint plans and
+// allocates a fresh dense bitset.Relation per join step. Production
+// callers use ExecutePlanChecked.
 func ExecuteDense(g *graph.CSR, p paths.Path, dir Direction) (*bitset.Relation, Stats) {
 	if len(p) == 0 {
 		panic("exec: empty path query")
 	}
-	st := Stats{Plan: dir.Plan(len(p))}
+	var st Stats
 	var rel *bitset.Relation
 	switch dir {
 	case Forward:
@@ -28,6 +52,7 @@ func ExecuteDense(g *graph.CSR, p paths.Path, dir Direction) (*bitset.Relation, 
 			rel = rel.Compose(g.SuccessorSets(l))
 		}
 	case Backward:
+		st.Plan.Start = len(p) - 1
 		// Build the suffix relation reversed (target → source) so each
 		// prepend step is a composition with predecessor sets; un-reverse
 		// at the end.

@@ -54,7 +54,7 @@ var minMergeSources = 1 << 13
 // state — the determinism contract of internal/sched.
 type shardTask struct{ idx int }
 
-// stepper drives the sharded join steps of one ExecutePlan call on the
+// stepper drives the sharded join steps of one execution core on the
 // shared work-stealing scheduler (internal/sched). One stepper serves all
 // k−1 steps of a plan: per-worker scratches, per-shard source buffers, and
 // the scheduler itself persist across steps, so the steady state allocates

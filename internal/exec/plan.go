@@ -44,7 +44,7 @@ type Planner struct {
 // the plan starting at position start: the sum of estimated selectivities
 // of every segment the execution materializes and feeds into a join step,
 // excluding the final result (which is plan-independent). With an exact
-// estimator it equals ExecutePlan's Stats.Work. It panics on an empty
+// estimator it equals ExecutePlanChecked's Stats.Work. It panics on an empty
 // path or out-of-range start.
 func (pl Planner) PlanCost(p paths.Path, start int) float64 {
 	k := len(p)
@@ -70,12 +70,6 @@ func (pl Planner) PlanCost(p paths.Path, start int) float64 {
 		cost += pl.Est.Estimate(p[i:])
 	}
 	return cost
-}
-
-// Cost returns the estimated intermediate volume of the endpoint plan of
-// the given direction — the legacy 2-plan API, now a view over PlanCost.
-func (pl Planner) Cost(p paths.Path, dir Direction) float64 {
-	return pl.PlanCost(p, dir.Plan(len(p)).Start)
 }
 
 // Costs returns the estimated cost of all len(p) zig-zag plans, indexed
@@ -114,14 +108,4 @@ func CheapestPlan(costs []float64) Plan {
 		}
 	}
 	return Plan{Start: best}
-}
-
-// Choose returns the direction with the lower estimated cost among the
-// two endpoint plans (ties go forward, the conventional default) — the
-// legacy 2-plan API.
-func (pl Planner) Choose(p paths.Path) Direction {
-	if pl.Cost(p, Backward) < pl.Cost(p, Forward) {
-		return Backward
-	}
-	return Forward
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/bitset"
-	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/paths"
 )
@@ -419,179 +418,74 @@ func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan {
 	return dp
 }
 
-// dagExec carries one ExecuteDagChecked call's state: the execution
-// view of the cache, the shared stepper, the stats accumulator, and the
-// set of live pooled relations, released wholesale on every abort path
-// (including contained panics) so a killed RPQ leaks nothing.
-type dagExec struct {
-	g    *graph.CSR
-	opt  Options
-	sc   *segCache
-	stp  *stepper
-	st   *Stats
-	live []*bitset.HybridRelation
-}
-
-// take checks a fresh relation out of the pool and tracks it live.
-func (dx *dagExec) take() *bitset.HybridRelation {
-	rel := getRel(dx.opt.Pool, dx.g.NumVertices(), dx.opt.DensityThreshold)
-	dx.live = append(dx.live, rel)
-	return rel
-}
-
-// adopt tracks a relation produced by a nested executor (already checked
-// out of the same pool) live.
-func (dx *dagExec) adopt(rel *bitset.HybridRelation) {
-	dx.live = append(dx.live, rel)
-}
-
-// drop releases one live relation back to the pool.
-func (dx *dagExec) drop(rel *bitset.HybridRelation) {
-	if rel == nil {
-		return
-	}
-	for i, r := range dx.live {
-		if r == rel {
-			dx.live[i] = dx.live[len(dx.live)-1]
-			dx.live = dx.live[:len(dx.live)-1]
-			break
-		}
-	}
-	putRel(dx.opt.Pool, rel)
-}
-
-// releaseAll releases every live relation — the abort path.
-func (dx *dagExec) releaseAll() {
-	for _, r := range dx.live {
-		putRel(dx.opt.Pool, r)
-	}
-	dx.live = dx.live[:0]
-}
-
-// buildBlock materializes one block's relation. Run blocks delegate to
-// the existing checked executors (whole-segment cache fast path, bushy
-// subtrees, sharded compose — everything applies). Element blocks build
-// the alternation base A as a union of label relations, then unroll
-// powers A^r up to MaxRep, accumulating U = ⋃_{r≥max(1,MinRep)} A^r.
-// Single-label powers step through the segment cache under their
-// repeated-label path key — the same key a concrete query's segments
-// use, so a warm `b{1,3}` adopts the cached `bb` and `bbb` relations and
-// a warm `b/b` adopts a power this block published.
-func (dx *dagExec) buildBlock(b DagBlockPlan) (*bitset.HybridRelation, error) {
-	if b.Run != nil {
-		var (
-			rel *bitset.HybridRelation
-			st  Stats
-			err error
-		)
-		if b.Tree.IsLeaf() {
-			rel, st, err = ExecutePlanChecked(dx.g, b.Run, Plan{Start: b.Tree.Start}, dx.opt)
-		} else {
-			rel, st, err = ExecuteTreeChecked(dx.g, b.Run, b.Tree, dx.opt)
-		}
-		dx.st.Intermediates = append(dx.st.Intermediates, st.Intermediates...)
-		dx.st.CacheHits += st.CacheHits
-		dx.st.CacheMisses += st.CacheMisses
-		dx.st.Sched.merge(st.Sched)
-		if err != nil {
-			return nil, err
-		}
-		dx.adopt(rel)
-		return rel, nil
-	}
-	e := b.Elem
-	// Alternation base A = ⋃ label relations. Single-label relations are
-	// CSR copies (never cached, matching the segment cache's length ≥ 2
-	// rule).
-	a := dx.take()
-	a.FillFromCSR(dx.g.LabelOperand(e.Labels[0]))
-	if len(e.Labels) > 1 {
-		tmp := dx.take()
-		for _, l := range e.Labels[1:] {
-			tmp.FillFromCSR(dx.g.LabelOperand(l))
-			a.UnionWith(tmp)
-		}
-		dx.drop(tmp)
-	}
-	if err := dx.opt.checkBudget(a); err != nil {
-		return nil, err
-	}
-	if e.MaxRep == 1 {
-		return a, nil
+// elem builds one complex element's relation: the alternation base A as
+// a union of label relations, then the unrolled powers A^r up to MaxRep,
+// accumulating U = ⋃_{r≥max(1,MinRep)} A^r. Single-label powers step
+// through the segment cache under their repeated-label path key — the
+// same key a concrete query's segments use, so a warm `b{1,3}` adopts
+// the cached `bb` and `bbb` relations and a warm `b/b` adopts a power
+// this element published. Multi-label powers are uncacheable joins.
+func (x *core) elem(e RPQElem) (*bitset.HybridRelation, error) {
+	a := x.take()
+	if err := x.fill(a, e.Labels); err != nil || e.MaxRep == 1 {
+		return a, err
 	}
 	lo := max(1, e.MinRep)
-	u := dx.take()
+	u := x.take()
 	if lo == 1 {
 		u.UnionWith(a)
 	}
-	single := len(e.Labels) == 1
-	power := make(paths.Path, 0, e.MaxRep)
-	if single {
-		power = append(power, e.Labels[0])
+	var power paths.Path // cache key of the current single-label power
+	if len(e.Labels) == 1 {
+		power = append(make(paths.Path, 0, e.MaxRep), e.Labels[0])
 	}
 	pow := a
 	for r := 2; r <= e.MaxRep; r++ {
-		faultinject.Fire("exec.step")
-		if err := dx.opt.Cancel.Err(); err != nil {
-			return nil, err
-		}
-		next := dx.take()
-		if single {
-			// The power of label l is the concrete segment l^r: step it
-			// through the cache under that path key, shared with ordinary
-			// queries over repeated labels — the repetition-unroll
-			// cache-sharing rule.
+		next := x.take()
+		var err error
+		if power != nil {
 			power = append(power, e.Labels[0])
-			dx.st.Intermediates = append(dx.st.Intermediates, pow.Pairs())
-			if !dx.sc.adopt(power, false, next) {
-				if err := dx.stp.compose(pow, next, dx.g.LabelOperand(e.Labels[0])); err != nil {
-					return nil, err
-				}
-				if err := dx.opt.Cancel.Err(); err != nil {
-					return nil, err // partial step output: discard, never cache
-				}
-				dx.sc.put(power, false, next)
-			}
+			x.ints = append(x.ints, pow.Pairs())
+			err = x.step(power, false, next, func() error {
+				return x.stepper().compose(pow, next, x.g.LabelOperand(e.Labels[0]))
+			})
 		} else {
-			dx.st.Intermediates = append(dx.st.Intermediates, pow.Pairs(), a.Pairs())
-			if err := dx.stp.join(pow, next, a); err != nil {
-				return nil, err
-			}
-			if err := dx.opt.Cancel.Err(); err != nil {
-				return nil, err
-			}
+			x.ints = append(x.ints, pow.Pairs(), a.Pairs())
+			err = x.step(nil, false, next, func() error { return x.stepper().join(pow, next, a) })
+		}
+		if err != nil {
+			return nil, err
 		}
 		if pow != a {
-			dx.drop(pow)
+			x.drop(pow)
 		}
 		pow = next
-		if err := dx.opt.checkBudget(pow); err != nil {
-			return nil, err
-		}
 		if r >= lo {
 			u.UnionWith(pow)
 		}
 	}
-	if pow != a {
-		dx.drop(pow)
-	}
-	dx.drop(a)
-	if err := dx.opt.checkBudget(u); err != nil {
-		return nil, err
-	}
-	return u, nil
+	x.drop(pow)
+	x.drop(a)
+	return u, x.price(u)
 }
 
-// run executes the planned fold and returns the final relation.
-func (dx *dagExec) run(dp *DagPlan) (*bitset.HybridRelation, error) {
+// fold executes the planned DAG: each block's relation — a run block
+// through the zig-zag/bushy nodes (whole-segment cache fast path, bushy
+// subtrees, sharded compose — everything applies), an element block
+// through elem — folded left-to-right by the R_i recurrence above.
+func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 	var cur *bitset.HybridRelation
 	eps := true
 	for i, b := range dp.Blocks {
-		faultinject.Fire("exec.step")
-		if err := dx.opt.Cancel.Err(); err != nil {
-			return nil, err
+		var (
+			u   *bitset.HybridRelation
+			err error
+		)
+		if b.Run != nil {
+			u, err = x.tree(b.Run, b.Tree)
+		} else {
+			u, err = x.elem(b.Elem)
 		}
-		u, err := dx.buildBlock(b)
 		if err != nil {
 			return nil, err
 		}
@@ -601,74 +495,49 @@ func (dx *dagExec) run(dp *DagPlan) (*bitset.HybridRelation, error) {
 			cur, eps = u, skip
 			continue
 		}
-		dx.st.Intermediates = append(dx.st.Intermediates, cur.Pairs(), u.Pairs())
-		dst := dx.take()
-		if err := dx.stp.join(cur, dst, u); err != nil {
+		x.ints = append(x.ints, cur.Pairs(), u.Pairs())
+		dst := x.take()
+		err = x.step(nil, false, dst, func() error {
+			if err := x.stepper().join(cur, dst, u); err != nil {
+				return err
+			}
+			if eps {
+				dst.UnionWith(u)
+			}
+			if skip {
+				dst.UnionWith(cur)
+			}
+			return nil
+		})
+		if err != nil {
 			return nil, err
 		}
-		if err := dx.opt.Cancel.Err(); err != nil {
-			return nil, err // partial join output: discard
-		}
-		if eps {
-			dst.UnionWith(u)
-		}
-		if skip {
-			dst.UnionWith(cur)
-		}
-		dx.drop(cur)
-		dx.drop(u)
-		cur = dst
-		eps = eps && skip
-		if err := dx.opt.checkBudget(cur); err != nil {
-			return nil, err
-		}
+		x.drop(cur)
+		x.drop(u)
+		cur, eps = dst, eps && skip
 	}
 	return cur, nil
 }
 
 // ExecuteDagChecked evaluates a compiled RPQ over g under the checked
 // contract of ExecutePlanChecked: cancellation and deadline checks at
-// every block and power boundary (plus the kernels' cooperative flag
-// mid-step), budget enforcement on every materialized relation,
-// contained panics as typed errors, and every pooled relation released
-// on abort. dp must have been planned for d (Planner.PlanDag); nil
-// plans with a zero estimator. The result is the union of the relations
-// of every concrete path d expands to — bit-identical to enumerating
-// the expansions through ExecutePlanChecked and folding UnionWith, at
-// every worker count. It panics on a malformed DAG or a plan/DAG
-// mismatch (caller bugs).
-func ExecuteDagChecked(g *graph.CSR, d *RPQDag, dp *DagPlan, opt Options) (rel *bitset.HybridRelation, st Stats, err error) {
+// every join step (plus the kernels' cooperative flag mid-step), budget
+// enforcement on every materialized relation, contained panics as typed
+// errors, and every pooled relation released on abort. dp must have been
+// planned for d (Planner.PlanDag); nil plans with a zero estimator. The
+// result is the union of the relations of every concrete path d expands
+// to — bit-identical to enumerating the expansions through
+// ExecutePlanChecked and folding UnionWith, at every worker count. It
+// panics on a malformed DAG or a plan/DAG mismatch (caller bugs).
+func ExecuteDagChecked(g *graph.CSR, d *RPQDag, dp *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
 	d.Validate(g.NumLabels())
 	if dp == nil {
 		dp = Planner{Est: EstimatorFunc(func(paths.Path) float64 { return 0 })}.
 			PlanDag(d, g.NumVertices(), false)
 	}
 	dp.validateFor(d)
-	st = Stats{Plan: Plan{Start: -1}}
-	if err := opt.Cancel.Err(); err != nil {
-		return nil, st, err
-	}
-	n := g.NumVertices()
-	dx := &dagExec{g: g, opt: opt, sc: newSegCache(opt.Cache, n, opt.DensityThreshold), st: &st}
-	dx.stp = newStepper(n, opt.Workers)
-	dx.stp.setCancel(opt.Cancel.Flag())
-	// Preconditions are validated; from here every panic is contained as
-	// a typed error with the in-flight relations released.
-	err = containPanics(func() (e error) {
-		rel, e = dx.run(dp)
-		return e
-	})
-	st.Sched.add(dx.stp.counters())
-	hits, misses := dx.sc.counters()
-	st.CacheHits += hits
-	st.CacheMisses += misses
-	if err != nil {
-		dx.releaseAll()
-		return nil, st, err
-	}
-	st.Result = rel.Pairs()
-	for _, v := range st.Intermediates {
-		st.Work += v
-	}
-	return rel, st, nil
+	x := newCore(g, opt)
+	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.fold(dp) })
+	st.Plan = Plan{Start: -1}
+	return rel, st, err
 }

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -136,41 +135,6 @@ func TestExecuteDagRepetitionSharesCache(t *testing.T) {
 	}
 	if cst.CacheHits != 1 {
 		t.Fatalf("concrete b/b after b{1,3}: hits=%d, want 1", cst.CacheHits)
-	}
-}
-
-// TestExecuteDagCancelHygiene pins pool hygiene on aborted DAG runs: a
-// pre-cancelled execution returns the typed cause with zero relations
-// checked out.
-func TestExecuteDagCancelHygiene(t *testing.T) {
-	g := testGraph(t)
-	pool := NewRelPool(g.NumVertices(), 0)
-	d := &RPQDag{Elems: []RPQElem{
-		{Labels: []int{0, 1}, MinRep: 1, MaxRep: 3},
-		{Labels: []int{2}, MinRep: 0, MaxRep: 2},
-	}}
-	canc := &Canceller{}
-	canc.Cancel(nil)
-	if _, _, err := ExecuteDagChecked(g, d, nil, Options{Cancel: canc, Pool: pool}); !errors.Is(err, ErrCancelled) {
-		t.Fatalf("pre-cancelled run: err=%v, want ErrCancelled", err)
-	}
-	if pool.InUse() != 0 {
-		t.Fatalf("pool has %d relations checked out after abort", pool.InUse())
-	}
-	// Budget abort mid-run must release everything too.
-	if _, _, err := ExecuteDagChecked(g, d, nil, Options{MaxResultBytes: 1, Pool: pool, Cancel: &Canceller{}}); !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("tiny budget: err=%v, want ErrBudgetExceeded", err)
-	}
-	if pool.InUse() != 0 {
-		t.Fatalf("pool has %d relations checked out after budget abort", pool.InUse())
-	}
-	rel, _, err := ExecuteDagChecked(g, d, nil, Options{Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(rel)
-	if pool.InUse() != 0 {
-		t.Fatalf("pool has %d relations checked out after success", pool.InUse())
 	}
 }
 

@@ -17,15 +17,15 @@ type AblationCell struct {
 
 // BuilderAblation goes beyond the paper: it crosses the five ordering
 // methods with every histogram builder at a fixed budget, isolating how
-// much accuracy comes from the ordering versus the bucketing algorithm
-// (DESIGN.md §6). Dataset: Moreno Health substitute at opt.Scale, k = 3.
+// much accuracy comes from the ordering versus the bucketing algorithm.
+// Dataset: Moreno Health substitute at opt.Scale, k = 3.
 func BuilderAblation(opt Options) ([]AblationCell, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2
@@ -73,7 +73,7 @@ func ErrorProfiles(opt Options) ([]ProfileRow, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2
@@ -122,7 +122,7 @@ func OrderingBounds(opt Options) ([]BoundCell, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 
 	ords := make([]ordering.Ordering, 0, 8)
 	for _, method := range ordering.PaperMethods() {

@@ -55,7 +55,7 @@ func CorrelationSweep(opt Options, couplings []float64) ([]CorrelationCell, erro
 			Coupling: coupling,
 		}
 		g := dataset.PreferentialAttachment(v, e, model, opt.Seed).Freeze()
-		census := paths.NewCensusParallel(g, k, 0)
+		census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 		beta := int(census.Size() / 16)
 		if beta < 2 {
 			beta = 2

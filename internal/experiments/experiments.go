@@ -6,7 +6,7 @@
 //
 // Every experiment takes an Options value; DefaultOptions runs at reduced
 // dataset scale so the full suite finishes in seconds (same code paths,
-// smaller graphs — DESIGN.md §4), while PaperOptions matches the published
+// smaller graphs — see internal/dataset), while PaperOptions matches the published
 // parameters.
 //
 // In the layer map (graph → bitset → paths → exec → pathsel) this is the
@@ -154,7 +154,7 @@ func RunTable4(opt Options) (*Table4Result, error) {
 	}
 	spec := dataset.Table3()[0] // Moreno health
 	g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
-	census := paths.NewCensusParallel(g, opt.TimingK, 0)
+	census := paths.NewCensusHybrid(g, opt.TimingK, paths.CensusOptions{})
 
 	res := &Table4Result{
 		Dataset:    spec.Name,
@@ -231,7 +231,7 @@ func RunFigure2(opt Options) (*Figure2Result, error) {
 		}
 		g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
 		for _, k := range opt.AccuracyKs {
-			census := paths.NewCensusParallel(g, k, 0)
+			census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 			for _, beta := range opt.betas(census.Size()) {
 				for _, method := range res.Methods {
 					ord, err := ordering.ForGraph(method, g, k)
@@ -276,7 +276,7 @@ func RunFigure1(opt Options) (*Figure1Result, error) {
 	spec := dataset.Table3()[0]
 	g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	ord, err := ordering.ForGraph(ordering.MethodNumAlph, g, k)
 	if err != nil {
 		return nil, err

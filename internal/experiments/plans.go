@@ -94,7 +94,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	const censusK = 3          // statistics bound
 	const queryK = censusK + 1 // plan-search bound: segments stay ≤ censusK
-	census := paths.NewCensusParallel(g, censusK, 0)
+	census := paths.NewCensusHybrid(g, censusK, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2
@@ -129,7 +129,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	for i, q := range queries {
 		works[i] = make([]int64, k)
 		for s := 0; s < k; s++ {
-			_, st := exec.ExecutePlan(g, q, exec.Plan{Start: s}, exec.Options{})
+			_, st := must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: s}, exec.Options{}))
 			works[i][s] = st.Work
 		}
 		optima[i] = works[i][0]
@@ -145,7 +145,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 			if tree.IsLeaf() {
 				w = works[i][tree.Start]
 			} else {
-				_, st := exec.ExecuteTree(g, q, tree, exec.Options{})
+				_, st := must(exec.ExecuteTreeChecked(g, q, tree, exec.Options{}))
 				w = st.Work
 				if w < treeOptima[i] {
 					treeOptima[i] = w

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -94,7 +95,7 @@ func rpqBenchResults(name string, scale float64, iters, workers int) ([]PerfResu
 		return nil, err
 	}
 	run := func(e *pathsel.Estimator, xs []*pathsel.Expr, opt pathsel.BatchOptions) (*pathsel.BatchResult, error) {
-		res, err := e.ExecuteExprBatch(xs, opt)
+		res, err := e.ExecuteExprBatchCtx(context.Background(), xs, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,7 @@ type WorkloadCell struct {
 }
 
 // WorkloadAccuracy extends Figure 2 with realistic query workloads
-// (DESIGN.md §6): instead of averaging |err| uniformly over all of Lk, it
+// (internal/workload): instead of averaging |err| uniformly over all of Lk, it
 // averages over queries drawn from biased samplers — non-empty paths only,
 // frequency-weighted paths, and a fixed-length template — on the Moreno
 // Health substitute at k = 3.
@@ -33,7 +33,7 @@ func WorkloadAccuracy(opt Options) ([]WorkloadCell, error) {
 	}
 	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
 	k := 3
-	census := paths.NewCensusParallel(g, k, 0)
+	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
 	beta := int(census.Size() / 16)
 	if beta < 2 {
 		beta = 2

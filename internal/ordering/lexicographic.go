@@ -9,8 +9,7 @@ import (
 // extensions (the paper pads paths with blank symbols to length k; its
 // own worked example, Table 2 — `1, 1/1, 1/2, 1/3, 2, …` — places each
 // prefix *before* its extensions, i.e. the blank sorts before every label.
-// We follow Table 2; see DESIGN.md §3.1 for the note on the formula's
-// stated blank-rank direction.)
+// We follow Table 2, not the formula's stated blank-rank direction.)
 //
 // Equivalently this is a preorder walk of the |L|-ary label trie visiting
 // children in rank order. Both directions run in O(k).

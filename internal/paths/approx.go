@@ -15,7 +15,7 @@ import (
 //
 // This source-sampling estimator is a substrate for graphs too large for a
 // full census (the paper's experiments are all exact; this is the scale
-// escape hatch DESIGN.md §4 documents).
+// escape hatch).
 func ApproxSelectivity(g *graph.CSR, p Path, fraction float64, seed int64) int64 {
 	if len(p) == 0 {
 		panic("paths: approx selectivity of empty path")

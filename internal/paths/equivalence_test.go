@@ -75,7 +75,7 @@ func TestCensusParallelSkewedLabels(t *testing.T) {
 	g := dataset.ErdosRenyi(120, 900, dataset.NewZipfLabels(4, 1.8), 7).Freeze()
 	want := NewCensus(g, 3)
 	for _, workers := range []int{1, 2, 4, 16} {
-		got := NewCensusParallel(g, 3, workers)
+		got := NewCensusHybrid(g, 3, CensusOptions{Workers: workers})
 		assertCensusEqual(t, "skewed workers", want, got)
 	}
 }

@@ -12,7 +12,7 @@ func TestParallelCensusMatchesSequential(t *testing.T) {
 		for _, k := range []int{1, 2, 3} {
 			seq := NewCensus(g, k)
 			for _, workers := range []int{1, 2, 8, 0} {
-				par := NewCensusParallel(g, k, workers)
+				par := NewCensusHybrid(g, k, CensusOptions{Workers: workers})
 				if par.Size() != seq.Size() {
 					t.Fatalf("spec %d k=%d workers=%d: size %d != %d",
 						specIdx, k, workers, par.Size(), seq.Size())
@@ -30,7 +30,7 @@ func TestParallelCensusMatchesSequential(t *testing.T) {
 
 func TestParallelCensusMoreWorkersThanLabels(t *testing.T) {
 	g := dataset.ErdosRenyi(30, 100, dataset.UniformLabels{L: 2}, 5).Freeze()
-	par := NewCensusParallel(g, 2, 64)
+	par := NewCensusHybrid(g, 2, CensusOptions{Workers: 64})
 	seq := NewCensus(g, 2)
 	if par.Total() != seq.Total() {
 		t.Fatalf("totals differ: %d != %d", par.Total(), seq.Total())
@@ -44,5 +44,5 @@ func TestParallelCensusBadK(t *testing.T) {
 			t.Fatal("k=0 should panic")
 		}
 	}()
-	NewCensusParallel(g, 0, 2)
+	NewCensusHybrid(g, 0, CensusOptions{Workers: 2})
 }

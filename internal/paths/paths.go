@@ -11,9 +11,12 @@
 //
 // Two census engines compute identical results: NewCensus, the simple
 // allocating reference implementation on dense bitset.Relation rows, and
-// NewCensusHybrid (reached via NewCensusParallel), the production engine
-// on pooled hybrid sparse/dense relations with work-stealing trie
-// parallelism over the shared scheduling layer (internal/sched). Single-path evaluation mirrors the split: Evaluate,
+// NewCensusHybrid, the production engine on pooled hybrid sparse/dense
+// relations with work-stealing trie parallelism over the shared
+// scheduling layer (internal/sched): subtrees split at any trie depth,
+// so workers are not capped at |L| and skewed first-label distributions
+// do not serialize on one goroutine. Single-path evaluation mirrors the
+// split: Evaluate,
 // Selectivity, and UnionSelectivity run on the hybrid substrate, while
 // EvaluateDense survives as the dense reference. Property and fuzz tests
 // in equivalence_test.go pin every hybrid entry point bit-identical to

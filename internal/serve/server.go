@@ -423,7 +423,11 @@ func (s *Server) execute(ctx context.Context, q string) (st pathsel.ExecStats, e
 		return pathsel.ExecStats{}, err
 	}
 	defer release()
-	st, err = s.est.ExecuteQueryCtxPolicy(ctx, q, pol)
+	x, err := s.est.Compile(q)
+	if err != nil {
+		return pathsel.ExecStats{}, err
+	}
+	st, err = x.ExecuteCtxPolicy(ctx, pol)
 	if err == nil {
 		s.observeCost(st.Plan.EstimatedCost)
 	}

@@ -4,7 +4,7 @@
 // biased streams: queries that mostly have non-empty answers, or that
 // concentrate on popular paths. The samplers here make that bias explicit
 // so the evaluation can report per-workload accuracy (an extension beyond
-// the paper; see DESIGN.md §6). In the layer map (graph → bitset → paths
+// the paper). In the layer map (graph → bitset → paths
 // → exec → pathsel) it is an evaluation-side utility feeding
 // internal/experiments.
 package workload

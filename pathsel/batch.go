@@ -8,13 +8,13 @@ import (
 	"repro/internal/relcache"
 )
 
-// DefaultCacheBytes is the segment-relation cache budget ExecuteBatch
-// uses when neither Config.CacheBytes nor BatchOptions.CacheBytes set
+// DefaultCacheBytes is the segment-relation cache budget a batch uses
+// when neither Config.CacheBytes nor BatchOptions.CacheBytes set
 // one (64 MiB).
 const DefaultCacheBytes = relcache.DefaultMaxBytes
 
-// Query is one path query of a batch workload: any RPQ pattern
-// ExecuteQuery accepts (e.g. "knows/likes/knows",
+// Query is one path query of a batch workload: any RPQ pattern Compile
+// accepts (e.g. "knows/likes/knows",
 // "knows/(likes|follows)/knows?", "knows{1,3}").
 type Query string
 
@@ -27,7 +27,7 @@ func Queries(qs ...string) []Query {
 	return out
 }
 
-// BatchOptions tunes one ExecuteBatch call.
+// BatchOptions tunes one batch execution.
 type BatchOptions struct {
 	// Workers is the number of queries executed concurrently (≤ 0 or 1
 	// runs the batch sequentially). Per-query results are bit-identical
@@ -37,7 +37,7 @@ type BatchOptions struct {
 	// one. When Workers > 1, each query's own join steps run
 	// single-threaded (the batch already saturates the cores with whole
 	// queries); at Workers ≤ 1 each query parallelizes its join steps
-	// across Config.Workers as ExecuteQuery does.
+	// across Config.Workers as a single execution does.
 	Workers int
 	// CacheBytes chooses the batch's segment cache: > 0 runs the batch
 	// on a fresh private cache of that byte budget; 0 shares the
@@ -95,7 +95,7 @@ func cacheStatsOf(c *relcache.Cache) CacheStats {
 type BatchQueryResult struct {
 	// Query is the workload entry this result answers.
 	Query Query
-	// ExecStats is exactly what ExecuteQuery would report, including the
+	// ExecStats is exactly what Expr.ExecuteCtx would report, including the
 	// query's own CacheHits/CacheMisses against the shared cache.
 	ExecStats
 	// Err is this query's execution outcome: nil on success (including a
@@ -130,37 +130,21 @@ func (e *Estimator) CacheStats() (CacheStats, bool) {
 	return cacheStatsOf(e.cache), true
 }
 
-// ExecuteBatch plans and executes a whole workload of path queries
-// through one shared segment-relation cache, so label subsequences that
-// recur across the workload are materialized once and adopted everywhere
-// else — the amortization a per-query ExecuteQuery loop cannot get
-// (unless the estimator itself holds a persistent cache via
-// Config.CacheBytes, which ExecuteBatch then reuses and keeps warming).
-//
-// Every query is validated before anything executes, so a malformed
-// workload fails fast without partial results. Per-query results are
-// bit-identical to ExecuteQuery at every BatchOptions.Workers setting
-// and any cache state — caching and concurrency affect only throughput
-// and the per-query CacheHits/CacheMisses accounting. With
-// Config.BushyPlans set, plan *choice* is cache-aware (cached segments
-// are free to build), so a warm cache may pick different — cheaper —
-// plans than a cold one; the results stay identical because every plan
-// computes the same relation.
+// ExecuteBatch compiles a workload of query strings and executes it
+// under a background context: string sugar over Compile +
+// ExecuteExprBatchCtx, which documents the execution. Every query is
+// validated before anything executes, so a malformed workload fails
+// fast without partial results.
 func (e *Estimator) ExecuteBatch(queries []Query, opt BatchOptions) (*BatchResult, error) {
-	return e.ExecuteBatchCtx(context.Background(), queries, opt)
+	xs, err := e.compileAll(queries)
+	if err != nil {
+		return nil, err
+	}
+	return e.ExecuteExprBatchCtx(context.Background(), xs, opt)
 }
 
-// ExecuteBatchCtx is ExecuteBatch under a context. Cancelling ctx stops
-// the batch promptly: in-flight queries are killed through the same
-// cooperative cancellation path as ExecuteQueryCtx, no further query
-// starts executing, and every unexecuted entry comes back with Err set
-// to ErrCancelled (or ErrDeadlineExceeded, when ctx died of a deadline)
-// — the returned BatchResult is complete either way, with per-entry Err
-// recording each query's fate. Config.QueryTimeout additionally bounds
-// each query individually, and under Config.DegradeToEstimate killed or
-// rejected queries degrade to histogram answers instead of carrying an
-// Err.
-func (e *Estimator) ExecuteBatchCtx(ctx context.Context, queries []Query, opt BatchOptions) (*BatchResult, error) {
+// compileAll compiles a workload, naming the first query that fails.
+func (e *Estimator) compileAll(queries []Query) ([]*Expr, error) {
 	xs := make([]*Expr, len(queries))
 	for i, q := range queries {
 		x, err := e.Compile(string(q))
@@ -169,21 +153,37 @@ func (e *Estimator) ExecuteBatchCtx(ctx context.Context, queries []Query, opt Ba
 		}
 		xs[i] = x
 	}
-	return e.ExecuteExprBatchCtx(ctx, xs, opt)
+	return xs, nil
 }
 
-// ExecuteExprBatch executes a workload of pre-compiled queries — the
-// parse-once counterpart of ExecuteBatch, for workloads that repeat: a
+// ExecuteExprBatchCtx plans and executes a whole workload of compiled
+// queries through one shared segment-relation cache, so label
+// subsequences that recur across the workload are materialized once and
+// adopted everywhere else — the amortization a per-query ExecuteCtx loop
+// cannot get (unless the estimator itself holds a persistent cache via
+// Config.CacheBytes, which the batch then reuses and keeps warming). A
 // serving layer compiles its query set once and hands the same handles
 // to every batch, so nothing is reparsed or re-validated per round.
-// Every Expr must have been compiled by this estimator; a nil or
-// foreign handle fails the whole batch before anything executes.
-func (e *Estimator) ExecuteExprBatch(exprs []*Expr, opt BatchOptions) (*BatchResult, error) {
-	return e.ExecuteExprBatchCtx(context.Background(), exprs, opt)
-}
-
-// ExecuteExprBatchCtx is ExecuteExprBatch under a context, with the
-// same cancellation semantics as ExecuteBatchCtx.
+// Every Expr must have been compiled by this estimator; a nil or foreign
+// handle fails the whole batch before anything executes.
+//
+// Per-query results are bit-identical to Expr.ExecuteCtx at every
+// BatchOptions.Workers setting and any cache state — caching and
+// concurrency affect only throughput and the per-query
+// CacheHits/CacheMisses accounting. With Config.BushyPlans set, plan
+// *choice* is cache-aware (cached segments are free to build), so a warm
+// cache may pick different — cheaper — plans than a cold one; the
+// results stay identical because every plan computes the same relation.
+//
+// Cancelling ctx stops the batch promptly: in-flight queries are killed
+// through the same cooperative cancellation path as Expr.ExecuteCtx, no
+// further query starts executing, and every unexecuted entry comes back
+// with Err set to ErrCancelled (or ErrDeadlineExceeded, when ctx died of
+// a deadline) — the returned BatchResult is complete either way, with
+// per-entry Err recording each query's fate. Config.QueryTimeout
+// additionally bounds each query individually, and under
+// Config.DegradeToEstimate killed or rejected queries degrade to
+// histogram answers instead of carrying an Err.
 func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt BatchOptions) (*BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -227,14 +227,7 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 			res.Results[i] = BatchQueryResult{Query: Query(exprs[i].pattern), Err: translateCtxErr(err)}
 			return
 		}
-		qctx, qcancel := ctx, context.CancelFunc(func() {})
-		if e.cfg.QueryTimeout > 0 {
-			qctx, qcancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-		}
-		canc, release := newQueryCanceller(qctx)
-		st, err := e.executeExpr(g, exprs[i], cache, queryWorkers, canc, opt.Policy)
-		release()
-		qcancel()
+		st, err := e.execute(ctx, g, exprs[i], cache, queryWorkers, opt.Policy)
 		res.Results[i] = BatchQueryResult{Query: Query(exprs[i].pattern), ExecStats: st, Err: err}
 	}
 	if workers <= 1 {

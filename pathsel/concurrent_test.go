@@ -1,7 +1,6 @@
 package pathsel
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,7 +12,7 @@ import (
 
 // The serving-layer concurrency contract, pinned at the library level:
 // many goroutines hammering one estimator — and its one persistent
-// segment-relation cache — through ExecuteQueryCtx and ExecuteBatchCtx
+// segment-relation cache — through ExecuteQuery and ExecuteBatch
 // must produce results bit-identical to a single-threaded uncached
 // reference, while the cache's byte accounting stays consistent under
 // concurrent LRU mutation. Run with -race in CI; test names match the
@@ -98,7 +97,7 @@ func checkCacheAccounting(t *testing.T, est *Estimator) CacheStats {
 }
 
 // TestConcurrentQueriesSharedCache fans a Zipf trace across N goroutines
-// all calling ExecuteQueryCtx on one estimator, at several worker counts
+// all calling ExecuteQuery on one estimator, at several worker counts
 // (request-level concurrency × join-level parallelism), and asserts
 // every result is bit-identical to the uncached single-threaded
 // reference while the shared cache mutates under the load.
@@ -114,7 +113,7 @@ func TestConcurrentQueriesSharedCache(t *testing.T) {
 					defer wg.Done()
 					for i := w; i < len(h.trace); i += goroutines {
 						q := h.trace[i]
-						st, err := h.est.ExecuteQueryCtx(context.Background(), q)
+						st, err := h.est.ExecuteQuery(q)
 						if err != nil {
 							errs <- fmt.Errorf("query %q: %w", q, err)
 							return
@@ -139,8 +138,8 @@ func TestConcurrentQueriesSharedCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchAndQueryMix runs ExecuteBatchCtx workers and
-// ExecuteQueryCtx workers simultaneously against one estimator — the
+// TestConcurrentBatchAndQueryMix runs ExecuteBatch workers and
+// ExecuteQuery workers simultaneously against one estimator — the
 // serving tier's actual regime when interactive queries overlap batch
 // replays — and asserts exactness and cache accounting both ways.
 func TestConcurrentBatchAndQueryMix(t *testing.T) {
@@ -155,7 +154,7 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := h.est.ExecuteBatchCtx(context.Background(), batch, BatchOptions{Workers: 2})
+			res, err := h.est.ExecuteBatch(batch, BatchOptions{Workers: 2})
 			if err != nil {
 				errs <- err
 				return
@@ -178,7 +177,7 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(h.trace); i += 4 {
 				q := h.trace[i]
-				st, err := h.est.ExecuteQueryCtx(context.Background(), q)
+				st, err := h.est.ExecuteQuery(q)
 				if err != nil {
 					errs <- fmt.Errorf("query %q: %w", q, err)
 					return
@@ -250,7 +249,7 @@ func TestConcurrentCacheEvictionChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < len(trace); i++ {
 				q := trace[(i+rng.Intn(len(trace)))%len(trace)]
-				st, err := est.ExecuteQueryCtx(context.Background(), q)
+				st, err := est.ExecuteQuery(q)
 				if err != nil {
 					errs <- fmt.Errorf("query %q: %w", q, err)
 					return

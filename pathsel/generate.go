@@ -8,7 +8,7 @@ import (
 
 // DatasetNames lists the built-in synthetic datasets (the paper's Table 3
 // rows; the two real-world datasets are generator-based substitutes, see
-// DESIGN.md §4).
+// internal/dataset).
 func DatasetNames() []string {
 	specs := dataset.Table3()
 	out := make([]string, len(specs))

@@ -258,8 +258,8 @@ type Config struct {
 	CacheShards int
 
 	// QueryTimeout, when > 0, bounds each executed query's wall-clock
-	// time: ExecuteQuery, ExecuteQueryCtx, and every query of a batch
-	// run under a per-query deadline of this duration (intersected with
+	// time: every single execution and every query of a batch runs
+	// under a per-query deadline of this duration (intersected with
 	// any caller-supplied context deadline). A query killed by the
 	// timeout returns ErrDeadlineExceeded — or degrades to the histogram
 	// estimate under DegradeToEstimate. Estimation-only methods

@@ -1,79 +1,11 @@
 package pathsel
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/paths"
-)
+import "repro/internal/paths"
 
 // maxPatternExpansions bounds how many concrete label paths one pattern
 // may expand to; beyond this the pattern is almost certainly a mistake
 // (and summation-based estimation loses meaning anyway).
 const maxPatternExpansions = 10000
-
-// expandPattern parses a path pattern and returns every concrete label
-// path it matches. Pattern syntax, per '/'-separated segment:
-//
-//	name       that label
-//	*          any single label
-//	a|b|c      any of the named labels
-//
-// Examples: "knows/*/likes", "knows|likes/knows".
-func (gr *Graph) expandPattern(pattern string) ([]paths.Path, error) {
-	if pattern == "" {
-		return nil, fmt.Errorf("%w: empty pattern", ErrEmptyPath)
-	}
-	segments := strings.Split(pattern, "/")
-	// Per segment, the set of admissible labels.
-	options := make([][]int, len(segments))
-	for i, seg := range segments {
-		switch {
-		case seg == "*":
-			all := make([]int, gr.g.NumLabels())
-			for l := range all {
-				all[l] = l
-			}
-			options[i] = all
-		case strings.Contains(seg, "|"):
-			for _, name := range strings.Split(seg, "|") {
-				l := gr.g.LabelByName(name)
-				if l < 0 {
-					return nil, fmt.Errorf("%w %q in pattern %q", ErrUnknownLabel, name, pattern)
-				}
-				options[i] = append(options[i], l)
-			}
-		default:
-			l := gr.g.LabelByName(seg)
-			if l < 0 {
-				return nil, fmt.Errorf("%w %q in pattern %q", ErrUnknownLabel, seg, pattern)
-			}
-			options[i] = []int{l}
-		}
-	}
-	count := 1
-	for _, opts := range options {
-		count *= len(opts)
-		if count > maxPatternExpansions {
-			return nil, fmt.Errorf("%w: pattern %q expands to over %d paths", ErrBadPattern, pattern, maxPatternExpansions)
-		}
-	}
-	out := make([]paths.Path, 0, count)
-	cur := make(paths.Path, len(segments))
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(segments) {
-			out = append(out, cur.Clone())
-			return
-		}
-		for _, l := range options[i] {
-			cur[i] = l
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return out, nil
-}
 
 // EstimatePattern estimates the total selectivity of an RPQ pattern
 // (the full Compile grammar: wildcards `*`, alternations `(a|b)`,

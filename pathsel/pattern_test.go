@@ -20,7 +20,7 @@ func TestExpandPattern(t *testing.T) {
 		{"*/knows|likes/*", 8},
 	}
 	for _, c := range cases {
-		ps, err := g.expandPattern(c.pattern)
+		ps, err := g.patternExpansions(c.pattern)
 		if err != nil {
 			t.Fatalf("%s: %v", c.pattern, err)
 		}
@@ -33,7 +33,7 @@ func TestExpandPattern(t *testing.T) {
 func TestExpandPatternErrors(t *testing.T) {
 	g := socialGraph(t)
 	for _, bad := range []string{"", "zzz", "knows/zzz", "knows|zzz"} {
-		if _, err := g.expandPattern(bad); err == nil {
+		if _, err := g.patternExpansions(bad); err == nil {
 			t.Errorf("pattern %q should fail", bad)
 		}
 	}
@@ -46,10 +46,10 @@ func TestExpandPatternExplosionCapped(t *testing.T) {
 		labels[i] = string(rune('a' + i))
 	}
 	g := NewGraph(3, labels)
-	if _, err := g.expandPattern("*/*/*/*"); err == nil {
+	if _, err := g.patternExpansions("*/*/*/*"); err == nil {
 		t.Fatal("explosive pattern should be rejected")
 	}
-	if _, err := g.expandPattern("*/*"); err != nil {
+	if _, err := g.patternExpansions("*/*"); err != nil {
 		t.Fatalf("676 expansions should be fine: %v", err)
 	}
 }

@@ -105,12 +105,19 @@ func (e *Estimator) parseBounded(q string) (paths.Path, error) {
 	return p, nil
 }
 
-// planParsed costs every candidate plan once and picks the winner: the
+// plan chooses x's join plan against the given cache state. A concrete
+// path costs every candidate zig-zag plan once and picks the winner: the
 // cheapest zig-zag plan, or — under Config.BushyPlans — the cheapest plan
-// tree, which degenerates to the zig-zag winner whenever linear growth is
-// estimated cheaper than every bushy split.
-func (e *Estimator) planParsed(p paths.Path, cache *relcache.Cache) QueryPlan {
+// tree, which degenerates to the zig-zag winner whenever linear growth
+// is estimated cheaper than every bushy split. A true RPQ is decomposed
+// into the planned DAG fold, returned alongside its QueryPlan view.
+func (e *Estimator) plan(x *Expr, cache *relcache.Cache) (QueryPlan, *exec.DagPlan) {
 	pl := e.planner(cache)
+	if x.path == nil {
+		dp := pl.PlanDag(x.dag, e.gr.NumVertices(), e.cfg.BushyPlans)
+		return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost}, dp
+	}
+	p := x.path
 	costs := pl.Costs(p)
 	plan := exec.CheapestPlan(costs)
 	qp := QueryPlan{
@@ -128,7 +135,7 @@ func (e *Estimator) planParsed(p paths.Path, cache *relcache.Cache) QueryPlan {
 			qp.EstimatedCost = cost
 		}
 	}
-	return qp
+	return qp, nil
 }
 
 // PlanQuery chooses among the query's join plans using this estimator's
@@ -144,52 +151,16 @@ func (e *Estimator) PlanQuery(q string) (QueryPlan, error) {
 	return x.Plan(), nil
 }
 
-// ExecuteQuery plans q with the histogram and carries the chosen plan out
-// on the hybrid execution engine, honoring Config.DensityThreshold,
-// Config.Workers (join steps shard their source rows across that many
-// work-stealing workers; results are bit-identical at every setting), and
-// Config.BushyPlans (a chosen bushy tree builds its segments
-// independently — in parallel when the worker budget allows — and joins
-// them with the sharded relation×relation kernel). The
-// returned stats hold the exact result count and the actual intermediate
-// sizes, so estimate-driven plan quality is measurable against the ground
-// truth. Unlike the histogram methods this touches the graph itself, with
-// cost proportional to the intermediate volumes.
-//
-// ExecuteQuery is ExecuteQueryCtx with a background context: the
-// resource-policy knobs (Config.QueryTimeout, MaxResultBytes,
-// MaxPlanCost, DegradeToEstimate) still apply; only external
-// cancellation needs the Ctx form.
+// ExecuteQuery compiles q (any RPQ pattern, see Compile) and executes it
+// once under a background context: string sugar over Compile +
+// Expr.ExecuteCtx, which documents the execution. Repeated queries
+// should compile once and execute the handle.
 func (e *Estimator) ExecuteQuery(q string) (ExecStats, error) {
-	return e.ExecuteQueryCtx(context.Background(), q)
-}
-
-// ExecuteQueryCtx is ExecuteQuery under a context: cancelling ctx (or
-// passing one whose deadline expires) kills the query mid-flight — the
-// abort reaches every join-step worker through the execution layer's
-// cooperative flag within a bounded amount of kernel work, pooled
-// relations are released, and the call returns ErrCancelled or
-// ErrDeadlineExceeded (or a degraded estimate, under
-// Config.DegradeToEstimate). Config.QueryTimeout, when set, is applied
-// on top of ctx as a per-query deadline.
-//
-// q may be any RPQ pattern (see Compile), not just a concrete path; the
-// call is a compile-per-call wrapper over Compile + Expr.ExecuteCtx, so
-// repeated queries should compile once and execute the handle.
-func (e *Estimator) ExecuteQueryCtx(ctx context.Context, q string) (ExecStats, error) {
-	return e.ExecuteQueryCtxPolicy(ctx, q, ExecPolicy{})
-}
-
-// ExecuteQueryCtxPolicy is ExecuteQueryCtx under a per-call degradation
-// policy (see ExecPolicy): the compile-per-call wrapper over Compile +
-// Expr.ExecuteCtxPolicy. The zero policy makes it exactly
-// ExecuteQueryCtx.
-func (e *Estimator) ExecuteQueryCtxPolicy(ctx context.Context, q string, pol ExecPolicy) (ExecStats, error) {
 	x, err := e.Compile(q)
 	if err != nil {
 		return ExecStats{}, err
 	}
-	return x.ExecuteCtxPolicy(ctx, pol)
+	return x.ExecuteCtx(context.Background())
 }
 
 // ExecPolicy is a per-call degradation policy, layered on top of the
@@ -277,23 +248,30 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 	return ExecStats{Plan: plan, Result: r, Degraded: true, DegradedBy: cause}, nil
 }
 
-// executeParsed plans and executes one parsed query against the given
-// (possibly nil) segment cache — the shared core of ExecuteQueryCtx and
-// ExecuteBatchCtx. g is passed pre-frozen so concurrent batch workers
-// never race on the lazy CSR freeze; canc carries the caller's
-// cancellation signal into every kernel; pol is the caller's per-call
-// degradation policy, checked before the admission gate so a brownout
-// degrade costs one plan, never a graph access. The result relation is
-// drawn from (and immediately returned to) the estimator's pool — only
-// its counters survive into ExecStats.
-func (e *Estimator) executeParsed(g *graph.CSR, p paths.Path, cache *relcache.Cache, workers int, canc *exec.Canceller, pol ExecPolicy) (ExecStats, error) {
-	plan := e.planParsed(p, cache)
-	est := e.ph.Estimate(p)
-	if pol.degrades(plan) {
-		return degradeTo(plan, est, ErrBrownout)
+// execute runs one compiled query against the given (possibly nil)
+// segment cache — the one path every execution takes, single or batched:
+// per-query deadline and canceller, plan against the live cache,
+// brownout policy, admission gate, run, stats. g is passed pre-frozen so
+// concurrent batch workers never race on the lazy CSR freeze; the
+// canceller carries ctx into every kernel, and an already-dead ctx
+// never touches the graph; pol is checked before the admission gate so a
+// brownout degrade costs one plan, never a graph access. The result
+// relation is drawn from (and immediately returned to) the estimator's
+// pool — only its counters survive into ExecStats.
+func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *relcache.Cache, workers int, pol ExecPolicy) (ExecStats, error) {
+	if e.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
+		defer cancel()
 	}
-	if err := e.admit(plan, est); err != nil {
-		return e.degrade(plan, est, err)
+	canc, release := newQueryCanceller(ctx)
+	defer release()
+	plan, dp := e.plan(x, cache)
+	if pol.degrades(plan) {
+		return degradeTo(plan, x.estimate, ErrBrownout)
+	}
+	if err := e.admit(plan, x.estimate); err != nil {
+		return e.degrade(plan, x.estimate, err)
 	}
 	opt := exec.Options{
 		DensityThreshold: e.cfg.DensityThreshold,
@@ -303,19 +281,22 @@ func (e *Estimator) executeParsed(g *graph.CSR, p paths.Path, cache *relcache.Ca
 		MaxResultBytes:   e.cfg.MaxResultBytes,
 		Pool:             e.pool,
 	}
-	var st exec.Stats
-	var err error
-	if plan.Tree != nil {
-		var rel *bitset.HybridRelation
-		rel, st, err = exec.ExecuteTreeChecked(g, p, plan.Tree, opt)
-		e.pool.Put(rel)
-	} else {
-		var rel *bitset.HybridRelation
-		rel, st, err = exec.ExecutePlanChecked(g, p, exec.Plan{Start: plan.Start}, opt)
-		e.pool.Put(rel)
+	var (
+		rel *bitset.HybridRelation
+		st  exec.Stats
+		err error
+	)
+	switch {
+	case dp != nil:
+		rel, st, err = exec.ExecuteDagChecked(g, x.dag, dp, opt)
+	case plan.Tree != nil:
+		rel, st, err = exec.ExecuteTreeChecked(g, x.path, plan.Tree, opt)
+	default:
+		rel, st, err = exec.ExecutePlanChecked(g, x.path, exec.Plan{Start: plan.Start}, opt)
 	}
+	e.pool.Put(rel)
 	if err != nil {
-		return e.degrade(plan, est, translateExecErr(err))
+		return e.degrade(plan, x.estimate, translateExecErr(err))
 	}
 	return ExecStats{
 		Plan:          plan,

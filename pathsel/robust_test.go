@@ -98,16 +98,26 @@ func TestTypedSentinels(t *testing.T) {
 	}
 }
 
-func TestExecuteQueryCtxPreCancelled(t *testing.T) {
+// executeCtx is the compile-per-call path under a caller's context and
+// policy.
+func executeCtx(ctx context.Context, e *Estimator, q string, pol ExecPolicy) (ExecStats, error) {
+	x, err := e.Compile(q)
+	if err != nil {
+		return ExecStats{}, err
+	}
+	return x.ExecuteCtxPolicy(ctx, pol)
+}
+
+func TestExecuteCtxPreCancelled(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.ExecuteQueryCtx(ctx, "a/b/a"); !errors.Is(err, ErrCancelled) {
+	if _, err := executeCtx(ctx, e, "a/b/a", ExecPolicy{}); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("pre-cancelled ctx: %v, want ErrCancelled", err)
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := e.ExecuteQueryCtx(dctx, "a/b/a"); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := executeCtx(dctx, e, "a/b/a", ExecPolicy{}); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline: %v, want ErrDeadlineExceeded", err)
 	}
 	if n := e.pool.InUse(); n != 0 {
@@ -205,7 +215,7 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 		PanicValue: "injected shard failure",
 	}))
 	defer faultinject.Uninstall()
-	_, err := e.ExecuteQueryCtx(context.Background(), "a/b/a")
+	_, err := e.ExecuteQuery("a/b/a")
 	if !errors.Is(err, ErrExecutionFailed) {
 		t.Fatalf("panicked query: %v, want ErrExecutionFailed", err)
 	}
@@ -220,11 +230,11 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchCtxCancel cancels a batch mid-flight and pins the
+// TestExecuteExprBatchCtxCancel cancels a batch mid-flight and pins the
 // containment contract: executed entries carry real stats, refused
 // entries carry ErrCancelled, nothing leaks, and the whole call returns
 // a complete BatchResult.
-func TestExecuteBatchCtxCancel(t *testing.T) {
+func TestExecuteExprBatchCtxCancel(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 1})
 	queries := make([]Query, 40)
 	for i := range queries {
@@ -232,7 +242,11 @@ func TestExecuteBatchCtxCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every entry must be refused deterministically
-	res, err := e.ExecuteBatchCtx(ctx, queries, BatchOptions{Workers: 4})
+	xs, err := e.compileAll(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.ExecuteExprBatchCtx(ctx, xs, BatchOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +307,7 @@ func TestExecPolicyBrownout(t *testing.T) {
 	pol := ExecPolicy{DegradeCostAbove: 0.5}
 
 	// Expensive concrete path: degrades to the estimate, no graph work.
-	st, err := e.ExecuteQueryCtxPolicy(context.Background(), "a/b/a", pol)
+	st, err := executeCtx(context.Background(), e, "a/b/a", pol)
 	if err != nil {
 		t.Fatalf("brownout query errored: %v", err)
 	}
@@ -312,7 +326,7 @@ func TestExecPolicyBrownout(t *testing.T) {
 	}
 
 	// Cheap plan (single label, zero join cost): unaffected by the policy.
-	st, err = e.ExecuteQueryCtxPolicy(context.Background(), "a", pol)
+	st, err = executeCtx(context.Background(), e, "a", pol)
 	if err != nil || st.Degraded {
 		t.Fatalf("cheap query under policy: %+v, %v — want exact answer", st, err)
 	}
@@ -323,7 +337,7 @@ func TestExecPolicyBrownout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		zero, err := e.ExecuteQueryCtxPolicy(context.Background(), q, ExecPolicy{})
+		zero, err := executeCtx(context.Background(), e, q, ExecPolicy{})
 		if err != nil || zero.Degraded || zero.Result != plain.Result {
 			t.Fatalf("zero policy diverged on %s: %+v vs %+v (%v)", q, zero, plain, err)
 		}

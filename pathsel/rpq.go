@@ -7,9 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/exec"
-	"repro/internal/graph"
 	"repro/internal/paths"
-	"repro/internal/relcache"
 )
 
 // This file is the public regular-path-query surface: the RPQ grammar
@@ -181,7 +179,7 @@ func (gr *Graph) patternExpansions(pattern string) ([]paths.Path, error) {
 // Expr is a compiled query: the pattern parsed once into an expression
 // DAG and planned once against the estimator it was compiled by. It is
 // immutable and safe for concurrent use — compile a repeated query (or
-// a whole workload, via ExecuteExprBatch) once and execute the handle
+// a whole workload, via ExecuteExprBatchCtx) once and execute the handle
 // many times; each execution replans against the current cache state
 // (warm segments steer plan choice) but never reparses. The string
 // entry points (ExecuteQuery, PlanQuery, EstimatePattern,
@@ -196,8 +194,7 @@ type Expr struct {
 	// selectivity: the exact sum over expansions when enumerable within
 	// maxPatternExpansions, the DAG plan's independence-model estimate
 	// otherwise.
-	estimate   float64
-	enumerable bool
+	estimate float64
 }
 
 // Compile parses and plans a pattern into a reusable query handle. The
@@ -214,24 +211,18 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
 	x := &Expr{est: e, pattern: pattern, dag: dag}
-	if p, ok := dag.ConcretePath(); ok {
-		x.path = p
-		x.plan = e.planParsed(p, e.cache)
-		x.estimate = e.ph.Estimate(p)
-		x.enumerable = true
-		return x, nil
-	}
-	if exps, ok := dag.Expansions(maxPatternExpansions); ok {
-		x.enumerable = true
+	x.path, _ = dag.ConcretePath()
+	var dp *exec.DagPlan
+	x.plan, dp = e.plan(x, e.cache)
+	if x.path != nil {
+		x.estimate = e.ph.Estimate(x.path)
+	} else if exps, ok := dag.Expansions(maxPatternExpansions); ok {
 		for _, p := range exps {
 			x.estimate += e.ph.Estimate(p)
 		}
-	}
-	dp := e.planner(e.cache).PlanDag(dag, e.gr.csr().NumVertices(), e.cfg.BushyPlans)
-	if !x.enumerable {
+	} else {
 		x.estimate = dp.ResultEst
 	}
-	x.plan = QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost}
 	return x, nil
 }
 
@@ -258,18 +249,29 @@ func (x *Expr) Estimate() float64 { return x.estimate }
 // warm run may execute a cheaper plan than the one reported here.
 func (x *Expr) Plan() QueryPlan { return x.plan }
 
-// Execute runs the compiled query; it is ExecuteCtx with a background
-// context.
-func (x *Expr) Execute() (ExecStats, error) {
-	return x.ExecuteCtx(context.Background())
-}
-
-// ExecuteCtx executes the compiled query under ctx with the exact
-// semantics of Estimator.ExecuteQueryCtx — per-query deadline
-// (Config.QueryTimeout), cost-based admission, degradation, typed
-// sentinels — minus the parse: the result is the number of distinct
-// vertex pairs connected by a path matching the pattern (set
-// semantics; a concrete path degenerates to its selectivity).
+// ExecuteCtx plans the compiled query against the live cache and
+// carries the chosen plan out on the hybrid execution engine, honoring
+// Config.DensityThreshold, Config.Workers (join steps shard their source
+// rows across that many work-stealing workers; results are bit-identical
+// at every setting) and Config.BushyPlans (a chosen bushy tree builds
+// its segments independently — in parallel when the worker budget allows
+// — and joins them with the sharded relation×relation kernel). The
+// result is the number of distinct vertex pairs connected by a path
+// matching the pattern (set semantics; a concrete path degenerates to
+// its selectivity), with the actual intermediate sizes beside it, so
+// estimate-driven plan quality is measurable against the ground truth.
+// Unlike the histogram methods this touches the graph itself, with cost
+// proportional to the intermediate volumes.
+//
+// Cancelling ctx (or passing one whose deadline expires) kills the
+// query mid-flight — the abort reaches every join-step worker through
+// the execution layer's cooperative flag within a bounded amount of
+// kernel work, pooled relations are released, and the call returns
+// ErrCancelled or ErrDeadlineExceeded. The resource-policy knobs apply
+// on top: Config.QueryTimeout as a per-query deadline, the cost-based
+// admission gate (MaxPlanCost, MaxResultBytes), the runtime byte budget,
+// and DegradeToEstimate turning a rejected or killed query into a
+// marked histogram answer.
 func (x *Expr) ExecuteCtx(ctx context.Context) (ExecStats, error) {
 	return x.ExecuteCtxPolicy(ctx, ExecPolicy{})
 }
@@ -280,57 +282,9 @@ func (x *Expr) ExecuteCtx(ctx context.Context) (ExecStats, error) {
 // Degraded with DegradedBy = ErrBrownout — without touching the graph.
 // The zero policy makes it exactly ExecuteCtx.
 func (x *Expr) ExecuteCtxPolicy(ctx context.Context, pol ExecPolicy) (ExecStats, error) {
-	e := x.est
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if e.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-		defer cancel()
-	}
-	canc, release := newQueryCanceller(ctx)
-	defer release()
-	return e.executeExpr(e.gr.csr(), x, e.cache, e.cfg.Workers, canc, pol)
-}
-
-// executeExpr executes one compiled query against the given cache — the
-// shared core of Expr.ExecuteCtx and the batch executor, mirroring
-// executeParsed. Concrete paths take the existing plan machinery
-// unchanged; DAGs are replanned cache-aware per call and folded by
-// exec.ExecuteDagChecked.
-func (e *Estimator) executeExpr(g *graph.CSR, x *Expr, cache *relcache.Cache, workers int, canc *exec.Canceller, pol ExecPolicy) (ExecStats, error) {
-	if x.path != nil {
-		return e.executeParsed(g, x.path, cache, workers, canc, pol)
-	}
-	dp := e.planner(cache).PlanDag(x.dag, g.NumVertices(), e.cfg.BushyPlans)
-	qp := QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost}
-	if pol.degrades(qp) {
-		return degradeTo(qp, x.estimate, ErrBrownout)
-	}
-	if err := e.admit(qp, x.estimate); err != nil {
-		return e.degrade(qp, x.estimate, err)
-	}
-	opt := exec.Options{
-		DensityThreshold: e.cfg.DensityThreshold,
-		Workers:          workers,
-		Cache:            cache,
-		Cancel:           canc,
-		MaxResultBytes:   e.cfg.MaxResultBytes,
-		Pool:             e.pool,
-	}
-	rel, st, err := exec.ExecuteDagChecked(g, x.dag, dp, opt)
-	e.pool.Put(rel)
-	if err != nil {
-		return e.degrade(qp, x.estimate, translateExecErr(err))
-	}
-	return ExecStats{
-		Plan:          qp,
-		Intermediates: st.Intermediates,
-		Work:          st.Work,
-		Result:        st.Result,
-		CacheHits:     st.CacheHits,
-		CacheMisses:   st.CacheMisses,
-		Sched:         st.Sched,
-	}, nil
+	e := x.est
+	return e.execute(ctx, e.gr.csr(), x, e.cache, e.cfg.Workers, pol)
 }

@@ -1,6 +1,7 @@
 package pathsel
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -128,7 +129,7 @@ func TestExprExecuteMatchesTrueSelectivity(t *testing.T) {
 					t.Fatalf("Compile(%q): %v", p, err)
 				}
 				for pass := 0; pass < 2; pass++ { // cold then warm
-					st, err := x.Execute()
+					st, err := x.ExecuteCtx(context.Background())
 					if err != nil {
 						t.Fatalf("Execute(%q) workers=%d bushy=%v pass=%d: %v", p, workers, bushy, pass, err)
 					}
@@ -176,7 +177,7 @@ func TestExecuteExprBatchMatchesExecute(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		br, err := est.ExecuteExprBatch(xs, BatchOptions{Workers: workers})
+		br, err := est.ExecuteExprBatchCtx(context.Background(), xs, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,10 +225,10 @@ func TestExecuteExprBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := est.ExecuteExprBatch([]*Expr{x, nil}, BatchOptions{}); !errors.Is(err, ErrBadPattern) || !strings.Contains(err.Error(), "query 1") {
+	if _, err := est.ExecuteExprBatchCtx(context.Background(), []*Expr{x, nil}, BatchOptions{}); !errors.Is(err, ErrBadPattern) || !strings.Contains(err.Error(), "query 1") {
 		t.Fatalf("nil handle: err=%v, want ErrBadPattern naming query 1", err)
 	}
-	if _, err := est.ExecuteExprBatch([]*Expr{foreign}, BatchOptions{}); !errors.Is(err, ErrBadPattern) || !strings.Contains(err.Error(), "different estimator") {
+	if _, err := est.ExecuteExprBatchCtx(context.Background(), []*Expr{foreign}, BatchOptions{}); !errors.Is(err, ErrBadPattern) || !strings.Contains(err.Error(), "different estimator") {
 		t.Fatalf("foreign handle: err=%v, want ErrBadPattern (different estimator)", err)
 	}
 }
