@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,6 +31,7 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/ordering"
 	"repro/internal/paths"
+	"repro/pathsel"
 )
 
 // fixture caches a generated graph and its census per (dataset, k, scale).
@@ -239,6 +241,7 @@ func BenchmarkOrderingIndex(b *testing.B) {
 			queries[i] = ord.Path(rng.Int63n(ord.Size()))
 		}
 		b.Run("Index/"+method, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = ord.Index(queries[i%len(queries)])
 			}
@@ -246,6 +249,51 @@ func BenchmarkOrderingIndex(b *testing.B) {
 		b.Run("Unrank/"+method, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = ord.Path(int64(i) % ord.Size())
+			}
+		})
+	}
+}
+
+// BenchmarkCompile measures what an optimiser pays per query it consults
+// the histogram about — parse, the k(k+1)/2 segment estimates, the
+// zig-zag spread and the bushy DP — at the paper's k = 6 with sum-based +
+// V-Optimal: the estimate_stream workload's operation, here with
+// allocations counted.
+func BenchmarkCompile(b *testing.B) {
+	const k = 6
+	g, err := pathsel.GenerateDataset("Moreno health", 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: k, Buckets: 1024, BushyPlans: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	labels := g.Labels()
+	rng := rand.New(rand.NewSource(5))
+	label := func() string { return labels[rng.Intn(len(labels))] }
+	concrete := make([]string, 256)
+	for i := range concrete {
+		segs := make([]string, k)
+		for j := range segs {
+			segs[j] = label()
+		}
+		concrete[i] = strings.Join(segs, "/")
+	}
+	rpq := make([]string, 256)
+	for i := range rpq {
+		rpq[i] = fmt.Sprintf("%s/(%s|%s){1,2}/%s?/*", label(), label(), label(), label())
+	}
+	for _, c := range []struct {
+		name    string
+		queries []string
+	}{{"concrete/k=6", concrete}, {"rpq", rpq}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := est.Compile(c.queries[i%len(c.queries)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -20,7 +20,11 @@
 // wrong answers.
 package combinat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // Binomial returns C(n, k). It returns 0 when k < 0 or k > n, matching the
 // combinatorial convention used by inclusion–exclusion sums. It panics on
@@ -157,31 +161,52 @@ func partitionsRec(v, m, b int64, buf []int64, emit func([]int64) bool) bool {
 	return true
 }
 
+// stackParts is the multiset size NumPermutations and RankPermutation
+// serve from a stack buffer; longer inputs fall back to the heap. Path
+// lengths are census-bounded (k ≤ 8), so the lookup path never allocates.
+const stackParts = 16
+
 // NumPermutations returns the number of distinct permutations of the
 // multiset parts (Eq. 5): |parts|! / Π_i d_i! where d_i is the multiplicity
-// of value i.
+// of value i. parts need not be sorted. It panics exactly when the result
+// overflows int64.
 func NumPermutations(parts []int64) int64 {
-	counts := map[int64]int64{}
-	for _, p := range parts {
-		counts[p]++
+	if !isSorted(parts) {
+		var buf [stackParts]int64
+		sorted := append(buf[:0], parts...)
+		sortInt64(sorted)
+		parts = sorted
 	}
-	var r int64 = 1
-	// Build n!/Πd_i! incrementally to keep intermediates small: treat the
-	// multiset as a sequence of draws, r *= position / (draws of this value
-	// so far). Equivalent closed form, less overflow-prone.
-	pos := int64(0)
-	for v, c := range counts {
-		_ = v
-		for i := int64(1); i <= c; i++ {
+	return numPermutationsSorted(parts)
+}
+
+// numPermutationsSorted is NumPermutations over an ascending multiset. It
+// builds n!/Πd_i! incrementally — treat the multiset as a sequence of
+// draws, r *= position / (draws of this value so far) — visiting the value
+// classes as the sorted runs they are. Every intermediate r is the
+// permutation count of a sub-multiset, so it never exceeds the result; the
+// one product that can, r·position, is held in 128 bits. The value is
+// therefore returned whenever it fits, independent of class order.
+func numPermutationsSorted(parts []int64) int64 {
+	var r, pos uint64 = 1, 0
+	for i := 0; i < len(parts); {
+		j := i
+		for j < len(parts) && parts[j] == parts[i] {
+			j++
+		}
+		for d := uint64(1); d <= uint64(j-i); d++ {
 			pos++
-			hi, p := mulCheck(r, pos)
-			if hi {
+			hi, lo := bits.Mul64(r, pos)
+			if hi >= d {
 				panic("combinat: NumPermutations overflows int64")
 			}
-			r = p / i
+			if r, _ = bits.Div64(hi, lo, d); r > math.MaxInt64 {
+				panic("combinat: NumPermutations overflows int64")
+			}
 		}
+		i = j
 	}
-	return r
+	return int64(r)
 }
 
 // UnrankPermutation returns the index-th (0-based) distinct permutation of
@@ -195,12 +220,12 @@ func NumPermutations(parts []int64) int64 {
 // instead of re-deriving Eq. 5 per step, so the whole unranking is O(k²)
 // with a single output allocation.
 func UnrankPermutation(index int64, parts []int64) []int64 {
-	if index < 0 || index >= NumPermutations(parts) {
+	nop := NumPermutations(parts)
+	if index < 0 || index >= nop {
 		return nil
 	}
 	remaining := make([]int64, len(parts))
 	copy(remaining, parts)
-	nop := NumPermutations(parts)
 	n := int64(len(remaining))
 	out := make([]int64, 0, len(parts))
 	for n > 0 {
@@ -235,42 +260,61 @@ func UnrankPermutation(index int64, parts []int64) []int64 {
 // RankPermutation is the inverse of UnrankPermutation: it returns the
 // 0-based position of perm among the distinct ascending-lexicographic
 // permutations of its own multiset. perm need not be sorted. It panics if
-// perm is empty. Like UnrankPermutation it uses the O(1) block-size
-// identity, so ranking is O(k²).
+// perm is empty. Up to stackParts elements it allocates nothing.
 func RankPermutation(perm []int64) int64 {
 	if len(perm) == 0 {
 		panic("combinat: RankPermutation of empty permutation")
 	}
-	remaining := make([]int64, len(perm))
-	copy(remaining, perm)
-	sortInt64(remaining)
-	nop := NumPermutations(remaining)
-	n := int64(len(remaining))
+	var buf [stackParts]int64
+	sorted := append(buf[:0], perm...)
+	sortInt64(sorted)
+	return RankSorted(perm, sorted, numPermutationsSorted(sorted))
+}
+
+// RankSorted is RankPermutation for a caller that already holds perm's
+// multiset: sorted, its elements ascending — consumed as scratch — and
+// nop = NumPermutations(sorted). Like UnrankPermutation it uses the O(1)
+// block-size identity nop(S \ {x}) = nop(S)·d_x/|S|, and because the
+// blocks below a leading element v are exact integers their sum is
+// nop(S)·|{x ∈ S : x < v}|/|S| — two divisions per position, O(k²) only
+// in the element moves. It panics if perm is not a permutation of sorted.
+func RankSorted(perm, sorted []int64, nop int64) int64 {
+	if len(perm) != len(sorted) {
+		panic("combinat: RankSorted of mismatched multiset")
+	}
 	var rank int64
-	for _, v := range perm {
-		i := 0
-		for {
-			x := remaining[i]
-			d := int64(0)
-			j := i
-			for j < len(remaining) && remaining[j] == x {
-				d++
-				j++
-			}
-			block := nop * d / n
-			if x != v {
-				rank += block
-				i = j
-				continue
-			}
-			nop = block
-			n--
-			copy(remaining[i:], remaining[i+1:])
-			remaining = remaining[:len(remaining)-1]
-			break
+	for n, v := range perm {
+		// sorted[n:] is what remains to place; less counts its elements
+		// below v, d its copies of v.
+		rest := sorted[n:]
+		less := 0
+		for less < len(rest) && rest[less] < v {
+			less++
 		}
+		d := 0
+		for less+d < len(rest) && rest[less+d] == v {
+			d++
+		}
+		if d == 0 {
+			panic("combinat: RankSorted of mismatched multiset")
+		}
+		size := int64(len(rest))
+		rank += nop * int64(less) / size
+		nop = nop * int64(d) / size
+		// Remove one copy of v by shifting the smaller elements up one
+		// slot: the remainder stays sorted, now at sorted[n+1:].
+		copy(rest[1:less+1], rest[:less])
 	}
 	return rank
+}
+
+func isSorted(s []int64) bool {
+	for i := 1; i < len(s); i++ {
+		if s[i] < s[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // sortInt64 is insertion sort; inputs have length ≤ k (tiny).

@@ -329,3 +329,157 @@ func TestGeometricSum(t *testing.T) {
 		t.Fatalf("GeometricSum(5,0) = %d, want 0", got)
 	}
 }
+
+// refNumPermutations is NumPermutations as it was: the value classes
+// counted in a map and visited in its iteration order, the running product
+// overflow-checked in 64 bits — so whether a large input panicked depended
+// on the order the map happened to yield.
+func refNumPermutations(parts []int64) int64 {
+	counts := map[int64]int64{}
+	for _, p := range parts {
+		counts[p]++
+	}
+	var r int64 = 1
+	pos := int64(0)
+	for _, c := range counts {
+		for i := int64(1); i <= c; i++ {
+			pos++
+			hi, p := mulCheck(r, pos)
+			if hi {
+				panic("combinat: NumPermutations overflows int64")
+			}
+			r = p / i
+		}
+	}
+	return r
+}
+
+// refRankPermutation is RankPermutation as it was: a heap copy, and one
+// block size (one division) per value class walked past.
+func refRankPermutation(perm []int64) int64 {
+	remaining := make([]int64, len(perm))
+	copy(remaining, perm)
+	sortInt64(remaining)
+	nop := refNumPermutations(remaining)
+	n := int64(len(remaining))
+	var rank int64
+	for _, v := range perm {
+		i := 0
+		for {
+			x := remaining[i]
+			d := int64(0)
+			j := i
+			for j < len(remaining) && remaining[j] == x {
+				d++
+				j++
+			}
+			block := nop * d / n
+			if x != v {
+				rank += block
+				i = j
+				continue
+			}
+			nop = block
+			n--
+			copy(remaining[i:], remaining[i+1:])
+			remaining = remaining[:len(remaining)-1]
+			break
+		}
+	}
+	return rank
+}
+
+// TestPermutationRankingMatchesReference pins the stack-buffer,
+// sorted-run NumPermutations and RankPermutation to the code they
+// replaced, on random multisets on both sides of the stack-buffer bound.
+func TestPermutationRankingMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 5000; trial++ {
+		n := 1 + rng.Intn(8)
+		if trial%50 == 0 {
+			n = stackParts - 1 + rng.Intn(4) // 15..18: 18!/… still fits int64
+		}
+		perm := make([]int64, n)
+		for i := range perm {
+			perm[i] = 1 + rng.Int63n(int64(1+rng.Intn(6)))
+		}
+		if got, want := NumPermutations(perm), refNumPermutations(perm); got != want {
+			t.Fatalf("NumPermutations(%v) = %d, reference %d", perm, got, want)
+		}
+		if got, want := RankPermutation(perm), refRankPermutation(perm); got != want {
+			t.Fatalf("RankPermutation(%v) = %d, reference %d", perm, got, want)
+		}
+	}
+}
+
+// TestNumPermutationsIndependentOfClassOrder is the regression test for
+// the map-order overflow: thirty 1s, thirty 2s and one 3 have
+// 61!/(30!·30!) = 7214139475456546864 arrangements, which fits int64, but
+// the old running product peaked at result × count(last class visited) —
+// and the last class was whichever the map iteration ended on, so about a
+// quarter of calls panicked. The value must come back every time, in
+// whatever order the parts arrive.
+func TestNumPermutationsIndependentOfClassOrder(t *testing.T) {
+	const want = 7214139475456546864
+	parts := make([]int64, 0, 61)
+	for i := 0; i < 30; i++ {
+		parts = append(parts, 1, 2)
+	}
+	parts = append(parts, 3)
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 300; i++ {
+		rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
+		if got := NumPermutations(parts); got != want {
+			t.Fatalf("call %d: NumPermutations = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestNumPermutationsOverflowPanics pins the panic to exactly the inputs
+// whose result does not fit.
+func TestNumPermutationsOverflowPanics(t *testing.T) {
+	distinct := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i)
+		}
+		return out
+	}
+	if got := NumPermutations(distinct(20)); got != 2432902008176640000 {
+		t.Fatalf("20! = %d", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NumPermutations of 21 distinct parts should panic: 21! overflows int64")
+		}
+	}()
+	NumPermutations(distinct(21))
+}
+
+// TestRankSortedMismatchPanics pins the precondition check.
+func TestRankSortedMismatchPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"length":  func() { RankSorted([]int64{1, 2}, []int64{1, 2, 3}, 6) },
+		"element": func() { RankSorted([]int64{1, 4, 2}, []int64{1, 2, 3}, 6) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s mismatch: expected panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestRankPermutationAllocatesNothing pins the stack-buffer path.
+func TestRankPermutationAllocatesNothing(t *testing.T) {
+	perm := []int64{3, 1, 2, 3, 1, 6}
+	if n := testing.AllocsPerRun(100, func() { RankPermutation(perm) }); n != 0 {
+		t.Fatalf("RankPermutation allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { NumPermutations(perm) }); n != 0 {
+		t.Fatalf("NumPermutations allocates %v times per call", n)
+	}
+}

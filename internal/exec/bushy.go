@@ -11,10 +11,11 @@ import (
 
 // MaxTreeLength bounds the bushy planner's dynamic program. The DP
 // enumerates all O(k²) segments of a length-k query and all O(k) splits
-// and zig-zag starts per segment — O(k³) estimator calls overall — which
-// is trivial at the census-bounded path lengths (k ≤ 6 in the paper) but
-// deserves a hard edge: beyond this bound ChooseTree and CostTree fall
-// back to the linear zig-zag space, which is O(k²).
+// and zig-zag starts per segment — O(k²) estimator lookups (the segment
+// table) plus O(k³) arithmetic over it — which is trivial at the
+// census-bounded path lengths (k ≤ 6 in the paper) but deserves a hard
+// edge: beyond this bound ChooseTree and CostTree fall back to the linear
+// zig-zag space, which is O(k²).
 const MaxTreeLength = 16
 
 // PlanTree is a join plan for a path query segment p[Lo:Hi): either a
@@ -103,61 +104,83 @@ type treeCell struct {
 	start int
 }
 
-// treeDP fills the segment table for p: dp[i][j] is the best plan for
-// p[i:j). Cost model: a leaf's cost is its zig-zag PlanCost (the sum of
-// estimated intermediate-segment selectivities); a join node adds both
-// children's costs plus both children's full-segment estimates, because a
-// bushy join materializes and consumes both inputs (whereas a zig-zag
-// step's right-hand side is a free CSR operand — which is why linear
-// growth wins whenever one side is a single label). Ties break
-// deterministically: the leaf beats any equal-cost join (falling back to
-// zig-zag when linear wins), and among equal splits or starts the lowest
-// index wins.
-func (pl Planner) treeDP(p paths.Path) [][]treeCell {
-	k := len(p)
-	dp := make([][]treeCell, k)
-	for i := range dp {
-		dp[i] = make([]treeCell, k+1)
-		dp[i][i+1] = treeCell{cost: 0, split: -1, start: i}
-	}
-	for length := 2; length <= k; length++ {
-		for i := 0; i+length <= k; i++ {
-			j := i + length
-			seg := p[i:j]
-			costs := pl.Costs(seg)
-			leaf := CheapestPlan(costs)
-			best := treeCell{cost: costs[leaf.Start], split: -1, start: i + leaf.Start}
-			if pl.Cached != nil && pl.Cached(seg) {
-				// The segment's finished relation is already cached:
-				// the executor adopts it whole (the whole-segment fast
-				// path), so building it costs nothing. The segment still
-				// contributes its estimated size wherever a parent join
-				// consumes it — adoption is free, scanning is not.
-				best.cost = 0
-			}
-			for m := i + 1; m < j; m++ {
-				c := dp[i][m].cost + dp[m][j].cost +
-					pl.Est.Estimate(p[i:m]) + pl.Est.Estimate(p[m:j])
-				if c < best.cost {
-					best = treeCell{cost: c, split: m, start: -1}
+// treeDP fills the plan table for t's path: the cell at tri(k, i, j) is
+// the best plan for p[i:j). Cost model: a leaf's cost is its zig-zag
+// PlanCost (the sum of estimated intermediate-segment selectivities); a
+// join node adds both children's costs plus both children's full-segment
+// estimates, because a bushy join materializes and consumes both inputs
+// (whereas a zig-zag step's right-hand side is a free CSR operand — which
+// is why linear growth wins whenever one side is a single label). A
+// segment cached reports as materialized costs nothing to build. Ties
+// break deterministically: the leaf beats any equal-cost join (falling
+// back to zig-zag when linear wins), and among equal splits or starts the
+// lowest index wins.
+//
+// Segments are visited right end ascending, left end descending, which
+// makes every leaf cost one addition: the plan starting at s on p[i:j)
+// sums its rightward intermediates p[s:s+1) … first — a running sum per
+// s, advanced once per right end — and then its leftward ones p[s−1:j),
+// p[s−2:j), …, so widening the segment leftward by one label appends one
+// term to the sum it had. Each sum therefore adds the same terms in the
+// same order as PlanCost does, and every cost is the same float.
+func (t *SegTable) treeDP(cached func(paths.Path) bool) []treeCell {
+	k := len(t.p)
+	dp := make([]treeCell, len(t.est))
+	buf := make([]float64, 2*k)
+	// right[s] is Σ Est(s, x) over the right ends x seen so far; zig[s] is
+	// the cost on the current segment of the plan starting at s, for s
+	// right of the segment's left end.
+	right, zig := buf[:k], buf[k:]
+	for j := 1; j <= k; j++ {
+		for i := j - 1; i >= 0; i-- {
+			// The plan starting at the left end only grows rightward, and
+			// its last extension p[i:j) is the result, not an intermediate.
+			best := treeCell{cost: right[i], split: -1, start: i}
+			right[i] += t.est[tri(k, i, j)]
+			if i+1 < j {
+				zig[i+1] = right[i+1]
+				grown := t.est[tri(k, i+1, j)]
+				for s := i + 2; s < j; s++ {
+					zig[s] += grown
+				}
+				for s := i + 1; s < j; s++ {
+					if zig[s] < best.cost {
+						best.cost, best.start = zig[s], s
+					}
+				}
+				if cached != nil && cached(t.p[i:j]) {
+					// The segment's finished relation is already cached:
+					// the executor adopts it whole (the whole-segment fast
+					// path), so building it costs nothing. The segment still
+					// contributes its estimated size wherever a parent join
+					// consumes it — adoption is free, scanning is not.
+					best.cost = 0
+				}
+				for m := i + 1; m < j; m++ {
+					c := dp[tri(k, i, m)].cost + dp[tri(k, m, j)].cost +
+						t.est[tri(k, i, m)] + t.est[tri(k, m, j)]
+					if c < best.cost {
+						best = treeCell{cost: c, split: m, start: -1}
+					}
 				}
 			}
-			dp[i][j] = best
+			dp[tri(k, i, j)] = best
 		}
 	}
 	return dp
 }
 
-// buildTree materializes the DP table's winning plan for segment [i, j).
-func buildTree(dp [][]treeCell, i, j int) *PlanTree {
-	c := dp[i][j]
+// buildTree materializes the DP table's winning plan for segment [i, j)
+// of a length-k path.
+func buildTree(dp []treeCell, k, i, j int) *PlanTree {
+	c := dp[tri(k, i, j)]
 	if c.split < 0 {
 		return &PlanTree{Lo: i, Hi: j, Start: c.start}
 	}
 	return &PlanTree{
 		Lo: i, Hi: j, Start: -1,
-		Left:  buildTree(dp, i, c.split),
-		Right: buildTree(dp, c.split, j),
+		Left:  buildTree(dp, k, i, c.split),
+		Right: buildTree(dp, k, c.split, j),
 	}
 }
 
@@ -187,16 +210,30 @@ func (pl Planner) ChooseTree(p paths.Path) *PlanTree {
 // cost, from a single dynamic program — callers that need both (the
 // pathsel planner does, per query) avoid filling the O(k²) table twice.
 func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
-	k := len(p)
+	return pl.Segments(p).ChooseTreeWithCost(pl.Cached)
+}
+
+// ChooseTreeWithCost is Planner.ChooseTreeWithCost over a filled table:
+// arithmetic and cached probes (nil: nothing is cached), no estimator
+// calls. It panics on an empty path.
+func (t *SegTable) ChooseTreeWithCost(cached func(paths.Path) bool) (*PlanTree, float64) {
+	k := len(t.p)
 	if k == 0 {
 		panic("exec: plan for empty path query")
 	}
 	if k > MaxTreeLength {
-		start := pl.ChoosePlan(p).Start
-		return &PlanTree{Lo: 0, Hi: k, Start: start}, pl.PlanCost(p, start)
+		return t.cheapestLeaf()
 	}
-	dp := pl.treeDP(p)
-	return buildTree(dp, 0, k), dp[0][k].cost
+	dp := t.treeDP(cached)
+	return buildTree(dp, k, 0, k), dp[tri(k, 0, k)].cost
+}
+
+// cheapestLeaf returns the cheapest zig-zag plan as a single-leaf tree,
+// with its cost.
+func (t *SegTable) cheapestLeaf() (*PlanTree, float64) {
+	costs := t.Costs()
+	start := CheapestPlan(costs).Start
+	return &PlanTree{Lo: 0, Hi: len(costs), Start: start}, costs[start]
 }
 
 // tree builds segment p[t.Lo:t.Hi) with the plan tree t. A leaf is a

@@ -213,7 +213,9 @@ func TestExecuteTreeValidation(t *testing.T) {
 
 // FuzzExecTreeEquivalence fuzzes the graph shape, path, tree shape,
 // density, and worker count, asserting bushy ≡ sequential bushy ≡ dense
-// on every input.
+// on every input — and, over a random estimator and cache state drawn
+// from the same inputs, that the table-driven planner chooses the
+// reference planner's trees at the reference planner's costs.
 func FuzzExecTreeEquivalence(f *testing.F) {
 	f.Add(int64(1), 40, 2, 160, uint16(0x3121), int64(5), float64(0), uint8(4))
 	f.Add(int64(2), 90, 3, 500, uint16(0x0042), int64(9), float64(1), uint8(7))
@@ -229,6 +231,7 @@ func FuzzExecTreeEquivalence(f *testing.F) {
 		for i := range p {
 			p[i] = int(pathBits>>(4*i)) % labels
 		}
+		assertPlansMatchReference(t, randomPlanner(treeSeed, density), p)
 		tree := randomTree(rand.New(rand.NewSource(treeSeed)), 0, k)
 		w := int(workers%8) + 1
 		dref, _ := ExecuteDense(g, p, Forward)

@@ -26,7 +26,11 @@
 // growth is estimated cheaper; ExecuteTreeChecked carries a tree out. A
 // regular path query compiles to an RPQDag, which Planner.PlanDag
 // decomposes into zig-zag/bushy run blocks and alternation/repetition
-// elements and ExecuteDagChecked folds left to right.
+// elements and ExecuteDagChecked folds left to right. Every search reads
+// one SegTable per path (Planner.Segments): each proper segment is asked
+// of the estimator once, and a retained table replans against a changed
+// cache state with no estimator calls (SegTable.ChooseTreeWithCost,
+// Planner.ReplanDag).
 //
 // The three entry points are plan-shape adapters over one execution
 // core (core.go): one step protocol — fire the exec.step fault site,

@@ -72,14 +72,69 @@ func (pl Planner) PlanCost(p paths.Path, start int) float64 {
 	return cost
 }
 
+// SegTable holds the estimate of every proper contiguous segment of one
+// path — Estimate(p[i:j)) for 0 ≤ i < j ≤ len(p) short of the whole path —
+// each asked of the estimator exactly once: k(k+1)/2 − 1 calls for a
+// length-k path. Every plan search over the path (the zig-zag spread, the
+// bushy DP, a DAG run block) is arithmetic over this table, so one table
+// serves them all, and a retained table lets a query be replanned against
+// a changed cache state with no estimator calls at all. The whole path is
+// the result, no plan's intermediate, and is never asked: callers plan
+// queries one label longer than their estimator covers. A table is
+// immutable once built and safe to share across goroutines; it retains p,
+// which the caller must not modify.
+type SegTable struct {
+	p paths.Path
+	// est is triangular, indexed by tri: row i holds its len(p)−i segments
+	// in j order. The whole path's slot stays zero and is never read.
+	est []float64
+}
+
+// tri indexes the triangular per-segment tables (SegTable.est, the bushy
+// DP's cells) of a length-k path: segment [i, j), 0 ≤ i < j ≤ k.
+func tri(k, i, j int) int { return i*k - i*(i-1)/2 + j - i - 1 }
+
+// Segments fills p's segment table from the planner's estimator.
+func (pl Planner) Segments(p paths.Path) *SegTable {
+	k := len(p)
+	t := &SegTable{p: p, est: make([]float64, k*(k+1)/2)}
+	for i, at := 0, 0; i < k; i++ {
+		for j := i + 1; j <= k; j, at = j+1, at+1 {
+			if j-i < k {
+				t.est[at] = pl.Est.Estimate(p[i:j])
+			}
+		}
+	}
+	return t
+}
+
+// Costs returns the estimated cost of all len(p) zig-zag plans, indexed by
+// start position: PlanCost for every start, summed over the table in
+// PlanCost's order, so each cost is the same float.
+func (t *SegTable) Costs() []float64 {
+	k := len(t.p)
+	out := make([]float64, k)
+	for start := range out {
+		var cost float64
+		hi := k
+		if start == 0 {
+			hi = k - 1
+		}
+		for j := start + 1; j <= hi; j++ {
+			cost += t.est[tri(k, start, j)]
+		}
+		for i := start - 1; i >= 1; i-- {
+			cost += t.est[tri(k, i, k)]
+		}
+		out[start] = cost
+	}
+	return out
+}
+
 // Costs returns the estimated cost of all len(p) zig-zag plans, indexed
 // by start position.
 func (pl Planner) Costs(p paths.Path) []float64 {
-	out := make([]float64, len(p))
-	for s := range p {
-		out[s] = pl.PlanCost(p, s)
-	}
-	return out
+	return pl.Segments(p).Costs()
 }
 
 // ChoosePlan returns the cheapest of the k zig-zag plans. Ties are broken

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -180,19 +181,27 @@ func (d *RPQDag) Describe() string {
 // a partial result when the expansion exceeds limit — the cross-product
 // blowup the DAG execution path exists to avoid.
 func (d *RPQDag) Expansions(limit int) (exps []paths.Path, ok bool) {
-	seen := make(map[string]bool)
+	// Paths are deduplicated on their labels' varint bytes: the encoding
+	// is prefix-free per label, so it is injective at any length and label
+	// range, and looking a candidate up by string(key) builds no string —
+	// only a path seen for the first time allocates its key.
+	seen := make(map[string]struct{})
+	var key []byte
 	prefix := make(paths.Path, 0, d.MaxLen())
 	var elem func(i int) bool
 	elem = func(i int) bool {
 		if i == len(d.Elems) {
-			k := prefix.Key()
-			if seen[k] {
+			key = key[:0]
+			for _, l := range prefix {
+				key = binary.AppendUvarint(key, uint64(l))
+			}
+			if _, dup := seen[string(key)]; dup {
 				return true
 			}
 			if len(exps) >= limit {
 				return false
 			}
-			seen[k] = true
+			seen[string(key)] = struct{}{}
 			exps = append(exps, prefix.Clone())
 			return true
 		}
@@ -241,6 +250,11 @@ type DagBlockPlan struct {
 	Elem RPQElem
 	// Est is the estimated pair count of the block's finished relation.
 	Est float64
+
+	// What PlanDag asked the estimator, retained so ReplanDag asks nothing:
+	// a run block's segment table, an element block's unroll cost.
+	segs  *SegTable
+	build float64
 }
 
 // DagPlan is the planned form of an RPQDag: its block decomposition plus
@@ -258,6 +272,10 @@ type DagPlan struct {
 	// the independence model (exact per-block estimates folded with an
 	// n-normalized join).
 	ResultEst float64
+
+	// PlanDag's arguments, retained for ReplanDag.
+	n     int
+	bushy bool
 }
 
 // Describe renders the plan: run blocks by their tree plan, element
@@ -319,9 +337,10 @@ func (dp *DagPlan) validateFor(d *RPQDag) {
 func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 	single := len(e.Labels) == 1
 	var s1 float64
-	power := make(paths.Path, 0, e.MaxRep)
+	power := make(paths.Path, 1, e.MaxRep)
 	for _, l := range e.Labels {
-		s1 += pl.Est.Estimate(paths.Path{l})
+		power[0] = l
+		s1 += pl.Est.Estimate(power)
 	}
 	lo := max(1, e.MinRep)
 	pow := s1
@@ -359,7 +378,7 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 // bushy DP's cost model. n is the vertex universe (join normalization);
 // the DAG must be valid.
 func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan {
-	dp := &DagPlan{}
+	dp := &DagPlan{n: n, bushy: bushy}
 	for i := 0; i < len(d.Elems); {
 		if d.Elems[i].simple() {
 			j := i
@@ -368,32 +387,58 @@ func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan {
 				run = append(run, d.Elems[j].Labels[0])
 				j++
 			}
-			var tree *PlanTree
-			var cost float64
-			if bushy {
-				tree, cost = pl.ChooseTreeWithCost(run)
-			} else {
-				plan := pl.ChoosePlan(run)
-				tree = &PlanTree{Lo: 0, Hi: len(run), Start: plan.Start}
-				cost = pl.PlanCost(run, plan.Start)
-			}
+			segs := pl.Segments(run)
 			dp.Blocks = append(dp.Blocks, DagBlockPlan{
-				Lo: i, Hi: j, Run: run, Tree: tree, Est: pl.Est.Estimate(run),
+				Lo: i, Hi: j, Run: run, Est: pl.Est.Estimate(run), segs: segs,
 			})
-			dp.Cost += cost
 			i = j
 			continue
 		}
 		e := d.Elems[i]
 		est, buildCost := pl.elemEst(e, n)
-		dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est})
-		dp.Cost += buildCost
+		dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est, build: buildCost})
 		i++
+	}
+	pl.decide(dp)
+	return dp
+}
+
+// ReplanDag plans dp's DAG again against the planner's current Cached
+// view, from the estimates dp retains: cache probes and arithmetic, no
+// estimator calls. It returns a fresh plan equal to what PlanDag would
+// return now; dp, which must come from PlanDag, is left untouched.
+func (pl Planner) ReplanDag(dp *DagPlan) *DagPlan {
+	out := &DagPlan{Blocks: append([]DagBlockPlan(nil), dp.Blocks...), n: dp.n, bushy: dp.bushy}
+	pl.decide(out)
+	return out
+}
+
+// decide chooses every run block's tree and prices the plan, from the
+// blocks' retained estimates and the planner's Cached view.
+func (pl Planner) decide(dp *DagPlan) {
+	dp.Cost = 0
+	for i := range dp.Blocks {
+		b := &dp.Blocks[i]
+		if b.Run == nil {
+			dp.Cost += b.build
+			continue
+		}
+		if b.segs == nil {
+			panic("exec: dag plan was not built by PlanDag")
+		}
+		var cost float64
+		if dp.bushy {
+			b.Tree, cost = b.segs.ChooseTreeWithCost(pl.Cached)
+		} else {
+			b.Tree, cost = b.segs.cheapestLeaf()
+		}
+		dp.Cost += cost
 	}
 	// Fold the block sizes: size_i = size·est/n (join) + est when the
 	// prefix may be empty + size when the block is skippable — the
 	// estimator's image of the executor's R_i recurrence. Joins after the
 	// first block consume both materialized inputs.
+	n := dp.n
 	size, eps := 0.0, true
 	for i, b := range dp.Blocks {
 		skip := b.Run == nil && b.Elem.skippable()
@@ -415,7 +460,6 @@ func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan {
 		size, eps = next, eps && skip
 	}
 	dp.ResultEst = size
-	return dp
 }
 
 // elem builds one complex element's relation: the alternation base A as

@@ -56,21 +56,37 @@ func TestFigure2SumBasedDominatesSynthetic(t *testing.T) {
 }
 
 // TestTable4SumBasedSlowest pins the Table 4 speed ordering: sum-based is
-// the slowest method at every bucket budget.
+// the slowest method at every bucket budget. A cell times 200 lookups of
+// 20–150 ns, so one preemption inside a loop outweighs the gap under
+// test; each cell therefore takes its fastest of a few runs.
 func TestTable4SumBasedSlowest(t *testing.T) {
-	res, err := RunTable4(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
+	type cell struct {
+		beta   int
+		method string
+	}
+	fastest := map[cell]float64{}
+	var res *Table4Result
+	for run := 0; run < 7; run++ {
+		var err error
+		if res, err = RunTable4(tinyOptions()); err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			for m, us := range row.AvgMicros {
+				if best, ok := fastest[cell{row.Beta, m}]; !ok || us < best {
+					fastest[cell{row.Beta, m}] = us
+				}
+			}
+		}
 	}
 	for _, row := range res.Rows {
-		sum := row.AvgMicros[ordering.MethodSumBased]
+		sum := fastest[cell{row.Beta, ordering.MethodSumBased}]
 		for _, m := range res.Methods {
 			if m == ordering.MethodSumBased {
 				continue
 			}
-			if row.AvgMicros[m] > sum {
-				t.Errorf("β=%d: %s (%.3fµs) slower than sum-based (%.3fµs)",
-					row.Beta, m, row.AvgMicros[m], sum)
+			if us := fastest[cell{row.Beta, m}]; us > sum {
+				t.Errorf("β=%d: %s (%.3fµs) slower than sum-based (%.3fµs)", row.Beta, m, us, sum)
 			}
 		}
 	}

@@ -28,7 +28,8 @@ import (
 // O(k²·|L|·P) memory where P is the number of bounded partitions, far
 // below the O(|Lk|) the paper rules out. Index then costs one group
 // lookup, one combination scan, and one permutation ranking (Algorithm 1
-// inverse); Path is Algorithm 2 driven by the same tables.
+// inverse), all on stack buffers: it allocates nothing. Path is
+// Algorithm 2 driven by the same tables.
 type SumBased struct {
 	common
 	// stage1[m-1] = domain offset of the length-m block.
@@ -94,29 +95,34 @@ func (o *SumBased) Name() string {
 	return "sum-" + o.rank.Name()
 }
 
+// stackLen is the path length Index serves from stack buffers; the
+// census bounds k well below it.
+const stackLen = 16
+
 // Index implements Ordering.
 func (o *SumBased) Index(p paths.Path) int64 {
 	o.checkPath(p)
 	m := int64(len(p))
 
 	// Rank permutation and summed rank of p.
-	perm := make([]int64, m)
+	var permBuf, sortedBuf [stackLen]int64
+	perm := permBuf[:0]
 	var sr int64
-	for i, l := range p {
-		perm[i] = o.rank.Rank(l)
-		sr += perm[i]
+	for _, l := range p {
+		r := o.rank.Rank(l)
+		perm = append(perm, r)
+		sr += r
 	}
 	g := &o.groups[m-1][sr-m]
 
 	// Locate p's combination: the multiset of perm, compared against the
 	// group's few ascending-sorted entries.
-	sorted := make([]int64, m)
-	copy(sorted, perm)
+	sorted := append(sortedBuf[:0], perm...)
 	sortAscending(sorted)
 	for i := range g.parts {
 		e := &g.parts[i]
 		if equalInt64(e.parts, sorted) {
-			return g.offset + e.cum + combinat.RankPermutation(perm)
+			return g.offset + e.cum + combinat.RankSorted(perm, sorted, e.nop)
 		}
 	}
 	panic("ordering: sum-based combination table is missing a multiset (corrupt state)")
@@ -172,11 +178,14 @@ func sortAscending(s []int64) {
 	}
 }
 
+// equalInt64 compares from the back: a group's combinations are ascending
+// multisets of one sum, which share their small parts and differ in their
+// large ones.
 func equalInt64(a, b []int64) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for i := range a {
+	for i := len(a) - 1; i >= 0; i-- {
 		if a[i] != b[i] {
 			return false
 		}

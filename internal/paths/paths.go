@@ -39,6 +39,7 @@ package paths
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitset"
@@ -62,11 +63,15 @@ func (p Path) String(g interface{ LabelName(int) string }) string {
 // Key renders the path with 1-based numeric labels, independent of a
 // graph, e.g. "1/2/3". Useful for map keys and tests.
 func (p Path) Key() string {
-	parts := make([]string, len(p))
+	var buf [64]byte
+	b := buf[:0]
 	for i, l := range p {
-		parts[i] = fmt.Sprintf("%d", l+1)
+		if i > 0 {
+			b = append(b, '/')
+		}
+		b = strconv.AppendInt(b, int64(l)+1, 10)
 	}
-	return strings.Join(parts, "/")
+	return string(b)
 }
 
 // Clone returns a copy of p.

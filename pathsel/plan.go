@@ -87,7 +87,7 @@ type ExecStats struct {
 // workloads steer the DP toward bushy joins of reusable segments.
 func (e *Estimator) planner(cache *relcache.Cache) exec.Planner {
 	pl := exec.Planner{Est: exec.EstimatorFunc(e.ph.Estimate)}
-	if cache != nil && e.cfg.BushyPlans {
+	if e.cacheAware(cache) {
 		pl.Cached = func(p paths.Path) bool { return cache.Contains(p) }
 	}
 	return pl
@@ -105,37 +105,54 @@ func (e *Estimator) parseBounded(q string) (paths.Path, error) {
 	return p, nil
 }
 
-// plan chooses x's join plan against the given cache state. A concrete
-// path costs every candidate zig-zag plan once and picks the winner: the
-// cheapest zig-zag plan, or — under Config.BushyPlans — the cheapest plan
-// tree, which degenerates to the zig-zag winner whenever linear growth
-// is estimated cheaper than every bushy split. A true RPQ is decomposed
-// into the planned DAG fold, returned alongside its QueryPlan view.
-func (e *Estimator) plan(x *Expr, cache *relcache.Cache) (QueryPlan, *exec.DagPlan) {
-	pl := e.planner(cache)
+// cacheAware reports whether planning against cache can differ from
+// planning against none: only the bushy DP consults cached segments.
+func (e *Estimator) cacheAware(cache *relcache.Cache) bool {
+	return cache != nil && e.cfg.BushyPlans
+}
+
+// plan chooses x's join plan against pl's cache view from the estimates
+// Compile retained on x — cache probes and arithmetic, no histogram
+// lookups. A concrete path costs every candidate zig-zag plan and picks
+// the winner: the cheapest zig-zag plan, or — under Config.BushyPlans —
+// the cheapest plan tree, which degenerates to the zig-zag winner whenever
+// linear growth is estimated cheaper than every bushy split. A true RPQ's
+// planned DAG fold is decided again, returned alongside its QueryPlan
+// view.
+func (e *Estimator) plan(x *Expr, pl exec.Planner) (QueryPlan, *exec.DagPlan) {
 	if x.path == nil {
-		dp := pl.PlanDag(x.dag, e.gr.NumVertices(), e.cfg.BushyPlans)
-		return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost}, dp
+		dp := pl.ReplanDag(x.dp)
+		return rpqPlan(dp), dp
 	}
-	p := x.path
-	costs := pl.Costs(p)
+	return e.pathPlan(x.segs, pl), nil
+}
+
+// rpqPlan is the QueryPlan view of a planned DAG fold.
+func rpqPlan(dp *exec.DagPlan) QueryPlan {
+	return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost}
+}
+
+// pathPlan chooses a concrete path's plan over its segment table.
+func (e *Estimator) pathPlan(segs *exec.SegTable, pl exec.Planner) QueryPlan {
+	costs := segs.Costs()
+	k := len(costs)
 	plan := exec.CheapestPlan(costs)
 	qp := QueryPlan{
 		Start:         plan.Start,
-		Description:   plan.Describe(len(p)),
+		Description:   plan.Describe(k),
 		EstimatedCost: costs[plan.Start],
 		Costs:         costs,
 	}
 	if e.cfg.BushyPlans {
-		tree, cost := pl.ChooseTreeWithCost(p)
+		tree, cost := segs.ChooseTreeWithCost(pl.Cached)
 		qp.Tree = tree
 		if !tree.IsLeaf() {
 			qp.Start = -1
-			qp.Description = tree.Describe(len(p))
+			qp.Description = tree.Describe(k)
 			qp.EstimatedCost = cost
 		}
 	}
-	return qp, nil
+	return qp
 }
 
 // PlanQuery chooses among the query's join plans using this estimator's
@@ -250,14 +267,15 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 
 // execute runs one compiled query against the given (possibly nil)
 // segment cache — the one path every execution takes, single or batched:
-// per-query deadline and canceller, plan against the live cache,
-// brownout policy, admission gate, run, stats. g is passed pre-frozen so
-// concurrent batch workers never race on the lazy CSR freeze; the
-// canceller carries ctx into every kernel, and an already-dead ctx
-// never touches the graph; pol is checked before the admission gate so a
-// brownout degrade costs one plan, never a graph access. The result
-// relation is drawn from (and immediately returned to) the estimator's
-// pool — only its counters survive into ExecStats.
+// per-query deadline and canceller, the plan (Compile's as is, unless the
+// live cache can change it), brownout policy, admission gate, run, stats.
+// g is passed pre-frozen so concurrent batch workers never race on the
+// lazy CSR freeze; the canceller carries ctx into every kernel, and an
+// already-dead ctx never touches the graph; pol is checked before the
+// admission gate so a brownout degrade costs at most one replan, never a
+// graph access. The result relation is drawn from (and immediately
+// returned to) the estimator's pool — only its counters survive into
+// ExecStats.
 func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *relcache.Cache, workers int, pol ExecPolicy) (ExecStats, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -266,7 +284,12 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *r
 	}
 	canc, release := newQueryCanceller(ctx)
 	defer release()
-	plan, dp := e.plan(x, cache)
+	plan, dp := x.plan, x.dp
+	if e.cacheAware(cache) || e.cacheAware(e.cache) {
+		// Compile planned against e.cache as it was then; only a planner
+		// that sees a cache, then or now, can choose differently.
+		plan, dp = e.plan(x, e.planner(cache))
+	}
 	if pol.degrades(plan) {
 		return degradeTo(plan, x.estimate, ErrBrownout)
 	}

@@ -180,8 +180,11 @@ func (gr *Graph) patternExpansions(pattern string) ([]paths.Path, error) {
 // DAG and planned once against the estimator it was compiled by. It is
 // immutable and safe for concurrent use — compile a repeated query (or
 // a whole workload, via ExecuteExprBatchCtx) once and execute the handle
-// many times; each execution replans against the current cache state
-// (warm segments steer plan choice) but never reparses. The string
+// many times; an execution that can see a cache under Config.BushyPlans
+// replans against its current state (warm segments steer plan choice)
+// from the estimates Compile retained — it never reparses and never asks
+// the histogram again — and every other execution runs Compile's plan as
+// is. The string
 // entry points (ExecuteQuery, PlanQuery, EstimatePattern,
 // ExecuteBatch) are thin wrappers that compile per call.
 type Expr struct {
@@ -190,6 +193,12 @@ type Expr struct {
 	dag     *exec.RPQDag
 	path    paths.Path // non-nil when the pattern is one concrete path
 	plan    QueryPlan  // compile-time plan (cold-cache view)
+	// What planning asked the histogram, retained so an execution that
+	// replans against the live cache asks nothing: a concrete path's
+	// segment table, a true RPQ's planned DAG (also the plan executed as
+	// is when no cache is in play).
+	segs *exec.SegTable
+	dp   *exec.DagPlan
 	// estimate is the histogram estimate of the pattern's bag
 	// selectivity: the exact sum over expansions when enumerable within
 	// maxPatternExpansions, the DAG plan's independence-model estimate
@@ -212,16 +221,21 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 	}
 	x := &Expr{est: e, pattern: pattern, dag: dag}
 	x.path, _ = dag.ConcretePath()
-	var dp *exec.DagPlan
-	x.plan, dp = e.plan(x, e.cache)
+	pl := e.planner(e.cache)
 	if x.path != nil {
+		x.segs = pl.Segments(x.path)
+		x.plan = e.pathPlan(x.segs, pl)
 		x.estimate = e.ph.Estimate(x.path)
-	} else if exps, ok := dag.Expansions(maxPatternExpansions); ok {
+		return x, nil
+	}
+	x.dp = pl.PlanDag(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
+	x.plan = rpqPlan(x.dp)
+	if exps, ok := dag.Expansions(maxPatternExpansions); ok {
 		for _, p := range exps {
 			x.estimate += e.ph.Estimate(p)
 		}
 	} else {
-		x.estimate = dp.ResultEst
+		x.estimate = x.dp.ResultEst
 	}
 	return x, nil
 }
@@ -245,17 +259,19 @@ func (x *Expr) Estimate() float64 { return x.estimate }
 
 // Plan returns the compile-time plan: for a concrete path the usual
 // zig-zag/bushy choice with its per-start cost spread, for a true RPQ
-// the planned DAG fold. Executions replan against the live cache, so a
-// warm run may execute a cheaper plan than the one reported here.
+// the planned DAG fold. Cache-aware executions replan against the live
+// cache, so a warm run may execute a cheaper plan than the one reported
+// here.
 func (x *Expr) Plan() QueryPlan { return x.plan }
 
-// ExecuteCtx plans the compiled query against the live cache and
-// carries the chosen plan out on the hybrid execution engine, honoring
-// Config.DensityThreshold, Config.Workers (join steps shard their source
-// rows across that many work-stealing workers; results are bit-identical
-// at every setting) and Config.BushyPlans (a chosen bushy tree builds
-// its segments independently — in parallel when the worker budget allows
-// — and joins them with the sharded relation×relation kernel). The
+// ExecuteCtx carries the compiled query's plan — chosen again against the
+// live cache when one is in play — out on the hybrid execution engine,
+// honoring Config.DensityThreshold, Config.Workers (join steps shard
+// their source rows across that many work-stealing workers; results are
+// bit-identical at every setting) and Config.BushyPlans (a chosen bushy
+// tree builds its segments independently — in parallel when the worker
+// budget allows — and joins them with the sharded relation×relation
+// kernel). The
 // result is the number of distinct vertex pairs connected by a path
 // matching the pattern (set semantics; a concrete path degenerates to
 // its selectivity), with the actual intermediate sizes beside it, so

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/paths"
 )
 
 // TestCompileErrors pins the parser's rejection surface: every malformed
@@ -280,18 +283,97 @@ func TestCompileEstimateMatchesEstimatePattern(t *testing.T) {
 	}
 }
 
+// naiveDagPlan prices a compiled DAG the way the planner did before it
+// kept segment tables — every term of every sum asked of the histogram
+// directly, the best plan tree found by exhaustive recursion instead of a
+// DP — and returns what a DagPlan reports: Cost, ResultEst and the block
+// estimates. Float for float the planner must agree.
+func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []float64) {
+	pl := exec.Planner{Est: exec.EstimatorFunc(e.ph.Estimate)}
+	n := e.gr.NumVertices()
+	var best func(p paths.Path) float64
+	best = func(p paths.Path) float64 {
+		c := pl.PlanCost(p, 0)
+		for s := 1; s < len(p); s++ {
+			c = min(c, pl.PlanCost(p, s))
+		}
+		for m := 1; m < len(p) && e.cfg.BushyPlans; m++ {
+			c = min(c, best(p[:m])+best(p[m:])+e.ph.Estimate(p[:m])+e.ph.Estimate(p[m:]))
+		}
+		return c
+	}
+	var skips []bool
+	for i := 0; i < len(d.Elems); {
+		if el := d.Elems[i]; len(el.Labels) != 1 || el.MinRep != 1 || el.MaxRep != 1 {
+			var s1, est float64
+			for _, l := range el.Labels {
+				s1 += e.ph.Estimate(paths.Path{l})
+			}
+			pow := s1
+			for r := 1; r <= el.MaxRep; r++ {
+				if r > 1 && len(el.Labels) == 1 {
+					power := make(paths.Path, r)
+					for j := range power {
+						power[j] = el.Labels[0]
+					}
+					pow = e.ph.Estimate(power)
+				} else if r > 1 && n > 0 {
+					pow *= s1 / float64(n)
+				}
+				if r >= max(1, el.MinRep) {
+					est += pow
+				}
+				if r < el.MaxRep {
+					cost += pow
+				}
+			}
+			ests, skips = append(ests, est), append(skips, el.MinRep == 0)
+			i++
+			continue
+		}
+		var run paths.Path
+		for ; i < len(d.Elems) && len(d.Elems[i].Labels) == 1 && d.Elems[i].MinRep == 1 && d.Elems[i].MaxRep == 1; i++ {
+			run = append(run, d.Elems[i].Labels[0])
+		}
+		cost += best(run)
+		ests, skips = append(ests, e.ph.Estimate(run)), append(skips, false)
+	}
+	size, eps := ests[0], skips[0]
+	for i := 1; i < len(ests); i++ {
+		cost += size + ests[i]
+		next := 0.0
+		if n > 0 {
+			next = size * ests[i] / float64(n)
+		}
+		if eps {
+			next += ests[i]
+		}
+		if skips[i] {
+			next += size
+		}
+		size, eps = next, eps && skips[i]
+	}
+	return cost, size, ests
+}
+
 // FuzzRPQParse fuzzes the pattern grammar: Compile must never panic, and
 // any pattern it accepts must expose coherent bounds, a plan, and a
-// finite estimate.
+// finite estimate — and a true RPQ's planned DAG, zig-zag and bushy, must
+// carry exactly the naive planner's estimates.
 func FuzzRPQParse(f *testing.F) {
 	g := batchTestGraph(f, 13, 20, 3, 80)
 	est, err := Build(g, Config{MaxPathLength: 4, Buckets: 4})
 	if err != nil {
 		f.Fatal(err)
 	}
+	bushy, err := Build(g, Config{MaxPathLength: 4, Buckets: 4, BushyPlans: true})
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, seed := range []string{
 		"a", "a/b/c", "a/(b|c)/a?/b{1,3}", "*", "a|b", "(|)", "b{3,1}",
 		"((a))", "(a", "a)", "a?", "{0,0}", "a//b", "b{65}", "a}b{",
+		"a/b/(a|c)", "c{2}/a/b", "a/b/c?/a",
 	} {
 		f.Add(seed)
 	}
@@ -308,6 +390,25 @@ func FuzzRPQParse(f *testing.F) {
 		}
 		if x.Plan().Description == "" {
 			t.Fatalf("Compile(%q): empty plan description", pattern)
+		}
+		for _, e := range []*Estimator{est, bushy} {
+			x, err := e.Compile(pattern)
+			if err != nil {
+				t.Fatalf("Compile(%q) under BushyPlans=%v: %v", pattern, e.cfg.BushyPlans, err)
+			}
+			if x.dp == nil {
+				continue
+			}
+			cost, result, ests := naiveDagPlan(e, x.dag)
+			if x.dp.Cost != cost || x.dp.ResultEst != result || len(x.dp.Blocks) != len(ests) {
+				t.Fatalf("Compile(%q) bushy=%v: plan cost %v result %v over %d blocks, naive %v, %v over %d",
+					pattern, e.cfg.BushyPlans, x.dp.Cost, x.dp.ResultEst, len(x.dp.Blocks), cost, result, len(ests))
+			}
+			for i, b := range x.dp.Blocks {
+				if b.Est != ests[i] {
+					t.Fatalf("Compile(%q) bushy=%v: block %d est %v, naive %v", pattern, e.cfg.BushyPlans, i, b.Est, ests[i])
+				}
+			}
 		}
 	})
 }
