@@ -300,14 +300,23 @@ func BenchmarkCompile(b *testing.B) {
 }
 
 // BenchmarkCensus measures the exact selectivity engine — the substrate
-// every experiment pays once per (dataset, k).
+// every experiment pays once per (dataset, k): the reference census, which
+// builds every path's relation, and under count/ the production engine on
+// one worker, which only counts the deepest level (|L|^k of the paths).
 func BenchmarkCensus(b *testing.B) {
+	g := dataset.Generate(dataset.Table3()[0], 0.1, 1).Freeze()
 	for _, k := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("moreno/k=%d", k), func(b *testing.B) {
-			g := dataset.Generate(dataset.Table3()[0], 0.1, 1).Freeze()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c := paths.NewCensus(g, k)
+				if c.Total() == 0 {
+					b.Fatal("empty census")
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("count/moreno/k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c := paths.NewCensusHybrid(g, k, paths.CensusOptions{Workers: 1})
 				if c.Total() == 0 {
 					b.Fatal("empty census")
 				}
@@ -437,7 +446,8 @@ func BenchmarkExperimentSuite(b *testing.B) {
 // innermost operation of the census — on a Table 3 dataset relation,
 // comparing the legacy dense row walk against the hybrid engine's
 // specialized kernels (sparse×CSR scatter vs dense×CSR word-parallel
-// union).
+// union), each in its materializing (hybrid-) and count-only (count-)
+// form.
 func BenchmarkComposeKernels(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF: sparse
 	op := g.LabelOperand(0)
@@ -449,33 +459,33 @@ func BenchmarkComposeKernels(b *testing.B) {
 			_ = rel.Compose(succ)
 		}
 	})
-	b.Run("hybrid-sparse", func(b *testing.B) {
-		rel := bitset.HybridFromCSR(op, 1.0) // all rows sparse
-		dst := bitset.NewHybrid(op.N, 1.0)
+	for _, regime := range []struct {
+		name    string
+		density float64
+	}{
+		{"sparse", 1.0}, // all rows sparse
+		{"dense", 1e-9}, // all rows dense
+		{"adaptive", 0}, // default promotion threshold
+	} {
+		rel := bitset.HybridFromCSR(op, regime.density)
 		scr := bitset.NewComposeScratch(op.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel.ComposeInto(dst, op, scr)
-		}
-	})
-	b.Run("hybrid-dense", func(b *testing.B) {
-		rel := bitset.HybridFromCSR(op, 1e-9) // all rows dense
-		dst := bitset.NewHybrid(op.N, 1e-9)
-		scr := bitset.NewComposeScratch(op.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel.ComposeInto(dst, op, scr)
-		}
-	})
-	b.Run("hybrid-adaptive", func(b *testing.B) {
-		rel := bitset.HybridFromCSR(op, 0) // default promotion threshold
-		dst := bitset.NewHybrid(op.N, 0)
-		scr := bitset.NewComposeScratch(op.N)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rel.ComposeInto(dst, op, scr)
-		}
-	})
+		b.Run("hybrid-"+regime.name, func(b *testing.B) {
+			dst := bitset.NewHybrid(op.N, regime.density)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rel.ComposeInto(dst, op, scr)
+			}
+		})
+		// The same accumulate work with nothing emitted: what a sink that
+		// only reads the size pays.
+		b.Run("count-"+regime.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if rel.ComposeCount(op, scr).Pairs == 0 {
+					b.Fatal("empty composition")
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkCensusEngines compares the legacy allocating census against the

@@ -1,0 +1,126 @@
+package bitset
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// assertCounts fails unless the count describes exactly the relation the
+// materializing kernel built: same pairs, same sources, same clone size.
+func assertCounts(t *testing.T, ctx string, got Count, want *HybridRelation) {
+	t.Helper()
+	if got.Pairs != want.Pairs() || got.Sources != want.Sources() ||
+		got.CloneMemSize(want.Universe()) != want.CloneMemSize() {
+		t.Fatalf("%s: counted pairs/sources/bytes %d/%d/%d, built %d/%d/%d", ctx,
+			got.Pairs, got.Sources, got.CloneMemSize(want.Universe()),
+			want.Pairs(), want.Sources(), want.CloneMemSize())
+	}
+}
+
+// assertShardCounts checks that every two-way split of the active list and
+// one ns-way split add up to the whole relation's count.
+func assertShardCounts(t *testing.T, ctx string, nact, ns int, want *HybridRelation, shard func(lo, hi int) Count) {
+	t.Helper()
+	for cut := 0; cut <= nact; cut++ {
+		c := shard(0, cut)
+		c.Add(shard(cut, nact))
+		assertCounts(t, ctx+" two-way split", c, want)
+	}
+	var c Count
+	for i := 0; i < ns; i++ {
+		c.Add(shard(i*nact/ns, (i+1)*nact/ns))
+	}
+	assertCounts(t, ctx+" n-way split", c, want)
+}
+
+// FuzzCountEquivalence fuzzes the operands' shapes, the promotion
+// thresholds from all-sparse to all-dense, and the shard decomposition,
+// asserting that the count kernels report exactly what the materializing
+// kernels build — Pairs(), Sources() and CloneMemSize() — sequentially
+// and over every shard split, and that a raised cancel flag stops them at
+// the first poll.
+func FuzzCountEquivalence(f *testing.F) {
+	f.Add(int64(1), 40, 120, 90, float64(0), float64(1), uint8(3))
+	f.Add(int64(2), 8, 20, 300, float64(1e-9), float64(0), uint8(1))
+	f.Add(int64(3), 100, 400, 50, float64(0.1), float64(1e-9), uint8(6))
+	f.Add(int64(4), 130, 900, 900, float64(1), float64(1), uint8(7))
+	f.Add(int64(5), 64, 700, 700, float64(1e-9), float64(1e-9), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, n, pairsA, pairsB int, da, db float64, shards uint8) {
+		if n < 1 || n > 200 || pairsA < 0 || pairsA > 1000 || pairsB < 0 || pairsB > 1000 ||
+			da < 0 || da > 1 || db < 0 || db > 1 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		h, _ := randomHybridAndDense(rng, n, pairsA, da)
+		r, _ := randomHybridAndDense(rng, n, pairsB, db)
+		op := randomOperand(rng, n, pairsB)
+		scr := NewComposeScratch(n)
+		nact, ns := h.Sources(), int(shards%8)+1
+
+		want := NewHybrid(n, da)
+		h.ComposeInto(want, op, scr)
+		assertCounts(t, "compose", h.ComposeCount(op, scr), want)
+		assertShardCounts(t, "compose", nact, ns, want, func(lo, hi int) Count {
+			return h.ComposeShardCount(op, scr, lo, hi)
+		})
+
+		h.JoinInto(want, r, scr)
+		assertCounts(t, "join", h.JoinCount(r, scr), want)
+		assertShardCounts(t, "join", nact, ns, want, func(lo, hi int) Count {
+			return h.JoinShardCount(r, scr, lo, hi)
+		})
+		h.JoinInto(want, h, scr)
+		assertCounts(t, "self-join", h.JoinCount(h, scr), want)
+
+		// The count kernels leave the scratch as clean as they found it:
+		// a materializing kernel run after them still builds the same rows.
+		again := NewHybrid(n, da)
+		h.ComposeInto(again, op, scr)
+		h.ComposeInto(want, op, NewComposeScratch(n))
+		assertIdentical(t, "compose after counts", again, want)
+
+		// A flag raised before the call is seen at the first row's poll.
+		var flag CancelFlag
+		flag.Set()
+		scr.SetCancel(&flag)
+		if c := h.ComposeCount(op, scr); c.Sources > 1 {
+			t.Fatalf("cancelled compose count ran on to %d sources", c.Sources)
+		}
+		scr.SetCancel(&flag)
+		if c := h.JoinCount(r, scr); c.Sources > 1 {
+			t.Fatalf("cancelled join count ran on to %d sources", c.Sources)
+		}
+	})
+}
+
+// TestCountCancelWithinOneWindow pins the abort latency of the count
+// kernels mid-run: a flag raised while a poll window is open is seen no
+// later than one window's worth of rows on.
+func TestCountCancelWithinOneWindow(t *testing.T) {
+	// 3·cancelCheckInterval single-target rows: each charges the minimum
+	// weight of 1, so a window is exactly cancelCheckInterval rows.
+	n := 3 * cancelCheckInterval
+	op := CSROperand{N: n, Offsets: make([]int32, n+1), Targets: make([]int32, n)}
+	for v := 0; v < n; v++ {
+		op.Offsets[v+1] = int32(v + 1)
+		op.Targets[v] = int32((v + 1) % n)
+	}
+	h := HybridFromCSR(op, 1)
+	for name, count := range map[string]func(*ComposeScratch) Count{
+		"compose": func(scr *ComposeScratch) Count { return h.ComposeCount(op, scr) },
+		"join":    func(scr *ComposeScratch) Count { return h.JoinCount(h, scr) },
+	} {
+		scr := NewComposeScratch(n)
+		var flag CancelFlag
+		scr.SetCancel(&flag)
+		if c := count(scr); c.Sources != n || c.Pairs != int64(n) {
+			t.Fatalf("%s: uncancelled count %+v, want %d rows of one pair", name, c, n)
+		}
+		// The full run above left a window open; the raised flag must be
+		// seen by the time what remains of it is used up.
+		flag.Set()
+		if c := count(scr); c.Sources > cancelCheckInterval {
+			t.Fatalf("%s: cancelled count ran %d rows, more than one poll window", name, c.Sources)
+		}
+	}
+}

@@ -20,7 +20,11 @@
 //     are specialized per representation — sparse rows scatter through a
 //     label's CSR adjacency (CSROperand), dense rows union precomputed
 //     successor bit sets word-parallel. Executor operations (Reverse,
-//     UnionWith, Equal) live in hybridops.go.
+//     UnionWith, Equal) live in hybridops.go. Every row kernel is an
+//     accumulate step followed by an emit step; the count forms
+//     (ComposeCount, JoinCount and their shard variants, count.go) run
+//     the accumulate step alone, for callers that read only the size of
+//     a relation they would drop.
 //
 // Knobs: the density threshold, set per relation at construction
 // (NewHybrid, HybridFromCSR) as a fraction of the vertex universe |V|.

@@ -229,12 +229,13 @@ type ComposeScratch struct {
 	touched    []int32
 	wMin, wMax int32 // touched word index range of the current scatter
 
-	// Relation×relation join state (join.go), lazily allocated on first
-	// use: a full-width accumulator for output rows with dense right-side
-	// inputs (where touched-word tracking would be incomplete), and the
-	// expansion buffer for dense left rows.
-	joinWords []uint64
-	tbuf      []int32
+	// Lazily allocated on first use: the full-width accumulator of rows
+	// that union whole words (join output rows with a dense right-side
+	// input, where touched-word tracking would be incomplete, and counted
+	// dense×CSR rows, which have no destination row to union into), and
+	// the join's expansion buffer for dense left rows.
+	wide []uint64
+	tbuf []int32
 
 	// Cooperative cancellation state (cancel.go): the attached flag and
 	// the remaining work budget of the current amortization window.
@@ -245,6 +246,15 @@ type ComposeScratch struct {
 // NewComposeScratch returns a scratch accumulator for an n-vertex universe.
 func NewComposeScratch(n int) *ComposeScratch {
 	return &ComposeScratch{words: make([]uint64, (n+wordBits-1)/wordBits)}
+}
+
+// wideWords returns the full-width accumulator, building it on first use.
+// Its content is unspecified: every user overwrites it in full.
+func (scr *ComposeScratch) wideWords() []uint64 {
+	if scr.wide == nil {
+		scr.wide = make([]uint64, len(scr.words))
+	}
+	return scr.wide
 }
 
 // reset zeroes exactly the words the last scatter touched.
@@ -320,9 +330,10 @@ func denseRowCompose(src []uint64, op CSROperand, out []uint64) int {
 }
 
 // emitRow stores the scatter accumulator into dst's row s, choosing the
-// sparse or dense form by dst's threshold, and resets the accumulator. It
-// touches only the row itself — the caller accounts for dst's active list
-// and pair count, so sharded compositions can run rows concurrently.
+// sparse or dense form by dst's threshold; the caller resets the
+// accumulator. It touches only the row itself — the caller accounts for
+// dst's active list and pair count, so sharded compositions can run rows
+// concurrently.
 func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 	row := &dst.rows[s]
 	row.count = int32(count)
@@ -360,7 +371,6 @@ func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 		// complete row.
 		copy(row.words, scr.words)
 	}
-	scr.reset()
 }
 
 // ComposeInto computes the relational composition h ∘ op into dst:
@@ -402,12 +412,21 @@ func (h *HybridRelation) checkCompose(dst *HybridRelation, op CSROperand) {
 	}
 }
 
-// composeRow computes row s of h ∘ op into dst.rows[s], dispatching to the
-// kernel matching s's representation, and returns the row's target count
-// (0 leaves dst.rows[s] in its Reset state, possibly with dirty dense
-// words that the count field marks as garbage). It touches nothing of dst
-// but the one row, so calls on distinct rows may run concurrently against
-// a shared dst as long as each caller owns its scratch.
+// checkShard validates a shard's position range against the active list.
+func (h *HybridRelation) checkShard(lo, hi int) {
+	if lo < 0 || hi > len(h.active) || lo > hi {
+		panic(fmt.Sprintf("bitset: shard [%d,%d) out of active range [0,%d)", lo, hi, len(h.active)))
+	}
+}
+
+// composeRow computes row s of h ∘ op into dst.rows[s] — accumulate with
+// the kernel matching s's representation, then emit — and returns the
+// row's target count (0 leaves dst.rows[s] in its Reset state, possibly
+// with dirty dense words that the count field marks as garbage). A dense
+// row accumulates straight into the destination row's own word array, so
+// a dense result is emitted without a copy. It touches nothing of dst but
+// the one row, so calls on distinct rows may run concurrently against a
+// shared dst as long as each caller owns its scratch.
 func (h *HybridRelation) composeRow(dst *HybridRelation, op CSROperand, scr *ComposeScratch, s int32) int {
 	row := &h.rows[s]
 	if row.dense {
@@ -416,33 +435,16 @@ func (h *HybridRelation) composeRow(dst *HybridRelation, op CSROperand, scr *Com
 			drow.words = make([]uint64, len(scr.words))
 		}
 		count := denseRowCompose(row.words, op, drow.words)
-		if count == 0 {
-			return 0
-		}
-		drow.count = int32(count)
-		if count <= dst.sparseMax {
-			// Demote: extract the sorted ids; the dirty words are
-			// ignored until the next dense fill overwrites them.
-			drow.dense = false
-			drow.ids = drow.ids[:0]
-			for wi, w := range drow.words {
-				base := int32(wi * wordBits)
-				for w != 0 {
-					drow.ids = append(drow.ids, base+int32(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-			}
-		} else {
-			drow.dense = true
+		if count > 0 {
+			emitWordsRow(dst, s, count, drow.words)
 		}
 		return count
 	}
 	count := scr.scatterSparse(row.ids, op)
-	if count == 0 {
-		scr.reset()
-		return 0
+	if count > 0 {
+		scr.emitRow(dst, s, count)
 	}
-	scr.emitRow(dst, s, count)
+	scr.reset()
 	return count
 }
 
@@ -458,9 +460,7 @@ func (h *HybridRelation) composeRow(dst *HybridRelation, op CSROperand, scr *Com
 // AdoptShard in ascending shard order.
 func (h *HybridRelation) ComposeShardInto(dst *HybridRelation, op CSROperand, scr *ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
 	h.checkCompose(dst, op)
-	if lo < 0 || hi > len(h.active) || lo > hi {
-		panic(fmt.Sprintf("bitset: shard [%d,%d) out of active range [0,%d)", lo, hi, len(h.active)))
-	}
+	h.checkShard(lo, hi)
 	buf = buf[:0]
 	var pairs int64
 	for _, s := range h.active[lo:hi] {

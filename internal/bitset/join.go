@@ -72,9 +72,7 @@ func (h *HybridRelation) checkJoin(dst, r *HybridRelation) {
 // to sequential JoinInto.
 func (h *HybridRelation) JoinShardInto(dst, r *HybridRelation, scr *ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
 	h.checkJoin(dst, r)
-	if lo < 0 || hi > len(h.active) || lo > hi {
-		panic(fmt.Sprintf("bitset: join shard [%d,%d) out of active range [0,%d)", lo, hi, len(h.active)))
-	}
+	h.checkShard(lo, hi)
 	buf = buf[:0]
 	var pairs int64
 	for _, s := range h.active[lo:hi] {
@@ -98,12 +96,31 @@ func (h *HybridRelation) Join(r *HybridRelation, density float64) *HybridRelatio
 	return dst
 }
 
-// joinRow computes row s of h ∘ r into dst.rows[s] and returns the row's
+// joinRow computes row s of h ∘ r into dst.rows[s] — accumulate, then
+// emit from whichever accumulator holds the row — and returns the row's
 // target count (0 leaves dst.rows[s] in its Reset state). Like composeRow
 // it touches nothing of dst but the one row, so calls on distinct rows may
 // run concurrently against a shared dst as long as each caller owns its
 // scratch.
 func (h *HybridRelation) joinRow(dst, r *HybridRelation, scr *ComposeScratch, s int32) int {
+	count, wide := h.joinAccumulate(r, scr, s)
+	if wide {
+		emitWordsRow(dst, s, count, scr.wide)
+		return count
+	}
+	if count > 0 {
+		scr.emitRow(dst, s, count)
+	}
+	scr.reset()
+	return count
+}
+
+// joinAccumulate is the accumulate half of one join row: it gathers the
+// targets of row s of h ∘ r and returns their count, with wide reporting
+// which accumulator holds them — the full-width one (scr.wide, count ≥ 1,
+// overwritten by the next wide row) or the touched-word scatter
+// accumulator, which the caller must reset once it has read the row.
+func (h *HybridRelation) joinAccumulate(r *HybridRelation, scr *ComposeScratch, s int32) (count int, wide bool) {
 	row := &h.rows[s]
 	ts := row.ids
 	if row.dense {
@@ -136,21 +153,17 @@ func (h *HybridRelation) joinRow(dst, r *HybridRelation, scr *ComposeScratch, s 
 		}
 	}
 	if !any {
-		return 0
+		return 0, false
 	}
 	if !anyDense {
-		count := scr.scatterSparseRows(ts, r)
-		scr.emitRow(dst, s, count)
-		return count
+		return scr.scatterSparseRows(ts, r), false
 	}
 	// Full-width accumulation: clear once, union every contributing right
 	// row (dense rows word-parallel, sparse rows bit by bit), then count.
 	// A dense right row already populates ≥ r.sparseMax targets, so the
 	// O(|V|/64) clear and popcount are amortized by the row's size.
-	if scr.joinWords == nil {
-		scr.joinWords = make([]uint64, len(scr.words))
-	}
-	clear(scr.joinWords)
+	acc := scr.wideWords()
+	clear(acc)
 	for _, t := range ts {
 		rr := &r.rows[t]
 		if rr.count == 0 {
@@ -158,20 +171,18 @@ func (h *HybridRelation) joinRow(dst, r *HybridRelation, scr *ComposeScratch, s 
 		}
 		if rr.dense {
 			for i, w := range rr.words {
-				scr.joinWords[i] |= w
+				acc[i] |= w
 			}
 		} else {
 			for _, u := range rr.ids {
-				scr.joinWords[u>>6] |= 1 << (uint(u) & 63)
+				acc[u>>6] |= 1 << (uint(u) & 63)
 			}
 		}
 	}
-	count := 0
-	for _, w := range scr.joinWords {
+	for _, w := range acc {
 		count += bits.OnesCount64(w)
 	}
-	emitWordsRow(dst, s, count, scr.joinWords)
-	return count
+	return count, true
 }
 
 // scatterSparseRows is the sparse×sparse join kernel: for each
@@ -206,8 +217,11 @@ func (scr *ComposeScratch) scatterSparseRows(ts []int32, r *HybridRelation) int 
 
 // emitWordsRow stores a fully-populated word accumulator with a known
 // count into dst's row s, choosing the sparse or dense form by dst's
-// threshold. count must be ≥ 1; the accumulator is left untouched (the
-// caller clears it per row).
+// threshold. count must be ≥ 1; the accumulator is left untouched. words
+// may be the row's own word array (the dense×CSR kernel accumulates in
+// place): a dense result then needs no copy, and a sparse one extracts
+// its sorted ids and leaves the words dirty — ignored until the next
+// dense fill overwrites them.
 func emitWordsRow(dst *HybridRelation, s int32, count int, words []uint64) {
 	row := &dst.rows[s]
 	row.count = int32(count)
@@ -221,11 +235,13 @@ func emitWordsRow(dst *HybridRelation, s int32, count int, words []uint64) {
 				w &= w - 1
 			}
 		}
-	} else {
-		row.dense = true
-		if row.words == nil {
-			row.words = make([]uint64, len(words))
-		}
+		return
+	}
+	row.dense = true
+	if row.words == nil {
+		row.words = make([]uint64, len(words))
+	}
+	if &row.words[0] != &words[0] {
 		copy(row.words, words)
 	}
 }

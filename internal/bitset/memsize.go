@@ -53,7 +53,7 @@ func (h *HybridRelation) MemSize() int {
 // can price an entry — and reject an oversized one — before paying for
 // the copy.
 func (h *HybridRelation) CloneMemSize() int {
-	size := int(unsafe.Sizeof(*h)) + len(h.active)*4 + len(h.rows)*int(unsafe.Sizeof(hrow{}))
+	size := cloneOverhead(len(h.rows), len(h.active))
 	for _, s := range h.active {
 		row := &h.rows[s]
 		if row.dense {
@@ -63,6 +63,13 @@ func (h *HybridRelation) CloneMemSize() int {
 		}
 	}
 	return size
+}
+
+// cloneOverhead is the part of a clone's footprint that is not row
+// content: the struct header, one row header per universe vertex, and the
+// active-source list at content length.
+func cloneOverhead(n, sources int) int {
+	return int(unsafe.Sizeof(HybridRelation{})) + sources*4 + n*int(unsafe.Sizeof(hrow{}))
 }
 
 // CopyInto makes dst an exact logical replica of h: same universe, same

@@ -243,14 +243,20 @@ func (t *SegTable) cheapestLeaf() (*PlanTree, float64) {
 // it builds both children and joins them with the sharded
 // relation×relation kernel, recording both inputs as intermediates after
 // the children's own (left subtree's, then right subtree's).
-func (x *core) tree(p paths.Path, t *PlanTree) (*bitset.HybridRelation, error) {
+func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelation, error) {
 	seg := p[t.Lo:t.Hi]
 	if t.IsLeaf() {
-		return x.leaf(seg, t.Start-t.Lo)
+		return x.leaf(seg, t.Start-t.Lo, root)
 	}
-	dst, hit, err := x.whole(seg)
-	if hit || err != nil {
-		return dst, err
+	// A root join that may count (see counts) has no cache to adopt from
+	// and needs no destination: dst stays nil and its step is counted.
+	var dst *bitset.HybridRelation
+	if !(root && x.counts(seg)) {
+		d, hit, err := x.whole(seg)
+		if hit || err != nil {
+			return d, err
+		}
+		dst = d
 	}
 	var (
 		l, r       *bitset.HybridRelation
@@ -280,8 +286,8 @@ func (x *core) tree(p paths.Path, t *PlanTree) (*bitset.HybridRelation, error) {
 		wg.Wait()
 		x.absorb(left)
 		x.absorb(right)
-	} else if l, lerr = x.tree(p, t.Left); lerr == nil {
-		r, rerr = x.tree(p, t.Right)
+	} else if l, lerr = x.tree(p, t.Left, false); lerr == nil {
+		r, rerr = x.tree(p, t.Right, false)
 	}
 	if lerr != nil {
 		return nil, lerr
@@ -293,7 +299,7 @@ func (x *core) tree(p paths.Path, t *PlanTree) (*bitset.HybridRelation, error) {
 	// The joined segment is published in forward orientation: a later
 	// zig-zag over the same labels, a repeat of this subtree, or the
 	// whole-segment fast path can all adopt it.
-	err = x.step(seg, false, dst, func() error { return x.stepper().join(l, dst, r) })
+	err := x.step(seg, false, dst, func() error { return x.join(l, dst, r) })
 	x.drop(l)
 	x.drop(r)
 	return dst, err
@@ -307,7 +313,7 @@ func (x *core) tree(p paths.Path, t *PlanTree) (*bitset.HybridRelation, error) {
 // must not unwind past the wait for it.
 func (x *core) child(p paths.Path, t *PlanTree) (rel *bitset.HybridRelation, err error) {
 	err = containPanics(func() (e error) {
-		rel, e = x.tree(p, t)
+		rel, e = x.tree(p, t, false)
 		return e
 	})
 	if err != nil {
@@ -338,7 +344,7 @@ func ExecuteTreeChecked(g *graph.CSR, p paths.Path, tree *PlanTree, opt Options)
 	}
 	tree.validate(0, len(p))
 	x := newCore(g, opt)
-	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.tree(p, tree) })
+	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.tree(p, tree, true) })
 	st.Plan, st.Tree = Plan{Start: tree.Start}, tree
 	return rel, st, err
 }

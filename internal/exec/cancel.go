@@ -82,31 +82,26 @@ func (c *Canceller) Flag() *bitset.CancelFlag {
 	return &c.flag
 }
 
-// NewCancellerContext bridges a context into a Canceller: a goroutine
-// watches ctx.Done and cancels with ErrDeadlineExceeded or ErrCancelled
-// to match ctx.Err. The returned release func stops the watcher and must
-// be called (typically deferred) when the execution returns; it is
-// idempotent. A nil or never-done context needs no watcher — release is
-// then a no-op.
+// NewCancellerContext bridges a context into a Canceller: when ctx is
+// done the canceller is cancelled with ErrDeadlineExceeded or
+// ErrCancelled to match ctx.Err. The bridge is a context.AfterFunc
+// registration — no goroutine, channel or once per query — and the
+// returned release func withdraws it; call it (typically deferred) when
+// the execution returns. A nil or never-done context needs no bridge —
+// release is then a no-op.
 func NewCancellerContext(ctx context.Context) (*Canceller, func()) {
 	c := &Canceller{}
 	if ctx == nil || ctx.Done() == nil {
 		return c, func() {}
 	}
-	stop := make(chan struct{})
-	var once sync.Once
-	go func() {
-		select {
-		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				c.Cancel(ErrDeadlineExceeded)
-			} else {
-				c.Cancel(ErrCancelled)
-			}
-		case <-stop:
+	stop := context.AfterFunc(ctx, func() {
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			c.Cancel(ErrDeadlineExceeded)
+		} else {
+			c.Cancel(ErrCancelled)
 		}
-	}()
-	return c, func() { once.Do(func() { close(stop) }) }
+	})
+	return c, func() { stop() }
 }
 
 // RelPool is a shared free list of hybrid relations over one

@@ -11,11 +11,12 @@ import (
 )
 
 // checkedOptions returns options wiring a fresh pool and canceller for an
-// n-vertex graph.
+// n-vertex graph, keeping the result relation for the caller to compare
+// and release.
 func checkedOptions(n, workers int) (Options, *RelPool, *Canceller) {
 	pool := NewRelPool(n, 0)
 	c := &Canceller{}
-	return Options{Workers: workers, Pool: pool, Cancel: c}, pool, c
+	return Options{Workers: workers, Pool: pool, Cancel: c, KeepResult: true}, pool, c
 }
 
 // waitForGoroutines polls until the goroutine count drops back to the

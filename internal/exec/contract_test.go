@@ -132,48 +132,63 @@ func contractCases(boundaries, workers int) []abortCase {
 }
 
 // TestContractEveryPlanShape pins the one execution contract on every
-// plan shape: {zig-zag, bushy, DAG} × {pre-cancelled, deadline, budget,
-// shard panic, step panic at each boundary} × workers {1, 4}. An aborted
-// execution returns its typed error and a nil relation, with every
-// pooled relation released and every goroutine gone; a survivor is
+// plan shape: {zig-zag, bushy, DAG} × {result kept, result counted} ×
+// {pre-cancelled, deadline, budget, shard panic, step panic at each
+// boundary} × workers {1, 4}. An aborted execution returns its typed
+// error and a nil relation, with every pooled relation released and
+// every goroutine gone; a survivor that keeps its result is
 // bit-identical to the dense reference or the expansion-union oracle and
-// holds exactly its result.
+// holds exactly that relation, and one that does not returns none, holds
+// nothing, and crossed the same step boundaries to the same answer.
 func TestContractEveryPlanShape(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
 	for _, sh := range contractShapes(t, g) {
 		for _, workers := range []int{1, 4} {
-			// A survival run under a never-triggering rule counts the
-			// shape's step boundaries and checks the survivor.
-			inj := faultinject.NewInjector(faultinject.Rule{Site: "exec.step", Skip: 1 << 30})
-			faultinject.Install(inj)
-			opt, pool, _ := checkedOptions(g.NumVertices(), workers)
-			rel, _, err := sh.run(opt)
-			faultinject.Uninstall()
-			if err != nil || !sh.oracle(rel) || pool.InUse() != 1 {
-				t.Fatalf("%s workers=%d: survivor err=%v, %d relations in use, want the oracle's relation and 1",
-					sh.name, workers, err, pool.InUse())
-			}
-			for _, ac := range contractCases(inj.Visits("exec.step"), workers) {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", sh.name, ac.name, workers), func(t *testing.T) {
-					base := runtime.NumGoroutine()
-					opt, pool, c := checkedOptions(g.NumVertices(), workers)
-					cleanup := ac.arm(&opt, c)
-					rel, _, err := sh.run(opt)
-					cleanup()
-					switch {
-					case err == nil && ac.survives:
-						if !sh.oracle(rel) {
-							t.Fatal("survivor differs from the oracle")
+			var kept Stats
+			boundaries := 0
+			for _, keep := range []bool{true, false} {
+				// A survival run under a never-triggering rule counts the
+				// shape's step boundaries and checks the survivor.
+				inj := faultinject.NewInjector(faultinject.Rule{Site: "exec.step", Skip: 1 << 30})
+				faultinject.Install(inj)
+				opt, pool, _ := checkedOptions(g.NumVertices(), workers)
+				opt.KeepResult = keep
+				rel, st, err := sh.run(opt)
+				faultinject.Uninstall()
+				if keep {
+					if err != nil || !sh.oracle(rel) || pool.InUse() != 1 {
+						t.Fatalf("%s workers=%d: survivor err=%v, %d relations in use, want the oracle's relation and 1",
+							sh.name, workers, err, pool.InUse())
+					}
+					kept, boundaries = st, inj.Visits("exec.step")
+				} else if err != nil || rel != nil || pool.InUse() != 0 ||
+					st.Result != kept.Result || inj.Visits("exec.step") != boundaries {
+					t.Fatalf("%s workers=%d: counted survivor err=%v relation=%t result=%d over %d steps with %d relations in use, want no relation, %d over %d steps and 0",
+						sh.name, workers, err, rel != nil, st.Result, inj.Visits("exec.step"), pool.InUse(), kept.Result, boundaries)
+				}
+				for _, ac := range contractCases(boundaries, workers) {
+					t.Run(fmt.Sprintf("%s/keep=%t/%s/workers=%d", sh.name, keep, ac.name, workers), func(t *testing.T) {
+						base := runtime.NumGoroutine()
+						opt, pool, c := checkedOptions(g.NumVertices(), workers)
+						opt.KeepResult = keep
+						cleanup := ac.arm(&opt, c)
+						rel, _, err := sh.run(opt)
+						cleanup()
+						switch {
+						case err == nil && ac.survives:
+							if keep && !sh.oracle(rel) {
+								t.Fatal("survivor differs from the oracle")
+							}
+							pool.Put(rel)
+						case rel != nil || !ac.want(err):
+							t.Fatalf("got relation=%t err=%v, want no relation and the case's typed error", rel != nil, err)
 						}
-						pool.Put(rel)
-					case rel != nil || !ac.want(err):
-						t.Fatalf("got relation=%t err=%v, want no relation and the case's typed error", rel != nil, err)
-					}
-					if n := pool.InUse(); n != 0 {
-						t.Fatalf("%d pooled relations leaked (err=%v)", n, err)
-					}
-					waitForGoroutines(t, base)
-				})
+						if n := pool.InUse(); n != 0 {
+							t.Fatalf("%d pooled relations leaked (err=%v)", n, err)
+						}
+						waitForGoroutines(t, base)
+					})
+				}
 			}
 		}
 	}

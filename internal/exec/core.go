@@ -48,6 +48,11 @@ type core struct {
 	nheld int
 	more  []*bitset.HybridRelation
 
+	// counted is the root's final step when it was counted instead of
+	// built (see counts): the node returns no relation and finish reads
+	// the result from here.
+	counted bitset.Count
+
 	ints         []int64 // intermediates, in step order
 	hits, misses int
 	sched        SchedStats // absorbed forks; the core's own stepper is added by stats
@@ -146,15 +151,35 @@ func (x *core) drop(rel *bitset.HybridRelation) {
 
 // price enforces Options.MaxResultBytes against one relation the
 // execution hands out, at clone size (content bytes, the measure the
-// relation cache accounts by). Over budget it cancels the execution's
-// canceller — so sibling subtree builds abort too — and returns
-// ErrBudgetExceeded.
+// relation cache accounts by). A nil relation is the counted root, priced
+// at the clone size the count kernel worked out for the relation it did
+// not build — the same number, so counting never moves the budget
+// boundary. Over budget it cancels the execution's canceller — so sibling
+// subtree builds abort too — and returns ErrBudgetExceeded.
 func (x *core) price(rel *bitset.HybridRelation) error {
-	if x.opt.MaxResultBytes <= 0 || int64(rel.CloneMemSize()) <= x.opt.MaxResultBytes {
+	if x.opt.MaxResultBytes <= 0 {
+		return nil
+	}
+	var size int
+	if rel != nil {
+		size = rel.CloneMemSize()
+	} else {
+		size = x.counted.CloneMemSize(x.n)
+	}
+	if int64(size) <= x.opt.MaxResultBytes {
 		return nil
 	}
 	x.opt.Cancel.CancelIfSet(ErrBudgetExceeded)
 	return ErrBudgetExceeded
+}
+
+// counts reports whether a root node may count its final step — the one
+// producing seg's relation — instead of building it: the caller does not
+// keep the result, and the step would not publish it either (no cache, or
+// an uncacheable segment). Only the root asks: every other node's output
+// is some later step's input.
+func (x *core) counts(seg paths.Path) bool {
+	return !x.opt.KeepResult && (x.opt.Cache == nil || len(seg) < 2)
 }
 
 // fill makes dst the union of the labels' edge relations — the base
@@ -229,24 +254,48 @@ func (x *core) whole(seg paths.Path) (dst *bitset.HybridRelation, hit bool, err 
 // destination is discarded, never cached. Every segment is materialized
 // either way, so recorded intermediates are identical to an uncached
 // run. On error dst stays live for finish to release.
+//
+// A nil dst is the root's counted final step (see counts): there is
+// nothing to adopt into or publish from, compute leaves its outcome in
+// x.counted, and that is what gets priced.
 func (x *core) step(seg paths.Path, reversed bool, dst *bitset.HybridRelation, compute func() error) error {
 	faultinject.Fire("exec.step")
 	if err := x.opt.Cancel.Err(); err != nil {
 		return err
 	}
-	if !x.cached(seg, reversed, dst) {
+	if dst == nil || !x.cached(seg, reversed, dst) {
 		if err := compute(); err != nil {
 			return err
 		}
 		if err := x.opt.Cancel.Err(); err != nil {
 			return err
 		}
-		if x.opt.Cache != nil && len(seg) >= 2 {
+		if dst != nil && x.opt.Cache != nil && len(seg) >= 2 {
 			x.opt.Cache.Put(seg, reversed, dst)
 			x.misses++
 		}
 	}
 	return x.price(dst)
+}
+
+// compose is the compute of a compose step cur ∘ op: built into dst, or
+// counted into x.counted when dst is nil.
+func (x *core) compose(cur, dst *bitset.HybridRelation, op bitset.CSROperand) (err error) {
+	if dst == nil {
+		x.counted, err = x.stepper().composeCount(cur, op)
+		return err
+	}
+	return x.stepper().compose(cur, dst, op)
+}
+
+// join is the compute of a join step l ∘ r: built into dst, or counted
+// into x.counted when dst is nil.
+func (x *core) join(l, dst, r *bitset.HybridRelation) (err error) {
+	if dst == nil {
+		x.counted, err = x.stepper().joinCount(l, r)
+		return err
+	}
+	return x.stepper().join(l, dst, r)
 }
 
 // containPanics invokes fn, converting an escaping panic into the same
@@ -270,8 +319,13 @@ func containPanics(fn func() error) (err error) {
 // materializes; a panic on the caller's goroutine is contained as a
 // typed error (worker-side panics are contained by the scheduler before
 // they reach here); on any error the returned relation is nil and every
-// live relation is back in the pool; a survivor's result stays checked
-// out for the caller to release.
+// live relation is back in the pool. A root that counted its final step
+// returns no relation; one that had to build it (a cache adoption, a
+// published or unioned result, a single-label query) hands it over, and
+// unless Options.KeepResult asks for it finish reads its size and
+// releases it — so without KeepResult the returned relation is always
+// nil, and with it the survivor's result stays checked out for the
+// caller to release.
 func (x *core) finish(root func() (*bitset.HybridRelation, error)) (rel *bitset.HybridRelation, st Stats, err error) {
 	if err := x.opt.Cancel.Err(); err != nil {
 		return nil, st, err
@@ -288,6 +342,14 @@ func (x *core) finish(root func() (*bitset.HybridRelation, error)) (rel *bitset.
 	for _, v := range st.Intermediates {
 		st.Work += v
 	}
+	if rel == nil {
+		st.Result = x.counted.Pairs
+		return nil, st, nil
+	}
 	st.Result = rel.Pairs()
+	if !x.opt.KeepResult {
+		x.drop(rel)
+		rel = nil
+	}
 	return rel, st, nil
 }

@@ -39,7 +39,10 @@
 // finish — contain panics as typed errors, release every pooled
 // relation on abort, total the stats. Plan shapes are node methods that
 // nest, and every surviving execution is bit-identical to ExecuteDense
-// (or, for an RPQ, to the union of its expansions).
+// (or, for an RPQ, to the union of its expansions). The answer to a query
+// is a count, so unless Options.KeepResult asks for the relation the root
+// node counts its final step instead of building it whenever nothing
+// would publish it — same Stats, same budget boundary, no relation.
 //
 // Execution runs on the hybrid sparse/dense relation substrate
 // (bitset.HybridRelation): two pooled relations double-buffer through the

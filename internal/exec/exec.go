@@ -78,11 +78,21 @@ type Options struct {
 	MaxResultBytes int64
 	// Pool, when non-nil, supplies every relation the execution
 	// materializes and reclaims them on completion and on every abort
-	// path. The returned result relation stays checked out; the caller
-	// releases it with Pool.Put when done reading. Purely an
-	// allocation/leak-hygiene knob — results are identical with or
-	// without it.
+	// path. Purely an allocation/leak-hygiene knob — results are
+	// identical with or without it.
 	Pool *RelPool
+	// KeepResult makes the execution return its result relation, checked
+	// out of Pool for the caller to release with Pool.Put when done
+	// reading. Unset — the default, and what every caller that only wants
+	// the answer |ℓ(G)| and the Stats should leave it — the returned
+	// relation is nil and the result is not built when it need not be:
+	// the root's final join step runs the count kernels
+	// (bitset.ComposeCount / JoinCount) whenever its output would not be
+	// published to Cache, and a result that had to be built anyway (a
+	// cache adoption, a published or unioned result, a single-label
+	// query) is released before returning. Stats and the
+	// MaxResultBytes boundary are identical either way.
+	KeepResult bool
 }
 
 // Stats reports what an execution actually did.
@@ -197,14 +207,17 @@ func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bi
 		panic(fmt.Sprintf("exec: plan start %d out of range [0,%d)", plan.Start, k))
 	}
 	x := newCore(g, opt)
-	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.leaf(p, plan.Start) })
+	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.leaf(p, plan.Start, true) })
 	st.Plan = plan
 	return rel, st, err
 }
 
 // leaf builds segment p with the zig-zag plan growing from position
-// start, double-buffering two relations through the core's stepper.
-func (x *core) leaf(p paths.Path, start int) (*bitset.HybridRelation, error) {
+// start, double-buffering two relations through the core's stepper. A
+// root leaf that may count (see counts) counts its last step — the one
+// whose segment is all of p, in either direction — and returns no
+// relation.
+func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation, error) {
 	cur, hit, err := x.whole(p)
 	if hit || err != nil {
 		return cur, err
@@ -213,12 +226,17 @@ func (x *core) leaf(p paths.Path, start int) (*bitset.HybridRelation, error) {
 		return cur, err
 	}
 	buf := x.take()
+	count := root && x.counts(p)
 	// grow runs one join step cur ∘ op → buf and swaps the buffers; cur
 	// is the finished segment seg's input, whose size is the step's
-	// recorded intermediate.
+	// recorded intermediate. The counted last step has no destination.
 	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
 		x.ints = append(x.ints, cur.Pairs())
-		err := x.step(seg, reversed, buf, func() error { return x.stepper().compose(cur, buf, op) })
+		dst := buf
+		if count && len(seg) == len(p) {
+			dst = nil
+		}
+		err := x.step(seg, reversed, dst, func() error { return x.compose(cur, dst, op) })
 		cur, buf = buf, cur
 		return err
 	}
@@ -244,9 +262,16 @@ func (x *core) leaf(p paths.Path, start int) (*bitset.HybridRelation, error) {
 				return nil, err
 			}
 		}
-		cur.ReverseInto(buf)
-		cur, buf = buf, cur
+		if !count {
+			// A counted result has no orientation to restore.
+			cur.ReverseInto(buf)
+			cur, buf = buf, cur
+		}
 	}
 	x.drop(buf)
+	if count {
+		x.drop(cur)
+		return nil, nil
+	}
 	return cur, nil
 }

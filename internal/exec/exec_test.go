@@ -15,9 +15,11 @@ func testGraph(t *testing.T) *graph.CSR {
 	return dataset.ErdosRenyi(60, 400, dataset.NewZipfLabels(3, 1.1), 17).Freeze()
 }
 
-// runPlan executes a zig-zag plan that must survive.
+// runPlan executes a zig-zag plan that must survive, keeping its result
+// relation for the caller to compare.
 func runPlan(t testing.TB, g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats) {
 	t.Helper()
+	opt.KeepResult = true
 	rel, st, err := ExecutePlanChecked(g, p, plan, opt)
 	if err != nil {
 		t.Fatalf("path %v start %d: %v", p, plan.Start, err)
@@ -25,9 +27,11 @@ func runPlan(t testing.TB, g *graph.CSR, p paths.Path, plan Plan, opt Options) (
 	return rel, st
 }
 
-// runTree executes a plan tree that must survive.
+// runTree executes a plan tree that must survive, keeping its result
+// relation for the caller to compare.
 func runTree(t testing.TB, g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats) {
 	t.Helper()
+	opt.KeepResult = true
 	rel, st, err := ExecuteTreeChecked(g, p, tree, opt)
 	if err != nil {
 		t.Fatalf("path %v tree %s: %v", p, tree.Describe(len(p)), err)

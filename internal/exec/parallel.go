@@ -68,17 +68,20 @@ type stepper struct {
 	// Per-step state, written by the coordinator between Drain rounds and
 	// read by shard bodies during one. Exactly one of op / right is the
 	// step's right-hand operand: compose steps set op (relation×CSR),
-	// bushy join steps set right (relation×relation). merging flips the
-	// round kind: false runs compose/join shard bodies, true runs
-	// active-list copy bodies over the same task indices.
+	// bushy join steps set right (relation×relation). A nil dst makes the
+	// step a counted one: shard bodies run the count kernels and park a
+	// bitset.Count instead of sources. merging flips the round kind:
+	// false runs compose/join shard bodies, true runs active-list copy
+	// bodies over the same task indices.
 	cur, dst *bitset.HybridRelation
 	op       bitset.CSROperand
 	right    *bitset.HybridRelation
 	merging  bool
-	bounds   []int     // shard i covers active positions [bounds[i], bounds[i+1])
-	srcs     [][]int32 // per-shard produced sources, reused across steps
-	pairs    []int64   // per-shard produced pair counts
-	offs     []int     // per-shard active-list write offsets (prefix sums)
+	bounds   []int          // shard i covers active positions [bounds[i], bounds[i+1])
+	srcs     [][]int32      // per-shard produced sources, reused across steps
+	pairs    []int64        // per-shard produced pair counts
+	offs     []int          // per-shard active-list write offsets (prefix sums)
+	counts   []bitset.Count // per-shard outcomes of a counted step
 }
 
 // newStepper returns a stepper for an n-vertex universe with
@@ -136,10 +139,15 @@ func (st *stepper) runShard(worker int, t shardTask) {
 		return
 	}
 	lo, hi := st.bounds[t.idx], st.bounds[t.idx+1]
-	if st.right != nil {
+	switch {
+	case st.dst == nil && st.right != nil:
+		st.counts[t.idx] = st.cur.JoinShardCount(st.right, st.scr(worker), lo, hi)
+	case st.dst == nil:
+		st.counts[t.idx] = st.cur.ComposeShardCount(st.op, st.scr(worker), lo, hi)
+	case st.right != nil:
 		st.srcs[t.idx], st.pairs[t.idx] = st.cur.JoinShardInto(
 			st.dst, st.right, st.scr(worker), lo, hi, st.srcs[t.idx])
-	} else {
+	default:
 		st.srcs[t.idx], st.pairs[t.idx] = st.cur.ComposeShardInto(
 			st.dst, st.op, st.scr(worker), lo, hi, st.srcs[t.idx])
 	}
@@ -163,6 +171,19 @@ func (st *stepper) compose(cur, dst *bitset.HybridRelation, op bitset.CSROperand
 	return st.runSharded(cur, dst, shards)
 }
 
+// composeCount is compose for a step whose output is only counted
+// (bitset.ComposeCount): the same sharding decision and the same shard
+// bodies' accumulate work, but nothing is emitted, so there is no
+// destination and no merge — per-shard counts just add up.
+func (st *stepper) composeCount(cur *bitset.HybridRelation, op bitset.CSROperand) (bitset.Count, error) {
+	shards := shardGrain.Shards(cur.Sources(), cur.Pairs(), st.sch.Workers())
+	if shards <= 1 {
+		return cur.ComposeCount(op, st.scr(0)), nil
+	}
+	st.op, st.right = op, nil
+	return st.countSharded(cur, shards)
+}
+
 // join runs one bushy join step cur ∘ right → dst through the same
 // sharding machinery as compose, with the relation×relation kernel
 // (bitset.JoinShardInto) as the task body. The merge discipline is
@@ -175,6 +196,17 @@ func (st *stepper) join(cur, dst, right *bitset.HybridRelation) error {
 	}
 	st.right = right
 	return st.runSharded(cur, dst, shards)
+}
+
+// joinCount is join for a step whose output is only counted — to join
+// what composeCount is to compose.
+func (st *stepper) joinCount(cur, right *bitset.HybridRelation) (bitset.Count, error) {
+	shards := shardGrain.Shards(cur.Sources(), cur.Pairs(), st.sch.Workers())
+	if shards <= 1 {
+		return cur.JoinCount(right, st.scr(0)), nil
+	}
+	st.right = right
+	return st.countSharded(cur, shards)
 }
 
 // runSharded partitions cur's active sources into shards, runs them on
@@ -190,15 +222,9 @@ func (st *stepper) join(cur, dst, right *bitset.HybridRelation) error {
 // destination is left unmerged (or part-merged) for the caller to
 // discard.
 func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error {
-	workers := st.sch.Workers()
-	nact := cur.Sources()
+	st.begin(cur, dst, shards)
+	defer st.end()
 	dst.Reset()
-	st.cur, st.dst = cur, dst
-	defer func() { st.cur, st.dst, st.right, st.merging = nil, nil, nil, false }()
-	if cap(st.bounds) < shards+1 {
-		st.bounds = make([]int, shards+1)
-	}
-	st.bounds = st.bounds[:shards+1]
 	for len(st.srcs) < shards {
 		st.srcs = append(st.srcs, nil)
 	}
@@ -209,15 +235,7 @@ func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error
 		st.offs = make([]int, shards)
 	}
 	st.offs = st.offs[:shards]
-	for i := 0; i <= shards; i++ {
-		st.bounds[i] = i * nact / shards
-	}
-	for i := 0; i < shards; i++ {
-		st.sch.Spawn(i%workers, shardTask{idx: i})
-	}
-	// Shard bodies never Spawn, so the static drain's goroutine count cap
-	// (min(workers, shards)) loses nothing.
-	if err := st.sch.DrainStatic(); err != nil {
+	if err := st.drain(shards); err != nil {
 		return err
 	}
 	total := 0
@@ -235,12 +253,56 @@ func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error
 	}
 	dst.BeginAdopt(total)
 	st.merging = true
-	for i := 0; i < shards; i++ {
-		st.sch.Spawn(i%workers, shardTask{idx: i})
-	}
-	if err := st.sch.DrainStatic(); err != nil {
+	if err := st.drain(shards); err != nil {
 		return err
 	}
 	dst.FinishAdopt(pairs)
 	return nil
+}
+
+// countSharded is runSharded for a counted step: the same partition on
+// the same scheduler, shard bodies running the count kernels (a nil dst
+// selects them), and no merge — nothing positional was built, so the
+// per-shard counts add up in any order.
+func (st *stepper) countSharded(cur *bitset.HybridRelation, shards int) (total bitset.Count, err error) {
+	st.begin(cur, nil, shards)
+	defer st.end()
+	if len(st.counts) < shards {
+		st.counts = make([]bitset.Count, shards)
+	}
+	if err := st.drain(shards); err != nil {
+		return total, err
+	}
+	for _, c := range st.counts[:shards] {
+		total.Add(c)
+	}
+	return total, nil
+}
+
+// begin sets a sharded step's per-round state: its input and destination
+// and the partition of the input's active sources into shards.
+func (st *stepper) begin(cur, dst *bitset.HybridRelation, shards int) {
+	st.cur, st.dst = cur, dst
+	if cap(st.bounds) < shards+1 {
+		st.bounds = make([]int, shards+1)
+	}
+	st.bounds = st.bounds[:shards+1]
+	nact := cur.Sources()
+	for i := 0; i <= shards; i++ {
+		st.bounds[i] = i * nact / shards
+	}
+}
+
+// end drops the finished step's references.
+func (st *stepper) end() { st.cur, st.dst, st.right, st.merging = nil, nil, nil, false }
+
+// drain runs one scheduler round of one task per shard. Shard bodies
+// never Spawn, so the static drain's goroutine count cap
+// (min(workers, shards)) loses nothing.
+func (st *stepper) drain(shards int) error {
+	workers := st.sch.Workers()
+	for i := 0; i < shards; i++ {
+		st.sch.Spawn(i%workers, shardTask{idx: i})
+	}
+	return st.sch.DrainStatic()
 }

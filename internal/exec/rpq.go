@@ -526,7 +526,7 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 			err error
 		)
 		if b.Run != nil {
-			u, err = x.tree(b.Run, b.Tree)
+			u, err = x.tree(b.Run, b.Tree, false)
 		} else {
 			u, err = x.elem(b.Elem)
 		}
@@ -540,6 +540,14 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 			continue
 		}
 		x.ints = append(x.ints, cur.Pairs(), u.Pairs())
+		if i == len(dp.Blocks)-1 && !eps && !skip && x.counts(nil) {
+			// The root's last join with no union after it: R_i is exactly
+			// the join, so it is counted, not built.
+			err = x.step(nil, false, nil, func() error { return x.join(cur, nil, u) })
+			x.drop(cur)
+			x.drop(u)
+			return nil, err
+		}
 		dst := x.take()
 		err = x.step(nil, false, dst, func() error {
 			if err := x.stepper().join(cur, dst, u); err != nil {

@@ -50,7 +50,7 @@ func expansionUnion(t *testing.T, g *graph.CSR, d *RPQDag, opt Options) *bitset.
 	}
 	out := bitset.NewHybrid(g.NumVertices(), opt.DensityThreshold)
 	for _, p := range exps {
-		rel, _, err := ExecutePlanChecked(g, p, Plan{Start: 0}, Options{DensityThreshold: opt.DensityThreshold})
+		rel, _, err := ExecutePlanChecked(g, p, Plan{Start: 0}, Options{DensityThreshold: opt.DensityThreshold, KeepResult: true})
 		if err != nil {
 			t.Fatalf("oracle path %v: %v", p, err)
 		}
@@ -73,7 +73,7 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, bushy := range []bool{false, true} {
 				dp := Planner{Est: est}.PlanDag(d, g.NumVertices(), bushy)
-				got, st, err := ExecuteDagChecked(g, d, dp, Options{Workers: workers})
+				got, st, err := ExecuteDagChecked(g, d, dp, Options{Workers: workers, KeepResult: true})
 				if err != nil {
 					t.Fatalf("dag %s workers=%d bushy=%v: %v", d.Describe(), workers, bushy, err)
 				}
@@ -87,7 +87,7 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 			}
 		}
 		// Unplanned (nil DagPlan) and cache-warmed runs must agree too.
-		got, _, err := ExecuteDagChecked(g, d, nil, Options{})
+		got, _, err := ExecuteDagChecked(g, d, nil, Options{KeepResult: true})
 		if err != nil {
 			t.Fatalf("dag %s unplanned: %v", d.Describe(), err)
 		}
@@ -96,7 +96,7 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 		}
 		cache := relcache.New(relcache.Options{MaxBytes: 1 << 20})
 		for pass := 0; pass < 2; pass++ {
-			got, _, err := ExecuteDagChecked(g, d, nil, Options{Cache: cache})
+			got, _, err := ExecuteDagChecked(g, d, nil, Options{Cache: cache, KeepResult: true})
 			if err != nil {
 				t.Fatalf("dag %s cached pass %d: %v", d.Describe(), pass, err)
 			}

@@ -361,7 +361,7 @@ func bushyBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 		{"join/dense", 1e-9},
 		{"join/adaptive", 0},
 	} {
-		kopt := exec.Options{DensityThreshold: kern.density, Workers: 1}
+		kopt := exec.Options{DensityThreshold: kern.density, Workers: 1, KeepResult: true}
 		left, _ := must(exec.ExecutePlanChecked(g, q[:2], exec.Plan{Start: 0}, kopt))
 		right, _ := must(exec.ExecutePlanChecked(g, q[2:], exec.Plan{Start: 0}, kopt))
 		dst := bitset.NewHybrid(g.NumVertices(), kern.density)

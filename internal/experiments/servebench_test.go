@@ -60,15 +60,18 @@ func TestRunServeBenchSchema(t *testing.T) {
 }
 
 // TestServeBenchWarmBeatsCold is the end-to-end sanity check of the
-// artifact's claim at test scale: the warmed persistent cache must beat
-// the cold server even through the HTTP stack under a Zipf trace. The
-// committed artifact records the exact ratio; here we only require a
-// genuine win to keep the test robust on noisy hosts.
+// artifact's claim: the warmed persistent cache must beat the cold
+// server even through the HTTP stack under a Zipf trace. The committed
+// artifact records the exact ratio; here we only require a genuine win
+// to keep the test robust on noisy hosts. It runs at the artifact's own
+// graph scale: on a smaller graph an uncached execution — whose result is
+// counted, not built — is so close to a cache hit's copy that the HTTP
+// stack's noise decides the comparison.
 func TestServeBenchWarmBeatsCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive measurement in -short mode")
 	}
-	g, err := genServeGraph(0.02)
+	g, err := genServeGraph(0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

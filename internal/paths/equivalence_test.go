@@ -67,6 +67,26 @@ func TestCensusHybridPropertyRandomGraphs(t *testing.T) {
 	}
 }
 
+// TestCensusCountedLeavesMatchReference pins the counted deepest level
+// against the reference census, which builds every relation: at k = 1
+// (seeds only — no leaf step runs), k = 2 (every task's children are
+// leaves) and k = 4 (leaves under inline and stolen subtrees alike), with
+// every row sparse (DensityThreshold ≥ 1: the scatter accumulator alone)
+// and with a threshold small enough that every non-empty row is dense
+// (the dense-union accumulator), at workers 1–8.
+func TestCensusCountedLeavesMatchReference(t *testing.T) {
+	g := dataset.ErdosRenyi(90, 700, dataset.NewZipfLabels(3, 1.3), 5).Freeze()
+	for _, k := range []int{1, 2, 4} {
+		want := NewCensus(g, k)
+		for _, density := range []float64{1, 1e-9} {
+			for workers := 1; workers <= 8; workers++ {
+				got := NewCensusHybrid(g, k, CensusOptions{Workers: workers, DensityThreshold: density, SplitPairs: int64(1 + workers%2*256)})
+				assertCensusEqual(t, fmt.Sprintf("k %d density %v workers %d", k, density, workers), want, got)
+			}
+		}
+	}
+}
+
 // TestCensusParallelSkewedLabels pins the load-imbalance case the
 // work-stealing scheduler exists for: nearly every edge carries one label,
 // so per-first-label sharding would serialize, and correctness must still

@@ -151,15 +151,22 @@ func (e *censusEngine) runTask(worker int, t censusTask) {
 
 // expand records the frequency of every child of prefix p and either
 // recurses inline (reusing pooled relations) or re-enqueues large subtrees
-// for stealing. p must have capacity ≥ k so appends never reallocate.
+// for stealing. The children of a depth k−1 prefix are the trie's leaves —
+// |L|^k of its Σ|L|^i paths — and nothing ever extends them, so that level
+// is counted (bitset.ComposeCount), never built. p must have capacity ≥ k
+// so appends never reallocate.
 func (e *censusEngine) expand(worker int, w *censusWorker, p Path, rel *bitset.HybridRelation) {
-	depth := len(p)
+	leaves := len(p)+1 == e.c.k
 	for l := 0; l < e.c.numLabels; l++ {
+		cp := append(p, l)
+		if leaves {
+			e.c.freq[CanonicalIndex(cp, e.c.numLabels, e.c.k)] = rel.ComposeCount(e.ops[l], w.scratch).Pairs
+			continue
+		}
 		child := w.pool.Get()
 		pairs := rel.ComposeInto(child, e.ops[l], w.scratch)
-		cp := append(p, l)
 		e.c.freq[CanonicalIndex(cp, e.c.numLabels, e.c.k)] = pairs
-		if pairs == 0 || depth+1 == e.c.k {
+		if pairs == 0 {
 			w.pool.Put(child)
 			continue
 		}

@@ -211,24 +211,32 @@ func New(opt Options) *Cache {
 	return c
 }
 
-// key builds the canonical cache key: the label sequence varint-encoded.
-// Canonical means position- and orientation-independent — equal label
-// subsequences key the same entry wherever they sit in their queries and
-// whichever direction their relation was built in (the entry records
-// which orientation it holds) — and unambiguous (varints self-delimit).
-func key(p paths.Path) string {
-	buf := make([]byte, 0, 2*len(p))
+// keyInline is the key buffer Get and Contains keep on their stack: 16
+// labels at up to 4 varint bytes each (label ids below 2^28), so probing
+// the cache for any census-bounded segment allocates nothing. Longer keys
+// spill to the heap and stay correct.
+const keyInline = 64
+
+// appendKey appends the canonical cache key of p to buf: the label
+// sequence varint-encoded. Canonical means position- and
+// orientation-independent — equal label subsequences key the same entry
+// wherever they sit in their queries and whichever direction their
+// relation was built in (the entry records which orientation it holds) —
+// and unambiguous (varints self-delimit). Lookups index the shard map with
+// string(key) in place, which builds no string; only Put keeps an owned
+// one.
+func appendKey(buf []byte, p paths.Path) []byte {
 	for _, l := range p {
 		buf = binary.AppendUvarint(buf, uint64(l))
 	}
-	return string(buf)
+	return buf
 }
 
 // shardFor hashes a key to its shard (FNV-1a).
-func (c *Cache) shardFor(k string) *shard {
+func (c *Cache) shardFor(k []byte) *shard {
 	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
+	for _, b := range k {
+		h ^= uint32(b)
 		h *= 16777619
 	}
 	return &c.shards[h&c.mask]
@@ -247,10 +255,11 @@ func (c *Cache) shardFor(k string) *shard {
 // atomic stamp, not a list splice — so concurrent warm readers never
 // serialize on each other, only on a simultaneous Put to the same shard.
 func (c *Cache) Get(p paths.Path) (rel *bitset.HybridRelation, reversed, ok bool) {
-	k := key(p)
+	var buf [keyInline]byte
+	k := appendKey(buf[:0], p)
 	sh := c.shardFor(k)
 	sh.rlock()
-	e, ok := sh.entries[k]
+	e, ok := sh.entries[string(k)]
 	if ok {
 		e.used.Store(c.clock.Add(1))
 		rel, reversed = e.rel, e.reversed
@@ -269,10 +278,11 @@ func (c *Cache) Get(p paths.Path) (rel *bitset.HybridRelation, reversed, ok bool
 // counters — the planner's cost probe (exec.Planner.Cached) must not
 // perturb recency while enumerating O(k²) candidate segments.
 func (c *Cache) Contains(p paths.Path) bool {
-	k := key(p)
+	var buf [keyInline]byte
+	k := appendKey(buf[:0], p)
 	sh := c.shardFor(k)
 	sh.rlock()
-	_, ok := sh.entries[k]
+	_, ok := sh.entries[string(k)]
 	sh.mu.RUnlock()
 	return ok
 }
@@ -304,9 +314,11 @@ const entryOverhead = 96
 // (the byte budget divided by relation sizes) — the trade buys Get its
 // read-lock-only hot path.
 func (c *Cache) Put(p paths.Path, reversed bool, rel *bitset.HybridRelation) {
-	k := key(p)
+	var buf [keyInline]byte
+	kb := appendKey(buf[:0], p)
+	sh := c.shardFor(kb)
+	k := string(kb)
 	cost := int64(rel.CloneMemSize()) + int64(len(k)) + entryOverhead
-	sh := c.shardFor(k)
 	if cost > sh.cap || faultinject.Fail("relcache.put") {
 		c.rejected.Add(1)
 		return

@@ -344,6 +344,7 @@ func TestGetStampsRecency(t *testing.T) {
 	c.Put(a, false, rel(16, [2]int{0, 1}))
 	c.Put(b, false, rel(16, [2]int{0, 1}))
 	sh := &c.shards[0]
+	key := func(p paths.Path) string { return string(appendKey(nil, p)) }
 	ua0 := sh.entries[key(a)].used.Load()
 	if _, _, ok := c.Get(a); !ok {
 		t.Fatal("entry missing")
@@ -400,5 +401,32 @@ func TestStatsString(t *testing.T) {
 	s := fmt.Sprintf("%+v", c.Stats())
 	if s == "" {
 		t.Fatal("empty stats")
+	}
+}
+
+// TestLookupsAllocateNothing pins the probe path the planner's
+// cache-aware DP hammers — O(k²) Contains per plan, a Get per executed
+// segment: for paths of up to 16 labels the key is encoded on the stack
+// and the shard map indexed in place, hit or miss.
+func TestLookupsAllocateNothing(t *testing.T) {
+	c := New(Options{})
+	hit := make(paths.Path, 16)
+	for i := range hit {
+		hit[i] = 200 + i // two varint bytes per label
+	}
+	miss := paths.Path{3, 1, 4, 1, 5}
+	c.Put(hit, false, rel(16, [2]int{0, 1}))
+	for name, fn := range map[string]func(){
+		"Get hit":       func() { c.Get(hit) },
+		"Get miss":      func() { c.Get(miss) },
+		"Contains hit":  func() { c.Contains(hit) },
+		"Contains miss": func() { c.Contains(miss) },
+	} {
+		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+			t.Errorf("%s allocates %.0f times, want 0", name, allocs)
+		}
+	}
+	if _, _, ok := c.Get(hit); !ok || c.Contains(miss) {
+		t.Fatal("lookups answer wrongly")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bitset"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/paths"
@@ -273,9 +272,10 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 // lazy CSR freeze; the canceller carries ctx into every kernel, and an
 // already-dead ctx never touches the graph; pol is checked before the
 // admission gate so a brownout degrade costs at most one replan, never a
-// graph access. The result relation is drawn from (and immediately
-// returned to) the estimator's pool — only its counters survive into
-// ExecStats.
+// graph access. Only the answer's counters go into ExecStats, so the
+// executor is never asked to keep the result relation (exec.Options
+// .KeepResult stays unset): it counts the final step where it can and
+// releases what it had to build.
 func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *relcache.Cache, workers int, pol ExecPolicy) (ExecStats, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -305,19 +305,17 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *r
 		Pool:             e.pool,
 	}
 	var (
-		rel *bitset.HybridRelation
 		st  exec.Stats
 		err error
 	)
 	switch {
 	case dp != nil:
-		rel, st, err = exec.ExecuteDagChecked(g, x.dag, dp, opt)
+		_, st, err = exec.ExecuteDagChecked(g, x.dag, dp, opt)
 	case plan.Tree != nil:
-		rel, st, err = exec.ExecuteTreeChecked(g, x.path, plan.Tree, opt)
+		_, st, err = exec.ExecuteTreeChecked(g, x.path, plan.Tree, opt)
 	default:
-		rel, st, err = exec.ExecutePlanChecked(g, x.path, exec.Plan{Start: plan.Start}, opt)
+		_, st, err = exec.ExecutePlanChecked(g, x.path, exec.Plan{Start: plan.Start}, opt)
 	}
-	e.pool.Put(rel)
 	if err != nil {
 		return e.degrade(plan, x.estimate, translateExecErr(err))
 	}
