@@ -546,45 +546,32 @@ func BenchmarkCensusSkewedScaling(b *testing.B) {
 func BenchmarkExecEngines(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF
 	queries := experiments.ExecBenchQueries
-	b.Run("legacy-dense/forward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				exec.ExecuteDense(g, q, exec.Forward)
-			}
-		}
-	})
-	b.Run("hybrid/forward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, _, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: 0}, exec.Options{}); err != nil {
-					b.Fatal(err)
+	for _, dir := range []exec.Direction{exec.Forward, exec.Backward} {
+		b.Run("legacy-dense/"+dir.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					exec.ExecuteDense(g, q, dir)
 				}
 			}
-		}
-	})
-	b.Run("legacy-dense/backward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				exec.ExecuteDense(g, q, exec.Backward)
-			}
-		}
-	})
-	b.Run("hybrid/backward", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, _, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: len(q) - 1}, exec.Options{}); err != nil {
-					b.Fatal(err)
+		})
+	}
+	for _, shape := range []struct {
+		name  string
+		start func(q paths.Path) int
+	}{
+		{"forward", func(paths.Path) int { return 0 }},
+		{"backward", func(q paths.Path) int { return len(q) - 1 }},
+		{"zigzag", func(paths.Path) int { return 1 }},
+	} {
+		b.Run("hybrid/"+shape.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					plan := exec.PathPlan(q, &exec.PlanTree{Lo: 0, Hi: len(q), Start: shape.start(q)})
+					if _, _, err := exec.Run(g, plan, exec.Options{}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
-		}
-	})
-	b.Run("hybrid/zigzag", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range queries {
-				if _, _, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: 1}, exec.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+		})
+	}
 }

@@ -44,9 +44,9 @@ func main() {
 	var chosenWork, bestWork int64
 	agree := 0
 	for _, q := range queries {
-		chosen := planner.ChoosePlan(q)
-		best := oracle.ChoosePlan(q)
-		estimated := planner.Costs(q)
+		plan := planner.Plan(exec.PathDag(q), 0, false).Blocks[0]
+		chosen, estimated := plan.Tree.Start, plan.Costs
+		best := oracle.Plan(exec.PathDag(q), 0, false).Blocks[0].Tree.Start
 
 		// Execute every plan so estimated and actual volume line up per
 		// plan — the spread is what estimator quality buys.
@@ -54,21 +54,22 @@ func main() {
 		var result int64
 		works := make([]int64, len(q))
 		for s := range q {
-			_, st, err := exec.ExecutePlanChecked(g, q, exec.Plan{Start: s}, exec.Options{})
+			forced := exec.PathPlan(q, &exec.PlanTree{Lo: 0, Hi: len(q), Start: s})
+			_, st, err := exec.Run(g, forced, exec.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
 			works[s] = st.Work
 			result = st.Result
 			mark := "  "
-			if s == chosen.Start {
+			if s == chosen {
 				mark = "←chosen"
 			}
-			if s == best.Start {
+			if s == best {
 				mark += " ←oracle"
 			}
 			fmt.Printf("  plan %-9s estimated=%-9.1f actual=%-7d %s\n",
-				(exec.Plan{Start: s}).Describe(len(q)), estimated[s], st.Work, mark)
+				forced.Describe(), estimated[s], st.Work, mark)
 		}
 		minWork := works[0]
 		for _, w := range works[1:] {
@@ -76,10 +77,10 @@ func main() {
 				minWork = w
 			}
 		}
-		if works[chosen.Start] == minWork {
+		if works[chosen] == minWork {
 			agree++
 		}
-		chosenWork += works[chosen.Start]
+		chosenWork += works[chosen]
 		bestWork += minWork
 		fmt.Printf("  result %d pairs\n\n", result)
 	}

@@ -9,7 +9,7 @@ import (
 // HybridRelations with each other, as opposed to composing a relation with
 // a CSR label operand (hybrid.go). The census and the zig-zag executor
 // only ever extend a relation by one label — a relation×CSR compose — but
-// bushy join plans (internal/exec.ExecuteTreeChecked) build two path segments
+// bushy join plans (internal/exec.Run) build two path segments
 // independently and then join segment×segment, which is exactly this
 // kernel. Like ComposeInto it is representation-adaptive: every
 // left-row × right-row combination (sparse×sparse, sparse×dense,

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/bitset"
-	"repro/internal/graph"
 	"repro/internal/paths"
 )
 
@@ -14,8 +13,8 @@ import (
 // and zig-zag starts per segment — O(k²) estimator lookups (the segment
 // table) plus O(k³) arithmetic over it — which is trivial at the
 // census-bounded path lengths (k ≤ 6 in the paper) but deserves a hard
-// edge: beyond this bound ChooseTree and CostTree fall back to the linear
-// zig-zag space, which is O(k²).
+// edge: beyond this bound the planner falls back to the linear zig-zag
+// space, which is O(k²).
 const MaxTreeLength = 16
 
 // PlanTree is a join plan for a path query segment p[Lo:Hi): either a
@@ -24,7 +23,10 @@ const MaxTreeLength = 16
 // p[Lo:Mid) and p[Mid:Hi) independently and whose own step joins the two
 // finished relations with the relation×relation kernel
 // (bitset.JoinInto). Leaves generalize the whole zig-zag space: a leaf
-// spanning the full query is exactly a Plan. Join nodes are what zig-zag
+// spanning the full query is exactly a zig-zag plan — Start Lo is the
+// classic forward (left-to-right) plan, Start Hi−1 the backward plan, and
+// interior starts let the join begin at the most selective label, which
+// neither endpoint plan can reach. Join nodes are what zig-zag
 // cannot express — both join inputs are materialized interior segments,
 // so interior-segment selectivity estimates decide the plan's cost.
 type PlanTree struct {
@@ -42,25 +44,22 @@ type PlanTree struct {
 // IsLeaf reports whether the node builds its segment linearly.
 func (t *PlanTree) IsLeaf() bool { return t.Left == nil }
 
-// Leaves returns the number of leaf segments; 1 means the tree is a plain
-// zig-zag plan.
-func (t *PlanTree) Leaves() int {
-	if t.IsLeaf() {
-		return 1
-	}
-	return t.Left.Leaves() + t.Right.Leaves()
-}
-
 // Describe renders the tree for a length-k query. A leaf spanning the
 // whole query renders as its zig-zag plan name ("forward", "backward",
 // "zigzag@i"); interior leaves render as "[lo,hi)@start" and join nodes
 // as "(left ⋈ right)".
 func (t *PlanTree) Describe(k int) string {
 	if t.IsLeaf() {
-		if t.Lo == 0 && t.Hi == k {
-			return Plan{Start: t.Start}.Describe(k)
+		switch {
+		case t.Lo != 0 || t.Hi != k:
+			return fmt.Sprintf("[%d,%d)@%d", t.Lo, t.Hi, t.Start)
+		case t.Start == 0:
+			return "forward"
+		case t.Start == k-1:
+			return "backward"
+		default:
+			return fmt.Sprintf("zigzag@%d", t.Start)
 		}
-		return fmt.Sprintf("[%d,%d)@%d", t.Lo, t.Hi, t.Start)
 	}
 	return "(" + t.Left.Describe(k) + " ⋈ " + t.Right.Describe(k) + ")"
 }
@@ -106,7 +105,7 @@ type treeCell struct {
 
 // treeDP fills the plan table for t's path: the cell at tri(k, i, j) is
 // the best plan for p[i:j). Cost model: a leaf's cost is its zig-zag
-// PlanCost (the sum of estimated intermediate-segment selectivities); a
+// plan's (the sum of estimated intermediate-segment selectivities); a
 // join node adds both children's costs plus both children's full-segment
 // estimates, because a bushy join materializes and consumes both inputs
 // (whereas a zig-zag step's right-hand side is a free CSR operand — which
@@ -122,8 +121,8 @@ type treeCell struct {
 // s, advanced once per right end — and then its leftward ones p[s−1:j),
 // p[s−2:j), …, so widening the segment leftward by one label appends one
 // term to the sum it had. Each sum therefore adds the same terms in the
-// same order as PlanCost does, and every cost is the same float.
-func (t *SegTable) treeDP(cached func(paths.Path) bool) []treeCell {
+// same order as segTable.costs does, and every cost is the same float.
+func (t segTable) treeDP(cached func(paths.Path) bool) []treeCell {
 	k := len(t.p)
 	dp := make([]treeCell, len(t.est))
 	buf := make([]float64, 2*k)
@@ -184,56 +183,22 @@ func buildTree(dp []treeCell, k, i, j int) *PlanTree {
 	}
 }
 
-// CostTree returns the estimated intermediate volume of the best plan
-// tree for p — the bushy analogue of PlanCost∘ChoosePlan. With an exact
-// estimator it equals ExecuteTreeChecked's Stats.Work for the chosen tree.
-// Beyond MaxTreeLength it falls back to the best zig-zag plan's cost. It
-// panics on an empty path.
-func (pl Planner) CostTree(p paths.Path) float64 {
-	_, cost := pl.ChooseTreeWithCost(p)
-	return cost
-}
-
-// ChooseTree returns the cheapest plan tree for p, searching the bushy
-// space (every way to split the query into independently built segments
-// joined pairwise) on top of the linear zig-zag space. When no bushy
-// decomposition is estimated to beat the best zig-zag plan the result is
-// a single leaf — the planner falls back to linear execution. Beyond
-// MaxTreeLength the bushy space is not enumerated at all. It panics on
-// an empty path.
-func (pl Planner) ChooseTree(p paths.Path) *PlanTree {
-	tree, _ := pl.ChooseTreeWithCost(p)
-	return tree
-}
-
-// ChooseTreeWithCost is ChooseTree plus the winning tree's estimated
-// cost, from a single dynamic program — callers that need both (the
-// pathsel planner does, per query) avoid filling the O(k²) table twice.
-func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
-	return pl.Segments(p).ChooseTreeWithCost(pl.Cached)
-}
-
-// ChooseTreeWithCost is Planner.ChooseTreeWithCost over a filled table:
-// arithmetic and cached probes (nil: nothing is cached), no estimator
-// calls. It panics on an empty path.
-func (t *SegTable) ChooseTreeWithCost(cached func(paths.Path) bool) (*PlanTree, float64) {
+// chooseTree returns the cheapest plan for the table's path, with its
+// estimated cost: the cheapest zig-zag plan as a single leaf, or — when
+// bushy — the cheapest plan tree, searching every way to split the path
+// into independently built segments joined pairwise on top of the linear
+// space. When no bushy decomposition is estimated to beat the best zig-zag
+// plan the tree is a single leaf, and beyond MaxTreeLength the bushy space
+// is not enumerated at all. Arithmetic and cached probes (nil: nothing is
+// cached), no estimator calls.
+func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool) (*PlanTree, float64) {
 	k := len(t.p)
-	if k == 0 {
-		panic("exec: plan for empty path query")
-	}
-	if k > MaxTreeLength {
-		return t.cheapestLeaf()
+	if !bushy || k > MaxTreeLength {
+		start := cheapest(t.costs)
+		return &PlanTree{Lo: 0, Hi: k, Start: start}, t.costs[start]
 	}
 	dp := t.treeDP(cached)
 	return buildTree(dp, k, 0, k), dp[tri(k, 0, k)].cost
-}
-
-// cheapestLeaf returns the cheapest zig-zag plan as a single-leaf tree,
-// with its cost.
-func (t *SegTable) cheapestLeaf() (*PlanTree, float64) {
-	costs := t.Costs()
-	start := CheapestPlan(costs).Start
-	return &PlanTree{Lo: 0, Hi: len(costs), Start: start}, costs[start]
 }
 
 // tree builds segment p[t.Lo:t.Hi) with the plan tree t. A leaf is a
@@ -320,31 +285,4 @@ func (x *core) child(p paths.Path, t *PlanTree) (rel *bitset.HybridRelation, err
 		x.opt.Cancel.CancelIfSet(err)
 	}
 	return rel, err
-}
-
-// ExecuteTreeChecked evaluates p over g with the given plan tree under
-// the checked contract of ExecutePlanChecked: leaves run as zig-zag
-// plans on the hybrid substrate, and every join node builds its two
-// segments independently — in parallel when the worker budget allows,
-// each child on its own scheduler — then joins them with the sharded
-// relation×relation kernel. The merge discipline of every sharded step
-// is deterministic, so the result is bit-identical to sequential
-// execution (and to ExecutePlanChecked and ExecuteDense) at every worker
-// count. A failing subtree cancels its concurrently building sibling,
-// whether or not the caller passed a canceller.
-//
-// Stats.Work counts every relation fed into a join step: for leaves the
-// usual zig-zag intermediates, and for join nodes both finished segment
-// relations — matching CostTree's model, so an exact estimator makes
-// CostTree equal the executed Work. It panics on an empty path or a
-// malformed tree.
-func ExecuteTreeChecked(g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats, error) {
-	if len(p) == 0 {
-		panic("exec: empty path query")
-	}
-	tree.validate(0, len(p))
-	x := newCore(g, opt)
-	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.tree(p, tree, true) })
-	st.Plan, st.Tree = Plan{Start: tree.Start}, tree
-	return rel, st, err
 }

@@ -64,9 +64,6 @@ func TestExecuteTreePropertyAllShapes(t *testing.T) {
 			if st.Result != dst.Result {
 				t.Fatalf("%s: result %d != dense %d", ctx, st.Result, dst.Result)
 			}
-			if st.Tree != tree {
-				t.Fatalf("%s: stats lost the executed tree", ctx)
-			}
 		}
 	}
 }
@@ -105,10 +102,10 @@ func TestExecuteTreeParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCostTreeMatchesExecutedWork pins the planner's cost model to the
-// executor's accounting: with an exact estimator, CostTree must equal the
-// Stats.Work of executing the chosen tree.
-func TestCostTreeMatchesExecutedWork(t *testing.T) {
+// TestPlanCostMatchesExecutedWork pins the planner's cost model to the
+// executor's accounting: with an exact estimator, a bushy plan's Cost must
+// equal the Stats.Work of executing it.
+func TestPlanCostMatchesExecutedWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 10; trial++ {
 		vertices := 10 + rng.Intn(120)
@@ -123,46 +120,48 @@ func TestCostTreeMatchesExecutedWork(t *testing.T) {
 			for i := range p {
 				p[i] = rng.Intn(labels)
 			}
-			tree := pl.ChooseTree(p)
-			cost := pl.CostTree(p)
-			_, st := runTree(t, g, p, tree, Options{})
-			if float64(st.Work) != cost {
-				t.Fatalf("trial %d path %v tree %s: CostTree %v != executed work %d",
-					trial, p, tree.Describe(k), cost, st.Work)
+			dp := pl.Plan(PathDag(p), 0, true)
+			_, st, err := Run(g, dp, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if float64(st.Work) != dp.Cost {
+				t.Fatalf("trial %d path %v plan %s: Cost %v != executed work %d",
+					trial, p, dp.Describe(), dp.Cost, st.Work)
 			}
 			// The tree plan can never be estimated worse than the best
 			// zig-zag plan — the leaf space is contained in the tree space.
-			if lin := pl.PlanCost(p, pl.ChoosePlan(p).Start); cost > lin {
-				t.Fatalf("trial %d path %v: tree cost %v exceeds linear cost %v", trial, p, cost, lin)
+			if lin := pl.Plan(PathDag(p), 0, false).Cost; dp.Cost > lin {
+				t.Fatalf("trial %d path %v: tree cost %v exceeds linear cost %v", trial, p, dp.Cost, lin)
 			}
 		}
 	}
 }
 
-// TestChooseTreeFallsBack pins the linear fallback: with a uniform
+// TestBushyPlanFallsBack pins the linear fallback: with a uniform
 // estimator a bushy join (which pays for both materialized inputs) can
 // never beat linear growth (whose right-hand operand is free), so the
 // chosen tree must be a single leaf — and by the tie-break rule, the
 // forward plan.
-func TestChooseTreeFallsBack(t *testing.T) {
+func TestBushyPlanFallsBack(t *testing.T) {
 	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 { return 7 })}
 	for k := 1; k <= 6; k++ {
 		p := make(paths.Path, k)
-		tree := pl.ChooseTree(p)
-		if !tree.IsLeaf() || tree.Start != 0 {
+		dp := pl.Plan(PathDag(p), 0, true)
+		if tree := dp.Blocks[0].Tree; !tree.IsLeaf() || tree.Start != 0 {
 			t.Fatalf("k=%d: expected forward leaf, got %s", k, tree.Describe(k))
 		}
-		if got, want := pl.CostTree(p), pl.PlanCost(p, 0); got != want {
-			t.Fatalf("k=%d: CostTree %v != forward cost %v", k, got, want)
+		if want := dp.Blocks[0].Costs[0]; dp.Cost != want {
+			t.Fatalf("k=%d: Cost %v != forward cost %v", k, dp.Cost, want)
 		}
 	}
 }
 
-// TestChooseTreePrefersBushy hands the planner a cost landscape where
+// TestBushyPlanPrefersBushy hands the planner a cost landscape where
 // every length-3 segment is catastrophically large but both halves of the
 // query are tiny: the only cheap plan joins the two halves, which no
 // zig-zag plan can express.
-func TestChooseTreePrefersBushy(t *testing.T) {
+func TestBushyPlanPrefersBushy(t *testing.T) {
 	est := EstimatorFunc(func(p paths.Path) float64 {
 		switch len(p) {
 		case 1:
@@ -175,40 +174,65 @@ func TestChooseTreePrefersBushy(t *testing.T) {
 	})
 	pl := Planner{Est: est}
 	p := paths.Path{0, 1, 2, 3}
-	tree := pl.ChooseTree(p)
+	dp := pl.Plan(PathDag(p), 0, true)
+	tree := dp.Blocks[0].Tree
 	if tree.IsLeaf() || tree.Left.Hi != 2 || !tree.Left.IsLeaf() || !tree.Right.IsLeaf() {
 		t.Fatalf("expected ([0,2) ⋈ [2,4)) split, got %s", tree.Describe(len(p)))
 	}
 	// dp[0][2] = dp[2][4] = 10 (one single-label intermediate each), plus
 	// both join inputs at 1 each: 22. Best zig-zag: 10 + 1 + 100 = 111.
-	if got := pl.CostTree(p); got != 22 {
-		t.Fatalf("CostTree = %v, want 22", got)
+	if dp.Cost != 22 {
+		t.Fatalf("bushy Cost = %v, want 22", dp.Cost)
 	}
-	if got := pl.PlanCost(p, pl.ChoosePlan(p).Start); got != 111 {
+	if got := pl.Plan(PathDag(p), 0, false).Cost; got != 111 {
 		t.Fatalf("best linear cost = %v, want 111", got)
 	}
 }
 
-// TestExecuteTreeValidation pins the malformed-tree panics.
-func TestExecuteTreeValidation(t *testing.T) {
+// TestRunValidation pins the malformed-plan panics: a tree that is not a
+// plan for its run, and a plan that is not consistent with itself.
+func TestRunValidation(t *testing.T) {
 	g := randomGraph(5, 20, 2, 40)
 	p := paths.Path{0, 1, 0}
-	expectPanic := func(name string, tree *PlanTree) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", name)
-			}
-		}()
-		runTree(t, g, p, tree, Options{})
+	leaf := func(k int) *PlanTree { return &PlanTree{Lo: 0, Hi: k, Start: 0} }
+	run := func(lo int, p paths.Path, tree *PlanTree) DagBlockPlan {
+		return DagBlockPlan{Lo: lo, Hi: lo + len(p), Run: p, Tree: tree}
 	}
-	expectPanic("wrong span", &PlanTree{Lo: 0, Hi: 2, Start: 0})
-	expectPanic("start out of range", &PlanTree{Lo: 0, Hi: 3, Start: 3})
-	expectPanic("one child", &PlanTree{Lo: 0, Hi: 3, Start: -1,
-		Left: &PlanTree{Lo: 0, Hi: 2, Start: 0}})
-	expectPanic("child span gap", &PlanTree{Lo: 0, Hi: 3, Start: -1,
-		Left:  &PlanTree{Lo: 0, Hi: 1, Start: 0},
-		Right: &PlanTree{Lo: 2, Hi: 3, Start: 2}})
+	elem := func(lo int, e RPQElem) DagBlockPlan { return DagBlockPlan{Lo: lo, Hi: lo + 1, Elem: e} }
+	alt := RPQElem{Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}
+	for name, blocks := range map[string][]DagBlockPlan{
+		"wrong span":         {run(0, p, &PlanTree{Lo: 0, Hi: 2, Start: 0})},
+		"start out of range": {run(0, p, &PlanTree{Lo: 0, Hi: 3, Start: 3})},
+		"one child": {run(0, p, &PlanTree{Lo: 0, Hi: 3, Start: -1,
+			Left: &PlanTree{Lo: 0, Hi: 2, Start: 0}})},
+		"child span gap": {run(0, p, &PlanTree{Lo: 0, Hi: 3, Start: -1,
+			Left:  &PlanTree{Lo: 0, Hi: 1, Start: 0},
+			Right: &PlanTree{Lo: 2, Hi: 3, Start: 2}})},
+		"no blocks":                  {},
+		"empty run":                  {run(0, paths.Path{}, leaf(0))},
+		"non-contiguous blocks":      {run(0, p[:1], leaf(1)), elem(2, alt)},
+		"overlapping blocks":         {run(0, p, leaf(3)), elem(2, alt)},
+		"tree not spanning run":      {run(0, p, leaf(2)), elem(3, alt)},
+		"run over too few elements":  {{Lo: 0, Hi: 2, Run: p, Tree: leaf(3)}},
+		"run label out of range":     {run(0, paths.Path{0, 2}, leaf(2))},
+		"element over two elements":  {{Lo: 0, Hi: 2, Elem: alt}},
+		"element label out of range": {elem(0, RPQElem{Labels: []int{0, 2}, MinRep: 1, MaxRep: 1})},
+		"element labels unsorted":    {elem(0, RPQElem{Labels: []int{1, 0}, MinRep: 1, MaxRep: 1})},
+		"element without labels":     {elem(0, RPQElem{MinRep: 1, MaxRep: 1})},
+		"MaxRep below one":           {elem(0, RPQElem{Labels: []int{0}, MinRep: 0, MaxRep: 0})},
+		"MaxRep below MinRep":        {elem(0, RPQElem{Labels: []int{0}, MinRep: 3, MaxRep: 2})},
+		"MaxRep beyond the bound":    {elem(0, RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: MaxRepetition + 1})},
+		"matches the empty path":     {elem(0, RPQElem{Labels: []int{0, 1}, MinRep: 0, MaxRep: 1})},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			Run(g, &DagPlan{Blocks: blocks}, Options{})
+		}()
+	}
 }
 
 // FuzzExecTreeEquivalence fuzzes the graph shape, path, tree shape,

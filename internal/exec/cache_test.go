@@ -26,11 +26,11 @@ func TestExecutePlanCacheEquivalence(t *testing.T) {
 				p[i] = rng.Intn(labels)
 			}
 			for s := 0; s < k; s++ {
-				want, wantSt := runPlan(t, g, p, Plan{Start: s}, Options{DensityThreshold: density})
+				want, wantSt := runPlan(t, g, p, s, Options{DensityThreshold: density})
 				cache := relcache.New(relcache.Options{})
 				opt := Options{DensityThreshold: density, Cache: cache}
 
-				cold, coldSt := runPlan(t, g, p, Plan{Start: s}, opt)
+				cold, coldSt := runPlan(t, g, p, s, opt)
 				if !cold.Equal(want) || coldSt.Result != wantSt.Result {
 					t.Fatalf("trial %d path %v start %d: cold cached run differs", trial, p, s)
 				}
@@ -50,7 +50,7 @@ func TestExecutePlanCacheEquivalence(t *testing.T) {
 						trial, p, s, coldSt.CacheMisses, k-1)
 				}
 
-				warm, warmSt := runPlan(t, g, p, Plan{Start: s}, opt)
+				warm, warmSt := runPlan(t, g, p, s, opt)
 				if !warm.Equal(want) || warmSt.Result != wantSt.Result {
 					t.Fatalf("trial %d path %v start %d: warm cached run differs", trial, p, s)
 				}
@@ -91,8 +91,8 @@ func TestExecutePlanCacheCrossPlan(t *testing.T) {
 	}
 	for qi, p := range queries {
 		for s := 0; s < len(p); s++ {
-			want, wantSt := runPlan(t, g, p, Plan{Start: s}, Options{})
-			got, gotSt := runPlan(t, g, p, Plan{Start: s}, opt)
+			want, wantSt := runPlan(t, g, p, s, Options{})
+			got, gotSt := runPlan(t, g, p, s, opt)
 			if !got.Equal(want) || gotSt.Result != wantSt.Result {
 				t.Fatalf("query %d %v start %d: cached run diverged", qi, p, s)
 			}
@@ -118,14 +118,14 @@ func TestExecutePlanCacheCrossOrientation(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(labels)
 		}
-		want, _ := runPlan(t, g, p, Plan{Start: 0}, Options{})
+		want, _ := runPlan(t, g, p, 0, Options{})
 		cache := relcache.New(relcache.Options{})
 		opt := Options{Cache: cache}
 
 		// Forward plan publishes; the backward plan wants every segment in
 		// the opposite orientation and must adopt anyway.
-		runPlan(t, g, p, Plan{Start: 0}, opt)
-		rel, st := runPlan(t, g, p, Plan{Start: k - 1}, opt)
+		runPlan(t, g, p, 0, opt)
+		rel, st := runPlan(t, g, p, k-1, opt)
 		if !rel.Equal(want) {
 			t.Fatalf("trial %d path %v: backward run over forward-warmed cache diverged", trial, p)
 		}
@@ -147,9 +147,9 @@ func TestExecutePlanCacheDensityMismatch(t *testing.T) {
 	g := randomGraph(11, 80, 2, 400)
 	p := paths.Path{0, 1, 0}
 	cache := relcache.New(relcache.Options{})
-	runPlan(t, g, p, Plan{Start: 0}, Options{DensityThreshold: 1.0, Cache: cache})
-	want, _ := runPlan(t, g, p, Plan{Start: 0}, Options{DensityThreshold: 1e-9})
-	got, st := runPlan(t, g, p, Plan{Start: 0}, Options{DensityThreshold: 1e-9, Cache: cache})
+	runPlan(t, g, p, 0, Options{DensityThreshold: 1.0, Cache: cache})
+	want, _ := runPlan(t, g, p, 0, Options{DensityThreshold: 1e-9})
+	got, st := runPlan(t, g, p, 0, Options{DensityThreshold: 1e-9, Cache: cache})
 	if st.CacheHits != 0 {
 		t.Fatalf("adopted %d entries across density regimes", st.CacheHits)
 	}
@@ -222,34 +222,32 @@ func constEstimator(v float64) Estimator {
 	return EstimatorFunc(func(paths.Path) float64 { return v })
 }
 
-// TestCostTreeCacheAware: with every segment estimated at 10, a length-4
+// TestBushyPlanCacheAware: with every segment estimated at 10, a length-4
 // query costs 30 under any zig-zag plan and 40 under the best bushy
 // split, so linear wins cold. Marking the two halves cached zeroes their
 // build cost, making the balanced join (0+0+10+10 = 20) the winner —
 // the PR-4 "bushy never wins" outcome flips exactly when segments are
 // reusable.
-func TestCostTreeCacheAware(t *testing.T) {
-	p := paths.Path{0, 1, 2, 3}
-	cold := Planner{Est: constEstimator(10)}
-	tree, cost := cold.ChooseTreeWithCost(p)
-	if !tree.IsLeaf() || cost != 30 {
-		t.Fatalf("cold planner chose %s at %v, want linear at 30", tree.Describe(4), cost)
+func TestBushyPlanCacheAware(t *testing.T) {
+	d := PathDag(paths.Path{0, 1, 2, 3})
+	cold := Planner{Est: constEstimator(10)}.Plan(d, 0, true)
+	if tree := cold.Blocks[0].Tree; !tree.IsLeaf() || cold.Cost != 30 {
+		t.Fatalf("cold planner chose %s at %v, want linear at 30", tree.Describe(4), cold.Cost)
 	}
 	warm := Planner{Est: constEstimator(10), Cached: func(seg paths.Path) bool {
 		return len(seg) == 2
-	}}
-	tree, cost = warm.ChooseTreeWithCost(p)
-	if tree.IsLeaf() || cost != 20 {
-		t.Fatalf("warm planner chose %s at %v, want balanced join at 20", tree.Describe(4), cost)
+	}}.Replan(cold)
+	tree := warm.Blocks[0].Tree
+	if tree.IsLeaf() || warm.Cost != 20 {
+		t.Fatalf("warm planner chose %s at %v, want balanced join at 20", tree.Describe(4), warm.Cost)
 	}
 	if tree.Left.Hi != 2 {
 		t.Fatalf("warm planner split at %d, want 2", tree.Left.Hi)
 	}
 	// A fully cached query is a free leaf — the fast path beats any join.
-	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}
-	tree, cost = full.ChooseTreeWithCost(p)
-	if !tree.IsLeaf() || cost != 0 {
-		t.Fatalf("fully cached planner chose %s at %v, want free leaf", tree.Describe(4), cost)
+	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}.Replan(cold)
+	if tree := full.Blocks[0].Tree; !tree.IsLeaf() || full.Cost != 0 {
+		t.Fatalf("fully cached planner chose %s at %v, want free leaf", tree.Describe(4), full.Cost)
 	}
 }
 
@@ -262,17 +260,17 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 	p := paths.Path{0, 1, 2, 0}
 	cache := relcache.New(relcache.Options{})
 	opt := Options{Cache: cache}
-	want, _ := runPlan(t, g, p, Plan{Start: 0}, Options{})
+	want, _ := runPlan(t, g, p, 0, Options{})
 
 	// Warm the halves the way a workload would: execute them as queries.
-	runPlan(t, g, p[:2], Plan{Start: 0}, opt)
-	runPlan(t, g, p[2:], Plan{Start: 0}, opt)
+	runPlan(t, g, p[:2], 0, opt)
+	runPlan(t, g, p[2:], 0, opt)
 
 	pl := Planner{
 		Est:    EstimatorFunc(func(seg paths.Path) float64 { return float64(len(seg) * 100) }),
 		Cached: func(seg paths.Path) bool { return cache.Contains(seg) },
 	}
-	tree := pl.ChooseTree(p)
+	tree := pl.Plan(PathDag(p), 0, true).Blocks[0].Tree
 	if tree.IsLeaf() {
 		t.Fatalf("warm cache did not flip the plan bushy: %s", tree.Describe(len(p)))
 	}
@@ -294,10 +292,11 @@ func TestWholeQueryHitAllocatesNothingOfItsOwn(t *testing.T) {
 	opt, pool, _ := checkedOptions(g.NumVertices(), 2)
 	opt.Cache = relcache.New(relcache.Options{})
 	p := paths.Path{0, 1, 0}
-	rel, _ := runPlan(t, g, p, Plan{}, opt) // publish
+	rel, _ := runPlan(t, g, p, 0, opt) // publish
 	pool.Put(rel)
+	plan := startPlan(p, 0)
 	run := func() {
-		rel, st, err := ExecutePlanChecked(g, p, Plan{}, opt)
+		rel, st, err := Run(g, plan, opt)
 		if err != nil || st.CacheHits != 1 || st.Sched.Tasks != 0 {
 			t.Fatalf("err=%v stats=%+v, want one hit and no scheduler", err, st)
 		}

@@ -63,7 +63,7 @@ func TestCancelLeakHygiene(t *testing.T) {
 					func() { c.Cancel(ErrDeadlineExceeded) })
 				defer timer.Stop()
 			}
-			rel, _, err := ExecutePlanChecked(g, p, Plan{Start: i % len(p)}, opt)
+			rel, _, err := Run(g, startPlan(p, i%len(p)), opt)
 			faultinject.Uninstall()
 			if err == nil {
 				pool.Put(rel) // survived (e.g. timer fired too late): release
@@ -98,9 +98,9 @@ func FuzzCancelEquivalence(f *testing.F) {
 		}
 		w := int(workers%8) + 1
 		start := rand.New(rand.NewSource(seed)).Intn(k)
-		ref, refSt := runPlan(t, g, p, Plan{Start: start}, Options{Workers: w})
+		ref, refSt := runPlan(t, g, p, start, Options{Workers: w})
 		opt, pool, c := checkedOptions(g.NumVertices(), w)
-		rel, st, err := ExecutePlanChecked(g, p, Plan{Start: start}, opt)
+		rel, st, err := Run(g, startPlan(p, start), opt)
 		if err != nil {
 			t.Fatalf("checked execution failed: %v", err)
 		}

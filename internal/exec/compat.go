@@ -1,0 +1,68 @@
+package exec
+
+import (
+	"slices"
+
+	"repro/internal/bitset"
+	"repro/internal/graph"
+	"repro/internal/paths"
+)
+
+// This file is everything the frozen bench/ module still compiles against
+// that the package no longer provides: the pre-Run names, each a wrapper
+// over Planner.Plan, PathPlan and Run with no logic of its own. Nothing
+// outside bench/ and compat_test.go may reference it (CI checks by
+// building without it). ROADMAP item 3b deletes this file and
+// compat_test.go once benchmark v2 (item 1a) has moved bench/ onto a shim
+// over Run.
+
+// Plan is a forced zig-zag start: the leaf &PlanTree{Lo: 0, Hi: k, Start:
+// Start} of a length-k path.
+type Plan struct {
+	Start int
+}
+
+// CheapestPlan is the planner's tie-break rule over a per-start cost slice.
+func CheapestPlan(costs []float64) Plan { return Plan{Start: cheapest(costs)} }
+
+// Costs is DagBlockPlan.Costs of p's plan without the plan.
+func (pl Planner) Costs(p paths.Path) []float64 { return pl.segments(p).costs }
+
+// ChooseTreeWithCost is the Tree and Cost of p's bushy plan.
+func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
+	return pl.segments(p).chooseTree(true, pl.Cached)
+}
+
+// PlanDag is Plan.
+func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan { return pl.Plan(d, n, bushy) }
+
+// ExecutePlanChecked runs p from a forced zig-zag start.
+func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats, error) {
+	return Run(g, PathPlan(p, &PlanTree{Lo: 0, Hi: len(p), Start: plan.Start}), opt)
+}
+
+// ExecuteTreeChecked runs p under a hand-built tree.
+func ExecuteTreeChecked(g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats, error) {
+	return Run(g, PathPlan(p, tree), opt)
+}
+
+// ExecuteDagChecked runs dp, which must have been planned for d. Run
+// executes the plan's own copy of the query, so this is the one place a
+// second copy can disagree with it, and the one check this file makes: it
+// panics unless dp's blocks spell out exactly d's elements — run labels,
+// and an element block's labels and repetition bounds.
+func ExecuteDagChecked(g *graph.CSR, d *RPQDag, dp *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
+	var q []RPQElem
+	for _, b := range dp.Blocks {
+		q = append(q, PathDag(b.Run).Elems...)
+		if b.Run == nil {
+			q = append(q, b.Elem)
+		}
+	}
+	if !slices.EqualFunc(q, d.Elems, func(a, b RPQElem) bool {
+		return slices.Equal(a.Labels, b.Labels) && a.MinRep == b.MinRep && a.MaxRep == b.MaxRep
+	}) {
+		panic("exec: dag plan was planned for " + (&RPQDag{Elems: q}).Describe() + ", not " + d.Describe())
+	}
+	return Run(g, dp, opt)
+}

@@ -1,0 +1,77 @@
+package exec
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/paths"
+)
+
+// TestCompatWrappersAreRun pins each compat.go wrapper equal to the call
+// it adapts, on the three plan shapes: same relation, same Stats, same
+// plan, same costs. Deleted with compat.go (ROADMAP item 3b).
+func TestCompatWrappersAreRun(t *testing.T) {
+	g := randomGraph(7, 400, 2, 6000)
+	pl := randomPlanner(4, 0.3)
+	for _, sh := range contractShapes(t, g) {
+		b := sh.plan.Blocks[0]
+		want, wantSt, err := Run(g, sh.plan, Options{Workers: 1, KeepResult: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st := want, wantSt
+		switch sh.name {
+		case "zigzag":
+			got, st, err = ExecutePlanChecked(g, b.Run, Plan{Start: b.Tree.Start}, Options{Workers: 1, KeepResult: true})
+		case "bushy":
+			got, st, err = ExecuteTreeChecked(g, b.Run, b.Tree, Options{Workers: 1, KeepResult: true})
+		case "dag":
+			d := &RPQDag{Elems: append(PathDag(b.Run).Elems, sh.plan.Blocks[1].Elem)}
+			got, st, err = ExecuteDagChecked(g, d, sh.plan, Options{Workers: 1, KeepResult: true})
+			if planned, direct := pl.PlanDag(d, 30, true), pl.Plan(d, 30, true); !reflect.DeepEqual(planned, direct) {
+				t.Errorf("PlanDag = %s at %v, Plan = %s at %v", planned.Describe(), planned.Cost, direct.Describe(), direct.Cost)
+			}
+		}
+		if err != nil || !got.Equal(want) || !reflect.DeepEqual(st, wantSt) {
+			t.Errorf("%s: wrapper err=%v stats %+v, Run %+v", sh.name, err, st, wantSt)
+		}
+		plan := pl.Plan(PathDag(b.Run), 0, true)
+		if costs := pl.Costs(b.Run); !reflect.DeepEqual(costs, plan.Blocks[0].Costs) || CheapestPlan(costs).Start != cheapest(costs) {
+			t.Errorf("%s: Costs = %v choosing %d, plan's %v", sh.name, costs, CheapestPlan(costs).Start, plan.Blocks[0].Costs)
+		}
+		if tree, cost := pl.ChooseTreeWithCost(b.Run); tree.Describe(4) != plan.Describe() || cost != plan.Cost {
+			t.Errorf("%s: ChooseTreeWithCost = %s at %v, plan %s at %v", sh.name, tree.Describe(4), cost, plan.Describe(), plan.Cost)
+		}
+	}
+}
+
+// TestExecuteDagCheckedRejectsAnotherQuery pins the one check compat.go
+// makes: the wrapper that still receives the query beside its plan must
+// not run one query's plan as another's — every block is compared, element
+// blocks included (the check this replaced let `a/(b|c)`'s plan answer
+// `a/(b|d)`).
+func TestExecuteDagCheckedRejectsAnotherQuery(t *testing.T) {
+	g := randomGraph(5, 20, 3, 40)
+	alt := RPQElem{Labels: []int{1, 2}, MinRep: 1, MaxRep: 1}
+	abc := &RPQDag{Elems: append(PathDag(paths.Path{0}).Elems, alt)}
+	dp := zeroPlan(g, abc)
+	for name, d := range map[string]*RPQDag{
+		"other alternation": {Elems: []RPQElem{abc.Elems[0], {Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}}},
+		"other bounds":      {Elems: []RPQElem{abc.Elems[0], {Labels: []int{1, 2}, MinRep: 0, MaxRep: 1}}},
+		"other run label":   {Elems: append(PathDag(paths.Path{1}).Elems, alt)},
+		"one element more":  {Elems: []RPQElem{abc.Elems[0], alt, alt}},
+		"one element fewer": {Elems: abc.Elems[:1]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("plan for %s run as %s (%s): expected panic", abc.Describe(), d.Describe(), name)
+				}
+			}()
+			ExecuteDagChecked(g, d, dp, Options{})
+		}()
+	}
+	if _, _, err := ExecuteDagChecked(g, abc, dp, Options{}); err != nil {
+		t.Fatalf("plan run as its own query: %v", err)
+	}
+}

@@ -15,18 +15,17 @@ import (
 	"repro/internal/sched"
 )
 
-// planShape is one way to hand the executor a query: the entry point
-// with its plan bound, and the oracle a survivor must be bit-identical
-// to.
+// planShape is one shape of plan handed to Run, and the oracle a survivor
+// must be bit-identical to.
 type planShape struct {
 	name   string
-	run    func(Options) (*bitset.HybridRelation, Stats, error)
+	plan   *DagPlan
 	oracle func(*bitset.HybridRelation) bool
 }
 
 // contractShapes returns the three plan shapes over one graph: an
 // interior-start zig-zag plan, a bushy join of two zig-zag halves, and a
-// DAG whose fold joins a bushy run block with a repetition element.
+// plan whose fold joins a bushy run block with a repetition element.
 func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 	p := paths.Path{0, 1, 0, 1}
 	tree := &PlanTree{Lo: 0, Hi: 4, Start: -1,
@@ -35,32 +34,17 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 	}
 	dense, _ := ExecuteDense(g, p, Forward)
 	rep := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 2}
-	dag := &RPQDag{Elems: []RPQElem{
-		{Labels: []int{0}, MinRep: 1, MaxRep: 1}, {Labels: []int{1}, MinRep: 1, MaxRep: 1},
-		{Labels: []int{0}, MinRep: 1, MaxRep: 1}, {Labels: []int{1}, MinRep: 1, MaxRep: 1},
-		rep,
-	}}
+	dag := &RPQDag{Elems: append(PathDag(p).Elems, rep)}
 	dp := &DagPlan{Blocks: []DagBlockPlan{
 		{Lo: 0, Hi: 4, Run: p, Tree: tree},
 		{Lo: 4, Hi: 5, Elem: rep},
 	}}
 	union := expansionUnion(t, g, dag, Options{})
+	isDense := func(rel *bitset.HybridRelation) bool { return rel.EqualRelation(dense) }
 	return []planShape{
-		{"zigzag",
-			func(opt Options) (*bitset.HybridRelation, Stats, error) {
-				return ExecutePlanChecked(g, p, Plan{Start: 1}, opt)
-			},
-			func(rel *bitset.HybridRelation) bool { return rel.EqualRelation(dense) }},
-		{"bushy",
-			func(opt Options) (*bitset.HybridRelation, Stats, error) {
-				return ExecuteTreeChecked(g, p, tree, opt)
-			},
-			func(rel *bitset.HybridRelation) bool { return rel.EqualRelation(dense) }},
-		{"dag",
-			func(opt Options) (*bitset.HybridRelation, Stats, error) {
-				return ExecuteDagChecked(g, dag, dp, opt)
-			},
-			union.Equal},
+		{"zigzag", startPlan(p, 1), isDense},
+		{"bushy", PathPlan(p, tree), isDense},
+		{"dag", dp, union.Equal},
 	}
 }
 
@@ -153,7 +137,7 @@ func TestContractEveryPlanShape(t *testing.T) {
 				faultinject.Install(inj)
 				opt, pool, _ := checkedOptions(g.NumVertices(), workers)
 				opt.KeepResult = keep
-				rel, st, err := sh.run(opt)
+				rel, st, err := Run(g, sh.plan, opt)
 				faultinject.Uninstall()
 				if keep {
 					if err != nil || !sh.oracle(rel) || pool.InUse() != 1 {
@@ -172,7 +156,7 @@ func TestContractEveryPlanShape(t *testing.T) {
 						opt, pool, c := checkedOptions(g.NumVertices(), workers)
 						opt.KeepResult = keep
 						cleanup := ac.arm(&opt, c)
-						rel, _, err := sh.run(opt)
+						rel, _, err := Run(g, sh.plan, opt)
 						cleanup()
 						switch {
 						case err == nil && ac.survives:
@@ -197,25 +181,18 @@ func TestContractEveryPlanShape(t *testing.T) {
 // TestContractBudgetSingleLabel pins that Options.MaxResultBytes bounds
 // every relation an execution hands out, including the single-label
 // base no join step ever produced: a length-1 query over budget is
-// killed on all three plan shapes.
+// killed on every plan shape.
 func TestContractBudgetSingleLabel(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	p := paths.Path{0}
-	dag := &RPQDag{Elems: []RPQElem{{Labels: []int{0}, MinRep: 1, MaxRep: 1}}}
-	for name, run := range map[string]func(Options) (*bitset.HybridRelation, Stats, error){
-		"zigzag": func(opt Options) (*bitset.HybridRelation, Stats, error) {
-			return ExecutePlanChecked(g, p, Plan{}, opt)
-		},
-		"bushy": func(opt Options) (*bitset.HybridRelation, Stats, error) {
-			return ExecuteTreeChecked(g, p, &PlanTree{Lo: 0, Hi: 1}, opt)
-		},
-		"dag": func(opt Options) (*bitset.HybridRelation, Stats, error) {
-			return ExecuteDagChecked(g, dag, nil, opt)
-		},
+	for name, plan := range map[string]*DagPlan{
+		"zigzag": startPlan(p, 0),
+		"bushy":  PathPlan(p, &PlanTree{Lo: 0, Hi: 1}),
+		"dag":    zeroPlan(g, PathDag(p)),
 	} {
 		opt, pool, _ := checkedOptions(g.NumVertices(), 1) // a fresh canceller per case
 		opt.MaxResultBytes = 1
-		rel, _, err := run(opt)
+		rel, _, err := Run(g, plan, opt)
 		if rel != nil || !errors.Is(err, ErrBudgetExceeded) {
 			t.Errorf("%s: got relation=%t err=%v, want no relation and ErrBudgetExceeded", name, rel != nil, err)
 		}

@@ -10,14 +10,12 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the one execution lifecycle behind the three plan-shape
-// entry points (ExecutePlanChecked, ExecuteTreeChecked,
-// ExecuteDagChecked). Every relation a plan node materializes goes
-// through core.take, every join through core.step, and every execution
-// ends in core.finish. The plan shapes themselves are node methods on
-// core — leaf (exec.go), tree (bushy.go), elem and fold (rpq.go) — that
-// nest freely, so a bushy run block inside an RPQ shares the cache view,
-// the live set and the stats of the query it belongs to.
+// This file is the one execution lifecycle behind Run. Every relation a
+// plan node materializes goes through core.take, every join through
+// core.step, and every execution ends in core.finish. The plan's nodes are
+// methods on core — fold and elem (rpq.go), tree (bushy.go), leaf
+// (exec.go) — that nest freely, so a bushy run block inside an RPQ shares
+// the cache view, the live set and the stats of the query it belongs to.
 
 // core is one execution's state: the graph, the options, the execution's
 // view of the segment-relation cache, the set of live pooled relations —

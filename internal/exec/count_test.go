@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/paths"
 	"repro/internal/relcache"
@@ -36,20 +35,11 @@ func countShapes(g *graph.CSR) []planShape {
 	unioned := &RPQDag{Elems: []RPQElem{label(1), label(0), {Labels: []int{1}, MinRep: 0, MaxRep: 1}}}
 	var shapes []planShape
 	for start := range p {
-		shapes = append(shapes, planShape{name: fmt.Sprintf("zigzag@%d", start),
-			run: func(opt Options) (*bitset.HybridRelation, Stats, error) {
-				return ExecutePlanChecked(g, p, Plan{Start: start}, opt)
-			}})
+		shapes = append(shapes, planShape{name: fmt.Sprintf("zigzag@%d", start), plan: startPlan(p, start)})
 	}
-	shapes = append(shapes, planShape{name: "bushy",
-		run: func(opt Options) (*bitset.HybridRelation, Stats, error) {
-			return ExecuteTreeChecked(g, p, tree, opt)
-		}})
+	shapes = append(shapes, planShape{name: "bushy", plan: PathPlan(p, tree)})
 	for name, d := range map[string]*RPQDag{"dag-counted": counted, "dag-unioned": unioned} {
-		shapes = append(shapes, planShape{name: name,
-			run: func(opt Options) (*bitset.HybridRelation, Stats, error) {
-				return ExecuteDagChecked(g, d, nil, opt)
-			}})
+		shapes = append(shapes, planShape{name: name, plan: zeroPlan(g, d)})
 	}
 	return shapes
 }
@@ -71,7 +61,8 @@ func answerOf(st Stats) answer {
 // against the materializing one: for every plan shape × workers 1–8 ×
 // cache off / cold / warm, KeepResult true and false report identical
 // Result, Intermediates, Work and cache traffic; the counted run returns
-// no relation and leaves nothing checked out of the pool.
+// no relation, leaves nothing checked out of the pool, and — uncached,
+// where nothing would publish the result — really did count it.
 func TestKeepResultChangesNothingButTheRelation(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
 	for _, sh := range countShapes(g) {
@@ -86,7 +77,7 @@ func TestKeepResultChangesNothingButTheRelation(t *testing.T) {
 					if state != "off" {
 						opt.Cache = caches[keep]
 					}
-					rel, st, err := sh.run(opt)
+					rel, st, err := Run(g, sh.plan, opt)
 					if err != nil {
 						t.Fatalf("%s workers=%d cache=%s keep=%t: %v", sh.name, workers, state, keep, err)
 					}
@@ -97,6 +88,16 @@ func TestKeepResultChangesNothingButTheRelation(t *testing.T) {
 						pool.Put(rel)
 					} else if rel != nil {
 						t.Fatalf("%s workers=%d cache=%s: counted run returned a relation", sh.name, workers, state)
+					} else if state == "off" && sh.name != "dag-unioned" {
+						// No relation comes back either way, so ask the root
+						// itself: a plan whose last step is a join nothing
+						// publishes — a single run included — must count it, not
+						// build it for finish to release.
+						x := newCore(g, opt)
+						if root, err := x.fold(sh.plan); err != nil || root != nil || x.counted.Pairs != st.Result {
+							t.Fatalf("%s workers=%d: root built its result (relation=%t counted=%d err=%v), want it counted as %d",
+								sh.name, workers, root != nil, x.counted.Pairs, err, st.Result)
+						}
 					}
 					if n := pool.InUse(); n != 0 {
 						t.Fatalf("%s workers=%d cache=%s keep=%t: %d relations still checked out", sh.name, workers, state, keep, n)
@@ -124,7 +125,7 @@ func TestBudgetBoundaryIsTheSameCounted(t *testing.T) {
 		survives := func(keep bool, budget int64) bool {
 			opt, pool, _ := checkedOptions(g.NumVertices(), 2)
 			opt.KeepResult, opt.MaxResultBytes = keep, budget
-			rel, _, err := sh.run(opt)
+			rel, _, err := Run(g, sh.plan, opt)
 			if err != nil && !errors.Is(err, ErrBudgetExceeded) {
 				t.Fatalf("%s keep=%t budget=%d: %v", sh.name, keep, budget, err)
 			}
@@ -150,7 +151,7 @@ func TestBudgetBoundaryIsTheSameCounted(t *testing.T) {
 			t.Fatalf("%s: budget boundary %d B building the result, %d B counting it", sh.name, kept, counted)
 		}
 		opt, _, _ := checkedOptions(g.NumVertices(), 2)
-		rel, _, err := sh.run(opt)
+		rel, _, err := Run(g, sh.plan, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func TestCancellerContextStartsNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 10000; i++ {
 		canc, release := NewCancellerContext(ctx)
-		_, _, err := ExecutePlanChecked(g, paths.Path{0, 1}, Plan{}, Options{Workers: 1, Pool: pool, Cancel: canc})
+		_, _, err := Run(g, startPlan(paths.Path{0, 1}, 0), Options{Workers: 1, Pool: pool, Cancel: canc})
 		if n := runtime.NumGoroutine(); n > base {
 			t.Fatalf("execution %d: %d goroutines with the bridge live, %d before any", i, n, base)
 		}

@@ -11,33 +11,34 @@
 // (right-to-left) join, and interior starts let the join begin at the most
 // selective label. All plans produce the same answer; their costs differ
 // by the sizes of the intermediate results, which are exactly the
-// selectivities of the plan's intermediate segments. A Planner costs every
-// plan from a selectivity estimator and picks the cheapest;
-// ExecutePlanChecked carries the plan out and reports the actual
-// intermediate sizes, so planning quality is measurable end to end.
+// selectivities of the plan's intermediate segments.
 //
-// Beyond the linear space, a PlanTree is a bushy plan: leaves build query
-// segments with zig-zag plans, and join nodes build their two child
-// segments independently — concurrently when the worker budget allows —
-// then join the finished relations with the sharded relation×relation
-// kernel (bitset.JoinInto / JoinShardInto). Planner.ChooseTree searches
-// the tree space with a dynamic program over segment splits (bounded by
-// MaxTreeLength) and falls back to the best zig-zag plan whenever linear
-// growth is estimated cheaper; ExecuteTreeChecked carries a tree out. A
-// regular path query compiles to an RPQDag, which Planner.PlanDag
-// decomposes into zig-zag/bushy run blocks and alternation/repetition
-// elements and ExecuteDagChecked folds left to right. Every search reads
-// one SegTable per path (Planner.Segments): each proper segment is asked
-// of the estimator once, and a retained table replans against a changed
-// cache state with no estimator calls (SegTable.ChooseTreeWithCost,
-// Planner.ReplanDag).
+// There is one query form, one plan form, one way to plan and one way to
+// run. A query is an RPQDag — a sequence of elements, each an alternation
+// of labels under a bounded repetition; a concrete path is the DAG of plain
+// labels (PathDag). Planner.Plan decomposes it into a DagPlan: maximal
+// plain-label runs, each planned by a PlanTree whose leaves are zig-zag
+// plans and whose join nodes build their two child segments independently —
+// concurrently when the worker budget allows — and join them with the
+// sharded relation×relation kernel (bitset.JoinInto), and single complex
+// elements built by alternation-union and repetition-unroll; the blocks
+// fold left to right. A concrete path is the one-run case and a zig-zag
+// plan is its leaf. The planner costs every candidate from a selectivity
+// estimator — each proper segment of a run asked once, into a table the
+// plan retains — and picks the cheapest: the best zig-zag start, or, bushy,
+// the best tree of a dynamic program over segment splits (bounded by
+// MaxTreeLength) that falls back to the zig-zag winner whenever linear
+// growth is estimated cheaper. Planner.Replan decides a plan again against
+// a changed cache state with no estimator calls. A plan carries its query
+// (PathPlan hand-builds one; a forced start is a leaf), so Run(g, plan,
+// opt) takes nothing else, and reports the actual intermediate sizes:
+// planning quality is measurable end to end.
 //
-// The three entry points are plan-shape adapters over one execution
-// core (core.go): one step protocol — fire the exec.step fault site,
-// check cancellation, adopt the segment from the relation cache or
-// compute and publish it, price it against the byte budget — and one
-// finish — contain panics as typed errors, release every pooled
-// relation on abort, total the stats. Plan shapes are node methods that
+// Run is one execution core (core.go): one step protocol — fire the
+// exec.step fault site, check cancellation, adopt the segment from the
+// relation cache or compute and publish it, price it against the byte
+// budget — and one finish — contain panics as typed errors, release every
+// pooled relation on abort, total the stats. Plan nodes are methods that
 // nest, and every surviving execution is bit-identical to ExecuteDense
 // (or, for an RPQ, to the union of its expansions). The answer to a query
 // is a count, so unless Options.KeepResult asks for the relation the root
@@ -55,8 +56,7 @@
 // destination (rows are disjoint across shards), and merged
 // deterministically in shard order, so parallel output is bit-identical
 // to sequential execution. The retired dense-only executor survives as
-// ExecuteDense, the reference that equivalence tests
-// (equivalence_test.go, parallel_test.go) pin the hybrid engine against.
+// ExecuteDense, the reference the equivalence tests pin the engine against.
 //
 // Knobs: Options.DensityThreshold (fraction of |V| in (0,1]; ≤ 0 selects
 // the default 1/32, ≥ 1 keeps every row sparse) tunes the hybrid rows'

@@ -48,7 +48,7 @@ func TestExecutorsDegenerateGraphs(t *testing.T) {
 				opt := Options{Workers: workers}
 				for s := 0; s < k; s++ {
 					ctx := fmt.Sprintf("%s k=%d start=%d workers=%d", tc.name, k, s, workers)
-					rel, st := runPlan(t, tc.g, p, Plan{Start: s}, opt)
+					rel, st := runPlan(t, tc.g, p, s, opt)
 					if !rel.EqualRelation(dref) || st.Result != dst.Result {
 						t.Fatalf("%s: zig-zag diverged from dense", ctx)
 					}

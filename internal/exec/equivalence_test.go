@@ -29,7 +29,7 @@ func assertPlanMatchesDense(t *testing.T, ctx string, g *graph.CSR, p paths.Path
 	dfwd, dfst := ExecuteDense(g, p, Forward)
 	dbwd, dbst := ExecuteDense(g, p, Backward)
 	for s := 0; s < len(p); s++ {
-		rel, st := runPlan(t, g, p, Plan{Start: s}, Options{DensityThreshold: density})
+		rel, st := runPlan(t, g, p, s, Options{DensityThreshold: density})
 		if !rel.EqualRelation(dfwd) {
 			t.Fatalf("%s: path %v start %d: hybrid pairs differ from dense reference", ctx, p, s)
 		}
@@ -63,7 +63,7 @@ func assertPlanMatchesDense(t *testing.T, ctx string, g *graph.CSR, p paths.Path
 
 // TestExecuteHybridPropertyRandomGraphs is the executor's bit-identity
 // property test: on random graphs across sizes, label counts, path
-// lengths, density thresholds, and every zig-zag start, ExecutePlanChecked must
+// lengths, density thresholds, and every zig-zag start, Run must
 // produce exactly the pairs of the retired dense executor.
 func TestExecuteHybridPropertyRandomGraphs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -106,7 +106,7 @@ func FuzzExecEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		dref, dst := ExecuteDense(g, p, Forward)
-		rel, st := runPlan(t, g, p, Plan{Start: start}, Options{DensityThreshold: density})
+		rel, st := runPlan(t, g, p, start, Options{DensityThreshold: density})
 		if !rel.EqualRelation(dref) {
 			t.Fatalf("path %v start %d: hybrid differs from dense", p, start)
 		}

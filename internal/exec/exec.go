@@ -1,37 +1,11 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/paths"
 	"repro/internal/relcache"
 )
-
-// Plan is a zig-zag join plan for a length-k path query: begin with the
-// single-label relation at position Start, extend right to the end of the
-// path, then prepend the remaining labels leftward. Start 0 is the
-// classic forward (left-to-right) plan, Start k−1 the backward plan;
-// interior starts let the join begin at the most selective label, which
-// neither endpoint plan can reach.
-type Plan struct {
-	// Start is the position of the label the join grows from, in [0, k).
-	Start int
-}
-
-// Describe renders the plan for a length-k query: "forward", "backward",
-// or "zigzag@i" for interior starts.
-func (pl Plan) Describe(k int) string {
-	switch {
-	case pl.Start == 0:
-		return "forward"
-	case pl.Start == k-1:
-		return "backward"
-	default:
-		return fmt.Sprintf("zigzag@%d", pl.Start)
-	}
-}
 
 // Options tunes plan execution.
 type Options struct {
@@ -97,13 +71,6 @@ type Options struct {
 
 // Stats reports what an execution actually did.
 type Stats struct {
-	// Plan is the executed zig-zag join plan. For a bushy execution (a
-	// join node at the root) or an RPQ there is no single zig-zag start;
-	// Plan.Start is −1 and Tree holds a bushy execution's real plan.
-	Plan Plan
-	// Tree is the executed plan tree, set by ExecuteTreeChecked (nil
-	// otherwise). A leaf tree is exactly a zig-zag plan.
-	Tree *PlanTree
 	// Intermediates holds the distinct-pair count of every relation
 	// entering a join step (the final result is Result). For zig-zag
 	// plans that is len(p)−1 entries in step order; for a bushy tree it
@@ -171,45 +138,49 @@ func (s *SchedStats) merge(o SchedStats) {
 	}
 }
 
-// ExecutePlanChecked evaluates p over g with the given zig-zag plan,
-// entirely on the hybrid sparse/dense substrate: two pooled relations are
-// double-buffered through the specialized sparse×CSR / dense×CSR compose
-// kernels, and each row adapts its representation per step (a prefix that
-// densifies mid-join promotes in place; one that thins back out demotes).
-// Rightward steps compose with successor operands; leftward steps reverse
-// once and compose with predecessor operands, so no step ever multiplies
-// from the expensive side.
+// Run carries a plan out over g — the one way to execute a query. A plan
+// is self-describing (its blocks hold the labels and elements they
+// evaluate), so there is no query argument to disagree with it; Run checks
+// the plan's own consistency and panics on a malformed one (a caller bug,
+// not a runtime failure). Execution is entirely on the hybrid sparse/dense
+// substrate: a zig-zag leaf double-buffers two pooled relations through the
+// specialized sparse×CSR / dense×CSR compose kernels, each row adapting its
+// representation per step; rightward steps compose with successor
+// operands, leftward steps reverse once and compose with predecessor
+// operands, so no step ever multiplies from the expensive side. A join
+// node builds its two segments independently — concurrently when the
+// worker budget allows, a failing side cancelling its sibling — and joins
+// them with the sharded relation×relation kernel; a plan of several blocks
+// folds them left to right (see rpq.go).
 //
-// Each compose step runs on Options.Workers work-stealing workers
-// (default GOMAXPROCS): the input relation's source rows are partitioned
-// into shards, composed concurrently into the shared destination (rows
-// are disjoint across shards), and merged deterministically, so the
-// result is bit-identical to sequential execution at every worker count.
+// Each step runs on Options.Workers work-stealing workers (default
+// GOMAXPROCS): the input relation's source rows are partitioned into
+// shards, composed concurrently into the shared destination (rows are
+// disjoint across shards), and merged deterministically, so the result is
+// bit-identical to sequential execution at every worker count.
 //
-// Like every entry point it runs under the checked contract: it consults
-// Options.Cancel before and after every join step (and wires its kernel
-// flag into the compose scratches, so cancellation lands mid-step too),
-// prices every materialized relation against Options.MaxResultBytes, and
-// contains panics as typed errors. On error the returned relation is
-// nil, every pooled relation has been released back to Options.Pool, and
-// the error matches ErrCancelled / ErrDeadlineExceeded /
-// ErrBudgetExceeded under errors.Is (or *sched.PanicError under
-// errors.As for a contained panic). A surviving execution — cancelled
-// after its last step or not cancelled at all — is bit-identical to
-// ExecuteDense. It panics on an empty path or an out-of-range plan start
-// (caller bugs, not runtime failures).
-func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats, error) {
-	k := len(p)
-	if k == 0 {
-		panic("exec: empty path query")
-	}
-	if plan.Start < 0 || plan.Start >= k {
-		panic(fmt.Sprintf("exec: plan start %d out of range [0,%d)", plan.Start, k))
-	}
+// Run is the checked contract: it consults Options.Cancel before and after
+// every join step (and wires its kernel flag into the compose scratches,
+// so cancellation lands mid-step too), prices every materialized relation
+// against Options.MaxResultBytes, and contains panics as typed errors. On
+// error the returned relation is nil, every pooled relation has been
+// released back to Options.Pool, and the error matches ErrCancelled /
+// ErrDeadlineExceeded / ErrBudgetExceeded under errors.Is (or
+// *sched.PanicError under errors.As for a contained panic). A surviving
+// execution — cancelled after its last step or not cancelled at all — is
+// bit-identical to ExecuteDense on a concrete path, and on a regular path
+// query to the union of the relations of every concrete path it expands
+// to. The returned relation is nil unless Options.KeepResult is set.
+//
+// Stats.Work counts every relation fed into a join step — a leaf's zig-zag
+// intermediates, both inputs of every join node and block-boundary join,
+// an element's unrolled powers — matching the planner's cost model: with an
+// exact estimator and nothing cached, a concrete path's DagPlan.Cost equals
+// its executed Work.
+func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
+	plan.validate(g.NumLabels())
 	x := newCore(g, opt)
-	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.leaf(p, plan.Start, true) })
-	st.Plan = plan
-	return rel, st, err
+	return x.finish(func() (*bitset.HybridRelation, error) { return x.fold(plan) })
 }
 
 // leaf builds segment p with the zig-zag plan growing from position

@@ -15,16 +15,21 @@ func testGraph(t *testing.T) *graph.CSR {
 	return dataset.ErdosRenyi(60, 400, dataset.NewZipfLabels(3, 1.1), 17).Freeze()
 }
 
+// startPlan is the hand-built plan running p as the zig-zag from start.
+func startPlan(p paths.Path, start int) *DagPlan {
+	return PathPlan(p, &PlanTree{Lo: 0, Hi: len(p), Start: start})
+}
+
+// zeroPlan plans d with a zero estimator: every run a forward leaf.
+func zeroPlan(g *graph.CSR, d *RPQDag) *DagPlan {
+	return Planner{Est: EstimatorFunc(func(paths.Path) float64 { return 0 })}.Plan(d, g.NumVertices(), false)
+}
+
 // runPlan executes a zig-zag plan that must survive, keeping its result
 // relation for the caller to compare.
-func runPlan(t testing.TB, g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats) {
+func runPlan(t testing.TB, g *graph.CSR, p paths.Path, start int, opt Options) (*bitset.HybridRelation, Stats) {
 	t.Helper()
-	opt.KeepResult = true
-	rel, st, err := ExecutePlanChecked(g, p, plan, opt)
-	if err != nil {
-		t.Fatalf("path %v start %d: %v", p, plan.Start, err)
-	}
-	return rel, st
+	return runTree(t, g, p, &PlanTree{Lo: 0, Hi: len(p), Start: start}, opt)
 }
 
 // runTree executes a plan tree that must survive, keeping its result
@@ -32,7 +37,7 @@ func runPlan(t testing.TB, g *graph.CSR, p paths.Path, plan Plan, opt Options) (
 func runTree(t testing.TB, g *graph.CSR, p paths.Path, tree *PlanTree, opt Options) (*bitset.HybridRelation, Stats) {
 	t.Helper()
 	opt.KeepResult = true
-	rel, st, err := ExecuteTreeChecked(g, p, tree, opt)
+	rel, st, err := Run(g, PathPlan(p, tree), opt)
 	if err != nil {
 		t.Fatalf("path %v tree %s: %v", p, tree.Describe(len(p)), err)
 	}
@@ -48,8 +53,8 @@ func TestExecuteDirectionsAgree(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(3)
 		}
-		fwd, fst := runPlan(t, g, p, Plan{Start: 0}, Options{})
-		bwd, bst := runPlan(t, g, p, Plan{Start: len(p) - 1}, Options{})
+		fwd, fst := runPlan(t, g, p, 0, Options{})
+		bwd, bst := runPlan(t, g, p, len(p)-1, Options{})
 		if !fwd.Equal(bwd) {
 			t.Fatalf("path %v: forward and backward results differ", p)
 		}
@@ -71,9 +76,9 @@ func TestExecuteAllPlansAgree(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(3)
 		}
-		ref, rst := runPlan(t, g, p, Plan{Start: 0}, Options{})
+		ref, rst := runPlan(t, g, p, 0, Options{})
 		for s := 1; s < n; s++ {
-			rel, st := runPlan(t, g, p, Plan{Start: s}, Options{})
+			rel, st := runPlan(t, g, p, s, Options{})
 			if !rel.Equal(ref) {
 				t.Fatalf("path %v: plan start %d result differs from forward", p, s)
 			}
@@ -91,7 +96,7 @@ func TestExecuteAllPlansAgree(t *testing.T) {
 func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 	g := testGraph(t)
 	p := paths.Path{0, 1, 2}
-	_, fst := runPlan(t, g, p, Plan{Start: 0}, Options{})
+	_, fst := runPlan(t, g, p, 0, Options{})
 	if len(fst.Intermediates) != 2 {
 		t.Fatalf("forward intermediates = %v", fst.Intermediates)
 	}
@@ -101,7 +106,7 @@ func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 	if fst.Intermediates[1] != paths.Selectivity(g, p[:2]) {
 		t.Fatal("second forward intermediate should be f(l1/l2)")
 	}
-	_, bst := runPlan(t, g, p, Plan{Start: len(p) - 1}, Options{})
+	_, bst := runPlan(t, g, p, len(p)-1, Options{})
 	if bst.Intermediates[0] != paths.Selectivity(g, p[2:]) {
 		t.Fatal("first backward intermediate should be f(l3)")
 	}
@@ -112,7 +117,7 @@ func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 		t.Fatal("work must sum intermediates")
 	}
 	// A zig-zag start at 1 materializes f(l2), then f(l2/l3), then prepends.
-	_, zst := runPlan(t, g, p, Plan{Start: 1}, Options{})
+	_, zst := runPlan(t, g, p, 1, Options{})
 	if zst.Intermediates[0] != paths.Selectivity(g, p[1:2]) {
 		t.Fatal("first zig-zag intermediate should be f(l2)")
 	}
@@ -123,7 +128,7 @@ func TestExecuteIntermediatesAreSelectivities(t *testing.T) {
 
 func TestExecuteSingleLabel(t *testing.T) {
 	g := testGraph(t)
-	_, st := runPlan(t, g, paths.Path{1}, Plan{Start: 0}, Options{})
+	_, st := runPlan(t, g, paths.Path{1}, 0, Options{})
 	if len(st.Intermediates) != 0 || st.Work != 0 {
 		t.Fatal("single-label query has no intermediates")
 	}
@@ -135,14 +140,11 @@ func TestExecuteSingleLabel(t *testing.T) {
 func TestExecutePanics(t *testing.T) {
 	g := testGraph(t)
 	for name, fn := range map[string]func(){
-		"dense empty path":  func() { ExecuteDense(g, paths.Path{}, Forward) },
-		"bad direction":     func() { ExecuteDense(g, paths.Path{0}, Direction(7)) },
-		"empty plan":        func() { ExecutePlanChecked(g, paths.Path{}, Plan{}, Options{}) },
-		"plan start low":    func() { ExecutePlanChecked(g, paths.Path{0, 1}, Plan{Start: -1}, Options{}) },
-		"plan start high":   func() { ExecutePlanChecked(g, paths.Path{0, 1}, Plan{Start: 2}, Options{}) },
-		"cost empty":        func() { Planner{}.PlanCost(paths.Path{}, 0) },
-		"cost start range":  func() { Planner{}.PlanCost(paths.Path{0}, 1) },
-		"choose empty plan": func() { Planner{}.ChoosePlan(paths.Path{}) },
+		"dense empty path": func() { ExecuteDense(g, paths.Path{}, Forward) },
+		"bad direction":    func() { ExecuteDense(g, paths.Path{0}, Direction(7)) },
+		"empty plan":       func() { Run(g, startPlan(paths.Path{}, 0), Options{}) },
+		"plan start low":   func() { Run(g, startPlan(paths.Path{0, 1}, -1), Options{}) },
+		"plan start high":  func() { Run(g, startPlan(paths.Path{0, 1}, 2), Options{}) },
 	} {
 		func() {
 			defer func() {
@@ -165,9 +167,10 @@ func TestDirectionString(t *testing.T) {
 }
 
 func TestPlanDescribe(t *testing.T) {
-	if (Plan{Start: 0}).Describe(4) != "forward" ||
-		(Plan{Start: 3}).Describe(4) != "backward" ||
-		(Plan{Start: 2}).Describe(4) != "zigzag@2" {
+	p := make(paths.Path, 4)
+	if startPlan(p, 0).Describe() != "forward" ||
+		startPlan(p, 3).Describe() != "backward" ||
+		startPlan(p, 2).Describe() != "zigzag@2" {
 		t.Fatal("plan descriptions wrong")
 	}
 }
@@ -186,46 +189,29 @@ func TestPlannerCostsFromExactEstimates(t *testing.T) {
 			p[i] = rng.Intn(3)
 		}
 		// With exact estimates, every plan's cost equals its actual work.
+		plan := pl.Plan(PathDag(p), 0, false).Blocks[0]
 		for s := 0; s < n; s++ {
-			_, st := runPlan(t, g, p, Plan{Start: s}, Options{})
-			if got := pl.PlanCost(p, s); got != float64(st.Work) {
+			_, st := runPlan(t, g, p, s, Options{})
+			if got := plan.Costs[s]; got != float64(st.Work) {
 				t.Fatalf("path %v start %d: cost %v != actual work %d", p, s, got, st.Work)
 			}
 		}
 		// Therefore the chosen plan is globally cheapest.
-		chosen := pl.ChoosePlan(p)
+		chosen := plan.Tree.Start
 		_, cst := runPlan(t, g, p, chosen, Options{})
 		for s := 0; s < n; s++ {
-			_, st := runPlan(t, g, p, Plan{Start: s}, Options{})
+			_, st := runPlan(t, g, p, s, Options{})
 			if cst.Work > st.Work {
 				t.Fatalf("path %v: chose start %d (work %d) over cheaper start %d (work %d)",
-					p, chosen.Start, cst.Work, s, st.Work)
+					p, chosen, cst.Work, s, st.Work)
 			}
-		}
-	}
-}
-
-func TestPlannerCostsSlice(t *testing.T) {
-	g := testGraph(t)
-	c := paths.NewCensus(g, 3)
-	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 {
-		return float64(c.Selectivity(p))
-	})}
-	p := paths.Path{0, 1, 2}
-	costs := pl.Costs(p)
-	if len(costs) != 3 {
-		t.Fatalf("Costs length %d", len(costs))
-	}
-	for s, want := range costs {
-		if got := pl.PlanCost(p, s); got != want {
-			t.Fatalf("Costs[%d] = %v, PlanCost = %v", s, want, got)
 		}
 	}
 }
 
 func TestPlannerTieGoesForward(t *testing.T) {
 	pl := Planner{Est: EstimatorFunc(func(paths.Path) float64 { return 1 })}
-	if pl.ChoosePlan(paths.Path{0, 1, 2}).Start != 0 {
+	if pl.Plan(PathDag(paths.Path{0, 1, 2}), 0, false).Blocks[0].Tree.Start != 0 {
 		t.Fatal("plan ties should go forward")
 	}
 }

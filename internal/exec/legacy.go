@@ -37,7 +37,7 @@ func (d Direction) String() string {
 // bit-identical to it, and the perf bench measures the hybrid engine's
 // speedup against it. It supports only the two endpoint plans and
 // allocates a fresh dense bitset.Relation per join step. Production
-// callers use ExecutePlanChecked.
+// callers use Run.
 func ExecuteDense(g *graph.CSR, p paths.Path, dir Direction) (*bitset.Relation, Stats) {
 	if len(p) == 0 {
 		panic("exec: empty path query")
@@ -52,7 +52,6 @@ func ExecuteDense(g *graph.CSR, p paths.Path, dir Direction) (*bitset.Relation, 
 			rel = rel.Compose(g.SuccessorSets(l))
 		}
 	case Backward:
-		st.Plan.Start = len(p) - 1
 		// Build the suffix relation reversed (target → source) so each
 		// prepend step is a composition with predecessor sets; un-reverse
 		// at the end.

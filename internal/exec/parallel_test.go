@@ -31,7 +31,7 @@ func assertStatsEqual(t *testing.T, ctx string, got, want Stats) {
 // TestExecuteParallelMatchesSequential is the parallel executor's
 // bit-identity property test: on random graphs across sizes, path
 // lengths, density thresholds, every zig-zag start, and worker counts
-// 1–16, ExecutePlanChecked must produce exactly the relation and statistics of
+// 1–16, Run must produce exactly the relation and statistics of
 // its sequential (Workers: 1) mode. Run under -race (as CI does) it also
 // proves the sharded compose steps are data-race-free.
 func TestExecuteParallelMatchesSequential(t *testing.T) {
@@ -48,12 +48,12 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		}
 		for _, density := range []float64{0, 1.0} {
 			for s := 0; s < len(p); s++ {
-				seqRel, seqSt := runPlan(t, g, p, Plan{Start: s},
+				seqRel, seqSt := runPlan(t, g, p, s,
 					Options{DensityThreshold: density, Workers: 1})
 				for workers := 2; workers <= 16; workers += 2 {
 					ctx := fmt.Sprintf("trial %d density %v start %d workers %d",
 						trial, density, s, workers)
-					rel, st := runPlan(t, g, p, Plan{Start: s},
+					rel, st := runPlan(t, g, p, s,
 						Options{DensityThreshold: density, Workers: workers})
 					if !rel.Equal(seqRel) {
 						t.Fatalf("%s: parallel relation differs from sequential", ctx)
@@ -72,8 +72,8 @@ func TestExecuteParallelLargeFanout(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	p := paths.Path{0, 1, 0, 1}
 	for s := range p {
-		seqRel, seqSt := runPlan(t, g, p, Plan{Start: s}, Options{Workers: 1})
-		rel, st := runPlan(t, g, p, Plan{Start: s}, Options{Workers: 16})
+		seqRel, seqSt := runPlan(t, g, p, s, Options{Workers: 1})
+		rel, st := runPlan(t, g, p, s, Options{Workers: 16})
 		if !rel.Equal(seqRel) {
 			t.Fatalf("start %d: 16-worker relation differs from sequential", s)
 		}
@@ -101,9 +101,9 @@ func TestParallelMergePathMatchesSequential(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(labels)
 		}
-		seqRel, seqSt := runPlan(t, g, p, Plan{Start: 0}, Options{Workers: 1})
+		seqRel, seqSt := runPlan(t, g, p, 0, Options{Workers: 1})
 		for workers := 1; workers <= 16; workers++ {
-			rel, st := runPlan(t, g, p, Plan{Start: 0}, Options{Workers: workers})
+			rel, st := runPlan(t, g, p, 0, Options{Workers: workers})
 			ctx := fmt.Sprintf("trial %d workers %d", trial, workers)
 			if !rel.Equal(seqRel) {
 				t.Fatalf("%s: merged relation differs from sequential", ctx)
@@ -121,13 +121,13 @@ func TestParallelMergePathMatchesSequential(t *testing.T) {
 func TestGranularityFloorSkipsScheduler(t *testing.T) {
 	g := randomGraph(41, 80, 2, 400) // far below 2×minShardPairs pairs per step
 	p := paths.Path{0, 1, 0}
-	_, st := runPlan(t, g, p, Plan{Start: 0}, Options{Workers: 8})
+	_, st := runPlan(t, g, p, 0, Options{Workers: 8})
 	if st.Sched.Tasks != 0 || st.Sched.Steals != 0 {
 		t.Fatalf("small query sharded anyway: %+v", st.Sched)
 	}
 	defer func(gr sched.Granularity) { shardGrain = gr }(shardGrain)
 	shardGrain = sched.Granularity{MinItems: 1, MinWork: 0, PerWorker: 4}
-	_, st = runPlan(t, g, p, Plan{Start: 0}, Options{Workers: 8})
+	_, st = runPlan(t, g, p, 0, Options{Workers: 8})
 	if st.Sched.Tasks == 0 {
 		t.Fatal("lowered floors did not shard — the floor test is vacuous")
 	}
@@ -147,12 +147,12 @@ func TestExecuteParallelLargeMerge(t *testing.T) {
 	}
 	g := randomGraph(43, 3*minMergeSources, 2, 15*minMergeSources)
 	p := paths.Path{0, 1, 0}
-	seqRel, seqSt := runPlan(t, g, p, Plan{Start: 0}, Options{Workers: 1})
+	seqRel, seqSt := runPlan(t, g, p, 0, Options{Workers: 1})
 	if seqRel.Sources() < minMergeSources {
 		t.Fatalf("graph too small to reach the merge round: %d sources", seqRel.Sources())
 	}
 	for _, workers := range []int{2, 4, 16} {
-		rel, st := runPlan(t, g, p, Plan{Start: 0}, Options{Workers: workers})
+		rel, st := runPlan(t, g, p, 0, Options{Workers: workers})
 		ctx := fmt.Sprintf("workers %d", workers)
 		if !rel.Equal(seqRel) {
 			t.Fatalf("%s: merged relation differs from sequential", ctx)
@@ -172,7 +172,7 @@ func TestExecuteDefaultsParallel(t *testing.T) {
 	g := randomGraph(9, 150, 3, 2000)
 	p := paths.Path{0, 1, 2}
 	dref, _ := ExecuteDense(g, p, Forward)
-	rel, _ := runPlan(t, g, p, Plan{Start: 0}, Options{})
+	rel, _ := runPlan(t, g, p, 0, Options{})
 	if !rel.EqualRelation(dref) {
 		t.Fatal("default-options Execute differs from dense reference")
 	}
@@ -201,9 +201,9 @@ func FuzzExecParallelEquivalence(f *testing.F) {
 		}
 		w := int(workers%16) + 1
 		dref, _ := ExecuteDense(g, p, Forward)
-		seqRel, seqSt := runPlan(t, g, p, Plan{Start: start},
+		seqRel, seqSt := runPlan(t, g, p, start,
 			Options{DensityThreshold: density, Workers: 1})
-		rel, st := runPlan(t, g, p, Plan{Start: start},
+		rel, st := runPlan(t, g, p, start,
 			Options{DensityThreshold: density, Workers: w})
 		if !rel.Equal(seqRel) || !rel.EqualRelation(dref) {
 			t.Fatalf("path %v start %d workers %d: parallel diverged", p, start, w)

@@ -6,11 +6,11 @@ import (
 	"repro/internal/paths"
 )
 
-// TestCheapestPlanTieBreak pins the deterministic tie-break rule: strictly
+// TestCheapestTieBreak pins the deterministic tie-break rule: strictly
 // lower cost wins, and among equal costs the lowest start index wins —
 // including the case where an interior start ties the backward plan, which
 // an earlier endpoint-preferring rule resolved differently.
-func TestCheapestPlanTieBreak(t *testing.T) {
+func TestCheapestTieBreak(t *testing.T) {
 	cases := []struct {
 		costs []float64
 		want  int
@@ -24,14 +24,14 @@ func TestCheapestPlanTieBreak(t *testing.T) {
 		{[]float64{1, 0, 0, 0, 1}, 1}, // run of zeros: first
 	}
 	for _, c := range cases {
-		if got := CheapestPlan(c.costs).Start; got != c.want {
-			t.Errorf("CheapestPlan(%v) = %d, want %d", c.costs, got, c.want)
+		if got := cheapest(c.costs); got != c.want {
+			t.Errorf("cheapest(%v) = %d, want %d", c.costs, got, c.want)
 		}
 	}
-	// ChoosePlan must route through the same rule.
+	// Plan must route through the same rule.
 	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 { return float64(len(p)) })}
-	p := paths.Path{0, 0, 0}
-	if got, want := pl.ChoosePlan(p), CheapestPlan(pl.Costs(p)); got != want {
-		t.Errorf("ChoosePlan = %v, CheapestPlan(Costs) = %v", got, want)
+	b := pl.Plan(PathDag(paths.Path{0, 0, 0}), 0, false).Blocks[0]
+	if got, want := b.Tree.Start, cheapest(b.Costs); got != want {
+		t.Errorf("Plan chose start %d, cheapest(Costs) = %d", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,39 @@ import (
 // compared with ==, not within ε — the table must add the same terms in
 // the same order.
 
-// refCosts is Planner.Costs as it was: one PlanCost per start.
+// PlanCost is the reference definition of a zig-zag plan's cost: the
+// estimated intermediate volume of executing p with the plan starting at
+// position start — the sum of estimated selectivities of every segment the
+// execution materializes and feeds into a join step, excluding the final
+// result (which is plan-independent). With an exact estimator it equals the
+// executed Stats.Work. It panics on an empty path or out-of-range start.
+func (pl Planner) PlanCost(p paths.Path, start int) float64 {
+	k := len(p)
+	if k == 0 {
+		panic("exec: cost of empty path query")
+	}
+	if start < 0 || start >= k {
+		panic(fmt.Sprintf("exec: plan start %d out of range [0,%d)", start, k))
+	}
+	var cost float64
+	// Rightward intermediates p[start:j). The full segment p[start:k) is
+	// fed into the first prepend step — unless start is 0, in which case
+	// it is the final result and costs nothing.
+	hi := k
+	if start == 0 {
+		hi = k - 1
+	}
+	for j := start + 1; j <= hi; j++ {
+		cost += pl.Est.Estimate(p[start:j])
+	}
+	// Leftward intermediates p[i:k); p[0:k) is the final result.
+	for i := start - 1; i >= 1; i-- {
+		cost += pl.Est.Estimate(p[i:])
+	}
+	return cost
+}
+
+// refCosts is the zig-zag cost spread as it was: one PlanCost per start.
 func refCosts(pl Planner, p paths.Path) []float64 {
 	out := make([]float64, len(p))
 	for s := range p {
@@ -35,8 +68,8 @@ func refTreeDP(pl Planner, p paths.Path) [][]treeCell {
 			j := i + length
 			seg := p[i:j]
 			costs := refCosts(pl, seg)
-			leaf := CheapestPlan(costs)
-			best := treeCell{cost: costs[leaf.Start], split: -1, start: i + leaf.Start}
+			leaf := cheapest(costs)
+			best := treeCell{cost: costs[leaf], split: -1, start: i + leaf}
 			if pl.Cached != nil && pl.Cached(seg) {
 				best.cost = 0
 			}
@@ -65,11 +98,11 @@ func refBuildTree(dp [][]treeCell, i, j int) *PlanTree {
 	}
 }
 
-// refChooseTreeWithCost is Planner.ChooseTreeWithCost as it was.
+// refChooseTreeWithCost is the bushy plan search as it was.
 func refChooseTreeWithCost(pl Planner, p paths.Path) (*PlanTree, float64) {
 	k := len(p)
 	if k > MaxTreeLength {
-		start := CheapestPlan(refCosts(pl, p)).Start
+		start := cheapest(refCosts(pl, p))
 		return &PlanTree{Lo: 0, Hi: k, Start: start}, pl.PlanCost(p, start)
 	}
 	dp := refTreeDP(pl, p)
@@ -108,7 +141,8 @@ func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 	return est, buildCost
 }
 
-// refPlanDag is Planner.PlanDag as it was.
+// refPlanDag is Planner.Plan as it was — but for the estimate of a plan's
+// only block, which feeds no join and is no longer asked.
 func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 	dp := &DagPlan{}
 	for i := 0; i < len(d.Elems); {
@@ -124,13 +158,15 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 			if bushy {
 				tree, cost = refChooseTreeWithCost(pl, run)
 			} else {
-				plan := CheapestPlan(refCosts(pl, run))
-				tree = &PlanTree{Lo: 0, Hi: len(run), Start: plan.Start}
-				cost = pl.PlanCost(run, plan.Start)
+				start := cheapest(refCosts(pl, run))
+				tree = &PlanTree{Lo: 0, Hi: len(run), Start: start}
+				cost = pl.PlanCost(run, start)
 			}
-			dp.Blocks = append(dp.Blocks, DagBlockPlan{
-				Lo: i, Hi: j, Run: run, Tree: tree, Est: pl.Est.Estimate(run),
-			})
+			b := DagBlockPlan{Lo: i, Hi: j, Run: run, Tree: tree}
+			if len(run) < len(d.Elems) {
+				b.Est = pl.Est.Estimate(run)
+			}
+			dp.Blocks = append(dp.Blocks, b)
 			dp.Cost += cost
 			i = j
 			continue
@@ -247,34 +283,37 @@ func randomPlanner(seed int64, cachedShare float64) Planner {
 }
 
 // assertPlansMatchReference pins everything the table-driven planner
-// decides about p — the zig-zag cost spread, the chosen tree and its
-// cost, and the same again when replanned from the retained table — to
-// the reference planner, float for float.
+// decides about p — the zig-zag cost spread, the chosen zig-zag leaf, the
+// chosen tree and its cost, and the same again when replanned from the
+// retained table — to the reference planner, float for float.
 func assertPlansMatchReference(t *testing.T, pl Planner, p paths.Path) {
 	t.Helper()
 	k := len(p)
 	want := refCosts(pl, p)
+	wantLeaf := &PlanTree{Lo: 0, Hi: k, Start: cheapest(want)}
 	wantTree, wantCost := refChooseTreeWithCost(pl, p)
-	segs := pl.Segments(p)
-	for name, got := range map[string][]float64{"Planner.Costs": pl.Costs(p), "SegTable.Costs": segs.Costs()} {
-		if len(got) != len(want) {
-			t.Fatalf("path %v: %s has %d entries, want %d", p, name, len(got), len(want))
+	cold := Planner{Est: pl.Est}
+	for name, got := range map[string]*DagPlan{
+		"Plan": pl.Plan(PathDag(p), 0, false), "Replan": pl.Replan(cold.Plan(PathDag(p), 0, false)),
+		"bushy Plan": pl.Plan(PathDag(p), 0, true), "bushy Replan": pl.Replan(cold.Plan(PathDag(p), 0, true)),
+	} {
+		b := got.Blocks[0]
+		if len(got.Blocks) != 1 || !b.Run.Equal(p) || len(b.Costs) != len(want) {
+			t.Fatalf("path %v: %s is not one run block over the path with %d costs", p, name, len(want))
 		}
 		for s := range want {
-			if got[s] != want[s] {
-				t.Fatalf("path %v: %s[%d] = %v, reference %v", p, name, s, got[s], want[s])
+			if b.Costs[s] != want[s] {
+				t.Fatalf("path %v: %s Costs[%d] = %v, reference %v", p, name, s, b.Costs[s], want[s])
 			}
 		}
-	}
-	tree, cost := pl.ChooseTreeWithCost(p)
-	if tree.Describe(k) != wantTree.Describe(k) || cost != wantCost {
-		t.Fatalf("path %v: ChooseTreeWithCost = %s at %v, reference %s at %v",
-			p, tree.Describe(k), cost, wantTree.Describe(k), wantCost)
-	}
-	tree, cost = segs.ChooseTreeWithCost(pl.Cached)
-	if tree.Describe(k) != wantTree.Describe(k) || cost != wantCost {
-		t.Fatalf("path %v: ChooseTreeWithCost from a table = %s at %v, reference %s at %v",
-			p, tree.Describe(k), cost, wantTree.Describe(k), wantCost)
+		tree, cost := wantLeaf, want[wantLeaf.Start]
+		if got.bushy {
+			tree, cost = wantTree, wantCost
+		}
+		if b.Tree.Describe(k) != tree.Describe(k) || got.Cost != cost {
+			t.Fatalf("path %v: %s = %s at %v, reference %s at %v",
+				p, name, b.Tree.Describe(k), got.Cost, tree.Describe(k), cost)
+		}
 	}
 }
 
@@ -334,12 +373,12 @@ func TestPlanDagMatchesReference(t *testing.T) {
 			for _, share := range []float64{0, 0.5} {
 				pl := randomPlanner(seed, share)
 				want := refPlanDag(pl, d, n, bushy)
-				got := pl.PlanDag(d, n, bushy)
+				got := pl.Plan(d, n, bushy)
 				assertDagPlanMatchesReference(t, d.Describe(), got, want)
 				// A plan made against another cache state, replanned
 				// against this one, is the plan made against this one.
-				other := randomPlanner(seed, 1).PlanDag(d, n, bushy)
-				assertDagPlanMatchesReference(t, d.Describe()+" replanned", pl.ReplanDag(other), want)
+				other := randomPlanner(seed, 1).Plan(d, n, bushy)
+				assertDagPlanMatchesReference(t, d.Describe()+" replanned", pl.Replan(other), want)
 			}
 		}
 	}
@@ -356,11 +395,11 @@ func countingPlanner(pl Planner, calls *int) Planner {
 }
 
 // TestSegmentTableAsksEachSegmentOnce pins the planner's estimator
-// budget: one table serves the zig-zag spread and the bushy DP with one
-// call per proper segment — never the whole path, which no plan
-// materializes as an intermediate — and planning from a filled table asks
-// nothing, with and without a cache view, while choosing what planning
-// from scratch chooses.
+// budget: planning a concrete path, zig-zag or bushy, makes one call per
+// proper segment — never the whole path, which no plan materializes as an
+// intermediate and which callers plan one label beyond their estimator's
+// reach — and replanning asks nothing, with and without a cache view,
+// while choosing what planning from scratch chooses.
 func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 	for k := 1; k <= 8; k++ {
 		// Distinct labels, so every segment is a distinct label sequence.
@@ -368,57 +407,58 @@ func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 		for i := range p {
 			p[i] = i
 		}
-		calls, asked := 0, map[string]int{}
-		pl := randomPlanner(int64(k), 0)
-		est := pl.Est
-		pl.Est = EstimatorFunc(func(q paths.Path) float64 {
-			calls++
-			asked[q.Key()]++
-			return est.Estimate(q)
-		})
-		segs := pl.Segments(p)
-		if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
-			t.Fatalf("k=%d: filling the table made %d estimator calls over %d segments, want %d",
-				k, calls, len(asked), want)
-		}
-		if asked[p.Key()] != 0 {
-			t.Fatalf("k=%d: the whole path was estimated", k)
-		}
-		for _, share := range []float64{0, 0.5} {
-			scratch := randomPlanner(int64(k), share)
-			calls = 0
-			segs.Costs()
-			tree, cost := segs.ChooseTreeWithCost(scratch.Cached)
-			if calls != 0 {
-				t.Fatalf("k=%d: planning from a filled table made %d estimator calls", k, calls)
+		for _, bushy := range []bool{false, true} {
+			calls, asked := 0, map[string]int{}
+			pl := randomPlanner(int64(k), 0)
+			est := pl.Est
+			pl.Est = EstimatorFunc(func(q paths.Path) float64 {
+				if len(q) == k {
+					panic("the whole path was estimated")
+				}
+				calls++
+				asked[q.Key()]++
+				return est.Estimate(q)
+			})
+			dp := pl.Plan(PathDag(p), 0, bushy)
+			if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
+				t.Fatalf("k=%d bushy=%v: planning made %d estimator calls over %d segments, want %d",
+					k, bushy, calls, len(asked), want)
 			}
-			wantTree, wantCost := scratch.ChooseTreeWithCost(p)
-			if tree.Describe(k) != wantTree.Describe(k) || cost != wantCost {
-				t.Fatalf("k=%d cached share %v: from the table %s at %v, from scratch %s at %v",
-					k, share, tree.Describe(k), cost, wantTree.Describe(k), wantCost)
+			for _, share := range []float64{0, 0.5} {
+				scratch := randomPlanner(int64(k), share)
+				calls = 0
+				got := Planner{Est: pl.Est, Cached: scratch.Cached}.Replan(dp)
+				if calls != 0 {
+					t.Fatalf("k=%d bushy=%v: replanning made %d estimator calls", k, bushy, calls)
+				}
+				want := scratch.Plan(PathDag(p), 0, bushy)
+				if got.Describe() != want.Describe() || got.Cost != want.Cost {
+					t.Fatalf("k=%d bushy=%v cached share %v: replanned %s at %v, from scratch %s at %v",
+						k, bushy, share, got.Describe(), got.Cost, want.Describe(), want.Cost)
+				}
 			}
 		}
 	}
 }
 
-// TestReplanDagAsksNothing pins ReplanDag's budget: zero estimator calls,
-// and the input plan untouched.
-func TestReplanDagAsksNothing(t *testing.T) {
+// TestReplanAsksNothing pins Replan's budget: zero estimator calls, and
+// the input plan untouched.
+func TestReplanAsksNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for seed := int64(0); seed < 50; seed++ {
 		d := randomDag(rng, 4)
 		var calls int
 		cold := countingPlanner(randomPlanner(seed, 0), &calls)
-		dp := cold.PlanDag(d, 30, true)
+		dp := cold.Plan(d, 30, true)
 		before, coldCost := dp.Describe(), dp.Cost
 		calls = 0
 		warm := countingPlanner(randomPlanner(seed, 0.7), &calls)
-		replanned := warm.ReplanDag(dp)
+		replanned := warm.Replan(dp)
 		if calls != 0 {
-			t.Fatalf("%s: ReplanDag made %d estimator calls", d.Describe(), calls)
+			t.Fatalf("%s: Replan made %d estimator calls", d.Describe(), calls)
 		}
 		if dp.Describe() != before || dp.Cost != coldCost {
-			t.Fatalf("%s: ReplanDag changed its input", d.Describe())
+			t.Fatalf("%s: Replan changed its input", d.Describe())
 		}
 		assertDagPlanMatchesReference(t, d.Describe(), replanned, refPlanDag(warm, d, 30, true))
 	}

@@ -6,14 +6,13 @@ import (
 	"strings"
 
 	"repro/internal/bitset"
-	"repro/internal/graph"
 	"repro/internal/paths"
 )
 
-// This file is the execution layer's regular-path-query (RPQ) surface:
-// a compiled expression DAG over the existing segment primitives, the
-// planner extension that costs and decomposes it, and the checked
-// executor that folds it left-to-right on the hybrid substrate.
+// This file is the execution layer's query and plan form: a compiled
+// regular-path-query (RPQ) expression DAG — a concrete path is the DAG of
+// plain labels — the one planner that costs and decomposes it, and the
+// fold that executes the plan left-to-right on the hybrid substrate.
 //
 // The algebra is small and exact. An RPQ is a '/'-separated sequence of
 // elements; each element is a label set (alternation — a single label is
@@ -31,7 +30,7 @@ import (
 // what the equivalence tests pin (bit-identical, since UnionWith is
 // representation-canonical). A whole-query MinLen of 0 (every element
 // optional) would make the identity relation a member of the union;
-// compilers must reject it, and validate panics on it.
+// compilers must reject it, and DagPlan.validate panics on it.
 
 // MaxRepetition bounds an element's repetition upper bound. Unrolled
 // powers are materialized relations, so an unbounded (or absurd) MaxRep
@@ -58,6 +57,26 @@ type RPQElem struct {
 // the zig-zag/bushy machinery already handles natively.
 func (e RPQElem) simple() bool {
 	return len(e.Labels) == 1 && e.MinRep == 1 && e.MaxRep == 1
+}
+
+// validate panics unless the element, the i-th of its query, is
+// well-formed over a numLabels-label vocabulary: a sorted deduplicated
+// non-empty in-range label set and sane repetition bounds.
+func (e RPQElem) validate(i, numLabels int) {
+	if len(e.Labels) == 0 {
+		panic(fmt.Sprintf("exec: RPQ element %d has no labels", i))
+	}
+	for j, l := range e.Labels {
+		if l < 0 || l >= numLabels {
+			panic(fmt.Sprintf("exec: RPQ element %d label %d out of range [0,%d)", i, l, numLabels))
+		}
+		if j > 0 && e.Labels[j-1] >= l {
+			panic(fmt.Sprintf("exec: RPQ element %d labels not sorted/deduplicated", i))
+		}
+	}
+	if e.MinRep < 0 || e.MaxRep < 1 || e.MinRep > e.MaxRep || e.MaxRep > MaxRepetition {
+		panic(fmt.Sprintf("exec: RPQ element %d repetition bounds {%d,%d} invalid", i, e.MinRep, e.MaxRep))
+	}
 }
 
 // skippable reports whether the element may match the empty path.
@@ -100,38 +119,6 @@ type RPQDag struct {
 	Elems []RPQElem
 }
 
-// Validate panics unless the DAG is well-formed over a numLabels-label
-// vocabulary: at least one element, every element with a sorted
-// deduplicated non-empty in-range label set and sane repetition bounds,
-// and a whole-query MinLen ≥ 1 (an all-optional query would match the
-// empty path, whose relation is the identity — compilers reject it
-// before a DAG exists). Malformed DAGs are caller bugs, not runtime
-// failures, matching the executor's precondition contract.
-func (d *RPQDag) Validate(numLabels int) {
-	if d == nil || len(d.Elems) == 0 {
-		panic("exec: empty RPQ dag")
-	}
-	for i, e := range d.Elems {
-		if len(e.Labels) == 0 {
-			panic(fmt.Sprintf("exec: RPQ element %d has no labels", i))
-		}
-		for j, l := range e.Labels {
-			if l < 0 || l >= numLabels {
-				panic(fmt.Sprintf("exec: RPQ element %d label %d out of range [0,%d)", i, l, numLabels))
-			}
-			if j > 0 && e.Labels[j-1] >= l {
-				panic(fmt.Sprintf("exec: RPQ element %d labels not sorted/deduplicated", i))
-			}
-		}
-		if e.MinRep < 0 || e.MaxRep < 1 || e.MinRep > e.MaxRep || e.MaxRep > MaxRepetition {
-			panic(fmt.Sprintf("exec: RPQ element %d repetition bounds {%d,%d} invalid", i, e.MinRep, e.MaxRep))
-		}
-	}
-	if d.MinLen() == 0 {
-		panic("exec: RPQ dag may match the empty path")
-	}
-}
-
 // MinLen is the shortest concrete path length the expression matches.
 func (d *RPQDag) MinLen() int {
 	n := 0
@@ -151,8 +138,7 @@ func (d *RPQDag) MaxLen() int {
 }
 
 // ConcretePath returns the query's single concrete path when every
-// element is a plain label — the case that bypasses the DAG machinery
-// entirely and runs on the existing path executors.
+// element is a plain label — the query whose plan is one run block.
 func (d *RPQDag) ConcretePath() (paths.Path, bool) {
 	p := make(paths.Path, 0, len(d.Elems))
 	for _, e := range d.Elems {
@@ -162,6 +148,16 @@ func (d *RPQDag) ConcretePath() (paths.Path, bool) {
 		p = append(p, e.Labels[0])
 	}
 	return p, true
+}
+
+// PathDag is ConcretePath's inverse: the query of one concrete path, every
+// element a plain label. It retains p, which the caller must not modify.
+func PathDag(p paths.Path) *RPQDag {
+	d := &RPQDag{Elems: make([]RPQElem, len(p))}
+	for i := range p {
+		d.Elems[i] = RPQElem{Labels: p[i : i+1 : i+1], MinRep: 1, MaxRep: 1}
+	}
+	return d
 }
 
 // Describe renders the DAG with numeric label ids.
@@ -233,34 +229,43 @@ func (d *RPQDag) Expansions(limit int) (exps []paths.Path, ok bool) {
 	return exps, true
 }
 
-// DagBlockPlan is one block of a planned DAG: either a maximal run of
+// DagBlockPlan is one block of a plan: either a maximal run of
 // plain-label elements (Run non-empty), executed as an ordinary path
 // segment under Tree — a leaf is a zig-zag plan, a join node a bushy
-// tree, exactly the existing plan space — or one complex element (Elem),
-// whose relation is built by alternation-union and repetition-unroll.
+// tree — or one complex element (Elem), whose relation is built by
+// alternation-union and repetition-unroll.
 type DagBlockPlan struct {
-	// Lo, Hi delimit the element range [Lo, Hi) of the DAG this block
+	// Lo, Hi delimit the element range [Lo, Hi) of the query this block
 	// covers; complex-element blocks always span exactly one element.
 	Lo, Hi int
 	// Run is the run block's concrete label path (nil for element
 	// blocks); Tree is its plan, spanning [0, len(Run)).
 	Run  paths.Path
 	Tree *PlanTree
+	// Costs is the estimated cost of each of Run's zig-zag plans, indexed
+	// by start position — the spread Tree was chosen over (nil for element
+	// blocks and hand-built plans). It never depends on the cache, so
+	// every replanned copy of the block shares it.
+	Costs []float64
 	// Elem is the element of a complex-element block.
 	Elem RPQElem
-	// Est is the estimated pair count of the block's finished relation.
+	// Est is the estimated pair count of the block's finished relation,
+	// what the fold join after it consumes. A plan's only block feeds no
+	// join, so there it is left zero and never asked of the estimator.
 	Est float64
 
-	// What PlanDag asked the estimator, retained so ReplanDag asks nothing:
-	// a run block's segment table, an element block's unroll cost.
-	segs  *SegTable
+	// What Plan asked the estimator, retained so Replan asks nothing: a
+	// run block's segment table, an element block's unroll cost.
+	segs  segTable
 	build float64
 }
 
-// DagPlan is the planned form of an RPQDag: its block decomposition plus
-// the plan-wide cost estimate. Build it with Planner.PlanDag; pass nil
-// to ExecuteDagChecked to plan with a zero estimator (every leaf runs
-// forward).
+// DagPlan is a query together with how to execute it — the one plan form:
+// the query's elements decomposed into blocks, each carrying the labels it
+// evaluates, folded left to right. A concrete path is a single run block,
+// a zig-zag plan a single run block whose Tree is a leaf. Build it with
+// Planner.Plan, or by hand from a path and a tree with PathPlan; execute
+// it with Run.
 type DagPlan struct {
 	Blocks []DagBlockPlan
 	// Cost is the estimated total intermediate volume: run-block plan
@@ -270,60 +275,95 @@ type DagPlan struct {
 	Cost float64
 	// ResultEst is the estimated pair count of the final relation under
 	// the independence model (exact per-block estimates folded with an
-	// n-normalized join).
+	// n-normalized join); zero for a single-block plan, see
+	// DagBlockPlan.Est.
 	ResultEst float64
 
-	// PlanDag's arguments, retained for ReplanDag.
+	// Plan's arguments, retained for Replan.
 	n     int
 	bushy bool
+}
+
+// PathPlan is the hand-built plan executing the concrete path p under
+// tree, which must span [0, len(p)): a forced zig-zag start is the leaf
+// &PlanTree{Lo: 0, Hi: len(p), Start: s}. It carries no estimates, so it
+// cannot be replanned.
+func PathPlan(p paths.Path, tree *PlanTree) *DagPlan {
+	dp := newPlan(0, false)
+	dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: 0, Hi: len(p), Run: p, Tree: tree})
+	return dp
+}
+
+// newPlan allocates an empty plan with room for one block beside it, so
+// the plan of a concrete path — a one-run DAG, the common query — costs
+// one allocation, and so does replanning it per execution.
+func newPlan(n int, bushy bool) *DagPlan {
+	a := &struct {
+		dp    DagPlan
+		first [1]DagBlockPlan
+	}{dp: DagPlan{n: n, bushy: bushy}}
+	a.dp.Blocks = a.first[:0]
+	return &a.dp
 }
 
 // Describe renders the plan: run blocks by their tree plan, element
 // blocks by their element, joined by the fold operator.
 func (dp *DagPlan) Describe() string {
+	if len(dp.Blocks) == 1 {
+		return dp.Blocks[0].describe()
+	}
 	parts := make([]string, len(dp.Blocks))
 	for i, b := range dp.Blocks {
-		if b.Run != nil {
-			parts[i] = b.Tree.Describe(len(b.Run))
-		} else {
-			parts[i] = b.Elem.describe()
-		}
-	}
-	if len(parts) == 1 {
-		return parts[0]
+		parts[i] = b.describe()
 	}
 	return "(" + strings.Join(parts, " ⋈ ") + ")"
 }
 
-// validateFor panics unless the plan decomposes exactly the given DAG —
-// a mismatched plan (planned from a different expression) is a caller
-// bug that would silently execute the wrong query.
-func (dp *DagPlan) validateFor(d *RPQDag) {
-	at := 0
+func (b DagBlockPlan) describe() string {
+	if b.Run != nil {
+		return b.Tree.Describe(len(b.Run))
+	}
+	return b.Elem.describe()
+}
+
+// validate panics unless the plan is self-consistent over a
+// numLabels-label vocabulary: blocks that tile an element range from 0
+// without gaps, every run block a non-empty in-range label path under a
+// tree that spans it, every element block one well-formed complex
+// element, and at least one block that cannot match the empty path (an
+// all-optional query's relation would include the identity — compilers
+// reject it before a plan exists). A malformed plan is a caller bug, not a
+// runtime failure, matching the executor's precondition contract.
+func (dp *DagPlan) validate(numLabels int) {
+	if dp == nil || len(dp.Blocks) == 0 {
+		panic("exec: empty plan")
+	}
+	at, optional := 0, true
 	for i, b := range dp.Blocks {
-		if b.Lo != at || b.Hi <= b.Lo || b.Hi > len(d.Elems) {
-			panic(fmt.Sprintf("exec: dag plan block %d spans [%d,%d) at element %d", i, b.Lo, b.Hi, at))
+		if b.Lo != at || b.Hi <= b.Lo {
+			panic(fmt.Sprintf("exec: plan block %d spans [%d,%d) at element %d", i, b.Lo, b.Hi, at))
 		}
 		if b.Run != nil {
 			if len(b.Run) != b.Hi-b.Lo {
-				panic(fmt.Sprintf("exec: dag plan block %d run length %d over %d elements", i, len(b.Run), b.Hi-b.Lo))
+				panic(fmt.Sprintf("exec: plan block %d run length %d over %d elements", i, len(b.Run), b.Hi-b.Lo))
 			}
-			for j, l := range b.Run {
-				e := d.Elems[b.Lo+j]
-				if !e.simple() || e.Labels[0] != l {
-					panic(fmt.Sprintf("exec: dag plan block %d run mismatches element %d", i, b.Lo+j))
+			for _, l := range b.Run {
+				if l < 0 || l >= numLabels {
+					panic(fmt.Sprintf("exec: plan block %d label %d out of range [0,%d)", i, l, numLabels))
 				}
 			}
 			b.Tree.validate(0, len(b.Run))
 		} else {
 			if b.Hi != b.Lo+1 {
-				panic(fmt.Sprintf("exec: dag plan element block %d spans %d elements", i, b.Hi-b.Lo))
+				panic(fmt.Sprintf("exec: plan element block %d spans %d elements", i, b.Hi-b.Lo))
 			}
+			b.Elem.validate(b.Lo, numLabels)
 		}
+		optional = optional && b.Run == nil && b.Elem.skippable()
 		at = b.Hi
 	}
-	if at != len(d.Elems) {
-		panic(fmt.Sprintf("exec: dag plan covers %d of %d elements", at, len(d.Elems)))
+	if optional {
+		panic("exec: plan may match the empty path")
 	}
 }
 
@@ -366,49 +406,55 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 	return est, buildCost
 }
 
-// PlanDag extends the planner DP over a compiled RPQ: the element
-// sequence is decomposed into maximal plain-label runs — each planned
-// with the existing zig-zag/bushy machinery (ChooseTreeWithCost when
-// bushy, the cheapest zig-zag otherwise), so cached segments, interior
-// starts, and bushy joins all apply inside a run — and single complex
-// elements, costed by their unroll intermediates. Block relations are
-// folded left-to-right; the fold's size recurrence mirrors the
-// executor's union algebra under the independence model, and every
-// block-boundary join charges both materialized inputs, matching the
-// bushy DP's cost model. n is the vertex universe (join normalization);
-// the DAG must be valid.
-func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan {
-	dp := &DagPlan{n: n, bushy: bushy}
+// Plan plans a compiled query — the one way to plan. The element sequence
+// is decomposed into maximal plain-label runs — each planned over its
+// segment table (the cheapest plan tree when bushy, the cheapest zig-zag
+// otherwise), so cached segments, interior starts, and bushy joins all
+// apply inside a run — and single complex elements, costed by their unroll
+// intermediates. A concrete path is the one-run case, and its plan is
+// exactly the zig-zag/bushy choice over the path. Block relations are
+// folded left-to-right; the fold's size recurrence mirrors the executor's
+// union algebra under the independence model, and every block-boundary
+// join charges both materialized inputs, matching the bushy DP's cost
+// model. n is the vertex universe (join normalization); the DAG must be
+// well-formed (Run checks the plan's copy of it).
+func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
+	dp := newPlan(n, bushy)
 	for i := 0; i < len(d.Elems); {
-		if d.Elems[i].simple() {
-			j := i
-			run := paths.Path{}
-			for j < len(d.Elems) && d.Elems[j].simple() {
-				run = append(run, d.Elems[j].Labels[0])
-				j++
-			}
-			segs := pl.Segments(run)
-			dp.Blocks = append(dp.Blocks, DagBlockPlan{
-				Lo: i, Hi: j, Run: run, Est: pl.Est.Estimate(run), segs: segs,
-			})
-			i = j
+		e := d.Elems[i]
+		if !e.simple() {
+			est, buildCost := pl.elemEst(e, n)
+			dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est, build: buildCost})
+			i++
 			continue
 		}
-		e := d.Elems[i]
-		est, buildCost := pl.elemEst(e, n)
-		dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est, build: buildCost})
-		i++
+		j := i + 1
+		for j < len(d.Elems) && d.Elems[j].simple() {
+			j++
+		}
+		run := make(paths.Path, j-i)
+		for x := range run {
+			run[x] = d.Elems[i+x].Labels[0]
+		}
+		b := DagBlockPlan{Lo: i, Hi: j, Run: run, segs: pl.segments(run)}
+		b.Costs = b.segs.costs
+		if len(run) < len(d.Elems) {
+			b.Est = pl.Est.Estimate(run)
+		}
+		dp.Blocks = append(dp.Blocks, b)
+		i = j
 	}
 	pl.decide(dp)
 	return dp
 }
 
-// ReplanDag plans dp's DAG again against the planner's current Cached
+// Replan plans dp's query again against the planner's current Cached
 // view, from the estimates dp retains: cache probes and arithmetic, no
-// estimator calls. It returns a fresh plan equal to what PlanDag would
-// return now; dp, which must come from PlanDag, is left untouched.
-func (pl Planner) ReplanDag(dp *DagPlan) *DagPlan {
-	out := &DagPlan{Blocks: append([]DagBlockPlan(nil), dp.Blocks...), n: dp.n, bushy: dp.bushy}
+// estimator calls. It returns a fresh plan equal to what Plan would return
+// now; dp, which must come from Plan, is left untouched.
+func (pl Planner) Replan(dp *DagPlan) *DagPlan {
+	out := newPlan(dp.n, dp.bushy)
+	out.Blocks = append(out.Blocks, dp.Blocks...)
 	pl.decide(out)
 	return out
 }
@@ -423,15 +469,11 @@ func (pl Planner) decide(dp *DagPlan) {
 			dp.Cost += b.build
 			continue
 		}
-		if b.segs == nil {
-			panic("exec: dag plan was not built by PlanDag")
+		if b.segs.est == nil {
+			panic("exec: plan was not built by Planner.Plan")
 		}
 		var cost float64
-		if dp.bushy {
-			b.Tree, cost = b.segs.ChooseTreeWithCost(pl.Cached)
-		} else {
-			b.Tree, cost = b.segs.cheapestLeaf()
-		}
+		b.Tree, cost = b.segs.chooseTree(dp.bushy, pl.Cached)
 		dp.Cost += cost
 	}
 	// Fold the block sizes: size_i = size·est/n (join) + est when the
@@ -513,10 +555,11 @@ func (x *core) elem(e RPQElem) (*bitset.HybridRelation, error) {
 	return u, x.price(u)
 }
 
-// fold executes the planned DAG: each block's relation — a run block
-// through the zig-zag/bushy nodes (whole-segment cache fast path, bushy
-// subtrees, sharded compose — everything applies), an element block
-// through elem — folded left-to-right by the R_i recurrence above.
+// fold executes a plan: each block's relation — a run block through the
+// zig-zag/bushy nodes (whole-segment cache fast path, bushy subtrees,
+// sharded compose — everything applies), an element block through elem —
+// folded left-to-right by the R_i recurrence above. A plan's only block is
+// the root: its tree may count its last step.
 func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 	var cur *bitset.HybridRelation
 	eps := true
@@ -526,7 +569,7 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 			err error
 		)
 		if b.Run != nil {
-			u, err = x.tree(b.Run, b.Tree, false)
+			u, err = x.tree(b.Run, b.Tree, len(dp.Blocks) == 1)
 		} else {
 			u, err = x.elem(b.Elem)
 		}
@@ -569,27 +612,4 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		cur, eps = dst, eps && skip
 	}
 	return cur, nil
-}
-
-// ExecuteDagChecked evaluates a compiled RPQ over g under the checked
-// contract of ExecutePlanChecked: cancellation and deadline checks at
-// every join step (plus the kernels' cooperative flag mid-step), budget
-// enforcement on every materialized relation, contained panics as typed
-// errors, and every pooled relation released on abort. dp must have been
-// planned for d (Planner.PlanDag); nil plans with a zero estimator. The
-// result is the union of the relations of every concrete path d expands
-// to — bit-identical to enumerating the expansions through
-// ExecutePlanChecked and folding UnionWith, at every worker count. It
-// panics on a malformed DAG or a plan/DAG mismatch (caller bugs).
-func ExecuteDagChecked(g *graph.CSR, d *RPQDag, dp *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
-	d.Validate(g.NumLabels())
-	if dp == nil {
-		dp = Planner{Est: EstimatorFunc(func(paths.Path) float64 { return 0 })}.
-			PlanDag(d, g.NumVertices(), false)
-	}
-	dp.validateFor(d)
-	x := newCore(g, opt)
-	rel, st, err := x.finish(func() (*bitset.HybridRelation, error) { return x.fold(dp) })
-	st.Plan = Plan{Start: -1}
-	return rel, st, err
 }

@@ -50,7 +50,7 @@ func expansionUnion(t *testing.T, g *graph.CSR, d *RPQDag, opt Options) *bitset.
 	}
 	out := bitset.NewHybrid(g.NumVertices(), opt.DensityThreshold)
 	for _, p := range exps {
-		rel, _, err := ExecutePlanChecked(g, p, Plan{Start: 0}, Options{DensityThreshold: opt.DensityThreshold, KeepResult: true})
+		rel, _, err := Run(g, startPlan(p, 0), Options{DensityThreshold: opt.DensityThreshold, KeepResult: true})
 		if err != nil {
 			t.Fatalf("oracle path %v: %v", p, err)
 		}
@@ -61,7 +61,7 @@ func expansionUnion(t *testing.T, g *graph.CSR, d *RPQDag, opt Options) *bitset.
 
 // TestExecuteDagMatchesExpansionUnion pins the tentpole equivalence:
 // the DAG fold is bit-identical to the union of its enumerated
-// concrete-path expansions, at workers 1–8, planned and unplanned,
+// concrete-path expansions, at workers 1–8, planned and zero-estimate,
 // cached and uncached.
 func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 	g := testGraph(t)
@@ -72,8 +72,8 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 		want := expansionUnion(t, g, d, Options{})
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, bushy := range []bool{false, true} {
-				dp := Planner{Est: est}.PlanDag(d, g.NumVertices(), bushy)
-				got, st, err := ExecuteDagChecked(g, d, dp, Options{Workers: workers, KeepResult: true})
+				dp := Planner{Est: est}.Plan(d, g.NumVertices(), bushy)
+				got, st, err := Run(g, dp, Options{Workers: workers, KeepResult: true})
 				if err != nil {
 					t.Fatalf("dag %s workers=%d bushy=%v: %v", d.Describe(), workers, bushy, err)
 				}
@@ -86,8 +86,9 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 				}
 			}
 		}
-		// Unplanned (nil DagPlan) and cache-warmed runs must agree too.
-		got, _, err := ExecuteDagChecked(g, d, nil, Options{KeepResult: true})
+		// Zero-estimate (every run forward) and cache-warmed runs must
+		// agree too.
+		got, _, err := Run(g, zeroPlan(g, d), Options{KeepResult: true})
 		if err != nil {
 			t.Fatalf("dag %s unplanned: %v", d.Describe(), err)
 		}
@@ -96,7 +97,7 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 		}
 		cache := relcache.New(relcache.Options{MaxBytes: 1 << 20})
 		for pass := 0; pass < 2; pass++ {
-			got, _, err := ExecuteDagChecked(g, d, nil, Options{Cache: cache, KeepResult: true})
+			got, _, err := Run(g, zeroPlan(g, d), Options{Cache: cache, KeepResult: true})
 			if err != nil {
 				t.Fatalf("dag %s cached pass %d: %v", d.Describe(), pass, err)
 			}
@@ -114,14 +115,14 @@ func TestExecuteDagRepetitionSharesCache(t *testing.T) {
 	g := testGraph(t)
 	cache := relcache.New(relcache.Options{MaxBytes: 1 << 20})
 	d := &RPQDag{Elems: []RPQElem{{Labels: []int{1}, MinRep: 1, MaxRep: 3}}}
-	_, cold, err := ExecuteDagChecked(g, d, nil, Options{Cache: cache})
+	_, cold, err := Run(g, zeroPlan(g, d), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheMisses != 2 || cold.CacheHits != 0 {
 		t.Fatalf("cold run: hits=%d misses=%d, want 0/2 (b², b³ published)", cold.CacheHits, cold.CacheMisses)
 	}
-	_, warm, err := ExecuteDagChecked(g, d, nil, Options{Cache: cache})
+	_, warm, err := Run(g, zeroPlan(g, d), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestExecuteDagRepetitionSharesCache(t *testing.T) {
 		t.Fatalf("warm run: hits=%d misses=%d, want 2/0", warm.CacheHits, warm.CacheMisses)
 	}
 	// A concrete b/b query adopts the power the unroll published.
-	_, cst, err := ExecutePlanChecked(g, paths.Path{1, 1}, Plan{Start: 0}, Options{Cache: cache})
+	_, cst, err := Run(g, startPlan(paths.Path{1, 1}, 0), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +170,9 @@ func TestDagExpansions(t *testing.T) {
 	}
 }
 
-// TestPlanDagRunDecomposition pins the block decomposition: maximal
+// TestPlanRunDecomposition pins the block decomposition: maximal
 // plain-label runs collapse into one planned block.
-func TestPlanDagRunDecomposition(t *testing.T) {
+func TestPlanRunDecomposition(t *testing.T) {
 	g := testGraph(t)
 	est := EstimatorFunc(func(p paths.Path) float64 { return float64(paths.Selectivity(g, p)) })
 	d := &RPQDag{Elems: []RPQElem{
@@ -180,7 +181,7 @@ func TestPlanDagRunDecomposition(t *testing.T) {
 		{Labels: []int{1, 2}, MinRep: 1, MaxRep: 1},
 		{Labels: []int{2}, MinRep: 1, MaxRep: 1},
 	}}
-	dp := Planner{Est: est}.PlanDag(d, g.NumVertices(), true)
+	dp := Planner{Est: est}.Plan(d, g.NumVertices(), true)
 	if len(dp.Blocks) != 3 {
 		t.Fatalf("blocks = %d, want 3 (run[0,2), (1|2), run[3,4))", len(dp.Blocks))
 	}

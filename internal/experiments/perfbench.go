@@ -173,7 +173,7 @@ func execBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 	run("exec/legacy-dense-forward", legacyFwd, 0, 0)
 	hybridFwd := timeOp(execIters, func() {
 		for _, q := range ExecBenchQueries {
-			must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: 0}, opt))
+			must(exec.Run(g, startPlan(q, 0), opt))
 		}
 	})
 	run("exec/hybrid-forward", hybridFwd, legacyFwd, workers)
@@ -186,7 +186,7 @@ func execBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 	run("exec/legacy-dense-backward", legacyBwd, 0, 0)
 	hybridBwd := timeOp(execIters, func() {
 		for _, q := range ExecBenchQueries {
-			must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: len(q) - 1}, opt))
+			must(exec.Run(g, startPlan(q, len(q)-1), opt))
 		}
 	})
 	run("exec/hybrid-backward", hybridBwd, legacyBwd, workers)
@@ -195,7 +195,7 @@ func execBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 	// hybrid forward plan so the reversal overhead is visible.
 	zigzag := timeOp(execIters, func() {
 		for _, q := range ExecBenchQueries {
-			must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: 1}, opt))
+			must(exec.Run(g, startPlan(q, 1), opt))
 		}
 	})
 	run("exec/hybrid-zigzag@1", zigzag, hybridFwd, workers)
@@ -271,7 +271,7 @@ func parExecBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 	// set's labels happening to appear in both directions.
 	for _, shape := range shapes {
 		for _, q := range ExecBenchQueries {
-			must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: shape.start(q)}, exec.Options{Workers: 1}))
+			must(exec.Run(g, startPlan(q, shape.start(q)), exec.Options{Workers: 1}))
 		}
 	}
 	counts := []int{1, 2, 4, workers}
@@ -282,7 +282,7 @@ func parExecBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 				opt := exec.Options{Workers: w}
 				return timeOp(execIters, func() {
 					for _, q := range ExecBenchQueries {
-						must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: shape.start(q)}, opt))
+						must(exec.Run(g, startPlan(q, shape.start(q)), opt))
 					}
 				})
 			})...)
@@ -332,14 +332,14 @@ func bushyBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 
 	linear := timeOp(execIters, func() {
 		for _, q := range BushyBenchQueries {
-			must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: 0}, opt))
+			must(exec.Run(g, startPlan(q, 0), opt))
 		}
 	})
 	out = append(out, PerfResult{Name: "bushy/linear-forward", Dataset: "SNAP-FF",
 		Workers: workers, Iters: execIters, NsPerOp: linear})
 	tree := timeOp(execIters, func() {
 		for _, q := range BushyBenchQueries {
-			must(exec.ExecuteTreeChecked(g, q, balancedTree(len(q)), opt))
+			must(exec.Run(g, exec.PathPlan(q, balancedTree(len(q))), opt))
 		}
 	})
 	out = append(out, PerfResult{Name: "bushy/balanced-tree", Dataset: "SNAP-FF",
@@ -362,8 +362,8 @@ func bushyBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 		{"join/adaptive", 0},
 	} {
 		kopt := exec.Options{DensityThreshold: kern.density, Workers: 1, KeepResult: true}
-		left, _ := must(exec.ExecutePlanChecked(g, q[:2], exec.Plan{Start: 0}, kopt))
-		right, _ := must(exec.ExecutePlanChecked(g, q[2:], exec.Plan{Start: 0}, kopt))
+		left, _ := must(exec.Run(g, startPlan(q[:2], 0), kopt))
+		right, _ := must(exec.Run(g, startPlan(q[2:], 0), kopt))
 		dst := bitset.NewHybrid(g.NumVertices(), kern.density)
 		scr := bitset.NewComposeScratch(g.NumVertices())
 		ns := timeOp(kernIters, func() { left.JoinInto(dst, right, scr) })
@@ -380,7 +380,7 @@ func bushyBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 	// builds + sharded final join). Warm the lazy graph operands outside
 	// the timed region so the 1-worker baseline is not charged for them.
 	for _, q := range BushyBenchQueries {
-		must(exec.ExecuteTreeChecked(g, q, balancedTree(len(q)), exec.Options{Workers: 1}))
+		must(exec.Run(g, exec.PathPlan(q, balancedTree(len(q))), exec.Options{Workers: 1}))
 	}
 	out = append(out, workerLadder([]int{1, 2, 4, workers},
 		PerfResult{Name: "bushyexec/balanced-tree", Dataset: "SNAP-FF", Iters: execIters},
@@ -388,7 +388,7 @@ func bushyBenchResults(g *graph.CSR, iters, workers int) []PerfResult {
 			wopt := exec.Options{Workers: w}
 			return timeOp(execIters, func() {
 				for _, q := range BushyBenchQueries {
-					must(exec.ExecuteTreeChecked(g, q, balancedTree(len(q)), wopt))
+					must(exec.Run(g, exec.PathPlan(q, balancedTree(len(q))), wopt))
 				}
 			})
 		})...)

@@ -27,7 +27,7 @@ type PlanCell struct {
 	// plans) — 1.0 means estimation errors never cost any actual work.
 	WorkRatio float64
 	// TreeAgreement and TreeWorkRatio are the same two measurements over
-	// the bushy space: the planner's ChooseTree against the oracle's best
+	// the bushy space: the planner's bushy Plan against the oracle's best
 	// plan tree (every shape enumerated and executed).
 	TreeAgreement float64
 	TreeWorkRatio float64
@@ -64,6 +64,17 @@ func enumerateTrees(lo, hi int) []*exec.PlanTree {
 		}
 	}
 	return out
+}
+
+// startPlan is the hand-built plan running q as the zig-zag from start.
+func startPlan(q paths.Path, start int) *exec.DagPlan {
+	return exec.PathPlan(q, &exec.PlanTree{Lo: 0, Hi: len(q), Start: start})
+}
+
+// chosenTree is the plan tree pl chooses for the concrete path q: the
+// cheapest zig-zag leaf, or the cheapest tree of the bushy space.
+func chosenTree(pl exec.Planner, q paths.Path, bushy bool) *exec.PlanTree {
+	return pl.Plan(exec.PathDag(q), 0, bushy).Blocks[0].Tree
 }
 
 // PlanQuality is the end-to-end experiment the paper's introduction
@@ -129,7 +140,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	for i, q := range queries {
 		works[i] = make([]int64, k)
 		for s := 0; s < k; s++ {
-			_, st := must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: s}, exec.Options{}))
+			_, st := must(exec.Run(g, startPlan(q, s), exec.Options{}))
 			works[i][s] = st.Work
 		}
 		optima[i] = works[i][0]
@@ -145,7 +156,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 			if tree.IsLeaf() {
 				w = works[i][tree.Start]
 			} else {
-				_, st := must(exec.ExecuteTreeChecked(g, q, tree, exec.Options{}))
+				_, st := must(exec.Run(g, exec.PathPlan(q, tree), exec.Options{}))
 				w = st.Work
 				if w < treeOptima[i] {
 					treeOptima[i] = w
@@ -170,7 +181,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	}
 	cacheWins := 0
 	for _, q := range queries {
-		if !exactPlanner.ChooseTree(q).IsLeaf() {
+		if !chosenTree(exactPlanner, q, true).IsLeaf() {
 			cacheWins++
 		}
 	}
@@ -190,15 +201,14 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 		agree, treeAgree := 0, 0
 		var chosenWork, optimalWork, chosenTreeWork, optimalTreeWork int64
 		for i, q := range queries {
-			chosen := planner.ChoosePlan(q)
-			w := works[i][chosen.Start]
+			w := works[i][chosenTree(planner, q, false).Start]
 			if w == optima[i] {
 				agree++
 			}
 			chosenWork += w
 			optimalWork += optima[i]
 
-			tw, ok := treeWorks[i][planner.ChooseTree(q).Describe(k)]
+			tw, ok := treeWorks[i][chosenTree(planner, q, true).Describe(k)]
 			if !ok {
 				panic("experiments: chosen tree outside the enumerated shape space")
 			}

@@ -9,9 +9,9 @@ import (
 )
 
 // This file measures the regular-path-query pipeline (pathsel.Compile →
-// exec.ExecuteDagChecked): cold-vs-warm throughput of an RPQ workload
-// whose bounded repetitions share relation-cache entries with each
-// other and with concrete queries, plus the compiled DAG's estimate
+// exec.Run): cold-vs-warm throughput of an RPQ workload whose bounded
+// repetitions share relation-cache entries with each other and with
+// concrete queries, plus the compiled DAG's estimate
 // quality against the enumerated-expansion oracle — emitted as the
 // committed BENCH_rpq.json artifact.
 

@@ -44,7 +44,7 @@ func scalingExecResults(g *graph.CSR, iters, workers int) []PerfResult {
 	// Warm the graph's lazy operands outside the timed region so the
 	// 1-worker baseline is not charged for one-time construction.
 	for _, q := range ExecBenchQueries {
-		must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: 0}, exec.Options{Workers: 1}))
+		must(exec.Run(g, startPlan(q, 0), exec.Options{Workers: 1}))
 	}
 	return workerLadder(scalingLadder(workers),
 		PerfResult{Name: "scaling/exec", Dataset: serveBenchDataset, Iters: execIters},
@@ -52,7 +52,7 @@ func scalingExecResults(g *graph.CSR, iters, workers int) []PerfResult {
 			opt := exec.Options{Workers: w}
 			return timeOp(execIters, func() {
 				for _, q := range ExecBenchQueries {
-					must(exec.ExecutePlanChecked(g, q, exec.Plan{Start: 0}, opt))
+					must(exec.Run(g, startPlan(q, 0), opt))
 				}
 			})
 		})

@@ -2,7 +2,7 @@
 // (graph → bitset → sched → {paths, exec} → pathsel): a generic
 // work-stealing task scheduler plus per-worker object pooling, hoisted out
 // of the census engine so every parallel workload — the selectivity census
-// (paths.NewCensusHybrid), parallel query execution (exec.ExecutePlanChecked),
+// (paths.NewCensusHybrid), parallel query execution (exec.Run),
 // and future bushy-plan builders — schedules through one engine instead of
 // growing a private copy of the deque machinery.
 //

@@ -38,6 +38,9 @@ type QueryPlan struct {
 	// (never higher than the best zig-zag candidate in Costs, since the
 	// linear space is contained in the tree space).
 	Tree *exec.PlanTree
+
+	// dp is the executable plan this is the view of.
+	dp *exec.DagPlan
 }
 
 // ExecStats reports an executed path query.
@@ -110,46 +113,34 @@ func (e *Estimator) cacheAware(cache *relcache.Cache) bool {
 	return cache != nil && e.cfg.BushyPlans
 }
 
-// plan chooses x's join plan against pl's cache view from the estimates
-// Compile retained on x — cache probes and arithmetic, no histogram
-// lookups. A concrete path costs every candidate zig-zag plan and picks
-// the winner: the cheapest zig-zag plan, or — under Config.BushyPlans —
-// the cheapest plan tree, which degenerates to the zig-zag winner whenever
-// linear growth is estimated cheaper than every bushy split. A true RPQ's
-// planned DAG fold is decided again, returned alongside its QueryPlan
-// view.
-func (e *Estimator) plan(x *Expr, pl exec.Planner) (QueryPlan, *exec.DagPlan) {
-	if x.path == nil {
-		dp := pl.ReplanDag(x.dp)
-		return rpqPlan(dp), dp
+// concretePath returns the path a plan evaluates when it is a single run
+// block — the plan of a concrete path — and nil for an RPQ's.
+func concretePath(dp *exec.DagPlan) paths.Path {
+	if len(dp.Blocks) > 1 {
+		return nil
 	}
-	return e.pathPlan(x.segs, pl), nil
+	return dp.Blocks[0].Run
 }
 
-// rpqPlan is the QueryPlan view of a planned DAG fold.
-func rpqPlan(dp *exec.DagPlan) QueryPlan {
-	return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost}
-}
-
-// pathPlan chooses a concrete path's plan over its segment table.
-func (e *Estimator) pathPlan(segs *exec.SegTable, pl exec.Planner) QueryPlan {
-	costs := segs.Costs()
-	k := len(costs)
-	plan := exec.CheapestPlan(costs)
-	qp := QueryPlan{
-		Start:         plan.Start,
-		Description:   plan.Describe(k),
-		EstimatedCost: costs[plan.Start],
-		Costs:         costs,
+// queryPlan is the QueryPlan view of a plan — the one rendering of what
+// exec.Planner.Plan or Replan decided. A concrete path (a single run
+// block) shows the winner of its candidate zig-zag plans with the cost of
+// every start: the cheapest zig-zag plan, or — under Config.BushyPlans —
+// the cheapest plan tree, which degenerates to the zig-zag winner whenever
+// linear growth is estimated cheaper than every bushy split. A leaf is
+// priced as the zig-zag plan it is even where the planner, seeing its
+// whole segment cached, priced it free. Anything else is an RPQ's fold.
+func (e *Estimator) queryPlan(dp *exec.DagPlan) QueryPlan {
+	if concretePath(dp) == nil {
+		return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost, dp: dp}
+	}
+	b := dp.Blocks[0]
+	qp := QueryPlan{Start: b.Tree.Start, Description: dp.Describe(), EstimatedCost: dp.Cost, Costs: b.Costs, dp: dp}
+	if b.Tree.IsLeaf() {
+		qp.EstimatedCost = b.Costs[b.Tree.Start]
 	}
 	if e.cfg.BushyPlans {
-		tree, cost := segs.ChooseTreeWithCost(pl.Cached)
-		qp.Tree = tree
-		if !tree.IsLeaf() {
-			qp.Start = -1
-			qp.Description = tree.Describe(k)
-			qp.EstimatedCost = cost
-		}
+		qp.Tree = b.Tree
 	}
 	return qp
 }
@@ -284,11 +275,13 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *r
 	}
 	canc, release := newQueryCanceller(ctx)
 	defer release()
-	plan, dp := x.plan, x.dp
+	plan := x.plan
 	if e.cacheAware(cache) || e.cacheAware(e.cache) {
 		// Compile planned against e.cache as it was then; only a planner
-		// that sees a cache, then or now, can choose differently.
-		plan, dp = e.plan(x, e.planner(cache))
+		// that sees a cache, then or now, can choose differently. It decides
+		// again from the estimates the plan retains — cache probes and
+		// arithmetic, no histogram lookups.
+		plan = e.queryPlan(e.planner(cache).Replan(plan.dp))
 	}
 	if pol.degrades(plan) {
 		return degradeTo(plan, x.estimate, ErrBrownout)
@@ -304,18 +297,7 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *r
 		MaxResultBytes:   e.cfg.MaxResultBytes,
 		Pool:             e.pool,
 	}
-	var (
-		st  exec.Stats
-		err error
-	)
-	switch {
-	case dp != nil:
-		_, st, err = exec.ExecuteDagChecked(g, x.dag, dp, opt)
-	case plan.Tree != nil:
-		_, st, err = exec.ExecuteTreeChecked(g, x.path, plan.Tree, opt)
-	default:
-		_, st, err = exec.ExecutePlanChecked(g, x.path, exec.Plan{Start: plan.Start}, opt)
-	}
+	_, st, err := exec.Run(g, plan.dp, opt)
 	if err != nil {
 		return e.degrade(plan, x.estimate, translateExecErr(err))
 	}

@@ -37,8 +37,9 @@ func (gr *Graph) compileRPQ(pattern string) (*exec.RPQDag, error) {
 	if pattern == "" {
 		return nil, fmt.Errorf("%w: empty pattern", ErrEmptyPath)
 	}
-	d := &exec.RPQDag{}
-	for _, seg := range strings.Split(pattern, "/") {
+	segs := strings.Split(pattern, "/")
+	d := &exec.RPQDag{Elems: make([]exec.RPQElem, 0, len(segs))}
+	for _, seg := range segs {
 		e, err := gr.parseRPQElem(seg, pattern)
 		if err != nil {
 			return nil, err
@@ -191,14 +192,10 @@ type Expr struct {
 	est     *Estimator
 	pattern string
 	dag     *exec.RPQDag
-	path    paths.Path // non-nil when the pattern is one concrete path
-	plan    QueryPlan  // compile-time plan (cold-cache view)
-	// What planning asked the histogram, retained so an execution that
-	// replans against the live cache asks nothing: a concrete path's
-	// segment table, a true RPQ's planned DAG (also the plan executed as
-	// is when no cache is in play).
-	segs *exec.SegTable
-	dp   *exec.DagPlan
+	// plan is the compile-time plan (cold-cache view): executed as is when
+	// no cache is in play, and what planning asked the histogram, retained
+	// so an execution that replans against the live cache asks nothing.
+	plan QueryPlan
 	// estimate is the histogram estimate of the pattern's bag
 	// selectivity: the exact sum over expansions when enumerable within
 	// maxPatternExpansions, the DAG plan's independence-model estimate
@@ -219,23 +216,16 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 		return nil, fmt.Errorf("%w: pattern %q may match paths up to length %d, beyond %d",
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
-	x := &Expr{est: e, pattern: pattern, dag: dag}
-	x.path, _ = dag.ConcretePath()
-	pl := e.planner(e.cache)
-	if x.path != nil {
-		x.segs = pl.Segments(x.path)
-		x.plan = e.pathPlan(x.segs, pl)
-		x.estimate = e.ph.Estimate(x.path)
-		return x, nil
-	}
-	x.dp = pl.PlanDag(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
-	x.plan = rpqPlan(x.dp)
-	if exps, ok := dag.Expansions(maxPatternExpansions); ok {
+	dp := e.planner(e.cache).Plan(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
+	x := &Expr{est: e, pattern: pattern, dag: dag, plan: e.queryPlan(dp)}
+	if p := concretePath(dp); p != nil {
+		x.estimate = e.ph.Estimate(p)
+	} else if exps, ok := dag.Expansions(maxPatternExpansions); ok {
 		for _, p := range exps {
 			x.estimate += e.ph.Estimate(p)
 		}
 	} else {
-		x.estimate = x.dp.ResultEst
+		x.estimate = dp.ResultEst
 	}
 	return x, nil
 }
