@@ -26,7 +26,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/histogram"
 	"repro/internal/ordering"
@@ -194,7 +193,7 @@ func BenchmarkFigure2Accuracy(b *testing.B) {
 
 // BenchmarkAblationBuilders compares histogram construction algorithms on
 // the same sum-based domain — the ablation of "how much is the bucketing
-// algorithm vs the ordering" (experiments.BuilderAblation).
+// algorithm vs the ordering" (internal/experiments' BuilderAblation).
 func BenchmarkAblationBuilders(b *testing.B) {
 	const k = 3
 	f := getFixture(b, 0, k, 0.1)
@@ -400,48 +399,6 @@ func BenchmarkSynopsisCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkWorkloadAccuracy runs the per-workload accuracy extension.
-func BenchmarkWorkloadAccuracy(b *testing.B) {
-	opt := experiments.Options{
-		Scale: 0.03, Seed: 1, TimingK: 3,
-		AccuracyKs: []int{3}, BetaDenoms: []int{16},
-		Queries: 512, Repeats: 1,
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WorkloadAccuracy(opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExperimentSuite times the end-to-end reduced-scale reproduction
-// of Table 4 and Figure 2 — what `cmd/experiments` runs.
-func BenchmarkExperimentSuite(b *testing.B) {
-	opt := experiments.Options{
-		Scale:      0.02,
-		Seed:       1,
-		TimingK:    3,
-		AccuracyKs: []int{2},
-		BetaDenoms: []int{4, 32},
-		Queries:    256,
-		Repeats:    1,
-	}
-	b.Run("table4", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RunTable4(opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("figure2", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.RunFigure2(opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkComposeKernels isolates one relational-composition step — the
 // innermost operation of the census — on a Table 3 dataset relation,
 // comparing the legacy dense row walk against the hybrid engine's
@@ -516,13 +473,13 @@ func BenchmarkCensusEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkCensusSkewedScaling measures worker scaling on the skewed-label
-// workload shared with the BENCH_*.json emitter (one Zipf label carries
-// most edges), the case where per-first-label parallelism load-imbalances
-// and the work-stealing scheduler should not.
+// BenchmarkCensusSkewedScaling measures worker scaling on a skewed-label
+// workload — an Erdős–Rényi topology whose labels follow Zipf s=1.8, so
+// one label carries most edges — the case where per-first-label
+// parallelism load-imbalances and the work-stealing scheduler should not.
 func BenchmarkCensusSkewedScaling(b *testing.B) {
-	g := experiments.SkewedScalingGraph()
-	const k = experiments.PerfBenchK
+	g := dataset.ErdosRenyi(600, 7000, dataset.NewZipfLabels(6, 1.8), 3).Freeze()
+	const k = 3
 	for _, workers := range []int{1, 2, 4, 0} {
 		name := fmt.Sprintf("workers=%d", workers)
 		if workers == 0 {
@@ -539,13 +496,14 @@ func BenchmarkCensusSkewedScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkExecEngines measures query execution on SNAP-FF — the same
-// workload the BENCH_exec.json emitter times: the retired dense executor
-// against the hybrid engine for both endpoint plans, plus the
-// hybrid-only interior zig-zag start.
+// BenchmarkExecEngines measures query execution on SNAP-FF: the retired
+// dense executor against the hybrid engine for both endpoint plans, plus
+// the hybrid-only interior zig-zag start. The queries are length-3 and
+// length-4 paths mixing frequent (Zipf-head) and rare labels, so both
+// sparse and dense row regimes appear mid-join.
 func BenchmarkExecEngines(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF
-	queries := experiments.ExecBenchQueries
+	queries := []paths.Path{{0, 1, 2}, {1, 0, 0}, {2, 1, 0, 3}, {0, 0, 1, 2}}
 	for _, dir := range []exec.Direction{exec.Forward, exec.Backward} {
 		b.Run("legacy-dense/"+dir.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

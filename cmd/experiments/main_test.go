@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -20,17 +21,37 @@ func fastOptions() experiments.Options {
 	}
 }
 
+// TestRunSingleExperiments runs every registered experiment by name.
 func TestRunSingleExperiments(t *testing.T) {
-	for _, exp := range []string{"tables12", "table3", "figure1", "table4", "ablation", "profile"} {
+	for _, exp := range names() {
 		if err := run(exp, fastOptions(), ""); err != nil {
 			t.Errorf("run(%s): %v", exp, err)
 		}
 	}
 }
 
+// TestRunUnknownExperiment: the error names every runnable experiment.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run("nonsense", fastOptions(), ""); err == nil {
+	err := run("nonsense", fastOptions(), "")
+	if err == nil {
 		t.Fatal("unknown experiment should error")
+	}
+	for _, name := range names() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not offer %q", err, name)
+		}
+	}
+}
+
+// TestCapKs: -maxk below the sweep's smallest bound is named as such
+// instead of surfacing as an empty sweep list.
+func TestCapKs(t *testing.T) {
+	ks, err := capKs([]int{2, 3, 4}, 3)
+	if err != nil || len(ks) != 2 || ks[1] != 3 {
+		t.Fatalf("capKs([2 3 4], 3) = %v, %v", ks, err)
+	}
+	if _, err := capKs([]int{2, 3}, 1); err == nil || !strings.Contains(err.Error(), "-maxk 1") {
+		t.Fatalf("capKs below the smallest bound: %v", err)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package repro reproduces and extends "Histogram Domain Ordering for
 // Path Selectivity Estimation" (Yakovets et al., EDBT 2018). The module
-// root holds only the cross-layer benchmark harness (bench_test.go) and
-// the committed BENCH_*.json perf artifacts; the system itself is layered
-// graph → bitset → paths → exec → pathsel with the evaluation under
-// internal/experiments and cmd. See ARCHITECTURE.md for the full map and
-// docs/benchmarks.md for the artifact schema.
+// root holds only the layer microbenchmarks (bench_test.go); the system
+// itself is layered graph → bitset → paths → exec → pathsel with the
+// evaluation under internal/experiments and cmd. See ARCHITECTURE.md for
+// the full map and bench/README.md for how speed is measured.
 package repro

@@ -26,7 +26,8 @@ func (c *CancelFlag) Stopped() bool { return c != nil && c.stopped.Load() }
 // 1 + count/64, so a window covers either ~4k tiny rows or ~256k emitted
 // pairs — at the kernels' throughput that bounds abort latency well
 // under a millisecond while keeping the common-case overhead (one
-// predictable branch per row) below the benchdiff gate's noise floor.
+// predictable branch per row) below the run-to-run noise of bench/'s
+// exec_uncached workload (bench/README.md).
 const cancelCheckInterval = 4096
 
 // SetCancel attaches (or, with nil, detaches) a cancellation flag to the

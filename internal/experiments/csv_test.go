@@ -95,14 +95,12 @@ func TestDatasetFilter(t *testing.T) {
 	if len(rows) != 1 || rows[0].Spec.Name != "SNAP-ER" {
 		t.Fatalf("Table 3 filter wrong: %d rows", len(rows))
 	}
-	// Unknown name filters everything out.
+	// An unknown name is an error that lists the valid ones, not an
+	// empty table.
 	opt.Datasets = []string{"nope"}
-	rows, err = RunTable3(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatal("unknown dataset name should match nothing")
+	_, err = RunTable3(opt)
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) || !strings.Contains(err.Error(), `"SNAP-ER"`) {
+		t.Fatalf("unknown dataset name: err = %v", err)
 	}
 }
 

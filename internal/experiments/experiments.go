@@ -11,13 +11,14 @@
 //
 // In the layer map (graph → bitset → paths → exec → pathsel) this is the
 // evaluation harness over the top: it drives every layer end to end
-// (censuses, histograms, planners, executors) and emits the committed
-// BENCH_*.json perf artifacts via RunPerfBench/RunExecBench.
+// (censuses, histograms, planners, executors). It measures accuracy and
+// plan quality only; speed is measured by bench/ (see bench/README.md).
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -91,15 +92,29 @@ func PaperOptions() Options {
 	}
 }
 
+// validate rejects options no experiment can run. Its errors carry no
+// package prefix: cmd/experiments, the one caller that prints them, adds
+// its own.
 func (o Options) validate() error {
 	if o.Scale <= 0 || o.Scale > 1 {
-		return fmt.Errorf("experiments: scale %v out of (0,1]", o.Scale)
+		return fmt.Errorf("scale %v out of (0,1]", o.Scale)
 	}
 	if o.TimingK < 1 || o.Queries < 1 || o.Repeats < 1 {
-		return fmt.Errorf("experiments: non-positive timing parameters %+v", o)
+		return fmt.Errorf("non-positive timing parameters %+v", o)
 	}
 	if len(o.AccuracyKs) == 0 || len(o.BetaDenoms) == 0 {
-		return fmt.Errorf("experiments: empty sweep lists")
+		return fmt.Errorf("empty sweep lists")
+	}
+	known := map[string]bool{}
+	var names []string
+	for _, spec := range dataset.Table3() {
+		known[spec.Name] = true
+		names = append(names, fmt.Sprintf("%q", spec.Name))
+	}
+	for _, d := range o.Datasets {
+		if !known[d] {
+			return fmt.Errorf("unknown dataset %q (Table 3 has %s)", d, strings.Join(names, ", "))
+		}
 	}
 	return nil
 }

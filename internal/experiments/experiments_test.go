@@ -30,8 +30,11 @@ func TestOptionsValidate(t *testing.T) {
 		{Scale: 2, TimingK: 3, AccuracyKs: []int{2}, BetaDenoms: []int{2}, Queries: 1, Repeats: 1},
 	}
 	for i, o := range bad {
-		if err := o.validate(); err == nil {
+		err := o.validate()
+		if err == nil {
 			t.Errorf("options %d should be invalid", i)
+		} else if strings.HasPrefix(err.Error(), "experiments:") {
+			t.Errorf("options %d: %q repeats the prefix cmd/experiments prints", i, err)
 		}
 	}
 	if err := DefaultOptions().validate(); err != nil {

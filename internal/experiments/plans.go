@@ -140,7 +140,10 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	for i, q := range queries {
 		works[i] = make([]int64, k)
 		for s := 0; s < k; s++ {
-			_, st := must(exec.Run(g, startPlan(q, s), exec.Options{}))
+			_, st, err := exec.Run(g, startPlan(q, s), exec.Options{})
+			if err != nil {
+				return nil, err
+			}
 			works[i][s] = st.Work
 		}
 		optima[i] = works[i][0]
@@ -156,7 +159,10 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 			if tree.IsLeaf() {
 				w = works[i][tree.Start]
 			} else {
-				_, st := must(exec.Run(g, exec.PathPlan(q, tree), exec.Options{}))
+				_, st, err := exec.Run(g, exec.PathPlan(q, tree), exec.Options{})
+				if err != nil {
+					return nil, err
+				}
 				w = st.Work
 				if w < treeOptima[i] {
 					treeOptima[i] = w

@@ -13,8 +13,8 @@
 // trace (internal/workload.ZipfTrace) at configurable concurrency and
 // arrival rate, recording latency percentiles, throughput, cache hit
 // rate, and degradation/timeout counts. cmd/pathserve and cmd/serveload
-// are thin flag wrappers; internal/experiments emits the committed
-// BENCH_serve.json from the same harness.
+// are thin flag wrappers; the serving path's speed is measured by bench/'s
+// serve_hot and serve_mixed workloads (bench/README.md).
 //
 // In the layer map (graph → bitset → paths → exec → pathsel → serve)
 // this package sits above the public facade and below cmd; it imports

@@ -3,9 +3,8 @@ package workload
 // This file generates query-arrival traces for the serving layer
 // (internal/serve, cmd/pathserve): a ranked pool of distinct path
 // queries whose popularity follows a Zipf law, replayed as an open-loop
-// arrival process with exponential inter-arrival times. The fixed
-// cycling pool the cache benchmark uses (experiments.CacheBenchWorkload)
-// visits every query equally often; real query streams are skewed — a
+// arrival process with exponential inter-arrival times. A fixed cycling
+// pool visits every query equally often; real query streams are skewed — a
 // few hot queries dominate, with a long cold tail — and whether the
 // relation cache's warm speedup survives that skew under concurrent LRU
 // mutation is exactly what the trace exists to measure.
