@@ -384,20 +384,12 @@ func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 // distinct-pair count of dst. h and dst must be distinct objects over the
 // same universe as op.
 func (h *HybridRelation) ComposeInto(dst *HybridRelation, op CSROperand, scr *ComposeScratch) int64 {
-	h.checkCompose(dst, op)
+	// The whole is the [0, n) shard, its sources appended straight into
+	// dst's own active list. A raised cancel flag leaves dst holding a
+	// partial composition the caller must discard; the caller's
+	// cancellation cause says why.
 	dst.Reset()
-	for _, s := range h.active {
-		count := h.composeRow(dst, op, scr, s)
-		if count > 0 {
-			dst.active = append(dst.active, s)
-			dst.pairs += int64(count)
-		}
-		if scr.cancelled(count) {
-			// dst holds a partial composition the caller must discard;
-			// the caller's cancellation cause says why.
-			return dst.pairs
-		}
-	}
+	dst.active, dst.pairs = h.ComposeShardInto(dst, op, scr, 0, len(h.active), dst.active)
 	return dst.pairs
 }
 
@@ -481,53 +473,9 @@ func (h *HybridRelation) ComposeShardInto(dst *HybridRelation, op CSROperand, sc
 // in ascending shard order so the active-source list stays sorted — the
 // concatenation of per-shard ascending source runs over ascending disjoint
 // ranges is exactly the list sequential ComposeInto would have built,
-// which is what keeps parallel composition bit-identical. For merges large
-// enough to be worth parallelizing, BeginAdopt / AdoptShardAt / FinishAdopt
-// write the same concatenation through pre-sized disjoint ranges instead
-// of serializing on the coordinator.
+// which is what keeps parallel composition bit-identical.
 func (h *HybridRelation) AdoptShard(sources []int32, pairs int64) {
 	h.active = append(h.active, sources...)
-	h.pairs += pairs
-}
-
-// BeginAdopt pre-sizes the active-source list for a parallel shard merge:
-// called on a freshly Reset relation (it panics otherwise — a non-empty
-// list means shards were already adopted the serial way), it extends the
-// list to total entries of unspecified content. Shards then write their
-// source runs into disjoint ranges with AdoptShardAt — concurrently,
-// because no two ranges overlap — and the coordinator finishes with
-// FinishAdopt. The filled list is the same ascending-shard-order
-// concatenation AdoptShard builds, so the merged relation stays
-// bit-identical to sequential composition; only the copying parallelizes.
-func (h *HybridRelation) BeginAdopt(total int) {
-	if len(h.active) != 0 {
-		panic(fmt.Sprintf("bitset: BeginAdopt on a relation with %d adopted sources", len(h.active)))
-	}
-	if cap(h.active) < total {
-		h.active = make([]int32, total)
-	} else {
-		h.active = h.active[:total]
-	}
-}
-
-// AdoptShardAt copies one shard's produced sources into the pre-sized
-// active list at offset — the prefix sum of every earlier shard's source
-// count, so shard i's range starts exactly where shard i−1's ends. Calls
-// with disjoint [offset, offset+len(sources)) ranges may run concurrently;
-// the range must fit the BeginAdopt pre-sizing (it panics otherwise,
-// because a short write would leave unspecified garbage in the list).
-func (h *HybridRelation) AdoptShardAt(offset int, sources []int32) {
-	if offset < 0 || offset+len(sources) > len(h.active) {
-		panic(fmt.Sprintf("bitset: AdoptShardAt range [%d,%d) outside pre-sized active list [0,%d)",
-			offset, offset+len(sources), len(h.active)))
-	}
-	copy(h.active[offset:], sources)
-}
-
-// FinishAdopt completes a BeginAdopt merge by recording the summed pair
-// count of every adopted shard. Call it once, after every AdoptShardAt
-// has returned.
-func (h *HybridRelation) FinishAdopt(pairs int64) {
 	h.pairs += pairs
 }
 

@@ -31,19 +31,9 @@ import (
 // from both operands and share their universe; h and r may alias (a
 // self-join is legal).
 func (h *HybridRelation) JoinInto(dst, r *HybridRelation, scr *ComposeScratch) int64 {
-	h.checkJoin(dst, r)
+	// The whole is the [0, n) shard, exactly as in ComposeInto.
 	dst.Reset()
-	for _, s := range h.active {
-		count := h.joinRow(dst, r, scr, s)
-		if count > 0 {
-			dst.active = append(dst.active, s)
-			dst.pairs += int64(count)
-		}
-		if scr.cancelled(count) {
-			// dst holds a partial join the caller must discard.
-			return dst.pairs
-		}
-	}
+	dst.active, dst.pairs = h.JoinShardInto(dst, r, scr, 0, len(h.active), dst.active)
 	return dst.pairs
 }
 

@@ -120,139 +120,6 @@ func TestComposeShardConcurrent(t *testing.T) {
 	}
 }
 
-// TestAdoptShardAtMatchesAdoptShard pins the pre-sized merge path
-// (BeginAdopt / AdoptShardAt / FinishAdopt) bit-identical to the serial
-// ascending-order AdoptShard loop at every shard count 1..16 — including
-// partitions degenerate enough that shards hold one row or none, which
-// is where off-by-one offsets would surface.
-func TestAdoptShardAtMatchesAdoptShard(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(200)
-		opA := randomOperand(rng, n, 1+rng.Intn(5*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(5*n))
-		h := HybridFromCSR(opA, 0.25)
-		scr := NewComposeScratch(n)
-		for shards := 1; shards <= 16; shards++ {
-			// Serial reference: compose shard by shard, adopt in order.
-			want := NewHybrid(n, 0.25)
-			want.Reset()
-			bounds := shardBounds(h.Sources(), shards)
-			srcs := make([][]int32, shards)
-			pairs := make([]int64, shards)
-			for i := 0; i < shards; i++ {
-				srcs[i], pairs[i] = h.ComposeShardInto(want, opB, scr, bounds[i], bounds[i+1], nil)
-			}
-			for i := 0; i < shards; i++ {
-				want.AdoptShard(srcs[i], pairs[i])
-			}
-			// Pre-sized merge of the identical shard outputs.
-			dst := NewHybrid(n, 0.25)
-			dst.Reset()
-			srcs2 := make([][]int32, shards)
-			pairs2 := make([]int64, shards)
-			for i := 0; i < shards; i++ {
-				srcs2[i], pairs2[i] = h.ComposeShardInto(dst, opB, scr, bounds[i], bounds[i+1], nil)
-			}
-			total := 0
-			offs := make([]int, shards)
-			var sum int64
-			for i := 0; i < shards; i++ {
-				offs[i] = total
-				total += len(srcs2[i])
-				sum += pairs2[i]
-			}
-			dst.BeginAdopt(total)
-			for i := 0; i < shards; i++ {
-				dst.AdoptShardAt(offs[i], srcs2[i])
-			}
-			dst.FinishAdopt(sum)
-			assertIdentical(t, "pre-sized merge", dst, want)
-		}
-	}
-}
-
-// TestAdoptShardAtConcurrent runs the merge round the way the executor
-// does — every shard's copy on its own goroutine against one pre-sized
-// destination. Under -race this is the proof that prefix-sum offsets
-// really are disjoint writes. Shard counts above the source count force
-// empty shards into the round.
-func TestAdoptShardAtConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for trial := 0; trial < 10; trial++ {
-		n := 60 + rng.Intn(200)
-		opA := randomOperand(rng, n, 1+rng.Intn(6*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(6*n))
-		h := HybridFromCSR(opA, 0.25)
-		want := NewHybrid(n, 0.25)
-		h.ComposeInto(want, opB, NewComposeScratch(n))
-		for _, shards := range []int{2, 16, h.Sources() + 3} {
-			dst := NewHybrid(n, 0.25)
-			dst.Reset()
-			bounds := shardBounds(h.Sources(), shards)
-			srcs := make([][]int32, shards)
-			pairs := make([]int64, shards)
-			var wg sync.WaitGroup
-			for i := 0; i < shards; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					srcs[i], pairs[i] = h.ComposeShardInto(dst, opB, NewComposeScratch(n),
-						bounds[i], bounds[i+1], nil)
-				}()
-			}
-			wg.Wait()
-			total := 0
-			offs := make([]int, shards)
-			var sum int64
-			for i := 0; i < shards; i++ {
-				offs[i] = total
-				total += len(srcs[i])
-				sum += pairs[i]
-			}
-			dst.BeginAdopt(total)
-			for i := 0; i < shards; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					dst.AdoptShardAt(offs[i], srcs[i])
-				}()
-			}
-			wg.Wait()
-			dst.FinishAdopt(sum)
-			assertIdentical(t, "concurrent merge", dst, want)
-		}
-	}
-}
-
-// TestBeginAdoptGuards pins the merge API's misuse panics: BeginAdopt on
-// a relation that already adopted sources, and AdoptShardAt outside the
-// pre-sized range.
-func TestBeginAdoptGuards(t *testing.T) {
-	op := randomOperand(rand.New(rand.NewSource(17)), 32, 60)
-	h := HybridFromCSR(op, 0.5)
-	if h.Sources() == 0 {
-		t.Fatal("test operand produced no sources")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("BeginAdopt on a non-empty relation should panic")
-			}
-		}()
-		h.BeginAdopt(4)
-	}()
-	dst := NewHybrid(32, 0.5)
-	dst.Reset()
-	dst.BeginAdopt(2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdoptShardAt outside the pre-sized range should panic")
-		}
-	}()
-	dst.AdoptShardAt(1, []int32{1, 2})
-}
-
 // TestComposeShardReusedDestination checks the pooling contract of the
 // shard path: a destination that previously held rows (including dense
 // ones) and is Reset by the coordinator produces the same result as a

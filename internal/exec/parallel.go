@@ -37,21 +37,10 @@ var shardGrain = sched.Granularity{
 	PerWorker: shardsPerWorker,
 }
 
-// minMergeSources is the merged active-list length below which the
-// coordinator copies the per-shard source runs serially: the merge is a
-// pure memcpy, so parallelizing it only pays once the list is tens of
-// kilobytes — the compose/join tails of genuinely large steps, which are
-// exactly where the serial ascending-order AdoptShard loop used to
-// flatten the scaling curve. A var, not a const, so the property tests
-// can lower it and drive the parallel merge on small inputs.
-var minMergeSources = 1 << 13
-
 // shardTask identifies one task of the current scheduler round by index:
-// during a compose/join round, the shard of the bounds table it composes;
-// during a merge round, the shard whose produced sources it copies into
-// the pre-sized active list at offs[idx]. Tasks own disjoint row ranges
-// (compose) or disjoint list ranges (merge), so bodies write disjoint
-// state — the determinism contract of internal/sched.
+// the shard of the bounds table it composes. Tasks own disjoint row
+// ranges, so bodies write disjoint state — the determinism contract of
+// internal/sched.
 type shardTask struct{ idx int }
 
 // stepper drives the sharded join steps of one execution core on the
@@ -70,17 +59,13 @@ type stepper struct {
 	// step's right-hand operand: compose steps set op (relation×CSR),
 	// bushy join steps set right (relation×relation). A nil dst makes the
 	// step a counted one: shard bodies run the count kernels and park a
-	// bitset.Count instead of sources. merging flips the round kind:
-	// false runs compose/join shard bodies, true runs active-list copy
-	// bodies over the same task indices.
+	// bitset.Count instead of sources.
 	cur, dst *bitset.HybridRelation
 	op       bitset.CSROperand
 	right    *bitset.HybridRelation
-	merging  bool
 	bounds   []int          // shard i covers active positions [bounds[i], bounds[i+1])
 	srcs     [][]int32      // per-shard produced sources, reused across steps
 	pairs    []int64        // per-shard produced pair counts
-	offs     []int          // per-shard active-list write offsets (prefix sums)
 	counts   []bitset.Count // per-shard outcomes of a counted step
 }
 
@@ -124,20 +109,12 @@ func (st *stepper) setCancel(f *bitset.CancelFlag) {
 // counters snapshots the stepper's scheduler activity for Stats.
 func (st *stepper) counters() sched.Counters { return st.sch.Counters() }
 
-// runShard is the scheduler task body. In a compose/join round it
-// composes (or joins, when the step's right-hand operand is a relation)
-// the shard's row range into the shared destination with the executing
-// worker's scratch, parking the produced sources and pair count in the
-// shard's own slots. In a merge round it copies the shard's parked
-// sources into the destination's pre-sized active list at the shard's
-// prefix-sum offset — ranges are disjoint by construction, so the merge
-// runs on the same scheduler with the same determinism contract.
+// runShard is the scheduler task body: it composes (or joins, when the
+// step's right-hand operand is a relation) the shard's row range into the
+// shared destination with the executing worker's scratch, parking the
+// produced sources and pair count in the shard's own slots.
 func (st *stepper) runShard(worker int, t shardTask) {
 	faultinject.Fire("exec.shard")
-	if st.merging {
-		st.dst.AdoptShardAt(st.offs[t.idx], st.srcs[t.idx])
-		return
-	}
 	lo, hi := st.bounds[t.idx], st.bounds[t.idx+1]
 	switch {
 	case st.dst == nil && st.right != nil:
@@ -210,17 +187,13 @@ func (st *stepper) joinCount(cur, right *bitset.HybridRelation) (bitset.Count, e
 }
 
 // runSharded partitions cur's active sources into shards, runs them on
-// the scheduler, and merges the outcome deterministically: small merges
-// adopt the per-shard source runs serially in ascending shard order;
-// merges of minMergeSources or more pre-size the destination's active
-// list (BeginAdopt) and copy every shard's run into its disjoint
-// prefix-sum range in a second scheduler round, which writes the same
-// ascending concatenation without serializing the tail on the
-// coordinator. The caller has set the step's right-hand operand (op or
-// right). A shard body that panics (contained by the scheduler) or a
-// cancellation surfaces here as the drain's error; the partial
-// destination is left unmerged (or part-merged) for the caller to
-// discard.
+// the scheduler, and merges the outcome deterministically: the coordinator
+// adopts the per-shard source runs in ascending shard order — a memcpy of
+// at most a few hundred kilobytes behind a multi-millisecond step. The
+// caller has set the step's right-hand operand (op or right). A shard body
+// that panics (contained by the scheduler) or a cancellation surfaces here
+// as the drain's error; the partial destination is left unmerged for the
+// caller to discard.
 func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error {
 	st.begin(cur, dst, shards)
 	defer st.end()
@@ -231,32 +204,12 @@ func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error
 	if len(st.pairs) < shards {
 		st.pairs = make([]int64, shards)
 	}
-	if cap(st.offs) < shards {
-		st.offs = make([]int, shards)
-	}
-	st.offs = st.offs[:shards]
 	if err := st.drain(shards); err != nil {
 		return err
 	}
-	total := 0
-	var pairs int64
 	for i := 0; i < shards; i++ {
-		st.offs[i] = total
-		total += len(st.srcs[i])
-		pairs += st.pairs[i]
+		dst.AdoptShard(st.srcs[i], st.pairs[i])
 	}
-	if total < minMergeSources {
-		for i := 0; i < shards; i++ {
-			dst.AdoptShard(st.srcs[i], st.pairs[i])
-		}
-		return nil
-	}
-	dst.BeginAdopt(total)
-	st.merging = true
-	if err := st.drain(shards); err != nil {
-		return err
-	}
-	dst.FinishAdopt(pairs)
 	return nil
 }
 
@@ -294,7 +247,7 @@ func (st *stepper) begin(cur, dst *bitset.HybridRelation, shards int) {
 }
 
 // end drops the finished step's references.
-func (st *stepper) end() { st.cur, st.dst, st.right, st.merging = nil, nil, nil, false }
+func (st *stepper) end() { st.cur, st.dst, st.right = nil, nil, nil }
 
 // drain runs one scheduler round of one task per shard. Shard bodies
 // never Spawn, so the static drain's goroutine count cap

@@ -81,16 +81,15 @@ func TestExecuteParallelLargeFanout(t *testing.T) {
 	}
 }
 
-// TestParallelMergePathMatchesSequential drives the two-round parallel
-// merge (BeginAdopt/AdoptShardAt) on ordinary test graphs by lowering
-// the merge and granularity floors — package vars exactly so this test
-// can exist — and asserts bit-identity to sequential execution at
-// workers 1–16. With MinItems 1 the shard bounds routinely produce
-// one-row and empty shards, covering the degenerate partitions.
+// TestParallelMergePathMatchesSequential drives the sharded steps and
+// their ascending-order merge on ordinary test graphs by lowering the
+// granularity floor — a package var exactly so this test can exist — and
+// asserts bit-identity to sequential execution at workers 1–16. With
+// MinItems 1 the shard bounds routinely produce one-row and empty
+// shards, covering the degenerate partitions.
 func TestParallelMergePathMatchesSequential(t *testing.T) {
-	defer func(g sched.Granularity, m int) { shardGrain, minMergeSources = g, m }(shardGrain, minMergeSources)
+	defer func(g sched.Granularity) { shardGrain = g }(shardGrain)
 	shardGrain = sched.Granularity{MinItems: 1, MinWork: 0, PerWorker: 4}
-	minMergeSources = 1
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		vertices := 10 + rng.Intn(200)
@@ -136,20 +135,20 @@ func TestGranularityFloorSkipsScheduler(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelLargeMerge exercises the real (un-lowered) parallel
-// merge threshold end to end: a graph large enough that compose tails
-// exceed minMergeSources, executed at several worker counts against the
-// sequential reference. This is the only test that reaches the merge
-// round with production constants.
+// TestExecuteParallelLargeMerge is the large-graph bit-identity test of
+// the shard merge with production constants: a 24 576-vertex graph whose
+// compose tails carry thousands of sources per step, executed at several
+// worker counts against the sequential reference.
 func TestExecuteParallelLargeMerge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-graph merge test")
 	}
-	g := randomGraph(43, 3*minMergeSources, 2, 15*minMergeSources)
+	const largeMerge = 1 << 13 // sources a step's merged active list must reach
+	g := randomGraph(43, 3*largeMerge, 2, 15*largeMerge)
 	p := paths.Path{0, 1, 0}
 	seqRel, seqSt := runPlan(t, g, p, 0, Options{Workers: 1})
-	if seqRel.Sources() < minMergeSources {
-		t.Fatalf("graph too small to reach the merge round: %d sources", seqRel.Sources())
+	if seqRel.Sources() < largeMerge {
+		t.Fatalf("graph too small for a large merge: %d sources", seqRel.Sources())
 	}
 	for _, workers := range []int{2, 4, 16} {
 		rel, st := runPlan(t, g, p, 0, Options{Workers: workers})

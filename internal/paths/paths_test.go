@@ -349,51 +349,3 @@ func TestCensusForEachEarlyStop(t *testing.T) {
 		t.Fatalf("early stop visited %d", n)
 	}
 }
-
-func TestApproxSelectivityExactWhenFractionOne(t *testing.T) {
-	g := dataset.ErdosRenyi(80, 400, dataset.UniformLabels{L: 3}, 12).Freeze()
-	p := Path{0, 1}
-	if got, want := ApproxSelectivity(g, p, 1.0, 1), Selectivity(g, p); got != want {
-		t.Fatalf("fraction 1.0: %d != exact %d", got, want)
-	}
-}
-
-func TestApproxSelectivityReasonable(t *testing.T) {
-	g := dataset.ErdosRenyi(200, 3000, dataset.UniformLabels{L: 2}, 13).Freeze()
-	p := Path{0, 1}
-	exact := Selectivity(g, p)
-	approx := ApproxSelectivity(g, p, 0.5, 7)
-	if exact == 0 {
-		t.Skip("degenerate sample")
-	}
-	ratio := float64(approx) / float64(exact)
-	if ratio < 0.5 || ratio > 2.0 {
-		t.Fatalf("approx %d vs exact %d (ratio %.2f) outside sanity band", approx, exact, ratio)
-	}
-}
-
-func TestApproxSelectivityEmptyLabel(t *testing.T) {
-	g := graph.New(5, 2)
-	g.AddEdge(0, 0, 1)
-	c := g.Freeze()
-	if got := ApproxSelectivity(c, Path{1, 0}, 0.5, 1); got != 0 {
-		t.Fatalf("no candidate sources should yield 0, got %d", got)
-	}
-}
-
-func TestApproxSelectivityPanics(t *testing.T) {
-	g := lineGraph([]int{0}, 1)
-	for name, fn := range map[string]func(){
-		"empty path":    func() { ApproxSelectivity(g, Path{}, 0.5, 1) },
-		"zero fraction": func() { ApproxSelectivity(g, Path{0}, 0, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

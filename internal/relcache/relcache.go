@@ -5,10 +5,10 @@
 // executor (internal/exec) consults it at every
 // segment boundary — a query that re-walks a label subsequence another
 // query already materialized adopts the finished relation instead of
-// recomputing it — and the batch API (pathsel.Estimator.ExecuteBatch)
-// runs a whole workload through one shared cache, which is where the
-// amortization pays: real path-query workloads repeat label subsequences
-// constantly.
+// recomputing it. An estimator owns at most one (pathsel.Config
+// .CacheBytes), shared by every execution, single or batched, which is
+// where the amortization pays: real path-query workloads repeat label
+// subsequences constantly.
 //
 // # Immutability and the pools
 //
@@ -61,8 +61,8 @@
 // profiles.
 //
 // A cache is bound to one graph: keys carry no graph identity, so sharing
-// a cache across graphs returns wrong relations. Owners (an Estimator, a
-// batch run) must create one cache per graph.
+// a cache across graphs returns wrong relations. Its owner (a
+// pathsel.Estimator) must create one cache per graph.
 package relcache
 
 import (

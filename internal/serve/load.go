@@ -11,6 +11,7 @@ package serve
 // make.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -76,12 +77,12 @@ type LoadOptions struct {
 	Batch int
 	// Client issues the requests (nil selects http.DefaultClient).
 	Client *http.Client
-	// Retry re-issues shed requests with capped jittered exponential
-	// backoff, honoring the server's Retry-After hint (per-query mode
-	// only; batch requests are never retried). Retries run on the
-	// worker that owns the arrival, so the time they take is charged to
-	// the original arrival's sojourn — the open-loop methodology stays
-	// honest about what a retrying client actually experiences.
+	// Retry re-issues shed requests — a query or a whole batch alike —
+	// with capped jittered exponential backoff, honoring the server's
+	// Retry-After hint. Retries run on the worker that owns the arrival,
+	// so the time they take is charged to the original arrival's sojourn
+	// — the open-loop methodology stays honest about what a retrying
+	// client actually experiences.
 	Retry RetryPolicy
 }
 
@@ -268,36 +269,10 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 
 	var mu sync.Mutex
 	rep := &LoadReport{Queries: len(trace)}
+	var counts [numOutcomes]int64
 	service := make([]int64, 0, len(trace))
 	sojourn := make([]int64, 0, len(trace))
 	sojournAccepted := make([]int64, 0, len(trace))
-
-	// count attributes one query's final outcome to its counter (mu
-	// held). The wire code splits the 429s: "overloaded" is a shed,
-	// anything else the per-query cost rejection.
-	count := func(out queryOutcome) {
-		switch {
-		case out.status == http.StatusOK && out.degraded:
-			rep.Degraded++
-			if out.degradedBy == CodeBrownout {
-				rep.DegradedBrownout++
-			}
-		case out.status == http.StatusOK:
-			rep.OK++
-		case out.status == http.StatusBadRequest:
-			rep.BadRequest++
-		case out.status == http.StatusTooManyRequests && out.code == CodeOverloaded:
-			rep.Shed++
-		case out.status == http.StatusTooManyRequests:
-			rep.Rejected++
-		case out.status == http.StatusGatewayTimeout:
-			rep.Timeout++
-		case out.status == http.StatusInternalServerError:
-			rep.Failed++
-		default:
-			rep.Overload++
-		}
-	}
 
 	// The dispatcher owns the clock: it releases each arrival (or batch
 	// of consecutive arrivals, once the last member has arrived) at its
@@ -313,88 +288,56 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 		rng := rand.New(rand.NewSource(opt.Retry.Seed + int64(w)*0x9e3779b9 + 1))
 		go func() {
 			defer wg.Done()
+			var qs []string
 			for lo := range jobs {
-				hi := lo + step
-				if hi > len(trace) {
-					hi = len(trace)
+				hi := min(lo+step, len(trace))
+				qs = qs[:0]
+				for _, tq := range trace[lo:hi] {
+					qs = append(qs, tq.Query)
 				}
 				issued := time.Now()
-				if step == 1 {
-					tq := trace[lo]
-					// Issue, then re-issue while the server hints a retry
-					// wait (overload sheds, drain refusals) and the budget
-					// lasts. The worker stays occupied through the backoff,
-					// so the retries' cost lands where it belongs: on this
-					// arrival's sojourn and on the harness's capacity to
-					// absorb the next arrivals.
-					out, hits, misses, transportErr := doQuery(client, baseURL, tq.Query)
-					for attempt := 1; attempt <= opt.Retry.Max && !transportErr && out.retryAfterMs > 0; attempt++ {
-						time.Sleep(retryWait(rng, opt.Retry, attempt, out.retryAfterMs))
-						mu.Lock()
-						rep.Retries++
-						mu.Unlock()
-						out, hits, misses, transportErr = doQuery(client, baseURL, tq.Query)
-					}
-					done := time.Now()
-					mu.Lock()
-					if transportErr {
-						rep.TransportErrors++
-					} else {
-						count(out)
-						if out.status == http.StatusOK {
-							rep.CacheHits += int64(hits)
-							rep.CacheMisses += int64(misses)
-						}
-					}
-					service = append(service, done.Sub(issued).Nanoseconds())
-					soj := done.Sub(start.Add(tq.At)).Nanoseconds()
-					if soj < 0 {
-						soj = 0
-					}
-					sojourn = append(sojourn, soj)
-					if !transportErr && out.status == http.StatusOK {
-						sojournAccepted = append(sojournAccepted, soj)
-					}
-					mu.Unlock()
-					continue
+				// Issue, then re-issue while the server hints a retry wait
+				// (overload sheds, drain refusals) and the budget lasts. The
+				// worker stays occupied through the backoff, so the retries'
+				// cost lands where it belongs: on these arrivals' sojourn and
+				// on the harness's capacity to absorb the next ones.
+				ans, status := issue(client, baseURL, qs, step > 1)
+				retries := 0
+				for ; retries < opt.Retry.Max && ans.RetryAfterMs > 0; retries++ {
+					time.Sleep(retryWait(rng, opt.Retry, retries+1, ans.RetryAfterMs))
+					ans, status = issue(client, baseURL, qs, step > 1)
 				}
-				qs := make([]string, hi-lo)
-				for i := lo; i < hi; i++ {
-					qs[i-lo] = trace[i].Query
-				}
-				items, status, code, transportErr := doBatch(client, baseURL, qs)
 				done := time.Now()
 				mu.Lock()
-				rep.Batches++
-				for i := lo; i < hi; i++ {
-					accepted := false
-					switch {
-					case transportErr:
-						rep.TransportErrors++
-					case status != http.StatusOK || i-lo >= len(items):
-						// A whole-batch rejection (e.g. a 400 naming one
-						// bad query, or a shed of the whole batch) charges
-						// every member.
-						count(queryOutcome{status: status, code: code})
-					default:
-						it := items[i-lo]
-						if it.Error != "" {
-							count(queryOutcome{status: codeStatus(it.Code), code: it.Code})
-						} else {
-							count(queryOutcome{status: http.StatusOK, degraded: it.Degraded, degradedBy: it.DegradedBy})
-							rep.CacheHits += int64(it.CacheHits)
-							rep.CacheMisses += int64(it.CacheMisses)
-							accepted = true
-						}
+				rep.Retries += int64(retries)
+				if step > 1 {
+					rep.Batches++
+				}
+				for i, tq := range trace[lo:hi] {
+					// A member's outcome is its own item when the answer
+					// lists them, the answer's single item otherwise: a
+					// /query's, or a whole-batch refusal (a 400 naming one
+					// bad query, a shed) charged to every member.
+					it := ans.BatchItem
+					if i < len(ans.Results) {
+						it = ans.Results[i]
 					}
+					soj := max(0, done.Sub(start.Add(tq.At)).Nanoseconds())
 					service = append(service, done.Sub(issued).Nanoseconds())
-					soj := done.Sub(start.Add(trace[i].At)).Nanoseconds()
-					if soj < 0 {
-						soj = 0
-					}
 					sojourn = append(sojourn, soj)
-					if accepted {
+					if status == 0 {
+						rep.TransportErrors++
+						continue
+					}
+					out := classify(status, it)
+					counts[out]++
+					if out == outOK || out == outDegraded {
+						rep.CacheHits += int64(it.CacheHits)
+						rep.CacheMisses += int64(it.CacheMisses)
 						sojournAccepted = append(sojournAccepted, soj)
+						if it.DegradedBy == CodeBrownout {
+							rep.DegradedBrownout++
+						}
 					}
 				}
 				mu.Unlock()
@@ -402,10 +345,7 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 		}()
 	}
 	for lo := 0; lo < len(trace); lo += step {
-		hi := lo + step
-		if hi > len(trace) {
-			hi = len(trace)
-		}
+		hi := min(lo+step, len(trace))
 		if d := time.Until(start.Add(trace[hi-1].At)); d > 0 {
 			time.Sleep(d)
 		}
@@ -414,6 +354,14 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 	close(jobs)
 	wg.Wait()
 
+	rep.OK = counts[outOK]
+	rep.Degraded = counts[outDegraded]
+	rep.BadRequest = counts[outBadRequest]
+	rep.Rejected = counts[outRejected]
+	rep.Overload = counts[outOverload]
+	rep.Timeout = counts[outTimeout]
+	rep.Failed = counts[outFailed]
+	rep.Shed = counts[outShed]
 	rep.ElapsedNs = time.Since(start).Nanoseconds()
 	if rep.ElapsedNs > 0 {
 		rep.QPS = float64(rep.Queries) / (float64(rep.ElapsedNs) / float64(time.Second))
@@ -424,89 +372,66 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 	return rep, nil
 }
 
-// codeStatus maps a wire error code back to the HTTP status its class
-// answers with — per-item batch outcomes carry only the code.
-func codeStatus(code string) int {
-	switch code {
-	case CodeAdmissionDenied, CodeOverloaded:
-		return http.StatusTooManyRequests
-	case CodeBudgetExceeded, CodeCancelled, CodeDraining:
-		return http.StatusServiceUnavailable
-	case CodeDeadline:
-		return http.StatusGatewayTimeout
-	case CodeBadRequest, CodeBadPattern:
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
+// answer is the union of every body the two endpoints answer with, so one
+// decode reads them all: the embedded item is /query's 200 (a
+// QueryResponse) or either endpoint's non-200 (an ErrorResponse's error
+// and code, beside its retry hint), Results is /batch's 200.
+type answer struct {
+	BatchItem
+	// RetryAfterMs is the server's capacity hint when it sent one —
+	// nonzero marks the answer retryable.
+	RetryAfterMs int64       `json:"retry_after_ms"`
+	Results      []BatchItem `json:"results"`
 }
 
-// doBatch issues one POST /batch and decodes the per-item outcomes.
-// items is nil unless the batch answered 200; code carries the wire
-// error class of a whole-batch refusal.
-func doBatch(client *http.Client, baseURL string, qs []string) (items []BatchItem, status int, code string, transportErr bool) {
-	body, err := json.Marshal(BatchRequest{Queries: qs})
-	if err != nil {
-		return nil, 0, "", true
-	}
-	resp, err := client.Post(baseURL+"/batch", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, 0, "", true
-	}
-	defer resp.Body.Close()
-	status = resp.StatusCode
-	if status == http.StatusOK {
-		var br BatchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&br); err == nil {
-			items = br.Results
+// issue sends the queries as one request — POST /batch when batch is set,
+// GET /query for the first (only) one otherwise — and decodes whatever
+// comes back. Status 0 reports a transport error: no HTTP response at
+// all. A body that does not decode leaves the answer empty, to be
+// classified by its status alone.
+func issue(client *http.Client, baseURL string, qs []string, batch bool) (ans answer, status int) {
+	var resp *http.Response
+	var err error
+	if batch {
+		var body []byte
+		if body, err = json.Marshal(BatchRequest{Queries: qs}); err == nil {
+			resp, err = client.Post(baseURL+"/batch", "application/json", bytes.NewReader(body))
 		}
 	} else {
-		var er ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err == nil {
-			code = er.Code
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
+		resp, err = client.Get(baseURL + "/query?q=" + url.QueryEscape(qs[0]))
 	}
-	return items, status, code, false
-}
-
-// queryOutcome is the slice of a response RunLoad classifies on.
-type queryOutcome struct {
-	status     int
-	degraded   bool
-	degradedBy string
-	// code is the wire error class of a non-2xx answer; retryAfterMs is
-	// the server's capacity hint when it sent one — nonzero marks the
-	// answer retryable.
-	code         string
-	retryAfterMs int64
-}
-
-// doQuery issues one query and decodes just enough of the answer.
-func doQuery(client *http.Client, baseURL, q string) (out queryOutcome, hits, misses int, transportErr bool) {
-	resp, err := client.Get(baseURL + "/query?q=" + url.QueryEscape(q))
 	if err != nil {
-		return queryOutcome{}, 0, 0, true
+		return answer{}, 0
 	}
 	defer resp.Body.Close()
-	out.status = resp.StatusCode
-	if resp.StatusCode == http.StatusOK {
-		var qr QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&qr); err == nil {
-			out.degraded = qr.Degraded
-			out.degradedBy = qr.DegradedBy
-			hits, misses = qr.CacheHits, qr.CacheMisses
-		}
-	} else {
-		var er ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&er); err == nil {
-			out.code = er.Code
-			out.retryAfterMs = er.RetryAfterMs
-		}
-		// Drain so the connection is reusable.
-		_, _ = io.Copy(io.Discard, resp.Body)
+	_ = json.NewDecoder(resp.Body).Decode(&ans)
+	// Drain so the connection is reusable.
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return ans, resp.StatusCode
+}
+
+// classify attributes one member's final answer to its outcome counter —
+// the load client's reading of wireTable. A failed item is its code's
+// row (the code splits the 429s: "overloaded" is a shed, anything else
+// the per-query cost rejection); a refusal whose body carried no known
+// code falls back to the first row with its status, and past that to
+// overload, the class of a 5xx from anything between client and server.
+func classify(status int, it BatchItem) outcome {
+	switch {
+	case status == http.StatusOK && it.Error == "" && it.Degraded:
+		return outDegraded
+	case status == http.StatusOK && it.Error == "":
+		return outOK
 	}
-	return out, hits, misses, false
+	if row := wireByCode(it.Code); row != nil {
+		return row.counter
+	}
+	for _, row := range wireTable {
+		if row.status == status {
+			return row.counter
+		}
+	}
+	return outOverload
 }
 
 // WriteJSON encodes the report, indented, to w — the serveload CLI's

@@ -139,6 +139,12 @@ func (e *shedError) Error() string {
 	return fmt.Sprintf("serve: overloaded (%s), retry after %v", e.reason, e.retryAfter)
 }
 
+// errShed is the sentinel every shedError unwraps to — the cause its
+// wireTable row matches.
+var errShed = errors.New("serve: overloaded")
+
+func (e *shedError) Unwrap() error { return errShed }
+
 // errDraining refuses work arriving after StartDrain; it maps to 503 +
 // CodeDraining so load balancers rotate the replica out while in-flight
 // requests finish.

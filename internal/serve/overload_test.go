@@ -147,13 +147,7 @@ func TestOverloadWireContract(t *testing.T) {
 
 	t.Run("shed on full queue", func(t *testing.T) {
 		_, srv, ts := newOverloadServer(t, pathsel.Config{}, inert)
-		// Pre-seed saturation: every slot busy, queue at its limit.
-		srv.lim.mu.Lock()
-		srv.lim.inFlight = srv.lim.limit
-		for i := 0; i < srv.lim.cfg.QueueLimit; i++ {
-			srv.lim.queue = append(srv.lim.queue, &waiter{ready: make(chan struct{})})
-		}
-		srv.lim.mu.Unlock()
+		saturate(srv)
 		st, _, er, ra := getWire(t, ts.URL+"/query?q=a/b")
 		if st != http.StatusTooManyRequests || er.Code != CodeOverloaded {
 			t.Fatalf("status %d code %q, want 429 %q", st, er.Code, CodeOverloaded)
@@ -444,15 +438,15 @@ func TestOverloadCyclesLeakFree(t *testing.T) {
 					// each cycle mixes served, shed, degraded, and retried
 					// outcomes.
 					for attempt := 0; attempt < 2; attempt++ {
-						out, _, _, transportErr := doQuery(client, ts.URL, qs[(cycle+w)%len(qs)])
-						if transportErr {
+						out, status := issue(client, ts.URL, []string{qs[(cycle+w)%len(qs)]}, false)
+						if transportErr := status == 0; transportErr {
 							t.Errorf("cycle %d: transport error", cycle)
 							return
 						}
-						if out.retryAfterMs == 0 {
+						if out.RetryAfterMs == 0 {
 							return
 						}
-						time.Sleep(time.Duration(out.retryAfterMs) * time.Millisecond)
+						time.Sleep(time.Duration(out.RetryAfterMs) * time.Millisecond)
 					}
 				}(w)
 			}
@@ -518,12 +512,10 @@ func TestBatchShedsAsOneUnit(t *testing.T) {
 	_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
 		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond, TickEvery: time.Hour,
 	})
-	srv.lim.mu.Lock()
-	srv.lim.inFlight = srv.lim.limit
-	srv.lim.queue = append(srv.lim.queue, &waiter{ready: make(chan struct{})})
-	srv.lim.mu.Unlock()
-	items, status, code, transportErr := doBatch(http.DefaultClient, ts.URL, []string{"a/b", "b/c"})
-	if transportErr {
+	saturate(srv)
+	ans, status := issue(http.DefaultClient, ts.URL, []string{"a/b", "b/c"}, true)
+	items, code := ans.Results, ans.Code
+	if transportErr := status == 0; transportErr {
 		t.Fatal("transport error on shed batch")
 	}
 	if status != http.StatusTooManyRequests || code != CodeOverloaded || items != nil {

@@ -8,6 +8,18 @@
 // balancers can tell an overloaded server (429/503) from a slow query
 // (504) from a bug (500).
 //
+// Every request takes one pipeline, in this order:
+//
+//	decode → compile → admit → execute → account → encode
+//
+// /query is a batch of one and /batch the same code with n > 1. Decode
+// and encode are the endpoint's own (a query string in and the single
+// item unwrapped onto the HTTP status line out, or a JSON workload in
+// and a list of items out); compile, admit, execute and account are
+// shared (Server.compile, Server.run, Server.account), and the wire
+// contract — which error is which status, code and counter — is the one
+// table wireTable, read by the server and by the load client alike.
+//
 // The package also hosts the open-loop load harness (load.go): a
 // replayer that drives a server with a Zipf-distributed query-arrival
 // trace (internal/workload.ZipfTrace) at configurable concurrency and
@@ -27,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -101,8 +114,84 @@ const (
 
 // maxBatchQueries bounds one /batch request; larger workloads should be
 // split client-side (the cache amortization batches exist for saturates
-// well below this).
-const maxBatchQueries = 1024
+// well below this). maxBatchBody bounds the bytes /batch reads before it
+// can count queries: a kilobyte a pattern, far beyond any pattern a
+// histogram's MaxPathLength admits.
+const (
+	maxBatchQueries = 1024
+	maxBatchBody    = maxBatchQueries << 10
+)
+
+// outcome indexes the answer counters. Every answered item — a /query,
+// one member of a /batch, or a whole request refused before it executed
+// — lands in exactly one.
+type outcome int
+
+const (
+	outOK outcome = iota
+	outDegraded
+	outBadRequest
+	outRejected
+	outOverload
+	outTimeout
+	outFailed
+	outShed
+	numOutcomes
+)
+
+// wireRow is one cause's status, code and counter; err is the sentinel
+// errors.Is matches it by.
+type wireRow struct {
+	err     error
+	status  int
+	code    string
+	counter outcome
+}
+
+// wireTable is the serving tier's contract, defined once: which cause
+// answers with which HTTP status and wire code, and which counter it
+// lands in — 400 for malformed queries, 429 for admission rejections and
+// sheds (retry later, against another replica), 503 for mid-flight
+// resource kills, cancellations and drain refusals, 504 for deadline
+// expiry, 500 only for contained execution failures. wireOf reads it by
+// cause (the server), wireByCode by code (the server's status line and
+// the load client, whose batch items carry only the code). Rows match in
+// order; the last, with no sentinel, takes everything else: parse and
+// validation errors such as an unknown label, an empty or overlong path,
+// a missing parameter or an undecodable body.
+var wireTable = [...]wireRow{
+	{pathsel.ErrBadPattern, http.StatusBadRequest, CodeBadPattern, outBadRequest},
+	{pathsel.ErrAdmissionDenied, http.StatusTooManyRequests, CodeAdmissionDenied, outRejected},
+	{pathsel.ErrBudgetExceeded, http.StatusServiceUnavailable, CodeBudgetExceeded, outOverload},
+	{pathsel.ErrDeadlineExceeded, http.StatusGatewayTimeout, CodeDeadline, outTimeout},
+	{pathsel.ErrCancelled, http.StatusServiceUnavailable, CodeCancelled, outOverload},
+	{pathsel.ErrExecutionFailed, http.StatusInternalServerError, CodeExecutionFailed, outFailed},
+	{errShed, http.StatusTooManyRequests, CodeOverloaded, outShed},
+	{errDraining, http.StatusServiceUnavailable, CodeDraining, outOverload},
+	// Brownout is never an error, only the DegradedBy of a 200.
+	{pathsel.ErrBrownout, http.StatusOK, CodeBrownout, outDegraded},
+	{nil, http.StatusBadRequest, CodeBadRequest, outBadRequest},
+}
+
+// wireOf returns the wireTable row err answers with.
+func wireOf(err error) *wireRow {
+	for i := range wireTable {
+		if row := &wireTable[i]; row.err != nil && errors.Is(err, row.err) {
+			return row
+		}
+	}
+	return &wireTable[len(wireTable)-1]
+}
+
+// wireByCode returns the row a wire code names, or nil.
+func wireByCode(code string) *wireRow {
+	for i := range wireTable {
+		if wireTable[i].code == code {
+			return &wireTable[i]
+		}
+	}
+	return nil
+}
 
 // Counters is a snapshot of the server's request accounting, reported
 // by /stats and asserted by the end-to-end tests.
@@ -163,11 +252,9 @@ type Server struct {
 	// controller, so graceful shutdown always has a readiness signal.
 	draining atomic.Bool
 
-	requests, batches                   atomic.Int64
-	ok, degraded, badRequest            atomic.Int64
-	rejected, overload, timeout, failed atomic.Int64
-	shed, brownoutDegraded              atomic.Int64
-	inFlight                            atomic.Int64
+	requests, batches, inFlight         atomic.Int64
+	outcomes                            [numOutcomes]atomic.Int64
+	brownoutDegraded                    atomic.Int64 // the part of outcomes[outDegraded] brownout caused
 	schedTasks, schedSteals, schedParks atomic.Int64
 }
 
@@ -221,14 +308,14 @@ func (s *Server) Counters() Counters {
 	return Counters{
 		Requests:         s.requests.Load(),
 		Batches:          s.batches.Load(),
-		OK:               s.ok.Load(),
-		Degraded:         s.degraded.Load(),
-		BadRequest:       s.badRequest.Load(),
-		Rejected:         s.rejected.Load(),
-		Overload:         s.overload.Load(),
-		Timeout:          s.timeout.Load(),
-		Failed:           s.failed.Load(),
-		Shed:             s.shed.Load(),
+		OK:               s.outcomes[outOK].Load(),
+		Degraded:         s.outcomes[outDegraded].Load(),
+		BadRequest:       s.outcomes[outBadRequest].Load(),
+		Rejected:         s.outcomes[outRejected].Load(),
+		Overload:         s.outcomes[outOverload].Load(),
+		Timeout:          s.outcomes[outTimeout].Load(),
+		Failed:           s.outcomes[outFailed].Load(),
+		Shed:             s.outcomes[outShed].Load(),
 		BrownoutDegraded: s.brownoutDegraded.Load(),
 		InFlight:         s.inFlight.Load(),
 		SchedTasks:       s.schedTasks.Load(),
@@ -276,66 +363,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 	if s.lim != nil {
 		os := s.lim.stats()
-		os.Shed = s.shed.Load()
+		os.Shed = s.outcomes[outShed].Load()
 		os.BrownoutDegraded = s.brownoutDegraded.Load()
 		os.Draining = os.Draining || s.draining.Load()
 		resp.Overload = &os
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// errClass maps a pathsel error onto its HTTP status and wire code. The
-// mapping is the serving tier's contract: 400 for malformed queries,
-// 429 for admission rejections (retry later, against another replica),
-// 503 for mid-flight resource kills and cancellations, 504 for
-// deadline expiry, 500 only for contained execution failures.
-func errClass(err error) (status int, code string) {
-	switch {
-	case errors.Is(err, pathsel.ErrBadPattern):
-		// RPQ grammar violations get their own wire code so clients can
-		// tell a malformed pattern (fix the query) from an unknown label
-		// or a missing parameter (fix the request).
-		return http.StatusBadRequest, CodeBadPattern
-	case errors.Is(err, pathsel.ErrAdmissionDenied):
-		return http.StatusTooManyRequests, CodeAdmissionDenied
-	case errors.Is(err, pathsel.ErrBudgetExceeded):
-		return http.StatusServiceUnavailable, CodeBudgetExceeded
-	case errors.Is(err, pathsel.ErrDeadlineExceeded):
-		return http.StatusGatewayTimeout, CodeDeadline
-	case errors.Is(err, pathsel.ErrCancelled):
-		return http.StatusServiceUnavailable, CodeCancelled
-	case errors.Is(err, pathsel.ErrExecutionFailed):
-		return http.StatusInternalServerError, CodeExecutionFailed
-	default:
-		// Parse/validation errors: unknown label, empty path, too long.
-		return http.StatusBadRequest, CodeBadRequest
-	}
-}
-
-// countError attributes one non-2xx response to its counter.
-func (s *Server) countError(status int) {
-	switch status {
-	case http.StatusBadRequest:
-		s.badRequest.Add(1)
-	case http.StatusTooManyRequests:
-		s.rejected.Add(1)
-	case http.StatusGatewayTimeout:
-		s.timeout.Add(1)
-	case http.StatusInternalServerError:
-		s.failed.Add(1)
-	default:
-		s.overload.Add(1)
-	}
-}
-
-// degradedCode renders ExecStats.DegradedBy as a wire code, including
-// the brownout cause errClass never sees (brownout is not an error).
-func degradedCode(err error) string {
-	if errors.Is(err, pathsel.ErrBrownout) {
-		return CodeBrownout
-	}
-	_, code := errClass(err)
-	return code
 }
 
 // retryAfterHeader renders a duration as the Retry-After header's
@@ -348,33 +381,60 @@ func retryAfterHeader(d time.Duration) string {
 	return strconv.FormatInt(int64(secs), 10)
 }
 
-// writeError renders one execution error, counting it: overload sheds
-// get 429 + CodeOverloaded with the Retry-After hint in both header
-// (whole seconds) and body (milliseconds — the precise form), drain
-// refusals 503 + CodeDraining + Retry-After, everything else the
-// errClass contract.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// retryHint is the server's estimate of when a refused request should
+// come back: the admission queue's own figure on a shed, a second on a
+// drain refusal, zero (no hint) for everything else.
+func retryHint(err error) time.Duration {
 	var sh *shedError
 	switch {
 	case errors.As(err, &sh):
-		s.shed.Add(1)
-		ms := sh.retryAfter.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		w.Header().Set("Retry-After", retryAfterHeader(sh.retryAfter))
-		writeJSON(w, http.StatusTooManyRequests,
-			ErrorResponse{Error: err.Error(), Code: CodeOverloaded, RetryAfterMs: ms})
+		return sh.retryAfter
 	case errors.Is(err, errDraining):
-		s.overload.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			ErrorResponse{Error: err.Error(), Code: CodeDraining, RetryAfterMs: time.Second.Milliseconds()})
-	default:
-		status, code := errClass(err)
-		s.countError(status)
-		writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
+		return time.Second
 	}
+	return 0
+}
+
+// writeFailure is the encode stage of every non-2xx answer: the item's
+// error and code under the status its code names, with the retry hint —
+// when there is one — in both header (whole seconds) and body
+// (milliseconds, the precise form).
+func writeFailure(w http.ResponseWriter, item BatchItem, retry time.Duration) {
+	resp := ErrorResponse{Error: item.Error, Code: item.Code}
+	if retry > 0 {
+		w.Header().Set("Retry-After", retryAfterHeader(retry))
+		resp.RetryAfterMs = max(retry.Milliseconds(), 1)
+	}
+	writeJSON(w, wireByCode(item.Code).status, resp)
+}
+
+// refuse answers a whole request with one error — an undecodable or
+// uncompilable request, an admission refusal (shed, draining, death in
+// the queue), a contained panic — accounted as one item.
+func (s *Server) refuse(w http.ResponseWriter, err error) {
+	writeFailure(w, s.account("", pathsel.ExecStats{}, err), retryHint(err))
+}
+
+// enter counts one request in; the returned func counts it out.
+func (s *Server) enter() func() {
+	s.requests.Add(1)
+	s.inFlight.Add(1)
+	return func() { s.inFlight.Add(-1) }
+}
+
+// compile is the compile stage: every pattern into xs, before admission,
+// so a malformed request answers its 400 without holding a slot, queueing
+// or training the service-time EWMA. It returns the index of the first
+// pattern that fails with its error.
+func (s *Server) compile(patterns []string, xs []*pathsel.Expr) (int, error) {
+	for i, q := range patterns {
+		x, err := s.est.Compile(q)
+		if err != nil {
+			return i, err
+		}
+		xs[i] = x
+	}
+	return 0, nil
 }
 
 // admit gates one request through drain state and the overload
@@ -398,81 +458,57 @@ func (s *Server) admit(ctx context.Context) (pathsel.ExecPolicy, func(), error) 
 	return pol, func() { s.lim.release(time.Since(start)) }, nil
 }
 
-// observeCost feeds an answered query's plan cost into the brownout
-// percentile window.
-func (s *Server) observeCost(cost float64) {
-	if s.lim != nil {
-		s.lim.recordCost(cost)
-	}
+// fanOut is how many of a batch's n queries execute concurrently: what
+// the client asked for (≤ 0 means 1), but never more than the server's
+// cores — the server, not the client, decides how much one admitted slot
+// may run at once.
+func fanOut(requested, n int) int {
+	return max(1, min(requested, n, runtime.GOMAXPROCS(0)))
 }
 
-// execute runs one query under the overload regime: admission (shed /
-// drain / queue), the brownout policy, service-time feedback, and
-// handler-level panic containment — net/http's own recover would sever
-// the connection, turning an injected serve.admit panic into a client
-// transport error instead of a typed 500.
-func (s *Server) execute(ctx context.Context, q string) (st pathsel.ExecStats, err error) {
+// run is the admit, execute and account stages for the compiled queries
+// xs, one item each: the whole request occupies a single in-flight slot
+// (shed / drain / queue), every query runs under the slot's brownout
+// policy, and the slot's service time feeds the limiter. A lone query
+// executes inline on the handler goroutine; several go through the
+// estimator's batch executor, workers at a time. A non-nil error refuses
+// the whole request — including a panic contained here, because
+// net/http's own recover would sever the connection, turning an injected
+// serve.admit panic into a client transport error instead of a typed 500.
+func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, workers int, items []BatchItem) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			st, err = pathsel.ExecStats{}, fmt.Errorf("%w: contained serving-layer panic: %v",
-				pathsel.ErrExecutionFailed, r)
+			err = fmt.Errorf("%w: contained serving-layer panic: %v", pathsel.ErrExecutionFailed, r)
 		}
 	}()
 	pol, release, err := s.admit(ctx)
 	if err != nil {
-		return pathsel.ExecStats{}, err
+		return err
 	}
 	defer release()
-	x, err := s.est.Compile(q)
+	if len(xs) == 1 {
+		st, err := xs[0].ExecuteCtxPolicy(ctx, pol)
+		items[0] = s.account(xs[0].Pattern(), st, err)
+		return nil
+	}
+	br, err := s.est.ExecuteExprBatchCtx(ctx, xs, pathsel.BatchOptions{Workers: fanOut(workers, len(xs)), Policy: pol})
 	if err != nil {
-		return pathsel.ExecStats{}, err
+		return err
 	}
-	st, err = x.ExecuteCtxPolicy(ctx, pol)
-	if err == nil {
-		s.observeCost(st.Plan.EstimatedCost)
+	for i, qr := range br.Results {
+		items[i] = s.account(xs[i].Pattern(), qr.ExecStats, qr.Err)
 	}
-	return st, err
+	return nil
 }
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed,
-			ErrorResponse{Error: "use GET or POST", Code: CodeBadRequest})
-		return
-	}
-	s.requests.Add(1)
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
-	// v2 wire API: `pattern` carries a regular path query (the full RPQ
-	// grammar — alternation, optional, bounded repetition); `q` is the
-	// v1 name, which the estimator now accepts the same grammar under.
-	// Exactly one must be present.
-	q, pattern := r.URL.Query().Get("q"), r.URL.Query().Get("pattern")
-	switch {
-	case q != "" && pattern != "":
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: "give either q or pattern, not both", Code: CodeBadRequest})
-		return
-	case q == "" && pattern == "":
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: "missing q or pattern parameter (RPQ such as a/(b|c)/d?/e{1,3})", Code: CodeBadRequest})
-		return
-	case pattern != "":
-		q = pattern
-	}
-	start := time.Now()
-	st, err := s.execute(r.Context(), q)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	s.schedTasks.Add(st.Sched.Tasks)
-	s.schedSteals.Add(st.Sched.Steals)
-	s.schedParks.Add(st.Sched.Parks)
-	resp := QueryResponse{
-		Query:         q,
+// account is the accounting stage, and the one place an execution's
+// outcome becomes wire data: it renders (st, err) as the item both
+// endpoints answer with and bumps exactly one outcome counter. An
+// answered query (exact or degraded) also feeds its plan cost into the
+// brownout percentile window and its scheduler activity into the totals.
+func (s *Server) account(pattern string, st pathsel.ExecStats, err error) BatchItem {
+	item := BatchItem{QueryResponse: QueryResponse{
+		Query:         pattern,
 		Result:        st.Result,
 		Plan:          st.Plan.Description,
 		EstimatedCost: st.Plan.EstimatedCost,
@@ -480,28 +516,83 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		CacheHits:     st.CacheHits,
 		CacheMisses:   st.CacheMisses,
 		Degraded:      st.Degraded,
-		LatencyNs:     time.Since(start).Nanoseconds(),
-	}
-	if st.Degraded {
-		s.degraded.Add(1)
-		resp.DegradedBy = degradedCode(st.DegradedBy)
-		if resp.DegradedBy == CodeBrownout {
+	}}
+	out := outOK
+	switch {
+	case err != nil:
+		row := wireOf(err)
+		out, item.Error, item.Code = row.counter, err.Error(), row.code
+	case st.Degraded:
+		out, item.DegradedBy = outDegraded, wireOf(st.DegradedBy).code
+		if item.DegradedBy == CodeBrownout {
 			s.brownoutDegraded.Add(1)
 		}
-	} else {
-		s.ok.Add(1)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.outcomes[out].Add(1)
+	if err == nil {
+		if s.lim != nil {
+			s.lim.recordCost(st.Plan.EstimatedCost)
+		}
+		s.schedTasks.Add(st.Sched.Tasks)
+		s.schedSteals.Add(st.Sched.Steals)
+		s.schedParks.Add(st.Sched.Parks)
+	}
+	return item
+}
+
+// handleQuery serves a batch of one, its item unwrapped onto the HTTP
+// status line: a QueryResponse under 200, an ErrorResponse otherwise.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed,
+			ErrorResponse{Error: "use GET or POST", Code: CodeBadRequest})
+		return
+	}
+	defer s.enter()()
+	start := time.Now()
+	// v2 wire API: `pattern` carries a regular path query (the full RPQ
+	// grammar — alternation, optional, bounded repetition); `q` is the
+	// v1 name, which the estimator now accepts the same grammar under.
+	// Exactly one must be present.
+	params := r.URL.Query()
+	q, pattern := [1]string{params.Get("q")}, params.Get("pattern")
+	var err error
+	switch {
+	case q[0] != "" && pattern != "":
+		err = errors.New("give either q or pattern, not both")
+	case q[0] == "" && pattern == "":
+		err = errors.New("missing q or pattern parameter (RPQ such as a/(b|c)/d?/e{1,3})")
+	case pattern != "":
+		q[0] = pattern
+	}
+	var x [1]*pathsel.Expr
+	var item [1]BatchItem
+	if err == nil {
+		_, err = s.compile(q[:], x[:])
+	}
+	if err == nil {
+		err = s.run(r.Context(), x[:], 1, item[:])
+	}
+	switch {
+	case err != nil:
+		s.refuse(w, err)
+	case item[0].Error != "":
+		writeFailure(w, item[0], 0)
+	default:
+		item[0].LatencyNs = time.Since(start).Nanoseconds()
+		writeJSON(w, http.StatusOK, item[0].QueryResponse)
+	}
 }
 
 // BatchRequest is the JSON body of POST /batch: a workload of RPQ
-// patterns executed through one shared relation cache, so segments
-// recurring across the batch are materialized once.
+// patterns executed in one admission slot on the estimator's relation
+// cache, so segments recurring across the batch are materialized once.
 type BatchRequest struct {
 	// Queries are the patterns (same grammar as /query).
 	Queries []string `json:"queries"`
-	// Workers is the number of queries executed concurrently (≤ 0
-	// selects 1). Results are bit-identical at every setting.
+	// Workers is the number of queries the client would like executed
+	// concurrently (≤ 0 selects 1); the server grants at most its core
+	// count. Results are bit-identical at every setting.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -522,109 +613,43 @@ type BatchResponse struct {
 	LatencyNs int64 `json:"latency_ns"`
 }
 
-// handleBatch executes a whole workload per request. Every pattern is
-// compiled before anything executes — a malformed workload is a 400
-// naming the first offending query — then the batch runs through the
-// estimator's parse-once batch executor under the request context.
+// handleBatch serves a whole workload per request. The body is bounded
+// before it is decoded, and every pattern is compiled before anything is
+// admitted or executes — a malformed workload is a 400 naming the first
+// offending query.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed,
 			ErrorResponse{Error: "use POST with a JSON body", Code: CodeBadRequest})
 		return
 	}
-	s.requests.Add(1)
-	s.inFlight.Add(1)
-	defer s.inFlight.Add(-1)
+	defer s.enter()()
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: "malformed batch body: " + err.Error(), Code: CodeBadRequest})
-		return
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&req)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("malformed batch body: %v", err)
+	case len(req.Queries) == 0:
+		err = errors.New("batch needs at least one query")
+	case len(req.Queries) > maxBatchQueries:
+		err = fmt.Errorf("batch of %d queries exceeds %d", len(req.Queries), maxBatchQueries)
 	}
-	if len(req.Queries) == 0 {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: "batch needs at least one query", Code: CodeBadRequest})
-		return
-	}
-	if len(req.Queries) > maxBatchQueries {
-		s.badRequest.Add(1)
-		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: fmt.Sprintf("batch of %d queries exceeds %d", len(req.Queries), maxBatchQueries), Code: CodeBadRequest})
+	if err != nil {
+		s.refuse(w, err)
 		return
 	}
 	s.batches.Add(1)
 	start := time.Now()
 	xs := make([]*pathsel.Expr, len(req.Queries))
-	for i, q := range req.Queries {
-		x, err := s.est.Compile(q)
-		if err != nil {
-			_, code := errClass(err)
-			s.badRequest.Add(1)
-			writeJSON(w, http.StatusBadRequest,
-				ErrorResponse{Error: fmt.Sprintf("query %d: %s", i, err), Code: code})
-			return
-		}
-		xs[i] = x
-	}
-	br, err := s.executeBatch(r.Context(), xs, req.Workers)
-	if err != nil {
-		s.writeError(w, err)
+	if i, err := s.compile(req.Queries, xs); err != nil {
+		s.refuse(w, fmt.Errorf("query %d: %w", i, err))
 		return
 	}
-	resp := BatchResponse{Results: make([]BatchItem, len(br.Results))}
-	for i, qr := range br.Results {
-		item := BatchItem{QueryResponse: QueryResponse{
-			Query:         string(qr.Query),
-			Result:        qr.Result,
-			Plan:          qr.Plan.Description,
-			EstimatedCost: qr.Plan.EstimatedCost,
-			Work:          qr.Work,
-			CacheHits:     qr.CacheHits,
-			CacheMisses:   qr.CacheMisses,
-			Degraded:      qr.Degraded,
-		}}
-		switch {
-		case qr.Err != nil:
-			status, code := errClass(qr.Err)
-			s.countError(status)
-			item.Error, item.Code = qr.Err.Error(), code
-		case qr.Degraded:
-			s.degraded.Add(1)
-			item.DegradedBy = degradedCode(qr.DegradedBy)
-			if item.DegradedBy == CodeBrownout {
-				s.brownoutDegraded.Add(1)
-			}
-			s.observeCost(qr.Plan.EstimatedCost)
-		default:
-			s.ok.Add(1)
-			s.observeCost(qr.Plan.EstimatedCost)
-		}
-		s.schedTasks.Add(qr.Sched.Tasks)
-		s.schedSteals.Add(qr.Sched.Steals)
-		s.schedParks.Add(qr.Sched.Parks)
-		resp.Results[i] = item
+	resp := BatchResponse{Results: make([]BatchItem, len(xs))}
+	if err := s.run(r.Context(), xs, req.Workers, resp.Results); err != nil {
+		s.refuse(w, err)
+		return
 	}
 	resp.LatencyNs = time.Since(start).Nanoseconds()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// executeBatch runs one batch under the overload regime: the whole
-// batch occupies a single in-flight slot (its queries already share the
-// estimator's internal parallelism), the brownout policy applies to
-// every entry, and panics are contained exactly as in execute.
-func (s *Server) executeBatch(ctx context.Context, xs []*pathsel.Expr, workers int) (br *pathsel.BatchResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			br, err = nil, fmt.Errorf("%w: contained serving-layer panic: %v",
-				pathsel.ErrExecutionFailed, r)
-		}
-	}()
-	pol, release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.est.ExecuteExprBatchCtx(ctx, xs, pathsel.BatchOptions{Workers: workers, Policy: pol})
 }

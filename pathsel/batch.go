@@ -8,9 +8,9 @@ import (
 	"repro/internal/relcache"
 )
 
-// DefaultCacheBytes is the segment-relation cache budget a batch uses
-// when neither Config.CacheBytes nor BatchOptions.CacheBytes set
-// one (64 MiB).
+// DefaultCacheBytes is a segment-relation cache budget that suits the
+// repository's datasets (64 MiB) — what cmd/pathserve passes as
+// Config.CacheBytes unless told otherwise.
 const DefaultCacheBytes = relcache.DefaultMaxBytes
 
 // Query is one path query of a batch workload: any RPQ pattern Compile
@@ -31,25 +31,14 @@ func Queries(qs ...string) []Query {
 type BatchOptions struct {
 	// Workers is the number of queries executed concurrently (≤ 0 or 1
 	// runs the batch sequentially). Per-query results are bit-identical
-	// at every setting — concurrent queries share only the thread-safe
-	// segment cache, and adopting a cached relation is indistinguishable
-	// from recomputing it — so this is a throughput knob, not a semantic
-	// one. When Workers > 1, each query's own join steps run
+	// at every setting — concurrent queries share only the estimator's
+	// thread-safe segment cache (when it has one), and adopting a cached
+	// relation is indistinguishable from recomputing it — so this is a
+	// throughput knob, not a semantic one. When Workers > 1, each query's own join steps run
 	// single-threaded (the batch already saturates the cores with whole
 	// queries); at Workers ≤ 1 each query parallelizes its join steps
 	// across Config.Workers as a single execution does.
 	Workers int
-	// CacheBytes chooses the batch's segment cache: > 0 runs the batch
-	// on a fresh private cache of that byte budget; 0 shares the
-	// estimator's persistent cache (Config.CacheBytes), falling back to
-	// a fresh DefaultCacheBytes-sized private cache when the estimator
-	// has none; < 0 disables caching entirely — the cold-baseline mode
-	// the cache benchmark measures against.
-	CacheBytes int64
-	// CacheShards is the shard count of a batch-private cache (≤ 0
-	// selects the default). Ignored when the batch shares the
-	// estimator's cache.
-	CacheShards int
 	// Policy is the per-call degradation policy applied to every query
 	// of the batch (see ExecPolicy); the zero value imposes nothing. A
 	// brownout-degraded entry carries a nil Err with
@@ -80,17 +69,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// cacheStatsOf converts the internal counters to the public mirror.
-func cacheStatsOf(c *relcache.Cache) CacheStats {
-	st := c.Stats()
-	return CacheStats{
-		Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
-		Evictions: st.Evictions, Rejected: st.Rejected,
-		Entries: st.Entries, Bytes: st.Bytes, MaxBytes: st.MaxBytes,
-		Shards: st.Shards, LockWaitNs: st.LockWaitNs,
-	}
-}
-
 // BatchQueryResult is one query's outcome within a batch.
 type BatchQueryResult struct {
 	// Query is the workload entry this result answers.
@@ -111,12 +89,12 @@ type BatchQueryResult struct {
 type BatchResult struct {
 	// Results holds one entry per input query, in input order.
 	Results []BatchQueryResult
-	// Cache snapshots the batch's segment cache after the last query
-	// (zero-valued when the batch ran uncached). For a batch on the
-	// estimator's persistent cache the counters are cumulative across
-	// batches, not per-batch.
+	// Cache snapshots the estimator's segment cache after the last query
+	// (zero-valued when it has none). The counters are cumulative over
+	// the estimator's lifetime, not per-batch.
 	Cache CacheStats
-	// Cached reports whether a segment cache was in play at all.
+	// Cached reports whether the estimator has a segment cache
+	// (Config.CacheBytes) at all.
 	Cached bool
 }
 
@@ -127,7 +105,13 @@ func (e *Estimator) CacheStats() (CacheStats, bool) {
 	if e.cache == nil {
 		return CacheStats{}, false
 	}
-	return cacheStatsOf(e.cache), true
+	st := e.cache.Stats()
+	return CacheStats{
+		Hits: st.Hits, Misses: st.Misses, Puts: st.Puts,
+		Evictions: st.Evictions, Rejected: st.Rejected,
+		Entries: st.Entries, Bytes: st.Bytes, MaxBytes: st.MaxBytes,
+		Shards: st.Shards, LockWaitNs: st.LockWaitNs,
+	}, true
 }
 
 // ExecuteBatch compiles a workload of query strings and executes it
@@ -156,14 +140,14 @@ func (e *Estimator) compileAll(queries []Query) ([]*Expr, error) {
 	return xs, nil
 }
 
-// ExecuteExprBatchCtx plans and executes a whole workload of compiled
-// queries through one shared segment-relation cache, so label
-// subsequences that recur across the workload are materialized once and
-// adopted everywhere else — the amortization a per-query ExecuteCtx loop
-// cannot get (unless the estimator itself holds a persistent cache via
-// Config.CacheBytes, which the batch then reuses and keeps warming). A
-// serving layer compiles its query set once and hands the same handles
-// to every batch, so nothing is reparsed or re-validated per round.
+// ExecuteExprBatchCtx executes a whole workload of compiled queries: N
+// Expr.ExecuteCtx calls, optionally BatchOptions.Workers at a time, on
+// the estimator's segment-relation cache (Config.CacheBytes) — so with a
+// cache, label subsequences that recur across the workload are
+// materialized once and adopted everywhere else, in this batch and every
+// later execution; without one, every query computes its own. A serving
+// layer compiles its query set once and hands the same handles to every
+// batch, so nothing is reparsed or re-validated per round.
 // Every Expr must have been compiled by this estimator; a nil or foreign
 // handle fails the whole batch before anything executes.
 //
@@ -197,16 +181,6 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 		}
 	}
 
-	var cache *relcache.Cache
-	switch {
-	case opt.CacheBytes > 0:
-		cache = relcache.New(relcache.Options{MaxBytes: opt.CacheBytes, Shards: opt.CacheShards})
-	case opt.CacheBytes == 0 && e.cache != nil:
-		cache = e.cache
-	case opt.CacheBytes == 0:
-		cache = relcache.New(relcache.Options{MaxBytes: DefaultCacheBytes, Shards: opt.CacheShards})
-	}
-
 	g := e.gr.csr() // freeze once, before any worker goroutine exists
 	res := &BatchResult{Results: make([]BatchQueryResult, len(exprs))}
 	workers := opt.Workers
@@ -227,7 +201,7 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 			res.Results[i] = BatchQueryResult{Query: Query(exprs[i].pattern), Err: translateCtxErr(err)}
 			return
 		}
-		st, err := e.execute(ctx, g, exprs[i], cache, queryWorkers, opt.Policy)
+		st, err := e.execute(ctx, g, exprs[i], queryWorkers, opt.Policy)
 		res.Results[i] = BatchQueryResult{Query: Query(exprs[i].pattern), ExecStats: st, Err: err}
 	}
 	if workers <= 1 {
@@ -255,9 +229,6 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 		close(idx)
 		wg.Wait()
 	}
-	if cache != nil {
-		res.Cache = cacheStatsOf(cache)
-		res.Cached = true
-	}
+	res.Cache, res.Cached = e.CacheStats()
 	return res, nil
 }

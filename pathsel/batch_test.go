@@ -49,15 +49,19 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		g := batchTestGraph(t, int64(trial), 20+rng.Intn(60), 2+rng.Intn(3), 150+rng.Intn(200))
 		for _, bushy := range []bool{false, true} {
-			est, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, BushyPlans: bushy})
+			ref, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, BushyPlans: bushy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, BushyPlans: bushy, CacheBytes: DefaultCacheBytes})
 			if err != nil {
 				t.Fatal(err)
 			}
 			queries := batchWorkload(rng, g.Labels(), 30, 3)
-			// Reference: the uncached per-query API.
+			// Reference: the per-query API on an estimator without a cache.
 			want := make([]int64, len(queries))
 			for i, q := range queries {
-				st, err := est.ExecuteQuery(string(q))
+				st, err := ref.ExecuteQuery(string(q))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -91,18 +95,19 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchCacheModes covers the three BatchOptions.CacheBytes
-// regimes: private, shared-persistent, and disabled.
+// TestExecuteBatchCacheModes covers the two cache regimes a batch can
+// run in — the estimator has no cache, or it has a persistent one — a
+// batch never owns a cache of its own.
 func TestExecuteBatchCacheModes(t *testing.T) {
 	g := batchTestGraph(t, 5, 40, 3, 200)
 	queries := Queries("a/b", "b/c", "a/b", "a/b/c", "a/b/c")
 
-	// Disabled: no cache stats, still correct.
+	// No Config.CacheBytes: no cache stats, still correct.
 	plain, err := Build(g, Config{MaxPathLength: 3, Buckets: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := plain.ExecuteBatch(queries, BatchOptions{CacheBytes: -1})
+	cold, err := plain.ExecuteBatch(queries, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +120,8 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 		}
 	}
 
-	// Private default cache: repeats hit within the batch.
-	warm, err := plain.ExecuteBatch(queries, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Cached || warm.Cache.Hits == 0 {
-		t.Fatalf("default batch cache saw no hits: %+v", warm.Cache)
-	}
-	for i := range queries {
-		if warm.Results[i].Result != cold.Results[i].Result {
-			t.Fatalf("query %d: cached %d != uncached %d", i,
-				warm.Results[i].Result, cold.Results[i].Result)
-		}
-	}
-
-	// Persistent estimator cache: a second batch starts warm.
+	// Persistent estimator cache: repeats hit within the first batch,
+	// and a second batch starts warm.
 	persistent, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, CacheBytes: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -141,6 +132,15 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	first, err := persistent.ExecuteBatch(queries, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !first.Cached || first.Cache.Hits == 0 {
+		t.Fatalf("first batch on an empty cache saw no hits from its repeats: %+v", first.Cache)
+	}
+	for i := range queries {
+		if first.Results[i].Result != cold.Results[i].Result {
+			t.Fatalf("query %d: cached %d != uncached %d", i,
+				first.Results[i].Result, cold.Results[i].Result)
+		}
 	}
 	second, err := persistent.ExecuteBatch(queries, BatchOptions{})
 	if err != nil {
@@ -202,7 +202,11 @@ func FuzzBatchCacheEquivalence(f *testing.F) {
 		v := 2 + int(vertices)%100
 		l := 1 + int(labels)%5
 		g := batchTestGraph(t, seed, v, l, 1+int(edges)%(4*v))
-		est, err := Build(g, Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0})
+		ref, err := Build(g, Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := Build(g, Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0, CacheBytes: DefaultCacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +214,7 @@ func FuzzBatchCacheEquivalence(f *testing.F) {
 		queries := batchWorkload(rng, g.Labels(), 1+int(count)%24, 3)
 		want := make([]int64, len(queries))
 		for i, q := range queries {
-			st, err := est.ExecuteQuery(string(q))
+			st, err := ref.ExecuteQuery(string(q))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -243,9 +243,8 @@ type Config struct {
 	// every ExecuteQuery and ExecuteBatch call then reuses label-segment
 	// relations materialized by earlier queries instead of recomputing
 	// them, trading memory for workload throughput. The cache is bound
-	// to this estimator's graph. 0 leaves per-query execution uncached
-	// (ExecuteBatch still runs each batch through its own
-	// DefaultCacheBytes-sized cache). Caching never changes results —
+	// to this estimator's graph. 0 leaves every execution, single or
+	// batched, uncached. Caching never changes results —
 	// adopted relations are bit-identical to recomputed ones — though
 	// with BushyPlans set it can change which plan is chosen (cached
 	// segments cost nothing to build, so warm workloads favor bushy

@@ -9,7 +9,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/paths"
-	"repro/internal/relcache"
 )
 
 // QueryPlan is the join strategy an Estimator chooses for a path query: a
@@ -58,11 +57,11 @@ type ExecStats struct {
 	// Result is the exact selectivity |ℓ(G)| of the query.
 	Result int64
 	// CacheHits and CacheMisses count the execution's segment-cache
-	// traffic when a cache was in play (Config.CacheBytes, or any
-	// ExecuteBatch run): a hit adopted a previously materialized segment
-	// relation instead of recomputing it; a miss computed and published
-	// one. On a whole-query hit, Intermediates is empty and Work 0 —
-	// nothing intermediate was materialized.
+	// traffic when the estimator has a cache (Config.CacheBytes): a hit
+	// adopted a previously materialized segment relation instead of
+	// recomputing it; a miss computed and published one. On a whole-query
+	// hit, Intermediates is empty and Work 0 — nothing intermediate was
+	// materialized.
 	CacheHits, CacheMisses int
 	// Sched reports the execution's work-stealing scheduler activity —
 	// tasks run (total and per worker), steals, and parks. All-zero when
@@ -87,10 +86,10 @@ type ExecStats struct {
 // With a cache and BushyPlans, the planner is cache-aware: segments whose
 // relations are already materialized cost nothing to build, so warm
 // workloads steer the DP toward bushy joins of reusable segments.
-func (e *Estimator) planner(cache *relcache.Cache) exec.Planner {
+func (e *Estimator) planner() exec.Planner {
 	pl := exec.Planner{Est: exec.EstimatorFunc(e.ph.Estimate)}
-	if e.cacheAware(cache) {
-		pl.Cached = func(p paths.Path) bool { return cache.Contains(p) }
+	if e.cacheAware() {
+		pl.Cached = func(p paths.Path) bool { return e.cache.Contains(p) }
 	}
 	return pl
 }
@@ -107,10 +106,11 @@ func (e *Estimator) parseBounded(q string) (paths.Path, error) {
 	return p, nil
 }
 
-// cacheAware reports whether planning against cache can differ from
-// planning against none: only the bushy DP consults cached segments.
-func (e *Estimator) cacheAware(cache *relcache.Cache) bool {
-	return cache != nil && e.cfg.BushyPlans
+// cacheAware reports whether planning against the estimator's cache can
+// differ from planning against none: only the bushy DP consults cached
+// segments.
+func (e *Estimator) cacheAware() bool {
+	return e.cache != nil && e.cfg.BushyPlans
 }
 
 // concretePath returns the path a plan evaluates when it is a single run
@@ -255,7 +255,7 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 	return ExecStats{Plan: plan, Result: r, Degraded: true, DegradedBy: cause}, nil
 }
 
-// execute runs one compiled query against the given (possibly nil)
+// execute runs one compiled query against the estimator's (possibly nil)
 // segment cache — the one path every execution takes, single or batched:
 // per-query deadline and canceller, the plan (Compile's as is, unless the
 // live cache can change it), brownout policy, admission gate, run, stats.
@@ -267,7 +267,7 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 // executor is never asked to keep the result relation (exec.Options
 // .KeepResult stays unset): it counts the final step where it can and
 // releases what it had to build.
-func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *relcache.Cache, workers int, pol ExecPolicy) (ExecStats, error) {
+func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, workers int, pol ExecPolicy) (ExecStats, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
@@ -276,12 +276,12 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *r
 	canc, release := newQueryCanceller(ctx)
 	defer release()
 	plan := x.plan
-	if e.cacheAware(cache) || e.cacheAware(e.cache) {
-		// Compile planned against e.cache as it was then; only a planner
-		// that sees a cache, then or now, can choose differently. It decides
-		// again from the estimates the plan retains — cache probes and
+	if e.cacheAware() {
+		// Compile planned against the cache as it was then; only a planner
+		// that sees a cache can choose differently now. It decides again
+		// from the estimates the plan retains — cache probes and
 		// arithmetic, no histogram lookups.
-		plan = e.queryPlan(e.planner(cache).Replan(plan.dp))
+		plan = e.queryPlan(e.planner().Replan(plan.dp))
 	}
 	if pol.degrades(plan) {
 		return degradeTo(plan, x.estimate, ErrBrownout)
@@ -292,7 +292,7 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, cache *r
 	opt := exec.Options{
 		DensityThreshold: e.cfg.DensityThreshold,
 		Workers:          workers,
-		Cache:            cache,
+		Cache:            e.cache,
 		Cancel:           canc,
 		MaxResultBytes:   e.cfg.MaxResultBytes,
 		Pool:             e.pool,

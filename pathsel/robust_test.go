@@ -270,7 +270,7 @@ func TestExecuteExprBatchCtxCancel(t *testing.T) {
 func TestExecuteBatchPerQueryIsolation(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 1, MaxPlanCost: 0.5})
 	queries := Queries("a", "a/b/a", "b", "b/a/b", "a/b")
-	res, err := e.ExecuteBatch(queries, BatchOptions{Workers: 2, CacheBytes: -1})
+	res, err := e.ExecuteBatch(queries, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestExecPolicyBrownout(t *testing.T) {
 
 	// Batch-wide policy: expensive entries degrade with nil Err, cheap
 	// entries stay exact.
-	res, err := e.ExecuteBatch(Queries("a", "a/b/a"), BatchOptions{CacheBytes: -1, Policy: pol})
+	res, err := e.ExecuteBatch(Queries("a", "a/b/a"), BatchOptions{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

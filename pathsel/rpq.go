@@ -216,7 +216,7 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 		return nil, fmt.Errorf("%w: pattern %q may match paths up to length %d, beyond %d",
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
-	dp := e.planner(e.cache).Plan(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
+	dp := e.planner().Plan(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
 	x := &Expr{est: e, pattern: pattern, dag: dag, plan: e.queryPlan(dp)}
 	if p := concretePath(dp); p != nil {
 		x.estimate = e.ph.Estimate(p)
@@ -292,5 +292,5 @@ func (x *Expr) ExecuteCtxPolicy(ctx context.Context, pol ExecPolicy) (ExecStats,
 		ctx = context.Background()
 	}
 	e := x.est
-	return e.execute(ctx, e.gr.csr(), x, e.cache, e.cfg.Workers, pol)
+	return e.execute(ctx, e.gr.csr(), x, e.cfg.Workers, pol)
 }
