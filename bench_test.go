@@ -533,3 +533,31 @@ func BenchmarkExecEngines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkElementBase times the base relation of a multi-label element —
+// the union of the label relations under an alternation (pair) or a
+// wildcard — on the graph of bench/'s serve_mixed workload, as exec.Run of
+// a single-element plan: the layer number of the executor's fill, which
+// the frozen bench/ reports only inside exec.run_us.
+func BenchmarkElementBase(b *testing.B) {
+	g := dataset.Generate(dataset.Table3()[3], 0.25, 1).Freeze() // SNAP-FF
+	all := make([]int, g.NumLabels())
+	for l := range all {
+		all[l] = l
+	}
+	pool := exec.NewRelPool(g.NumVertices(), 0)
+	for _, c := range []struct {
+		name   string
+		labels []int
+	}{{"pair", all[:2]}, {"wildcard", all}} {
+		plan := &exec.DagPlan{Blocks: []exec.DagBlockPlan{
+			{Lo: 0, Hi: 1, Elem: exec.RPQElem{Labels: c.labels, MinRep: 1, MaxRep: 1}}}}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := exec.Run(g, plan, exec.Options{Workers: 1, Pool: pool}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -124,3 +124,42 @@ func TestCountCancelWithinOneWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionFillCancelWithinOneWindow pins the same abort latency for the
+// one-pass base: FillUnionCSR charges each emitted row to the poll window
+// like every other row kernel, whether the row was copied from one operand
+// or accumulated from several, so a wildcard base over a large graph stops
+// within one window of the flag instead of running every label through.
+func TestUnionFillCancelWithinOneWindow(t *testing.T) {
+	// Single-target rows again, so a window is cancelCheckInterval rows;
+	// the second operand reaches every other vertex, alternating copied and
+	// accumulated rows.
+	n := 3 * cancelCheckInterval
+	ops := []CSROperand{
+		{N: n, Offsets: make([]int32, n+1), Targets: make([]int32, n)},
+		{N: n, Offsets: make([]int32, n+1)},
+	}
+	for v := 0; v < n; v++ {
+		ops[0].Offsets[v+1] = int32(v + 1)
+		ops[0].Targets[v] = int32((v + 1) % n)
+		ops[1].Offsets[v+1] = ops[1].Offsets[v]
+		if v%2 == 0 {
+			ops[1].Targets = append(ops[1].Targets, int32((v+1)%n))
+			ops[1].Offsets[v+1]++
+		}
+	}
+	h := NewHybrid(n, 1)
+	scr := NewComposeScratch(n)
+	var flag CancelFlag
+	scr.SetCancel(&flag)
+	if h.FillUnionCSR(ops, scr); h.Sources() != n || h.Pairs() != int64(n) {
+		t.Fatalf("uncancelled fill: %d sources, %d pairs, want %d rows of one pair", h.Sources(), h.Pairs(), n)
+	}
+	flag.Set()
+	if h.FillUnionCSR(ops, scr); h.Sources() > cancelCheckInterval {
+		t.Fatalf("cancelled fill ran %d rows, more than one poll window", h.Sources())
+	}
+	if len(scr.touched) != 0 {
+		t.Fatal("cancelled fill left the accumulator dirty")
+	}
+}

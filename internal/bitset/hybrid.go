@@ -106,23 +106,86 @@ func (h *HybridRelation) FillFromCSR(op CSROperand) {
 		if len(ts) == 0 {
 			continue
 		}
-		row := &h.rows[v]
-		row.count = int32(len(ts))
-		if len(ts) <= h.sparseMax {
-			row.ids = append(row.ids[:0], ts...)
-		} else {
-			row.dense = true
-			if row.words == nil {
-				row.words = make([]uint64, (op.N+wordBits-1)/wordBits)
-			} else {
-				clear(row.words)
-			}
-			for _, t := range ts {
-				row.words[t>>6] |= 1 << (uint(t) & 63)
-			}
-		}
+		h.setRow(v, ts)
 		h.active = append(h.active, int32(v))
 		h.pairs += int64(len(ts))
+	}
+}
+
+// setRow stores the ascending target list ts, non-empty, as row v of a
+// relation whose row v is in its Reset state.
+func (h *HybridRelation) setRow(v int, ts []int32) {
+	row := &h.rows[v]
+	row.count = int32(len(ts))
+	if len(ts) <= h.sparseMax {
+		row.ids = append(row.ids[:0], ts...)
+		return
+	}
+	row.dense = true
+	if row.words == nil {
+		row.words = make([]uint64, (h.n+wordBits-1)/wordBits)
+	} else {
+		clear(row.words)
+	}
+	for _, t := range ts {
+		row.words[t>>6] |= 1 << (uint(t) & 63)
+	}
+}
+
+// FillUnionCSR fills h with the union of the operands' length-1 path
+// relations — the base of an alternation or wildcard — in one ascending
+// pass over the vertices, pooled like FillFromCSR. A vertex only one
+// operand reaches copies that operand's row as FillFromCSR would; a vertex
+// several reach scatters every operand's row into the accumulator and
+// emits once. Either way a row's form is chosen from its final count, as
+// UnionWith ends up choosing it, so the result is bit-identical to
+// FillFromCSR of the first operand followed by a UnionWith per further
+// one — rows, representations, active order and pair count. Only the
+// operands' CSR arrays are read. There must be at least one operand (a
+// lone one is FillFromCSR's case: its loop is the tighter), and every
+// operand's universe must equal h's. A raised cancel flag leaves h
+// holding a partial union the caller must discard.
+func (h *HybridRelation) FillUnionCSR(ops []CSROperand, scr *ComposeScratch) {
+	for _, op := range ops {
+		if op.N != h.n {
+			panic(fmt.Sprintf("bitset: operand universe %d != relation universe %d", op.N, h.n))
+		}
+	}
+	h.Reset()
+	offs, tgts, rest := ops[0].Offsets, ops[0].Targets, ops[1:]
+	for v := 0; v < h.n; v++ {
+		// first is the one contributing row seen so far; it is scattered,
+		// and dropped, only once a second one shows up.
+		first := tgts[offs[v]:offs[v+1]]
+		count := len(first)
+		for i := range rest {
+			ts := rest[i].Targets[rest[i].Offsets[v]:rest[i].Offsets[v+1]]
+			switch {
+			case len(ts) == 0:
+			case count == 0:
+				first, count = ts, len(ts)
+			case first != nil:
+				scr.begin()
+				count = scr.scatter(first) + scr.scatter(ts)
+				first = nil
+			default:
+				count += scr.scatter(ts)
+			}
+		}
+		if count == 0 {
+			continue
+		}
+		if first != nil {
+			h.setRow(v, first)
+		} else {
+			scr.emitRow(h, int32(v), count)
+			scr.reset()
+		}
+		h.active = append(h.active, int32(v))
+		h.pairs += int64(count)
+		if scr.cancelled(count) {
+			return
+		}
 	}
 }
 
@@ -265,31 +328,46 @@ func (scr *ComposeScratch) reset() {
 	scr.touched = scr.touched[:0]
 }
 
+// begin opens the touched-word range of a new output row; every scatter
+// until the row is emitted widens it.
+func (scr *ComposeScratch) begin() {
+	scr.wMin, scr.wMax = int32(len(scr.words)), -1
+}
+
+// scatter is the accumulate step the touched-word kernels share: it adds
+// one target list to the accumulator of the output row begin opened and
+// returns how many of the targets were new to it.
+func (scr *ComposeScratch) scatter(ts []int32) int {
+	count := 0
+	for _, u := range ts {
+		wi := u >> 6
+		bit := uint64(1) << (uint(u) & 63)
+		if scr.words[wi]&bit == 0 {
+			if scr.words[wi] == 0 {
+				scr.touched = append(scr.touched, wi)
+				if wi < scr.wMin {
+					scr.wMin = wi
+				}
+				if wi > scr.wMax {
+					scr.wMax = wi
+				}
+			}
+			scr.words[wi] |= bit
+			count++
+		}
+	}
+	return count
+}
+
 // scatterSparse is the sparse×CSR kernel: for each intermediate vertex t in
 // the sorted id list, scatter t's CSR adjacency into the accumulator.
 // Returns the number of distinct targets accumulated. Cost is
 // O(Σ_t deg(t)), independent of |V|.
 func (scr *ComposeScratch) scatterSparse(ids []int32, op CSROperand) int {
 	count := 0
-	scr.wMin, scr.wMax = int32(len(scr.words)), -1
+	scr.begin()
 	for _, t := range ids {
-		for _, u := range op.Targets[op.Offsets[t]:op.Offsets[t+1]] {
-			wi := u >> 6
-			bit := uint64(1) << (uint(u) & 63)
-			if scr.words[wi]&bit == 0 {
-				if scr.words[wi] == 0 {
-					scr.touched = append(scr.touched, wi)
-					if wi < scr.wMin {
-						scr.wMin = wi
-					}
-					if wi > scr.wMax {
-						scr.wMax = wi
-					}
-				}
-				scr.words[wi] |= bit
-				count++
-			}
-		}
+		count += scr.scatter(op.Targets[op.Offsets[t]:op.Offsets[t+1]])
 	}
 	return count
 }

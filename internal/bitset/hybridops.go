@@ -120,7 +120,7 @@ func (h *HybridRelation) UnionWith(o *HybridRelation) {
 		return
 	}
 	var merged []int32 // scratch for sparse∪sparse, reused across rows
-	grew := false
+	old := len(h.active)
 	for _, s := range o.active {
 		src := &o.rows[s]
 		row := &h.rows[s]
@@ -139,7 +139,6 @@ func (h *HybridRelation) UnionWith(o *HybridRelation) {
 				row.ids = append(row.ids[:0], src.ids...)
 			}
 			h.active = append(h.active, s)
-			grew = true
 		case row.dense && src.dense:
 			n := 0
 			for i, w := range src.words {
@@ -212,7 +211,28 @@ func (h *HybridRelation) UnionWith(o *HybridRelation) {
 		}
 		h.pairs += int64(row.count - before)
 	}
-	if grew {
-		slices.Sort(h.active) // restore the ascending-source invariant
+	mergeAppended(h.active, old, merged[:0])
+}
+
+// mergeAppended restores the ascending-source invariant of a = a[:old]
+// followed by an appended run, both ascending and disjoint — UnionWith's
+// new sources arrive in o's active order — by one linear merge in place.
+// The run is parked in buf (transient: the list itself keeps no spare
+// capacity for it) and merged backwards; sources that all sort after the
+// old ones, the append-only case, cost one comparison.
+func mergeAppended(a []int32, old int, buf []int32) {
+	if old == 0 || old == len(a) || a[old-1] < a[old] {
+		return
+	}
+	run := append(buf, a[old:]...)
+	i, k := old-1, len(a)-1
+	for j := len(run) - 1; j >= 0; j-- {
+		for i >= 0 && a[i] > run[j] {
+			a[k] = a[i]
+			k--
+			i--
+		}
+		a[k] = run[j]
+		k--
 	}
 }

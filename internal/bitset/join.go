@@ -182,25 +182,9 @@ func (h *HybridRelation) joinAccumulate(r *HybridRelation, scr *ComposeScratch, 
 // distinct targets accumulated.
 func (scr *ComposeScratch) scatterSparseRows(ts []int32, r *HybridRelation) int {
 	count := 0
-	scr.wMin, scr.wMax = int32(len(scr.words)), -1
+	scr.begin()
 	for _, t := range ts {
-		for _, u := range r.rows[t].ids {
-			wi := u >> 6
-			bit := uint64(1) << (uint(u) & 63)
-			if scr.words[wi]&bit == 0 {
-				if scr.words[wi] == 0 {
-					scr.touched = append(scr.touched, wi)
-					if wi < scr.wMin {
-						scr.wMin = wi
-					}
-					if wi > scr.wMax {
-						scr.wMax = wi
-					}
-				}
-				scr.words[wi] |= bit
-				count++
-			}
-		}
+		count += scr.scatter(r.rows[t].ids)
 	}
 	return count
 }

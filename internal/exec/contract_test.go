@@ -48,6 +48,18 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 	}
 }
 
+// wildcardShape is the single-element `*` plan: one multi-label base and
+// no step boundary, so the only kernel a cancellation can land in is the
+// one-pass fill of the base.
+func wildcardShape(t *testing.T, g *graph.CSR) planShape {
+	all := make([]int, g.NumLabels())
+	for l := range all {
+		all[l] = l
+	}
+	dag := &RPQDag{Elems: []RPQElem{{Labels: all, MinRep: 1, MaxRep: 1}}}
+	return planShape{"wildcard", zeroPlan(g, dag), expansionUnion(t, g, dag, Options{}).Equal}
+}
+
 // abortCase is one way to kill an execution: arm prepares the options
 // and the fault injector (returning a cleanup), and want reports whether
 // the returned error is the typed one the case must produce.
@@ -56,7 +68,8 @@ type abortCase struct {
 	arm  func(opt *Options, c *Canceller) (cleanup func())
 	want func(error) bool
 	// survives marks a case the execution may legitimately outlive (the
-	// fault site is never visited at this worker count).
+	// fault site is never visited at this worker count, or by a shape
+	// that crosses no step boundary).
 	survives bool
 }
 
@@ -79,6 +92,17 @@ func contractCases(boundaries, workers int) []abortCase {
 		{name: "pre-cancelled",
 			arm:  func(_ *Options, c *Canceller) func() { c.Cancel(nil); return func() {} },
 			want: func(err error) bool { return errors.Is(err, ErrCancelled) }},
+		{name: "cancel-mid-base",
+			// The canceller fires as the pool hands out the execution's
+			// first relation: after Run's entry check and before the base's
+			// first row, so it is the kernel filling the base that has to
+			// notice — no step boundary may follow to catch it.
+			arm: func(opt *Options, c *Canceller) func() {
+				mk := opt.Pool.free.New
+				opt.Pool.free.New = func() *bitset.HybridRelation { c.Cancel(nil); return mk() }
+				return func() {}
+			},
+			want: func(err error) bool { return errors.Is(err, ErrCancelled) }},
 		{name: "deadline",
 			// An injected delay at every step boundary makes a short
 			// context deadline expire mid-query.
@@ -90,7 +114,8 @@ func contractCases(boundaries, workers int) []abortCase {
 				opt.Cancel = canc
 				return func() { release(); cancel(); faultinject.Uninstall() }
 			},
-			want: func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) }},
+			want:     func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) },
+			survives: boundaries == 0},
 		{name: "budget",
 			arm:  func(opt *Options, _ *Canceller) func() { opt.MaxResultBytes = 64; return func() {} },
 			want: func(err error) bool { return errors.Is(err, ErrBudgetExceeded) }},
@@ -101,7 +126,7 @@ func contractCases(boundaries, workers int) []abortCase {
 			want: func(err error) bool {
 				return isPanicError(err) && errors.Is(err, sched.ErrStopped)
 			},
-			survives: workers == 1},
+			survives: workers == 1 || boundaries == 0},
 	}
 	// A caller-goroutine panic at each step boundary in turn: leaf
 	// steps, join-node boundaries (both children built and live), power
@@ -116,17 +141,18 @@ func contractCases(boundaries, workers int) []abortCase {
 }
 
 // TestContractEveryPlanShape pins the one execution contract on every
-// plan shape: {zig-zag, bushy, DAG} × {result kept, result counted} ×
-// {pre-cancelled, deadline, budget, shard panic, step panic at each
-// boundary} × workers {1, 4}. An aborted execution returns its typed
-// error and a nil relation, with every pooled relation released and
-// every goroutine gone; a survivor that keeps its result is
+// plan shape: {zig-zag, bushy, DAG, wildcard} × {result kept, result
+// counted} × {pre-cancelled, cancelled mid-base, deadline, budget, shard
+// panic, step panic at each boundary} × workers {1, 4}. An aborted
+// execution returns its typed error and a nil relation, with every pooled
+// relation released and every goroutine gone; a survivor that keeps its
+// result is
 // bit-identical to the dense reference or the expansion-union oracle and
 // holds exactly that relation, and one that does not returns none, holds
 // nothing, and crossed the same step boundaries to the same answer.
 func TestContractEveryPlanShape(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
-	for _, sh := range contractShapes(t, g) {
+	for _, sh := range append(contractShapes(t, g), wildcardShape(t, g)) {
 		for _, workers := range []int{1, 4} {
 			var kept Stats
 			boundaries := 0

@@ -35,7 +35,7 @@ type core struct {
 	limit int
 
 	workers int
-	stp     *stepper // built on the first join step: a whole-query cache hit allocates no scheduler
+	stp     *stepper // built on the first join step or multi-label base: a whole-query cache hit allocates no scheduler
 
 	// held[:nheld] and more are the live set: the relations checked out
 	// and not yet dropped. The first few sit inline so that a plan that
@@ -182,16 +182,19 @@ func (x *core) counts(seg paths.Path) bool {
 
 // fill makes dst the union of the labels' edge relations — the base
 // every plan grows from — and prices it. Single-label relations are
-// near-verbatim CSR copies, which is why the cache never holds them.
+// near-verbatim CSR copies, which is why the cache never holds them, and
+// every concrete miss starts with one, which is why they keep the tighter
+// loop of their own; a label set's is one pass over the vertices that
+// polls the canceller like any step's kernel, and a cancelled pass leaves
+// a partial base that is never priced.
 func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
-	dst.FillFromCSR(x.g.LabelOperand(labels[0]))
-	if len(labels) > 1 {
-		tmp := x.take()
-		for _, l := range labels[1:] {
-			tmp.FillFromCSR(x.g.LabelOperand(l))
-			dst.UnionWith(tmp)
-		}
-		x.drop(tmp)
+	if len(labels) == 1 {
+		dst.FillFromCSR(x.g.LabelOperand(labels[0]))
+	} else {
+		x.stepper().base(x.g, labels, dst)
+	}
+	if err := x.opt.Cancel.Err(); err != nil {
+		return err
 	}
 	return x.price(dst)
 }

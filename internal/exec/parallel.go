@@ -3,6 +3,7 @@ package exec
 import (
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
+	"repro/internal/graph"
 	"repro/internal/sched"
 )
 
@@ -128,6 +129,22 @@ func (st *stepper) runShard(worker int, t shardTask) {
 		st.srcs[t.idx], st.pairs[t.idx] = st.cur.ComposeShardInto(
 			st.dst, st.op, st.scr(worker), lo, hi, st.srcs[t.idx])
 	}
+}
+
+// base fills dst with the union of the labels' edge relations — the base
+// of an alternation or wildcard — in one pass (bitset.FillUnionCSR) with
+// worker 0's scratch. It runs on the coordinator: a base is a copy at
+// memory speed, the size of the graph and not of an intermediate, so it is
+// never sharded.
+func (st *stepper) base(g *graph.CSR, labels []int, dst *bitset.HybridRelation) {
+	// A constant capacity keeps the operand list on the stack: room for a
+	// wildcard over any of the paper's datasets (≤ 8 labels); a larger
+	// label set spills to the heap.
+	ops := make([]bitset.CSROperand, 0, 8)
+	for _, l := range labels {
+		ops = append(ops, g.LabelCSR(l)) // a base reads no dense successor sets
+	}
+	dst.FillUnionCSR(ops, st.scr(0))
 }
 
 // compose runs one join step cur ∘ op → dst. Steps above the granularity

@@ -27,10 +27,12 @@ import (
 // with R_0 = ∅, eps_0 = true. Because composition distributes over
 // union — R∘(S∪T) = R∘S ∪ R∘T — this fold is exactly the union of the
 // relations of every concrete path the expression expands to, which is
-// what the equivalence tests pin (bit-identical, since UnionWith is
-// representation-canonical). A whole-query MinLen of 0 (every element
-// optional) would make the identity relation a member of the union;
-// compilers must reject it, and DagPlan.validate panics on it.
+// what the equivalence tests pin (bit-identical, since UnionWith and the
+// one-pass base of a label set, bitset.FillUnionCSR, are both
+// representation-canonical: a row's form depends on its final count
+// alone). A whole-query MinLen of 0 (every element optional) would make
+// the identity relation a member of the union; compilers must reject it,
+// and DagPlan.validate panics on it.
 
 // MaxRepetition bounds an element's repetition upper bound. Unrolled
 // powers are materialized relations, so an unbounded (or absurd) MaxRep
@@ -504,9 +506,10 @@ func (pl Planner) decide(dp *DagPlan) {
 	dp.ResultEst = size
 }
 
-// elem builds one complex element's relation: the alternation base A as
-// a union of label relations, then the unrolled powers A^r up to MaxRep,
-// accumulating U = ⋃_{r≥max(1,MinRep)} A^r. Single-label powers step
+// elem builds one complex element's relation: the alternation base A,
+// the union of its label relations built in one pass (core.fill), then
+// the unrolled powers A^r up to MaxRep, accumulating
+// U = ⋃_{r≥max(1,MinRep)} A^r. Single-label powers step
 // through the segment cache under their repeated-label path key — the
 // same key a concrete query's segments use, so a warm `b{1,3}` adopts
 // the cached `bb` and `bbb` relations and a warm `b/b` adopts a power

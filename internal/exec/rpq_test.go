@@ -195,3 +195,38 @@ func TestPlanRunDecomposition(t *testing.T) {
 		t.Fatalf("plan cost %f / est %f not positive", dp.Cost, dp.ResultEst)
 	}
 }
+
+// TestFillAllocatesNothing pins the pooled multi-label base
+// allocation-free in steady state: the operand list stays on the stack,
+// the accumulator is the stepper's, and rows on both sides of the
+// promotion limit reuse the destination's storage.
+func TestFillAllocatesNothing(t *testing.T) {
+	g := randomGraph(3, 300, 4, 3000)
+	opt, pool, _ := checkedOptions(g.NumVertices(), 1)
+	x := newCore(g, opt)
+	dst := x.take()
+	fill := func() {
+		if err := x.fill(dst, []int{0, 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fill() // builds the stepper and grows dst's rows
+	sparse, dense := 0, 0
+	for v := 0; v < g.NumVertices(); v++ {
+		if dst.RowDense(v) {
+			dense++
+		} else if dst.RowCount(v) > 0 {
+			sparse++
+		}
+	}
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("base has %d sparse and %d dense rows, want both", sparse, dense)
+	}
+	if n := testing.AllocsPerRun(50, fill); n != 0 {
+		t.Errorf("steady-state fill allocates %v times a run, want 0", n)
+	}
+	x.drop(dst)
+	if pool.InUse() != 0 {
+		t.Errorf("%d relations still checked out", pool.InUse())
+	}
+}
