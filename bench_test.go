@@ -28,6 +28,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/histogram"
+	"repro/internal/oracle"
 	"repro/internal/ordering"
 	"repro/internal/paths"
 	"repro/pathsel"
@@ -53,7 +54,7 @@ func getFixture(b *testing.B, specIdx, k int, scale float64) *fixture {
 		return f
 	}
 	g := dataset.Generate(dataset.Table3()[specIdx], scale, 1).Freeze()
-	f := &fixture{g: g, census: paths.NewCensus(g, k)}
+	f := &fixture{g: g, census: oracle.NewCensus(g, k)}
 	fixMap[key] = f
 	return f
 }
@@ -307,7 +308,7 @@ func BenchmarkCensus(b *testing.B) {
 	for _, k := range []int{2, 3, 4} {
 		b.Run(fmt.Sprintf("moreno/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := paths.NewCensus(g, k)
+				c := oracle.NewCensus(g, k)
 				if c.Total() == 0 {
 					b.Fatal("empty census")
 				}
@@ -409,7 +410,7 @@ func BenchmarkComposeKernels(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF: sparse
 	op := g.LabelOperand(0)
 	b.Run("legacy-dense", func(b *testing.B) {
-		rel := g.EdgeRelation(0)
+		rel := oracle.EdgeRelation(g, 0)
 		succ := g.SuccessorSets(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -456,7 +457,7 @@ func BenchmarkCensusEngines(b *testing.B) {
 		const k = 3
 		b.Run(spec.Name+"/legacy", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := paths.NewCensus(g, k)
+				c := oracle.NewCensus(g, k)
 				if c.Total() == 0 {
 					b.Fatal("empty census")
 				}
@@ -504,11 +505,11 @@ func BenchmarkCensusSkewedScaling(b *testing.B) {
 func BenchmarkExecEngines(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF
 	queries := []paths.Path{{0, 1, 2}, {1, 0, 0}, {2, 1, 0, 3}, {0, 0, 1, 2}}
-	for _, dir := range []exec.Direction{exec.Forward, exec.Backward} {
+	for _, dir := range []oracle.Direction{oracle.Forward, oracle.Backward} {
 		b.Run("legacy-dense/"+dir.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					exec.ExecuteDense(g, q, dir)
+					oracle.ExecuteDense(g, q, dir)
 				}
 			}
 		})

@@ -1,9 +1,12 @@
-package bitset
+package bitset_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	. "repro/internal/bitset"
+	"repro/internal/oracle"
 )
 
 func BenchmarkSetAdd(b *testing.B) {
@@ -57,7 +60,7 @@ func BenchmarkRelationCompose(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("V=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
-			r := NewRelation(n)
+			r := oracle.NewRelation(n)
 			for i := 0; i < n*4; i++ {
 				r.Add(rng.Intn(n), rng.Intn(n))
 			}
@@ -81,7 +84,7 @@ func BenchmarkRelationCompose(b *testing.B) {
 
 func BenchmarkRelationPairs(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
-	r := NewRelation(2048)
+	r := oracle.NewRelation(2048)
 	for i := 0; i < 8192; i++ {
 		r.Add(rng.Intn(2048), rng.Intn(2048))
 	}

@@ -40,12 +40,6 @@ func (s *Set) Add(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Remove clears bit i.
-func (s *Set) Remove(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Contains reports whether bit i is set.
 func (s *Set) Contains(i int) bool {
 	s.check(i)
@@ -71,25 +65,11 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// Clear resets all bits to zero, keeping capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns a deep copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites s with the contents of o. Both sets must have the
-// same capacity.
-func (s *Set) CopyFrom(o *Set) {
-	s.mustMatch(o)
-	copy(s.words, o.words)
 }
 
 func (s *Set) mustMatch(o *Set) {
@@ -103,22 +83,6 @@ func (s *Set) UnionWith(o *Set) {
 	s.mustMatch(o)
 	for i, w := range o.words {
 		s.words[i] |= w
-	}
-}
-
-// IntersectWith sets s to s ∩ o.
-func (s *Set) IntersectWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// DifferenceWith sets s to s \ o.
-func (s *Set) DifferenceWith(o *Set) {
-	s.mustMatch(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
 	}
 }
 
@@ -147,37 +111,6 @@ func (s *Set) ForEach(fn func(i int) bool) {
 			w &= w - 1
 		}
 	}
-}
-
-// Members returns the set bits in ascending order.
-func (s *Set) Members() []int {
-	out := make([]int, 0, s.Count())
-	s.ForEach(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
-}
-
-// Next returns the smallest set bit ≥ i, or -1 when none exists.
-func (s *Set) Next(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	wi := i / wordBits
-	w := s.words[wi] >> (uint(i) % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*wordBits + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
 }
 
 // String renders the set as {a, b, c} for debugging.

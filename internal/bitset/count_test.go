@@ -51,9 +51,9 @@ func FuzzCountEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
-		h, _ := randomHybridAndDense(rng, n, pairsA, da)
-		r, _ := randomHybridAndDense(rng, n, pairsB, db)
-		op := randomOperand(rng, n, pairsB)
+		h, _ := RandomHybrid(rng, n, pairsA, da)
+		r, _ := RandomHybrid(rng, n, pairsB, db)
+		op := RandomOperand(rng, n, pairsB)
 		scr := NewComposeScratch(n)
 		nact, ns := h.Sources(), int(shards%8)+1
 

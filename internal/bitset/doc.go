@@ -4,16 +4,16 @@
 // the innermost operation of both the selectivity census and query
 // execution — runs as tight array kernels.
 //
-// Two representations coexist:
+// Two types carry it:
 //
-//   - Set and Relation are the dense, fixed-capacity reference forms:
-//     every row is a bit array, composition is word-parallel unions, and
-//     distinct-pair counting is popcounts. They are the simple baseline
-//     that the equivalence tests pin the production engine against, and
-//     the form retired executors (exec.ExecuteDense, paths.EvaluateDense)
-//     still allocate.
+//   - Set is the dense, fixed-capacity bit set: a CSR operand's dense
+//     successor rows and the union target of the word-parallel kernels.
+//     The dense relation built from Sets — every row a bit array,
+//     composition as word-parallel unions — is the reference the
+//     equivalence tests pin this package against; it lives in
+//     internal/oracle, which only tests import.
 //
-//   - HybridRelation is the production form: each source row adaptively
+//   - HybridRelation is the relation: each source row adaptively
 //     switches between a sorted sparse id list and a dense bit array at a
 //     density threshold, rows and destination relations are pooled
 //     (ComposeInto, ReverseInto reuse capacity), and the compose kernels

@@ -256,33 +256,6 @@ func (h *HybridRelation) ForEachPair(fn func(s, t int) bool) {
 	}
 }
 
-// ToRelation converts to the dense reference representation (for tests and
-// interop with the legacy compose path).
-func (h *HybridRelation) ToRelation() *Relation {
-	r := NewRelation(h.n)
-	h.ForEachPair(func(s, t int) bool {
-		r.Add(s, t)
-		return true
-	})
-	return r
-}
-
-// EqualRelation reports whether h contains exactly the pairs of the dense
-// reference relation r.
-func (h *HybridRelation) EqualRelation(r *Relation) bool {
-	if h.n != r.Universe() || h.pairs != r.Pairs() {
-		return false
-	}
-	equal := true
-	h.ForEachPair(func(s, t int) bool {
-		if !r.Contains(s, t) {
-			equal = false
-		}
-		return equal
-	})
-	return equal
-}
-
 // ComposeScratch is the per-worker accumulator of the sparse×CSR kernel: a
 // dense bitmap plus the list of words touched by the scatter, so resetting
 // costs O(touched) instead of O(|V|/64). The dense×CSR kernel bypasses it

@@ -1,44 +1,16 @@
-package bitset
+package bitset_test
 
 import (
 	"math/rand"
 	"testing"
+
+	. "repro/internal/bitset"
+	"repro/internal/oracle"
 )
 
-// randomOperand builds a CSROperand with ~m random edges over n vertices,
-// plus the matching dense sets, mirroring graph.CSR.LabelOperand.
-func randomOperand(rng *rand.Rand, n, m int) CSROperand {
-	adj := make(map[int]map[int]bool)
-	for i := 0; i < m; i++ {
-		s, t := rng.Intn(n), rng.Intn(n)
-		if adj[s] == nil {
-			adj[s] = make(map[int]bool)
-		}
-		adj[s][t] = true
-	}
-	op := CSROperand{N: n, Offsets: make([]int32, n+1), Dense: make([]*Set, n)}
-	for v := 0; v < n; v++ {
-		op.Offsets[v+1] = op.Offsets[v]
-		if len(adj[v]) == 0 {
-			continue
-		}
-		d := New(n)
-		for t := range adj[v] {
-			d.Add(t)
-		}
-		op.Dense[v] = d
-		d.ForEach(func(t int) bool {
-			op.Targets = append(op.Targets, int32(t))
-			op.Offsets[v+1]++
-			return true
-		})
-	}
-	return op
-}
-
 // legacyFromOperand builds the dense reference relation of an operand.
-func legacyFromOperand(op CSROperand) *Relation {
-	r := NewRelation(op.N)
+func legacyFromOperand(op CSROperand) *oracle.Relation {
+	r := oracle.NewRelation(op.N)
 	for v := 0; v < op.N; v++ {
 		for _, t := range op.Targets[op.Offsets[v]:op.Offsets[v+1]] {
 			r.Add(v, int(t))
@@ -51,10 +23,10 @@ func TestHybridFromCSRMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 7, 64, 65, 300} {
 		for _, density := range []float64{1e-9, 0.03125, 0.5, 1.0} {
-			op := randomOperand(rng, n, n*3)
+			op := RandomOperand(rng, n, n*3)
 			h := HybridFromCSR(op, density)
 			want := legacyFromOperand(op)
-			if !h.EqualRelation(want) {
+			if !oracle.EqualRelation(h, want) {
 				t.Fatalf("n=%d density=%v: hybrid != legacy", n, density)
 			}
 			if h.Pairs() != want.Pairs() {
@@ -72,13 +44,13 @@ func TestHybridComposeMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(200)
-		opA := randomOperand(rng, n, 1+rng.Intn(4*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(4*n))
+		opA := RandomOperand(rng, n, 1+rng.Intn(4*n))
+		opB := RandomOperand(rng, n, 1+rng.Intn(4*n))
 		want := legacyFromOperand(opA).Compose(opB.Dense)
 		for _, density := range []float64{1e-9, 0.03125, 0.25, 1.0} {
 			h := HybridFromCSR(opA, density)
 			got := h.Compose(opB, density)
-			if !got.EqualRelation(want) {
+			if !oracle.EqualRelation(got, want) {
 				t.Fatalf("trial %d n=%d density=%v: compose mismatch", trial, n, density)
 			}
 			if got.Pairs() != want.Pairs() {
@@ -98,12 +70,12 @@ func TestHybridComposeIntoReuse(t *testing.T) {
 	dst := NewHybrid(n, 0.1)
 	scr := NewComposeScratch(n)
 	for trial := 0; trial < 30; trial++ {
-		opA := randomOperand(rng, n, 1+rng.Intn(6*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(6*n))
+		opA := RandomOperand(rng, n, 1+rng.Intn(6*n))
+		opB := RandomOperand(rng, n, 1+rng.Intn(6*n))
 		h := HybridFromCSR(opA, 0.1)
 		h.ComposeInto(dst, opB, scr)
 		want := legacyFromOperand(opA).Compose(opB.Dense)
-		if !dst.EqualRelation(want) {
+		if !oracle.EqualRelation(dst, want) {
 			t.Fatalf("trial %d: reused dst diverged from fresh compose", trial)
 		}
 	}
@@ -147,7 +119,7 @@ func TestHybridPromotionRule(t *testing.T) {
 
 func TestHybridPairsCached(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	op := randomOperand(rng, 128, 500)
+	op := RandomOperand(rng, 128, 500)
 	h := HybridFromCSR(op, 0.1)
 	want := legacyFromOperand(op).Pairs()
 	for i := 0; i < 3; i++ {
@@ -159,7 +131,7 @@ func TestHybridPairsCached(t *testing.T) {
 
 func TestHybridResetKeepsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	op := randomOperand(rng, 64, 300)
+	op := RandomOperand(rng, 64, 300)
 	h := HybridFromCSR(op, 0.5)
 	h.Reset()
 	if h.Pairs() != 0 || h.Sources() != 0 {
@@ -172,7 +144,7 @@ func TestHybridResetKeepsNothing(t *testing.T) {
 }
 
 func TestHybridComposeAliasPanics(t *testing.T) {
-	op := randomOperand(rand.New(rand.NewSource(6)), 32, 50)
+	op := RandomOperand(rand.New(rand.NewSource(6)), 32, 50)
 	h := HybridFromCSR(op, 0.5)
 	defer func() {
 		if recover() == nil {
@@ -184,7 +156,7 @@ func TestHybridComposeAliasPanics(t *testing.T) {
 
 func TestHybridContains(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	op := randomOperand(rng, 90, 400)
+	op := RandomOperand(rng, 90, 400)
 	want := legacyFromOperand(op)
 	for _, density := range []float64{1e-9, 1.0} {
 		h := HybridFromCSR(op, density)

@@ -8,8 +8,8 @@ import (
 
 // This file holds the executor-facing HybridRelation operations — reversal
 // and row-wise union — added when query execution (internal/exec,
-// paths.Evaluate, paths.UnionSelectivity) moved off the legacy dense
-// Relation onto the hybrid substrate. The census engine needs only
+// paths.Evaluate, paths.UnionSelectivity) moved off the dense Relation
+// (now internal/oracle's) onto the hybrid substrate. The census engine needs only
 // ComposeInto (hybrid.go); the executor additionally reverses relations
 // (to grow a zig-zag join leftward via predecessor operands) and unions
 // them (to answer pattern/disjunction queries under set semantics).

@@ -1,54 +1,21 @@
-package bitset
+package bitset_test
 
 import (
 	"math/rand"
 	"testing"
+
+	. "repro/internal/bitset"
+	"repro/internal/oracle"
 )
 
 // randomHybridAndDense builds the same random relation in both
-// representations. density varies so rows land on both sides of the
-// promotion threshold.
-func randomHybridAndDense(rng *rand.Rand, n int, pairs int, density float64) (*HybridRelation, *Relation) {
-	h := NewHybrid(n, density)
-	r := NewRelation(n)
-	type pair struct{ s, t int }
-	seen := map[pair]bool{}
-	var ps []pair
-	for i := 0; i < pairs; i++ {
-		p := pair{rng.Intn(n), rng.Intn(n)}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		ps = append(ps, p)
-		r.Add(p.s, p.t)
-	}
-	// Feed the hybrid via a one-off CSR operand so row forms are chosen by
-	// the same code paths production uses.
-	offsets := make([]int32, n+1)
+// representations.
+func randomHybridAndDense(rng *rand.Rand, n int, pairs int, density float64) (*HybridRelation, *oracle.Relation) {
+	h, ps := RandomHybrid(rng, n, pairs, density)
+	r := oracle.NewRelation(n)
 	for _, p := range ps {
-		offsets[p.s+1]++
+		r.Add(p[0], p[1])
 	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	targets := make([]int32, len(ps))
-	fill := make([]int32, n)
-	for _, p := range ps {
-		targets[offsets[p.s]+fill[p.s]] = int32(p.t)
-		fill[p.s]++
-	}
-	for v := 0; v < n; v++ {
-		row := targets[offsets[v]:offsets[v+1]]
-		for i := 1; i < len(row); i++ {
-			for j := i; j > 0 && row[j] < row[j-1]; j-- {
-				row[j], row[j-1] = row[j-1], row[j]
-			}
-		}
-	}
-	op := CSROperand{N: n, Offsets: offsets, Targets: targets}
-	got := HybridFromCSR(op, density)
-	h = got
 	return h, r
 }
 
@@ -60,11 +27,11 @@ func TestHybridReverseMatchesDense(t *testing.T) {
 		density := []float64{0, 1e-9, 0.1, 1.0}[trial%4]
 		h, r := randomHybridAndDense(rng, n, pairs, density)
 		rev := h.Reverse()
-		if !rev.EqualRelation(r.Reverse()) {
+		if !oracle.EqualRelation(rev, r.Reverse()) {
 			t.Fatalf("trial %d (n=%d density=%v): hybrid reverse differs from dense", trial, n, density)
 		}
 		// Round trip returns the original.
-		if !rev.Reverse().EqualRelation(r) {
+		if !oracle.EqualRelation(rev.Reverse(), r) {
 			t.Fatalf("trial %d: double reverse is not the identity", trial)
 		}
 	}
@@ -77,7 +44,7 @@ func TestHybridReverseIntoReusesDst(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		h, r := randomHybridAndDense(rng, n, rng.Intn(300), 0)
 		h.ReverseInto(dst) // same dst every time: rows must fully reset
-		if !dst.EqualRelation(r.Reverse()) {
+		if !oracle.EqualRelation(dst, r.Reverse()) {
 			t.Fatalf("trial %d: pooled ReverseInto differs from dense reverse", trial)
 		}
 	}
@@ -111,8 +78,8 @@ func TestHybridUnionWithMatchesDense(t *testing.T) {
 		a, ra := randomHybridAndDense(rng, n, rng.Intn(3*n), da)
 		b, rb := randomHybridAndDense(rng, n, rng.Intn(3*n), db)
 		a.UnionWith(b)
-		want := NewRelation(n)
-		for _, r := range []*Relation{ra, rb} {
+		want := oracle.NewRelation(n)
+		for _, r := range []*oracle.Relation{ra, rb} {
 			r.ForEachRow(func(s int, targets *Set) bool {
 				targets.ForEach(func(t int) bool {
 					want.Add(s, t)
@@ -121,11 +88,11 @@ func TestHybridUnionWithMatchesDense(t *testing.T) {
 				return true
 			})
 		}
-		if !a.EqualRelation(want) {
+		if !oracle.EqualRelation(a, want) {
 			t.Fatalf("trial %d (n=%d): hybrid union differs from dense union", trial, n)
 		}
 		// b must be untouched.
-		if !b.EqualRelation(rb) {
+		if !oracle.EqualRelation(b, rb) {
 			t.Fatalf("trial %d: UnionWith mutated its argument", trial)
 		}
 		// Active list must stay ascending: ForEachPair asserts order below.
@@ -150,16 +117,16 @@ func TestHybridUnionWithSelfAndEmpty(t *testing.T) {
 	h, r := randomHybridAndDense(rng, 50, 120, 0)
 	before := h.Pairs()
 	h.UnionWith(h) // no-op by definition
-	if h.Pairs() != before || !h.EqualRelation(r) {
+	if h.Pairs() != before || !oracle.EqualRelation(h, r) {
 		t.Fatal("self-union changed the relation")
 	}
 	h.UnionWith(NewHybrid(50, 0)) // empty argument is a no-op
-	if !h.EqualRelation(r) {
+	if !oracle.EqualRelation(h, r) {
 		t.Fatal("union with empty changed the relation")
 	}
 	empty := NewHybrid(50, 0)
 	empty.UnionWith(h)
-	if !empty.EqualRelation(r) {
+	if !oracle.EqualRelation(empty, r) {
 		t.Fatal("union into empty should copy")
 	}
 }

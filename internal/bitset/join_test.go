@@ -1,15 +1,18 @@
-package bitset
+package bitset_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	. "repro/internal/bitset"
+	"repro/internal/oracle"
 )
 
 // referenceJoin computes A ∘ B pair by pair on the dense reference
 // representation — the oracle every hybrid join kernel is pinned against.
-func referenceJoin(a, b *Relation) *Relation {
-	out := NewRelation(a.Universe())
+func referenceJoin(a, b *oracle.Relation) *oracle.Relation {
+	out := oracle.NewRelation(a.Universe())
 	a.ForEachRow(func(s int, targets *Set) bool {
 		targets.ForEach(func(t int) bool {
 			if row := b.Row(t); row != nil {
@@ -46,11 +49,11 @@ func TestJoinMatchesReference(t *testing.T) {
 		if pairs != want.Pairs() {
 			t.Fatalf("%s: join pairs %d, reference %d", ctx, pairs, want.Pairs())
 		}
-		if !dst.EqualRelation(want) {
+		if !oracle.EqualRelation(dst, want) {
 			t.Fatalf("%s: join content differs from reference", ctx)
 		}
 		// The allocating convenience form must agree.
-		if got := ha.Join(hb, dd); !got.EqualRelation(want) {
+		if got := ha.Join(hb, dd); !oracle.EqualRelation(got, want) {
 			t.Fatalf("%s: Join convenience form differs from reference", ctx)
 		}
 	}
@@ -66,7 +69,7 @@ func TestJoinSelf(t *testing.T) {
 		want := referenceJoin(r, r)
 		dst := NewHybrid(n, 0)
 		h.JoinInto(dst, h, NewComposeScratch(n))
-		if !dst.EqualRelation(want) {
+		if !oracle.EqualRelation(dst, want) {
 			t.Fatalf("trial %d: self-join differs from reference", trial)
 		}
 	}
@@ -83,7 +86,7 @@ func TestJoinIntoReuse(t *testing.T) {
 		ha, ra := randomHybridAndDense(rng, n, rng.Intn(4*n), 0.1)
 		hb, rb := randomHybridAndDense(rng, n, rng.Intn(4*n), 1.0)
 		ha.JoinInto(dst, hb, scr)
-		if want := referenceJoin(ra, rb); !dst.EqualRelation(want) {
+		if want := referenceJoin(ra, rb); !oracle.EqualRelation(dst, want) {
 			t.Fatalf("round %d: reused destination differs from reference", round)
 		}
 	}
@@ -171,7 +174,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 		want := referenceJoin(ra, rb)
 		dst := NewHybrid(n, dd)
 		ha.JoinInto(dst, hb, NewComposeScratch(n))
-		if !dst.EqualRelation(want) {
+		if !oracle.EqualRelation(dst, want) {
 			t.Fatalf("join differs from dense reference (n=%d)", n)
 		}
 		ns := int(shards%8) + 1

@@ -20,7 +20,7 @@ func TestMemSizeExactAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 7, 64, 65, 300} {
 		for _, density := range []float64{1e-9, 0.03125, 0.5, 1.0} {
-			op := randomOperand(rng, n, n*3)
+			op := RandomOperand(rng, n, n*3)
 			h := HybridFromCSR(op, density)
 			if got, want := h.MemSize(), manualMemSize(h); got != want {
 				t.Fatalf("n=%d density=%v: MemSize %d, manual %d", n, density, got, want)
@@ -66,7 +66,7 @@ func TestCloneExactSizeReplica(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 64, 200} {
 		for _, density := range []float64{1e-9, 0.1, 1.0} {
-			op := randomOperand(rng, n, n*4)
+			op := RandomOperand(rng, n, n*4)
 			h := HybridFromCSR(op, density)
 			c := h.Clone()
 			if !c.Equal(h) {
@@ -85,7 +85,7 @@ func TestCloneExactSizeReplica(t *testing.T) {
 			// The clone is private: resetting the original must not touch it.
 			pairs := c.Pairs()
 			h.Reset()
-			if c.Pairs() != pairs || !c.EqualRelation(legacyFromOperand(op)) {
+			if c.Pairs() != pairs || !c.Equal(HybridFromCSR(op, density)) {
 				t.Fatalf("n=%d density=%v: clone shares storage with original", n, density)
 			}
 			// Exact-size: every slice trimmed to its content.
@@ -106,7 +106,7 @@ func TestCloneExactSizeReplica(t *testing.T) {
 func TestCopyIntoReplicaAndReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, n := range []int{1, 64, 200} {
-		src := HybridFromCSR(randomOperand(rng, n, n*4), 0.1)
+		src := HybridFromCSR(RandomOperand(rng, n, n*4), 0.1)
 		// dst built at a different threshold: CopyInto must still replicate
 		// src's representations (it adopts src's promotion limit).
 		dst := NewHybrid(n, 1.0)
@@ -121,7 +121,7 @@ func TestCopyIntoReplicaAndReuse(t *testing.T) {
 		}
 		// Reuse: copying a second, different relation into the same buffer
 		// fully replaces the first.
-		src2 := HybridFromCSR(randomOperand(rng, n, n*2), 0.1)
+		src2 := HybridFromCSR(RandomOperand(rng, n, n*2), 0.1)
 		src2.CopyInto(dst)
 		if !dst.Equal(src2) {
 			t.Fatalf("n=%d: CopyInto reuse left stale state", n)

@@ -51,8 +51,8 @@ func TestComposeShardMatchesCompose(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(250)
-		opA := randomOperand(rng, n, 1+rng.Intn(5*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(5*n))
+		opA := RandomOperand(rng, n, 1+rng.Intn(5*n))
+		opB := RandomOperand(rng, n, 1+rng.Intn(5*n))
 		for _, density := range []float64{1e-9, 0.03125, 0.5, 1.0} {
 			h := HybridFromCSR(opA, density)
 			want := NewHybrid(n, density)
@@ -87,8 +87,8 @@ func TestComposeShardConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + rng.Intn(300)
-		opA := randomOperand(rng, n, 1+rng.Intn(6*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(6*n))
+		opA := RandomOperand(rng, n, 1+rng.Intn(6*n))
+		opB := RandomOperand(rng, n, 1+rng.Intn(6*n))
 		for _, density := range []float64{0, 0.03125, 1.0} {
 			h := HybridFromCSR(opA, density)
 			want := NewHybrid(n, density)
@@ -130,8 +130,8 @@ func TestComposeShardReusedDestination(t *testing.T) {
 	dst := NewHybrid(n, 0.1)
 	scr := NewComposeScratch(n)
 	for trial := 0; trial < 15; trial++ {
-		opA := randomOperand(rng, n, 1+rng.Intn(6*n))
-		opB := randomOperand(rng, n, 1+rng.Intn(6*n))
+		opA := RandomOperand(rng, n, 1+rng.Intn(6*n))
+		opB := RandomOperand(rng, n, 1+rng.Intn(6*n))
 		h := HybridFromCSR(opA, 0.1)
 		want := NewHybrid(n, 0.1)
 		h.ComposeInto(want, opB, NewComposeScratch(n))
@@ -147,7 +147,7 @@ func TestComposeShardReusedDestination(t *testing.T) {
 
 // TestComposeShardBadRange pins the range validation.
 func TestComposeShardBadRange(t *testing.T) {
-	op := randomOperand(rand.New(rand.NewSource(14)), 32, 60)
+	op := RandomOperand(rand.New(rand.NewSource(14)), 32, 60)
 	h := HybridFromCSR(op, 0.5)
 	dst := NewHybrid(32, 0.5)
 	defer func() {

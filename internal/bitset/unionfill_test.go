@@ -99,11 +99,11 @@ func FuzzUnionFillEquivalence(f *testing.F) {
 			if rng.Intn(4) > 0 {
 				m = rng.Intn(1 + int(edges)%4096/nl)
 			}
-			ops[l] = randomOperand(rng, n, m)
+			ops[l] = RandomOperand(rng, n, m)
 			ops[l].Dense = nil // a base reads the CSR arrays only
 		}
 		density := []float64{1, 0, 1e-9}[regime%3] // all sparse, default, all dense
-		got := HybridFromCSR(randomOperand(rng, n, rng.Intn(1+8*n)), density)
+		got := HybridFromCSR(RandomOperand(rng, n, rng.Intn(1+8*n)), density)
 		scr := NewComposeScratch(n)
 		for size := 1; size <= nl; size++ {
 			want := NewHybrid(n, density)

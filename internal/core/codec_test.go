@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/oracle"
 	"repro/internal/ordering"
 	"repro/internal/paths"
 )
@@ -12,7 +13,7 @@ import (
 func TestCodecRoundTripAllMethods(t *testing.T) {
 	g := dataset.ErdosRenyi(50, 250, dataset.NewZipfLabels(4, 1.0), 31).Freeze()
 	k := 3
-	census := paths.NewCensus(g, k)
+	census := oracle.NewCensus(g, k)
 	for _, method := range ordering.PaperMethods() {
 		ord, err := ordering.ForGraph(method, g, k)
 		if err != nil {
@@ -45,7 +46,7 @@ func TestCodecRoundTripAllMethods(t *testing.T) {
 
 func TestCodecRejectsMaterialized(t *testing.T) {
 	g := dataset.ErdosRenyi(20, 60, dataset.UniformLabels{L: 2}, 1).Freeze()
-	census := paths.NewCensus(g, 2)
+	census := oracle.NewCensus(g, 2)
 	ph, err := Build(census, ordering.NewIdeal(census), BuilderVOptimal, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func TestCodecRejectsMaterialized(t *testing.T) {
 
 func TestCodecRejectsEndBiased(t *testing.T) {
 	g := dataset.ErdosRenyi(20, 60, dataset.UniformLabels{L: 2}, 1).Freeze()
-	census := paths.NewCensus(g, 2)
+	census := oracle.NewCensus(g, 2)
 	ord, err := ordering.ForGraph(ordering.MethodNumAlph, g, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +81,7 @@ func TestReadPathHistogramCorrupt(t *testing.T) {
 	}
 	// Truncations of a valid blob must all error.
 	g := dataset.ErdosRenyi(20, 60, dataset.UniformLabels{L: 3}, 2).Freeze()
-	census := paths.NewCensus(g, 2)
+	census := oracle.NewCensus(g, 2)
 	ord, _ := ordering.ForGraph(ordering.MethodSumBased, g, 2)
 	ph, err := Build(census, ord, BuilderVOptimal, 4)
 	if err != nil {
@@ -125,7 +126,7 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 
 func TestEncodeWriteFailures(t *testing.T) {
 	g := dataset.ErdosRenyi(20, 60, dataset.UniformLabels{L: 3}, 2).Freeze()
-	census := paths.NewCensus(g, 2)
+	census := oracle.NewCensus(g, 2)
 	ord, err := ordering.ForGraph(ordering.MethodSumBased, g, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestEncodeWriteFailures(t *testing.T) {
 
 func TestEstimatePrefixCore(t *testing.T) {
 	g := dataset.ErdosRenyi(40, 160, dataset.UniformLabels{L: 3}, 6).Freeze()
-	census := paths.NewCensus(g, 3)
+	census := oracle.NewCensus(g, 3)
 
 	lex, err := ordering.ForGraph(ordering.MethodLexCard, g, 3)
 	if err != nil {

@@ -33,12 +33,6 @@ const (
 	BuilderEndBiased  = "end-biased"
 )
 
-// Builders lists all supported histogram builder names.
-func Builders() []string {
-	return []string{BuilderVOptimal, BuilderVOptimalDP, BuilderEquiWidth,
-		BuilderEquiDepth, BuilderMaxDiff, BuilderEndBiased}
-}
-
 // DomainVector lays the census frequencies out on the histogram domain of
 // an ordering: result[ord.Index(ℓ)] = f(ℓ).
 func DomainVector(c *paths.Census, ord ordering.Ordering) []int64 {

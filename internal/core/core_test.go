@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/histogram"
+	"repro/internal/oracle"
 	"repro/internal/ordering"
 	"repro/internal/paths"
 )
@@ -13,7 +14,7 @@ import (
 func testCensus(t *testing.T) (*paths.Census, *ordering.Ranking) {
 	t.Helper()
 	g := dataset.ErdosRenyi(60, 300, dataset.NewZipfLabels(3, 1.0), 17).Freeze()
-	c := paths.NewCensus(g, 3)
+	c := oracle.NewCensus(g, 3)
 	return c, ordering.CardinalityRanking(c.LabelFrequencies())
 }
 
@@ -60,7 +61,8 @@ func TestDomainVectorMismatchPanics(t *testing.T) {
 func TestBuildAllBuilders(t *testing.T) {
 	c, card := testCensus(t)
 	ord := ordering.NewSumBased(card, 3)
-	for _, builder := range Builders() {
+	for _, builder := range []string{BuilderVOptimal, BuilderVOptimalDP, BuilderEquiWidth,
+		BuilderEquiDepth, BuilderMaxDiff, BuilderEndBiased} {
 		ph, err := Build(c, ord, builder, 16)
 		if err != nil {
 			t.Fatalf("%s: %v", builder, err)
@@ -155,7 +157,7 @@ func TestIdealOrderingBeatsOrMatchesNumAlph(t *testing.T) {
 	// (sorted by selectivity) is the lower envelope of error for a fixed
 	// V-Optimal budget.
 	g := dataset.Generate(dataset.Table3()[0], 0.08, 5).Freeze()
-	c := paths.NewCensus(g, 3)
+	c := oracle.NewCensus(g, 3)
 	alphNames := make([]string, g.NumLabels())
 	for l := range alphNames {
 		alphNames[l] = g.LabelName(l)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/paths"
 )
 
@@ -53,12 +54,12 @@ func TestExecuteTreePropertyAllShapes(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(labels)
 		}
-		dref, dst := ExecuteDense(g, p, Forward)
+		dref, dst := oracle.ExecuteDense(g, p, oracle.Forward)
 		density := []float64{0, 1e-9, 1.0}[trial%3]
 		for ti, tree := range allTrees(0, k) {
 			rel, st := runTree(t, g, p, tree, Options{DensityThreshold: density, Workers: 1})
 			ctx := fmt.Sprintf("trial %d path %v tree %d %s", trial, p, ti, tree.Describe(k))
-			if !rel.EqualRelation(dref) {
+			if !oracle.EqualRelation(rel, dref) {
 				t.Fatalf("%s: pairs differ from dense reference", ctx)
 			}
 			if st.Result != dst.Result {
@@ -258,10 +259,10 @@ func FuzzExecTreeEquivalence(f *testing.F) {
 		assertPlansMatchReference(t, randomPlanner(treeSeed, density), p)
 		tree := randomTree(rand.New(rand.NewSource(treeSeed)), 0, k)
 		w := int(workers%8) + 1
-		dref, _ := ExecuteDense(g, p, Forward)
+		dref, _ := oracle.ExecuteDense(g, p, oracle.Forward)
 		seqRel, seqSt := runTree(t, g, p, tree, Options{DensityThreshold: density, Workers: 1})
 		rel, st := runTree(t, g, p, tree, Options{DensityThreshold: density, Workers: w})
-		if !seqRel.EqualRelation(dref) {
+		if !oracle.EqualRelation(seqRel, dref) {
 			t.Fatalf("path %v tree %s: bushy differs from dense", p, tree.Describe(k))
 		}
 		if !rel.Equal(seqRel) {

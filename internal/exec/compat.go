@@ -12,7 +12,7 @@ import (
 // that the package no longer provides: the pre-Run names, each a wrapper
 // over Planner.Plan, PathPlan and Run with no logic of its own. Nothing
 // outside bench/ and compat_test.go may reference it (CI checks by
-// building without it). ROADMAP item 3b deletes this file and
+// building without it). ROADMAP item 1′ deletes this file and
 // compat_test.go once benchmark v2 (item 1a) has moved bench/ onto a shim
 // over Run.
 

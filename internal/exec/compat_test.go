@@ -9,7 +9,7 @@ import (
 
 // TestCompatWrappersAreRun pins each compat.go wrapper equal to the call
 // it adapts, on the three plan shapes: same relation, same Stats, same
-// plan, same costs. Deleted with compat.go (ROADMAP item 3b).
+// plan, same costs. Deleted with compat.go (ROADMAP item 1′).
 func TestCompatWrappersAreRun(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	pl := randomPlanner(4, 0.3)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/paths"
 	"repro/internal/sched"
 )
@@ -32,7 +33,7 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},
 		Right: &PlanTree{Lo: 2, Hi: 4, Start: 2},
 	}
-	dense, _ := ExecuteDense(g, p, Forward)
+	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
 	rep := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 2}
 	dag := &RPQDag{Elems: append(PathDag(p).Elems, rep)}
 	dp := &DagPlan{Blocks: []DagBlockPlan{
@@ -40,7 +41,7 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 		{Lo: 4, Hi: 5, Elem: rep},
 	}}
 	union := expansionUnion(t, g, dag, Options{})
-	isDense := func(rel *bitset.HybridRelation) bool { return rel.EqualRelation(dense) }
+	isDense := func(rel *bitset.HybridRelation) bool { return oracle.EqualRelation(rel, dense) }
 	return []planShape{
 		{"zigzag", startPlan(p, 1), isDense},
 		{"bushy", PathPlan(p, tree), isDense},

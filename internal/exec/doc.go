@@ -39,11 +39,12 @@
 // relation cache or compute and publish it, price it against the byte
 // budget — and one finish — contain panics as typed errors, release every
 // pooled relation on abort, total the stats. Plan nodes are methods that
-// nest, and every surviving execution is bit-identical to ExecuteDense
-// (or, for an RPQ, to the union of its expansions). The answer to a query
-// is a count, so unless Options.KeepResult asks for the relation the root
-// node counts its final step instead of building it whenever nothing
-// would publish it — same Stats, same budget boundary, no relation.
+// nest, and every surviving execution is bit-identical to the dense
+// executor of internal/oracle (or, for an RPQ, to the union of its
+// expansions). The answer to a query is a count, so unless
+// Options.KeepResult asks for the relation the root node counts its final
+// step instead of building it whenever nothing would publish it — same
+// Stats, same budget boundary, no relation.
 //
 // Execution runs on the hybrid sparse/dense relation substrate
 // (bitset.HybridRelation): two pooled relations double-buffer through the
@@ -55,8 +56,9 @@
 // partitioned into shards, composed concurrently into a shared
 // destination (rows are disjoint across shards), and merged
 // deterministically in shard order, so parallel output is bit-identical
-// to sequential execution. The retired dense-only executor survives as
-// ExecuteDense, the reference the equivalence tests pin the engine against.
+// to sequential execution. The retired dense-only executor survives in
+// internal/oracle — a test-only package, in no binary — as the reference
+// the equivalence tests pin the engine against.
 //
 // Knobs: Options.DensityThreshold (fraction of |V| in (0,1]; ≤ 0 selects
 // the default 1/32, ≥ 1 keeps every row sparse) tunes the hybrid rows'

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/paths"
 )
 
@@ -39,8 +40,8 @@ func TestExecutorsDegenerateGraphs(t *testing.T) {
 			for i := range p {
 				p[i] = i % labels
 			}
-			dref, dst := ExecuteDense(tc.g, p, Forward)
-			dbwd, _ := ExecuteDense(tc.g, p, Backward)
+			dref, dst := oracle.ExecuteDense(tc.g, p, oracle.Forward)
+			dbwd, _ := oracle.ExecuteDense(tc.g, p, oracle.Backward)
 			if !dbwd.Equal(dref) {
 				t.Fatalf("%s k=%d: dense forward and backward disagree", tc.name, k)
 			}
@@ -49,14 +50,14 @@ func TestExecutorsDegenerateGraphs(t *testing.T) {
 				for s := 0; s < k; s++ {
 					ctx := fmt.Sprintf("%s k=%d start=%d workers=%d", tc.name, k, s, workers)
 					rel, st := runPlan(t, tc.g, p, s, opt)
-					if !rel.EqualRelation(dref) || st.Result != dst.Result {
+					if !oracle.EqualRelation(rel, dref) || st.Result != dst.Result {
 						t.Fatalf("%s: zig-zag diverged from dense", ctx)
 					}
 				}
 				for ti, tree := range allTrees(0, k) {
 					ctx := fmt.Sprintf("%s k=%d tree=%d workers=%d", tc.name, k, ti, workers)
 					rel, st := runTree(t, tc.g, p, tree, opt)
-					if !rel.EqualRelation(dref) || st.Result != dst.Result {
+					if !oracle.EqualRelation(rel, dref) || st.Result != dst.Result {
 						t.Fatalf("%s: bushy diverged from dense", ctx)
 					}
 				}

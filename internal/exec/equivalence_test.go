@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/paths"
 )
 
@@ -26,11 +27,11 @@ func randomGraph(seed int64, vertices, labels, edges int) *graph.CSR {
 // endpoint plans — the same intermediate sizes step for step.
 func assertPlanMatchesDense(t *testing.T, ctx string, g *graph.CSR, p paths.Path, density float64) {
 	t.Helper()
-	dfwd, dfst := ExecuteDense(g, p, Forward)
-	dbwd, dbst := ExecuteDense(g, p, Backward)
+	dfwd, dfst := oracle.ExecuteDense(g, p, oracle.Forward)
+	dbwd, dbst := oracle.ExecuteDense(g, p, oracle.Backward)
 	for s := 0; s < len(p); s++ {
 		rel, st := runPlan(t, g, p, s, Options{DensityThreshold: density})
-		if !rel.EqualRelation(dfwd) {
+		if !oracle.EqualRelation(rel, dfwd) {
 			t.Fatalf("%s: path %v start %d: hybrid pairs differ from dense reference", ctx, p, s)
 		}
 		if st.Result != dfst.Result {
@@ -105,9 +106,9 @@ func FuzzExecEquivalence(f *testing.F) {
 		if start < 0 || start >= k {
 			t.Skip()
 		}
-		dref, dst := ExecuteDense(g, p, Forward)
+		dref, dst := oracle.ExecuteDense(g, p, oracle.Forward)
 		rel, st := runPlan(t, g, p, start, Options{DensityThreshold: density})
-		if !rel.EqualRelation(dref) {
+		if !oracle.EqualRelation(rel, dref) {
 			t.Fatalf("path %v start %d: hybrid differs from dense", p, start)
 		}
 		if st.Result != dst.Result {

@@ -168,9 +168,9 @@ func (s *SchedStats) merge(o SchedStats) {
 // ErrDeadlineExceeded / ErrBudgetExceeded under errors.Is (or
 // *sched.PanicError under errors.As for a contained panic). A surviving
 // execution — cancelled after its last step or not cancelled at all — is
-// bit-identical to ExecuteDense on a concrete path, and on a regular path
-// query to the union of the relations of every concrete path it expands
-// to. The returned relation is nil unless Options.KeepResult is set.
+// bit-identical to the dense executor of internal/oracle (the test-only
+// reference stack) on a concrete path, and on a regular path query to the
+// union of the relations of every concrete path it expands to. The returned relation is nil unless Options.KeepResult is set.
 //
 // Stats.Work counts every relation fed into a join step — a leaf's zig-zag
 // intermediates, both inputs of every join node and block-boundary join,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/oracle"
 	"repro/internal/paths"
 )
 
@@ -140,8 +141,8 @@ func TestExecuteSingleLabel(t *testing.T) {
 func TestExecutePanics(t *testing.T) {
 	g := testGraph(t)
 	for name, fn := range map[string]func(){
-		"dense empty path": func() { ExecuteDense(g, paths.Path{}, Forward) },
-		"bad direction":    func() { ExecuteDense(g, paths.Path{0}, Direction(7)) },
+		"dense empty path": func() { oracle.ExecuteDense(g, paths.Path{}, oracle.Forward) },
+		"bad direction":    func() { oracle.ExecuteDense(g, paths.Path{0}, oracle.Direction(7)) },
 		"empty plan":       func() { Run(g, startPlan(paths.Path{}, 0), Options{}) },
 		"plan start low":   func() { Run(g, startPlan(paths.Path{0, 1}, -1), Options{}) },
 		"plan start high":  func() { Run(g, startPlan(paths.Path{0, 1}, 2), Options{}) },
@@ -158,10 +159,10 @@ func TestExecutePanics(t *testing.T) {
 }
 
 func TestDirectionString(t *testing.T) {
-	if Forward.String() != "forward" || Backward.String() != "backward" {
+	if oracle.Forward.String() != "forward" || oracle.Backward.String() != "backward" {
 		t.Fatal("direction names wrong")
 	}
-	if Direction(9).String() != "Direction(9)" {
+	if oracle.Direction(9).String() != "Direction(9)" {
 		t.Fatal("unknown direction name wrong")
 	}
 }
@@ -177,7 +178,7 @@ func TestPlanDescribe(t *testing.T) {
 
 func TestPlannerCostsFromExactEstimates(t *testing.T) {
 	g := testGraph(t)
-	c := paths.NewCensus(g, 4)
+	c := oracle.NewCensus(g, 4)
 	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 {
 		return float64(c.Selectivity(p))
 	})}

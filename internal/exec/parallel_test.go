@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/paths"
 	"repro/internal/sched"
 )
@@ -170,9 +171,9 @@ func TestExecuteParallelLargeMerge(t *testing.T) {
 func TestExecuteDefaultsParallel(t *testing.T) {
 	g := randomGraph(9, 150, 3, 2000)
 	p := paths.Path{0, 1, 2}
-	dref, _ := ExecuteDense(g, p, Forward)
+	dref, _ := oracle.ExecuteDense(g, p, oracle.Forward)
 	rel, _ := runPlan(t, g, p, 0, Options{})
-	if !rel.EqualRelation(dref) {
+	if !oracle.EqualRelation(rel, dref) {
 		t.Fatal("default-options Execute differs from dense reference")
 	}
 }
@@ -199,12 +200,12 @@ func FuzzExecParallelEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		w := int(workers%16) + 1
-		dref, _ := ExecuteDense(g, p, Forward)
+		dref, _ := oracle.ExecuteDense(g, p, oracle.Forward)
 		seqRel, seqSt := runPlan(t, g, p, start,
 			Options{DensityThreshold: density, Workers: 1})
 		rel, st := runPlan(t, g, p, start,
 			Options{DensityThreshold: density, Workers: w})
-		if !rel.Equal(seqRel) || !rel.EqualRelation(dref) {
+		if !rel.Equal(seqRel) || !oracle.EqualRelation(rel, dref) {
 			t.Fatalf("path %v start %d workers %d: parallel diverged", p, start, w)
 		}
 		if st.Result != seqSt.Result || st.Work != seqSt.Work {

@@ -234,20 +234,3 @@ func TestRenderTableAlignment(t *testing.T) {
 		t.Fatal("missing separator")
 	}
 }
-
-func TestRenderBars(t *testing.T) {
-	var buf bytes.Buffer
-	RenderBars(&buf, []string{"x", "yy"}, []float64{1, 2}, 10)
-	out := buf.String()
-	if !strings.Contains(out, "██████████") {
-		t.Fatalf("max bar not full width:\n%s", out)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("mismatched lengths should panic")
-			}
-		}()
-		RenderBars(&buf, []string{"x"}, []float64{1, 2}, 10)
-	}()
-}

@@ -43,31 +43,6 @@ func RenderTable(w io.Writer, header []string, rows [][]string) {
 	}
 }
 
-// RenderBars writes a horizontal ASCII bar chart: one bar per (label,
-// value), scaled to maxWidth characters.
-func RenderBars(w io.Writer, labels []string, values []float64, maxWidth int) {
-	if len(labels) != len(values) {
-		panic("experiments: label/value length mismatch")
-	}
-	var max float64
-	labelW := 0
-	for i, v := range values {
-		if v > max {
-			max = v
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	for i, v := range values {
-		n := 0
-		if max > 0 {
-			n = int(v / max * float64(maxWidth))
-		}
-		fmt.Fprintf(w, "%-*s |%s %.4g\n", labelW, labels[i], strings.Repeat("█", n), v)
-	}
-}
-
 // Render writes Table 4 in the paper's layout: β rows, one column per
 // ordering method, per-estimate latency.
 func (r *Table4Result) Render(w io.Writer) {

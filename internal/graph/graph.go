@@ -12,9 +12,10 @@
 //   - PredecessorOperand / PredecessorCSR: reversed adjacency in the same
 //     dual form — the leftward (prepend) join steps of backward and
 //     zig-zag execution.
-//   - SuccessorSets / PredecessorSets / EdgeRelation: dense-only forms,
-//     retained for the legacy reference implementations the equivalence
-//     tests pin the hybrid engines against.
+//   - SuccessorSets / PredecessorSets: the dense halves of those
+//     operands, which the test-only dense reference (internal/oracle,
+//     what the equivalence tests pin the hybrid engines against) also
+//     composes through.
 //
 // All lazily built tables are sync.Once-guarded, so first use is safe
 // under concurrent callers and the hot loops never pay initialization.
@@ -120,12 +121,6 @@ func (g *Graph) AddEdge(src, label, dst int) bool {
 	}
 	g.edges[e] = struct{}{}
 	return true
-}
-
-// HasEdge reports whether (src, label, dst) ∈ E.
-func (g *Graph) HasEdge(src, label, dst int) bool {
-	_, ok := g.edges[Edge{Src: src, Label: label, Dst: dst}]
-	return ok
 }
 
 // Edges returns all edges sorted by (label, src, dst). The slice is a copy.
@@ -265,10 +260,10 @@ func (c *CSR) LabelFrequencies() []int64 {
 
 // SuccessorSets returns, for label l, a per-vertex successor bit set
 // table: the dense half of LabelOperand (driving the dense×CSR compose
-// kernel) and the input of the legacy bitset.Relation.Compose reference
-// path. Rows for vertices with no successors are nil. The table is built
-// once per label and cached behind a sync.Once, so concurrent first calls
-// are safe.
+// kernel) and the input of the oracle.Relation.Compose reference path
+// (internal/oracle, test-only). Rows for vertices with no successors are
+// nil. The table is built once per label and cached behind a sync.Once,
+// so concurrent first calls are safe.
 func (c *CSR) SuccessorSets(l int) []*bitset.Set {
 	c.succOnce[l].Do(func() {
 		tab := make([]*bitset.Set, c.numVertices)
@@ -388,19 +383,4 @@ func (c *CSR) Operands(withDense bool) []bitset.CSROperand {
 		}
 	}
 	return ops
-}
-
-// EdgeRelation returns label l's edge set as a dense bitset.Relation (the
-// set of pairs (s, t) with (s, l, t) ∈ E) — the length-1 path relation in
-// the legacy representation. Only the sequential reference census and the
-// retired dense executors use it; hybrid engines start from
-// bitset.HybridFromCSR(LabelOperand(l), …) instead.
-func (c *CSR) EdgeRelation(l int) *bitset.Relation {
-	r := bitset.NewRelation(c.numVertices)
-	for v := 0; v < c.numVertices; v++ {
-		for _, t := range c.Successors(v, l) {
-			r.Add(v, int(t))
-		}
-	}
-	return r
 }

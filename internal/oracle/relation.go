@@ -1,22 +1,26 @@
-package bitset
+package oracle
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/bitset"
+)
 
 // Relation is a binary relation over the vertex universe [0, n): a set of
 // ordered pairs (source, target). Rows are allocated lazily — a source with
 // no targets costs one nil pointer — which matters because label-path
 // relations are typically sparse in their source dimension.
 type Relation struct {
-	rows []*Set
+	rows []*bitset.Set
 	n    int
 }
 
 // NewRelation returns an empty relation over an n-vertex universe.
 func NewRelation(n int) *Relation {
 	if n < 0 {
-		panic(fmt.Sprintf("bitset: negative universe %d", n))
+		panic(fmt.Sprintf("oracle: negative universe %d", n))
 	}
-	return &Relation{rows: make([]*Set, n), n: n}
+	return &Relation{rows: make([]*bitset.Set, n), n: n}
 }
 
 // Universe returns the vertex-universe size n.
@@ -25,7 +29,7 @@ func (r *Relation) Universe() int { return r.n }
 // Add inserts the pair (s, t).
 func (r *Relation) Add(s, t int) {
 	if r.rows[s] == nil {
-		r.rows[s] = New(r.n)
+		r.rows[s] = bitset.New(r.n)
 	}
 	r.rows[s].Add(t)
 }
@@ -37,7 +41,7 @@ func (r *Relation) Contains(s, t int) bool {
 
 // Row returns the target set of source s, or nil when s has no targets.
 // The returned set is shared, not a copy.
-func (r *Relation) Row(s int) *Set { return r.rows[s] }
+func (r *Relation) Row(s int) *bitset.Set { return r.rows[s] }
 
 // Pairs returns the total number of pairs (distinct by construction).
 func (r *Relation) Pairs() int64 {
@@ -63,7 +67,7 @@ func (r *Relation) Sources() int {
 
 // ForEachRow calls fn once per non-empty source row in ascending source
 // order. The set passed to fn is shared, not a copy.
-func (r *Relation) ForEachRow(fn func(s int, targets *Set) bool) {
+func (r *Relation) ForEachRow(fn func(s int, targets *bitset.Set) bool) {
 	for s, row := range r.rows {
 		if row == nil || row.Empty() {
 			continue
@@ -82,20 +86,20 @@ func (r *Relation) ForEachRow(fn func(s int, targets *Set) bool) {
 // succ must have length equal to the universe; nil entries mean "no
 // successors". Distinctness of result pairs is inherent in the bit-set
 // representation.
-func (r *Relation) Compose(succ []*Set) *Relation {
+func (r *Relation) Compose(succ []*bitset.Set) *Relation {
 	if len(succ) != r.n {
-		panic(fmt.Sprintf("bitset: successor table size %d != universe %d", len(succ), r.n))
+		panic(fmt.Sprintf("oracle: successor table size %d != universe %d", len(succ), r.n))
 	}
 	out := NewRelation(r.n)
 	for s, row := range r.rows {
 		if row == nil || row.Empty() {
 			continue
 		}
-		var acc *Set
+		var acc *bitset.Set
 		row.ForEach(func(t int) bool {
 			if succ[t] != nil {
 				if acc == nil {
-					acc = New(r.n)
+					acc = bitset.New(r.n)
 				}
 				acc.UnionWith(succ[t])
 			}
@@ -144,4 +148,31 @@ func (r *Relation) Equal(o *Relation) bool {
 		}
 	}
 	return true
+}
+
+// ToRelation converts a hybrid relation to the dense reference
+// representation.
+func ToRelation(h *bitset.HybridRelation) *Relation {
+	r := NewRelation(h.Universe())
+	h.ForEachPair(func(s, t int) bool {
+		r.Add(s, t)
+		return true
+	})
+	return r
+}
+
+// EqualRelation reports whether h contains exactly the pairs of the dense
+// reference relation r.
+func EqualRelation(h *bitset.HybridRelation, r *Relation) bool {
+	if h.Universe() != r.Universe() || h.Pairs() != r.Pairs() {
+		return false
+	}
+	equal := true
+	h.ForEachPair(func(s, t int) bool {
+		if !r.Contains(s, t) {
+			equal = false
+		}
+		return equal
+	})
+	return equal
 }

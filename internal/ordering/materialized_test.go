@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/oracle"
 	"repro/internal/paths"
 )
 
@@ -55,7 +56,7 @@ func TestMaterializedPathPanics(t *testing.T) {
 
 func TestIdealOrderingSortsBySelectivity(t *testing.T) {
 	g := dataset.ErdosRenyi(40, 200, dataset.UniformLabels{L: 3}, 4).Freeze()
-	c := paths.NewCensus(g, 3)
+	c := oracle.NewCensus(g, 3)
 	ideal := NewIdeal(c)
 	if ideal.Name() != "ideal" {
 		t.Fatal("name wrong")
@@ -127,7 +128,7 @@ func TestBaseSetRankUnknownPiecePanics(t *testing.T) {
 
 func TestNewSumL2IsBijection(t *testing.T) {
 	g := dataset.ErdosRenyi(30, 150, dataset.UniformLabels{L: 3}, 6).Freeze()
-	c := paths.NewCensus(g, 3)
+	c := oracle.NewCensus(g, 3)
 	ord := NewSumL2(c)
 	if ord.Name() != "sum-L2" {
 		t.Fatal("name wrong")
@@ -157,7 +158,7 @@ func TestNewSumL2IsBijection(t *testing.T) {
 
 func TestNewSumL2RequiresK2(t *testing.T) {
 	g := dataset.ErdosRenyi(10, 20, dataset.UniformLabels{L: 2}, 1).Freeze()
-	c := paths.NewCensus(g, 1)
+	c := oracle.NewCensus(g, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("k=1 census should panic")

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/oracle"
 	"repro/internal/paths"
 )
 
@@ -65,7 +66,7 @@ func TestProductOrderingAccuracyOnIndependentLabels(t *testing.T) {
 	// overkill — instead check it beats num-alph's mean error with the
 	// same bucket budget, which is what the proxy exists for.
 	g := dataset.ErdosRenyi(200, 3000, dataset.NewZipfLabels(3, 1.2), 21).Freeze()
-	c := paths.NewCensus(g, 3)
+	c := oracle.NewCensus(g, 3)
 	prod := NewProduct(c.LabelFrequencies(), 3)
 
 	names := make([]string, 3)

@@ -3,9 +3,7 @@ package paths
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/combinat"
-	"repro/internal/graph"
 )
 
 // Census holds the exact selectivity f(ℓ) of every label path ℓ ∈ Lk over
@@ -16,39 +14,6 @@ type Census struct {
 	numLabels int
 	k         int
 	freq      []int64
-}
-
-// NewCensus computes the full selectivity census of g for paths of length
-// 1…k by trie DFS with relational composition. Empty prefixes prune their
-// whole subtree (their extensions all have selectivity 0, which the dense
-// frequency array already records).
-func NewCensus(g *graph.CSR, k int) *Census {
-	if k < 1 {
-		panic(fmt.Sprintf("paths: census needs k ≥ 1, got %d", k))
-	}
-	c := &Census{
-		numLabels: g.NumLabels(),
-		k:         k,
-		freq:      make([]int64, combinat.GeometricSum(int64(g.NumLabels()), int64(k))),
-	}
-	p := make(Path, 0, k)
-	for l := 0; l < g.NumLabels(); l++ {
-		rel := g.EdgeRelation(l)
-		c.censusDFS(g, append(p, l), rel)
-	}
-	return c
-}
-
-func (c *Census) censusDFS(g *graph.CSR, p Path, rel *bitset.Relation) {
-	n := rel.Pairs()
-	c.freq[CanonicalIndex(p, c.numLabels, c.k)] = n
-	if len(p) == c.k || n == 0 {
-		return
-	}
-	for l := 0; l < c.numLabels; l++ {
-		next := rel.Compose(g.SuccessorSets(l))
-		c.censusDFS(g, append(p, l), next)
-	}
 }
 
 // NumLabels returns |L|.
@@ -85,17 +50,6 @@ func (c *Census) Total() int64 {
 		t += f
 	}
 	return t
-}
-
-// MaxSelectivity returns the largest f(ℓ) in the census.
-func (c *Census) MaxSelectivity() int64 {
-	var mx int64
-	for _, f := range c.freq {
-		if f > mx {
-			mx = f
-		}
-	}
-	return mx
 }
 
 // PrefixSelectivity returns Σ f(ℓ) over p and every extension of p within

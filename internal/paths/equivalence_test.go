@@ -1,4 +1,4 @@
-package paths
+package paths_test
 
 import (
 	"fmt"
@@ -8,6 +8,8 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/oracle"
+	. "repro/internal/paths"
 )
 
 // randomGraph builds a random labeled graph from a packed parameter tuple,
@@ -48,7 +50,7 @@ func TestCensusHybridPropertyRandomGraphs(t *testing.T) {
 		edges := 1 + rng.Intn(6*vertices)
 		k := 1 + rng.Intn(3)
 		g := randomGraph(int64(trial), vertices, labels, edges)
-		want := NewCensus(g, k)
+		want := oracle.NewCensus(g, k)
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, density := range []float64{0, 1e-9, 0.25, 1.0} {
 				opt := CensusOptions{
@@ -77,7 +79,7 @@ func TestCensusHybridPropertyRandomGraphs(t *testing.T) {
 func TestCensusCountedLeavesMatchReference(t *testing.T) {
 	g := dataset.ErdosRenyi(90, 700, dataset.NewZipfLabels(3, 1.3), 5).Freeze()
 	for _, k := range []int{1, 2, 4} {
-		want := NewCensus(g, k)
+		want := oracle.NewCensus(g, k)
 		for _, density := range []float64{1, 1e-9} {
 			for workers := 1; workers <= 8; workers++ {
 				got := NewCensusHybrid(g, k, CensusOptions{Workers: workers, DensityThreshold: density, SplitPairs: int64(1 + workers%2*256)})
@@ -93,7 +95,7 @@ func TestCensusCountedLeavesMatchReference(t *testing.T) {
 // hold with many more workers than labels.
 func TestCensusParallelSkewedLabels(t *testing.T) {
 	g := dataset.ErdosRenyi(120, 900, dataset.NewZipfLabels(4, 1.8), 7).Freeze()
-	want := NewCensus(g, 3)
+	want := oracle.NewCensus(g, 3)
 	for _, workers := range []int{1, 2, 4, 16} {
 		got := NewCensusHybrid(g, 3, CensusOptions{Workers: workers})
 		assertCensusEqual(t, "skewed workers", want, got)
@@ -104,7 +106,7 @@ func TestCensusParallelSkewedLabels(t *testing.T) {
 // deques (SplitPairs=1), maximizing steal traffic.
 func TestCensusHybridTinySplit(t *testing.T) {
 	g := dataset.ErdosRenyi(60, 400, dataset.UniformLabels{L: 3}, 11).Freeze()
-	want := NewCensus(g, 3)
+	want := oracle.NewCensus(g, 3)
 	got := NewCensusHybrid(g, 3, CensusOptions{Workers: 8, SplitPairs: 1})
 	assertCensusEqual(t, "tiny split", want, got)
 }
@@ -131,7 +133,7 @@ func FuzzCensusEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		g := randomGraph(seed, vertices, labels, edges)
-		want := NewCensus(g, k)
+		want := oracle.NewCensus(g, k)
 		got := NewCensusHybrid(g, k, CensusOptions{Workers: workers, SplitPairs: split})
 		assertCensusEqual(t, "fuzz", want, got)
 	})
@@ -151,10 +153,10 @@ func TestEvaluateHybridMatchesDense(t *testing.T) {
 		for i := range p {
 			p[i] = rng.Intn(labels)
 		}
-		want := EvaluateDense(g, p)
+		want := oracle.EvaluateDense(g, p)
 		for _, density := range []float64{0, 1e-9, 0.25, 1.0} {
 			got := EvaluateWithDensity(g, p, density)
-			if !got.EqualRelation(want) {
+			if !oracle.EqualRelation(got, want) {
 				t.Fatalf("trial %d density %v: hybrid Evaluate(%v) differs from dense", trial, density, p)
 			}
 		}
@@ -181,9 +183,9 @@ func TestUnionSelectivityMatchesDense(t *testing.T) {
 			}
 			ps[i] = p
 		}
-		acc := bitset.NewRelation(g.NumVertices())
+		acc := oracle.NewRelation(g.NumVertices())
 		for _, p := range ps {
-			EvaluateDense(g, p).ForEachRow(func(s int, targets *bitset.Set) bool {
+			oracle.EvaluateDense(g, p).ForEachRow(func(s int, targets *bitset.Set) bool {
 				targets.ForEach(func(tt int) bool {
 					acc.Add(s, tt)
 					return true
@@ -214,7 +216,7 @@ func FuzzEvaluateEquivalence(f *testing.F) {
 		for i := range p {
 			p[i] = int(pathBits>>(4*i)) % labels
 		}
-		if !EvaluateWithDensity(g, p, density).EqualRelation(EvaluateDense(g, p)) {
+		if !oracle.EqualRelation(EvaluateWithDensity(g, p, density), oracle.EvaluateDense(g, p)) {
 			t.Fatalf("hybrid Evaluate(%v) differs from dense (density %v)", p, density)
 		}
 	})

@@ -66,12 +66,13 @@ type censusEngine struct {
 	splitPairs int64
 }
 
-// NewCensusHybrid computes the same census as NewCensus on the hybrid
-// sparse/dense substrate: per-row adaptive representations, per-worker
+// NewCensusHybrid computes the exact census on the hybrid sparse/dense
+// substrate: per-row adaptive representations, per-worker
 // relation pools (allocation-free steady state), and the shared
 // work-stealing scheduler (internal/sched) splitting subtrees at any trie
 // depth, so skewed label distributions keep every worker busy. The result
-// is bit-identical to NewCensus — the engine changes how frequencies are
+// is bit-identical to the sequential dense reference census of
+// internal/oracle (test-only) — the engine changes how frequencies are
 // computed, never their values.
 func NewCensusHybrid(g *graph.CSR, k int, opt CensusOptions) *Census {
 	c, err := NewCensusHybridChecked(g, k, opt)

@@ -1,16 +1,18 @@
-package paths
+package paths_test
 
 import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/oracle"
+	. "repro/internal/paths"
 )
 
 func TestParallelCensusMatchesSequential(t *testing.T) {
 	for _, specIdx := range []int{0, 2} {
 		g := dataset.Generate(dataset.Table3()[specIdx], 0.05, 13).Freeze()
 		for _, k := range []int{1, 2, 3} {
-			seq := NewCensus(g, k)
+			seq := oracle.NewCensus(g, k)
 			for _, workers := range []int{1, 2, 8, 0} {
 				par := NewCensusHybrid(g, k, CensusOptions{Workers: workers})
 				if par.Size() != seq.Size() {
@@ -31,7 +33,7 @@ func TestParallelCensusMatchesSequential(t *testing.T) {
 func TestParallelCensusMoreWorkersThanLabels(t *testing.T) {
 	g := dataset.ErdosRenyi(30, 100, dataset.UniformLabels{L: 2}, 5).Freeze()
 	par := NewCensusHybrid(g, 2, CensusOptions{Workers: 64})
-	seq := NewCensus(g, 2)
+	seq := oracle.NewCensus(g, 2)
 	if par.Total() != seq.Total() {
 		t.Fatalf("totals differ: %d != %d", par.Total(), seq.Total())
 	}

@@ -9,18 +9,16 @@
 // label trie, extending each prefix's pair relation by one label via
 // relational composition.
 //
-// Two census engines compute identical results: NewCensus, the simple
-// allocating reference implementation on dense bitset.Relation rows, and
-// NewCensusHybrid, the production engine on pooled hybrid sparse/dense
+// NewCensusHybrid is the census engine: pooled hybrid sparse/dense
 // relations with work-stealing trie parallelism over the shared
 // scheduling layer (internal/sched): subtrees split at any trie depth,
 // so workers are not capped at |L| and skewed first-label distributions
-// do not serialize on one goroutine. Single-path evaluation mirrors the
-// split: Evaluate,
-// Selectivity, and UnionSelectivity run on the hybrid substrate, while
-// EvaluateDense survives as the dense reference. Property and fuzz tests
-// in equivalence_test.go pin every hybrid entry point bit-identical to
-// its reference.
+// do not serialize on one goroutine. Evaluate, Selectivity and
+// UnionSelectivity evaluate single paths on the same substrate. The
+// simple allocating references on dense rows — a sequential trie-DFS
+// census and a forward evaluator — live in internal/oracle, a package
+// only tests import; property and fuzz tests in equivalence_test.go pin
+// every entry point here bit-identical to them.
 //
 // Knobs (CensusOptions):
 //
@@ -188,21 +186,6 @@ func EvaluateWithDensity(g *graph.CSR, p Path, density float64) *bitset.HybridRe
 		cur, buf = buf, cur
 	}
 	return cur
-}
-
-// EvaluateDense is the retired dense-only evaluator, kept solely as the
-// reference implementation that equivalence tests pin Evaluate against.
-// It allocates a fresh dense bitset.Relation per join step; production
-// callers use Evaluate.
-func EvaluateDense(g *graph.CSR, p Path) *bitset.Relation {
-	if len(p) == 0 {
-		panic("paths: evaluate empty path")
-	}
-	rel := g.EdgeRelation(p[0])
-	for _, l := range p[1:] {
-		rel = rel.Compose(g.SuccessorSets(l))
-	}
-	return rel
 }
 
 // Selectivity returns f(ℓ) = |ℓ(G)|.

@@ -374,22 +374,34 @@ func TestLockWaitTallies(t *testing.T) {
 	if st.LockWaitNs != 0 {
 		t.Fatalf("uncontended workload tallied %dns of lock wait", st.LockWaitNs)
 	}
+	// The reader blocks only if it reaches the lock while the writer still
+	// holds it, and no hold time guarantees that on a loaded scheduler (a
+	// late reader's TryRLock succeeds and nothing is tallied). So repeat
+	// the round, holding twice as long each time, until a wait is tallied.
 	sh := &c.shards[0]
-	sh.mu.Lock()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.Get(p) // blocks: TryRLock fails, timed RLock waits
-	}()
-	time.Sleep(2 * time.Millisecond)
-	sh.mu.Unlock()
-	<-done
-	st = c.Stats()
-	if st.LockWaitNs <= 0 {
-		t.Fatal("blocked reader tallied no lock wait")
-	}
-	if st.ShardLockWaitNs[0] != st.LockWaitNs {
-		t.Fatalf("aggregate %d != single shard tally %d", st.LockWaitNs, st.ShardLockWaitNs[0])
+	const rounds = 10
+	for round, hold := 1, 2*time.Millisecond; ; round, hold = round+1, 2*hold {
+		sh.mu.Lock()
+		started, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			close(started)
+			c.Get(p) // blocks: TryRLock fails, timed RLock waits
+		}()
+		<-started
+		time.Sleep(hold)
+		sh.mu.Unlock()
+		<-done
+		st = c.Stats()
+		if st.ShardLockWaitNs[0] != st.LockWaitNs {
+			t.Fatalf("aggregate %d != single shard tally %d", st.LockWaitNs, st.ShardLockWaitNs[0])
+		}
+		if st.LockWaitNs > 0 {
+			break
+		}
+		if round == rounds {
+			t.Fatalf("blocked reader tallied no lock wait in %d rounds", rounds)
+		}
 	}
 }
 

@@ -109,15 +109,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// MeanAbs returns the mean of |x| over the sample.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: mean of empty sample")
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Abs(x)
-	}
-	return sum / float64(len(xs))
-}

@@ -124,18 +124,3 @@ func TestQuantilePanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestMeanAbs(t *testing.T) {
-	if got := MeanAbs([]float64{-1, 1, -3, 3}); got != 2 {
-		t.Fatalf("MeanAbs = %v, want 2", got)
-	}
-}
-
-func TestMeanAbsEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty sample should panic")
-		}
-	}()
-	MeanAbs(nil)
-}

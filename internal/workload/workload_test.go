@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/oracle"
 	"repro/internal/ordering"
 	"repro/internal/paths"
 )
@@ -12,7 +13,7 @@ import (
 func testCensus(t *testing.T) *paths.Census {
 	t.Helper()
 	g := dataset.ErdosRenyi(50, 200, dataset.NewZipfLabels(3, 1.2), 3).Freeze()
-	return paths.NewCensus(g, 3)
+	return oracle.NewCensus(g, 3)
 }
 
 func TestGenerateDeterministic(t *testing.T) {

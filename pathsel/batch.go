@@ -13,20 +13,6 @@ import (
 // Config.CacheBytes unless told otherwise.
 const DefaultCacheBytes = relcache.DefaultMaxBytes
 
-// Query is one path query of a batch workload: any RPQ pattern Compile
-// accepts (e.g. "knows/likes/knows",
-// "knows/(likes|follows)/knows?", "knows{1,3}").
-type Query string
-
-// Queries converts a list of query strings into a batch workload.
-func Queries(qs ...string) []Query {
-	out := make([]Query, len(qs))
-	for i, q := range qs {
-		out[i] = Query(q)
-	}
-	return out
-}
-
 // BatchOptions tunes one batch execution.
 type BatchOptions struct {
 	// Workers is the number of queries executed concurrently (≤ 0 or 1
@@ -71,8 +57,8 @@ func (s CacheStats) HitRate() float64 {
 
 // BatchQueryResult is one query's outcome within a batch.
 type BatchQueryResult struct {
-	// Query is the workload entry this result answers.
-	Query Query
+	// Query is the pattern of the workload entry this result answers.
+	Query string
 	// ExecStats is exactly what Expr.ExecuteCtx would report, including the
 	// query's own CacheHits/CacheMisses against the shared cache.
 	ExecStats
@@ -112,32 +98,6 @@ func (e *Estimator) CacheStats() (CacheStats, bool) {
 		Entries: st.Entries, Bytes: st.Bytes, MaxBytes: st.MaxBytes,
 		Shards: st.Shards, LockWaitNs: st.LockWaitNs,
 	}, true
-}
-
-// ExecuteBatch compiles a workload of query strings and executes it
-// under a background context: string sugar over Compile +
-// ExecuteExprBatchCtx, which documents the execution. Every query is
-// validated before anything executes, so a malformed workload fails
-// fast without partial results.
-func (e *Estimator) ExecuteBatch(queries []Query, opt BatchOptions) (*BatchResult, error) {
-	xs, err := e.compileAll(queries)
-	if err != nil {
-		return nil, err
-	}
-	return e.ExecuteExprBatchCtx(context.Background(), xs, opt)
-}
-
-// compileAll compiles a workload, naming the first query that fails.
-func (e *Estimator) compileAll(queries []Query) ([]*Expr, error) {
-	xs := make([]*Expr, len(queries))
-	for i, q := range queries {
-		x, err := e.Compile(string(q))
-		if err != nil {
-			return nil, fmt.Errorf("pathsel: batch query %d: %w", i, err)
-		}
-		xs[i] = x
-	}
-	return xs, nil
 }
 
 // ExecuteExprBatchCtx executes a whole workload of compiled queries: N
@@ -198,11 +158,11 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 		// A dead batch context stops issuing work: remaining entries are
 		// marked with the batch's abort cause without touching the graph.
 		if err := ctx.Err(); err != nil {
-			res.Results[i] = BatchQueryResult{Query: Query(exprs[i].pattern), Err: translateCtxErr(err)}
+			res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, Err: translateCtxErr(err)}
 			return
 		}
 		st, err := e.execute(ctx, g, exprs[i], queryWorkers, opt.Policy)
-		res.Results[i] = BatchQueryResult{Query: Query(exprs[i].pattern), ExecStats: st, Err: err}
+		res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, ExecStats: st, Err: err}
 	}
 	if workers <= 1 {
 		for i := range exprs {

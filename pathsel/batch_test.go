@@ -23,7 +23,7 @@ func batchTestGraph(t testing.TB, seed int64, vertices, labels, edges int) *Grap
 
 // batchWorkload samples a workload with repeated queries and shared
 // segments — the regime the cache exists for.
-func batchWorkload(rng *rand.Rand, labels []string, count, maxLen int) []Query {
+func batchWorkload(rng *rand.Rand, labels []string, count, maxLen int) []string {
 	pool := make([]string, 0, 8)
 	for len(pool) < 8 {
 		k := 2 + rng.Intn(maxLen-1)
@@ -33,9 +33,9 @@ func batchWorkload(rng *rand.Rand, labels []string, count, maxLen int) []Query {
 		}
 		pool = append(pool, q)
 	}
-	out := make([]Query, count)
+	out := make([]string, count)
 	for i := range out {
-		out[i] = Query(pool[rng.Intn(len(pool))])
+		out[i] = pool[rng.Intn(len(pool))]
 	}
 	return out
 }
@@ -61,14 +61,14 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 			// Reference: the per-query API on an estimator without a cache.
 			want := make([]int64, len(queries))
 			for i, q := range queries {
-				st, err := ref.ExecuteQuery(string(q))
+				st, err := executeQuery(ref, q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want[i] = st.Result
 			}
 			for workers := 1; workers <= 8; workers++ {
-				res, err := est.ExecuteBatch(queries, BatchOptions{Workers: workers})
+				res, err := executeBatch(est, queries, BatchOptions{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -100,14 +100,14 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 // batch never owns a cache of its own.
 func TestExecuteBatchCacheModes(t *testing.T) {
 	g := batchTestGraph(t, 5, 40, 3, 200)
-	queries := Queries("a/b", "b/c", "a/b", "a/b/c", "a/b/c")
+	queries := []string{"a/b", "b/c", "a/b", "a/b/c", "a/b/c"}
 
 	// No Config.CacheBytes: no cache stats, still correct.
 	plain, err := Build(g, Config{MaxPathLength: 3, Buckets: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := plain.ExecuteBatch(queries, BatchOptions{})
+	cold, err := executeBatch(plain, queries, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	if _, ok := persistent.CacheStats(); !ok {
 		t.Fatal("Config.CacheBytes did not create a persistent cache")
 	}
-	first, err := persistent.ExecuteBatch(queries, BatchOptions{})
+	first, err := executeBatch(persistent, queries, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 				first.Results[i].Result, cold.Results[i].Result)
 		}
 	}
-	second, err := persistent.ExecuteBatch(queries, BatchOptions{})
+	second, err := executeBatch(persistent, queries, BatchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	}
 
 	// ExecuteQuery shares the persistent cache too.
-	st, err := persistent.ExecuteQuery("a/b/c")
+	st, err := executeQuery(persistent, "a/b/c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,13 +179,13 @@ func TestExecuteBatchValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := est.ExecuteBatch(Queries("a/b", "nope"), BatchOptions{}); err == nil {
+	if _, err := executeBatch(est, []string{"a/b", "nope"}, BatchOptions{}); err == nil {
 		t.Fatal("unknown label accepted")
 	}
-	if _, err := est.ExecuteBatch(Queries("a/b/a"), BatchOptions{}); err == nil {
+	if _, err := executeBatch(est, []string{"a/b/a"}, BatchOptions{}); err == nil {
 		t.Fatal("over-length query accepted")
 	}
-	res, err := est.ExecuteBatch(nil, BatchOptions{Workers: 4})
+	res, err := executeBatch(est, nil, BatchOptions{Workers: 4})
 	if err != nil || len(res.Results) != 0 {
 		t.Fatalf("empty workload: %v, %d results", err, len(res.Results))
 	}
@@ -214,7 +214,7 @@ func FuzzBatchCacheEquivalence(f *testing.F) {
 		queries := batchWorkload(rng, g.Labels(), 1+int(count)%24, 3)
 		want := make([]int64, len(queries))
 		for i, q := range queries {
-			st, err := ref.ExecuteQuery(string(q))
+			st, err := executeQuery(ref, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func FuzzBatchCacheEquivalence(f *testing.F) {
 		}
 		w := 1 + int(workers)%8
 		for pass := 0; pass < 2; pass++ {
-			res, err := est.ExecuteBatch(queries, BatchOptions{Workers: w})
+			res, err := executeBatch(est, queries, BatchOptions{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}

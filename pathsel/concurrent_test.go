@@ -64,7 +64,7 @@ func newConcurrentHarness(t *testing.T, joinWorkers, traceLen int, seed int64) *
 		if _, ok := h.want[q]; ok {
 			continue
 		}
-		st, err := ref.ExecuteQuery(q)
+		st, err := executeQuery(ref, q)
 		if err != nil {
 			t.Fatalf("reference execution of %q: %v", q, err)
 		}
@@ -113,7 +113,7 @@ func TestConcurrentQueriesSharedCache(t *testing.T) {
 					defer wg.Done()
 					for i := w; i < len(h.trace); i += goroutines {
 						q := h.trace[i]
-						st, err := h.est.ExecuteQuery(q)
+						st, err := executeQuery(h.est, q)
 						if err != nil {
 							errs <- fmt.Errorf("query %q: %w", q, err)
 							return
@@ -144,9 +144,9 @@ func TestConcurrentQueriesSharedCache(t *testing.T) {
 // replays — and asserts exactness and cache accounting both ways.
 func TestConcurrentBatchAndQueryMix(t *testing.T) {
 	h := newConcurrentHarness(t, 2, 240, 7)
-	batch := make([]Query, 0, 40)
+	batch := make([]string, 0, 40)
 	for _, q := range h.trace[:40] {
-		batch = append(batch, Query(q))
+		batch = append(batch, q)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -154,7 +154,7 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := h.est.ExecuteBatch(batch, BatchOptions{Workers: 2})
+			res, err := executeBatch(h.est, batch, BatchOptions{Workers: 2})
 			if err != nil {
 				errs <- err
 				return
@@ -164,7 +164,7 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 					errs <- fmt.Errorf("batch worker %d, query %q: %w", w, r.Query, r.Err)
 					return
 				}
-				if want := h.want[string(r.Query)]; r.Result != want {
+				if want := h.want[r.Query]; r.Result != want {
 					errs <- fmt.Errorf("batch worker %d, query %q: result %d, want %d", w, r.Query, r.Result, want)
 					return
 				}
@@ -177,7 +177,7 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < len(h.trace); i += 4 {
 				q := h.trace[i]
-				st, err := h.est.ExecuteQuery(q)
+				st, err := executeQuery(h.est, q)
 				if err != nil {
 					errs <- fmt.Errorf("query %q: %w", q, err)
 					return
@@ -233,7 +233,7 @@ func TestConcurrentCacheEvictionChurn(t *testing.T) {
 		q := strings.Join(parts, "/")
 		trace[i] = q
 		if _, ok := want[q]; !ok {
-			st, err := ref.ExecuteQuery(q)
+			st, err := executeQuery(ref, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +249,7 @@ func TestConcurrentCacheEvictionChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < len(trace); i++ {
 				q := trace[(i+rng.Intn(len(trace)))%len(trace)]
-				st, err := est.ExecuteQuery(q)
+				st, err := executeQuery(est, q)
 				if err != nil {
 					errs <- fmt.Errorf("query %q: %w", q, err)
 					return

@@ -91,10 +91,11 @@ func translateCtxErr(err error) error {
 }
 
 // newQueryCanceller bridges a context into the execution layer's
-// canceller. An already-dead context cancels synchronously (the bridge's
-// watcher goroutine alone would leave a scheduling window in which the
-// execution could start), so a pre-cancelled query deterministically
-// never touches the graph.
+// canceller. An already-dead context cancels synchronously (the bridge is
+// a context.AfterFunc registration, whose function runs on its own
+// goroutine even when the context is already done — alone that would
+// leave a scheduling window in which the execution could start), so a
+// pre-cancelled query deterministically never touches the graph.
 func newQueryCanceller(ctx context.Context) (*exec.Canceller, func()) {
 	canc, release := exec.NewCancellerContext(ctx)
 	if err := ctx.Err(); err != nil {

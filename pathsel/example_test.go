@@ -2,6 +2,7 @@ package pathsel_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -99,4 +100,109 @@ func ExampleEstimator_Save() {
 	}
 	fmt.Printf("%s synopsis, %.0f\n", compact.Ordering(), e)
 	// Output: sum-based synopsis, 2
+}
+
+// ExampleEstimator_Compile compiles a regular path query once and asks the
+// handle everything: the length bounds of what it matches, the histogram
+// estimate (bag semantics: a pair reached by two matching paths counts
+// twice), and the executed answer (set semantics), which agrees with the
+// enumerated-expansion ground truth.
+func ExampleEstimator_Compile() {
+	g := buildExampleGraph()
+	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 14})
+	if err != nil {
+		log.Fatal(err)
+	}
+	x, err := est.Compile("*/likes/*?")
+	if err != nil {
+		log.Fatal(err)
+	}
+	st, err := x.ExecuteCtx(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	exact, err := g.TruePatternSelectivity(x.Pattern())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("lengths [%d,%d], estimate %.0f, result %d, exact %d\n",
+		x.MinLen(), x.MaxLen(), x.Estimate(), st.Result, exact)
+	fmt.Println(st.Plan.Description)
+	// Output:
+	// lengths [2,3], estimate 8, result 7, exact 7
+	// rpq ((0|1) ⋈ forward ⋈ (0|1)?)
+}
+
+// ExampleExpr_Plan shows the optimizer's view of one query: the estimated
+// cost of every zig-zag start the choice was made over, beside the work
+// the chosen plan actually did. With singleton buckets the estimates are
+// exact, so the chosen start's estimated cost is the executed Work.
+func ExampleExpr_Plan() {
+	g := buildExampleGraph()
+	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 14})
+	if err != nil {
+		log.Fatal(err)
+	}
+	x, err := est.Compile("knows/likes/knows")
+	if err != nil {
+		log.Fatal(err)
+	}
+	plan := x.Plan()
+	for start, cost := range plan.Costs {
+		fmt.Printf("start %d: estimated cost %.0f\n", start, cost)
+	}
+	st, err := x.ExecuteCtx(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("chose %s (start %d): work %d, result %d\n",
+		plan.Description, plan.Start, st.Work, st.Result)
+	// Output:
+	// start 0: estimated cost 7
+	// start 1: estimated cost 6
+	// start 2: estimated cost 6
+	// chose zigzag@1 (start 1): work 6, result 1
+}
+
+// ExampleEstimator_ExecuteExprBatchCtx runs a compiled workload twice on
+// an estimator with a segment-relation cache (Config.CacheBytes): the
+// first pass materializes and publishes (and already adopts what its
+// queries share), the second answers every query by a whole-query hit —
+// same results, no intermediate work.
+func ExampleEstimator_ExecuteExprBatchCtx() {
+	g := buildExampleGraph()
+	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 14, CacheBytes: 1 << 20})
+	if err != nil {
+		log.Fatal(err)
+	}
+	var xs []*pathsel.Expr
+	for _, q := range []string{"knows/likes", "knows/likes/knows", "likes/knows", "knows/likes"} {
+		x, err := est.Compile(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		xs = append(xs, x)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		res, err := est.ExecuteExprBatchCtx(context.Background(), xs, pathsel.BatchOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		var work int64
+		whole := 0
+		for _, r := range res.Results {
+			if r.Err != nil {
+				log.Fatal(r.Err)
+			}
+			work += r.Work
+			if r.CacheHits > 0 && r.Work == 0 {
+				whole++
+			}
+		}
+		fmt.Printf("pass %d: work %d, whole-query hits %d/%d, %s = %d\n",
+			pass, work, whole, len(xs), res.Results[1].Query, res.Results[1].Result)
+	}
+	// Output:
+	// pass 1: work 10, whole-query hits 2/4, knows/likes/knows = 1
+	// pass 2: work 0, whole-query hits 4/4, knows/likes/knows = 1
 }

@@ -4,9 +4,10 @@
 // the histogram domain arranged by a configurable ordering method (the
 // contribution of Yakovets et al., "Histogram Domain Ordering for Path
 // Selectivity Estimation", EDBT 2018). Beyond estimation it exposes the
-// end-to-end loop the paper motivates: PlanQuery chooses among a query's
-// zig-zag join plans from histogram estimates, and ExecuteQuery carries
-// the chosen plan out on the hybrid execution engine.
+// end-to-end loop the paper motivates: Compile chooses among a query's
+// zig-zag join plans from histogram estimates (Expr.Plan shows the
+// choice), and Expr.ExecuteCtx carries the chosen plan out on the hybrid
+// execution engine.
 //
 // Typical use:
 //
@@ -38,14 +39,15 @@
 //
 // Knobs (Config): Workers is the goroutine count of every parallel stage
 // (≤ 0 means GOMAXPROCS) — the census, where workers are not capped at
-// the label count, and ExecuteQuery's join steps, which shard source rows
-// across the same work-stealing substrate (internal/sched).
+// the label count, and Expr.ExecuteCtx's join steps, which shard source
+// rows across the same work-stealing substrate (internal/sched).
 // DensityThreshold is the sparse→dense promotion point as a fraction of
 // |V| in (0, 1] (≤ 0 selects the 1/32 default; ≥ 1 keeps every row
-// sparse); it governs both the census and ExecuteQuery's join relations.
-// The census subtree split granularity (paths.CensusOptions.SplitPairs,
-// default 128 pairs) is fixed at its default here. Every setting produces
-// bit-identical results — these are performance knobs only.
+// sparse); it governs both the census and Expr.ExecuteCtx's join
+// relations. The census subtree split granularity
+// (paths.CensusOptions.SplitPairs, default 128 pairs) is fixed at its
+// default here. Every setting produces bit-identical results — these are
+// performance knobs only.
 package pathsel
 
 import (
@@ -213,9 +215,9 @@ type Config struct {
 	// means GOMAXPROCS): the census — a work-stealing scheduler that
 	// splits label-trie subtrees at any depth, so worker counts above the
 	// label count still help on skewed label distributions — and
-	// ExecuteQuery's join steps, which shard each intermediate relation's
-	// source rows across the same scheduling substrate. Results are
-	// bit-identical at every setting. GOMAXPROCS is re-read at use time
+	// Expr.ExecuteCtx's join steps, which shard each intermediate
+	// relation's source rows across the same scheduling substrate. Results
+	// are bit-identical at every setting. GOMAXPROCS is re-read at use time
 	// (sched.WorkerCount), and each layer clamps the count to the most
 	// tasks its workload can produce — asking for more workers than a
 	// graph has shardable rows configures nothing but idle goroutines,
@@ -229,8 +231,8 @@ type Config struct {
 	// sparse. Purely a performance knob — results are identical at any
 	// setting.
 	DensityThreshold float64
-	// BushyPlans widens PlanQuery/ExecuteQuery's search from the k linear
-	// zig-zag plans to the full bushy plan-tree space: a dynamic program
+	// BushyPlans widens Compile's plan search from the k linear zig-zag
+	// plans to the full bushy plan-tree space: a dynamic program
 	// enumerates every way to split the query into independently built
 	// segments joined pairwise (relation×relation), costing interior
 	// segments from the histogram, and falls back to the best zig-zag
@@ -240,20 +242,20 @@ type Config struct {
 	BushyPlans bool
 	// CacheBytes, when > 0, gives the estimator a persistent
 	// segment-relation cache of that byte budget (internal/relcache):
-	// every ExecuteQuery and ExecuteBatch call then reuses label-segment
-	// relations materialized by earlier queries instead of recomputing
-	// them, trading memory for workload throughput. The cache is bound
-	// to this estimator's graph. 0 leaves every execution, single or
-	// batched, uncached. Caching never changes results —
-	// adopted relations are bit-identical to recomputed ones — though
+	// every Expr.ExecuteCtx and ExecuteExprBatchCtx call then reuses
+	// label-segment relations materialized by earlier queries instead of
+	// recomputing them, trading memory for workload throughput. The cache
+	// is bound to this estimator's graph. 0 leaves every execution, single
+	// or batched, uncached. Caching never changes results — adopted
+	// relations are bit-identical to recomputed ones — though
 	// with BushyPlans set it can change which plan is chosen (cached
 	// segments cost nothing to build, so warm workloads favor bushy
 	// joins of reusable segments).
 	CacheBytes int64
 	// CacheShards is the cache's shard count (≤ 0 selects an
-	// 8-shard default). Shards bound lock contention when ExecuteBatch
-	// runs queries concurrently; each shard owns an equal slice of
-	// CacheBytes.
+	// 8-shard default). Shards bound lock contention when
+	// ExecuteExprBatchCtx runs queries concurrently; each shard owns an
+	// equal slice of CacheBytes.
 	CacheShards int
 
 	// QueryTimeout, when > 0, bounds each executed query's wall-clock
@@ -284,9 +286,9 @@ type Config struct {
 	// DegradeToEstimate turns rejected and killed queries into degraded
 	// answers instead of errors: when a query is refused by the
 	// admission gate or aborted mid-flight (deadline, budget, context
-	// cancellation), ExecuteQuery returns the rounded histogram estimate
-	// in ExecStats.Result with ExecStats.Degraded set and the typed
-	// cause in ExecStats.DegradedBy, and a nil error. Execution
+	// cancellation), Expr.ExecuteCtx returns the rounded histogram
+	// estimate in ExecStats.Result with ExecStats.Degraded set and the
+	// typed cause in ExecStats.DegradedBy, and a nil error. Execution
 	// *failures* (a contained panic, ErrExecutionFailed) still error:
 	// degradation is for resource policy, not for masking bugs.
 	DegradeToEstimate bool
@@ -336,10 +338,11 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 		return nil, err
 	}
 	e := &Estimator{gr: gr, ph: ph, census: census, cfg: cfg}
-	// One relation pool for the estimator's lifetime: every ExecuteQuery /
-	// ExecuteBatch draws its materialized relations here and releases them
-	// on completion and on every abort path, so cancelled queries leave no
-	// orphaned buffers behind (and warm workloads stop allocating).
+	// One relation pool for the estimator's lifetime: every
+	// Expr.ExecuteCtx / ExecuteExprBatchCtx draws its materialized
+	// relations here and releases them on completion and on every abort
+	// path, so cancelled queries leave no orphaned buffers behind (and
+	// warm workloads stop allocating).
 	e.pool = exec.NewRelPool(gr.NumVertices(), cfg.DensityThreshold)
 	if cfg.CacheBytes > 0 {
 		e.cache = relcache.New(relcache.Options{MaxBytes: cfg.CacheBytes, Shards: cfg.CacheShards})
@@ -426,5 +429,5 @@ func (e *Estimator) DomainSize() int64 { return e.census.Size() }
 func (e *Estimator) Labels() []string { return e.gr.Labels() }
 
 // MaxPathLength returns the build-time length bound k: the longest
-// query Estimate/ExecuteQuery accept.
+// query Estimate and Compile accept.
 func (e *Estimator) MaxPathLength() int { return e.cfg.MaxPathLength }

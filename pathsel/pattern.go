@@ -7,23 +7,6 @@ import "repro/internal/paths"
 // (and summation-based estimation loses meaning anyway).
 const maxPatternExpansions = 10000
 
-// EstimatePattern estimates the total selectivity of an RPQ pattern
-// (the full Compile grammar: wildcards `*`, alternations `(a|b)`,
-// optionals `d?`, bounded repetitions `e{1,3}`) under bag semantics: a
-// vertex pair connected by two distinct matching paths counts twice.
-// It routes through the compiled DAG — patterns whose expansion count
-// exceeds maxPatternExpansions are estimated from the DAG plan's
-// independence model instead of failing, so cost scales with the
-// expression, not the cross product. For the exact set-semantics
-// answer, see TruePatternSelectivity.
-func (e *Estimator) EstimatePattern(pattern string) (float64, error) {
-	x, err := e.Compile(pattern)
-	if err != nil {
-		return 0, err
-	}
-	return x.Estimate(), nil
-}
-
 // TruePatternSelectivity evaluates a pattern exactly under set semantics:
 // the number of distinct vertex pairs connected by at least one matching
 // path. It enumerates the pattern's concrete expansions (bounded by
@@ -39,7 +22,7 @@ func (gr *Graph) TruePatternSelectivity(pattern string) (int64, error) {
 
 // TruePatternBagSelectivity evaluates a pattern exactly under bag
 // semantics (the sum of the distinct expansions' selectivities) — the
-// quantity EstimatePattern approximates.
+// quantity Expr.Estimate approximates.
 func (gr *Graph) TruePatternBagSelectivity(pattern string) (int64, error) {
 	ps, err := gr.patternExpansions(pattern)
 	if err != nil {

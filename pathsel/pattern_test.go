@@ -85,7 +85,7 @@ func TestEstimatePatternExactBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pattern := range []string{"knows", "*", "knows|likes/knows", "*/*"} {
-		e, err := est.EstimatePattern(pattern)
+		e, err := estimatePattern(est, pattern)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +105,10 @@ func TestEstimatePatternErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := est.EstimatePattern("*/*/*"); err == nil || !strings.Contains(err.Error(), "MaxPathLength") {
+	if _, err := estimatePattern(est, "*/*/*"); err == nil || !strings.Contains(err.Error(), "MaxPathLength") {
 		t.Fatalf("over-length pattern should error on MaxPathLength, got %v", err)
 	}
-	if _, err := est.EstimatePattern("zzz"); err == nil {
+	if _, err := estimatePattern(est, "zzz"); err == nil {
 		t.Fatal("unknown label should error")
 	}
 }

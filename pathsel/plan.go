@@ -145,31 +145,6 @@ func (e *Estimator) queryPlan(dp *exec.DagPlan) QueryPlan {
 	return qp
 }
 
-// PlanQuery chooses among the query's join plans using this estimator's
-// histogram, without executing anything: for a concrete path the
-// zig-zag/bushy choice with the estimated cost of every candidate start
-// so the caller can inspect the margin, for an RPQ pattern the planned
-// DAG fold. It is a compile-per-call wrapper over Compile + Expr.Plan.
-func (e *Estimator) PlanQuery(q string) (QueryPlan, error) {
-	x, err := e.Compile(q)
-	if err != nil {
-		return QueryPlan{}, err
-	}
-	return x.Plan(), nil
-}
-
-// ExecuteQuery compiles q (any RPQ pattern, see Compile) and executes it
-// once under a background context: string sugar over Compile +
-// Expr.ExecuteCtx, which documents the execution. Repeated queries
-// should compile once and execute the handle.
-func (e *Estimator) ExecuteQuery(q string) (ExecStats, error) {
-	x, err := e.Compile(q)
-	if err != nil {
-		return ExecStats{}, err
-	}
-	return x.ExecuteCtx(context.Background())
-}
-
 // ExecPolicy is a per-call degradation policy, layered on top of the
 // estimator-wide Config knobs by callers whose willingness to pay for
 // exact answers varies request to request — a serving tier under load

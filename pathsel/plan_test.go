@@ -22,7 +22,7 @@ func TestPlanQueryShape(t *testing.T) {
 	_, est := planTestEstimator(t)
 	labels := est.gr.Labels()
 	q := strings.Join([]string{labels[0], labels[1], labels[0]}, "/")
-	plan, err := est.PlanQuery(q)
+	plan, err := planQuery(est, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestExecuteQueryMatchesTrueSelectivity(t *testing.T) {
 		labels[1] + "/" + labels[0] + "/" + labels[1],
 	}
 	for _, q := range queries {
-		st, err := est.ExecuteQuery(q)
+		st, err := executeQuery(est, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestExecuteQueryHonorsDensityThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 		labels := g.Labels()
-		st, err := est.ExecuteQuery(labels[0] + "/" + labels[1] + "/" + labels[0])
+		st, err := executeQuery(est, labels[0]+"/"+labels[1]+"/"+labels[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,14 +129,14 @@ func TestBushyPlansMatchLinear(t *testing.T) {
 		labels[0] + "/" + labels[1] + "/" + labels[0] + "/" + labels[1],
 	}
 	for _, q := range queries {
-		lp, err := lin.PlanQuery(q)
+		lp, err := planQuery(lin, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if lp.Tree != nil {
 			t.Fatalf("query %q: linear config surfaced a plan tree", q)
 		}
-		bp, err := bushy.PlanQuery(q)
+		bp, err := planQuery(bushy, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,11 +155,11 @@ func TestBushyPlansMatchLinear(t *testing.T) {
 		if bp.Tree.IsLeaf() && bp.Start != bp.Tree.Start {
 			t.Fatalf("query %q: leaf tree start %d != plan start %d", q, bp.Tree.Start, bp.Start)
 		}
-		lst, err := lin.ExecuteQuery(q)
+		lst, err := executeQuery(lin, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bst, err := bushy.ExecuteQuery(q)
+		bst, err := executeQuery(bushy, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,15 +178,15 @@ func TestBushyPlansMatchLinear(t *testing.T) {
 
 func TestPlanQueryErrors(t *testing.T) {
 	_, est := planTestEstimator(t)
-	if _, err := est.PlanQuery("no-such-label"); err == nil {
+	if _, err := planQuery(est, "no-such-label"); err == nil {
 		t.Fatal("unknown label should error")
 	}
 	labels := est.gr.Labels()
 	long := strings.Join([]string{labels[0], labels[0], labels[0], labels[0]}, "/")
-	if _, err := est.PlanQuery(long); err == nil {
+	if _, err := planQuery(est, long); err == nil {
 		t.Fatal("over-length query should error")
 	}
-	if _, err := est.ExecuteQuery(""); err == nil {
+	if _, err := executeQuery(est, ""); err == nil {
 		t.Fatal("empty query should error")
 	}
 }

@@ -75,10 +75,10 @@ func TestTypedSentinels(t *testing.T) {
 	if _, err := e.Estimate("a/b/a"); !errors.Is(err, ErrPathTooLong) {
 		t.Errorf("Estimate too long: %v, want ErrPathTooLong", err)
 	}
-	if _, err := e.ExecuteQuery("a/b/a"); !errors.Is(err, ErrPathTooLong) {
+	if _, err := executeQuery(e, "a/b/a"); !errors.Is(err, ErrPathTooLong) {
 		t.Errorf("ExecuteQuery too long: %v, want ErrPathTooLong", err)
 	}
-	if _, err := e.EstimatePattern("a/b/*"); !errors.Is(err, ErrPathTooLong) {
+	if _, err := estimatePattern(e, "a/b/*"); !errors.Is(err, ErrPathTooLong) {
 		t.Errorf("EstimatePattern too long: %v, want ErrPathTooLong", err)
 	}
 	if _, err := gr.TruePatternSelectivity("a/qqq"); !errors.Is(err, ErrUnknownLabel) {
@@ -135,7 +135,7 @@ func TestQueryTimeout(t *testing.T) {
 	defer faultinject.Uninstall()
 
 	e := robustEstimator(t, Config{Workers: 2, QueryTimeout: 3 * time.Millisecond})
-	if _, err := e.ExecuteQuery("a/b/a"); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := executeQuery(e, "a/b/a"); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("timed-out query: %v, want ErrDeadlineExceeded", err)
 	}
 	if n := e.pool.InUse(); n != 0 {
@@ -143,7 +143,7 @@ func TestQueryTimeout(t *testing.T) {
 	}
 
 	e.cfg.DegradeToEstimate = true
-	st, err := e.ExecuteQuery("a/b/a")
+	st, err := executeQuery(e, "a/b/a")
 	if err != nil {
 		t.Fatalf("degraded query errored: %v", err)
 	}
@@ -167,16 +167,16 @@ func TestAdmissionGate(t *testing.T) {
 	// Single-label queries have no join steps (estimated cost 0) and must
 	// pass the plan-cost gate; multi-label queries on this dense graph
 	// estimate far above 0.5 and must be refused without execution.
-	if _, err := e.ExecuteQuery("a"); err != nil {
+	if _, err := executeQuery(e, "a"); err != nil {
 		t.Fatalf("single-label query refused: %v", err)
 	}
-	_, err := e.ExecuteQuery("a/b/a")
+	_, err := executeQuery(e, "a/b/a")
 	if !errors.Is(err, ErrAdmissionDenied) {
 		t.Fatalf("expensive query: %v, want ErrAdmissionDenied", err)
 	}
 
 	e.cfg.DegradeToEstimate = true
-	st, err := e.ExecuteQuery("a/b/a")
+	st, err := executeQuery(e, "a/b/a")
 	if err != nil {
 		t.Fatalf("degraded admission errored: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestAdmissionGate(t *testing.T) {
 
 func TestResultByteBudget(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 2, MaxResultBytes: 64})
-	_, err := e.ExecuteQuery("a/b/a")
+	_, err := executeQuery(e, "a/b/a")
 	// The byte budget can trip at admission (histogram projection) or at
 	// runtime (an actual relation outgrowing it); both are policy kills.
 	if !errors.Is(err, ErrAdmissionDenied) && !errors.Is(err, ErrBudgetExceeded) {
@@ -215,7 +215,7 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 		PanicValue: "injected shard failure",
 	}))
 	defer faultinject.Uninstall()
-	_, err := e.ExecuteQuery("a/b/a")
+	_, err := executeQuery(e, "a/b/a")
 	if !errors.Is(err, ErrExecutionFailed) {
 		t.Fatalf("panicked query: %v, want ErrExecutionFailed", err)
 	}
@@ -224,7 +224,7 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 	}
 	// The estimator must stay serviceable after the contained failure.
 	faultinject.Uninstall()
-	st, err := e.ExecuteQuery("a/b/a")
+	st, err := executeQuery(e, "a/b/a")
 	if err != nil || st.Degraded {
 		t.Fatalf("follow-up query after contained panic: %+v, %v", st, err)
 	}
@@ -236,13 +236,13 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 // a complete BatchResult.
 func TestExecuteExprBatchCtxCancel(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 1})
-	queries := make([]Query, 40)
+	queries := make([]string, 40)
 	for i := range queries {
-		queries[i] = Query([]string{"a/b/a", "b/a/b", "a/a/b"}[i%3])
+		queries[i] = []string{"a/b/a", "b/a/b", "a/a/b"}[i%3]
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every entry must be refused deterministically
-	xs, err := e.compileAll(queries)
+	xs, err := compileAll(e, queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,13 +269,13 @@ func TestExecuteExprBatchCtxCancel(t *testing.T) {
 // Err.
 func TestExecuteBatchPerQueryIsolation(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 1, MaxPlanCost: 0.5})
-	queries := Queries("a", "a/b/a", "b", "b/a/b", "a/b")
-	res, err := e.ExecuteBatch(queries, BatchOptions{Workers: 2})
+	queries := []string{"a", "a/b/a", "b", "b/a/b", "a/b"}
+	res, err := executeBatch(e, queries, BatchOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res.Results {
-		long := len(string(r.Query)) > 1
+		long := len(r.Query) > 1
 		switch {
 		case long && !errors.Is(r.Err, ErrAdmissionDenied):
 			t.Fatalf("result %d (%s): Err = %v, want ErrAdmissionDenied", i, r.Query, r.Err)
@@ -283,7 +283,7 @@ func TestExecuteBatchPerQueryIsolation(t *testing.T) {
 			t.Fatalf("result %d (%s): Err = %v, want nil", i, r.Query, r.Err)
 		}
 		if !long {
-			want, terr := e.gr.TrueSelectivity(string(r.Query))
+			want, terr := e.gr.TrueSelectivity(r.Query)
 			if terr != nil {
 				t.Fatal(terr)
 			}
@@ -333,7 +333,7 @@ func TestExecPolicyBrownout(t *testing.T) {
 
 	// Zero policy: bit-identical to the plain call, on paths and RPQs.
 	for _, q := range []string{"a/b/a", "a/(a|b)/a"} {
-		plain, err := e.ExecuteQuery(q)
+		plain, err := executeQuery(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +358,7 @@ func TestExecPolicyBrownout(t *testing.T) {
 
 	// Batch-wide policy: expensive entries degrade with nil Err, cheap
 	// entries stay exact.
-	res, err := e.ExecuteBatch(Queries("a", "a/b/a"), BatchOptions{Policy: pol})
+	res, err := executeBatch(e, []string{"a", "a/b/a"}, BatchOptions{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}

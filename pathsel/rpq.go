@@ -185,9 +185,8 @@ func (gr *Graph) patternExpansions(pattern string) ([]paths.Path, error) {
 // replans against its current state (warm segments steer plan choice)
 // from the estimates Compile retained — it never reparses and never asks
 // the histogram again — and every other execution runs Compile's plan as
-// is. The string
-// entry points (ExecuteQuery, PlanQuery, EstimatePattern,
-// ExecuteBatch) are thin wrappers that compile per call.
+// is. Compile is the one way to ask: Estimate and Plan read what it
+// decided, ExecuteCtx, ExecuteCtxPolicy and ExecuteExprBatchCtx run it.
 type Expr struct {
 	est     *Estimator
 	pattern string

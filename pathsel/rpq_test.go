@@ -142,7 +142,7 @@ func TestExprExecuteMatchesTrueSelectivity(t *testing.T) {
 					}
 				}
 				// The string entry point answers identically.
-				st, err := est.ExecuteQuery(p)
+				st, err := executeQuery(est, p)
 				if err != nil {
 					t.Fatalf("ExecuteQuery(%q): %v", p, err)
 				}
@@ -164,12 +164,12 @@ func TestExecuteExprBatchMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]Query, 16)
+	queries := make([]string, 16)
 	xs := make([]*Expr, len(queries))
 	want := make([]int64, len(queries))
 	for i := range queries {
 		p := randomRPQPattern(rng, g.Labels(), 4)
-		queries[i] = Query(p)
+		queries[i] = p
 		x, err := est.Compile(p)
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", p, err)
@@ -184,7 +184,7 @@ func TestExecuteExprBatchMatchesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, err := est.ExecuteBatch(queries, BatchOptions{Workers: workers})
+		sr, err := executeBatch(est, queries, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestCompileEstimateMatchesEstimatePattern(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Compile(%q): %v", tc.pattern, err)
 		}
-		got, err := est.EstimatePattern(tc.pattern)
+		got, err := estimatePattern(est, tc.pattern)
 		if err != nil {
 			t.Fatal(err)
 		}
