@@ -535,13 +535,29 @@ func BenchmarkExecEngines(b *testing.B) {
 	}
 }
 
+// serveMixedGraph is the graph of bench/'s serve_mixed workload (SNAP-FF at
+// scale 0.25), generated once for the executor-layer benchmarks below: the
+// layer numbers the frozen bench/ reports only inside exec.run_us.
+var serveMixedGraph = sync.OnceValue(func() *graph.CSR {
+	return dataset.Generate(dataset.Table3()[3], 0.25, 1).Freeze()
+})
+
+// benchPlan times exec.Run of one hand-built plan on one worker, pooled.
+func benchPlan(b *testing.B, g *graph.CSR, pool *exec.RelPool, plan *exec.DagPlan) {
+	for i := 0; i < b.N; i++ {
+		if _, _, err := exec.Run(g, plan, exec.Options{Workers: 1, Pool: pool}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkElementBase times the base relation of a multi-label element —
 // the union of the label relations under an alternation (pair) or a
-// wildcard — on the graph of bench/'s serve_mixed workload, as exec.Run of
-// a single-element plan: the layer number of the executor's fill, which
-// the frozen bench/ reports only inside exec.run_us.
+// wildcard — as exec.Run of a single-element plan: counted when it is all
+// of the plan, and built (kept/) when the caller keeps it, which is what a
+// plan's first element still pays.
 func BenchmarkElementBase(b *testing.B) {
-	g := dataset.Generate(dataset.Table3()[3], 0.25, 1).Freeze() // SNAP-FF
+	g := serveMixedGraph()
 	all := make([]int, g.NumLabels())
 	for l := range all {
 		all[l] = l
@@ -553,12 +569,51 @@ func BenchmarkElementBase(b *testing.B) {
 	}{{"pair", all[:2]}, {"wildcard", all}} {
 		plan := &exec.DagPlan{Blocks: []exec.DagBlockPlan{
 			{Lo: 0, Hi: 1, Elem: exec.RPQElem{Labels: c.labels, MinRep: 1, MaxRep: 1}}}}
-		b.Run(c.name, func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
+		b.Run("kept/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := exec.Run(g, plan, exec.Options{Workers: 1, Pool: pool}); err != nil {
+				rel, _, err := exec.Run(g, plan, exec.Options{Workers: 1, Pool: pool, KeepResult: true})
+				if err != nil {
 					b.Fatal(err)
 				}
+				pool.Put(rel)
 			}
 		})
+	}
+}
+
+// BenchmarkFoldThrough times the fold's step through a label set — the
+// block after a non-empty prefix that is read from the graph instead of
+// built and joined: `1/(2|3)` (alt), `1/2?` (optional, with its skip
+// union) and `(2|3)/1` (label, a one-label run after an element).
+func BenchmarkFoldThrough(b *testing.B) {
+	g := serveMixedGraph()
+	pool := exec.NewRelPool(g.NumVertices(), 0)
+	label := exec.RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 1}
+	alt := exec.RPQElem{Labels: []int{1, 2}, MinRep: 1, MaxRep: 1}
+	zero := exec.Planner{Est: exec.EstimatorFunc(func(paths.Path) float64 { return 0 })}
+	for _, c := range []struct {
+		name  string
+		elems []exec.RPQElem
+	}{
+		{"alt", []exec.RPQElem{label, alt}},
+		{"optional", []exec.RPQElem{label, {Labels: []int{1}, MinRep: 0, MaxRep: 1}}},
+		{"label", []exec.RPQElem{alt, label}},
+	} {
+		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices(), false)
+		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
+	}
+}
+
+// BenchmarkLeafFirstStep times a length-2 concrete miss, whose only step is
+// the one that reads its start label from the graph: rightward from the
+// forward CSR (right), leftward from the reverse CSR (left).
+func BenchmarkLeafFirstStep(b *testing.B) {
+	g := serveMixedGraph()
+	pool := exec.NewRelPool(g.NumVertices(), 0)
+	p := paths.Path{0, 1}
+	for start, name := range []string{"right", "left"} {
+		plan := exec.PathPlan(p, &exec.PlanTree{Lo: 0, Hi: len(p), Start: start})
+		b.Run(name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
 	}
 }

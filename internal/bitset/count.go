@@ -57,26 +57,25 @@ func (c *Count) addRow(count, sparseMax, words int) {
 // cancel flag stops it like ComposeInto, with a partial count the caller
 // must discard.
 func (h *HybridRelation) ComposeCount(op CSROperand, scr *ComposeScratch) Count {
-	return h.ComposeShardCount(op, scr, 0, len(h.active))
+	return h.ComposeShardCount([]CSROperand{op}, scr, 0, len(h.active))
 }
 
-// ComposeShardCount is ComposeCount over the rows of h's active-source
-// slice in index positions [lo, hi) — the count form of ComposeShardInto.
-// Shards share nothing but the read-only operands, so they run
-// concurrently (each with its own scratch) and merge with Count.Add.
-func (h *HybridRelation) ComposeShardCount(op CSROperand, scr *ComposeScratch, lo, hi int) Count {
-	if op.N != h.n {
-		panic(fmt.Sprintf("bitset: operand universe %d != relation universe %d", op.N, h.n))
-	}
+// ComposeShardCount measures h ∘ (⋃ ops) over the rows of h's
+// active-source slice in index positions [lo, hi) — the count form of
+// ComposeShardInto. Shards share nothing but the read-only operands, so
+// they run concurrently (each with its own scratch) and merge with
+// Count.Add.
+func (h *HybridRelation) ComposeShardCount(ops []CSROperand, scr *ComposeScratch, lo, hi int) Count {
+	checkOperands(h.n, ops)
 	h.checkShard(lo, hi)
 	var c Count
 	for _, s := range h.active[lo:hi] {
 		row := &h.rows[s]
 		var count int
 		if row.dense {
-			count = denseRowCompose(row.words, op, scr.wideWords())
+			count = denseRowCompose(row.words, ops, scr.wideWords())
 		} else {
-			count = scr.scatterSparse(row.ids, op)
+			count = scr.scatterSparse(row.ids, ops)
 			scr.reset()
 		}
 		if count > 0 {

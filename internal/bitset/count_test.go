@@ -61,7 +61,7 @@ func FuzzCountEquivalence(f *testing.F) {
 		h.ComposeInto(want, op, scr)
 		assertCounts(t, "compose", h.ComposeCount(op, scr), want)
 		assertShardCounts(t, "compose", nact, ns, want, func(lo, hi int) Count {
-			return h.ComposeShardCount(op, scr, lo, hi)
+			return h.ComposeShardCount([]CSROperand{op}, scr, lo, hi)
 		})
 
 		h.JoinInto(want, r, scr)
@@ -121,6 +121,43 @@ func TestCountCancelWithinOneWindow(t *testing.T) {
 		flag.Set()
 		if c := count(scr); c.Sources > cancelCheckInterval {
 			t.Fatalf("%s: cancelled count ran %d rows, more than one poll window", name, c.Sources)
+		}
+	}
+}
+
+// TestComposeThroughCancelWithinOneWindow pins the same abort latency for
+// the kernels that read a label from the graph — a step through a label
+// set and a leaf's first step, built and counted, and the counted base.
+func TestComposeThroughCancelWithinOneWindow(t *testing.T) {
+	// The single-target rows of TestCountCancelWithinOneWindow, under two
+	// labels that agree, so a window is again cancelCheckInterval rows.
+	n := 3 * cancelCheckInterval
+	op := CSROperand{N: n, Offsets: make([]int32, n+1), Targets: make([]int32, n)}
+	for v := 0; v < n; v++ {
+		op.Offsets[v+1] = int32(v + 1)
+		op.Targets[v] = int32((v + 1) % n)
+	}
+	ops := []CSROperand{op, op}
+	h, dst := HybridFromCSR(op, 1), NewHybrid(n, 1)
+	built := func(srcs []int32, pairs int64) Count { return Count{Sources: len(srcs), Pairs: pairs} }
+	for name, run := range map[string]func(*ComposeScratch) Count{
+		"through":         func(scr *ComposeScratch) Count { return built(h.ComposeShardInto(dst, ops, scr, 0, n, nil)) },
+		"through counted": func(scr *ComposeScratch) Count { return h.ComposeShardCount(ops, scr, 0, n) },
+		"first":           func(scr *ComposeScratch) Count { return built(op.ComposeShardInto(dst, op, scr, 0, n, nil)) },
+		"first counted":   func(scr *ComposeScratch) Count { return op.ComposeShardCount(op, scr, n, 0, n) },
+		"base counted":    func(scr *ComposeScratch) Count { return UnionCSRCount(ops, scr, n) },
+	} {
+		scr := NewComposeScratch(n)
+		var flag CancelFlag
+		scr.SetCancel(&flag)
+		dst.Reset()
+		if c := run(scr); c.Sources != n || c.Pairs != int64(n) {
+			t.Fatalf("%s: uncancelled run %+v, want %d rows of one pair", name, c, n)
+		}
+		flag.Set()
+		dst.Reset()
+		if c := run(scr); c.Sources > cancelCheckInterval {
+			t.Fatalf("%s: cancelled run went on for %d rows, more than one poll window", name, c.Sources)
 		}
 	}
 }

@@ -19,12 +19,14 @@
 //     (ComposeInto, ReverseInto reuse capacity), and the compose kernels
 //     are specialized per representation — sparse rows scatter through a
 //     label's CSR adjacency (CSROperand), dense rows union precomputed
-//     successor bit sets word-parallel. Executor operations (Reverse,
-//     UnionWith, Equal) live in hybridops.go. Every row kernel is an
-//     accumulate step followed by an emit step; the count forms
-//     (ComposeCount, JoinCount and their shard variants, count.go) run
-//     the accumulate step alone, for callers that read only the size of
-//     a relation they would drop.
+//     successor bit sets word-parallel, under one label or through the
+//     union of several (ComposeUnionInto), from the rows of a relation or
+//     straight from a label's CSR (CSROperand.ComposeInto, composecsr.go).
+//     Executor operations (Reverse, UnionWith, Equal) live in
+//     hybridops.go. Every row kernel is an accumulate step followed by an
+//     emit step; the count forms (ComposeCount, JoinCount and their shard
+//     variants, count.go; UnionCSRCount) run the accumulate step alone,
+//     for callers that read only the size of a relation they would drop.
 //
 // Knobs: the density threshold, set per relation at construction
 // (NewHybrid, HybridFromCSR) as a fraction of the vertex universe |V|.

@@ -23,6 +23,11 @@ type CSROperand struct {
 	Offsets []int32 // len N+1; Targets[Offsets[v]:Offsets[v+1]] = successors of v, ascending
 	Targets []int32
 	Dense   []*Set // per-source dense rows; nil entries mean "no successors"
+	// Sources is the number of vertices with at least one successor — what
+	// the operand's relation reports as Sources(), known without a pass.
+	// graph.CSR fills it in; no kernel reads it. It sizes the sharding of a
+	// step whose left rows are the operand's own (ComposeShardInto).
+	Sources int
 }
 
 // OutDegree returns the number of successors of v in the operand.
@@ -146,32 +151,11 @@ func (h *HybridRelation) setRow(v int, ts []int32) {
 // operand's universe must equal h's. A raised cancel flag leaves h
 // holding a partial union the caller must discard.
 func (h *HybridRelation) FillUnionCSR(ops []CSROperand, scr *ComposeScratch) {
-	for _, op := range ops {
-		if op.N != h.n {
-			panic(fmt.Sprintf("bitset: operand universe %d != relation universe %d", op.N, h.n))
-		}
-	}
+	checkOperands(h.n, ops)
 	h.Reset()
-	offs, tgts, rest := ops[0].Offsets, ops[0].Targets, ops[1:]
+	offs, tgts := ops[0].Offsets, ops[0].Targets
 	for v := 0; v < h.n; v++ {
-		// first is the one contributing row seen so far; it is scattered,
-		// and dropped, only once a second one shows up.
-		first := tgts[offs[v]:offs[v+1]]
-		count := len(first)
-		for i := range rest {
-			ts := rest[i].Targets[rest[i].Offsets[v]:rest[i].Offsets[v+1]]
-			switch {
-			case len(ts) == 0:
-			case count == 0:
-				first, count = ts, len(ts)
-			case first != nil:
-				scr.begin()
-				count = scr.scatter(first) + scr.scatter(ts)
-				first = nil
-			default:
-				count += scr.scatter(ts)
-			}
-		}
+		first, count := scr.unionRow(tgts[offs[v]:offs[v+1]], ops[1:], v)
 		if count == 0 {
 			continue
 		}
@@ -187,6 +171,32 @@ func (h *HybridRelation) FillUnionCSR(ops []CSROperand, scr *ComposeScratch) {
 			return
 		}
 	}
+}
+
+// unionRow is the accumulate half of one row of a label-set base: given
+// vertex v's successors under the first operand, it gathers those under
+// the rest and returns the count of them all. A row only one operand
+// contributes to is returned as first, that operand's own target list, with
+// the accumulator untouched; once a second one shows up everything is
+// scattered, first is nil, and the caller resets the accumulator after
+// reading the row.
+func (scr *ComposeScratch) unionRow(first []int32, rest []CSROperand, v int) ([]int32, int) {
+	count := len(first)
+	for i := range rest {
+		ts := rest[i].Targets[rest[i].Offsets[v]:rest[i].Offsets[v+1]]
+		switch {
+		case len(ts) == 0:
+		case count == 0:
+			first, count = ts, len(ts)
+		case first != nil:
+			scr.begin()
+			count = scr.scatter(first) + scr.scatter(ts)
+			first = nil
+		default:
+			count += scr.scatter(ts)
+		}
+	}
+	return first, count
 }
 
 // Universe returns the vertex-universe size n.
@@ -333,39 +343,47 @@ func (scr *ComposeScratch) scatter(ts []int32) int {
 }
 
 // scatterSparse is the sparse×CSR kernel: for each intermediate vertex t in
-// the sorted id list, scatter t's CSR adjacency into the accumulator.
-// Returns the number of distinct targets accumulated. Cost is
-// O(Σ_t deg(t)), independent of |V|.
-func (scr *ComposeScratch) scatterSparse(ids []int32, op CSROperand) int {
+// the sorted id list, scatter t's CSR adjacency under every operand into
+// the accumulator — one operand is a compose step, several compose through
+// the union of their labels. Returns the number of distinct targets
+// accumulated. Cost is O(Σ_op Σ_t deg_op(t)), independent of |V|.
+func (scr *ComposeScratch) scatterSparse(ids []int32, ops []CSROperand) int {
 	count := 0
 	scr.begin()
-	for _, t := range ids {
-		count += scr.scatter(op.Targets[op.Offsets[t]:op.Offsets[t+1]])
+	for i := range ops {
+		offs, tgts := ops[i].Offsets, ops[i].Targets
+		for _, t := range ids {
+			count += scr.scatter(tgts[offs[t]:offs[t+1]])
+		}
 	}
 	return count
 }
 
 // denseRowCompose is the dense×CSR kernel: for each set bit t of the dense
-// source row, union t's dense successor set into out word-parallel. out may
-// hold stale data — the first union overwrites it in full (copy), so no
-// pre-clearing is needed. Returns the population count of out, or 0 when no
-// bit had successors (out is then untouched garbage and must be ignored).
-func denseRowCompose(src []uint64, op CSROperand, out []uint64) int {
+// source row, union t's dense successor set under every operand into out
+// word-parallel. out may hold stale data — the first union overwrites it in
+// full (copy), so no pre-clearing is needed. Returns the population count
+// of out, or 0 when no bit had successors (out is then untouched garbage
+// and must be ignored).
+func denseRowCompose(src []uint64, ops []CSROperand, out []uint64) int {
 	first := true
-	for wi, w := range src {
-		for w != 0 {
-			t := wi*wordBits + bits.TrailingZeros64(w)
-			w &= w - 1
-			d := op.Dense[t]
-			if d == nil {
-				continue
-			}
-			if first {
-				copy(out, d.words)
-				first = false
-			} else {
-				for i, dw := range d.words {
-					out[i] |= dw
+	for i := range ops {
+		dense := ops[i].Dense
+		for wi, w := range src {
+			for w != 0 {
+				t := wi*wordBits + bits.TrailingZeros64(w)
+				w &= w - 1
+				d := dense[t]
+				if d == nil {
+					continue
+				}
+				if first {
+					copy(out, d.words)
+					first = false
+				} else {
+					for i, dw := range d.words {
+						out[i] |= dw
+					}
 				}
 			}
 		}
@@ -373,8 +391,13 @@ func denseRowCompose(src []uint64, op CSROperand, out []uint64) int {
 	if first {
 		return 0
 	}
+	return popcount(out)
+}
+
+// popcount returns the number of set bits in words.
+func popcount(words []uint64) int {
 	count := 0
-	for _, w := range out {
+	for _, w := range words {
 		count += bits.OnesCount64(w)
 	}
 	return count
@@ -435,23 +458,43 @@ func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 // distinct-pair count of dst. h and dst must be distinct objects over the
 // same universe as op.
 func (h *HybridRelation) ComposeInto(dst *HybridRelation, op CSROperand, scr *ComposeScratch) int64 {
+	return h.ComposeUnionInto(dst, []CSROperand{op}, scr)
+}
+
+// ComposeUnionInto composes h through a label set: h ∘ (⋃ ops) into dst,
+//
+//	(s, u) ∈ dst  ⇔  ∃t, op ∈ ops: (s, t) ∈ h ∧ u ∈ op.successors(t)
+//
+// in one pass over h's rows, each accumulating under every operand before
+// it is emitted once — the union of the operands' relations is never
+// built. Because a row's form depends on its final count alone, dst is
+// bit-identical to JoinInto against FillUnionCSR of the same operands. The
+// contract is ComposeInto's; there must be at least one operand.
+func (h *HybridRelation) ComposeUnionInto(dst *HybridRelation, ops []CSROperand, scr *ComposeScratch) int64 {
 	// The whole is the [0, n) shard, its sources appended straight into
 	// dst's own active list. A raised cancel flag leaves dst holding a
 	// partial composition the caller must discard; the caller's
 	// cancellation cause says why.
 	dst.Reset()
-	dst.active, dst.pairs = h.ComposeShardInto(dst, op, scr, 0, len(h.active), dst.active)
+	dst.active, dst.pairs = h.ComposeShardInto(dst, ops, scr, 0, len(h.active), dst.active)
 	return dst.pairs
 }
 
-// checkCompose validates the shared preconditions of ComposeInto and
+// checkCompose validates the shared preconditions of ComposeUnionInto and
 // ComposeShardInto.
-func (h *HybridRelation) checkCompose(dst *HybridRelation, op CSROperand) {
-	if op.N != h.n {
-		panic(fmt.Sprintf("bitset: operand universe %d != relation universe %d", op.N, h.n))
-	}
+func (h *HybridRelation) checkCompose(dst *HybridRelation, ops []CSROperand) {
+	checkOperands(h.n, ops)
 	if dst == h {
 		panic("bitset: compose aliasing dst == receiver")
+	}
+}
+
+// checkOperands panics unless every operand is over an n-vertex universe.
+func checkOperands(n int, ops []CSROperand) {
+	for i := range ops {
+		if ops[i].N != n {
+			panic(fmt.Sprintf("bitset: operand universe %d != relation universe %d", ops[i].N, n))
+		}
 	}
 }
 
@@ -462,7 +505,7 @@ func (h *HybridRelation) checkShard(lo, hi int) {
 	}
 }
 
-// composeRow computes row s of h ∘ op into dst.rows[s] — accumulate with
+// composeRow computes row s of h ∘ (⋃ ops) into dst.rows[s] — accumulate with
 // the kernel matching s's representation, then emit — and returns the
 // row's target count (0 leaves dst.rows[s] in its Reset state, possibly
 // with dirty dense words that the count field marks as garbage). A dense
@@ -470,20 +513,20 @@ func (h *HybridRelation) checkShard(lo, hi int) {
 // a dense result is emitted without a copy. It touches nothing of dst but
 // the one row, so calls on distinct rows may run concurrently against a
 // shared dst as long as each caller owns its scratch.
-func (h *HybridRelation) composeRow(dst *HybridRelation, op CSROperand, scr *ComposeScratch, s int32) int {
+func (h *HybridRelation) composeRow(dst *HybridRelation, ops []CSROperand, scr *ComposeScratch, s int32) int {
 	row := &h.rows[s]
 	if row.dense {
 		drow := &dst.rows[s]
 		if drow.words == nil {
 			drow.words = make([]uint64, len(scr.words))
 		}
-		count := denseRowCompose(row.words, op, drow.words)
+		count := denseRowCompose(row.words, ops, drow.words)
 		if count > 0 {
 			emitWordsRow(dst, s, count, drow.words)
 		}
 		return count
 	}
-	count := scr.scatterSparse(row.ids, op)
+	count := scr.scatterSparse(row.ids, ops)
 	if count > 0 {
 		scr.emitRow(dst, s, count)
 	}
@@ -491,9 +534,9 @@ func (h *HybridRelation) composeRow(dst *HybridRelation, op CSROperand, scr *Com
 	return count
 }
 
-// ComposeShardInto composes one shard of h ∘ op — the rows of h's
+// ComposeShardInto composes one shard of h ∘ (⋃ ops) — the rows of h's
 // active-source slice in index positions [lo, hi) — into dst's row array.
-// It is the partitioned form of ComposeInto for parallel execution:
+// It is the partitioned form of ComposeUnionInto for parallel execution:
 // shards with disjoint [lo, hi) ranges may run concurrently against the
 // same dst (each with its own scratch) because every row is written by
 // exactly one shard. dst must have been Reset by the coordinator first,
@@ -501,13 +544,13 @@ func (h *HybridRelation) composeRow(dst *HybridRelation, op CSROperand, scr *Com
 // the produced sources are appended to buf and returned with the shard's
 // pair count, for the coordinator to merge deterministically with
 // AdoptShard in ascending shard order.
-func (h *HybridRelation) ComposeShardInto(dst *HybridRelation, op CSROperand, scr *ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
-	h.checkCompose(dst, op)
+func (h *HybridRelation) ComposeShardInto(dst *HybridRelation, ops []CSROperand, scr *ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
+	h.checkCompose(dst, ops)
 	h.checkShard(lo, hi)
 	buf = buf[:0]
 	var pairs int64
 	for _, s := range h.active[lo:hi] {
-		count := h.composeRow(dst, op, scr, s)
+		count := h.composeRow(dst, ops, scr, s)
 		if count > 0 {
 			buf = append(buf, s)
 			pairs += int64(count)

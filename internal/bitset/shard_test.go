@@ -69,7 +69,7 @@ func TestComposeShardMatchesCompose(t *testing.T) {
 				bounds := shardBounds(h.Sources(), shards)
 				scr := NewComposeScratch(n)
 				for i := 0; i < shards; i++ {
-					srcs, pairs := h.ComposeShardInto(dst, opB, scr, bounds[i], bounds[i+1], nil)
+					srcs, pairs := h.ComposeShardInto(dst, []CSROperand{opB}, scr, bounds[i], bounds[i+1], nil)
 					dst.AdoptShard(srcs, pairs)
 				}
 				assertIdentical(t, "sequential shards", dst, want)
@@ -107,7 +107,7 @@ func TestComposeShardConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					srcs[i], pairs[i] = h.ComposeShardInto(dst, opB, NewComposeScratch(n),
+					srcs[i], pairs[i] = h.ComposeShardInto(dst, []CSROperand{opB}, NewComposeScratch(n),
 						bounds[i], bounds[i+1], nil)
 				}()
 			}
@@ -138,7 +138,7 @@ func TestComposeShardReusedDestination(t *testing.T) {
 		dst.Reset()
 		bounds := shardBounds(h.Sources(), 3)
 		for i := 0; i < 3; i++ {
-			srcs, pairs := h.ComposeShardInto(dst, opB, scr, bounds[i], bounds[i+1], nil)
+			srcs, pairs := h.ComposeShardInto(dst, []CSROperand{opB}, scr, bounds[i], bounds[i+1], nil)
 			dst.AdoptShard(srcs, pairs)
 		}
 		assertIdentical(t, "reused dst", dst, want)
@@ -155,5 +155,5 @@ func TestComposeShardBadRange(t *testing.T) {
 			t.Fatal("out-of-range shard should panic")
 		}
 	}()
-	h.ComposeShardInto(dst, op, NewComposeScratch(32), 0, h.Sources()+1, nil)
+	h.ComposeShardInto(dst, []CSROperand{op}, NewComposeScratch(32), 0, h.Sources()+1, nil)
 }

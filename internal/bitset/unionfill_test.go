@@ -79,7 +79,8 @@ func assertBitIdentical(t *testing.T, ctx string, got, want *HybridRelation) {
 // chain it replaced — a fill from the first label and a UnionWith per
 // further label — for label sets of every size, operands with empty rows
 // and with no edges at all, all three threshold regimes, and a pooled
-// destination still dirty from another relation.
+// destination still dirty from another relation — and its count form to
+// what it builds.
 func FuzzUnionFillEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3), uint16(200), uint8(0))
 	f.Add(int64(2), uint8(200), uint8(8), uint16(900), uint8(1))
@@ -112,6 +113,7 @@ func FuzzUnionFillEquivalence(f *testing.F) {
 			// first, then from the previous label set.
 			got.FillUnionCSR(ops[:size], scr)
 			assertBitIdentical(t, "union fill", got, want)
+			assertCounts(t, "union count", UnionCSRCount(ops[:size], scr, got.sparseMax), want)
 			if len(scr.touched) != 0 || slices.ContainsFunc(scr.words, func(w uint64) bool { return w != 0 }) {
 				t.Fatalf("%d labels: accumulator left dirty", size)
 			}

@@ -49,6 +49,28 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 	}
 }
 
+// operandShapes returns the plan shapes whose steps read a label from the
+// graph and nothing else: the two length-2 leaves whose only step is the
+// first one, rightward and leftward, and two plans whose fold composes
+// through a label set — an alternation, and an optional label with its
+// skip union followed by a one-label run.
+func operandShapes(t *testing.T, g *graph.CSR) []planShape {
+	p := paths.Path{0, 1}
+	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
+	isDense := func(rel *bitset.HybridRelation) bool { return oracle.EqualRelation(rel, dense) }
+	shapes := []planShape{{"first-right", startPlan(p, 0), isDense}, {"first-left", startPlan(p, 1), isDense}}
+	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	// A two-label prefix is large enough on this graph that the steps
+	// through the label sets shard.
+	for name, d := range map[string]*RPQDag{
+		"through-alt":      {Elems: []RPQElem{label(0), label(1), {Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}}},
+		"through-optional": {Elems: []RPQElem{label(0), label(1), {Labels: []int{1}, MinRep: 0, MaxRep: 1}, label(0)}},
+	} {
+		shapes = append(shapes, planShape{name, zeroPlan(g, d), expansionUnion(t, g, d, Options{}).Equal})
+	}
+	return shapes
+}
+
 // wildcardShape is the single-element `*` plan: one multi-label base and
 // no step boundary, so the only kernel a cancellation can land in is the
 // one-pass fill of the base.
@@ -87,8 +109,10 @@ func armFault(r faultinject.Rule) func(*Options, *Canceller) func() {
 }
 
 // contractCases returns the abort table for a shape whose uncached run
-// crosses the given number of exec.step boundaries.
-func contractCases(boundaries, workers int) []abortCase {
+// crosses the given number of exec.step boundaries, runs the given number
+// of sharded kernel tasks, and does or does not draw a relation from the
+// pool.
+func contractCases(boundaries, shards int, draws bool) []abortCase {
 	cases := []abortCase{
 		{name: "pre-cancelled",
 			arm:  func(_ *Options, c *Canceller) func() { c.Cancel(nil); return func() {} },
@@ -97,13 +121,15 @@ func contractCases(boundaries, workers int) []abortCase {
 			// The canceller fires as the pool hands out the execution's
 			// first relation: after Run's entry check and before the base's
 			// first row, so it is the kernel filling the base that has to
-			// notice — no step boundary may follow to catch it.
+			// notice — no step boundary may follow to catch it. A shape that
+			// draws none (a counted base) has nowhere for this to land.
 			arm: func(opt *Options, c *Canceller) func() {
 				mk := opt.Pool.free.New
 				opt.Pool.free.New = func() *bitset.HybridRelation { c.Cancel(nil); return mk() }
 				return func() {}
 			},
-			want: func(err error) bool { return errors.Is(err, ErrCancelled) }},
+			want:     func(err error) bool { return errors.Is(err, ErrCancelled) },
+			survives: !draws},
 		{name: "deadline",
 			// An injected delay at every step boundary makes a short
 			// context deadline expire mid-query.
@@ -127,7 +153,21 @@ func contractCases(boundaries, workers int) []abortCase {
 			want: func(err error) bool {
 				return isPanicError(err) && errors.Is(err, sched.ErrStopped)
 			},
-			survives: workers == 1 || boundaries == 0},
+			survives: shards < 2},
+		{name: "deadline-mid-shard",
+			// One shard of the first sharded step sleeps past the deadline
+			// and then runs its kernel with the flag already up: it is the
+			// row loop's own poll that has to stop it.
+			arm: func(opt *Options, _ *Canceller) func() {
+				faultinject.Install(faultinject.NewInjector(faultinject.Rule{
+					Site: "exec.shard", Count: 1, Action: faultinject.ActDelay, Delay: 10 * time.Millisecond}))
+				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+				canc, release := NewCancellerContext(ctx)
+				opt.Cancel = canc
+				return func() { release(); cancel(); faultinject.Uninstall() }
+			},
+			want:     func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) },
+			survives: shards == 0},
 	}
 	// A caller-goroutine panic at each step boundary in turn: leaf
 	// steps, join-node boundaries (both children built and live), power
@@ -142,9 +182,11 @@ func contractCases(boundaries, workers int) []abortCase {
 }
 
 // TestContractEveryPlanShape pins the one execution contract on every
-// plan shape: {zig-zag, bushy, DAG, wildcard} × {result kept, result
-// counted} × {pre-cancelled, cancelled mid-base, deadline, budget, shard
-// panic, step panic at each boundary} × workers {1, 4}. An aborted
+// plan shape: {zig-zag, bushy, DAG, first step rightward and leftward,
+// through an alternation and an optional label, wildcard} × {result kept,
+// result counted} × {pre-cancelled, cancelled mid-base, deadline at a step
+// boundary and inside a shard, budget, shard panic, step panic at each
+// boundary} × workers {1, 4}. An aborted
 // execution returns its typed error and a nil relation, with every pooled
 // relation released and every goroutine gone; a survivor that keeps its
 // result is
@@ -153,10 +195,10 @@ func contractCases(boundaries, workers int) []abortCase {
 // nothing, and crossed the same step boundaries to the same answer.
 func TestContractEveryPlanShape(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
-	for _, sh := range append(contractShapes(t, g), wildcardShape(t, g)) {
+	for _, sh := range append(append(contractShapes(t, g), operandShapes(t, g)...), wildcardShape(t, g)) {
 		for _, workers := range []int{1, 4} {
 			var kept Stats
-			boundaries := 0
+			boundaries, shards := 0, 0
 			for _, keep := range []bool{true, false} {
 				// A survival run under a never-triggering rule counts the
 				// shape's step boundaries and checks the survivor.
@@ -164,6 +206,8 @@ func TestContractEveryPlanShape(t *testing.T) {
 				faultinject.Install(inj)
 				opt, pool, _ := checkedOptions(g.NumVertices(), workers)
 				opt.KeepResult = keep
+				draws, mk := false, pool.free.New
+				pool.free.New = func() *bitset.HybridRelation { draws = true; return mk() }
 				rel, st, err := Run(g, sh.plan, opt)
 				faultinject.Uninstall()
 				if keep {
@@ -171,13 +215,13 @@ func TestContractEveryPlanShape(t *testing.T) {
 						t.Fatalf("%s workers=%d: survivor err=%v, %d relations in use, want the oracle's relation and 1",
 							sh.name, workers, err, pool.InUse())
 					}
-					kept, boundaries = st, inj.Visits("exec.step")
+					kept, boundaries, shards = st, inj.Visits("exec.step"), inj.Visits("exec.shard")
 				} else if err != nil || rel != nil || pool.InUse() != 0 ||
 					st.Result != kept.Result || inj.Visits("exec.step") != boundaries {
 					t.Fatalf("%s workers=%d: counted survivor err=%v relation=%t result=%d over %d steps with %d relations in use, want no relation, %d over %d steps and 0",
 						sh.name, workers, err, rel != nil, st.Result, inj.Visits("exec.step"), pool.InUse(), kept.Result, boundaries)
 				}
-				for _, ac := range contractCases(boundaries, workers) {
+				for _, ac := range contractCases(boundaries, shards, draws) {
 					t.Run(fmt.Sprintf("%s/keep=%t/%s/workers=%d", sh.name, keep, ac.name, workers), func(t *testing.T) {
 						base := runtime.NumGoroutine()
 						opt, pool, c := checkedOptions(g.NumVertices(), workers)

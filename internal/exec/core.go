@@ -29,9 +29,10 @@ type core struct {
 	opt Options
 	n   int // vertex universe of the executing graph
 
-	// limit is the sparse promotion limit an adoptable cache entry must
-	// carry; with n it pins the representation regime, so adoption is
-	// bit-identical to recomputation no matter what the cache holds.
+	// limit is the sparse promotion limit of every relation the execution
+	// builds, and the one an adoptable cache entry must carry; with n it
+	// pins the representation regime, so adoption is bit-identical to
+	// recomputation no matter what the cache holds.
 	limit int
 
 	workers int
@@ -59,11 +60,9 @@ type core struct {
 // newCore returns the execution state for one call. It is a value so
 // that an execution that never forks keeps it on the caller's stack.
 func newCore(g *graph.CSR, opt Options) core {
-	x := core{g: g, opt: opt, n: g.NumVertices(), workers: sched.WorkerCount(opt.Workers)}
-	if opt.Cache != nil {
-		x.limit = bitset.SparseLimit(x.n, opt.DensityThreshold)
-	}
-	return x
+	n := g.NumVertices()
+	return core{g: g, opt: opt, n: n, limit: bitset.SparseLimit(n, opt.DensityThreshold),
+		workers: sched.WorkerCount(opt.Workers)}
 }
 
 // fork returns the state for one side of a concurrent join: the same
@@ -124,9 +123,9 @@ func (x *core) eachLive(fn func(*bitset.HybridRelation)) {
 	}
 }
 
-// drop releases one live relation back to the pool.
+// drop releases one live relation back to the pool; nil is no relation.
 func (x *core) drop(rel *bitset.HybridRelation) {
-	if x.opt.Pool == nil {
+	if x.opt.Pool == nil || rel == nil {
 		return
 	}
 	for i, r := range x.held[:x.nheld] {
@@ -149,11 +148,12 @@ func (x *core) drop(rel *bitset.HybridRelation) {
 
 // price enforces Options.MaxResultBytes against one relation the
 // execution hands out, at clone size (content bytes, the measure the
-// relation cache accounts by). A nil relation is the counted root, priced
-// at the clone size the count kernel worked out for the relation it did
-// not build — the same number, so counting never moves the budget
-// boundary. Over budget it cancels the execution's canceller — so sibling
-// subtree builds abort too — and returns ErrBudgetExceeded.
+// relation cache accounts by). A nil relation is one that was counted, not
+// built — the root's final step, or a leaf's start label, whose relation
+// the first step reads from the graph — priced at the clone size the count
+// kernel worked out for it: the same number, so counting never moves the
+// budget boundary. Over budget it cancels the execution's canceller — so
+// sibling subtree builds abort too — and returns ErrBudgetExceeded.
 func (x *core) price(rel *bitset.HybridRelation) error {
 	if x.opt.MaxResultBytes <= 0 {
 		return nil
@@ -180,18 +180,20 @@ func (x *core) counts(seg paths.Path) bool {
 	return !x.opt.KeepResult && (x.opt.Cache == nil || len(seg) < 2)
 }
 
-// fill makes dst the union of the labels' edge relations — the base
-// every plan grows from — and prices it. Single-label relations are
-// near-verbatim CSR copies, which is why the cache never holds them, and
-// every concrete miss starts with one, which is why they keep the tighter
-// loop of their own; a label set's is one pass over the vertices that
-// polls the canceller like any step's kernel, and a cancelled pass leaves
-// a partial base that is never priced.
+// fill makes dst the union of the labels' edge relations — the base a
+// plan grows from where there is no relation yet to compose through: a
+// single-label query, a plan's first element, an element after a prefix
+// that may still be empty or one that is unrolled — and prices it. A nil
+// dst counts the base instead (the root's only element, kept by nobody),
+// into x.counted. Single-label relations are near-verbatim CSR copies,
+// which is why the cache never holds them; a label set's is one pass over
+// the vertices that polls the canceller like any step's kernel, and a
+// cancelled pass leaves a partial base that is never priced.
 func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
-	if len(labels) == 1 {
-		dst.FillFromCSR(x.g.LabelOperand(labels[0]))
+	if len(labels) == 1 && dst != nil {
+		dst.FillFromCSR(x.g.LabelCSR(labels[0]))
 	} else {
-		x.stepper().base(x.g, labels, dst)
+		x.counted = x.stepper().base(x.g, labels, dst)
 	}
 	if err := x.opt.Cancel.Err(); err != nil {
 		return err
@@ -202,7 +204,7 @@ func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
 // stepper returns the core's stepper, building it on first use.
 func (x *core) stepper() *stepper {
 	if x.stp == nil {
-		x.stp = newStepper(x.n, x.workers)
+		x.stp = newStepper(x.n, x.limit, x.workers)
 		x.stp.setCancel(x.opt.Cancel.Flag())
 	}
 	return x.stp
@@ -281,22 +283,39 @@ func (x *core) step(seg paths.Path, reversed bool, dst *bitset.HybridRelation, c
 
 // compose is the compute of a compose step cur ∘ op: built into dst, or
 // counted into x.counted when dst is nil.
-func (x *core) compose(cur, dst *bitset.HybridRelation, op bitset.CSROperand) (err error) {
-	if dst == nil {
-		x.counted, err = x.stepper().composeCount(cur, op)
-		return err
-	}
-	return x.stepper().compose(cur, dst, op)
+func (x *core) compose(cur, dst *bitset.HybridRelation, op bitset.CSROperand) error {
+	x.stepper().compose(cur, op)
+	return x.run(dst)
+}
+
+// first is the compute of a leaf's first step a ∘ op, the rows of a — the
+// start label's relation — read from the graph instead of from a copy.
+func (x *core) first(a bitset.CSROperand, dst *bitset.HybridRelation, op bitset.CSROperand) error {
+	x.stepper().first(a, op)
+	return x.run(dst)
+}
+
+// through is the compute of a step through a label set, cur ∘ (⋃ labels):
+// the labels' relations are read from the graph, never united first.
+func (x *core) through(cur, dst *bitset.HybridRelation, labels []int) error {
+	x.stepper().through(x.g, cur, labels)
+	return x.run(dst)
 }
 
 // join is the compute of a join step l ∘ r: built into dst, or counted
 // into x.counted when dst is nil.
-func (x *core) join(l, dst, r *bitset.HybridRelation) (err error) {
+func (x *core) join(l, dst, r *bitset.HybridRelation) error {
+	x.stepper().join(l, r)
+	return x.run(dst)
+}
+
+// run carries out the step the stepper was just given.
+func (x *core) run(dst *bitset.HybridRelation) error {
+	c, err := x.stp.run(dst)
 	if dst == nil {
-		x.counted, err = x.stepper().joinCount(l, r)
-		return err
+		x.counted = c
 	}
-	return x.stepper().join(l, dst, r)
+	return err
 }
 
 // containPanics invokes fn, converting an escaping panic into the same

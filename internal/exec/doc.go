@@ -22,7 +22,10 @@
 // concurrently when the worker budget allows — and join them with the
 // sharded relation×relation kernel (bitset.JoinInto), and single complex
 // elements built by alternation-union and repetition-unroll; the blocks
-// fold left to right. A concrete path is the one-run case and a zig-zag
+// fold left to right, and a block that is one step from the graph — a
+// lone label, an alternation, a wildcard, an optional label — after a
+// prefix that cannot be empty is not built at all: the fold composes
+// through its label set (bitset.ComposeUnionInto). A concrete path is the one-run case and a zig-zag
 // plan is its leaf. The planner costs every candidate from a selectivity
 // estimator — each proper segment of a run asked once, into a table the
 // plan retains — and picks the cheapest: the best zig-zag start, or, bushy,
@@ -48,9 +51,11 @@
 //
 // Execution runs on the hybrid sparse/dense relation substrate
 // (bitset.HybridRelation): two pooled relations double-buffer through the
-// specialized sparse×CSR / dense×CSR compose kernels, rightward steps use
-// successor operands, leftward steps use predecessor operands on the
-// reversed relation, and every row adapts its representation per step.
+// specialized sparse×CSR / dense×CSR compose kernels, the first step
+// reading the start label's rows from the graph's CSR rather than from a
+// copy (bitset.CSROperand.ComposeInto), rightward steps use successor
+// operands, leftward steps use predecessor operands on the reversed
+// relation, and every row adapts its representation per step.
 // Each compose step is parallelized over the shared work-stealing
 // scheduler (internal/sched): the input relation's source rows are
 // partitioned into shards, composed concurrently into a shared

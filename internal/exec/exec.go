@@ -43,12 +43,16 @@ type Options struct {
 	// the canceller's cause (ErrCancelled, ErrDeadlineExceeded, or
 	// ErrBudgetExceeded).
 	Cancel *Canceller
-	// MaxResultBytes, when > 0, bounds every relation the execution
-	// materializes — single-label bases included — priced at clone size
-	// (content bytes). The first base, intermediate or result over the
-	// bound aborts the execution with
+	// MaxResultBytes, when > 0, bounds every relation the execution works
+	// on, priced at clone size (content bytes): the relations it
+	// materializes — bases, intermediates, the result — and the two it
+	// works out the price of without building them, a leaf's start label
+	// (read from the graph by the first step) and a counted result. The
+	// first one over the bound aborts the execution with
 	// ErrBudgetExceeded — the executable form of the paper's thesis that
-	// intermediate volume is what makes a path query expensive.
+	// intermediate volume is what makes a path query expensive. A label set
+	// the fold composes through has no relation and so no price; what it
+	// produces is priced like any step's output.
 	MaxResultBytes int64
 	// Pool, when non-nil, supplies every relation the execution
 	// materializes and reclaims them on completion and on every abort
@@ -73,15 +77,19 @@ type Options struct {
 type Stats struct {
 	// Intermediates holds the distinct-pair count of every relation
 	// entering a join step (the final result is Result). For zig-zag
-	// plans that is len(p)−1 entries in step order; for a bushy tree it
-	// is every materialized segment — each leaf's intermediates plus both
-	// inputs of each relation×relation join — in the executor's
-	// deterministic post-order. These are exactly the selectivities of
-	// the plan's interior segments, so estimating them well is estimating
-	// the plan's cost well.
+	// plans that is len(p)−1 entries in step order, the first the start
+	// label's frequency; for a bushy tree it is every segment that is an
+	// input — each leaf's intermediates plus both inputs of each
+	// relation×relation join — in the executor's deterministic post-order.
+	// A step through the graph has one such input: the fold records only
+	// the prefix for a block it composes through (a label set is not a
+	// relation), and both sides where it joins a block it had to build.
+	// These are exactly the selectivities of the plan's interior segments,
+	// so estimating them well is estimating the plan's cost well.
 	Intermediates []int64
 	// Work is the total intermediate volume Σ Intermediates — the cost a
-	// join-order optimizer tries to minimize.
+	// join-order optimizer tries to minimize, and what DagPlan.Cost
+	// estimates.
 	Work int64
 	// Result is |ℓ(G)|, identical for every plan.
 	Result int64
@@ -145,13 +153,15 @@ func (s *SchedStats) merge(o SchedStats) {
 // not a runtime failure). Execution is entirely on the hybrid sparse/dense
 // substrate: a zig-zag leaf double-buffers two pooled relations through the
 // specialized sparse×CSR / dense×CSR compose kernels, each row adapting its
-// representation per step; rightward steps compose with successor
-// operands, leftward steps reverse once and compose with predecessor
-// operands, so no step ever multiplies from the expensive side. A join
-// node builds its two segments independently — concurrently when the
-// worker budget allows, a failing side cancelling its sibling — and joins
-// them with the sharded relation×relation kernel; a plan of several blocks
-// folds them left to right (see rpq.go).
+// representation per step; its first step reads the start label's rows
+// from the graph, rightward steps compose with successor operands, leftward
+// steps work on the reversed relation with predecessor operands, so no
+// step ever multiplies from the expensive side. A join node builds its two
+// segments independently — concurrently when the worker budget allows, a
+// failing side cancelling its sibling — and joins them with the sharded
+// relation×relation kernel; a plan of several blocks folds them left to
+// right, composing through the blocks that are one step from the graph
+// (see rpq.go).
 //
 // Each step runs on Options.Workers work-stealing workers (default
 // GOMAXPROCS): the input relation's source rows are partitioned into
@@ -161,8 +171,8 @@ func (s *SchedStats) merge(o SchedStats) {
 //
 // Run is the checked contract: it consults Options.Cancel before and after
 // every join step (and wires its kernel flag into the compose scratches,
-// so cancellation lands mid-step too), prices every materialized relation
-// against Options.MaxResultBytes, and contains panics as typed errors. On
+// so cancellation lands mid-step too), prices every relation against
+// Options.MaxResultBytes, and contains panics as typed errors. On
 // error the returned relation is nil, every pooled relation has been
 // released back to Options.Pool, and the error matches ErrCancelled /
 // ErrDeadlineExceeded / ErrBudgetExceeded under errors.Is (or
@@ -172,9 +182,16 @@ func (s *SchedStats) merge(o SchedStats) {
 // reference stack) on a concrete path, and on a regular path query to the
 // union of the relations of every concrete path it expands to. The returned relation is nil unless Options.KeepResult is set.
 //
+// What is materialised is what some step reads as a relation: a
+// single-label query's answer, a plan's first element, an element after a
+// prefix that may still be empty, an unrolled element's base and powers,
+// and every step's output but a counted root's. What is not: the start
+// label of a leaf of length ≥ 2 and a label set after a non-empty prefix —
+// both read in place from the CSR — and a result nobody keeps.
 // Stats.Work counts every relation fed into a join step — a leaf's zig-zag
-// intermediates, both inputs of every join node and block-boundary join,
-// an element's unrolled powers — matching the planner's cost model: with an
+// intermediates, both inputs of every join node and of every
+// block-boundary join, the one input of a step through a label set, an
+// element's unrolled powers — matching the planner's cost model: with an
 // exact estimator and nothing cached, a concrete path's DagPlan.Cost equals
 // its executed Work.
 func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
@@ -184,30 +201,64 @@ func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stat
 }
 
 // leaf builds segment p with the zig-zag plan growing from position
-// start, double-buffering two relations through the core's stepper. A
-// root leaf that may count (see counts) counts its last step — the one
-// whose segment is all of p, in either direction — and returns no
-// relation.
+// start, double-buffering two relations through the core's stepper. The
+// start label's own relation is never built: the first step composes its
+// rows, read from the graph, with the neighbouring label — rightward from
+// the forward CSR, or, when start is the last position, leftward from the
+// reverse CSR, which is that relation already reversed. Its size, the first
+// recorded intermediate, is the label's frequency, and its price under a
+// budget is worked out from its row lengths (fill with no destination), so
+// nothing an execution reports can tell the relation was not there. A root
+// leaf that may count (see counts) counts its last step — the one whose
+// segment is all of p, in either direction — and returns no relation.
 func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation, error) {
-	cur, hit, err := x.whole(p)
+	buf, hit, err := x.whole(p)
 	if hit || err != nil {
-		return cur, err
+		return buf, err
 	}
-	if err := x.fill(cur, p[start:start+1]); err != nil || len(p) == 1 {
-		return cur, err
+	if len(p) == 1 {
+		return buf, x.fill(buf, p)
 	}
-	buf := x.take()
-	count := root && x.counts(p)
-	// grow runs one join step cur ∘ op → buf and swaps the buffers; cur
-	// is the finished segment seg's input, whose size is the step's
-	// recorded intermediate. The counted last step has no destination.
-	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
-		x.ints = append(x.ints, cur.Pairs())
-		dst := buf
-		if count && len(seg) == len(p) {
-			dst = nil
+	if x.opt.MaxResultBytes > 0 {
+		if err := x.fill(nil, p[start:start+1]); err != nil {
+			return nil, err
 		}
-		err := x.step(seg, reversed, dst, func() error { return x.compose(cur, dst, op) })
+	}
+	a := x.g.LabelCSR(p[start])
+	if start == len(p)-1 {
+		a = x.g.PredecessorCSR(p[start])
+	}
+	count := root && x.counts(p)
+	// cur is the segment grown so far, nil until the first step has run;
+	// spare returns the other buffer, taken when a second one is first
+	// needed — a length-2 segment is built with one.
+	var cur *bitset.HybridRelation
+	spare := func() *bitset.HybridRelation {
+		if buf == nil {
+			buf = x.take()
+		}
+		return buf
+	}
+	// grow runs one join step into the spare buffer and swaps the buffers:
+	// its input — a before the first step, cur after — is the finished
+	// segment whose size is the step's recorded intermediate. The counted
+	// last step has no destination.
+	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
+		var dst *bitset.HybridRelation
+		if !(count && len(seg) == len(p)) {
+			dst = spare()
+		}
+		in := int64(len(a.Targets))
+		if cur != nil {
+			in = cur.Pairs()
+		}
+		x.ints = append(x.ints, in)
+		err := x.step(seg, reversed, dst, func() error {
+			if cur == nil {
+				return x.first(a, dst, op)
+			}
+			return x.compose(cur, dst, op)
+		})
 		cur, buf = buf, cur
 		return err
 	}
@@ -226,8 +277,10 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 	// the orientation-canonical cache derives the forward form for the
 	// whole-segment fast path.
 	if start > 0 {
-		cur.ReverseInto(buf)
-		cur, buf = buf, cur
+		if cur != nil {
+			cur.ReverseInto(spare())
+			cur, buf = buf, cur
+		}
 		for i := start - 1; i >= 0; i-- {
 			if err := grow(p[i:], true, x.g.PredecessorOperand(p[i])); err != nil {
 				return nil, err
@@ -235,7 +288,7 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 		}
 		if !count {
 			// A counted result has no orientation to restore.
-			cur.ReverseInto(buf)
+			cur.ReverseInto(spare())
 			cur, buf = buf, cur
 		}
 	}

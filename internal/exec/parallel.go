@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
@@ -52,32 +54,41 @@ type shardTask struct{ idx int }
 type stepper struct {
 	sch     *sched.Scheduler[shardTask]
 	n       int
+	limit   int                      // the promotion limit of the relations the steps build
 	scratch []*bitset.ComposeScratch // lazily built, indexed by worker
 	cancel  *bitset.CancelFlag       // wired into every scratch; nil when unchecked
 
-	// Per-step state, written by the coordinator between Drain rounds and
-	// read by shard bodies during one. Exactly one of op / right is the
-	// step's right-hand operand: compose steps set op (relation×CSR),
-	// bushy join steps set right (relation×relation). A nil dst makes the
+	// The current step's operands, set by compose, first or join and dropped
+	// when run returns. The left side is the relation cur, or — cur nil —
+	// the rows of the CSR operand left, read in place (a leaf's first step).
+	// The right side is the relation right, or — right nil — the union of
+	// the label operands ops, a list in storage the stepper keeps across
+	// steps, so no step puts one on the heap.
+	cur, right *bitset.HybridRelation
+	left       bitset.CSROperand
+	ops        []bitset.CSROperand
+	one        [1]bitset.CSROperand // ops' first storage: a lone operand allocates nothing
+
+	// Per-round state of a sharded step, written by the coordinator between
+	// Drain rounds and read by shard bodies during one. A nil dst makes the
 	// step a counted one: shard bodies run the count kernels and park a
 	// bitset.Count instead of sources.
-	cur, dst *bitset.HybridRelation
-	op       bitset.CSROperand
-	right    *bitset.HybridRelation
-	bounds   []int          // shard i covers active positions [bounds[i], bounds[i+1])
-	srcs     [][]int32      // per-shard produced sources, reused across steps
-	pairs    []int64        // per-shard produced pair counts
-	counts   []bitset.Count // per-shard outcomes of a counted step
+	dst    *bitset.HybridRelation
+	bounds []int          // shard i covers items [bounds[i], bounds[i+1])
+	srcs   [][]int32      // per-shard produced sources, reused across steps
+	pairs  []int64        // per-shard produced pair counts
+	counts []bitset.Count // per-shard outcomes of a counted step
 }
 
-// newStepper returns a stepper for an n-vertex universe with
-// sched.WorkerCount(workers) workers, clamped to the most shards any step
-// over this universe can produce (n/minShardRows) — workers beyond that
-// could never hold a shard and would only idle, park, and add steal
-// scans. No goroutines or scratches are built until the first sharded
-// step.
-func newStepper(n, workers int) *stepper {
-	st := &stepper{n: n}
+// newStepper returns a stepper for relations over an n-vertex universe with
+// the given promotion limit, with sched.WorkerCount(workers) workers,
+// clamped to the most shards any step over this universe can produce
+// (n/minShardRows) — workers beyond that could never hold a shard and would
+// only idle, park, and add steal scans. No goroutines or scratches are
+// built until the first sharded step.
+func newStepper(n, limit, workers int) *stepper {
+	st := &stepper{n: n, limit: limit}
+	st.ops = st.one[:0]
 	w := sched.ClampWorkers(sched.WorkerCount(workers), n/minShardRows)
 	st.sch = sched.New(w, st.runShard)
 	st.scratch = make([]*bitset.ComposeScratch, st.sch.Workers())
@@ -110,111 +121,146 @@ func (st *stepper) setCancel(f *bitset.CancelFlag) {
 // counters snapshots the stepper's scheduler activity for Stats.
 func (st *stepper) counters() sched.Counters { return st.sch.Counters() }
 
-// runShard is the scheduler task body: it composes (or joins, when the
-// step's right-hand operand is a relation) the shard's row range into the
-// shared destination with the executing worker's scratch, parking the
-// produced sources and pair count in the shard's own slots.
-func (st *stepper) runShard(worker int, t shardTask) {
-	faultinject.Fire("exec.shard")
-	lo, hi := st.bounds[t.idx], st.bounds[t.idx+1]
-	switch {
-	case st.dst == nil && st.right != nil:
-		st.counts[t.idx] = st.cur.JoinShardCount(st.right, st.scr(worker), lo, hi)
-	case st.dst == nil:
-		st.counts[t.idx] = st.cur.ComposeShardCount(st.op, st.scr(worker), lo, hi)
-	case st.right != nil:
-		st.srcs[t.idx], st.pairs[t.idx] = st.cur.JoinShardInto(
-			st.dst, st.right, st.scr(worker), lo, hi, st.srcs[t.idx])
-	default:
-		st.srcs[t.idx], st.pairs[t.idx] = st.cur.ComposeShardInto(
-			st.dst, st.op, st.scr(worker), lo, hi, st.srcs[t.idx])
+// labelOps makes a label set the stepper's operand list: the CSR arrays
+// alone for a base, which only reads rows, the dual form for the right
+// side of a step.
+func (st *stepper) labelOps(g *graph.CSR, labels []int, dense bool) {
+	st.ops = slices.Grow(st.ops[:0], len(labels))
+	for _, l := range labels {
+		if dense {
+			st.ops = append(st.ops, g.LabelOperand(l))
+		} else {
+			st.ops = append(st.ops, g.LabelCSR(l))
+		}
 	}
 }
 
 // base fills dst with the union of the labels' edge relations — the base
 // of an alternation or wildcard — in one pass (bitset.FillUnionCSR) with
-// worker 0's scratch. It runs on the coordinator: a base is a copy at
+// worker 0's scratch, or, dst nil, measures it without building it
+// (bitset.UnionCSRCount). It runs on the coordinator: a base is a copy at
 // memory speed, the size of the graph and not of an intermediate, so it is
 // never sharded.
-func (st *stepper) base(g *graph.CSR, labels []int, dst *bitset.HybridRelation) {
-	// A constant capacity keeps the operand list on the stack: room for a
-	// wildcard over any of the paper's datasets (≤ 8 labels); a larger
-	// label set spills to the heap.
-	ops := make([]bitset.CSROperand, 0, 8)
-	for _, l := range labels {
-		ops = append(ops, g.LabelCSR(l)) // a base reads no dense successor sets
+func (st *stepper) base(g *graph.CSR, labels []int, dst *bitset.HybridRelation) (c bitset.Count) {
+	st.labelOps(g, labels, false)
+	if dst == nil {
+		return bitset.UnionCSRCount(st.ops, st.scr(0), st.limit)
 	}
-	dst.FillUnionCSR(ops, st.scr(0))
+	dst.FillUnionCSR(st.ops, st.scr(0))
+	return c
 }
 
-// compose runs one join step cur ∘ op → dst. Steps above the granularity
-// floor (enough active sources and enough pairs — shardGrain weighs both)
-// are partitioned into shards and composed in parallel, then merged
-// deterministically, so the result — rows, active order, and pair count —
-// is bit-identical to sequential ComposeInto. Small steps and 1-worker
-// configurations fall through to the sequential kernel without touching
-// the scheduler at all: parallelism is a performance decision per step,
-// never a semantic one.
-func (st *stepper) compose(cur, dst *bitset.HybridRelation, op bitset.CSROperand) error {
-	shards := shardGrain.Shards(cur.Sources(), cur.Pairs(), st.sch.Workers())
-	if shards <= 1 {
-		cur.ComposeInto(dst, op, st.scr(0))
-		return nil
-	}
-	st.op, st.right = op, nil
-	return st.runSharded(cur, dst, shards)
+// compose makes the next step the compose step cur ∘ op.
+func (st *stepper) compose(cur *bitset.HybridRelation, op bitset.CSROperand) {
+	st.cur, st.ops = cur, append(st.ops[:0], op)
 }
 
-// composeCount is compose for a step whose output is only counted
-// (bitset.ComposeCount): the same sharding decision and the same shard
-// bodies' accumulate work, but nothing is emitted, so there is no
-// destination and no merge — per-shard counts just add up.
-func (st *stepper) composeCount(cur *bitset.HybridRelation, op bitset.CSROperand) (bitset.Count, error) {
-	shards := shardGrain.Shards(cur.Sources(), cur.Pairs(), st.sch.Workers())
-	if shards <= 1 {
-		return cur.ComposeCount(op, st.scr(0)), nil
-	}
-	st.op, st.right = op, nil
-	return st.countSharded(cur, shards)
+// through makes the next step cur ∘ (⋃ labels), a step through a label
+// set: the compose kernel again, over several operands.
+func (st *stepper) through(g *graph.CSR, cur *bitset.HybridRelation, labels []int) {
+	st.cur = cur
+	st.labelOps(g, labels, true)
 }
 
-// join runs one bushy join step cur ∘ right → dst through the same
-// sharding machinery as compose, with the relation×relation kernel
-// (bitset.JoinShardInto) as the task body. The merge discipline is
-// identical, so the result is bit-identical to sequential JoinInto.
-func (st *stepper) join(cur, dst, right *bitset.HybridRelation) error {
-	shards := shardGrain.Shards(cur.Sources(), cur.Pairs(), st.sch.Workers())
-	if shards <= 1 {
-		cur.JoinInto(dst, right, st.scr(0))
-		return nil
-	}
-	st.right = right
-	return st.runSharded(cur, dst, shards)
+// first makes the next step a ∘ op with the rows of a read from the graph:
+// a leaf's first step, whose left relation is never built.
+func (st *stepper) first(a, op bitset.CSROperand) {
+	st.left, st.ops = a, append(st.ops[:0], op)
 }
 
-// joinCount is join for a step whose output is only counted — to join
-// what composeCount is to compose.
-func (st *stepper) joinCount(cur, right *bitset.HybridRelation) (bitset.Count, error) {
-	shards := shardGrain.Shards(cur.Sources(), cur.Pairs(), st.sch.Workers())
-	if shards <= 1 {
-		return cur.JoinCount(right, st.scr(0)), nil
+// join makes the next step the relation×relation join cur ∘ right.
+func (st *stepper) join(cur, right *bitset.HybridRelation) { st.cur, st.right = cur, right }
+
+// size returns what the step's sharding weighs — the left side's non-empty
+// rows and pairs — and the number of items its shards partition: positions
+// of cur's active list, or vertices when the left side is a CSR.
+func (st *stepper) size() (sources int, pairs int64, items int) {
+	if st.cur == nil {
+		return st.left.Sources, int64(len(st.left.Targets)), st.n
 	}
-	st.right = right
-	return st.countSharded(cur, shards)
+	return st.cur.Sources(), st.cur.Pairs(), st.cur.Sources()
 }
 
-// runSharded partitions cur's active sources into shards, runs them on
-// the scheduler, and merges the outcome deterministically: the coordinator
-// adopts the per-shard source runs in ascending shard order — a memcpy of
-// at most a few hundred kilobytes behind a multi-millisecond step. The
-// caller has set the step's right-hand operand (op or right). A shard body
-// that panics (contained by the scheduler) or a cancellation surfaces here
-// as the drain's error; the partial destination is left unmerged for the
-// caller to discard.
-func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error {
-	st.begin(cur, dst, shards)
+// buildShard runs the step's kernel over items [lo, hi) into dst.
+func (st *stepper) buildShard(scr *bitset.ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
+	switch {
+	case st.right != nil:
+		return st.cur.JoinShardInto(st.dst, st.right, scr, lo, hi, buf)
+	case st.cur == nil:
+		return st.left.ComposeShardInto(st.dst, st.ops[0], scr, lo, hi, buf)
+	default:
+		return st.cur.ComposeShardInto(st.dst, st.ops, scr, lo, hi, buf)
+	}
+}
+
+// countShard runs the step's count kernel over items [lo, hi).
+func (st *stepper) countShard(scr *bitset.ComposeScratch, lo, hi int) bitset.Count {
+	switch {
+	case st.right != nil:
+		return st.cur.JoinShardCount(st.right, scr, lo, hi)
+	case st.cur == nil:
+		return st.left.ComposeShardCount(st.ops[0], scr, st.limit, lo, hi)
+	default:
+		return st.cur.ComposeShardCount(st.ops, scr, lo, hi)
+	}
+}
+
+// runShard is the scheduler task body: it runs the step's kernel over the
+// shard's item range with the executing worker's scratch, parking the
+// produced sources and pair count — or, for a counted step, the count — in
+// the shard's own slots.
+func (st *stepper) runShard(worker int, t shardTask) {
+	faultinject.Fire("exec.shard")
+	lo, hi := st.bounds[t.idx], st.bounds[t.idx+1]
+	if st.dst == nil {
+		st.counts[t.idx] = st.countShard(st.scr(worker), lo, hi)
+	} else {
+		st.srcs[t.idx], st.pairs[t.idx] = st.buildShard(st.scr(worker), lo, hi, st.srcs[t.idx])
+	}
+}
+
+// run carries out the step compose, through, first or join described: built into
+// dst, or — dst nil — counted, nothing emitted and nothing to merge. Steps
+// above the granularity floor (enough left rows and enough pairs —
+// shardGrain weighs both) are partitioned into shards and run in parallel,
+// then merged deterministically, so the result — rows, active order, and
+// pair count — is bit-identical to the sequential kernel. Small steps and
+// 1-worker configurations run that kernel on the coordinator without
+// touching the scheduler at all: parallelism is a performance decision per
+// step, never a semantic one, and the decision is the same whether the step
+// builds or counts.
+func (st *stepper) run(dst *bitset.HybridRelation) (c bitset.Count, err error) {
 	defer st.end()
-	dst.Reset()
+	st.dst = dst
+	sources, pairs, items := st.size()
+	shards := shardGrain.Shards(sources, pairs, st.sch.Workers())
+	switch {
+	case shards > 1 && dst == nil:
+		return st.countSharded(items, shards)
+	case shards > 1:
+		return c, st.runSharded(items, shards)
+	case dst == nil:
+		return st.countShard(st.scr(0), 0, items), nil
+	case st.right != nil:
+		st.cur.JoinInto(dst, st.right, st.scr(0))
+	case st.cur == nil:
+		st.left.ComposeInto(dst, st.ops[0], st.scr(0))
+	default:
+		st.cur.ComposeUnionInto(dst, st.ops, st.scr(0))
+	}
+	return c, nil
+}
+
+// runSharded partitions the step's items into shards, runs them on the
+// scheduler, and merges the outcome deterministically: the coordinator
+// adopts the per-shard source runs in ascending shard order — a memcpy of
+// at most a few hundred kilobytes behind a multi-millisecond step. A shard
+// body that panics (contained by the scheduler) or a cancellation surfaces
+// here as the drain's error; the partial destination is left unmerged for
+// the caller to discard.
+func (st *stepper) runSharded(items, shards int) error {
+	st.partition(items, shards)
+	st.dst.Reset()
 	for len(st.srcs) < shards {
 		st.srcs = append(st.srcs, nil)
 	}
@@ -225,18 +271,17 @@ func (st *stepper) runSharded(cur, dst *bitset.HybridRelation, shards int) error
 		return err
 	}
 	for i := 0; i < shards; i++ {
-		dst.AdoptShard(st.srcs[i], st.pairs[i])
+		st.dst.AdoptShard(st.srcs[i], st.pairs[i])
 	}
 	return nil
 }
 
 // countSharded is runSharded for a counted step: the same partition on
-// the same scheduler, shard bodies running the count kernels (a nil dst
-// selects them), and no merge — nothing positional was built, so the
-// per-shard counts add up in any order.
-func (st *stepper) countSharded(cur *bitset.HybridRelation, shards int) (total bitset.Count, err error) {
-	st.begin(cur, nil, shards)
-	defer st.end()
+// the same scheduler, shard bodies running the count kernels, and no merge
+// — nothing positional was built, so the per-shard counts add up in any
+// order.
+func (st *stepper) countSharded(items, shards int) (total bitset.Count, err error) {
+	st.partition(items, shards)
 	if len(st.counts) < shards {
 		st.counts = make([]bitset.Count, shards)
 	}
@@ -249,22 +294,19 @@ func (st *stepper) countSharded(cur *bitset.HybridRelation, shards int) (total b
 	return total, nil
 }
 
-// begin sets a sharded step's per-round state: its input and destination
-// and the partition of the input's active sources into shards.
-func (st *stepper) begin(cur, dst *bitset.HybridRelation, shards int) {
-	st.cur, st.dst = cur, dst
+// partition splits the step's items evenly into the round's shards.
+func (st *stepper) partition(items, shards int) {
 	if cap(st.bounds) < shards+1 {
 		st.bounds = make([]int, shards+1)
 	}
 	st.bounds = st.bounds[:shards+1]
-	nact := cur.Sources()
 	for i := 0; i <= shards; i++ {
-		st.bounds[i] = i * nact / shards
+		st.bounds[i] = i * items / shards
 	}
 }
 
 // end drops the finished step's references.
-func (st *stepper) end() { st.cur, st.dst, st.right = nil, nil, nil }
+func (st *stepper) end() { st.cur, st.right, st.dst = nil, nil, nil }
 
 // drain runs one scheduler round of one task per shard. Shard bodies
 // never Spawn, so the static drain's goroutine count cap

@@ -142,7 +142,11 @@ func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 }
 
 // refPlanDag is Planner.Plan as it was — but for the estimate of a plan's
-// only block, which feeds no join and is no longer asked.
+// only block, which feeds no join and is no longer asked, and for the right
+// input of a join the executor no longer makes: a block that is one step
+// from the graph (a single label, an element that is not unrolled) after a
+// prefix that cannot be empty is composed through, and charged its left
+// input only.
 func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 	dp := &DagPlan{}
 	for i := 0; i < len(d.Elems); {
@@ -184,7 +188,11 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 			size, eps = b.Est, skip
 			continue
 		}
-		dp.Cost += size + b.Est
+		if oneStep := len(b.Run) == 1 || b.Run == nil && b.Elem.MaxRep == 1; oneStep && !eps {
+			dp.Cost += size
+		} else {
+			dp.Cost += size + b.Est
+		}
 		next := 0.0
 		if n > 0 {
 			next = size * b.Est / float64(n)

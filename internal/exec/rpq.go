@@ -27,10 +27,15 @@ import (
 // with R_0 = ∅, eps_0 = true. Because composition distributes over
 // union — R∘(S∪T) = R∘S ∪ R∘T — this fold is exactly the union of the
 // relations of every concrete path the expression expands to, which is
-// what the equivalence tests pin (bit-identical, since UnionWith and the
-// one-pass base of a label set, bitset.FillUnionCSR, are both
+// what the equivalence tests pin (bit-identical, since every kernel is
 // representation-canonical: a row's form depends on its final count
-// alone). A whole-query MinLen of 0 (every element optional) would make
+// alone). The same law is how the fold runs: when U_i is a single power
+// (MaxRep_i = 1, or a plain label) and the eps term is off, R_{i-1}∘U_i
+// is R_{i-1} composed through the labels of A_i straight from the graph —
+// one step, bitset.ComposeUnionInto — and U_i is never a relation; only
+// where U_i itself is a term of the result (eps_{i-1} on, or i = 1) or a
+// union of powers is it built (bitset.FillUnionCSR for the base) and
+// joined. A whole-query MinLen of 0 (every element optional) would make
 // the identity relation a member of the union; compilers must reject it,
 // and DagPlan.validate panics on it.
 
@@ -262,6 +267,29 @@ type DagBlockPlan struct {
 	build float64
 }
 
+// operand returns the label set the fold composes the block through, or
+// nil when the block's relation is materialised and joined. A block is an
+// operand when it is a single step from the graph — a one-label run, or an
+// element that is not unrolled (alternation, wildcard, optional label) —
+// and there is a relation to step from: it is not the plan's first block
+// (i > 0), and the prefix before it cannot match the empty path (eps off),
+// since then the block's own relation is a term of the result and has to
+// exist. Planner.decide and core.fold both ask here, with the same eps
+// recurrence, so what is costed is what is run.
+func (b *DagBlockPlan) operand(i int, eps bool) []int {
+	switch {
+	case i == 0 || eps:
+	case len(b.Run) == 1:
+		return b.Run
+	case b.Run == nil && b.Elem.MaxRep == 1:
+		return b.Elem.Labels
+	}
+	return nil
+}
+
+// skippable reports whether the block may match the empty path.
+func (b *DagBlockPlan) skippable() bool { return b.Run == nil && b.Elem.skippable() }
+
 // DagPlan is a query together with how to execute it — the one plan form:
 // the query's elements decomposed into blocks, each carrying the labels it
 // evaluates, folded left to right. A concrete path is a single run block,
@@ -272,8 +300,9 @@ type DagPlan struct {
 	Blocks []DagBlockPlan
 	// Cost is the estimated total intermediate volume: run-block plan
 	// costs (the zig-zag/bushy DP objective), the unrolled power
-	// intermediates of element blocks, and both inputs of every
-	// block-boundary join.
+	// intermediates of element blocks, and the inputs of every step of the
+	// fold — both sides of a block-boundary join, the prefix alone where
+	// the block is composed through.
 	Cost float64
 	// ResultEst is the estimated pair count of the final relation under
 	// the independence model (exact per-block estimates folded with an
@@ -361,7 +390,7 @@ func (dp *DagPlan) validate(numLabels int) {
 			}
 			b.Elem.validate(b.Lo, numLabels)
 		}
-		optional = optional && b.Run == nil && b.Elem.skippable()
+		optional = optional && b.skippable()
 		at = b.Hi
 	}
 	if optional {
@@ -480,17 +509,23 @@ func (pl Planner) decide(dp *DagPlan) {
 	}
 	// Fold the block sizes: size_i = size·est/n (join) + est when the
 	// prefix may be empty + size when the block is skippable — the
-	// estimator's image of the executor's R_i recurrence. Joins after the
-	// first block consume both materialized inputs.
+	// estimator's image of the executor's R_i recurrence. A join after the
+	// first block consumes both materialized inputs; a block composed
+	// through has no relation of its own to consume.
 	n := dp.n
 	size, eps := 0.0, true
-	for i, b := range dp.Blocks {
-		skip := b.Run == nil && b.Elem.skippable()
+	for i := range dp.Blocks {
+		b := &dp.Blocks[i]
+		skip := b.skippable()
 		if i == 0 {
 			size, eps = b.Est, skip
 			continue
 		}
-		dp.Cost += size + b.Est
+		if b.operand(i, eps) != nil {
+			dp.Cost += size
+		} else {
+			dp.Cost += size + b.Est
+		}
 		next := 0.0
 		if n > 0 {
 			next = size * b.Est / float64(n)
@@ -508,13 +543,19 @@ func (pl Planner) decide(dp *DagPlan) {
 
 // elem builds one complex element's relation: the alternation base A,
 // the union of its label relations built in one pass (core.fill), then
-// the unrolled powers A^r up to MaxRep, accumulating
-// U = ⋃_{r≥max(1,MinRep)} A^r. Single-label powers step
-// through the segment cache under their repeated-label path key — the
-// same key a concrete query's segments use, so a warm `b{1,3}` adopts
-// the cached `bb` and `bbb` relations and a warm `b/b` adopts a power
-// this element published. Multi-label powers are uncacheable joins.
-func (x *core) elem(e RPQElem) (*bitset.HybridRelation, error) {
+// the unrolled powers A^r = A^(r−1) ∘ A up to MaxRep, each one step
+// through the label set from the graph, accumulating
+// U = ⋃_{r≥max(1,MinRep)} A^r. Single-label powers step through the
+// segment cache under their repeated-label path key — the same key a
+// concrete query's segments use, so a warm `b{1,3}` adopts the cached `bb`
+// and `bbb` relations and a warm `b/b` adopts a power this element
+// published. Multi-label powers are uncacheable. A root element that is
+// not unrolled is all of the plan and, when nobody keeps it (see counts),
+// is counted, not built.
+func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
+	if e.MaxRep == 1 && root && x.counts(nil) {
+		return nil, x.fill(nil, e.Labels)
+	}
 	a := x.take()
 	if err := x.fill(a, e.Labels); err != nil || e.MaxRep == 1 {
 		return a, err
@@ -531,18 +572,11 @@ func (x *core) elem(e RPQElem) (*bitset.HybridRelation, error) {
 	pow := a
 	for r := 2; r <= e.MaxRep; r++ {
 		next := x.take()
-		var err error
 		if power != nil {
 			power = append(power, e.Labels[0])
-			x.ints = append(x.ints, pow.Pairs())
-			err = x.step(power, false, next, func() error {
-				return x.stepper().compose(pow, next, x.g.LabelOperand(e.Labels[0]))
-			})
-		} else {
-			x.ints = append(x.ints, pow.Pairs(), a.Pairs())
-			err = x.step(nil, false, next, func() error { return x.stepper().join(pow, next, a) })
 		}
-		if err != nil {
+		x.ints = append(x.ints, pow.Pairs())
+		if err := x.step(power, false, next, func() error { return x.through(pow, next, e.Labels) }); err != nil {
 			return nil, err
 		}
 		if pow != a {
@@ -558,45 +592,56 @@ func (x *core) elem(e RPQElem) (*bitset.HybridRelation, error) {
 	return u, x.price(u)
 }
 
-// fold executes a plan: each block's relation — a run block through the
-// zig-zag/bushy nodes (whole-segment cache fast path, bushy subtrees,
-// sharded compose — everything applies), an element block through elem —
-// folded left-to-right by the R_i recurrence above. A plan's only block is
-// the root: its tree may count its last step.
+// fold executes a plan: its blocks folded left-to-right by the R_i
+// recurrence above. A block the plan marks as an operand (see
+// DagBlockPlan.operand) is one step cur ∘ (⋃ labels) through the graph — no
+// base is built for it and no relation joined; any other block's relation
+// is built first — a run block through the zig-zag/bushy nodes
+// (whole-segment cache fast path, bushy subtrees, sharded compose —
+// everything applies), an element block through elem — and joined. Either
+// way the ε and skip unions follow the step. A plan's only block is the
+// root: its tree may count its last step.
 func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 	var cur *bitset.HybridRelation
 	eps := true
-	for i, b := range dp.Blocks {
-		var (
-			u   *bitset.HybridRelation
-			err error
-		)
-		if b.Run != nil {
-			u, err = x.tree(b.Run, b.Tree, len(dp.Blocks) == 1)
+	for i := range dp.Blocks {
+		b := &dp.Blocks[i]
+		skip := b.skippable()
+		labels := b.operand(i, eps)
+		var u *bitset.HybridRelation
+		if labels == nil {
+			var err error
+			if b.Run != nil {
+				u, err = x.tree(b.Run, b.Tree, len(dp.Blocks) == 1)
+			} else {
+				u, err = x.elem(b.Elem, len(dp.Blocks) == 1)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				// R_1 = U_1 (eps_0 is true and R_0 empty).
+				cur, eps = u, skip
+				continue
+			}
+			x.ints = append(x.ints, cur.Pairs(), u.Pairs())
 		} else {
-			u, err = x.elem(b.Elem)
+			x.ints = append(x.ints, cur.Pairs())
 		}
-		if err != nil {
-			return nil, err
+		// The root's last step with no union after it is R_i itself, so it
+		// is counted, not built: no destination.
+		var dst *bitset.HybridRelation
+		if i < len(dp.Blocks)-1 || eps || skip || !x.counts(nil) {
+			dst = x.take()
 		}
-		skip := b.Run == nil && b.Elem.skippable()
-		if i == 0 {
-			// R_1 = U_1 (eps_0 is true and R_0 empty).
-			cur, eps = u, skip
-			continue
-		}
-		x.ints = append(x.ints, cur.Pairs(), u.Pairs())
-		if i == len(dp.Blocks)-1 && !eps && !skip && x.counts(nil) {
-			// The root's last join with no union after it: R_i is exactly
-			// the join, so it is counted, not built.
-			err = x.step(nil, false, nil, func() error { return x.join(cur, nil, u) })
-			x.drop(cur)
-			x.drop(u)
-			return nil, err
-		}
-		dst := x.take()
-		err = x.step(nil, false, dst, func() error {
-			if err := x.stepper().join(cur, dst, u); err != nil {
+		err := x.step(nil, false, dst, func() error {
+			var err error
+			if labels != nil {
+				err = x.through(cur, dst, labels)
+			} else {
+				err = x.join(cur, dst, u)
+			}
+			if err != nil {
 				return err
 			}
 			if eps {

@@ -12,6 +12,10 @@
 //   - PredecessorOperand / PredecessorCSR: reversed adjacency in the same
 //     dual form — the leftward (prepend) join steps of backward and
 //     zig-zag execution.
+//     The CSR-only forms are also a label's relation itself, read in
+//     place: the left side of a leaf's first step and the operands of a
+//     label-set base carry no dense tables, and report their non-empty
+//     row count (CSROperand.Sources) so such a step shards without a pass.
 //   - SuccessorSets / PredecessorSets: the dense halves of those
 //     operands, which the test-only dense reference (internal/oracle,
 //     what the equivalence tests pin the hybrid engines against) also
@@ -166,6 +170,8 @@ func (g *Graph) Freeze() *CSR {
 		targets:     make([][]int32, g.numLabels),
 		roffsets:    make([][]int32, g.numLabels),
 		rtargets:    make([][]int32, g.numLabels),
+		sources:     make([]int, g.numLabels),
+		rsources:    make([]int, g.numLabels),
 		succ:        make([][]*bitset.Set, g.numLabels),
 		pred:        make([][]*bitset.Set, g.numLabels),
 		succOnce:    make([]sync.Once, g.numLabels),
@@ -180,9 +186,7 @@ func (g *Graph) Freeze() *CSR {
 		c.offsets[e.Label][e.Src+1]++
 	}
 	for l := 0; l < g.numLabels; l++ {
-		for v := 0; v < g.numVertices; v++ {
-			c.offsets[l][v+1] += c.offsets[l][v]
-		}
+		c.sources[l] = prefixSum(c.offsets[l])
 		c.targets[l] = make([]int32, c.offsets[l][g.numVertices])
 	}
 	fill := make([][]int32, g.numLabels)
@@ -195,6 +199,18 @@ func (g *Graph) Freeze() *CSR {
 		fill[e.Label][e.Src]++
 	}
 	return c
+}
+
+// prefixSum turns per-row counts, stored at off[v+1], into CSR offsets in
+// place and returns how many rows are non-empty.
+func prefixSum(off []int32) (rows int) {
+	for v := 1; v < len(off); v++ {
+		if off[v] > 0 {
+			rows++
+		}
+		off[v] += off[v-1]
+	}
+	return rows
 }
 
 // CSR is the immutable compressed-sparse-row form of a Graph: for each
@@ -215,6 +231,12 @@ type CSR struct {
 	// zig-zag join steps.
 	roffsets [][]int32
 	rtargets [][]int32
+
+	// sources[l] and rsources[l] count the non-empty rows of label l's
+	// forward and reverse CSR (CSROperand.Sources), the first at Freeze, the
+	// second with the reverse CSR.
+	sources  []int
+	rsources []int
 
 	// succ[l] is built lazily by SuccessorSets; pred[l] by
 	// PredecessorSets; roffsets/rtargets by PredecessorCSR. The sync.Once
@@ -314,9 +336,7 @@ func (c *CSR) PredecessorCSR(l int) bitset.CSROperand {
 		for _, t := range c.targets[l] {
 			off[t+1]++
 		}
-		for v := 0; v < c.numVertices; v++ {
-			off[v+1] += off[v]
-		}
+		c.rsources[l] = prefixSum(off)
 		rt := make([]int32, len(c.targets[l]))
 		fill := make([]int32, c.numVertices)
 		// Scanning sources ascending emits each target's predecessors in
@@ -334,6 +354,7 @@ func (c *CSR) PredecessorCSR(l int) bitset.CSROperand {
 		N:       c.numVertices,
 		Offsets: c.roffsets[l],
 		Targets: c.rtargets[l],
+		Sources: c.rsources[l],
 	}
 }
 
@@ -359,12 +380,14 @@ func (c *CSR) LabelOperand(l int) bitset.CSROperand {
 
 // LabelCSR returns label l's adjacency as a CSR-only compose operand, with
 // no dense successor sets. Sufficient for engines configured to keep every
-// relation row sparse, which never touch the dense kernel.
+// relation row sparse, which never touch the dense kernel, and for every
+// reader of the label's rows as rows: a base, the left side of a first step.
 func (c *CSR) LabelCSR(l int) bitset.CSROperand {
 	return bitset.CSROperand{
 		N:       c.numVertices,
 		Offsets: c.offsets[l],
 		Targets: c.targets[l],
+		Sources: c.sources[l],
 	}
 }
 

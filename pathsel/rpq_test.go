@@ -287,7 +287,11 @@ func TestCompileEstimateMatchesEstimatePattern(t *testing.T) {
 // kept segment tables — every term of every sum asked of the histogram
 // directly, the best plan tree found by exhaustive recursion instead of a
 // DP — and returns what a DagPlan reports: Cost, ResultEst and the block
-// estimates. Float for float the planner must agree.
+// estimates. A block the executor composes through (one step from the
+// graph — a single label, or an element that is not unrolled — after a
+// prefix that cannot be empty) has no relation of its own, so the join
+// after it is charged its left input only. Float for float the planner
+// must agree.
 func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []float64) {
 	n := e.gr.NumVertices()
 	// zigzag is the cost of p's zig-zag plan from start: its rightward
@@ -312,7 +316,7 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 		}
 		return c
 	}
-	var skips []bool
+	var skips, steps []bool // per block: may match ε; is one step from the graph
 	for i := 0; i < len(d.Elems); {
 		if el := d.Elems[i]; len(el.Labels) != 1 || el.MinRep != 1 || el.MaxRep != 1 {
 			var s1, est float64
@@ -337,7 +341,7 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 					cost += pow
 				}
 			}
-			ests, skips = append(ests, est), append(skips, el.MinRep == 0)
+			ests, skips, steps = append(ests, est), append(skips, el.MinRep == 0), append(steps, el.MaxRep == 1)
 			i++
 			continue
 		}
@@ -346,11 +350,15 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 			run = append(run, d.Elems[i].Labels[0])
 		}
 		cost += best(run)
-		ests, skips = append(ests, e.ph.Estimate(run)), append(skips, false)
+		ests, skips, steps = append(ests, e.ph.Estimate(run)), append(skips, false), append(steps, len(run) == 1)
 	}
 	size, eps := ests[0], skips[0]
 	for i := 1; i < len(ests); i++ {
-		cost += size + ests[i]
+		if steps[i] && !eps {
+			cost += size
+		} else {
+			cost += size + ests[i]
+		}
 		next := 0.0
 		if n > 0 {
 			next = size * ests[i] / float64(n)
