@@ -31,6 +31,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/ordering"
 	"repro/internal/paths"
+	"repro/internal/relcache"
 	"repro/pathsel"
 )
 
@@ -615,5 +616,67 @@ func BenchmarkLeafFirstStep(b *testing.B) {
 	for start, name := range []string{"right", "left"} {
 		plan := exec.PathPlan(p, &exec.PlanTree{Lo: 0, Hi: len(p), Start: start})
 		b.Run(name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
+	}
+}
+
+// BenchmarkCachePublish times relcache.Put where it is dearest: a shard
+// that is full, so that every Put packs its relation and evicts the least
+// recently used entry to make room — at 100, 1 000 and 10 000 resident
+// entries in the one shard. The victim comes off the shard's queue, so
+// the three should read alike; a scan of the shard reads ≈ 10× from the
+// first to the last. The relation is `3/7` on serve_mixed's graph: 437
+// pairs, 6.9 KB as an entry, near the workload's mean.
+func BenchmarkCachePublish(b *testing.B) {
+	g := serveMixedGraph()
+	rel := paths.EvaluateWithDensity(g, paths.Path{2, 6}, 0)
+	// Labels from 1<<14 up encode to three bytes each, so every entry
+	// costs the same.
+	key := func(i int) paths.Path { return paths.Path{1<<14 + i} }
+	for _, entries := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprint(entries), func(b *testing.B) {
+			probe := relcache.New(relcache.Options{Shards: 1})
+			probe.Put(key(0), false, rel)
+			cost := probe.Stats().Bytes
+			cache := relcache.New(relcache.Options{MaxBytes: int64(entries)*cost + cost/2, Shards: 1})
+			for i := 0; i < entries; i++ {
+				cache.Put(key(i), false, rel)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cache.Put(key((entries+i)%(2*entries)), false, rel)
+			}
+			b.StopTimer()
+			if st := cache.Stats(); st.Entries != entries || st.Evictions < uint64(b.N) {
+				b.Fatalf("%d entries after %d evictions in %d Puts: the shard was not full", st.Entries, st.Evictions, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkCacheAdopt times a cache hit as the executor pays for it: Get,
+// then the packed entry copied out into a pooled buffer — in the stored
+// orientation (copy) and in the other one (reverse). The entry is `3/7`
+// on serve_mixed's graph, BenchmarkCachePublish's.
+func BenchmarkCacheAdopt(b *testing.B) {
+	g := serveMixedGraph()
+	p := paths.Path{2, 6}
+	cache := relcache.New(relcache.Options{})
+	cache.Put(p, false, paths.EvaluateWithDensity(g, p, 0))
+	pool := exec.NewRelPool(g.NumVertices(), 0)
+	for _, c := range []struct {
+		name  string
+		adopt func(*bitset.Packed, *bitset.HybridRelation)
+	}{{"copy", (*bitset.Packed).CopyInto}, {"reverse", (*bitset.Packed).ReverseInto}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rel, _, ok := cache.Get(p)
+				if !ok {
+					b.Fatal("entry not resident")
+				}
+				dst := pool.Get()
+				c.adopt(rel, dst)
+				pool.Put(dst)
+			}
+		})
 	}
 }

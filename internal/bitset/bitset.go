@@ -8,6 +8,10 @@ import (
 
 const wordBits = 64
 
+// wordsFor is the number of words a bit array over [0, n) takes: a Set's
+// storage, a dense row's, a scratch accumulator's.
+func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
+
 // Set is a dense bit set over the universe [0, Len()). The zero value is an
 // empty set of capacity zero; use New to allocate capacity.
 type Set struct {
@@ -21,7 +25,7 @@ func New(n int) *Set {
 	if n < 0 {
 		panic(fmt.Sprintf("bitset: negative capacity %d", n))
 	}
-	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	return &Set{words: make([]uint64, wordsFor(n)), n: n}
 }
 
 // Len returns the capacity of the set in bits.

@@ -4,7 +4,7 @@
 // the innermost operation of both the selectivity census and query
 // execution — runs as tight array kernels.
 //
-// Two types carry it:
+// Three types carry it:
 //
 //   - Set is the dense, fixed-capacity bit set: a CSR operand's dense
 //     successor rows and the union target of the word-parallel kernels.
@@ -27,6 +27,11 @@
 //     emit step; the count forms (ComposeCount, JoinCount and their shard
 //     variants, count.go; UnionCSRCount) run the accumulate step alone,
 //     for callers that read only the size of a relation they would drop.
+//
+//   - Packed is a HybridRelation's immutable snapshot (Pack), the form
+//     the relation cache stores: the same rows in the same forms, flat,
+//     with nothing sized by the universe, read only by copying out
+//     (CopyInto, ReverseInto — the HybridRelation methods' own kernels).
 //
 // Knobs: the density threshold, set per relation at construction
 // (NewHybrid, HybridFromCSR) as a fraction of the vertex universe |V|.

@@ -128,7 +128,7 @@ func (h *HybridRelation) setRow(v int, ts []int32) {
 	}
 	row.dense = true
 	if row.words == nil {
-		row.words = make([]uint64, (h.n+wordBits-1)/wordBits)
+		row.words = make([]uint64, wordsFor(h.n))
 	} else {
 		clear(row.words)
 	}
@@ -291,7 +291,7 @@ type ComposeScratch struct {
 
 // NewComposeScratch returns a scratch accumulator for an n-vertex universe.
 func NewComposeScratch(n int) *ComposeScratch {
-	return &ComposeScratch{words: make([]uint64, (n+wordBits-1)/wordBits)}
+	return &ComposeScratch{words: make([]uint64, wordsFor(n))}
 }
 
 // wideWords returns the full-width accumulator, building it on first use.

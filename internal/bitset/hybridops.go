@@ -17,9 +17,8 @@ import (
 // ReverseInto computes the inverse relation into dst: (t, s) ∈ dst for
 // every (s, t) ∈ h. dst is reset first and its rows are reused in place,
 // so a pooled destination makes steady-state reversal allocation-free
-// apart from one transient per-universe count array. Each output row picks
-// its sparse or dense form up front from an exact count, so no row is
-// built twice. h and dst must be distinct objects over the same universe.
+// apart from one transient per-universe count array. h and dst must be
+// distinct objects over the same universe.
 func (h *HybridRelation) ReverseInto(dst *HybridRelation) {
 	if dst == h {
 		panic("bitset: ReverseInto aliasing dst == receiver")
@@ -27,59 +26,77 @@ func (h *HybridRelation) ReverseInto(dst *HybridRelation) {
 	if dst.n != h.n {
 		panic(fmt.Sprintf("bitset: ReverseInto universe %d != %d", dst.n, h.n))
 	}
-	dst.Reset()
-	if h.pairs == 0 {
+	dst.reverseFrom(rowSource{h: h}, h.pairs)
+}
+
+// reverseFrom is the two-pass reversal kernel behind both ReverseInto
+// methods: h becomes the inverse of src's pairs. Each output row picks
+// its sparse or dense form up front from an exact count, so no row is
+// built twice; the one transient is the per-universe count array.
+func (h *HybridRelation) reverseFrom(src rowSource, pairs int64) {
+	h.Reset()
+	if pairs == 0 {
 		return
 	}
 	// Pass 1: per-target counts fix every output row's final population,
 	// and therefore its representation, before any id is written.
 	counts := make([]int32, h.n)
-	for _, s := range h.active {
-		row := &h.rows[s]
-		if row.dense {
-			for wi, w := range row.words {
-				for w != 0 {
-					counts[wi*wordBits+bits.TrailingZeros64(w)]++
-					w &= w - 1
-				}
-			}
-		} else {
-			for _, t := range row.ids {
-				counts[t]++
+	active := src.active()
+	for i, s := range active {
+		_, ids, words := src.row(i, s)
+		for wi, w := range words {
+			for w != 0 {
+				counts[wi*wordBits+bits.TrailingZeros64(w)]++
+				w &= w - 1
 			}
 		}
+		for _, t := range ids {
+			counts[t]++
+		}
 	}
-	words := (h.n + wordBits - 1) / wordBits
 	for t, c := range counts {
 		if c == 0 {
 			continue
 		}
-		row := &dst.rows[t]
+		row := &h.rows[t]
 		row.count = c
-		if int(c) > dst.sparseMax {
+		if int(c) > h.sparseMax {
 			row.dense = true
 			if row.words == nil {
-				row.words = make([]uint64, words)
+				row.words = make([]uint64, wordsFor(h.n))
 			} else {
 				clear(row.words)
 			}
 		} else {
 			row.ids = slices.Grow(row.ids[:0], int(c))
 		}
-		dst.active = append(dst.active, int32(t))
-		dst.pairs += int64(c)
+		h.active = append(h.active, int32(t))
+		h.pairs += int64(c)
 	}
 	// Pass 2: pairs arrive in ascending (s, t) order, so per output row t
 	// the sources s arrive ascending and sparse appends stay sorted.
-	h.ForEachPair(func(s, t int) bool {
-		row := &dst.rows[t]
-		if row.dense {
-			row.words[s>>6] |= 1 << (uint(s) & 63)
-		} else {
-			row.ids = append(row.ids, int32(s))
+	for i, s := range active {
+		_, ids, words := src.row(i, s)
+		for wi, w := range words {
+			for w != 0 {
+				h.rows[wi*wordBits+bits.TrailingZeros64(w)].add(s)
+				w &= w - 1
+			}
 		}
-		return true
-	})
+		for _, t := range ids {
+			h.rows[t].add(s)
+		}
+	}
+}
+
+// add appends source s to a row reverseFrom has shaped; sources arrive
+// ascending.
+func (row *hrow) add(s int32) {
+	if row.dense {
+		row.words[s>>6] |= 1 << (uint(s) & 63)
+	} else {
+		row.ids = append(row.ids, s)
+	}
 }
 
 // Reverse is the allocating convenience form of ReverseInto. The result
@@ -196,7 +213,7 @@ func (h *HybridRelation) UnionWith(o *HybridRelation) {
 			if len(merged) > h.sparseMax {
 				// Crossed the density threshold: promote in place.
 				if row.words == nil {
-					row.words = make([]uint64, (h.n+wordBits-1)/wordBits)
+					row.words = make([]uint64, wordsFor(h.n))
 				} else {
 					clear(row.words)
 				}

@@ -5,11 +5,12 @@ import (
 	"unsafe"
 )
 
-// This file holds the memory-accounting and replication operations added
-// for the workload-level relation cache (internal/relcache): MemSize is
-// the cache's byte-accounting primitive, Clone builds the immutable
-// exact-size copy the cache stores, and CopyInto adopts a cached relation
-// back into a pooled buffer without disturbing the pool discipline.
+// This file holds the memory-accounting and replication operations of
+// HybridRelation: MemSize is a buffer's real footprint, CloneMemSize the
+// content-sized measure every result budget prices by, and CopyInto and
+// Clone replicate a relation into a pooled buffer or a fresh one. The
+// relation cache (internal/relcache) stores neither: its form is Packed
+// (packed.go), which shares CopyInto's kernel.
 
 // SparseLimit returns the maximum sparse row population implied by a
 // density threshold over an n-vertex universe — the exported form of the
@@ -32,10 +33,10 @@ func (h *HybridRelation) SparseMax() int { return h.sparseMax }
 // struct header, the row-header array (one hrow per universe vertex), the
 // active-source index, and every row's sparse id list and dense word
 // array at their allocated capacities. Demoted rows that retain a dirty
-// dense word array are charged for it — the memory is still held. This is
-// the byte cost the relation cache accounts entries by, and it answers
-// the census memory question directly: a relation's footprint is dominated
-// by n row headers plus the pair payload in whichever form each row holds.
+// dense word array are charged for it — the memory is still held. It
+// answers the census memory question directly: a relation's footprint is
+// dominated by n row headers plus the pair payload in whichever form each
+// row holds.
 func (h *HybridRelation) MemSize() int {
 	size := int(unsafe.Sizeof(*h))
 	size += cap(h.active) * 4
@@ -49,20 +50,26 @@ func (h *HybridRelation) MemSize() int {
 
 // CloneMemSize returns the exact MemSize a Clone of the relation would
 // occupy, without building one: every slice counted at content length
-// (sparse ids or dense words per each row's current form), so a cache
-// can price an entry — and reject an oversized one — before paying for
-// the copy.
+// (sparse ids or dense words per each row's current form). It is the
+// measure result budgets price a relation by (exec.Options
+// .MaxResultBytes), whether it was built, counted or adopted.
 func (h *HybridRelation) CloneMemSize() int {
-	size := cloneOverhead(len(h.rows), len(h.active))
+	ids, words := h.contentLen()
+	return cloneOverhead(len(h.rows), len(h.active)) + ids*4 + words*8
+}
+
+// contentLen returns the relation's row content in its current forms:
+// the ids its sparse rows hold and the words its dense rows hold.
+func (h *HybridRelation) contentLen() (ids, words int) {
 	for _, s := range h.active {
 		row := &h.rows[s]
 		if row.dense {
-			size += len(row.words) * 8
+			words += len(row.words)
 		} else {
-			size += len(row.ids) * 4
+			ids += len(row.ids)
 		}
 	}
-	return size
+	return ids, words
 }
 
 // cloneOverhead is the part of a clone's footprint that is not row
@@ -75,11 +82,15 @@ func cloneOverhead(n, sources int) int {
 // CopyInto makes dst an exact logical replica of h: same universe, same
 // promotion limit, same rows in the same representations, same active
 // list and pair count. dst is reset first and its row storage is reused
-// in place, so adopting a cached relation into a pooled execution buffer
-// allocates only where the buffer lacks capacity. dst must be a distinct
-// relation over the same universe; its own density threshold is
-// overwritten by h's, keeping the replica bit-identical to h no matter
-// how dst was constructed.
+// in place, so copying into a pooled execution buffer allocates only
+// where the buffer lacks capacity. dst must be a distinct relation over
+// the same universe; its own density threshold is overwritten by h's,
+// keeping the replica bit-identical to h no matter how dst was
+// constructed.
+//
+// No production code calls it since the relation cache stores Packed
+// (whose CopyInto is the adoption path); the frozen bench/ times it and
+// the equivalence tests use it as the reference. ROADMAP item 1(a).
 func (h *HybridRelation) CopyInto(dst *HybridRelation) {
 	if dst == h {
 		panic("bitset: CopyInto aliasing dst == receiver")
@@ -87,22 +98,29 @@ func (h *HybridRelation) CopyInto(dst *HybridRelation) {
 	if dst.n != h.n {
 		panic(fmt.Sprintf("bitset: CopyInto universe %d != %d", dst.n, h.n))
 	}
-	dst.Reset()
-	dst.sparseMax = h.sparseMax
-	dst.active = append(dst.active[:0], h.active...)
-	dst.pairs = h.pairs
-	for _, s := range h.active {
-		src := &h.rows[s]
-		row := &dst.rows[s]
-		row.count = src.count
-		if src.dense {
+	dst.copyFrom(rowSource{h: h}, h.sparseMax, h.pairs)
+}
+
+// copyFrom is the replication kernel behind both CopyInto methods: h
+// becomes the relation src holds, row for row, under src's promotion
+// limit.
+func (h *HybridRelation) copyFrom(src rowSource, sparseMax int, pairs int64) {
+	h.Reset()
+	h.sparseMax = sparseMax
+	h.active = append(h.active[:0], src.active()...)
+	h.pairs = pairs
+	for i, s := range h.active {
+		count, ids, words := src.row(i, s)
+		row := &h.rows[s]
+		row.count = count
+		if words != nil {
 			row.dense = true
 			if row.words == nil {
-				row.words = make([]uint64, len(src.words))
+				row.words = make([]uint64, len(words))
 			}
-			copy(row.words, src.words)
+			copy(row.words, words)
 		} else {
-			row.ids = append(row.ids[:0], src.ids...)
+			row.ids = append(row.ids[:0], ids...)
 		}
 	}
 }
@@ -111,8 +129,11 @@ func (h *HybridRelation) CopyInto(dst *HybridRelation) {
 // allocated at its content length, so the clone's MemSize is the tightest
 // footprint the pair set admits (dirty dense words of demoted rows are
 // dropped, spare capacity is trimmed). The clone shares no storage with
-// the receiver — this is the copy the relation cache stores, immutable by
-// convention while the originating pooled buffers are reused.
+// the receiver, and still carries one row header per universe vertex —
+// which is why the relation cache stores Pack's result instead.
+//
+// No production code calls it any more: the frozen bench/ times it and
+// tests use it for private copies. ROADMAP item 1(a).
 func (h *HybridRelation) Clone() *HybridRelation {
 	c := &HybridRelation{n: h.n, sparseMax: h.sparseMax, rows: make([]hrow, h.n), pairs: h.pairs}
 	if len(h.active) > 0 {

@@ -147,8 +147,10 @@ func (x *core) drop(rel *bitset.HybridRelation) {
 }
 
 // price enforces Options.MaxResultBytes against one relation the
-// execution hands out, at clone size (content bytes, the measure the
-// relation cache accounts by). A nil relation is one that was counted, not
+// execution hands out, at clone size (content bytes plus a row header per
+// vertex: the budget's own measure — the relation cache accounts packed
+// bytes — and the same for an adopted relation as for the one it was
+// packed from). A nil relation is one that was counted, not
 // built — the root's final step, or a leaf's start label, whose relation
 // the first step reads from the graph — priced at the clone size the count
 // kernel worked out for it: the same number, so counting never moves the
@@ -213,12 +215,13 @@ func (x *core) stepper() *stepper {
 // cached materializes the cached relation of seg in the wanted
 // orientation into dst and reports whether an adoptable entry existed.
 // Only segments of length ≥ 2 are cached (a nil seg is an uncacheable
-// step). The cache stores one orientation per label sequence: a stored
-// orientation matching the wanted one copies verbatim, a mismatch
-// derives the inverse (ReverseInto) — bit-identical to recomputing,
-// because every kernel picks a row's representation purely from its
-// final population against dst's promotion limit. Entries from another
-// universe or promotion limit are ignored rather than adopted.
+// step). The cache stores one orientation per label sequence, packed
+// (bitset.Packed): a stored orientation matching the wanted one is copied
+// out verbatim, a mismatch derives the inverse (ReverseInto) —
+// bit-identical to recomputing, because every kernel picks a row's
+// representation purely from its final population against dst's
+// promotion limit. Entries from another universe or promotion limit are
+// ignored rather than adopted.
 func (x *core) cached(seg paths.Path, reversed bool, dst *bitset.HybridRelation) bool {
 	if x.opt.Cache == nil || len(seg) < 2 {
 		return false

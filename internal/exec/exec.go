@@ -27,11 +27,13 @@ type Options struct {
 	// Execution consults it at every segment boundary: a segment of
 	// length ≥ 2 whose relation is already cached — by an earlier query
 	// of the workload, an earlier step of this query, or another worker
-	// running concurrently — is adopted by copy instead of composed, and
-	// every freshly composed segment is published back. Adoption is
-	// bit-identical to recomputation (entries from a different universe
-	// or density regime are ignored, and relation construction is
-	// deterministic), so hit/miss order never changes results — only
+	// running concurrently — is adopted instead of composed, by copying
+	// the packed entry (bitset.Packed) out into one of the execution's
+	// own relations, and every freshly composed segment is published
+	// back, packed. Adoption is bit-identical to recomputation (entries
+	// from a different universe or density regime are ignored, and
+	// relation construction is deterministic), so hit/miss order never
+	// changes results — only
 	// Stats.CacheHits/CacheMisses and, on a whole-query hit, the
 	// intermediate bookkeeping. A cache is bound to one graph; sharing
 	// it across graphs returns wrong relations.
@@ -44,7 +46,9 @@ type Options struct {
 	// ErrBudgetExceeded).
 	Cancel *Canceller
 	// MaxResultBytes, when > 0, bounds every relation the execution works
-	// on, priced at clone size (content bytes): the relations it
+	// on, priced at clone size (bitset.HybridRelation.CloneMemSize: row
+	// content plus one row header per vertex — the budget's own measure,
+	// not the relation cache's, which packs): the relations it
 	// materializes — bases, intermediates, the result — and the two it
 	// works out the price of without building them, a leaf's start label
 	// (read from the graph by the first step) and a counted result. The

@@ -27,7 +27,7 @@
 //	sched.task      before each scheduler task body   (Fire)
 //	exec.step       before each compose/join step     (Fire)
 //	exec.shard      inside each sharded kernel task   (Fire)
-//	relcache.put    before cloning a cache entry      (Fail)
+//	relcache.put    before packing a cache entry      (Fail)
 //	serve.admit     before overload admission control (Fire)
 package faultinject
 

@@ -1,27 +1,30 @@
 // Package relcache is the workload-level segment-relation cache: a
-// sharded, size-bounded LRU of materialized label-segment relations
-// (bitset.HybridRelation), keyed by the canonical label sequence alone
-// — one entry per sequence, whichever direction it was built in. The
-// executor (internal/exec) consults it at every
-// segment boundary — a query that re-walks a label subsequence another
-// query already materialized adopts the finished relation instead of
-// recomputing it. An estimator owns at most one (pathsel.Config
-// .CacheBytes), shared by every execution, single or batched, which is
-// where the amortization pays: real path-query workloads repeat label
-// subsequences constantly.
+// sharded, size-bounded LRU of materialized label-segment relations,
+// stored packed (bitset.Packed) and keyed by the canonical label sequence
+// alone — one entry per sequence, whichever direction it was built in.
+// The executor (internal/exec) consults it at every segment boundary — a
+// query that re-walks a label subsequence another query already
+// materialized adopts the finished relation instead of recomputing it. An
+// estimator owns at most one (pathsel.Config.CacheBytes), shared by every
+// execution, single or batched, which is where the amortization pays:
+// real path-query workloads repeat label subsequences constantly.
 //
 // # Immutability and the pools
 //
 // Execution relations live in per-call pooled buffers that are reused and
-// rewritten step after step, so the cache can alias nothing: Put clones
-// the relation into a private exact-size copy (copy-on-adopt going in),
-// and consumers copy a Get result into their own pooled buffer before
-// touching it (copy-on-adopt coming out). Cached relations are therefore
-// immutable for their whole lifetime, which is what makes a cache hit
-// bit-identical to recomputation: relation construction is deterministic
-// and representation (sparse/dense per row, active order) is a pure
-// function of the pair set and the promotion limit, so a copied cache
-// entry is structurally indistinguishable from a freshly built relation.
+// rewritten step after step, so the cache can alias nothing: Put packs
+// the relation into a private snapshot (bitset.HybridRelation.Pack), Get
+// returns that bitset.Packed, and a consumer copies it out into its own
+// pooled buffer (Packed.CopyInto, or ReverseInto for the other
+// orientation) — a Packed has no other readers. A pooled buffer carries
+// one row header per vertex of the graph so that any row can be rewritten
+// in place; an entry that is only ever read back whole carries none, and
+// costs its pairs. Entries are immutable for their whole lifetime, which
+// is what makes a cache hit bit-identical to recomputation: relation
+// construction is deterministic and representation (sparse/dense per
+// row, active order) is a pure function of the pair set and the promotion
+// limit, so a copied-out entry is structurally indistinguishable from a
+// freshly built relation.
 //
 // # Keys and eviction
 //
@@ -30,25 +33,43 @@
 // Keys are also orientation-canonical: the executor's leftward growth
 // operates on reversed relations — reversed(p[i:k)) is the inverse pair
 // set of p[i:k) — but the two forms are pure derivations of each other
-// (bitset.HybridRelation.ReverseInto), so the cache stores exactly one
-// relation per label sequence, tagged with the orientation it holds, and
-// a consumer wanting the other form derives it on adoption. One entry
-// then serves forward and backward plans alike, which both halves the
-// byte footprint of mixed-direction workloads and turns what used to be
-// a cross-orientation miss into a hit.
+// (ReverseInto), so the cache stores exactly one relation per label
+// sequence, tagged with the orientation it holds, and a consumer wanting
+// the other form derives it on adoption. One entry then serves forward
+// and backward plans alike, which both halves the byte footprint of
+// mixed-direction workloads and turns what used to be a cross-orientation
+// miss into a hit.
 //
-// Recency is a per-entry stamp from a cache-wide monotonic clock,
-// refreshed by Get with a single atomic store; eviction (under a shard's
-// write lock, in Put) removes the smallest-stamp entry until the new one
-// fits. Stamps are unique and monotonic, so eviction order is exactly
+// Recency is a per-entry stamp from a cache-wide monotonic clock, taken
+// under the entry's shard lock — the read side by Get, which refreshes it
+// with a single atomic store, the write side by Put — and eviction (in
+// Put) removes the smallest-stamp entry until the new one fits. Stamps
+// are unique and monotonic, so eviction order is exactly
 // least-recently-used and fully deterministic for a sequential history —
 // the stamp scheme trades the linked-list bookkeeping (which forced Get
-// to take an exclusive lock) for an approximation that only differs under
-// racing Gets, where "recency order" was never well-defined anyway. Cost
-// is accounted in exact bytes (bitset.HybridRelation.MemSize), so the
-// bound is a real memory budget, not an entry count. Relations larger
-// than a shard's whole budget are rejected outright rather than flushing
-// the shard.
+// to take an exclusive lock) for an order that only differs under racing
+// Gets, where "recency order" was never well-defined anyway.
+//
+// Finding that entry is not a scan. A shard keeps a victim queue: when
+// an eviction finds it empty, every resident entry is listed with its
+// stamp and sorted — the cut — and evictions, in this Put and later
+// ones, pop from its head. A popped candidate is the victim if its key
+// still maps to an entry with that very stamp; otherwise the entry was
+// evicted, replaced or read since the cut, and the candidate is dropped.
+// Every stamp on the shard's entries issued after the cut is newer than
+// every stamp in it (both are taken under the shard's lock), so the
+// first candidate that is still valid is the entry a full scan would
+// have picked, and when none is left every resident entry is newer than
+// the cut and the next one is made. A cut is O(entries · log entries)
+// and each of its candidates is popped once, so an eviction is amortised
+// O(log entries) where the scan was O(entries) under the write lock.
+//
+// Cost is accounted in bytes — bitset.Packed.MemSize (4 per sparse pair,
+// ⌈n/64⌉ words per dense row, 12 per source: nothing per vertex), the
+// key, and entryOverhead — so the bound is a real memory budget, not an
+// entry count, for three-pair entries as for megabyte ones. Relations
+// larger than a shard's whole budget are rejected outright rather than
+// flushing the shard.
 //
 // # Locking
 //
@@ -66,7 +87,9 @@
 package relcache
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,8 +115,8 @@ const (
 // Options configures a Cache.
 type Options struct {
 	// MaxBytes is the total byte budget across all shards (≤ 0 selects
-	// DefaultMaxBytes). Entry cost is the cached relation's exact
-	// MemSize plus key and bookkeeping overhead.
+	// DefaultMaxBytes). Entry cost is the packed relation's exact
+	// MemSize (bitset.Packed) plus key and bookkeeping overhead.
 	MaxBytes int64
 	// Shards is the number of independently locked LRU shards (≤ 0
 	// selects DefaultShards). Rounded up to a power of two and capped at
@@ -131,7 +154,7 @@ type Stats struct {
 // store so readers holding only the shard's read lock can refresh it.
 type entry struct {
 	key      string
-	rel      *bitset.HybridRelation
+	rel      *bitset.Packed
 	reversed bool
 	cost     int64
 	used     atomic.Int64
@@ -139,12 +162,46 @@ type entry struct {
 
 // shard is one independently locked slice of the cache. bytes is written
 // only under mu's write side but read lock-free by Stats, hence atomic.
+// victims[next:] is the victim queue (package doc, "Keys and eviction"),
+// touched only under the write side.
 type shard struct {
 	mu      sync.RWMutex
 	entries map[string]*entry
+	victims []candidate
+	next    int
 	bytes   atomic.Int64
 	cap     int64
 	waitNs  atomic.Int64
+}
+
+// candidate is one slot of a victim queue: an entry's key and the stamp
+// it carried when the queue was cut. By key, not by pointer, so that the
+// queue never keeps an evicted or replaced relation alive.
+type candidate struct {
+	key   string
+	stamp int64
+}
+
+// victim returns the shard's least recently used entry, of which there
+// must be one: the first queued candidate whose entry is still resident
+// and unread since the cut, cutting a new queue from the map when the
+// old one runs out. Stamps do not move under the write lock, so the head
+// of a fresh cut is always valid.
+func (sh *shard) victim() *entry {
+	for {
+		for sh.next < len(sh.victims) {
+			cand := sh.victims[sh.next]
+			sh.next++
+			if e, ok := sh.entries[cand.key]; ok && e.used.Load() == cand.stamp {
+				return e
+			}
+		}
+		sh.victims, sh.next = sh.victims[:0], 0
+		for _, e := range sh.entries {
+			sh.victims = append(sh.victims, candidate{e.key, e.used.Load()})
+		}
+		slices.SortFunc(sh.victims, func(a, b candidate) int { return cmp.Compare(a.stamp, b.stamp) })
+	}
 }
 
 // rlock acquires the read side, tallying wait time when contended.
@@ -245,16 +302,16 @@ func (c *Cache) shardFor(k []byte) *shard {
 // Get returns the cached relation for the segment's label sequence,
 // along with the orientation it holds (true = the reversed pair set), or
 // (nil, false, false). A caller wanting the other orientation derives it
-// (bitset.HybridRelation.ReverseInto) — which is why one entry serves
-// both directions. The returned relation is shared and immutable: the
-// caller must copy it (CopyInto / ReverseInto) before any mutation, and
+// (bitset.Packed.ReverseInto) — which is why one entry serves both
+// directions. The returned snapshot is shared and immutable: the caller
+// copies it out (CopyInto / ReverseInto) into a relation of its own, and
 // must verify it matches the caller's representation regime (Universe,
 // SparseMax) before adopting it.
 //
 // Get takes only the shard's read lock — a hit refreshes recency with an
 // atomic stamp, not a list splice — so concurrent warm readers never
 // serialize on each other, only on a simultaneous Put to the same shard.
-func (c *Cache) Get(p paths.Path) (rel *bitset.HybridRelation, reversed, ok bool) {
+func (c *Cache) Get(p paths.Path) (rel *bitset.Packed, reversed, ok bool) {
 	var buf [keyInline]byte
 	k := appendKey(buf[:0], p)
 	sh := c.shardFor(k)
@@ -287,58 +344,60 @@ func (c *Cache) Contains(p paths.Path) bool {
 	return ok
 }
 
-// entryOverhead approximates an entry's bookkeeping bytes beyond the
-// relation itself: the entry struct, the map slot, and the key header.
-const entryOverhead = 96
+// entryOverhead is an entry's bookkeeping bytes beyond the packed
+// relation and the key's bytes, so that the budget holds for entries of a
+// few pairs, where it is most of the cost: the entry struct (48: key
+// header 16, relation pointer 8, orientation 8 with padding, cost 8,
+// stamp 8), its map slot (a 16-byte key header, an 8-byte pointer and a
+// control byte at a mean load near two thirds: ≈ 40), its victim-queue
+// slot (24) and what the allocator's size classes round the entry's
+// seven small objects up by (≈ 16 in all). TestAccountedBytesTrackHeap
+// holds Stats.Bytes to the heap's own growth.
+const entryOverhead = 128
 
-// Put stores the segment's relation in the given orientation, cloning it
-// so the cache entry stays valid while the caller's pooled buffers are
-// reused (the clone is exact-size, so accounting is tight). An existing
-// entry under the same label sequence is replaced whatever orientation
-// it held — the canonical key keeps exactly one relation per sequence,
-// and replacement (rather than skip) lets a fresh-regime relation oust a
-// stale one that adoption guards were rejecting. Relations whose cost
-// exceeds one shard's whole budget are rejected — caching them would
-// flush everything else for an entry that cannot amortize — and the cost
-// is priced from the source relation (CloneMemSize) before any copying,
-// so an oversized relation published on every query of a workload costs
-// a size computation, not a discarded multi-megabyte clone each time.
-// The relcache.put fault site models the clone failing to allocate: a
-// triggered injection turns the call into a counted rejection, the same
-// graceful degradation as an oversized entry (service continues, the
-// segment just stays uncached).
+// Put stores the segment's relation in the given orientation, packed
+// (bitset.HybridRelation.Pack) so the cache entry stays valid while the
+// caller's pooled buffers are reused and costs its content, not its
+// universe. An existing entry under the same label sequence is replaced
+// whatever orientation it held — the canonical key keeps exactly one
+// relation per sequence, and replacement (rather than skip) lets a
+// fresh-regime relation oust a stale one that adoption guards were
+// rejecting. Relations whose cost exceeds one shard's whole budget are
+// rejected — caching them would flush everything else for an entry that
+// cannot amortize — and the cost is priced from the source relation
+// (PackedMemSize) before any copying, so an oversized relation published
+// on every query of a workload costs a size computation, not a discarded
+// multi-megabyte copy each time. The relcache.put fault site models the
+// copy failing to allocate: a triggered injection turns the call into a
+// counted rejection, the same graceful degradation as an oversized entry
+// (service continues, the segment just stays uncached).
 //
-// Eviction scans the shard for the smallest recency stamp. The scan is
-// O(entries), but it runs under the write lock Put already holds, only
-// when over budget, and shard entry counts are small by construction
-// (the byte budget divided by relation sizes) — the trade buys Get its
-// read-lock-only hot path.
+// Over budget, Put evicts least recently used entries from the shard's
+// victim queue (shard.victim) until the new one fits.
 func (c *Cache) Put(p paths.Path, reversed bool, rel *bitset.HybridRelation) {
 	var buf [keyInline]byte
 	kb := appendKey(buf[:0], p)
 	sh := c.shardFor(kb)
 	k := string(kb)
-	cost := int64(rel.CloneMemSize()) + int64(len(k)) + entryOverhead
-	if cost > sh.cap || faultinject.Fail("relcache.put") {
+	cost := int64(rel.PackedMemSize()) + int64(len(k)) + entryOverhead
+	var packed *bitset.Packed
+	if cost <= sh.cap && !faultinject.Fail("relcache.put") {
+		packed = rel.Pack()
+	}
+	if packed == nil {
 		c.rejected.Add(1)
 		return
 	}
-	clone := rel.Clone()
-	e := &entry{key: k, rel: clone, reversed: reversed, cost: cost}
-	e.used.Store(c.clock.Add(1))
+	e := &entry{key: k, rel: packed, reversed: reversed, cost: cost}
 	sh.lock()
+	e.used.Store(c.clock.Add(1))
 	if old, ok := sh.entries[k]; ok {
 		sh.bytes.Add(-old.cost)
 		delete(sh.entries, k)
 	}
 	var evicted uint64
 	for sh.bytes.Load()+cost > sh.cap && len(sh.entries) > 0 {
-		var victim *entry
-		for _, cand := range sh.entries {
-			if victim == nil || cand.used.Load() < victim.used.Load() {
-				victim = cand
-			}
-		}
+		victim := sh.victim()
 		sh.bytes.Add(-victim.cost)
 		delete(sh.entries, victim.key)
 		evicted++

@@ -45,6 +45,14 @@ func rel(n int, edges ...[2]int) *bitset.HybridRelation {
 	return bitset.HybridFromCSR(op, 0)
 }
 
+// unpack copies a Get result out into a fresh relation, the only way a
+// packed entry is read.
+func unpack(p *bitset.Packed) *bitset.HybridRelation {
+	dst := bitset.NewHybrid(p.Universe(), 0)
+	p.CopyInto(dst)
+	return dst
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	c := New(Options{})
 	p := paths.Path{1, 2, 3}
@@ -54,7 +62,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	c.Put(p, false, r)
 	got, reversed, ok := c.Get(p)
-	if !ok || reversed || !got.Equal(r) {
+	if !ok || reversed || !unpack(got).Equal(r) {
 		t.Fatal("round trip lost the relation or its orientation")
 	}
 	// Different label sequence, different entry.
@@ -97,7 +105,7 @@ func TestOrientationCanonical(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("cross-orientation put duplicated: %d entries", c.Len())
 	}
-	if got, reversed, ok = c.Get(p); !ok || !reversed || !got.Equal(inv) {
+	if got, reversed, ok = c.Get(p); !ok || !reversed || !unpack(got).Equal(inv) {
 		t.Fatal("replacement lost the reversed relation")
 	}
 	if bytes := c.Stats().Bytes; bytes != oneEntry {
@@ -106,7 +114,7 @@ func TestOrientationCanonical(t *testing.T) {
 }
 
 // TestPutFaultInjection drives the relcache.put fault site: a simulated
-// clone-allocation failure must degrade to a counted rejection — no
+// failure to allocate the packed copy must degrade to a counted rejection — no
 // entry, no corruption, service continues — and stores succeed again
 // once the fault clears.
 func TestPutFaultInjection(t *testing.T) {
@@ -155,22 +163,24 @@ func TestPutClonesAndGetIsImmutable(t *testing.T) {
 	c.Put(p, false, r)
 	r.Reset() // caller's pooled buffer is reused...
 	got, _, ok := c.Get(p)
-	if !ok || got.Pairs() != 2 || !got.Contains(2, 3) {
+	if !ok || got.Pairs() != 2 || !unpack(got).Contains(2, 3) {
 		t.Fatal("cache entry aliased the caller's buffer")
 	}
 }
 
 func TestLRUEvictionOrderAndAccounting(t *testing.T) {
-	// Single shard so eviction order is observable. Budget fits ~3 of the
-	// identical-size entries.
-	base := rel(64, [2]int{0, 1}).MemSize()
-	c := New(Options{MaxBytes: int64(base+200) * 3, Shards: 1})
+	// Single shard so eviction order is observable. The budget is sized
+	// from an entry's accounted cost — the packed relation, a two-byte key
+	// and the overhead — to hold three of the identical entries and half
+	// of a fourth, so the fourth Put must evict.
+	cost := int64(rel(64, [2]int{0, 1}).PackedMemSize()) + 2 + entryOverhead
+	c := New(Options{MaxBytes: 3*cost + cost/2, Shards: 1})
 	ps := []paths.Path{{1, 1}, {2, 2}, {3, 3}, {4, 4}}
 	for _, p := range ps[:3] {
 		c.Put(p, false, rel(64, [2]int{0, 1}))
 	}
 	if got := c.Len(); got != 3 {
-		t.Fatalf("expected 3 entries, have %d (budget %d, entry ~%d)", got, (base+200)*3, base)
+		t.Fatalf("expected 3 entries, have %d (budget %d, entry %d)", got, 3*cost+cost/2, cost)
 	}
 	// Touch {1,1} so {2,2} becomes the LRU victim.
 	if _, _, ok := c.Get(ps[0]); !ok {
@@ -186,26 +196,33 @@ func TestLRUEvictionOrderAndAccounting(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Evictions == 0 {
-		t.Fatal("eviction not counted")
+	if st.Evictions != 1 {
+		t.Fatalf("%d evictions counted, want exactly the one victim", st.Evictions)
+	}
+	if st.Bytes != 3*cost {
+		t.Fatalf("accounted %d bytes for three entries of %d", st.Bytes, cost)
 	}
 	if st.Bytes > st.MaxBytes {
 		t.Fatalf("accounting over budget: %d > %d", st.Bytes, st.MaxBytes)
 	}
 }
 
+// TestOversizeRejected exists to reject: a shard that holds a one-pair
+// entry refuses a sixty-pair one (≈ 1.2 KB packed) outright, before
+// evicting anything for it.
 func TestOversizeRejected(t *testing.T) {
-	small := New(Options{MaxBytes: 128, Shards: 1})
+	small := New(Options{MaxBytes: 512, Shards: 1})
+	small.Put(paths.Path{3, 4}, false, rel(64, [2]int{0, 1}))
 	var edges [][2]int
 	for i := 0; i < 60; i++ {
 		edges = append(edges, [2]int{i, (i + 1) % 64})
 	}
 	small.Put(paths.Path{1, 2}, false, rel(64, edges...))
-	if small.Len() != 0 {
-		t.Fatal("oversize entry inserted")
+	if small.Len() != 1 || !small.Contains(paths.Path{3, 4}) {
+		t.Fatal("oversize entry inserted, or the resident one flushed for it")
 	}
 	st := small.Stats()
-	if st.Rejected != 1 || st.Puts != 0 {
+	if st.Rejected != 1 || st.Puts != 1 || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -240,8 +257,11 @@ func TestContainsDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess races Puts and Gets over 64 keys on shards that
+// hold about seven of their sixteen each, so the victim queue is cut,
+// consumed and invalidated by concurrent readers throughout.
 func TestConcurrentAccess(t *testing.T) {
-	c := New(Options{MaxBytes: 1 << 20, Shards: 4})
+	c := New(Options{MaxBytes: 8 << 10, Shards: 4})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -263,13 +283,18 @@ func TestConcurrentAccess(t *testing.T) {
 	if st.Bytes > st.MaxBytes {
 		t.Fatalf("over budget after concurrent load: %d > %d", st.Bytes, st.MaxBytes)
 	}
+	if st.Evictions == 0 {
+		t.Fatalf("nothing was evicted: %+v", st)
+	}
+	checkInvariants(t, c)
 }
 
 // checkInvariants walks every shard and verifies the byte accounting and
 // recency stamps agree with the map: accounted bytes equal the summed
 // entry costs and stay under the shard cap, every entry's map key matches
-// its recorded key, and no stamp is ahead of the cache clock (stamps are
-// unique ticks of it).
+// its recorded key, no stamp is ahead of the cache clock (stamps are
+// unique ticks of it), and what is left of the victim queue is in stamp
+// order.
 func checkInvariants(t *testing.T, c *Cache) {
 	t.Helper()
 	clock := c.clock.Load()
@@ -299,6 +324,16 @@ func checkInvariants(t *testing.T, c *Cache) {
 			sh.mu.Unlock()
 			t.Fatalf("shard %d: map holds %d bytes, accounted %d", i, bytes, sh.bytes.Load())
 		}
+		if sh.next > len(sh.victims) {
+			sh.mu.Unlock()
+			t.Fatalf("shard %d: victim queue head %d past its %d slots", i, sh.next, len(sh.victims))
+		}
+		for j := sh.next + 1; j < len(sh.victims); j++ {
+			if sh.victims[j-1].stamp >= sh.victims[j].stamp {
+				sh.mu.Unlock()
+				t.Fatalf("shard %d: victim queue out of stamp order at slot %d", i, j)
+			}
+		}
 		if sh.bytes.Load() > sh.cap {
 			sh.mu.Unlock()
 			t.Fatalf("shard %d: %d bytes over cap %d", i, sh.bytes.Load(), sh.cap)
@@ -307,9 +342,11 @@ func checkInvariants(t *testing.T, c *Cache) {
 	}
 }
 
-// FuzzCacheInvariants drives a random Put/Get sequence and checks the LRU
-// list, map, and byte accounting stay mutually consistent and under
-// budget at every step.
+// FuzzCacheInvariants drives a random Put/Get sequence and checks the
+// victim queue, map, and byte accounting stay mutually consistent and
+// under budget at every step. An entry here costs ≈ 270 bytes: the first
+// seed's shard holds 15 of the 25 keys and evicts, the second's four
+// shards of 150 bytes reject every Put.
 func FuzzCacheInvariants(f *testing.F) {
 	f.Add(int64(1), uint16(4096), uint8(1), []byte{0, 1, 2, 3})
 	f.Add(int64(7), uint16(600), uint8(3), []byte{9, 9, 9, 1, 250})

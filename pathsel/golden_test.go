@@ -99,6 +99,11 @@ func TestGoldenPlanDigest(t *testing.T) {
 				}
 				fmt.Fprintf(&got, "bushy=%v cache=%s %x\n", bushy, pass, h.Sum(nil))
 			}
+			// The cached configurations exist to evict: a budget the
+			// patterns' segments fit into would pin only the hit path.
+			if st, cached := est.CacheStats(); cached && st.Evictions == 0 {
+				t.Errorf("bushy=%v: %d bytes of cache held all %d entries without evicting", bushy, cacheBytes, st.Entries)
+			}
 		}
 	}
 	if *updateGolden {

@@ -244,13 +244,17 @@ type Config struct {
 	// segment-relation cache of that byte budget (internal/relcache):
 	// every Expr.ExecuteCtx and ExecuteExprBatchCtx call then reuses
 	// label-segment relations materialized by earlier queries instead of
-	// recomputing them, trading memory for workload throughput. The cache
-	// is bound to this estimator's graph. 0 leaves every execution, single
-	// or batched, uncached. Caching never changes results — adopted
-	// relations are bit-identical to recomputed ones — though
-	// with BushyPlans set it can change which plan is chosen (cached
-	// segments cost nothing to build, so warm workloads favor bushy
-	// joins of reusable segments).
+	// recomputing them, trading memory for workload throughput. An entry
+	// is stored packed and costs its content — 4 bytes per pair of a
+	// sparse row, ⌈|V|/64⌉ words per dense row, 12 bytes per source
+	// vertex and ≈ 250 of bookkeeping — nothing per vertex of the graph,
+	// so a megabyte holds hundreds of selective segments whatever |V| is.
+	// The cache is bound to this estimator's graph. 0 leaves every
+	// execution, single or batched, uncached. Caching never changes
+	// results — adopted relations are bit-identical to recomputed ones —
+	// though with BushyPlans set it can change which plan is chosen
+	// (cached segments cost nothing to build, so warm workloads favor
+	// bushy joins of reusable segments).
 	CacheBytes int64
 	// CacheShards is the cache's shard count (≤ 0 selects an
 	// 8-shard default). Shards bound lock contention when
@@ -268,7 +272,9 @@ type Config struct {
 	// histogram lookup.
 	QueryTimeout time.Duration
 	// MaxResultBytes, when > 0, bounds the memory of every relation a
-	// query materializes (content bytes, the relation cache's measure).
+	// query materializes, priced as an exact-size working copy: content
+	// bytes plus 56 per vertex of the graph (the budget's own measure;
+	// the relation cache's is the packed entry, see CacheBytes).
 	// It acts twice: at admission, queries whose histogram-projected
 	// peak relation would exceed the budget are rejected with
 	// ErrAdmissionDenied before touching the graph; and at runtime,
