@@ -680,3 +680,74 @@ func BenchmarkCacheAdopt(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFoldCached times an RPQ fold against the relation cache in the
+// three states a served query meets it, over three of serve_mixed's
+// patterns — `(3|4)/*?/2` (altwild), `(2|4)/7{0,2}` (altrep) and `2/1?/5`
+// (optional): cold is a first execution over an empty cache, which builds,
+// packs and publishes every prefix and element it could otherwise count or
+// drop — the price of the other two; prefix resumes from the last prefix
+// but one, R_{last−1}, the only entry resident, and runs the last block's
+// step; whole is the repeat, one probe and one copy out.
+func BenchmarkFoldCached(b *testing.B) {
+	g := serveMixedGraph()
+	pool := exec.NewRelPool(g.NumVertices(), 0)
+	all := make([]int, g.NumLabels())
+	for l := range all {
+		all[l] = l
+	}
+	label := func(l int) exec.RPQElem { return exec.RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	zero := exec.Planner{Est: exec.EstimatorFunc(func(paths.Path) float64 { return 0 })}
+	plan := func(elems []exec.RPQElem) *exec.DagPlan {
+		return zero.Plan(&exec.RPQDag{Elems: elems}, g.NumVertices(), false)
+	}
+	run := func(b *testing.B, dp *exec.DagPlan, cache *relcache.Cache, hits int) {
+		_, st, err := exec.Run(g, dp, exec.Options{Workers: 1, Pool: pool, Cache: cache})
+		if err != nil || st.CacheHits != hits {
+			b.Fatalf("%d cache hits (err %v), want %d", st.CacheHits, err, hits)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		elems []exec.RPQElem
+	}{
+		{"altwild", []exec.RPQElem{{Labels: []int{2, 3}, MinRep: 1, MaxRep: 1}, {Labels: all, MinRep: 0, MaxRep: 1}, label(1)}},
+		{"altrep", []exec.RPQElem{{Labels: []int{1, 3}, MinRep: 1, MaxRep: 1}, {Labels: []int{6}, MinRep: 0, MaxRep: 2}}},
+		{"optional", []exec.RPQElem{label(1), {Labels: []int{0}, MinRep: 0, MaxRep: 1}, label(4)}},
+	} {
+		dp := plan(c.elems)
+		b.Run("cold/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run(b, dp, relcache.New(relcache.Options{}), 0)
+			}
+		})
+		b.Run("prefix/"+c.name, func(b *testing.B) {
+			// The plans' blocks are their elements here, so the last prefix
+			// but one is all elements but the last.
+			head := c.elems[:len(c.elems)-1]
+			rel, _, err := exec.Run(g, plan(head), exec.Options{Workers: 1, KeepResult: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var key []byte
+			for _, e := range head {
+				key = relcache.AppendElem(key, e.Labels, e.MinRep, e.MaxRep)
+			}
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cache := relcache.New(relcache.Options{})
+				cache.PutKey(key, false, rel)
+				b.StartTimer()
+				run(b, dp, cache, 1)
+			}
+		})
+		b.Run("whole/"+c.name, func(b *testing.B) {
+			cache := relcache.New(relcache.Options{})
+			run(b, dp, cache, 0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(b, dp, cache, 1)
+			}
+		})
+	}
+}

@@ -215,9 +215,11 @@ func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelatio
 	}
 	// A root join that may count (see counts) has no cache to adopt from
 	// and needs no destination: dst stays nil and its step is counted.
+	var room [keyRoom]byte
+	key := x.pathKey(room[:0], seg)
 	var dst *bitset.HybridRelation
-	if !(root && x.counts(seg)) {
-		d, hit, err := x.whole(seg)
+	if !(root && x.counts(key)) {
+		d, hit, err := x.whole(key)
 		if hit || err != nil {
 			return d, err
 		}
@@ -264,7 +266,7 @@ func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelatio
 	// The joined segment is published in forward orientation: a later
 	// zig-zag over the same labels, a repeat of this subtree, or the
 	// whole-segment fast path can all adopt it.
-	err := x.step(seg, false, dst, func() error { return x.join(l, dst, r) })
+	err := x.step(key, false, dst, func() error { return x.join(l, dst, r) })
 	x.drop(l)
 	x.drop(r)
 	return dst, err

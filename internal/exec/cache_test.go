@@ -284,25 +284,35 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 }
 
 // TestWholeQueryHitAllocatesNothingOfItsOwn pins the hot path of a warm
-// workload: a pooled execution answered by the whole-query fast path
-// builds no scheduler, keeps its state on the stack and probes the
-// cache with a stack-encoded key, so it allocates nothing at all.
+// workload: a pooled execution answered by the whole-query fast path — a
+// concrete path's, a lone element's, a fold's over its longest prefix —
+// builds no scheduler, keeps its state on the stack and probes the cache
+// with a stack-encoded key, so it allocates nothing at all.
 func TestWholeQueryHitAllocatesNothingOfItsOwn(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
-	opt, pool, _ := checkedOptions(g.NumVertices(), 2)
-	opt.Cache = relcache.New(relcache.Options{})
-	p := paths.Path{0, 1, 0}
-	rel, _ := runPlan(t, g, p, 0, opt) // publish
-	pool.Put(rel)
-	plan := startPlan(p, 0)
-	run := func() {
-		rel, st, err := Run(g, plan, opt)
-		if err != nil || st.CacheHits != 1 || st.Sched.Tasks != 0 {
-			t.Fatalf("err=%v stats=%+v, want one hit and no scheduler", err, st)
+	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	alt := RPQElem{Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}
+	for name, plan := range map[string]*DagPlan{
+		"path":    startPlan(paths.Path{0, 1, 0}, 0),
+		"element": zeroPlan(g, &RPQDag{Elems: []RPQElem{{Labels: []int{0, 1}, MinRep: 1, MaxRep: 2}}}),
+		"fold":    zeroPlan(g, &RPQDag{Elems: []RPQElem{alt, {Labels: []int{1}, MinRep: 0, MaxRep: 2}, label(0), label(1)}}),
+	} {
+		opt, pool, _ := checkedOptions(g.NumVertices(), 2)
+		opt.Cache = relcache.New(relcache.Options{})
+		rel, _, err := Run(g, plan, opt) // publish
+		if err != nil {
+			t.Fatal(err)
 		}
 		pool.Put(rel)
-	}
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Fatalf("whole-query hit allocates %.0f times per execution, want 0", allocs)
+		run := func() {
+			rel, st, err := Run(g, plan, opt)
+			if err != nil || st.CacheHits != 1 || st.Sched.Tasks != 0 || len(st.Intermediates) != 0 {
+				t.Fatalf("%s: err=%v stats=%+v, want one hit, no step and no scheduler", name, err, st)
+			}
+			pool.Put(rel)
+		}
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Fatalf("%s: whole-query hit allocates %.0f times per execution, want 0", name, allocs)
+		}
 	}
 }

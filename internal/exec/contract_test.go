@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/paths"
+	"repro/internal/relcache"
 	"repro/internal/sched"
 )
 
@@ -28,7 +29,10 @@ type planShape struct {
 // interior-start zig-zag plan, a bushy join of two zig-zag halves, and a
 // plan whose fold joins a bushy run block with a repetition element.
 func contractShapes(t *testing.T, g *graph.CSR) []planShape {
-	p := paths.Path{0, 1, 0, 1}
+	// The bushy halves spell different label sequences, so that over a cold
+	// cache its concurrently built children never race to one entry and
+	// the steps a run crosses are the same every time.
+	p := paths.Path{0, 1, 1, 0}
 	tree := &PlanTree{Lo: 0, Hi: 4, Start: -1,
 		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},
 		Right: &PlanTree{Lo: 2, Hi: 4, Start: 2},
@@ -108,11 +112,12 @@ func armFault(r faultinject.Rule) func(*Options, *Canceller) func() {
 	}
 }
 
-// contractCases returns the abort table for a shape whose uncached run
+// contractCases returns the abort table for a shape whose surviving run
 // crosses the given number of exec.step boundaries, runs the given number
 // of sharded kernel tasks, and does or does not draw a relation from the
-// pool.
-func contractCases(boundaries, shards int, draws bool) []abortCase {
+// pool — to build in, or, adopted, to copy a whole-query hit into, which
+// runs no kernel at all.
+func contractCases(boundaries, shards int, draws, adopted bool) []abortCase {
 	cases := []abortCase{
 		{name: "pre-cancelled",
 			arm:  func(_ *Options, c *Canceller) func() { c.Cancel(nil); return func() {} },
@@ -129,7 +134,7 @@ func contractCases(boundaries, shards int, draws bool) []abortCase {
 				return func() {}
 			},
 			want:     func(err error) bool { return errors.Is(err, ErrCancelled) },
-			survives: !draws},
+			survives: !draws || adopted},
 		{name: "deadline",
 			// An injected delay at every step boundary makes a short
 			// context deadline expire mid-query.
@@ -183,9 +188,10 @@ func contractCases(boundaries, shards int, draws bool) []abortCase {
 
 // TestContractEveryPlanShape pins the one execution contract on every
 // plan shape: {zig-zag, bushy, DAG, first step rightward and leftward,
-// through an alternation and an optional label, wildcard} × {result kept,
-// result counted} × {pre-cancelled, cancelled mid-base, deadline at a step
-// boundary and inside a shard, budget, shard panic, step panic at each
+// through an alternation and an optional label, wildcard} × {no cache, a
+// cold one, one the plan already ran over — a whole-query hit} × {result
+// kept, result counted} × {pre-cancelled, cancelled mid-base, deadline at a
+// step boundary and inside a shard, budget, shard panic, step panic at each
 // boundary} × workers {1, 4}. An aborted
 // execution returns its typed error and a nil relation, with every pooled
 // relation released and every goroutine gone; a survivor that keeps its
@@ -196,53 +202,78 @@ func contractCases(boundaries, shards int, draws bool) []abortCase {
 func TestContractEveryPlanShape(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
 	for _, sh := range append(append(contractShapes(t, g), operandShapes(t, g)...), wildcardShape(t, g)) {
-		for _, workers := range []int{1, 4} {
-			var kept Stats
-			boundaries, shards := 0, 0
-			for _, keep := range []bool{true, false} {
-				// A survival run under a never-triggering rule counts the
-				// shape's step boundaries and checks the survivor.
-				inj := faultinject.NewInjector(faultinject.Rule{Site: "exec.step", Skip: 1 << 30})
-				faultinject.Install(inj)
-				opt, pool, _ := checkedOptions(g.NumVertices(), workers)
-				opt.KeepResult = keep
-				draws, mk := false, pool.free.New
-				pool.free.New = func() *bitset.HybridRelation { draws = true; return mk() }
-				rel, st, err := Run(g, sh.plan, opt)
-				faultinject.Uninstall()
-				if keep {
-					if err != nil || !sh.oracle(rel) || pool.InUse() != 1 {
-						t.Fatalf("%s workers=%d: survivor err=%v, %d relations in use, want the oracle's relation and 1",
-							sh.name, workers, err, pool.InUse())
-					}
-					kept, boundaries, shards = st, inj.Visits("exec.step"), inj.Visits("exec.shard")
-				} else if err != nil || rel != nil || pool.InUse() != 0 ||
-					st.Result != kept.Result || inj.Visits("exec.step") != boundaries {
-					t.Fatalf("%s workers=%d: counted survivor err=%v relation=%t result=%d over %d steps with %d relations in use, want no relation, %d over %d steps and 0",
-						sh.name, workers, err, rel != nil, st.Result, inj.Visits("exec.step"), pool.InUse(), kept.Result, boundaries)
+		// cacheIn returns a fresh cache in the given state, for one run.
+		cacheIn := func(state string) *relcache.Cache {
+			if state == "none" {
+				return nil
+			}
+			cache := relcache.New(relcache.Options{})
+			if state == "warm" {
+				if _, _, err := Run(g, sh.plan, Options{Cache: cache}); err != nil {
+					t.Fatalf("%s: warming the cache: %v", sh.name, err)
 				}
-				for _, ac := range contractCases(boundaries, shards, draws) {
-					t.Run(fmt.Sprintf("%s/keep=%t/%s/workers=%d", sh.name, keep, ac.name, workers), func(t *testing.T) {
-						base := runtime.NumGoroutine()
-						opt, pool, c := checkedOptions(g.NumVertices(), workers)
-						opt.KeepResult = keep
-						cleanup := ac.arm(&opt, c)
-						rel, _, err := Run(g, sh.plan, opt)
-						cleanup()
-						switch {
-						case err == nil && ac.survives:
-							if keep && !sh.oracle(rel) {
-								t.Fatal("survivor differs from the oracle")
+			}
+			return cache
+		}
+		for _, state := range []string{"none", "cold", "warm"} {
+			for _, workers := range []int{1, 4} {
+				var kept Stats
+				boundaries, shards := 0, 0
+				for _, keep := range []bool{true, false} {
+					// A survival run under a never-triggering rule counts the
+					// shape's step boundaries and checks the survivor.
+					inj := faultinject.NewInjector(faultinject.Rule{Site: "exec.step", Skip: 1 << 30})
+					opt, pool, _ := checkedOptions(g.NumVertices(), workers)
+					opt.KeepResult, opt.Cache = keep, cacheIn(state)
+					draws, mk := false, pool.free.New
+					pool.free.New = func() *bitset.HybridRelation { draws = true; return mk() }
+					faultinject.Install(inj)
+					rel, st, err := Run(g, sh.plan, opt)
+					faultinject.Uninstall()
+					if keep {
+						if err != nil || !sh.oracle(rel) || pool.InUse() != 1 {
+							t.Fatalf("%s cache=%s workers=%d: survivor err=%v, %d relations in use, want the oracle's relation and 1",
+								sh.name, state, workers, err, pool.InUse())
+						}
+						kept, boundaries, shards = st, inj.Visits("exec.step"), inj.Visits("exec.shard")
+					} else if err != nil || rel != nil || pool.InUse() != 0 ||
+						st.Result != kept.Result || inj.Visits("exec.step") != boundaries {
+						t.Fatalf("%s cache=%s workers=%d: counted survivor err=%v relation=%t result=%d over %d steps with %d relations in use, want no relation, %d over %d steps and 0",
+							sh.name, state, workers, err, rel != nil, st.Result, inj.Visits("exec.step"), pool.InUse(), kept.Result, boundaries)
+					}
+					adopted := state == "warm" && st.CacheHits == 1 && len(st.Intermediates) == 0
+					if state == "warm" && !adopted && sh.name != "first-right" && sh.name != "first-left" {
+						// (A length-2 leaf aside, whose whole-query hit is also
+						// its one step's.)
+						t.Fatalf("%s workers=%d keep=%t: the plan's repeat reports %+v, want a whole-query hit", sh.name, workers, keep, st)
+					}
+					shape := sh.name
+					if state != "none" {
+						shape += "/cache=" + state
+					}
+					for _, ac := range contractCases(boundaries, shards, draws, adopted) {
+						t.Run(fmt.Sprintf("%s/keep=%t/%s/workers=%d", shape, keep, ac.name, workers), func(t *testing.T) {
+							base := runtime.NumGoroutine()
+							opt, pool, c := checkedOptions(g.NumVertices(), workers)
+							opt.KeepResult, opt.Cache = keep, cacheIn(state)
+							cleanup := ac.arm(&opt, c)
+							rel, _, err := Run(g, sh.plan, opt)
+							cleanup()
+							switch {
+							case err == nil && ac.survives:
+								if keep && !sh.oracle(rel) {
+									t.Fatal("survivor differs from the oracle")
+								}
+								pool.Put(rel)
+							case rel != nil || !ac.want(err):
+								t.Fatalf("got relation=%t err=%v, want no relation and the case's typed error", rel != nil, err)
 							}
-							pool.Put(rel)
-						case rel != nil || !ac.want(err):
-							t.Fatalf("got relation=%t err=%v, want no relation and the case's typed error", rel != nil, err)
-						}
-						if n := pool.InUse(); n != 0 {
-							t.Fatalf("%d pooled relations leaked (err=%v)", n, err)
-						}
-						waitForGoroutines(t, base)
-					})
+							if n := pool.InUse(); n != 0 {
+								t.Fatalf("%d pooled relations leaked (err=%v)", n, err)
+							}
+							waitForGoroutines(t, base)
+						})
+					}
 				}
 			}
 		}

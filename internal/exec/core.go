@@ -7,6 +7,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/graph"
 	"repro/internal/paths"
+	"repro/internal/relcache"
 	"repro/internal/sched"
 )
 
@@ -173,13 +174,32 @@ func (x *core) price(rel *bitset.HybridRelation) error {
 	return ErrBudgetExceeded
 }
 
+// keyRoom is the room a node keeps on its stack for the cache keys it
+// encodes: any census-bounded path, and any fold prefix over a handful of
+// labels, fits, so probing and publishing allocate nothing; a longer key (a
+// wildcard over hundreds of labels) spills to the heap and stays correct.
+const keyRoom = 64
+
+// pathKey encodes the cache key of segment seg into buf — the one place a
+// label sequence becomes a key (relcache.AppendPath) — or returns nil, no
+// key, when nothing is cached under it: there is no cache, or seg is a
+// single label, whose relation is a CSR read.
+func (x *core) pathKey(buf []byte, seg paths.Path) []byte {
+	if x.opt.Cache == nil || len(seg) < 2 {
+		return nil
+	}
+	return relcache.AppendPath(buf, seg)
+}
+
 // counts reports whether a root node may count its final step — the one
-// producing seg's relation — instead of building it: the caller does not
-// keep the result, and the step would not publish it either (no cache, or
-// an uncacheable segment). Only the root asks: every other node's output
-// is some later step's input.
-func (x *core) counts(seg paths.Path) bool {
-	return !x.opt.KeepResult && (x.opt.Cache == nil || len(seg) < 2)
+// producing the relation key names — instead of building it: the caller
+// does not keep the result, and the step would not publish it either (a
+// nil key: no cache, or nothing cached under it). With a cache every root
+// — a concrete path's, a fold's last step, a lone element — builds and
+// publishes, so that the query's repeat is a whole-query hit. Only the
+// root asks: every other node's output is some later step's input.
+func (x *core) counts(key []byte) bool {
+	return !x.opt.KeepResult && key == nil
 }
 
 // fill makes dst the union of the labels' edge relations — the base a
@@ -212,21 +232,22 @@ func (x *core) stepper() *stepper {
 	return x.stp
 }
 
-// cached materializes the cached relation of seg in the wanted
-// orientation into dst and reports whether an adoptable entry existed.
-// Only segments of length ≥ 2 are cached (a nil seg is an uncacheable
-// step). The cache stores one orientation per label sequence, packed
+// cached materializes the relation cached under key, in the wanted
+// orientation, into dst and reports whether an adoptable entry existed. A
+// key is the canonical encoding of an element sequence (relcache.AppendElem;
+// a label sequence is the all-plain case, pathKey); a nil key names nothing
+// cacheable. The cache stores one orientation per key, packed
 // (bitset.Packed): a stored orientation matching the wanted one is copied
 // out verbatim, a mismatch derives the inverse (ReverseInto) —
 // bit-identical to recomputing, because every kernel picks a row's
 // representation purely from its final population against dst's
 // promotion limit. Entries from another universe or promotion limit are
 // ignored rather than adopted.
-func (x *core) cached(seg paths.Path, reversed bool, dst *bitset.HybridRelation) bool {
-	if x.opt.Cache == nil || len(seg) < 2 {
+func (x *core) cached(key []byte, reversed bool, dst *bitset.HybridRelation) bool {
+	if key == nil {
 		return false
 	}
-	rel, stored, ok := x.opt.Cache.Get(seg)
+	rel, stored, ok := x.opt.Cache.GetKey(key)
 	if !ok || rel.Universe() != x.n || rel.SparseMax() != x.limit {
 		return false
 	}
@@ -239,24 +260,35 @@ func (x *core) cached(seg paths.Path, reversed bool, dst *bitset.HybridRelation)
 	return true
 }
 
+// publish stores a relation the execution just finished under key, in the
+// given orientation, and counts the miss it answers; a nil key publishes
+// nothing.
+func (x *core) publish(key []byte, reversed bool, rel *bitset.HybridRelation) {
+	if key != nil {
+		x.opt.Cache.PutKey(key, reversed, rel)
+		x.misses++
+	}
+}
+
 // whole takes a relation and tries the whole-segment fast path every
-// node of length ≥ 2 starts with: a workload that repeats the segment
-// (or another plan that already joined these labels) left the finished
-// relation in the cache, so the node adopts it without building anything
-// below. On a miss dst is the node's first buffer.
-func (x *core) whole(seg paths.Path) (dst *bitset.HybridRelation, hit bool, err error) {
+// node whose relation has a key starts with: a workload that repeats the
+// segment (or another plan that already joined these labels) left the
+// finished relation in the cache, so the node adopts it without building
+// anything below. On a miss dst is the node's first buffer.
+func (x *core) whole(key []byte) (dst *bitset.HybridRelation, hit bool, err error) {
 	dst = x.take()
-	if x.cached(seg, false, dst) {
+	if x.cached(key, false, dst) {
 		return dst, true, x.price(dst)
 	}
 	return dst, false, nil
 }
 
 // step is the one protocol every join step of every plan shape goes
-// through: fire the exec.step fault site (chaos tests insert delays and
+// through — a leaf's, a join node's, an unrolled power's, a fold's block
+// boundary: fire the exec.step fault site (chaos tests insert delays and
 // panics here without touching real kernels), check cancellation, adopt
-// seg's relation from the cache or compute it into dst and publish it,
-// then price dst against the budget. A cancelled step's partial
+// the relation under key from the cache or compute it into dst and publish
+// it, then price dst against the budget. A cancelled step's partial
 // destination is discarded, never cached. Every segment is materialized
 // either way, so recorded intermediates are identical to an uncached
 // run. On error dst stays live for finish to release.
@@ -264,21 +296,20 @@ func (x *core) whole(seg paths.Path) (dst *bitset.HybridRelation, hit bool, err 
 // A nil dst is the root's counted final step (see counts): there is
 // nothing to adopt into or publish from, compute leaves its outcome in
 // x.counted, and that is what gets priced.
-func (x *core) step(seg paths.Path, reversed bool, dst *bitset.HybridRelation, compute func() error) error {
+func (x *core) step(key []byte, reversed bool, dst *bitset.HybridRelation, compute func() error) error {
 	faultinject.Fire("exec.step")
 	if err := x.opt.Cancel.Err(); err != nil {
 		return err
 	}
-	if dst == nil || !x.cached(seg, reversed, dst) {
+	if dst == nil || !x.cached(key, reversed, dst) {
 		if err := compute(); err != nil {
 			return err
 		}
 		if err := x.opt.Cancel.Err(); err != nil {
 			return err
 		}
-		if dst != nil && x.opt.Cache != nil && len(seg) >= 2 {
-			x.opt.Cache.Put(seg, reversed, dst)
-			x.misses++
+		if dst != nil {
+			x.publish(key, reversed, dst)
 		}
 	}
 	return x.price(dst)

@@ -41,7 +41,12 @@
 // exec.step fault site, check cancellation, adopt the segment from the
 // relation cache or compute and publish it, price it against the byte
 // budget — and one finish — contain panics as typed errors, release every
-// pooled relation on abort, total the stats. Plan nodes are methods that
+// pooled relation on abort, total the stats. What a step adopts or
+// publishes is named by the key of its element sequence
+// (relcache.AppendElem): a leaf's label segment, and equally an RPQ's
+// element or the prefix of blocks a fold step completes, so a fold resumes
+// after the longest prefix already cached and a repeated query of any
+// shape is one adoption. Plan nodes are methods that
 // nest, and every surviving execution is bit-identical to the dense
 // executor of internal/oracle (or, for an RPQ, to the union of its
 // expansions). The answer to a query is a count, so unless

@@ -24,19 +24,23 @@ type Options struct {
 	// profitably execute sequentially regardless.
 	Workers int
 	// Cache is the shared segment-relation cache (nil disables caching).
-	// Execution consults it at every segment boundary: a segment of
-	// length ≥ 2 whose relation is already cached — by an earlier query
-	// of the workload, an earlier step of this query, or another worker
-	// running concurrently — is adopted instead of composed, by copying
-	// the packed entry (bitset.Packed) out into one of the execution's
-	// own relations, and every freshly composed segment is published
-	// back, packed. Adoption is bit-identical to recomputation (entries
-	// from a different universe or density regime are ignored, and
-	// relation construction is deterministic), so hit/miss order never
-	// changes results — only
-	// Stats.CacheHits/CacheMisses and, on a whole-query hit, the
-	// intermediate bookkeeping. A cache is bound to one graph; sharing
-	// it across graphs returns wrong relations.
+	// Execution consults it at every segment boundary: a segment whose
+	// relation is already cached — by an earlier query of the workload, an
+	// earlier step of this query, or another worker running concurrently —
+	// is adopted instead of composed, by copying the packed entry
+	// (bitset.Packed) out into one of the execution's own relations, and
+	// every freshly composed segment is published back, packed. A segment
+	// is whatever has a key (relcache.AppendElem): a label subsequence of
+	// length ≥ 2, and for a regular path query every prefix of its blocks
+	// and every element that is more than one label read once — so a
+	// repeated query is one adoption, whatever its shape. Adoption is
+	// bit-identical to recomputation (entries from a different universe or
+	// density regime are ignored, and relation construction is
+	// deterministic), so hit/miss order never changes results — only
+	// Stats.CacheHits/CacheMisses and, where a prefix or the whole query
+	// was adopted, the intermediates of the steps that did not run. A
+	// cache is bound to one graph; sharing it across graphs returns wrong
+	// relations.
 	Cache *relcache.Cache
 	// Cancel, when non-nil, makes the execution cooperatively
 	// cancellable: the executor consults it at every join step, and its
@@ -70,10 +74,10 @@ type Options struct {
 	// relation is nil and the result is not built when it need not be:
 	// the root's final join step runs the count kernels
 	// (bitset.ComposeCount / JoinCount) whenever its output would not be
-	// published to Cache, and a result that had to be built anyway (a
-	// cache adoption, a published or unioned result, a single-label
-	// query) is released before returning. Stats and the
-	// MaxResultBytes boundary are identical either way.
+	// published to Cache — without a cache, that is — and a result that
+	// had to be built anyway (a cache adoption, a published or unioned
+	// result, a single-label query) is released before returning. Stats
+	// and the MaxResultBytes boundary are identical either way.
 	KeepResult bool
 }
 
@@ -100,10 +104,13 @@ type Stats struct {
 	// CacheHits and CacheMisses count the execution's segment-cache
 	// traffic when Options.Cache is set (both zero otherwise): a hit is a
 	// segment adopted from the cache instead of composed, a miss is a
-	// cacheable segment (length ≥ 2) that had to be computed and was
-	// published back. A whole-query hit short-circuits execution
-	// entirely — then Intermediates is empty and Work 0, because nothing
-	// intermediate was materialized.
+	// cacheable segment — a label segment of length ≥ 2, a fold prefix, an
+	// element's relation — that had to be computed and was published
+	// back. A whole-query hit, a concrete path's or a regular path
+	// query's alike, short-circuits execution entirely — then
+	// Intermediates is empty and Work 0, because nothing intermediate was
+	// materialized; a fold that resumed from a cached prefix reports the
+	// intermediates of the steps after it only.
 	CacheHits, CacheMisses int
 	// Sched reports the execution's scheduler activity — how the sharded
 	// join steps actually ran. All-zero when every step fell below the
@@ -191,7 +198,12 @@ func (s *SchedStats) merge(o SchedStats) {
 // prefix that may still be empty, an unrolled element's base and powers,
 // and every step's output but a counted root's. What is not: the start
 // label of a leaf of length ≥ 2 and a label set after a non-empty prefix —
-// both read in place from the CSR — and a result nobody keeps.
+// both read in place from the CSR — and, without a cache, a result nobody
+// keeps. With a cache the root's last step is built and published like any
+// other — a concrete path's, a fold's, a lone element's — and everything
+// with a key is adopted where it is already there: a fold probes its
+// prefixes longest first and resumes after the longest one cached, so the
+// blocks before it are not run at all.
 // Stats.Work counts every relation fed into a join step — a leaf's zig-zag
 // intermediates, both inputs of every join node and of every
 // block-boundary join, the one input of a step through a label set, an
@@ -216,7 +228,9 @@ func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stat
 // leaf that may count (see counts) counts its last step — the one whose
 // segment is all of p, in either direction — and returns no relation.
 func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation, error) {
-	buf, hit, err := x.whole(p)
+	var room [keyRoom]byte // every key of the leaf, one at a time
+	key := x.pathKey(room[:0], p)
+	buf, hit, err := x.whole(key)
 	if hit || err != nil {
 		return buf, err
 	}
@@ -232,7 +246,7 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 	if start == len(p)-1 {
 		a = x.g.PredecessorCSR(p[start])
 	}
-	count := root && x.counts(p)
+	count := root && x.counts(key)
 	// cur is the segment grown so far, nil until the first step has run;
 	// spare returns the other buffer, taken when a second one is first
 	// needed — a length-2 segment is built with one.
@@ -257,7 +271,7 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 			in = cur.Pairs()
 		}
 		x.ints = append(x.ints, in)
-		err := x.step(seg, reversed, dst, func() error {
+		err := x.step(x.pathKey(room[:0], seg), reversed, dst, func() error {
 			if cur == nil {
 				return x.first(a, dst, op)
 			}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/paths"
+	"repro/internal/relcache"
 )
 
 // This file is the execution layer's query and plan form: a compiled
@@ -38,6 +39,14 @@ import (
 // joined. A whole-query MinLen of 0 (every element optional) would make
 // the identity relation a member of the union; compilers must reject it,
 // and DagPlan.validate panics on it.
+//
+// R_i and U_i are functions of their elements alone — eps_i too — so with
+// a relation cache they are segments like a concrete path's: keyed by
+// their element sequence (relcache.AppendElem, under which a prefix of
+// plain labels is that label path's key), probed before they are built,
+// published when they are (core.fold, core.elem). A query that repeats is
+// then a whole-query hit whatever its shape, and one that shares a prefix
+// or an element with an earlier query starts from it.
 
 // MaxRepetition bounds an element's repetition upper bound. Unrolled
 // powers are materialized relations, so an unbounded (or absurd) MaxRep
@@ -541,31 +550,60 @@ func (pl Planner) decide(dp *DagPlan) {
 	dp.ResultEst = size
 }
 
-// elem builds one complex element's relation: the alternation base A,
-// the union of its label relations built in one pass (core.fill), then
-// the unrolled powers A^r = A^(r−1) ∘ A up to MaxRep, each one step
-// through the label set from the graph, accumulating
-// U = ⋃_{r≥max(1,MinRep)} A^r. Single-label powers step through the
-// segment cache under their repeated-label path key — the same key a
-// concrete query's segments use, so a warm `b{1,3}` adopts the cached `bb`
-// and `bbb` relations and a warm `b/b` adopts a power this element
-// published. Multi-label powers are uncacheable. A root element that is
-// not unrolled is all of the plan and, when nobody keeps it (see counts),
-// is counted, not built.
+// elemKey encodes the one-element cache key of e into buf — what e's
+// finished relation U is published under, and, the encoding being
+// compositional, what a query that starts with e probes as its first
+// prefix. It returns nil, no key, without a cache and for a single label
+// that is not unrolled (a?): its relation is a CSR read, which the cache
+// never holds.
+func (x *core) elemKey(buf []byte, e RPQElem) []byte {
+	if x.opt.Cache == nil || (len(e.Labels) == 1 && e.MaxRep == 1) {
+		return nil
+	}
+	return relcache.AppendElem(buf, e.Labels, e.MinRep, e.MaxRep)
+}
+
+// elem builds one complex element's relation U: adopted whole from the
+// cache where an earlier execution published it under the element's key
+// (elemKey), else built — the alternation base A, the union of its label
+// relations in one pass (core.fill), then the unrolled powers
+// A^r = A^(r−1) ∘ A up to MaxRep, each one step through the label set from
+// the graph, accumulating U = ⋃_{r≥max(1,MinRep)} A^r — and published.
+// Single-label powers step through the segment cache under their
+// repeated-label path key — the same key a concrete query's segments use,
+// so a `b{1,3}` whose union was evicted adopts the cached `bb` and `bbb`
+// relations and a warm `b/b` adopts a power this element published.
+// Multi-label powers have no key of their own: U is the entry. A root
+// element that is not unrolled is all of the plan and, when nobody keeps it
+// and there is no cache to publish it to (see counts), is counted, not
+// built.
 func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
-	if e.MaxRep == 1 && root && x.counts(nil) {
+	var room [keyRoom]byte
+	key := x.elemKey(room[:0], e)
+	if e.MaxRep == 1 && root && x.counts(key) {
 		return nil, x.fill(nil, e.Labels)
 	}
+	u, hit, err := x.whole(key)
+	if hit || err != nil {
+		return u, err
+	}
+	if e.MaxRep == 1 {
+		if err := x.fill(u, e.Labels); err != nil {
+			return nil, err
+		}
+		x.publish(key, false, u)
+		return u, nil
+	}
 	a := x.take()
-	if err := x.fill(a, e.Labels); err != nil || e.MaxRep == 1 {
-		return a, err
+	if err := x.fill(a, e.Labels); err != nil {
+		return nil, err
 	}
 	lo := max(1, e.MinRep)
-	u := x.take()
 	if lo == 1 {
 		u.UnionWith(a)
 	}
-	var power paths.Path // cache key of the current single-label power
+	var power paths.Path // the current single-label power as a path
+	var proom [keyRoom]byte
 	if len(e.Labels) == 1 {
 		power = append(make(paths.Path, 0, e.MaxRep), e.Labels[0])
 	}
@@ -576,7 +614,7 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 			power = append(power, e.Labels[0])
 		}
 		x.ints = append(x.ints, pow.Pairs())
-		if err := x.step(power, false, next, func() error { return x.through(pow, next, e.Labels) }); err != nil {
+		if err := x.step(x.pathKey(proom[:0], power), false, next, func() error { return x.through(pow, next, e.Labels) }); err != nil {
 			return nil, err
 		}
 		if pow != a {
@@ -589,7 +627,29 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 	}
 	x.drop(pow)
 	x.drop(a)
-	return u, x.price(u)
+	if err := x.price(u); err != nil {
+		return nil, err
+	}
+	x.publish(key, false, u)
+	return u, nil
+}
+
+// prefixKeys encodes the cache key of the plan's whole element sequence
+// into buf and appends to ends, per block, where the key of the prefix
+// ending with that block stops: the encoding is compositional, so
+// key[:ends[i]] is the key of R_i — and, for a prefix of plain labels, the
+// very key the concrete segment is cached under.
+func (dp *DagPlan) prefixKeys(buf []byte, ends []int) (key []byte, _ []int) {
+	key = buf
+	for i := range dp.Blocks {
+		if b := &dp.Blocks[i]; b.Run != nil {
+			key = relcache.AppendPath(key, b.Run)
+		} else {
+			key = relcache.AppendElem(key, b.Elem.Labels, b.Elem.MinRep, b.Elem.MaxRep)
+		}
+		ends = append(ends, len(key))
+	}
+	return key, ends
 }
 
 // fold executes a plan: its blocks folded left-to-right by the R_i
@@ -600,11 +660,48 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 // (whole-segment cache fast path, bushy subtrees, sharded compose —
 // everything applies), an element block through elem — and joined. Either
 // way the ε and skip unions follow the step. A plan's only block is the
-// root: its tree may count its last step.
+// root: its node may count its last step.
+//
+// With a cache a prefix of blocks is a segment like any other, keyed by
+// its element sequence (prefixKeys), and the fold treats it the way a leaf
+// treats its label segments: it probes the prefixes longest first, adopts
+// the longest one cached — R_i in forward orientation; eps_i, a function of
+// the elements alone, is recomputed, which is what makes resuming exact —
+// and folds on from the block after it, and every block-boundary step it
+// does compute goes through core.step under its prefix's key, so R_i is
+// published, the last step's included: the query's repeat is then one
+// probe and one copy, Intermediates empty and Work 0, as a concrete path's
+// is. Without a cache no key is built and the root's last step, when no
+// union follows it, is counted.
 func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
-	var cur *bitset.HybridRelation
-	eps := true
-	for i := range dp.Blocks {
+	nb := len(dp.Blocks)
+	var (
+		cur, spare *bitset.HybridRelation
+		room       [keyRoom]byte
+		endsRoom   [8]int
+		key        []byte // of the whole plan; nil without a cache
+		ends       []int  // key[:ends[i]] is the key of the prefix ending with block i
+	)
+	eps, from := true, 0
+	if x.opt.Cache != nil && nb > 1 {
+		key, ends = dp.prefixKeys(room[:0], endsRoom[:0])
+		// The one-block prefix is block 0's own relation: its node probes it.
+		spare = x.take()
+		for i := nb - 1; i > 0; i-- {
+			if !x.cached(key[:ends[i]], false, spare) {
+				continue
+			}
+			if err := x.price(spare); err != nil {
+				return nil, err
+			}
+			for j := 0; j <= i; j++ {
+				eps = eps && dp.Blocks[j].skippable()
+			}
+			cur, spare, from = spare, nil, i+1
+			break
+		}
+	}
+	for i := from; i < nb; i++ {
 		b := &dp.Blocks[i]
 		skip := b.skippable()
 		labels := b.operand(i, eps)
@@ -612,9 +709,9 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		if labels == nil {
 			var err error
 			if b.Run != nil {
-				u, err = x.tree(b.Run, b.Tree, len(dp.Blocks) == 1)
+				u, err = x.tree(b.Run, b.Tree, nb == 1)
 			} else {
-				u, err = x.elem(b.Elem, len(dp.Blocks) == 1)
+				u, err = x.elem(b.Elem, nb == 1)
 			}
 			if err != nil {
 				return nil, err
@@ -628,13 +725,20 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		} else {
 			x.ints = append(x.ints, cur.Pairs())
 		}
-		// The root's last step with no union after it is R_i itself, so it
-		// is counted, not built: no destination.
-		var dst *bitset.HybridRelation
-		if i < len(dp.Blocks)-1 || eps || skip || !x.counts(nil) {
-			dst = x.take()
+		var stepKey []byte
+		if key != nil {
+			stepKey = key[:ends[i]]
 		}
-		err := x.step(nil, false, dst, func() error {
+		// The root's last step with no union after it is R_i itself, so
+		// where nothing publishes it, it is counted, not built: no
+		// destination.
+		var dst *bitset.HybridRelation
+		if i < nb-1 || eps || skip || !x.counts(stepKey) {
+			if dst, spare = spare, nil; dst == nil {
+				dst = x.take()
+			}
+		}
+		err := x.step(stepKey, false, dst, func() error {
 			var err error
 			if labels != nil {
 				err = x.through(cur, dst, labels)
@@ -659,5 +763,6 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		x.drop(u)
 		cur, eps = dst, eps && skip
 	}
+	x.drop(spare)
 	return cur, nil
 }

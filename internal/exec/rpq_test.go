@@ -108,26 +108,30 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 	}
 }
 
-// TestExecuteDagRepetitionSharesCache pins the cache-sharing rule: a
-// warm b{1,3} adopts the b^2 and b^3 power relations a previous run (or
-// a concrete b/b/b query) published under their repeated-label keys.
+// TestExecuteDagRepetitionSharesCache pins the cache-sharing rule: a cold
+// b{1,3} publishes its powers b² and b³ under their repeated-label path
+// keys and its union under the element's own; a warm one adopts the union
+// and runs no step; a concrete b/b query adopts the power the unroll
+// published; and a b{1,3} whose union is gone rebuilds it from the cached
+// powers.
 func TestExecuteDagRepetitionSharesCache(t *testing.T) {
 	g := testGraph(t)
 	cache := relcache.New(relcache.Options{MaxBytes: 1 << 20})
-	d := &RPQDag{Elems: []RPQElem{{Labels: []int{1}, MinRep: 1, MaxRep: 3}}}
+	e := RPQElem{Labels: []int{1}, MinRep: 1, MaxRep: 3}
+	d := &RPQDag{Elems: []RPQElem{e}}
 	_, cold, err := Run(g, zeroPlan(g, d), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.CacheMisses != 2 || cold.CacheHits != 0 {
-		t.Fatalf("cold run: hits=%d misses=%d, want 0/2 (b², b³ published)", cold.CacheHits, cold.CacheMisses)
+	if cold.CacheMisses != 3 || cold.CacheHits != 0 {
+		t.Fatalf("cold run: hits=%d misses=%d, want 0/3 (b², b³ and the union published)", cold.CacheHits, cold.CacheMisses)
 	}
 	_, warm, err := Run(g, zeroPlan(g, d), Options{Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.CacheHits != 2 || warm.CacheMisses != 0 {
-		t.Fatalf("warm run: hits=%d misses=%d, want 2/0", warm.CacheHits, warm.CacheMisses)
+	if warm.CacheHits != 1 || warm.CacheMisses != 0 || len(warm.Intermediates) != 0 || warm.Result != cold.Result {
+		t.Fatalf("warm run: %+v, want one hit, no step and the cold result %d", warm, cold.Result)
 	}
 	// A concrete b/b query adopts the power the unroll published.
 	_, cst, err := Run(g, startPlan(paths.Path{1, 1}, 0), Options{Cache: cache})
@@ -136,6 +140,21 @@ func TestExecuteDagRepetitionSharesCache(t *testing.T) {
 	}
 	if cst.CacheHits != 1 {
 		t.Fatalf("concrete b/b after b{1,3}: hits=%d, want 1", cst.CacheHits)
+	}
+	// Only the powers left (a cache holding b/b and b/b/b from concrete
+	// queries looks the same): both are adopted, the union is published again.
+	powers := relcache.New(relcache.Options{MaxBytes: 1 << 20})
+	for _, p := range []paths.Path{{1, 1}, {1, 1, 1}} {
+		if _, _, err := Run(g, startPlan(p, 0), Options{Cache: powers}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, st, err := Run(g, zeroPlan(g, d), Options{Cache: powers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheHits != 2 || st.CacheMisses != 1 || st.Result != cold.Result {
+		t.Fatalf("b{1,3} over cached powers: %+v, want 2 hits, the union's miss and %d", st, cold.Result)
 	}
 }
 

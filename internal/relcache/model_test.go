@@ -80,7 +80,7 @@ func TestEvictionMatchesFullScan(t *testing.T) {
 			var clock int64 // ticks with the cache's own: per admitted Put, per hit
 			for op := 0; op < 4000; op++ {
 				p := paths.Path{rng.Intn(12), rng.Intn(12)}
-				key := appendKey(nil, p)
+				key := AppendPath(nil, p)
 				m := models[c.shardFor(key)]
 				if rng.Intn(3) == 0 {
 					_, _, ok := c.Get(p)
@@ -144,12 +144,12 @@ func TestAccountedBytesTrackHeap(t *testing.T) {
 	}
 	ps := make([]paths.Path, entries+1)
 	for i := range ps {
-		ps[i] = paths.Path{i % 100, i / 100}
+		ps[i] = paths.Path{i % 22, i / 22 % 22, i / 484} // three labels under 64: a byte each
 	}
 	for _, pairs := range []int{3, 40, 400} {
 		r := chain(512, pairs)
-		cost := int64(r.PackedMemSize()) + 2 + entryOverhead
-		// Room for exactly the ten thousand (every key here is two bytes),
+		cost := int64(r.PackedMemSize()) + 3 + entryOverhead
+		// Room for exactly the ten thousand (every key here is three bytes),
 		// so that one Put more has to cut the queue and evict.
 		c := New(Options{MaxBytes: entries*cost + cost/2, Shards: 1})
 		before := heap()

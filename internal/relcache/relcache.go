@@ -1,13 +1,17 @@
 // Package relcache is the workload-level segment-relation cache: a
-// sharded, size-bounded LRU of materialized label-segment relations,
-// stored packed (bitset.Packed) and keyed by the canonical label sequence
-// alone — one entry per sequence, whichever direction it was built in.
-// The executor (internal/exec) consults it at every segment boundary — a
-// query that re-walks a label subsequence another query already
-// materialized adopts the finished relation instead of recomputing it. An
-// estimator owns at most one (pathsel.Config.CacheBytes), shared by every
-// execution, single or batched, which is where the amortization pays:
-// real path-query workloads repeat label subsequences constantly.
+// sharded, size-bounded LRU of materialized segment relations, stored
+// packed (bitset.Packed) and keyed by the canonical encoding of the
+// segment's element sequence alone — a label sequence for a concrete
+// path's segment, label sets with their repetition bounds for a regular
+// path query's elements and fold prefixes — one entry per sequence,
+// whichever direction it was built in. The executor (internal/exec)
+// consults it at every segment boundary — a query that re-walks a
+// subsequence another query already materialized adopts the finished
+// relation instead of recomputing it, and a query that repeats adopts its
+// whole answer. An estimator owns at most one (pathsel.Config.CacheBytes),
+// shared by every execution, single or batched, which is where the
+// amortization pays: real path-query workloads repeat label subsequences
+// constantly.
 //
 // # Immutability and the pools
 //
@@ -28,17 +32,30 @@
 //
 // # Keys and eviction
 //
+// A key is the encoding of an element sequence (AppendElem): each element
+// a label set under repetition bounds, a plain label the one-label set
+// taken exactly once. There is one key space and one table: Get, Put and
+// Contains take a label path and are the all-plain-labels case of GetKey,
+// PutKey and ContainsKey (AppendPath is AppendElem per label). An
+// element's encoding is self-delimiting, so a sequence's key is the
+// concatenation of its elements' and nothing else's, and the key of a
+// sequence's first elements is the first bytes of its own: the prefix a/b
+// of the query a/b/(c|d) probes exactly the entry the concrete segment a/b
+// was published under.
+//
 // Keys are position-independent: the segment p[2:4) of one query and
 // p[0:2) of another share an entry when their label sequences match.
 // Keys are also orientation-canonical: the executor's leftward growth
 // operates on reversed relations — reversed(p[i:k)) is the inverse pair
 // set of p[i:k) — but the two forms are pure derivations of each other
-// (ReverseInto), so the cache stores exactly one relation per label
-// sequence, tagged with the orientation it holds, and a consumer wanting
-// the other form derives it on adoption. One entry then serves forward
-// and backward plans alike, which both halves the byte footprint of
-// mixed-direction workloads and turns what used to be a cross-orientation
-// miss into a hit.
+// (ReverseInto), so the cache stores exactly one relation per sequence,
+// tagged with the orientation it holds, and a consumer wanting the other
+// form derives it on adoption. One entry then serves forward and backward
+// plans alike, which both halves the byte footprint of mixed-direction
+// workloads and turns what used to be a cross-orientation miss into a hit.
+// A fold runs left to right only, so what it publishes — an element's
+// relation, a prefix's — is stored forward; a prefix of plain labels may
+// meet an entry a leftward leaf stored reversed, and derives.
 //
 // Recency is a per-entry stamp from a cache-wide monotonic clock, taken
 // under the entry's shard lock — the read side by Get, which refreshes it
@@ -148,7 +165,7 @@ type Stats struct {
 }
 
 // entry is one cached relation. reversed records which orientation of
-// the label sequence rel holds; the other is derived by the consumer on
+// the keyed sequence rel holds; the other is derived by the consumer on
 // adoption. used is the recency stamp — the cache clock's value at the
 // entry's last Get (or its insertion) — written with a plain atomic
 // store so readers holding only the shard's read lock can refresh it.
@@ -268,25 +285,49 @@ func New(opt Options) *Cache {
 	return c
 }
 
-// keyInline is the key buffer Get and Contains keep on their stack: 16
-// labels at up to 4 varint bytes each (label ids below 2^28), so probing
+// keyInline is the key buffer Get, Put and Contains keep on their stack:
+// 16 labels at up to 4 varint bytes each (label ids below 2^27), so probing
 // the cache for any census-bounded segment allocates nothing. Longer keys
-// spill to the heap and stay correct.
+// — a wildcard over a few hundred labels — spill to the heap and stay
+// correct.
 const keyInline = 64
 
-// appendKey appends the canonical cache key of p to buf: the label
-// sequence varint-encoded. Canonical means position- and
-// orientation-independent — equal label subsequences key the same entry
-// wherever they sit in their queries and whichever direction their
-// relation was built in (the entry records which orientation it holds) —
-// and unambiguous (varints self-delimit). Lookups index the shard map with
+// AppendElem appends the canonical encoding of one query element — a
+// sorted, deduplicated label set repeated between minRep and maxRep times
+// — to key, and a cache key is the concatenation of its elements'
+// encodings. A plain label (one label, exactly once) is uvarint(l<<1);
+// any other element is uvarint(len(labels)<<1|1), the labels, minRep,
+// maxRep, each a uvarint. The first varint's low bit says which form
+// follows and the set's length how far it runs, so an element's encoding
+// is self-delimiting and a sequence's key is injective: equal keys are
+// equal element sequences, and one key is a byte prefix of another only
+// where its sequence is an element prefix of the other's. That is what
+// lets a fold prefix share the entry of the query that is exactly that
+// prefix — a/b of a/b/(c|d) is the segment a/b's key.
+func AppendElem(key []byte, labels []int, minRep, maxRep int) []byte {
+	if len(labels) == 1 && minRep == 1 && maxRep == 1 {
+		return binary.AppendUvarint(key, uint64(labels[0])<<1)
+	}
+	key = binary.AppendUvarint(key, uint64(len(labels))<<1|1)
+	for _, l := range labels {
+		key = binary.AppendUvarint(key, uint64(l))
+	}
+	key = binary.AppendUvarint(key, uint64(minRep))
+	return binary.AppendUvarint(key, uint64(maxRep))
+}
+
+// AppendPath appends the key of a label sequence: each label as the plain
+// element it is. Canonical means position- and orientation-independent —
+// equal label subsequences key the same entry wherever they sit in their
+// queries and whichever direction their relation was built in (the entry
+// records which orientation it holds). Lookups index the shard map with
 // string(key) in place, which builds no string; only Put keeps an owned
 // one.
-func appendKey(buf []byte, p paths.Path) []byte {
-	for _, l := range p {
-		buf = binary.AppendUvarint(buf, uint64(l))
+func AppendPath(key []byte, p paths.Path) []byte {
+	for i := range p {
+		key = AppendElem(key, p[i:i+1], 1, 1)
 	}
-	return buf
+	return key
 }
 
 // shardFor hashes a key to its shard (FNV-1a).
@@ -301,22 +342,29 @@ func (c *Cache) shardFor(k []byte) *shard {
 
 // Get returns the cached relation for the segment's label sequence,
 // along with the orientation it holds (true = the reversed pair set), or
-// (nil, false, false). A caller wanting the other orientation derives it
-// (bitset.Packed.ReverseInto) — which is why one entry serves both
-// directions. The returned snapshot is shared and immutable: the caller
-// copies it out (CopyInto / ReverseInto) into a relation of its own, and
-// must verify it matches the caller's representation regime (Universe,
-// SparseMax) before adopting it.
-//
-// Get takes only the shard's read lock — a hit refreshes recency with an
-// atomic stamp, not a list splice — so concurrent warm readers never
-// serialize on each other, only on a simultaneous Put to the same shard.
+// (nil, false, false): GetKey under the sequence's key, encoded on the
+// stack.
 func (c *Cache) Get(p paths.Path) (rel *bitset.Packed, reversed, ok bool) {
 	var buf [keyInline]byte
-	k := appendKey(buf[:0], p)
-	sh := c.shardFor(k)
+	return c.GetKey(AppendPath(buf[:0], p))
+}
+
+// GetKey returns the relation cached under an element sequence's key
+// (AppendElem), with the orientation it holds. A caller wanting the other
+// orientation derives it (bitset.Packed.ReverseInto) — which is why one
+// entry serves both directions. The returned snapshot is shared and
+// immutable: the caller copies it out (CopyInto / ReverseInto) into a
+// relation of its own, and must verify it matches the caller's
+// representation regime (Universe, SparseMax) before adopting it.
+//
+// GetKey takes only the shard's read lock — a hit refreshes recency with
+// an atomic stamp, not a list splice — so concurrent warm readers never
+// serialize on each other, only on a simultaneous Put to the same shard.
+// The key is read, never kept.
+func (c *Cache) GetKey(key []byte) (rel *bitset.Packed, reversed, ok bool) {
+	sh := c.shardFor(key)
 	sh.rlock()
-	e, ok := sh.entries[string(k)]
+	e, ok := sh.entries[string(key)]
 	if ok {
 		e.used.Store(c.clock.Add(1))
 		rel, reversed = e.rel, e.reversed
@@ -336,10 +384,14 @@ func (c *Cache) Get(p paths.Path) (rel *bitset.Packed, reversed, ok bool) {
 // perturb recency while enumerating O(k²) candidate segments.
 func (c *Cache) Contains(p paths.Path) bool {
 	var buf [keyInline]byte
-	k := appendKey(buf[:0], p)
-	sh := c.shardFor(k)
+	return c.ContainsKey(AppendPath(buf[:0], p))
+}
+
+// ContainsKey is Contains for an element sequence's key.
+func (c *Cache) ContainsKey(key []byte) bool {
+	sh := c.shardFor(key)
 	sh.rlock()
-	_, ok := sh.entries[string(k)]
+	_, ok := sh.entries[string(key)]
 	sh.mu.RUnlock()
 	return ok
 }
@@ -355,13 +407,20 @@ func (c *Cache) Contains(p paths.Path) bool {
 // holds Stats.Bytes to the heap's own growth.
 const entryOverhead = 128
 
-// Put stores the segment's relation in the given orientation, packed
-// (bitset.HybridRelation.Pack) so the cache entry stays valid while the
-// caller's pooled buffers are reused and costs its content, not its
-// universe. An existing entry under the same label sequence is replaced
-// whatever orientation it held — the canonical key keeps exactly one
-// relation per sequence, and replacement (rather than skip) lets a
-// fresh-regime relation oust a stale one that adoption guards were
+// Put stores the segment's relation in the given orientation: PutKey
+// under the label sequence's key.
+func (c *Cache) Put(p paths.Path, reversed bool, rel *bitset.HybridRelation) {
+	var buf [keyInline]byte
+	c.PutKey(AppendPath(buf[:0], p), reversed, rel)
+}
+
+// PutKey stores a relation under an element sequence's key (AppendElem)
+// in the given orientation, packed (bitset.HybridRelation.Pack) so the
+// cache entry stays valid while the caller's pooled buffers are reused and
+// costs its content, not its universe. An existing entry under the same
+// key is replaced whatever orientation it held — the canonical key keeps
+// exactly one relation per sequence, and replacement (rather than skip)
+// lets a fresh-regime relation oust a stale one that adoption guards were
 // rejecting. Relations whose cost exceeds one shard's whole budget are
 // rejected — caching them would flush everything else for an entry that
 // cannot amortize — and the cost is priced from the source relation
@@ -372,13 +431,12 @@ const entryOverhead = 128
 // counted rejection, the same graceful degradation as an oversized entry
 // (service continues, the segment just stays uncached).
 //
-// Over budget, Put evicts least recently used entries from the shard's
-// victim queue (shard.victim) until the new one fits.
-func (c *Cache) Put(p paths.Path, reversed bool, rel *bitset.HybridRelation) {
-	var buf [keyInline]byte
-	kb := appendKey(buf[:0], p)
-	sh := c.shardFor(kb)
-	k := string(kb)
+// Over budget, PutKey evicts least recently used entries from the shard's
+// victim queue (shard.victim) until the new one fits. The key's bytes are
+// copied; the caller's buffer is its own again on return.
+func (c *Cache) PutKey(key []byte, reversed bool, rel *bitset.HybridRelation) {
+	sh := c.shardFor(key)
+	k := string(key)
 	cost := int64(rel.PackedMemSize()) + int64(len(k)) + entryOverhead
 	var packed *bitset.Packed
 	if cost <= sh.cap && !faultinject.Fail("relcache.put") {

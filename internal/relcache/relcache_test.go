@@ -381,7 +381,7 @@ func TestGetStampsRecency(t *testing.T) {
 	c.Put(a, false, rel(16, [2]int{0, 1}))
 	c.Put(b, false, rel(16, [2]int{0, 1}))
 	sh := &c.shards[0]
-	key := func(p paths.Path) string { return string(appendKey(nil, p)) }
+	key := func(p paths.Path) string { return string(AppendPath(nil, p)) }
 	ua0 := sh.entries[key(a)].used.Load()
 	if _, _, ok := c.Get(a); !ok {
 		t.Fatal("entry missing")

@@ -192,46 +192,78 @@ func TestExecuteBatchValidation(t *testing.T) {
 }
 
 // FuzzBatchCacheEquivalence is the batch determinism fuzz target: on an
-// arbitrary small graph and workload, batch execution — any worker count,
-// shared cache — must report exactly the per-query results of the
-// uncached ExecuteQuery loop, and a second (warm) pass must agree again.
+// arbitrary small graph and a workload of repeated concrete paths and
+// regular path queries, batch execution — any worker count, shared cache —
+// must report exactly the exact selectivities, which the uncached
+// ExecuteQuery loop reports too, and a second (warm) pass must agree
+// again; over a roomy cache, where a repeat is a whole-query hit, and over
+// one half the size of what the roomy one ended up holding, where entries
+// are evicted between a query and its repeat and executions resume from
+// whatever prefix is left.
 func FuzzBatchCacheEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(2), uint16(80), uint8(10), uint8(3))
 	f.Add(int64(9), uint8(50), uint8(4), uint16(300), uint8(20), uint8(8))
+	f.Add(int64(4), uint8(60), uint8(3), uint16(250), uint8(23), uint8(0))
 	f.Fuzz(func(t *testing.T, seed int64, vertices, labels uint8, edges uint16, count, workers uint8) {
 		v := 2 + int(vertices)%100
 		l := 1 + int(labels)%5
 		g := batchTestGraph(t, seed, v, l, 1+int(edges)%(4*v))
-		ref, err := Build(g, Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := Build(g, Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0, CacheBytes: DefaultCacheBytes})
-		if err != nil {
-			t.Fatal(err)
+		cfg := Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0}
+		build := func(cacheBytes int64, shards int) *Estimator {
+			cfg.CacheBytes, cfg.CacheShards = cacheBytes, shards
+			est, err := Build(g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return est
 		}
 		rng := rand.New(rand.NewSource(seed))
 		queries := batchWorkload(rng, g.Labels(), 1+int(count)%24, 3)
+		var rpqs [4]string
+		for i := range rpqs {
+			rpqs[i] = randomRPQPattern(rng, g.Labels(), 3)
+		}
+		for i := range queries {
+			if rng.Intn(2) == 0 {
+				queries[i] = rpqs[rng.Intn(len(rpqs))]
+			}
+		}
+		ref := build(0, 0)
 		want := make([]int64, len(queries))
 		for i, q := range queries {
-			st, err := executeQuery(ref, q)
-			if err != nil {
+			var err error
+			if want[i], err = g.TruePatternSelectivity(q); err != nil {
 				t.Fatal(err)
 			}
-			want[i] = st.Result
+			if st, err := executeQuery(ref, q); err != nil || st.Result != want[i] {
+				t.Fatalf("uncached %q: result %d (err %v), want %d", q, st.Result, err, want[i])
+			}
 		}
 		w := 1 + int(workers)%8
-		for pass := 0; pass < 2; pass++ {
-			res, err := executeBatch(est, queries, BatchOptions{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range res.Results {
-				if r.Result != want[i] {
-					t.Fatalf("pass %d workers %d: query %q result %d, want %d",
-						pass, w, r.Query, r.Result, want[i])
+		check := func(name string, est *Estimator) {
+			for pass := 0; pass < 2; pass++ {
+				res, err := executeBatch(est, queries, BatchOptions{Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range res.Results {
+					if r.Result != want[i] {
+						t.Fatalf("%s cache, pass %d workers %d: query %q result %d, want %d",
+							name, pass, w, r.Query, r.Result, want[i])
+					}
 				}
 			}
+		}
+		roomy := build(DefaultCacheBytes, 0)
+		check("roomy", roomy)
+		held, _ := roomy.CacheStats()
+		tight := build(max(held.Bytes/2, 1), 1)
+		check("tight", tight)
+		// A sequential run that neither evicted nor refused anything did
+		// what the roomy one did, and would hold the same bytes — twice
+		// its budget.
+		if st, _ := tight.CacheStats(); w == 1 && held.Entries > 1 && st.Rejected == 0 && st.Evictions == 0 {
+			t.Fatalf("half of the roomy cache's %d bytes (%d entries) held everything: %+v", held.Bytes, held.Entries, st)
 		}
 	})
 }

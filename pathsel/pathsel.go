@@ -243,8 +243,15 @@ type Config struct {
 	// CacheBytes, when > 0, gives the estimator a persistent
 	// segment-relation cache of that byte budget (internal/relcache):
 	// every Expr.ExecuteCtx and ExecuteExprBatchCtx call then reuses
-	// label-segment relations materialized by earlier queries instead of
-	// recomputing them, trading memory for workload throughput. An entry
+	// segment relations materialized by earlier queries instead of
+	// recomputing them, trading memory for workload throughput. What is
+	// cached is every label segment of length ≥ 2 a concrete path's plan
+	// joins, and for a regular path query every prefix of its plan's
+	// blocks, every element that is more than one label read once, and
+	// its result — so a query that repeats, of either kind, is answered
+	// by one lookup. They share the one budget, least recently used out
+	// first: one large wildcard result can evict many small segments,
+	// as a long path's result always could. An entry
 	// is stored packed and costs its content — 4 bytes per pair of a
 	// sparse row, ⌈|V|/64⌉ words per dense row, 12 bytes per source
 	// vertex and ≈ 250 of bookkeeping — nothing per vertex of the graph,

@@ -58,10 +58,13 @@ type ExecStats struct {
 	Result int64
 	// CacheHits and CacheMisses count the execution's segment-cache
 	// traffic when the estimator has a cache (Config.CacheBytes): a hit
-	// adopted a previously materialized segment relation instead of
-	// recomputing it; a miss computed and published one. On a whole-query
-	// hit, Intermediates is empty and Work 0 — nothing intermediate was
-	// materialized.
+	// adopted a previously materialized segment relation — a label
+	// segment, or a regular path query's prefix, element or whole result —
+	// instead of recomputing it; a miss computed and published one. On a
+	// whole-query hit, a concrete path's or a regular path query's,
+	// Intermediates is empty and Work 0 — nothing intermediate was
+	// materialized; a query that resumed from a cached prefix reports the
+	// steps after it only.
 	CacheHits, CacheMisses int
 	// Sched reports the execution's work-stealing scheduler activity —
 	// tasks run (total and per worker), steals, and parks. All-zero when
