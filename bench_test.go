@@ -428,6 +428,7 @@ func BenchmarkComposeKernels(b *testing.B) {
 	} {
 		rel := bitset.HybridFromCSR(op, regime.density)
 		scr := bitset.NewComposeScratch(op.N)
+		ops := []bitset.CSROperand{op}
 		b.Run("hybrid-"+regime.name, func(b *testing.B) {
 			dst := bitset.NewHybrid(op.N, regime.density)
 			b.ResetTimer()
@@ -439,7 +440,7 @@ func BenchmarkComposeKernels(b *testing.B) {
 		// only reads the size pays.
 		b.Run("count-"+regime.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if rel.ComposeCount(op, scr).Pairs == 0 {
+				if _, c := rel.Rows().ComposeShard(nil, ops, scr, rel.SparseMax(), 0, rel.Sources(), nil); c.Pairs == 0 {
 					b.Fatal("empty composition")
 				}
 			}

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// assertCounts fails unless the count describes exactly the relation the
-// materializing kernel built: same pairs, same sources, same clone size.
+// assertCounts fails unless the count describes exactly the relation a
+// built step produced: same pairs, same sources, same clone size.
 func assertCounts(t *testing.T, ctx string, got Count, want *HybridRelation) {
 	t.Helper()
 	if got.Pairs != want.Pairs() || got.Sources != want.Sources() ||
@@ -18,25 +18,40 @@ func assertCounts(t *testing.T, ctx string, got Count, want *HybridRelation) {
 }
 
 // assertShardCounts checks that every two-way split of the active list and
-// one ns-way split add up to the whole relation's count.
-func assertShardCounts(t *testing.T, ctx string, nact, ns int, want *HybridRelation, shard func(lo, hi int) Count) {
+// one ns-way split add up to the whole relation's count — counted, and
+// built into a destination at the relation's regime, whose shards' Counts
+// must add up to it too.
+func assertShardCounts(t *testing.T, ctx string, nact, ns int, want *HybridRelation,
+	shard func(dst *HybridRelation, lo, hi int) ([]int32, Count)) {
 	t.Helper()
+	dst := &HybridRelation{n: want.n, sparseMax: want.sparseMax, rows: make([]hrow, want.n)}
+	split := func(ctx string, bounds []int) {
+		t.Helper()
+		dst.Reset()
+		var built, c Count
+		for i := 0; i+1 < len(bounds); i++ {
+			c.Add(counted(shard(nil, bounds[i], bounds[i+1])))
+			srcs, bc := shard(dst, bounds[i], bounds[i+1])
+			dst.AdoptShard(srcs, bc)
+			built.Add(bc)
+		}
+		assertCounts(t, ctx, c, want)
+		assertCounts(t, ctx+" built", built, want)
+	}
 	for cut := 0; cut <= nact; cut++ {
-		c := shard(0, cut)
-		c.Add(shard(cut, nact))
-		assertCounts(t, ctx+" two-way split", c, want)
+		split(ctx+" two-way split", []int{0, cut, nact})
 	}
-	var c Count
-	for i := 0; i < ns; i++ {
-		c.Add(shard(i*nact/ns, (i+1)*nact/ns))
+	bounds := make([]int, ns+1)
+	for i := range bounds {
+		bounds[i] = i * nact / ns
 	}
-	assertCounts(t, ctx+" n-way split", c, want)
+	split(ctx+" n-way split", bounds)
 }
 
 // FuzzCountEquivalence fuzzes the operands' shapes, the promotion
 // thresholds from all-sparse to all-dense, and the shard decomposition,
-// asserting that the count kernels report exactly what the materializing
-// kernels build — Pairs(), Sources() and CloneMemSize() — sequentially
+// asserting that the step kernels, given no destination, report exactly
+// what they build given one — Pairs(), Sources() and CloneMemSize() — whole
 // and over every shard split, and that a raised cancel flag stops them at
 // the first poll.
 func FuzzCountEquivalence(f *testing.F) {
@@ -56,24 +71,26 @@ func FuzzCountEquivalence(f *testing.F) {
 		op := RandomOperand(rng, n, pairsB)
 		scr := NewComposeScratch(n)
 		nact, ns := h.Sources(), int(shards%8)+1
+		compose := func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
+			return h.Rows().ComposeShard(dst, []CSROperand{op}, scr, h.sparseMax, lo, hi, nil)
+		}
+		join := func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
+			return h.Rows().JoinShard(dst, r, scr, h.sparseMax, lo, hi, nil)
+		}
 
 		want := NewHybrid(n, da)
 		h.ComposeInto(want, op, scr)
-		assertCounts(t, "compose", h.ComposeCount(op, scr), want)
-		assertShardCounts(t, "compose", nact, ns, want, func(lo, hi int) Count {
-			return h.ComposeShardCount([]CSROperand{op}, scr, lo, hi)
-		})
+		assertCounts(t, "compose", counted(compose(nil, 0, nact)), want)
+		assertShardCounts(t, "compose", nact, ns, want, compose)
 
 		h.JoinInto(want, r, scr)
-		assertCounts(t, "join", h.JoinCount(r, scr), want)
-		assertShardCounts(t, "join", nact, ns, want, func(lo, hi int) Count {
-			return h.JoinShardCount(r, scr, lo, hi)
-		})
+		assertCounts(t, "join", counted(join(nil, 0, nact)), want)
+		assertShardCounts(t, "join", nact, ns, want, join)
 		h.JoinInto(want, h, scr)
-		assertCounts(t, "self-join", h.JoinCount(h, scr), want)
+		assertCounts(t, "self-join", counted(h.Rows().JoinShard(nil, h, scr, h.sparseMax, 0, nact, nil)), want)
 
-		// The count kernels leave the scratch as clean as they found it:
-		// a materializing kernel run after them still builds the same rows.
+		// Counted steps leave the scratch as clean as they found it: a
+		// built step run after them still builds the same rows.
 		again := NewHybrid(n, da)
 		h.ComposeInto(again, op, scr)
 		h.ComposeInto(want, op, NewComposeScratch(n))
@@ -83,11 +100,11 @@ func FuzzCountEquivalence(f *testing.F) {
 		var flag CancelFlag
 		flag.Set()
 		scr.SetCancel(&flag)
-		if c := h.ComposeCount(op, scr); c.Sources > 1 {
+		if c := counted(compose(nil, 0, nact)); c.Sources > 1 {
 			t.Fatalf("cancelled compose count ran on to %d sources", c.Sources)
 		}
 		scr.SetCancel(&flag)
-		if c := h.JoinCount(r, scr); c.Sources > 1 {
+		if c := counted(join(nil, 0, nact)); c.Sources > 1 {
 			t.Fatalf("cancelled join count ran on to %d sources", c.Sources)
 		}
 	})
@@ -105,10 +122,10 @@ func TestCountCancelWithinOneWindow(t *testing.T) {
 		op.Offsets[v+1] = int32(v + 1)
 		op.Targets[v] = int32((v + 1) % n)
 	}
-	h := HybridFromCSR(op, 1)
+	h, ops := HybridFromCSR(op, 1), []CSROperand{op}
 	for name, count := range map[string]func(*ComposeScratch) Count{
-		"compose": func(scr *ComposeScratch) Count { return h.ComposeCount(op, scr) },
-		"join":    func(scr *ComposeScratch) Count { return h.JoinCount(h, scr) },
+		"compose": func(scr *ComposeScratch) Count { return counted(h.Rows().ComposeShard(nil, ops, scr, n, 0, n, nil)) },
+		"join":    func(scr *ComposeScratch) Count { return counted(h.Rows().JoinShard(nil, h, scr, n, 0, n, nil)) },
 	} {
 		scr := NewComposeScratch(n)
 		var flag CancelFlag
@@ -139,13 +156,14 @@ func TestComposeThroughCancelWithinOneWindow(t *testing.T) {
 	}
 	ops := []CSROperand{op, op}
 	h, dst := HybridFromCSR(op, 1), NewHybrid(n, 1)
-	built := func(srcs []int32, pairs int64) Count { return Count{Sources: len(srcs), Pairs: pairs} }
+	built := func(srcs []int32, c Count) Count { return Count{Sources: len(srcs), Pairs: c.Pairs} }
+	rel, csr := h.Rows(), op.Rows()
 	for name, run := range map[string]func(*ComposeScratch) Count{
-		"through":         func(scr *ComposeScratch) Count { return built(h.ComposeShardInto(dst, ops, scr, 0, n, nil)) },
-		"through counted": func(scr *ComposeScratch) Count { return h.ComposeShardCount(ops, scr, 0, n) },
-		"first":           func(scr *ComposeScratch) Count { return built(op.ComposeShardInto(dst, op, scr, 0, n, nil)) },
-		"first counted":   func(scr *ComposeScratch) Count { return op.ComposeShardCount(op, scr, n, 0, n) },
-		"base counted":    func(scr *ComposeScratch) Count { return UnionCSRCount(ops, scr, n) },
+		"through":         func(scr *ComposeScratch) Count { return built(rel.ComposeShard(dst, ops, scr, n, 0, n, nil)) },
+		"through counted": func(scr *ComposeScratch) Count { return counted(rel.ComposeShard(nil, ops, scr, n, 0, n, nil)) },
+		"first":           func(scr *ComposeScratch) Count { return built(csr.ComposeShard(dst, ops[:1], scr, n, 0, n, nil)) },
+		"first counted":   func(scr *ComposeScratch) Count { return counted(csr.ComposeShard(nil, ops[:1], scr, n, 0, n, nil)) },
+		"base counted":    func(scr *ComposeScratch) Count { return UnionCSR(nil, ops, scr, n) },
 	} {
 		scr := NewComposeScratch(n)
 		var flag CancelFlag
@@ -163,7 +181,7 @@ func TestComposeThroughCancelWithinOneWindow(t *testing.T) {
 }
 
 // TestUnionFillCancelWithinOneWindow pins the same abort latency for the
-// one-pass base: FillUnionCSR charges each emitted row to the poll window
+// one-pass base: UnionCSR charges each emitted row to the poll window
 // like every other row kernel, whether the row was copied from one operand
 // or accumulated from several, so a wildcard base over a large graph stops
 // within one window of the flag instead of running every label through.
@@ -189,11 +207,11 @@ func TestUnionFillCancelWithinOneWindow(t *testing.T) {
 	scr := NewComposeScratch(n)
 	var flag CancelFlag
 	scr.SetCancel(&flag)
-	if h.FillUnionCSR(ops, scr); h.Sources() != n || h.Pairs() != int64(n) {
+	if UnionCSR(h, ops, scr, h.sparseMax); h.Sources() != n || h.Pairs() != int64(n) {
 		t.Fatalf("uncancelled fill: %d sources, %d pairs, want %d rows of one pair", h.Sources(), h.Pairs(), n)
 	}
 	flag.Set()
-	if h.FillUnionCSR(ops, scr); h.Sources() > cancelCheckInterval {
+	if UnionCSR(h, ops, scr, h.sparseMax); h.Sources() > cancelCheckInterval {
 		t.Fatalf("cancelled fill ran %d rows, more than one poll window", h.Sources())
 	}
 	if len(scr.touched) != 0 {

@@ -15,18 +15,21 @@
 //
 //   - HybridRelation is the relation: each source row adaptively
 //     switches between a sorted sparse id list and a dense bit array at a
-//     density threshold, rows and destination relations are pooled
-//     (ComposeInto, ReverseInto reuse capacity), and the compose kernels
-//     are specialized per representation — sparse rows scatter through a
-//     label's CSR adjacency (CSROperand), dense rows union precomputed
-//     successor bit sets word-parallel, under one label or through the
-//     union of several (ComposeUnionInto), from the rows of a relation or
-//     straight from a label's CSR (CSROperand.ComposeInto, composecsr.go).
-//     Executor operations (Reverse, UnionWith, Equal) live in
-//     hybridops.go. Every row kernel is an accumulate step followed by an
-//     emit step; the count forms (ComposeCount, JoinCount and their shard
-//     variants, count.go; UnionCSRCount) run the accumulate step alone,
-//     for callers that read only the size of a relation they would drop.
+//     density threshold, and rows and destination relations are pooled
+//     (ComposeInto, ReverseInto reuse capacity). Executor operations
+//     (ReverseInto, UnionWith, Equal) live in hybridops.go.
+//
+//   - A step is one of three kernels (step.go) over a left side read by
+//     position, Rows — a relation's active rows (h.Rows()) or a label's
+//     CSR rows read in place (op.Rows()): Rows.ComposeShard through one
+//     label or the union of several, specialized per row shape — short
+//     rows scatter through the labels' CSR adjacency (CSROperand), dense
+//     ones union precomputed successor bit sets word-parallel —
+//     Rows.JoinShard with a relation, and UnionCSR, a label set's base.
+//     Every kernel accumulates a row once and sinks it into a destination
+//     or a Count: given no destination it measures the relation a caller
+//     would drop (count.go), exactly as the built one would be priced.
+//     ComposeInto and JoinInto are the one-shard forms.
 //
 //   - Packed is a HybridRelation's immutable snapshot (Pack), the form
 //     the relation cache stores: the same rows in the same forms, flat,

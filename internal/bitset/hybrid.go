@@ -25,14 +25,9 @@ type CSROperand struct {
 	Dense   []*Set // per-source dense rows; nil entries mean "no successors"
 	// Sources is the number of vertices with at least one successor — what
 	// the operand's relation reports as Sources(), known without a pass.
-	// graph.CSR fills it in; no kernel reads it. It sizes the sharding of a
-	// step whose left rows are the operand's own (ComposeShardInto).
+	// graph.CSR fills it in, and Rows reports it: it sizes the sharding of a
+	// step whose left rows are the operand's own.
 	Sources int
-}
-
-// OutDegree returns the number of successors of v in the operand.
-func (op CSROperand) OutDegree(v int) int {
-	return int(op.Offsets[v+1] - op.Offsets[v])
 }
 
 // hrow is one source row of a HybridRelation: either a sorted sparse id
@@ -134,42 +129,6 @@ func (h *HybridRelation) setRow(v int, ts []int32) {
 	}
 	for _, t := range ts {
 		row.words[t>>6] |= 1 << (uint(t) & 63)
-	}
-}
-
-// FillUnionCSR fills h with the union of the operands' length-1 path
-// relations — the base of an alternation or wildcard — in one ascending
-// pass over the vertices, pooled like FillFromCSR. A vertex only one
-// operand reaches copies that operand's row as FillFromCSR would; a vertex
-// several reach scatters every operand's row into the accumulator and
-// emits once. Either way a row's form is chosen from its final count, as
-// UnionWith ends up choosing it, so the result is bit-identical to
-// FillFromCSR of the first operand followed by a UnionWith per further
-// one — rows, representations, active order and pair count. Only the
-// operands' CSR arrays are read. There must be at least one operand (a
-// lone one is FillFromCSR's case: its loop is the tighter), and every
-// operand's universe must equal h's. A raised cancel flag leaves h
-// holding a partial union the caller must discard.
-func (h *HybridRelation) FillUnionCSR(ops []CSROperand, scr *ComposeScratch) {
-	checkOperands(h.n, ops)
-	h.Reset()
-	offs, tgts := ops[0].Offsets, ops[0].Targets
-	for v := 0; v < h.n; v++ {
-		first, count := scr.unionRow(tgts[offs[v]:offs[v+1]], ops[1:], v)
-		if count == 0 {
-			continue
-		}
-		if first != nil {
-			h.setRow(v, first)
-		} else {
-			scr.emitRow(h, int32(v), count)
-			scr.reset()
-		}
-		h.active = append(h.active, int32(v))
-		h.pairs += int64(count)
-		if scr.cancelled(count) {
-			return
-		}
 	}
 }
 
@@ -359,32 +318,24 @@ func (scr *ComposeScratch) scatterSparse(ids []int32, ops []CSROperand) int {
 	return count
 }
 
-// denseRowCompose is the dense×CSR kernel: for each set bit t of the dense
-// source row, union t's dense successor set under every operand into out
-// word-parallel. out may hold stale data — the first union overwrites it in
-// full (copy), so no pre-clearing is needed. Returns the population count
-// of out, or 0 when no bit had successors (out is then untouched garbage
+// denseCompose is the dense×CSR kernel: for each target t of a left row —
+// held as an id list, or as the words of a dense row (the other nil) — it
+// unions t's dense successor set under every operand into out
+// word-parallel. out may hold stale data — the first union overwrites it
+// in full (copy), so no pre-clearing is needed. Returns the population
+// count of out, or 0 when no target had successors (out is then garbage
 // and must be ignored).
-func denseRowCompose(src []uint64, ops []CSROperand, out []uint64) int {
+func denseCompose(ids []int32, words []uint64, ops []CSROperand, out []uint64) int {
 	first := true
 	for i := range ops {
 		dense := ops[i].Dense
-		for wi, w := range src {
+		for _, t := range ids {
+			first = orInto(out, dense[t], first)
+		}
+		for wi, w := range words {
 			for w != 0 {
-				t := wi*wordBits + bits.TrailingZeros64(w)
+				first = orInto(out, dense[wi*wordBits+bits.TrailingZeros64(w)], first)
 				w &= w - 1
-				d := dense[t]
-				if d == nil {
-					continue
-				}
-				if first {
-					copy(out, d.words)
-					first = false
-				} else {
-					for i, dw := range d.words {
-						out[i] |= dw
-					}
-				}
 			}
 		}
 	}
@@ -392,6 +343,22 @@ func denseRowCompose(src []uint64, ops []CSROperand, out []uint64) int {
 		return 0
 	}
 	return popcount(out)
+}
+
+// orInto unions the successor set d, if there is one, into out — or, first,
+// overwrites out with it — and reports whether out is still unwritten.
+func orInto(out []uint64, d *Set, first bool) bool {
+	switch {
+	case d == nil:
+		return first
+	case first:
+		copy(out, d.words)
+	default:
+		for i, w := range d.words {
+			out[i] |= w
+		}
+	}
+	return false
 }
 
 // popcount returns the number of set bits in words.
@@ -454,39 +421,16 @@ func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 // dst is reset first and its rows are reused in place, so steady-state
 // composition allocates nothing. Each input row dispatches to the kernel
 // matching its representation: sparse rows scatter through the CSR arrays,
-// dense rows union the operand's dense sets word-parallel. Returns the
-// distinct-pair count of dst. h and dst must be distinct objects over the
-// same universe as op.
+// dense rows union the operand's dense sets word-parallel — the step
+// h.Rows().ComposeShard over every row, at dst's promotion limit. Returns
+// the distinct-pair count of dst. h and dst must be distinct objects over
+// the same universe as op.
 func (h *HybridRelation) ComposeInto(dst *HybridRelation, op CSROperand, scr *ComposeScratch) int64 {
-	return h.ComposeUnionInto(dst, []CSROperand{op}, scr)
-}
-
-// ComposeUnionInto composes h through a label set: h ∘ (⋃ ops) into dst,
-//
-//	(s, u) ∈ dst  ⇔  ∃t, op ∈ ops: (s, t) ∈ h ∧ u ∈ op.successors(t)
-//
-// in one pass over h's rows, each accumulating under every operand before
-// it is emitted once — the union of the operands' relations is never
-// built. Because a row's form depends on its final count alone, dst is
-// bit-identical to JoinInto against FillUnionCSR of the same operands. The
-// contract is ComposeInto's; there must be at least one operand.
-func (h *HybridRelation) ComposeUnionInto(dst *HybridRelation, ops []CSROperand, scr *ComposeScratch) int64 {
-	// The whole is the [0, n) shard, its sources appended straight into
-	// dst's own active list. A raised cancel flag leaves dst holding a
-	// partial composition the caller must discard; the caller's
-	// cancellation cause says why.
 	dst.Reset()
-	dst.active, dst.pairs = h.ComposeShardInto(dst, ops, scr, 0, len(h.active), dst.active)
+	var c Count
+	dst.active, c = h.Rows().ComposeShard(dst, []CSROperand{op}, scr, dst.sparseMax, 0, len(h.active), dst.active)
+	dst.pairs = c.Pairs
 	return dst.pairs
-}
-
-// checkCompose validates the shared preconditions of ComposeUnionInto and
-// ComposeShardInto.
-func (h *HybridRelation) checkCompose(dst *HybridRelation, ops []CSROperand) {
-	checkOperands(h.n, ops)
-	if dst == h {
-		panic("bitset: compose aliasing dst == receiver")
-	}
 }
 
 // checkOperands panics unless every operand is over an n-vertex universe.
@@ -498,85 +442,14 @@ func checkOperands(n int, ops []CSROperand) {
 	}
 }
 
-// checkShard validates a shard's position range against the active list.
-func (h *HybridRelation) checkShard(lo, hi int) {
-	if lo < 0 || hi > len(h.active) || lo > hi {
-		panic(fmt.Sprintf("bitset: shard [%d,%d) out of active range [0,%d)", lo, hi, len(h.active)))
-	}
-}
-
-// composeRow computes row s of h ∘ (⋃ ops) into dst.rows[s] — accumulate with
-// the kernel matching s's representation, then emit — and returns the
-// row's target count (0 leaves dst.rows[s] in its Reset state, possibly
-// with dirty dense words that the count field marks as garbage). A dense
-// row accumulates straight into the destination row's own word array, so
-// a dense result is emitted without a copy. It touches nothing of dst but
-// the one row, so calls on distinct rows may run concurrently against a
-// shared dst as long as each caller owns its scratch.
-func (h *HybridRelation) composeRow(dst *HybridRelation, ops []CSROperand, scr *ComposeScratch, s int32) int {
-	row := &h.rows[s]
-	if row.dense {
-		drow := &dst.rows[s]
-		if drow.words == nil {
-			drow.words = make([]uint64, len(scr.words))
-		}
-		count := denseRowCompose(row.words, ops, drow.words)
-		if count > 0 {
-			emitWordsRow(dst, s, count, drow.words)
-		}
-		return count
-	}
-	count := scr.scatterSparse(row.ids, ops)
-	if count > 0 {
-		scr.emitRow(dst, s, count)
-	}
-	scr.reset()
-	return count
-}
-
-// ComposeShardInto composes one shard of h ∘ (⋃ ops) — the rows of h's
-// active-source slice in index positions [lo, hi) — into dst's row array.
-// It is the partitioned form of ComposeUnionInto for parallel execution:
-// shards with disjoint [lo, hi) ranges may run concurrently against the
-// same dst (each with its own scratch) because every row is written by
-// exactly one shard. dst must have been Reset by the coordinator first,
-// and dst's aggregate state (active list, pair count) is not touched —
-// the produced sources are appended to buf and returned with the shard's
-// pair count, for the coordinator to merge deterministically with
-// AdoptShard in ascending shard order.
-func (h *HybridRelation) ComposeShardInto(dst *HybridRelation, ops []CSROperand, scr *ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
-	h.checkCompose(dst, ops)
-	h.checkShard(lo, hi)
-	buf = buf[:0]
-	var pairs int64
-	for _, s := range h.active[lo:hi] {
-		count := h.composeRow(dst, ops, scr, s)
-		if count > 0 {
-			buf = append(buf, s)
-			pairs += int64(count)
-		}
-		if scr.cancelled(count) {
-			return buf, pairs // partial shard; the coordinator discards it
-		}
-	}
-	return buf, pairs
-}
-
-// AdoptShard merges one shard's outcome (as returned by ComposeShardInto)
-// into the relation's aggregate state. Shards must be adopted sequentially
-// in ascending shard order so the active-source list stays sorted — the
-// concatenation of per-shard ascending source runs over ascending disjoint
-// ranges is exactly the list sequential ComposeInto would have built,
-// which is what keeps parallel composition bit-identical.
-func (h *HybridRelation) AdoptShard(sources []int32, pairs int64) {
+// AdoptShard merges one built shard's outcome — the sources and Count a
+// step kernel returned — into the relation's aggregate state. Shards must
+// be adopted sequentially in ascending shard order so the active-source
+// list stays sorted — the concatenation of per-shard ascending source runs
+// over ascending disjoint ranges is exactly the list the whole range as
+// one shard would have built, which is what keeps parallel steps
+// bit-identical.
+func (h *HybridRelation) AdoptShard(sources []int32, c Count) {
 	h.active = append(h.active, sources...)
-	h.pairs += pairs
-}
-
-// Compose is the allocating convenience form of ComposeInto, for callers
-// outside the pooled census loop.
-func (h *HybridRelation) Compose(op CSROperand, density float64) *HybridRelation {
-	dst := NewHybrid(h.n, density)
-	h.ComposeInto(dst, op, NewComposeScratch(h.n))
-	return dst
+	h.pairs += c.Pairs
 }

@@ -49,7 +49,8 @@ func TestHybridComposeMatchesLegacy(t *testing.T) {
 		want := legacyFromOperand(opA).Compose(opB.Dense)
 		for _, density := range []float64{1e-9, 0.03125, 0.25, 1.0} {
 			h := HybridFromCSR(opA, density)
-			got := h.Compose(opB, density)
+			got := NewHybrid(n, density)
+			h.ComposeInto(got, opB, NewComposeScratch(n))
 			if !oracle.EqualRelation(got, want) {
 				t.Fatalf("trial %d n=%d density=%v: compose mismatch", trial, n, density)
 			}

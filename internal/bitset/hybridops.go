@@ -99,14 +99,6 @@ func (row *hrow) add(s int32) {
 	}
 }
 
-// Reverse is the allocating convenience form of ReverseInto. The result
-// inherits h's density threshold.
-func (h *HybridRelation) Reverse() *HybridRelation {
-	dst := &HybridRelation{n: h.n, sparseMax: h.sparseMax, rows: make([]hrow, h.n)}
-	h.ReverseInto(dst)
-	return dst
-}
-
 // Equal reports whether h and o contain exactly the same pairs,
 // regardless of per-row representation or density threshold.
 func (h *HybridRelation) Equal(o *HybridRelation) bool {

@@ -26,12 +26,13 @@ func TestHybridReverseMatchesDense(t *testing.T) {
 		pairs := rng.Intn(4 * n)
 		density := []float64{0, 1e-9, 0.1, 1.0}[trial%4]
 		h, r := randomHybridAndDense(rng, n, pairs, density)
-		rev := h.Reverse()
+		rev, back := NewHybrid(n, density), NewHybrid(n, density)
+		h.ReverseInto(rev)
 		if !oracle.EqualRelation(rev, r.Reverse()) {
 			t.Fatalf("trial %d (n=%d density=%v): hybrid reverse differs from dense", trial, n, density)
 		}
 		// Round trip returns the original.
-		if !oracle.EqualRelation(rev.Reverse(), r) {
+		if rev.ReverseInto(back); !oracle.EqualRelation(back, r) {
 			t.Fatalf("trial %d: double reverse is not the identity", trial)
 		}
 	}

@@ -1,131 +1,56 @@
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// This file holds the relation×relation join kernel: composing two
-// HybridRelations with each other, as opposed to composing a relation with
-// a CSR label operand (hybrid.go). The census and the zig-zag executor
-// only ever extend a relation by one label — a relation×CSR compose — but
-// bushy join plans (internal/exec.Run) build two path segments
-// independently and then join segment×segment, which is exactly this
-// kernel. Like ComposeInto it is representation-adaptive: every
-// left-row × right-row combination (sparse×sparse, sparse×dense,
-// dense×sparse, dense×dense) dispatches to a specialized accumulation
-// path, and JoinShardInto is the partitioned form that lets the final
-// join of a bushy plan shard across workers bit-identically.
+// This file holds the accumulate half of the relation×relation join:
+// composing a step's left rows with a HybridRelation, as opposed to a CSR
+// label operand. The census and a zig-zag leaf only ever extend a relation
+// by one label, but bushy join plans (internal/exec.Run) build two path
+// segments independently and then join segment×segment, and so does a
+// fold's block boundary. Like the compose kernel it is
+// representation-adaptive: every left-row × right-row combination
+// (sparse×sparse, sparse×dense, dense×sparse, dense×dense) dispatches to a
+// specialized accumulation path. The row loop is Rows.JoinShard (step.go).
 
 // JoinInto computes the relational composition h ∘ r into dst:
 //
 //	(s, u) ∈ dst  ⇔  ∃t: (s, t) ∈ h ∧ (t, u) ∈ r
 //
-// where both operands are hybrid relations. dst is reset first and its
+// where both operands are hybrid relations — the step h.Rows().JoinShard
+// over every row, at dst's promotion limit. dst is reset first and its
 // rows are reused in place, so steady-state joins allocate nothing beyond
-// the scratch's first use. Output rows whose right-side inputs are all
-// sparse accumulate through the touched-word scatter (the sparse×CSR
-// kernel's accumulator); a single dense right-side row switches the output
-// row to a full-width word accumulator, since dense unions touch words
-// wholesale. Returns the distinct-pair count of dst. dst must be distinct
-// from both operands and share their universe; h and r may alias (a
-// self-join is legal).
+// the scratch's first use. Returns the distinct-pair count of dst. dst
+// must be distinct from both operands and share their universe; h and r
+// may alias (a self-join is legal).
 func (h *HybridRelation) JoinInto(dst, r *HybridRelation, scr *ComposeScratch) int64 {
-	// The whole is the [0, n) shard, exactly as in ComposeInto.
 	dst.Reset()
-	dst.active, dst.pairs = h.JoinShardInto(dst, r, scr, 0, len(h.active), dst.active)
+	var c Count
+	dst.active, c = h.Rows().JoinShard(dst, r, scr, dst.sparseMax, 0, len(h.active), dst.active)
+	dst.pairs = c.Pairs
 	return dst.pairs
 }
 
-// checkJoin validates the shared preconditions of JoinInto and
-// JoinShardInto.
-func (h *HybridRelation) checkJoin(dst, r *HybridRelation) {
-	if r.n != h.n {
-		panic(fmt.Sprintf("bitset: join operand universe %d != relation universe %d", r.n, h.n))
-	}
-	if dst == h || dst == r {
-		panic("bitset: join aliasing dst == operand")
-	}
-	if dst.n != h.n {
-		panic(fmt.Sprintf("bitset: join destination universe %d != relation universe %d", dst.n, h.n))
-	}
-}
-
-// JoinShardInto joins one shard of h ∘ r — the rows of h's active-source
-// slice in index positions [lo, hi) — into dst's row array. It is the
-// partitioned form of JoinInto, with the same contract as
-// ComposeShardInto: shards with disjoint ranges may run concurrently
-// against the same dst (each with its own scratch) because every output
-// row is written by exactly one shard; dst must have been Reset by the
-// coordinator, which merges the returned per-shard sources and pair
-// counts with AdoptShard in ascending shard order to stay bit-identical
-// to sequential JoinInto.
-func (h *HybridRelation) JoinShardInto(dst, r *HybridRelation, scr *ComposeScratch, lo, hi int, buf []int32) ([]int32, int64) {
-	h.checkJoin(dst, r)
-	h.checkShard(lo, hi)
-	buf = buf[:0]
-	var pairs int64
-	for _, s := range h.active[lo:hi] {
-		count := h.joinRow(dst, r, scr, s)
-		if count > 0 {
-			buf = append(buf, s)
-			pairs += int64(count)
-		}
-		if scr.cancelled(count) {
-			return buf, pairs // partial shard; the coordinator discards it
+// expand lists a dense left row's targets in the scratch's id buffer, so
+// the join accumulates one left-row shape.
+func (scr *ComposeScratch) expand(words []uint64) []int32 {
+	scr.tbuf = scr.tbuf[:0]
+	for wi, w := range words {
+		base := int32(wi * wordBits)
+		for w != 0 {
+			scr.tbuf = append(scr.tbuf, base+int32(bits.TrailingZeros64(w)))
+			w &= w - 1
 		}
 	}
-	return buf, pairs
-}
-
-// Join is the allocating convenience form of JoinInto, for callers outside
-// the pooled execution loop.
-func (h *HybridRelation) Join(r *HybridRelation, density float64) *HybridRelation {
-	dst := NewHybrid(h.n, density)
-	h.JoinInto(dst, r, NewComposeScratch(h.n))
-	return dst
-}
-
-// joinRow computes row s of h ∘ r into dst.rows[s] — accumulate, then
-// emit from whichever accumulator holds the row — and returns the row's
-// target count (0 leaves dst.rows[s] in its Reset state). Like composeRow
-// it touches nothing of dst but the one row, so calls on distinct rows may
-// run concurrently against a shared dst as long as each caller owns its
-// scratch.
-func (h *HybridRelation) joinRow(dst, r *HybridRelation, scr *ComposeScratch, s int32) int {
-	count, wide := h.joinAccumulate(r, scr, s)
-	if wide {
-		emitWordsRow(dst, s, count, scr.wide)
-		return count
-	}
-	if count > 0 {
-		scr.emitRow(dst, s, count)
-	}
-	scr.reset()
-	return count
+	return scr.tbuf
 }
 
 // joinAccumulate is the accumulate half of one join row: it gathers the
-// targets of row s of h ∘ r and returns their count, with wide reporting
-// which accumulator holds them — the full-width one (scr.wide, count ≥ 1,
-// overwritten by the next wide row) or the touched-word scatter
-// accumulator, which the caller must reset once it has read the row.
-func (h *HybridRelation) joinAccumulate(r *HybridRelation, scr *ComposeScratch, s int32) (count int, wide bool) {
-	row := &h.rows[s]
-	ts := row.ids
-	if row.dense {
-		// Expand the dense left row into the reusable id buffer so the
-		// accumulation loops below handle one shape.
-		scr.tbuf = scr.tbuf[:0]
-		for wi, w := range row.words {
-			base := int32(wi * wordBits)
-			for w != 0 {
-				scr.tbuf = append(scr.tbuf, base+int32(bits.TrailingZeros64(w)))
-				w &= w - 1
-			}
-		}
-		ts = scr.tbuf
-	}
+// targets of r's rows at the left row's targets ts and returns their
+// count, with wide reporting which accumulator holds them — the full-width
+// one (scr.wide, count ≥ 1, overwritten by the next wide row) or the
+// touched-word scatter accumulator, which the caller must reset once it
+// has read the row.
+func (scr *ComposeScratch) joinAccumulate(ts []int32, r *HybridRelation) (count int, wide bool) {
 	// First pass: does any intermediate vertex contribute a dense right
 	// row? Dense contributions union whole words, which the touched-word
 	// scatter accumulator cannot track, so they divert the output row to
@@ -169,10 +94,7 @@ func (h *HybridRelation) joinAccumulate(r *HybridRelation, scr *ComposeScratch, 
 			}
 		}
 	}
-	for _, w := range acc {
-		count += bits.OnesCount64(w)
-	}
-	return count, true
+	return popcount(acc), true
 }
 
 // scatterSparseRows is the sparse×sparse join kernel: for each

@@ -52,9 +52,10 @@ func TestJoinMatchesReference(t *testing.T) {
 		if !oracle.EqualRelation(dst, want) {
 			t.Fatalf("%s: join content differs from reference", ctx)
 		}
-		// The allocating convenience form must agree.
-		if got := ha.Join(hb, dd); !oracle.EqualRelation(got, want) {
-			t.Fatalf("%s: Join convenience form differs from reference", ctx)
+		// A fresh destination and scratch must agree.
+		got := NewHybrid(n, dd)
+		if ha.JoinInto(got, hb, NewComposeScratch(n)); !oracle.EqualRelation(got, want) {
+			t.Fatalf("%s: fresh destination differs from reference", ctx)
 		}
 	}
 }
@@ -110,13 +111,13 @@ func TestJoinShardMatchesSequential(t *testing.T) {
 		dst.Reset()
 		nact := ha.Sources()
 		srcs := make([][]int32, shards)
-		pairs := make([]int64, shards)
+		counts := make([]Count, shards)
 		for i := 0; i < shards; i++ {
 			lo, hi := i*nact/shards, (i+1)*nact/shards
-			srcs[i], pairs[i] = ha.JoinShardInto(dst, hb, NewComposeScratch(n), lo, hi, nil)
+			srcs[i], counts[i] = ha.Rows().JoinShard(dst, hb, NewComposeScratch(n), dst.SparseMax(), lo, hi, nil)
 		}
 		for i := 0; i < shards; i++ {
-			dst.AdoptShard(srcs[i], pairs[i])
+			dst.AdoptShard(srcs[i], counts[i])
 		}
 		if dst.Pairs() != seq.Pairs() || !dst.Equal(seq) {
 			t.Fatalf("trial %d shards %d: sharded join differs from sequential", trial, shards)
@@ -153,7 +154,7 @@ func TestJoinPanics(t *testing.T) {
 	expectPanic("dst==r", func() { h.JoinInto(r, r, scr) })
 	expectPanic("universe mismatch", func() { h.JoinInto(NewHybrid(8, 0), bad, scr) })
 	expectPanic("dst universe mismatch", func() { h.JoinInto(bad, r, scr) })
-	expectPanic("shard range", func() { h.JoinShardInto(NewHybrid(8, 0), r, scr, 0, 5, nil) })
+	expectPanic("shard range", func() { h.Rows().JoinShard(NewHybrid(8, 0), r, scr, h.SparseMax(), 0, 5, nil) })
 }
 
 // FuzzJoinEquivalence fuzzes both operands' shapes, all three density
@@ -183,16 +184,16 @@ func FuzzJoinEquivalence(f *testing.F) {
 		nact := ha.Sources()
 		scr := NewComposeScratch(n)
 		type res struct {
-			srcs  []int32
-			pairs int64
+			srcs []int32
+			c    Count
 		}
 		results := make([]res, ns)
 		for i := 0; i < ns; i++ {
-			results[i].srcs, results[i].pairs = ha.JoinShardInto(
-				sharded, hb, scr, i*nact/ns, (i+1)*nact/ns, nil)
+			results[i].srcs, results[i].c = ha.Rows().JoinShard(
+				sharded, hb, scr, sharded.SparseMax(), i*nact/ns, (i+1)*nact/ns, nil)
 		}
 		for _, r := range results {
-			sharded.AdoptShard(r.srcs, r.pairs)
+			sharded.AdoptShard(r.srcs, r.c)
 		}
 		if !sharded.Equal(dst) || sharded.Pairs() != dst.Pairs() {
 			t.Fatalf("sharded join differs from sequential (n=%d shards=%d)", n, ns)

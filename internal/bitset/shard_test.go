@@ -69,8 +69,7 @@ func TestComposeShardMatchesCompose(t *testing.T) {
 				bounds := shardBounds(h.Sources(), shards)
 				scr := NewComposeScratch(n)
 				for i := 0; i < shards; i++ {
-					srcs, pairs := h.ComposeShardInto(dst, []CSROperand{opB}, scr, bounds[i], bounds[i+1], nil)
-					dst.AdoptShard(srcs, pairs)
+					dst.AdoptShard(h.Rows().ComposeShard(dst, []CSROperand{opB}, scr, dst.SparseMax(), bounds[i], bounds[i+1], nil))
 				}
 				assertIdentical(t, "sequential shards", dst, want)
 			}
@@ -101,19 +100,19 @@ func TestComposeShardConcurrent(t *testing.T) {
 			dst.Reset()
 			bounds := shardBounds(h.Sources(), shards)
 			srcs := make([][]int32, shards)
-			pairs := make([]int64, shards)
+			counts := make([]Count, shards)
 			var wg sync.WaitGroup
 			for i := 0; i < shards; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					srcs[i], pairs[i] = h.ComposeShardInto(dst, []CSROperand{opB}, NewComposeScratch(n),
-						bounds[i], bounds[i+1], nil)
+					srcs[i], counts[i] = h.Rows().ComposeShard(dst, []CSROperand{opB}, NewComposeScratch(n),
+						dst.SparseMax(), bounds[i], bounds[i+1], nil)
 				}()
 			}
 			wg.Wait()
 			for i := 0; i < shards; i++ {
-				dst.AdoptShard(srcs[i], pairs[i])
+				dst.AdoptShard(srcs[i], counts[i])
 			}
 			assertIdentical(t, "concurrent shards", dst, want)
 		}
@@ -138,8 +137,7 @@ func TestComposeShardReusedDestination(t *testing.T) {
 		dst.Reset()
 		bounds := shardBounds(h.Sources(), 3)
 		for i := 0; i < 3; i++ {
-			srcs, pairs := h.ComposeShardInto(dst, []CSROperand{opB}, scr, bounds[i], bounds[i+1], nil)
-			dst.AdoptShard(srcs, pairs)
+			dst.AdoptShard(h.Rows().ComposeShard(dst, []CSROperand{opB}, scr, dst.SparseMax(), bounds[i], bounds[i+1], nil))
 		}
 		assertIdentical(t, "reused dst", dst, want)
 	}
@@ -155,5 +153,5 @@ func TestComposeShardBadRange(t *testing.T) {
 			t.Fatal("out-of-range shard should panic")
 		}
 	}()
-	h.ComposeShardInto(dst, []CSROperand{op}, NewComposeScratch(32), 0, h.Sources()+1, nil)
+	h.Rows().ComposeShard(dst, []CSROperand{op}, NewComposeScratch(32), dst.SparseMax(), 0, h.Sources()+1, nil)
 }

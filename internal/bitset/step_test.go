@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The two kernels that read a label's relation from the graph instead of
-// from a copy are pinned here to the chains they replaced, kept as the
-// references: a step through a label set to fill-then-join, a leaf's first
-// step to fill-then-compose.
+// The step kernels whose left rows or right operands are read from the
+// graph instead of from a copy are pinned here to the chains they replaced,
+// kept as the references: a step through a label set to fill-then-join, a
+// leaf's first step to fill-then-compose.
 
 // regimes are the promotion thresholds a fuzzed relation is built under:
 // every row sparse, the default crossover, every row dense.
@@ -21,22 +21,28 @@ func dirty(rng *rand.Rand, n int, density float64) *HybridRelation {
 	return HybridFromCSR(RandomOperand(rng, n, rng.Intn(1+8*n)), density)
 }
 
+// counted is the Count of a step kernel's outcome.
+func counted(_ []int32, c Count) Count { return c }
+
 // assertSplits checks that every two-way split of items [0, items) — the
-// shards composed into one Reset destination and adopted in order, and the
-// same shards counted — is the whole relation.
+// shards built into one Reset destination and adopted in order, and the
+// same shards counted — is the whole relation, and that the Counts the
+// built shards return add up to it too.
 func assertSplits(t *testing.T, ctx string, dst, want *HybridRelation, items int,
-	build func(lo, hi int) ([]int32, int64), count func(lo, hi int) Count) {
+	shard func(dst *HybridRelation, lo, hi int) ([]int32, Count)) {
 	t.Helper()
 	for cut := 0; cut <= items; cut++ {
 		dst.Reset()
-		srcs, pairs := build(0, cut)
-		dst.AdoptShard(srcs, pairs)
-		srcs, pairs = build(cut, items)
-		dst.AdoptShard(srcs, pairs)
+		var built, c Count
+		for _, b := range [][2]int{{0, cut}, {cut, items}} {
+			srcs, bc := shard(dst, b[0], b[1])
+			dst.AdoptShard(srcs, bc)
+			built.Add(bc)
+			c.Add(counted(shard(nil, b[0], b[1])))
+		}
 		assertBitIdentical(t, ctx+" split", dst, want)
-		c := count(0, cut)
-		c.Add(count(cut, items))
 		assertCounts(t, ctx+" split", c, want)
+		assertCounts(t, ctx+" built split", built, want)
 	}
 }
 
@@ -79,18 +85,21 @@ func FuzzComposeUnionEquivalence(f *testing.F) {
 		density := regimes[regime%3]
 		h := HybridFromCSR(RandomOperand(rng, n, rng.Intn(1+int(edges)%4096)), density)
 		got, base, want := dirty(rng, n, density), NewHybrid(n, density), NewHybrid(n, density)
+		limit := want.sparseMax
 		scr := NewComposeScratch(n)
 		for size := 1; size <= nl; size++ {
 			fillChainRef(base, ops[:size])
 			h.JoinInto(want, base, NewComposeScratch(n))
-			h.ComposeUnionInto(got, ops[:size], scr)
+			got.Reset()
+			got.AdoptShard(h.Rows().ComposeShard(got, ops[:size], scr, limit, 0, h.Sources(), nil))
 			assertBitIdentical(t, "through a label set", got, want)
-			assertCounts(t, "through a label set", h.ComposeShardCount(ops[:size], scr, 0, h.Sources()), want)
+			assertCounts(t, "through a label set", counted(h.Rows().ComposeShard(nil, ops[:size], scr, limit, 0, h.Sources(), nil)), want)
 			assertClean(t, "through a label set", scr)
 		}
 		assertSplits(t, "through a label set", got, want, h.Sources(),
-			func(lo, hi int) ([]int32, int64) { return h.ComposeShardInto(got, ops, scr, lo, hi, nil) },
-			func(lo, hi int) Count { return h.ComposeShardCount(ops, scr, lo, hi) })
+			func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
+				return h.Rows().ComposeShard(dst, ops, scr, limit, lo, hi, nil)
+			})
 	})
 }
 
@@ -113,18 +122,63 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		a, op := RandomOperand(rng, n, int(edgesA)%8192), RandomOperand(rng, n, int(edgesB)%8192)
 		a.Dense = nil // the left side is read as rows only
+		ops := []CSROperand{op}
 		density := regimes[regime%3]
 		got, want := dirty(rng, n, density), NewHybrid(n, density)
 		scr := NewComposeScratch(n)
 		HybridFromCSR(a, density).ComposeInto(want, op, NewComposeScratch(n))
-		if pairs := a.ComposeInto(got, op, scr); pairs != want.Pairs() {
-			t.Fatalf("first step returned %d pairs, want %d", pairs, want.Pairs())
+		got.Reset()
+		srcs, c := a.Rows().ComposeShard(got, ops, scr, got.SparseMax(), 0, n, nil)
+		if got.AdoptShard(srcs, c); c.Pairs != want.Pairs() {
+			t.Fatalf("first step returned %d pairs, want %d", c.Pairs, want.Pairs())
 		}
 		assertBitIdentical(t, "first step", got, want)
 		assertClean(t, "first step", scr)
 		assertSplits(t, "first step", got, want, n,
-			func(lo, hi int) ([]int32, int64) { return a.ComposeShardInto(got, op, scr, lo, hi, nil) },
-			func(lo, hi int) Count { return a.ComposeShardCount(op, scr, got.SparseMax(), lo, hi) })
+			func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
+				return a.Rows().ComposeShard(dst, ops, scr, got.SparseMax(), lo, hi, nil)
+			})
 		assertClean(t, "first step shards", scr)
 	})
+}
+
+// TestStepPreconditions pins what every step kernel refuses: a destination
+// over another universe or with another promotion limit than the step's —
+// the limit its Count measures rows at — and, for the two whose left side
+// is a relation, a destination that is one of the step's inputs; UnionCSR
+// also refuses operands over different universes, counted or built.
+func TestStepPreconditions(t *testing.T) {
+	const n = 16
+	rng := rand.New(rand.NewSource(15))
+	op := RandomOperand(rng, n, 40)
+	ops := []CSROperand{op}
+	h, r := HybridFromCSR(op, 0.5), HybridFromCSR(op, 0.5)
+	limit := h.sparseMax
+	scr := NewComposeScratch(n)
+	expectPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		fn()
+	}
+	for name, step := range map[string]func(dst *HybridRelation){
+		"compose": func(dst *HybridRelation) { h.Rows().ComposeShard(dst, ops, scr, limit, 0, h.Sources(), nil) },
+		"first":   func(dst *HybridRelation) { op.Rows().ComposeShard(dst, ops, scr, limit, 0, n, nil) },
+		"join":    func(dst *HybridRelation) { h.Rows().JoinShard(dst, r, scr, limit, 0, h.Sources(), nil) },
+		"union":   func(dst *HybridRelation) { UnionCSR(dst, ops, scr, limit) },
+	} {
+		expectPanic(name+": other promotion limit", func() { step(NewHybrid(n, 1)) })
+		expectPanic(name+": other universe", func() { step(NewHybrid(n+1, 0.5)) })
+		step(NewHybrid(n, 0.5)) // the step's own regime is accepted
+		step(nil)
+	}
+	expectPanic("compose: dst == left", func() { h.Rows().ComposeShard(h, ops, scr, limit, 0, h.Sources(), nil) })
+	expectPanic("join: dst == left", func() { h.Rows().JoinShard(h, r, scr, limit, 0, h.Sources(), nil) })
+	expectPanic("join: dst == right", func() { h.Rows().JoinShard(r, r, scr, limit, 0, h.Sources(), nil) })
+	mixed := []CSROperand{op, RandomOperand(rng, n+1, 40)}
+	expectPanic("union: operand universes, counted", func() { UnionCSR(nil, mixed, scr, limit) })
+	expectPanic("union: operand universes, built", func() { UnionCSR(NewHybrid(n, 0.5), mixed, scr, limit) })
 }

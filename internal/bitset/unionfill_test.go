@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// fillChainRef is the reference FillUnionCSR replaced, kept verbatim: the
+// fillChainRef is the reference UnionCSR replaced, kept verbatim: the
 // one-label fill loop into h, then each further label filled into a
 // staging relation and unioned in.
 func fillChainRef(h *HybridRelation, ops []CSROperand) {
@@ -111,9 +111,10 @@ func FuzzUnionFillEquivalence(f *testing.F) {
 			fillChainRef(want, ops[:size])
 			// got is dirty on every round: from the unrelated relation
 			// first, then from the previous label set.
-			got.FillUnionCSR(ops[:size], scr)
+			built := UnionCSR(got, ops[:size], scr, got.sparseMax)
 			assertBitIdentical(t, "union fill", got, want)
-			assertCounts(t, "union count", UnionCSRCount(ops[:size], scr, got.sparseMax), want)
+			assertCounts(t, "union fill", built, want)
+			assertCounts(t, "union count", UnionCSR(nil, ops[:size], scr, got.sparseMax), want)
 			if len(scr.touched) != 0 || slices.ContainsFunc(scr.words, func(w uint64) bool { return w != 0 }) {
 				t.Fatalf("%d labels: accumulator left dirty", size)
 			}

@@ -315,17 +315,12 @@ func (x *core) step(key []byte, reversed bool, dst *bitset.HybridRelation, compu
 	return x.price(dst)
 }
 
-// compose is the compute of a compose step cur ∘ op: built into dst, or
-// counted into x.counted when dst is nil.
-func (x *core) compose(cur, dst *bitset.HybridRelation, op bitset.CSROperand) error {
-	x.stepper().compose(cur, op)
-	return x.run(dst)
-}
-
-// first is the compute of a leaf's first step a ∘ op, the rows of a — the
-// start label's relation — read from the graph instead of from a copy.
-func (x *core) first(a bitset.CSROperand, dst *bitset.HybridRelation, op bitset.CSROperand) error {
-	x.stepper().first(a, op)
+// compose is the compute of a compose step left ∘ op — left the rows of
+// the segment so far, or, for a leaf's first step, the start label's read
+// from the graph instead of from a copy: built into dst, or counted into
+// x.counted when dst is nil.
+func (x *core) compose(left bitset.Rows, dst *bitset.HybridRelation, op bitset.CSROperand) error {
+	x.stepper().compose(left, op)
 	return x.run(dst)
 }
 

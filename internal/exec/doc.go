@@ -20,13 +20,14 @@
 // plain-label runs, each planned by a PlanTree whose leaves are zig-zag
 // plans and whose join nodes build their two child segments independently —
 // concurrently when the worker budget allows — and join them with the
-// sharded relation×relation kernel (bitset.JoinInto), and single complex
-// elements built by alternation-union and repetition-unroll; the blocks
-// fold left to right, and a block that is one step from the graph — a
-// lone label, an alternation, a wildcard, an optional label — after a
+// sharded relation×relation kernel (bitset.Rows.JoinShard), and single
+// complex elements built by alternation-union and repetition-unroll; the
+// blocks fold left to right, and a block that is one step from the graph —
+// a lone label, an alternation, a wildcard, an optional label — after a
 // prefix that cannot be empty is not built at all: the fold composes
-// through its label set (bitset.ComposeUnionInto). A concrete path is the one-run case and a zig-zag
-// plan is its leaf. The planner costs every candidate from a selectivity
+// through its label set (bitset.Rows.ComposeShard over several operands).
+// A concrete path is the one-run case and a zig-zag plan is its leaf. The
+// planner costs every candidate from a selectivity
 // estimator — each proper segment of a run asked once, into a table the
 // plan retains — and picks the cheapest: the best zig-zag start, or, bushy,
 // the best tree of a dynamic program over segment splits (bounded by
@@ -58,7 +59,7 @@
 // (bitset.HybridRelation): two pooled relations double-buffer through the
 // specialized sparse×CSR / dense×CSR compose kernels, the first step
 // reading the start label's rows from the graph's CSR rather than from a
-// copy (bitset.CSROperand.ComposeInto), rightward steps use successor
+// copy (bitset.CSROperand.Rows), rightward steps use successor
 // operands, leftward steps use predecessor operands on the reversed
 // relation, and every row adapts its representation per step.
 // Each compose step is parallelized over the shared work-stealing

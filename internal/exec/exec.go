@@ -72,9 +72,9 @@ type Options struct {
 	// reading. Unset — the default, and what every caller that only wants
 	// the answer |ℓ(G)| and the Stats should leave it — the returned
 	// relation is nil and the result is not built when it need not be:
-	// the root's final join step runs the count kernels
-	// (bitset.ComposeCount / JoinCount) whenever its output would not be
-	// published to Cache — without a cache, that is — and a result that
+	// the root's final join step runs its kernel with no destination,
+	// sinking every row into a bitset.Count, whenever its output would not
+	// be published to Cache — without a cache, that is — and a result that
 	// had to be built anyway (a cache adoption, a published or unioned
 	// result, a single-label query) is released before returning. Stats
 	// and the MaxResultBytes boundary are identical either way.
@@ -191,7 +191,8 @@ func (s *SchedStats) merge(o SchedStats) {
 // execution — cancelled after its last step or not cancelled at all — is
 // bit-identical to the dense executor of internal/oracle (the test-only
 // reference stack) on a concrete path, and on a regular path query to the
-// union of the relations of every concrete path it expands to. The returned relation is nil unless Options.KeepResult is set.
+// union of the relations of every concrete path it expands to. The
+// returned relation is nil unless Options.KeepResult is set.
 //
 // What is materialised is what some step reads as a relation: a
 // single-label query's answer, a plan's first element, an element after a
@@ -258,25 +259,20 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 		return buf
 	}
 	// grow runs one join step into the spare buffer and swaps the buffers:
-	// its input — a before the first step, cur after — is the finished
-	// segment whose size is the step's recorded intermediate. The counted
-	// last step has no destination.
+	// its left rows — a's before the first step, cur's after — are the
+	// finished segment whose size is the step's recorded intermediate. The
+	// counted last step has no destination.
 	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
 		var dst *bitset.HybridRelation
 		if !(count && len(seg) == len(p)) {
 			dst = spare()
 		}
-		in := int64(len(a.Targets))
+		left := a.Rows()
 		if cur != nil {
-			in = cur.Pairs()
+			left = cur.Rows()
 		}
-		x.ints = append(x.ints, in)
-		err := x.step(x.pathKey(room[:0], seg), reversed, dst, func() error {
-			if cur == nil {
-				return x.first(a, dst, op)
-			}
-			return x.compose(cur, dst, op)
-		})
+		x.ints = append(x.ints, left.Pairs())
+		err := x.step(x.pathKey(room[:0], seg), reversed, dst, func() error { return x.compose(left, dst, op) })
 		cur, buf = buf, cur
 		return err
 	}

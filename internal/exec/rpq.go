@@ -33,11 +33,12 @@ import (
 // alone). The same law is how the fold runs: when U_i is a single power
 // (MaxRep_i = 1, or a plain label) and the eps term is off, R_{i-1}∘U_i
 // is R_{i-1} composed through the labels of A_i straight from the graph —
-// one step, bitset.ComposeUnionInto — and U_i is never a relation; only
-// where U_i itself is a term of the result (eps_{i-1} on, or i = 1) or a
-// union of powers is it built (bitset.FillUnionCSR for the base) and
-// joined. A whole-query MinLen of 0 (every element optional) would make
-// the identity relation a member of the union; compilers must reject it,
+// one step, bitset.Rows.ComposeShard over several operands — and U_i is
+// never a relation; only where U_i itself is a term of the result
+// (eps_{i-1} on, or i = 1) or a union of powers is it built
+// (bitset.UnionCSR for the base) and joined. A whole-query MinLen of 0
+// (every element optional) would make the identity relation a member of
+// the union; compilers must reject it,
 // and DagPlan.validate panics on it.
 //
 // R_i and U_i are functions of their elements alone — eps_i too — so with

@@ -266,11 +266,6 @@ func (c *CSR) Successors(v, l int) []int32 {
 	return c.targets[l][c.offsets[l][v]:c.offsets[l][v+1]]
 }
 
-// OutDegree returns the number of out-edges of v with label l.
-func (c *CSR) OutDegree(v, l int) int {
-	return int(c.offsets[l][v+1] - c.offsets[l][v])
-}
-
 // LabelFrequencies returns f(l) for every edge label.
 func (c *CSR) LabelFrequencies() []int64 {
 	freq := make([]int64, c.numLabels)

@@ -154,14 +154,15 @@ func (e *censusEngine) runTask(worker int, t censusTask) {
 // recurses inline (reusing pooled relations) or re-enqueues large subtrees
 // for stealing. The children of a depth k−1 prefix are the trie's leaves —
 // |L|^k of its Σ|L|^i paths — and nothing ever extends them, so that level
-// is counted (bitset.ComposeCount), never built. p must have capacity ≥ k
-// so appends never reallocate.
+// is counted — the step kernel run with no destination — never built. p
+// must have capacity ≥ k so appends never reallocate.
 func (e *censusEngine) expand(worker int, w *censusWorker, p Path, rel *bitset.HybridRelation) {
 	leaves := len(p)+1 == e.c.k
 	for l := 0; l < e.c.numLabels; l++ {
 		cp := append(p, l)
 		if leaves {
-			e.c.freq[CanonicalIndex(cp, e.c.numLabels, e.c.k)] = rel.ComposeCount(e.ops[l], w.scratch).Pairs
+			_, c := rel.Rows().ComposeShard(nil, e.ops[l:l+1], w.scratch, rel.SparseMax(), 0, rel.Sources(), nil)
+			e.c.freq[CanonicalIndex(cp, e.c.numLabels, e.c.k)] = c.Pairs
 			continue
 		}
 		child := w.pool.Get()
