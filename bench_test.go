@@ -448,6 +448,48 @@ func BenchmarkComposeKernels(b *testing.B) {
 	}
 }
 
+// execUncachedGraph is the graph of bench/'s exec_uncached workload (SNAP-ER
+// at scale 0.5, 6 166 vertices), generated once for BenchmarkDenseSteps.
+var execUncachedGraph = sync.OnceValue(func() *graph.CSR {
+	return dataset.Generate(dataset.Table3()[2], 0.5, 1).Freeze()
+})
+
+// BenchmarkDenseSteps is BenchmarkComposeKernels in the dense-row regime,
+// on exec_uncached's graph at the default promotion threshold: `1/1`
+// composed through label 1 — 192 165 pairs in, 1 057 857 out, a third of
+// the output rows dense — built (compose) and counted (count), and `1/1`
+// joined with `2/1` (join). Every left row is sparse, so each step is the
+// scatter accumulator's: gather, then emit or only count.
+func BenchmarkDenseSteps(b *testing.B) {
+	g := execUncachedGraph()
+	n := g.NumVertices()
+	left := paths.EvaluateWithDensity(g, paths.Path{0, 0}, 0)
+	right := paths.EvaluateWithDensity(g, paths.Path{1, 0}, 0)
+	ops := []bitset.CSROperand{g.LabelOperand(0)}
+	scr, dst := bitset.NewComposeScratch(n), bitset.NewHybrid(n, 0)
+	b.Run("compose", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			left.ComposeInto(dst, ops[0], scr)
+		}
+	})
+	b.Run("count", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, c := left.Rows().ComposeShard(nil, ops, scr, dst.SparseMax(), 0, left.Sources(), nil); c.Pairs == 0 {
+				b.Fatal("empty composition")
+			}
+		}
+	})
+	b.Run("join", func(b *testing.B) {
+		var buf []int32
+		for i := 0; i < b.N; i++ {
+			dst.Reset()
+			var c bitset.Count
+			buf, c = left.Rows().JoinShard(dst, right, scr, dst.SparseMax(), 0, left.Sources(), buf)
+			dst.AdoptShard(buf, c)
+		}
+	})
+}
+
 // BenchmarkCensusEngines compares the legacy allocating census against the
 // pooled hybrid engine, single-worker, on the synthetic Table 3 datasets —
 // the ISSUE 1 ≥3× target measured apples-to-apples (same graph, same k,

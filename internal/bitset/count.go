@@ -4,7 +4,7 @@ package bitset
 // measured. Every step kernel (step.go) sinks each row either into a
 // destination or into a Count alone; a caller that only needs |h ∘ op| —
 // the census at its deepest level, an executor at its root — passes no
-// destination, and then no id list is sorted, no dense row copied, no
+// destination, and then no id list is built, no dense row copied, no
 // active list grown and no destination drawn from a pool.
 
 // Count describes a relation a step kernel measured, built or not. It is

@@ -17,10 +17,10 @@ func assertCounts(t *testing.T, ctx string, got Count, want *HybridRelation) {
 	}
 }
 
-// assertShardCounts checks that every two-way split of the active list and
-// one ns-way split add up to the whole relation's count — counted, and
-// built into a destination at the relation's regime, whose shards' Counts
-// must add up to it too.
+// assertShardCounts checks that every two-way split of the active list —
+// every (1 + nact/256)-th from 256 sources on — and one ns-way split add up
+// to the whole relation's count — counted, and built into a destination at
+// the relation's regime, whose shards' Counts must add up to it too.
 func assertShardCounts(t *testing.T, ctx string, nact, ns int, want *HybridRelation,
 	shard func(dst *HybridRelation, lo, hi int) ([]int32, Count)) {
 	t.Helper()
@@ -38,7 +38,7 @@ func assertShardCounts(t *testing.T, ctx string, nact, ns int, want *HybridRelat
 		assertCounts(t, ctx, c, want)
 		assertCounts(t, ctx+" built", built, want)
 	}
-	for cut := 0; cut <= nact; cut++ {
+	for cut := 0; cut <= nact; cut += 1 + nact/256 {
 		split(ctx+" two-way split", []int{0, cut, nact})
 	}
 	bounds := make([]int, ns+1)
@@ -49,22 +49,25 @@ func assertShardCounts(t *testing.T, ctx string, nact, ns int, want *HybridRelat
 }
 
 // FuzzCountEquivalence fuzzes the operands' shapes, the promotion
-// thresholds from all-sparse to all-dense, and the shard decomposition,
-// asserting that the step kernels, given no destination, report exactly
-// what they build given one — Pairs(), Sources() and CloneMemSize() — whole
-// and over every shard split, and that a raised cancel flag stops them at
-// the first poll.
+// thresholds from all-sparse to all-dense, universes of one to four summary
+// words, and the shard decomposition, asserting that the step kernels,
+// given no destination, report exactly what they build given one —
+// Pairs(), Sources() and CloneMemSize() — whole and over every shard split,
+// that they leave the scratch clean, and that a raised cancel flag stops
+// them at the first poll.
 func FuzzCountEquivalence(f *testing.F) {
-	f.Add(int64(1), 40, 120, 90, float64(0), float64(1), uint8(3))
-	f.Add(int64(2), 8, 20, 300, float64(1e-9), float64(0), uint8(1))
-	f.Add(int64(3), 100, 400, 50, float64(0.1), float64(1e-9), uint8(6))
-	f.Add(int64(4), 130, 900, 900, float64(1), float64(1), uint8(7))
-	f.Add(int64(5), 64, 700, 700, float64(1e-9), float64(1e-9), uint8(4))
-	f.Fuzz(func(t *testing.T, seed int64, n, pairsA, pairsB int, da, db float64, shards uint8) {
+	f.Add(int64(1), 40, 120, 90, float64(0), float64(1), uint8(3), uint8(0))
+	f.Add(int64(2), 8, 20, 300, float64(1e-9), float64(0), uint8(1), uint8(0))
+	f.Add(int64(3), 100, 400, 50, float64(0.1), float64(1e-9), uint8(6), uint8(0))
+	f.Add(int64(4), 130, 900, 900, float64(1), float64(1), uint8(7), uint8(0))
+	f.Add(int64(5), 64, 700, 700, float64(1e-9), float64(1e-9), uint8(4), uint8(0))
+	f.Add(int64(6), 17, 1000, 1000, float64(1), float64(0), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n, pairsA, pairsB int, da, db float64, shards, scale uint8) {
 		if n < 1 || n > 200 || pairsA < 0 || pairsA > 1000 || pairsB < 0 || pairsB > 1000 ||
 			da < 0 || da > 1 || db < 0 || db > 1 {
 			t.Skip()
 		}
+		n = ScaledUniverse(n, scale)
 		rng := rand.New(rand.NewSource(seed))
 		h, _ := RandomHybrid(rng, n, pairsA, da)
 		r, _ := RandomHybrid(rng, n, pairsB, db)
@@ -91,6 +94,7 @@ func FuzzCountEquivalence(f *testing.F) {
 
 		// Counted steps leave the scratch as clean as they found it: a
 		// built step run after them still builds the same rows.
+		assertClean(t, "counted", scr)
 		again := NewHybrid(n, da)
 		h.ComposeInto(again, op, scr)
 		h.ComposeInto(want, op, NewComposeScratch(n))
@@ -214,7 +218,5 @@ func TestUnionFillCancelWithinOneWindow(t *testing.T) {
 	if UnionCSR(h, ops, scr, h.sparseMax); h.Sources() > cancelCheckInterval {
 		t.Fatalf("cancelled fill ran %d rows, more than one poll window", h.Sources())
 	}
-	if len(scr.touched) != 0 {
-		t.Fatal("cancelled fill left the accumulator dirty")
-	}
+	assertClean(t, "cancelled fill", scr)
 }

@@ -6,6 +6,12 @@ import "math/rand"
 // external ones (package bitset_test — the tests that consult
 // internal/oracle, which imports this package).
 
+// ScaledUniverse is the universe a fuzzer draws: vertices, plus 4096 for each
+// step of scale. One summary word of a ComposeScratch covers 4096 vertices,
+// so three inputs in four span two to four summary words and scatter across
+// the boundaries between them.
+func ScaledUniverse(vertices int, scale uint8) int { return vertices + 4096*int(scale%4) }
+
 // RandomOperand builds a CSROperand with ~m random edges over n vertices,
 // plus the matching dense sets, mirroring graph.CSR.LabelOperand.
 func RandomOperand(rng *rand.Rand, n, m int) CSROperand {

@@ -148,7 +148,6 @@ func (scr *ComposeScratch) unionRow(first []int32, rest []CSROperand, v int) ([]
 		case count == 0:
 			first, count = ts, len(ts)
 		case first != nil:
-			scr.begin()
 			count = scr.scatter(first) + scr.scatter(ts)
 			first = nil
 		default:
@@ -225,20 +224,21 @@ func (h *HybridRelation) ForEachPair(fn func(s, t int) bool) {
 	}
 }
 
-// ComposeScratch is the per-worker accumulator of the sparse×CSR kernel: a
-// dense bitmap plus the list of words touched by the scatter, so resetting
-// costs O(touched) instead of O(|V|/64). The dense×CSR kernel bypasses it
-// and unions directly into the destination row.
+// ComposeScratch is the per-worker accumulator of the sparse×CSR kernel
+// (Gilbert, Moler & Schreiber's sparse accumulator): a dense bitmap plus a
+// summary with one bit per bitmap word, set when the word may be non-zero.
+// Emitting or resetting a row walks the summary in ascending order, so it
+// costs O(|V|/4096 + touched words) and the touched words need no sort. The
+// dense×CSR kernel bypasses it and unions directly into the destination
+// row.
 type ComposeScratch struct {
-	words      []uint64
-	touched    []int32
-	wMin, wMax int32 // touched word index range of the current scatter
+	words []uint64
+	sum   []uint64 // bit wi set ⇔ words[wi] may be non-zero
 
 	// Lazily allocated on first use: the full-width accumulator of rows
 	// that union whole words (join output rows with a dense right-side
-	// input, where touched-word tracking would be incomplete, and counted
-	// dense×CSR rows, which have no destination row to union into), and
-	// the join's expansion buffer for dense left rows.
+	// input, and counted dense×CSR rows, which have no destination row to
+	// union into), and the join's expansion buffer for dense left rows.
 	wide []uint64
 	tbuf []int32
 
@@ -250,7 +250,16 @@ type ComposeScratch struct {
 
 // NewComposeScratch returns a scratch accumulator for an n-vertex universe.
 func NewComposeScratch(n int) *ComposeScratch {
-	return &ComposeScratch{words: make([]uint64, wordsFor(n))}
+	w := wordsFor(n)
+	return &ComposeScratch{words: paddedWords(w), sum: paddedWords(wordsFor(w))}
+}
+
+// paddedWords returns k zero words in an allocation of whole 64-byte cache
+// lines. Every scatter stores into the accumulator and its summary, and
+// workers' scratches are allocated back to back: a bare 16-byte summary
+// would share a line with another worker's.
+func paddedWords(k int) []uint64 {
+	return make([]uint64, k, (k+7)&^7)
 }
 
 // wideWords returns the full-width accumulator, building it on first use.
@@ -262,41 +271,28 @@ func (scr *ComposeScratch) wideWords() []uint64 {
 	return scr.wide
 }
 
-// reset zeroes exactly the words the last scatter touched.
+// reset zeroes the words the summary marks, and the summary.
 func (scr *ComposeScratch) reset() {
-	for _, wi := range scr.touched {
-		scr.words[wi] = 0
+	for si, sw := range scr.sum {
+		for ; sw != 0; sw &= sw - 1 {
+			scr.words[si*wordBits+bits.TrailingZeros64(sw)] = 0
+		}
+		scr.sum[si] = 0
 	}
-	scr.touched = scr.touched[:0]
 }
 
-// begin opens the touched-word range of a new output row; every scatter
-// until the row is emitted widens it.
-func (scr *ComposeScratch) begin() {
-	scr.wMin, scr.wMax = int32(len(scr.words)), -1
-}
-
-// scatter is the accumulate step the touched-word kernels share: it adds
-// one target list to the accumulator of the output row begin opened and
-// returns how many of the targets were new to it.
+// scatter is the accumulate step the summarized kernels share: it adds one
+// target list to the accumulator and returns how many of the targets were
+// new to it. It has no branch per target.
 func (scr *ComposeScratch) scatter(ts []int32) int {
+	words, sum := scr.words, scr.sum
 	count := 0
 	for _, u := range ts {
-		wi := u >> 6
-		bit := uint64(1) << (uint(u) & 63)
-		if scr.words[wi]&bit == 0 {
-			if scr.words[wi] == 0 {
-				scr.touched = append(scr.touched, wi)
-				if wi < scr.wMin {
-					scr.wMin = wi
-				}
-				if wi > scr.wMax {
-					scr.wMax = wi
-				}
-			}
-			scr.words[wi] |= bit
-			count++
-		}
+		wi, b := uint(u)>>6, uint(u)&63
+		w := words[wi]
+		count += int(^w >> b & 1)
+		words[wi] = w | 1<<b
+		sum[wi>>6] |= 1 << (wi & 63)
 	}
 	return count
 }
@@ -308,7 +304,6 @@ func (scr *ComposeScratch) scatter(ts []int32) int {
 // accumulated. Cost is O(Σ_op Σ_t deg_op(t)), independent of |V|.
 func (scr *ComposeScratch) scatterSparse(ids []int32, ops []CSROperand) int {
 	count := 0
-	scr.begin()
 	for i := range ops {
 		offs, tgts := ops[i].Offsets, ops[i].Targets
 		for _, t := range ids {
@@ -371,37 +366,27 @@ func popcount(words []uint64) int {
 }
 
 // emitRow stores the scatter accumulator into dst's row s, choosing the
-// sparse or dense form by dst's threshold; the caller resets the
-// accumulator. It touches only the row itself — the caller accounts for
-// dst's active list and pair count, so sharded compositions can run rows
-// concurrently.
+// sparse or dense form by dst's threshold. A sparse emit walks the summary
+// in ascending order and drains the words it reads, in O(|V|/4096 + touched
+// words); a dense one copies the accumulator, which the caller then resets.
+// It touches only the row itself — the caller accounts for dst's active
+// list and pair count, so sharded compositions can run rows concurrently.
 func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 	row := &dst.rows[s]
 	row.count = int32(count)
 	if count <= dst.sparseMax {
 		row.dense = false
 		row.ids = row.ids[:0]
-		if span := int(scr.wMax-scr.wMin) + 1; span <= 4*len(scr.touched) {
-			// Touched words are clustered: a bounded ascending scan is
-			// cheaper than sorting the touched list.
-			for wi := scr.wMin; wi <= scr.wMax; wi++ {
-				w := scr.words[wi]
-				base := wi * wordBits
-				for w != 0 {
+		for si, sw := range scr.sum {
+			for ; sw != 0; sw &= sw - 1 {
+				wi := si*wordBits + bits.TrailingZeros64(sw)
+				base := int32(wi * wordBits)
+				for w := scr.words[wi]; w != 0; w &= w - 1 {
 					row.ids = append(row.ids, base+int32(bits.TrailingZeros64(w)))
-					w &= w - 1
 				}
+				scr.words[wi] = 0
 			}
-		} else {
-			slices.Sort(scr.touched)
-			for _, wi := range scr.touched {
-				w := scr.words[wi]
-				base := wi * wordBits
-				for w != 0 {
-					row.ids = append(row.ids, base+int32(bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-			}
+			scr.sum[si] = 0
 		}
 	} else {
 		row.dense = true

@@ -48,13 +48,13 @@ func (scr *ComposeScratch) expand(words []uint64) []int32 {
 // targets of r's rows at the left row's targets ts and returns their
 // count, with wide reporting which accumulator holds them — the full-width
 // one (scr.wide, count ≥ 1, overwritten by the next wide row) or the
-// touched-word scatter accumulator, which the caller must reset once it
-// has read the row.
+// summarized scatter accumulator, which the caller must reset once it has
+// read the row.
 func (scr *ComposeScratch) joinAccumulate(ts []int32, r *HybridRelation) (count int, wide bool) {
 	// First pass: does any intermediate vertex contribute a dense right
-	// row? Dense contributions union whole words, which the touched-word
-	// scatter accumulator cannot track, so they divert the output row to
-	// the full-width path.
+	// row? Dense contributions union whole words, which are cheaper to
+	// accumulate and count full-width than to scatter bit by bit, so they
+	// divert the output row to the full-width path.
 	any, anyDense := false, false
 	for _, t := range ts {
 		rr := &r.rows[t]
@@ -99,12 +99,11 @@ func (scr *ComposeScratch) joinAccumulate(ts []int32, r *HybridRelation) (count 
 
 // scatterSparseRows is the sparse×sparse join kernel: for each
 // intermediate vertex t in ts, scatter right's sparse row of t into the
-// touched-word accumulator. Every right row must currently be sparse (or
+// summarized accumulator. Every right row must currently be sparse (or
 // empty); the caller's first pass guarantees it. Returns the number of
 // distinct targets accumulated.
 func (scr *ComposeScratch) scatterSparseRows(ts []int32, r *HybridRelation) int {
 	count := 0
-	scr.begin()
 	for _, t := range ts {
 		count += scr.scatter(r.rows[t].ids)
 	}

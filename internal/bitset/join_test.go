@@ -158,17 +158,20 @@ func TestJoinPanics(t *testing.T) {
 }
 
 // FuzzJoinEquivalence fuzzes both operands' shapes, all three density
-// thresholds, and the shard decomposition, asserting hybrid join ≡ dense
-// reference and sharded ≡ sequential on every input.
+// thresholds, universes of one to four summary words, and the shard
+// decomposition, asserting hybrid join ≡ dense reference and sharded ≡
+// sequential on every input.
 func FuzzJoinEquivalence(f *testing.F) {
-	f.Add(int64(1), 40, 120, 90, float64(0), float64(1), float64(0), uint8(3))
-	f.Add(int64(2), 8, 20, 300, float64(1e-9), float64(0), float64(1), uint8(1))
-	f.Add(int64(3), 100, 0, 50, float64(0.1), float64(0.1), float64(1e-9), uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, n, pairsA, pairsB int, da, db, dd float64, shards uint8) {
+	f.Add(int64(1), 40, 120, 90, float64(0), float64(1), float64(0), uint8(3), uint8(0))
+	f.Add(int64(2), 8, 20, 300, float64(1e-9), float64(0), float64(1), uint8(1), uint8(0))
+	f.Add(int64(3), 100, 0, 50, float64(0.1), float64(0.1), float64(1e-9), uint8(6), uint8(0))
+	f.Add(int64(4), 17, 1000, 1000, float64(1), float64(1), float64(0), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n, pairsA, pairsB int, da, db, dd float64, shards, scale uint8) {
 		if n < 1 || n > 200 || pairsA < 0 || pairsA > 1000 || pairsB < 0 || pairsB > 1000 ||
 			da < 0 || da > 1 || db < 0 || db > 1 || dd < 0 || dd > 1 {
 			t.Skip()
 		}
+		n = ScaledUniverse(n, scale)
 		rng := rand.New(rand.NewSource(seed))
 		ha, ra := randomHybridAndDense(rng, n, pairsA, da)
 		hb, rb := randomHybridAndDense(rng, n, pairsB, db)

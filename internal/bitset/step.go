@@ -85,7 +85,7 @@ func checkDst(dst *HybridRelation, n, limit int) {
 //	(s, u) ∈ r ∘ (⋃ ops)  ⇔  ∃t, op ∈ ops: (s, t) ∈ r ∧ u ∈ op.successors(t)
 //
 // A row takes the kernel its shape asks for: a short one scatters its
-// targets' CSR rows into the touched-word accumulator, a dense relation row
+// targets' CSR rows into the summarized accumulator, a dense relation row
 // or a CSR row longer than limit unions its targets' dense successor sets
 // word-parallel — into dst's own row, so a dense result needs no copy. It
 // returns the shard's Count and, built, its sources appended to buf[:0].
@@ -153,7 +153,7 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 //	(s, u) ∈ r ∘ right  ⇔  ∃t: (s, t) ∈ r ∧ (t, u) ∈ right
 //
 // A row whose right-side inputs are all sparse accumulates through the
-// touched-word scatter; a single dense one switches the row to the
+// summarized scatter; a single dense one switches the row to the
 // full-width accumulator, since dense unions touch words wholesale. Sinks,
 // shards and preconditions are ComposeShard's; dst must be distinct from
 // right too, and right may be r's own relation (a self-join).

@@ -27,11 +27,12 @@ func counted(_ []int32, c Count) Count { return c }
 // assertSplits checks that every two-way split of items [0, items) — the
 // shards built into one Reset destination and adopted in order, and the
 // same shards counted — is the whole relation, and that the Counts the
-// built shards return add up to it too.
+// built shards return add up to it too. From 256 items on it takes every
+// (1 + items/256)-th cut.
 func assertSplits(t *testing.T, ctx string, dst, want *HybridRelation, items int,
 	shard func(dst *HybridRelation, lo, hi int) ([]int32, Count)) {
 	t.Helper()
-	for cut := 0; cut <= items; cut++ {
+	for cut := 0; cut <= items; cut += 1 + items/256 {
 		dst.Reset()
 		var built, c Count
 		for _, b := range [][2]int{{0, cut}, {cut, items}} {
@@ -46,11 +47,12 @@ func assertSplits(t *testing.T, ctx string, dst, want *HybridRelation, items int
 	}
 }
 
-// assertClean fails unless the kernels left the scratch accumulator as
-// they found it.
+// assertClean fails unless the kernels left the scratch accumulator and its
+// summary as they found them: all zero.
 func assertClean(t *testing.T, ctx string, scr *ComposeScratch) {
 	t.Helper()
-	if len(scr.touched) != 0 || slices.ContainsFunc(scr.words, func(w uint64) bool { return w != 0 }) {
+	nonzero := func(w uint64) bool { return w != 0 }
+	if slices.ContainsFunc(scr.words, nonzero) || slices.ContainsFunc(scr.sum, nonzero) {
 		t.Fatalf("%s: accumulator left dirty", ctx)
 	}
 }
@@ -58,17 +60,18 @@ func assertClean(t *testing.T, ctx string, scr *ComposeScratch) {
 // FuzzComposeUnionEquivalence pins a step through a label set,
 // h ∘ (⋃ ops), bit-identical to the chain it replaced — the set's base
 // filled, then joined — for label sets of every size, left relations with
-// sparse, dense and empty rows, all three threshold regimes, a dirty pooled
-// destination and a shard split at every position, the count form agreeing
-// with the built one throughout.
+// sparse, dense and empty rows, all three threshold regimes, universes of
+// one to four summary words, a dirty pooled destination and a shard split
+// at every position, the count form agreeing with the built one throughout.
 func FuzzComposeUnionEquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(3), uint16(200), uint8(0))
-	f.Add(int64(2), uint8(200), uint8(8), uint16(900), uint8(1))
-	f.Add(int64(3), uint8(130), uint8(5), uint16(4000), uint8(2))
-	f.Add(int64(4), uint8(1), uint8(2), uint16(1), uint8(1))
-	f.Add(int64(5), uint8(90), uint8(1), uint16(0), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, vertices, labels uint8, edges uint16, regime uint8) {
-		n, nl := int(vertices), 1+int(labels)%8
+	f.Add(int64(1), uint8(40), uint8(3), uint16(200), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(200), uint8(8), uint16(900), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(130), uint8(5), uint16(4000), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(1), uint8(2), uint16(1), uint8(1), uint8(0))
+	f.Add(int64(5), uint8(90), uint8(1), uint16(0), uint8(1), uint8(0))
+	f.Add(int64(6), uint8(17), uint8(2), uint16(4000), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, vertices, labels uint8, edges uint16, regime, scale uint8) {
+		n, nl := ScaledUniverse(int(vertices), scale), 1+int(labels)%8
 		if n == 0 {
 			t.Skip()
 		}
@@ -105,17 +108,20 @@ func FuzzComposeUnionEquivalence(f *testing.F) {
 
 // FuzzComposeCSREquivalence pins a leaf's first step, a ∘ op with the rows
 // of a read from its CSR, bit-identical to the chain it replaced —
-// FillFromCSR(a), then ComposeInto — over the same regimes, a dirty pooled
-// destination and a vertex-range split at every position, the count form
-// agreeing with the built one and with a promotion limit of its own.
+// FillFromCSR(a), then ComposeInto — over the same regimes and universes, a
+// dirty pooled destination and a vertex-range split at every position, the
+// count form agreeing with the built one and with a promotion limit of its
+// own.
 func FuzzComposeCSREquivalence(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint16(200), uint16(150), uint8(0))
-	f.Add(int64(2), uint8(200), uint16(3000), uint16(900), uint8(1))
-	f.Add(int64(3), uint8(130), uint16(600), uint16(4000), uint8(2))
-	f.Add(int64(4), uint8(1), uint16(1), uint16(1), uint8(1))
-	f.Add(int64(5), uint8(90), uint16(0), uint16(500), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, vertices uint8, edgesA, edgesB uint16, regime uint8) {
-		n := int(vertices)
+	f.Add(int64(1), uint8(40), uint16(200), uint16(150), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(200), uint16(3000), uint16(900), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(130), uint16(600), uint16(4000), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(1), uint16(1), uint16(1), uint8(1), uint8(0))
+	f.Add(int64(5), uint8(90), uint16(0), uint16(500), uint8(1), uint8(0))
+	f.Add(int64(6), uint8(0), uint16(8000), uint16(8000), uint8(1), uint8(1))
+	f.Add(int64(7), uint8(255), uint16(6000), uint16(7000), uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, vertices uint8, edgesA, edgesB uint16, regime, scale uint8) {
+		n := ScaledUniverse(int(vertices), scale)
 		if n == 0 {
 			t.Skip()
 		}
@@ -140,6 +146,79 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 			})
 		assertClean(t, "first step shards", scr)
 	})
+}
+
+// csrOf builds the operand whose row v is rows[v], ascending, with the
+// dense successor sets beside it.
+func csrOf(n int, rows map[int32][]int32) CSROperand {
+	op := CSROperand{N: n, Offsets: make([]int32, n+1), Dense: make([]*Set, n), Sources: len(rows)}
+	for v := range n {
+		ts := rows[int32(v)]
+		op.Targets = append(op.Targets, ts...)
+		op.Offsets[v+1] = int32(len(op.Targets))
+		if len(ts) > 0 {
+			op.Dense[v] = New(n)
+			for _, t := range ts {
+				op.Dense[v].Add(int(t))
+			}
+		}
+	}
+	return op
+}
+
+// TestSummaryWordBoundaries pins the accumulator's summary where small
+// universes never take it: at n = 3·4096 + 17 a scratch has four summary
+// words, the last of them covering one partial accumulator word, and the
+// rows below reach accumulator words 0, 63 and 64 — either side of the
+// first summary-word boundary — 128 and 192, the last. One scratch runs
+// every step in turn, so a word a drain or reset missed shows up in a later
+// row. Compose (from a relation and from a CSR), join and a label-set base
+// are built and counted into sparse, default and dense destinations,
+// against relations assembled pair by pair.
+func TestSummaryWordBoundaries(t *testing.T) {
+	const n = 3*4096 + 17
+	spread := []int32(nil) // one target in every accumulator word
+	for wi := int32(0); wi*wordBits < n; wi++ {
+		spread = append(spread, wi*wordBits+wi%wordBits)
+	}
+	opRows := map[int32][]int32{1: {0, 4095}, 2: {4096, n - 1}, 3: {63, 64, 4031, 8191, 8192}, 4: spread}
+	leftRows := map[int32][]int32{0: {1, 2}, 4095: {3}, 4096: {4}, 9000: {2, 3}, n - 1: {1, 2, 3, 4}}
+	composed := map[int32][]int32{}
+	for s, ts := range leftRows {
+		var us []int32
+		for _, v := range ts {
+			us = append(us, opRows[v]...)
+		}
+		slices.Sort(us)
+		composed[s] = slices.Compact(us)
+	}
+	op, left := csrOf(n, opRows), csrOf(n, leftRows)
+	// Rows 0, 1 and 4 meet in the base, so it scatters them.
+	union := []CSROperand{op, left, csrOf(n, map[int32][]int32{0: {64, 4095}, 1: {4096}, 4: {1, 4096, n - 2}})}
+	ops, h := []CSROperand{op}, HybridFromCSR(left, 1) // every left row scatters
+	scr := NewComposeScratch(n)
+	for _, density := range regimes {
+		want, base, got := HybridFromCSR(csrOf(n, composed), density), NewHybrid(n, density), NewHybrid(n, density)
+		limit := got.sparseMax
+		h.ComposeInto(got, op, scr)
+		assertBitIdentical(t, "compose", got, want)
+		assertCounts(t, "compose", counted(h.Rows().ComposeShard(nil, ops, scr, limit, 0, h.Sources(), nil)), want)
+		got.Reset()
+		got.AdoptShard(left.Rows().ComposeShard(got, ops, scr, limit, 0, n, nil))
+		assertBitIdentical(t, "first step", got, want)
+		assertCounts(t, "first step", counted(left.Rows().ComposeShard(nil, ops, scr, limit, 0, n, nil)), want)
+		for _, rd := range regimes {
+			r := HybridFromCSR(op, rd)
+			h.JoinInto(got, r, scr)
+			assertBitIdentical(t, "join", got, want)
+			assertCounts(t, "join", counted(h.Rows().JoinShard(nil, r, scr, limit, 0, h.Sources(), nil)), want)
+		}
+		fillChainRef(base, union)
+		assertCounts(t, "base", UnionCSR(got, union, scr, limit), base)
+		assertBitIdentical(t, "base", got, base)
+		assertCounts(t, "base", UnionCSR(nil, union, scr, limit), base)
+		assertClean(t, "every step", scr)
+	}
 }
 
 // TestStepPreconditions pins what every step kernel refuses: a destination

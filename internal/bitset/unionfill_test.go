@@ -115,9 +115,7 @@ func FuzzUnionFillEquivalence(f *testing.F) {
 			assertBitIdentical(t, "union fill", got, want)
 			assertCounts(t, "union fill", built, want)
 			assertCounts(t, "union count", UnionCSR(nil, ops[:size], scr, got.sparseMax), want)
-			if len(scr.touched) != 0 || slices.ContainsFunc(scr.words, func(w uint64) bool { return w != 0 }) {
-				t.Fatalf("%d labels: accumulator left dirty", size)
-			}
+			assertClean(t, "union fill", scr)
 		}
 	})
 }
