@@ -629,7 +629,7 @@ func BenchmarkElementBase(b *testing.B) {
 // BenchmarkFoldThrough times the fold's step through a label set — the
 // block after a non-empty prefix that is read from the graph instead of
 // built and joined: `1/(2|3)` (alt), `1/2?` (optional, with its skip
-// union) and `(2|3)/1` (label, a one-label run after an element).
+// term) and `(2|3)/1` (label, a one-label run after an element).
 func BenchmarkFoldThrough(b *testing.B) {
 	g := serveMixedGraph()
 	pool := exec.NewRelPool(g.NumVertices(), 0)
@@ -643,6 +643,33 @@ func BenchmarkFoldThrough(b *testing.B) {
 		{"alt", []exec.RPQElem{label, alt}},
 		{"optional", []exec.RPQElem{label, {Labels: []int{1}, MinRep: 0, MaxRep: 1}}},
 		{"label", []exec.RPQElem{alt, label}},
+	} {
+		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices(), false)
+		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
+	}
+}
+
+// BenchmarkFoldFused times the fold steps whose ε and skip terms are fused
+// into the kernel, on exec_uncached's graph, uncached and counted, as
+// bench/ names the labels ("1" is label 0): `(1|2)?/1` (optional-first,
+// the eps term of a step through a label), `1/3?` (skip-root, the skip
+// term of the counted last step), `(2|4){1,3}` (unrolled, a base and two
+// skip steps) and `2/(2|4){1,3}` (unrolled-after, the same element built,
+// then joined).
+func BenchmarkFoldFused(b *testing.B) {
+	g := execUncachedGraph()
+	pool := exec.NewRelPool(g.NumVertices(), 0)
+	label := func(l int) exec.RPQElem { return exec.RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	rep := exec.RPQElem{Labels: []int{1, 3}, MinRep: 1, MaxRep: 3}
+	zero := exec.Planner{Est: exec.EstimatorFunc(func(paths.Path) float64 { return 0 })}
+	for _, c := range []struct {
+		name  string
+		elems []exec.RPQElem
+	}{
+		{"optional-first", []exec.RPQElem{{Labels: []int{0, 1}, MinRep: 0, MaxRep: 1}, label(0)}},
+		{"skip-root", []exec.RPQElem{label(0), {Labels: []int{2}, MinRep: 0, MaxRep: 1}}},
+		{"unrolled", []exec.RPQElem{rep}},
+		{"unrolled-after", []exec.RPQElem{label(1), rep}},
 	} {
 		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices(), false)
 		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })

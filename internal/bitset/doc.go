@@ -16,19 +16,23 @@
 //   - HybridRelation is the relation: each source row adaptively
 //     switches between a sorted sparse id list and a dense bit array at a
 //     density threshold, and rows and destination relations are pooled
-//     (ComposeInto, ReverseInto reuse capacity). Executor operations
-//     (ReverseInto, UnionWith, Equal) live in hybridops.go.
+//     (ComposeInto, ReverseInto reuse capacity). ReverseInto, Equal and
+//     UnionWith — the set union paths.UnionSelectivity accumulates with,
+//     and the fused steps' reference in the tests — live in hybridops.go.
 //
 //   - A step is one of three kernels (step.go) over a left side read by
-//     position, Rows — a relation's active rows (h.Rows()) or a label's
-//     CSR rows read in place (op.Rows()): Rows.ComposeShard through one
-//     label or the union of several, specialized per row shape — short
-//     rows scatter through the labels' CSR adjacency (CSROperand), dense
-//     ones union precomputed successor bit sets word-parallel —
-//     Rows.JoinShard with a relation, and UnionCSR, a label set's base.
-//     Every kernel accumulates a row once and sinks it into a destination
-//     or a Count: given no destination it measures the relation a caller
-//     would drop (count.go), exactly as the built one would be priced.
+//     position, Rows — a relation's active rows (h.Rows()), the same with
+//     the identity terms of an element that may match the empty path
+//     (h.Extend(eps, skip): R ∪ I on the left, X ∪ I on the right, never
+//     I∘I), or a label's CSR rows read in place (op.Rows()):
+//     Rows.ComposeShard through one label or the union of several,
+//     specialized per row shape — short rows scatter through the labels'
+//     CSR adjacency (CSROperand), dense ones union precomputed successor
+//     bit sets word-parallel — Rows.JoinShard with a relation, and
+//     UnionCSR, a label set's base. Every kernel accumulates a row once,
+//     its identity terms included, and sinks it into a destination or a
+//     Count: given no destination it measures the relation a caller would
+//     drop (count.go), exactly as the built one would be priced.
 //     ComposeInto and JoinInto are the one-shard forms.
 //
 //   - Packed is a HybridRelation's immutable snapshot (Pack), the form

@@ -200,6 +200,21 @@ func (h *HybridRelation) Reset() {
 	h.pairs = 0
 }
 
+// Clear is Reset over every row, listed or not: it readies for reuse a
+// relation whose rows may have been written without being listed — the
+// destination of a step that panicked mid-shard — which Reset would leave
+// holding them. It costs a pass over all n rows.
+func (h *HybridRelation) Clear() {
+	for s := range h.rows {
+		row := &h.rows[s]
+		row.count = 0
+		row.dense = false
+		row.ids = row.ids[:0]
+	}
+	h.active = h.active[:0]
+	h.pairs = 0
+}
+
 // ForEachPair calls fn for every pair in ascending (s, t) order; it stops
 // early when fn returns false.
 func (h *HybridRelation) ForEachPair(fn func(s, t int) bool) {
@@ -314,14 +329,17 @@ func (scr *ComposeScratch) scatterSparse(ids []int32, ops []CSROperand) int {
 }
 
 // denseCompose is the dense×CSR kernel: for each target t of a left row —
-// held as an id list, or as the words of a dense row (the other nil) — it
-// unions t's dense successor set under every operand into out
-// word-parallel. out may hold stale data — the first union overwrites it
-// in full (copy), so no pre-clearing is needed. Returns the population
-// count of out, or 0 when no target had successors (out is then garbage
-// and must be ignored).
-func denseCompose(ids []int32, words []uint64, ops []CSROperand, out []uint64) int {
-	first := true
+// held as an id list, the words of a dense row, or both — it unions t's
+// dense successor set under every operand into out word-parallel, and with
+// skip the row's words themselves. out may hold stale data — the first
+// union overwrites it in full (copy), so no pre-clearing is needed.
+// Returns the population count of out, or 0 when nothing was written (out
+// is then garbage and must be ignored).
+func denseCompose(ids []int32, words []uint64, skip bool, ops []CSROperand, out []uint64) int {
+	first := !skip
+	if skip {
+		copy(out, words)
+	}
 	for i := range ops {
 		dense := ops[i].Dense
 		for _, t := range ids {

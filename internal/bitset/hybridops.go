@@ -11,8 +11,10 @@ import (
 // paths.Evaluate, paths.UnionSelectivity) moved off the dense Relation
 // (now internal/oracle's) onto the hybrid substrate. The census engine needs only
 // ComposeInto (hybrid.go); the executor additionally reverses relations
-// (to grow a zig-zag join leftward via predecessor operands) and unions
-// them (to answer pattern/disjunction queries under set semantics).
+// (to grow a zig-zag join leftward via predecessor operands), and
+// paths.UnionSelectivity unions them (to answer disjunction queries under
+// set semantics). The executor never unions: an RPQ's ε and skip are terms
+// of its steps (Extend, step.go).
 
 // ReverseInto computes the inverse relation into dst: (t, s) ∈ dst for
 // every (s, t) ∈ h. dst is reset first and its rows are reused in place,

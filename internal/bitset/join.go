@@ -30,10 +30,15 @@ func (h *HybridRelation) JoinInto(dst, r *HybridRelation, scr *ComposeScratch) i
 	return dst.pairs
 }
 
-// expand lists a dense left row's targets in the scratch's id buffer, so
-// the join accumulates one left-row shape.
-func (scr *ComposeScratch) expand(words []uint64) []int32 {
+// targets lists a left row's targets in the scratch's id buffer — s first
+// when eps makes it one, then the row's ids or a dense row's set bits — so
+// a kernel accumulates one left-row shape.
+func (scr *ComposeScratch) targets(s int32, eps bool, ids []int32, words []uint64) []int32 {
 	scr.tbuf = scr.tbuf[:0]
+	if eps {
+		scr.tbuf = append(scr.tbuf, s)
+	}
+	scr.tbuf = append(scr.tbuf, ids...)
 	for wi, w := range words {
 		base := int32(wi * wordBits)
 		for w != 0 {
@@ -95,6 +100,21 @@ func (scr *ComposeScratch) joinAccumulate(ts []int32, r *HybridRelation) (count 
 		}
 	}
 	return popcount(acc), true
+}
+
+// addSelf adds a left row's own targets ts — a step's skip term — to the
+// count targets joinAccumulate left in the accumulator wide names, and
+// returns the row's new count.
+func (scr *ComposeScratch) addSelf(ts []int32, count int, wide bool) int {
+	if !wide {
+		return count + scr.scatter(ts)
+	}
+	for _, u := range ts {
+		w := scr.wide[u>>6]
+		count += int(^w >> (uint(u) & 63) & 1)
+		scr.wide[u>>6] = w | 1<<(uint(u)&63)
+	}
+	return count
 }
 
 // scatterSparseRows is the sparse×sparse join kernel: for each

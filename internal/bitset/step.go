@@ -10,20 +10,37 @@ import "fmt"
 // destination is given, the returned Count alone when it is nil. Either way
 // every row is accumulated once and measured from its final count, so a
 // counted step reports exactly what the built one would have, and a built
-// one is bit-identical whichever form its left rows came in.
+// one is bit-identical whichever form its left rows came in — and whether
+// its identity terms (Extend) were fused into it or united after it.
 
 // Rows is the left side of a step, by position: the active rows of a
-// HybridRelation (h.Rows()), or the rows of a label's CSR, one position per
-// vertex (op.Rows()). The kernels read a row inline in their loops; a
-// per-row accessor is past the inliner's budget.
+// HybridRelation (h.Rows()), every vertex's row of one (h.Extend with eps),
+// or the rows of a label's CSR, one position per vertex (op.Rows()). The
+// kernels read a row inline in their loops; a per-row accessor is past the
+// inliner's budget.
 type Rows struct {
 	h          *HybridRelation // the relation, or nil for CSR rows
 	n, sources int             // universe; CSR rows: how many are non-empty
 	offs, tgts []int32         // CSR rows: v's is tgts[offs[v]:offs[v+1]]
+	eps, skip  bool            // the identity terms, see Extend
 }
 
 // Rows returns the relation's active rows as a step's left side.
 func (h *HybridRelation) Rows() Rows { return Rows{h: h, n: h.n} }
+
+// Extend returns the relation R as the left side of a step that extends it
+// by an element X where either side may match the empty path: eps makes the
+// left side R ∪ I — every vertex is a position, and its own row of X one
+// more term — and skip makes the right side X ∪ I — every left row adds
+// itself to its output. The pair I∘I is never added, so the step is
+//
+//	R∘X ∪ (eps ? X : ∅) ∪ (skip ? R : ∅)
+//
+// in one pass. With eps a vertex off the active list is read as a row, so
+// such rows must be empty — as Reset and every completed step leave them.
+func (h *HybridRelation) Extend(eps, skip bool) Rows {
+	return Rows{h: h, n: h.n, eps: eps, skip: skip}
+}
 
 // Rows returns the operand's CSR rows as a step's left side.
 func (op CSROperand) Rows() Rows {
@@ -31,28 +48,35 @@ func (op CSROperand) Rows() Rows {
 }
 
 // Len returns the number of positions a shard range partitions: active
-// rows, or vertices.
+// rows, or — CSR rows, or with eps — vertices.
 func (r Rows) Len() int {
-	if r.h != nil {
+	if r.h != nil && !r.eps {
 		return len(r.h.active)
 	}
 	return r.n
 }
 
-// Sources returns the number of non-empty rows.
+// Sources returns the number of non-empty rows: with eps, every vertex's.
 func (r Rows) Sources() int {
-	if r.h != nil {
+	switch {
+	case r.eps:
+		return r.n
+	case r.h != nil:
 		return len(r.h.active)
 	}
 	return r.sources
 }
 
-// Pairs returns the number of pairs the rows hold.
+// Pairs returns the number of pairs the rows hold: with eps, the identity's
+// n as well, the most R ∪ I can hold.
 func (r Rows) Pairs() int64 {
-	if r.h != nil {
-		return r.h.pairs
+	switch {
+	case r.h == nil:
+		return int64(len(r.tgts))
+	case r.eps:
+		return r.h.pairs + int64(r.n)
 	}
-	return int64(len(r.tgts))
+	return r.h.pairs
 }
 
 // check validates a step's shard [lo, hi) and, when the step is built, its
@@ -80,15 +104,17 @@ func checkDst(dst *HybridRelation, n, limit int) {
 
 // ComposeShard runs positions [lo, hi) of the step r ∘ (⋃ ops) — one
 // operand is a compose step, several a step through a label set, whose
-// union is never built:
+// union is never built — with r's identity terms (Extend) fused in:
 //
 //	(s, u) ∈ r ∘ (⋃ ops)  ⇔  ∃t, op ∈ ops: (s, t) ∈ r ∧ u ∈ op.successors(t)
 //
 // A row takes the kernel its shape asks for: a short one scatters its
 // targets' CSR rows into the summarized accumulator, a dense relation row
 // or a CSR row longer than limit unions its targets' dense successor sets
-// word-parallel — into dst's own row, so a dense result needs no copy. It
-// returns the shard's Count and, built, its sources appended to buf[:0].
+// word-parallel — into dst's own row, so a dense result needs no copy. An
+// eps term is one more target, a skip term the row's own ids scattered or
+// its words copied in. It returns the shard's Count and, built, its sources
+// appended to buf[:0].
 //
 // Shards with disjoint ranges may run concurrently against one dst, each
 // with its own scratch: a shard writes its own rows only, never dst's
@@ -106,7 +132,9 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 	for i := lo; i < hi; i++ {
 		s, ids, words := int32(i), []int32(nil), []uint64(nil)
 		if r.h != nil {
-			s = r.h.active[i]
+			if !r.eps {
+				s = r.h.active[i]
+			}
 			if row := &r.h.rows[s]; row.dense {
 				words = row.words
 			} else {
@@ -114,6 +142,10 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 			}
 		} else if ids = r.tgts[r.offs[i]:r.offs[i+1]]; len(ids) == 0 {
 			continue
+		}
+		own := ids // a sparse row's skip term
+		if r.eps {
+			ids = scr.targets(s, true, ids, nil)
 		}
 		var count int
 		if words != nil || r.h == nil && len(ids) > limit {
@@ -125,11 +157,14 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 				}
 				out = drow.words
 			}
-			if count = denseCompose(ids, words, ops, out); count > 0 && dst != nil {
+			if count = denseCompose(ids, words, r.skip, ops, out); count > 0 && dst != nil {
 				emitWordsRow(dst, s, count, out)
 			}
 		} else {
-			if count = scr.scatterSparse(ids, ops); count > 0 && dst != nil {
+			if count = scr.scatterSparse(ids, ops); r.skip {
+				count += scr.scatter(own)
+			}
+			if count > 0 && dst != nil {
 				scr.emitRow(dst, s, count)
 			}
 			scr.reset()
@@ -148,15 +183,17 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 }
 
 // JoinShard runs positions [lo, hi) of the step r ∘ right, a join with a
-// relation:
+// relation, with r's identity terms (Extend) fused in:
 //
 //	(s, u) ∈ r ∘ right  ⇔  ∃t: (s, t) ∈ r ∧ (t, u) ∈ right
 //
 // A row whose right-side inputs are all sparse accumulates through the
 // summarized scatter; a single dense one switches the row to the
-// full-width accumulator, since dense unions touch words wholesale. Sinks,
-// shards and preconditions are ComposeShard's; dst must be distinct from
-// right too, and right may be r's own relation (a self-join).
+// full-width accumulator, since dense unions touch words wholesale. An eps
+// term is one more target, a skip term the row's own targets added to
+// whichever accumulator holds the row. Sinks, shards and preconditions are
+// ComposeShard's; dst must be distinct from right too, and right may be r's
+// own relation (a self-join).
 func (r Rows) JoinShard(dst, right *HybridRelation, scr *ComposeScratch, limit, lo, hi int, buf []int32) ([]int32, Count) {
 	r.check(dst, limit, lo, hi)
 	if right.n != r.n {
@@ -170,7 +207,9 @@ func (r Rows) JoinShard(dst, right *HybridRelation, scr *ComposeScratch, limit, 
 	for i := lo; i < hi; i++ {
 		s, ids, words := int32(i), []int32(nil), []uint64(nil)
 		if r.h != nil {
-			s = r.h.active[i]
+			if !r.eps {
+				s = r.h.active[i]
+			}
 			if row := &r.h.rows[s]; row.dense {
 				words = row.words
 			} else {
@@ -179,10 +218,16 @@ func (r Rows) JoinShard(dst, right *HybridRelation, scr *ComposeScratch, limit, 
 		} else if ids = r.tgts[r.offs[i]:r.offs[i+1]]; len(ids) == 0 {
 			continue
 		}
-		if words != nil {
-			ids = scr.expand(words)
+		if words != nil || r.eps {
+			ids = scr.targets(s, r.eps, ids, words)
 		}
 		count, wide := scr.joinAccumulate(ids, right)
+		if r.skip {
+			if r.eps {
+				ids = ids[1:]
+			}
+			count = scr.addSelf(ids, count, wide)
+		}
 		if count > 0 && dst != nil {
 			if wide {
 				emitWordsRow(dst, s, count, scr.wide)

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -145,6 +146,78 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 				return a.Rows().ComposeShard(dst, ops, scr, got.SparseMax(), lo, hi, nil)
 			})
 		assertClean(t, "first step shards", scr)
+	})
+}
+
+// FuzzFusedStepEquivalence pins a step with its identity terms fused in
+// (Extend) bit-identical to the chain it replaced — the step without them,
+// then UnionWith of the right side for eps and of the left relation for
+// skip — for both kernels and every combination of the terms, over a label
+// set of up to eight operands, left relations with sparse, dense and empty
+// rows, all three threshold regimes, universes of one to four summary
+// words and a dirty pooled destination: built and counted over the whole
+// range, one position at a time with the accumulator checked clean after
+// each, and at every two-way split.
+func FuzzFusedStepEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(2), uint16(200), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(200), uint8(3), uint16(3000), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(130), uint8(1), uint16(4000), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(1), uint8(1), uint16(1), uint8(1), uint8(0))
+	f.Add(int64(5), uint8(90), uint8(2), uint16(0), uint8(1), uint8(0))
+	f.Add(int64(6), uint8(17), uint8(2), uint16(6000), uint8(1), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, vertices, labels uint8, edges uint16, regime, scale uint8) {
+		n, nl := ScaledUniverse(int(vertices), scale), 1+int(labels)%8
+		if n == 0 {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ops := make([]CSROperand, nl)
+		for l := range ops {
+			ops[l] = RandomOperand(rng, n, rng.Intn(1+int(edges)%8192/nl))
+		}
+		density := regimes[regime%3]
+		h := HybridFromCSR(RandomOperand(rng, n, rng.Intn(1+int(edges)%8192)), density)
+		x, want, got := NewHybrid(n, density), NewHybrid(n, density), dirty(rng, n, density)
+		fillChainRef(x, ops)
+		limit := x.sparseMax
+		scr := NewComposeScratch(n)
+		kernels := map[string]func(r Rows, dst *HybridRelation, lo, hi int) ([]int32, Count){
+			"compose": func(r Rows, dst *HybridRelation, lo, hi int) ([]int32, Count) {
+				return r.ComposeShard(dst, ops, scr, limit, lo, hi, nil)
+			},
+			"join": func(r Rows, dst *HybridRelation, lo, hi int) ([]int32, Count) {
+				return r.JoinShard(dst, x, scr, limit, lo, hi, nil)
+			},
+		}
+		for name, step := range kernels {
+			for _, terms := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+				eps, skip := terms[0], terms[1]
+				ctx := fmt.Sprintf("%s eps=%t skip=%t", name, eps, skip)
+				want.Reset()
+				want.AdoptShard(step(h.Rows(), want, 0, h.Sources()))
+				if eps {
+					want.UnionWith(x)
+				}
+				if skip {
+					want.UnionWith(h)
+				}
+				r := h.Extend(eps, skip)
+				got.Reset()
+				got.AdoptShard(step(r, got, 0, r.Len()))
+				assertBitIdentical(t, ctx, got, want)
+				assertCounts(t, ctx, counted(step(r, nil, 0, r.Len())), want)
+				assertClean(t, ctx, scr)
+				got.Reset()
+				for i := 0; i < r.Len(); i++ {
+					got.AdoptShard(step(r, got, i, i+1))
+					assertClean(t, ctx+" one row", scr)
+				}
+				assertBitIdentical(t, ctx+" row by row", got, want)
+				assertSplits(t, ctx, got, want, r.Len(), func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
+					return step(r, dst, lo, hi)
+				})
+			}
+		}
 	})
 }
 

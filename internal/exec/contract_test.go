@@ -57,7 +57,7 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 // graph and nothing else: the two length-2 leaves whose only step is the
 // first one, rightward and leftward, and two plans whose fold composes
 // through a label set — an alternation, and an optional label with its
-// skip union followed by a one-label run.
+// skip term followed by a one-label run.
 func operandShapes(t *testing.T, g *graph.CSR) []planShape {
 	p := paths.Path{0, 1}
 	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
@@ -71,6 +71,36 @@ func operandShapes(t *testing.T, g *graph.CSR) []planShape {
 		"through-optional": {Elems: []RPQElem{label(0), label(1), {Labels: []int{1}, MinRep: 0, MaxRep: 1}, label(0)}},
 	} {
 		shapes = append(shapes, planShape{name, zeroPlan(g, d), expansionUnion(t, g, d, Options{}).Equal})
+	}
+	return shapes
+}
+
+// fusedShapes returns the plan shapes whose steps carry an identity term
+// (bitset.HybridRelation.Extend): an optional first block before a label
+// (eps-through, `a?/b`), an optional last block (skip-root, `a/b?`, whose
+// last step is counted when nothing publishes it), both (eps-skip,
+// `a?/b?/c`), a lone unrolled alternation and a lone unrolled power, whose
+// skip steps build U (unrolled, `(a|b){1,3}`, and unrolled-power,
+// `b{2,3}`), and an unrolled element joined after an optional prefix
+// (eps-join, `a?/b{2,3}`).
+func fusedShapes(t *testing.T, g *graph.CSR) []planShape {
+	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	opt := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 0, MaxRep: 1} }
+	power := RPQElem{Labels: []int{1}, MinRep: 2, MaxRep: 3}
+	var shapes []planShape
+	for _, c := range []struct {
+		name  string
+		elems []RPQElem
+	}{
+		{"eps-through", []RPQElem{opt(0), label(1)}},
+		{"skip-root", []RPQElem{label(0), opt(1)}},
+		{"eps-skip", []RPQElem{opt(0), opt(1), label(0)}},
+		{"unrolled", []RPQElem{{Labels: []int{0, 1}, MinRep: 1, MaxRep: 3}}},
+		{"unrolled-power", []RPQElem{power}},
+		{"eps-join", []RPQElem{opt(0), power}},
+	} {
+		d := &RPQDag{Elems: c.elems}
+		shapes = append(shapes, planShape{c.name, zeroPlan(g, d), expansionUnion(t, g, d, Options{}).Equal})
 	}
 	return shapes
 }
@@ -188,20 +218,21 @@ func contractCases(boundaries, shards int, draws, adopted bool) []abortCase {
 
 // TestContractEveryPlanShape pins the one execution contract on every
 // plan shape: {zig-zag, bushy, DAG, first step rightward and leftward,
-// through an alternation and an optional label, wildcard} × {no cache, a
-// cold one, one the plan already ran over — a whole-query hit} × {result
-// kept, result counted} × {pre-cancelled, cancelled mid-base, deadline at a
-// step boundary and inside a shard, budget, shard panic, step panic at each
-// boundary} × workers {1, 4}. An aborted
-// execution returns its typed error and a nil relation, with every pooled
-// relation released and every goroutine gone; a survivor that keeps its
-// result is
-// bit-identical to the dense reference or the expansion-union oracle and
-// holds exactly that relation, and one that does not returns none, holds
-// nothing, and crossed the same step boundaries to the same answer.
+// through an alternation and an optional label, the fused identity terms
+// of fusedShapes, wildcard} × {no cache, a cold one, one the plan already
+// ran over — a whole-query hit} × {result kept, result counted} ×
+// {pre-cancelled, cancelled mid-base, deadline at a step boundary and
+// inside a shard, budget, shard panic, step panic at each boundary} ×
+// workers {1, 4}. An aborted execution returns its typed error and a nil
+// relation, with every pooled relation released and every goroutine gone;
+// a survivor that keeps its result is bit-identical to the dense reference
+// or the expansion-union oracle and holds exactly that relation, and one
+// that does not returns none, holds nothing, and crossed the same step
+// boundaries to the same answer.
 func TestContractEveryPlanShape(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000) // dense enough that steps shard
-	for _, sh := range append(append(contractShapes(t, g), operandShapes(t, g)...), wildcardShape(t, g)) {
+	shapes := append(append(contractShapes(t, g), operandShapes(t, g)...), fusedShapes(t, g)...)
+	for _, sh := range append(shapes, wildcardShape(t, g)) {
 		// cacheIn returns a fresh cache in the given state, for one run.
 		cacheIn := func(state string) *relcache.Cache {
 			if state == "none" {

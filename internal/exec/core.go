@@ -196,21 +196,24 @@ func (x *core) pathKey(buf []byte, seg paths.Path) []byte {
 // does not keep the result, and the step would not publish it either (a
 // nil key: no cache, or nothing cached under it). With a cache every root
 // — a concrete path's, a fold's last step, a lone element — builds and
-// publishes, so that the query's repeat is a whole-query hit. Only the
-// root asks: every other node's output is some later step's input.
+// publishes, so that the query's repeat is a whole-query hit. The last
+// step is the result whatever its block's shape, ε and skip being terms of
+// the step: an optional last block, a prefix that may be empty and a lone
+// unrolled element all count. Only the root asks: every other node's
+// output is some later step's input.
 func (x *core) counts(key []byte) bool {
 	return !x.opt.KeepResult && key == nil
 }
 
 // fill makes dst the union of the labels' edge relations — the base a
 // plan grows from where there is no relation yet to compose through: a
-// single-label query, a plan's first element, an element after a prefix
-// that may still be empty or one that is unrolled — and prices it. A nil
-// dst counts the base instead (the root's only element, kept by nobody),
-// into x.counted. Single-label relations are near-verbatim CSR copies,
-// which is why the cache never holds them; a label set's is one pass over
-// the vertices that polls the canceller like any step's kernel, and a
-// cancelled pass leaves a partial base that is never priced.
+// single-label query, a plan's first element, an unrolled element's first
+// power — and prices it. A nil dst counts the base instead (the root's
+// only element, kept by nobody), into x.counted. Single-label relations
+// are near-verbatim CSR copies, which is why the cache never holds them;
+// a label set's is one pass over the vertices that polls the canceller
+// like any step's kernel, and a cancelled pass leaves a partial base that
+// is never priced.
 func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
 	if len(labels) == 1 && dst != nil {
 		dst.FillFromCSR(x.g.LabelCSR(labels[0]))
@@ -324,17 +327,18 @@ func (x *core) compose(left bitset.Rows, dst *bitset.HybridRelation, op bitset.C
 	return x.run(dst)
 }
 
-// through is the compute of a step through a label set, cur ∘ (⋃ labels):
-// the labels' relations are read from the graph, never united first.
-func (x *core) through(cur, dst *bitset.HybridRelation, labels []int) error {
-	x.stepper().through(x.g, cur, labels)
+// through is the compute of a step through a label set, left ∘ (⋃ labels)
+// with left's identity terms (bitset.HybridRelation.Extend): the labels'
+// relations are read from the graph, never united first.
+func (x *core) through(left bitset.Rows, dst *bitset.HybridRelation, labels []int) error {
+	x.stepper().through(x.g, left, labels)
 	return x.run(dst)
 }
 
-// join is the compute of a join step l ∘ r: built into dst, or counted
-// into x.counted when dst is nil.
-func (x *core) join(l, dst, r *bitset.HybridRelation) error {
-	x.stepper().join(l, r)
+// join is the compute of a join step left ∘ r, with left's identity terms:
+// built into dst, or counted into x.counted when dst is nil.
+func (x *core) join(left bitset.Rows, dst, r *bitset.HybridRelation) error {
+	x.stepper().join(left, r)
 	return x.run(dst)
 }
 
@@ -368,9 +372,9 @@ func containPanics(fn func() error) (err error) {
 // materializes; a panic on the caller's goroutine is contained as a
 // typed error (worker-side panics are contained by the scheduler before
 // they reach here); on any error the returned relation is nil and every
-// live relation is back in the pool. A root that counted its final step
+// live relation is back in the pool, every row cleared. A root that counted its final step
 // returns no relation; one that had to build it (a cache adoption, a
-// published or unioned result, a single-label query) hands it over, and
+// published result, a single-label query) hands it over, and
 // unless Options.KeepResult asks for it finish reads its size and
 // releases it — so without KeepResult the returned relation is always
 // nil, and with it the survivor's result stays checked out for the
@@ -385,6 +389,10 @@ func (x *core) finish(root func() (*bitset.HybridRelation, error)) (rel *bitset.
 	})
 	st = Stats{Intermediates: x.ints, CacheHits: x.hits, CacheMisses: x.misses, Sched: x.stats()}
 	if err != nil {
+		// A step a panic aborted may have written rows it never listed,
+		// which the pool's Reset would not empty; an eps step or a join's
+		// right side would read them in a later query.
+		x.eachLive((*bitset.HybridRelation).Clear)
 		x.eachLive(x.opt.Pool.Put)
 		return nil, st, err
 	}

@@ -19,8 +19,9 @@ import (
 // the materializing one on: every zig-zag start of a length-4 path (the
 // counted last step is rightward for start 0, leftward otherwise, and the
 // final reversal is skipped), a bushy root join, a DAG whose last fold
-// join is counted, and a DAG whose last element is optional, so the skip
-// union follows the join and the root has to build.
+// join is counted, a DAG whose last element is optional, so its last step
+// carries the skip term, and the same at length 2 (skip-root, `a/b?`),
+// whose result contains every relation before it.
 func countShapes(g *graph.CSR) []planShape {
 	// The two halves spell different label sequences, so the bushy
 	// shape's concurrently built children never race to the same cache
@@ -32,13 +33,14 @@ func countShapes(g *graph.CSR) []planShape {
 	}
 	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
 	counted := &RPQDag{Elems: []RPQElem{label(0), label(1), {Labels: []int{0, 1}, MinRep: 1, MaxRep: 2}}}
-	unioned := &RPQDag{Elems: []RPQElem{label(1), label(0), {Labels: []int{1}, MinRep: 0, MaxRep: 1}}}
+	skipLast := &RPQDag{Elems: []RPQElem{label(1), label(0), {Labels: []int{1}, MinRep: 0, MaxRep: 1}}}
+	skipRoot := &RPQDag{Elems: []RPQElem{label(0), {Labels: []int{1}, MinRep: 0, MaxRep: 1}}}
 	var shapes []planShape
 	for start := range p {
 		shapes = append(shapes, planShape{name: fmt.Sprintf("zigzag@%d", start), plan: startPlan(p, start)})
 	}
 	shapes = append(shapes, planShape{name: "bushy", plan: PathPlan(p, tree)})
-	for name, d := range map[string]*RPQDag{"dag-counted": counted, "dag-unioned": unioned} {
+	for name, d := range map[string]*RPQDag{"dag-counted": counted, "dag-skip-last": skipLast, "skip-root": skipRoot} {
 		shapes = append(shapes, planShape{name: name, plan: zeroPlan(g, d)})
 	}
 	return shapes
@@ -88,11 +90,11 @@ func TestKeepResultChangesNothingButTheRelation(t *testing.T) {
 						pool.Put(rel)
 					} else if rel != nil {
 						t.Fatalf("%s workers=%d cache=%s: counted run returned a relation", sh.name, workers, state)
-					} else if state == "off" && sh.name != "dag-unioned" {
+					} else if state == "off" {
 						// No relation comes back either way, so ask the root
-						// itself: a plan whose last step is a join nothing
-						// publishes — a single run included — must count it, not
-						// build it for finish to release.
+						// itself: a plan whose last step nothing publishes — a
+						// single run and a skippable last block included — must
+						// count it, not build it for finish to release.
 						x := newCore(g, opt)
 						if root, err := x.fold(sh.plan); err != nil || root != nil || x.counted.Pairs != st.Result {
 							t.Fatalf("%s workers=%d: root built its result (relation=%t counted=%d err=%v), want it counted as %d",
@@ -114,9 +116,9 @@ func TestKeepResultChangesNothingButTheRelation(t *testing.T) {
 
 // TestBudgetBoundaryIsTheSameCounted pins how a counted result is priced:
 // the smallest MaxResultBytes an execution survives is the same whether
-// the root builds its result or counts it — for the zig-zag and bushy
-// shapes, whose result is their largest relation, exactly the result's
-// clone size, one byte less killing both.
+// the root builds its result or counts it — for the zig-zag, bushy and
+// skip-root shapes, whose result is their largest relation, exactly the
+// result's clone size, one byte less killing both.
 func TestBudgetBoundaryIsTheSameCounted(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	for _, sh := range countShapes(g) {

@@ -21,11 +21,13 @@
 // plans and whose join nodes build their two child segments independently —
 // concurrently when the worker budget allows — and join them with the
 // sharded relation×relation kernel (bitset.Rows.JoinShard), and single
-// complex elements built by alternation-union and repetition-unroll; the
-// blocks fold left to right, and a block that is one step from the graph —
-// a lone label, an alternation, a wildcard, an optional label — after a
-// prefix that cannot be empty is not built at all: the fold composes
+// complex elements built from their alternation's base by a chain of steps
+// through its labels; the blocks fold left to right, and a block after the
+// first that is one step from the graph — a lone label, an alternation, a
+// wildcard, an optional label — is not built at all: the fold composes
 // through its label set (bitset.Rows.ComposeShard over several operands).
+// Where a block may match the empty path, its ε and skip terms are terms of
+// the fold's step (bitset.HybridRelation.Extend), never unions after it.
 // A concrete path is the one-run case and a zig-zag plan is its leaf. The
 // planner costs every candidate from a selectivity
 // estimator — each proper segment of a run asked once, into a table the

@@ -74,10 +74,11 @@ type Options struct {
 	// relation is nil and the result is not built when it need not be:
 	// the root's final join step runs its kernel with no destination,
 	// sinking every row into a bitset.Count, whenever its output would not
-	// be published to Cache — without a cache, that is — and a result that
-	// had to be built anyway (a cache adoption, a published or unioned
-	// result, a single-label query) is released before returning. Stats
-	// and the MaxResultBytes boundary are identical either way.
+	// be published to Cache — without a cache, that is, whatever the shape
+	// of the last block — and a result that had to be built anyway (a cache
+	// adoption, a published result, a single-label query) is released
+	// before returning. Stats and the MaxResultBytes boundary are identical
+	// either way.
 	KeepResult bool
 }
 
@@ -91,9 +92,13 @@ type Stats struct {
 	// relation×relation join — in the executor's deterministic post-order.
 	// A step through the graph has one such input: the fold records only
 	// the prefix for a block it composes through (a label set is not a
-	// relation), and both sides where it joins a block it had to build.
-	// These are exactly the selectivities of the plan's interior segments,
-	// so estimating them well is estimating the plan's cost well.
+	// relation), whether or not the prefix may be empty, and both sides
+	// where it joins a block it had to build; an unrolled element records
+	// the input of each of its steps — a power, then the running union of
+	// the powers past its lower bound. A step's ε and skip terms are not
+	// inputs of their own. These are exactly the selectivities of the plan's
+	// interior segments, so estimating them well is estimating the plan's
+	// cost well.
 	Intermediates []int64
 	// Work is the total intermediate volume Σ Intermediates — the cost a
 	// join-order optimizer tries to minimize, and what DagPlan.Cost
@@ -195,22 +200,23 @@ func (s *SchedStats) merge(o SchedStats) {
 // returned relation is nil unless Options.KeepResult is set.
 //
 // What is materialised is what some step reads as a relation: a
-// single-label query's answer, a plan's first element, an element after a
-// prefix that may still be empty, an unrolled element's base and powers,
-// and every step's output but a counted root's. What is not: the start
-// label of a leaf of length ≥ 2 and a label set after a non-empty prefix —
-// both read in place from the CSR — and, without a cache, a result nobody
-// keeps. With a cache the root's last step is built and published like any
-// other — a concrete path's, a fold's, a lone element's — and everything
-// with a key is adopted where it is already there: a fold probes its
-// prefixes longest first and resumes after the longest one cached, so the
-// blocks before it are not run at all.
+// single-label query's answer, a plan's first element, an unrolled
+// element's base and its steps, and every step's output but a counted
+// root's. What is not: the start label of a leaf of length ≥ 2 and a label
+// set after the first block — both read in place from the CSR — the ε and
+// skip terms a block that may match the empty path adds to a step, which
+// are terms of its kernel and not unions after it, and, without a cache, a
+// result nobody keeps. With a cache the root's last step is built and
+// published like any other — a concrete path's, a fold's, a lone
+// element's — and everything with a key is adopted where it is already
+// there: a fold probes its prefixes longest first and resumes after the
+// longest one cached, so the blocks before it are not run at all.
 // Stats.Work counts every relation fed into a join step — a leaf's zig-zag
 // intermediates, both inputs of every join node and of every
-// block-boundary join, the one input of a step through a label set, an
-// element's unrolled powers — matching the planner's cost model: with an
-// exact estimator and nothing cached, a concrete path's DagPlan.Cost equals
-// its executed Work.
+// block-boundary join, the one input of a step through a label set, the
+// input of each of an unrolled element's steps — matching the planner's
+// cost model: with an exact estimator and nothing cached, a concrete
+// path's DagPlan.Cost equals its executed Work.
 func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
 	plan.validate(g.NumLabels())
 	x := newCore(g, opt)

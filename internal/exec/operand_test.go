@@ -98,14 +98,18 @@ func TestFirstStepShardsAsTheBaseWould(t *testing.T) {
 }
 
 // TestOperandStepsAllocateNothing pins the pooled steady state of the
-// steps that read the graph: a leaf's first step from either end and a
-// fold through an alternation, built and counted, allocate nothing once
-// the core's stepper and the pool's relations exist — the operand list
-// lives in the stepper, not on the heap.
+// steps that read the graph: a leaf's first step from either end, a fold
+// through an alternation, and a fold step with each identity term — eps
+// after an optional first label, skip through an optional last one — built
+// and counted, allocate nothing once the core's stepper and the pool's
+// relations exist — the operand list lives in the stepper, not on the
+// heap.
 func TestOperandStepsAllocateNothing(t *testing.T) {
 	g := randomGraph(3, 300, 4, 3000)
-	alt := zeroPlan(g, &RPQDag{Elems: []RPQElem{
-		{Labels: []int{0}, MinRep: 1, MaxRep: 1}, {Labels: []int{1, 2}, MinRep: 1, MaxRep: 1}}})
+	label, optional := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 1}, RPQElem{Labels: []int{1}, MinRep: 0, MaxRep: 1}
+	alt := zeroPlan(g, &RPQDag{Elems: []RPQElem{label, {Labels: []int{1, 2}, MinRep: 1, MaxRep: 1}}})
+	eps := zeroPlan(g, &RPQDag{Elems: []RPQElem{optional, label}})
+	skip := zeroPlan(g, &RPQDag{Elems: []RPQElem{label, optional}})
 	for _, keep := range []bool{true, false} {
 		opt, pool, _ := checkedOptions(g.NumVertices(), 1)
 		opt.KeepResult = keep
@@ -114,6 +118,8 @@ func TestOperandStepsAllocateNothing(t *testing.T) {
 			"first step rightward": func() (*bitset.HybridRelation, error) { return x.leaf(paths.Path{0, 1}, 0, true) },
 			"first step leftward":  func() (*bitset.HybridRelation, error) { return x.leaf(paths.Path{0, 1}, 1, true) },
 			"label/(a|b)":          func() (*bitset.HybridRelation, error) { return x.fold(alt) },
+			"a?/label (eps)":       func() (*bitset.HybridRelation, error) { return x.fold(eps) },
+			"label/a? (skip)":      func() (*bitset.HybridRelation, error) { return x.fold(skip) },
 		} {
 			run := func() {
 				rel, err := node()
@@ -153,10 +159,11 @@ func TestFoldRecordsNoInputItNeverBuilt(t *testing.T) {
 		{&RPQDag{Elems: []RPQElem{label(0), label(1), {Labels: []int{0, 2}, MinRep: 1, MaxRep: 1}}}, 2},
 		// (a|b) built as the first block, then through c.
 		{&RPQDag{Elems: []RPQElem{{Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}, label(2)}}, 1},
-		// a, through b? with its skip union, through c.
+		// a, through b? with its skip term, through c.
 		{&RPQDag{Elems: []RPQElem{label(0), {Labels: []int{1}, MinRep: 0, MaxRep: 1}, label(2)}}, 2},
-		// a? leaves the prefix possibly empty: b is built and joined, both inputs recorded.
-		{&RPQDag{Elems: []RPQElem{{Labels: []int{0}, MinRep: 0, MaxRep: 1}, label(1)}}, 2},
+		// a? leaves the prefix possibly empty: b's eps term is one more
+		// target of the step through it, so b is still not built.
+		{&RPQDag{Elems: []RPQElem{{Labels: []int{0}, MinRep: 0, MaxRep: 1}, label(1)}}, 1},
 	} {
 		dp := Planner{Est: est}.Plan(c.d, g.NumVertices(), false)
 		_, st, err := Run(g, dp, Options{})

@@ -147,15 +147,17 @@ func (st *stepper) compose(left bitset.Rows, op bitset.CSROperand) {
 	st.left, st.ops = left, append(st.ops[:0], op)
 }
 
-// through makes the next step cur ∘ (⋃ labels), a step through a label
+// through makes the next step left ∘ (⋃ labels), a step through a label
 // set: the compose kernel again, over several operands.
-func (st *stepper) through(g *graph.CSR, cur *bitset.HybridRelation, labels []int) {
-	st.left = cur.Rows()
+func (st *stepper) through(g *graph.CSR, left bitset.Rows, labels []int) {
+	st.left = left
 	st.labelOps(g, labels, true)
 }
 
-// join makes the next step the relation×relation join cur ∘ right.
-func (st *stepper) join(cur, right *bitset.HybridRelation) { st.left, st.right = cur.Rows(), right }
+// join makes the next step the relation×relation join left ∘ right.
+func (st *stepper) join(left bitset.Rows, right *bitset.HybridRelation) {
+	st.left, st.right = left, right
+}
 
 // shard runs the step's kernel over shard i's positions with the given
 // scratch, parking the produced sources — none for a counted step — and
@@ -186,8 +188,8 @@ func (st *stepper) runShard(worker int, t shardTask) {
 // pair count — is the same at every shard count: parallelism is a
 // performance decision per step, never a semantic one, and the same whether
 // the step builds or counts. A shard body that panics (contained by the
-// scheduler) or a cancellation surfaces as the drain's error, the partial
-// destination left unmerged for the caller to discard.
+// scheduler) surfaces as the drain's error, the partial destination left
+// unmerged for the caller to discard (core.finish clears it).
 func (st *stepper) run(dst *bitset.HybridRelation) (total bitset.Count, err error) {
 	defer st.end()
 	st.dst = dst

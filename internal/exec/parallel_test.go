@@ -3,8 +3,11 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/faultinject"
 	"repro/internal/oracle"
 	"repro/internal/paths"
 	"repro/internal/sched"
@@ -133,6 +136,53 @@ func TestGranularityFloorSkipsScheduler(t *testing.T) {
 	}
 	if len(st.Sched.TasksPerWorker) == 0 {
 		t.Fatal("per-worker task breakdown missing")
+	}
+}
+
+// TestAbortedStepLeavesNoStaleRows pins what an execution a panic aborts
+// hands back to the pool: relations with every row empty, listed or not. A
+// step that dies mid-shard has written rows it never listed, and such a row
+// would read as content to whatever reads rows by vertex — a later query's
+// eps step, which the test runs over the reused relation, or a join's right
+// side. The panic comes from inside a kernel row (the last left row has a
+// target outside the universe) on one shard and sharded, and from the
+// exec.shard site.
+func TestAbortedStepLeavesNoStaleRows(t *testing.T) {
+	g := randomGraph(7, 400, 2, 12000)
+	n := g.NumVertices()
+	ops := []bitset.CSROperand{g.LabelOperand(0)}
+	left := g.LabelCSR(1)
+	bad := left
+	bad.Targets = slices.Clone(left.Targets)
+	bad.Targets[len(bad.Targets)-1] = int32(n + 7)
+	shardPanic := faultinject.Rule{Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic}
+	for _, tc := range []struct {
+		name    string
+		left    bitset.CSROperand
+		workers int
+		rules   []faultinject.Rule
+	}{
+		{"kernel row, one shard", bad, 1, nil},
+		{"kernel row, sharded", bad, 4, nil},
+		{"exec.shard site", left, 4, []faultinject.Rule{shardPanic}},
+	} {
+		pool := NewRelPool(n, 0)
+		x := newCore(g, Options{Pool: pool, Workers: tc.workers})
+		faultinject.Install(faultinject.NewInjector(tc.rules...))
+		_, _, err := x.finish(func() (*bitset.HybridRelation, error) {
+			dst := x.take()
+			return dst, x.compose(tc.left.Rows(), dst, ops[0])
+		})
+		faultinject.Uninstall()
+		if err == nil || pool.InUse() != 0 {
+			t.Fatalf("%s: err %v, %d relations in use; want a contained panic and none", tc.name, err, pool.InUse())
+		}
+		rel := pool.Get()
+		_, c := rel.Extend(true, false).ComposeShard(nil, ops, bitset.NewComposeScratch(n), x.limit, 0, n, nil)
+		if want := int64(len(ops[0].Targets)); c.Pairs != want {
+			t.Fatalf("%s: an eps step over the reused relation counts %d pairs, want %d: stale rows survived", tc.name, c.Pairs, want)
+		}
+		pool.Put(rel)
 	}
 }
 

@@ -109,7 +109,9 @@ func refChooseTreeWithCost(pl Planner, p paths.Path) (*PlanTree, float64) {
 	return refBuildTree(dp, 0, k), dp[0][k].cost
 }
 
-// refElemEst is Planner.elemEst as it was.
+// refElemEst is Planner.elemEst as it was — but for the build cost of an
+// unrolled element past lo = max(1, MinRep), whose steps are skip steps:
+// each is charged the running union that enters it, not the power.
 func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 	single := len(e.Labels) == 1
 	var s1 float64
@@ -134,8 +136,10 @@ func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 		if r >= lo {
 			est += pow
 		}
-		if r < e.MaxRep {
+		if r < e.MaxRep && r < lo {
 			buildCost += pow
+		} else if r < e.MaxRep {
+			buildCost += est
 		}
 	}
 	return est, buildCost
@@ -143,10 +147,10 @@ func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 
 // refPlanDag is Planner.Plan as it was — but for the estimate of a plan's
 // only block, which feeds no join and is no longer asked, and for the right
-// input of a join the executor no longer makes: a block that is one step
-// from the graph (a single label, an element that is not unrolled) after a
-// prefix that cannot be empty is composed through, and charged its left
-// input only.
+// input of a join the executor no longer makes: a block after the first
+// that is one step from the graph (a single label, an element that is not
+// unrolled) is composed through, whether or not the prefix may be empty,
+// and charged its left input only.
 func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 	dp := &DagPlan{}
 	for i := 0; i < len(d.Elems); {
@@ -188,7 +192,7 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 			size, eps = b.Est, skip
 			continue
 		}
-		if oneStep := len(b.Run) == 1 || b.Run == nil && b.Elem.MaxRep == 1; oneStep && !eps {
+		if oneStep := len(b.Run) == 1 || b.Run == nil && b.Elem.MaxRep == 1; oneStep {
 			dp.Cost += size
 		} else {
 			dp.Cost += size + b.Est

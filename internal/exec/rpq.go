@@ -30,16 +30,26 @@ import (
 // relations of every concrete path the expression expands to, which is
 // what the equivalence tests pin (bit-identical, since every kernel is
 // representation-canonical: a row's form depends on its final count
-// alone). The same law is how the fold runs: when U_i is a single power
-// (MaxRep_i = 1, or a plain label) and the eps term is off, R_{i-1}∘U_i
-// is R_{i-1} composed through the labels of A_i straight from the graph —
-// one step, bitset.Rows.ComposeShard over several operands — and U_i is
-// never a relation; only where U_i itself is a term of the result
-// (eps_{i-1} on, or i = 1) or a union of powers is it built
-// (bitset.UnionCSR for the base) and joined. A whole-query MinLen of 0
-// (every element optional) would make the identity relation a member of
-// the union; compilers must reject it,
-// and DagPlan.validate panics on it.
+// alone). The same law is how the fold runs. For i > 1, R_i is one step
+//
+//	R_i = (R_{i-1} ∪ eps_{i-1}·I) ∘ (U_i ∪ skip_i·I), without the I∘I term
+//
+// whose two identity terms are fused into the sharded kernel
+// (bitset.HybridRelation.Extend) — eps makes every vertex a left position,
+// skip adds each left row to its own output — so no union pass follows it.
+// When U_i is a single power (MaxRep_i = 1, or a plain label) the step
+// composes through the labels of A_i straight from the graph
+// (bitset.Rows.ComposeShard over several operands) and U_i is never a
+// relation; only the first block's U_1 = R_1, and a U_i that is a union of
+// powers, are built (bitset.UnionCSR for the base) — the latter then joined.
+// An unrolled element is itself a chain of such steps,
+//
+//	U = A^lo ∘ (A ∪ I)^(MaxRep−lo),  lo = max(1, MinRep)
+//
+// powers up to lo and then skip steps through A's labels (core.elem). A
+// whole-query MinLen of 0 (every element optional) would make the identity
+// relation a member of the union; compilers must reject it, and
+// DagPlan.validate panics on it.
 //
 // R_i and U_i are functions of their elements alone — eps_i too — so with
 // a relation cache they are segments like a concrete path's: keyed by
@@ -249,8 +259,8 @@ func (d *RPQDag) Expansions(limit int) (exps []paths.Path, ok bool) {
 // DagBlockPlan is one block of a plan: either a maximal run of
 // plain-label elements (Run non-empty), executed as an ordinary path
 // segment under Tree — a leaf is a zig-zag plan, a join node a bushy
-// tree — or one complex element (Elem), whose relation is built by
-// alternation-union and repetition-unroll.
+// tree — or one complex element (Elem), whose relation is built from its
+// alternation's base by a chain of steps through its labels.
 type DagBlockPlan struct {
 	// Lo, Hi delimit the element range [Lo, Hi) of the query this block
 	// covers; complex-element blocks always span exactly one element.
@@ -282,13 +292,12 @@ type DagBlockPlan struct {
 // operand when it is a single step from the graph — a one-label run, or an
 // element that is not unrolled (alternation, wildcard, optional label) —
 // and there is a relation to step from: it is not the plan's first block
-// (i > 0), and the prefix before it cannot match the empty path (eps off),
-// since then the block's own relation is a term of the result and has to
-// exist. Planner.decide and core.fold both ask here, with the same eps
-// recurrence, so what is costed is what is run.
-func (b *DagBlockPlan) operand(i int, eps bool) []int {
+// (i > 0). A prefix that may be empty needs no relation of the block's own
+// either: its eps term is one more target of the step. Planner.decide and
+// core.fold both ask here, so what is costed is what is run.
+func (b *DagBlockPlan) operand(i int) []int {
 	switch {
-	case i == 0 || eps:
+	case i == 0:
 	case len(b.Run) == 1:
 		return b.Run
 	case b.Run == nil && b.Elem.MaxRep == 1:
@@ -309,10 +318,12 @@ func (b *DagBlockPlan) skippable() bool { return b.Run == nil && b.Elem.skippabl
 type DagPlan struct {
 	Blocks []DagBlockPlan
 	// Cost is the estimated total intermediate volume: run-block plan
-	// costs (the zig-zag/bushy DP objective), the unrolled power
-	// intermediates of element blocks, and the inputs of every step of the
-	// fold — both sides of a block-boundary join, the prefix alone where
-	// the block is composed through.
+	// costs (the zig-zag/bushy DP objective), the inputs of an unrolled
+	// element's steps — its powers below max(1, MinRep), then the running
+	// union of the powers from there — and the inputs of every step of the
+	// fold: both sides of a block-boundary join, the prefix alone where the
+	// block is composed through, whether or not the prefix may be empty.
+	// A step's ε and skip terms are charged nothing of their own.
 	Cost float64
 	// ResultEst is the estimated pair count of the final relation under
 	// the independence model (exact per-block estimates folded with an
@@ -409,10 +420,12 @@ func (dp *DagPlan) validate(numLabels int) {
 }
 
 // elemEst estimates the pair count of one complex element's relation
-// U = ⋃_{r=lo..MaxRep} A^r. Single-label powers are estimated exactly by
-// the estimator (the power of label l is the repeated-label path l^r —
-// the same key its relations are cached under); multi-label powers use
-// the independence model s·(s/n)^(r-1) over the alternation estimate
+// U = ⋃_{r=lo..MaxRep} A^r, lo = max(1, MinRep), and the cost of building
+// it: the inputs of the steps core.elem runs — each power A^r below lo,
+// then the running union ⋃_{q=lo..r} A^q entering each skip step.
+// Single-label powers are estimated exactly by the estimator (the power of
+// label l is the repeated-label path l^r); multi-label powers use the
+// independence model s·(s/n)^(r-1) over the alternation estimate
 // s = Σ_l Est({l}). Union sizes are summed (an upper bound; overlap is
 // workload-dependent and a bound is what admission wants).
 func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
@@ -440,8 +453,12 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 		if r >= lo {
 			est += pow
 		}
-		if r < e.MaxRep {
-			buildCost += pow // unrolled power intermediate entering the next step
+		switch {
+		case r == e.MaxRep:
+		case r < lo:
+			buildCost += pow // the power entering the next power step
+		default:
+			buildCost += est // the running union entering the next skip step
 		}
 	}
 	return est, buildCost
@@ -521,7 +538,8 @@ func (pl Planner) decide(dp *DagPlan) {
 	// prefix may be empty + size when the block is skippable — the
 	// estimator's image of the executor's R_i recurrence. A join after the
 	// first block consumes both materialized inputs; a block composed
-	// through has no relation of its own to consume.
+	// through has no relation of its own to consume, whatever its identity
+	// terms.
 	n := dp.n
 	size, eps := 0.0, true
 	for i := range dp.Blocks {
@@ -531,7 +549,7 @@ func (pl Planner) decide(dp *DagPlan) {
 			size, eps = b.Est, skip
 			continue
 		}
-		if b.operand(i, eps) != nil {
+		if b.operand(i) != nil {
 			dp.Cost += size
 		} else {
 			dp.Cost += size + b.Est
@@ -566,73 +584,67 @@ func (x *core) elemKey(buf []byte, e RPQElem) []byte {
 
 // elem builds one complex element's relation U: adopted whole from the
 // cache where an earlier execution published it under the element's key
-// (elemKey), else built — the alternation base A, the union of its label
-// relations in one pass (core.fill), then the unrolled powers
-// A^r = A^(r−1) ∘ A up to MaxRep, each one step through the label set from
-// the graph, accumulating U = ⋃_{r≥max(1,MinRep)} A^r — and published.
-// Single-label powers step through the segment cache under their
-// repeated-label path key — the same key a concrete query's segments use,
-// so a `b{1,3}` whose union was evicted adopts the cached `bb` and `bbb`
-// relations and a warm `b/b` adopts a power this element published.
-// Multi-label powers have no key of their own: U is the entry. A root
-// element that is not unrolled is all of the plan and, when nobody keeps it
-// and there is no cache to publish it to (see counts), is counted, not
-// built.
+// (elemKey), else built from the alternation base A — the union of its
+// label relations in one pass (core.fill) — by a chain of steps through the
+// label set from the graph,
+//
+//	U = A^lo ∘ (A ∪ I)^(MaxRep−lo),  lo = max(1, MinRep)
+//
+// the powers A^r = A^(r−1) ∘ A up to lo, then skip steps
+// P_r = P_(r−1) ∘ (A ∪ I) = ⋃_{q=lo..r} A^q, the last of which is U. Each
+// step goes through core.step: U under its element key; a power below it
+// under its repeated-label path key, the one a concrete query's segments
+// use, so a `b{2,3}` adopts or publishes the `bb` of a `b/b`. The skip
+// steps below U and multi-label powers have no key and are not published.
+// A root element nobody keeps and nothing publishes (see counts) counts its
+// last step, or its base when it is not unrolled.
 func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
-	var room [keyRoom]byte
+	var room, sroom [keyRoom]byte
 	key := x.elemKey(room[:0], e)
-	if e.MaxRep == 1 && root && x.counts(key) {
+	count := root && x.counts(key)
+	if e.MaxRep == 1 && count {
 		return nil, x.fill(nil, e.Labels)
 	}
-	u, hit, err := x.whole(key)
+	cur, hit, err := x.whole(key)
 	if hit || err != nil {
-		return u, err
+		return cur, err
 	}
-	if e.MaxRep == 1 {
-		if err := x.fill(u, e.Labels); err != nil {
-			return nil, err
-		}
-		x.publish(key, false, u)
-		return u, nil
-	}
-	a := x.take()
-	if err := x.fill(a, e.Labels); err != nil {
+	if err := x.fill(cur, e.Labels); err != nil {
 		return nil, err
 	}
-	lo := max(1, e.MinRep)
-	if lo == 1 {
-		u.UnionWith(a)
+	if e.MaxRep == 1 {
+		x.publish(key, false, cur)
+		return cur, nil
 	}
+	lo := max(1, e.MinRep)
 	var power paths.Path // the current single-label power as a path
-	var proom [keyRoom]byte
 	if len(e.Labels) == 1 {
 		power = append(make(paths.Path, 0, e.MaxRep), e.Labels[0])
 	}
-	pow := a
 	for r := 2; r <= e.MaxRep; r++ {
-		next := x.take()
 		if power != nil {
 			power = append(power, e.Labels[0])
 		}
-		x.ints = append(x.ints, pow.Pairs())
-		if err := x.step(x.pathKey(proom[:0], power), false, next, func() error { return x.through(pow, next, e.Labels) }); err != nil {
+		var stepKey []byte
+		switch {
+		case r == e.MaxRep:
+			stepKey = key
+		case r <= lo:
+			stepKey = x.pathKey(sroom[:0], power)
+		}
+		var dst *bitset.HybridRelation
+		if r < e.MaxRep || !count {
+			dst = x.take()
+		}
+		x.ints = append(x.ints, cur.Pairs())
+		left := cur.Extend(false, r > lo)
+		if err := x.step(stepKey, false, dst, func() error { return x.through(left, dst, e.Labels) }); err != nil {
 			return nil, err
 		}
-		if pow != a {
-			x.drop(pow)
-		}
-		pow = next
-		if r >= lo {
-			u.UnionWith(pow)
-		}
+		x.drop(cur)
+		cur = dst
 	}
-	x.drop(pow)
-	x.drop(a)
-	if err := x.price(u); err != nil {
-		return nil, err
-	}
-	x.publish(key, false, u)
-	return u, nil
+	return cur, nil
 }
 
 // prefixKeys encodes the cache key of the plan's whole element sequence
@@ -660,8 +672,9 @@ func (dp *DagPlan) prefixKeys(buf []byte, ends []int) (key []byte, _ []int) {
 // is built first — a run block through the zig-zag/bushy nodes
 // (whole-segment cache fast path, bushy subtrees, sharded compose —
 // everything applies), an element block through elem — and joined. Either
-// way the ε and skip unions follow the step. A plan's only block is the
-// root: its node may count its last step.
+// way the ε and skip terms are the step's own (cur.Extend), never a union
+// after it. A plan's only block is the root: its node may count its last
+// step.
 //
 // With a cache a prefix of blocks is a segment like any other, keyed by
 // its element sequence (prefixKeys), and the fold treats it the way a leaf
@@ -672,8 +685,7 @@ func (dp *DagPlan) prefixKeys(buf []byte, ends []int) (key []byte, _ []int) {
 // does compute goes through core.step under its prefix's key, so R_i is
 // published, the last step's included: the query's repeat is then one
 // probe and one copy, Intermediates empty and Work 0, as a concrete path's
-// is. Without a cache no key is built and the root's last step, when no
-// union follows it, is counted.
+// is. Without a cache no key is built and the root's last step is counted.
 func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 	nb := len(dp.Blocks)
 	var (
@@ -705,7 +717,7 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 	for i := from; i < nb; i++ {
 		b := &dp.Blocks[i]
 		skip := b.skippable()
-		labels := b.operand(i, eps)
+		labels := b.operand(i)
 		var u *bitset.HybridRelation
 		if labels == nil {
 			var err error
@@ -730,32 +742,20 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		if key != nil {
 			stepKey = key[:ends[i]]
 		}
-		// The root's last step with no union after it is R_i itself, so
-		// where nothing publishes it, it is counted, not built: no
-		// destination.
+		// The root's last step is R_i itself, so where nothing publishes it,
+		// it is counted, not built: no destination.
 		var dst *bitset.HybridRelation
-		if i < nb-1 || eps || skip || !x.counts(stepKey) {
+		if i < nb-1 || !x.counts(stepKey) {
 			if dst, spare = spare, nil; dst == nil {
 				dst = x.take()
 			}
 		}
+		left := cur.Extend(eps, skip)
 		err := x.step(stepKey, false, dst, func() error {
-			var err error
 			if labels != nil {
-				err = x.through(cur, dst, labels)
-			} else {
-				err = x.join(cur, dst, u)
+				return x.through(left, dst, labels)
 			}
-			if err != nil {
-				return err
-			}
-			if eps {
-				dst.UnionWith(u)
-			}
-			if skip {
-				dst.UnionWith(cur)
-			}
-			return nil
+			return x.join(left, dst, u)
 		})
 		if err != nil {
 			return nil, err

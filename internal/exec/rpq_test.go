@@ -108,53 +108,46 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 	}
 }
 
-// TestExecuteDagRepetitionSharesCache pins the cache-sharing rule: a cold
-// b{1,3} publishes its powers b² and b³ under their repeated-label path
-// keys and its union under the element's own; a warm one adopts the union
-// and runs no step; a concrete b/b query adopts the power the unroll
-// published; and a b{1,3} whose union is gone rebuilds it from the cached
-// powers.
+// TestExecuteDagRepetitionSharesCache pins the cache-sharing rule of an
+// unrolled element, U = A^lo ∘ (A ∪ I)^(MaxRep−lo) with lo = max(1, MinRep):
+// a power step below lo publishes under its repeated-label path key, a skip
+// step below MaxRep nowhere, and the last step, U, under the element's own.
+// So a cold b{1,3} publishes b{1,3} alone; a warm one adopts U and runs no
+// step; a cold b{2,3} publishes bb and b{2,3}, and a concrete b/b adopts
+// that bb; and a b{2,3} over a cache holding bb and bbb from concrete
+// queries adopts bb and runs one step.
 func TestExecuteDagRepetitionSharesCache(t *testing.T) {
 	g := testGraph(t)
+	b := func(lo, hi int) *DagPlan {
+		return zeroPlan(g, &RPQDag{Elems: []RPQElem{{Labels: []int{1}, MinRep: lo, MaxRep: hi}}})
+	}
+	run := func(ctx string, plan *DagPlan, cache *relcache.Cache, hits, misses int) Stats {
+		t.Helper()
+		_, st, err := Run(g, plan, Options{Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CacheHits != hits || st.CacheMisses != misses {
+			t.Fatalf("%s: hits=%d misses=%d, want %d/%d", ctx, st.CacheHits, st.CacheMisses, hits, misses)
+		}
+		return st
+	}
 	cache := relcache.New(relcache.Options{MaxBytes: 1 << 20})
-	e := RPQElem{Labels: []int{1}, MinRep: 1, MaxRep: 3}
-	d := &RPQDag{Elems: []RPQElem{e}}
-	_, cold, err := Run(g, zeroPlan(g, d), Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
+	cold := run("cold b{1,3}: U published", b(1, 3), cache, 0, 1)
+	if warm := run("warm b{1,3}", b(1, 3), cache, 1, 0); len(warm.Intermediates) != 0 || warm.Result != cold.Result {
+		t.Fatalf("warm b{1,3}: %+v, want no step and the cold result %d", warm, cold.Result)
 	}
-	if cold.CacheMisses != 3 || cold.CacheHits != 0 {
-		t.Fatalf("cold run: hits=%d misses=%d, want 0/3 (b², b³ and the union published)", cold.CacheHits, cold.CacheMisses)
-	}
-	_, warm, err := Run(g, zeroPlan(g, d), Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.CacheHits != 1 || warm.CacheMisses != 0 || len(warm.Intermediates) != 0 || warm.Result != cold.Result {
-		t.Fatalf("warm run: %+v, want one hit, no step and the cold result %d", warm, cold.Result)
-	}
-	// A concrete b/b query adopts the power the unroll published.
-	_, cst, err := Run(g, startPlan(paths.Path{1, 1}, 0), Options{Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cst.CacheHits != 1 {
-		t.Fatalf("concrete b/b after b{1,3}: hits=%d, want 1", cst.CacheHits)
-	}
-	// Only the powers left (a cache holding b/b and b/b/b from concrete
-	// queries looks the same): both are adopted, the union is published again.
 	powers := relcache.New(relcache.Options{MaxBytes: 1 << 20})
+	cold23 := run("cold b{2,3}: bb and U published", b(2, 3), powers, 0, 2)
+	run("concrete b/b after b{2,3}", startPlan(paths.Path{1, 1}, 0), powers, 1, 0)
+	concrete := relcache.New(relcache.Options{MaxBytes: 1 << 20})
 	for _, p := range []paths.Path{{1, 1}, {1, 1, 1}} {
-		if _, _, err := Run(g, startPlan(p, 0), Options{Cache: powers}); err != nil {
+		if _, _, err := Run(g, startPlan(p, 0), Options{Cache: concrete}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, st, err := Run(g, zeroPlan(g, d), Options{Cache: powers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.CacheHits != 2 || st.CacheMisses != 1 || st.Result != cold.Result {
-		t.Fatalf("b{1,3} over cached powers: %+v, want 2 hits, the union's miss and %d", st, cold.Result)
+	if st := run("b{2,3} over bb and bbb", b(2, 3), concrete, 1, 1); st.Result != cold23.Result {
+		t.Fatalf("b{2,3} over bb and bbb: result %d, want %d", st.Result, cold23.Result)
 	}
 }
 

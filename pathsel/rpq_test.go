@@ -288,10 +288,10 @@ func TestCompileEstimateMatchesEstimatePattern(t *testing.T) {
 // directly, the best plan tree found by exhaustive recursion instead of a
 // DP — and returns what a DagPlan reports: Cost, ResultEst and the block
 // estimates. A block the executor composes through (one step from the
-// graph — a single label, or an element that is not unrolled — after a
-// prefix that cannot be empty) has no relation of its own, so the join
-// after it is charged its left input only. Float for float the planner
-// must agree.
+// graph — a single label, or an element that is not unrolled — after the
+// first block) has no relation of its own, so the join after it is charged
+// its left input only, and an unrolled element's skip steps are charged the
+// running union entering them. Float for float the planner must agree.
 func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []float64) {
 	n := e.gr.NumVertices()
 	// zigzag is the cost of p's zig-zag plan from start: its rightward
@@ -337,8 +337,10 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 				if r >= max(1, el.MinRep) {
 					est += pow
 				}
-				if r < el.MaxRep {
+				if r < el.MaxRep && r < max(1, el.MinRep) {
 					cost += pow
+				} else if r < el.MaxRep {
+					cost += est
 				}
 			}
 			ests, skips, steps = append(ests, est), append(skips, el.MinRep == 0), append(steps, el.MaxRep == 1)
@@ -354,7 +356,7 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 	}
 	size, eps := ests[0], skips[0]
 	for i := 1; i < len(ests); i++ {
-		if steps[i] && !eps {
+		if steps[i] {
 			cost += size
 		} else {
 			cost += size + ests[i]
@@ -391,7 +393,7 @@ func FuzzRPQParse(f *testing.F) {
 	for _, seed := range []string{
 		"a", "a/b/c", "a/(b|c)/a?/b{1,3}", "*", "a|b", "(|)", "b{3,1}",
 		"((a))", "(a", "a)", "a?", "{0,0}", "a//b", "b{65}", "a}b{",
-		"a/b/(a|c)", "c{2}/a/b", "a/b/c?/a",
+		"a/b/(a|c)", "c{2}/a/b", "a/b/c?/a", "a?/b/c?", "(a|b){1,3}/c",
 	} {
 		f.Add(seed)
 	}
