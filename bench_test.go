@@ -454,6 +454,12 @@ var execUncachedGraph = sync.OnceValue(func() *graph.CSR {
 	return dataset.Generate(dataset.Table3()[2], 0.5, 1).Freeze()
 })
 
+// serveHotGraph is the graph of bench/'s serve_hot workload (SNAP-FF at
+// scale 0.1, 5 000 vertices), generated once for BenchmarkWholeHit.
+var serveHotGraph = sync.OnceValue(func() *graph.CSR {
+	return dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze()
+})
+
 // BenchmarkDenseSteps is BenchmarkComposeKernels in the dense-row regime,
 // on exec_uncached's graph at the default promotion threshold: `1/1`
 // composed through label 1 — 192 165 pairs in, 1 057 857 out, a third of
@@ -725,8 +731,10 @@ func BenchmarkCachePublish(b *testing.B) {
 
 // BenchmarkCacheAdopt times a cache hit as the executor pays for it: Get,
 // then the packed entry copied out into a pooled buffer — in the stored
-// orientation (copy) and in the other one (reverse). The entry is `3/7`
-// on serve_mixed's graph, BenchmarkCachePublish's.
+// orientation (copy) and in the other one (reverse). Reverse is the rare
+// case: every whole segment is stored forward, the orientation its repeat
+// reads, so only a forward reader of an interior leftward segment pays
+// it. The entry is `3/7` on serve_mixed's graph, BenchmarkCachePublish's.
 func BenchmarkCacheAdopt(b *testing.B) {
 	g := serveMixedGraph()
 	p := paths.Path{2, 6}
@@ -746,6 +754,37 @@ func BenchmarkCacheAdopt(b *testing.B) {
 				dst := pool.Get()
 				c.adopt(rel, dst)
 				pool.Put(dst)
+			}
+		})
+	}
+}
+
+// BenchmarkWholeHit times what serve_hot's executor does per request: a
+// whole-query hit through exec.Run, pooled, of the length-3 path `2/1/2`
+// (1 194 pairs) on serve_hot's graph, published cold by a plan that grew
+// rightward from its first label (rightward) or leftward from its last
+// (leftward). Both store the path forward, so the two should read alike:
+// the repeat copies the entry out, and a leftward publish costs no
+// reverse per hit.
+func BenchmarkWholeHit(b *testing.B) {
+	g := serveHotGraph()
+	p := paths.Path{1, 0, 1}
+	for _, c := range []struct {
+		name  string
+		start int
+	}{{"rightward", 0}, {"leftward", len(p) - 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			plan := exec.PathPlan(p, &exec.PlanTree{Lo: 0, Hi: len(p), Start: c.start})
+			opt := exec.Options{Workers: 1, Pool: exec.NewRelPool(g.NumVertices(), 0), Cache: relcache.New(relcache.Options{})}
+			if _, _, err := exec.Run(g, plan, opt); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, st, err := exec.Run(g, plan, opt); err != nil || st.CacheHits != 1 {
+					b.Fatalf("%d cache hits (err %v), want a whole-query hit", st.CacheHits, err)
+				}
 			}
 		})
 	}

@@ -186,9 +186,12 @@ func (h *HybridRelation) Contains(s, t int) bool {
 	return ok
 }
 
-// Reset empties the relation while keeping row and list capacity, readying
-// it for reuse from a pool. Dense word arrays are left dirty; every dense
-// fill overwrites them in full.
+// Reset empties the relation while keeping row and list capacity, at a
+// cost of one touch per listed row — O(1) on an empty relation. A pool
+// calls it when a relation is released, while the rows it clears are
+// still warm (exec.RelPool.Put); a kernel calls it on its destination,
+// which is then free when the relation came from a pool. Dense word
+// arrays are left dirty; every dense fill overwrites them in full.
 func (h *HybridRelation) Reset() {
 	for _, s := range h.active {
 		row := &h.rows[s]

@@ -41,13 +41,31 @@ func TestExecutePlanCacheEquivalence(t *testing.T) {
 				if coldSt.CacheHits != 0 {
 					t.Fatalf("trial %d path %v start %d: cold run hit %d times", trial, p, s, coldSt.CacheHits)
 				}
-				// Exactly one miss per composed step: the cache is
-				// orientation-canonical, so a leftward plan's reversed
-				// publishes serve forward consumers without extra entries
-				// or extra miss counts.
+				// Exactly one miss per composed step, each segment published
+				// once, in the orientation its reader wants: the whole path
+				// forward — the repeat below copies it out, never reverses
+				// it — each interior leftward segment p[i:] reversed, as it
+				// was built and as a longer query's leftward steps read it,
+				// and each rightward segment p[s:j] forward.
 				if k >= 2 && coldSt.CacheMisses != k-1 {
 					t.Fatalf("trial %d path %v start %d: cold run counted %d misses, want %d",
 						trial, p, s, coldSt.CacheMisses, k-1)
+				}
+				stored := func(seg paths.Path, reversed bool) {
+					t.Helper()
+					if _, got, ok := cache.GetKey(relcache.AppendPath(nil, seg)); !ok || got != reversed {
+						t.Fatalf("trial %d path %v start %d: segment %v resident=%t reversed=%t, want reversed=%t",
+							trial, p, s, seg, ok, got, reversed)
+					}
+				}
+				if k >= 2 {
+					stored(p, false)
+				}
+				for i := 1; i < s; i++ {
+					stored(p[i:], true)
+				}
+				for j := s + 2; j <= k; j++ {
+					stored(p[s:j], false)
 				}
 
 				warm, warmSt := runPlan(t, g, p, s, opt)
@@ -287,15 +305,20 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 // workload: a pooled execution answered by the whole-query fast path — a
 // concrete path's, a lone element's, a fold's over its longest prefix —
 // builds no scheduler, keeps its state on the stack and probes the cache
-// with a stack-encoded key, so it allocates nothing at all.
+// with a stack-encoded key, so it allocates nothing at all. A path
+// published by a plan that grew leftward (from its last label or its
+// middle one) is stored forward, so its repeat copies the entry out like
+// the rightward one: no reversal, and no count array for one.
 func TestWholeQueryHitAllocatesNothingOfItsOwn(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
 	alt := RPQElem{Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}
 	for name, plan := range map[string]*DagPlan{
-		"path":    startPlan(paths.Path{0, 1, 0}, 0),
-		"element": zeroPlan(g, &RPQDag{Elems: []RPQElem{{Labels: []int{0, 1}, MinRep: 1, MaxRep: 2}}}),
-		"fold":    zeroPlan(g, &RPQDag{Elems: []RPQElem{alt, {Labels: []int{1}, MinRep: 0, MaxRep: 2}, label(0), label(1)}}),
+		"path":          startPlan(paths.Path{0, 1, 0}, 0),
+		"path-leftward": startPlan(paths.Path{0, 1, 0}, 2),
+		"path-middle":   startPlan(paths.Path{0, 1, 0}, 1),
+		"element":       zeroPlan(g, &RPQDag{Elems: []RPQElem{{Labels: []int{0, 1}, MinRep: 1, MaxRep: 2}}}),
+		"fold":          zeroPlan(g, &RPQDag{Elems: []RPQElem{alt, {Labels: []int{1}, MinRep: 0, MaxRep: 2}, label(0), label(1)}}),
 	} {
 		opt, pool, _ := checkedOptions(g.NumVertices(), 2)
 		opt.Cache = relcache.New(relcache.Options{})

@@ -127,21 +127,25 @@ func NewRelPool(n int, density float64) *RelPool {
 }
 
 // Get returns an empty relation, reusing a released one when available.
+// A pooled relation is empty at rest (see Put), so Get writes nothing.
 func (p *RelPool) Get() *bitset.HybridRelation {
 	p.mu.Lock()
 	p.inUse++
 	rel := p.free.Get()
 	p.mu.Unlock()
-	rel.Reset()
 	return rel
 }
 
-// Put releases a relation back to the pool. A nil relation is ignored,
-// so abort paths release unconditionally.
+// Put releases a relation back to the pool, emptied (Reset) on the way in
+// — right after the use that wrote its rows, while they are still in
+// cache, rather than at the next checkout. The caller must not read it
+// afterwards. A nil relation is ignored, so abort paths release
+// unconditionally.
 func (p *RelPool) Put(rel *bitset.HybridRelation) {
 	if rel == nil {
 		return
 	}
+	rel.Reset()
 	p.mu.Lock()
 	p.inUse--
 	p.free.Put(rel)

@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/paths"
 )
@@ -76,6 +79,108 @@ func TestCancelLeakHygiene(t *testing.T) {
 		}
 	}
 	waitForGoroutines(t, base)
+}
+
+// TestPoolLeaksNoRowsAcrossCheckouts pins the pool's invariant: a relation
+// at rest in a RelPool is empty, because Put empties it. It checks the
+// relations that come back after a kept result its caller releases, after
+// an execution a panic aborted mid-step, and while two goroutines execute
+// bushy plans — whose forks release concurrently — over one pool (run
+// under -race in CI). Every relation Get then hands out has no pair and
+// no source, and an eps step over it, which reads rows by vertex whether
+// they are listed or not, counts the operand's pairs and nothing else.
+func TestPoolLeaksNoRowsAcrossCheckouts(t *testing.T) {
+	g := randomGraph(7, 400, 2, 12000)
+	n := g.NumVertices()
+	ops := []bitset.CSROperand{g.LabelOperand(0)}
+	limit := bitset.SparseLimit(n, 0)
+	// empty checks one checked-out relation, probing it on scr.
+	empty := func(rel *bitset.HybridRelation, scr *bitset.ComposeScratch) error {
+		if rel.Pairs() != 0 || rel.Sources() != 0 {
+			return fmt.Errorf("checked out holding %d pairs over %d sources", rel.Pairs(), rel.Sources())
+		}
+		_, c := rel.Extend(true, false).ComposeShard(nil, ops, scr, limit, 0, n, nil)
+		if want := int64(len(ops[0].Targets)); c.Pairs != want {
+			return fmt.Errorf("an eps step over a checked-out relation counts %d pairs, want %d: stale rows survived", c.Pairs, want)
+		}
+		return nil
+	}
+	// drain checks out more relations than any execution here holds at
+	// once, checks each, and releases them; released, when given, must be
+	// among them.
+	drain := func(t *testing.T, pool *RelPool, released *bitset.HybridRelation) {
+		t.Helper()
+		scr := bitset.NewComposeScratch(n)
+		rels := make([]*bitset.HybridRelation, 8)
+		seen := released == nil
+		for i := range rels {
+			rels[i] = pool.Get()
+			seen = seen || rels[i] == released
+			if err := empty(rels[i], scr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !seen {
+			t.Fatal("the released relation never came back from the pool")
+		}
+		for _, rel := range rels {
+			pool.Put(rel)
+		}
+	}
+	t.Run("kept", func(t *testing.T) {
+		pool := NewRelPool(n, 0)
+		rel, _, err := Run(g, startPlan(paths.Path{1, 0, 1}, 1), Options{Workers: 4, Pool: pool, KeepResult: true})
+		if err != nil || rel.Pairs() == 0 {
+			t.Fatalf("kept run: err %v, want a non-empty result", err)
+		}
+		pool.Put(rel)
+		drain(t, pool, rel)
+	})
+	t.Run("aborted", func(t *testing.T) {
+		pool := NewRelPool(n, 0)
+		faultinject.Install(faultinject.NewInjector(
+			faultinject.Rule{Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic}))
+		_, _, err := Run(g, startPlan(paths.Path{1, 0}, 0), Options{Workers: 4, Pool: pool})
+		faultinject.Uninstall()
+		if err == nil || pool.InUse() != 0 {
+			t.Fatalf("err %v, %d relations in use; want a contained panic and none", err, pool.InUse())
+		}
+		drain(t, pool, nil)
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		pool := NewRelPool(n, 0)
+		p := paths.Path{1, 0, 1, 0}
+		plan := PathPlan(p, &PlanTree{Lo: 0, Hi: 4, Start: -1,
+			Left: &PlanTree{Lo: 0, Hi: 2, Start: 0}, Right: &PlanTree{Lo: 2, Hi: 4, Start: 3}})
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				scr := bitset.NewComposeScratch(n)
+				for i := 0; i < 40; i++ {
+					rel := pool.Get()
+					if err := empty(rel, scr); err != nil {
+						t.Error(err)
+						return
+					}
+					res, _, err := Run(g, plan, Options{Workers: 2, Pool: pool, KeepResult: true})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					rel.FillFromCSR(g.LabelCSR(i % 2))
+					pool.Put(rel)
+					pool.Put(res)
+				}
+			}()
+		}
+		wg.Wait()
+		if pool.InUse() != 0 {
+			t.Fatalf("%d relations still checked out", pool.InUse())
+		}
+		drain(t, pool, nil)
+	})
 }
 
 // FuzzCancelEquivalence pins two properties across fuzzed graphs and

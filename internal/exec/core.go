@@ -244,8 +244,11 @@ func (x *core) stepper() *stepper {
 // out verbatim, a mismatch derives the inverse (ReverseInto) —
 // bit-identical to recomputing, because every kernel picks a row's
 // representation purely from its final population against dst's
-// promotion limit. Entries from another universe or promotion limit are
-// ignored rather than adopted.
+// promotion limit. Every node publishes its whole segment forward, the
+// orientation the whole-segment fast path wants, so a repeat copies;
+// only an interior leftward segment is stored reversed, and a reverse is
+// paid where a forward reader meets one. Entries from another universe or
+// promotion limit are ignored rather than adopted.
 func (x *core) cached(key []byte, reversed bool, dst *bitset.HybridRelation) bool {
 	if key == nil {
 		return false
@@ -265,7 +268,8 @@ func (x *core) cached(key []byte, reversed bool, dst *bitset.HybridRelation) boo
 
 // publish stores a relation the execution just finished under key, in the
 // given orientation, and counts the miss it answers; a nil key publishes
-// nothing.
+// nothing. A step publishes what it built; a leftward leaf publishes its
+// whole segment itself, forward, after restoring the orientation (leaf).
 func (x *core) publish(key []byte, reversed bool, rel *bitset.HybridRelation) {
 	if key != nil {
 		x.opt.Cache.PutKey(key, reversed, rel)

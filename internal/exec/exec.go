@@ -29,7 +29,10 @@ type Options struct {
 	// earlier step of this query, or another worker running concurrently —
 	// is adopted instead of composed, by copying the packed entry
 	// (bitset.Packed) out into one of the execution's own relations, and
-	// every freshly composed segment is published back, packed. A segment
+	// every freshly composed segment is published back, packed — a node's
+	// whole segment forward, so that its repeat copies the entry out as
+	// stored, and a leftward leaf's interior segments reversed, as they
+	// were built and as a longer query's leftward steps read them. A segment
 	// is whatever has a key (relcache.AppendElem): a label subsequence of
 	// length ≥ 2, and for a regular path query every prefix of its blocks
 	// and every element that is more than one label read once — so a
@@ -267,7 +270,8 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 	// grow runs one join step into the spare buffer and swaps the buffers:
 	// its left rows — a's before the first step, cur's after — are the
 	// finished segment whose size is the step's recorded intermediate. The
-	// counted last step has no destination.
+	// counted last step has no destination, and the last leftward step has
+	// no key: its segment is published forward once restored (below).
 	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
 		var dst *bitset.HybridRelation
 		if !(count && len(seg) == len(p)) {
@@ -278,7 +282,11 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 			left = cur.Rows()
 		}
 		x.ints = append(x.ints, left.Pairs())
-		err := x.step(x.pathKey(room[:0], seg), reversed, dst, func() error { return x.compose(left, dst, op) })
+		var key []byte
+		if !(reversed && len(seg) == len(p)) {
+			key = x.pathKey(room[:0], seg)
+		}
+		err := x.step(key, reversed, dst, func() error { return x.compose(left, dst, op) })
 		cur, buf = buf, cur
 		return err
 	}
@@ -291,11 +299,15 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 	// Grow leftward on the reversed relation: prepending label l to a
 	// segment is composing the reversed segment with l's predecessor
 	// operand. Reversal is linear and does not change Pairs, so the
-	// recorded intermediates are still segment selectivities. Leftward
-	// segments are cached in their reversed orientation — a different
-	// pair set than the forward segment, hence the orientation marker;
-	// the orientation-canonical cache derives the forward form for the
-	// whole-segment fast path.
+	// recorded intermediates are still segment selectivities. An interior
+	// leftward segment p[i:], i ≥ 1, is cached in the reversed orientation
+	// it was built in — the one a longer query's leftward steps read it in —
+	// under the orientation marker. The whole segment is cached forward,
+	// after the reversal that restores it: that is the orientation its
+	// repeat (the whole-segment fast path) reads, so a hit is a copy, never
+	// a reverse. Its step's probe is the whole probe that just missed, and a
+	// publishing leaf never counts its last step, so the reversal is paid
+	// on a miss anyway.
 	if start > 0 {
 		if cur != nil {
 			cur.ReverseInto(spare())
@@ -310,6 +322,7 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 			// A counted result has no orientation to restore.
 			cur.ReverseInto(spare())
 			cur, buf = buf, cur
+			x.publish(x.pathKey(room[:0], p), false, cur)
 		}
 	}
 	x.drop(buf)

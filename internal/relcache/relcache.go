@@ -53,9 +53,11 @@
 // form derives it on adoption. One entry then serves forward and backward
 // plans alike, which both halves the byte footprint of mixed-direction
 // workloads and turns what used to be a cross-orientation miss into a hit.
-// A fold runs left to right only, so what it publishes — an element's
-// relation, a prefix's — is stored forward; a prefix of plain labels may
-// meet an entry a leftward leaf stored reversed, and derives.
+// The executor stores every whole segment forward — a leaf's or join
+// node's result, an element's relation, a fold prefix — since that is how
+// its repeat reads it; the reversed entries are a leftward leaf's interior
+// segments, which a forward reader (a fold prefix of plain labels, a
+// rightward step) meets and derives.
 //
 // Recency is a per-entry stamp from a cache-wide monotonic clock, taken
 // under the entry's shard lock — the read side by Get, which refreshes it
