@@ -276,8 +276,9 @@ func RankPermutation(perm []int64) int64 {
 // nop = NumPermutations(sorted). Like UnrankPermutation it uses the O(1)
 // block-size identity nop(S \ {x}) = nop(S)·d_x/|S|, and because the
 // blocks below a leading element v are exact integers their sum is
-// nop(S)·|{x ∈ S : x < v}|/|S| — two divisions per position, O(k²) only
-// in the element moves. It panics if perm is not a permutation of sorted.
+// nop(S)·|{x ∈ S : x < v}|/|S| — two exact quotients per position, each a
+// multiply (divExact), and O(k²) only in the element moves. It panics if
+// perm is not a permutation of sorted.
 func RankSorted(perm, sorted []int64, nop int64) int64 {
 	if len(perm) != len(sorted) {
 		panic("combinat: RankSorted of mismatched multiset")
@@ -298,14 +299,39 @@ func RankSorted(perm, sorted []int64, nop int64) int64 {
 		if d == 0 {
 			panic("combinat: RankSorted of mismatched multiset")
 		}
-		size := int64(len(rest))
-		rank += nop * int64(less) / size
-		nop = nop * int64(d) / size
+		rank += divExact(nop*int64(less), len(rest))
+		nop = divExact(nop*int64(d), len(rest))
 		// Remove one copy of v by shifting the smaller elements up one
 		// slot: the remainder stays sorted, now at sorted[n+1:].
-		copy(rest[1:less+1], rest[:less])
+		for i := less; i > 0; i-- {
+			rest[i] = rest[i-1]
+		}
 	}
 	return rank
+}
+
+// oddInverse[s] is the inverse modulo 2^64 of the odd part of s.
+var oddInverse = func() (t [stackParts + 1]uint64) {
+	for s := 1; s < len(t); s++ {
+		odd := uint64(s) >> bits.TrailingZeros(uint(s))
+		inv := odd // right to 3 bits; each Newton step doubles that
+		for i := 0; i < 5; i++ {
+			inv *= 2 - odd*inv
+		}
+		t[s] = inv
+	}
+	return t
+}()
+
+// divExact is x/s for a non-negative x that s divides: x = q·odd·2^t, so
+// shifting out 2^t loses no bit, and multiplying by odd's inverse modulo
+// 2^64 leaves q — a multiply where a 64-bit division costs tens of cycles.
+// Divisors past the table divide.
+func divExact(x int64, s int) int64 {
+	if s < len(oddInverse) {
+		return int64((uint64(x) >> bits.TrailingZeros(uint(s))) * oddInverse[s])
+	}
+	return x / int64(s)
 }
 
 func isSorted(s []int64) bool {

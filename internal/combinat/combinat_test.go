@@ -1,6 +1,7 @@
 package combinat
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -470,6 +471,24 @@ func TestRankSortedMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestDivExact pins the multiply-by-inverse quotient to the division it
+// replaces, for every divisor in the table and one past it, on quotients
+// up to where q·s nears int64's top.
+func TestDivExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for s := 1; s <= len(oddInverse); s++ {
+		for trial := 0; trial < 2000; trial++ {
+			q := rng.Int63n(math.MaxInt64 / int64(s))
+			if trial < 100 {
+				q = int64(trial)
+			}
+			if got := divExact(q*int64(s), s); got != q {
+				t.Fatalf("divExact(%d·%d, %d) = %d", q, s, s, got)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -213,22 +214,28 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 	return dp
 }
 
-// refExpansions is RPQDag.Expansions as it was: deduplicated on the
-// formatted Path.Key.
+// refExpansions is RPQDag.Expansions as it was: every path cloned on its
+// own, deduplicated in a map on its labels' varint bytes (prefix-free per
+// label, so injective at any length and label range), and no count taken
+// before the walk.
 func refExpansions(d *RPQDag, limit int) (exps []paths.Path, ok bool) {
-	seen := make(map[string]bool)
+	seen := make(map[string]struct{})
+	var key []byte
 	prefix := make(paths.Path, 0, d.MaxLen())
 	var elem func(i int) bool
 	elem = func(i int) bool {
 		if i == len(d.Elems) {
-			k := prefix.Key()
-			if seen[k] {
+			key = key[:0]
+			for _, l := range prefix {
+				key = binary.AppendUvarint(key, uint64(l))
+			}
+			if _, dup := seen[string(key)]; dup {
 				return true
 			}
 			if len(exps) >= limit {
 				return false
 			}
-			seen[k] = true
+			seen[string(key)] = struct{}{}
 			exps = append(exps, prefix.Clone())
 			return true
 		}
@@ -477,7 +484,7 @@ func TestReplanAsksNothing(t *testing.T) {
 }
 
 // TestExpansionsMatchReference pins the enumeration's order, its
-// deduplication and its limit to the Key-deduplicated enumeration it
+// deduplication and its limit to the map-deduplicated enumeration it
 // replaced.
 func TestExpansionsMatchReference(t *testing.T) {
 	a := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 2}

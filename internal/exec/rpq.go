@@ -1,8 +1,9 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 
 	"repro/internal/bitset"
@@ -203,57 +204,189 @@ func (d *RPQDag) Describe() string {
 // order, earlier elements varying slowest. It returns ok=false without
 // a partial result when the expansion exceeds limit — the cross-product
 // blowup the DAG execution path exists to avoid.
+//
+// It allocates a constant number of times however many paths it returns,
+// two or three below length 32: the walk is sized up front from per-length
+// counts of the paths it will reach (lengthCounts), and the paths are
+// slices of one shared slab, each capped at its own length — an append to
+// one reallocates it and never writes into the next, but keeping one
+// keeps the whole slab alive, so a caller that retains a path clones it.
+// A repeat is caught in an open-addressing table of positions keyed by an
+// integer hash of the path and confirmed label by label, so deduplication
+// is exact at any label range; the table is not built when the counts
+// show that no path is reached twice. When the counts show more than
+// limit distinct paths, Expansions refuses before walking at all.
 func (d *RPQDag) Expansions(limit int) (exps []paths.Path, ok bool) {
-	// Paths are deduplicated on their labels' varint bytes: the encoding
-	// is prefix-free per label, so it is injective at any length and label
-	// range, and looking a candidate up by string(key) builds no string —
-	// only a path seen for the first time allocates its key.
-	seen := make(map[string]struct{})
-	var key []byte
-	prefix := make(paths.Path, 0, d.MaxLen())
-	var elem func(i int) bool
-	elem = func(i int) bool {
-		if i == len(d.Elems) {
-			key = key[:0]
-			for _, l := range prefix {
-				key = binary.AppendUvarint(key, uint64(l))
-			}
-			if _, dup := seen[string(key)]; dup {
-				return true
-			}
-			if len(exps) >= limit {
-				return false
-			}
-			seen[string(key)] = struct{}{}
-			exps = append(exps, prefix.Clone())
-			return true
-		}
-		e := d.Elems[i]
-		var rep func(r int) bool
-		rep = func(r int) bool {
-			if r == 0 {
-				return elem(i + 1)
-			}
-			for _, l := range e.Labels {
-				prefix = append(prefix, l)
-				if !rep(r - 1) {
-					return false
-				}
-				prefix = prefix[:len(prefix)-1]
-			}
-			return true
-		}
-		for r := e.MinRep; r <= e.MaxRep; r++ {
-			if !rep(r) {
-				return false
-			}
-		}
-		return true
+	limit = max(limit, 0)
+	ceil := limit // counts saturate here, one past limit
+	if ceil < math.MaxInt {
+		ceil++
 	}
-	if !elem(0) {
+	ml := d.MaxLen()
+	var room [64]int
+	buf := room[:]
+	if need := 2 * (ml + 1); need > len(buf) {
+		buf = make([]int, need)
+	}
+	raw, distinct := buf[:ml+1], buf[ml+1:2*(ml+1)]
+	d.lengthCounts(raw, distinct, ceil)
+	total, lower := 0, 0
+	for l := range raw {
+		total = min(total+raw[l], ceil)
+		lower = min(lower+distinct[l], ceil)
+	}
+	if lower > limit {
 		return nil, false
 	}
-	return exps, true
+	// At most n paths come out; their labels are at most those of the n
+	// longest paths reached.
+	n := min(total, limit)
+	labels, left := 0, n
+	for l := ml; l > 0 && left > 0; l-- {
+		c := min(raw[l], left)
+		labels, left = labels+c*l, left-c
+	}
+	// The slab's head is the prefix being walked.
+	slab := make([]int, ml+labels)
+	x := expander{
+		elems:  d.Elems,
+		prefix: slab[:0:ml],
+		slab:   slab[ml:ml],
+		exps:   make([]paths.Path, 0, n),
+		limit:  limit,
+	}
+	if total > lower {
+		// Some length is reached by more than one repetition vector, so a
+		// path may come twice: dedup. A load factor of at most ½ keeps the
+		// probes short.
+		if n >= math.MaxInt32 {
+			panic("exec: expansion table exceeds int32 positions")
+		}
+		size := 2
+		for size < 2*n {
+			size <<= 1
+		}
+		x.table = make([]int32, size)
+		x.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	}
+	if !x.elem(0, hashSeed) {
+		return nil, false
+	}
+	return x.exps, true
+}
+
+// lengthCounts fills, for every path length l ≤ MaxLen, raw[l] — how many
+// paths of length l the enumeration reaches, repeats included: the sum
+// over repetition vectors r with Σr = l of Π_e |L_e|^r_e — and distinct[l],
+// a lower bound on how many of them differ: the largest single term of
+// that sum, since one repetition vector's paths are all distinct (each
+// element's labels are distinct, and its segment's span is fixed). Paths
+// of different lengths never coincide, so Σ distinct bounds the distinct
+// count from below and Σ raw from above. Both saturate at ceil.
+func (d *RPQDag) lengthCounts(raw, distinct []int, ceil int) {
+	clear(raw)
+	clear(distinct)
+	raw[0], distinct[0] = 1, 1
+	top := 0 // the longest length reached by the elements so far
+	for _, e := range d.Elems {
+		// In place, longest first: raw[l-r] is still the previous element's.
+		for l := top + e.MaxRep; l >= 0; l-- {
+			sum, most, pow := 0, 0, 1 // pow = |L_e|^r
+			for r := 0; r <= min(e.MaxRep, l); r++ {
+				if r >= e.MinRep && l-r <= top {
+					sum = min(sum+satMul(raw[l-r], pow, ceil), ceil)
+					most = max(most, satMul(distinct[l-r], pow, ceil))
+				}
+				pow = satMul(pow, len(e.Labels), ceil)
+			}
+			raw[l], distinct[l] = sum, most
+		}
+		top += e.MaxRep
+	}
+}
+
+// satMul is a·b for non-negative a, b, saturated at ceil.
+func satMul(a, b, ceil int) int {
+	if b != 0 && a > ceil/b {
+		return ceil
+	}
+	return min(a*b, ceil)
+}
+
+// hashSeed and hashMul define the path hash the expander dedups on:
+// h' = (h ^ label) · hashMul per label, whose top bits pick the slot.
+const (
+	hashSeed = 0x632be59bd9b4e019
+	hashMul  = 0x9e3779b97f4a7c15
+)
+
+// expander is Expansions' walk: prefix is the path being reached, and
+// every path reached for the first time is copied into slab and handed
+// out as a capped slice of it. table holds positions into exps plus one
+// (0 is empty), slotted by the top bits of the path hash; it is nil when
+// no path can be reached twice.
+type expander struct {
+	elems  []RPQElem
+	prefix paths.Path
+	slab   []int
+	exps   []paths.Path
+	table  []int32
+	shift  uint
+	limit  int
+}
+
+// elem walks element i onward; h is the hash of the prefix.
+func (x *expander) elem(i int, h uint64) bool {
+	if i == len(x.elems) {
+		return x.reach(h)
+	}
+	e := &x.elems[i]
+	for r := e.MinRep; r <= e.MaxRep; r++ {
+		if !x.rep(i, r, h) {
+			return false
+		}
+	}
+	return true
+}
+
+// rep appends r more labels of element i, then walks on.
+func (x *expander) rep(i, r int, h uint64) bool {
+	if r == 0 {
+		return x.elem(i+1, h)
+	}
+	at := len(x.prefix)
+	x.prefix = x.prefix[:at+1]
+	for _, l := range x.elems[i].Labels {
+		x.prefix[at] = l
+		if !x.rep(i, r-1, (h^uint64(l))*hashMul) {
+			return false
+		}
+	}
+	x.prefix = x.prefix[:at]
+	return true
+}
+
+// reach records the prefix, a whole path with hash h, unless it was
+// reached before; it reports false when a new path would exceed the limit.
+func (x *expander) reach(h uint64) bool {
+	p := x.prefix
+	if x.table != nil {
+		mask := len(x.table) - 1
+		s := int(h >> x.shift)
+		for ; x.table[s] != 0; s = (s + 1) & mask {
+			if x.exps[x.table[s]-1].Equal(p) {
+				return true
+			}
+		}
+		if len(x.exps) >= x.limit {
+			return false
+		}
+		x.table[s] = int32(len(x.exps) + 1)
+	}
+	at := len(x.slab)
+	x.slab = append(x.slab, p...)
+	x.exps = append(x.exps, x.slab[at:len(x.slab):len(x.slab)])
+	return true
 }
 
 // DagBlockPlan is one block of a plan: either a maximal run of

@@ -26,16 +26,24 @@ import (
 // The stage layout depends only on (k, |L|), so the constructor
 // precomputes the stage boundaries and per-group combination tables once —
 // O(k²·|L|·P) memory where P is the number of bounded partitions, far
-// below the O(|Lk|) the paper rules out. Index then costs one group
-// lookup, one combination scan, and one permutation ranking (Algorithm 1
-// inverse), all on stack buffers: it allocates nothing. Path is
-// Algorithm 2 driven by the same tables.
+// below the O(|Lk|) the paper rules out — and, per length, a table from
+// each combination's colex key (its rank among all multisets of that
+// size) to its place in its group. Index then costs one group lookup, a
+// sort of the k ranks, one combination lookup by key, and one permutation
+// ranking (Algorithm 1 inverse), all on stack buffers: it allocates
+// nothing. Path is Algorithm 2 driven by the same tables.
 type SumBased struct {
 	common
 	// stage1[m-1] = domain offset of the length-m block.
 	stage1 []int64
 	// groups[m-1][sr-m] describes the (m, sr) stage-two group.
 	groups [][]sumGroup
+	// colex[j][r-1] = C(r-1+j, j+1), the term of rank r at position j of
+	// an ascending multiset in its colex key (see key).
+	colex [][]int64
+	// slot[m-1][key] is the index, within its (m, sr) group's parts, of
+	// the length-m combination with colex key key.
+	slot [][]int32
 }
 
 // sumGroup is one stage-two partition: its absolute domain offset and its
@@ -62,10 +70,27 @@ func NewSumBased(rank *Ranking, k int) *SumBased {
 	base := int64(rank.NumLabels())
 	o.stage1 = make([]int64, k)
 	o.groups = make([][]sumGroup, k)
+	// Pascal's rule, C(x+j, j+1) = C(x+j−1, j+1) + C(x+j−1, j): additions
+	// only, of terms no larger than their sum.
+	o.colex = make([][]int64, k)
+	for j := range o.colex {
+		row := make([]int64, base)
+		for x := range row {
+			switch {
+			case j == 0:
+				row[x] = int64(x)
+			case x > 0:
+				row[x] = row[x-1] + o.colex[j-1][x]
+			}
+		}
+		o.colex[j] = row
+	}
+	o.slot = make([][]int32, k)
 	var offset int64
 	for m := int64(1); m <= int64(k); m++ {
 		o.stage1[m-1] = offset
 		groups := make([]sumGroup, 0, m*base-m+1)
+		combos := 0
 		for sr := m; sr <= m*base; sr++ {
 			g := sumGroup{offset: offset}
 			var cum int64
@@ -79,10 +104,35 @@ func NewSumBased(rank *Ranking, k int) *SumBased {
 			})
 			offset += cum // cum == dist(sr, m, base) by the tiling property
 			groups = append(groups, g)
+			combos += len(g.parts)
 		}
 		o.groups[m-1] = groups
+		// Every length-m multiset is one group's combination, so the keys
+		// tile [0, combos).
+		slot := make([]int32, combos)
+		for _, g := range groups {
+			for i := range g.parts {
+				slot[o.key(g.parts[i].parts)] = int32(i)
+			}
+		}
+		o.slot[m-1] = slot
 	}
 	return o
+}
+
+// key is the colex key of an ascending multiset of m ranks in [1, |L|]:
+// shifted to c_j = s_j − 1 + j it is a strictly increasing combination of
+// [0, |L|+m−1), and Σ_j C(c_j, j+1) ranks those bijectively onto
+// [0, C(|L|+m−1, m)), the number of length-m multisets. It cannot
+// overflow: the sum over the first j+1 positions is below
+// C(|L|+j, j+1), the number of multisets of size j+1 ≤ k — each of which
+// the constructor has already built as a combination.
+func (o *SumBased) key(sorted []int64) int64 {
+	var key int64
+	for j, r := range sorted {
+		key += o.colex[j][r-1]
+	}
+	return key
 }
 
 // Name implements Ordering. The paper refers to the method simply as
@@ -115,17 +165,11 @@ func (o *SumBased) Index(p paths.Path) int64 {
 	}
 	g := &o.groups[m-1][sr-m]
 
-	// Locate p's combination: the multiset of perm, compared against the
-	// group's few ascending-sorted entries.
+	// Locate p's combination, the multiset of perm, by its colex key.
 	sorted := append(sortedBuf[:0], perm...)
 	sortAscending(sorted)
-	for i := range g.parts {
-		e := &g.parts[i]
-		if equalInt64(e.parts, sorted) {
-			return g.offset + e.cum + combinat.RankSorted(perm, sorted, e.nop)
-		}
-	}
-	panic("ordering: sum-based combination table is missing a multiset (corrupt state)")
+	e := &g.parts[o.slot[m-1][o.key(sorted)]]
+	return g.offset + e.cum + combinat.RankSorted(perm, sorted, e.nop)
 }
 
 // Path implements Ordering. This is Algorithm 2 of the paper
@@ -176,19 +220,4 @@ func sortAscending(s []int64) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-// equalInt64 compares from the back: a group's combinations are ascending
-// multisets of one sum, which share their small parts and differ in their
-// large ones.
-func equalInt64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := len(a) - 1; i >= 0; i-- {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -98,6 +98,36 @@ func TestSumBasedIndexMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// FuzzSumBasedIndex checks Index against refIndex, and Path against Index,
+// for a random ranking over |L| ∈ [2, 40] labels at k ∈ [1, 8] and a path
+// decoded from data (its first byte the length, the rest its labels). k
+// is lowered until the constructor's tables hold at most 2^14
+// combinations — the C(|L|+k, k) − 1 multisets of up to k ranks — so an
+// input builds in milliseconds.
+func FuzzSumBasedIndex(f *testing.F) {
+	f.Add(int64(1), uint8(4), uint8(5), []byte{5, 0, 1, 2, 3, 3, 1})
+	f.Add(int64(2), uint8(38), uint8(7), []byte{2, 39, 0, 17})
+	f.Add(int64(3), uint8(0), uint8(7), []byte{7, 1, 0, 1, 1, 0, 0, 1, 0})
+	f.Add(int64(4), uint8(6), uint8(7), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, labels, k uint8, data []byte) {
+		numLabels, depth := 2+int(labels)%39, 1+int(k)%8
+		for depth > 1 && combinat.Binomial(int64(numLabels+depth), int64(depth))-1 > 1<<14 {
+			depth--
+		}
+		o := NewSumBased(randomRanking(rand.New(rand.NewSource(seed)), numLabels), depth)
+		p := make(paths.Path, 1)
+		if len(data) > 0 {
+			p = make(paths.Path, 1+int(data[0])%depth)
+			for i := range p {
+				if 1+i < len(data) {
+					p[i] = int(data[1+i]) % numLabels
+				}
+			}
+		}
+		assertIndexMatchesReference(t, o, p)
+	})
+}
+
 // TestSumBasedIndexAllocatesNothing pins what the planner's hot path
 // relies on: a lookup makes no allocation at any census-bounded length.
 func TestSumBasedIndexAllocatesNothing(t *testing.T) {
