@@ -4,9 +4,6 @@
 // pathsel), consumed by internal/paths for canonical path indexing and by
 // internal/ordering for sum-based ranking:
 //
-//   - binomial coefficients,
-//   - Dist — the number of bounded compositions (Eq. 3 of the paper): how
-//     many length-m sequences of ranks in [1, b] sum to a given value,
 //   - Partitions — ordered enumeration of integer partitions of v into
 //     exactly m parts bounded by b (Eq. 4), in the paper's stage-three
 //     order,
@@ -26,27 +23,6 @@ import (
 	"math/bits"
 )
 
-// Binomial returns C(n, k). It returns 0 when k < 0 or k > n, matching the
-// combinatorial convention used by inclusion–exclusion sums. It panics on
-// int64 overflow.
-func Binomial(n, k int64) int64 {
-	if k < 0 || n < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	var r int64 = 1
-	for i := int64(1); i <= k; i++ {
-		hi, lo := mulCheck(r, n-k+i)
-		if hi {
-			panic(fmt.Sprintf("combinat: Binomial(%d,%d) overflows int64", n, k))
-		}
-		r = lo / i
-	}
-	return r
-}
-
 // mulCheck multiplies a*b and reports overflow.
 func mulCheck(a, b int64) (overflow bool, prod int64) {
 	if a == 0 || b == 0 {
@@ -57,63 +33,6 @@ func mulCheck(a, b int64) (overflow bool, prod int64) {
 		return true, 0
 	}
 	return false, p
-}
-
-// Dist returns the number of length-m sequences (r1, …, rm) with every
-// ri ∈ [1, b] and Σri = sum. This is Eq. 3 of the paper — the size of a
-// stage-two partition of the sum-based domain — computed by
-// inclusion–exclusion:
-//
-//	dist(sum, m, b) = Σ_{j≥0} (−1)^j · C(m, j) · C(sum − j·b − 1, m − 1)
-//
-// Dist returns 0 for impossible inputs (sum < m or sum > m·b or m ≤ 0,
-// except Dist(0, 0, b) = 1).
-func Dist(sum, m, b int64) int64 {
-	if m == 0 {
-		if sum == 0 {
-			return 1
-		}
-		return 0
-	}
-	if m < 0 || b <= 0 || sum < m || sum > m*b {
-		return 0
-	}
-	var total int64
-	for j := int64(0); ; j++ {
-		top := sum - j*b - 1
-		if top < m-1 {
-			break
-		}
-		term := Binomial(m, j) * Binomial(top, m-1)
-		if j%2 == 0 {
-			total += term
-		} else {
-			total -= term
-		}
-		if j == m {
-			break
-		}
-	}
-	return total
-}
-
-// DistNaive counts the same quantity by brute-force recursion; it exists to
-// cross-check Dist in tests and to document the semantics directly.
-func DistNaive(sum, m, b int64) int64 {
-	if m == 0 {
-		if sum == 0 {
-			return 1
-		}
-		return 0
-	}
-	if sum < m || sum > m*b {
-		return 0
-	}
-	var total int64
-	for r := int64(1); r <= b; r++ {
-		total += DistNaive(sum-r, m-1, b)
-	}
-	return total
 }
 
 // Partitions enumerates the integer partitions of v into exactly m parts,

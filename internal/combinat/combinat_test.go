@@ -5,94 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
-
-func TestBinomialTable(t *testing.T) {
-	cases := []struct{ n, k, want int64 }{
-		{0, 0, 1}, {1, 0, 1}, {1, 1, 1}, {5, 2, 10}, {6, 3, 20},
-		{10, 5, 252}, {52, 5, 2598960}, {4, 5, 0}, {3, -1, 0}, {-1, 0, 0},
-		{60, 30, 118264581564861424},
-	}
-	for _, c := range cases {
-		if got := Binomial(c.n, c.k); got != c.want {
-			t.Errorf("Binomial(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
-		}
-	}
-}
-
-func TestBinomialSymmetry(t *testing.T) {
-	f := func(n8, k8 uint8) bool {
-		n, k := int64(n8%50), int64(k8%50)
-		return Binomial(n, k) == Binomial(n, n-k) || k > n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBinomialPascal(t *testing.T) {
-	for n := int64(1); n < 40; n++ {
-		for k := int64(1); k < n; k++ {
-			if Binomial(n, k) != Binomial(n-1, k-1)+Binomial(n-1, k) {
-				t.Fatalf("Pascal identity fails at (%d,%d)", n, k)
-			}
-		}
-	}
-}
-
-func TestDistSmall(t *testing.T) {
-	// m=2, b=3, sum=4 → (1,3),(3,1),(2,2) = 3 (worked in the paper's
-	// Table 1/2 example scale).
-	if got := Dist(4, 2, 3); got != 3 {
-		t.Fatalf("Dist(4,2,3) = %d, want 3", got)
-	}
-	cases := []struct{ sum, m, b, want int64 }{
-		{0, 0, 3, 1}, // empty sequence
-		{1, 0, 3, 0}, // nothing sums to 1 with 0 parts
-		{2, 2, 3, 1}, // (1,1)
-		{3, 2, 3, 2}, // (1,2),(2,1)
-		{6, 2, 3, 1}, // (3,3)
-		{7, 2, 3, 0}, // above max
-		{1, 2, 3, 0}, // below min
-		{3, 3, 1, 1}, // (1,1,1)
-		{4, 3, 1, 0}, // parts capped at 1
-		{10, 3, 6, 27},
-	}
-	for _, c := range cases {
-		if got := Dist(c.sum, c.m, c.b); got != c.want {
-			t.Errorf("Dist(%d,%d,%d) = %d, want %d", c.sum, c.m, c.b, got, c.want)
-		}
-	}
-}
-
-func TestDistMatchesNaive(t *testing.T) {
-	for b := int64(1); b <= 8; b++ {
-		for m := int64(0); m <= 5; m++ {
-			for sum := int64(0); sum <= m*b+2; sum++ {
-				got, want := Dist(sum, m, b), DistNaive(sum, m, b)
-				if got != want {
-					t.Fatalf("Dist(%d,%d,%d) = %d, naive = %d", sum, m, b, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestDistTotalsToPow(t *testing.T) {
-	// Σ_sum Dist(sum, m, b) must equal b^m: every sequence has some sum.
-	for b := int64(1); b <= 8; b++ {
-		for m := int64(1); m <= 6; m++ {
-			var total int64
-			for sum := m; sum <= m*b; sum++ {
-				total += Dist(sum, m, b)
-			}
-			if want := Pow(b, m); total != want {
-				t.Fatalf("Σ Dist(·,%d,%d) = %d, want %d", m, b, total, want)
-			}
-		}
-	}
-}
 
 func collectPartitions(v, m, b int64) [][]int64 {
 	var out [][]int64
@@ -182,12 +95,28 @@ func TestPartitionsInvariants(t *testing.T) {
 			return true
 		})
 		// Partitions × their permutation counts must tile the whole
-		// stage-two group: Σ nop == dist.
-		if want := Dist(v, m, b); totalPerms != want {
-			t.Fatalf("Σ nop over Partitions(%d,%d,%d) = %d, want Dist = %d",
+		// stage-two group: Σ nop == dist (Eq. 3).
+		if want := compositions(v, m, b); totalPerms != want {
+			t.Fatalf("Σ nop over Partitions(%d,%d,%d) = %d, want dist = %d",
 				v, m, b, totalPerms, want)
 		}
 	}
+}
+
+// compositions counts by brute force the length-m sequences of values in
+// [1, b] that sum to v — the paper's dist(v, m, b).
+func compositions(v, m, b int64) int64 {
+	if m == 0 {
+		if v == 0 {
+			return 1
+		}
+		return 0
+	}
+	var n int64
+	for r := int64(1); r <= min(b, v); r++ {
+		n += compositions(v-r, m-1, b)
+	}
+	return n
 }
 
 func TestPartitionsEarlyStop(t *testing.T) {

@@ -193,7 +193,7 @@ func TestEstimatePrefixCore(t *testing.T) {
 }
 
 func TestOrderingFromMethodValidation(t *testing.T) {
-	rank := ordering.IdentityRanking(3)
+	rank := ordering.AlphabeticalRanking([]string{"a", "b", "c"})
 	if _, err := orderingFromMethod("bogus", rank, 2); err == nil {
 		t.Fatal("unknown method should error")
 	}

@@ -83,19 +83,12 @@ func Build(c *paths.Census, ord ordering.Ordering, builder string, beta int) (*P
 	return &PathHistogram{ord: ord, est: est, builder: builder, beta: beta}, nil
 }
 
-// BuildForGraph computes the census of g up to k and builds a
-// PathHistogram with the named ordering method. It returns the census too,
-// since callers typically need the ground truth for evaluation. The census
-// runs on the hybrid engine with default options; use
-// BuildForGraphOptions to tune workers or the density threshold.
-func BuildForGraph(g *graph.CSR, method, builder string, k, beta int) (*PathHistogram, *paths.Census, error) {
-	return BuildForGraphOptions(g, method, builder, k, beta, paths.CensusOptions{})
-}
-
-// BuildForGraphOptions is BuildForGraph with explicit census engine
-// options (worker count, sparse→dense promotion threshold, split
-// granularity).
-func BuildForGraphOptions(g *graph.CSR, method, builder string, k, beta int, opt paths.CensusOptions) (*PathHistogram, *paths.Census, error) {
+// BuildForGraph computes the census of g up to k with the given census
+// engine options (worker count, sparse→dense promotion threshold, split
+// granularity) and builds a PathHistogram with the named ordering method.
+// It returns the census too, since callers typically need the ground truth
+// for evaluation.
+func BuildForGraph(g *graph.CSR, method, builder string, k, beta int, opt paths.CensusOptions) (*PathHistogram, *paths.Census, error) {
 	ord, err := ordering.ForGraph(method, g, k)
 	if err != nil {
 		return nil, nil, err

@@ -29,12 +29,13 @@ func TestDomainVectorIsPermutation(t *testing.T) {
 		if int64(len(data)) != c.Size() {
 			t.Fatalf("%s: domain size %d, want %d", ord.Name(), len(data), c.Size())
 		}
-		var sum int64
-		for _, x := range data {
+		var sum, mass int64
+		for i, x := range data {
 			sum += x
+			mass += c.AtCanonical(int64(i))
 		}
-		if sum != c.Total() {
-			t.Fatalf("%s: domain mass %d, want %d (must be a permutation)", ord.Name(), sum, c.Total())
+		if sum != mass {
+			t.Fatalf("%s: domain mass %d, want %d (must be a permutation)", ord.Name(), sum, mass)
 		}
 		// Spot-check: the value at each path's index is its selectivity.
 		c.ForEach(func(p paths.Path, f int64) bool {
@@ -93,7 +94,7 @@ func TestBuildUnknownBuilder(t *testing.T) {
 
 func TestBuildForGraph(t *testing.T) {
 	g := dataset.ErdosRenyi(40, 200, dataset.UniformLabels{L: 3}, 23).Freeze()
-	ph, c, err := BuildForGraph(g, ordering.MethodSumBased, BuilderVOptimal, 2, 8)
+	ph, c, err := BuildForGraph(g, ordering.MethodSumBased, BuilderVOptimal, 2, 8, paths.CensusOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +104,10 @@ func TestBuildForGraph(t *testing.T) {
 	if c.K() != 2 {
 		t.Fatal("census k wrong")
 	}
-	if _, _, err := BuildForGraph(g, "bogus", BuilderVOptimal, 2, 8); err == nil {
+	if _, _, err := BuildForGraph(g, "bogus", BuilderVOptimal, 2, 8, paths.CensusOptions{}); err == nil {
 		t.Fatal("bad method should error")
 	}
-	if _, _, err := BuildForGraph(g, ordering.MethodNumAlph, "bogus", 2, 8); err == nil {
+	if _, _, err := BuildForGraph(g, ordering.MethodNumAlph, "bogus", 2, 8, paths.CensusOptions{}); err == nil {
 		t.Fatal("bad builder should error")
 	}
 }

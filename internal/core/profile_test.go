@@ -89,7 +89,7 @@ func TestProfileTinyDomain(t *testing.T) {
 	// Fewer than 10 paths: deciles collapse without panicking.
 	freq := []int64{5, 2}
 	c := paths.FromFrequencies(2, 1, freq)
-	ord := ordering.NewNumerical(ordering.IdentityRanking(2), 1)
+	ord := ordering.NewNumerical(ordering.AlphabeticalRanking([]string{"a", "b"}), 1)
 	ph, err := Build(c, ord, BuilderVOptimal, 1)
 	if err != nil {
 		t.Fatal(err)

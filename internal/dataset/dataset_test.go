@@ -273,13 +273,13 @@ func TestFullScaleConstructorsMatchTable3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale generation in -short mode")
 	}
-	g := MorenoHealthLike(1)
+	g := Generate(Table3()[0], 1.0, 1)
 	if g.NumVertices() != 2539 || g.NumEdges() != 12969 || g.NumLabels() != 6 {
-		t.Fatalf("MorenoHealthLike = %d/%d/%d", g.NumVertices(), g.NumEdges(), g.NumLabels())
+		t.Fatalf("Moreno health = %d/%d/%d", g.NumVertices(), g.NumEdges(), g.NumLabels())
 	}
-	ff := SnapFF(1)
+	ff := Generate(Table3()[3], 1.0, 1)
 	if ff.NumVertices() != 50000 || ff.NumEdges() != 132673 {
-		t.Fatalf("SnapFF = %d/%d", ff.NumVertices(), ff.NumEdges())
+		t.Fatalf("SNAP-FF = %d/%d", ff.NumVertices(), ff.NumEdges())
 	}
 }
 

@@ -60,28 +60,6 @@ func Generate(spec Spec, scale float64, seed int64) *graph.Graph {
 	}
 }
 
-// MorenoHealthLike returns the Moreno Health substitute at full published
-// scale. See the package comment for the substitution rationale.
-func MorenoHealthLike(seed int64) *graph.Graph {
-	return Generate(Table3()[0], 1.0, seed)
-}
-
-// DBpediaLike returns the DBpedia-subgraph substitute at full published
-// scale.
-func DBpediaLike(seed int64) *graph.Graph {
-	return Generate(Table3()[1], 1.0, seed)
-}
-
-// SnapER returns the SNAP-ER synthetic dataset at full published scale.
-func SnapER(seed int64) *graph.Graph {
-	return Generate(Table3()[2], 1.0, seed)
-}
-
-// SnapFF returns the SNAP-FF synthetic dataset at full published scale.
-func SnapFF(seed int64) *graph.Graph {
-	return Generate(Table3()[3], 1.0, seed)
-}
-
 // morenoHealthLike emulates the Moreno Health friendship network: a social
 // graph (moderate degree skew) whose six answer-rank labels have strongly
 // skewed, degree-correlated frequencies — friend #1 nominations (label "1")

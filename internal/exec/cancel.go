@@ -84,23 +84,30 @@ func (c *Canceller) Flag() *bitset.CancelFlag {
 
 // NewCancellerContext bridges a context into a Canceller: when ctx is
 // done the canceller is cancelled with ErrDeadlineExceeded or
-// ErrCancelled to match ctx.Err. The bridge is a context.AfterFunc
-// registration — no goroutine, channel or once per query — and the
-// returned release func withdraws it; call it (typically deferred) when
-// the execution returns. A nil or never-done context needs no bridge —
-// release is then a no-op.
+// ErrCancelled to match ctx.Err. A context already done cancels it before
+// the call returns, so an execution given a dead context never starts.
+// Otherwise the bridge is a context.AfterFunc registration — no
+// goroutine, channel or once per query — and the returned release func
+// withdraws it; call it (typically deferred) when the execution returns.
+// A nil, never-done or already-done context needs no bridge — release is
+// then a no-op.
 func NewCancellerContext(ctx context.Context) (*Canceller, func()) {
 	c := &Canceller{}
 	if ctx == nil || ctx.Done() == nil {
 		return c, func() {}
 	}
-	stop := context.AfterFunc(ctx, func() {
+	cancel := func() {
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			c.Cancel(ErrDeadlineExceeded)
 		} else {
 			c.Cancel(ErrCancelled)
 		}
-	})
+	}
+	if ctx.Err() != nil {
+		cancel()
+		return c, func() {}
+	}
+	stop := context.AfterFunc(ctx, cancel)
 	return c, func() { stop() }
 }
 

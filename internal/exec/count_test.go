@@ -196,3 +196,27 @@ func TestCancellerContextStartsNoGoroutine(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestCancellerContextDeadAtBridge pins that a context already done when
+// it is bridged cancels the canceller before NewCancellerContext returns,
+// with the cause that matches it: an AfterFunc alone would set it later,
+// from its own goroutine, leaving the execution free to start.
+func TestCancellerContextDeadAtBridge(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, c := range []struct {
+		ctx  context.Context
+		want error
+	}{{cancelled, ErrCancelled}, {expired, ErrDeadlineExceeded}} {
+		for i := 0; i < 100; i++ {
+			canc, release := NewCancellerContext(c.ctx)
+			err := canc.Err()
+			release()
+			if !errors.Is(err, c.want) {
+				t.Fatalf("call %d: canceller reports %v on return, want %v", i, err, c.want)
+			}
+		}
+	}
+}

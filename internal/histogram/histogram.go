@@ -82,16 +82,6 @@ func (h *Histogram) Estimate(idx int64) float64 {
 	return h.buckets[h.Find(idx)].Mean()
 }
 
-// TotalSSE returns the total within-bucket sum of squared errors — the
-// quantity V-Optimal minimizes and domain ordering tries to shrink.
-func (h *Histogram) TotalSSE() float64 {
-	var t float64
-	for _, b := range h.buckets {
-		t += b.SSE
-	}
-	return t
-}
-
 // prefixes holds prefix sums of the data and its squares for O(1) range
 // sums and SSEs.
 type prefixes struct {

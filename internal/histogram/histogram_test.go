@@ -69,8 +69,8 @@ func TestEquiWidthBasics(t *testing.T) {
 	if h.Estimate(0) != 1 || h.Estimate(5) != 9 {
 		t.Fatalf("estimates wrong: %v %v", h.Estimate(0), h.Estimate(5))
 	}
-	if h.TotalSSE() != 0 {
-		t.Fatalf("perfectly split data should have SSE 0, got %v", h.TotalSSE())
+	if totalSSE(h) != 0 {
+		t.Fatalf("perfectly split data should have SSE 0, got %v", totalSSE(h))
 	}
 }
 
@@ -122,7 +122,7 @@ func TestMaxDiffBoundaries(t *testing.T) {
 	if h.Bucket(1).Lo != 3 || h.Bucket(2).Lo != 6 {
 		t.Fatalf("boundaries at %d, %d; want 3, 6", h.Bucket(1).Lo, h.Bucket(2).Lo)
 	}
-	if h.TotalSSE() != 0 {
+	if totalSSE(h) != 0 {
 		t.Fatal("piecewise-constant data should have zero SSE")
 	}
 }
@@ -131,8 +131,8 @@ func TestVOptimalDPExactOnPiecewise(t *testing.T) {
 	data := []int64{5, 5, 5, 5, 2, 2, 2, 8, 8, 8, 8, 8}
 	h := VOptimalDP(data, 3)
 	checkPartition(t, h, int64(len(data)))
-	if h.TotalSSE() > 1e-9 {
-		t.Fatalf("DP should find the zero-SSE partition, got %v", h.TotalSSE())
+	if totalSSE(h) > 1e-9 {
+		t.Fatalf("DP should find the zero-SSE partition, got %v", totalSSE(h))
 	}
 	if h.Bucket(1).Lo != 4 || h.Bucket(2).Lo != 7 {
 		t.Fatalf("DP boundaries %d, %d; want 4, 7", h.Bucket(1).Lo, h.Bucket(2).Lo)
@@ -181,9 +181,9 @@ func TestVOptimalDPMatchesBruteForce(t *testing.T) {
 		for beta := 1; beta <= 4; beta++ {
 			h := VOptimalDP(data, beta)
 			want := bruteForceVOptimalSSE(data, clampBeta(beta, n))
-			if math.Abs(h.TotalSSE()-want) > 1e-6 {
+			if math.Abs(totalSSE(h)-want) > 1e-6 {
 				t.Fatalf("trial %d β=%d: DP SSE %v, brute force %v (data %v)",
-					trial, beta, h.TotalSSE(), want, data)
+					trial, beta, totalSSE(h), want, data)
 			}
 		}
 	}
@@ -206,9 +206,9 @@ func TestVOptimalGreedyNearOptimal(t *testing.T) {
 			if g.Buckets() != beta {
 				t.Fatalf("greedy buckets = %d, want %d", g.Buckets(), beta)
 			}
-			if d.TotalSSE() > 1e-9 && g.TotalSSE() > 3*d.TotalSSE()+1e-9 {
+			if totalSSE(d) > 1e-9 && totalSSE(g) > 3*totalSSE(d)+1e-9 {
 				t.Fatalf("greedy SSE %v more than 3× optimum %v (β=%d)",
-					g.TotalSSE(), d.TotalSSE(), beta)
+					totalSSE(g), totalSSE(d), beta)
 			}
 		}
 	}
@@ -299,7 +299,7 @@ func TestBucketAccessors(t *testing.T) {
 }
 
 func TestHistogramSSEConsistency(t *testing.T) {
-	// TotalSSE must equal Σ naive SSE over bucket slices.
+	// totalSSE must equal Σ naive SSE over bucket slices.
 	rng := rand.New(rand.NewSource(4))
 	data := make([]int64, 200)
 	for i := range data {
@@ -311,8 +311,8 @@ func TestHistogramSSEConsistency(t *testing.T) {
 			b := h.Bucket(i)
 			want += naiveSSE(data[b.Lo:b.Hi])
 		}
-		if math.Abs(h.TotalSSE()-want) > 1e-6 {
-			t.Fatalf("%s: TotalSSE %v != naive %v", h.Kind(), h.TotalSSE(), want)
+		if math.Abs(totalSSE(h)-want) > 1e-6 {
+			t.Fatalf("%s: total SSE %v != naive %v", h.Kind(), totalSSE(h), want)
 		}
 	}
 }
@@ -330,9 +330,9 @@ func TestVOptimalBeatsEquiWidthOnSkew(t *testing.T) {
 	}
 	for _, beta := range []int{4, 16, 64} {
 		vo, ew := VOptimal(data, beta), EquiWidth(data, beta)
-		if vo.TotalSSE() > ew.TotalSSE()+1e-9 {
+		if totalSSE(vo) > totalSSE(ew)+1e-9 {
 			t.Fatalf("β=%d: V-Optimal SSE %v worse than equi-width %v",
-				beta, vo.TotalSSE(), ew.TotalSSE())
+				beta, totalSSE(vo), totalSSE(ew))
 		}
 	}
 }
@@ -362,4 +362,14 @@ func TestEndBiasedAllSingleton(t *testing.T) {
 func TestEstimatorInterface(t *testing.T) {
 	var _ Estimator = &Histogram{}
 	var _ Estimator = &EndBiased{}
+}
+
+// totalSSE is the total within-bucket sum of squared errors — the quantity
+// V-Optimal minimizes and domain ordering tries to shrink.
+func totalSSE(h *Histogram) float64 {
+	var t float64
+	for _, b := range h.buckets {
+		t += b.SSE
+	}
+	return t
 }

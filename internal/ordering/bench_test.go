@@ -61,7 +61,7 @@ func BenchmarkUnrankByK(b *testing.B) {
 // BenchmarkSumBasedConstruction measures the one-time stage-table build.
 func BenchmarkSumBasedConstruction(b *testing.B) {
 	for _, cfg := range []struct{ l, k int }{{6, 6}, {8, 6}, {16, 8}} {
-		rank := IdentityRanking(cfg.l)
+		rank := identityRanking(cfg.l)
 		b.Run(fmt.Sprintf("L=%d/k=%d", cfg.l, cfg.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = NewSumBased(rank, cfg.k)

@@ -61,7 +61,7 @@ func TestRankingBijection(t *testing.T) {
 }
 
 func TestRankingPanics(t *testing.T) {
-	r := IdentityRanking(3)
+	r := identityRanking(3)
 	for name, fn := range map[string]func(){
 		"Rank(-1)": func() { r.Rank(-1) },
 		"Rank(3)":  func() { r.Rank(3) },
@@ -99,7 +99,7 @@ func allOrderings(numLabels, k int, seed int64) []Ordering {
 		NewLexicographic(alph, k),
 		NewLexicographic(card, k),
 		NewSumBased(card, k),
-		NewSumBased(IdentityRanking(numLabels), k),
+		NewSumBased(identityRanking(numLabels), k),
 	}
 }
 
@@ -161,7 +161,7 @@ func TestOrderingPanics(t *testing.T) {
 
 func TestNumericalLengthFirst(t *testing.T) {
 	// All length-1 paths precede all length-2 paths, etc.
-	ord := NewNumerical(IdentityRanking(3), 3)
+	ord := NewNumerical(identityRanking(3), 3)
 	prevLen := 0
 	for idx := int64(0); idx < ord.Size(); idx++ {
 		l := len(ord.Path(idx))
@@ -175,7 +175,7 @@ func TestNumericalLengthFirst(t *testing.T) {
 func TestLexicographicPrefixFirst(t *testing.T) {
 	// Every path appears immediately before its rank-least extensions:
 	// dictionary property — a prefix precedes all its extensions.
-	ord := NewLexicographic(IdentityRanking(3), 3)
+	ord := NewLexicographic(identityRanking(3), 3)
 	for idx := int64(0); idx < ord.Size(); idx++ {
 		p := ord.Path(idx)
 		if len(p) < 3 {
@@ -262,5 +262,14 @@ func TestNewCommonBadK(t *testing.T) {
 			t.Fatal("k=0 should panic")
 		}
 	}()
-	NewNumerical(IdentityRanking(2), 0)
+	NewNumerical(identityRanking(2), 0)
+}
+
+// identityRanking ranks label i with rank i+1.
+func identityRanking(numLabels int) *Ranking {
+	labels := make([]int, numLabels)
+	for i := range labels {
+		labels[i] = i
+	}
+	return newRanking("id", labels)
 }

@@ -9,7 +9,7 @@ import (
 func TestPrefixRangeContiguous(t *testing.T) {
 	// For every path p, [lo, hi) must contain exactly p and its
 	// extensions, and nothing else — verified exhaustively.
-	ord := NewLexicographic(IdentityRanking(3), 3)
+	ord := NewLexicographic(identityRanking(3), 3)
 	for idx := int64(0); idx < ord.Size(); idx++ {
 		p := ord.Path(idx)
 		lo, hi := ord.PrefixRange(p)
@@ -29,7 +29,7 @@ func TestPrefixRangeContiguous(t *testing.T) {
 }
 
 func TestPrefixRangeSizes(t *testing.T) {
-	ord := NewLexicographic(IdentityRanking(2), 4)
+	ord := NewLexicographic(identityRanking(2), 4)
 	// A length-m prefix block holds Σ_{j=0..k-m} 2^j positions.
 	cases := []struct {
 		path paths.Path
@@ -70,7 +70,7 @@ func TestPrefixRangeWithCardRanking(t *testing.T) {
 }
 
 func TestPrefixRangePanicsOnBadPath(t *testing.T) {
-	ord := NewLexicographic(IdentityRanking(2), 2)
+	ord := NewLexicographic(identityRanking(2), 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("empty path should panic")

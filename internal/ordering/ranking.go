@@ -102,16 +102,6 @@ func CardinalityRanking(freq []int64) *Ranking {
 	return newRanking("card", labels)
 }
 
-// IdentityRanking ranks label i with rank i+1; useful for tests and for
-// graphs whose label ids already encode the desired order.
-func IdentityRanking(numLabels int) *Ranking {
-	labels := make([]int, numLabels)
-	for i := range labels {
-		labels[i] = i
-	}
-	return newRanking("id", labels)
-}
-
 // RankingFromOrder reconstructs a Ranking from its front-to-back label
 // order (the inverse of Order). Used by the persistence codec. It returns
 // an error — rather than panicking — because the input typically comes

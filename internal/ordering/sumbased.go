@@ -64,7 +64,7 @@ type partEntry struct {
 
 // NewSumBased builds the sum-based ordering rule over the given ranking.
 // The paper always pairs it with cardinality ranking, but any ranking is
-// accepted (IdentityRanking is useful in tests).
+// accepted.
 func NewSumBased(rank *Ranking, k int) *SumBased {
 	o := &SumBased{common: newCommon(rank, k)}
 	base := int64(rank.NumLabels())

@@ -48,7 +48,7 @@ func sumBasedRankings(rng *rand.Rand, numLabels, k int) []*SumBased {
 	}
 	var out []*SumBased
 	for _, r := range []*Ranking{
-		IdentityRanking(numLabels), AlphabeticalRanking(names), CardinalityRanking(freq), randomRanking(rng, numLabels),
+		identityRanking(numLabels), AlphabeticalRanking(names), CardinalityRanking(freq), randomRanking(rng, numLabels),
 	} {
 		out = append(out, NewSumBased(r, k))
 	}
@@ -111,7 +111,7 @@ func FuzzSumBasedIndex(f *testing.F) {
 	f.Add(int64(4), uint8(6), uint8(7), []byte{})
 	f.Fuzz(func(t *testing.T, seed int64, labels, k uint8, data []byte) {
 		numLabels, depth := 2+int(labels)%39, 1+int(k)%8
-		for depth > 1 && combinat.Binomial(int64(numLabels+depth), int64(depth))-1 > 1<<14 {
+		for depth > 1 && binomial(numLabels+depth, depth)-1 > 1<<14 {
 			depth--
 		}
 		o := NewSumBased(randomRanking(rand.New(rand.NewSource(seed)), numLabels), depth)
@@ -148,7 +148,7 @@ func TestSumBasedIndexAllocatesNothing(t *testing.T) {
 // than the stack buffers still index and round-trip.
 func TestSumBasedIndexBeyondStackBuffers(t *testing.T) {
 	const k = stackLen + 2
-	o := NewSumBased(IdentityRanking(2), k)
+	o := NewSumBased(identityRanking(2), k)
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 200; trial++ {
 		p := make(paths.Path, stackLen-1+rng.Intn(4))
@@ -157,4 +157,13 @@ func TestSumBasedIndexBeyondStackBuffers(t *testing.T) {
 		}
 		assertIndexMatchesReference(t, o, p)
 	}
+}
+
+// binomial returns C(n, k) for the small arguments the fuzzer sizes with.
+func binomial(n, k int) int {
+	r := 1
+	for i := 1; i <= k; i++ {
+		r = r * (n - k + i) / i
+	}
+	return r
 }

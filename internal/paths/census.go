@@ -43,15 +43,6 @@ func (c *Census) LabelFrequencies() []int64 {
 	return out
 }
 
-// Total returns Σ_ℓ f(ℓ) over the whole census.
-func (c *Census) Total() int64 {
-	var t int64
-	for _, f := range c.freq {
-		t += f
-	}
-	return t
-}
-
 // PrefixSelectivity returns Σ f(ℓ) over p and every extension of p within
 // Lk — the ground truth of a prefix wildcard query "p/*".
 func (c *Census) PrefixSelectivity(p Path) int64 {

@@ -115,8 +115,8 @@ func TestCensusHybridTinySplit(t *testing.T) {
 func TestCensusHybridEmptyGraph(t *testing.T) {
 	g := graph.New(5, 2).Freeze()
 	got := NewCensusHybrid(g, 3, CensusOptions{Workers: 4})
-	if got.Total() != 0 {
-		t.Fatalf("empty graph census total = %d", got.Total())
+	if censusTotal(got) != 0 {
+		t.Fatalf("empty graph census total = %d", censusTotal(got))
 	}
 }
 

@@ -231,10 +231,6 @@ func (s *Scheduler[T]) Cancel() {
 	s.wakeAll()
 }
 
-// Stopping reports whether the cancellation signal is currently set.
-// Task bodies may poll it to cut long-running work short.
-func (s *Scheduler[T]) Stopping() bool { return s.stop.Load() }
-
 // Drain runs one worker goroutine per deque until every spawned task —
 // including tasks spawned from inside task bodies — has completed, then
 // returns nil. The full worker set must start because bodies may Spawn:

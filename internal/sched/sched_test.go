@@ -397,8 +397,8 @@ func TestSchedulerCancelBeforeDrain(t *testing.T) {
 		s.Spawn(i, i)
 	}
 	s.Cancel()
-	if !s.Stopping() {
-		t.Fatal("Stopping() = false after Cancel")
+	if !s.stop.Load() {
+		t.Fatal("stop signal unset after Cancel")
 	}
 	if err := s.Drain(); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Drain = %v, want ErrStopped", err)
@@ -406,8 +406,8 @@ func TestSchedulerCancelBeforeDrain(t *testing.T) {
 	if ran.Load() != 0 || abandoned.Load() != 20 {
 		t.Fatalf("ran=%d abandoned=%d, want 0/20", ran.Load(), abandoned.Load())
 	}
-	if s.Stopping() {
-		t.Fatal("Stopping() = true after the drain consumed the signal")
+	if s.stop.Load() {
+		t.Fatal("stop signal still set after the drain consumed it")
 	}
 }
 

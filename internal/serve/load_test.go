@@ -125,3 +125,35 @@ func TestTraceQueriesRejectsForeignLabels(t *testing.T) {
 		t.Fatal("TraceQueries accepted a label id outside the vocabulary")
 	}
 }
+
+// TestSummarize pins the load report's latency summary: nearest-rank
+// percentiles (the value at rank ⌈q·n⌉), the maximum and the truncated
+// mean, whatever order the sample arrives in.
+func TestSummarize(t *testing.T) {
+	ns := make([]int64, 100)
+	for i := range ns {
+		ns[i] = int64(len(ns) - i) // 100, 99, …, 1
+	}
+	got := summarize(ns)
+	want := LatencySummary{P50Ns: 50, P95Ns: 95, P99Ns: 99, MaxNs: 100, MeanNs: 50}
+	if got != want {
+		t.Fatalf("summarize(100…1) = %+v, want %+v", got, want)
+	}
+}
+
+// TestSummarizeSingle pins that every statistic of a one-value sample is
+// that value.
+func TestSummarizeSingle(t *testing.T) {
+	want := LatencySummary{P50Ns: 7, P95Ns: 7, P99Ns: 7, MaxNs: 7, MeanNs: 7}
+	if got := summarize([]int64{7}); got != want {
+		t.Fatalf("summarize([7]) = %+v, want %+v", got, want)
+	}
+}
+
+// TestSummarizeEmpty pins that an empty sample — a report with no answered
+// request of a kind — summarizes to zeros rather than panicking.
+func TestSummarizeEmpty(t *testing.T) {
+	if got := summarize(nil); got != (LatencySummary{}) {
+		t.Fatalf("summarize(nil) = %+v, want zero", got)
+	}
+}

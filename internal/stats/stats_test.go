@@ -69,58 +69,3 @@ func TestQErrorNegativePanics(t *testing.T) {
 	}()
 	QError(-1, 5)
 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("Std = %v, want √2", s.Std)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Std != 0 || s.Median != 7 || s.P99 != 7 {
-		t.Fatalf("Summary = %+v", s)
-	}
-}
-
-func TestSummarizeEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty sample should panic")
-		}
-	}()
-	Summarize(nil)
-}
-
-func TestQuantile(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40}
-	cases := []struct{ q, want float64 }{
-		{0, 10}, {1, 40}, {0.5, 25}, {1.0 / 3, 20},
-	}
-	for _, c := range cases {
-		if got := Quantile(sorted, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"empty": func() { Quantile(nil, 0.5) },
-		"q > 1": func() { Quantile([]float64{1}, 1.5) },
-		"q < 0": func() { Quantile([]float64{1}, -0.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s should panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}

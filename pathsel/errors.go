@@ -14,6 +14,9 @@ import (
 var (
 	// ErrNoLabels rejects a graph with an empty label vocabulary.
 	ErrNoLabels = errors.New("pathsel: a graph needs at least one edge label")
+	// ErrDuplicateLabel rejects a graph whose label vocabulary names one
+	// label twice: a name must resolve to exactly one label.
+	ErrDuplicateLabel = errors.New("pathsel: duplicate label name")
 	// ErrUnknownLabel reports a label name absent from the graph's
 	// vocabulary, wherever names are resolved (AddEdge, path queries,
 	// patterns).
@@ -88,22 +91,4 @@ func translateCtxErr(err error) error {
 		return ErrDeadlineExceeded
 	}
 	return ErrCancelled
-}
-
-// newQueryCanceller bridges a context into the execution layer's
-// canceller. An already-dead context cancels synchronously (the bridge is
-// a context.AfterFunc registration, whose function runs on its own
-// goroutine even when the context is already done — alone that would
-// leave a scheduling window in which the execution could start), so a
-// pre-cancelled query deterministically never touches the graph.
-func newQueryCanceller(ctx context.Context) (*exec.Canceller, func()) {
-	canc, release := exec.NewCancellerContext(ctx)
-	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			canc.Cancel(exec.ErrDeadlineExceeded)
-		} else {
-			canc.Cancel(exec.ErrCancelled)
-		}
-	}
-	return canc, release
 }

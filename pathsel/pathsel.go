@@ -92,8 +92,8 @@ type Graph struct {
 }
 
 // NewGraph returns an empty graph with the given vertex count and label
-// vocabulary. It panics on an empty vocabulary; NewGraphChecked is the
-// error-returning form.
+// vocabulary. It panics on an empty vocabulary or a repeated name;
+// NewGraphChecked is the error-returning form.
 func NewGraph(numVertices int, labels []string) *Graph {
 	gr, err := NewGraphChecked(numVertices, labels)
 	if err != nil {
@@ -103,13 +103,19 @@ func NewGraph(numVertices int, labels []string) *Graph {
 }
 
 // NewGraphChecked is NewGraph returning a typed error instead of
-// panicking: an empty label vocabulary yields ErrNoLabels.
+// panicking: an empty label vocabulary yields ErrNoLabels, a name given
+// twice ErrDuplicateLabel.
 func NewGraphChecked(numVertices int, labels []string) (*Graph, error) {
 	if len(labels) == 0 {
 		return nil, ErrNoLabels
 	}
 	g := graph.New(numVertices, len(labels))
+	seen := make(map[string]bool, len(labels))
 	for i, name := range labels {
+		if seen[name] {
+			return nil, fmt.Errorf("%w %q", ErrDuplicateLabel, name)
+		}
+		seen[name] = true
 		g.SetLabelName(i, name)
 	}
 	return &Graph{g: g}, nil
@@ -327,10 +333,13 @@ func (c *Config) fill() error {
 }
 
 // Estimator answers approximate path-selectivity queries from a compact
-// histogram, without access to the original distribution.
+// histogram, without access to the original distribution: it is the
+// synopsis LoadEstimator restores (Estimate, EstimatePrefix, Labels,
+// Ordering, Buckets, MaxPathLength), plus the graph that Compile executes
+// on and the build-time census behind the True* methods and Evaluate.
 type Estimator struct {
+	synopsis
 	gr     *Graph
-	ph     *core.PathHistogram
 	census *paths.Census
 	cfg    Config
 	cache  *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
@@ -344,13 +353,17 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	ph, census, err := core.BuildForGraphOptions(gr.csr(), cfg.Ordering, cfg.Histogram,
+	ph, census, err := core.BuildForGraph(gr.csr(), cfg.Ordering, cfg.Histogram,
 		cfg.MaxPathLength, cfg.Buckets,
 		paths.CensusOptions{Workers: cfg.Workers, DensityThreshold: cfg.DensityThreshold})
 	if err != nil {
 		return nil, err
 	}
-	e := &Estimator{gr: gr, ph: ph, census: census, cfg: cfg}
+	syn := synopsis{ids: make(map[string]int), names: gr.Labels(), ph: ph}
+	for i, name := range syn.names {
+		syn.ids[name] = i
+	}
+	e := &Estimator{synopsis: syn, gr: gr, census: census, cfg: cfg}
 	// One relation pool for the estimator's lifetime: every
 	// Expr.ExecuteCtx / ExecuteExprBatchCtx draws its materialized
 	// relations here and releases them on completion and on every abort
@@ -363,33 +376,10 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	return e, nil
 }
 
-// Estimate returns e(ℓ) for a slash-separated label-name path, e.g.
-// "knows/likes/knows".
-func (e *Estimator) Estimate(q string) (float64, error) {
-	p, err := e.parseBounded(q)
-	if err != nil {
-		return 0, err
-	}
-	return e.ph.Estimate(p), nil
-}
-
-// EstimatePrefix answers a prefix wildcard query "p/*": the estimated
-// total selectivity of the path and every extension of it up to
-// MaxPathLength, answered as one histogram range query. Requires a
-// lexicographic ordering (OrderingLexAlph or OrderingLexCard) — the only
-// domain layout in which a prefix's extensions are contiguous.
-func (e *Estimator) EstimatePrefix(q string) (float64, error) {
-	p, err := e.parseBounded(q)
-	if err != nil {
-		return 0, err
-	}
-	return e.ph.EstimatePrefix(p)
-}
-
 // TruePrefixSelectivity returns the exact aggregate selectivity of the
 // path and all of its extensions, from the build-time ground truth.
 func (e *Estimator) TruePrefixSelectivity(q string) (int64, error) {
-	p, err := e.parseBounded(q)
+	p, err := e.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
@@ -398,7 +388,7 @@ func (e *Estimator) TruePrefixSelectivity(q string) (int64, error) {
 
 // TrueSelectivity returns the exact f(ℓ) recorded at build time.
 func (e *Estimator) TrueSelectivity(q string) (int64, error) {
-	p, err := e.parseBounded(q)
+	p, err := e.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
@@ -428,19 +418,5 @@ func (e *Estimator) Evaluate() Accuracy {
 	}
 }
 
-// Buckets returns the realized bucket count of the histogram.
-func (e *Estimator) Buckets() int { return e.ph.Buckets() }
-
-// Ordering returns the ordering method in use.
-func (e *Estimator) Ordering() string { return e.ph.Ordering().Name() }
-
 // DomainSize returns |Lk|.
 func (e *Estimator) DomainSize() int64 { return e.census.Size() }
-
-// Labels returns the estimator's graph's label vocabulary — what a
-// serving tier advertises so clients can form valid queries.
-func (e *Estimator) Labels() []string { return e.gr.Labels() }
-
-// MaxPathLength returns the build-time length bound k: the longest
-// query Estimate and Compile accept.
-func (e *Estimator) MaxPathLength() int { return e.cfg.MaxPathLength }

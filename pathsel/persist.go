@@ -20,13 +20,12 @@ import (
 // serializable.
 func (e *Estimator) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	labels := e.gr.Labels()
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(labels)))
+	n := binary.PutUvarint(buf[:], uint64(len(e.names)))
 	if _, err := bw.Write(buf[:n]); err != nil {
 		return err
 	}
-	for _, l := range labels {
+	for _, l := range e.names {
 		n = binary.PutUvarint(buf[:], uint64(len(l)))
 		if _, err := bw.Write(buf[:n]); err != nil {
 			return err
@@ -41,15 +40,21 @@ func (e *Estimator) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// synopsis is the estimator the paper describes — a label vocabulary, a
+// domain ordering and β buckets — and answers by label-name path without
+// the graph or the census. CompactEstimator is one; an Estimator is one
+// plus the graph and the build-time census.
+type synopsis struct {
+	ids   map[string]int // label name → label id
+	names []string       // label id → name
+	ph    *core.PathHistogram
+}
+
 // CompactEstimator is a loaded synopsis: it answers Estimate and
 // EstimatePrefix queries by label-name path without the original graph or
 // ground truth (so there is no Evaluate or TrueSelectivity — those need
 // the census that only exists at build time).
-type CompactEstimator struct {
-	labels map[string]int
-	names  []string
-	ph     *core.PathHistogram
-}
+type CompactEstimator struct{ synopsis }
 
 // LoadEstimator reads a synopsis written by Estimator.Save.
 func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
@@ -61,7 +66,7 @@ func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
 	if count == 0 || count > 1<<16 {
 		return nil, fmt.Errorf("%w: implausible label count %d", ErrBadSnapshot, count)
 	}
-	ce := &CompactEstimator{labels: make(map[string]int, count)}
+	ce := &CompactEstimator{synopsis{ids: make(map[string]int, count)}}
 	for i := 0; i < int(count); i++ {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -75,10 +80,10 @@ func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
 			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 		}
 		name := string(b)
-		if _, dup := ce.labels[name]; dup {
+		if _, dup := ce.ids[name]; dup {
 			return nil, fmt.Errorf("%w: duplicate label %q", ErrBadSnapshot, name)
 		}
-		ce.labels[name] = i
+		ce.ids[name] = i
 		ce.names = append(ce.names, name)
 	}
 	ph, err := core.ReadPathHistogram(br)
@@ -93,8 +98,9 @@ func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
 	return ce, nil
 }
 
-// parsePath resolves a slash-separated label-name path.
-func (ce *CompactEstimator) parsePath(q string) (paths.Path, error) {
+// parsePath resolves a slash-separated label-name path no longer than the
+// covered length k.
+func (s *synopsis) parsePath(q string) (paths.Path, error) {
 	if q == "" {
 		return nil, ErrEmptyPath
 	}
@@ -103,7 +109,7 @@ func (ce *CompactEstimator) parsePath(q string) (paths.Path, error) {
 	for i := 0; i <= len(q); i++ {
 		if i == len(q) || q[i] == '/' {
 			name := q[start:i]
-			l, ok := ce.labels[name]
+			l, ok := s.ids[name]
 			if !ok {
 				return nil, fmt.Errorf("%w %q in path %q", ErrUnknownLabel, name, q)
 			}
@@ -111,39 +117,45 @@ func (ce *CompactEstimator) parsePath(q string) (paths.Path, error) {
 			start = i + 1
 		}
 	}
-	if len(p) > ce.ph.Ordering().K() {
-		return nil, fmt.Errorf("%w: %q exceeds covered length %d", ErrPathTooLong, q, ce.ph.Ordering().K())
+	if k := s.MaxPathLength(); len(p) > k {
+		return nil, fmt.Errorf("%w: %q exceeds covered length %d", ErrPathTooLong, q, k)
 	}
 	return p, nil
 }
 
-// Estimate returns e(ℓ) for a slash-separated label-name path.
-func (ce *CompactEstimator) Estimate(q string) (float64, error) {
-	p, err := ce.parsePath(q)
+// Estimate returns e(ℓ) for a slash-separated label-name path, e.g.
+// "knows/likes/knows".
+func (s *synopsis) Estimate(q string) (float64, error) {
+	p, err := s.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
-	return ce.ph.Estimate(p), nil
+	return s.ph.Estimate(p), nil
 }
 
-// EstimatePrefix answers a prefix wildcard query (lexicographic orderings
-// only, as for Estimator.EstimatePrefix).
-func (ce *CompactEstimator) EstimatePrefix(q string) (float64, error) {
-	p, err := ce.parsePath(q)
+// EstimatePrefix answers a prefix wildcard query "p/*": the estimated
+// total selectivity of the path and every extension of it up to
+// MaxPathLength, answered as one histogram range query. Requires a
+// lexicographic ordering (OrderingLexAlph or OrderingLexCard) — the only
+// domain layout in which a prefix's extensions are contiguous.
+func (s *synopsis) EstimatePrefix(q string) (float64, error) {
+	p, err := s.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
-	return ce.ph.EstimatePrefix(p)
+	return s.ph.EstimatePrefix(p)
 }
 
-// Labels returns the label vocabulary.
-func (ce *CompactEstimator) Labels() []string { return append([]string(nil), ce.names...) }
+// Labels returns the label vocabulary — what a serving tier advertises so
+// clients can form valid queries.
+func (s *synopsis) Labels() []string { return append([]string(nil), s.names...) }
 
-// Ordering returns the ordering method name.
-func (ce *CompactEstimator) Ordering() string { return ce.ph.Ordering().Name() }
+// Ordering returns the ordering method in use.
+func (s *synopsis) Ordering() string { return s.ph.Ordering().Name() }
 
-// Buckets returns the bucket count.
-func (ce *CompactEstimator) Buckets() int { return ce.ph.Buckets() }
+// Buckets returns the realized bucket count of the histogram.
+func (s *synopsis) Buckets() int { return s.ph.Buckets() }
 
-// MaxPathLength returns the covered path length bound k.
-func (ce *CompactEstimator) MaxPathLength() int { return ce.ph.Ordering().K() }
+// MaxPathLength returns the covered length bound k: the longest path
+// Estimate accepts, and on an Estimator the longest match Compile accepts.
+func (s *synopsis) MaxPathLength() int { return s.ph.Ordering().K() }

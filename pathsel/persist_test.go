@@ -2,141 +2,78 @@ package pathsel
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
 
+// TestSaveLoadRoundTrip pins that a loaded synopsis answers exactly as the
+// estimator that saved it, under every ordering: Estimate on every path of
+// L_k, EstimatePrefix under the lexicographic orderings, bit for bit, and
+// every refusal — empty, unknown label, over-length, a prefix query on a
+// non-lexicographic ordering — with the same sentinel and text.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	g := socialGraph(t)
+	all := g.Labels() // grown breadth-first into every path of L_3
+	for i := 0; i < len(all); i++ {
+		if strings.Count(all[i], "/") < 2 {
+			for _, l := range g.Labels() {
+				all = append(all, all[i]+"/"+l)
+			}
+		}
+	}
+	refusals := map[string]error{"": ErrEmptyPath, "zzz": ErrUnknownLabel,
+		"knows/zzz": ErrUnknownLabel, "knows/knows/knows/knows": ErrPathTooLong}
+	queries := append([]string{"", "zzz", "knows/zzz", "knows/knows/knows/knows"}, all...)
 	for _, method := range Orderings() {
-		est, err := Build(g, Config{MaxPathLength: 3, Ordering: method, Buckets: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := est.Save(&buf); err != nil {
-			t.Fatalf("%s: save: %v", method, err)
-		}
-		ce, err := LoadEstimator(&buf)
-		if err != nil {
-			t.Fatalf("%s: load: %v", method, err)
-		}
-		if ce.Ordering() != method || ce.MaxPathLength() != 3 || ce.Buckets() != est.Buckets() {
-			t.Fatalf("%s: metadata lost: %s/%d/%d", method, ce.Ordering(), ce.MaxPathLength(), ce.Buckets())
-		}
-		labels := ce.Labels()
-		if len(labels) != 2 || labels[0] != "knows" || labels[1] != "likes" {
-			t.Fatalf("%s: labels lost: %v", method, labels)
-		}
-		// Every estimate must survive byte-for-byte.
-		for _, q := range []string{"knows", "likes", "knows/likes", "likes/likes/knows"} {
-			want, err := est.Estimate(q)
+		t.Run(method, func(t *testing.T) {
+			est, err := Build(g, Config{MaxPathLength: 3, Ordering: method, Buckets: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ce.Estimate(q)
+			var buf bytes.Buffer
+			if err := est.Save(&buf); err != nil {
+				t.Fatalf("save: %v", err)
+			}
+			ce, err := LoadEstimator(&buf)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("load: %v", err)
 			}
-			if got != want {
-				t.Fatalf("%s: estimate of %s changed: %v → %v", method, q, want, got)
+			if ce.Ordering() != method || ce.MaxPathLength() != 3 || ce.Buckets() != est.Buckets() {
+				t.Fatalf("metadata lost: %s/%d/%d", ce.Ordering(), ce.MaxPathLength(), ce.Buckets())
 			}
-		}
-	}
-}
-
-func TestSaveLoadPrefixQueries(t *testing.T) {
-	g := socialGraph(t)
-	est, err := Build(g, Config{MaxPathLength: 3, Ordering: OrderingLexCard, Buckets: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := est.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ce, err := LoadEstimator(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"knows", "likes/knows"} {
-		want, err := est.EstimatePrefix(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ce.EstimatePrefix(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("prefix estimate of %s changed: %v → %v", q, want, got)
-		}
-	}
-	// Non-lex compact estimators reject prefix queries.
-	est2, err := Build(g, Config{MaxPathLength: 2, Ordering: OrderingNumCard, Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := est2.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ce2, err := LoadEstimator(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ce2.EstimatePrefix("knows"); err == nil {
-		t.Fatal("prefix query on num-card compact estimator should error")
-	}
-}
-
-func TestCompactEstimatorPrefixErrors(t *testing.T) {
-	g := socialGraph(t)
-	est, err := Build(g, Config{MaxPathLength: 2, Ordering: OrderingLexAlph, Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := est.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ce, err := LoadEstimator(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ce.EstimatePrefix("zzz"); err == nil {
-		t.Fatal("unknown label in prefix should error")
-	}
-	if _, err := ce.EstimatePrefix(""); err == nil {
-		t.Fatal("empty prefix should error")
-	}
-	if _, err := ce.EstimatePrefix("knows/knows/knows"); err == nil {
-		t.Fatal("over-length prefix should error")
-	}
-}
-
-func TestCompactEstimatorErrors(t *testing.T) {
-	g := socialGraph(t)
-	est, err := Build(g, Config{MaxPathLength: 2, Ordering: OrderingSumBased, Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := est.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ce, err := LoadEstimator(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ce.Estimate("zzz"); err == nil {
-		t.Fatal("unknown label should error")
-	}
-	if _, err := ce.Estimate(""); err == nil {
-		t.Fatal("empty path should error")
-	}
-	if _, err := ce.Estimate("knows/knows/knows"); err == nil {
-		t.Fatal("over-length path should error")
+			if labels := ce.Labels(); strings.Join(labels, ",") != "knows,likes" {
+				t.Fatalf("labels lost: %v", labels)
+			}
+			lex := method == OrderingLexAlph || method == OrderingLexCard
+			for _, m := range []struct {
+				name          string
+				saved, loaded func(string) (float64, error)
+				refusesAll    bool
+			}{
+				{"Estimate", est.Estimate, ce.Estimate, false},
+				{"EstimatePrefix", est.EstimatePrefix, ce.EstimatePrefix, !lex},
+			} {
+				t.Run(m.name, func(t *testing.T) {
+					for _, q := range queries {
+						want, werr := m.saved(q)
+						got, gerr := m.loaded(q)
+						sentinel, bad := refusals[q]
+						refused := bad || m.refusesAll
+						switch {
+						case (werr != nil) != refused || (gerr != nil) != refused:
+							t.Fatalf("%q: estimator %v, loaded %v, want refused=%v", q, werr, gerr, refused)
+						case refused && (werr.Error() != gerr.Error() ||
+							sentinel != nil && (!errors.Is(werr, sentinel) || !errors.Is(gerr, sentinel))):
+							t.Fatalf("%q: estimator %v, loaded %v, want %v", q, werr, gerr, sentinel)
+						case math.Float64bits(got) != math.Float64bits(want):
+							t.Fatalf("%q changed: %v → %v", q, want, got)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -97,18 +97,6 @@ func (e *Estimator) planner() exec.Planner {
 	return pl
 }
 
-// parseBounded resolves a query and enforces the build-time length bound.
-func (e *Estimator) parseBounded(q string) (paths.Path, error) {
-	p, err := e.gr.parsePath(q)
-	if err != nil {
-		return nil, err
-	}
-	if len(p) > e.cfg.MaxPathLength {
-		return nil, fmt.Errorf("%w: %q exceeds %d", ErrPathTooLong, q, e.cfg.MaxPathLength)
-	}
-	return p, nil
-}
-
 // cacheAware reports whether planning against the estimator's cache can
 // differ from planning against none: only the bushy DP consults cached
 // segments.
@@ -251,7 +239,7 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, workers 
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
 		defer cancel()
 	}
-	canc, release := newQueryCanceller(ctx)
+	canc, release := exec.NewCancellerContext(ctx)
 	defer release()
 	plan := x.plan
 	if e.cacheAware() {

@@ -45,6 +45,22 @@ func TestNewGraphChecked(t *testing.T) {
 	NewGraph(4, nil)
 }
 
+// TestDuplicateLabelRejected pins that a vocabulary naming one label twice
+// is refused at construction: such a graph could build and save an
+// estimator whose snapshot LoadEstimator rejects, and its second label
+// could not be reached by name.
+func TestDuplicateLabelRejected(t *testing.T) {
+	if _, err := NewGraphChecked(4, []string{"a", "a", "b"}); !errors.Is(err, ErrDuplicateLabel) {
+		t.Fatalf("NewGraphChecked(a, a, b) = %v, want ErrDuplicateLabel", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGraph with a repeated label should panic")
+		}
+	}()
+	NewGraph(4, []string{"a", "b", "a"})
+}
+
 // TestTypedSentinels pins that every user-facing error class matches its
 // sentinel under errors.Is — the contract that replaces message-text
 // matching.
