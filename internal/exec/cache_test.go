@@ -4,9 +4,33 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/paths"
 	"repro/internal/relcache"
 )
+
+// TestNewPlannerSeesTheCacheOnlyWhenBushy pins NewPlanner's binding: no
+// cache view without a cache or without bushy plans — only the bushy DP
+// consults one — and with both, a view that answers what the cache holds
+// now, before and after a segment is published.
+func TestNewPlannerSeesTheCacheOnlyWhenBushy(t *testing.T) {
+	est := EstimatorFunc(func(paths.Path) float64 { return 1 })
+	cache := relcache.New(relcache.Options{})
+	for _, pl := range []Planner{NewPlanner(est, nil, false), NewPlanner(est, nil, true), NewPlanner(est, cache, false)} {
+		if pl.Cached != nil {
+			t.Fatal("a planner without a cache or without bushy plans sees a cache")
+		}
+	}
+	pl := NewPlanner(est, cache, true)
+	p := paths.Path{0, 1}
+	if pl.Cached == nil || pl.Cached(p) || pl.Cached(p) != cache.Contains(p) {
+		t.Fatal("a bushy planner over an empty cache does not agree with it")
+	}
+	cache.PutKey(relcache.AppendPath(nil, p), false, bitset.NewHybrid(4, 0))
+	if !pl.Cached(p) || pl.Cached(paths.Path{1, 0}) || !cache.Contains(p) {
+		t.Fatal("a bushy planner does not see a segment published after it was built")
+	}
+}
 
 // TestExecutePlanCacheEquivalence pins the cached executor bit-identical
 // to the uncached one: a cold pass (empty cache) must match the uncached

@@ -35,10 +35,16 @@
 // the best tree of a dynamic program over segment splits (bounded by
 // MaxTreeLength) that falls back to the zig-zag winner whenever linear
 // growth is estimated cheaper. Planner.Replan decides a plan again against
-// a changed cache state with no estimator calls. A plan carries its query
-// (PathPlan hand-builds one; a forced start is a leaf), so Run(g, plan,
-// opt) takes nothing else, and reports the actual intermediate sizes:
-// planning quality is measurable end to end.
+// a changed cache state with no estimator calls. Plan never asks for the
+// whole query — a caller may plan one label past its estimator's reach —
+// so its size is a separate call, Planner.Estimate: one lookup of a
+// concrete path, the sum over at most MaxExpansions expansions, the plan's
+// independence-model ResultEst past that. NewPlanner is the planner a
+// caller builds once over its estimator and cache: it sees the cache only
+// under bushy plans, the one search a cached segment can change. A plan
+// carries its query (PathPlan hand-builds one; a forced start is a leaf),
+// so Run(g, plan, opt) takes nothing else, and reports the actual
+// intermediate sizes: planning quality is measurable end to end.
 //
 // Run is one execution core (core.go): one step protocol — fire the
 // exec.step fault site, check cancellation, adopt the segment from the

@@ -2,11 +2,12 @@ package exec
 
 import (
 	"repro/internal/paths"
+	"repro/internal/relcache"
 )
 
-// Estimator supplies selectivity estimates to the planner. Both
-// *core.PathHistogram (wrapped) and exact censuses satisfy it via
-// EstimatorFunc.
+// Estimator supplies selectivity estimates to the planner.
+// *core.PathHistogram satisfies it as is; an exact census, or any other
+// function of a path, through EstimatorFunc.
 type Estimator interface {
 	Estimate(p paths.Path) float64
 }
@@ -36,6 +37,20 @@ type Planner struct {
 	// cache-state-dependent under this field; results never do — every
 	// plan produces the identical relation.
 	Cached func(p paths.Path) bool
+}
+
+// NewPlanner returns the planner a caller builds once over est and the
+// cache it executes against (nil for none), and plans, estimates and
+// replans every query with. Its Cached probes cache.Contains only when
+// there is a cache and bushy is set: only the bushy DP consults cached
+// segments, so any other planner plans as if there were none, and a plan
+// it made never needs deciding again.
+func NewPlanner(est Estimator, cache *relcache.Cache, bushy bool) Planner {
+	pl := Planner{Est: est}
+	if cache != nil && bushy {
+		pl.Cached = cache.Contains
+	}
+	return pl
 }
 
 // segTable holds the estimate of every proper contiguous segment of one

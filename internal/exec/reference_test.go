@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -417,8 +418,9 @@ func countingPlanner(pl Planner, calls *int) Planner {
 // budget: planning a concrete path, zig-zag or bushy, makes one call per
 // proper segment — never the whole path, which no plan materializes as an
 // intermediate and which callers plan one label beyond their estimator's
-// reach — and replanning asks nothing, with and without a cache view,
-// while choosing what planning from scratch chooses.
+// reach — estimating it then makes one call, on the whole path, and
+// replanning asks nothing, with and without a cache view, while choosing
+// what planning from scratch chooses.
 func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 	for k := 1; k <= 8; k++ {
 		// Distinct labels, so every segment is a distinct label sequence.
@@ -427,21 +429,27 @@ func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 			p[i] = i
 		}
 		for _, bushy := range []bool{false, true} {
-			calls, asked := 0, map[string]int{}
+			calls, asked, planning := 0, map[string]int{}, true
 			pl := randomPlanner(int64(k), 0)
 			est := pl.Est
 			pl.Est = EstimatorFunc(func(q paths.Path) float64 {
-				if len(q) == k {
+				if planning && len(q) == k {
 					panic("the whole path was estimated")
 				}
 				calls++
 				asked[q.Key()]++
 				return est.Estimate(q)
 			})
-			dp := pl.Plan(PathDag(p), 0, bushy)
+			d := PathDag(p)
+			dp := pl.Plan(d, 0, bushy)
 			if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
 				t.Fatalf("k=%d bushy=%v: planning made %d estimator calls over %d segments, want %d",
 					k, bushy, calls, len(asked), want)
+			}
+			calls, asked, planning = 0, map[string]int{}, false
+			if got, want := pl.Estimate(d, dp), est.Estimate(p); calls != 1 || asked[p.Key()] != 1 || got != want {
+				t.Fatalf("k=%d bushy=%v: Estimate made %d calls, %d on the whole path, answering %v for %v",
+					k, bushy, calls, asked[p.Key()], got, want)
 			}
 			for _, share := range []float64{0, 0.5} {
 				scratch := randomPlanner(int64(k), share)
@@ -456,6 +464,62 @@ func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 						k, bushy, share, got.Describe(), got.Cost, want.Describe(), want.Cost)
 				}
 			}
+		}
+	}
+}
+
+// TestEstimateSumsExpansions pins Estimate on a query that is not one
+// run: it asks for Expansions' paths, each once and in their order, and
+// answers their in-order sum to the bit — up to exactly MaxExpansions
+// paths; one past, it asks nothing and answers the plan's ResultEst.
+func TestEstimateSumsExpansions(t *testing.T) {
+	alt := func(from, n int) RPQElem {
+		e := RPQElem{Labels: make([]int, n), MinRep: 1, MaxRep: 1}
+		for i := range e.Labels {
+			e.Labels[i] = from + i
+		}
+		return e
+	}
+	a := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 1}
+	cases := []struct {
+		name   string
+		d      *RPQDag
+		summed bool
+	}{
+		{"a{1,2}/a{1,2}", &RPQDag{Elems: []RPQElem{{Labels: []int{0}, MinRep: 1, MaxRep: 2}, {Labels: []int{0}, MinRep: 1, MaxRep: 2}}}, true},
+		{"a/(b|c)?/d{2}", &RPQDag{Elems: []RPQElem{a, {Labels: []int{1, 2}, MinRep: 0, MaxRep: 1}, {Labels: []int{3}, MinRep: 2, MaxRep: 2}}}, true},
+		{"(0..99)/(0..99): exactly MaxExpansions", &RPQDag{Elems: []RPQElem{alt(0, 100), alt(0, 100)}}, true},
+		{"(0..72)/(0..136): one past", &RPQDag{Elems: []RPQElem{alt(0, 73), alt(0, 137)}}, false},
+	}
+	for _, c := range cases {
+		var asked []paths.Path
+		pl := randomPlanner(6, 0) // 53-bit estimates: a reordered sum differs
+		est := pl.Est
+		dp := pl.Plan(c.d, 1000, true)
+		pl.Est = EstimatorFunc(func(q paths.Path) float64 {
+			asked = append(asked, q.Clone())
+			return est.Estimate(q)
+		})
+		got := pl.Estimate(c.d, dp)
+		exps, ok := c.d.Expansions(MaxExpansions)
+		if ok != c.summed {
+			t.Fatalf("%s: %d expansions within MaxExpansions = %v, want %v", c.name, len(exps), ok, c.summed)
+		}
+		if !c.summed {
+			if len(asked) != 0 || math.Float64bits(got) != math.Float64bits(dp.ResultEst) {
+				t.Fatalf("%s: made %d calls answering %v, want none and ResultEst %v", c.name, len(asked), got, dp.ResultEst)
+			}
+			continue
+		}
+		var want float64
+		for i, q := range exps {
+			if i >= len(asked) || !asked[i].Equal(q) {
+				t.Fatalf("%s: call %d of %d was not expansion %v", c.name, i, len(asked), q)
+			}
+			want += est.Estimate(q)
+		}
+		if len(asked) != len(exps) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %d calls answering %v, want %d answering %v", c.name, len(asked), got, len(exps), want)
 		}
 	}
 }

@@ -66,6 +66,13 @@ import (
 // path length while still catching `a{1,1000000}` at parse time.
 const MaxRepetition = 64
 
+// MaxExpansions bounds how many concrete label paths a query's estimate
+// sums (Planner.Estimate) and an expansion-based evaluation enumerates;
+// beyond it a pattern is almost certainly a mistake, and summing its
+// expansions would cost one lookup each for an estimate the fold's
+// independence model gives at once.
+const MaxExpansions = 10000
+
 // RPQElem is one '/'-separated element of a compiled RPQ: an
 // alternation over Labels (sorted ascending, deduplicated) repeated
 // between MinRep and MaxRep times. A plain label is {l} with bounds
@@ -648,6 +655,28 @@ func (pl Planner) Replan(dp *DagPlan) *DagPlan {
 	out.Blocks = append(out.Blocks, dp.Blocks...)
 	pl.decide(out)
 	return out
+}
+
+// Estimate returns the estimated size of query d, which Plan planned as
+// dp: one lookup of the run when dp is one run block (a concrete path);
+// otherwise the sum, in Expansions' order, of the estimates of d's
+// concrete expansions when there are at most MaxExpansions of them, and
+// dp.ResultEst, the fold's independence-model size, when there are more.
+// Plan never asks for the whole query — a caller may plan one label beyond
+// its estimator's reach — so this is the one call that does.
+func (pl Planner) Estimate(d *RPQDag, dp *DagPlan) float64 {
+	if len(dp.Blocks) == 1 && dp.Blocks[0].Run != nil {
+		return pl.Est.Estimate(dp.Blocks[0].Run)
+	}
+	exps, ok := d.Expansions(MaxExpansions)
+	if !ok {
+		return dp.ResultEst
+	}
+	var est float64
+	for _, p := range exps {
+		est += pl.Est.Estimate(p)
+	}
+	return est
 }
 
 // decide chooses every run block's tree and prices the plan, from the

@@ -17,6 +17,10 @@ var (
 	// ErrDuplicateLabel rejects a graph whose label vocabulary names one
 	// label twice: a name must resolve to exactly one label.
 	ErrDuplicateLabel = errors.New("pathsel: duplicate label name")
+	// ErrBadLabelName rejects a label name no pattern can address: one
+	// that is empty, is `*`, contains '/', '|', '(' or ')', or ends in '?'
+	// or '}' — the grammar reads those as syntax.
+	ErrBadLabelName = errors.New("pathsel: label name is pattern syntax")
 	// ErrUnknownLabel reports a label name absent from the graph's
 	// vocabulary, wherever names are resolved (AddEdge, path queries,
 	// patterns).

@@ -4,10 +4,13 @@
 // the histogram domain arranged by a configurable ordering method (the
 // contribution of Yakovets et al., "Histogram Domain Ordering for Path
 // Selectivity Estimation", EDBT 2018). Beyond estimation it exposes the
-// end-to-end loop the paper motivates: Compile chooses among a query's
-// zig-zag join plans from histogram estimates (Expr.Plan shows the
-// choice), and Expr.ExecuteCtx carries the chosen plan out on the hybrid
-// execution engine.
+// end-to-end loop the paper motivates: Compile parses a label path or a
+// regular path query and plans it from histogram estimates — the cheapest
+// zig-zag join plan, or bushy plan tree under Config.BushyPlans, for each
+// run of plain labels, folded with the pattern's alternations,
+// repetitions and wildcards (Expr.Plan shows the choice) — and
+// Expr.ExecuteCtx carries the chosen plan out on the hybrid execution
+// engine (internal/exec).
 //
 // Typical use:
 //
@@ -92,8 +95,8 @@ type Graph struct {
 }
 
 // NewGraph returns an empty graph with the given vertex count and label
-// vocabulary. It panics on an empty vocabulary or a repeated name;
-// NewGraphChecked is the error-returning form.
+// vocabulary. It panics on an empty vocabulary, a name no query can
+// address or a repeated name; NewGraphChecked is the error-returning form.
 func NewGraph(numVertices int, labels []string) *Graph {
 	gr, err := NewGraphChecked(numVertices, labels)
 	if err != nil {
@@ -103,8 +106,9 @@ func NewGraph(numVertices int, labels []string) *Graph {
 }
 
 // NewGraphChecked is NewGraph returning a typed error instead of
-// panicking: an empty label vocabulary yields ErrNoLabels, a name given
-// twice ErrDuplicateLabel.
+// panicking: an empty label vocabulary yields ErrNoLabels, a name the
+// query grammar reads as syntax ErrBadLabelName, a name given twice
+// ErrDuplicateLabel.
 func NewGraphChecked(numVertices int, labels []string) (*Graph, error) {
 	if len(labels) == 0 {
 		return nil, ErrNoLabels
@@ -112,6 +116,9 @@ func NewGraphChecked(numVertices int, labels []string) (*Graph, error) {
 	g := graph.New(numVertices, len(labels))
 	seen := make(map[string]bool, len(labels))
 	for i, name := range labels {
+		if !addressable(name) {
+			return nil, fmt.Errorf("%w %q", ErrBadLabelName, name)
+		}
 		if seen[name] {
 			return nil, fmt.Errorf("%w %q", ErrDuplicateLabel, name)
 		}
@@ -122,11 +129,18 @@ func NewGraphChecked(numVertices int, labels []string) (*Graph, error) {
 }
 
 // LoadEdgeList reads a whitespace-separated `src dst label` edge list
-// (lines starting with % or # are comments).
+// (lines starting with % or # are comments). A label name the query
+// grammar reads as syntax fails it with ErrBadLabelName, as in
+// NewGraphChecked.
 func LoadEdgeList(r io.Reader) (*Graph, error) {
 	g, err := dataset.ReadEdgeList(r)
 	if err != nil {
 		return nil, err
+	}
+	for l := 0; l < g.NumLabels(); l++ {
+		if name := g.LabelName(l); !addressable(name) {
+			return nil, fmt.Errorf("%w %q", ErrBadLabelName, name)
+		}
 	}
 	return &Graph{g: g}, nil
 }
@@ -344,6 +358,7 @@ type Estimator struct {
 	cfg    Config
 	cache  *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
 	pool   *exec.RelPool   // shared relation free list; abort paths drain back into it
+	pl     exec.Planner    // the histogram's planner, cache-aware under a cache and BushyPlans
 }
 
 // Build computes the exact selectivity distribution of all label paths up
@@ -373,6 +388,7 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	if cfg.CacheBytes > 0 {
 		e.cache = relcache.New(relcache.Options{MaxBytes: cfg.CacheBytes, Shards: cfg.CacheShards})
 	}
+	e.pl = exec.NewPlanner(ph, e.cache, cfg.BushyPlans)
 	return e, nil
 }
 

@@ -2,15 +2,10 @@ package pathsel
 
 import "repro/internal/paths"
 
-// maxPatternExpansions bounds how many concrete label paths one pattern
-// may expand to; beyond this the pattern is almost certainly a mistake
-// (and summation-based estimation loses meaning anyway).
-const maxPatternExpansions = 10000
-
 // TruePatternSelectivity evaluates a pattern exactly under set semantics:
 // the number of distinct vertex pairs connected by at least one matching
 // path. It enumerates the pattern's concrete expansions (bounded by
-// maxPatternExpansions) — the ground-truth oracle the DAG execution path
+// exec.MaxExpansions) — the ground-truth oracle the DAG execution path
 // is pinned bit-identical to.
 func (gr *Graph) TruePatternSelectivity(pattern string) (int64, error) {
 	ps, err := gr.patternExpansions(pattern)

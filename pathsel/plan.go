@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/graph"
-	"repro/internal/paths"
 )
 
 // QueryPlan is the join strategy an Estimator chooses for a path query: a
@@ -42,75 +41,30 @@ type QueryPlan struct {
 	dp *exec.DagPlan
 }
 
-// ExecStats reports an executed path query.
+// ExecStats reports an executed query: the plan that ran, what the
+// execution layer measured running it, or the degraded answer given
+// instead.
 type ExecStats struct {
 	// Plan is the strategy that was executed.
 	Plan QueryPlan
-	// Intermediates holds the actual distinct-pair count entering each
-	// join step: len(path)−1 entries for a linear plan; for a bushy plan
-	// every materialized segment relation, including both inputs of each
-	// relation×relation join, in the executor's deterministic post-order.
-	Intermediates []int64
-	// Work is Σ Intermediates — the actual cost the planner tried to
-	// minimize.
-	Work int64
-	// Result is the exact selectivity |ℓ(G)| of the query.
-	Result int64
-	// CacheHits and CacheMisses count the execution's segment-cache
-	// traffic when the estimator has a cache (Config.CacheBytes): a hit
-	// adopted a previously materialized segment relation — a label
-	// segment, or a regular path query's prefix, element or whole result —
-	// instead of recomputing it; a miss computed and published one. On a
-	// whole-query hit, a concrete path's or a regular path query's,
-	// Intermediates is empty and Work 0 — nothing intermediate was
-	// materialized; a query that resumed from a cached prefix reports the
-	// steps after it only.
-	CacheHits, CacheMisses int
-	// Sched reports the execution's work-stealing scheduler activity —
-	// tasks run (total and per worker), steals, and parks. All-zero when
-	// every join step ran sequentially (below the granularity floor, a
-	// 1-worker config, or a whole-query cache hit): zeros mean "no
-	// parallel work", not "no work". Steals and parks are the contention
-	// signals worth watching in production.
-	Sched exec.SchedStats
+	// Stats is the execution's own report (exec.Stats): the actual size
+	// of every relation entering a join step (Intermediates) and their sum
+	// (Work) — the cost the planner tried to minimize — the exact
+	// selectivity |ℓ(G)| of the query (Result), the segment-cache traffic
+	// when the estimator has a cache (Config.CacheBytes; a whole-query hit
+	// reports no intermediates and Work 0) and the work-stealing
+	// scheduler's activity (Sched, all zero when no step ran in parallel).
+	exec.Stats
 	// Degraded marks a partial result: the query was rejected by the
 	// admission gate or killed mid-flight under Config.DegradeToEstimate,
 	// and Result holds the rounded histogram estimate instead of the
-	// exact selectivity. Intermediates/Work/cache counters are zero — the
-	// degraded answer did not (or did not finish) touching the graph.
+	// exact selectivity. Every other field of Stats is zero — the degraded
+	// answer did not (or did not finish) touching the graph.
 	Degraded bool
 	// DegradedBy is the typed cause behind a degraded result
 	// (ErrAdmissionDenied, ErrDeadlineExceeded, ErrBudgetExceeded, or
 	// ErrCancelled); nil when Degraded is false.
 	DegradedBy error
-}
-
-// planner builds the exec.Planner view over this estimator's histogram.
-// With a cache and BushyPlans, the planner is cache-aware: segments whose
-// relations are already materialized cost nothing to build, so warm
-// workloads steer the DP toward bushy joins of reusable segments.
-func (e *Estimator) planner() exec.Planner {
-	pl := exec.Planner{Est: exec.EstimatorFunc(e.ph.Estimate)}
-	if e.cacheAware() {
-		pl.Cached = func(p paths.Path) bool { return e.cache.Contains(p) }
-	}
-	return pl
-}
-
-// cacheAware reports whether planning against the estimator's cache can
-// differ from planning against none: only the bushy DP consults cached
-// segments.
-func (e *Estimator) cacheAware() bool {
-	return e.cache != nil && e.cfg.BushyPlans
-}
-
-// concretePath returns the path a plan evaluates when it is a single run
-// block — the plan of a concrete path — and nil for an RPQ's.
-func concretePath(dp *exec.DagPlan) paths.Path {
-	if len(dp.Blocks) > 1 {
-		return nil
-	}
-	return dp.Blocks[0].Run
 }
 
 // queryPlan is the QueryPlan view of a plan — the one rendering of what
@@ -122,10 +76,10 @@ func concretePath(dp *exec.DagPlan) paths.Path {
 // priced as the zig-zag plan it is even where the planner, seeing its
 // whole segment cached, priced it free. Anything else is an RPQ's fold.
 func (e *Estimator) queryPlan(dp *exec.DagPlan) QueryPlan {
-	if concretePath(dp) == nil {
+	b := &dp.Blocks[0]
+	if len(dp.Blocks) > 1 || b.Run == nil {
 		return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost, dp: dp}
 	}
-	b := dp.Blocks[0]
 	qp := QueryPlan{Start: b.Tree.Start, Description: dp.Describe(), EstimatedCost: dp.Cost, Costs: b.Costs, dp: dp}
 	if b.Tree.IsLeaf() {
 		qp.EstimatedCost = b.Costs[b.Tree.Start]
@@ -218,7 +172,7 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 	if r < 0 {
 		r = 0
 	}
-	return ExecStats{Plan: plan, Result: r, Degraded: true, DegradedBy: cause}, nil
+	return ExecStats{Plan: plan, Stats: exec.Stats{Result: r}, Degraded: true, DegradedBy: cause}, nil
 }
 
 // execute runs one compiled query against the estimator's (possibly nil)
@@ -242,12 +196,12 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, workers 
 	canc, release := exec.NewCancellerContext(ctx)
 	defer release()
 	plan := x.plan
-	if e.cacheAware() {
+	if e.pl.Cached != nil {
 		// Compile planned against the cache as it was then; only a planner
 		// that sees a cache can choose differently now. It decides again
 		// from the estimates the plan retains — cache probes and
 		// arithmetic, no histogram lookups.
-		plan = e.queryPlan(e.planner().Replan(plan.dp))
+		plan = e.queryPlan(e.pl.Replan(plan.dp))
 	}
 	if pol.degrades(plan) {
 		return degradeTo(plan, x.estimate, ErrBrownout)
@@ -267,13 +221,5 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, workers 
 	if err != nil {
 		return e.degrade(plan, x.estimate, translateExecErr(err))
 	}
-	return ExecStats{
-		Plan:          plan,
-		Intermediates: st.Intermediates,
-		Work:          st.Work,
-		Result:        st.Result,
-		CacheHits:     st.CacheHits,
-		CacheMisses:   st.CacheMisses,
-		Sched:         st.Sched,
-	}, nil
+	return ExecStats{Plan: plan, Stats: st}, nil
 }

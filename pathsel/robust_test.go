@@ -61,6 +61,48 @@ func TestDuplicateLabelRejected(t *testing.T) {
 	NewGraph(4, []string{"a", "b", "a"})
 }
 
+// TestBadLabelNameRejected pins that a label no pattern can address is
+// refused at construction, from a vocabulary and from an edge list: such a
+// label would be counted in the domain and advertised by Labels, while
+// Compile misread its name as syntax — failing, or silently answering for
+// another pattern. A name that only contains grammar characters elsewhere
+// stays legal, and Compile answers for exactly that label.
+func TestBadLabelNameRejected(t *testing.T) {
+	for _, name := range []string{"", "*", "a/b", "x|y", "(a", "a)", "p?", "a{2}", "b}"} {
+		if _, err := NewGraphChecked(4, []string{"ok", name}); !errors.Is(err, ErrBadLabelName) {
+			t.Errorf("NewGraphChecked(ok, %q) = %v, want ErrBadLabelName", name, err)
+		}
+	}
+	if _, err := LoadEdgeList(strings.NewReader("0 1 a\n0 1 http://x/y\n")); !errors.Is(err, ErrBadLabelName) {
+		t.Errorf("LoadEdgeList with label http://x/y = %v, want ErrBadLabelName", err)
+	}
+	legal := []string{"a*b", "a?b", "rdf:type", "a{b"}
+	gr, err := LoadEdgeList(strings.NewReader("0 1 a*b\n1 2 a?b\n2 3 rdf:type\n0 2 rdf:type\n3 0 a{b\n"))
+	if err != nil {
+		t.Fatalf("LoadEdgeList with legal names: %v", err)
+	}
+	e, err := Build(gr, Config{MaxPathLength: 2, Buckets: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range legal {
+		want, err := e.Estimate(name)
+		if err != nil {
+			t.Fatalf("Estimate(%q): %v", name, err)
+		}
+		x, err := e.Compile(name)
+		if err != nil || x.Estimate() != want {
+			t.Fatalf("Compile(%q) = %v, %v; want the label's estimate %v", name, x, err, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewGraph with a label named a/b should panic")
+		}
+	}()
+	NewGraph(4, []string{"a", "a/b"})
+}
+
 // TestTypedSentinels pins that every user-facing error class matches its
 // sentinel under errors.Is — the contract that replaces message-text
 // matching.

@@ -132,6 +132,15 @@ func (gr *Graph) parseRPQElem(seg, pattern string) (exec.RPQElem, error) {
 	return exec.RPQElem{Labels: labels, MinRep: minRep, MaxRep: maxRep}, nil
 }
 
+// addressable reports whether a pattern can name the label called name.
+// The grammar reads as syntax, and so never looks up, a name that is
+// empty, is `*`, contains '/', '|', '(' or ')', or ends in '?' or '}';
+// the graph constructors refuse such a label (ErrBadLabelName).
+func addressable(name string) bool {
+	return name != "" && name != "*" && !strings.ContainsAny(name, "/|()") &&
+		!strings.HasSuffix(name, "?") && !strings.HasSuffix(name, "}")
+}
+
 // parseCount parses a non-negative decimal repetition count (digits
 // only — no signs, no spaces, no empty string).
 func parseCount(s string) (int, bool) {
@@ -160,7 +169,7 @@ func dedupSorted(s []int) []int {
 }
 
 // patternExpansions enumerates a pattern's concrete label paths,
-// bounded by maxPatternExpansions — the exact-oracle route, kept for
+// bounded by exec.MaxExpansions — the exact-oracle route, kept for
 // ground-truth evaluation; estimation and execution go through the
 // compiled DAG, whose cost scales with the expression, not the
 // expansion count.
@@ -169,24 +178,27 @@ func (gr *Graph) patternExpansions(pattern string) ([]paths.Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	exps, ok := d.Expansions(maxPatternExpansions)
+	exps, ok := d.Expansions(exec.MaxExpansions)
 	if !ok {
 		return nil, fmt.Errorf("%w: pattern %q expands to over %d paths",
-			ErrBadPattern, pattern, maxPatternExpansions)
+			ErrBadPattern, pattern, exec.MaxExpansions)
 	}
 	return exps, nil
 }
 
 // Expr is a compiled query: the pattern parsed once into an expression
-// DAG and planned once against the estimator it was compiled by. It is
-// immutable and safe for concurrent use — compile a repeated query (or
-// a whole workload, via ExecuteExprBatchCtx) once and execute the handle
-// many times; an execution that can see a cache under Config.BushyPlans
-// replans against its current state (warm segments steer plan choice)
-// from the estimates Compile retained — it never reparses and never asks
-// the histogram again — and every other execution runs Compile's plan as
-// is. Compile is the one way to ask: Estimate and Plan read what it
-// decided, ExecuteCtx, ExecuteCtxPolicy and ExecuteExprBatchCtx run it.
+// DAG, planned once (exec.Planner.Plan) and estimated once
+// (exec.Planner.Estimate) on the planner of the estimator it was compiled
+// by. It is immutable and safe for concurrent use — compile a repeated
+// query (or a whole workload, via ExecuteExprBatchCtx) once and execute the
+// handle many times. An execution whose estimator's planner sees a cache —
+// a cache under Config.BushyPlans — replans against its current state
+// (exec.Planner.Replan: warm segments steer plan choice) from the
+// estimates Compile retained, never reparsing and never asking the
+// histogram again; every other execution runs Compile's plan as is. Both
+// then run it with exec.Run. Compile is the one way to ask: Estimate and
+// Plan read what it decided, ExecuteCtx, ExecuteCtxPolicy and
+// ExecuteExprBatchCtx run it.
 type Expr struct {
 	est     *Estimator
 	pattern string
@@ -195,10 +207,7 @@ type Expr struct {
 	// no cache is in play, and what planning asked the histogram, retained
 	// so an execution that replans against the live cache asks nothing.
 	plan QueryPlan
-	// estimate is the histogram estimate of the pattern's bag
-	// selectivity: the exact sum over expansions when enumerable within
-	// maxPatternExpansions, the DAG plan's independence-model estimate
-	// otherwise.
+	// estimate is what Estimate returns.
 	estimate float64
 }
 
@@ -215,18 +224,8 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 		return nil, fmt.Errorf("%w: pattern %q may match paths up to length %d, beyond %d",
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
-	dp := e.planner().Plan(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
-	x := &Expr{est: e, pattern: pattern, dag: dag, plan: e.queryPlan(dp)}
-	if p := concretePath(dp); p != nil {
-		x.estimate = e.ph.Estimate(p)
-	} else if exps, ok := dag.Expansions(maxPatternExpansions); ok {
-		for _, p := range exps {
-			x.estimate += e.ph.Estimate(p)
-		}
-	} else {
-		x.estimate = dp.ResultEst
-	}
-	return x, nil
+	dp := e.pl.Plan(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
+	return &Expr{est: e, pattern: pattern, dag: dag, plan: e.queryPlan(dp), estimate: e.pl.Estimate(dag, dp)}, nil
 }
 
 // Pattern returns the source pattern.
@@ -240,10 +239,12 @@ func (x *Expr) MinLen() int { return x.dag.MinLen() }
 func (x *Expr) MaxLen() int { return x.dag.MaxLen() }
 
 // Estimate returns the histogram estimate of the pattern's selectivity
-// under bag semantics: the exact expansion sum when the pattern
-// enumerates within maxPatternExpansions concrete paths, the compiled
-// DAG's independence-model estimate otherwise — so estimation cost
-// scales with the expression, never the expansion count.
+// under bag semantics, as exec.Planner.Estimate computed it at compile
+// time: one histogram lookup for a concrete path; the sum of the lookups
+// of the pattern's concrete expansions when there are at most
+// exec.MaxExpansions of them; past that, the compiled DAG's
+// independence-model estimate, which asks nothing beyond what planning
+// asked.
 func (x *Expr) Estimate() float64 { return x.estimate }
 
 // Plan returns the compile-time plan: for a concrete path the usual

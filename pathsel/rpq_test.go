@@ -417,7 +417,7 @@ func FuzzRPQParse(f *testing.F) {
 				t.Fatalf("Compile(%q) under BushyPlans=%v: %v", pattern, e.cfg.BushyPlans, err)
 			}
 			dp := x.plan.dp
-			if concretePath(dp) != nil {
+			if _, ok := x.dag.ConcretePath(); ok {
 				continue
 			}
 			cost, result, ests := naiveDagPlan(e, x.dag)
