@@ -410,16 +410,16 @@ func BenchmarkSynopsisCodec(b *testing.B) {
 
 // BenchmarkComposeKernels isolates one relational-composition step — the
 // innermost operation of the census — on a Table 3 dataset relation,
-// comparing the legacy dense row walk against the hybrid engine's
-// specialized kernels (sparse×CSR scatter vs dense×CSR word-parallel
-// union), each in its materializing (hybrid-) and count-only (count-)
+// comparing the legacy dense row walk against the hybrid engine's scatter
+// kernel with every row sparse, every row dense and rows at the default
+// threshold, each in its materializing (hybrid-) and count-only (count-)
 // form.
 func BenchmarkComposeKernels(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[3], 0.1, 1).Freeze() // SNAP-FF: sparse
 	op := g.LabelOperand(0)
 	b.Run("legacy-dense", func(b *testing.B) {
 		rel := oracle.EdgeRelation(g, 0)
-		succ := g.SuccessorSets(0)
+		succ := oracle.SuccessorSets(g, 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = rel.Compose(succ)
@@ -471,8 +471,11 @@ var serveHotGraph = sync.OnceValue(func() *graph.CSR {
 // on exec_uncached's graph at the default promotion threshold: `1/1`
 // composed through label 1 — 192 165 pairs in, 1 057 857 out, a third of
 // the output rows dense — built (compose) and counted (count), and `1/1`
-// joined with `2/1` (join). Every left row is sparse, so each step is the
-// scatter accumulator's: gather, then emit or only count.
+// joined with `2/1` (join); there every left row is sparse. The
+// dense-left-1 and dense-left-4 pairs start from `1/1/1` instead —
+// 1 057 857 pairs, 2 267 of its 6 143 rows dense — through label 1
+// (5 405 144 pairs out) and through label 4 (1 103 565 out): each set bit
+// of a dense left row scatters its target's CSR row.
 func BenchmarkDenseSteps(b *testing.B) {
 	g := execUncachedGraph()
 	n := g.NumVertices()
@@ -492,6 +495,23 @@ func BenchmarkDenseSteps(b *testing.B) {
 			}
 		}
 	})
+	deep := paths.EvaluateWithDensity(g, paths.Path{0, 0, 0}, 0)
+	for _, l := range []int{0, 3} {
+		through := []bitset.CSROperand{g.LabelOperand(l)}
+		name := fmt.Sprintf("dense-left-%s/", g.LabelName(l))
+		b.Run(name+"compose", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				deep.ComposeInto(dst, through[0], scr)
+			}
+		})
+		b.Run(name+"count", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, c := deep.Rows().ComposeShard(nil, through, scr, dst.SparseMax(), 0, deep.Sources(), nil); c.Pairs == 0 {
+					b.Fatal("empty composition")
+				}
+			}
+		})
+	}
 	b.Run("join", func(b *testing.B) {
 		var buf []int32
 		for i := 0; i < b.N; i++ {

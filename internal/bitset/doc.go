@@ -6,12 +6,11 @@
 //
 // Three types carry it:
 //
-//   - Set is the dense, fixed-capacity bit set: a CSR operand's dense
-//     successor rows and the union target of the word-parallel kernels.
-//     The dense relation built from Sets — every row a bit array,
-//     composition as word-parallel unions — is the reference the
-//     equivalence tests pin this package against; it lives in
-//     internal/oracle, which only tests import.
+//   - Set is the dense, fixed-capacity bit set. The dense relation built
+//     from Sets — every row a bit array, composition as word-parallel
+//     unions of successor sets — is the reference the equivalence tests
+//     pin this package against; it lives in internal/oracle, which only
+//     tests import, and is Set's one user.
 //
 //   - HybridRelation is the relation: each source row adaptively
 //     switches between a sorted sparse id list and a dense bit array at a
@@ -25,15 +24,15 @@
 //     the identity terms of an element that may match the empty path
 //     (h.Extend(eps, skip): R ∪ I on the left, X ∪ I on the right, never
 //     I∘I), or a label's CSR rows read in place (op.Rows()):
-//     Rows.ComposeShard through one label or the union of several,
-//     specialized per row shape — short rows scatter through the labels'
-//     CSR adjacency (CSROperand), dense ones union precomputed successor
-//     bit sets word-parallel — Rows.JoinShard with a relation, and
-//     UnionCSR, a label set's base. Every kernel accumulates a row once,
-//     its identity terms included, and sinks it into a destination or a
-//     Count: given no destination it measures the relation a caller would
-//     drop (count.go), exactly as the built one would be priced.
-//     ComposeInto and JoinInto are the one-shard forms.
+//     Rows.ComposeShard through one label or the union of several — every
+//     row, sparse or dense, pushes: each of its targets scatters its CSR
+//     row (CSROperand) into the summarized accumulator, so a step costs
+//     its targets' degrees and never |V| per target — Rows.JoinShard with
+//     a relation, and UnionCSR, a label set's base. Every kernel
+//     accumulates a row once, its identity terms included, and sinks it
+//     into a destination or a Count: given no destination it measures the
+//     relation a caller would drop (count.go), exactly as the built one
+//     would be priced. ComposeInto and JoinInto are the one-shard forms.
 //
 //   - Packed is a HybridRelation's immutable snapshot (Pack), the form
 //     the relation cache stores: the same rows in the same forms, flat,
@@ -46,5 +45,5 @@
 // ≤ 0 selects DefaultDensityThreshold = 1/32 — the memory crossover,
 // since a sorted int32 id costs 32 bits against 1 bit per universe slot —
 // and ≥ 1 pins every row sparse. The threshold changes performance only,
-// never results.
+// never results; it picks a row's representation, not a kernel.
 package bitset

@@ -13,7 +13,7 @@ import "math/rand"
 func ScaledUniverse(vertices int, scale uint8) int { return vertices + 4096*int(scale%4) }
 
 // RandomOperand builds a CSROperand with ~m random edges over n vertices,
-// plus the matching dense sets, mirroring graph.CSR.LabelOperand.
+// mirroring graph.CSR.LabelOperand.
 func RandomOperand(rng *rand.Rand, n, m int) CSROperand {
 	adj := make(map[int]map[int]bool)
 	for i := 0; i < m; i++ {
@@ -23,7 +23,7 @@ func RandomOperand(rng *rand.Rand, n, m int) CSROperand {
 		}
 		adj[s][t] = true
 	}
-	op := CSROperand{N: n, Offsets: make([]int32, n+1), Dense: make([]*Set, n)}
+	op := CSROperand{N: n, Offsets: make([]int32, n+1)}
 	for v := 0; v < n; v++ {
 		op.Offsets[v+1] = op.Offsets[v]
 		if len(adj[v]) == 0 {
@@ -33,7 +33,6 @@ func RandomOperand(rng *rand.Rand, n, m int) CSROperand {
 		for t := range adj[v] {
 			d.Add(t)
 		}
-		op.Dense[v] = d
 		d.ForEach(func(t int) bool {
 			op.Targets = append(op.Targets, int32(t))
 			op.Offsets[v+1]++

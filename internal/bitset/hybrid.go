@@ -13,16 +13,13 @@ import (
 // memory crossover.
 const DefaultDensityThreshold = 1.0 / 32
 
-// CSROperand is one edge label's adjacency in the two forms the compose
-// kernels choose between: the CSR arrays (Offsets/Targets) drive the
-// sparse×CSR scatter kernel, and the per-source dense successor sets drive
-// the dense×CSR word-parallel union kernel. All slices are read-only shared
-// views.
+// CSROperand is one edge label's adjacency as CSR arrays: every step
+// kernel scatters a target's successors from them, whatever the shape of
+// the left row that reached it. All slices are read-only shared views.
 type CSROperand struct {
 	N       int     // vertex universe size
 	Offsets []int32 // len N+1; Targets[Offsets[v]:Offsets[v+1]] = successors of v, ascending
 	Targets []int32
-	Dense   []*Set // per-source dense rows; nil entries mean "no successors"
 	// Sources is the number of vertices with at least one successor — what
 	// the operand's relation reports as Sources(), known without a pass.
 	// graph.CSR fills it in, and Rows reports it: it sizes the sharding of a
@@ -242,21 +239,18 @@ func (h *HybridRelation) ForEachPair(fn func(s, t int) bool) {
 	}
 }
 
-// ComposeScratch is the per-worker accumulator of the sparse×CSR kernel
+// ComposeScratch is the per-worker accumulator of the step kernels
 // (Gilbert, Moler & Schreiber's sparse accumulator): a dense bitmap plus a
 // summary with one bit per bitmap word, set when the word may be non-zero.
 // Emitting or resetting a row walks the summary in ascending order, so it
-// costs O(|V|/4096 + touched words) and the touched words need no sort. The
-// dense×CSR kernel bypasses it and unions directly into the destination
-// row.
+// costs O(|V|/4096 + touched words) and the touched words need no sort.
 type ComposeScratch struct {
 	words []uint64
 	sum   []uint64 // bit wi set ⇔ words[wi] may be non-zero
 
-	// Lazily allocated on first use: the full-width accumulator of rows
-	// that union whole words (join output rows with a dense right-side
-	// input, and counted dense×CSR rows, which have no destination row to
-	// union into), and the join's expansion buffer for dense left rows.
+	// Lazily allocated on first use, by the join only: the full-width
+	// accumulator of output rows with a dense right-side input, and the
+	// expansion buffer of its dense or eps left rows.
 	wide []uint64
 	tbuf []int32
 
@@ -278,15 +272,6 @@ func NewComposeScratch(n int) *ComposeScratch {
 // would share a line with another worker's.
 func paddedWords(k int) []uint64 {
 	return make([]uint64, k, (k+7)&^7)
-}
-
-// wideWords returns the full-width accumulator, building it on first use.
-// Its content is unspecified: every user overwrites it in full.
-func (scr *ComposeScratch) wideWords() []uint64 {
-	if scr.wide == nil {
-		scr.wide = make([]uint64, len(scr.words))
-	}
-	return scr.wide
 }
 
 // reset zeroes the words the summary marks, and the summary.
@@ -315,66 +300,47 @@ func (scr *ComposeScratch) scatter(ts []int32) int {
 	return count
 }
 
-// scatterSparse is the sparse×CSR kernel: for each intermediate vertex t in
-// the sorted id list, scatter t's CSR adjacency under every operand into
-// the accumulator — one operand is a compose step, several compose through
-// the union of their labels. Returns the number of distinct targets
-// accumulated. Cost is O(Σ_op Σ_t deg_op(t)), independent of |V|.
-func (scr *ComposeScratch) scatterSparse(ids []int32, ops []CSROperand) int {
+// push is the compose kernel's accumulate half: it scatters, under every
+// operand — one is a compose step, several compose through the union of
+// their labels — the CSR row of each target of a left row: s when eps makes
+// it one, then the row's ids or a dense row's set bits, enumerated in
+// place. Returns the number of distinct targets accumulated. Cost is
+// O(|V|/64 words of a dense row + Σ_op Σ_t deg_op(t)): a target costs its
+// degree, never the universe.
+func (scr *ComposeScratch) push(s int32, eps bool, ids []int32, words []uint64, ops []CSROperand) int {
 	count := 0
 	for i := range ops {
 		offs, tgts := ops[i].Offsets, ops[i].Targets
+		if eps {
+			count += scr.scatter(tgts[offs[s]:offs[s+1]])
+		}
 		for _, t := range ids {
 			count += scr.scatter(tgts[offs[t]:offs[t+1]])
+		}
+		for wi, w := range words {
+			for base := wi * wordBits; w != 0; w &= w - 1 {
+				t := base + bits.TrailingZeros64(w)
+				count += scr.scatter(tgts[offs[t]:offs[t+1]])
+			}
 		}
 	}
 	return count
 }
 
-// denseCompose is the dense×CSR kernel: for each target t of a left row —
-// held as an id list, the words of a dense row, or both — it unions t's
-// dense successor set under every operand into out word-parallel, and with
-// skip the row's words themselves. out may hold stale data — the first
-// union overwrites it in full (copy), so no pre-clearing is needed.
-// Returns the population count of out, or 0 when nothing was written (out
-// is then garbage and must be ignored).
-func denseCompose(ids []int32, words []uint64, skip bool, ops []CSROperand, out []uint64) int {
-	first := !skip
-	if skip {
-		copy(out, words)
-	}
-	for i := range ops {
-		dense := ops[i].Dense
-		for _, t := range ids {
-			first = orInto(out, dense[t], first)
+// addWords adds a dense row's own bits — a step's skip term — to the
+// accumulator word by word and returns how many were new to it.
+func (scr *ComposeScratch) addWords(words []uint64) int {
+	count := 0
+	for wi, w := range words {
+		if w == 0 {
+			continue
 		}
-		for wi, w := range words {
-			for w != 0 {
-				first = orInto(out, dense[wi*wordBits+bits.TrailingZeros64(w)], first)
-				w &= w - 1
-			}
-		}
+		old := scr.words[wi]
+		count += bits.OnesCount64(w &^ old)
+		scr.words[wi] = old | w
+		scr.sum[wi>>6] |= 1 << (uint(wi) & 63)
 	}
-	if first {
-		return 0
-	}
-	return popcount(out)
-}
-
-// orInto unions the successor set d, if there is one, into out — or, first,
-// overwrites out with it — and reports whether out is still unwritten.
-func orInto(out []uint64, d *Set, first bool) bool {
-	switch {
-	case d == nil:
-		return first
-	case first:
-		copy(out, d.words)
-	default:
-		for i, w := range d.words {
-			out[i] |= w
-		}
-	}
-	return false
+	return count
 }
 
 // popcount returns the number of set bits in words.
@@ -425,12 +391,10 @@ func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 //	(s, u) ∈ dst  ⇔  ∃t: (s, t) ∈ h ∧ u ∈ op.successors(t)
 //
 // dst is reset first and its rows are reused in place, so steady-state
-// composition allocates nothing. Each input row dispatches to the kernel
-// matching its representation: sparse rows scatter through the CSR arrays,
-// dense rows union the operand's dense sets word-parallel — the step
-// h.Rows().ComposeShard over every row, at dst's promotion limit. Returns
-// the distinct-pair count of dst. h and dst must be distinct objects over
-// the same universe as op.
+// composition allocates nothing. Every input row, sparse or dense, scatters
+// its targets' CSR rows — the step h.Rows().ComposeShard over every row, at
+// dst's promotion limit. Returns the distinct-pair count of dst. h and dst
+// must be distinct objects over the same universe as op.
 func (h *HybridRelation) ComposeInto(dst *HybridRelation, op CSROperand, scr *ComposeScratch) int64 {
 	dst.Reset()
 	var c Count

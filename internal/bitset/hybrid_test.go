@@ -19,6 +19,17 @@ func legacyFromOperand(op CSROperand) *oracle.Relation {
 	return r
 }
 
+// successorSets builds an operand's successor sets — the table the dense
+// reference composes through — from its CSR rows.
+func successorSets(op CSROperand) []*Set {
+	r := legacyFromOperand(op)
+	sets := make([]*Set, op.N)
+	for v := range sets {
+		sets[v] = r.Row(v)
+	}
+	return sets
+}
+
 func TestHybridFromCSRMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 7, 64, 65, 300} {
@@ -37,8 +48,8 @@ func TestHybridFromCSRMatchesLegacy(t *testing.T) {
 }
 
 // TestHybridComposeMatchesLegacy is the core kernel property test: the
-// hybrid compose (whatever mix of sparse×CSR and dense×CSR kernels it
-// dispatches) must produce exactly the pairs of the legacy dense compose,
+// hybrid compose (sparse and dense left rows alike scatter their targets'
+// CSR rows) must produce exactly the pairs of the legacy dense compose,
 // across densities that force all-sparse, mixed, and all-dense rows.
 func TestHybridComposeMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -46,7 +57,7 @@ func TestHybridComposeMatchesLegacy(t *testing.T) {
 		n := 2 + rng.Intn(200)
 		opA := RandomOperand(rng, n, 1+rng.Intn(4*n))
 		opB := RandomOperand(rng, n, 1+rng.Intn(4*n))
-		want := legacyFromOperand(opA).Compose(opB.Dense)
+		want := legacyFromOperand(opA).Compose(successorSets(opB))
 		for _, density := range []float64{1e-9, 0.03125, 0.25, 1.0} {
 			h := HybridFromCSR(opA, density)
 			got := NewHybrid(n, density)
@@ -75,7 +86,7 @@ func TestHybridComposeIntoReuse(t *testing.T) {
 		opB := RandomOperand(rng, n, 1+rng.Intn(6*n))
 		h := HybridFromCSR(opA, 0.1)
 		h.ComposeInto(dst, opB, scr)
-		want := legacyFromOperand(opA).Compose(opB.Dense)
+		want := legacyFromOperand(opA).Compose(successorSets(opB))
 		if !oracle.EqualRelation(dst, want) {
 			t.Fatalf("trial %d: reused dst diverged from fresh compose", trial)
 		}
@@ -84,19 +95,16 @@ func TestHybridComposeIntoReuse(t *testing.T) {
 
 func TestHybridPromotionRule(t *testing.T) {
 	const n = 640
-	op := CSROperand{N: n, Offsets: make([]int32, n+1), Dense: make([]*Set, n)}
+	op := CSROperand{N: n, Offsets: make([]int32, n+1)}
 	// Source 0 has exactly n/32 targets (at the memory-parity threshold);
 	// source 1 has n/32 + 1 (just past it).
 	limit := n / 32
-	d0, d1 := New(n), New(n)
 	for i := 0; i < limit; i++ {
 		op.Targets = append(op.Targets, int32(i))
-		d0.Add(i)
 	}
 	op.Offsets[1] = int32(limit)
 	for i := 0; i <= limit; i++ {
 		op.Targets = append(op.Targets, int32(i))
-		d1.Add(i)
 	}
 	for v := 1; v < n; v++ {
 		op.Offsets[v+1] = op.Offsets[v]
@@ -105,7 +113,6 @@ func TestHybridPromotionRule(t *testing.T) {
 	for v := 2; v <= n; v++ {
 		op.Offsets[v] = op.Offsets[2]
 	}
-	op.Dense[0], op.Dense[1] = d0, d1
 	h := HybridFromCSR(op, 0) // default threshold = 1/32
 	if h.RowDense(0) {
 		t.Fatalf("row with count=|V|/32 should stay sparse")

@@ -82,7 +82,10 @@ func (scr *ComposeScratch) joinAccumulate(ts []int32, r *HybridRelation) (count 
 	// row (dense rows word-parallel, sparse rows bit by bit), then count.
 	// A dense right row already populates ≥ r.sparseMax targets, so the
 	// O(|V|/64) clear and popcount are amortized by the row's size.
-	acc := scr.wideWords()
+	if scr.wide == nil {
+		scr.wide = make([]uint64, len(scr.words))
+	}
+	acc := scr.wide
 	clear(acc)
 	for _, t := range ts {
 		rr := &r.rows[t]
@@ -132,11 +135,7 @@ func (scr *ComposeScratch) scatterSparseRows(ts []int32, r *HybridRelation) int 
 
 // emitWordsRow stores a fully-populated word accumulator with a known
 // count into dst's row s, choosing the sparse or dense form by dst's
-// threshold. count must be ≥ 1; the accumulator is left untouched. words
-// may be the row's own word array (the dense×CSR kernel accumulates in
-// place): a dense result then needs no copy, and a sparse one extracts
-// its sorted ids and leaves the words dirty — ignored until the next
-// dense fill overwrites them.
+// threshold. count must be ≥ 1; the accumulator is left untouched.
 func emitWordsRow(dst *HybridRelation, s int32, count int, words []uint64) {
 	row := &dst.rows[s]
 	row.count = int32(count)
@@ -156,7 +155,5 @@ func emitWordsRow(dst *HybridRelation, s int32, count int, words []uint64) {
 	if row.words == nil {
 		row.words = make([]uint64, len(words))
 	}
-	if &row.words[0] != &words[0] {
-		copy(row.words, words)
-	}
+	copy(row.words, words)
 }

@@ -108,13 +108,13 @@ func checkDst(dst *HybridRelation, n, limit int) {
 //
 //	(s, u) ∈ r ∘ (⋃ ops)  ⇔  ∃t, op ∈ ops: (s, t) ∈ r ∧ u ∈ op.successors(t)
 //
-// A row takes the kernel its shape asks for: a short one scatters its
-// targets' CSR rows into the summarized accumulator, a dense relation row
-// or a CSR row longer than limit unions its targets' dense successor sets
-// word-parallel — into dst's own row, so a dense result needs no copy. An
-// eps term is one more target, a skip term the row's own ids scattered or
-// its words copied in. It returns the shard's Count and, built, its sources
-// appended to buf[:0].
+// Every row takes one kernel, push: it scatters its targets' CSR rows into
+// the summarized accumulator — a sparse row's ids, a dense row's set bits
+// enumerated in place, a CSR row's targets whatever its length — so a
+// target costs its degree, never the universe. An eps term is one more
+// target, a skip term the row's own ids or bits added. The row is emitted
+// in the form its final count picks. It returns the shard's Count and,
+// built, its sources appended to buf[:0].
 //
 // Shards with disjoint ranges may run concurrently against one dst, each
 // with its own scratch: a shard writes its own rows only, never dst's
@@ -143,32 +143,14 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 		} else if ids = r.tgts[r.offs[i]:r.offs[i+1]]; len(ids) == 0 {
 			continue
 		}
-		own := ids // a sparse row's skip term
-		if r.eps {
-			ids = scr.targets(s, true, ids, nil)
+		count := scr.push(s, r.eps, ids, words, ops)
+		if r.skip {
+			count += scr.scatter(ids) + scr.addWords(words)
 		}
-		var count int
-		if words != nil || r.h == nil && len(ids) > limit {
-			out := scr.wideWords()
-			if dst != nil {
-				drow := &dst.rows[s]
-				if drow.words == nil {
-					drow.words = make([]uint64, len(scr.words))
-				}
-				out = drow.words
-			}
-			if count = denseCompose(ids, words, r.skip, ops, out); count > 0 && dst != nil {
-				emitWordsRow(dst, s, count, out)
-			}
-		} else {
-			if count = scr.scatterSparse(ids, ops); r.skip {
-				count += scr.scatter(own)
-			}
-			if count > 0 && dst != nil {
-				scr.emitRow(dst, s, count)
-			}
-			scr.reset()
+		if count > 0 && dst != nil {
+			scr.emitRow(dst, s, count)
 		}
+		scr.reset()
 		if count > 0 {
 			if dst != nil {
 				buf = append(buf, s)

@@ -128,7 +128,6 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		a, op := RandomOperand(rng, n, int(edgesA)%8192), RandomOperand(rng, n, int(edgesB)%8192)
-		a.Dense = nil // the left side is read as rows only
 		ops := []CSROperand{op}
 		density := regimes[regime%3]
 		got, want := dirty(rng, n, density), NewHybrid(n, density)
@@ -221,20 +220,12 @@ func FuzzFusedStepEquivalence(f *testing.F) {
 	})
 }
 
-// csrOf builds the operand whose row v is rows[v], ascending, with the
-// dense successor sets beside it.
+// csrOf builds the operand whose row v is rows[v], ascending.
 func csrOf(n int, rows map[int32][]int32) CSROperand {
-	op := CSROperand{N: n, Offsets: make([]int32, n+1), Dense: make([]*Set, n), Sources: len(rows)}
+	op := CSROperand{N: n, Offsets: make([]int32, n+1), Sources: len(rows)}
 	for v := range n {
-		ts := rows[int32(v)]
-		op.Targets = append(op.Targets, ts...)
+		op.Targets = append(op.Targets, rows[int32(v)]...)
 		op.Offsets[v+1] = int32(len(op.Targets))
-		if len(ts) > 0 {
-			op.Dense[v] = New(n)
-			for _, t := range ts {
-				op.Dense[v].Add(int(t))
-			}
-		}
 	}
 	return op
 }
@@ -333,4 +324,38 @@ func TestStepPreconditions(t *testing.T) {
 	mixed := []CSROperand{op, RandomOperand(rng, n+1, 40)}
 	expectPanic("union: operand universes, counted", func() { UnionCSR(nil, mixed, scr, limit) })
 	expectPanic("union: operand universes, built", func() { UnionCSR(NewHybrid(n, 0.5), mixed, scr, limit) })
+}
+
+// TestPushIgnoresLeftForm pins that a compose step's output does not depend
+// on the form its left rows are held in: one relation, held with every row
+// sparse, at the default threshold and with every row dense, composes
+// through one label and through two — plain and with each identity term —
+// into bit-identical destinations at one promotion limit, with equal
+// Counts and a clean accumulator, across two summary words.
+func TestPushIgnoresLeftForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	n := ScaledUniverse(300, 1)
+	left := RandomOperand(rng, n, 12*n)
+	ops := []CSROperand{RandomOperand(rng, n, 12*n), RandomOperand(rng, n, 2*n)}
+	scr := NewComposeScratch(n)
+	for size := 1; size <= len(ops); size++ {
+		for _, terms := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+			eps, skip := terms[0], terms[1]
+			var want *HybridRelation
+			for _, density := range regimes {
+				h := HybridFromCSR(left, density)
+				ctx := fmt.Sprintf("%d operands eps=%t skip=%t left density %v", size, eps, skip, density)
+				got := NewHybrid(n, 0)
+				r := h.Extend(eps, skip)
+				got.AdoptShard(r.ComposeShard(got, ops[:size], scr, got.sparseMax, 0, r.Len(), nil))
+				assertClean(t, ctx, scr)
+				assertCounts(t, ctx, counted(r.ComposeShard(nil, ops[:size], scr, got.sparseMax, 0, r.Len(), nil)), got)
+				if want == nil {
+					want = got
+					continue
+				}
+				assertBitIdentical(t, ctx, got, want)
+			}
+		}
+	}
 }

@@ -101,7 +101,6 @@ func FuzzUnionFillEquivalence(f *testing.F) {
 				m = rng.Intn(1 + int(edges)%4096/nl)
 			}
 			ops[l] = RandomOperand(rng, n, m)
-			ops[l].Dense = nil // a base reads the CSR arrays only
 		}
 		density := []float64{1, 0, 1e-9}[regime%3] // all sparse, default, all dense
 		got := HybridFromCSR(RandomOperand(rng, n, rng.Intn(1+8*n)), density)

@@ -169,7 +169,7 @@ func TestPoolLeaksNoRowsAcrossCheckouts(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					rel.FillFromCSR(g.LabelCSR(i % 2))
+					rel.FillFromCSR(g.LabelOperand(i % 2))
 					pool.Put(rel)
 					pool.Put(res)
 				}

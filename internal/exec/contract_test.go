@@ -142,6 +142,32 @@ func armFault(r faultinject.Rule) func(*Options, *Canceller) func() {
 	}
 }
 
+// armDeadline wires a 3 ms context deadline into the execution through
+// NewCancellerContext and arms a delay at count visits to site (≤ 0: every
+// visit) that lasts until the deadline has passed and the canceller
+// reports it. A fixed sleep could end before context.AfterFunc's goroutine
+// raised the canceller on a loaded host, and the next poll would pass; a
+// wait past 10 s panics instead, which fails the case.
+func armDeadline(site string, count int) func(*Options, *Canceller) func() {
+	return func(opt *Options, _ *Canceller) func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+		canc, release := NewCancellerContext(ctx)
+		opt.Cancel = canc
+		faultinject.Install(faultinject.NewInjector(faultinject.Rule{
+			Site: site, Count: count, Action: faultinject.ActDelay,
+			Wait: func() {
+				limit := time.Now().Add(10 * time.Second)
+				for ctx.Err() == nil || !errors.Is(canc.Err(), ErrDeadlineExceeded) {
+					if time.Now().After(limit) {
+						panic("contract: the canceller never reported the deadline")
+					}
+					time.Sleep(50 * time.Microsecond)
+				}
+			}}))
+		return func() { release(); cancel(); faultinject.Uninstall() }
+	}
+}
+
 // contractCases returns the abort table for a shape whose surviving run
 // crosses the given number of exec.step boundaries, runs the given number
 // of sharded kernel tasks, and does or does not draw a relation from the
@@ -168,14 +194,7 @@ func contractCases(boundaries, shards int, draws, adopted bool) []abortCase {
 		{name: "deadline",
 			// An injected delay at every step boundary makes a short
 			// context deadline expire mid-query.
-			arm: func(opt *Options, _ *Canceller) func() {
-				faultinject.Install(faultinject.NewInjector(faultinject.Rule{
-					Site: "exec.step", Action: faultinject.ActDelay, Delay: 10 * time.Millisecond}))
-				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
-				canc, release := NewCancellerContext(ctx)
-				opt.Cancel = canc
-				return func() { release(); cancel(); faultinject.Uninstall() }
-			},
+			arm:      armDeadline("exec.step", 0),
 			want:     func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) },
 			survives: boundaries == 0},
 		{name: "budget",
@@ -193,14 +212,7 @@ func contractCases(boundaries, shards int, draws, adopted bool) []abortCase {
 			// One shard of the first sharded step sleeps past the deadline
 			// and then runs its kernel with the flag already up: it is the
 			// row loop's own poll that has to stop it.
-			arm: func(opt *Options, _ *Canceller) func() {
-				faultinject.Install(faultinject.NewInjector(faultinject.Rule{
-					Site: "exec.shard", Count: 1, Action: faultinject.ActDelay, Delay: 10 * time.Millisecond}))
-				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
-				canc, release := NewCancellerContext(ctx)
-				opt.Cancel = canc
-				return func() { release(); cancel(); faultinject.Uninstall() }
-			},
+			arm:      armDeadline("exec.shard", 1),
 			want:     func(err error) bool { return errors.Is(err, ErrDeadlineExceeded) },
 			survives: shards == 0},
 	}

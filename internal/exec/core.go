@@ -216,7 +216,7 @@ func (x *core) counts(key []byte) bool {
 // is never priced.
 func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
 	if len(labels) == 1 && dst != nil {
-		dst.FillFromCSR(x.g.LabelCSR(labels[0]))
+		dst.FillFromCSR(x.g.LabelOperand(labels[0]))
 	} else {
 		x.counted = x.stepper().base(x.g, labels, dst)
 	}

@@ -65,11 +65,12 @@
 //
 // Execution runs on the hybrid sparse/dense relation substrate
 // (bitset.HybridRelation): two pooled relations double-buffer through the
-// specialized sparse×CSR / dense×CSR compose kernels, the first step
-// reading the start label's rows from the graph's CSR rather than from a
-// copy (bitset.CSROperand.Rows), rightward steps use successor
-// operands, leftward steps use predecessor operands on the reversed
-// relation, and every row adapts its representation per step.
+// scatter compose kernel (every row, sparse or dense, pushes its targets'
+// CSR rows), the first step reading the start label's rows from the
+// graph's CSR rather than from a copy (bitset.CSROperand.Rows), rightward
+// steps use successor operands, leftward steps use predecessor operands
+// on the reversed relation, and every row adapts its representation per
+// step.
 // Each compose step is parallelized over the shared work-stealing
 // scheduler (internal/sched): the input relation's source rows are
 // partitioned into shards, composed concurrently into a shared

@@ -171,16 +171,16 @@ func (s *SchedStats) merge(o SchedStats) {
 // the plan's own consistency and panics on a malformed one (a caller bug,
 // not a runtime failure). Execution is entirely on the hybrid sparse/dense
 // substrate: a zig-zag leaf double-buffers two pooled relations through the
-// specialized sparse×CSR / dense×CSR compose kernels, each row adapting its
-// representation per step; its first step reads the start label's rows
-// from the graph, rightward steps compose with successor operands, leftward
-// steps work on the reversed relation with predecessor operands, so no
-// step ever multiplies from the expensive side. A join node builds its two
-// segments independently — concurrently when the worker budget allows, a
-// failing side cancelling its sibling — and joins them with the sharded
-// relation×relation kernel; a plan of several blocks folds them left to
-// right, composing through the blocks that are one step from the graph
-// (see rpq.go).
+// scatter compose kernel, which pushes each target's CSR row, every row
+// adapting its representation per step; its first step reads the start
+// label's rows from the graph, rightward steps compose with successor
+// operands, leftward steps work on the reversed relation with predecessor
+// operands, so no step ever multiplies from the expensive side. A join
+// node builds its two segments independently — concurrently when the
+// worker budget allows, a failing side cancelling its sibling — and joins
+// them with the sharded relation×relation kernel; a plan of several blocks
+// folds them left to right, composing through the blocks that are one step
+// from the graph (see rpq.go).
 //
 // Each step runs on Options.Workers work-stealing workers (default
 // GOMAXPROCS): the input relation's source rows are partitioned into
@@ -252,9 +252,9 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 			return nil, err
 		}
 	}
-	a := x.g.LabelCSR(p[start])
+	a := x.g.LabelOperand(p[start])
 	if start == len(p)-1 {
-		a = x.g.PredecessorCSR(p[start])
+		a = x.g.PredecessorOperand(p[start])
 	}
 	count := root && x.counts(key)
 	// cur is the segment grown so far, nil until the first step has run;

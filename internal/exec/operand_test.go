@@ -40,7 +40,7 @@ func skewedGraph() *graph.CSR {
 func TestContractBudgetFirstStep(t *testing.T) {
 	g := skewedGraph()
 	for _, density := range []float64{1, 0, 1e-9} {
-		size := int64(bitset.HybridFromCSR(g.LabelCSR(0), density).CloneMemSize())
+		size := int64(bitset.HybridFromCSR(g.LabelOperand(0), density).CloneMemSize())
 		for start, p := range []paths.Path{{0, 1}, {1, 0}} { // label 0 is the start label of both
 			for _, keep := range []bool{true, false} {
 				for _, budget := range []int64{size - 1, size} {
@@ -73,7 +73,7 @@ func TestFirstStepShardsAsTheBaseWould(t *testing.T) {
 	g := randomGraph(5, 300, 1, 9000)
 	p := paths.Path{0, 0}
 	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
-	for start, a := range []bitset.CSROperand{g.LabelCSR(0), g.PredecessorCSR(0)} {
+	for start, a := range []bitset.CSROperand{g.LabelOperand(0), g.PredecessorOperand(0)} {
 		base := bitset.HybridFromCSR(a, 0)
 		if a.Sources != base.Sources() {
 			t.Fatalf("start %d: operand reports %d sources, its relation has %d", start, a.Sources, base.Sources())

@@ -118,17 +118,12 @@ func (st *stepper) setCancel(f *bitset.CancelFlag) {
 // counters snapshots the stepper's scheduler activity for Stats.
 func (st *stepper) counters() sched.Counters { return st.sch.Counters() }
 
-// labelOps makes a label set the stepper's operand list: the CSR arrays
-// alone for a base, which only reads rows, the dual form for the right
-// side of a step.
-func (st *stepper) labelOps(g *graph.CSR, labels []int, dense bool) {
+// labelOps makes a label set the stepper's operand list: the labels' CSR
+// arrays, which a base reads as rows and a step scatters from.
+func (st *stepper) labelOps(g *graph.CSR, labels []int) {
 	st.ops = slices.Grow(st.ops[:0], len(labels))
 	for _, l := range labels {
-		if dense {
-			st.ops = append(st.ops, g.LabelOperand(l))
-		} else {
-			st.ops = append(st.ops, g.LabelCSR(l))
-		}
+		st.ops = append(st.ops, g.LabelOperand(l))
 	}
 }
 
@@ -138,7 +133,7 @@ func (st *stepper) labelOps(g *graph.CSR, labels []int, dense bool) {
 // runs on the coordinator: a base is a copy at memory speed, the size of
 // the graph and not of an intermediate, so it is never sharded.
 func (st *stepper) base(g *graph.CSR, labels []int, dst *bitset.HybridRelation) bitset.Count {
-	st.labelOps(g, labels, false)
+	st.labelOps(g, labels)
 	return bitset.UnionCSR(dst, st.ops, st.scr(0), st.limit)
 }
 
@@ -151,7 +146,7 @@ func (st *stepper) compose(left bitset.Rows, op bitset.CSROperand) {
 // set: the compose kernel again, over several operands.
 func (st *stepper) through(g *graph.CSR, left bitset.Rows, labels []int) {
 	st.left = left
-	st.labelOps(g, labels, true)
+	st.labelOps(g, labels)
 }
 
 // join makes the next step the relation×relation join left ∘ right.

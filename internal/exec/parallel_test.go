@@ -151,7 +151,7 @@ func TestAbortedStepLeavesNoStaleRows(t *testing.T) {
 	g := randomGraph(7, 400, 2, 12000)
 	n := g.NumVertices()
 	ops := []bitset.CSROperand{g.LabelOperand(0)}
-	left := g.LabelCSR(1)
+	left := g.LabelOperand(1)
 	bad := left
 	bad.Targets = slices.Clone(left.Targets)
 	bad.Targets[len(bad.Targets)-1] = int32(n + 7)

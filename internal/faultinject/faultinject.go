@@ -76,6 +76,10 @@ type Rule struct {
 	// Jittered delays model the realistic overload pattern — service
 	// times that vary visit to visit instead of stalling uniformly.
 	Jitter time.Duration
+	// Wait, when set, is what a triggered Delay visit does instead of
+	// sleeping: the visit returns when Wait does. It makes a delay last
+	// until a condition holds, for a test that must not race the clock.
+	Wait func()
 }
 
 // ruleState is one armed rule plus its visit counters.
@@ -193,7 +197,11 @@ func Fire(site string) {
 	}
 	switch r.Action {
 	case ActDelay:
-		time.Sleep(r.Delay + jitter)
+		if r.Wait != nil {
+			r.Wait()
+		} else {
+			time.Sleep(r.Delay + jitter)
+		}
 	case ActPanic:
 		v := r.PanicValue
 		if v == nil {

@@ -71,6 +71,29 @@ func TestDelayRule(t *testing.T) {
 	}
 }
 
+// TestDelayWait pins a Delay rule with a Wait: a triggered visit returns
+// when Wait does, however long Delay is, and an exhausted rule calls it no
+// more.
+func TestDelayWait(t *testing.T) {
+	release, calls := make(chan struct{}), 0
+	Install(NewInjector(Rule{Site: "s", Action: ActDelay, Delay: time.Hour, Count: 1,
+		Wait: func() { calls++; <-release }}))
+	t.Cleanup(Uninstall)
+	done := make(chan struct{})
+	go func() { Fire("s"); close(done) }()
+	select {
+	case <-done:
+		t.Fatal("the visit returned before Wait did")
+	case <-time.After(5 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	Fire("s") // rule exhausted
+	if calls != 1 {
+		t.Fatalf("Wait ran %d times, want 1", calls)
+	}
+}
+
 func TestFailRule(t *testing.T) {
 	inj := NewInjector(Rule{Site: "alloc", Action: ActFail, Count: 2})
 	Install(inj)

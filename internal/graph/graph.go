@@ -1,28 +1,22 @@
 // Package graph is the bottom layer of the reproduction (graph → bitset →
 // paths → exec → pathsel): the directed edge-labeled multigraph
 // G = (V, L, E) with E ⊆ V × L × V. It provides a mutable builder and an
-// immutable, concurrency-safe CSR (compressed sparse row) form that
-// serves every engine above it with per-label adjacency in the shapes
-// their kernels consume:
+// immutable, concurrency-safe CSR (compressed sparse row) form, and the
+// CSR is all the engines above it read: per label, in the one shape every
+// step kernel consumes (bitset.CSROperand), in O(|V| + |E|) memory.
 //
-//   - LabelOperand / LabelCSR: forward adjacency as a dual-form compose
-//     operand (CSR arrays for the sparse scatter kernel, dense successor
-//     sets for the word-parallel kernel) — the census and the rightward
-//     join steps of execution.
-//   - PredecessorOperand / PredecessorCSR: reversed adjacency in the same
-//     dual form — the leftward (prepend) join steps of backward and
-//     zig-zag execution.
-//     The CSR-only forms are also a label's relation itself, read in
+//   - LabelOperand: forward adjacency, built at Freeze — the census and the
+//     rightward steps of execution, and a label's relation itself, read in
 //     place: the left side of a leaf's first step and the operands of a
-//     label-set base carry no dense tables, and report their non-empty
-//     row count (CSROperand.Sources) so such a step shards without a pass.
-//   - SuccessorSets / PredecessorSets: the dense halves of those
-//     operands, which the test-only dense reference (internal/oracle,
-//     what the equivalence tests pin the hybrid engines against) also
-//     composes through.
+//     label-set base report their non-empty row count
+//     (CSROperand.Sources), so such a step shards without a pass.
+//   - PredecessorOperand: reversed adjacency, built on first use — the
+//     leftward (prepend) steps of backward and zig-zag execution.
 //
-// All lazily built tables are sync.Once-guarded, so first use is safe
-// under concurrent callers and the hot loops never pay initialization.
+// The reverse CSR is sync.Once-guarded, so first use is safe under
+// concurrent callers and the hot loops never pay initialization. The
+// graph keeps no |V|-bit tables: the test-only dense reference
+// (internal/oracle) builds its own sets from Successors.
 package graph
 
 import (
@@ -172,10 +166,6 @@ func (g *Graph) Freeze() *CSR {
 		rtargets:    make([][]int32, g.numLabels),
 		sources:     make([]int, g.numLabels),
 		rsources:    make([]int, g.numLabels),
-		succ:        make([][]*bitset.Set, g.numLabels),
-		pred:        make([][]*bitset.Set, g.numLabels),
-		succOnce:    make([]sync.Once, g.numLabels),
-		predOnce:    make([]sync.Once, g.numLabels),
 		revOnce:     make([]sync.Once, g.numLabels),
 	}
 	for l := 0; l < g.numLabels; l++ {
@@ -227,25 +217,18 @@ type CSR struct {
 	targets [][]int32
 
 	// roffsets/rtargets are the reverse CSR per label — incoming edges,
-	// indexed by target — built lazily by PredecessorCSR for backward and
-	// zig-zag join steps.
+	// indexed by target — built lazily by PredecessorOperand for backward
+	// and zig-zag steps; revOnce[l] makes the first build per label safe
+	// under concurrent callers.
 	roffsets [][]int32
 	rtargets [][]int32
+	revOnce  []sync.Once
 
 	// sources[l] and rsources[l] count the non-empty rows of label l's
 	// forward and reverse CSR (CSROperand.Sources), the first at Freeze, the
 	// second with the reverse CSR.
 	sources  []int
 	rsources []int
-
-	// succ[l] is built lazily by SuccessorSets; pred[l] by
-	// PredecessorSets; roffsets/rtargets by PredecessorCSR. The sync.Once
-	// guards make the first build per label safe under concurrent callers.
-	succ     [][]*bitset.Set
-	pred     [][]*bitset.Set
-	succOnce []sync.Once
-	predOnce []sync.Once
-	revOnce  []sync.Once
 }
 
 // NumVertices returns |V|.
@@ -275,57 +258,12 @@ func (c *CSR) LabelFrequencies() []int64 {
 	return freq
 }
 
-// SuccessorSets returns, for label l, a per-vertex successor bit set
-// table: the dense half of LabelOperand (driving the dense×CSR compose
-// kernel) and the input of the oracle.Relation.Compose reference path
-// (internal/oracle, test-only). Rows for vertices with no successors are
-// nil. The table is built once per label and cached behind a sync.Once,
-// so concurrent first calls are safe.
-func (c *CSR) SuccessorSets(l int) []*bitset.Set {
-	c.succOnce[l].Do(func() {
-		tab := make([]*bitset.Set, c.numVertices)
-		for v := 0; v < c.numVertices; v++ {
-			ts := c.Successors(v, l)
-			if len(ts) == 0 {
-				continue
-			}
-			s := bitset.New(c.numVertices)
-			for _, t := range ts {
-				s.Add(int(t))
-			}
-			tab[v] = s
-		}
-		c.succ[l] = tab
-	})
-	return c.succ[l]
-}
-
-// PredecessorSets returns, for label l, a per-vertex predecessor bit set
-// table: pred[v] contains every u with (u, l, v) ∈ E. Used by backward
-// (right-to-left) path evaluation. Built once per label and cached behind a
-// sync.Once, so concurrent first calls are safe.
-func (c *CSR) PredecessorSets(l int) []*bitset.Set {
-	c.predOnce[l].Do(func() {
-		tab := make([]*bitset.Set, c.numVertices)
-		for v := 0; v < c.numVertices; v++ {
-			for _, t := range c.Successors(v, l) {
-				if tab[t] == nil {
-					tab[t] = bitset.New(c.numVertices)
-				}
-				tab[t].Add(v)
-			}
-		}
-		c.pred[l] = tab
-	})
-	return c.pred[l]
-}
-
-// PredecessorCSR returns label l's reversed adjacency as a CSR-only
-// compose operand: operand row v holds every u with (u, l, v) ∈ E, sorted
+// PredecessorOperand returns label l's reversed adjacency as a compose
+// operand: operand row v holds every u with (u, l, v) ∈ E, sorted
 // ascending. Composing a reversed relation with it is the prepend step of
 // backward and zig-zag execution. Built once per label (counting sort of
 // the forward CSR) behind a sync.Once, so concurrent first calls are safe.
-func (c *CSR) PredecessorCSR(l int) bitset.CSROperand {
+func (c *CSR) PredecessorOperand(l int) bitset.CSROperand {
 	c.revOnce[l].Do(func() {
 		off := make([]int32, c.numVertices+1)
 		for _, t := range c.targets[l] {
@@ -353,31 +291,10 @@ func (c *CSR) PredecessorCSR(l int) bitset.CSROperand {
 	}
 }
 
-// PredecessorOperand returns label l's reversed adjacency as a dual-form
-// compose operand: the reverse CSR arrays for the sparse scatter kernel
-// plus the dense predecessor sets for the word-parallel kernel. Safe for
+// LabelOperand returns label l's adjacency as a compose operand: its CSR
+// arrays, which alias internal storage and must not be modified. Safe for
 // concurrent callers.
-func (c *CSR) PredecessorOperand(l int) bitset.CSROperand {
-	op := c.PredecessorCSR(l)
-	op.Dense = c.PredecessorSets(l)
-	return op
-}
-
-// LabelOperand returns label l's adjacency as a dual-form compose operand:
-// the CSR arrays for the sparse scatter kernel plus the dense successor
-// sets for the word-parallel kernel. The CSR slices alias internal storage
-// and must not be modified. Safe for concurrent callers.
 func (c *CSR) LabelOperand(l int) bitset.CSROperand {
-	op := c.LabelCSR(l)
-	op.Dense = c.SuccessorSets(l)
-	return op
-}
-
-// LabelCSR returns label l's adjacency as a CSR-only compose operand, with
-// no dense successor sets. Sufficient for engines configured to keep every
-// relation row sparse, which never touch the dense kernel, and for every
-// reader of the label's rows as rows: a base, the left side of a first step.
-func (c *CSR) LabelCSR(l int) bitset.CSROperand {
 	return bitset.CSROperand{
 		N:       c.numVertices,
 		Offsets: c.offsets[l],
@@ -386,19 +303,12 @@ func (c *CSR) LabelCSR(l int) bitset.CSROperand {
 	}
 }
 
-// Operands eagerly builds and returns the compose operands of every label.
-// The census engines call this once up front so the hot loop never pays
-// (or races on) lazy initialization. withDense selects the dual-form
-// operands; false skips building the per-label dense successor tables
-// (O(|L|·sources·|V|/8) bytes) for sparse-only configurations.
-func (c *CSR) Operands(withDense bool) []bitset.CSROperand {
+// Operands returns the compose operands of every label, which the census
+// engines take once up front.
+func (c *CSR) Operands() []bitset.CSROperand {
 	ops := make([]bitset.CSROperand, c.numLabels)
-	for l := 0; l < c.numLabels; l++ {
-		if withDense {
-			ops[l] = c.LabelOperand(l)
-		} else {
-			ops[l] = c.LabelCSR(l)
-		}
+	for l := range ops {
+		ops[l] = c.LabelOperand(l)
 	}
 	return ops
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitset"
 	. "repro/internal/graph"
 	"repro/internal/oracle"
 )
@@ -175,58 +176,126 @@ func TestCSRLabelFrequencies(t *testing.T) {
 	}
 }
 
+// TestSuccessorSets pins the dense reference's successor sets, which it
+// builds from the CSR on every call: set v holds Successors(v, l), and a
+// vertex without successors has none.
 func TestSuccessorSets(t *testing.T) {
 	g := New(4, 2)
 	g.AddEdge(0, 0, 1)
 	g.AddEdge(0, 0, 2)
 	g.AddEdge(3, 0, 0)
 	c := g.Freeze()
-	tab := c.SuccessorSets(0)
-	if tab[0] == nil || tab[0].Count() != 2 || !tab[0].Contains(1) || !tab[0].Contains(2) {
+	tab := oracle.SuccessorSets(c, 0)
+	if len(tab) != 4 || tab[0] == nil || tab[0].Count() != 2 || !tab[0].Contains(1) || !tab[0].Contains(2) {
 		t.Fatalf("succ[0] wrong: %v", tab[0])
 	}
 	if tab[1] != nil || tab[2] != nil {
 		t.Fatal("vertices without successors should have nil sets")
 	}
-	if tab[3] == nil || !tab[3].Contains(0) {
+	if tab[3] == nil || tab[3].Count() != 1 || !tab[3].Contains(0) {
 		t.Fatal("succ[3] wrong")
 	}
-	// Cached: same slice on second call.
-	if &c.SuccessorSets(0)[0] != &tab[0] {
-		t.Fatal("SuccessorSets should be cached")
+	if tab := oracle.SuccessorSets(c, 1); slices.ContainsFunc(tab, func(s *bitset.Set) bool { return s != nil }) {
+		t.Fatal("label 1 has no edges, so no successor sets")
 	}
 }
 
-func TestPredecessorSets(t *testing.T) {
+// randomCSR freezes a random graph with up to m edges over n vertices and
+// the given number of labels.
+func randomCSR(rng *rand.Rand, n, labels, m int) *CSR {
+	g := New(n, labels)
+	for i := 0; i < m; i++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(labels), rng.Intn(n))
+	}
+	return g.Freeze()
+}
+
+// operandRow returns row v of a compose operand.
+func operandRow(op bitset.CSROperand, v int) []int32 {
+	return op.Targets[op.Offsets[v]:op.Offsets[v+1]]
+}
+
+// TestLabelOperandRows pins the forward operand to the graph: its universe,
+// its non-empty row count, and every row v equal to Successors(v, l) — on a
+// hand-built graph and on random ones, through Operands too.
+func TestLabelOperandRows(t *testing.T) {
 	g := New(4, 2)
 	g.AddEdge(0, 0, 2)
-	g.AddEdge(1, 0, 2)
+	g.AddEdge(0, 0, 1)
 	g.AddEdge(3, 0, 0)
 	c := g.Freeze()
-	tab := c.PredecessorSets(0)
-	if tab[2] == nil || tab[2].Count() != 2 || !tab[2].Contains(0) || !tab[2].Contains(1) {
-		t.Fatalf("pred[2] wrong: %v", tab[2])
+	op := c.LabelOperand(0)
+	if op.N != 4 || op.Sources != 2 || !slices.Equal(operandRow(op, 0), []int32{1, 2}) ||
+		len(operandRow(op, 1)) != 0 || !slices.Equal(operandRow(op, 3), []int32{0}) {
+		t.Fatalf("label 0 operand wrong: %+v", op)
 	}
-	if tab[0] == nil || !tab[0].Contains(3) {
-		t.Fatal("pred[0] wrong")
-	}
-	if tab[1] != nil || tab[3] != nil {
-		t.Fatal("vertices without predecessors should have nil sets")
-	}
-	// Cached on second call.
-	if &c.PredecessorSets(0)[0] != &tab[0] {
-		t.Fatal("PredecessorSets should be cached")
-	}
-	// Predecessors must mirror successors exactly.
-	for l := 0; l < 2; l++ {
-		pred := c.PredecessorSets(l)
-		for v := 0; v < 4; v++ {
-			for _, tgt := range c.Successors(v, l) {
-				if pred[tgt] == nil || !pred[tgt].Contains(v) {
-					t.Fatalf("edge (%d,%d,%d) missing from predecessor sets", v, l, tgt)
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 10; trial++ {
+		n, labels := 1+rng.Intn(50), 1+rng.Intn(4)
+		c := randomCSR(rng, n, labels, rng.Intn(5*n))
+		ops := c.Operands()
+		if len(ops) != labels {
+			t.Fatalf("got %d operands for %d labels", len(ops), labels)
+		}
+		for l, op := range ops {
+			sources := 0
+			for v := 0; v < n; v++ {
+				if !slices.Equal(operandRow(op, v), c.Successors(v, l)) {
+					t.Fatalf("label %d row %d = %v, successors %v", l, v, operandRow(op, v), c.Successors(v, l))
+				}
+				if len(c.Successors(v, l)) > 0 {
+					sources++
 				}
 			}
+			if op.N != n || op.Sources != sources {
+				t.Fatalf("label %d: universe %d, sources %d; want %d, %d", l, op.N, op.Sources, n, sources)
+			}
 		}
+	}
+}
+
+// TestPredecessorOperandRows pins the reverse operand to a brute-force
+// predecessor list: row v holds every u with v ∈ Successors(u, l),
+// ascending, and Sources counts the vertices with one.
+func TestPredecessorOperandRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 10; trial++ {
+		n, labels := 1+rng.Intn(50), 1+rng.Intn(4)
+		c := randomCSR(rng, n, labels, rng.Intn(5*n))
+		for l := 0; l < labels; l++ {
+			op := c.PredecessorOperand(l)
+			sources := 0
+			for v := 0; v < n; v++ {
+				var want []int32
+				for u := 0; u < n; u++ {
+					if slices.Contains(c.Successors(u, l), int32(v)) {
+						want = append(want, int32(u))
+					}
+				}
+				if !slices.Equal(operandRow(op, v), want) {
+					t.Fatalf("label %d row %d = %v, predecessors %v", l, v, operandRow(op, v), want)
+				}
+				if len(want) > 0 {
+					sources++
+				}
+			}
+			if op.N != n || op.Sources != sources {
+				t.Fatalf("label %d: universe %d, sources %d; want %d, %d", l, op.N, op.Sources, n, sources)
+			}
+		}
+	}
+}
+
+// TestOperandsAllocateNothing pins that an operand is a view of the CSR:
+// LabelOperand, and PredecessorOperand once built, allocate nothing.
+func TestOperandsAllocateNothing(t *testing.T) {
+	c := randomCSR(rand.New(rand.NewSource(24)), 30, 2, 120)
+	c.PredecessorOperand(1)
+	if a := testing.AllocsPerRun(100, func() { c.LabelOperand(1) }); a != 0 {
+		t.Fatalf("LabelOperand allocated %v times per call", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.PredecessorOperand(1) }); a != 0 {
+		t.Fatalf("warm PredecessorOperand allocated %v times per call", a)
 	}
 }
 
@@ -244,156 +313,31 @@ func TestEdgeRelation(t *testing.T) {
 	}
 }
 
-// TestLazyInitConcurrent hammers the lazily built successor/predecessor
-// tables from many goroutines at once. Run under -race this pins the
-// sync.Once guard that replaced the old "force construction up front"
-// workaround in the parallel census.
+// TestLazyInitConcurrent makes the first PredecessorOperand call of every
+// label from 16 goroutines at once. Run under -race this pins the sync.Once
+// guard around the reverse CSR's build: every caller gets the one build's
+// Offsets and Targets backing arrays.
 func TestLazyInitConcurrent(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := New(60, 4)
-	for i := 0; i < 400; i++ {
-		g.AddEdge(rng.Intn(60), rng.Intn(4), rng.Intn(60))
-	}
-	c := g.Freeze()
+	c := randomCSR(rand.New(rand.NewSource(21)), 60, 4, 400)
+	got := make([][]bitset.CSROperand, 16)
 	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for l := 0; l < 4; l++ {
-				succ := c.SuccessorSets(l)
-				pred := c.PredecessorSets(l)
-				op := c.LabelOperand(l)
-				if len(succ) != 60 || len(pred) != 60 || op.N != 60 {
-					t.Errorf("worker %d label %d: bad table sizes", w, l)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// All goroutines must have observed the same cached tables.
-	for l := 0; l < 4; l++ {
-		if &c.SuccessorSets(l)[0] != &c.LabelOperand(l).Dense[0] {
-			t.Fatalf("label %d: operand does not share the cached successor table", l)
-		}
-	}
-}
-
-// TestLabelOperandMatchesCSR checks the dual forms of an operand agree.
-func TestLabelOperandMatchesCSR(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	g := New(40, 3)
-	for i := 0; i < 200; i++ {
-		g.AddEdge(rng.Intn(40), rng.Intn(3), rng.Intn(40))
-	}
-	c := g.Freeze()
-	ops := c.Operands(true)
-	if len(ops) != 3 {
-		t.Fatalf("got %d operands", len(ops))
-	}
-	for l, op := range ops {
-		for v := 0; v < 40; v++ {
-			ts := op.Targets[op.Offsets[v]:op.Offsets[v+1]]
-			if len(ts) != len(c.Successors(v, l)) {
-				t.Fatalf("label %d vertex %d: CSR degree mismatch", l, v)
-			}
-			d := op.Dense[v]
-			if (d == nil) != (len(ts) == 0) {
-				t.Fatalf("label %d vertex %d: dense row nil-ness disagrees", l, v)
-			}
-			for _, tgt := range ts {
-				if !d.Contains(int(tgt)) {
-					t.Fatalf("label %d: dense row missing target %d of %d", l, tgt, v)
-				}
-			}
-		}
-	}
-}
-
-func TestPredecessorCSRMirrorsForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 15; trial++ {
-		n := 2 + rng.Intn(60)
-		labels := 1 + rng.Intn(3)
-		g := New(n, labels)
-		for i := 0; i < rng.Intn(4*n); i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(labels), rng.Intn(n))
-		}
-		c := g.Freeze()
-		for l := 0; l < labels; l++ {
-			op := c.PredecessorCSR(l)
-			if op.N != n {
-				t.Fatalf("operand universe %d != %d", op.N, n)
-			}
-			// Every reverse pair (v, u) must be a forward edge (u, l, v),
-			// rows must be sorted, and the pair counts must match.
-			total := 0
-			for v := 0; v < n; v++ {
-				row := op.Targets[op.Offsets[v]:op.Offsets[v+1]]
-				for i, u := range row {
-					if i > 0 && row[i-1] >= u {
-						t.Fatalf("label %d: predecessor row %d not strictly ascending", l, v)
-					}
-					if !slices.Contains(c.Successors(int(u), l), int32(v)) {
-						t.Fatalf("label %d: reverse pair (%d,%d) has no forward edge", l, v, u)
-					}
-				}
-				total += len(row)
-			}
-			if total != len(c.LabelCSR(l).Targets) {
-				t.Fatalf("label %d: reverse CSR has %d pairs, forward has %d", l, total, len(c.LabelCSR(l).Targets))
-			}
-		}
-	}
-}
-
-func TestPredecessorOperandDenseAgrees(t *testing.T) {
-	g := New(6, 2)
-	g.AddEdge(0, 1, 3)
-	g.AddEdge(2, 1, 3)
-	g.AddEdge(5, 1, 0)
-	c := g.Freeze()
-	op := c.PredecessorOperand(1)
-	if op.Dense == nil {
-		t.Fatal("dual-form operand should carry dense predecessor sets")
-	}
-	for v := 0; v < 6; v++ {
-		row := op.Targets[op.Offsets[v]:op.Offsets[v+1]]
-		want := op.Dense[v]
-		if want == nil {
-			if len(row) != 0 {
-				t.Fatalf("vertex %d: CSR row non-empty but dense row nil", v)
-			}
-			continue
-		}
-		if want.Count() != len(row) {
-			t.Fatalf("vertex %d: dense count %d != CSR row length %d", v, want.Count(), len(row))
-		}
-		for _, u := range row {
-			if !want.Contains(int(u)) {
-				t.Fatalf("vertex %d: dense set missing predecessor %d", v, u)
-			}
-		}
-	}
-}
-
-func TestPredecessorCSRConcurrent(t *testing.T) {
-	g := New(40, 2)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 200; i++ {
-		g.AddEdge(rng.Intn(40), rng.Intn(2), rng.Intn(40))
-	}
-	c := g.Freeze()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for w := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for l := 0; l < 2; l++ {
-				c.PredecessorCSR(l)
-				c.PredecessorOperand(l)
+			for l := 0; l < 4; l++ {
+				got[w] = append(got[w], c.PredecessorOperand(l))
 			}
 		}()
 	}
 	wg.Wait()
+	for l := 0; l < 4; l++ {
+		want := c.PredecessorOperand(l)
+		for w := range got {
+			op := got[w][l]
+			if op.N != 60 || &op.Offsets[0] != &want.Offsets[0] || &op.Targets[0] != &want.Targets[0] {
+				t.Fatalf("worker %d label %d: operand does not share the one reverse CSR", w, l)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/combinat"
 	"repro/internal/graph"
 	"repro/internal/paths"
@@ -14,6 +15,7 @@ type census struct {
 	numLabels int
 	k         int
 	freq      []int64
+	succ      [][]*bitset.Set // per label, SuccessorSets
 }
 
 // NewCensus computes the full selectivity census of g for paths of length
@@ -29,23 +31,26 @@ func NewCensus(g *graph.CSR, k int) *paths.Census {
 		numLabels: g.NumLabels(),
 		k:         k,
 		freq:      make([]int64, combinat.GeometricSum(int64(g.NumLabels()), int64(k))),
+		succ:      make([][]*bitset.Set, g.NumLabels()),
+	}
+	for l := range c.succ {
+		c.succ[l] = SuccessorSets(g, l)
 	}
 	p := make(paths.Path, 0, k)
 	for l := 0; l < g.NumLabels(); l++ {
 		rel := EdgeRelation(g, l)
-		c.censusDFS(g, append(p, l), rel)
+		c.censusDFS(append(p, l), rel)
 	}
 	return paths.FromFrequencies(c.numLabels, c.k, c.freq)
 }
 
-func (c *census) censusDFS(g *graph.CSR, p paths.Path, rel *Relation) {
+func (c *census) censusDFS(p paths.Path, rel *Relation) {
 	n := rel.Pairs()
 	c.freq[paths.CanonicalIndex(p, c.numLabels, c.k)] = n
 	if len(p) == c.k || n == 0 {
 		return
 	}
 	for l := 0; l < c.numLabels; l++ {
-		next := rel.Compose(g.SuccessorSets(l))
-		c.censusDFS(g, append(p, l), next)
+		c.censusDFS(append(p, l), rel.Compose(c.succ[l]))
 	}
 }

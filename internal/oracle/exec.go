@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/paths"
 )
@@ -57,6 +58,12 @@ func EdgeRelation(g *graph.CSR, l int) *Relation {
 	return r
 }
 
+// SuccessorSets returns label l's successor sets, the table Compose takes:
+// set t holds every u with (t, l, u) ∈ E, nil for a vertex with none. They
+// are EdgeRelation's rows, built from the CSR on every call; the graph
+// keeps no such table.
+func SuccessorSets(g *graph.CSR, l int) []*bitset.Set { return EdgeRelation(g, l).rows }
+
 // ExecuteDense is the retired dense-only executor, kept solely as the
 // reference implementation: equivalence tests pin exec.Run bit-identical
 // to it. It supports only the two endpoint plans and allocates a fresh
@@ -72,16 +79,16 @@ func ExecuteDense(g *graph.CSR, p paths.Path, dir Direction) (*Relation, Stats) 
 		rel = EdgeRelation(g, p[0])
 		for _, l := range p[1:] {
 			st.Intermediates = append(st.Intermediates, rel.Pairs())
-			rel = rel.Compose(g.SuccessorSets(l))
+			rel = rel.Compose(SuccessorSets(g, l))
 		}
 	case Backward:
 		// Build the suffix relation reversed (target → source) so each
-		// prepend step is a composition with predecessor sets; un-reverse
-		// at the end.
+		// prepend step is a composition with predecessor sets — the
+		// reversed edge relation's rows; un-reverse at the end.
 		rev := EdgeRelation(g, p[len(p)-1]).Reverse()
 		for i := len(p) - 2; i >= 0; i-- {
 			st.Intermediates = append(st.Intermediates, rev.Pairs())
-			rev = rev.Compose(g.PredecessorSets(p[i]))
+			rev = rev.Compose(EdgeRelation(g, p[i]).Reverse().rows)
 		}
 		rel = rev.Reverse()
 	default:

@@ -101,13 +101,9 @@ func NewCensusHybridChecked(g *graph.CSR, k int, opt CensusOptions) (*Census, er
 		k:         k,
 		freq:      make([]int64, combinat.GeometricSum(int64(g.NumLabels()), int64(k))),
 	}
-	// Eager operand build: the hot loop never pays (or races on) lazy
-	// initialization. DensityThreshold ≥ 1 pins every row sparse, so the
-	// dense kernel — the only consumer of the dense successor tables —
-	// can never run and those tables are skipped entirely.
 	e := &censusEngine{
 		c:          c,
-		ops:        g.Operands(opt.DensityThreshold < 1),
+		ops:        g.Operands(),
 		workers:    make([]censusWorker, opt.Workers),
 		splitPairs: opt.SplitPairs,
 	}

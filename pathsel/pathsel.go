@@ -32,10 +32,9 @@
 // engine: each relation row (the target set of one source vertex) starts
 // as a sorted sparse id list and promotes to a dense bit array once its
 // population exceeds DensityThreshold × |V| (default 1/32, the memory
-// crossover point between the two forms); compose kernels are specialized
-// per representation (sparse rows scatter through the graph's CSR
-// adjacency, dense rows union precomputed successor bit sets
-// word-parallel). Relations are pooled per worker so the steady-state DFS
+// crossover point between the two forms); whatever a row's form, a step
+// scatters the graph's CSR adjacency of each of its targets, so it costs
+// its targets' degrees. Relations are pooled per worker so the steady-state DFS
 // allocates nothing, and subtrees are distributed by a work-stealing
 // scheduler that splits at any trie depth, so skewed label distributions
 // scale past |L| workers.
