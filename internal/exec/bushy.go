@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/bitset"
 	"repro/internal/paths"
@@ -205,9 +204,11 @@ func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool) (*PlanTre
 // zig-zag plan. A join node whose whole segment is already cached adopts
 // it without building either child — this is how a warm cache gives
 // bushy plans their leaf inputs, and whole subtrees, for free; otherwise
-// it builds both children and joins them with the sharded
-// relation×relation kernel, recording both inputs as intermediates after
-// the children's own (left subtree's, then right subtree's).
+// it builds its left child, then its right child — so a right child over
+// the same labels as its left adopts what the left just published — and
+// joins them with the sharded relation×relation kernel, recording both
+// inputs as intermediates after the children's own (left subtree's, then
+// right subtree's).
 func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelation, error) {
 	seg := p[t.Lo:t.Hi]
 	if t.IsLeaf() {
@@ -225,66 +226,20 @@ func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelatio
 		}
 		dst = d
 	}
-	var (
-		l, r       *bitset.HybridRelation
-		lerr, rerr error
-	)
-	if x.workers > 1 {
-		// The two segments are independent: split the worker budget and
-		// build them concurrently, each on its own fork and stepper, so
-		// the two builds share nothing but the read-only graph and the
-		// thread-safe cache, pool and canceller; adoption is
-		// bit-identical to recomputation, so their outputs — and
-		// therefore the join below — are unaffected by timing.
-		// A failing side cancels the shared canceller so its sibling
-		// stops too; with no caller canceller the join gets a private one.
-		if x.opt.Cancel == nil {
-			x.opt.Cancel = &Canceller{}
-		}
-		lw := (x.workers + 1) / 2
-		left, right := x.fork(lw), x.fork(x.workers-lw)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l, lerr = left.child(p, t.Left)
-		}()
-		r, rerr = right.child(p, t.Right)
-		wg.Wait()
-		x.absorb(left)
-		x.absorb(right)
-	} else if l, lerr = x.tree(p, t.Left, false); lerr == nil {
-		r, rerr = x.tree(p, t.Right, false)
+	l, err := x.tree(p, t.Left, false)
+	if err != nil {
+		return nil, err
 	}
-	if lerr != nil {
-		return nil, lerr
-	}
-	if rerr != nil {
-		return nil, rerr
+	r, err := x.tree(p, t.Right, false)
+	if err != nil {
+		return nil, err
 	}
 	x.ints = append(x.ints, l.Pairs(), r.Pairs())
 	// The joined segment is published in forward orientation: a later
 	// zig-zag over the same labels, a repeat of this subtree, or the
 	// whole-segment fast path can all adopt it.
-	err := x.step(key, false, dst, func() error { return x.join(l.Rows(), dst, r) })
+	err = x.step(key, false, dst, func() error { return x.join(l.Rows(), dst, r) })
 	x.drop(l)
 	x.drop(r)
 	return dst, err
-}
-
-// child builds one side of a concurrent join on this fork. A failure
-// cancels the shared canceller, so the concurrently building sibling
-// aborts too instead of running to completion against a dead query. A
-// panic is contained here rather than in finish: one side runs on a raw
-// goroutine, where an escaping panic crashes the process, and the other
-// must not unwind past the wait for it.
-func (x *core) child(p paths.Path, t *PlanTree) (rel *bitset.HybridRelation, err error) {
-	err = containPanics(func() (e error) {
-		rel, e = x.tree(p, t, false)
-		return e
-	})
-	if err != nil {
-		x.opt.Cancel.CancelIfSet(err)
-	}
-	return rel, err
 }

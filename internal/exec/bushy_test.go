@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/oracle"
 	"repro/internal/paths"
+	"repro/internal/relcache"
 )
 
 // allTrees enumerates every plan tree over segment [lo, hi): all zig-zag
@@ -71,9 +72,13 @@ func TestExecuteTreePropertyAllShapes(t *testing.T) {
 
 // TestExecuteTreeParallelMatchesSequential pins the parallel bushy
 // executor bit-identical to its sequential mode at workers 1–8: same
-// relation, same intermediates, same work. Run under -race (as CI does)
-// it also proves the concurrent segment builds and the sharded final join
-// are data-race-free.
+// relation, same intermediates, same work, same cache traffic — without a
+// cache, and over a fresh cache per run, where every odd trial's path is
+// two equal halves, so a right child can adopt what its left sibling just
+// published: it must do so at every worker count, because a join node
+// builds its children in turn and only a step's shards run in parallel.
+// Run under -race (as CI does) it also proves the sharded steps are
+// data-race-free.
 func TestExecuteTreeParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for trial := 0; trial < 8; trial++ {
@@ -82,22 +87,40 @@ func TestExecuteTreeParallelMatchesSequential(t *testing.T) {
 		edges := vertices + rng.Intn(8*vertices)
 		g := randomGraph(int64(300+trial), vertices, labels, edges)
 		k := 2 + rng.Intn(3)
+		if trial%2 == 1 {
+			k = 4
+		}
 		p := make(paths.Path, k)
 		for i := range p {
 			p[i] = rng.Intn(labels)
+		}
+		if trial%2 == 1 {
+			copy(p[2:], p[:2])
 		}
 		for ti, tree := range allTrees(0, k) {
 			if tree.IsLeaf() {
 				continue // covered by the zig-zag parallel suite
 			}
-			seqRel, seqSt := runTree(t, g, p, tree, Options{Workers: 1})
-			for workers := 2; workers <= 8; workers *= 2 {
-				ctx := fmt.Sprintf("trial %d tree %d %s workers %d", trial, ti, tree.Describe(k), workers)
-				rel, st := runTree(t, g, p, tree, Options{Workers: workers})
-				if !rel.Equal(seqRel) {
-					t.Fatalf("%s: parallel relation differs from sequential", ctx)
+			for _, cached := range []bool{false, true} {
+				// opt returns the options of one run: a cold cache of its
+				// own when cached.
+				opt := func(workers int) Options {
+					o := Options{Workers: workers}
+					if cached {
+						o.Cache = relcache.New(relcache.Options{})
+					}
+					return o
 				}
-				assertStatsEqual(t, ctx, st, seqSt)
+				seqRel, seqSt := runTree(t, g, p, tree, opt(1))
+				for workers := 2; workers <= 8; workers *= 2 {
+					ctx := fmt.Sprintf("trial %d path %v tree %d %s cached %t workers %d",
+						trial, p, ti, tree.Describe(k), cached, workers)
+					rel, st := runTree(t, g, p, tree, opt(workers))
+					if !rel.Equal(seqRel) {
+						t.Fatalf("%s: parallel relation differs from sequential", ctx)
+					}
+					assertStatsEqual(t, ctx, st, seqSt)
+				}
 			}
 		}
 	}

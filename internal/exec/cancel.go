@@ -166,11 +166,3 @@ func (p *RelPool) InUse() int {
 	defer p.mu.Unlock()
 	return p.inUse
 }
-
-// CancelIfSet is Cancel tolerating a nil receiver, for internal abort
-// paths that run with or without a caller-provided canceller.
-func (c *Canceller) CancelIfSet(cause error) {
-	if c != nil {
-		c.Cancel(cause)
-	}
-}

@@ -85,8 +85,8 @@ func TestCancelLeakHygiene(t *testing.T) {
 // at rest in a RelPool is empty, because Put empties it. It checks the
 // relations that come back after a kept result its caller releases, after
 // an execution a panic aborted mid-step, and while two goroutines execute
-// bushy plans — whose forks release concurrently — over one pool (run
-// under -race in CI). Every relation Get then hands out has no pair and
+// bushy plans over one pool, each releasing its relations while the other
+// checks its own out (run under -race in CI). Every relation Get then hands out has no pair and
 // no source, and an eps step over it, which reads rows by vertex whether
 // they are listed or not, counts the operand's pairs and nothing else.
 func TestPoolLeaksNoRowsAcrossCheckouts(t *testing.T) {

@@ -30,8 +30,8 @@ type planShape struct {
 // plan whose fold joins a bushy run block with a repetition element.
 func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 	// The bushy halves spell different label sequences, so that over a cold
-	// cache its concurrently built children never race to one entry and
-	// the steps a run crosses are the same every time.
+	// cache the right child does not adopt what the left one published:
+	// both children build, and the step-panic cases land in each of them.
 	p := paths.Path{0, 1, 1, 0}
 	tree := &PlanTree{Lo: 0, Hi: 4, Start: -1,
 		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},

@@ -21,10 +21,11 @@ import (
 // core is one execution's state: the graph, the options, the execution's
 // view of the segment-relation cache, the set of live pooled relations —
 // released wholesale on every abort path so a killed query leaks nothing
-// — and the stats. It is one sequential strand: a zig-zag plan or an RPQ
-// fold runs on a single core, and a join node with a worker budget to
-// split forks one per child and absorbs both when they finish, so no
-// field is ever shared between goroutines.
+// — and the stats. It is one sequential strand: every node of a plan,
+// a join node's two children included, runs on the execution's one core
+// in turn, so no field is ever shared between goroutines. Parallelism
+// lives only inside a step, which the core's one stepper shards over
+// Options.Workers.
 type core struct {
 	g   *graph.CSR
 	opt Options
@@ -55,42 +56,24 @@ type core struct {
 
 	ints         []int64 // intermediates, in step order
 	hits, misses int
-	sched        SchedStats // absorbed forks; the core's own stepper is added by stats
 }
 
 // newCore returns the execution state for one call. It is a value so
-// that an execution that never forks keeps it on the caller's stack.
+// that it stays on the caller's stack.
 func newCore(g *graph.CSR, opt Options) core {
 	n := g.NumVertices()
 	return core{g: g, opt: opt, n: n, limit: bitset.SparseLimit(n, opt.DensityThreshold),
 		workers: sched.WorkerCount(opt.Workers)}
 }
 
-// fork returns the state for one side of a concurrent join: the same
-// execution with its own worker budget, stepper, live set and tallies.
-func (x *core) fork(workers int) *core {
-	return &core{g: x.g, opt: x.opt, n: x.n, limit: x.limit, workers: workers}
-}
-
-// absorb folds a finished fork back into its parent — intermediates in
-// the executor's deterministic post-order, and whatever the fork still
-// holds live (its result, or on abort everything it had taken).
-func (x *core) absorb(c *core) {
-	x.ints = append(x.ints, c.ints...)
-	x.hits += c.hits
-	x.misses += c.misses
-	x.sched.merge(c.stats())
-	c.eachLive(x.track)
-}
-
-// stats returns the finished core's scheduler activity: its absorbed
-// forks plus its own stepper. Call it once.
+// stats returns the scheduler activity of the core's stepper: zero when
+// no step ever built one.
 func (x *core) stats() SchedStats {
-	if x.stp != nil {
-		c := x.stp.counters()
-		x.sched.merge(SchedStats{Tasks: c.TotalTasks(), Steals: c.Steals, Parks: c.Parks, TasksPerWorker: c.Tasks})
+	if x.stp == nil {
+		return SchedStats{}
 	}
-	return x.sched
+	c := x.stp.counters()
+	return SchedStats{Tasks: c.TotalTasks(), Steals: c.Steals, Parks: c.Parks}
 }
 
 // take checks a relation out of the pool and tracks it live. Unpooled
@@ -155,8 +138,7 @@ func (x *core) drop(rel *bitset.HybridRelation) {
 // built — the root's final step, or a leaf's start label, whose relation
 // the first step reads from the graph — priced at the clone size the count
 // kernel worked out for it: the same number, so counting never moves the
-// budget boundary. Over budget it cancels the execution's canceller — so
-// sibling subtree builds abort too — and returns ErrBudgetExceeded.
+// budget boundary. Over budget it returns ErrBudgetExceeded.
 func (x *core) price(rel *bitset.HybridRelation) error {
 	if x.opt.MaxResultBytes <= 0 {
 		return nil
@@ -170,7 +152,6 @@ func (x *core) price(rel *bitset.HybridRelation) error {
 	if int64(size) <= x.opt.MaxResultBytes {
 		return nil
 	}
-	x.opt.Cancel.CancelIfSet(ErrBudgetExceeded)
 	return ErrBudgetExceeded
 }
 

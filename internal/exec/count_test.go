@@ -23,9 +23,9 @@ import (
 // carries the skip term, and the same at length 2 (skip-root, `a/b?`),
 // whose result contains every relation before it.
 func countShapes(g *graph.CSR) []planShape {
-	// The two halves spell different label sequences, so the bushy
-	// shape's concurrently built children never race to the same cache
-	// entry and its hit/miss counts are deterministic.
+	// The two halves spell different label sequences, so that over a cold
+	// cache the bushy shape's right child does not adopt what the left one
+	// published: its root joins two halves both built fresh.
 	p := paths.Path{0, 1, 1, 0}
 	tree := &PlanTree{Lo: 0, Hi: 4, Start: -1,
 		Left:  &PlanTree{Lo: 0, Hi: 2, Start: 0},

@@ -18,14 +18,14 @@
 // of labels under a bounded repetition; a concrete path is the DAG of plain
 // labels (PathDag). Planner.Plan decomposes it into a DagPlan: maximal
 // plain-label runs, each planned by a PlanTree whose leaves are zig-zag
-// plans and whose join nodes build their two child segments independently —
-// concurrently when the worker budget allows — and join them with the
-// sharded relation×relation kernel (bitset.Rows.JoinShard), and single
-// complex elements built from their alternation's base by a chain of steps
-// through its labels; the blocks fold left to right, and a block after the
-// first that is one step from the graph — a lone label, an alternation, a
-// wildcard, an optional label — is not built at all: the fold composes
-// through its label set (bitset.Rows.ComposeShard over several operands).
+// plans and whose join nodes build their two child segments in turn and
+// join them with the sharded relation×relation kernel
+// (bitset.Rows.JoinShard), and single complex elements built from their
+// alternation's base by a chain of steps through its labels; the blocks
+// fold left to right, and a block after the first that is one step from
+// the graph — a lone label, an alternation, a wildcard, an optional label
+// — is not built at all: the fold composes through its label set
+// (bitset.Rows.ComposeShard over several operands).
 // Where a block may match the empty path, its ε and skip terms are terms of
 // the fold's step (bitset.HybridRelation.Extend), never unions after it.
 // A concrete path is the one-run case and a zig-zag plan is its leaf. The
@@ -75,14 +75,17 @@
 // scheduler (internal/sched): the input relation's source rows are
 // partitioned into shards, composed concurrently into a shared
 // destination (rows are disjoint across shards), and merged
-// deterministically in shard order, so parallel output is bit-identical
-// to sequential execution. The retired dense-only executor survives in
-// internal/oracle — a test-only package, in no binary — as the reference
-// the equivalence tests pin the engine against.
+// deterministically in shard order. That is the only parallelism: an
+// execution is one strand of steps, so parallel output, intermediates and
+// cache traffic are bit-identical to sequential execution. The retired
+// dense-only executor survives in internal/oracle — a test-only package,
+// in no binary — as the reference the equivalence tests pin the engine
+// against.
 //
 // Knobs: Options.DensityThreshold (fraction of |V| in (0,1]; ≤ 0 selects
 // the default 1/32, ≥ 1 keeps every row sparse) tunes the hybrid rows'
 // sparse→dense promotion point; Options.Workers (≤ 0 selects GOMAXPROCS,
 // 1 runs sequential) sets the join-step parallelism. Both are purely
-// performance knobs — results are bit-identical at any setting.
+// performance knobs — results are bit-identical at any setting, and so is
+// every Stats field but Sched.
 package exec

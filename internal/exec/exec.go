@@ -17,11 +17,14 @@ type Options struct {
 	DensityThreshold float64
 	// Workers is the join-step parallelism (≤ 0 selects GOMAXPROCS, 1
 	// runs fully sequential): the source rows of the relation entering
-	// each compose step are partitioned into shards and distributed over
-	// the shared work-stealing scheduler (internal/sched), then merged
-	// deterministically, so results are bit-identical at every setting —
-	// another performance-only knob. Relations too small to shard
-	// profitably execute sequentially regardless.
+	// each step are partitioned into shards and distributed over the
+	// shared work-stealing scheduler (internal/sched), then merged
+	// deterministically. It is the execution's only parallelism — the
+	// steps themselves, a bushy join's two children included, run one
+	// after another — so results and every Stats field but Sched are
+	// bit-identical at every setting: another performance-only knob.
+	// Relations too small to shard profitably execute sequentially
+	// regardless.
 	Workers int
 	// Cache is the shared segment-relation cache (nil disables caching).
 	// Execution consults it at every segment boundary: a segment whose
@@ -124,17 +127,17 @@ type Stats struct {
 	// join steps actually ran. All-zero when every step fell below the
 	// granularity floor (or on a whole-query cache hit, which never
 	// builds a scheduler): sequential steps bypass the scheduler
-	// entirely, so zeros mean "no parallel work", not "no work".
+	// entirely, so zeros mean "no parallel work", not "no work". It is
+	// the one field that depends on Workers and on thread timing.
 	Sched SchedStats
 }
 
-// SchedStats aggregates work-stealing scheduler counters over an
-// execution: one stepper's rounds for a zig-zag plan, every stepper in
-// the tree for a bushy plan. Steals and Parks are the contention
-// signals — a steal is a shard that migrated off its home worker, a park
-// is a worker that went to sleep hungry — and their ratio to Tasks is
-// what the granularity floor (internal/sched.Granularity) exists to keep
-// low.
+// SchedStats is an execution's work-stealing scheduler counters: the
+// rounds of its one stepper, whatever the plan's shape. Steals and Parks
+// are the contention signals — a steal is a shard that migrated off its
+// home worker, a park is a worker that went to sleep hungry — and their
+// ratio to Tasks is what the granularity floor
+// (internal/sched.Granularity) exists to keep low.
 type SchedStats struct {
 	// Tasks is the total number of scheduler tasks executed (compose,
 	// join, and merge shards).
@@ -144,25 +147,6 @@ type SchedStats struct {
 	// Parks counts workers going to sleep after finding every deque
 	// empty.
 	Parks int64
-	// TasksPerWorker breaks Tasks down by worker index. Bushy plans run
-	// several steppers with their own worker sets, possibly of different
-	// widths; slots add up across them, so the slice length is the widest
-	// scheduler seen.
-	TasksPerWorker []int64
-}
-
-// merge folds another aggregate in: a core's own stepper, or a fork that
-// aggregated independently before its join.
-func (s *SchedStats) merge(o SchedStats) {
-	s.Tasks += o.Tasks
-	s.Steals += o.Steals
-	s.Parks += o.Parks
-	for len(s.TasksPerWorker) < len(o.TasksPerWorker) {
-		s.TasksPerWorker = append(s.TasksPerWorker, 0)
-	}
-	for i, v := range o.TasksPerWorker {
-		s.TasksPerWorker[i] += v
-	}
 }
 
 // Run carries a plan out over g — the one way to execute a query. A plan
@@ -176,16 +160,17 @@ func (s *SchedStats) merge(o SchedStats) {
 // label's rows from the graph, rightward steps compose with successor
 // operands, leftward steps work on the reversed relation with predecessor
 // operands, so no step ever multiplies from the expensive side. A join
-// node builds its two segments independently — concurrently when the
-// worker budget allows, a failing side cancelling its sibling — and joins
-// them with the sharded relation×relation kernel; a plan of several blocks
+// node builds its two segments in turn, left then right, and joins them
+// with the sharded relation×relation kernel; a plan of several blocks
 // folds them left to right, composing through the blocks that are one step
 // from the graph (see rpq.go).
 //
 // Each step runs on Options.Workers work-stealing workers (default
 // GOMAXPROCS): the input relation's source rows are partitioned into
 // shards, composed concurrently into the shared destination (rows are
-// disjoint across shards), and merged deterministically, so the result is
+// disjoint across shards), and merged deterministically. Steps are the
+// only thing that runs in parallel: an execution is one strand of steps,
+// so the result, the intermediates and the cache traffic are
 // bit-identical to sequential execution at every worker count.
 //
 // Run is the checked contract: it consults Options.Cancel before and after

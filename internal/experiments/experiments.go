@@ -18,6 +18,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -246,8 +247,10 @@ func RunFigure2(opt Options) (*Figure2Result, error) {
 			continue
 		}
 		g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
+		// One census per dataset: every smaller k's is a prefix of it.
+		full := paths.NewCensusHybrid(g, slices.Max(opt.AccuracyKs), paths.CensusOptions{})
 		for _, k := range opt.AccuracyKs {
-			census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
+			census := full.Restrict(k)
 			for _, beta := range opt.betas(census.Size()) {
 				for _, method := range res.Methods {
 					ord, err := ordering.ForGraph(method, g, k)

@@ -67,6 +67,17 @@ func (c *Census) ForEach(fn func(p Path, f int64) bool) {
 	}
 }
 
+// Restrict returns the census of the paths of length ≤ k, for k in
+// [1, K()]. CanonicalIndex orders paths by length first, so that census is
+// a prefix of this one's frequencies, which it shares rather than copies.
+func (c *Census) Restrict(k int) *Census {
+	if k < 1 || k > c.k {
+		panic(fmt.Sprintf("paths: cannot restrict a k=%d census to k=%d", c.k, k))
+	}
+	n := combinat.GeometricSum(int64(c.numLabels), int64(k))
+	return FromFrequencies(c.numLabels, k, c.freq[:n:n])
+}
+
 // FromFrequencies builds a census directly from a canonical-order
 // frequency vector; used by tests and synthetic-distribution experiments.
 // The slice is not copied.

@@ -53,14 +53,10 @@ func TestCensusHybridPropertyRandomGraphs(t *testing.T) {
 		want := oracle.NewCensus(g, k)
 		for _, workers := range []int{1, 2, 3, 8} {
 			for _, density := range []float64{0, 1e-9, 0.25, 1.0} {
-				opt := CensusOptions{
-					Workers:          workers,
-					DensityThreshold: density,
-					// Alternate split granularity so both the inline and
-					// the stealable paths are exercised.
-					SplitPairs: int64(1 + trial%2*256),
-				}
-				got := NewCensusHybrid(g, k, opt)
+				opt := CensusOptions{Workers: workers, DensityThreshold: density}
+				// Alternate split granularity so both the inline and the
+				// stealable paths are exercised.
+				got := NewCensusSplit(g, k, opt, int64(1+trial%2*256))
 				assertCensusEqual(t,
 					fmt.Sprintf("trial %d workers %d density %v", trial, workers, density),
 					want, got)
@@ -82,7 +78,7 @@ func TestCensusCountedLeavesMatchReference(t *testing.T) {
 		want := oracle.NewCensus(g, k)
 		for _, density := range []float64{1, 1e-9} {
 			for workers := 1; workers <= 8; workers++ {
-				got := NewCensusHybrid(g, k, CensusOptions{Workers: workers, DensityThreshold: density, SplitPairs: int64(1 + workers%2*256)})
+				got := NewCensusSplit(g, k, CensusOptions{Workers: workers, DensityThreshold: density}, int64(1+workers%2*256))
 				assertCensusEqual(t, fmt.Sprintf("k %d density %v workers %d", k, density, workers), want, got)
 			}
 		}
@@ -103,11 +99,11 @@ func TestCensusParallelSkewedLabels(t *testing.T) {
 }
 
 // TestCensusHybridTinySplit forces every non-leaf subtree through the
-// deques (SplitPairs=1), maximizing steal traffic.
+// deques (a split threshold of one pair), maximizing steal traffic.
 func TestCensusHybridTinySplit(t *testing.T) {
 	g := dataset.ErdosRenyi(60, 400, dataset.UniformLabels{L: 3}, 11).Freeze()
 	want := oracle.NewCensus(g, 3)
-	got := NewCensusHybrid(g, 3, CensusOptions{Workers: 8, SplitPairs: 1})
+	got := NewCensusSplit(g, 3, CensusOptions{Workers: 8}, 1)
 	assertCensusEqual(t, "tiny split", want, got)
 }
 
@@ -134,7 +130,7 @@ func FuzzCensusEquivalence(f *testing.F) {
 		}
 		g := randomGraph(seed, vertices, labels, edges)
 		want := oracle.NewCensus(g, k)
-		got := NewCensusHybrid(g, k, CensusOptions{Workers: workers, SplitPairs: split})
+		got := NewCensusSplit(g, k, CensusOptions{Workers: workers}, split)
 		assertCensusEqual(t, "fuzz", want, got)
 	})
 }

@@ -9,11 +9,11 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultSplitPairs is the minimum prefix selectivity at which a census
-// subtree becomes a stealable task instead of being expanded inline. Below
-// it, a subtree composes in roughly the time a deque handoff costs, so
-// splitting would only add overhead.
-const DefaultSplitPairs = 128
+// splitPairs is the minimum prefix selectivity at which a census subtree
+// becomes a stealable task instead of being expanded inline. Below it, a
+// subtree composes in roughly the time a deque handoff costs, so splitting
+// would only add overhead.
+const splitPairs = 128
 
 // CensusOptions tunes the hybrid census engine.
 type CensusOptions struct {
@@ -25,18 +25,6 @@ type CensusOptions struct {
 	// fraction of |V| (≤ 0 selects bitset.DefaultDensityThreshold, ≥ 1
 	// keeps every row sparse).
 	DensityThreshold float64
-	// SplitPairs is the minimum f(prefix) for a subtree to be offered to
-	// the work-stealing deques (≤ 0 selects DefaultSplitPairs). Smaller
-	// subtrees are expanded inline on pooled relations.
-	SplitPairs int64
-}
-
-func (o CensusOptions) fill() CensusOptions {
-	o.Workers = sched.WorkerCount(o.Workers)
-	if o.SplitPairs <= 0 {
-		o.SplitPairs = DefaultSplitPairs
-	}
-	return o
 }
 
 // censusTask is one stealable unit of census work: a label-path prefix
@@ -57,13 +45,13 @@ type censusWorker struct {
 
 // censusEngine is the census client of the shared work-stealing scheduler
 // (internal/sched): tasks are trie subtrees, spawned dynamically whenever
-// a prefix's selectivity reaches splitPairs.
+// a prefix's selectivity reaches split.
 type censusEngine struct {
-	c          *Census
-	ops        []bitset.CSROperand
-	sch        *sched.Scheduler[censusTask]
-	workers    []censusWorker
-	splitPairs int64
+	c       *Census
+	ops     []bitset.CSROperand
+	sch     *sched.Scheduler[censusTask]
+	workers []censusWorker
+	split   int64
 }
 
 // NewCensusHybrid computes the exact census on the hybrid sparse/dense
@@ -92,20 +80,26 @@ func NewCensusHybrid(g *graph.CSR, k int, opt CensusOptions) *Census {
 // into a worker pool via the scheduler's Abandon hook, so an aborted
 // build leaks neither goroutines nor relations.
 func NewCensusHybridChecked(g *graph.CSR, k int, opt CensusOptions) (*Census, error) {
+	return newCensusHybrid(g, k, opt, splitPairs)
+}
+
+// newCensusHybrid is NewCensusHybridChecked offering a subtree to the
+// deques once its prefix selectivity reaches split pairs.
+func newCensusHybrid(g *graph.CSR, k int, opt CensusOptions, split int64) (*Census, error) {
 	if k < 1 {
 		panic(fmt.Sprintf("paths: census needs k ≥ 1, got %d", k))
 	}
-	opt = opt.fill()
+	opt.Workers = sched.WorkerCount(opt.Workers)
 	c := &Census{
 		numLabels: g.NumLabels(),
 		k:         k,
 		freq:      make([]int64, combinat.GeometricSum(int64(g.NumLabels()), int64(k))),
 	}
 	e := &censusEngine{
-		c:          c,
-		ops:        g.Operands(),
-		workers:    make([]censusWorker, opt.Workers),
-		splitPairs: opt.SplitPairs,
+		c:       c,
+		ops:     g.Operands(),
+		workers: make([]censusWorker, opt.Workers),
+		split:   split,
 	}
 	e.sch = sched.New(opt.Workers, e.runTask)
 	// An abandoned task still owns its subtree relation; retire it into
@@ -168,7 +162,7 @@ func (e *censusEngine) expand(worker int, w *censusWorker, p Path, rel *bitset.H
 			w.pool.Put(child)
 			continue
 		}
-		if pairs >= e.splitPairs {
+		if pairs >= e.split {
 			tp := make(Path, len(cp), e.c.k)
 			copy(tp, cp)
 			e.sch.Spawn(worker, censusTask{p: tp, rel: child})

@@ -27,12 +27,10 @@
 //   - DensityThreshold: the hybrid rows' sparse→dense promotion point as
 //     a fraction of |V| in (0, 1]; ≤ 0 selects
 //     bitset.DefaultDensityThreshold (1/32), ≥ 1 keeps every row sparse.
-//   - SplitPairs: minimum prefix selectivity, in vertex pairs, for a
-//     census subtree to be offered to the work-stealing deques; ≤ 0
-//     selects DefaultSplitPairs (128). Smaller subtrees expand inline on
-//     pooled relations.
 //
-// All three change performance only, never results.
+// Both change performance only, never results. A census subtree is offered
+// to the work-stealing deques once its prefix selectivity reaches 128
+// vertex pairs; smaller subtrees expand inline on pooled relations.
 package paths
 
 import (

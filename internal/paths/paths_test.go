@@ -1,6 +1,7 @@
 package paths_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -325,6 +326,33 @@ func TestFromFrequenciesValidates(t *testing.T) {
 		}
 	}()
 	FromFrequencies(3, 2, make([]int64, 5))
+}
+
+// TestCensusRestrictMatchesFreshCensus pins Restrict against a census
+// built at the smaller bound: for every k′ ≤ k, the k-census restricted to
+// k′ has the k′-census's metadata and every one of its frequencies, and a
+// bound outside [1, k] panics.
+func TestCensusRestrictMatchesFreshCensus(t *testing.T) {
+	g := dataset.ErdosRenyi(80, 600, dataset.NewZipfLabels(3, 1.2), 13).Freeze()
+	const k = 4
+	full := NewCensusHybrid(g, k, CensusOptions{Workers: 2})
+	for kk := 1; kk <= k; kk++ {
+		got := full.Restrict(kk)
+		if got.K() != kk || got.NumLabels() != full.NumLabels() {
+			t.Fatalf("Restrict(%d): K %d, %d labels; want %d, %d", kk, got.K(), got.NumLabels(), kk, full.NumLabels())
+		}
+		assertCensusEqual(t, fmt.Sprintf("Restrict(%d)", kk), NewCensusHybrid(g, kk, CensusOptions{Workers: 1}), got)
+	}
+	for _, bad := range []int{0, k + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Restrict(%d) of a k=%d census should panic", bad, k)
+				}
+			}()
+			full.Restrict(bad)
+		}()
+	}
 }
 
 func TestNewCensusBadK(t *testing.T) {

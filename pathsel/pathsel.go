@@ -46,10 +46,9 @@
 // DensityThreshold is the sparse→dense promotion point as a fraction of
 // |V| in (0, 1] (≤ 0 selects the 1/32 default; ≥ 1 keeps every row
 // sparse); it governs both the census and Expr.ExecuteCtx's join
-// relations. The census subtree split granularity
-// (paths.CensusOptions.SplitPairs, default 128 pairs) is fixed at its
-// default here. Every setting produces bit-identical results — these are
-// performance knobs only.
+// relations. The census subtree split granularity (128 pairs of a
+// prefix relation) is fixed inside internal/paths. Every setting produces
+// bit-identical results — these are performance knobs only.
 package pathsel
 
 import (
@@ -235,8 +234,10 @@ type Config struct {
 	// splits label-trie subtrees at any depth, so worker counts above the
 	// label count still help on skewed label distributions — and
 	// Expr.ExecuteCtx's join steps, which shard each intermediate
-	// relation's source rows across the same scheduling substrate. Results
-	// are bit-identical at every setting. GOMAXPROCS is re-read at use time
+	// relation's source rows across the same scheduling substrate. A
+	// query's steps run one after another (a bushy plan's two halves
+	// included), so results, and every ExecStats field but Sched, are
+	// bit-identical at every setting. GOMAXPROCS is re-read at use time
 	// (sched.WorkerCount), and each layer clamps the count to the most
 	// tasks its workload can produce — asking for more workers than a
 	// graph has shardable rows configures nothing but idle goroutines,

@@ -259,9 +259,8 @@ func (x *Expr) Plan() QueryPlan { return x.plan }
 // honoring Config.DensityThreshold, Config.Workers (join steps shard
 // their source rows across that many work-stealing workers; results are
 // bit-identical at every setting) and Config.BushyPlans (a chosen bushy
-// tree builds its segments independently — in parallel when the worker
-// budget allows — and joins them with the sharded relation×relation
-// kernel). The
+// tree builds its segments one after the other and joins them with the
+// sharded relation×relation kernel). The
 // result is the number of distinct vertex pairs connected by a path
 // matching the pattern (set semantics; a concrete path degenerates to
 // its selectivity), with the actual intermediate sizes beside it, so
