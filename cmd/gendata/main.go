@@ -67,7 +67,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := dataset.WriteEdgeList(w, g); err != nil {
+	if err := dataset.WriteEdgeList(w, g.Freeze()); err != nil {
 		fmt.Fprintln(os.Stderr, "gendata:", err)
 		os.Exit(1)
 	}

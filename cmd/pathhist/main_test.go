@@ -18,7 +18,7 @@ func writeTestGraph(t *testing.T) string {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := dataset.WriteEdgeList(f, g); err != nil {
+	if err := dataset.WriteEdgeList(f, g.Freeze()); err != nil {
 		t.Fatal(err)
 	}
 	return path

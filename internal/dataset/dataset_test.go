@@ -286,7 +286,7 @@ func TestFullScaleConstructorsMatchTable3(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	g := ErdosRenyi(40, 150, UniformLabels{L: 3}, 17)
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	if err := WriteEdgeList(&buf, g.Freeze()); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := ReadEdgeList(&buf)
@@ -333,8 +333,8 @@ func TestReadEdgeListParsing(t *testing.T) {
 	if g.NumLabels() != 3 { // "1" (default), "knows", "likes" sorted
 		t.Fatalf("NumLabels = %d, want 3", g.NumLabels())
 	}
-	if g.LabelByName("knows") == -1 || g.LabelByName("likes") == -1 || g.LabelByName("1") == -1 {
-		t.Fatal("label names missing")
+	if g.LabelName(0) != "1" || g.LabelName(1) != "knows" || g.LabelName(2) != "likes" {
+		t.Fatal("label names missing or not alphabetical")
 	}
 	if g.NumVertices() != 4 { // ids 1,2,3,5 densified
 		t.Fatalf("NumVertices = %d, want 4", g.NumVertices())
@@ -371,7 +371,7 @@ func TestWriteEdgeListFormat(t *testing.T) {
 	g.AddEdge(0, 0, 1)
 	g.AddEdge(2, 1, 0)
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	if err := WriteEdgeList(&buf, g.Freeze()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -33,7 +33,7 @@ func FuzzReadEdgeList(f *testing.F) {
 			return // malformed input is allowed to fail, not to panic
 		}
 		var buf bytes.Buffer
-		if err := WriteEdgeList(&buf, g); err != nil {
+		if err := WriteEdgeList(&buf, g.Freeze()); err != nil {
 			t.Fatalf("write after successful read: %v", err)
 		}
 		g2, err := ReadEdgeList(&buf)

@@ -11,20 +11,25 @@ import (
 	"repro/internal/graph"
 )
 
-// WriteEdgeList writes g in the Konect-style whitespace-separated format
-// used by the loader:
+// WriteEdgeList writes the frozen graph c in the Konect-style
+// whitespace-separated format used by the loader:
 //
 //	% comment lines start with '%' or '#'
 //	src dst label
 //
 // Vertices are written 1-based (Konect convention) and labels by display
-// name. Edges appear in deterministic (label, src, dst) order.
-func WriteEdgeList(w io.Writer, g *graph.Graph) error {
+// name. Edges appear in deterministic (label, src, dst) order: the CSR's
+// own.
+func WriteEdgeList(w io.Writer, c *graph.CSR) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%% directed labeled graph: %d vertices, %d labels, %d edges\n",
-		g.NumVertices(), g.NumLabels(), g.NumEdges())
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "%d %d %s\n", e.Src+1, e.Dst+1, g.LabelName(e.Label))
+		c.NumVertices(), c.NumLabels(), c.NumEdges())
+	for l := 0; l < c.NumLabels(); l++ {
+		for v := 0; v < c.NumVertices(); v++ {
+			for _, t := range c.Successors(v, l) {
+				fmt.Fprintf(bw, "%d %d %s\n", v+1, t+1, c.LabelName(l))
+			}
+		}
 	}
 	return bw.Flush()
 }

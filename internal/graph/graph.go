@@ -1,8 +1,9 @@
 // Package graph is the bottom layer of the reproduction (graph → bitset →
 // paths → exec → pathsel): the directed edge-labeled multigraph
 // G = (V, L, E) with E ⊆ V × L × V. It provides a mutable builder and an
-// immutable, concurrency-safe CSR (compressed sparse row) form, and the
-// CSR is all the engines above it read: per label, in the one shape every
+// immutable, concurrency-safe CSR (compressed sparse row) form — Freeze
+// and Thaw turn one into the other — and the CSR is all the engines above
+// it read: per label, in the one shape every
 // step kernel consumes (bitset.CSROperand), in O(|V| + |E|) memory.
 //
 //   - LabelOperand: forward adjacency, built at Freeze — the census and the
@@ -83,16 +84,6 @@ func (g *Graph) LabelName(l int) string {
 func (g *Graph) SetLabelName(l int, name string) {
 	g.checkLabel(l)
 	g.labelNames[l] = name
-}
-
-// LabelByName returns the label id with the given display name, or -1.
-func (g *Graph) LabelByName(name string) int {
-	for i, n := range g.labelNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
 }
 
 func (g *Graph) checkVertex(v int) {
@@ -189,6 +180,22 @@ func (g *Graph) Freeze() *CSR {
 		fill[e.Label][e.Src]++
 	}
 	return c
+}
+
+// Thaw is Freeze's inverse: a mutable Graph holding the CSR's vertices,
+// label names and edges, built in O(|V|·|L| + |E|).
+func (c *CSR) Thaw() *Graph {
+	g := New(c.numVertices, c.numLabels)
+	copy(g.labelNames, c.labelNames)
+	g.edges = make(map[Edge]struct{}, c.numEdges)
+	for l := 0; l < c.numLabels; l++ {
+		for v := 0; v < c.numVertices; v++ {
+			for _, t := range c.Successors(v, l) {
+				g.edges[Edge{Src: v, Label: l, Dst: int(t)}] = struct{}{}
+			}
+		}
+	}
+	return g
 }
 
 // prefixSum turns per-row counts, stored at off[v+1], into CSR offsets in

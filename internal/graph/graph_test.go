@@ -78,11 +78,8 @@ func TestLabelNames(t *testing.T) {
 	if g.LabelName(0) != "knows" {
 		t.Fatal("SetLabelName did not stick")
 	}
-	if g.LabelByName("knows") != 0 {
-		t.Fatal("LabelByName(knows) != 0")
-	}
-	if g.LabelByName("missing") != -1 {
-		t.Fatal("LabelByName(missing) != -1")
+	if g.LabelName(1) != "2" {
+		t.Fatalf("default name of label 1 = %q, want \"2\"", g.LabelName(1))
 	}
 }
 
@@ -147,6 +144,42 @@ func TestFreezeRoundTrip(t *testing.T) {
 	for k := range want {
 		if !got[k] {
 			t.Fatalf("missing edge %v in CSR", k)
+		}
+	}
+}
+
+// TestThawRoundTrip pins Thaw as Freeze's inverse: the thawed builder has
+// the CSR's sizes, names and edges, and freezing it again gives the same
+// adjacency.
+func TestThawRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	g := New(30, 3)
+	g.SetLabelName(2, "knows")
+	for i := 0; i < 200; i++ {
+		g.AddEdge(rng.Intn(30), rng.Intn(3), rng.Intn(30))
+	}
+	c := g.Freeze()
+	th := c.Thaw()
+	if th.NumVertices() != 30 || th.NumLabels() != 3 || th.NumEdges() != g.NumEdges() {
+		t.Fatalf("thawed sizes %d/%d/%d, want 30/3/%d", th.NumVertices(), th.NumLabels(), th.NumEdges(), g.NumEdges())
+	}
+	if !slices.Equal(th.Edges(), g.Edges()) {
+		t.Fatal("thawed edges differ from the builder's")
+	}
+	if th.LabelName(2) != "knows" {
+		t.Fatalf("thawed label 2 = %q, want knows", th.LabelName(2))
+	}
+	// The thawed builder is a builder: an edge added to it and to the
+	// original lands in both next freezes alike.
+	if th.AddEdge(0, 0, 0) != g.AddEdge(0, 0, 0) {
+		t.Fatal("thawed builder and its source disagree on a new edge")
+	}
+	c2, want := th.Freeze(), g.Freeze()
+	for l := 0; l < 3; l++ {
+		for v := 0; v < 30; v++ {
+			if got, w := c2.Successors(v, l), want.Successors(v, l); !slices.Equal(got, w) {
+				t.Fatalf("Successors(%d, %d) = %v after thaw, want %v", v, l, got, w)
+			}
 		}
 	}
 }

@@ -141,7 +141,6 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 		}
 	}
 
-	g := e.gr.csr() // freeze once, before any worker goroutine exists
 	res := &BatchResult{Results: make([]BatchQueryResult, len(exprs))}
 	workers := opt.Workers
 	if workers < 1 {
@@ -161,7 +160,7 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 			res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, Err: translateCtxErr(err)}
 			return
 		}
-		st, err := e.execute(ctx, g, exprs[i], queryWorkers, opt.Policy)
+		st, err := e.execute(ctx, exprs[i], queryWorkers, opt.Policy)
 		res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, ExecStats: st, Err: err}
 	}
 	if workers <= 1 {

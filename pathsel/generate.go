@@ -27,7 +27,7 @@ func GenerateDataset(name string, scale float64, seed int64) (*Graph, error) {
 			if scale <= 0 || scale > 1 {
 				return nil, fmt.Errorf("%w: scale %v out of (0,1]", ErrBadConfig, scale)
 			}
-			return &Graph{g: dataset.Generate(spec, scale, seed)}, nil
+			return newGraph(dataset.Generate(spec, scale, seed))
 		}
 	}
 	return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownDataset, name, DatasetNames())

@@ -24,6 +24,11 @@
 //	})
 //	sel, err := est.Estimate("knows/likes")
 //
+// Build freezes the Graph into its CSR and drops the builder, so a built
+// graph is held once; the Estimator keeps that CSR and is a snapshot of
+// it. Edges added to the Graph afterwards thaw it, and reach an estimator
+// only through a new Build.
+//
 // # Performance
 //
 // Build's dominant cost is the exact selectivity census: a DFS over the
@@ -85,11 +90,50 @@ const (
 // Orderings returns the five ordering method names in the paper's order.
 func Orderings() []string { return ordering.PaperMethods() }
 
-// Graph is a directed edge-labeled graph under construction. Vertices are
-// dense integers [0, NumVertices); labels are referenced by name.
+// Graph is a directed edge-labeled graph. Vertices are dense integers
+// [0, NumVertices); labels are referenced by name. It holds one form at a
+// time: a builder while edges are added, and only its immutable CSR from
+// the first call that reads it whole (Build, TrueSelectivity,
+// TruePatternSelectivity, TruePatternBagSelectivity, WriteEdgeList). An
+// AddEdge on a frozen Graph thaws it back into a builder in O(|E|); an
+// Estimator already built from it keeps the CSR it was built on.
 type Graph struct {
-	g      *graph.Graph
-	frozen *graph.CSR
+	vocab
+	n      int          // |V|
+	g      *graph.Graph // the builder; nil while frozen
+	frozen *graph.CSR   // the CSR; nil while building
+}
+
+// vocab is a label vocabulary, indexed both ways. A Graph and every
+// Estimator built from it share one, and nothing changes it once built.
+type vocab struct {
+	ids   map[string]int // label name → label id
+	names []string       // label id → name
+}
+
+// Labels returns the label vocabulary — what a serving tier advertises so
+// clients can form valid queries.
+func (v *vocab) Labels() []string { return append([]string(nil), v.names...) }
+
+// parsePath resolves a "a/b/c" label-name path against the vocabulary.
+func (v *vocab) parsePath(q string) (paths.Path, error) {
+	if q == "" {
+		return nil, ErrEmptyPath
+	}
+	var p paths.Path
+	start := 0
+	for i := 0; i <= len(q); i++ {
+		if i == len(q) || q[i] == '/' {
+			name := q[start:i]
+			l, ok := v.ids[name]
+			if !ok {
+				return nil, fmt.Errorf("%w %q in path %q", ErrUnknownLabel, name, q)
+			}
+			p = append(p, l)
+			start = i + 1
+		}
+	}
+	return p, nil
 }
 
 // NewGraph returns an empty graph with the given vertex count and label
@@ -112,18 +156,10 @@ func NewGraphChecked(numVertices int, labels []string) (*Graph, error) {
 		return nil, ErrNoLabels
 	}
 	g := graph.New(numVertices, len(labels))
-	seen := make(map[string]bool, len(labels))
 	for i, name := range labels {
-		if !addressable(name) {
-			return nil, fmt.Errorf("%w %q", ErrBadLabelName, name)
-		}
-		if seen[name] {
-			return nil, fmt.Errorf("%w %q", ErrDuplicateLabel, name)
-		}
-		seen[name] = true
 		g.SetLabelName(i, name)
 	}
-	return &Graph{g: g}, nil
+	return newGraph(g)
 }
 
 // LoadEdgeList reads a whitespace-separated `src dst label` edge list
@@ -135,77 +171,68 @@ func LoadEdgeList(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	for l := 0; l < g.NumLabels(); l++ {
-		if name := g.LabelName(l); !addressable(name) {
+	return newGraph(g)
+}
+
+// newGraph wraps a builder and indexes its vocabulary: a name the query
+// grammar reads as syntax fails with ErrBadLabelName, a name given twice
+// with ErrDuplicateLabel.
+func newGraph(g *graph.Graph) (*Graph, error) {
+	v := vocab{ids: make(map[string]int, g.NumLabels()), names: make([]string, g.NumLabels())}
+	for l := range v.names {
+		name := g.LabelName(l)
+		if !addressable(name) {
 			return nil, fmt.Errorf("%w %q", ErrBadLabelName, name)
 		}
+		if _, dup := v.ids[name]; dup {
+			return nil, fmt.Errorf("%w %q", ErrDuplicateLabel, name)
+		}
+		v.ids[name], v.names[l] = l, name
 	}
-	return &Graph{g: g}, nil
+	return &Graph{vocab: v, n: g.NumVertices(), g: g}, nil
 }
 
 // AddEdge inserts a directed labeled edge. It returns an error for unknown
 // labels or out-of-range vertices (and reports duplicate edges as a no-op
-// false).
+// false). On a frozen Graph it first thaws the CSR back into a builder.
 func (gr *Graph) AddEdge(src int, label string, dst int) (bool, error) {
-	l := gr.g.LabelByName(label)
-	if l < 0 {
+	l, ok := gr.ids[label]
+	if !ok {
 		return false, fmt.Errorf("%w %q", ErrUnknownLabel, label)
 	}
-	if src < 0 || src >= gr.g.NumVertices() || dst < 0 || dst >= gr.g.NumVertices() {
+	if src < 0 || src >= gr.n || dst < 0 || dst >= gr.n {
 		return false, fmt.Errorf("%w: edge (%d,%d) outside [0,%d)",
-			ErrVertexRange, src, dst, gr.g.NumVertices())
+			ErrVertexRange, src, dst, gr.n)
 	}
-	gr.frozen = nil
+	if gr.g == nil {
+		gr.g, gr.frozen = gr.frozen.Thaw(), nil
+	}
 	return gr.g.AddEdge(src, l, dst), nil
 }
 
 // NumVertices returns |V|.
-func (gr *Graph) NumVertices() int { return gr.g.NumVertices() }
+func (gr *Graph) NumVertices() int { return gr.n }
 
 // NumEdges returns |E|.
-func (gr *Graph) NumEdges() int { return gr.g.NumEdges() }
-
-// Labels returns the label vocabulary.
-func (gr *Graph) Labels() []string {
-	out := make([]string, gr.g.NumLabels())
-	for i := range out {
-		out[i] = gr.g.LabelName(i)
+func (gr *Graph) NumEdges() int {
+	if gr.g == nil {
+		return gr.frozen.NumEdges()
 	}
-	return out
+	return gr.g.NumEdges()
 }
 
-// WriteEdgeList writes the graph in the loader's format.
+// WriteEdgeList writes the graph in the loader's format, freezing it.
 func (gr *Graph) WriteEdgeList(w io.Writer) error {
-	return dataset.WriteEdgeList(w, gr.g)
+	return dataset.WriteEdgeList(w, gr.csr())
 }
 
-// csr freezes (and caches) the CSR form.
+// csr freezes the graph — the builder becomes its CSR and is dropped —
+// and returns the CSR.
 func (gr *Graph) csr() *graph.CSR {
 	if gr.frozen == nil {
-		gr.frozen = gr.g.Freeze()
+		gr.frozen, gr.g = gr.g.Freeze(), nil
 	}
 	return gr.frozen
-}
-
-// parsePath resolves a "a/b/c" label-name path against the graph.
-func (gr *Graph) parsePath(q string) (paths.Path, error) {
-	if q == "" {
-		return nil, ErrEmptyPath
-	}
-	var p paths.Path
-	start := 0
-	for i := 0; i <= len(q); i++ {
-		if i == len(q) || q[i] == '/' {
-			name := q[start:i]
-			l := gr.g.LabelByName(name)
-			if l < 0 {
-				return nil, fmt.Errorf("%w %q in path %q", ErrUnknownLabel, name, q)
-			}
-			p = append(p, l)
-			start = i + 1
-		}
-	}
-	return p, nil
 }
 
 // TrueSelectivity evaluates the path query exactly: the number of distinct
@@ -276,12 +303,13 @@ type Config struct {
 	// sparse row, ⌈|V|/64⌉ words per dense row, 12 bytes per source
 	// vertex and ≈ 250 of bookkeeping — nothing per vertex of the graph,
 	// so a megabyte holds hundreds of selective segments whatever |V| is.
-	// The cache is bound to this estimator's graph. 0 leaves every
-	// execution, single or batched, uncached. Caching never changes
-	// results — adopted relations are bit-identical to recomputed ones —
-	// though with BushyPlans set it can change which plan is chosen
-	// (cached segments cost nothing to build, so warm workloads favor
-	// bushy joins of reusable segments).
+	// The cache is bound to this estimator's graph: the CSR it was built
+	// on, which an AddEdge to the Graph afterwards does not change. 0
+	// leaves every execution, single or batched, uncached. Caching never
+	// changes results — adopted relations are bit-identical to recomputed
+	// ones — though with BushyPlans set it can change which plan is
+	// chosen (cached segments cost nothing to build, so warm workloads
+	// favor bushy joins of reusable segments).
 	CacheBytes int64
 	// CacheShards is the cache's shard count (≤ 0 selects an
 	// 8-shard default). Shards bound lock contention when
@@ -349,11 +377,14 @@ func (c *Config) fill() error {
 // Estimator answers approximate path-selectivity queries from a compact
 // histogram, without access to the original distribution: it is the
 // synopsis LoadEstimator restores (Estimate, EstimatePrefix, Labels,
-// Ordering, Buckets, MaxPathLength), plus the graph that Compile executes
-// on and the build-time census behind the True* methods and Evaluate.
+// Ordering, Buckets, MaxPathLength), plus the CSR it was built on, which
+// every compiled query executes on, and the build-time census of that CSR
+// behind the True* methods and Evaluate. It is a snapshot: an edge added
+// to the Graph after Build changes none of these, nor the histogram or the
+// cache; Build again to see it.
 type Estimator struct {
 	synopsis
-	gr     *Graph
+	csr    *graph.CSR // the graph as Build froze it
 	census *paths.Census
 	cfg    Config
 	cache  *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
@@ -368,23 +399,20 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	ph, census, err := core.BuildForGraph(gr.csr(), cfg.Ordering, cfg.Histogram,
+	g := gr.csr()
+	ph, census, err := core.BuildForGraph(g, cfg.Ordering, cfg.Histogram,
 		cfg.MaxPathLength, cfg.Buckets,
 		paths.CensusOptions{Workers: cfg.Workers, DensityThreshold: cfg.DensityThreshold})
 	if err != nil {
 		return nil, err
 	}
-	syn := synopsis{ids: make(map[string]int), names: gr.Labels(), ph: ph}
-	for i, name := range syn.names {
-		syn.ids[name] = i
-	}
-	e := &Estimator{synopsis: syn, gr: gr, census: census, cfg: cfg}
+	e := &Estimator{synopsis: synopsis{vocab: gr.vocab, ph: ph}, csr: g, census: census, cfg: cfg}
 	// One relation pool for the estimator's lifetime: every
 	// Expr.ExecuteCtx / ExecuteExprBatchCtx draws its materialized
 	// relations here and releases them on completion and on every abort
 	// path, so cancelled queries leave no orphaned buffers behind (and
 	// warm workloads stop allocating).
-	e.pool = exec.NewRelPool(gr.NumVertices(), cfg.DensityThreshold)
+	e.pool = exec.NewRelPool(g.NumVertices(), cfg.DensityThreshold)
 	if cfg.CacheBytes > 0 {
 		e.cache = relcache.New(relcache.Options{MaxBytes: cfg.CacheBytes, Shards: cfg.CacheShards})
 	}

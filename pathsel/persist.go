@@ -43,11 +43,10 @@ func (e *Estimator) Save(w io.Writer) error {
 // synopsis is the estimator the paper describes — a label vocabulary, a
 // domain ordering and β buckets — and answers by label-name path without
 // the graph or the census. CompactEstimator is one; an Estimator is one
-// plus the graph and the build-time census.
+// plus the CSR it was built on and the build-time census.
 type synopsis struct {
-	ids   map[string]int // label name → label id
-	names []string       // label id → name
-	ph    *core.PathHistogram
+	vocab
+	ph *core.PathHistogram
 }
 
 // CompactEstimator is a loaded synopsis: it answers Estimate and
@@ -66,7 +65,7 @@ func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
 	if count == 0 || count > 1<<16 {
 		return nil, fmt.Errorf("%w: implausible label count %d", ErrBadSnapshot, count)
 	}
-	ce := &CompactEstimator{synopsis{ids: make(map[string]int, count)}}
+	ce := &CompactEstimator{synopsis{vocab: vocab{ids: make(map[string]int, count)}}}
 	for i := 0; i < int(count); i++ {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -98,24 +97,12 @@ func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
 	return ce, nil
 }
 
-// parsePath resolves a slash-separated label-name path no longer than the
-// covered length k.
+// parsePath is the vocabulary's, refusing a path longer than the covered
+// length k.
 func (s *synopsis) parsePath(q string) (paths.Path, error) {
-	if q == "" {
-		return nil, ErrEmptyPath
-	}
-	var p paths.Path
-	start := 0
-	for i := 0; i <= len(q); i++ {
-		if i == len(q) || q[i] == '/' {
-			name := q[start:i]
-			l, ok := s.ids[name]
-			if !ok {
-				return nil, fmt.Errorf("%w %q in path %q", ErrUnknownLabel, name, q)
-			}
-			p = append(p, l)
-			start = i + 1
-		}
+	p, err := s.vocab.parsePath(q)
+	if err != nil {
+		return nil, err
 	}
 	if k := s.MaxPathLength(); len(p) > k {
 		return nil, fmt.Errorf("%w: %q exceeds covered length %d", ErrPathTooLong, q, k)
@@ -145,10 +132,6 @@ func (s *synopsis) EstimatePrefix(q string) (float64, error) {
 	}
 	return s.ph.EstimatePrefix(p)
 }
-
-// Labels returns the label vocabulary — what a serving tier advertises so
-// clients can form valid queries.
-func (s *synopsis) Labels() []string { return append([]string(nil), s.names...) }
 
 // Ordering returns the ordering method in use.
 func (s *synopsis) Ordering() string { return s.ph.Ordering().Name() }

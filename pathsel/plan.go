@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"repro/internal/exec"
-	"repro/internal/graph"
 )
 
 // QueryPlan is the join strategy an Estimator chooses for a path query: a
@@ -179,15 +178,16 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 // segment cache — the one path every execution takes, single or batched:
 // per-query deadline and canceller, the plan (Compile's as is, unless the
 // live cache can change it), brownout policy, admission gate, run, stats.
-// g is passed pre-frozen so concurrent batch workers never race on the
-// lazy CSR freeze; the canceller carries ctx into every kernel, and an
-// already-dead ctx never touches the graph; pol is checked before the
+// It runs on e's CSR, the graph Build froze and counted, so the cache, the
+// census and every execution describe one graph whatever the Graph it came
+// from has since become. The canceller carries ctx into every kernel, and
+// an already-dead ctx never touches the graph; pol is checked before the
 // admission gate so a brownout degrade costs at most one replan, never a
 // graph access. Only the answer's counters go into ExecStats, so the
 // executor is never asked to keep the result relation (exec.Options
 // .KeepResult stays unset): it counts the final step where it can and
 // releases what it had to build.
-func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, workers int, pol ExecPolicy) (ExecStats, error) {
+func (e *Estimator) execute(ctx context.Context, x *Expr, workers int, pol ExecPolicy) (ExecStats, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
@@ -217,7 +217,7 @@ func (e *Estimator) execute(ctx context.Context, g *graph.CSR, x *Expr, workers 
 		MaxResultBytes:   e.cfg.MaxResultBytes,
 		Pool:             e.pool,
 	}
-	_, st, err := exec.Run(g, plan.dp, opt)
+	_, st, err := exec.Run(e.csr, plan.dp, opt)
 	if err != nil {
 		return e.degrade(plan, x.estimate, translateExecErr(err))
 	}

@@ -20,7 +20,7 @@ func planTestEstimator(t *testing.T) (*Graph, *Estimator) {
 
 func TestPlanQueryShape(t *testing.T) {
 	_, est := planTestEstimator(t)
-	labels := est.gr.Labels()
+	labels := est.Labels()
 	q := strings.Join([]string{labels[0], labels[1], labels[0]}, "/")
 	plan, err := planQuery(est, q)
 	if err != nil {
@@ -181,7 +181,7 @@ func TestPlanQueryErrors(t *testing.T) {
 	if _, err := planQuery(est, "no-such-label"); err == nil {
 		t.Fatal("unknown label should error")
 	}
-	labels := est.gr.Labels()
+	labels := est.Labels()
 	long := strings.Join([]string{labels[0], labels[0], labels[0], labels[0]}, "/")
 	if _, err := planQuery(est, long); err == nil {
 		t.Fatal("over-length query should error")

@@ -341,7 +341,7 @@ func TestExecuteBatchPerQueryIsolation(t *testing.T) {
 			t.Fatalf("result %d (%s): Err = %v, want nil", i, r.Query, r.Err)
 		}
 		if !long {
-			want, terr := e.gr.TrueSelectivity(r.Query)
+			want, terr := e.TrueSelectivity(r.Query)
 			if terr != nil {
 				t.Fatal(terr)
 			}

@@ -33,14 +33,14 @@ import (
 // grammar violations (empty segments or branches, unclosed or nested
 // groups, malformed or inverted repetition bounds, all-optional
 // patterns).
-func (gr *Graph) compileRPQ(pattern string) (*exec.RPQDag, error) {
+func (v *vocab) compileRPQ(pattern string) (*exec.RPQDag, error) {
 	if pattern == "" {
 		return nil, fmt.Errorf("%w: empty pattern", ErrEmptyPath)
 	}
 	segs := strings.Split(pattern, "/")
 	d := &exec.RPQDag{Elems: make([]exec.RPQElem, 0, len(segs))}
 	for _, seg := range segs {
-		e, err := gr.parseRPQElem(seg, pattern)
+		e, err := v.parseRPQElem(seg, pattern)
 		if err != nil {
 			return nil, err
 		}
@@ -54,7 +54,7 @@ func (gr *Graph) compileRPQ(pattern string) (*exec.RPQDag, error) {
 }
 
 // parseRPQElem parses one '/'-separated segment into an element.
-func (gr *Graph) parseRPQElem(seg, pattern string) (exec.RPQElem, error) {
+func (v *vocab) parseRPQElem(seg, pattern string) (exec.RPQElem, error) {
 	bad := func(format string, args ...any) (exec.RPQElem, error) {
 		return exec.RPQElem{}, fmt.Errorf("%w: segment %q in pattern %q: %s",
 			ErrBadPattern, seg, pattern, fmt.Sprintf(format, args...))
@@ -108,7 +108,7 @@ func (gr *Graph) parseRPQElem(seg, pattern string) (exec.RPQElem, error) {
 	case strings.ContainsAny(atom, "()"):
 		return bad("misplaced parenthesis")
 	case atom == "*":
-		e := exec.RPQElem{Labels: make([]int, gr.g.NumLabels()), MinRep: minRep, MaxRep: maxRep}
+		e := exec.RPQElem{Labels: make([]int, len(v.names)), MinRep: minRep, MaxRep: maxRep}
 		for l := range e.Labels {
 			e.Labels[l] = l
 		}
@@ -121,8 +121,8 @@ func (gr *Graph) parseRPQElem(seg, pattern string) (exec.RPQElem, error) {
 		if name == "" {
 			return bad("empty alternation branch")
 		}
-		l := gr.g.LabelByName(name)
-		if l < 0 {
+		l, ok := v.ids[name]
+		if !ok {
 			return exec.RPQElem{}, fmt.Errorf("%w %q in pattern %q", ErrUnknownLabel, name, pattern)
 		}
 		labels = append(labels, l)
@@ -173,8 +173,8 @@ func dedupSorted(s []int) []int {
 // ground-truth evaluation; estimation and execution go through the
 // compiled DAG, whose cost scales with the expression, not the
 // expansion count.
-func (gr *Graph) patternExpansions(pattern string) ([]paths.Path, error) {
-	d, err := gr.compileRPQ(pattern)
+func (v *vocab) patternExpansions(pattern string) ([]paths.Path, error) {
+	d, err := v.compileRPQ(pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ type Expr struct {
 // histogram's covered length); beyond it Compile fails with
 // ErrPathTooLong before anything is planned.
 func (e *Estimator) Compile(pattern string) (*Expr, error) {
-	dag, err := e.gr.compileRPQ(pattern)
+	dag, err := e.compileRPQ(pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 		return nil, fmt.Errorf("%w: pattern %q may match paths up to length %d, beyond %d",
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
-	dp := e.pl.Plan(dag, e.gr.NumVertices(), e.cfg.BushyPlans)
+	dp := e.pl.Plan(dag, e.csr.NumVertices(), e.cfg.BushyPlans)
 	return &Expr{est: e, pattern: pattern, dag: dag, plan: e.queryPlan(dp), estimate: e.pl.Estimate(dag, dp)}, nil
 }
 
@@ -291,5 +291,5 @@ func (x *Expr) ExecuteCtxPolicy(ctx context.Context, pol ExecPolicy) (ExecStats,
 		ctx = context.Background()
 	}
 	e := x.est
-	return e.execute(ctx, e.gr.csr(), x, e.cfg.Workers, pol)
+	return e.execute(ctx, x, e.cfg.Workers, pol)
 }

@@ -293,7 +293,7 @@ func TestCompileEstimateMatchesEstimatePattern(t *testing.T) {
 // its left input only, and an unrolled element's skip steps are charged the
 // running union entering them. Float for float the planner must agree.
 func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []float64) {
-	n := e.gr.NumVertices()
+	n := e.csr.NumVertices()
 	// zigzag is the cost of p's zig-zag plan from start: its rightward
 	// intermediates, then its leftward ones, the result excluded.
 	zigzag := func(p paths.Path, start int) (c float64) {
