@@ -69,11 +69,45 @@ func TestRunWritesCSV(t *testing.T) {
 	}
 }
 
+// TestRunAll: "all" with -csv writes exactly one non-empty file per
+// table of the registry, named after the table.
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	if err := run("all", fastOptions(), t.TempDir()); err != nil {
+	dir := t.TempDir()
+	if err := run("all", fastOptions(), dir); err != nil {
 		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	tables := 0
+	for _, e := range experiments.Experiments {
+		res, err := e.Run(fastOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, tab := range res.Tables() {
+			want[tab.Name+".csv"] = true
+			tables++
+		}
+	}
+	if len(want) != tables {
+		t.Fatalf("%d tables share %d file names", tables, len(want))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != tables {
+		t.Errorf("wrote %d files for %d tables", len(entries), tables)
+	}
+	for _, f := range entries {
+		info, err := f.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want[f.Name()] || info.Size() == 0 {
+			t.Errorf("%s: not a registry table, or empty (%d bytes)", f.Name(), info.Size())
+		}
 	}
 }

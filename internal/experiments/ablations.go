@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"strconv"
+
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/ordering"
-	"repro/internal/paths"
 )
 
 // AblationCell is one (ordering, builder) accuracy measurement.
@@ -20,37 +20,35 @@ type AblationCell struct {
 // much accuracy comes from the ordering versus the bucketing algorithm.
 // Dataset: Moreno Health substitute at opt.Scale, k = 3.
 func BuilderAblation(opt Options) ([]AblationCell, error) {
-	if err := opt.validate(); err != nil {
+	m, err := newMoreno(opt)
+	if err != nil {
 		return nil, err
-	}
-	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
-	k := 3
-	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
-	beta := int(census.Size() / 16)
-	if beta < 2 {
-		beta = 2
 	}
 	builders := []string{core.BuilderVOptimal, core.BuilderEquiWidth,
 		core.BuilderEquiDepth, core.BuilderMaxDiff, core.BuilderEndBiased}
 	var out []AblationCell
 	for _, method := range ordering.PaperMethods() {
-		ord, err := ordering.ForGraph(method, g, k)
-		if err != nil {
-			return nil, err
-		}
 		for _, builder := range builders {
-			ph, err := core.Build(census, ord, builder, beta)
+			ph, err := histogram(m.g, m.census, method, builder, m.beta)
 			if err != nil {
 				return nil, err
 			}
-			ev := core.Evaluate(ph, census)
 			out = append(out, AblationCell{
-				Method: method, Builder: builder, Beta: beta,
-				MeanErrorRate: ev.MeanErrorRate,
+				Method: method, Builder: builder, Beta: m.beta,
+				MeanErrorRate: core.Evaluate(ph, m.census).MeanErrorRate,
 			})
 		}
 	}
 	return out, nil
+}
+
+func ablationTable(cells []AblationCell) *Table {
+	t := &Table{Name: "ablation", Title: "Ablation: mean error rate by ordering × histogram builder (Moreno, k=3)",
+		Header: []string{"method", "builder", "beta", "mean_error_rate"}}
+	for _, c := range cells {
+		t.Rows = append(t.Rows, []string{c.Method, c.Builder, strconv.Itoa(c.Beta), fixed(c.MeanErrorRate, 6)})
+	}
+	return t
 }
 
 // ProfileRow is one (method, axis, bucket) row of the error-profile study.
@@ -68,27 +66,17 @@ type ProfileRow struct {
 // method on the Moreno Health substitute at k = 3 — the analysis lens of
 // the thesis underlying the paper.
 func ErrorProfiles(opt Options) ([]ProfileRow, error) {
-	if err := opt.validate(); err != nil {
+	m, err := newMoreno(opt)
+	if err != nil {
 		return nil, err
-	}
-	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
-	k := 3
-	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
-	beta := int(census.Size() / 16)
-	if beta < 2 {
-		beta = 2
 	}
 	var out []ProfileRow
 	for _, method := range ordering.PaperMethods() {
-		ord, err := ordering.ForGraph(method, g, k)
+		ph, err := histogram(m.g, m.census, method, core.BuilderVOptimal, m.beta)
 		if err != nil {
 			return nil, err
 		}
-		ph, err := core.Build(census, ord, core.BuilderVOptimal, beta)
-		if err != nil {
-			return nil, err
-		}
-		prof := core.Profile(ph, census)
+		prof := core.Profile(ph, m.census)
 		for _, lb := range prof.ByLength {
 			out = append(out, ProfileRow{
 				Method: method, Axis: "length", Bucket: lb.Length,
@@ -105,6 +93,16 @@ func ErrorProfiles(opt Options) ([]ProfileRow, error) {
 	return out, nil
 }
 
+func profileTable(rows []ProfileRow) *Table {
+	t := &Table{Name: "profile", Title: "Error profile: mean error rate by path length and selectivity decile (Moreno, k=3)",
+		Header: []string{"method", "axis", "bucket", "paths", "mean_error_rate"}}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, []string{r.Method, r.Axis, strconv.Itoa(r.Bucket),
+			strconv.FormatInt(r.Paths, 10), fixed(r.MeanErrorRate, 6)})
+	}
+	return t
+}
+
 // BoundCell is one row of the ordering upper/lower bound study.
 type BoundCell struct {
 	Method        string
@@ -117,16 +115,14 @@ type BoundCell struct {
 // base-set ordering, and the product ordering, on the Moreno Health
 // substitute at k = 3.
 func OrderingBounds(opt Options) ([]BoundCell, error) {
-	if err := opt.validate(); err != nil {
+	m, err := newMoreno(opt)
+	if err != nil {
 		return nil, err
 	}
-	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
-	k := 3
-	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
-
+	census, k := m.census, m.census.K()
 	ords := make([]ordering.Ordering, 0, 8)
 	for _, method := range ordering.PaperMethods() {
-		ord, err := ordering.ForGraph(method, g, k)
+		ord, err := ordering.ForGraph(method, m.g, k)
 		if err != nil {
 			return nil, err
 		}
@@ -144,11 +140,19 @@ func OrderingBounds(opt Options) ([]BoundCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			ev := core.Evaluate(ph, census)
 			out = append(out, BoundCell{
-				Method: ord.Name(), Beta: beta, MeanErrorRate: ev.MeanErrorRate,
+				Method: ord.Name(), Beta: beta, MeanErrorRate: core.Evaluate(ph, census).MeanErrorRate,
 			})
 		}
 	}
 	return out, nil
+}
+
+func boundsTable(cells []BoundCell) *Table {
+	t := &Table{Name: "bounds", Title: "Bounds: paper orderings vs ideal, sum-L2 and product (Moreno, k=3, V-Optimal)",
+		Header: []string{"beta", "method", "mean_error_rate"}}
+	for _, c := range cells {
+		t.Rows = append(t.Rows, []string{strconv.Itoa(c.Beta), c.Method, fixed(c.MeanErrorRate, 6)})
+	}
+	return t
 }

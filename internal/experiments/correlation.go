@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"io"
 	"strconv"
 
 	"repro/internal/core"
@@ -46,7 +44,6 @@ func CorrelationSweep(opt Options, couplings []float64) ([]CorrelationCell, erro
 	if e < spec.Labels {
 		e = spec.Labels
 	}
-	k := 3
 
 	var out []CorrelationCell
 	for _, coupling := range couplings {
@@ -55,24 +52,16 @@ func CorrelationSweep(opt Options, couplings []float64) ([]CorrelationCell, erro
 			Coupling: coupling,
 		}
 		g := dataset.PreferentialAttachment(v, e, model, opt.Seed).Freeze()
-		census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
-		beta := int(census.Size() / 16)
-		if beta < 2 {
-			beta = 2
-		}
+		census := paths.NewCensusHybrid(g, 3, paths.CensusOptions{})
+		beta := budget(census, 16)
 		for _, method := range ordering.PaperMethods() {
-			ord, err := ordering.ForGraph(method, g, k)
+			ph, err := histogram(g, census, method, core.BuilderVOptimal, beta)
 			if err != nil {
 				return nil, err
 			}
-			ph, err := core.Build(census, ord, core.BuilderVOptimal, beta)
-			if err != nil {
-				return nil, err
-			}
-			ev := core.Evaluate(ph, census)
 			out = append(out, CorrelationCell{
 				Coupling: coupling, Method: method, Beta: beta,
-				MeanErrorRate: ev.MeanErrorRate,
+				MeanErrorRate: core.Evaluate(ph, census).MeanErrorRate,
 			})
 		}
 	}
@@ -112,21 +101,24 @@ func SumBasedAdvantage(cells []CorrelationCell) map[float64]float64 {
 	return out
 }
 
-// WriteCorrelationCSV exports a CorrelationSweep run.
-func WriteCorrelationCSV(w io.Writer, cells []CorrelationCell) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"coupling", "method", "beta", "mean_error_rate"}); err != nil {
-		return err
-	}
+func correlationTable(cells []CorrelationCell) *Table {
+	t := &Table{Name: "correlation", Title: "Correlation sweep: label–degree coupling vs mean error rate (Moreno family, k=3)",
+		Header: []string{"coupling", "method", "beta", "mean_error_rate"}}
 	for _, c := range cells {
-		if err := cw.Write([]string{
-			strconv.FormatFloat(c.Coupling, 'f', 2, 64),
-			c.Method, strconv.Itoa(c.Beta),
-			strconv.FormatFloat(c.MeanErrorRate, 'f', 6, 64),
-		}); err != nil {
-			return err
+		t.Rows = append(t.Rows, []string{fixed(c.Coupling, 2), c.Method, strconv.Itoa(c.Beta), fixed(c.MeanErrorRate, 6)})
+	}
+	return t
+}
+
+// advantageTable is SumBasedAdvantage in sweep order, one row per coupling.
+func advantageTable(cells []CorrelationCell) *Table {
+	t := &Table{Name: "advantage", Title: "Sum-based advantage: best rival error / sum-based error (> 1: sum-based wins)",
+		Header: []string{"coupling", "sum_based_advantage"}}
+	adv := SumBasedAdvantage(cells)
+	for i, c := range cells {
+		if i == 0 || c.Coupling != cells[i-1].Coupling {
+			t.Rows = append(t.Rows, []string{fixed(c.Coupling, 2), fixed(adv[c.Coupling], 4)})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

@@ -20,11 +20,16 @@ func TestCorrelationSweepShape(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteCorrelationCSV(&buf, cells); err != nil {
+	if err := correlationTable(cells).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty CSV")
+	if got := len(parseCSV(t, &buf)); got != 1+len(cells) {
+		t.Fatalf("correlation CSV rows = %d, want %d", got, 1+len(cells))
+	}
+	// The advantage table has one row per coupling, in sweep order.
+	adv := advantageTable(cells)
+	if len(adv.Rows) != 2 || adv.Rows[0][0] != "0.00" || adv.Rows[1][0] != "1.00" {
+		t.Fatalf("advantage rows = %v", adv.Rows)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestTable4CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
+	if err := res.Tables()[0].WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records := parseCSV(t, &buf)
@@ -46,7 +46,7 @@ func TestFigure2CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
+	if err := res.Tables()[0].WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records := parseCSV(t, &buf)
@@ -61,7 +61,7 @@ func TestFigure1CSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf); err != nil {
+	if err := res.Tables()[0].WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records := parseCSV(t, &buf)
@@ -104,8 +104,8 @@ func TestDatasetFilter(t *testing.T) {
 	}
 }
 
-// failWriter errors after n bytes, exercising the CSV writers' error
-// paths.
+// failWriter errors after n bytes, exercising the CSV writer's error
+// path.
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {
@@ -116,33 +116,18 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestCSVWriteFailures runs every table of the registry through a
+// writer that fails, and requires the error to surface.
 func TestCSVWriteFailures(t *testing.T) {
-	opt := tinyOptions()
-	t4, err := RunTable4(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := RunFigure2(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounds, err := OrderingBounds(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells, err := BuilderAblation(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writers := map[string]func(w *failWriter) error{
-		"table4":   func(w *failWriter) error { return t4.WriteCSV(w) },
-		"figure2":  func(w *failWriter) error { return f2.WriteCSV(w) },
-		"bounds":   func(w *failWriter) error { return WriteBoundsCSV(w, bounds) },
-		"ablation": func(w *failWriter) error { return WriteAblationCSV(w, cells) },
-	}
-	for name, fn := range writers {
-		if err := fn(&failWriter{n: 10}); err == nil {
-			t.Errorf("%s: failing writer should surface an error", name)
+	for _, e := range Experiments {
+		res, err := e.Run(tinyOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		for _, tab := range res.Tables() {
+			if err := tab.WriteCSV(&failWriter{n: 10}); err == nil {
+				t.Errorf("%s: failing writer should surface an error", tab.Name)
+			}
 		}
 	}
 }
@@ -154,7 +139,7 @@ func TestBoundsAndAblationCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteBoundsCSV(&buf, bounds); err != nil {
+	if err := boundsTable(bounds).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(parseCSV(t, &buf)); got != 1+len(bounds) {
@@ -166,7 +151,7 @@ func TestBoundsAndAblationCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := WriteAblationCSV(&buf, cells); err != nil {
+	if err := ablationTable(cells).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(parseCSV(t, &buf)); got != 1+len(cells) {

@@ -9,6 +9,11 @@
 // smaller graphs — see internal/dataset), while PaperOptions matches the published
 // parameters.
 //
+// Every result yields Tables, and one Table type both prints them and
+// writes them as CSV. One registry, Experiments, drives cmd/experiments —
+// whose -csv writes every table — and the golden gate, which pins every
+// table but Table 4's timings.
+//
 // In the layer map (graph → bitset → paths → exec → pathsel) this is the
 // evaluation harness over the top: it drives every layer end to end
 // (censuses, histograms, planners, executors). It measures accuracy and
@@ -16,9 +21,11 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -54,15 +61,7 @@ type Options struct {
 
 // wantDataset reports whether the named dataset is selected.
 func (o Options) wantDataset(name string) bool {
-	if len(o.Datasets) == 0 {
-		return true
-	}
-	for _, d := range o.Datasets {
-		if d == name {
-			return true
-		}
-	}
-	return false
+	return len(o.Datasets) == 0 || slices.Contains(o.Datasets, name)
 }
 
 // DefaultOptions returns the fast reduced-scale configuration.
@@ -98,7 +97,7 @@ func PaperOptions() Options {
 // package prefix: cmd/experiments, the one caller that prints them, adds
 // its own.
 func (o Options) validate() error {
-	if o.Scale <= 0 || o.Scale > 1 {
+	if !(o.Scale > 0 && o.Scale <= 1) { // NaN too
 		return fmt.Errorf("scale %v out of (0,1]", o.Scale)
 	}
 	if o.TimingK < 1 || o.Queries < 1 || o.Repeats < 1 {
@@ -106,6 +105,9 @@ func (o Options) validate() error {
 	}
 	if len(o.AccuracyKs) == 0 || len(o.BetaDenoms) == 0 {
 		return fmt.Errorf("empty sweep lists")
+	}
+	if slices.Min(o.AccuracyKs) < 1 || slices.Min(o.BetaDenoms) < 1 {
+		return fmt.Errorf("non-positive sweep entries: path length bounds %v, budget denominators %v", o.AccuracyKs, o.BetaDenoms)
 	}
 	known := map[string]bool{}
 	var names []string
@@ -132,6 +134,38 @@ func (o Options) betas(n int64) []int {
 		}
 	}
 	return out
+}
+
+// budget is the bucket budget |Lk|/d of census, at least 2.
+func budget(census *paths.Census, d int64) int { return max(2, int(census.Size()/d)) }
+
+// moreno is the fixture of every study on the Moreno Health substitute at
+// k = 3 (Figure 1, the ablations, workload accuracy and plan quality): the
+// graph at opt.Scale, its census and the budget β = |L3|/16, which all but
+// Figure 1 use.
+type moreno struct {
+	g      *graph.CSR
+	census *paths.Census
+	beta   int
+}
+
+func newMoreno(opt Options) (moreno, error) {
+	if err := opt.validate(); err != nil {
+		return moreno{}, err
+	}
+	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
+	census := paths.NewCensusHybrid(g, 3, paths.CensusOptions{})
+	return moreno{g, census, budget(census, 16)}, nil
+}
+
+// histogram builds method's ordering of g's paths up to census.K() and a
+// histogram of beta buckets over census by builder.
+func histogram(g *graph.CSR, census *paths.Census, method, builder string, beta int) (*core.PathHistogram, error) {
+	ord, err := ordering.ForGraph(method, g, census.K())
+	if err != nil {
+		return nil, err
+	}
+	return core.Build(census, ord, builder, beta)
 }
 
 // samplePaths draws q uniform random label paths from the domain of ord.
@@ -182,15 +216,11 @@ func RunTable4(opt Options) (*Table4Result, error) {
 	for _, beta := range opt.betas(census.Size()) {
 		row := Table4Row{Beta: beta, AvgMicros: map[string]float64{}}
 		for _, method := range res.Methods {
-			ord, err := ordering.ForGraph(method, g, opt.TimingK)
+			ph, err := histogram(g, census, method, core.BuilderVOptimal, beta)
 			if err != nil {
 				return nil, err
 			}
-			ph, err := core.Build(census, ord, core.BuilderVOptimal, beta)
-			if err != nil {
-				return nil, err
-			}
-			queries := samplePaths(ord, opt.Queries, opt.Seed+int64(beta))
+			queries := samplePaths(ph.Ordering(), opt.Queries, opt.Seed+int64(beta))
 			var total time.Duration
 			for r := 0; r < opt.Repeats; r++ {
 				start := time.Now()
@@ -253,11 +283,7 @@ func RunFigure2(opt Options) (*Figure2Result, error) {
 			census := full.Restrict(k)
 			for _, beta := range opt.betas(census.Size()) {
 				for _, method := range res.Methods {
-					ord, err := ordering.ForGraph(method, g, k)
-					if err != nil {
-						return nil, err
-					}
-					ph, err := core.Build(census, ord, core.BuilderVOptimal, beta)
+					ph, err := histogram(g, census, method, core.BuilderVOptimal, beta)
 					if err != nil {
 						return nil, err
 					}
@@ -289,29 +315,21 @@ type Figure1Result struct {
 // histogram over the num-alph domain). Beta is chosen as |Lk|/8 to make
 // the staircase visible at any scale.
 func RunFigure1(opt Options) (*Figure1Result, error) {
-	if err := opt.validate(); err != nil {
-		return nil, err
-	}
-	spec := dataset.Table3()[0]
-	g := dataset.Generate(spec, opt.Scale, opt.Seed).Freeze()
-	k := 3
-	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
-	ord, err := ordering.ForGraph(ordering.MethodNumAlph, g, k)
+	m, err := newMoreno(opt)
 	if err != nil {
 		return nil, err
 	}
-	beta := int(census.Size() / 8)
-	if beta < 2 {
-		beta = 2
-	}
-	ph, err := core.Build(census, ord, core.BuilderEquiWidth, beta)
+	census := m.census
+	beta := budget(census, 8)
+	ph, err := histogram(m.g, census, ordering.MethodNumAlph, core.BuilderEquiWidth, beta)
 	if err != nil {
 		return nil, err
 	}
-	res := &Figure1Result{Dataset: spec.Name, K: k, Beta: beta}
+	ord := ph.Ordering()
+	res := &Figure1Result{Dataset: dataset.Table3()[0].Name, K: census.K(), Beta: beta}
 	data := core.DomainVector(census, ord)
 	for idx := int64(0); idx < ord.Size(); idx++ {
-		res.Labels = append(res.Labels, ord.Path(idx).String(csrNamer{g}))
+		res.Labels = append(res.Labels, ord.Path(idx).String(csrNamer{m.g}))
 		res.Frequencies = append(res.Frequencies, data[idx])
 		res.BucketMeans = append(res.BucketMeans, ph.Estimator().Estimate(idx))
 	}
@@ -353,6 +371,21 @@ func RunTable3(opt Options) ([]Table3Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+func table3Table(rows []Table3Row) *Table {
+	t := &Table{Name: "table3", Title: "Table 3: datasets (published → measured at current scale)",
+		Header: []string{"dataset", "labels", "vertices_published", "vertices", "edges_published", "edges", "real_world"}}
+	for _, r := range rows {
+		real := "no"
+		if r.Spec.RealWorld {
+			real = "yes"
+		}
+		t.Rows = append(t.Rows, []string{r.Spec.Name, strconv.Itoa(r.MeasuredLabels),
+			strconv.Itoa(r.Spec.Vertices), strconv.Itoa(r.MeasuredVertices),
+			strconv.Itoa(r.Spec.Edges), strconv.Itoa(r.MeasuredEdges), real})
+	}
+	return t
 }
 
 // Tables12Result is the §3.4 worked example.
@@ -408,4 +441,29 @@ func RunTables12() *Tables12Result {
 		res.Orderings[name] = row
 	}
 	return res
+}
+
+// Tables lays the worked example out in the paper's Table 1 and Table 2
+// forms: one column per path key, and one row per method.
+func (r *Tables12Result) Tables() []*Table {
+	t1 := &Table{Name: "table1", Title: "Table 1: summed ranks (labels 1,2,3 with f = 20,100,80; cardinality ranking)"}
+	for key := range r.SummedRanks {
+		t1.Header = append(t1.Header, key)
+	}
+	slices.SortFunc(t1.Header, func(a, b string) int { return cmp.Or(len(a)-len(b), strings.Compare(a, b)) })
+	row := make([]string, len(t1.Header))
+	for i, key := range t1.Header {
+		row[i] = strconv.FormatInt(r.SummedRanks[key], 10)
+	}
+	t1.Rows = [][]string{row}
+
+	t2 := &Table{Name: "table2", Title: "Table 2: ordered label paths per method", Header: []string{"method"}}
+	for m, keys := range r.Orderings {
+		t2.Rows = append(t2.Rows, append([]string{m}, keys...))
+	}
+	slices.SortFunc(t2.Rows, func(a, b []string) int { return strings.Compare(a[0], b[0]) })
+	for i := range t2.Rows[0][1:] {
+		t2.Header = append(t2.Header, strconv.Itoa(i))
+	}
+	return []*Table{t1, t2}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -28,6 +29,9 @@ func TestOptionsValidate(t *testing.T) {
 		{Scale: 0.5, TimingK: 3, AccuracyKs: nil, BetaDenoms: []int{2}, Queries: 1, Repeats: 1},
 		{Scale: 0.5, TimingK: 3, AccuracyKs: []int{2}, BetaDenoms: nil, Queries: 1, Repeats: 1},
 		{Scale: 2, TimingK: 3, AccuracyKs: []int{2}, BetaDenoms: []int{2}, Queries: 1, Repeats: 1},
+		{Scale: math.NaN(), TimingK: 3, AccuracyKs: []int{2}, BetaDenoms: []int{2}, Queries: 1, Repeats: 1},
+		{Scale: 0.5, TimingK: 3, AccuracyKs: []int{0}, BetaDenoms: []int{2}, Queries: 1, Repeats: 1},
+		{Scale: 0.5, TimingK: 3, AccuracyKs: []int{2}, BetaDenoms: []int{0}, Queries: 1, Repeats: 1},
 	}
 	for i, o := range bad {
 		err := o.validate()
@@ -81,8 +85,15 @@ func TestRunTables12MatchesPaper(t *testing.T) {
 			t.Fatalf("sum-based row = %v, want %v", got, wantSum)
 		}
 	}
+	tables := res.Tables()
+	if len(tables) != 2 || tables[0].Rows[0][3] != "2" || tables[0].Header[3] != "1/1" {
+		t.Fatalf("Table 1 = %+v", tables[0])
+	}
+	if row := tables[1].Rows[len(tables[1].Rows)-1]; row[0] != ordering.MethodSumBased || strings.Join(row[1:], " ") != strings.Join(wantSum, " ") {
+		t.Fatalf("Table 2's sum-based row = %v", row)
+	}
 	var buf bytes.Buffer
-	res.Render(&buf)
+	tableSet(tables).Render(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "Table 1") || !strings.Contains(out, "sum-based") {
 		t.Fatalf("render missing sections:\n%s", out)
@@ -106,7 +117,7 @@ func TestRunTable3(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	RenderTable3(&buf, rows)
+	table3Table(rows).Render(&buf)
 	if !strings.Contains(buf.String(), "Moreno health") {
 		t.Fatal("render missing dataset name")
 	}
@@ -180,7 +191,7 @@ func TestRunFigure1(t *testing.T) {
 		t.Fatalf("first domain label = %q", res.Labels[0])
 	}
 	var buf bytes.Buffer
-	res.Render(&buf, 20)
+	res.Render(&buf)
 	if !strings.Contains(buf.String(), "Figure 1") {
 		t.Fatal("render missing title")
 	}

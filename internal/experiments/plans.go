@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"io"
 	"math/rand"
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/ordering"
 	"repro/internal/paths"
@@ -99,22 +96,16 @@ func chosenTree(pl exec.Planner, q paths.Path, bushy bool) *exec.PlanTree {
 // whose materialization a zig-zag step gets for free). Dataset: Moreno
 // Health substitute, queries with non-empty answers.
 func PlanQuality(opt Options) ([]PlanCell, error) {
-	if err := opt.validate(); err != nil {
+	m, err := newMoreno(opt)
+	if err != nil {
 		return nil, err
 	}
-	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
-	const censusK = 3          // statistics bound
-	const queryK = censusK + 1 // plan-search bound: segments stay ≤ censusK
-	census := paths.NewCensusHybrid(g, censusK, paths.CensusOptions{})
-	beta := int(census.Size() / 16)
-	if beta < 2 {
-		beta = 2
-	}
+	g, census := m.g, m.census
 
 	// Query workload: length-4 paths with non-empty answers (plans for
 	// empty queries are all equally cheap).
 	rng := rand.New(rand.NewSource(opt.Seed))
-	k := queryK
+	k := census.K() + 1 // plan-search bound: segments stay within the census
 	var queries []paths.Path
 	for len(queries) < opt.Queries {
 		p := make(paths.Path, k)
@@ -195,11 +186,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 
 	var out []PlanCell
 	for _, method := range ordering.PaperMethods() {
-		ord, err := ordering.ForGraph(method, g, censusK)
-		if err != nil {
-			return nil, err
-		}
-		ph, err := core.Build(census, ord, core.BuilderVOptimal, beta)
+		ph, err := histogram(g, census, method, core.BuilderVOptimal, m.beta)
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +218,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 			return 1.0
 		}
 		out = append(out, PlanCell{
-			Method: method, Beta: beta,
+			Method: method, Beta: m.beta,
 			Agreement:       float64(agree) / float64(len(queries)),
 			WorkRatio:       ratio(chosenWork, optimalWork),
 			TreeAgreement:   float64(treeAgree) / float64(len(queries)),
@@ -243,23 +230,14 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	return out, nil
 }
 
-// WritePlanCSV exports a PlanQuality run.
-func WritePlanCSV(w io.Writer, cells []PlanCell) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"method", "beta", "agreement", "work_ratio",
-		"tree_agreement", "tree_work_ratio", "oracle_bushy_wins", "cache_bushy_wins"}); err != nil {
-		return err
-	}
-	ff := func(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
+func planTable(cells []PlanCell) *Table {
+	t := &Table{Name: "plans", Title: "Plan quality: join planning from histogram estimates — k zig-zag plans and the bushy tree space per length-4 query, statistics bounded at k=3 (Moreno)",
+		Header: []string{"method", "beta", "agreement", "work_ratio",
+			"tree_agreement", "tree_work_ratio", "oracle_bushy_wins", "cache_bushy_wins"}}
 	for _, c := range cells {
-		if err := cw.Write([]string{
-			c.Method, strconv.Itoa(c.Beta),
-			ff(c.Agreement), ff(c.WorkRatio),
-			ff(c.TreeAgreement), ff(c.TreeWorkRatio), ff(c.OracleBushyWins), ff(c.CacheBushyWins),
-		}); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []string{c.Method, strconv.Itoa(c.Beta),
+			fixed(c.Agreement, 4), fixed(c.WorkRatio, 4), fixed(c.TreeAgreement, 4), fixed(c.TreeWorkRatio, 4),
+			fixed(c.OracleBushyWins, 4), fixed(c.CacheBushyWins, 4)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

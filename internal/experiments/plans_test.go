@@ -44,11 +44,11 @@ func TestPlanQuality(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WritePlanCSV(&buf, cells); err != nil {
+	if err := planTable(cells).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty CSV")
+	if got := len(parseCSV(t, &buf)); got != 1+len(cells) {
+		t.Fatalf("plans CSV rows = %d, want %d", got, 1+len(cells))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -104,15 +105,19 @@ func (r *Figure2Result) Render(w io.Writer) {
 	}
 }
 
+// figure1Rows bounds the Figure 1 chart's height: a longer domain is
+// downsampled.
+const figure1Rows = 60
+
 // Render writes the Figure 1 distribution as an ASCII chart: the true
 // frequency and the equi-width bucket mean per domain position, downsampled
-// to at most maxRows rows.
-func (r *Figure1Result) Render(w io.Writer, maxRows int) {
+// to at most figure1Rows rows.
+func (r *Figure1Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 1: %s, k=%d, num-alph domain, equi-width β=%d\n", r.Dataset, r.K, r.Beta)
 	n := len(r.Frequencies)
 	step := 1
-	if maxRows > 0 && n > maxRows {
-		step = (n + maxRows - 1) / maxRows
+	if n > figure1Rows {
+		step = (n + figure1Rows - 1) / figure1Rows
 	}
 	var max int64
 	for _, f := range r.Frequencies {
@@ -138,62 +143,35 @@ func (r *Figure1Result) Render(w io.Writer, maxRows int) {
 	}
 }
 
-// RenderTable3 writes the dataset inventory with published vs measured
-// statistics.
-func RenderTable3(w io.Writer, rows []Table3Row) {
-	fmt.Fprintln(w, "Table 3: datasets (published → measured at current scale)")
-	header := []string{"dataset", "#labels", "#vertices(pub)", "#vertices", "#edges(pub)", "#edges", "real world"}
-	var cells [][]string
-	for _, r := range rows {
-		real := "no"
-		if r.Spec.RealWorld {
-			real = "yes"
+// Tables lays Table 4 out as one row per (β, method) cell.
+func (r *Table4Result) Tables() []*Table {
+	t := &Table{Name: "table4", Title: "Table 4: average estimation time (µs/query), V-Optimal",
+		Header: []string{"dataset", "k", "domain_size", "beta", "method", "avg_micros"}}
+	for _, row := range r.Rows {
+		for _, m := range r.Methods {
+			t.Rows = append(t.Rows, []string{r.Dataset, strconv.Itoa(r.K), strconv.FormatInt(r.DomainSize, 10),
+				strconv.Itoa(row.Beta), m, fixed(row.AvgMicros[m], 6)})
 		}
-		cells = append(cells, []string{
-			r.Spec.Name,
-			fmt.Sprintf("%d", r.MeasuredLabels),
-			fmt.Sprintf("%d", r.Spec.Vertices),
-			fmt.Sprintf("%d", r.MeasuredVertices),
-			fmt.Sprintf("%d", r.Spec.Edges),
-			fmt.Sprintf("%d", r.MeasuredEdges),
-			real,
-		})
 	}
-	RenderTable(w, header, cells)
+	return []*Table{t}
 }
 
-// Render writes the worked example in the paper's Table 1 + Table 2 form.
-func (r *Tables12Result) Render(w io.Writer) {
-	fmt.Fprintln(w, "Table 1: summed ranks (labels 1,2,3 with f = 20,100,80; cardinality ranking)")
-	keys := make([]string, 0, len(r.SummedRanks))
-	for k := range r.SummedRanks {
-		keys = append(keys, k)
+// Tables lays Figure 2 out as one row per cell.
+func (r *Figure2Result) Tables() []*Table {
+	t := &Table{Name: "figure2", Title: "Figure 2: mean error rate (V-Optimal)",
+		Header: []string{"dataset", "k", "beta", "method", "mean_error_rate"}}
+	for _, c := range r.Cells {
+		t.Rows = append(t.Rows, []string{c.Dataset, strconv.Itoa(c.K), strconv.Itoa(c.Beta), c.Method, fixed(c.MeanErrorRate, 6)})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
-	row := make([]string, len(keys))
-	for i, k := range keys {
-		row[i] = fmt.Sprintf("%d", r.SummedRanks[k])
-	}
-	RenderTable(w, keys, [][]string{row})
+	return []*Table{t}
+}
 
-	fmt.Fprintln(w, "\nTable 2: ordered label paths per method")
-	methods := make([]string, 0, len(r.Orderings))
-	for m := range r.Orderings {
-		methods = append(methods, m)
+// Tables lays the Figure 1 series out as one row per domain position.
+func (r *Figure1Result) Tables() []*Table {
+	t := &Table{Name: "figure1", Title: "Figure 1: label-path frequency and equi-width bucket mean, num-alph domain",
+		Header: []string{"index", "label_path", "frequency", "bucket_mean"}}
+	for i, f := range r.Frequencies {
+		t.Rows = append(t.Rows, []string{strconv.Itoa(i), r.Labels[i], strconv.FormatInt(f, 10), fixed(r.BucketMeans[i], 4)})
 	}
-	sort.Strings(methods)
-	header := []string{"index"}
-	for i := 0; i < 12; i++ {
-		header = append(header, fmt.Sprintf("%d", i))
-	}
-	var rows [][]string
-	for _, m := range methods {
-		rows = append(rows, append([]string{m}, r.Orderings[m]...))
-	}
-	RenderTable(w, header, rows)
+	return []*Table{t}
 }

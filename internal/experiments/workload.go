@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"encoding/csv"
-	"io"
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/ordering"
-	"repro/internal/paths"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -28,16 +24,11 @@ type WorkloadCell struct {
 // frequency-weighted paths, and a fixed-length template — on the Moreno
 // Health substitute at k = 3.
 func WorkloadAccuracy(opt Options) ([]WorkloadCell, error) {
-	if err := opt.validate(); err != nil {
+	m, err := newMoreno(opt)
+	if err != nil {
 		return nil, err
 	}
-	g := dataset.Generate(dataset.Table3()[0], opt.Scale, opt.Seed).Freeze()
-	k := 3
-	census := paths.NewCensusHybrid(g, k, paths.CensusOptions{})
-	beta := int(census.Size() / 16)
-	if beta < 2 {
-		beta = 2
-	}
+	census := m.census
 	nonEmpty, err := workload.NewNonEmpty(census)
 	if err != nil {
 		return nil, err
@@ -49,19 +40,15 @@ func WorkloadAccuracy(opt Options) ([]WorkloadCell, error) {
 
 	var out []WorkloadCell
 	for _, method := range ordering.PaperMethods() {
-		ord, err := ordering.ForGraph(method, g, k)
-		if err != nil {
-			return nil, err
-		}
-		ph, err := core.Build(census, ord, core.BuilderVOptimal, beta)
+		ph, err := histogram(m.g, census, method, core.BuilderVOptimal, m.beta)
 		if err != nil {
 			return nil, err
 		}
 		samplers := []workload.Sampler{
-			workload.Uniform{Ord: ord},
+			workload.Uniform{Ord: ph.Ordering()},
 			nonEmpty,
 			freqWeighted,
-			workload.FixedLength{NumLabels: g.NumLabels(), Length: k},
+			workload.FixedLength{NumLabels: m.g.NumLabels(), Length: census.K()},
 		}
 		for _, s := range samplers {
 			queries := workload.Generate(s, opt.Queries, opt.Seed)
@@ -79,7 +66,7 @@ func WorkloadAccuracy(opt Options) ([]WorkloadCell, error) {
 			out = append(out, WorkloadCell{
 				Workload:      s.Name(),
 				Method:        method,
-				Beta:          beta,
+				Beta:          m.beta,
 				MeanErrorRate: sumErr / float64(len(queries)),
 				MeanQError:    sumQ / float64(len(queries)),
 			})
@@ -88,21 +75,12 @@ func WorkloadAccuracy(opt Options) ([]WorkloadCell, error) {
 	return out, nil
 }
 
-// WriteWorkloadCSV exports a WorkloadAccuracy run.
-func WriteWorkloadCSV(w io.Writer, cells []WorkloadCell) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "method", "beta", "mean_error_rate", "mean_q_error"}); err != nil {
-		return err
-	}
+func workloadTable(cells []WorkloadCell) *Table {
+	t := &Table{Name: "workload", Title: "Workload accuracy: mean error rate by query workload × ordering (Moreno, k=3)",
+		Header: []string{"workload", "method", "beta", "mean_error_rate", "mean_q_error"}}
 	for _, c := range cells {
-		if err := cw.Write([]string{
-			c.Workload, c.Method, strconv.Itoa(c.Beta),
-			strconv.FormatFloat(c.MeanErrorRate, 'f', 6, 64),
-			strconv.FormatFloat(c.MeanQError, 'f', 4, 64),
-		}); err != nil {
-			return err
-		}
+		t.Rows = append(t.Rows, []string{c.Workload, c.Method, strconv.Itoa(c.Beta),
+			fixed(c.MeanErrorRate, 6), fixed(c.MeanQError, 4)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return t
 }

@@ -32,11 +32,11 @@ func TestWorkloadAccuracy(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := WriteWorkloadCSV(&buf, cells); err != nil {
+	if err := workloadTable(cells).WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("empty CSV")
+	if got := len(parseCSV(t, &buf)); got != 1+len(cells) {
+		t.Fatalf("workload CSV rows = %d, want %d", got, 1+len(cells))
 	}
 }
 
