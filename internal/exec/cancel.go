@@ -16,9 +16,8 @@ import (
 // paths release their buffers into so a killed query leaks nothing.
 
 // Typed abort causes. Every error an execution returns matches exactly
-// one of these under errors.Is (a contained worker panic additionally
-// matches as *sched.PanicError via errors.As, and unwraps to
-// sched.ErrStopped).
+// one of these under errors.Is, or — a contained panic — is a
+// *sched.PanicError under errors.As.
 var (
 	// ErrCancelled is the cause of an execution aborted by an explicit
 	// Canceller.Cancel or a cancelled (non-deadline) context.

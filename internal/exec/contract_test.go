@@ -202,11 +202,9 @@ func contractCases(boundaries, shards int, draws, adopted bool) []abortCase {
 			want: func(err error) bool { return errors.Is(err, ErrBudgetExceeded) }},
 		{name: "shard-panic",
 			// A worker-side panic inside a sharded kernel task; the
-			// scheduler contains it and the error unwraps to ErrStopped.
-			arm: armFault(faultinject.Rule{Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic}),
-			want: func(err error) bool {
-				return isPanicError(err) && errors.Is(err, sched.ErrStopped)
-			},
+			// scheduler contains it as a typed *sched.PanicError.
+			arm:      armFault(faultinject.Rule{Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic}),
+			want:     isPanicError,
 			survives: shards < 2},
 		{name: "deadline-mid-shard",
 			// One shard of the first sharded step sleeps past the deadline

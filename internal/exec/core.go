@@ -68,12 +68,11 @@ func newCore(g *graph.CSR, opt Options) core {
 
 // stats returns the scheduler activity of the core's stepper: zero when
 // no step ever built one.
-func (x *core) stats() SchedStats {
+func (x *core) stats() sched.Counters {
 	if x.stp == nil {
-		return SchedStats{}
+		return sched.Counters{}
 	}
-	c := x.stp.counters()
-	return SchedStats{Tasks: c.TotalTasks(), Steals: c.Steals, Parks: c.Parks}
+	return x.stp.sch.Counters()
 }
 
 // take checks a relation out of the pool and tracks it live. Unpooled

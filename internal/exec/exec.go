@@ -5,6 +5,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/paths"
 	"repro/internal/relcache"
+	"repro/internal/sched"
 )
 
 // Options tunes plan execution.
@@ -23,8 +24,9 @@ type Options struct {
 	// steps themselves, a bushy join's two children included, run one
 	// after another — so results and every Stats field but Sched are
 	// bit-identical at every setting: another performance-only knob.
-	// Relations too small to shard profitably execute sequentially
-	// regardless.
+	// A step too small to shard profitably (under the executor's row and
+	// pair floors) runs on the caller's goroutine regardless, and a
+	// sharded step starts no more workers than it has shards.
 	Workers int
 	// Cache is the shared segment-relation cache (nil disables caching).
 	// Execution consults it at every segment boundary: a segment whose
@@ -123,30 +125,15 @@ type Stats struct {
 	// materialized; a fold that resumed from a cached prefix reports the
 	// intermediates of the steps after it only.
 	CacheHits, CacheMisses int
-	// Sched reports the execution's scheduler activity — how the sharded
-	// join steps actually ran. All-zero when every step fell below the
-	// granularity floor (or on a whole-query cache hit, which never
-	// builds a scheduler): sequential steps bypass the scheduler
-	// entirely, so zeros mean "no parallel work", not "no work". It is
-	// the one field that depends on Workers and on thread timing.
-	Sched SchedStats
-}
-
-// SchedStats is an execution's work-stealing scheduler counters: the
-// rounds of its one stepper, whatever the plan's shape. Steals and Parks
-// are the contention signals — a steal is a shard that migrated off its
-// home worker, a park is a worker that went to sleep hungry — and their
-// ratio to Tasks is what the granularity floor
-// (internal/sched.Granularity) exists to keep low.
-type SchedStats struct {
-	// Tasks is the total number of scheduler tasks executed (compose,
-	// join, and merge shards).
-	Tasks int64
-	// Steals counts tasks taken from another worker's deque.
-	Steals int64
-	// Parks counts workers going to sleep after finding every deque
-	// empty.
-	Parks int64
+	// Sched is the execution's scheduler activity — how its sharded
+	// steps actually ran: tasks are shards, a steal is a shard that
+	// migrated off its home worker, a park is a worker that went to sleep
+	// hungry. All zero when every step fell below the sharding floors (or
+	// on a whole-query cache hit, which never builds a scheduler): a
+	// one-shard step bypasses the scheduler entirely, so zeros mean "no
+	// parallel work", not "no work". It is the one field that depends on
+	// Workers and on thread timing.
+	Sched sched.Counters
 }
 
 // Run carries a plan out over g — the one way to execute a query. A plan

@@ -79,7 +79,7 @@ func TestFirstStepShardsAsTheBaseWould(t *testing.T) {
 			t.Fatalf("start %d: operand reports %d sources, its relation has %d", start, a.Sources, base.Sources())
 		}
 		for workers := 1; workers <= 8; workers++ {
-			want := int64(shardGrain.Shards(base.Sources(), base.Pairs(), workers))
+			want := int64(shardGrain.shards(base.Sources(), base.Pairs(), workers))
 			if want == 1 {
 				want = 0 // a sequential step never reaches the scheduler
 			} else if workers == 4 && want < 2 {

@@ -9,35 +9,43 @@ import (
 	"repro/internal/sched"
 )
 
-// Shard sizing for parallel join steps. A shard is a contiguous run of the
-// step's left rows (bitset.Rows); row composes are independent, so
-// work-stealing over several shards per worker absorbs row-weight skew
-// without any per-row bookkeeping.
-const (
-	// minShardRows is the smallest active-source count worth handing to
-	// another goroutine: below it one row range composes in roughly the
-	// time a spawn/steal handoff costs.
-	minShardRows = 32
-	// minShardPairs is the work-weight sequential floor: a relation
-	// carrying fewer pairs than twice this composes in a few microseconds
-	// total, so sharding it buys nothing and feeds the steal path pure
-	// contention. Row count alone cannot see this case — a short segment
-	// can have many nearly-empty rows — which is why the granularity
-	// policy weighs both axes.
-	minShardPairs = 2048
-	// shardsPerWorker oversubscribes the shard count so stolen shards can
-	// rebalance a skewed row-weight distribution.
-	shardsPerWorker = 4
-)
+// grain is the executor's shard-count policy for a join step, by the
+// step's active left rows and its input pairs. A shard is a contiguous
+// run of the left rows (bitset.Rows). A spawn/steal handoff has a fixed
+// cost, so a round whose whole work is comparable to a few handoffs loses
+// time to sharding (and feeds the steal path pure contention). Both
+// floors must clear by a factor of two before a step is split at all, so
+// it is only split when at least two shards' worth of work exists on both
+// axes. One policy value serves compose and join steps alike, so their
+// floors cannot drift apart.
+type grain struct {
+	// rows is the fewest left rows worth a shard of their own: below it
+	// one row range composes in roughly the time a handoff costs.
+	rows int
+	// pairs is the least input volume worth a shard. Row count alone
+	// cannot see a short segment of many nearly-empty rows, which
+	// composes in a few microseconds total.
+	pairs int64
+}
 
-// shardGrain is the executor's task-granularity policy: items are active
-// source rows, work is the input relation's pair count. One policy value
-// serves compose and join steps alike, so their sequential floors cannot
-// drift apart.
-var shardGrain = sched.Granularity{
-	MinItems:  minShardRows,
-	MinWork:   minShardPairs,
-	PerWorker: shardsPerWorker,
+// shardsPerWorker oversubscribes the shard count so stolen shards can
+// rebalance a skewed row-weight distribution.
+const shardsPerWorker = 4
+
+// shardGrain is the floors every step is sharded by — a package var so
+// tests can lower them and drive the merge path on small graphs.
+var shardGrain = grain{rows: 32, pairs: 2048}
+
+// shards returns the shard count of a step of the given rows and pairs
+// on the given worker count: 1 — run on the coordinator, no scheduler —
+// when the step is under either floor twice over or workers ≤ 1,
+// otherwise workers×shardsPerWorker capped by rows/g.rows and
+// pairs/g.pairs.
+func (g grain) shards(rows int, pairs int64, workers int) int {
+	if workers <= 1 || rows < 2*g.rows || pairs < 2*g.pairs {
+		return 1
+	}
+	return min(workers*shardsPerWorker, rows/g.rows, int(pairs/g.pairs))
 }
 
 // shardTask identifies one task of the current scheduler round by index:
@@ -78,16 +86,13 @@ type stepper struct {
 }
 
 // newStepper returns a stepper for relations over an n-vertex universe with
-// the given promotion limit, with sched.WorkerCount(workers) workers,
-// clamped to the most shards any step over this universe can produce
-// (n/minShardRows) — workers beyond that could never hold a shard and would
-// only idle, park, and add steal scans. No goroutines or scratches are
-// built until the first sharded step.
+// the given promotion limit, with sched.WorkerCount(workers) workers. No
+// goroutines or scratches are built until the first sharded step, and a
+// round starts no more goroutines than it has shards.
 func newStepper(n, limit, workers int) *stepper {
 	st := &stepper{n: n, limit: limit}
 	st.ops = st.one[:0]
-	w := sched.ClampWorkers(sched.WorkerCount(workers), n/minShardRows)
-	st.sch = sched.New(w, st.runShard)
+	st.sch = sched.New(workers, st.runShard)
 	st.scratch = make([]*bitset.ComposeScratch, st.sch.Workers())
 	return st
 }
@@ -114,9 +119,6 @@ func (st *stepper) setCancel(f *bitset.CancelFlag) {
 		}
 	}
 }
-
-// counters snapshots the stepper's scheduler activity for Stats.
-func (st *stepper) counters() sched.Counters { return st.sch.Counters() }
 
 // labelOps makes a label set the stepper's operand list: the labels' CSR
 // arrays, which a base reads as rows and a step scatters from.
@@ -175,8 +177,8 @@ func (st *stepper) runShard(worker int, t shardTask) {
 
 // run carries out the step compose, through or join described: built into
 // dst, or — dst nil — counted, nothing emitted. The left rows are
-// partitioned into as many shards as the granularity floor allows (enough
-// rows and enough pairs — shardGrain weighs both): one shard — a small step
+// partitioned into as many shards as the floors allow (enough rows and
+// enough pairs — shardGrain weighs both): one shard — a small step
 // or a 1-worker configuration — runs on the coordinator without touching
 // the scheduler at all, more run on it in parallel. Either way the shards
 // are adopted in ascending order, so the result — rows, active order and
@@ -188,7 +190,7 @@ func (st *stepper) runShard(worker int, t shardTask) {
 func (st *stepper) run(dst *bitset.HybridRelation) (total bitset.Count, err error) {
 	defer st.end()
 	st.dst = dst
-	shards := shardGrain.Shards(st.left.Sources(), st.left.Pairs(), st.sch.Workers())
+	shards := shardGrain.shards(st.left.Sources(), st.left.Pairs(), st.sch.Workers())
 	st.partition(st.left.Len(), shards)
 	if dst != nil {
 		dst.Reset()
@@ -224,12 +226,10 @@ func (st *stepper) partition(items, shards int) {
 func (st *stepper) end() { st.left, st.right, st.dst = bitset.Rows{}, nil, nil }
 
 // drain runs one scheduler round of one task per shard. Shard bodies
-// never Spawn, so the static drain's goroutine count cap
-// (min(workers, shards)) loses nothing.
+// never Spawn, so the round starts min(workers, shards) goroutines.
 func (st *stepper) drain(shards int) error {
-	workers := st.sch.Workers()
 	for i := 0; i < shards; i++ {
-		st.sch.Spawn(i%workers, shardTask{idx: i})
+		st.sch.Spawn(i, shardTask{idx: i})
 	}
-	return st.sch.DrainStatic()
+	return st.sch.Drain()
 }

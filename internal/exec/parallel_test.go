@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -89,15 +90,53 @@ func TestExecuteParallelLargeFanout(t *testing.T) {
 	}
 }
 
+// TestShardGrain pins the executor's sharding policy: one shard — the
+// coordinator, no scheduler — below twice either floor or on one worker,
+// otherwise workers×shardsPerWorker capped by both the row and the pair
+// ceilings. The lowered floors the merge-path tests use shard every step
+// of two rows or more.
+func TestShardGrain(t *testing.T) {
+	g := grain{rows: 32, pairs: 2048}
+	cases := []struct {
+		rows    int
+		pairs   int64
+		workers int
+		want    int
+	}{
+		{1000, 100000, 1, 1},  // one worker: always sequential
+		{63, 100000, 4, 1},    // under 2× the row floor
+		{64, 100000, 4, 2},    // at it
+		{1000, 4095, 4, 1},    // under 2× the pair floor
+		{1000, 4096, 4, 2},    // at it
+		{1000, 100000, 4, 16}, // wide open: workers×shardsPerWorker
+		{1000, 100000, 2, 8},  // oversubscribed per worker
+		{128, 100000, 4, 4},   // row-capped: 128/32
+		{1000, 8192, 4, 4},    // pair-capped: 8192/2048
+		{64, 4096, 16, 2},     // both floors just cleared
+	}
+	for _, c := range cases {
+		if got := g.shards(c.rows, c.pairs, c.workers); got != c.want {
+			t.Fatalf("shards(%d, %d, %d) = %d, want %d", c.rows, c.pairs, c.workers, got, c.want)
+		}
+	}
+	low := grain{rows: 1, pairs: 1}
+	if got := low.shards(1, 5, 4); got != 1 {
+		t.Fatalf("lowered floors split one row into %d shards", got)
+	}
+	if got := low.shards(3, 3, 4); got != 3 {
+		t.Fatalf("lowered floors: 3 rows of 3 pairs in %d shards, want 3", got)
+	}
+}
+
 // TestParallelMergePathMatchesSequential drives the sharded steps and
 // their ascending-order merge on ordinary test graphs by lowering the
-// granularity floor — a package var exactly so this test can exist — and
-// asserts bit-identity to sequential execution at workers 1–16. With
-// MinItems 1 the shard bounds routinely produce one-row and empty
+// sharding floors — a package var exactly so this test can exist — and
+// asserts bit-identity to sequential execution at workers 1–16. With a
+// one-row floor the shard bounds routinely produce one-row and empty
 // shards, covering the degenerate partitions.
 func TestParallelMergePathMatchesSequential(t *testing.T) {
-	defer func(g sched.Granularity) { shardGrain = g }(shardGrain)
-	shardGrain = sched.Granularity{MinItems: 1, MinWork: 0, PerWorker: 4}
+	defer func(g grain) { shardGrain = g }(shardGrain)
+	shardGrain = grain{rows: 1, pairs: 1}
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 10; trial++ {
 		vertices := 10 + rng.Intn(200)
@@ -126,14 +165,14 @@ func TestParallelMergePathMatchesSequential(t *testing.T) {
 // because its relations sit under the row and pair floors, while the
 // same query with the floors lowered does shard.
 func TestGranularityFloorSkipsScheduler(t *testing.T) {
-	g := randomGraph(41, 80, 2, 400) // far below 2×minShardPairs pairs per step
+	g := randomGraph(41, 80, 2, 400) // far below 2×shardGrain.pairs per step
 	p := paths.Path{0, 1, 0}
 	_, st := runPlan(t, g, p, 0, Options{Workers: 8})
 	if st.Sched.Tasks != 0 || st.Sched.Steals != 0 {
 		t.Fatalf("small query sharded anyway: %+v", st.Sched)
 	}
-	defer func(gr sched.Granularity) { shardGrain = gr }(shardGrain)
-	shardGrain = sched.Granularity{MinItems: 1, MinWork: 0, PerWorker: 4}
+	defer func(gr grain) { shardGrain = gr }(shardGrain)
+	shardGrain = grain{rows: 1, pairs: 1}
 	_, st = runPlan(t, g, p, 0, Options{Workers: 8})
 	if st.Sched.Tasks == 0 {
 		t.Fatal("lowered floors did not shard — the floor test is vacuous")
@@ -184,6 +223,61 @@ func TestAbortedStepLeavesNoStaleRows(t *testing.T) {
 			t.Fatalf("%s: an eps step over the reused relation counts %d pairs, want %d: stale rows survived", tc.name, c.Pairs, want)
 		}
 		pool.Put(rel)
+	}
+}
+
+// TestCancelMidStepEndsTheRoundNormally pins how a sharded step is
+// cancelled, the scheduler having no cancellation of its own: the
+// Canceller's flag, raised from inside one shard, makes the kernels
+// return early, yet the round's drain ends normally — every shard task
+// runs, none is dropped, no *sched.PanicError — and the step fails with
+// the canceller's cause. The same stepper then runs the step uncancelled
+// to the sequential count.
+func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
+	g := randomGraph(7, 400, 2, 12000)
+	op, left := g.LabelOperand(0), g.LabelOperand(1)
+	const workers = 4
+	shards := shardGrain.shards(left.Rows().Sources(), left.Rows().Pairs(), workers)
+	if shards < 2 {
+		t.Fatalf("the step runs in %d shard — the test is vacuous", shards)
+	}
+
+	c := &Canceller{}
+	x := newCore(g, Options{Workers: workers, Cancel: c})
+	st := x.stepper()
+	st.sch = sched.New(workers, func(w int, task shardTask) {
+		if task.idx == 0 {
+			c.Cancel(nil)
+		}
+		st.runShard(w, task)
+	})
+	dst := x.take()
+	err := x.step(nil, false, dst, func() error { return x.compose(left.Rows(), dst, op) })
+	var pe *sched.PanicError
+	if !errors.Is(err, ErrCancelled) || errors.As(err, &pe) {
+		t.Fatalf("cancelled step returned %v, want ErrCancelled and no panic", err)
+	}
+	if got := st.sch.Counters().Tasks; got != int64(shards) {
+		t.Fatalf("the cancelled round ran %d of its %d shard tasks", got, shards)
+	}
+
+	// count runs the step on s counted, nothing emitted.
+	count := func(s *stepper) (bitset.Count, error) {
+		s.compose(left.Rows(), op)
+		return s.run(nil)
+	}
+	seq := newCore(g, Options{Workers: 1})
+	want, err := count(seq.stepper())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.setCancel(nil)
+	got, err := count(st)
+	if err != nil || got != want {
+		t.Fatalf("after the cancelled round: %+v, %v; sequential %+v", got, err, want)
+	}
+	if n := st.sch.Counters().Tasks; n != int64(2*shards) {
+		t.Fatalf("the clean round ran %d tasks, want %d", n-int64(shards), shards)
 	}
 }
 

@@ -74,11 +74,11 @@ func NewCensusHybrid(g *graph.CSR, k int, opt CensusOptions) *Census {
 
 // NewCensusHybridChecked is NewCensusHybrid with failure containment: a
 // panic in any census worker (including one injected at the sched.task
-// fault site) is recovered by the scheduler, cancels the sibling
+// fault site) is recovered by the scheduler, stops the sibling
 // workers, and comes back as a typed *sched.PanicError instead of
-// crashing the process — with every in-flight subtree relation retired
-// into a worker pool via the scheduler's Abandon hook, so an aborted
-// build leaks neither goroutines nor relations.
+// crashing the process. An aborted build leaks no goroutine; the subtree
+// relations its dropped tasks held go to the garbage collector with the
+// rest of the failed census.
 func NewCensusHybridChecked(g *graph.CSR, k int, opt CensusOptions) (*Census, error) {
 	return newCensusHybrid(g, k, opt, splitPairs)
 }
@@ -102,10 +102,6 @@ func newCensusHybrid(g *graph.CSR, k int, opt CensusOptions, split int64) (*Cens
 		split:   split,
 	}
 	e.sch = sched.New(opt.Workers, e.runTask)
-	// An abandoned task still owns its subtree relation; retire it into
-	// worker 0's pool. The hook runs on the drain coordinator after every
-	// worker has exited, so the unsynchronized pool access is safe.
-	e.sch.Abandon = func(t censusTask) { e.workers[0].pool.Put(t.rel) }
 	n, density := g.NumVertices(), opt.DensityThreshold
 	for i := range e.workers {
 		e.workers[i] = censusWorker{

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 )
@@ -79,9 +80,11 @@ func TestSchedulerCrossWorkerSpawn(t *testing.T) {
 	}
 }
 
-// TestSchedulerDrainStatic pins the static drain's contract: a fully
-// pre-seeded round completes every task even when outstanding < workers
-// (only that many goroutines start) and when outstanding > workers.
+// TestSchedulerDrainStatic pins a static round's contract — every task
+// seeded before Drain, no body spawning, the executor's shard round: the
+// drain completes every task both when outstanding < workers (only that
+// many goroutines start, the rest of the deques reached by stealing) and
+// when outstanding > workers.
 func TestSchedulerDrainStatic(t *testing.T) {
 	for _, n := range []int{1, 3, 40} {
 		var ran atomic.Int64
@@ -89,9 +92,44 @@ func TestSchedulerDrainStatic(t *testing.T) {
 		for i := 0; i < n; i++ {
 			s.Spawn(i, i)
 		}
-		s.DrainStatic()
-		if got := ran.Load(); got != int64(n) {
-			t.Fatalf("n=%d: ran %d tasks", n, got)
+		if err := s.Drain(); err != nil {
+			t.Fatalf("n=%d: Drain = %v", n, err)
+		}
+		if got := ran.Load(); got != int64(n) || s.Counters().Tasks != int64(n) {
+			t.Fatalf("n=%d: ran %d tasks, counted %d", n, got, s.Counters().Tasks)
+		}
+	}
+}
+
+// TestSchedulerIdleStartsNoWorker pins the other half of lazy start: no
+// worker runs outside a drain. A drain with nothing outstanding returns
+// at once and counts nothing, a seeding Spawn starts no goroutine and
+// runs nothing, and after a round the started count is back at zero, so
+// the next round's seeds start none either.
+func TestSchedulerIdleStartsNoWorker(t *testing.T) {
+	var ran atomic.Int64
+	s := New(4, func(_ int, _ int) { ran.Add(1) })
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if s.started.Load() != 0 || s.Counters() != (Counters{}) {
+		t.Fatalf("an empty drain left %d started and counted %+v", s.started.Load(), s.Counters())
+	}
+	for round := int64(0); round < 3; round++ {
+		for i := 0; i < 6; i++ {
+			s.Spawn(i, i)
+			if n := s.started.Load(); n != 0 {
+				t.Fatalf("round %d: a seeding Spawn started %d workers", round, n)
+			}
+		}
+		if got := ran.Load(); got != 6*round {
+			t.Fatalf("round %d: %d tasks ran before the drain, want %d", round, got, 6*round)
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := ran.Load(); got != 6*(round+1) || s.started.Load() != 0 {
+			t.Fatalf("round %d: ran %d tasks, %d workers still counted", round, got, s.started.Load())
 		}
 	}
 }
@@ -145,64 +183,9 @@ func TestWorkerCountTracksGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestClampWorkers pins the idle-worker guard: a worker count is bounded
-// by the workload's task ceiling and never drops below one.
-func TestClampWorkers(t *testing.T) {
-	cases := []struct{ workers, maxTasks, want int }{
-		{8, 4, 4},  // more workers than tasks: clamp
-		{4, 8, 4},  // enough tasks: unchanged
-		{4, 0, 1},  // no tasks at all: one worker, never zero
-		{4, -3, 1}, // negative ceiling behaves like none
-		{0, 5, 1},  // degenerate worker count floors at one
-		{16, 16, 16},
-	}
-	for _, c := range cases {
-		if got := ClampWorkers(c.workers, c.maxTasks); got != c.want {
-			t.Fatalf("ClampWorkers(%d, %d) = %d, want %d", c.workers, c.maxTasks, got, c.want)
-		}
-	}
-}
-
-// TestGranularityShards pins the adaptive floor policy: sequential below
-// twice either floor, otherwise workers×PerWorker capped by both the
-// item and work ceilings.
-func TestGranularityShards(t *testing.T) {
-	g := Granularity{MinItems: 32, MinWork: 2048, PerWorker: 4}
-	cases := []struct {
-		items   int
-		work    int64
-		workers int
-		want    int
-	}{
-		{1000, 100000, 1, 1},  // one worker: always sequential
-		{63, 100000, 4, 1},    // under 2×MinItems
-		{1000, 4095, 4, 1},    // under 2×MinWork
-		{1000, 100000, 4, 16}, // wide open: workers×PerWorker
-		{128, 100000, 4, 4},   // item-capped: 128/32
-		{1000, 8192, 4, 4},    // work-capped: 8192/2048
-		{64, 4096, 16, 2},     // both floors just cleared
-	}
-	for _, c := range cases {
-		if got := g.Shards(c.items, c.work, c.workers); got != c.want {
-			t.Fatalf("Shards(%d, %d, %d) = %d, want %d", c.items, c.work, c.workers, got, c.want)
-		}
-	}
-	// Zero MinWork disables the work axis entirely.
-	noWork := Granularity{MinItems: 32, PerWorker: 4}
-	if got := noWork.Shards(1000, 0, 4); got != 16 {
-		t.Fatalf("work axis not disabled: %d", got)
-	}
-	// PerWorker < 1 is treated as 1.
-	flat := Granularity{MinItems: 1, PerWorker: 0}
-	if got := flat.Shards(100, 0, 4); got != 4 {
-		t.Fatalf("PerWorker floor: %d", got)
-	}
-}
-
-// TestSchedulerCounters verifies the observability counters: every task
-// is attributed to the worker that ran it, the total matches the spawn
-// count, and a multi-worker drain with deliberately unbalanced spawning
-// records steals.
+// TestSchedulerCounters verifies the observability counters: under
+// deliberately unbalanced spawning the task total matches the spawn count
+// and steals never exceed it, and the counts accumulate across rounds.
 func TestSchedulerCounters(t *testing.T) {
 	var ran atomic.Int64
 	s := New[int](4, func(worker, task int) { ran.Add(1) })
@@ -214,26 +197,69 @@ func TestSchedulerCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.Counters()
-	if c.TotalTasks() != tasks || ran.Load() != tasks {
-		t.Fatalf("counted %d tasks (ran %d), want %d", c.TotalTasks(), ran.Load(), tasks)
+	if c.Tasks != tasks || ran.Load() != tasks {
+		t.Fatalf("counted %d tasks (ran %d), want %d", c.Tasks, ran.Load(), tasks)
 	}
-	if len(c.Tasks) != 4 {
-		t.Fatalf("per-worker breakdown has %d slots, want 4", len(c.Tasks))
-	}
-	var sum int64
-	for _, v := range c.Tasks {
-		sum += v
-	}
-	if sum != c.TotalTasks() {
-		t.Fatalf("per-worker sum %d != total %d", sum, c.TotalTasks())
+	if c.Steals > c.Tasks {
+		t.Fatalf("%d steals of %d tasks", c.Steals, c.Tasks)
 	}
 	// Counters accumulate across rounds on a reused scheduler.
 	s.Spawn(1, 1)
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Counters().TotalTasks(); got != tasks+1 {
+	if got := s.Counters().Tasks; got != tasks+1 {
 		t.Fatalf("counters reset between rounds: %d", got)
+	}
+}
+
+// TestSchedulerStartsWorkersOnDemand pins the lazy-start rule through the
+// drain's own count of the goroutines it started: a round of m < workers
+// tasks whose bodies never spawn starts exactly m, whichever deques they
+// were seeded on, and a single seed whose body fans out onto 4 workers
+// starts more than one — a Spawn that finds no worker parked starts the
+// next, up to the worker count.
+func TestSchedulerStartsWorkersOnDemand(t *testing.T) {
+	for _, m := range []int{1, 3, 7} {
+		var s *Scheduler[int]
+		var seen atomic.Int64
+		s = New(8, func(_ int, _ int) { seen.Store(s.started.Load()) })
+		for i := 0; i < m; i++ {
+			s.Spawn(7-i, i) // high deques: reached by stealing
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got := seen.Load(); got != int64(m) {
+			t.Fatalf("%d static tasks on 8 workers started %d goroutines, want %d", m, got, m)
+		}
+		if s.Counters().Tasks != int64(m) || s.started.Load() != 0 {
+			t.Fatalf("m=%d: ran %d tasks, %d workers still counted after the drain",
+				m, s.Counters().Tasks, s.started.Load())
+		}
+	}
+
+	var s *Scheduler[int]
+	var after atomic.Int64
+	s = New(4, func(w, depth int) {
+		if depth == 0 {
+			for c := 0; c < 8; c++ {
+				s.Spawn(w, 1)
+			}
+			// No other worker existed when the first child was spawned,
+			// so none was parked: that Spawn started the second.
+			after.Store(s.started.Load())
+		}
+	})
+	s.Spawn(0, 0)
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := after.Load(); got < 2 || got > 4 {
+		t.Fatalf("a fanning-out seed on 4 workers left %d started, want 2..4", got)
+	}
+	if s.Counters().Tasks != 9 {
+		t.Fatalf("ran %d tasks, want 9", s.Counters().Tasks)
 	}
 }
 
@@ -338,95 +364,20 @@ func FuzzSchedulerDeterminism(f *testing.F) {
 	})
 }
 
-// TestSchedulerCancelMidDrain cancels from inside a task body and checks
-// the full abort contract: Drain returns ErrStopped, every seeded task
-// either ran or was handed to Abandon, and the scheduler is reusable for
-// a clean follow-up round.
-func TestSchedulerCancelMidDrain(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		const n = 200
-		var ran, abandoned atomic.Int64
-		var s *Scheduler[int]
-		s = New(workers, func(_ int, task int) {
-			if ran.Add(1) == 10 {
-				s.Cancel()
-			}
-		})
-		s.Abandon = func(int) { abandoned.Add(1) }
-		for i := 0; i < n; i++ {
-			s.Spawn(i, i)
-		}
-		err := s.Drain()
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("workers=%d: Drain = %v, want ErrStopped", workers, err)
-		}
-		if got := ran.Load() + abandoned.Load(); got != n {
-			t.Fatalf("workers=%d: ran %d + abandoned %d = %d, want %d",
-				workers, ran.Load(), abandoned.Load(), got, n)
-		}
-		if ran.Load() >= n {
-			t.Fatalf("workers=%d: cancellation did not abandon anything", workers)
-		}
-		// The signal must be consumed: a fresh round runs clean.
-		ran.Store(0)
-		abandoned.Store(0)
-		s2ran := 0
-		s.Abandon = func(int) { t.Error("Abandon called on a clean round") }
-		s.body = func(_ int, _ int) { s2ran++ }
-		if workers == 1 {
-			for i := 0; i < 5; i++ {
-				s.Spawn(i, i)
-			}
-			if err := s.Drain(); err != nil {
-				t.Fatalf("post-cancel Drain = %v, want nil", err)
-			}
-			if s2ran != 5 {
-				t.Fatalf("post-cancel round ran %d tasks, want 5", s2ran)
-			}
-		}
-	}
-}
-
-// TestSchedulerCancelBeforeDrain pins that a Cancel issued with no drain
-// running makes the next drain abandon everything and return ErrStopped.
-func TestSchedulerCancelBeforeDrain(t *testing.T) {
-	var ran, abandoned atomic.Int64
-	s := New(4, func(_ int, _ int) { ran.Add(1) })
-	s.Abandon = func(int) { abandoned.Add(1) }
-	for i := 0; i < 20; i++ {
-		s.Spawn(i, i)
-	}
-	s.Cancel()
-	if !s.stop.Load() {
-		t.Fatal("stop signal unset after Cancel")
-	}
-	if err := s.Drain(); !errors.Is(err, ErrStopped) {
-		t.Fatalf("Drain = %v, want ErrStopped", err)
-	}
-	if ran.Load() != 0 || abandoned.Load() != 20 {
-		t.Fatalf("ran=%d abandoned=%d, want 0/20", ran.Load(), abandoned.Load())
-	}
-	if s.stop.Load() {
-		t.Fatal("stop signal still set after the drain consumed it")
-	}
-}
-
 // TestSchedulerPanicContainment injects a panicking task body and checks
 // the containment contract: the process survives, Drain returns a
-// *PanicError that unwraps to ErrStopped and carries the worker id,
-// panic value, and a stack trace, sibling tasks are abandoned rather
-// than run, and the scheduler is reusable.
+// *PanicError carrying the worker id, panic value, and a stack trace, no
+// worker goroutine outlives the drain, and the same scheduler drains a
+// fresh round.
 func TestSchedulerPanicContainment(t *testing.T) {
 	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
 		const n = 100
-		var ran, abandoned atomic.Int64
 		s := New(workers, func(_ int, task int) {
 			if task == 7 {
 				panic("poisoned task")
 			}
-			ran.Add(1)
 		})
-		s.Abandon = func(int) { abandoned.Add(1) }
 		for i := 0; i < n; i++ {
 			s.Spawn(i, i)
 		}
@@ -434,9 +385,6 @@ func TestSchedulerPanicContainment(t *testing.T) {
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("workers=%d: Drain = %v, want *PanicError", workers, err)
-		}
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("workers=%d: PanicError does not unwrap to ErrStopped", workers)
 		}
 		if pe.Value != "poisoned task" {
 			t.Fatalf("workers=%d: panic value %v", workers, pe.Value)
@@ -447,22 +395,25 @@ func TestSchedulerPanicContainment(t *testing.T) {
 		if len(pe.Stack) == 0 {
 			t.Fatalf("workers=%d: PanicError carries no stack", workers)
 		}
-		if got := ran.Load() + abandoned.Load(); got != n-1 {
-			t.Fatalf("workers=%d: ran %d + abandoned %d = %d, want %d",
-				workers, ran.Load(), abandoned.Load(), got, n-1)
+		// A worker has called Done before it exits, so allow the last
+		// few a moment to be gone.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines after the drain, %d before", workers, runtime.NumGoroutine(), base)
+			}
+			runtime.Gosched()
 		}
-		// Reusable after containment.
-		var again atomic.Int64
-		s.body = func(_ int, _ int) { again.Add(1) }
-		s.Abandon = nil
+		// Reusable after containment: the failed round's leftovers are
+		// gone, so a fresh round runs exactly its own tasks.
+		before := s.Counters().Tasks
 		for i := 0; i < 10; i++ {
-			s.Spawn(i, i)
+			s.Spawn(i, 100+i)
 		}
 		if err := s.Drain(); err != nil {
 			t.Fatalf("workers=%d: post-panic Drain = %v, want nil", workers, err)
 		}
-		if again.Load() != 10 {
-			t.Fatalf("workers=%d: post-panic round ran %d, want 10", workers, again.Load())
+		if got := s.Counters().Tasks - before; got != 10 {
+			t.Fatalf("workers=%d: post-panic round ran %d tasks, want 10", workers, got)
 		}
 	}
 }
@@ -491,27 +442,5 @@ func TestSchedulerInjectedPanic(t *testing.T) {
 	}
 	if ran.Load() >= 50 {
 		t.Fatal("injected panic did not abort the drain")
-	}
-}
-
-// TestSchedulerDrainStaticCancel pins that the static drain honors the
-// same cancellation contract as Drain.
-func TestSchedulerDrainStaticCancel(t *testing.T) {
-	var ran, abandoned atomic.Int64
-	var s *Scheduler[int]
-	s = New(4, func(_ int, _ int) {
-		if ran.Add(1) == 3 {
-			s.Cancel()
-		}
-	})
-	s.Abandon = func(int) { abandoned.Add(1) }
-	for i := 0; i < 100; i++ {
-		s.Spawn(i, i)
-	}
-	if err := s.DrainStatic(); !errors.Is(err, ErrStopped) {
-		t.Fatalf("DrainStatic = %v, want ErrStopped", err)
-	}
-	if got := ran.Load() + abandoned.Load(); got != 100 {
-		t.Fatalf("ran %d + abandoned %d ≠ 100", ran.Load(), abandoned.Load())
 	}
 }

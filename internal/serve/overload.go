@@ -251,7 +251,7 @@ func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
 		abandonErr = nil // queue budget expired → shed below
 	}
 
-	// Abandon path. A promotion may have raced the timer/cancel: if the
+	// The abandon path. A promotion may have raced the timer/cancel: if the
 	// slot is already ours, keep it — the execution observes the dead
 	// context (if any) itself, and giving the slot back here would just
 	// re-run the same race one queue position later.

@@ -215,8 +215,8 @@ type Counters struct {
 	// Scheduler activity summed over every successfully answered query:
 	// parallel join-step tasks executed, tasks stolen across workers, and
 	// worker parks. All-zero when every request ran its steps
-	// sequentially (1-worker config or all steps below the granularity
-	// floor). Steals and parks are the contention signals; cache-shard
+	// sequentially (1-worker config or all steps below the sharding
+	// floors). Steals and parks are the contention signals; cache-shard
 	// lock waits are reported alongside in StatsResponse.Cache.
 	SchedTasks  int64 `json:"sched_tasks"`
 	SchedSteals int64 `json:"sched_steals"`

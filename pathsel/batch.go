@@ -3,9 +3,9 @@ package pathsel
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/relcache"
+	"repro/internal/sched"
 )
 
 // DefaultCacheBytes is a segment-relation cache budget that suits the
@@ -15,12 +15,15 @@ const DefaultCacheBytes = relcache.DefaultMaxBytes
 
 // BatchOptions tunes one batch execution.
 type BatchOptions struct {
-	// Workers is the number of queries executed concurrently (≤ 0 or 1
-	// runs the batch sequentially). Per-query results are bit-identical
-	// at every setting — concurrent queries share only the estimator's
-	// thread-safe segment cache (when it has one), and adopting a cached
-	// relation is indistinguishable from recomputing it — so this is a
-	// throughput knob, not a semantic one. When Workers > 1, each query's own join steps run
+	// Workers is the most queries executed concurrently: each query is
+	// one task on a work-stealing scheduler (internal/sched) of Workers
+	// workers, which starts no more of them than the batch has queries
+	// (≤ 0 or 1 runs the batch one query at a time, in input order).
+	// Per-query results are bit-identical at every setting — concurrent
+	// queries share only the estimator's thread-safe segment cache (when
+	// it has one), and adopting a cached relation is indistinguishable
+	// from recomputing it — so this is a throughput knob, not a semantic
+	// one. When Workers > 1, each query's own join steps run
 	// single-threaded (the batch already saturates the cores with whole
 	// queries); at Workers ≤ 1 each query parallelizes its join steps
 	// across Config.Workers as a single execution does.
@@ -101,7 +104,7 @@ func (e *Estimator) CacheStats() (CacheStats, bool) {
 }
 
 // ExecuteExprBatchCtx executes a whole workload of compiled queries: N
-// Expr.ExecuteCtx calls, optionally BatchOptions.Workers at a time, on
+// Expr.ExecuteCtx calls, up to BatchOptions.Workers at a time, on
 // the estimator's segment-relation cache (Config.CacheBytes) — so with a
 // cache, label subsequences that recur across the workload are
 // materialized once and adopted everywhere else, in this batch and every
@@ -127,7 +130,11 @@ func (e *Estimator) CacheStats() (CacheStats, bool) {
 // per-entry Err recording each query's fate. Config.QueryTimeout
 // additionally bounds each query individually, and under
 // Config.DegradeToEstimate killed or rejected queries degrade to
-// histogram answers instead of carrying an Err.
+// histogram answers instead of carrying an Err. A panic inside a query's
+// execution is contained there and fails that entry alone
+// (ErrExecutionFailed); one that escapes it is contained by the batch's
+// scheduler and fails the whole batch, with no BatchResult, as
+// ErrExecutionFailed wrapping the *sched.PanicError.
 func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt BatchOptions) (*BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -142,18 +149,14 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 	}
 
 	res := &BatchResult{Results: make([]BatchQueryResult, len(exprs))}
-	workers := opt.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(exprs) {
-		workers = len(exprs)
-	}
-	queryWorkers := e.cfg.Workers
+	workers, queryWorkers := max(opt.Workers, 1), e.cfg.Workers
 	if workers > 1 {
 		queryWorkers = 1
 	}
-	runOne := func(i int) {
+	// One task per query, each writing only its own result slot. Seeded
+	// last to first, so every worker pops its share in input order — at
+	// one worker, the whole batch.
+	s := sched.New(workers, func(_ int, i int) {
 		// A dead batch context stops issuing work: remaining entries are
 		// marked with the batch's abort cause without touching the graph.
 		if err := ctx.Err(); err != nil {
@@ -162,31 +165,12 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 		}
 		st, err := e.execute(ctx, exprs[i], queryWorkers, opt.Policy)
 		res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, ExecStats: st, Err: err}
+	})
+	for i := len(exprs) - 1; i >= 0; i-- {
+		s.Spawn(i, i)
 	}
-	if workers <= 1 {
-		for i := range exprs {
-			runOne(i)
-		}
-	} else {
-		// Simple fan-out: workers drain a shared index stream. Each
-		// result lands in its own slot, so no two goroutines write the
-		// same memory.
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runOne(i)
-				}
-			}()
-		}
-		for i := range exprs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
+	if err := s.Drain(); err != nil {
+		return nil, translateExecErr(err)
 	}
 	res.Cache, res.Cached = e.CacheStats()
 	return res, nil

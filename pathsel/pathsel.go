@@ -265,10 +265,10 @@ type Config struct {
 	// query's steps run one after another (a bushy plan's two halves
 	// included), so results, and every ExecStats field but Sched, are
 	// bit-identical at every setting. GOMAXPROCS is re-read at use time
-	// (sched.WorkerCount), and each layer clamps the count to the most
-	// tasks its workload can produce — asking for more workers than a
-	// graph has shardable rows configures nothing but idle goroutines,
-	// so the executor refuses to start them.
+	// (sched.WorkerCount). Workers is a ceiling, not a count to start: a
+	// scheduler round starts a worker only when a task is waiting for it,
+	// so a step with fewer shards than workers, or a census with fewer
+	// subtrees, starts no idle goroutine.
 	Workers int
 	// DensityThreshold tunes the census's hybrid relation rows: a row
 	// (the target set of one source vertex) is kept as a sorted sparse id

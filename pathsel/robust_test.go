@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/sched"
 )
 
 // robustEstimator builds an estimator over a graph dense enough that
@@ -318,6 +319,43 @@ func TestExecuteExprBatchCtxCancel(t *testing.T) {
 	}
 	if n := e.pool.InUse(); n != 0 {
 		t.Fatalf("pool has %d relations checked out after cancelled batch", n)
+	}
+}
+
+// TestExecuteBatchPanicFailsTheBatch pins the batch's own containment: its
+// queries are tasks on a scheduler, so a panic there — outside any query's
+// execution — is contained by the drain, and the batch fails as a whole
+// with ErrExecutionFailed wrapping the *sched.PanicError instead of
+// ending the process. The estimator stays serviceable.
+func TestExecuteBatchPanicFailsTheBatch(t *testing.T) {
+	e := robustEstimator(t, Config{Workers: 1})
+	xs, err := compileAll(e, []string{"a/b/a", "b/a/b", "a/a/b", "a", "b/b", "a/b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.NewInjector(faultinject.Rule{Site: "sched.task", Skip: 2, Count: 1, Action: faultinject.ActPanic})
+	faultinject.Install(inj)
+	t.Cleanup(faultinject.Uninstall)
+	res, err := e.ExecuteExprBatchCtx(context.Background(), xs, BatchOptions{Workers: 4})
+	var pe *sched.PanicError
+	if !errors.Is(err, ErrExecutionFailed) || !errors.As(err, &pe) || res != nil {
+		t.Fatalf("batch under a sched.task panic = %v, %v; want ErrExecutionFailed wrapping *sched.PanicError", res, err)
+	}
+	if inj.Triggered("sched.task") != 1 {
+		t.Fatalf("sched.task fired %d times, want 1", inj.Triggered("sched.task"))
+	}
+	if n := e.pool.InUse(); n != 0 {
+		t.Fatalf("pool has %d relations checked out after the failed batch", n)
+	}
+	faultinject.Uninstall()
+	res, err = e.ExecuteExprBatchCtx(context.Background(), xs, BatchOptions{Workers: 4})
+	if err != nil {
+		t.Fatalf("follow-up batch: %v", err)
+	}
+	for i, r := range res.Results {
+		if r.Err != nil {
+			t.Fatalf("follow-up batch entry %d: %v", i, r.Err)
+		}
 	}
 }
 
