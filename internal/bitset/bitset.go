@@ -28,9 +28,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, wordsFor(n)), n: n}
 }
 
-// Len returns the capacity of the set in bits.
-func (s *Set) Len() int { return s.n }
-
 // check panics when i is outside the capacity.
 func (s *Set) check(i int) {
 	if i < 0 || i >= s.n {
@@ -67,13 +64,6 @@ func (s *Set) Empty() bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
 }
 
 func (s *Set) mustMatch(o *Set) {

@@ -8,8 +8,8 @@ import (
 
 func TestNewEmpty(t *testing.T) {
 	s := New(100)
-	if s.Len() != 100 {
-		t.Fatalf("Len() = %d, want 100", s.Len())
+	if s.n != 100 {
+		t.Fatalf("capacity %d, want 100", s.n)
 	}
 	if !s.Empty() {
 		t.Fatal("new set should be empty")
@@ -192,4 +192,11 @@ func TestQuickAlgebraLaws(t *testing.T) {
 			t.Fatal("union not commutative")
 		}
 	}
+}
+
+// Clone returns a deep copy of s.
+func (s *Set) Clone() *Set {
+	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
+	copy(c.words, s.words)
+	return c
 }

@@ -6,11 +6,11 @@ import (
 )
 
 // This file holds the memory-accounting and replication operations of
-// HybridRelation: MemSize is a buffer's real footprint, CloneMemSize the
-// content-sized measure every result budget prices by, and CopyInto and
-// Clone replicate a relation into a pooled buffer or a fresh one. The
-// relation cache (internal/relcache) stores neither: its form is Packed
-// (packed.go), which shares CopyInto's kernel.
+// HybridRelation: CloneMemSize is the content-sized measure every result
+// budget prices by, and CopyInto and Clone replicate a relation into a
+// pooled buffer or a fresh one. The relation cache (internal/relcache)
+// stores neither: its form is Packed (packed.go), which shares CopyInto's
+// kernel.
 
 // SparseLimit returns the maximum sparse row population implied by a
 // density threshold over an n-vertex universe — the exported form of the
@@ -29,29 +29,10 @@ func SparseLimit(n int, density float64) int {
 // relations are structurally interchangeable.
 func (h *HybridRelation) SparseMax() int { return h.sparseMax }
 
-// MemSize returns the exact heap footprint of the relation in bytes: the
-// struct header, the row-header array (one hrow per universe vertex), the
-// active-source index, and every row's sparse id list and dense word
-// array at their allocated capacities. Demoted rows that retain a dirty
-// dense word array are charged for it — the memory is still held. It
-// answers the census memory question directly: a relation's footprint is
-// dominated by n row headers plus the pair payload in whichever form each
-// row holds.
-func (h *HybridRelation) MemSize() int {
-	size := int(unsafe.Sizeof(*h))
-	size += cap(h.active) * 4
-	size += len(h.rows) * int(unsafe.Sizeof(hrow{}))
-	for i := range h.rows {
-		row := &h.rows[i]
-		size += cap(row.ids)*4 + cap(row.words)*8
-	}
-	return size
-}
-
-// CloneMemSize returns the exact MemSize a Clone of the relation would
-// occupy, without building one: every slice counted at content length
-// (sparse ids or dense words per each row's current form). It is the
-// measure result budgets price a relation by (exec.Options
+// CloneMemSize returns the exact heap footprint a Clone of the relation
+// would occupy, without building one: every slice counted at content
+// length (sparse ids or dense words per each row's current form). It is
+// the measure result budgets price a relation by (exec.Options
 // .MaxResultBytes), whether it was built, counted or adopted.
 func (h *HybridRelation) CloneMemSize() int {
 	ids, words := h.contentLen()
@@ -126,8 +107,8 @@ func (h *HybridRelation) copyFrom(src rowSource, sparseMax int, pairs int64) {
 }
 
 // Clone returns a private exact-size copy of the relation: every slice is
-// allocated at its content length, so the clone's MemSize is the tightest
-// footprint the pair set admits (dirty dense words of demoted rows are
+// allocated at its content length, so the clone's footprint is the
+// tightest the pair set admits (dirty dense words of demoted rows are
 // dropped, spare capacity is trimmed). The clone shares no storage with
 // the receiver, and still carries one row header per universe vertex —
 // which is why the relation cache stores Pack's result instead.

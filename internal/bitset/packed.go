@@ -86,10 +86,10 @@ func packedMemSize(sources, ids, words int) int {
 	return int(unsafe.Sizeof(Packed{})) + sources*(4+int(unsafe.Sizeof(packedRow{}))) + ids*4 + words*8
 }
 
-// PackedMemSize returns the exact MemSize of h.Pack() without building
-// it, so a cache can price an entry — and refuse one — before paying for
-// the copy: 4 bytes per sparse pair, ⌈n/64⌉ words per dense row, 12 bytes
-// per source and a fixed header; nothing per vertex.
+// PackedMemSize returns the exact heap footprint of h.Pack() without
+// building it, so a cache can price an entry — and refuse one — before
+// paying for the copy: 4 bytes per sparse pair, ⌈n/64⌉ words per dense
+// row, 12 bytes per source and a fixed header; nothing per vertex.
 func (h *HybridRelation) PackedMemSize() int {
 	ids, words := h.contentLen()
 	return packedMemSize(len(h.active), ids, words)
@@ -139,12 +139,6 @@ func (p *Packed) SparseMax() int { return p.sparseMax }
 
 // Pairs returns the number of distinct pairs.
 func (p *Packed) Pairs() int64 { return p.pairs }
-
-// MemSize returns the heap footprint in bytes: the header and the four
-// arrays at their lengths, which are their capacities.
-func (p *Packed) MemSize() int {
-	return packedMemSize(len(p.active), len(p.ids), len(p.words))
-}
 
 // CloneMemSize returns the CloneMemSize of the relation p was packed
 // from — what a copy-out is priced at, so a result budget sits at the

@@ -140,3 +140,9 @@ func TestPackedUniverseMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// MemSize returns the heap footprint in bytes: the header and the four
+// arrays at their lengths, which are their capacities.
+func (p *Packed) MemSize() int {
+	return packedMemSize(len(p.active), len(p.ids), len(p.words))
+}

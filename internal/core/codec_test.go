@@ -31,7 +31,7 @@ func TestCodecRoundTripAllMethods(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: decode: %v", method, err)
 		}
-		if ph2.Ordering().Name() != method || ph2.Beta() != 9 || ph2.Builder() != BuilderVOptimal {
+		if ph2.Ordering().Name() != method || ph2.beta != 9 || ph2.builder != BuilderVOptimal {
 			t.Fatalf("%s: metadata lost", method)
 		}
 		// Every domain position estimates identically.

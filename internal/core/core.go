@@ -107,12 +107,6 @@ func BuildForGraph(g *graph.CSR, method, builder string, k, beta int, opt paths.
 // Ordering returns the domain ordering in use.
 func (ph *PathHistogram) Ordering() ordering.Ordering { return ph.ord }
 
-// Builder returns the histogram builder name.
-func (ph *PathHistogram) Builder() string { return ph.builder }
-
-// Beta returns the requested bucket budget.
-func (ph *PathHistogram) Beta() int { return ph.beta }
-
 // Buckets returns the realized bucket count.
 func (ph *PathHistogram) Buckets() int { return ph.est.Buckets() }
 

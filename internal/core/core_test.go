@@ -68,7 +68,7 @@ func TestBuildAllBuilders(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", builder, err)
 		}
-		if ph.Builder() != builder || ph.Beta() != 16 {
+		if ph.builder != builder || ph.beta != 16 {
 			t.Fatalf("%s: metadata wrong", builder)
 		}
 		if ph.Buckets() < 1 || ph.Buckets() > 17 {

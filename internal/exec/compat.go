@@ -11,10 +11,10 @@ import (
 // This file is everything the frozen bench/ module still compiles against
 // that the package no longer provides: the pre-Run names, each a wrapper
 // over Planner.Plan, PathPlan and Run with no logic of its own. Nothing
-// outside bench/ and compat_test.go may reference it (CI checks by
-// building without it). ROADMAP item 1′ deletes this file and
-// compat_test.go once benchmark v2 (item 1a) has moved bench/ onto a shim
-// over Run.
+// outside bench/ and compat_test.go may reference it (the layer rule
+// "compat.go serves bench/ only" in the module root's rules_test.go).
+// ROADMAP item 1′ deletes this file and compat_test.go once benchmark v2
+// (item 1a) has moved bench/ onto a shim over Run.
 
 // Plan is a forced zig-zag start: the leaf &PlanTree{Lo: 0, Hi: k, Start:
 // Start} of a length-k path.

@@ -329,17 +329,12 @@ func RunFigure1(opt Options) (*Figure1Result, error) {
 	res := &Figure1Result{Dataset: dataset.Table3()[0].Name, K: census.K(), Beta: beta}
 	data := core.DomainVector(census, ord)
 	for idx := int64(0); idx < ord.Size(); idx++ {
-		res.Labels = append(res.Labels, ord.Path(idx).String(csrNamer{m.g}))
+		res.Labels = append(res.Labels, ord.Path(idx).String(m.g))
 		res.Frequencies = append(res.Frequencies, data[idx])
 		res.BucketMeans = append(res.BucketMeans, ph.Estimator().Estimate(idx))
 	}
 	return res, nil
 }
-
-// csrNamer adapts graph.CSR to the paths.Path String interface.
-type csrNamer struct{ g *graph.CSR }
-
-func (n csrNamer) LabelName(l int) string { return n.g.LabelName(l) }
 
 // Table3Row reports the measured statistics of one generated dataset.
 type Table3Row struct {

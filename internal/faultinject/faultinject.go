@@ -180,9 +180,6 @@ func Install(inj *Injector) { active.Store(inj) }
 // Uninstall deactivates fault injection.
 func Uninstall() { active.Store(nil) }
 
-// Enabled reports whether an injector is installed.
-func Enabled() bool { return active.Load() != nil }
-
 // Fire visits a site that can absorb a panic or a delay. With no
 // injector installed it is a single atomic load. A triggered Panic rule
 // panics with its value; a triggered Delay rule sleeps.

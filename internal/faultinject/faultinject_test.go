@@ -12,8 +12,8 @@ func TestNoInjectorIsInert(t *testing.T) {
 	if Fail("some.site") {
 		t.Fatal("Fail reported true with no injector installed")
 	}
-	if Enabled() {
-		t.Fatal("Enabled with nothing installed")
+	if active.Load() != nil {
+		t.Fatal("an injector is installed after Uninstall")
 	}
 }
 

@@ -6,9 +6,10 @@
 // allocation per step, no pooling, no sharding, no cache — so a
 // disagreement with it is a bug in the production engine.
 //
-// It is imported only from _test.go files (CI fails the build
-// otherwise), so none of it is compiled into a binary. It may import
-// bitset (for Set and HybridRelation), graph and paths, never exec: the
-// in-package tests of internal/exec consult it. A kernel PR that keeps
+// It is imported only from _test.go files (the layer rule "oracle stays
+// outside the binary" in the module root's rules_test.go), so none of it
+// is compiled into a binary. It may import bitset (for Set and
+// HybridRelation), graph and paths, never exec: the in-package tests of
+// internal/exec consult it. A kernel PR that keeps
 // its parent implementation as a reference parks it here.
 package oracle

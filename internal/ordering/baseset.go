@@ -18,7 +18,6 @@ type BaseSet struct {
 	maxLen    int
 	// member maps a piece's canonical index to its rank position.
 	rankOf map[int64]int64
-	size   int
 }
 
 // NewBaseSetL2 returns the base set L2 (all paths of length ≤ 2), the
@@ -56,12 +55,8 @@ func NewBaseSetL2(numLabels int, weight func(p paths.Path) int64) *BaseSet {
 	for i, pc := range pieces {
 		b.rankOf[pc.can] = int64(i + 1)
 	}
-	b.size = len(pieces)
 	return b
 }
-
-// Size returns |B|.
-func (b *BaseSet) Size() int { return b.size }
 
 // Rank returns the rank of a piece in [1, |B|]. It panics when the piece
 // is not in the base set.

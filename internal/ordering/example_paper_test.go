@@ -1,6 +1,8 @@
 package ordering
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/paths"
@@ -17,6 +19,21 @@ var (
 	exampleK     = 2
 )
 
+// pathOf reads the paper's 1-based "a/b/c" notation, the inverse of
+// paths.Path.Key.
+func pathOf(t *testing.T, key string) paths.Path {
+	t.Helper()
+	var p paths.Path
+	for _, s := range strings.Split(key, "/") {
+		l, err := strconv.Atoi(s)
+		if err != nil || l < 1 {
+			t.Fatalf("bad path %q", key)
+		}
+		p = append(p, l-1)
+	}
+	return p
+}
+
 func exampleRankings() (alph, card *Ranking) {
 	return AlphabeticalRanking(exampleNames), CardinalityRanking(exampleFreq)
 }
@@ -30,10 +47,7 @@ func TestTable1SummedRanks(t *testing.T) {
 		"3/1": 3, "3/2": 5, "3/3": 4,
 	}
 	for key, wantSum := range want {
-		p, err := paths.Parse(key, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := pathOf(t, key)
 		var sum int64
 		for _, l := range p {
 			sum += card.Rank(l)
@@ -83,10 +97,7 @@ func TestTable2GoldenOrderings(t *testing.T) {
 			t.Fatalf("%s: Size() = %d, want 12", method, ord.Size())
 		}
 		for idx, key := range row {
-			p, err := paths.Parse(key, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := pathOf(t, key)
 			if got := ord.Index(p); got != int64(idx) {
 				t.Errorf("%s: Index(%s) = %d, want %d", method, key, got, idx)
 			}

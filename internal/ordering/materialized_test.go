@@ -76,13 +76,10 @@ func TestBaseSetL2Decompose(t *testing.T) {
 	// rule always cuts length-2 pieces while possible — the paper's
 	// "4/4/3/3/6" → "4/4", "3/3", "6" example.
 	b := NewBaseSetL2(6, func(paths.Path) int64 { return 1 })
-	if b.Size() != 6+36 {
-		t.Fatalf("|B| = %d, want 42", b.Size())
+	if len(b.rankOf) != 6+36 {
+		t.Fatalf("|B| = %d, want 42", len(b.rankOf))
 	}
-	p, err := paths.Parse("4/4/3/3/6", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pathOf(t, "4/4/3/3/6")
 	got := b.Decompose(p)
 	want := []string{"4/4", "3/3", "6"}
 	if len(got) != len(want) {
@@ -105,7 +102,7 @@ func TestBaseSetRanksSortedByWeight(t *testing.T) {
 	}
 	var got []pr
 	for key := range weights {
-		p, _ := paths.Parse(key, 2)
+		p := pathOf(t, key)
 		got = append(got, pr{key, b.Rank(p)})
 	}
 	sort.Slice(got, func(i, j int) bool { return got[i].rank < got[j].rank })

@@ -90,27 +90,6 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Parse parses the "a/b/c" notation produced by Key (1-based numeric
-// labels) into a Path, validating labels against numLabels.
-func Parse(s string, numLabels int) (Path, error) {
-	if s == "" {
-		return nil, fmt.Errorf("paths: empty path")
-	}
-	parts := strings.Split(s, "/")
-	p := make(Path, len(parts))
-	for i, part := range parts {
-		var l int
-		if _, err := fmt.Sscanf(part, "%d", &l); err != nil {
-			return nil, fmt.Errorf("paths: bad label %q in %q", part, s)
-		}
-		if l < 1 || l > numLabels {
-			return nil, fmt.Errorf("paths: label %d in %q out of range [1,%d]", l, s, numLabels)
-		}
-		p[i] = l - 1
-	}
-	return p, nil
-}
-
 // CanonicalIndex returns the position of p in the canonical domain: all
 // paths of length 1…k over numLabels labels, ordered by length first, then
 // positionally by label id (this coincides with the paper's num-alph

@@ -83,9 +83,10 @@
 // and each of its candidates is popped once, so an eviction is amortised
 // O(log entries) where the scan was O(entries) under the write lock.
 //
-// Cost is accounted in bytes — bitset.Packed.MemSize (4 per sparse pair,
-// ⌈n/64⌉ words per dense row, 12 per source: nothing per vertex), the
-// key, and entryOverhead — so the bound is a real memory budget, not an
+// Cost is accounted in bytes — the packed form's footprint,
+// HybridRelation.PackedMemSize (4 per sparse pair, ⌈n/64⌉ words per
+// dense row, 12 per source: nothing per vertex), the key, and
+// entryOverhead — so the bound is a real memory budget, not an
 // entry count, for three-pair entries as for megabyte ones. Relations
 // larger than a shard's whole budget are rejected outright rather than
 // flushing the shard.
@@ -135,7 +136,8 @@ const (
 type Options struct {
 	// MaxBytes is the total byte budget across all shards (≤ 0 selects
 	// DefaultMaxBytes). Entry cost is the packed relation's exact
-	// MemSize (bitset.Packed) plus key and bookkeeping overhead.
+	// footprint (bitset.HybridRelation.PackedMemSize) plus key and
+	// bookkeeping overhead.
 	MaxBytes int64
 	// Shards is the number of independently locked LRU shards (≤ 0
 	// selects DefaultShards). Rounded up to a power of two and capped at
@@ -496,16 +498,4 @@ func (c *Cache) Stats() Stats {
 		st.LockWaitNs += w
 	}
 	return st
-}
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.rlock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return n
 }

@@ -479,3 +479,15 @@ func TestLookupsAllocateNothing(t *testing.T) {
 		t.Fatal("lookups answer wrongly")
 	}
 }
+
+// Len returns the current entry count.
+func (c *Cache) Len() int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.rlock()
+		n += len(sh.entries)
+		sh.mu.RUnlock()
+	}
+	return n
+}
