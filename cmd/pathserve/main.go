@@ -5,12 +5,13 @@
 // cache across every concurrent request. The estimator's resource
 // policy is exposed as flags: -timeout bounds each request, -max-cost
 // and -max-result-bytes gate admission, and -degrade turns kills into
-// degraded 200s carrying the histogram estimate. -max-inflight enables
-// the overload controller (adaptive concurrency limit, bounded
-// admission queue with predictive shedding, 429 + Retry-After), tuned
-// by -min-inflight, -latency-target, -queue, and -queue-timeout;
+// degraded 200s carrying the histogram estimate. -max-inflight > 0
+// serves behind the overload controller (serve.NewWithOverload:
+// adaptive concurrency limit, bounded admission queue with predictive
+// shedding, 429 + Retry-After), tuned by -min-inflight,
+// -latency-target, -queue, and -queue-timeout; 0 leaves it off.
 // -brownout additionally degrades expensive queries to estimates under
-// sustained pressure.
+// sustained pressure, on the controller's fixed tuning.
 //
 // Usage:
 //
@@ -19,8 +20,9 @@
 //
 // Endpoints: GET /query?q=a/b/c (exact selectivity with plan and cache
 // stats), GET /stats (vocabulary, counters, cache occupancy), GET
-// /healthz. The server shuts down gracefully on SIGINT/SIGTERM, letting
-// in-flight queries finish.
+// /healthz. On SIGINT/SIGTERM the server drains — /healthz and new
+// queries answer 503 draining — and shuts down once in-flight queries
+// finish.
 package main
 
 import (
@@ -146,18 +148,14 @@ func buildServer(o *options) (*serve.Server, *pathsel.Graph, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var opt serve.Options
-	if o.maxInFlight > 0 {
-		opt.Overload = &serve.OverloadConfig{
-			MaxInFlight:   o.maxInFlight,
-			MinInFlight:   o.minInFlight,
-			LatencyTarget: o.latencyTarget,
-			QueueLimit:    o.queueLimit,
-			QueueTimeout:  o.queueTimeout,
-			Brownout:      o.brownout,
-		}
-	}
-	return serve.NewWithOptions(est, opt), g, nil
+	return serve.NewWithOverload(est, serve.OverloadConfig{
+		MaxInFlight:   o.maxInFlight,
+		MinInFlight:   o.minInFlight,
+		LatencyTarget: o.latencyTarget,
+		QueueLimit:    o.queueLimit,
+		QueueTimeout:  o.queueTimeout,
+		Brownout:      o.brownout,
+	}), g, nil
 }
 
 func run(o *options) error {

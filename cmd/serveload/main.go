@@ -3,8 +3,10 @@
 // by: latency percentiles (service and sojourn), achieved throughput,
 // cache hit rate, and how many requests were shed, degraded, or timed
 // out. It fetches the server's /stats endpoint for the label vocabulary
-// and maximum path length, builds a ranked query pool, and replays a
-// Zipf-distributed arrival trace (internal/workload) against /query.
+// and maximum path length, builds one ranked pool of wire-format queries
+// — label paths (workload.QueryPool) or, with -rpq, patterns
+// (workload.RPQPool) — and replays a Zipf-distributed trace of its ranks
+// (workload.ZipfTrace, bound by serve.RankQueries) against the server.
 //
 // Usage:
 //
@@ -25,12 +27,12 @@
 // (bursts at the elevated in-window rate separated by silent windows),
 // or gamma (clumped inter-arrival gaps; shape < 1 burstier than
 // Poisson). -retries re-issues overload-shed answers (429 +
-// Retry-After) with capped jittered exponential backoff that honors
-// the server's hint; retry wait is charged to the original arrival's
-// sojourn. -rpq swaps the concrete-path pool for regular path patterns
-// (alternation, optionals, bounded repetition); -batch N issues the
-// trace as POST /batch requests of N consecutive arrivals, exercising
-// the server's parse-once batch executor.
+// Retry-After) with jittered exponential backoff that honors the
+// server's hint, each wait capped at 500ms; retry wait is charged to
+// the original arrival's sojourn. -rpq swaps the concrete-path pool for
+// regular path patterns (alternation, optionals, bounded repetition);
+// -batch N issues the trace as POST /batch requests of N consecutive
+// arrivals, exercising the server's parse-once batch executor.
 package main
 
 import (
@@ -103,39 +105,24 @@ func run(baseURL string, n int, rate float64, concurrency, poolSize, maxLen int,
 	if maxLen <= 0 || maxLen > st.MaxPathLength {
 		maxLen = st.MaxPathLength
 	}
-	opts := workload.TraceOptions{
+	buildPool, kind := workload.QueryPool, "path"
+	if rpq {
+		buildPool, kind = workload.RPQPool, "RPQ"
+	}
+	pool, err := buildPool(st.Labels, maxLen, poolSize, seed)
+	if err != nil {
+		return err
+	}
+	tr, err := workload.ZipfTrace(len(pool), workload.TraceOptions{
 		S: zipfS, V: zipfV, Rate: rate, N: n, Seed: seed,
 		Arrival: arrival, OnDur: burstOn, OffDur: burstOff, GammaShape: gammaShape,
+	})
+	if err != nil {
+		return err
 	}
-	var trace []serve.TimedQuery
-	var poolLen int
-	if rpq {
-		pool, err := workload.RPQPool(st.Labels, maxLen, poolSize, seed)
-		if err != nil {
-			return err
-		}
-		tr, err := workload.ZipfRankTrace(len(pool), opts)
-		if err != nil {
-			return err
-		}
-		if trace, err = serve.RankQueries(tr, pool); err != nil {
-			return err
-		}
-		poolLen = len(pool)
-	} else {
-		pool, err := workload.QueryPool(len(st.Labels), maxLen, poolSize, seed)
-		if err != nil {
-			return err
-		}
-		opts.Pool = pool
-		tr, err := workload.ZipfTrace(opts)
-		if err != nil {
-			return err
-		}
-		if trace, err = serve.TraceQueries(tr, st.Labels); err != nil {
-			return err
-		}
-		poolLen = len(pool)
+	trace, err := serve.RankQueries(tr, pool)
+	if err != nil {
+		return err
 	}
 
 	mode := "saturation"
@@ -145,16 +132,12 @@ func run(baseURL string, n int, rate float64, concurrency, poolSize, maxLen int,
 			mode += " (" + arrival + ")"
 		}
 	}
-	kind := "path"
-	if rpq {
-		kind = "RPQ"
-	}
 	transport := "per-query"
 	if batch > 1 {
 		transport = fmt.Sprintf("batches of %d", batch)
 	}
 	fmt.Printf("serveload: %d requests over %d distinct %s queries (zipf s=%g), %s, concurrency %d, %s\n",
-		len(trace), poolLen, kind, zipfS, mode, concurrency, transport)
+		len(trace), len(pool), kind, zipfS, mode, concurrency, transport)
 
 	rep, err := serve.RunLoad(baseURL, trace, serve.LoadOptions{Concurrency: concurrency, Batch: batch, Retry: retry})
 	if err != nil {

@@ -10,9 +10,9 @@ import (
 func assertCounts(t *testing.T, ctx string, got Count, want *HybridRelation) {
 	t.Helper()
 	if got.Pairs != want.Pairs() || got.Sources != want.Sources() ||
-		got.CloneMemSize(want.Universe()) != want.CloneMemSize() {
+		got.CloneMemSize(want.n) != want.CloneMemSize() {
 		t.Fatalf("%s: counted pairs/sources/bytes %d/%d/%d, built %d/%d/%d", ctx,
-			got.Pairs, got.Sources, got.CloneMemSize(want.Universe()),
+			got.Pairs, got.Sources, got.CloneMemSize(want.n),
 			want.Pairs(), want.Sources(), want.CloneMemSize())
 	}
 }

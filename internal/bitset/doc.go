@@ -4,13 +4,10 @@
 // the innermost operation of both the selectivity census and query
 // execution — runs as tight array kernels.
 //
-// Three types carry it:
-//
-//   - Set is the dense, fixed-capacity bit set. The dense relation built
-//     from Sets — every row a bit array, composition as word-parallel
-//     unions of successor sets — is the reference the equivalence tests
-//     pin this package against; it lives in internal/oracle, which only
-//     tests import, and is Set's one user.
+// The relation, its step kernels and its snapshot carry it. The dense
+// reference the equivalence tests pin them against — a dense bit set,
+// every row a bit array, composition as word-parallel unions of
+// successor sets — lives in internal/oracle, which only tests import.
 //
 //   - HybridRelation is the relation: each source row adaptively
 //     switches between a sorted sparse id list and a dense bit array at a

@@ -1,6 +1,10 @@
 package bitset
 
-import "math/rand"
+import (
+	"maps"
+	"math/rand"
+	"slices"
+)
 
 // The random generators below are shared by the in-package tests and the
 // external ones (package bitset_test — the tests that consult
@@ -29,15 +33,10 @@ func RandomOperand(rng *rand.Rand, n, m int) CSROperand {
 		if len(adj[v]) == 0 {
 			continue
 		}
-		d := New(n)
-		for t := range adj[v] {
-			d.Add(t)
-		}
-		d.ForEach(func(t int) bool {
+		for _, t := range slices.Sorted(maps.Keys(adj[v])) {
 			op.Targets = append(op.Targets, int32(t))
 			op.Offsets[v+1]++
-			return true
-		})
+		}
 	}
 	return op
 }

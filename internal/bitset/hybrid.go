@@ -6,6 +6,12 @@ import (
 	"slices"
 )
 
+const wordBits = 64
+
+// wordsFor is the number of words a bit array over [0, n) takes: a dense
+// row's storage, a scratch accumulator's.
+func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
+
 // DefaultDensityThreshold is the fraction of the vertex universe at which a
 // sparse row promotes to the dense word-array form. At count = |V|/32 the
 // sorted-int32 form and the dense form occupy the same memory (32 bits per
@@ -153,9 +159,6 @@ func (scr *ComposeScratch) unionRow(first []int32, rest []CSROperand, v int) ([]
 	}
 	return first, count
 }
-
-// Universe returns the vertex-universe size n.
-func (h *HybridRelation) Universe() int { return h.n }
 
 // Pairs returns the total number of distinct pairs. O(1): per-row counts
 // are cached at construction time.

@@ -21,9 +21,9 @@ func legacyFromOperand(op CSROperand) *oracle.Relation {
 
 // successorSets builds an operand's successor sets — the table the dense
 // reference composes through — from its CSR rows.
-func successorSets(op CSROperand) []*Set {
+func successorSets(op CSROperand) []*oracle.Set {
 	r := legacyFromOperand(op)
-	sets := make([]*Set, op.N)
+	sets := make([]*oracle.Set, op.N)
 	for v := range sets {
 		sets[v] = r.Row(v)
 	}

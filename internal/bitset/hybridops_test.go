@@ -81,7 +81,7 @@ func TestHybridUnionWithMatchesDense(t *testing.T) {
 		a.UnionWith(b)
 		want := oracle.NewRelation(n)
 		for _, r := range []*oracle.Relation{ra, rb} {
-			r.ForEachRow(func(s int, targets *Set) bool {
+			r.ForEachRow(func(s int, targets *oracle.Set) bool {
 				targets.ForEach(func(t int) bool {
 					want.Add(s, t)
 					return true

@@ -13,7 +13,7 @@ import (
 // representation — the oracle every hybrid join kernel is pinned against.
 func referenceJoin(a, b *oracle.Relation) *oracle.Relation {
 	out := oracle.NewRelation(a.Universe())
-	a.ForEachRow(func(s int, targets *Set) bool {
+	a.ForEachRow(func(s int, targets *oracle.Set) bool {
 		targets.ForEach(func(t int) bool {
 			if row := b.Row(t); row != nil {
 				row.ForEach(func(u int) bool {

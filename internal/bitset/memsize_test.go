@@ -73,7 +73,7 @@ func TestCloneExactSizeReplica(t *testing.T) {
 			if !c.Equal(h) {
 				t.Fatalf("n=%d density=%v: clone pairs differ", n, density)
 			}
-			if c.SparseMax() != h.SparseMax() || c.Universe() != h.Universe() {
+			if c.SparseMax() != h.SparseMax() || c.n != h.n {
 				t.Fatalf("n=%d density=%v: clone regime differs", n, density)
 			}
 			for v := 0; v < n; v++ {

@@ -32,10 +32,10 @@ func FuzzPackedEquivalence(f *testing.F) {
 			t.Fatalf("packed to %d bytes, priced at %d", p.MemSize(), size)
 		}
 		if p.CloneMemSize() != src.CloneMemSize() || p.Pairs() != src.Pairs() ||
-			p.Universe() != src.Universe() || p.SparseMax() != src.SparseMax() {
+			p.Universe() != src.n || p.SparseMax() != src.SparseMax() {
 			t.Fatalf("snapshot reads clone size %d, %d pairs, universe %d, limit %d; source %d, %d, %d, %d",
 				p.CloneMemSize(), p.Pairs(), p.Universe(), p.SparseMax(),
-				src.CloneMemSize(), src.Pairs(), src.Universe(), src.SparseMax())
+				src.CloneMemSize(), src.Pairs(), src.n, src.SparseMax())
 		}
 		density := regimes[dstRegime%3]
 		got, want := dirty(rng, n, density), dirty(rng, n, density)

@@ -228,7 +228,7 @@ func TestSuccessorSets(t *testing.T) {
 	if tab[3] == nil || tab[3].Count() != 1 || !tab[3].Contains(0) {
 		t.Fatal("succ[3] wrong")
 	}
-	if tab := oracle.SuccessorSets(c, 1); slices.ContainsFunc(tab, func(s *bitset.Set) bool { return s != nil }) {
+	if tab := oracle.SuccessorSets(c, 1); slices.ContainsFunc(tab, func(s *oracle.Set) bool { return s != nil }) {
 		t.Fatal("label 1 has no edges, so no successor sets")
 	}
 }

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/combinat"
 	"repro/internal/graph"
 	"repro/internal/paths"
@@ -15,7 +14,7 @@ type census struct {
 	numLabels int
 	k         int
 	freq      []int64
-	succ      [][]*bitset.Set // per label, SuccessorSets
+	succ      [][]*Set // per label, SuccessorSets
 }
 
 // NewCensus computes the full selectivity census of g for paths of length
@@ -31,7 +30,7 @@ func NewCensus(g *graph.CSR, k int) *paths.Census {
 		numLabels: g.NumLabels(),
 		k:         k,
 		freq:      make([]int64, combinat.GeometricSum(int64(g.NumLabels()), int64(k))),
-		succ:      make([][]*bitset.Set, g.NumLabels()),
+		succ:      make([][]*Set, g.NumLabels()),
 	}
 	for l := range c.succ {
 		c.succ[l] = SuccessorSets(g, l)

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/paths"
 )
@@ -62,7 +61,7 @@ func EdgeRelation(g *graph.CSR, l int) *Relation {
 // set t holds every u with (t, l, u) ∈ E, nil for a vertex with none. They
 // are EdgeRelation's rows, built from the CSR on every call; the graph
 // keeps no such table.
-func SuccessorSets(g *graph.CSR, l int) []*bitset.Set { return EdgeRelation(g, l).rows }
+func SuccessorSets(g *graph.CSR, l int) []*Set { return EdgeRelation(g, l).rows }
 
 // ExecuteDense is the retired dense-only executor, kept solely as the
 // reference implementation: equivalence tests pin exec.Run bit-identical

@@ -11,7 +11,7 @@ import (
 // no targets costs one nil pointer — which matters because label-path
 // relations are typically sparse in their source dimension.
 type Relation struct {
-	rows []*bitset.Set
+	rows []*Set
 	n    int
 }
 
@@ -20,7 +20,7 @@ func NewRelation(n int) *Relation {
 	if n < 0 {
 		panic(fmt.Sprintf("oracle: negative universe %d", n))
 	}
-	return &Relation{rows: make([]*bitset.Set, n), n: n}
+	return &Relation{rows: make([]*Set, n), n: n}
 }
 
 // Universe returns the vertex-universe size n.
@@ -29,7 +29,7 @@ func (r *Relation) Universe() int { return r.n }
 // Add inserts the pair (s, t).
 func (r *Relation) Add(s, t int) {
 	if r.rows[s] == nil {
-		r.rows[s] = bitset.New(r.n)
+		r.rows[s] = NewSet(r.n)
 	}
 	r.rows[s].Add(t)
 }
@@ -41,7 +41,7 @@ func (r *Relation) Contains(s, t int) bool {
 
 // Row returns the target set of source s, or nil when s has no targets.
 // The returned set is shared, not a copy.
-func (r *Relation) Row(s int) *bitset.Set { return r.rows[s] }
+func (r *Relation) Row(s int) *Set { return r.rows[s] }
 
 // Pairs returns the total number of pairs (distinct by construction).
 func (r *Relation) Pairs() int64 {
@@ -67,7 +67,7 @@ func (r *Relation) Sources() int {
 
 // ForEachRow calls fn once per non-empty source row in ascending source
 // order. The set passed to fn is shared, not a copy.
-func (r *Relation) ForEachRow(fn func(s int, targets *bitset.Set) bool) {
+func (r *Relation) ForEachRow(fn func(s int, targets *Set) bool) {
 	for s, row := range r.rows {
 		if row == nil || row.Empty() {
 			continue
@@ -86,7 +86,7 @@ func (r *Relation) ForEachRow(fn func(s int, targets *bitset.Set) bool) {
 // succ must have length equal to the universe; nil entries mean "no
 // successors". Distinctness of result pairs is inherent in the bit-set
 // representation.
-func (r *Relation) Compose(succ []*bitset.Set) *Relation {
+func (r *Relation) Compose(succ []*Set) *Relation {
 	if len(succ) != r.n {
 		panic(fmt.Sprintf("oracle: successor table size %d != universe %d", len(succ), r.n))
 	}
@@ -95,11 +95,11 @@ func (r *Relation) Compose(succ []*bitset.Set) *Relation {
 		if row == nil || row.Empty() {
 			continue
 		}
-		var acc *bitset.Set
+		var acc *Set
 		row.ForEach(func(t int) bool {
 			if succ[t] != nil {
 				if acc == nil {
-					acc = bitset.New(r.n)
+					acc = NewSet(r.n)
 				}
 				acc.UnionWith(succ[t])
 			}
@@ -150,10 +150,14 @@ func (r *Relation) Equal(o *Relation) bool {
 	return true
 }
 
+// Universe returns the vertex-universe size of a hybrid relation: the
+// positions of its rows read with the identity term, one per vertex.
+func Universe(h *bitset.HybridRelation) int { return h.Extend(true, false).Len() }
+
 // ToRelation converts a hybrid relation to the dense reference
 // representation.
 func ToRelation(h *bitset.HybridRelation) *Relation {
-	r := NewRelation(h.Universe())
+	r := NewRelation(Universe(h))
 	h.ForEachPair(func(s, t int) bool {
 		r.Add(s, t)
 		return true
@@ -164,7 +168,7 @@ func ToRelation(h *bitset.HybridRelation) *Relation {
 // EqualRelation reports whether h contains exactly the pairs of the dense
 // reference relation r.
 func EqualRelation(h *bitset.HybridRelation, r *Relation) bool {
-	if h.Universe() != r.Universe() || h.Pairs() != r.Pairs() {
+	if Universe(h) != r.Universe() || h.Pairs() != r.Pairs() {
 		return false
 	}
 	equal := true

@@ -1,15 +1,12 @@
-package bitset_test
+package oracle
 
 import (
 	"math/rand"
 	"testing"
-
-	. "repro/internal/bitset"
-	"repro/internal/oracle"
 )
 
 func TestRelationBasics(t *testing.T) {
-	r := oracle.NewRelation(10)
+	r := NewRelation(10)
 	if r.Universe() != 10 {
 		t.Fatalf("Universe() = %d", r.Universe())
 	}
@@ -37,7 +34,7 @@ func TestRelationBasics(t *testing.T) {
 }
 
 func TestRelationAddDuplicate(t *testing.T) {
-	r := oracle.NewRelation(5)
+	r := NewRelation(5)
 	r.Add(0, 1)
 	r.Add(0, 1)
 	if r.Pairs() != 1 {
@@ -46,7 +43,7 @@ func TestRelationAddDuplicate(t *testing.T) {
 }
 
 func TestRelationForEachRow(t *testing.T) {
-	r := oracle.NewRelation(6)
+	r := NewRelation(6)
 	r.Add(5, 0)
 	r.Add(2, 3)
 	var order []int
@@ -69,7 +66,7 @@ func TestRelationForEachRow(t *testing.T) {
 
 // naiveCompose is the reference implementation against which Compose is
 // property-tested.
-func naiveCompose(r *oracle.Relation, succ []*Set) map[[2]int]bool {
+func naiveCompose(r *Relation, succ []*Set) map[[2]int]bool {
 	out := map[[2]int]bool{}
 	for s := 0; s < r.Universe(); s++ {
 		row := r.Row(s)
@@ -91,10 +88,10 @@ func naiveCompose(r *oracle.Relation, succ []*Set) map[[2]int]bool {
 
 func TestComposeSimple(t *testing.T) {
 	// r = {(0,1)}, succ(1) = {2,3} → {(0,2),(0,3)}
-	r := oracle.NewRelation(4)
+	r := NewRelation(4)
 	r.Add(0, 1)
 	succ := make([]*Set, 4)
-	succ[1] = New(4)
+	succ[1] = NewSet(4)
 	succ[1].Add(2)
 	succ[1].Add(3)
 	got := r.Compose(succ)
@@ -105,13 +102,13 @@ func TestComposeSimple(t *testing.T) {
 
 func TestComposeDeduplicates(t *testing.T) {
 	// Two intermediate vertices leading to the same target must count once.
-	r := oracle.NewRelation(4)
+	r := NewRelation(4)
 	r.Add(0, 1)
 	r.Add(0, 2)
 	succ := make([]*Set, 4)
-	succ[1] = New(4)
+	succ[1] = NewSet(4)
 	succ[1].Add(3)
-	succ[2] = New(4)
+	succ[2] = NewSet(4)
 	succ[2].Add(3)
 	got := r.Compose(succ)
 	if got.Pairs() != 1 {
@@ -120,7 +117,7 @@ func TestComposeDeduplicates(t *testing.T) {
 }
 
 func TestComposeEmpty(t *testing.T) {
-	r := oracle.NewRelation(4)
+	r := NewRelation(4)
 	succ := make([]*Set, 4)
 	if got := r.Compose(succ); got.Pairs() != 0 {
 		t.Fatal("composition of empty relation should be empty")
@@ -137,14 +134,14 @@ func TestComposeSizeMismatchPanics(t *testing.T) {
 			t.Fatal("size mismatch should panic")
 		}
 	}()
-	oracle.NewRelation(4).Compose(make([]*Set, 3))
+	NewRelation(4).Compose(make([]*Set, 3))
 }
 
 func TestComposeAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(40)
-		r := oracle.NewRelation(n)
+		r := NewRelation(n)
 		for i := 0; i < n; i++ {
 			r.Add(rng.Intn(n), rng.Intn(n))
 		}
@@ -153,7 +150,7 @@ func TestComposeAgainstNaive(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				continue // leave nil
 			}
-			succ[i] = New(n)
+			succ[i] = NewSet(n)
 			for j := 0; j < rng.Intn(4); j++ {
 				succ[i].Add(rng.Intn(n))
 			}
@@ -172,7 +169,7 @@ func TestComposeAgainstNaive(t *testing.T) {
 }
 
 func TestRelationReverse(t *testing.T) {
-	r := oracle.NewRelation(5)
+	r := NewRelation(5)
 	r.Add(0, 3)
 	r.Add(2, 2)
 	r.Add(4, 0)
@@ -184,13 +181,13 @@ func TestRelationReverse(t *testing.T) {
 	if !rev.Reverse().Equal(r) {
 		t.Fatal("Reverse is not an involution")
 	}
-	if oracle.NewRelation(3).Reverse().Pairs() != 0 {
+	if NewRelation(3).Reverse().Pairs() != 0 {
 		t.Fatal("empty relation should reverse to empty")
 	}
 }
 
 func TestRelationEqual(t *testing.T) {
-	a, b := oracle.NewRelation(5), oracle.NewRelation(5)
+	a, b := NewRelation(5), NewRelation(5)
 	if !a.Equal(b) {
 		t.Fatal("empty relations should be equal")
 	}
@@ -202,7 +199,7 @@ func TestRelationEqual(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("same relations reported unequal")
 	}
-	if a.Equal(oracle.NewRelation(6)) {
+	if a.Equal(NewRelation(6)) {
 		t.Fatal("different universes reported equal")
 	}
 }
@@ -212,14 +209,14 @@ func TestComposeAssociativity(t *testing.T) {
 	// per-vertex. This is the algebraic core the path engine relies on.
 	rng := rand.New(rand.NewSource(99))
 	n := 30
-	r := oracle.NewRelation(n)
+	r := NewRelation(n)
 	for i := 0; i < 60; i++ {
 		r.Add(rng.Intn(n), rng.Intn(n))
 	}
 	mkSucc := func() []*Set {
 		succ := make([]*Set, n)
 		for i := 0; i < n; i++ {
-			succ[i] = New(n)
+			succ[i] = NewSet(n)
 			for j := 0; j < 3; j++ {
 				succ[i].Add(rng.Intn(n))
 			}
@@ -233,7 +230,7 @@ func TestComposeAssociativity(t *testing.T) {
 	// fg[v] = ∪_{t∈f[v]} g[t]
 	fg := make([]*Set, n)
 	for v := 0; v < n; v++ {
-		fg[v] = New(n)
+		fg[v] = NewSet(n)
 		f[v].ForEach(func(t int) bool {
 			fg[v].UnionWith(g[t])
 			return true

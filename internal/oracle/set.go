@@ -1,4 +1,4 @@
-package bitset
+package oracle
 
 import (
 	"fmt"
@@ -8,30 +8,26 @@ import (
 
 const wordBits = 64
 
-// wordsFor is the number of words a bit array over [0, n) takes: a Set's
-// storage, a dense row's, a scratch accumulator's.
-func wordsFor(n int) int { return (n + wordBits - 1) / wordBits }
-
 // Set is a dense bit set over the universe [0, Len()). The zero value is an
-// empty set of capacity zero; use New to allocate capacity.
+// empty set of capacity zero; use NewSet to allocate capacity.
 type Set struct {
 	words []uint64
 	n     int // capacity in bits
 }
 
-// New returns an empty set with capacity for n bits. It panics if n is
+// NewSet returns an empty set with capacity for n bits. It panics if n is
 // negative.
-func New(n int) *Set {
+func NewSet(n int) *Set {
 	if n < 0 {
-		panic(fmt.Sprintf("bitset: negative capacity %d", n))
+		panic(fmt.Sprintf("oracle: negative capacity %d", n))
 	}
-	return &Set{words: make([]uint64, wordsFor(n)), n: n}
+	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
 // check panics when i is outside the capacity.
 func (s *Set) check(i int) {
 	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
+		panic(fmt.Sprintf("oracle: index %d out of range [0,%d)", i, s.n))
 	}
 }
 
@@ -68,7 +64,7 @@ func (s *Set) Empty() bool {
 
 func (s *Set) mustMatch(o *Set) {
 	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: capacity mismatch %d != %d", s.n, o.n))
+		panic(fmt.Sprintf("oracle: capacity mismatch %d != %d", s.n, o.n))
 	}
 }
 

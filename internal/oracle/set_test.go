@@ -1,4 +1,4 @@
-package bitset
+package oracle
 
 import (
 	"math/rand"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestNewEmpty(t *testing.T) {
-	s := New(100)
+	s := NewSet(100)
 	if s.n != 100 {
 		t.Fatalf("capacity %d, want 100", s.n)
 	}
@@ -20,7 +20,7 @@ func TestNewEmpty(t *testing.T) {
 }
 
 func TestNewZeroCapacity(t *testing.T) {
-	s := New(0)
+	s := NewSet(0)
 	if s.Count() != 0 || !s.Empty() {
 		t.Fatal("zero-capacity set should be empty")
 	}
@@ -29,14 +29,14 @@ func TestNewZeroCapacity(t *testing.T) {
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(-1) should panic")
+			t.Fatal("NewSet(-1) should panic")
 		}
 	}()
-	New(-1)
+	NewSet(-1)
 }
 
 func TestAddContainsRemove(t *testing.T) {
-	s := New(130)
+	s := NewSet(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if s.Contains(i) {
 			t.Fatalf("Contains(%d) before Add", i)
@@ -52,7 +52,7 @@ func TestAddContainsRemove(t *testing.T) {
 }
 
 func TestAddIdempotent(t *testing.T) {
-	s := New(10)
+	s := NewSet(10)
 	s.Add(3)
 	s.Add(3)
 	if s.Count() != 1 {
@@ -61,7 +61,7 @@ func TestAddIdempotent(t *testing.T) {
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	s := New(10)
+	s := NewSet(10)
 	for name, fn := range map[string]func(){
 		"Add(10)":       func() { s.Add(10) },
 		"Add(-1)":       func() { s.Add(-1) },
@@ -81,7 +81,7 @@ func TestOutOfRangePanics(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	s := New(64)
+	s := NewSet(64)
 	s.Add(5)
 	c := s.Clone()
 	if !c.Equal(s) {
@@ -95,7 +95,7 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestSetAlgebra(t *testing.T) {
 	mk := func(xs ...int) *Set {
-		s := New(100)
+		s := NewSet(100)
 		for _, x := range xs {
 			s.Add(x)
 		}
@@ -109,13 +109,13 @@ func TestSetAlgebra(t *testing.T) {
 }
 
 func TestEqualDifferentCapacity(t *testing.T) {
-	if New(10).Equal(New(11)) {
+	if NewSet(10).Equal(NewSet(11)) {
 		t.Fatal("sets with different capacity must not be Equal")
 	}
 }
 
 func TestForEachOrderAndEarlyStop(t *testing.T) {
-	s := New(200)
+	s := NewSet(200)
 	want := []int{0, 63, 64, 100, 199}
 	for _, i := range want {
 		s.Add(i)
@@ -144,13 +144,13 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	s := New(10)
+	s := NewSet(10)
 	s.Add(1)
 	s.Add(7)
 	if got := s.String(); got != "{1, 7}" {
 		t.Fatalf("String() = %q", got)
 	}
-	if got := New(4).String(); got != "{}" {
+	if got := NewSet(4).String(); got != "{}" {
 		t.Fatalf("empty String() = %q", got)
 	}
 }
@@ -158,7 +158,7 @@ func TestString(t *testing.T) {
 // Property: Count equals the number of distinct indices added.
 func TestQuickCountMatchesDistinct(t *testing.T) {
 	f := func(idx []uint16) bool {
-		s := New(1 << 16)
+		s := NewSet(1 << 16)
 		seen := map[uint16]bool{}
 		for _, i := range idx {
 			s.Add(int(i))
@@ -174,7 +174,7 @@ func TestQuickCountMatchesDistinct(t *testing.T) {
 // Property: union is commutative.
 func TestQuickAlgebraLaws(t *testing.T) {
 	gen := func(r *rand.Rand, n int) *Set {
-		s := New(n)
+		s := NewSet(n)
 		for i := 0; i < n/4; i++ {
 			s.Add(r.Intn(n))
 		}

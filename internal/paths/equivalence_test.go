@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/oracle"
@@ -181,7 +180,7 @@ func TestUnionSelectivityMatchesDense(t *testing.T) {
 		}
 		acc := oracle.NewRelation(g.NumVertices())
 		for _, p := range ps {
-			oracle.EvaluateDense(g, p).ForEachRow(func(s int, targets *bitset.Set) bool {
+			oracle.EvaluateDense(g, p).ForEachRow(func(s int, targets *oracle.Set) bool {
 				targets.ForEach(func(tt int) bool {
 					acc.Add(s, tt)
 					return true

@@ -19,7 +19,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -33,26 +32,9 @@ type TimedQuery struct {
 	Query string        `json:"query"`
 }
 
-// TraceQueries renders a workload trace into wire-format timed queries,
-// joining each path's label ids through the vocabulary.
-func TraceQueries(tr []workload.Arrival, labels []string) ([]TimedQuery, error) {
-	out := make([]TimedQuery, len(tr))
-	for i, a := range tr {
-		parts := make([]string, len(a.Query))
-		for j, l := range a.Query {
-			if l < 0 || l >= len(labels) {
-				return nil, fmt.Errorf("serve: trace arrival %d label id %d outside vocabulary of %d", i, l, len(labels))
-			}
-			parts[j] = labels[l]
-		}
-		out[i] = TimedQuery{At: a.At, Query: strings.Join(parts, "/")}
-	}
-	return out, nil
-}
-
-// RankQueries renders a rank-only trace (workload.ZipfRankTrace) into
-// timed queries over a wire-format pool — the RPQ-pattern counterpart
-// of TraceQueries, since patterns are strings rather than label paths.
+// RankQueries renders a trace (workload.ZipfTrace) into timed queries
+// over the wire-format pool its ranks index — workload.QueryPool's
+// label paths or workload.RPQPool's patterns alike.
 func RankQueries(tr []workload.Arrival, pool []string) ([]TimedQuery, error) {
 	out := make([]TimedQuery, len(tr))
 	for i, a := range tr {
@@ -75,8 +57,6 @@ type LoadOptions struct {
 	// per-query latency for the server-side cache amortization the
 	// batch endpoint exists for.
 	Batch int
-	// Client issues the requests (nil selects http.DefaultClient).
-	Client *http.Client
 	// Retry re-issues shed requests — a query or a whole batch alike —
 	// with capped jittered exponential backoff, honoring the server's
 	// Retry-After hint. Retries run on the worker that owns the arrival,
@@ -95,31 +75,27 @@ type RetryPolicy struct {
 	Max int
 	// Base seeds the exponential backoff: before re-issue n the client
 	// waits max(server hint, Base·2^(n−1)) plus up to 50% jitter (≤ 0
-	// selects 5ms).
+	// selects 5ms), never more than retryCap.
 	Base time.Duration
-	// Cap bounds any single wait (≤ 0 selects 500ms).
-	Cap time.Duration
 	// Seed makes the jitter deterministic (each worker derives its own
 	// stream from it).
 	Seed int64
 }
 
-// Retry wait defaults.
+// Retry waits: the backoff's default base, and the bound on any single
+// wait.
 const (
 	defaultRetryBase = 5 * time.Millisecond
-	defaultRetryCap  = 500 * time.Millisecond
+	retryCap         = 500 * time.Millisecond
 )
 
 // retryWait computes the wait before re-issue n (1-based): the larger
 // of the server's hint and the exponential backoff, jittered up to
 // +50%, capped.
 func retryWait(rng *rand.Rand, pol RetryPolicy, attempt int, hintMs int64) time.Duration {
-	base, ceil := pol.Base, pol.Cap
+	base := pol.Base
 	if base <= 0 {
 		base = defaultRetryBase
-	}
-	if ceil <= 0 {
-		ceil = defaultRetryCap
 	}
 	shift := attempt - 1
 	if shift > 20 {
@@ -130,10 +106,7 @@ func retryWait(rng *rand.Rand, pol RetryPolicy, attempt int, hintMs int64) time.
 		wait = hint
 	}
 	wait += time.Duration(rng.Int63n(int64(wait)/2 + 1))
-	if wait > ceil {
-		wait = ceil
-	}
-	return wait
+	return min(wait, retryCap)
 }
 
 // LatencySummary is a latency distribution in nanoseconds.
@@ -242,21 +215,17 @@ func summarize(ns []int64) LatencySummary {
 	}
 }
 
-// RunLoad replays the trace against the server at baseURL and collects
-// the report. The trace must be sorted by arrival time (ZipfTrace
-// output is). RunLoad returns an error only for a malformed baseURL —
-// per-request failures are counted, not fatal, because measuring how a
-// server fails under load is the point.
+// RunLoad replays the trace against the server at baseURL over
+// http.DefaultClient and collects the report. The trace must be sorted
+// by arrival time (ZipfTrace output is). RunLoad returns an error only
+// for a malformed baseURL — per-request failures are counted, not
+// fatal, because measuring how a server fails under load is the point.
 func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, error) {
 	if _, err := url.Parse(baseURL); err != nil {
 		return nil, fmt.Errorf("serve: bad base URL %q: %w", baseURL, err)
 	}
 	if len(trace) == 0 {
 		return &LoadReport{}, nil
-	}
-	client := opt.Client
-	if client == nil {
-		client = http.DefaultClient
 	}
 	workers := opt.Concurrency
 	if workers < 1 {
@@ -301,11 +270,11 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 				// worker stays occupied through the backoff, so the retries'
 				// cost lands where it belongs: on these arrivals' sojourn and
 				// on the harness's capacity to absorb the next ones.
-				ans, status := issue(client, baseURL, qs, step > 1)
+				ans, status := issue(baseURL, qs, step > 1)
 				retries := 0
 				for ; retries < opt.Retry.Max && ans.RetryAfterMs > 0; retries++ {
 					time.Sleep(retryWait(rng, opt.Retry, retries+1, ans.RetryAfterMs))
-					ans, status = issue(client, baseURL, qs, step > 1)
+					ans, status = issue(baseURL, qs, step > 1)
 				}
 				done := time.Now()
 				mu.Lock()
@@ -389,16 +358,16 @@ type answer struct {
 // comes back. Status 0 reports a transport error: no HTTP response at
 // all. A body that does not decode leaves the answer empty, to be
 // classified by its status alone.
-func issue(client *http.Client, baseURL string, qs []string, batch bool) (ans answer, status int) {
+func issue(baseURL string, qs []string, batch bool) (ans answer, status int) {
 	var resp *http.Response
 	var err error
 	if batch {
 		var body []byte
 		if body, err = json.Marshal(BatchRequest{Queries: qs}); err == nil {
-			resp, err = client.Post(baseURL+"/batch", "application/json", bytes.NewReader(body))
+			resp, err = http.Post(baseURL+"/batch", "application/json", bytes.NewReader(body))
 		}
 	} else {
-		resp, err = client.Get(baseURL + "/query?q=" + url.QueryEscape(qs[0]))
+		resp, err = http.Get(baseURL + "/query?q=" + url.QueryEscape(qs[0]))
 	}
 	if err != nil {
 		return answer{}, 0

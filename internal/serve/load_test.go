@@ -8,19 +8,25 @@ import (
 	"repro/pathsel"
 )
 
-// buildTrace renders a deterministic Zipf trace against the test
-// graph's vocabulary.
+// buildTrace renders a deterministic Poisson Zipf trace of n arrivals at
+// rate against the test graph's vocabulary.
 func buildTrace(t testing.TB, labels []string, n int, rate float64, seed int64) []TimedQuery {
+	return zipfTrace(t, labels, workload.TraceOptions{Rate: rate, N: n, Seed: seed})
+}
+
+// zipfTrace renders a deterministic Zipf trace over a pool of the
+// vocabulary's label paths, drawn with the trace's seed.
+func zipfTrace(t testing.TB, labels []string, opt workload.TraceOptions) []TimedQuery {
 	t.Helper()
-	pool, err := workload.QueryPool(len(labels), 3, 16, seed)
+	pool, err := workload.QueryPool(labels, 3, 16, opt.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.ZipfTrace(workload.TraceOptions{Pool: pool, Rate: rate, N: n, Seed: seed})
+	tr, err := workload.ZipfTrace(len(pool), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tq, err := TraceQueries(tr, labels)
+	tq, err := RankQueries(tr, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +125,11 @@ func TestRunLoadCountsTransportErrors(t *testing.T) {
 	}
 }
 
-func TestTraceQueriesRejectsForeignLabels(t *testing.T) {
-	tr := []workload.Arrival{{Query: []int{0, 7}}}
-	if _, err := TraceQueries(tr, []string{"a", "b"}); err == nil {
-		t.Fatal("TraceQueries accepted a label id outside the vocabulary")
+func TestRankQueriesRejectsForeignRanks(t *testing.T) {
+	for _, rank := range []int{-1, 2} {
+		if _, err := RankQueries([]workload.Arrival{{Rank: rank}}, []string{"a", "a/b"}); err == nil {
+			t.Fatalf("RankQueries accepted rank %d outside a pool of 2", rank)
+		}
 	}
 }
 

@@ -22,10 +22,9 @@ import (
 	"repro/pathsel"
 )
 
-// OverloadConfig tunes the server-wide overload controller. The zero
-// value (and a nil *OverloadConfig in Options) disables it entirely:
-// every request executes immediately, exactly as before the controller
-// existed.
+// OverloadConfig tunes the server-wide overload controller. MaxInFlight
+// ≤ 0 — the zero value — disables it entirely: every request executes
+// immediately, exactly as before the controller existed.
 type OverloadConfig struct {
 	// MaxInFlight > 0 enables the controller: at most this many query
 	// executions run concurrently (a /batch counts as one). It is also
@@ -51,35 +50,31 @@ type OverloadConfig struct {
 	// on arrival instead of timing out in line.
 	QueueTimeout time.Duration
 	// Brownout enables the degradation tiers. Under sustained pressure
-	// (queue depth or shed rate above BrownoutHi across BrownoutUp
+	// (queue depth or shed rate at or above brownoutHi across brownoutUp
 	// ticks) the server escalates a tier; each tier above 0 answers
 	// queries whose plan cost exceeds a percentile of recently observed
 	// costs with marked histogram estimates (tier 1: p90, tier 2: p50,
-	// tier 3: everything) instead of shedding them. Pressure below
-	// BrownoutLo across BrownoutDown ticks de-escalates one tier.
+	// tier 3: every query with any join cost) instead of shedding them.
+	// Pressure at or below brownoutLo across brownoutDown ticks
+	// de-escalates one tier.
 	Brownout bool
-	// BrownoutHi and BrownoutLo are the escalate/de-escalate pressure
-	// watermarks in [0,1] (defaults 0.75 and 0.25); the gap between
-	// them is the hysteresis band that keeps the tier from flapping.
-	BrownoutHi, BrownoutLo float64
-	// BrownoutUp and BrownoutDown are how many consecutive ticks the
-	// pressure signal must sit past a watermark before the tier moves
-	// (defaults 2 and 3 — de-escalation is deliberately slower).
-	BrownoutUp, BrownoutDown int
-	// TickEvery is the minimum interval between brownout evaluations
-	// (≤ 0 selects 20ms). Ticks piggyback on admissions, completions,
-	// and stats reads; there is no timer goroutine.
-	TickEvery time.Duration
 }
 
-// Defaults resolved by withDefaults.
+// The controller's fixed tuning.
 const (
 	defaultQueueTimeout = 100 * time.Millisecond
-	defaultTickEvery    = 20 * time.Millisecond
-	defaultBrownoutHi   = 0.75
-	defaultBrownoutLo   = 0.25
-	defaultBrownoutUp   = 2
-	defaultBrownoutDown = 3
+	// tickEvery is the minimum interval between brownout evaluations.
+	// Ticks piggyback on admissions, completions and stats reads; there
+	// is no timer goroutine.
+	tickEvery = 20 * time.Millisecond
+	// brownoutHi and brownoutLo are the escalate and de-escalate
+	// pressure watermarks; the gap between them is the hysteresis band
+	// that keeps the tier from flapping.
+	brownoutHi, brownoutLo = 0.75, 0.25
+	// brownoutUp and brownoutDown are how many consecutive ticks the
+	// pressure must sit past a watermark before the tier moves;
+	// de-escalation is deliberately slower.
+	brownoutUp, brownoutDown = 2, 3
 	// maxBrownoutTier is the deepest degradation tier: every query with
 	// any join cost answers its estimate.
 	maxBrownoutTier = 3
@@ -108,21 +103,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = defaultQueueTimeout
-	}
-	if c.BrownoutHi <= 0 || c.BrownoutHi > 1 {
-		c.BrownoutHi = defaultBrownoutHi
-	}
-	if c.BrownoutLo <= 0 || c.BrownoutLo >= c.BrownoutHi {
-		c.BrownoutLo = math.Min(defaultBrownoutLo, c.BrownoutHi/2)
-	}
-	if c.BrownoutUp <= 0 {
-		c.BrownoutUp = defaultBrownoutUp
-	}
-	if c.BrownoutDown <= 0 {
-		c.BrownoutDown = defaultBrownoutDown
-	}
-	if c.TickEvery <= 0 {
-		c.TickEvery = defaultTickEvery
 	}
 	return c
 }
@@ -169,7 +149,6 @@ type limiter struct {
 	inFlight int
 	peak     int
 	queue    []*waiter
-	draining bool
 
 	svcEWMA     float64 // observed service time, ns
 	completions int     // since the last adaptation
@@ -195,17 +174,13 @@ func newLimiter(cfg OverloadConfig) *limiter {
 
 // acquire admits the request (returning the brownout policy to execute
 // it under), queues it, or refuses it: a *shedError once the queue
-// cannot serve it in budget, errDraining after StartDrain, or the
-// request's own context error if it dies while queued. On a nil error
-// the caller owns one in-flight slot and must call release.
+// cannot serve it in budget, or the request's own context error if it
+// dies while queued. On a nil error the caller owns one in-flight slot
+// and must call release.
 func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
 	l.mu.Lock()
 	now := time.Now()
 	l.tickLocked(now)
-	if l.draining {
-		l.mu.Unlock()
-		return pathsel.ExecPolicy{}, errDraining
-	}
 	if l.inFlight < l.limit && len(l.queue) == 0 {
 		l.admitLocked()
 		pol := l.policyLocked()
@@ -384,12 +359,12 @@ func (l *limiter) policyLocked() pathsel.ExecPolicy {
 }
 
 // tickLocked advances the brownout state machine when at least
-// TickEvery has passed: the pressure signal is the worse of queue
+// tickEvery has passed: the pressure signal is the worse of queue
 // occupancy and the shed fraction since the last tick, pushed through
 // the hysteresis counters; the cost threshold is recut from the ring on
 // every tick so the tier tracks the workload actually being served.
 func (l *limiter) tickLocked(now time.Time) {
-	if !l.cfg.Brownout || now.Sub(l.lastTick) < l.cfg.TickEvery {
+	if !l.cfg.Brownout || now.Sub(l.lastTick) < tickEvery {
 		return
 	}
 	l.lastTick = now
@@ -401,15 +376,15 @@ func (l *limiter) tickLocked(now time.Time) {
 	}
 	l.admittedTick, l.shedTick = 0, 0
 	switch {
-	case sig >= l.cfg.BrownoutHi:
+	case sig >= brownoutHi:
 		l.downTicks = 0
-		if l.upTicks++; l.upTicks >= l.cfg.BrownoutUp && l.tier < maxBrownoutTier {
+		if l.upTicks++; l.upTicks >= brownoutUp && l.tier < maxBrownoutTier {
 			l.tier++
 			l.upTicks = 0
 		}
-	case sig <= l.cfg.BrownoutLo:
+	case sig <= brownoutLo:
 		l.upTicks = 0
-		if l.downTicks++; l.downTicks >= l.cfg.BrownoutDown && l.tier > 0 {
+		if l.downTicks++; l.downTicks >= brownoutDown && l.tier > 0 {
 			l.tier--
 			l.downTicks = 0
 		}
@@ -420,40 +395,32 @@ func (l *limiter) tickLocked(now time.Time) {
 }
 
 // thresholdLocked cuts the current tier's cost threshold from the
-// observed-cost ring: tier 1 degrades above p90, tier 2 above p50,
-// tier 3 degrades every query with any join cost at all.
+// observed-cost ring: tier 1 degrades above p90, tier 2 above p50, and
+// tier 3 degrades every query with any join cost at all, whatever the
+// ring holds.
 func (l *limiter) thresholdLocked() float64 {
-	if l.tier == 0 || l.costLn == 0 {
+	switch {
+	case l.tier == 0:
+		return 0
+	case l.tier >= maxBrownoutTier:
+		return math.SmallestNonzeroFloat64
+	case l.costLn == 0:
 		return 0
 	}
 	sorted := make([]float64, l.costLn)
 	copy(sorted, l.costRing[:l.costLn])
 	sort.Float64s(sorted)
-	var q float64
-	switch l.tier {
-	case 1:
-		q = 0.9
-	case 2:
+	q := 0.9
+	if l.tier == 2 {
 		q = 0.5
-	default:
-		q = 0
 	}
-	idx := int(q * float64(l.costLn-1))
-	th := sorted[idx]
+	th := sorted[int(q*float64(l.costLn-1))]
 	if th <= 0 {
 		// Everything observed so far was free (single-label plans);
 		// degrade anything costlier than that.
 		th = math.SmallestNonzeroFloat64
 	}
 	return th
-}
-
-// startDrain refuses all future admissions; queued waiters are shed as
-// their budgets expire and in-flight work finishes normally.
-func (l *limiter) startDrain() {
-	l.mu.Lock()
-	l.draining = true
-	l.mu.Unlock()
 }
 
 // hardOverloaded reports whether the controller is saturated right now
@@ -494,7 +461,8 @@ type OverloadStats struct {
 	// (they also count in Counters.Degraded).
 	Shed             int64 `json:"shed"`
 	BrownoutDegraded int64 `json:"brownout_degraded"`
-	Draining         bool  `json:"draining"`
+	// Draining reports the server's drain state (StartDrain).
+	Draining bool `json:"draining"`
 }
 
 // stats snapshots the limiter (ticking first, so a pressure change is
@@ -514,6 +482,5 @@ func (l *limiter) stats() OverloadStats {
 		BrownoutTier:  l.tier,
 		CostThreshold: l.costThreshold,
 		SvcEwmaNs:     int64(l.svcEWMA),
-		Draining:      l.draining,
 	}
 }

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -35,32 +36,10 @@ func newOverloadServer(t testing.TB, cfg pathsel.Config, oc OverloadConfig) (*pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(est, Options{Overload: &oc})
+	srv := NewWithOverload(est, oc)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return g, srv, ts
-}
-
-// burstyTrace builds an ON/OFF bursty arrival trace over the standard
-// label vocabulary.
-func burstyTrace(t testing.TB, labels []string, n int, rate float64, seed int64) []TimedQuery {
-	t.Helper()
-	pool, err := workload.QueryPool(len(labels), 3, 16, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := workload.ZipfTrace(workload.TraceOptions{
-		Pool: pool, Rate: rate, N: n, Seed: seed,
-		Arrival: workload.ArrivalOnOff, OnDur: 20 * time.Millisecond, OffDur: 60 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tq, err := TraceQueries(tr, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tq
 }
 
 // getWire fetches a URL and returns status, decoded bodies, and whether
@@ -88,9 +67,9 @@ func getWire(t *testing.T, url string) (status int, qr QueryResponse, er ErrorRe
 // presence for every outcome path the overload layer can answer with —
 // including requests arriving mid-drain.
 func TestOverloadWireContract(t *testing.T) {
-	// An inert controller config: ticks effectively never fire, so
+	// A controller without brownout: its ticks move nothing, so
 	// pre-seeded limiter state stays put for the duration of a case.
-	inert := OverloadConfig{MaxInFlight: 2, QueueLimit: 2, QueueTimeout: 50 * time.Millisecond, TickEvery: time.Hour}
+	inert := OverloadConfig{MaxInFlight: 2, QueueLimit: 2, QueueTimeout: 50 * time.Millisecond}
 
 	t.Run("ok exact", func(t *testing.T) {
 		g, _, ts := newOverloadServer(t, pathsel.Config{}, inert)
@@ -116,13 +95,13 @@ func TestOverloadWireContract(t *testing.T) {
 	})
 
 	t.Run("degraded by brownout", func(t *testing.T) {
-		_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-			MaxInFlight: 2, Brownout: true, TickEvery: time.Hour,
-		})
-		// Pre-seed the deepest tier: any query with join cost degrades.
+		_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{MaxInFlight: 2, Brownout: true})
+		// Pre-seed the deepest tier, frozen: no tick comes due for an
+		// hour, and any query with join cost degrades.
 		srv.lim.mu.Lock()
 		srv.lim.tier = maxBrownoutTier
 		srv.lim.costThreshold = 1e-12
+		srv.lim.lastTick = time.Now().Add(time.Hour)
 		srv.lim.mu.Unlock()
 		st, qr, _, ra := getWire(t, ts.URL+"/query?q=a/b")
 		if st != http.StatusOK || !qr.Degraded || qr.DegradedBy != CodeBrownout || ra {
@@ -162,7 +141,7 @@ func TestOverloadWireContract(t *testing.T) {
 
 	t.Run("queued request served when capacity frees", func(t *testing.T) {
 		g, _, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-			MaxInFlight: 1, QueueLimit: 4, QueueTimeout: 2 * time.Second, TickEvery: time.Hour,
+			MaxInFlight: 1, QueueLimit: 4, QueueTimeout: 2 * time.Second,
 		})
 		faultinject.Install(faultinject.NewInjector(
 			faultinject.Rule{Site: "exec.step", Count: 1, Action: faultinject.ActDelay, Delay: 60 * time.Millisecond},
@@ -208,6 +187,11 @@ func TestOverloadWireContract(t *testing.T) {
 			var body map[string]any
 			if hst := getJSON(t, ts.URL+"/healthz", &body); hst != http.StatusServiceUnavailable || body["status"] != "draining" {
 				t.Fatalf("%s mid-drain healthz: status %d body %v, want 503 draining", name, hst, body)
+			}
+			var stats StatsResponse
+			getJSON(t, ts.URL+"/stats", &stats)
+			if withController && (stats.Overload == nil || !stats.Overload.Draining) {
+				t.Fatalf("%s mid-drain /stats overload %+v, want draining", name, stats.Overload)
 			}
 		}
 	})
@@ -261,7 +245,7 @@ func loadPartition(t *testing.T, rep *LoadReport) {
 // capacity (peak in-flight stays at the limit).
 func TestOverloadShedsUnderBurst(t *testing.T) {
 	g, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-		MaxInFlight: 1, QueueLimit: 2, QueueTimeout: 5 * time.Millisecond, TickEvery: 5 * time.Millisecond,
+		MaxInFlight: 1, QueueLimit: 2, QueueTimeout: 5 * time.Millisecond,
 	})
 	faultinject.Install(faultinject.NewInjector(
 		faultinject.Rule{Site: "exec.step", Count: 0, Action: faultinject.ActDelay,
@@ -272,7 +256,7 @@ func TestOverloadShedsUnderBurst(t *testing.T) {
 	trace := buildTrace(t, g.Labels(), 60, 0, 29) // saturation: all arrivals at once
 	rep, err := RunLoad(ts.URL, trace, LoadOptions{
 		Concurrency: 16,
-		Retry:       RetryPolicy{Max: 2, Base: 2 * time.Millisecond, Cap: 50 * time.Millisecond, Seed: 1},
+		Retry:       RetryPolicy{Max: 2, Base: 2 * time.Millisecond, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,8 +298,7 @@ func TestOverloadShedsUnderBurst(t *testing.T) {
 // and exactly.
 func TestBrownoutEscalatesAndRecovers(t *testing.T) {
 	g, _, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-		MaxInFlight: 1, QueueLimit: 2, QueueTimeout: 2 * time.Millisecond,
-		Brownout: true, TickEvery: 5 * time.Millisecond, BrownoutUp: 1, BrownoutDown: 2,
+		MaxInFlight: 1, QueueLimit: 2, QueueTimeout: 2 * time.Millisecond, Brownout: true,
 	})
 	faultinject.Install(faultinject.NewInjector(
 		faultinject.Rule{Site: "exec.step", Count: 0, Action: faultinject.ActDelay,
@@ -388,7 +371,10 @@ func TestBrownoutEscalatesAndRecovers(t *testing.T) {
 	// the fast path always has a free slot — the service-time EWMA is
 	// still polluted by the chaos phase and would shed colliding
 	// arrivals against the 2ms queue budget.
-	trace := burstyTrace(t, g.Labels(), 30, 400, 31)
+	trace := zipfTrace(t, g.Labels(), workload.TraceOptions{
+		Rate: 400, N: 30, Seed: 31,
+		Arrival: workload.ArrivalOnOff, OnDur: 20 * time.Millisecond, OffDur: 60 * time.Millisecond,
+	})
 	rep, err := RunLoad(ts.URL, trace, LoadOptions{Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -417,8 +403,7 @@ func TestOverloadCyclesLeakFree(t *testing.T) {
 	base := runtime.NumGoroutine()
 	func() {
 		g, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-			MaxInFlight: 1, QueueLimit: 2, QueueTimeout: time.Millisecond,
-			Brownout: true, TickEvery: 2 * time.Millisecond, BrownoutUp: 1, BrownoutDown: 1,
+			MaxInFlight: 1, QueueLimit: 2, QueueTimeout: time.Millisecond, Brownout: true,
 		})
 		faultinject.Install(faultinject.NewInjector(
 			faultinject.Rule{Site: "exec.step", Count: 0, Action: faultinject.ActDelay,
@@ -427,7 +412,6 @@ func TestOverloadCyclesLeakFree(t *testing.T) {
 		defer faultinject.Uninstall()
 
 		qs := []string{"a/b/c", "b/a", "c/b/a", "a/c", "b/c", "a/b"}
-		client := &http.Client{}
 		for cycle := 0; cycle < 100; cycle++ {
 			var wg sync.WaitGroup
 			for w := 0; w < 6; w++ {
@@ -438,7 +422,7 @@ func TestOverloadCyclesLeakFree(t *testing.T) {
 					// each cycle mixes served, shed, degraded, and retried
 					// outcomes.
 					for attempt := 0; attempt < 2; attempt++ {
-						out, status := issue(client, ts.URL, []string{qs[(cycle+w)%len(qs)]}, false)
+						out, status := issue(ts.URL, []string{qs[(cycle+w)%len(qs)]}, false)
 						if transportErr := status == 0; transportErr {
 							t.Errorf("cycle %d: transport error", cycle)
 							return
@@ -489,7 +473,6 @@ func TestOverloadCyclesLeakFree(t *testing.T) {
 			t.Fatalf("in-flight %d after cycles", c.InFlight)
 		}
 		ts.Close()
-		client.CloseIdleConnections()
 		http.DefaultClient.CloseIdleConnections()
 	}()
 	deadline := time.Now().Add(5 * time.Second)
@@ -510,10 +493,10 @@ func TestOverloadCyclesLeakFree(t *testing.T) {
 // is shed wholesale with the overloaded code when the queue is full.
 func TestBatchShedsAsOneUnit(t *testing.T) {
 	_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond, TickEvery: time.Hour,
+		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond,
 	})
 	saturate(srv)
-	ans, status := issue(http.DefaultClient, ts.URL, []string{"a/b", "b/c"}, true)
+	ans, status := issue(ts.URL, []string{"a/b", "b/c"}, true)
 	items, code := ans.Results, ans.Code
 	if transportErr := status == 0; transportErr {
 		t.Fatal("transport error on shed batch")
@@ -524,10 +507,10 @@ func TestBatchShedsAsOneUnit(t *testing.T) {
 }
 
 // TestRetryWaitContract pins the client backoff: the wait honors the
-// server hint, grows exponentially from Base, and never exceeds Cap.
+// server hint, grows exponentially from Base, and never exceeds retryCap.
 func TestRetryWaitContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	pol := RetryPolicy{Max: 3, Base: 2 * time.Millisecond, Cap: 40 * time.Millisecond}
+	pol := RetryPolicy{Max: 3, Base: 2 * time.Millisecond}
 	if w := retryWait(rng, pol, 1, 20); w < 20*time.Millisecond {
 		t.Fatalf("wait %v ignored a 20ms server hint", w)
 	}
@@ -535,8 +518,32 @@ func TestRetryWaitContract(t *testing.T) {
 		t.Fatalf("attempt-3 wait %v below exponential floor 8ms", w)
 	}
 	for attempt := 1; attempt < 30; attempt++ {
-		if w := retryWait(rng, pol, attempt, 1000); w > pol.Cap {
-			t.Fatalf("attempt-%d wait %v exceeds cap %v", attempt, w, pol.Cap)
+		if w := retryWait(rng, pol, attempt, 1000); w > retryCap {
+			t.Fatalf("attempt-%d wait %v exceeds cap %v", attempt, w, retryCap)
+		}
+	}
+}
+
+// TestDeepestTierDegradesEveryJoin pins tier 3's threshold: a query with
+// any join cost at all degrades — one that costs exactly the smallest
+// cost observed too, and with no cost observed yet — while a free plan
+// still executes.
+func TestDeepestTierDegradesEveryJoin(t *testing.T) {
+	for _, costs := range [][]float64{nil, {5, 5, 5, 5, 5, 5, 5, 5, 5, 5}} {
+		l := newLimiter(OverloadConfig{MaxInFlight: 1, Brownout: true})
+		for _, c := range costs {
+			l.recordCost(c)
+		}
+		l.mu.Lock()
+		l.tier = maxBrownoutTier
+		l.tickLocked(l.lastTick.Add(tickEvery))
+		tier, th := l.tier, l.costThreshold
+		l.mu.Unlock()
+		if tier != maxBrownoutTier {
+			t.Fatalf("ring %v: one quiet tick left tier %d, want %d", costs, tier, maxBrownoutTier)
+		}
+		if th != math.SmallestNonzeroFloat64 {
+			t.Fatalf("ring %v: tier-%d threshold %v, want the smallest positive float so every join degrades", costs, tier, th)
 		}
 	}
 }

@@ -47,7 +47,7 @@ func saturate(srv *Server) {
 // query) and identical counter movement per item — the batch extension of
 // TestCountersPartitionRequests.
 func TestQueryBatchParity(t *testing.T) {
-	inert := OverloadConfig{MaxInFlight: 2, Brownout: true, TickEvery: time.Hour}
+	brownout := OverloadConfig{MaxInFlight: 2, Brownout: true}
 	cases := []struct {
 		name     string
 		cfg      pathsel.Config
@@ -65,12 +65,14 @@ func TestQueryBatchParity(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, srv, ts := newOverloadServer(t, c.cfg, inert)
+			_, srv, ts := newOverloadServer(t, c.cfg, brownout)
+			// Every case freezes the tier, so no tick moves it mid-case.
+			srv.lim.mu.Lock()
+			srv.lim.lastTick = time.Now().Add(time.Hour)
 			if c.brownout {
-				srv.lim.mu.Lock()
 				srv.lim.tier, srv.lim.costThreshold = maxBrownoutTier, 1e-12
-				srv.lim.mu.Unlock()
 			}
+			srv.lim.mu.Unlock()
 			before := outcomeCounters(srv.Counters())
 			var single BatchItem // a superset of both bodies /query answers with
 			if st := getJSON(t, ts.URL+"/query?pattern="+url.QueryEscape(c.pattern), &single); st != c.status {
@@ -213,7 +215,7 @@ func TestWireTableRoundTrips(t *testing.T) {
 // nor trains the service-time EWMA.
 func TestMalformedQueryNeverTouchesAdmission(t *testing.T) {
 	_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond, TickEvery: time.Hour,
+		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond,
 	})
 	check := func(when string) {
 		t.Helper()
@@ -309,7 +311,7 @@ func TestFanOutClamp(t *testing.T) {
 // a hint, re-issued Retry.Max times, and finally charged to each member.
 func TestRunLoadRetriesShedBatch(t *testing.T) {
 	_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{
-		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond, TickEvery: time.Hour,
+		MaxInFlight: 1, QueueLimit: 1, QueueTimeout: 10 * time.Millisecond,
 	})
 	saturate(srv)
 	trace := make([]TimedQuery, 6)
@@ -318,7 +320,7 @@ func TestRunLoadRetriesShedBatch(t *testing.T) {
 	}
 	rep, err := RunLoad(ts.URL, trace, LoadOptions{
 		Concurrency: 2, Batch: 3,
-		Retry: RetryPolicy{Max: 2, Base: time.Millisecond, Cap: 5 * time.Millisecond, Seed: 1},
+		Retry: RetryPolicy{Max: 2, Base: time.Millisecond, Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,17 +20,27 @@
 // contract — which error is which status, code and counter — is the one
 // table wireTable, read by the server and by the load client alike.
 //
+// New serves with no overload controller; NewWithOverload puts the
+// server behind one (overload.go: adaptive limit, bounded queue,
+// brownout tiers on fixed tuning), and MaxInFlight ≤ 0 is its one off
+// switch. StartDrain sets the server's one drain flag, which admit
+// checks before the controller.
+//
 // The package also hosts the open-loop load harness (load.go): a
 // replayer that drives a server with a Zipf-distributed query-arrival
-// trace (internal/workload.ZipfTrace) at configurable concurrency and
-// arrival rate, recording latency percentiles, throughput, cache hit
-// rate, and degradation/timeout counts. cmd/pathserve and cmd/serveload
-// are thin flag wrappers; the serving path's speed is measured by bench/'s
-// serve_hot and serve_mixed workloads (bench/README.md).
+// trace at configurable concurrency and arrival rate, recording latency
+// percentiles, throughput, cache hit rate, and degradation/timeout
+// counts. A trace has one path from pool to wire: workload.QueryPool or
+// workload.RPQPool draws a ranked pool of wire-format queries,
+// workload.ZipfTrace the ranks and arrival times, and RankQueries binds
+// them. cmd/pathserve and cmd/serveload are thin flag wrappers; the
+// serving path's speed is measured by bench/'s serve_hot and
+// serve_mixed workloads (bench/README.md).
 //
 // In the layer map (graph → bitset → paths → exec → pathsel → serve)
 // this package sits above the public facade and below cmd; it imports
-// only pathsel and internal/workload.
+// only pathsel, internal/workload and internal/faultinject (for its
+// serve.admit fault site).
 package serve
 
 import (
@@ -248,7 +258,7 @@ type Server struct {
 	// lim is the overload controller; nil when disabled (the default),
 	// in which case every request executes immediately as before.
 	lim *limiter
-	// draining refuses new work after StartDrain even with no
+	// draining refuses new work after StartDrain, with or without a
 	// controller, so graceful shutdown always has a readiness signal.
 	draining atomic.Bool
 
@@ -258,28 +268,21 @@ type Server struct {
 	schedTasks, schedSteals, schedParks atomic.Int64
 }
 
-// Options tunes a server beyond the estimator's own Config.
-type Options struct {
-	// Overload enables the server-wide overload controller (adaptive
-	// concurrency limit, bounded admission queue, brownout degradation —
-	// see OverloadConfig). nil, or a config with MaxInFlight ≤ 0,
-	// disables it.
-	Overload *OverloadConfig
-}
-
-// New wraps est. The estimator's Config decides the serving policy:
-// CacheBytes shares a relation cache across requests, QueryTimeout
-// bounds each request, MaxPlanCost/MaxResultBytes gate admission, and
-// DegradeToEstimate turns kills into degraded 200s.
+// New wraps est with no overload controller. The estimator's Config
+// decides the serving policy: CacheBytes shares a relation cache across
+// requests, QueryTimeout bounds each request, MaxPlanCost/MaxResultBytes
+// gate admission, and DegradeToEstimate turns kills into degraded 200s.
 func New(est *pathsel.Estimator) *Server {
-	return NewWithOptions(est, Options{})
+	return NewWithOverload(est, OverloadConfig{})
 }
 
-// NewWithOptions is New plus server-level options.
-func NewWithOptions(est *pathsel.Estimator, opt Options) *Server {
+// NewWithOverload is New behind the server-wide overload controller
+// (adaptive concurrency limit, bounded admission queue, brownout
+// degradation — see OverloadConfig); MaxInFlight ≤ 0 leaves it off.
+func NewWithOverload(est *pathsel.Estimator, oc OverloadConfig) *Server {
 	s := &Server{est: est, mux: http.NewServeMux(), started: time.Now()}
-	if opt.Overload != nil && opt.Overload.MaxInFlight > 0 {
-		s.lim = newLimiter(*opt.Overload)
+	if oc.MaxInFlight > 0 {
+		s.lim = newLimiter(oc)
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/query", s.handleQuery)
@@ -293,12 +296,7 @@ func NewWithOptions(est *pathsel.Estimator, opt Options) *Server {
 // CodeDraining + Retry-After, and in-flight (and queued) work finishes
 // normally. Call it before http.Server.Shutdown, which handles the
 // connection-level part of the same story.
-func (s *Server) StartDrain() {
-	s.draining.Store(true)
-	if s.lim != nil {
-		s.lim.startDrain()
-	}
-}
+func (s *Server) StartDrain() { s.draining.Store(true) }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -365,7 +363,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		os := s.lim.stats()
 		os.Shed = s.outcomes[outShed].Load()
 		os.BrownoutDegraded = s.brownoutDegraded.Load()
-		os.Draining = os.Draining || s.draining.Load()
+		os.Draining = s.draining.Load()
 		resp.Overload = &os
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -444,10 +442,10 @@ func (s *Server) compile(patterns []string, xs []*pathsel.Expr) (int, error) {
 // disabled both are trivial and requests flow exactly as before.
 func (s *Server) admit(ctx context.Context) (pathsel.ExecPolicy, func(), error) {
 	faultinject.Fire("serve.admit")
+	if s.draining.Load() {
+		return pathsel.ExecPolicy{}, nil, errDraining
+	}
 	if s.lim == nil {
-		if s.draining.Load() {
-			return pathsel.ExecPolicy{}, nil, errDraining
-		}
 		return pathsel.ExecPolicy{}, func() {}, nil
 	}
 	pol, err := s.lim.acquire(ctx)

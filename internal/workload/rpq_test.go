@@ -47,33 +47,3 @@ func TestRPQPoolSmallDomain(t *testing.T) {
 		t.Fatalf("1-label length-1 domain gave %d patterns", len(pool))
 	}
 }
-
-func TestZipfRankTraceMatchesZipfTrace(t *testing.T) {
-	pool, err := QueryPool(3, 3, 16, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := TraceOptions{Pool: pool, N: 200, Seed: 9, Rate: 1000}
-	full, err := ZipfTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranks, err := ZipfRankTrace(len(pool), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full {
-		if full[i].Rank != ranks[i].Rank || full[i].At != ranks[i].At {
-			t.Fatalf("arrival %d differs: %+v vs %+v", i, full[i], ranks[i])
-		}
-		if ranks[i].Query != nil {
-			t.Fatalf("rank trace bound a query at %d", i)
-		}
-		if !full[i].Query.Equal(pool[full[i].Rank]) {
-			t.Fatalf("full trace query %d not the ranked pool entry", i)
-		}
-	}
-	if _, err := ZipfRankTrace(0, opt); err == nil {
-		t.Fatal("empty pool should error")
-	}
-}

@@ -1,7 +1,7 @@
 package workload
 
 // This file generates query-arrival traces for the serving layer
-// (internal/serve, cmd/pathserve): a ranked pool of distinct path
+// (internal/serve, cmd/serveload): a ranked pool of distinct wire-format
 // queries whose popularity follows a Zipf law, replayed as an open-loop
 // arrival process with exponential inter-arrival times. A fixed cycling
 // pool visits every query equally often; real query streams are skewed — a
@@ -13,9 +13,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"time"
-
-	"repro/internal/paths"
 )
 
 // Zipf parameter defaults: s is the skew exponent (rank r is drawn with
@@ -56,9 +55,6 @@ const (
 
 // TraceOptions parameterizes ZipfTrace.
 type TraceOptions struct {
-	// Pool is the ranked query pool: rank 0 is the hottest query. Must be
-	// non-empty; QueryPool builds a deterministic one.
-	Pool []paths.Path
 	// S and V are the Zipf parameters (≤ 0 selects DefaultZipfS /
 	// DefaultZipfV). S must resolve > 1 and V ≥ 1.
 	S, V float64
@@ -90,43 +86,23 @@ type TraceOptions struct {
 	GammaShape float64
 }
 
-// Arrival is one trace entry: a query and the instant, relative to the
-// trace start, at which it enters the system.
+// Arrival is one trace entry: a query's popularity rank and the instant,
+// relative to the trace start, at which it enters the system.
 type Arrival struct {
 	// At is the arrival time as an offset from the trace start.
 	At time.Duration
 	// Rank is the query's popularity rank — its index into the pool.
 	Rank int
-	// Query is the pool entry at Rank.
-	Query paths.Path
 }
 
-// ZipfTrace draws an open-loop query-arrival trace: N arrivals whose
-// queries are Zipf-ranked draws from the pool and whose arrival times
-// form a Poisson process at Rate. The trace is a pure function of its
-// options — replaying, benchmarking, and fuzzing all see the same
-// arrivals for the same seed.
-func ZipfTrace(opt TraceOptions) ([]Arrival, error) {
-	if len(opt.Pool) == 0 {
-		return nil, fmt.Errorf("workload: trace needs a non-empty query pool")
-	}
-	out, err := ZipfRankTrace(len(opt.Pool), opt)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i].Query = opt.Pool[out[i].Rank]
-	}
-	return out, nil
-}
-
-// ZipfRankTrace is ZipfTrace for pools this package does not hold (RPQ
-// pattern strings, pre-compiled handles): it draws arrival times and
-// popularity ranks over a pool of the given size, leaving each
-// Arrival.Query nil — callers bind Rank to their own pool entries (the
-// serving layer's RankQueries does this for wire-format pools).
-// opt.Pool is ignored.
-func ZipfRankTrace(poolSize int, opt TraceOptions) ([]Arrival, error) {
+// ZipfTrace draws an open-loop query-arrival trace over a ranked pool of
+// poolSize queries: N arrivals whose ranks are Zipf draws and whose
+// arrival times form a Poisson process at Rate (or the burst shape
+// Arrival selects). The caller binds each rank to its pool entry — the
+// serving layer's RankQueries does this for wire-format pools. The trace
+// is a pure function of its arguments: replaying, benchmarking, and
+// fuzzing all see the same arrivals for the same seed.
+func ZipfTrace(poolSize int, opt TraceOptions) ([]Arrival, error) {
 	if poolSize < 1 {
 		return nil, fmt.Errorf("workload: trace needs a pool of ≥ 1 queries, got %d", poolSize)
 	}
@@ -254,12 +230,13 @@ func gammaRand(rng *rand.Rand, k float64) float64 {
 }
 
 // QueryPool builds a deterministic ranked pool of n distinct label paths
-// with lengths in [1, maxLen] over numLabels labels. Ranks are assigned
-// in draw order, so the pool is already in popularity order for
-// ZipfTrace. When the path domain holds fewer than n distinct paths the
-// pool is the whole domain (shuffled), so callers may ask for more than
-// a small graph can supply.
-func QueryPool(numLabels, maxLen, n int, seed int64) ([]paths.Path, error) {
+// with lengths in [1, maxLen] over the label vocabulary, each rendered
+// as its wire form "a/b/c". Ranks are assigned in draw order, so the
+// pool is already in popularity order for ZipfTrace. When the path
+// domain holds fewer than n distinct paths the pool is the whole domain
+// (shuffled), so callers may ask for more than a small graph can supply.
+func QueryPool(labels []string, maxLen, n int, seed int64) ([]string, error) {
+	numLabels := len(labels)
 	if numLabels < 1 || maxLen < 1 || n < 1 {
 		return nil, fmt.Errorf("workload: pool needs numLabels, maxLen, n ≥ 1 (got %d, %d, %d)",
 			numLabels, maxLen, n)
@@ -285,18 +262,23 @@ func QueryPool(numLabels, maxLen, n int, seed int64) ([]paths.Path, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[string]bool, n)
-	out := make([]paths.Path, 0, n)
+	out := make([]string, 0, n)
+	ids := make([]int, maxLen)
+	parts := make([]string, maxLen)
 	for len(out) < n {
-		p := make(paths.Path, 1+rng.Intn(maxLen))
+		p := ids[:1+rng.Intn(maxLen)]
 		for i := range p {
 			p[i] = rng.Intn(numLabels)
+			parts[i] = labels[p[i]]
 		}
+		// Deduplicate by id path: the domain bound above counts id paths,
+		// so a repeated label name cannot stall the loop.
 		k := fmt.Sprint(p)
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		out = append(out, p)
+		out = append(out, strings.Join(parts[:len(p)], "/"))
 	}
 	return out, nil
 }

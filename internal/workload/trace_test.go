@@ -1,14 +1,17 @@
 package workload
 
 import (
-	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
+var abc = []string{"a", "b", "c"}
+
 func TestQueryPoolDistinctAndBounded(t *testing.T) {
-	pool, err := QueryPool(3, 3, 20, 1)
+	pool, err := QueryPool(abc, 3, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,26 +19,40 @@ func TestQueryPoolDistinctAndBounded(t *testing.T) {
 		t.Fatalf("pool size %d, want 20", len(pool))
 	}
 	seen := map[string]bool{}
-	for _, p := range pool {
+	for _, q := range pool {
+		p := strings.Split(q, "/")
 		if len(p) < 1 || len(p) > 3 {
-			t.Fatalf("path length %d outside [1,3]", len(p))
+			t.Fatalf("%q: path length %d outside [1,3]", q, len(p))
 		}
 		for _, l := range p {
-			if l < 0 || l >= 3 {
-				t.Fatalf("label %d outside [0,3)", l)
+			if !slices.Contains(abc, l) {
+				t.Fatalf("%q: label %q outside the vocabulary", q, l)
 			}
 		}
-		k := fmt.Sprint(p)
-		if seen[k] {
-			t.Fatalf("duplicate pool entry %v", p)
+		if seen[q] {
+			t.Fatalf("duplicate pool entry %q", q)
 		}
-		seen[k] = true
+		seen[q] = true
+	}
+}
+
+// TestQueryPoolKeepsItsDraws pins a seeded pool's queries: the same
+// random draws make the same label paths in the same order, whatever
+// form the pool is returned in.
+func TestQueryPoolKeepsItsDraws(t *testing.T) {
+	pool, err := QueryPool(abc, 3, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a/c/c", "a/b", "b/a/c", "a/c", "c/a", "c/c/c", "c", "b/a"}
+	if !slices.Equal(pool, want) {
+		t.Fatalf("QueryPool(abc, 3, 8, 1) = %q, want %q", pool, want)
 	}
 }
 
 func TestQueryPoolClampsToDomain(t *testing.T) {
 	// 2 labels, maxLen 2 → domain 2 + 4 = 6 distinct paths.
-	pool, err := QueryPool(2, 2, 100, 1)
+	pool, err := QueryPool(abc[:2], 2, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,23 +63,19 @@ func TestQueryPoolClampsToDomain(t *testing.T) {
 
 func TestQueryPoolRejectsBadArgs(t *testing.T) {
 	for _, args := range [][3]int{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}} {
-		if _, err := QueryPool(args[0], args[1], args[2], 1); err == nil {
+		if _, err := QueryPool(abc[:args[0]], args[1], args[2], 1); err == nil {
 			t.Fatalf("QueryPool(%v) accepted invalid args", args)
 		}
 	}
 }
 
 func TestZipfTraceDeterministic(t *testing.T) {
-	pool, err := QueryPool(4, 3, 16, 7)
+	opt := TraceOptions{Rate: 1000, N: 500, Seed: 42}
+	a, err := ZipfTrace(16, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := TraceOptions{Pool: pool, Rate: 1000, N: 500, Seed: 42}
-	a, err := ZipfTrace(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ZipfTrace(opt)
+	b, err := ZipfTrace(16, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,26 +90,20 @@ func TestZipfTraceDeterministic(t *testing.T) {
 }
 
 func TestZipfTraceShape(t *testing.T) {
-	pool, err := QueryPool(4, 3, 32, 7)
+	const poolSize = 32
+	tr, err := ZipfTrace(poolSize, TraceOptions{S: 1.5, Rate: 10000, N: 5000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ZipfTrace(TraceOptions{Pool: pool, S: 1.5, Rate: 10000, N: 5000, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, len(pool))
+	counts := make([]int, poolSize)
 	var prev time.Duration
 	for i, a := range tr {
 		if a.At < prev {
 			t.Fatalf("arrival %d at %v before predecessor %v: times must be nondecreasing", i, a.At, prev)
 		}
 		prev = a.At
-		if a.Rank < 0 || a.Rank >= len(pool) {
+		if a.Rank < 0 || a.Rank >= poolSize {
 			t.Fatalf("arrival %d rank %d outside pool", i, a.Rank)
-		}
-		if fmt.Sprint(a.Query) != fmt.Sprint(pool[a.Rank]) {
-			t.Fatalf("arrival %d query %v does not match pool rank %d", i, a.Query, a.Rank)
 		}
 		counts[a.Rank]++
 	}
@@ -123,11 +130,7 @@ func TestZipfTraceShape(t *testing.T) {
 }
 
 func TestZipfTraceSaturationMode(t *testing.T) {
-	pool, err := QueryPool(2, 2, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ZipfTrace(TraceOptions{Pool: pool, N: 50, Seed: 1})
+	tr, err := ZipfTrace(4, TraceOptions{N: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +142,16 @@ func TestZipfTraceSaturationMode(t *testing.T) {
 }
 
 func TestZipfTraceRejectsBadOptions(t *testing.T) {
-	pool, _ := QueryPool(2, 2, 4, 1)
-	for name, opt := range map[string]TraceOptions{
-		"empty pool": {N: 10},
-		"zero n":     {Pool: pool},
-		"s ≤ 1":      {Pool: pool, N: 10, S: 0.9},
-		"v < 1":      {Pool: pool, N: 10, V: 0.5},
+	for name, c := range map[string]struct {
+		poolSize int
+		opt      TraceOptions
+	}{
+		"empty pool": {0, TraceOptions{N: 10}},
+		"zero n":     {4, TraceOptions{}},
+		"s ≤ 1":      {4, TraceOptions{N: 10, S: 0.9}},
+		"v < 1":      {4, TraceOptions{N: 10, V: 0.5}},
 	} {
-		if _, err := ZipfTrace(opt); err == nil {
+		if _, err := ZipfTrace(c.poolSize, c.opt); err == nil {
 			t.Fatalf("%s: ZipfTrace accepted invalid options", name)
 		}
 	}
@@ -155,17 +160,13 @@ func TestZipfTraceRejectsBadOptions(t *testing.T) {
 // TestBurstyTraceDeterministic pins that both bursty modes are pure
 // functions of their options.
 func TestBurstyTraceDeterministic(t *testing.T) {
-	pool, err := QueryPool(4, 3, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, mode := range []string{ArrivalOnOff, ArrivalGamma} {
-		opt := TraceOptions{Pool: pool, Rate: 2000, N: 400, Seed: 11, Arrival: mode}
-		a, err := ZipfTrace(opt)
+		opt := TraceOptions{Rate: 2000, N: 400, Seed: 11, Arrival: mode}
+		a, err := ZipfTrace(16, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		b, err := ZipfTrace(opt)
+		b, err := ZipfTrace(16, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
@@ -181,13 +182,9 @@ func TestBurstyTraceDeterministic(t *testing.T) {
 // an ON window, the mean rate stays near the requested one, and within-ON
 // arrivals run at the elevated peak rate.
 func TestOnOffTraceShape(t *testing.T) {
-	pool, err := QueryPool(4, 3, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	on, off := 50*time.Millisecond, 150*time.Millisecond
-	tr, err := ZipfTrace(TraceOptions{
-		Pool: pool, Rate: 4000, N: 4000, Seed: 3,
+	tr, err := ZipfTrace(16, TraceOptions{
+		Rate: 4000, N: 4000, Seed: 3,
 		Arrival: ArrivalOnOff, OnDur: on, OffDur: off,
 	})
 	if err != nil {
@@ -217,13 +214,9 @@ func TestOnOffTraceShape(t *testing.T) {
 // TestGammaTraceShape pins that the gamma mode keeps the requested mean
 // rate and, at shape < 1, is burstier than Poisson (higher gap variance).
 func TestGammaTraceShape(t *testing.T) {
-	pool, err := QueryPool(4, 3, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	gaps := func(arrival string, shape float64) []float64 {
-		tr, err := ZipfTrace(TraceOptions{
-			Pool: pool, Rate: 10000, N: 6000, Seed: 5,
+		tr, err := ZipfTrace(16, TraceOptions{
+			Rate: 10000, N: 6000, Seed: 5,
 			Arrival: arrival, GammaShape: shape,
 		})
 		if err != nil {
@@ -261,14 +254,13 @@ func TestGammaTraceShape(t *testing.T) {
 }
 
 func TestBurstyTraceRejectsBadOptions(t *testing.T) {
-	pool, _ := QueryPool(2, 2, 4, 1)
 	for name, opt := range map[string]TraceOptions{
-		"unknown mode":         {Pool: pool, N: 10, Rate: 100, Arrival: "square"},
-		"onoff in saturation":  {Pool: pool, N: 10, Arrival: ArrivalOnOff},
-		"gamma in saturation":  {Pool: pool, N: 10, Arrival: ArrivalGamma},
-		"gamma shape too high": {Pool: pool, N: 10, Rate: 100, Arrival: ArrivalGamma, GammaShape: 65},
+		"unknown mode":         {N: 10, Rate: 100, Arrival: "square"},
+		"onoff in saturation":  {N: 10, Arrival: ArrivalOnOff},
+		"gamma in saturation":  {N: 10, Arrival: ArrivalGamma},
+		"gamma shape too high": {N: 10, Rate: 100, Arrival: ArrivalGamma, GammaShape: 65},
 	} {
-		if _, err := ZipfTrace(opt); err == nil {
+		if _, err := ZipfTrace(4, opt); err == nil {
 			t.Fatalf("%s: ZipfTrace accepted invalid options", name)
 		}
 	}
@@ -290,16 +282,13 @@ func FuzzBurstyTrace(f *testing.F) {
 		if modeSel%2 == 0 {
 			mode = ArrivalGamma
 		}
-		pool, err := QueryPool(3, 3, 16, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		const poolSize = 16
 		opt := TraceOptions{
-			Pool: pool, Rate: rate, N: n, Seed: seed, Arrival: mode,
+			Rate: rate, N: n, Seed: seed, Arrival: mode,
 			OnDur: time.Duration(onMs) * time.Millisecond, OffDur: time.Duration(offMs) * time.Millisecond,
 			GammaShape: shape,
 		}
-		tr, err := ZipfTrace(opt)
+		tr, err := ZipfTrace(poolSize, opt)
 		if err != nil {
 			return // invalid options must error, never panic
 		}
@@ -319,29 +308,27 @@ func FuzzBurstyTrace(f *testing.F) {
 				t.Fatalf("arrival %d time %v < predecessor %v", i, a.At, prev)
 			}
 			prev = a.At
-			if a.Rank < 0 || a.Rank >= len(pool) {
-				t.Fatalf("arrival %d rank %d outside pool of %d", i, a.Rank, len(pool))
+			if a.Rank < 0 || a.Rank >= poolSize {
+				t.Fatalf("arrival %d rank %d outside pool of %d", i, a.Rank, poolSize)
 			}
 			if mode == ArrivalOnOff && a.At%(onDur+offDur) >= onDur {
 				t.Fatalf("arrival %d at %v inside the OFF window", i, a.At)
 			}
 		}
-		again, err := ZipfTrace(opt)
+		again, err := ZipfTrace(poolSize, opt)
 		if err != nil {
 			t.Fatalf("second generation errored: %v", err)
 		}
-		for i := range tr {
-			if tr[i].At != again[i].At || tr[i].Rank != again[i].Rank {
-				t.Fatalf("arrival %d nondeterministic: %+v vs %+v", i, tr[i], again[i])
-			}
+		if !slices.Equal(tr, again) {
+			t.Fatal("trace nondeterministic")
 		}
 	})
 }
 
 // FuzzZipfTrace pins the trace generator's contract over arbitrary
 // parameters: generation either fails fast with an error or yields
-// exactly n arrivals with nondecreasing times, in-pool ranks, and
-// rank-consistent queries — and is deterministic for a seed.
+// exactly n arrivals with nondecreasing times and in-pool ranks — and is
+// deterministic for a seed.
 func FuzzZipfTrace(f *testing.F) {
 	f.Add(3, 3, 16, 200, int64(1), 1.2, 1.0, 1000.0)
 	f.Add(1, 1, 1, 1, int64(0), 0.0, 0.0, 0.0)
@@ -353,15 +340,16 @@ func FuzzZipfTrace(f *testing.F) {
 		if numLabels > 8 || maxLen > 4 || poolN > 64 || n > 512 {
 			t.Skip()
 		}
-		pool, err := QueryPool(numLabels, maxLen, poolN, seed)
+		vocab := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+		pool, err := QueryPool(vocab[:max(numLabels, 0)], maxLen, poolN, seed)
 		if err != nil {
 			if numLabels >= 1 && maxLen >= 1 && poolN >= 1 {
 				t.Fatalf("QueryPool rejected valid args: %v", err)
 			}
 			return
 		}
-		opt := TraceOptions{Pool: pool, S: s, V: v, Rate: rate, N: n, Seed: seed}
-		tr, err := ZipfTrace(opt)
+		opt := TraceOptions{S: s, V: v, Rate: rate, N: n, Seed: seed}
+		tr, err := ZipfTrace(len(pool), opt)
 		if err != nil {
 			return // invalid options must error, never panic
 		}
@@ -377,18 +365,13 @@ func FuzzZipfTrace(f *testing.F) {
 			if a.Rank < 0 || a.Rank >= len(pool) {
 				t.Fatalf("arrival %d rank %d outside pool of %d", i, a.Rank, len(pool))
 			}
-			if fmt.Sprint(a.Query) != fmt.Sprint(pool[a.Rank]) {
-				t.Fatalf("arrival %d query %v mismatches pool rank %d", i, a.Query, a.Rank)
-			}
 		}
-		again, err := ZipfTrace(opt)
+		again, err := ZipfTrace(len(pool), opt)
 		if err != nil {
 			t.Fatalf("second generation errored: %v", err)
 		}
-		for i := range tr {
-			if tr[i].At != again[i].At || tr[i].Rank != again[i].Rank {
-				t.Fatalf("arrival %d nondeterministic: %+v vs %+v", i, tr[i], again[i])
-			}
+		if !slices.Equal(tr, again) {
+			t.Fatal("trace nondeterministic")
 		}
 	})
 }

@@ -3,7 +3,6 @@ package pathsel
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -43,22 +42,17 @@ func newConcurrentHarness(t *testing.T, joinWorkers, traceLen int, seed int64) *
 		t.Fatal(err)
 	}
 
-	labels := g.Labels()
-	pool, err := workload.QueryPool(len(labels), 3, 24, seed)
+	pool, err := workload.QueryPool(g.Labels(), 3, 24, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.ZipfTrace(workload.TraceOptions{Pool: pool, N: traceLen, Seed: seed})
+	tr, err := workload.ZipfTrace(len(pool), workload.TraceOptions{N: traceLen, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := &concurrentHarness{est: est, want: make(map[string]int64)}
 	for _, a := range tr {
-		parts := make([]string, len(a.Query))
-		for i, l := range a.Query {
-			parts[i] = labels[l]
-		}
-		h.trace = append(h.trace, strings.Join(parts, "/"))
+		h.trace = append(h.trace, pool[a.Rank])
 	}
 	for _, q := range h.trace {
 		if _, ok := h.want[q]; ok {
@@ -214,23 +208,18 @@ func TestConcurrentCacheEvictionChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := g.Labels()
-	pool, err := workload.QueryPool(len(labels), 3, 24, 3)
+	pool, err := workload.QueryPool(g.Labels(), 3, 24, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := workload.ZipfTrace(workload.TraceOptions{Pool: pool, N: 200, Seed: 3})
+	tr, err := workload.ZipfTrace(len(pool), workload.TraceOptions{N: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(map[string]int64)
 	trace := make([]string, len(tr))
 	for i, a := range tr {
-		parts := make([]string, len(a.Query))
-		for j, l := range a.Query {
-			parts[j] = labels[l]
-		}
-		q := strings.Join(parts, "/")
+		q := pool[a.Rank]
 		trace[i] = q
 		if _, ok := want[q]; !ok {
 			st, err := executeQuery(ref, q)

@@ -34,7 +34,10 @@ var (
 	ErrVertexRange = errors.New("pathsel: vertex outside range")
 	// ErrBadConfig reports an invalid Config passed to Build.
 	ErrBadConfig = errors.New("pathsel: invalid configuration")
-	// ErrBadPattern reports an oversized pattern expansion.
+	// ErrBadPattern reports a pattern outside the grammar (a malformed
+	// segment or repetition, or one that may match the empty path), a
+	// pattern whose exact evaluation would expand to too many paths, and
+	// a batch handle that is nil or compiled by another estimator.
 	ErrBadPattern = errors.New("pathsel: invalid pattern")
 	// ErrBadSnapshot reports a corrupt or implausible synopsis blob in
 	// LoadEstimator.

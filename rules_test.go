@@ -48,7 +48,7 @@ type module struct {
 	uses   []use
 	gos    []use                     // go statements; obj is nil
 	lits   []use                     // composite literals of a named type; obj is the type's name
-	sets   []use                     // assignments; obj is the variable or field assigned
+	sets   []use                     // assignments and struct-literal fields; obj is the variable or field written
 	ifaces map[*types.Interface]bool // interfaces non-test code names or writes
 	std    types.Importer
 }
@@ -283,8 +283,25 @@ func (m *module) collect(f *file) {
 			case *ast.GoStmt:
 				m.gos = append(m.gos, use{nil, f, fn, x.Pos()})
 			case *ast.CompositeLit:
-				if named, ok := types.Unalias(info.TypeOf(x)).(*types.Named); ok {
+				t := types.Unalias(info.TypeOf(x))
+				if p, ok := t.(*types.Pointer); ok { // an elided &T in []*T{{…}}
+					t = types.Unalias(p.Elem())
+				}
+				if named, ok := t.(*types.Named); ok {
 					m.lits = append(m.lits, use{named.Origin().Obj(), f, fn, x.Pos()})
+				}
+				if st, ok := t.Underlying().(*types.Struct); ok {
+					for i, elt := range x.Elts {
+						var fld types.Object
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							fld = info.Uses[kv.Key.(*ast.Ident)]
+						} else if i < st.NumFields() {
+							fld = st.Field(i)
+						}
+						if fld != nil {
+							m.sets = append(m.sets, use{origin(fld), f, fn, elt.Pos()})
+						}
+					}
 				}
 			case *ast.InterfaceType:
 				if !f.test {
@@ -498,11 +515,10 @@ var layerRules = []rule{
 	}},
 	{"the graph keeps no |V|-bit tables", func(m *module) []string {
 		// A step scatters its targets' CSR rows whatever its left row's
-		// shape, so the graph builds no per-vertex bit set, has one
-		// operand per direction, and only internal/oracle builds
+		// shape, so the graph has one operand per direction, and only
+		// internal/oracle — which holds the one dense bit set — builds
 		// successor or predecessor sets.
-		bad := forbidUses(m, modulePath+"/internal/bitset", []string{"Set", "New"}, inPkgs("internal/graph"), nil)
-		bad = append(bad, forbidDecls(m, []string{"LabelCSR", "PredecessorCSR"})...)
+		bad := forbidDecls(m, []string{"LabelCSR", "PredecessorCSR"})
 		return append(bad, forbidDecls(m, []string{"SuccessorSets", "PredecessorSets"}, "internal/oracle")...)
 	}},
 	{"pathsel reaches the planner through one seam", func(m *module) []string {
@@ -614,6 +630,31 @@ var layerRules = []rule{
 		}
 		return bad
 	}},
+	{"every option is set outside tests", func(m *module) []string {
+		// An option field is a knob a caller turns: a non-test file, bench/
+		// included, writes it — as a struct literal's field or by
+		// assignment — outside its type's own methods, so a default that
+		// withDefaults fills in keeps nothing alive. A knob only tests turn
+		// is a constant; optionExceptions lists the ones kept on purpose,
+		// and the list cannot rot.
+		var bad []string
+		all := map[string]*option{}
+		for _, o := range options(m) {
+			all[o.name] = o
+			if !o.set && !slices.ContainsFunc(optionExceptions, func(e exception) bool { return e.name == o.name }) {
+				bad = append(bad, fmt.Sprintf("%s: no non-test code sets option %s: make it a constant", m.where(o.obj.Pos()), o.name))
+			}
+		}
+		for _, e := range optionExceptions {
+			switch o := all[e.name]; {
+			case o == nil:
+				bad = append(bad, fmt.Sprintf("option exception %s is not an option field: drop it from the list", e.name))
+			case o.set:
+				bad = append(bad, fmt.Sprintf("%s: option exception %s is set outside the tests: drop it from the list", m.where(o.obj.Pos()), e.name))
+			}
+		}
+		return bad
+	}},
 	{"every exported name under internal/ is called", func(m *module) []string {
 		dead, _ := deadNames(m)
 		var bad []string
@@ -647,6 +688,74 @@ var layerRules = []rule{
 		}
 		return bad
 	}},
+}
+
+// An option is an exported field of an exported struct type whose name
+// ends in Config, Options or Policy, declared in a non-test file.
+type option struct {
+	name  string // "dir.Type.Field"
+	obj   *types.Var
+	owner *types.TypeName
+	set   bool // a non-test file writes it outside the owner's methods
+}
+
+// An exception is an option no non-test code sets, kept on purpose.
+type exception struct{ name, why string }
+
+var optionExceptions = []exception{
+	{"internal/exec.Options.KeepResult", "the bit-identity suites read the result relation through it"},
+	{"pathsel.Config.DensityThreshold", "bench/ reads it, and bench/ changes only with the benchmark"},
+}
+
+// options returns every option field of the module, sorted by name.
+func options(m *module) []*option {
+	var out []*option
+	byObj := map[types.Object]*option{}
+	isOption := func(name string) bool {
+		return slices.ContainsFunc([]string{"Config", "Options", "Policy"}, func(suffix string) bool {
+			return strings.HasSuffix(name, suffix)
+		})
+	}
+	for _, f := range m.files {
+		if f.test {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, s := range gd.Specs {
+				ts, ok := s.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !isOption(ts.Name.Name) {
+					continue
+				}
+				if _, lit := ts.Type.(*ast.StructType); !lit {
+					continue
+				}
+				tn := f.pkg.info.Defs[ts.Name].(*types.TypeName)
+				st := tn.Type().Underlying().(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					if fld := st.Field(i); fld.Exported() {
+						o := &option{name: f.pkg.dir + "." + tn.Name() + "." + fld.Name(), obj: fld, owner: tn}
+						out = append(out, o)
+						byObj[fld] = o
+					}
+				}
+			}
+		}
+	}
+	for _, s := range m.sets {
+		o := byObj[s.obj]
+		if o == nil || s.f.test {
+			continue
+		}
+		if recvBase(s.fn) != o.owner.Name() || s.f.pkg.types != o.owner.Pkg() {
+			o.set = true
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 // A candidate is an exported func, type, method, field, const or var
@@ -715,7 +824,8 @@ func (m *module) stdInterfaces() []*types.Interface {
 // (stdInterfaces) — for every package-level type that implements the
 // interface, its method set's member is live, promoted ones included; or
 // when it is an embedded field a live selection passes through.
-// internal/oracle is left out: it is test-only by design.
+// internal/oracle is test-only by design ("oracle stays outside the
+// binary"): it declares no candidate, and its files are counted as tests.
 func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 	all := map[string]*candidate{}
 	byObj := map[types.Object]*candidate{}
@@ -784,7 +894,7 @@ func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 		if byObj[u.obj] == nil {
 			continue
 		}
-		if !u.f.test {
+		if !u.f.test && !under(u.f.pkg.dir, "internal/oracle") {
 			live[u.obj] = true
 		} else {
 			if users[u.obj] == nil {
@@ -915,6 +1025,7 @@ func logSurface(t *testing.T, m *module) {
 	}
 	t.Logf("code lines, non-test Go outside bench/: %d", codeLines(m.code(nil)))
 	t.Logf("code lines, bench/: %d", codeLines(m.code(dirs("bench/..."))))
+	t.Logf("option fields (exported fields of exported *Config, *Options and *Policy structs): %d", len(options(m)))
 	dead, _ := deadNames(m)
 	t.Logf("exported names under internal/ that only tests use: %d", len(dead))
 	for _, c := range dead {
@@ -1168,5 +1279,53 @@ func Fan(f func()) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("violations = %q, want %q", got, want)
+	}
+}
+
+// TestOptionRuleFixture checks what sets an option: a non-test struct
+// literal's field, keyed or positional, and a non-test assignment do; a
+// write in the type's own method, a test's write and a read do not.
+func TestOptionRuleFixture(t *testing.T) {
+	m := loadFixture(t, map[string]string{
+		"internal/a/a.go": `// Package a is a fixture.
+package a
+
+type RunConfig struct {
+	Keyed, Assigned, Defaulted, TestSet, Read int
+}
+
+type PairOptions struct{ First, Second int }
+
+func (c RunConfig) withDefaults() RunConfig {
+	if c.Defaulted == 0 {
+		c.Defaulted = 1
+	}
+	return c
+}
+
+func Run(c RunConfig) int { return c.withDefaults().Read }
+
+func Default() (RunConfig, PairOptions) {
+	c := RunConfig{Keyed: 1}
+	c.Assigned = 2
+	return c, PairOptions{1, 2}
+}
+`,
+		"internal/a/a_test.go": `package a
+
+import "testing"
+
+func TestRun(t *testing.T) { _ = Run(RunConfig{TestSet: 1}) }
+`,
+	})
+	var unset []string
+	for _, o := range options(m) {
+		if !o.set {
+			unset = append(unset, o.name)
+		}
+	}
+	want := []string{"internal/a.RunConfig.Defaulted", "internal/a.RunConfig.Read", "internal/a.RunConfig.TestSet"}
+	if !slices.Equal(unset, want) {
+		t.Errorf("unset options = %q, want %q", unset, want)
 	}
 }
