@@ -710,8 +710,9 @@ func BenchmarkFoldFused(b *testing.B) {
 }
 
 // BenchmarkLeafFirstStep times a length-2 concrete miss, whose only step is
-// the one that reads its start label from the graph: rightward from the
-// forward CSR (right), leftward from the reverse CSR (left).
+// the one that reads its start label from the graph: rightward, the start
+// label's rows composed with the next label (right), or leftward, the
+// previous label's rows composed with the start label (left).
 func BenchmarkLeafFirstStep(b *testing.B) {
 	g := serveMixedGraph()
 	pool := exec.NewRelPool(g.NumVertices(), 0)
@@ -719,6 +720,69 @@ func BenchmarkLeafFirstStep(b *testing.B) {
 	for start, name := range []string{"right", "left"} {
 		plan := exec.PathPlan(p, &exec.PlanTree{Lo: 0, Hi: len(p), Start: start})
 		b.Run(name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
+	}
+}
+
+// leafPool draws a workload's concrete pool as bench/ draws it (pool.go,
+// concretePool, first from the workload's pool seed): n distinct label
+// paths, lengths uniform in [2, k], labels uniform.
+func leafPool(seed int64, labels, k, n int) []paths.Path {
+	rng := rand.New(rand.NewSource(seed))
+	seen := map[string]bool{}
+	var out []paths.Path
+	for misses := 0; len(out) < n && misses < 64+16*n; {
+		p := make(paths.Path, 2+rng.Intn(k-1))
+		for i := range p {
+			p[i] = rng.Intn(labels)
+		}
+		if key := fmt.Sprint(p); seen[key] {
+			misses++
+		} else {
+			seen[key] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// BenchmarkLeafStarts times zig-zag leaves where bench/ cannot see them
+// (exec_uncached plans bushy, serve_mixed's timed window is all cache
+// hits): one op runs every query of a workload's concrete pool — the 65 of
+// exec_uncached on its graph, the 210 of serve_mixed on its — uncached,
+// pooled and counted, from every start of one kind: forward (start 0) or
+// leftward (every other start, whose leaf grows leftward after any
+// rightward steps), at 1 and 2 workers.
+func BenchmarkLeafStarts(b *testing.B) {
+	for _, w := range []struct {
+		name string
+		g    *graph.CSR
+		pool []paths.Path
+	}{
+		{"exec_uncached", execUncachedGraph(), leafPool(102, execUncachedGraph().NumLabels(), 4, 65)},
+		{"serve_mixed", serveMixedGraph(), leafPool(104, serveMixedGraph().NumLabels(), 3, 210)},
+	} {
+		pool := exec.NewRelPool(w.g.NumVertices(), 0)
+		for _, dir := range []string{"forward", "leftward"} {
+			var plans []*exec.DagPlan
+			for _, p := range w.pool {
+				for s := range p {
+					if (s == 0) == (dir == "forward") {
+						plans = append(plans, exec.PathPlan(p, &exec.PlanTree{Lo: 0, Hi: len(p), Start: s}))
+					}
+				}
+			}
+			for _, workers := range []int{1, 2} {
+				b.Run(fmt.Sprintf("%s/%s/workers=%d", w.name, dir, workers), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, plan := range plans {
+							if _, _, err := exec.Run(w.g, plan, exec.Options{Workers: workers, Pool: pool}); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -756,33 +820,23 @@ func BenchmarkCachePublish(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAdopt times a cache hit as the executor pays for it: Get,
-// then the packed entry copied out into a pooled buffer — in the stored
-// orientation (copy) and in the other one (reverse). Reverse is the rare
-// case: every whole segment is stored forward, the orientation its repeat
-// reads, so only a forward reader of an interior leftward segment pays
-// it. The entry is `3/7` on serve_mixed's graph, BenchmarkCachePublish's.
+// BenchmarkCacheAdopt times a cache hit as the executor pays for it:
+// GetKey, then the packed entry copied out into a pooled buffer. The entry
+// is `3/7` on serve_mixed's graph, BenchmarkCachePublish's.
 func BenchmarkCacheAdopt(b *testing.B) {
 	g := serveMixedGraph()
-	p := paths.Path{2, 6}
+	key := relcache.AppendPath(nil, paths.Path{2, 6})
 	cache := relcache.New(relcache.Options{})
-	cache.Put(p, false, paths.EvaluateWithDensity(g, p, 0))
+	cache.PutKey(key, paths.EvaluateWithDensity(g, paths.Path{2, 6}, 0))
 	pool := exec.NewRelPool(g.NumVertices(), 0)
-	for _, c := range []struct {
-		name  string
-		adopt func(*bitset.Packed, *bitset.HybridRelation)
-	}{{"copy", (*bitset.Packed).CopyInto}, {"reverse", (*bitset.Packed).ReverseInto}} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rel, _, ok := cache.Get(p)
-				if !ok {
-					b.Fatal("entry not resident")
-				}
-				dst := pool.Get()
-				c.adopt(rel, dst)
-				pool.Put(dst)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		rel, ok := cache.GetKey(key)
+		if !ok {
+			b.Fatal("entry not resident")
+		}
+		dst := pool.Get()
+		rel.CopyInto(dst)
+		pool.Put(dst)
 	}
 }
 
@@ -790,9 +844,8 @@ func BenchmarkCacheAdopt(b *testing.B) {
 // whole-query hit through exec.Run, pooled, of the length-3 path `2/1/2`
 // (1 194 pairs) on serve_hot's graph, published cold by a plan that grew
 // rightward from its first label (rightward) or leftward from its last
-// (leftward). Both store the path forward, so the two should read alike:
-// the repeat copies the entry out, and a leftward publish costs no
-// reverse per hit.
+// (leftward). Every relation is forward, so the two read alike: the
+// repeat copies the entry out.
 func BenchmarkWholeHit(b *testing.B) {
 	g := serveHotGraph()
 	p := paths.Path{1, 0, 1}
@@ -872,7 +925,7 @@ func BenchmarkFoldCached(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cache := relcache.New(relcache.Options{})
-				cache.PutKey(key, false, rel)
+				cache.PutKey(key, rel)
 				b.StartTimer()
 				run(b, dp, cache, 1)
 			}

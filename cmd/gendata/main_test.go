@@ -34,7 +34,7 @@ func TestBuildCustomGenerators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	if freq[0] <= freq[2] {
 		t.Fatalf("zipf labels should be skewed: %v", freq)
 	}
@@ -82,7 +82,7 @@ func TestBuildFromSchemaFile(t *testing.T) {
 	if g.NumEdges() != 120 || g.NumLabels() != 2 {
 		t.Fatalf("schema graph %d/%d", g.NumEdges(), g.NumLabels())
 	}
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	if freq[0] != 80 || freq[1] != 40 {
 		t.Fatalf("proportions not honoured: %v", freq)
 	}

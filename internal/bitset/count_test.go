@@ -158,6 +158,7 @@ func TestComposeThroughCancelWithinOneWindow(t *testing.T) {
 		op.Offsets[v+1] = int32(v + 1)
 		op.Targets[v] = int32((v + 1) % n)
 	}
+	op = withActive(op)
 	ops := []CSROperand{op, op}
 	h, dst := HybridFromCSR(op, 1), NewHybrid(n, 1)
 	built := func(srcs []int32, c Count) Count { return Count{Sources: len(srcs), Pairs: c.Pairs} }

@@ -12,15 +12,18 @@
 //   - HybridRelation is the relation: each source row adaptively
 //     switches between a sorted sparse id list and a dense bit array at a
 //     density threshold, and rows and destination relations are pooled
-//     (ComposeInto, ReverseInto reuse capacity). ReverseInto, Equal and
-//     UnionWith — the set union paths.UnionSelectivity accumulates with,
-//     and the fused steps' reference in the tests — live in hybridops.go.
+//     (ComposeInto reuses capacity). Equal, UnionWith — the set union
+//     paths.UnionSelectivity accumulates with, and the fused steps'
+//     reference in the tests — and ReverseInto, which only the benchmark
+//     module calls, live in hybridops.go.
 //
 //   - A step is one of three kernels (step.go) over a left side read by
 //     position, Rows — a relation's active rows (h.Rows()), the same with
 //     the identity terms of an element that may match the empty path
 //     (h.Extend(eps, skip): R ∪ I on the left, X ∪ I on the right, never
-//     I∘I), or a label's CSR rows read in place (op.Rows()):
+//     I∘I), or a label's non-empty CSR rows read in place (op.Rows(),
+//     which iterates CSROperand.Active as a relation's rows iterate its
+//     active list):
 //     Rows.ComposeShard through one label or the union of several — every
 //     row, sparse or dense, pushes: each of its targets scatters its CSR
 //     row (CSROperand) into the summarized accumulator, so a step costs
@@ -34,7 +37,7 @@
 //   - Packed is a HybridRelation's immutable snapshot (Pack), the form
 //     the relation cache stores: the same rows in the same forms, flat,
 //     with nothing sized by the universe, read only by copying out
-//     (CopyInto, ReverseInto — the HybridRelation methods' own kernels).
+//     (CopyInto — the HybridRelation method's own kernel).
 //
 // Knobs: the density threshold, set per relation at construction
 // (NewHybrid, HybridFromCSR) as a fraction of the vertex universe |V|.

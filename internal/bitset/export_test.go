@@ -17,7 +17,7 @@ import (
 func ScaledUniverse(vertices int, scale uint8) int { return vertices + 4096*int(scale%4) }
 
 // RandomOperand builds a CSROperand with ~m random edges over n vertices,
-// mirroring graph.CSR.LabelOperand.
+// mirroring graph.CSR.LabelOperand, its Active list included.
 func RandomOperand(rng *rand.Rand, n, m int) CSROperand {
 	adj := make(map[int]map[int]bool)
 	for i := 0; i < m; i++ {
@@ -36,6 +36,17 @@ func RandomOperand(rng *rand.Rand, n, m int) CSROperand {
 		for _, t := range slices.Sorted(maps.Keys(adj[v])) {
 			op.Targets = append(op.Targets, int32(t))
 			op.Offsets[v+1]++
+		}
+	}
+	return withActive(op)
+}
+
+// withActive returns op with its Active list — the rows its Offsets make
+// non-empty, ascending — filled in, as graph.CSR fills it.
+func withActive(op CSROperand) CSROperand {
+	for v := 0; v < op.N; v++ {
+		if op.Offsets[v+1] > op.Offsets[v] {
+			op.Active = append(op.Active, int32(v))
 		}
 	}
 	return op

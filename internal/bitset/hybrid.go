@@ -26,11 +26,12 @@ type CSROperand struct {
 	N       int     // vertex universe size
 	Offsets []int32 // len N+1; Targets[Offsets[v]:Offsets[v+1]] = successors of v, ascending
 	Targets []int32
-	// Sources is the number of vertices with at least one successor — what
-	// the operand's relation reports as Sources(), known without a pass.
-	// graph.CSR fills it in, and Rows reports it: it sizes the sharding of a
-	// step whose left rows are the operand's own.
-	Sources int
+	// Active lists the vertices with at least one successor, ascending —
+	// the operand's relation's active sources, known without a pass.
+	// graph.CSR fills it in, and Rows iterates it, as a relation's rows
+	// iterate its active list: a step whose left rows are the operand's own
+	// visits its non-empty rows only, and shards by their number.
+	Active []int32
 }
 
 // hrow is one source row of a HybridRelation: either a sorted sparse id

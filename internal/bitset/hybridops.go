@@ -6,21 +6,21 @@ import (
 	"slices"
 )
 
-// This file holds the executor-facing HybridRelation operations — reversal
-// and row-wise union — added when query execution (internal/exec,
-// paths.Evaluate, paths.UnionSelectivity) moved off the dense Relation
-// (now internal/oracle's) onto the hybrid substrate. The census engine needs only
-// ComposeInto (hybrid.go); the executor additionally reverses relations
-// (to grow a zig-zag join leftward via predecessor operands), and
-// paths.UnionSelectivity unions them (to answer disjunction queries under
-// set semantics). The executor never unions: an RPQ's ε and skip are terms
-// of its steps (Extend, step.go).
+// This file holds the HybridRelation operations beside the steps —
+// reversal and row-wise union — added when query execution moved off the
+// dense Relation (now internal/oracle's) onto the hybrid substrate.
+// paths.UnionSelectivity unions relations (to answer disjunction queries
+// under set semantics). The executor neither unions — an RPQ's ε and skip
+// are terms of its steps (Extend, step.go) — nor reverses: a zig-zag leaf
+// grows leftward by joining a label's CSR rows with the segment, so only
+// the benchmark module reverses a relation.
 
 // ReverseInto computes the inverse relation into dst: (t, s) ∈ dst for
 // every (s, t) ∈ h. dst is reset first and its rows are reused in place,
 // so a pooled destination makes steady-state reversal allocation-free
-// apart from one transient per-universe count array. h and dst must be
-// distinct objects over the same universe.
+// apart from one transient per-universe count array. Each output row picks
+// its sparse or dense form up front from an exact count, so no row is
+// built twice. h and dst must be distinct objects over the same universe.
 func (h *HybridRelation) ReverseInto(dst *HybridRelation) {
 	if dst == h {
 		panic("bitset: ReverseInto aliasing dst == receiver")
@@ -28,23 +28,15 @@ func (h *HybridRelation) ReverseInto(dst *HybridRelation) {
 	if dst.n != h.n {
 		panic(fmt.Sprintf("bitset: ReverseInto universe %d != %d", dst.n, h.n))
 	}
-	dst.reverseFrom(rowSource{h: h}, h.pairs)
-}
-
-// reverseFrom is the two-pass reversal kernel behind both ReverseInto
-// methods: h becomes the inverse of src's pairs. Each output row picks
-// its sparse or dense form up front from an exact count, so no row is
-// built twice; the one transient is the per-universe count array.
-func (h *HybridRelation) reverseFrom(src rowSource, pairs int64) {
-	h.Reset()
-	if pairs == 0 {
+	dst.Reset()
+	if h.pairs == 0 {
 		return
 	}
 	// Pass 1: per-target counts fix every output row's final population,
 	// and therefore its representation, before any id is written.
 	counts := make([]int32, h.n)
-	active := src.active()
-	for i, s := range active {
+	src := rowSource{h: h}
+	for i, s := range h.active {
 		_, ids, words := src.row(i, s)
 		for wi, w := range words {
 			for w != 0 {
@@ -60,38 +52,38 @@ func (h *HybridRelation) reverseFrom(src rowSource, pairs int64) {
 		if c == 0 {
 			continue
 		}
-		row := &h.rows[t]
+		row := &dst.rows[t]
 		row.count = c
-		if int(c) > h.sparseMax {
+		if int(c) > dst.sparseMax {
 			row.dense = true
 			if row.words == nil {
-				row.words = make([]uint64, wordsFor(h.n))
+				row.words = make([]uint64, wordsFor(dst.n))
 			} else {
 				clear(row.words)
 			}
 		} else {
 			row.ids = slices.Grow(row.ids[:0], int(c))
 		}
-		h.active = append(h.active, int32(t))
-		h.pairs += int64(c)
+		dst.active = append(dst.active, int32(t))
+		dst.pairs += int64(c)
 	}
 	// Pass 2: pairs arrive in ascending (s, t) order, so per output row t
 	// the sources s arrive ascending and sparse appends stay sorted.
-	for i, s := range active {
+	for i, s := range h.active {
 		_, ids, words := src.row(i, s)
 		for wi, w := range words {
 			for w != 0 {
-				h.rows[wi*wordBits+bits.TrailingZeros64(w)].add(s)
+				dst.rows[wi*wordBits+bits.TrailingZeros64(w)].add(s)
 				w &= w - 1
 			}
 		}
 		for _, t := range ids {
-			h.rows[t].add(s)
+			dst.rows[t].add(s)
 		}
 	}
 }
 
-// add appends source s to a row reverseFrom has shaped; sources arrive
+// add appends source s to a row ReverseInto has shaped; sources arrive
 // ascending.
 func (row *hrow) add(s int32) {
 	if row.dense {

@@ -203,3 +203,76 @@ func FuzzJoinEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJoinCSREquivalence pins the join whose left rows are a label's CSR
+// rows read in place — a zig-zag leaf's leftward step, L ∘ S — to the dense
+// reference: operands with empty rows (and none at all), right relations
+// under all three threshold regimes, dense rows among them, universes that
+// are not a multiple of 64 and span up to four summary words, built into a
+// dirty destination and counted, whole and at every two-way split of the
+// operand's listed rows (from 256 rows on, every (1 + rows/256)-th, as
+// assertSplits takes them).
+func FuzzJoinCSREquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint16(120), uint16(90), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(17), uint16(0), uint16(300), uint8(2), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(100), uint16(3000), uint16(50), uint8(1), uint8(2), uint8(0))
+	f.Add(int64(4), uint8(65), uint16(2000), uint16(4000), uint8(2), uint8(0), uint8(3))
+	f.Add(int64(5), uint8(1), uint16(1), uint16(1), uint8(0), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, vertices uint8, edges, pairs uint16, rightRegime, dstRegime, scale uint8) {
+		n := ScaledUniverse(int(vertices), scale)
+		if n == 0 {
+			t.Skip()
+		}
+		regimes := []float64{1, 0, 1e-9}
+		rng := rand.New(rand.NewSource(seed))
+		op := RandomOperand(rng, n, int(edges)%4096)
+		left := oracle.NewRelation(n)
+		for _, s := range op.Active {
+			for _, u := range op.Targets[op.Offsets[s]:op.Offsets[s+1]] {
+				left.Add(int(s), int(u))
+			}
+		}
+		right, rr := randomHybridAndDense(rng, n, int(pairs)%8192, regimes[rightRegime%3])
+		want := referenceJoin(left, rr)
+		rows := op.Rows()
+		if rows.Len() != len(op.Active) || rows.Pairs() != int64(len(op.Targets)) {
+			t.Fatalf("CSR rows: %d positions, %d pairs; operand lists %d rows of %d pairs",
+				rows.Len(), rows.Pairs(), len(op.Active), len(op.Targets))
+		}
+		dst, _ := RandomHybrid(rng, n, rng.Intn(4*n), regimes[dstRegime%3]) // dirty
+		limit := dst.SparseMax()
+		scr := NewComposeScratch(n)
+		run := func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
+			return rows.JoinShard(dst, right, scr, limit, lo, hi, nil)
+		}
+		check := func(ctx string, built, counted Count) {
+			t.Helper()
+			if !oracle.EqualRelation(dst, want) {
+				t.Fatalf("%s: join from CSR rows differs from the dense reference (n=%d)", ctx, n)
+			}
+			for _, c := range []Count{built, counted} {
+				if c.Pairs != want.Pairs() || c.Sources != dst.Sources() || c.CloneMemSize(n) != dst.CloneMemSize() {
+					t.Fatalf("%s: count %+v, built relation %d pairs over %d sources, %d bytes",
+						ctx, c, dst.Pairs(), dst.Sources(), dst.CloneMemSize())
+				}
+			}
+		}
+		dst.Reset()
+		srcs, built := run(dst, 0, rows.Len())
+		dst.AdoptShard(srcs, built)
+		_, counted := run(nil, 0, rows.Len())
+		check("whole", built, counted)
+		for cut := 0; cut <= rows.Len(); cut += 1 + rows.Len()/256 {
+			dst.Reset()
+			var built, counted Count
+			for _, b := range [][2]int{{0, cut}, {cut, rows.Len()}} {
+				srcs, c := run(dst, b[0], b[1])
+				dst.AdoptShard(srcs, c)
+				built.Add(c)
+				_, c = run(nil, b[0], b[1])
+				counted.Add(c)
+			}
+			check(fmt.Sprintf("split at %d", cut), built, counted)
+		}
+	})
+}

@@ -20,8 +20,8 @@ import (
 // sparse rows' ids in one array, the dense rows' words in another.
 // Nothing in it is sized by the universe, and it is at most five
 // allocations however many rows it holds. It is read by copying out:
-// CopyInto and ReverseInto rebuild exactly what the HybridRelation
-// methods of the same names would have built from the source.
+// CopyInto rebuilds exactly what HybridRelation.CopyInto would have built
+// from the source.
 type Packed struct {
 	n         int
 	sparseMax int
@@ -47,10 +47,10 @@ const packedDense = 1 << 31
 func (r packedRow) count() int32 { return int32(r.size &^ packedDense) }
 func (r packedRow) dense() bool  { return r.size&packedDense != 0 }
 
-// rowSource is the read side the copy-out kernels share: the rows of a
-// HybridRelation or of a Packed (exactly one is set), by position in the
-// active list. A concrete type, not an interface, so that walking rows is
-// a branch and not an indirect call, and nothing escapes.
+// rowSource is the read side the copy and reverse kernels share: the rows
+// of a HybridRelation or of a Packed (exactly one is set), by position in
+// the active list. A concrete type, not an interface, so that walking rows
+// is a branch and not an indirect call, and nothing escapes.
 type rowSource struct {
 	h *HybridRelation
 	p *Packed
@@ -158,15 +158,4 @@ func (p *Packed) CopyInto(dst *HybridRelation) {
 		panic(fmt.Sprintf("bitset: CopyInto universe %d != %d", dst.n, p.n))
 	}
 	dst.copyFrom(rowSource{p: p}, p.sparseMax, p.pairs)
-}
-
-// ReverseInto computes the inverse of the relation p was packed from into
-// dst, as HybridRelation.ReverseInto would have from the source itself.
-// dst must be over the same universe; its own promotion limit picks each
-// output row's form.
-func (p *Packed) ReverseInto(dst *HybridRelation) {
-	if dst.n != p.n {
-		panic(fmt.Sprintf("bitset: ReverseInto universe %d != %d", dst.n, p.n))
-	}
-	dst.reverseFrom(rowSource{p: p}, p.pairs)
 }

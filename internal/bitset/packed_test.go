@@ -6,10 +6,10 @@ import (
 )
 
 // FuzzPackedEquivalence pins the cache's stored form to the relation it
-// was packed from: copied out or reversed out of the snapshot, into a
-// pooled destination still dirty from another relation, is bit-identical
-// — rows, per-row form, active order, pairs, promotion limit — to
-// copying or reversing the source itself, for sources with sparse, dense
+// was packed from: copied out of the snapshot, into a pooled destination
+// still dirty from another relation, is bit-identical — rows, per-row
+// form, active order, pairs, promotion limit — to copying the source
+// itself, for sources with sparse, dense
 // and empty rows (and none at all) under all three threshold regimes, a
 // destination under a regime of its own; and the snapshot prices as its
 // source does, without being built.
@@ -49,10 +49,6 @@ func FuzzPackedEquivalence(f *testing.F) {
 			if got.SparseMax() != want.SparseMax() {
 				t.Fatalf("copied out under limit %d, want %d", got.SparseMax(), want.SparseMax())
 			}
-			got.sparseMax, want.sparseMax = sparseLimit(n, density), sparseLimit(n, density)
-			p.ReverseInto(got)
-			keep.ReverseInto(want)
-			assertBitIdentical(t, "reversed out", got, want)
 		}
 	})
 }
@@ -114,11 +110,6 @@ func TestPackedAllocations(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { p.CopyInto(dst) }); allocs != 0 {
 			t.Errorf("%s: CopyInto a warmed destination allocates %.0f times, want 0", c.name, allocs)
 		}
-		// Reversing out keeps ReverseInto's one transient count array.
-		p.ReverseInto(dst)
-		if allocs := testing.AllocsPerRun(20, func() { p.ReverseInto(dst) }); allocs > 1 {
-			t.Errorf("%s: ReverseInto a warmed destination allocates %.0f times, want ≤ 1", c.name, allocs)
-		}
 	}
 }
 
@@ -126,19 +117,12 @@ func TestPackedAllocations(t *testing.T) {
 // its own universe.
 func TestPackedUniverseMismatchPanics(t *testing.T) {
 	p := tenPairs(100).Pack()
-	for name, fn := range map[string]func(){
-		"CopyInto":    func() { p.CopyInto(NewHybrid(99, 0)) },
-		"ReverseInto": func() { p.ReverseInto(NewHybrid(101, 0)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s into another universe did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CopyInto into another universe did not panic")
+		}
+	}()
+	p.CopyInto(NewHybrid(99, 0))
 }
 
 // MemSize returns the heap footprint in bytes: the header and the four

@@ -15,13 +15,14 @@ import "fmt"
 
 // Rows is the left side of a step, by position: the active rows of a
 // HybridRelation (h.Rows()), every vertex's row of one (h.Extend with eps),
-// or the rows of a label's CSR, one position per vertex (op.Rows()). The
-// kernels read a row inline in their loops; a per-row accessor is past the
-// inliner's budget.
+// or the non-empty rows of a label's CSR, one position per listed source
+// (op.Rows()). The kernels read a row inline in their loops; a per-row
+// accessor is past the inliner's budget.
 type Rows struct {
 	h          *HybridRelation // the relation, or nil for CSR rows
-	n, sources int             // universe; CSR rows: how many are non-empty
+	n          int             // universe
 	offs, tgts []int32         // CSR rows: v's is tgts[offs[v]:offs[v+1]]
+	active     []int32         // CSR rows: the non-empty ones, ascending
 	eps, skip  bool            // the identity terms, see Extend
 }
 
@@ -44,27 +45,20 @@ func (h *HybridRelation) Extend(eps, skip bool) Rows {
 
 // Rows returns the operand's CSR rows as a step's left side.
 func (op CSROperand) Rows() Rows {
-	return Rows{n: op.N, sources: op.Sources, offs: op.Offsets, tgts: op.Targets}
+	return Rows{n: op.N, offs: op.Offsets, tgts: op.Targets, active: op.Active}
 }
 
-// Len returns the number of positions a shard range partitions: active
-// rows, or — CSR rows, or with eps — vertices.
+// Len returns the number of positions a shard range partitions: the
+// non-empty rows — a relation's active ones, a CSR's listed ones — or,
+// with eps, every vertex.
 func (r Rows) Len() int {
-	if r.h != nil && !r.eps {
-		return len(r.h.active)
-	}
-	return r.n
-}
-
-// Sources returns the number of non-empty rows: with eps, every vertex's.
-func (r Rows) Sources() int {
 	switch {
 	case r.eps:
 		return r.n
 	case r.h != nil:
 		return len(r.h.active)
 	}
-	return r.sources
+	return len(r.active)
 }
 
 // Pairs returns the number of pairs the rows hold: with eps, the identity's
@@ -140,8 +134,9 @@ func (r Rows) ComposeShard(dst *HybridRelation, ops []CSROperand, scr *ComposeSc
 			} else {
 				ids = row.ids
 			}
-		} else if ids = r.tgts[r.offs[i]:r.offs[i+1]]; len(ids) == 0 {
-			continue
+		} else {
+			s = r.active[i]
+			ids = r.tgts[r.offs[s]:r.offs[s+1]]
 		}
 		count := scr.push(s, r.eps, ids, words, ops)
 		if r.skip {
@@ -197,8 +192,9 @@ func (r Rows) JoinShard(dst, right *HybridRelation, scr *ComposeScratch, limit, 
 			} else {
 				ids = row.ids
 			}
-		} else if ids = r.tgts[r.offs[i]:r.offs[i+1]]; len(ids) == 0 {
-			continue
+		} else {
+			s = r.active[i]
+			ids = r.tgts[r.offs[s]:r.offs[s+1]]
 		}
 		if words != nil || r.eps {
 			ids = scr.targets(s, r.eps, ids, words)

@@ -134,13 +134,13 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 		scr := NewComposeScratch(n)
 		HybridFromCSR(a, density).ComposeInto(want, op, NewComposeScratch(n))
 		got.Reset()
-		srcs, c := a.Rows().ComposeShard(got, ops, scr, got.SparseMax(), 0, n, nil)
+		srcs, c := a.Rows().ComposeShard(got, ops, scr, got.SparseMax(), 0, a.Rows().Len(), nil)
 		if got.AdoptShard(srcs, c); c.Pairs != want.Pairs() {
 			t.Fatalf("first step returned %d pairs, want %d", c.Pairs, want.Pairs())
 		}
 		assertBitIdentical(t, "first step", got, want)
 		assertClean(t, "first step", scr)
-		assertSplits(t, "first step", got, want, n,
+		assertSplits(t, "first step", got, want, a.Rows().Len(),
 			func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
 				return a.Rows().ComposeShard(dst, ops, scr, got.SparseMax(), lo, hi, nil)
 			})
@@ -222,12 +222,12 @@ func FuzzFusedStepEquivalence(f *testing.F) {
 
 // csrOf builds the operand whose row v is rows[v], ascending.
 func csrOf(n int, rows map[int32][]int32) CSROperand {
-	op := CSROperand{N: n, Offsets: make([]int32, n+1), Sources: len(rows)}
+	op := CSROperand{N: n, Offsets: make([]int32, n+1)}
 	for v := range n {
 		op.Targets = append(op.Targets, rows[int32(v)]...)
 		op.Offsets[v+1] = int32(len(op.Targets))
 	}
-	return op
+	return withActive(op)
 }
 
 // TestSummaryWordBoundaries pins the accumulator's summary where small
@@ -268,9 +268,9 @@ func TestSummaryWordBoundaries(t *testing.T) {
 		assertBitIdentical(t, "compose", got, want)
 		assertCounts(t, "compose", counted(h.Rows().ComposeShard(nil, ops, scr, limit, 0, h.Sources(), nil)), want)
 		got.Reset()
-		got.AdoptShard(left.Rows().ComposeShard(got, ops, scr, limit, 0, n, nil))
+		got.AdoptShard(left.Rows().ComposeShard(got, ops, scr, limit, 0, len(leftRows), nil))
 		assertBitIdentical(t, "first step", got, want)
-		assertCounts(t, "first step", counted(left.Rows().ComposeShard(nil, ops, scr, limit, 0, n, nil)), want)
+		assertCounts(t, "first step", counted(left.Rows().ComposeShard(nil, ops, scr, limit, 0, len(leftRows), nil)), want)
 		for _, rd := range regimes {
 			r := HybridFromCSR(op, rd)
 			h.JoinInto(got, r, scr)
@@ -309,7 +309,7 @@ func TestStepPreconditions(t *testing.T) {
 	}
 	for name, step := range map[string]func(dst *HybridRelation){
 		"compose": func(dst *HybridRelation) { h.Rows().ComposeShard(dst, ops, scr, limit, 0, h.Sources(), nil) },
-		"first":   func(dst *HybridRelation) { op.Rows().ComposeShard(dst, ops, scr, limit, 0, n, nil) },
+		"first":   func(dst *HybridRelation) { op.Rows().ComposeShard(dst, ops, scr, limit, 0, op.Rows().Len(), nil) },
 		"join":    func(dst *HybridRelation) { h.Rows().JoinShard(dst, r, scr, limit, 0, h.Sources(), nil) },
 		"union":   func(dst *HybridRelation) { UnionCSR(dst, ops, scr, limit) },
 	} {

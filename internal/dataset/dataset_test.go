@@ -232,7 +232,7 @@ func TestMorenoLikeLabelSkew(t *testing.T) {
 	// The Moreno substitute must have clearly skewed label frequencies —
 	// the property Figure 1 and cardinality ranking depend on.
 	g := Generate(Table3()[0], 0.2, 7)
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	mx, mn := freq[0], freq[0]
 	for _, f := range freq {
 		if f > mx {
@@ -254,7 +254,7 @@ func TestSnapERLabelSkewedIndependent(t *testing.T) {
 	// Synthetic datasets have skewed label frequencies (rank-1 label
 	// clearly dominates the rarest) — see datasets.go for the rationale.
 	g := Generate(Table3()[2], 0.1, 7)
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	mx, mn := freq[0], freq[0]
 	for _, f := range freq {
 		if f > mx {

@@ -42,21 +42,21 @@ func (u UniformLabels) Label(rng *rand.Rand, _, _, _, _ int) int { return rng.In
 func (u UniformLabels) NumLabels() int { return u.L }
 
 // ZipfLabels assigns labels with Zipf-distributed frequency, f(l) ∝
-// 1/(rank+1)^S, independent of topology. Real graph datasets have highly
+// 1/(rank+1)^s, independent of topology. Real graph datasets have highly
 // skewed label cardinalities; this is the simplest model of that fact.
 type ZipfLabels struct {
 	L int
-	S float64 // skew exponent; 0 degenerates to uniform
 
 	cdf []float64
 }
 
-// NewZipfLabels builds a ZipfLabels model over l labels with exponent s.
+// NewZipfLabels builds a ZipfLabels model over l labels with skew
+// exponent s (0 degenerates to uniform).
 func NewZipfLabels(l int, s float64) *ZipfLabels {
 	if l <= 0 {
 		panic(fmt.Sprintf("dataset: non-positive label count %d", l))
 	}
-	z := &ZipfLabels{L: l, S: s, cdf: make([]float64, l)}
+	z := &ZipfLabels{L: l, cdf: make([]float64, l)}
 	total := 0.0
 	for i := 0; i < l; i++ {
 		total += 1 / math.Pow(float64(i+1), s)

@@ -46,7 +46,7 @@ func TestGenerateSchemaCountsExact(t *testing.T) {
 	if g.NumVertices() != 200 || g.NumEdges() != 1000 || g.NumLabels() != 3 {
 		t.Fatalf("sizes = %d/%d/%d", g.NumVertices(), g.NumEdges(), g.NumLabels())
 	}
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	// Proportions 0.5/0.3/0.2 over 1000 edges, exact by apportionment.
 	if freq[0] != 500 || freq[1] != 300 || freq[2] != 200 {
 		t.Fatalf("label frequencies %v, want [500 300 200]", freq)
@@ -73,7 +73,7 @@ func TestGenerateSchemaRoundingRemainder(t *testing.T) {
 	if g.NumEdges() != 10 {
 		t.Fatalf("edges = %d, want 10", g.NumEdges())
 	}
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	var total int64
 	for _, f := range freq {
 		if f < 3 || f > 4 {

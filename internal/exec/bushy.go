@@ -235,10 +235,10 @@ func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelatio
 		return nil, err
 	}
 	x.ints = append(x.ints, l.Pairs(), r.Pairs())
-	// The joined segment is published in forward orientation: a later
-	// zig-zag over the same labels, a repeat of this subtree, or the
-	// whole-segment fast path can all adopt it.
-	err = x.step(key, false, dst, func() error { return x.join(l.Rows(), dst, r) })
+	// The joined segment is published like every other: a later zig-zag
+	// over the same labels, a repeat of this subtree, or the whole-segment
+	// fast path can all adopt it.
+	err = x.step(key, dst, func() error { return x.join(l.Rows(), dst, r) })
 	x.drop(l)
 	x.drop(r)
 	return dst, err

@@ -26,7 +26,7 @@ func TestNewPlannerSeesTheCacheOnlyWhenBushy(t *testing.T) {
 	if pl.Cached == nil || pl.Cached(p) || pl.Cached(p) != cache.Contains(p) {
 		t.Fatal("a bushy planner over an empty cache does not agree with it")
 	}
-	cache.PutKey(relcache.AppendPath(nil, p), false, bitset.NewHybrid(4, 0))
+	cache.PutKey(relcache.AppendPath(nil, p), bitset.NewHybrid(4, 0))
 	if !pl.Cached(p) || pl.Cached(paths.Path{1, 0}) || !cache.Contains(p) {
 		t.Fatal("a bushy planner does not see a segment published after it was built")
 	}
@@ -34,8 +34,9 @@ func TestNewPlannerSeesTheCacheOnlyWhenBushy(t *testing.T) {
 
 // TestExecutePlanCacheEquivalence pins the cached executor bit-identical
 // to the uncached one: a cold pass (empty cache) must match the uncached
-// run in relation, result, and stats; a warm pass (same cache again) must
-// produce the identical relation via hits.
+// run in relation, result, and stats, and leave every segment it built
+// resident and forward; a warm pass (same cache again) must produce the
+// identical relation via hits.
 func TestExecutePlanCacheEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
@@ -66,30 +67,30 @@ func TestExecutePlanCacheEquivalence(t *testing.T) {
 					t.Fatalf("trial %d path %v start %d: cold run hit %d times", trial, p, s, coldSt.CacheHits)
 				}
 				// Exactly one miss per composed step, each segment published
-				// once, in the orientation its reader wants: the whole path
-				// forward — the repeat below copies it out, never reverses
-				// it — each interior leftward segment p[i:] reversed, as it
-				// was built and as a longer query's leftward steps read it,
-				// and each rightward segment p[s:j] forward.
+				// once and forward, whichever way the leaf grew it: each
+				// rightward segment p[s:j], then each leftward one p[i:],
+				// the whole path last.
 				if k >= 2 && coldSt.CacheMisses != k-1 {
 					t.Fatalf("trial %d path %v start %d: cold run counted %d misses, want %d",
 						trial, p, s, coldSt.CacheMisses, k-1)
 				}
-				stored := func(seg paths.Path, reversed bool) {
+				stored := func(seg paths.Path) {
 					t.Helper()
-					if _, got, ok := cache.GetKey(relcache.AppendPath(nil, seg)); !ok || got != reversed {
-						t.Fatalf("trial %d path %v start %d: segment %v resident=%t reversed=%t, want reversed=%t",
-							trial, p, s, seg, ok, got, reversed)
+					rel, ok := cache.GetKey(relcache.AppendPath(nil, seg))
+					if !ok {
+						t.Fatalf("trial %d path %v start %d: segment %v not resident", trial, p, s, seg)
+					}
+					got := bitset.NewHybrid(vertices, density)
+					rel.CopyInto(got)
+					if want, _ := runPlan(t, g, seg, 0, Options{DensityThreshold: density}); !got.Equal(want) {
+						t.Fatalf("trial %d path %v start %d: segment %v is not stored forward", trial, p, s, seg)
 					}
 				}
-				if k >= 2 {
-					stored(p, false)
-				}
-				for i := 1; i < s; i++ {
-					stored(p[i:], true)
-				}
 				for j := s + 2; j <= k; j++ {
-					stored(p[s:j], false)
+					stored(p[s:j])
+				}
+				for i := 0; i < s; i++ {
+					stored(p[i:])
 				}
 
 				warm, warmSt := runPlan(t, g, p, s, opt)
@@ -145,12 +146,12 @@ func TestExecutePlanCacheCrossPlan(t *testing.T) {
 	}
 }
 
-// TestExecutePlanCacheCrossOrientation pins the orientation-canonical
-// payoff at the executor level: a forward plan's published segments must
-// serve a backward plan of the same query (and vice versa) as hits — the
-// adopter derives the orientation it needs — with results bit-identical
-// to the uncached run, and the whole-query entry count stays one.
-func TestExecutePlanCacheCrossOrientation(t *testing.T) {
+// TestExecutePlanCacheCrossDirection pins the direction-independent keys
+// at the executor level: a forward plan's published segments must serve a
+// backward plan of the same query as hits — every segment is forward,
+// whichever way it was grown — with results bit-identical to the uncached
+// run, and the whole-query entry count stays one.
+func TestExecutePlanCacheCrossDirection(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(int64(trial), 2+rng.Intn(90), 1+rng.Intn(3), 1+rng.Intn(400))
@@ -164,8 +165,8 @@ func TestExecutePlanCacheCrossOrientation(t *testing.T) {
 		cache := relcache.New(relcache.Options{})
 		opt := Options{Cache: cache}
 
-		// Forward plan publishes; the backward plan wants every segment in
-		// the opposite orientation and must adopt anyway.
+		// Forward plan publishes; the backward plan grows the other way and
+		// must adopt anyway.
 		runPlan(t, g, p, 0, opt)
 		rel, st := runPlan(t, g, p, k-1, opt)
 		if !rel.Equal(want) {
@@ -174,8 +175,8 @@ func TestExecutePlanCacheCrossOrientation(t *testing.T) {
 		if st.CacheHits == 0 {
 			t.Fatalf("trial %d path %v: backward plan never adopted forward-published segments", trial, p)
 		}
-		// The whole-query segment is cached exactly once, in whichever
-		// orientation landed first — not once per orientation.
+		// The whole-query segment is cached exactly once, not once per
+		// direction.
 		if !cache.Contains(p) {
 			t.Fatalf("trial %d path %v: whole-query entry missing after both plans", trial, p)
 		}
@@ -329,10 +330,9 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 // workload: a pooled execution answered by the whole-query fast path — a
 // concrete path's, a lone element's, a fold's over its longest prefix —
 // builds no scheduler, keeps its state on the stack and probes the cache
-// with a stack-encoded key, so it allocates nothing at all. A path
+// with a stack-encoded key, so it allocates nothing at all — a path
 // published by a plan that grew leftward (from its last label or its
-// middle one) is stored forward, so its repeat copies the entry out like
-// the rightward one: no reversal, and no count array for one.
+// middle one) as much as one that grew rightward.
 func TestWholeQueryHitAllocatesNothingOfItsOwn(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }

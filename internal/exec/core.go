@@ -215,44 +215,33 @@ func (x *core) stepper() *stepper {
 	return x.stp
 }
 
-// cached materializes the relation cached under key, in the wanted
-// orientation, into dst and reports whether an adoptable entry existed. A
-// key is the canonical encoding of an element sequence (relcache.AppendElem;
-// a label sequence is the all-plain case, pathKey); a nil key names nothing
-// cacheable. The cache stores one orientation per key, packed
-// (bitset.Packed): a stored orientation matching the wanted one is copied
-// out verbatim, a mismatch derives the inverse (ReverseInto) —
-// bit-identical to recomputing, because every kernel picks a row's
-// representation purely from its final population against dst's
-// promotion limit. Every node publishes its whole segment forward, the
-// orientation the whole-segment fast path wants, so a repeat copies;
-// only an interior leftward segment is stored reversed, and a reverse is
-// paid where a forward reader meets one. Entries from another universe or
-// promotion limit are ignored rather than adopted.
-func (x *core) cached(key []byte, reversed bool, dst *bitset.HybridRelation) bool {
+// cached materializes the relation cached under key into dst and reports
+// whether an adoptable entry existed. A key is the canonical encoding of an
+// element sequence (relcache.AppendElem; a label sequence is the all-plain
+// case, pathKey); a nil key names nothing cacheable. The cache stores each
+// key's relation packed (bitset.Packed) and forward, as every step builds
+// it, so adoption is a verbatim copy — bit-identical to recomputing,
+// because every kernel picks a row's representation purely from its final
+// population against dst's promotion limit. Entries from another universe
+// or promotion limit are ignored rather than adopted.
+func (x *core) cached(key []byte, dst *bitset.HybridRelation) bool {
 	if key == nil {
 		return false
 	}
-	rel, stored, ok := x.opt.Cache.GetKey(key)
+	rel, ok := x.opt.Cache.GetKey(key)
 	if !ok || rel.Universe() != x.n || rel.SparseMax() != x.limit {
 		return false
 	}
-	if stored == reversed {
-		rel.CopyInto(dst)
-	} else {
-		rel.ReverseInto(dst)
-	}
+	rel.CopyInto(dst)
 	x.hits++
 	return true
 }
 
-// publish stores a relation the execution just finished under key, in the
-// given orientation, and counts the miss it answers; a nil key publishes
-// nothing. A step publishes what it built; a leftward leaf publishes its
-// whole segment itself, forward, after restoring the orientation (leaf).
-func (x *core) publish(key []byte, reversed bool, rel *bitset.HybridRelation) {
+// publish stores a relation the execution just finished under key and
+// counts the miss it answers; a nil key publishes nothing.
+func (x *core) publish(key []byte, rel *bitset.HybridRelation) {
 	if key != nil {
-		x.opt.Cache.PutKey(key, reversed, rel)
+		x.opt.Cache.PutKey(key, rel)
 		x.misses++
 	}
 }
@@ -264,7 +253,7 @@ func (x *core) publish(key []byte, reversed bool, rel *bitset.HybridRelation) {
 // anything below. On a miss dst is the node's first buffer.
 func (x *core) whole(key []byte) (dst *bitset.HybridRelation, hit bool, err error) {
 	dst = x.take()
-	if x.cached(key, false, dst) {
+	if x.cached(key, dst) {
 		return dst, true, x.price(dst)
 	}
 	return dst, false, nil
@@ -283,12 +272,12 @@ func (x *core) whole(key []byte) (dst *bitset.HybridRelation, hit bool, err erro
 // A nil dst is the root's counted final step (see counts): there is
 // nothing to adopt into or publish from, compute leaves its outcome in
 // x.counted, and that is what gets priced.
-func (x *core) step(key []byte, reversed bool, dst *bitset.HybridRelation, compute func() error) error {
+func (x *core) step(key []byte, dst *bitset.HybridRelation, compute func() error) error {
 	faultinject.Fire("exec.step")
 	if err := x.opt.Cancel.Err(); err != nil {
 		return err
 	}
-	if dst == nil || !x.cached(key, reversed, dst) {
+	if dst == nil || !x.cached(key, dst) {
 		if err := compute(); err != nil {
 			return err
 		}
@@ -296,7 +285,7 @@ func (x *core) step(key []byte, reversed bool, dst *bitset.HybridRelation, compu
 			return err
 		}
 		if dst != nil {
-			x.publish(key, reversed, dst)
+			x.publish(key, dst)
 		}
 	}
 	return x.price(dst)

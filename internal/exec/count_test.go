@@ -15,13 +15,12 @@ import (
 	"repro/internal/relcache"
 )
 
-// countShapes returns the plan shapes the counted root must agree with
-// the materializing one on: every zig-zag start of a length-4 path (the
-// counted last step is rightward for start 0, leftward otherwise, and the
-// final reversal is skipped), a bushy root join, a DAG whose last fold
-// join is counted, a DAG whose last element is optional, so its last step
-// carries the skip term, and the same at length 2 (skip-root, `a/b?`),
-// whose result contains every relation before it.
+// countShapes returns the plan shapes the counted root must agree with the
+// materializing one on: every zig-zag start of a length-4 path (the counted
+// last step is rightward for start 0, leftward otherwise), a bushy root join,
+// a DAG whose last fold join is counted, a DAG whose last element is
+// optional, so its last step carries the skip term, and the same at length 2
+// (skip-root, `a/b?`), whose result contains every relation before it.
 func countShapes(g *graph.CSR) []planShape {
 	// The two halves spell different label sequences, so that over a cold
 	// cache the bushy shape's right child does not adopt what the left one

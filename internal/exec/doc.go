@@ -67,9 +67,10 @@
 // (bitset.HybridRelation): two pooled relations double-buffer through the
 // scatter compose kernel (every row, sparse or dense, pushes its targets'
 // CSR rows), the first step reading the start label's rows from the
-// graph's CSR rather than from a copy (bitset.CSROperand.Rows), rightward
-// steps use successor operands, leftward steps use predecessor operands
-// on the reversed relation, and every row adapts its representation per
+// graph's CSR rather than from a copy (bitset.CSROperand.Rows). A
+// rightward step composes the segment with the next label's CSR, a
+// leftward one joins the previous label's CSR rows with the segment, so
+// every relation is forward, and every row adapts its representation per
 // step.
 // Each compose step is parallelized over the shared work-stealing
 // scheduler (internal/sched): the input relation's source rows are

@@ -34,10 +34,9 @@ type Options struct {
 	// earlier step of this query, or another worker running concurrently —
 	// is adopted instead of composed, by copying the packed entry
 	// (bitset.Packed) out into one of the execution's own relations, and
-	// every freshly composed segment is published back, packed — a node's
-	// whole segment forward, so that its repeat copies the entry out as
-	// stored, and a leftward leaf's interior segments reversed, as they
-	// were built and as a longer query's leftward steps read them. A segment
+	// every freshly composed segment is published back, packed, as every
+	// plan that reaches it builds and reads it: every relation is forward,
+	// whichever way a leaf grew it, so a hit is a copy. A segment
 	// is whatever has a key (relcache.AppendElem): a label subsequence of
 	// length ≥ 2, and for a regular path query every prefix of its blocks
 	// and every element that is more than one label read once — so a
@@ -144,9 +143,9 @@ type Stats struct {
 // substrate: a zig-zag leaf double-buffers two pooled relations through the
 // scatter compose kernel, which pushes each target's CSR row, every row
 // adapting its representation per step; its first step reads the start
-// label's rows from the graph, rightward steps compose with successor
-// operands, leftward steps work on the reversed relation with predecessor
-// operands, so no step ever multiplies from the expensive side. A join
+// label's rows from the graph, rightward steps compose the segment with
+// the next label's CSR, and leftward steps join the previous label's CSR
+// rows with the segment, so every relation is forward. A join
 // node builds its two segments in turn, left then right, and joins them
 // with the sharded relation×relation kernel; a plan of several blocks
 // folds them left to right, composing through the blocks that are one step
@@ -199,16 +198,21 @@ func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stat
 }
 
 // leaf builds segment p with the zig-zag plan growing from position
-// start, double-buffering two relations through the core's stepper. The
-// start label's own relation is never built: the first step composes its
-// rows, read from the graph, with the neighbouring label — rightward from
-// the forward CSR, or, when start is the last position, leftward from the
-// reverse CSR, which is that relation already reversed. Its size, the first
-// recorded intermediate, is the label's frequency, and its price under a
-// budget is worked out from its row lengths (fill with no destination), so
-// nothing an execution reports can tell the relation was not there. A root
-// leaf that may count (see counts) counts its last step — the one whose
-// segment is all of p, in either direction — and returns no relation.
+// start, double-buffering two relations through the core's stepper. Every
+// step builds a forward segment: a rightward one composes the segment so
+// far with the next label's CSR, p[lo:hi) ∘ L(p[hi]), and a leftward one
+// joins the previous label's CSR rows with it, L(p[lo−1]) ∘ p[lo:hi) — a
+// relation×relation join whose left side is read from the graph — so every
+// relation is forward, and every segment is cached as its repeat and
+// every other plan read it. The start label's own relation is never
+// built: the first step reads its rows from the graph, as the left side
+// of a rightward step or, leftward, as the operand the previous label's
+// rows compose with. Its size, the first recorded intermediate, is the
+// label's frequency, and its price under a budget is worked out from its
+// row lengths (fill with no destination), so nothing an execution reports
+// can tell the relation was not there. A root leaf that may count (see
+// counts) counts its last step — the one whose segment is all of p — and
+// returns no relation.
 func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation, error) {
 	var room [keyRoom]byte // every key of the leaf, one at a time
 	key := x.pathKey(room[:0], p)
@@ -224,10 +228,7 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 			return nil, err
 		}
 	}
-	a := x.g.LabelOperand(p[start])
-	if start == len(p)-1 {
-		a = x.g.PredecessorOperand(p[start])
-	}
+	first := x.g.LabelOperand(p[start])
 	count := root && x.counts(key)
 	// cur is the segment grown so far, nil until the first step has run;
 	// spare returns the other buffer, taken when a second one is first
@@ -239,62 +240,44 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 		}
 		return buf
 	}
-	// grow runs one join step into the spare buffer and swaps the buffers:
-	// its left rows — a's before the first step, cur's after — are the
-	// finished segment whose size is the step's recorded intermediate. The
-	// counted last step has no destination, and the last leftward step has
-	// no key: its segment is published forward once restored (below).
-	grow := func(seg paths.Path, reversed bool, op bitset.CSROperand) error {
+	// grow builds segment p[lo:hi), one label longer than the segment so
+	// far, into the spare buffer and swaps the buffers: left composed with
+	// op, or — right given — joined with right. The segment so far is the
+	// step's recorded intermediate, and the counted last step has no
+	// destination.
+	grow := func(lo, hi int, left bitset.Rows, op bitset.CSROperand, right *bitset.HybridRelation) error {
 		var dst *bitset.HybridRelation
-		if !(count && len(seg) == len(p)) {
+		if !(count && hi-lo == len(p)) {
 			dst = spare()
 		}
-		left := a.Rows()
+		in := int64(len(first.Targets))
 		if cur != nil {
-			left = cur.Rows()
+			in = cur.Pairs()
 		}
-		x.ints = append(x.ints, left.Pairs())
-		var key []byte
-		if !(reversed && len(seg) == len(p)) {
-			key = x.pathKey(room[:0], seg)
-		}
-		err := x.step(key, reversed, dst, func() error { return x.compose(left, dst, op) })
+		x.ints = append(x.ints, in)
+		err := x.step(x.pathKey(room[:0], p[lo:hi]), dst, func() error {
+			if right != nil {
+				return x.join(left, dst, right)
+			}
+			return x.compose(left, dst, op)
+		})
 		cur, buf = buf, cur
 		return err
 	}
-	// Grow rightward: cur holds the segment p[start:j).
-	for j := start + 1; j < len(p); j++ {
-		if err := grow(p[start:j+1], false, x.g.LabelOperand(p[j])); err != nil {
+	for hi := start + 1; hi < len(p); hi++ {
+		left := first.Rows()
+		if cur != nil {
+			left = cur.Rows()
+		}
+		if err := grow(start, hi+1, left, x.g.LabelOperand(p[hi]), nil); err != nil {
 			return nil, err
 		}
 	}
-	// Grow leftward on the reversed relation: prepending label l to a
-	// segment is composing the reversed segment with l's predecessor
-	// operand. Reversal is linear and does not change Pairs, so the
-	// recorded intermediates are still segment selectivities. An interior
-	// leftward segment p[i:], i ≥ 1, is cached in the reversed orientation
-	// it was built in — the one a longer query's leftward steps read it in —
-	// under the orientation marker. The whole segment is cached forward,
-	// after the reversal that restores it: that is the orientation its
-	// repeat (the whole-segment fast path) reads, so a hit is a copy, never
-	// a reverse. Its step's probe is the whole probe that just missed, and a
-	// publishing leaf never counts its last step, so the reversal is paid
-	// on a miss anyway.
-	if start > 0 {
-		if cur != nil {
-			cur.ReverseInto(spare())
-			cur, buf = buf, cur
-		}
-		for i := start - 1; i >= 0; i-- {
-			if err := grow(p[i:], true, x.g.PredecessorOperand(p[i])); err != nil {
-				return nil, err
-			}
-		}
-		if !count {
-			// A counted result has no orientation to restore.
-			cur.ReverseInto(spare())
-			cur, buf = buf, cur
-			x.publish(x.pathKey(room[:0], p), false, cur)
+	for lo := start - 1; lo >= 0; lo-- {
+		// While the segment is the start label, cur is nil and the step
+		// composes with the start label's CSR.
+		if err := grow(lo, len(p), x.g.LabelOperand(p[lo]).Rows(), first, cur); err != nil {
+			return nil, err
 		}
 	}
 	x.drop(buf)

@@ -67,17 +67,20 @@ func TestContractBudgetFirstStep(t *testing.T) {
 
 // TestFirstStepShardsAsTheBaseWould pins the sharding decision of a leaf's
 // first step to the numbers the never-built base would have reported — its
-// sources and pairs, which the graph knows — in both directions, with the
-// answer bit-identical to the dense reference at every worker count.
+// sources and pairs, which the graph knows — in both directions: the left
+// rows are p[0]'s CSR rows either way, composed rightward with p[1] or,
+// leftward, with the start label p[1]. The answer is bit-identical to the
+// dense reference at every worker count.
 func TestFirstStepShardsAsTheBaseWould(t *testing.T) {
 	g := randomGraph(5, 300, 1, 9000)
 	p := paths.Path{0, 0}
 	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
-	for start, a := range []bitset.CSROperand{g.LabelOperand(0), g.PredecessorOperand(0)} {
-		base := bitset.HybridFromCSR(a, 0)
-		if a.Sources != base.Sources() {
-			t.Fatalf("start %d: operand reports %d sources, its relation has %d", start, a.Sources, base.Sources())
-		}
+	a := g.LabelOperand(0)
+	base := bitset.HybridFromCSR(a, 0)
+	if len(a.Active) != base.Sources() {
+		t.Fatalf("operand lists %d sources, its relation has %d", len(a.Active), base.Sources())
+	}
+	for start := range p {
 		for workers := 1; workers <= 8; workers++ {
 			want := int64(shardGrain.shards(base.Sources(), base.Pairs(), workers))
 			if want == 1 {
@@ -130,12 +133,8 @@ func TestOperandStepsAllocateNothing(t *testing.T) {
 				x.ints = x.ints[:0]
 			}
 			run() // builds the stepper, grows the relations' rows
-			want := 0.0
-			if keep && name == "first step leftward" {
-				want = 1 // restoring a kept result's orientation: ReverseInto's count array
-			}
-			if n := testing.AllocsPerRun(50, run); n != want {
-				t.Errorf("%s keep=%t: %v allocations a run in steady state, want %v", name, keep, n, want)
+			if n := testing.AllocsPerRun(50, run); n != 0 {
+				t.Errorf("%s keep=%t: %v allocations a run in steady state, want 0", name, keep, n)
 			}
 		}
 		if pool.InUse() != 0 {

@@ -67,10 +67,10 @@ type stepper struct {
 
 	// The current step's operands, set by compose, through or join and
 	// dropped when run returns. The left side is rows — a relation's, or a
-	// label's read in place from the graph (a leaf's first step). The right
-	// side is the relation right, or — right nil — the union of the label
-	// operands ops, a list in storage the stepper keeps across steps, so no
-	// step puts one on the heap.
+	// label's read in place from the graph (a leaf's first step, and its
+	// leftward steps). The right side is the relation right, or — right
+	// nil — the union of the label operands ops, a list in storage the
+	// stepper keeps across steps, so no step puts one on the heap.
 	left  bitset.Rows
 	right *bitset.HybridRelation
 	ops   []bitset.CSROperand
@@ -178,19 +178,26 @@ func (st *stepper) runShard(worker int, t shardTask) {
 // run carries out the step compose, through or join described: built into
 // dst, or — dst nil — counted, nothing emitted. The left rows are
 // partitioned into as many shards as the floors allow (enough rows and
-// enough pairs — shardGrain weighs both): one shard — a small step
-// or a 1-worker configuration — runs on the coordinator without touching
-// the scheduler at all, more run on it in parallel. Either way the shards
-// are adopted in ascending order, so the result — rows, active order and
-// pair count — is the same at every shard count: parallelism is a
-// performance decision per step, never a semantic one, and the same whether
-// the step builds or counts. A shard body that panics (contained by the
-// scheduler) surfaces as the drain's error, the partial destination left
-// unmerged for the caller to discard (core.finish clears it).
+// enough pairs — shardGrain weighs both, a join's pairs being its larger
+// side's, since each left row reads right's rows: a leftward leaf's join
+// has a label's rows on the left and the segment on the right): one shard
+// — a small step or a 1-worker configuration — runs on the coordinator
+// without touching the scheduler at all, more run on it in parallel.
+// Either way the shards are adopted in ascending order, so the result —
+// rows, active order and pair count — is the same at every shard count:
+// parallelism is a performance decision per step, never a semantic one,
+// and the same whether the step builds or counts. A shard body that
+// panics (contained by the scheduler) surfaces as the drain's error, the
+// partial destination left unmerged for the caller to discard
+// (core.finish clears it).
 func (st *stepper) run(dst *bitset.HybridRelation) (total bitset.Count, err error) {
 	defer st.end()
 	st.dst = dst
-	shards := shardGrain.shards(st.left.Sources(), st.left.Pairs(), st.sch.Workers())
+	pairs := st.left.Pairs()
+	if st.right != nil {
+		pairs = max(pairs, st.right.Pairs())
+	}
+	shards := shardGrain.shards(st.left.Len(), pairs, st.sch.Workers())
 	st.partition(st.left.Len(), shards)
 	if dst != nil {
 		dst.Reset()

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
+	"repro/internal/graph"
 	"repro/internal/oracle"
 	"repro/internal/paths"
 	"repro/internal/sched"
@@ -179,6 +180,44 @@ func TestGranularityFloorSkipsScheduler(t *testing.T) {
 	}
 }
 
+// TestJoinShardsByItsLargerSide pins a join's sharding to its larger side:
+// a bushy join of a small left child — label 0, 100 rows of one pair, far
+// under the pair floor — with a large right one — label 1, 50 rows of 100
+// pairs, under the row floor, so building it never shards — splits its
+// left rows at 4 workers, because each of them reads the right side's rows.
+// The answer is the dense reference's at 1 and 4 workers.
+func TestJoinShardsByItsLargerSide(t *testing.T) {
+	g := graph.New(200, 2)
+	for v := 0; v < 100; v++ {
+		g.AddEdge(v, 0, v/2)
+	}
+	for v := 0; v < 50; v++ {
+		for u := 0; u < 100; u++ {
+			g.AddEdge(v, 1, (v+u)%200)
+		}
+	}
+	c := g.Freeze()
+	p := paths.Path{0, 1}
+	left, right := c.LabelOperand(0), c.LabelOperand(1)
+	if rows, pairs := len(left.Active), len(left.Targets); rows < 2*shardGrain.rows || pairs >= int(2*shardGrain.pairs) {
+		t.Fatalf("left child has %d rows and %d pairs: want ≥ %d rows and under %d pairs", rows, pairs, 2*shardGrain.rows, 2*shardGrain.pairs)
+	}
+	if rows, pairs := len(right.Active), len(right.Targets); rows >= 2*shardGrain.rows || pairs < int(2*shardGrain.pairs) {
+		t.Fatalf("right child has %d rows and %d pairs: want under %d rows and ≥ %d pairs", rows, pairs, 2*shardGrain.rows, 2*shardGrain.pairs)
+	}
+	tree := &PlanTree{Lo: 0, Hi: 2, Start: -1, Left: &PlanTree{Lo: 0, Hi: 1, Start: 0}, Right: &PlanTree{Lo: 1, Hi: 2, Start: 1}}
+	dense, _ := oracle.ExecuteDense(c, p, oracle.Forward)
+	for _, workers := range []int{1, 4} {
+		rel, st := runTree(t, c, p, tree, Options{Workers: workers})
+		if !oracle.EqualRelation(rel, dense) {
+			t.Fatalf("workers %d: differs from the dense reference", workers)
+		}
+		if sharded := st.Sched.Tasks > 0; sharded != (workers > 1) {
+			t.Fatalf("workers %d: %d scheduler tasks", workers, st.Sched.Tasks)
+		}
+	}
+}
+
 // TestAbortedStepLeavesNoStaleRows pins what an execution a panic aborts
 // hands back to the pool: relations with every row empty, listed or not. A
 // step that dies mid-shard has written rows it never listed, and such a row
@@ -237,7 +276,7 @@ func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
 	g := randomGraph(7, 400, 2, 12000)
 	op, left := g.LabelOperand(0), g.LabelOperand(1)
 	const workers = 4
-	shards := shardGrain.shards(left.Rows().Sources(), left.Rows().Pairs(), workers)
+	shards := shardGrain.shards(left.Rows().Len(), left.Rows().Pairs(), workers)
 	if shards < 2 {
 		t.Fatalf("the step runs in %d shard — the test is vacuous", shards)
 	}
@@ -252,7 +291,7 @@ func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
 		st.runShard(w, task)
 	})
 	dst := x.take()
-	err := x.step(nil, false, dst, func() error { return x.compose(left.Rows(), dst, op) })
+	err := x.step(nil, dst, func() error { return x.compose(left.Rows(), dst, op) })
 	var pe *sched.PanicError
 	if !errors.Is(err, ErrCancelled) || errors.As(err, &pe) {
 		t.Fatalf("cancelled step returned %v, want ErrCancelled and no panic", err)

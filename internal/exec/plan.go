@@ -26,7 +26,7 @@ func (f EstimatorFunc) Estimate(p paths.Path) float64 { return f(p) }
 type Planner struct {
 	Est Estimator
 	// Cached, when non-nil, reports whether a segment's finished relation
-	// (forward orientation) is already materialized in the execution
+	// is already materialized in the execution
 	// layer's segment-relation cache (internal/relcache). The bushy DP
 	// then treats such segments as zero-build-cost
 	// leaves — the executor adopts them whole — which is what lets bushy
@@ -117,8 +117,7 @@ func (pl Planner) segments(p paths.Path) segTable {
 // strictly lower cost wins, and on ties the lowest start index wins, so
 // equal-cost plan sets always resolve to the same plan regardless of how
 // the costs were produced. (The forward plan, start 0, therefore still
-// wins the all-equal case, and it is also the cheapest to execute —
-// endpoint plans skip the two linear reversal passes.)
+// wins the all-equal case.)
 func cheapest(costs []float64) int {
 	best := 0
 	for s := 1; s < len(costs); s++ {

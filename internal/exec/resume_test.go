@@ -125,7 +125,7 @@ func TestFoldResumesFromEveryPrefix(t *testing.T) {
 		for i := range dp.Blocks {
 			for _, workers := range []int{1, 4} {
 				cache := relcache.New(relcache.Options{})
-				cache.PutKey(key[:ends[i]], false, prefixRelation(t, g, d, dp, i))
+				cache.PutKey(key[:ends[i]], prefixRelation(t, g, d, dp, i))
 				got, st, err := Run(g, dp, Options{Workers: workers, Cache: cache, KeepResult: true})
 				if err != nil {
 					t.Fatalf("%s prefix %d workers %d: %v", name, i, workers, err)
@@ -186,7 +186,7 @@ func TestBudgetBoundaryIsTheSameAdopted(t *testing.T) {
 				opt.KeepResult, opt.MaxResultBytes = keep, budget
 				if adopted {
 					opt.Cache = relcache.New(relcache.Options{})
-					opt.Cache.PutKey(key[:ends[1]], false, prefix)
+					opt.Cache.PutKey(key[:ends[1]], prefix)
 				}
 				rel, st, err := Run(g, dp, opt)
 				ctx := fmt.Sprintf("adopted=%t keep=%t budget=%d of %d", adopted, keep, budget, size)

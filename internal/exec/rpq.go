@@ -775,7 +775,7 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 		return nil, err
 	}
 	if e.MaxRep == 1 {
-		x.publish(key, false, cur)
+		x.publish(key, cur)
 		return cur, nil
 	}
 	lo := max(1, e.MinRep)
@@ -800,7 +800,7 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 		}
 		x.ints = append(x.ints, cur.Pairs())
 		left := cur.Extend(false, r > lo)
-		if err := x.step(stepKey, false, dst, func() error { return x.through(left, dst, e.Labels) }); err != nil {
+		if err := x.step(stepKey, dst, func() error { return x.through(left, dst, e.Labels) }); err != nil {
 			return nil, err
 		}
 		x.drop(cur)
@@ -841,7 +841,7 @@ func (dp *DagPlan) prefixKeys(buf []byte, ends []int) (key []byte, _ []int) {
 // With a cache a prefix of blocks is a segment like any other, keyed by
 // its element sequence (prefixKeys), and the fold treats it the way a leaf
 // treats its label segments: it probes the prefixes longest first, adopts
-// the longest one cached — R_i in forward orientation; eps_i, a function of
+// the longest one cached — R_i; eps_i, a function of
 // the elements alone, is recomputed, which is what makes resuming exact —
 // and folds on from the block after it, and every block-boundary step it
 // does compute goes through core.step under its prefix's key, so R_i is
@@ -863,7 +863,7 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		// The one-block prefix is block 0's own relation: its node probes it.
 		spare = x.take()
 		for i := nb - 1; i > 0; i-- {
-			if !x.cached(key[:ends[i]], false, spare) {
+			if !x.cached(key[:ends[i]], spare) {
 				continue
 			}
 			if err := x.price(spare); err != nil {
@@ -913,7 +913,7 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 			}
 		}
 		left := cur.Extend(eps, skip)
-		err := x.step(stepKey, false, dst, func() error {
+		err := x.step(stepKey, dst, func() error {
 			if labels != nil {
 				return x.through(left, dst, labels)
 			}

@@ -342,7 +342,6 @@ type Table3Row struct {
 	MeasuredVertices int
 	MeasuredEdges    int
 	MeasuredLabels   int
-	LabelFrequencies []int64
 }
 
 // RunTable3 regenerates the four datasets at the configured scale and
@@ -362,7 +361,6 @@ func RunTable3(opt Options) ([]Table3Row, error) {
 			MeasuredVertices: g.NumVertices(),
 			MeasuredEdges:    g.NumEdges(),
 			MeasuredLabels:   g.NumLabels(),
-			LabelFrequencies: g.LabelFrequencies(),
 		})
 	}
 	return rows, nil

@@ -6,17 +6,17 @@
 // it read: per label, in the one shape every
 // step kernel consumes (bitset.CSROperand), in O(|V| + |E|) memory.
 //
-//   - LabelOperand: forward adjacency, built at Freeze — the census and the
-//     rightward steps of execution, and a label's relation itself, read in
-//     place: the left side of a leaf's first step and the operands of a
-//     label-set base report their non-empty row count
-//     (CSROperand.Sources), so such a step shards without a pass.
-//   - PredecessorOperand: reversed adjacency, built on first use — the
-//     leftward (prepend) steps of backward and zig-zag execution.
+//   - LabelOperand: forward adjacency, built at Freeze — the census and
+//     every step of execution. A label's relation is read in place: the
+//     left rows of a leaf's first step and of every leftward step, and the
+//     operands of a label-set base, list their non-empty rows
+//     (CSROperand.Active), so such a step visits and shards those alone,
+//     without a pass.
+//   - PredecessorOperand: reversed adjacency, built on first use behind a
+//     sync.Once. Every relation an execution builds is forward, so nothing
+//     but the benchmark module reads it.
 //
-// The reverse CSR is sync.Once-guarded, so first use is safe under
-// concurrent callers and the hot loops never pay initialization. The
-// graph keeps no |V|-bit tables: the test-only dense reference
+// The graph keeps no |V|-bit tables: the test-only dense reference
 // (internal/oracle) builds its own sets from Successors.
 package graph
 
@@ -131,17 +131,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// LabelFrequencies returns f(l) for every edge label l: the number of edges
-// carrying that label. This is the length-1 path selectivity used by the
-// cardinality ranking rule.
-func (g *Graph) LabelFrequencies() []int64 {
-	freq := make([]int64, g.numLabels)
-	for e := range g.edges {
-		freq[e.Label]++
-	}
-	return freq
-}
-
 // Freeze converts the graph into its immutable CSR form used by the
 // selectivity engine.
 func (g *Graph) Freeze() *CSR {
@@ -155,8 +144,8 @@ func (g *Graph) Freeze() *CSR {
 		targets:     make([][]int32, g.numLabels),
 		roffsets:    make([][]int32, g.numLabels),
 		rtargets:    make([][]int32, g.numLabels),
-		sources:     make([]int, g.numLabels),
-		rsources:    make([]int, g.numLabels),
+		active:      make([][]int32, g.numLabels),
+		ractive:     make([][]int32, g.numLabels),
 		revOnce:     make([]sync.Once, g.numLabels),
 	}
 	for l := 0; l < g.numLabels; l++ {
@@ -167,7 +156,7 @@ func (g *Graph) Freeze() *CSR {
 		c.offsets[e.Label][e.Src+1]++
 	}
 	for l := 0; l < g.numLabels; l++ {
-		c.sources[l] = prefixSum(c.offsets[l])
+		c.active[l] = prefixSum(c.offsets[l])
 		c.targets[l] = make([]int32, c.offsets[l][g.numVertices])
 	}
 	fill := make([][]int32, g.numLabels)
@@ -199,15 +188,23 @@ func (c *CSR) Thaw() *Graph {
 }
 
 // prefixSum turns per-row counts, stored at off[v+1], into CSR offsets in
-// place and returns how many rows are non-empty.
-func prefixSum(off []int32) (rows int) {
+// place and returns the non-empty rows, ascending, in a list of their
+// exact length.
+func prefixSum(off []int32) []int32 {
+	rows := 0
+	for _, c := range off[1:] {
+		if c > 0 {
+			rows++
+		}
+	}
+	active := make([]int32, 0, rows)
 	for v := 1; v < len(off); v++ {
 		if off[v] > 0 {
-			rows++
+			active = append(active, int32(v-1))
 		}
 		off[v] += off[v-1]
 	}
-	return rows
+	return active
 }
 
 // CSR is the immutable compressed-sparse-row form of a Graph: for each
@@ -224,18 +221,17 @@ type CSR struct {
 	targets [][]int32
 
 	// roffsets/rtargets are the reverse CSR per label — incoming edges,
-	// indexed by target — built lazily by PredecessorOperand for backward
-	// and zig-zag steps; revOnce[l] makes the first build per label safe
-	// under concurrent callers.
+	// indexed by target — built lazily by PredecessorOperand; revOnce[l]
+	// makes the first build per label safe under concurrent callers.
 	roffsets [][]int32
 	rtargets [][]int32
 	revOnce  []sync.Once
 
-	// sources[l] and rsources[l] count the non-empty rows of label l's
-	// forward and reverse CSR (CSROperand.Sources), the first at Freeze, the
-	// second with the reverse CSR.
-	sources  []int
-	rsources []int
+	// active[l] and ractive[l] list the non-empty rows of label l's forward
+	// and reverse CSR (CSROperand.Active), the first at Freeze, the second
+	// with the reverse CSR.
+	active  [][]int32
+	ractive [][]int32
 }
 
 // NumVertices returns |V|.
@@ -256,7 +252,9 @@ func (c *CSR) Successors(v, l int) []int32 {
 	return c.targets[l][c.offsets[l][v]:c.offsets[l][v+1]]
 }
 
-// LabelFrequencies returns f(l) for every edge label.
+// LabelFrequencies returns f(l) for every edge label l: the number of edges
+// carrying that label. This is the length-1 path selectivity used by the
+// cardinality ranking rule.
 func (c *CSR) LabelFrequencies() []int64 {
 	freq := make([]int64, c.numLabels)
 	for l := 0; l < c.numLabels; l++ {
@@ -267,16 +265,18 @@ func (c *CSR) LabelFrequencies() []int64 {
 
 // PredecessorOperand returns label l's reversed adjacency as a compose
 // operand: operand row v holds every u with (u, l, v) ∈ E, sorted
-// ascending. Composing a reversed relation with it is the prepend step of
-// backward and zig-zag execution. Built once per label (counting sort of
-// the forward CSR) behind a sync.Once, so concurrent first calls are safe.
+// ascending, and Active lists the vertices with one. No execution step
+// reads it — a leftward step joins the forward operand's rows with the
+// segment instead — and the benchmark module forces it. Built once per
+// label (counting sort of the forward CSR) behind a sync.Once, so
+// concurrent first calls are safe.
 func (c *CSR) PredecessorOperand(l int) bitset.CSROperand {
 	c.revOnce[l].Do(func() {
 		off := make([]int32, c.numVertices+1)
 		for _, t := range c.targets[l] {
 			off[t+1]++
 		}
-		c.rsources[l] = prefixSum(off)
+		c.ractive[l] = prefixSum(off)
 		rt := make([]int32, len(c.targets[l]))
 		fill := make([]int32, c.numVertices)
 		// Scanning sources ascending emits each target's predecessors in
@@ -294,7 +294,7 @@ func (c *CSR) PredecessorOperand(l int) bitset.CSROperand {
 		N:       c.numVertices,
 		Offsets: c.roffsets[l],
 		Targets: c.rtargets[l],
-		Sources: c.rsources[l],
+		Active:  c.ractive[l],
 	}
 }
 
@@ -306,7 +306,7 @@ func (c *CSR) LabelOperand(l int) bitset.CSROperand {
 		N:       c.numVertices,
 		Offsets: c.offsets[l],
 		Targets: c.targets[l],
-		Sources: c.sources[l],
+		Active:  c.active[l],
 	}
 }
 

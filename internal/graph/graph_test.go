@@ -106,7 +106,7 @@ func TestLabelFrequencies(t *testing.T) {
 	g.AddEdge(0, 0, 1)
 	g.AddEdge(1, 0, 2)
 	g.AddEdge(2, 2, 3)
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	if freq[0] != 2 || freq[1] != 0 || freq[2] != 1 {
 		t.Fatalf("LabelFrequencies = %v", freq)
 	}
@@ -249,8 +249,9 @@ func operandRow(op bitset.CSROperand, v int) []int32 {
 }
 
 // TestLabelOperandRows pins the forward operand to the graph: its universe,
-// its non-empty row count, and every row v equal to Successors(v, l) — on a
-// hand-built graph and on random ones, through Operands too.
+// its Active list — exactly the non-empty rows, ascending — and every row v
+// equal to Successors(v, l), on a hand-built graph and on random ones,
+// through Operands too.
 func TestLabelOperandRows(t *testing.T) {
 	g := New(4, 2)
 	g.AddEdge(0, 0, 2)
@@ -258,7 +259,7 @@ func TestLabelOperandRows(t *testing.T) {
 	g.AddEdge(3, 0, 0)
 	c := g.Freeze()
 	op := c.LabelOperand(0)
-	if op.N != 4 || op.Sources != 2 || !slices.Equal(operandRow(op, 0), []int32{1, 2}) ||
+	if op.N != 4 || !slices.Equal(op.Active, []int32{0, 3}) || !slices.Equal(operandRow(op, 0), []int32{1, 2}) ||
 		len(operandRow(op, 1)) != 0 || !slices.Equal(operandRow(op, 3), []int32{0}) {
 		t.Fatalf("label 0 operand wrong: %+v", op)
 	}
@@ -271,17 +272,17 @@ func TestLabelOperandRows(t *testing.T) {
 			t.Fatalf("got %d operands for %d labels", len(ops), labels)
 		}
 		for l, op := range ops {
-			sources := 0
+			var active []int32
 			for v := 0; v < n; v++ {
 				if !slices.Equal(operandRow(op, v), c.Successors(v, l)) {
 					t.Fatalf("label %d row %d = %v, successors %v", l, v, operandRow(op, v), c.Successors(v, l))
 				}
 				if len(c.Successors(v, l)) > 0 {
-					sources++
+					active = append(active, int32(v))
 				}
 			}
-			if op.N != n || op.Sources != sources {
-				t.Fatalf("label %d: universe %d, sources %d; want %d, %d", l, op.N, op.Sources, n, sources)
+			if op.N != n || !slices.Equal(op.Active, active) {
+				t.Fatalf("label %d: universe %d, active %v; want %d, %v", l, op.N, op.Active, n, active)
 			}
 		}
 	}
@@ -289,7 +290,7 @@ func TestLabelOperandRows(t *testing.T) {
 
 // TestPredecessorOperandRows pins the reverse operand to a brute-force
 // predecessor list: row v holds every u with v ∈ Successors(u, l),
-// ascending, and Sources counts the vertices with one.
+// ascending, and Active lists exactly the vertices with one, ascending.
 func TestPredecessorOperandRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
@@ -297,7 +298,7 @@ func TestPredecessorOperandRows(t *testing.T) {
 		c := randomCSR(rng, n, labels, rng.Intn(5*n))
 		for l := 0; l < labels; l++ {
 			op := c.PredecessorOperand(l)
-			sources := 0
+			var active []int32
 			for v := 0; v < n; v++ {
 				var want []int32
 				for u := 0; u < n; u++ {
@@ -309,11 +310,11 @@ func TestPredecessorOperandRows(t *testing.T) {
 					t.Fatalf("label %d row %d = %v, predecessors %v", l, v, operandRow(op, v), want)
 				}
 				if len(want) > 0 {
-					sources++
+					active = append(active, int32(v))
 				}
 			}
-			if op.N != n || op.Sources != sources {
-				t.Fatalf("label %d: universe %d, sources %d; want %d, %d", l, op.N, op.Sources, n, sources)
+			if op.N != n || !slices.Equal(op.Active, active) {
+				t.Fatalf("label %d: universe %d, active %v; want %d, %v", l, op.N, op.Active, n, active)
 			}
 		}
 	}

@@ -240,7 +240,7 @@ func TestForGraphCardUsesFrequencies(t *testing.T) {
 	// Build a graph with a known dominant label and check num-card places
 	// the rare label first.
 	g := dataset.ErdosRenyi(30, 60, dataset.NewZipfLabels(3, 2.0), 8)
-	freq := g.LabelFrequencies()
+	freq := g.Freeze().LabelFrequencies()
 	rare := 0
 	for l, f := range freq {
 		if f < freq[rare] {

@@ -299,7 +299,7 @@ func TestCensusPruningCorrect(t *testing.T) {
 func TestCensusLabelFrequencies(t *testing.T) {
 	g := dataset.ErdosRenyi(40, 200, dataset.UniformLabels{L: 4}, 10)
 	c := oracle.NewCensus(g.Freeze(), 2)
-	want := g.LabelFrequencies()
+	want := g.Freeze().LabelFrequencies()
 	got := c.LabelFrequencies()
 	for l := range want {
 		if got[l] != want[l] {

@@ -214,12 +214,12 @@ func TestKeyFormsShareOneTable(t *testing.T) {
 	for _, l := range p {
 		key = AppendElem(key, []int{l}, 1, 1)
 	}
-	c.Put(p, true, rel(8, [2]int{0, 1}))
-	if r, reversed, ok := c.GetKey(key); !ok || !reversed || r.Pairs() != 1 || !c.ContainsKey(key) {
+	c.Put(p, false, rel(8, [2]int{0, 1}))
+	if r, ok := c.GetKey(key); !ok || r.Pairs() != 1 || !c.ContainsKey(key) {
 		t.Fatal("an entry put under a path is not under its elements' key")
 	}
 	q := paths.Path{5, 6}
-	c.PutKey(AppendPath(nil, q), false, rel(8, [2]int{0, 1}, [2]int{1, 2}))
+	c.PutKey(AppendPath(nil, q), rel(8, [2]int{0, 1}, [2]int{1, 2}))
 	if r, reversed, ok := c.Get(q); !ok || reversed || r.Pairs() != 2 || !c.Contains(q) {
 		t.Fatal("an entry put under a key of plain labels is not under their path")
 	}
@@ -248,12 +248,12 @@ func TestLongKeySpillsAndRoundTrips(t *testing.T) {
 		t.Fatal("the long key does not decode to label, wildcard")
 	}
 	c := New(Options{})
-	c.PutKey(key, false, rel(8, [2]int{0, 1}, [2]int{2, 3}))
-	if r, _, ok := c.GetKey(key); !ok || r.Pairs() != 2 || !c.ContainsKey(key) {
+	c.PutKey(key, rel(8, [2]int{0, 1}, [2]int{2, 3}))
+	if r, ok := c.GetKey(key); !ok || r.Pairs() != 2 || !c.ContainsKey(key) {
 		t.Fatal("entry under a spilled key not found")
 	}
 	near := AppendElem(AppendPath(nil, paths.Path{7}), all[:299], 1, 1)
-	if _, _, ok := c.GetKey(near); ok || c.ContainsKey(near) {
+	if _, ok := c.GetKey(near); ok || c.ContainsKey(near) {
 		t.Fatal("a 299-label set found the 300-label set's entry")
 	}
 	checkInvariants(t, c)

@@ -94,7 +94,7 @@ func TestEvictionMatchesFullScan(t *testing.T) {
 					}
 				} else {
 					r := rels[rng.Intn(len(rels))]
-					c.Put(p, rng.Intn(2) == 0, r)
+					c.Put(p, false, r)
 					cost := int64(r.PackedMemSize()) + int64(len(key)) + entryOverhead
 					if m.put(string(key), cost, clock+1) {
 						clock++

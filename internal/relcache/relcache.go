@@ -1,34 +1,31 @@
-// Package relcache is the workload-level segment-relation cache: a
-// sharded, size-bounded LRU of materialized segment relations, stored
-// packed (bitset.Packed) and keyed by the canonical encoding of the
-// segment's element sequence alone — a label sequence for a concrete
-// path's segment, label sets with their repetition bounds for a regular
-// path query's elements and fold prefixes — one entry per sequence,
-// whichever direction it was built in. The executor (internal/exec)
-// consults it at every segment boundary — a query that re-walks a
-// subsequence another query already materialized adopts the finished
-// relation instead of recomputing it, and a query that repeats adopts its
-// whole answer. An estimator owns at most one (pathsel.Config.CacheBytes),
-// shared by every execution, single or batched, which is where the
-// amortization pays: real path-query workloads repeat label subsequences
-// constantly.
+// Package relcache is the workload-level segment-relation cache: a sharded,
+// size-bounded LRU of materialized segment relations, stored packed
+// (bitset.Packed) and keyed by the canonical encoding of the segment's
+// element sequence alone — a label sequence for a concrete path's segment,
+// label sets with their repetition bounds for a regular path query's elements
+// and fold prefixes — one entry per sequence, its relation forward, as every
+// relation of an execution is. The executor (internal/exec) consults it at
+// every segment boundary — a query that re-walks a subsequence another query
+// already materialized adopts the finished relation instead of recomputing
+// it, and a query that repeats adopts its whole answer. An estimator owns at
+// most one (pathsel.Config.CacheBytes), shared by every execution, single or
+// batched, which is where the amortization pays: real path-query workloads
+// repeat label subsequences constantly.
 //
 // # Immutability and the pools
 //
 // Execution relations live in per-call pooled buffers that are reused and
-// rewritten step after step, so the cache can alias nothing: Put packs
-// the relation into a private snapshot (bitset.HybridRelation.Pack), Get
-// returns that bitset.Packed, and a consumer copies it out into its own
-// pooled buffer (Packed.CopyInto, or ReverseInto for the other
-// orientation) — a Packed has no other readers. A pooled buffer carries
-// one row header per vertex of the graph so that any row can be rewritten
-// in place; an entry that is only ever read back whole carries none, and
-// costs its pairs. Entries are immutable for their whole lifetime, which
-// is what makes a cache hit bit-identical to recomputation: relation
-// construction is deterministic and representation (sparse/dense per
-// row, active order) is a pure function of the pair set and the promotion
-// limit, so a copied-out entry is structurally indistinguishable from a
-// freshly built relation.
+// rewritten step after step, so the cache can alias nothing: Put packs the
+// relation into a private snapshot (bitset.HybridRelation.Pack), Get returns
+// that bitset.Packed, and a consumer copies it out into its own pooled buffer
+// (Packed.CopyInto) — a Packed has no other readers. A pooled buffer carries
+// one row header per vertex of the graph so that any row can be rewritten in
+// place; an entry that is only ever read back whole carries none, and costs
+// its pairs. Entries are immutable for their whole lifetime, which is what
+// makes a cache hit bit-identical to recomputation: relation construction is
+// deterministic and representation (sparse/dense per row, active order) is a
+// pure function of the pair set and the promotion limit, so a copied-out
+// entry is structurally indistinguishable from a freshly built relation.
 //
 // # Keys and eviction
 //
@@ -44,20 +41,12 @@
 // was published under.
 //
 // Keys are position-independent: the segment p[2:4) of one query and
-// p[0:2) of another share an entry when their label sequences match.
-// Keys are also orientation-canonical: the executor's leftward growth
-// operates on reversed relations — reversed(p[i:k)) is the inverse pair
-// set of p[i:k) — but the two forms are pure derivations of each other
-// (ReverseInto), so the cache stores exactly one relation per sequence,
-// tagged with the orientation it holds, and a consumer wanting the other
-// form derives it on adoption. One entry then serves forward and backward
-// plans alike, which both halves the byte footprint of mixed-direction
-// workloads and turns what used to be a cross-orientation miss into a hit.
-// The executor stores every whole segment forward — a leaf's or join
-// node's result, an element's relation, a fold prefix — since that is how
-// its repeat reads it; the reversed entries are a leftward leaf's interior
-// segments, which a forward reader (a fold prefix of plain labels, a
-// rightward step) meets and derives.
+// p[0:2) of another share an entry when their label sequences match. They
+// are direction-independent too, because every relation is forward: a
+// zig-zag leaf that grows leftward prepends a label by joining that
+// label's CSR rows with the segment so far, so it builds — and publishes
+// — the same relation a rightward leaf would, and one entry serves
+// forward and backward plans alike.
 //
 // Recency is a per-entry stamp from a cache-wide monotonic clock, taken
 // under the entry's shard lock — the read side by Get, which refreshes it
@@ -168,17 +157,15 @@ type Stats struct {
 	ShardLockWaitNs []int64
 }
 
-// entry is one cached relation. reversed records which orientation of
-// the keyed sequence rel holds; the other is derived by the consumer on
-// adoption. used is the recency stamp — the cache clock's value at the
-// entry's last Get (or its insertion) — written with a plain atomic
-// store so readers holding only the shard's read lock can refresh it.
+// entry is one cached relation. used is the recency stamp — the cache
+// clock's value at the entry's last Get (or its insertion) — written with
+// a plain atomic store so readers holding only the shard's read lock can
+// refresh it.
 type entry struct {
-	key      string
-	rel      *bitset.Packed
-	reversed bool
-	cost     int64
-	used     atomic.Int64
+	key  string
+	rel  *bitset.Packed
+	cost int64
+	used atomic.Int64
 }
 
 // shard is one independently locked slice of the cache. bytes is written
@@ -321,10 +308,9 @@ func AppendElem(key []byte, labels []int, minRep, maxRep int) []byte {
 }
 
 // AppendPath appends the key of a label sequence: each label as the plain
-// element it is. Canonical means position- and orientation-independent —
-// equal label subsequences key the same entry wherever they sit in their
-// queries and whichever direction their relation was built in (the entry
-// records which orientation it holds). Lookups index the shard map with
+// element it is. Canonical means position-independent — equal label
+// subsequences key the same entry wherever they sit in their queries and
+// whichever direction a leaf grew them in. Lookups index the shard map with
 // string(key) in place, which builds no string; only Put keeps an owned
 // one.
 func AppendPath(key []byte, p paths.Path) []byte {
@@ -344,46 +330,45 @@ func (c *Cache) shardFor(k []byte) *shard {
 	return &c.shards[h&c.mask]
 }
 
-// Get returns the cached relation for the segment's label sequence,
-// along with the orientation it holds (true = the reversed pair set), or
+// Get returns the cached relation for the segment's label sequence, or
 // (nil, false, false): GetKey under the sequence's key, encoded on the
-// stack.
+// stack. Every entry is forward, so reversed is always false; the result
+// keeps its place for the benchmark module, which is frozen.
 func (c *Cache) Get(p paths.Path) (rel *bitset.Packed, reversed, ok bool) {
 	var buf [keyInline]byte
-	return c.GetKey(AppendPath(buf[:0], p))
+	rel, ok = c.GetKey(AppendPath(buf[:0], p))
+	return rel, false, ok
 }
 
 // GetKey returns the relation cached under an element sequence's key
-// (AppendElem), with the orientation it holds. A caller wanting the other
-// orientation derives it (bitset.Packed.ReverseInto) — which is why one
-// entry serves both directions. The returned snapshot is shared and
-// immutable: the caller copies it out (CopyInto / ReverseInto) into a
-// relation of its own, and must verify it matches the caller's
-// representation regime (Universe, SparseMax) before adopting it.
+// (AppendElem). The returned snapshot is shared and immutable: the caller
+// copies it out (CopyInto) into a relation of its own, and must verify it
+// matches the caller's representation regime (Universe, SparseMax) before
+// adopting it.
 //
 // GetKey takes only the shard's read lock — a hit refreshes recency with
 // an atomic stamp, not a list splice — so concurrent warm readers never
 // serialize on each other, only on a simultaneous Put to the same shard.
 // The key is read, never kept.
-func (c *Cache) GetKey(key []byte) (rel *bitset.Packed, reversed, ok bool) {
+func (c *Cache) GetKey(key []byte) (rel *bitset.Packed, ok bool) {
 	sh := c.shardFor(key)
 	sh.rlock()
 	e, ok := sh.entries[string(key)]
 	if ok {
 		e.used.Store(c.clock.Add(1))
-		rel, reversed = e.rel, e.reversed
+		rel = e.rel
 	}
 	sh.mu.RUnlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, false, false
+		return nil, false
 	}
 	c.hits.Add(1)
-	return rel, reversed, true
+	return rel, true
 }
 
-// Contains reports whether the segment is cached (in either
-// orientation), without touching the recency stamps or the hit/miss
+// Contains reports whether the segment is cached, without touching the
+// recency stamps or the hit/miss
 // counters — the planner's cost probe (exec.Planner.Cached) must not
 // perturb recency while enumerating O(k²) candidate segments.
 func (c *Cache) Contains(p paths.Path) bool {
@@ -402,43 +387,47 @@ func (c *Cache) ContainsKey(key []byte) bool {
 
 // entryOverhead is an entry's bookkeeping bytes beyond the packed
 // relation and the key's bytes, so that the budget holds for entries of a
-// few pairs, where it is most of the cost: the entry struct (48: key
-// header 16, relation pointer 8, orientation 8 with padding, cost 8,
-// stamp 8), its map slot (a 16-byte key header, an 8-byte pointer and a
-// control byte at a mean load near two thirds: ≈ 40), its victim-queue
-// slot (24) and what the allocator's size classes round the entry's
-// seven small objects up by (≈ 16 in all). TestAccountedBytesTrackHeap
+// few pairs, where it is most of the cost: the entry struct (40: key
+// header 16, relation pointer 8, cost 8, stamp 8), its map slot (a
+// 16-byte key header, an 8-byte pointer and a control byte at a mean load
+// near two thirds: ≈ 40), its victim-queue slot (24) and what the
+// allocator's size classes round the entry's seven small objects up by
+// (≈ 24 in all, the entry's own 8 among them). TestAccountedBytesTrackHeap
 // holds Stats.Bytes to the heap's own growth.
 const entryOverhead = 128
 
-// Put stores the segment's relation in the given orientation: PutKey
-// under the label sequence's key.
+// Put stores the segment's relation: PutKey under the label sequence's
+// key. Every entry is forward, so a reversed relation is a caller bug and
+// panics; the flag keeps its place for the benchmark module, which is
+// frozen.
 func (c *Cache) Put(p paths.Path, reversed bool, rel *bitset.HybridRelation) {
+	if reversed {
+		panic("relcache: a reversed relation: every entry is forward")
+	}
 	var buf [keyInline]byte
-	c.PutKey(AppendPath(buf[:0], p), reversed, rel)
+	c.PutKey(AppendPath(buf[:0], p), rel)
 }
 
-// PutKey stores a relation under an element sequence's key (AppendElem)
-// in the given orientation, packed (bitset.HybridRelation.Pack) so the
-// cache entry stays valid while the caller's pooled buffers are reused and
-// costs its content, not its universe. An existing entry under the same
-// key is replaced whatever orientation it held — the canonical key keeps
-// exactly one relation per sequence, and replacement (rather than skip)
-// lets a fresh-regime relation oust a stale one that adoption guards were
-// rejecting. Relations whose cost exceeds one shard's whole budget are
+// PutKey stores a relation under an element sequence's key (AppendElem),
+// packed (bitset.HybridRelation.Pack) so the cache entry stays valid while
+// the caller's pooled buffers are reused and costs its content, not its
+// universe. An existing entry under the same key is replaced — the canonical
+// key keeps exactly one relation per sequence, and replacement (rather than
+// skip) lets a fresh-regime relation oust a stale one that adoption guards
+// were rejecting. Relations whose cost exceeds one shard's whole budget are
 // rejected — caching them would flush everything else for an entry that
 // cannot amortize — and the cost is priced from the source relation
-// (PackedMemSize) before any copying, so an oversized relation published
-// on every query of a workload costs a size computation, not a discarded
-// multi-megabyte copy each time. The relcache.put fault site models the
-// copy failing to allocate: a triggered injection turns the call into a
-// counted rejection, the same graceful degradation as an oversized entry
-// (service continues, the segment just stays uncached).
+// (PackedMemSize) before any copying, so an oversized relation published on
+// every query of a workload costs a size computation, not a discarded
+// multi-megabyte copy each time. The relcache.put fault site models the copy
+// failing to allocate: a triggered injection turns the call into a counted
+// rejection, the same graceful degradation as an oversized entry (service
+// continues, the segment just stays uncached).
 //
 // Over budget, PutKey evicts least recently used entries from the shard's
 // victim queue (shard.victim) until the new one fits. The key's bytes are
 // copied; the caller's buffer is its own again on return.
-func (c *Cache) PutKey(key []byte, reversed bool, rel *bitset.HybridRelation) {
+func (c *Cache) PutKey(key []byte, rel *bitset.HybridRelation) {
 	sh := c.shardFor(key)
 	k := string(key)
 	cost := int64(rel.PackedMemSize()) + int64(len(k)) + entryOverhead
@@ -450,7 +439,7 @@ func (c *Cache) PutKey(key []byte, reversed bool, rel *bitset.HybridRelation) {
 		c.rejected.Add(1)
 		return
 	}
-	e := &entry{key: k, rel: packed, reversed: reversed, cost: cost}
+	e := &entry{key: k, rel: packed, cost: cost}
 	sh.lock()
 	e.used.Store(c.clock.Add(1))
 	if old, ok := sh.entries[k]; ok {

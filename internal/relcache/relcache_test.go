@@ -63,7 +63,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	c.Put(p, false, r)
 	got, reversed, ok := c.Get(p)
 	if !ok || reversed || !unpack(got).Equal(r) {
-		t.Fatal("round trip lost the relation or its orientation")
+		t.Fatal("round trip lost the relation")
 	}
 	// Different label sequence, different entry.
 	if _, _, ok := c.Get(paths.Path{1, 2, 4}); ok {
@@ -75,41 +75,26 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOrientationCanonical pins the single-orientation storage contract:
-// one entry serves both build directions (the consumer derives the other
-// form), a cross-orientation Put replaces rather than duplicates, and
-// the byte accounting therefore holds one relation per label sequence
-// where the direction-keyed scheme held two.
-func TestOrientationCanonical(t *testing.T) {
+// TestPathFormsAreForward pins what the path-typed forms keep of the
+// orientation they used to carry: Get reports every entry forward, and Put
+// refuses a reversed relation, storing nothing.
+func TestPathFormsAreForward(t *testing.T) {
 	c := New(Options{Shards: 1})
 	p := paths.Path{1, 2}
-	fwd := rel(16, [2]int{0, 1}, [2]int{3, 7})
-	c.Put(p, false, fwd)
-	oneEntry := c.Stats().Bytes
-
-	// A consumer wanting the reversed form still hits: it gets the stored
-	// forward relation plus the orientation flag and derives the inverse.
-	got, reversed, ok := c.Get(p)
-	if !ok || reversed {
-		t.Fatalf("lookup after forward put: ok=%v reversed=%v", ok, reversed)
+	c.Put(p, false, rel(16, [2]int{0, 1}, [2]int{3, 7}))
+	if _, reversed, ok := c.Get(p); !ok || reversed {
+		t.Fatalf("lookup after a put: ok=%v reversed=%v", ok, reversed)
 	}
-	inv := bitset.NewHybrid(16, 0)
-	got.ReverseInto(inv)
-	if inv.Pairs() != 2 || !inv.Contains(1, 0) || !inv.Contains(7, 3) {
-		t.Fatal("derived inverse is wrong")
-	}
-
-	// Publishing the reversed form replaces the entry instead of storing a
-	// second relation for the same labels.
-	c.Put(p, true, inv)
-	if c.Len() != 1 {
-		t.Fatalf("cross-orientation put duplicated: %d entries", c.Len())
-	}
-	if got, reversed, ok = c.Get(p); !ok || !reversed || !unpack(got).Equal(inv) {
-		t.Fatal("replacement lost the reversed relation")
-	}
-	if bytes := c.Stats().Bytes; bytes != oneEntry {
-		t.Fatalf("both-orientation workload accounts %d bytes, want single-entry %d", bytes, oneEntry)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a reversed Put did not panic")
+			}
+		}()
+		c.Put(paths.Path{2, 1}, true, rel(16, [2]int{1, 0}))
+	}()
+	if st := c.Stats(); st.Entries != 1 || st.Puts != 1 {
+		t.Fatalf("a refused Put left %+v", st)
 	}
 }
 
@@ -271,7 +256,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				p := paths.Path{rng.Intn(8), rng.Intn(8)}
 				if rng.Intn(2) == 0 {
-					c.Put(p, rng.Intn(2) == 0, rel(32, [2]int{rng.Intn(32), rng.Intn(32)}))
+					c.Put(p, false, rel(32, [2]int{rng.Intn(32), rng.Intn(32)}))
 				} else if got, _, ok := c.Get(p); ok && got.Universe() != 32 {
 					t.Error("corrupt entry")
 				}
@@ -357,7 +342,7 @@ func FuzzCacheInvariants(f *testing.F) {
 			p := paths.Path{int(op) % 5, int(op) / 5 % 5}
 			switch op % 3 {
 			case 0:
-				c.Put(p, op%2 == 0, rel(16+rng.Intn(32), [2]int{rng.Intn(16), rng.Intn(16)}))
+				c.Put(p, false, rel(16+rng.Intn(32), [2]int{rng.Intn(16), rng.Intn(16)}))
 			case 1:
 				c.Get(p)
 			default:

@@ -269,12 +269,16 @@ func TestResultByteBudget(t *testing.T) {
 // bugs, not load).
 func TestExecuteQueryPanicContainment(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 4, DegradeToEstimate: true})
-	faultinject.Install(faultinject.NewInjector(faultinject.Rule{
+	inj := faultinject.NewInjector(faultinject.Rule{
 		Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic,
 		PanicValue: "injected shard failure",
-	}))
+	})
+	faultinject.Install(inj)
 	defer faultinject.Uninstall()
 	_, err := executeQuery(e, "a/b/a")
+	if inj.Triggered("exec.shard") != 1 {
+		t.Fatalf("the query sharded no step past the first shard: the panic never fired (err %v)", err)
+	}
 	if !errors.Is(err, ErrExecutionFailed) {
 		t.Fatalf("panicked query: %v, want ErrExecutionFailed", err)
 	}

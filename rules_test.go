@@ -688,6 +688,42 @@ var layerRules = []rule{
 		}
 		return bad
 	}},
+	{"the bench hooks are bench hooks", func(m *module) []string {
+		// A name whose only non-test caller is the frozen bench/ module is
+		// kept for it alone and goes when bench/ stops calling it; the
+		// list is what that deletion removes, and cannot rot: a new
+		// bench-only name must be listed, and a listed one that gains a
+		// caller outside bench/, or loses bench/'s, fails here.
+		_, all := deadNames(m)
+		var bad []string
+		for _, c := range benchOnly(all) {
+			if !slices.ContainsFunc(benchHooks, func(h exception) bool { return h.name == c.name }) {
+				bad = append(bad, fmt.Sprintf("%s: only bench/ calls %s outside the tests: list it in benchHooks, or delete it",
+					m.where(c.obj.Pos()), c.name))
+			}
+		}
+		for _, h := range benchHooks {
+			switch c := all[h.name]; {
+			case c == nil:
+				bad = append(bad, fmt.Sprintf("bench hook %s is not an exported name under internal/", h.name))
+			case !c.benchOnly && c.live:
+				bad = append(bad, fmt.Sprintf("%s: bench hook %s is called outside bench/: drop it from the list", m.where(c.obj.Pos()), h.name))
+			case !c.benchOnly:
+				bad = append(bad, fmt.Sprintf("%s: bench hook %s has no caller in bench/: drop it from the list", m.where(c.obj.Pos()), h.name))
+			}
+		}
+		return bad
+	}},
+	{"every relation is forward", func(m *module) []string {
+		// A zig-zag leaf prepends a label by joining that label's CSR rows
+		// with the segment, so no layer reverses a relation or reads the
+		// reverse CSR, and the cache keeps no orientation: outside bench/,
+		// which times both, no non-test file calls ReverseInto or
+		// PredecessorOperand.
+		outsideBench := func(f *file) bool { return !under(f.name, "bench") }
+		bad := forbidUses(m, modulePath+"/internal/bitset", []string{"HybridRelation.ReverseInto"}, outsideBench, nil)
+		return append(bad, forbidUses(m, modulePath+"/internal/graph", []string{"CSR.PredecessorOperand"}, outsideBench, nil)...)
+	}},
 }
 
 // An option is an exported field of an exported struct type whose name
@@ -699,7 +735,8 @@ type option struct {
 	set   bool // a non-test file writes it outside the owner's methods
 }
 
-// An exception is an option no non-test code sets, kept on purpose.
+// An exception is a name a rule would fail, kept on purpose: an option no
+// non-test code sets, or a name only bench/ calls.
 type exception struct{ name, why string }
 
 var optionExceptions = []exception{
@@ -764,6 +801,7 @@ type candidate struct {
 	name      string // "internal/pkg.Name" or "internal/pkg.Type.Member"
 	obj       types.Object
 	live      bool
+	benchOnly bool     // live only through bench/: no other non-test file uses it
 	testUsers []string // directories of the test files that use it, sorted
 }
 
@@ -788,6 +826,32 @@ var testHooks = []hook{
 		"the reference the sum-based ordering's ranking is checked against"},
 	{"internal/bitset.Packed.CloneMemSize", []string{"internal/bitset"},
 		"a whole-query hit is to read its price off the entry instead of copying it out (roadmap item 2(i))"},
+}
+
+// benchHooks are the exported names under internal/ whose only non-test
+// caller is the frozen bench/ module, with what it calls them for: they go
+// when bench/ stops (roadmap item 1′(b)).
+var benchHooks = []exception{
+	{"internal/bitset.HybridRelation.Clone", "bitset.clone_ns_per_pair"},
+	{"internal/bitset.HybridRelation.CopyInto", "bitset.copy_ns_per_pair"},
+	{"internal/bitset.HybridRelation.JoinInto", "bitset.join_ns_per_pair"},
+	{"internal/bitset.HybridRelation.ReverseInto", "bitset.reverse_ns_per_pair: every relation is forward, so nothing else reverses"},
+	{"internal/bitset.HybridRelation.RowCount", "bitset.dense_row_share"},
+	{"internal/bitset.HybridRelation.RowDense", "bitset.dense_row_share"},
+	{"internal/bitset.Packed.Pairs", "relcache.get_ns reads a hit's size"},
+	{"internal/exec.CheapestPlan", "compat.go: bench/'s planner levels"},
+	{"internal/exec.ExecuteDagChecked", "compat.go: exec.run_us"},
+	{"internal/exec.ExecutePlanChecked", "compat.go: exec.run_us and exec.plan_regret"},
+	{"internal/exec.ExecuteTreeChecked", "compat.go: exec.run_us"},
+	{"internal/exec.Planner.ChooseTreeWithCost", "compat.go: exec.plan_ns"},
+	{"internal/exec.Planner.Costs", "compat.go: exec.plan_ns and exec.plan_regret"},
+	{"internal/exec.Planner.PlanDag", "compat.go: exec.plan_ns"},
+	{"internal/exec.RPQDag.ConcretePath", "bench/'s pools mark a pattern that is one concrete path"},
+	{"internal/graph.CSR.PredecessorOperand", "graph.operands_ms forces it: no step reads the reverse CSR"},
+	{"internal/relcache.Cache.Get", "relcache.get_ns: the path form of GetKey"},
+	{"internal/relcache.Cache.Put", "relcache.put_us: the path form of PutKey"},
+	{"internal/serve.New", "bench/'s in-process server; cmd/pathserve serves behind NewWithOverload"},
+	{"internal/serve.Server.ServeHTTP", "serve.handler_us: the handler into an in-memory recorder"},
 }
 
 // stdCalled names the standard library's interfaces, beside error and
@@ -818,8 +882,9 @@ func (m *module) stdInterfaces() []*types.Interface {
 // deadNames returns the candidates no non-test file uses and no
 // interface reaches, sorted by name, and every candidate by name.
 //
-// A candidate is live when a non-test file, bench/ included, uses it;
-// when it is a method that satisfies an interface the non-test code
+// A candidate is live when a non-test file, bench/ included, uses it —
+// bench-only when bench/'s files are the only ones —; when it is a method
+// that satisfies an interface the non-test code
 // names or writes as a literal, or one the standard library calls
 // (stdInterfaces) — for every package-level type that implements the
 // interface, its method set's member is live, promoted ones included; or
@@ -888,19 +953,22 @@ func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 			}
 		}
 	}
-	live := map[types.Object]bool{}
+	live, benched := map[types.Object]bool{}, map[types.Object]bool{}
 	users := map[types.Object]map[string]bool{}
 	for _, u := range m.uses {
 		if byObj[u.obj] == nil {
 			continue
 		}
-		if !u.f.test && !under(u.f.pkg.dir, "internal/oracle") {
-			live[u.obj] = true
-		} else {
+		switch {
+		case u.f.test || under(u.f.pkg.dir, "internal/oracle"):
 			if users[u.obj] == nil {
 				users[u.obj] = map[string]bool{}
 			}
 			users[u.obj][u.f.pkg.dir] = true
+		case under(u.f.name, "bench"):
+			benched[u.obj] = true
+		default:
+			live[u.obj] = true
 		}
 	}
 	for _, tn := range named {
@@ -934,7 +1002,8 @@ func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 			c.testUsers = append(c.testUsers, u)
 		}
 		sort.Strings(c.testUsers)
-		if c.live = live[c.obj]; !c.live {
+		c.benchOnly = benched[c.obj] && !live[c.obj]
+		if c.live = live[c.obj] || benched[c.obj]; !c.live {
 			dead = append(dead, c)
 		}
 	}
@@ -1026,11 +1095,29 @@ func logSurface(t *testing.T, m *module) {
 	t.Logf("code lines, non-test Go outside bench/: %d", codeLines(m.code(nil)))
 	t.Logf("code lines, bench/: %d", codeLines(m.code(dirs("bench/..."))))
 	t.Logf("option fields (exported fields of exported *Config, *Options and *Policy structs): %d", len(options(m)))
-	dead, _ := deadNames(m)
+	dead, all := deadNames(m)
 	t.Logf("exported names under internal/ that only tests use: %d", len(dead))
 	for _, c := range dead {
 		t.Logf("  %s (tests of %s)", c.name, strings.Join(c.testUsers, ", "))
 	}
+	bench := benchOnly(all)
+	t.Logf("exported names under internal/ whose only non-test caller is bench/: %d", len(bench))
+	for _, c := range bench {
+		t.Logf("  %s", c.name)
+	}
+}
+
+// benchOnly returns the candidates only bench/ uses outside the tests,
+// sorted by name.
+func benchOnly(all map[string]*candidate) []*candidate {
+	var out []*candidate
+	for _, c := range all {
+		if c.benchOnly {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
 }
 
 func TestLayerRules(t *testing.T) {
