@@ -376,7 +376,8 @@ func BenchmarkPrefixRangeQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkSynopsisCodec measures persistence round trips of the synopsis.
+// BenchmarkSynopsisCodec measures persistence round trips of the whole
+// synopsis: label vocabulary and path histogram.
 func BenchmarkSynopsisCodec(b *testing.B) {
 	f := getFixture(b, 0, 3, 0.1)
 	ord, err := ordering.ForGraph(ordering.MethodSumBased, f.g, 3)
@@ -387,21 +388,25 @@ func BenchmarkSynopsisCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	names := make([]string, f.g.NumLabels())
+	for l := range names {
+		names[l] = f.g.LabelName(l)
+	}
 	var blob bytes.Buffer
-	if err := ph.Encode(&blob); err != nil {
+	if err := core.WriteSynopsis(&blob, names, ph); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("encode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := ph.Encode(&buf); err != nil {
+			if err := core.WriteSynopsis(&buf, names, ph); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("decode", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ReadPathHistogram(bytes.NewReader(blob.Bytes())); err != nil {
+			if _, _, err := core.ReadSynopsis(bytes.NewReader(blob.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

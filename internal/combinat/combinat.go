@@ -64,7 +64,11 @@ func partitionsRec(v, m, b int64, buf []int64, emit func([]int64) bool) bool {
 		}
 		return emit(out)
 	}
-	if b <= 0 || v < m || v > m*b {
+	// No part exceeds v−(m−1), the others being ≥ 1: the bounds above it
+	// take no copies, so skipping them keeps the order and makes the walk
+	// linear in the partitions emitted.
+	b = min(b, v-m+1)
+	if b <= 0 || v > m*b {
 		return true
 	}
 	for i := int64(0); i*b <= v && i <= m; i++ {

@@ -87,8 +87,12 @@ func Build(c *paths.Census, ord ordering.Ordering, builder string, beta int) (*P
 // engine options (worker count, sparse→dense promotion threshold, split
 // granularity) and builds a PathHistogram with the named ordering method.
 // It returns the census too, since callers typically need the ground truth
-// for evaluation.
+// for evaluation. It refuses a shape past the synopsis bounds (see
+// checkShape) before the census is computed.
 func BuildForGraph(g *graph.CSR, method, builder string, k, beta int, opt paths.CensusOptions) (*PathHistogram, *paths.Census, error) {
+	if err := checkShape(method, g.LabelNames(), k); err != nil {
+		return nil, nil, err
+	}
 	ord, err := ordering.ForGraph(method, g, k)
 	if err != nil {
 		return nil, nil, err

@@ -238,7 +238,7 @@ func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelatio
 	// The joined segment is published like every other: a later zig-zag
 	// over the same labels, a repeat of this subtree, or the whole-segment
 	// fast path can all adopt it.
-	err = x.step(key, dst, func() error { return x.join(l.Rows(), dst, r) })
+	err = x.step(key, false, dst, func() error { return x.join(l.Rows(), dst, r) })
 	x.drop(l)
 	x.drop(r)
 	return dst, err

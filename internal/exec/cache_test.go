@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -360,6 +361,41 @@ func TestWholeQueryHitAllocatesNothingOfItsOwn(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Fatalf("%s: whole-query hit allocates %.0f times per execution, want 0", name, allocs)
+		}
+	}
+}
+
+// TestColdRunProbesEachSegmentOnce pins that a cold execution probes each
+// segment's key once: every probe misses and every miss is published, so
+// the cache's Misses and Puts both equal the run's CacheMisses — for a
+// leaf grown from every start, a bushy join and an RPQ fold over an
+// alternation and a repetition. A step whose key its node's whole probe or
+// the fold's prefix scan has just missed does not probe it again.
+func TestColdRunProbesEachSegmentOnce(t *testing.T) {
+	g := randomGraph(5, 60, 3, 400)
+	const a, b, c = 0, 1, 2
+	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	plans := map[string]*DagPlan{
+		"a/b ⋈ c/a": PathPlan(paths.Path{a, b, c, a}, &PlanTree{Lo: 0, Hi: 4, Start: -1,
+			Left: &PlanTree{Lo: 0, Hi: 2, Start: 0}, Right: &PlanTree{Lo: 2, Hi: 4, Start: 2}}),
+		"a/(b|c)/a{1,2}/b/c": zeroPlan(g, &RPQDag{Elems: []RPQElem{label(a),
+			{Labels: []int{b, c}, MinRep: 1, MaxRep: 1}, {Labels: []int{a}, MinRep: 1, MaxRep: 2},
+			label(b), label(c)}}),
+	}
+	p := paths.Path{a, b, c, a, b}
+	for s := range p {
+		plans[fmt.Sprintf("%v from %d", p, s)] = startPlan(p, s)
+	}
+	for name, plan := range plans {
+		cache := relcache.New(relcache.Options{})
+		_, st, err := Run(g, plan, Options{Cache: cache})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cs := cache.Stats()
+		if st.CacheHits != 0 || st.CacheMisses == 0 || cs.Misses != cs.Puts || cs.Puts != uint64(st.CacheMisses) {
+			t.Errorf("%s: relcache misses %d and puts %d, the run's hits %d and misses %d; want no hit and all three equal",
+				name, cs.Misses, cs.Puts, st.CacheHits, st.CacheMisses)
 		}
 	}
 }

@@ -263,21 +263,28 @@ func (x *core) whole(key []byte) (dst *bitset.HybridRelation, hit bool, err erro
 // through — a leaf's, a join node's, an unrolled power's, a fold's block
 // boundary: fire the exec.step fault site (chaos tests insert delays and
 // panics here without touching real kernels), check cancellation, adopt
-// the relation under key from the cache or compute it into dst and publish
-// it, then price dst against the budget. A cancelled step's partial
-// destination is discarded, never cached. Every segment is materialized
-// either way, so recorded intermediates are identical to an uncached
-// run. On error dst stays live for finish to release.
+// the relation under key from the cache — where probe asks for it — or
+// compute it into dst and publish it, then price dst against the budget.
+// A cancelled step's partial destination is discarded, never cached.
+// Every segment is materialized either way, so recorded intermediates are
+// identical to an uncached run. On error dst stays live for finish to
+// release.
+//
+// A key is probed once per segment: a step whose key the node's whole
+// probe or the fold's prefix scan has just missed — a leaf's last step, a
+// join node's, an element's last power, every fold step — passes probe
+// false and only publishes, so each cold segment is one cache miss and
+// one put.
 //
 // A nil dst is the root's counted final step (see counts): there is
 // nothing to adopt into or publish from, compute leaves its outcome in
 // x.counted, and that is what gets priced.
-func (x *core) step(key []byte, dst *bitset.HybridRelation, compute func() error) error {
+func (x *core) step(key []byte, probe bool, dst *bitset.HybridRelation, compute func() error) error {
 	faultinject.Fire("exec.step")
 	if err := x.opt.Cancel.Err(); err != nil {
 		return err
 	}
-	if dst == nil || !x.cached(key, dst) {
+	if dst == nil || !probe || !x.cached(key, dst) {
 		if err := compute(); err != nil {
 			return err
 		}

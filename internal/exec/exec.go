@@ -255,7 +255,8 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 			in = cur.Pairs()
 		}
 		x.ints = append(x.ints, in)
-		err := x.step(x.pathKey(room[:0], p[lo:hi]), dst, func() error {
+		// The whole segment's key was probed by whole.
+		err := x.step(x.pathKey(room[:0], p[lo:hi]), hi-lo < len(p), dst, func() error {
 			if right != nil {
 				return x.join(left, dst, right)
 			}

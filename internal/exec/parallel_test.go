@@ -291,7 +291,7 @@ func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
 		st.runShard(w, task)
 	})
 	dst := x.take()
-	err := x.step(nil, dst, func() error { return x.compose(left.Rows(), dst, op) })
+	err := x.step(nil, false, dst, func() error { return x.compose(left.Rows(), dst, op) })
 	var pe *sched.PanicError
 	if !errors.Is(err, ErrCancelled) || errors.As(err, &pe) {
 		t.Fatalf("cancelled step returned %v, want ErrCancelled and no panic", err)

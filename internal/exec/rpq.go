@@ -800,7 +800,8 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 		}
 		x.ints = append(x.ints, cur.Pairs())
 		left := cur.Extend(false, r > lo)
-		if err := x.step(stepKey, dst, func() error { return x.through(left, dst, e.Labels) }); err != nil {
+		// The element's own key, the last power's, was probed by whole.
+		if err := x.step(stepKey, r < e.MaxRep, dst, func() error { return x.through(left, dst, e.Labels) }); err != nil {
 			return nil, err
 		}
 		x.drop(cur)
@@ -913,7 +914,7 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 			}
 		}
 		left := cur.Extend(eps, skip)
-		err := x.step(stepKey, dst, func() error {
+		err := x.step(stepKey, false, dst, func() error {
 			if labels != nil {
 				return x.through(left, dst, labels)
 			}

@@ -246,6 +246,9 @@ func (c *CSR) NumEdges() int { return c.numEdges }
 // LabelName returns the display name of label l.
 func (c *CSR) LabelName(l int) string { return c.labelNames[l] }
 
+// LabelNames returns a copy of every label's display name, in label order.
+func (c *CSR) LabelNames() []string { return append([]string(nil), c.labelNames...) }
+
 // Successors returns the sorted successor vertices of v via label l. The
 // returned slice aliases internal storage and must not be modified.
 func (c *CSR) Successors(v, l int) []int32 {

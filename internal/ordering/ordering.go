@@ -95,13 +95,7 @@ func PaperMethods() []string {
 // derived from the graph's label names (alph) or label frequencies (card).
 // Sum-based always uses cardinality ranking, as in the paper.
 func ForGraph(method string, g *graph.CSR, k int) (Ordering, error) {
-	alph := func() *Ranking {
-		names := make([]string, g.NumLabels())
-		for l := range names {
-			names[l] = g.LabelName(l)
-		}
-		return AlphabeticalRanking(names)
-	}
+	alph := func() *Ranking { return AlphabeticalRanking(g.LabelNames()) }
 	card := func() *Ranking { return CardinalityRanking(g.LabelFrequencies()) }
 	switch method {
 	case MethodNumAlph:

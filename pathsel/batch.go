@@ -78,13 +78,6 @@ type BatchQueryResult struct {
 type BatchResult struct {
 	// Results holds one entry per input query, in input order.
 	Results []BatchQueryResult
-	// Cache snapshots the estimator's segment cache after the last query
-	// (zero-valued when it has none). The counters are cumulative over
-	// the estimator's lifetime, not per-batch.
-	Cache CacheStats
-	// Cached reports whether the estimator has a segment cache
-	// (Config.CacheBytes) at all.
-	Cached bool
 }
 
 // CacheStats exposes the estimator's persistent segment cache counters
@@ -172,6 +165,5 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 	if err := s.Drain(); err != nil {
 		return nil, translateExecErr(err)
 	}
-	res.Cache, res.Cached = e.CacheStats()
 	return res, nil
 }

@@ -86,10 +86,47 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 							trial, workers, bushy, r.Query, r.Result, want[i])
 					}
 				}
-				if !res.Cached || res.Cache.Hits == 0 {
+				if cs, ok := est.CacheStats(); !ok || cs.Hits == 0 {
 					t.Fatalf("trial %d workers %d: repeated workload never hit the cache (stats %+v)",
-						trial, workers, res.Cache)
+						trial, workers, cs)
 				}
+			}
+		}
+	}
+}
+
+// TestBatchCacheCountersAddUp pins that the per-query cache counters
+// account for every cache probe: over a seeded batch of concrete paths and
+// patterns on one cached estimator, run concurrently with bushy plans, the
+// queries' CacheHits and CacheMisses sum to the cache's own Hits and
+// Misses — each segment is probed once, and every miss is published.
+func TestBatchCacheCountersAddUp(t *testing.T) {
+	g := batchTestGraph(t, 17, 60, 3, 400)
+	queries := batchWorkload(rand.New(rand.NewSource(3)), g.Labels(), 40, 4)
+	queries = append(queries, "a/(b|c)/a{1,2}/b/c", "(a|b)/c?/a", "a/(b|c)/a{1,2}/b/c", "b{2,3}/a")
+	for _, workers := range []int{1, 4} {
+		est, err := Build(g, Config{MaxPathLength: 6, Buckets: 8, BushyPlans: true, CacheBytes: DefaultCacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two batches, cold then warm: the cache's counters are cumulative,
+		// and so are the sums.
+		var hits, misses uint64
+		for range 2 {
+			res, err := executeBatch(est, queries, BatchOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res.Results {
+				if r.Err != nil {
+					t.Fatalf("%q: %v", r.Query, r.Err)
+				}
+				hits, misses = hits+uint64(r.CacheHits), misses+uint64(r.CacheMisses)
+			}
+			cs, _ := est.CacheStats()
+			if hits != cs.Hits || misses != cs.Misses {
+				t.Fatalf("%d workers: the queries count %d hits and %d misses, the cache %d and %d",
+					workers, hits, misses, cs.Hits, cs.Misses)
 			}
 		}
 	}
@@ -111,8 +148,8 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Cached || cold.Cache.Hits != 0 {
-		t.Fatalf("uncached batch reported cache stats: %+v", cold.Cache)
+	if cs, ok := plain.CacheStats(); ok || cs != (CacheStats{}) {
+		t.Fatalf("uncached estimator reported cache stats: %+v", cs)
 	}
 	for _, r := range cold.Results {
 		if r.CacheHits != 0 || r.CacheMisses != 0 {
@@ -133,8 +170,9 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !first.Cached || first.Cache.Hits == 0 {
-		t.Fatalf("first batch on an empty cache saw no hits from its repeats: %+v", first.Cache)
+	afterFirst, _ := persistent.CacheStats()
+	if afterFirst.Hits == 0 {
+		t.Fatalf("first batch on an empty cache saw no hits from its repeats: %+v", afterFirst)
 	}
 	for i := range queries {
 		if first.Results[i].Result != cold.Results[i].Result {
@@ -146,9 +184,9 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Cache.Hits <= first.Cache.Hits {
+	if afterSecond, _ := persistent.CacheStats(); afterSecond.Hits <= afterFirst.Hits {
 		t.Fatalf("persistent cache did not carry across batches: %d then %d hits",
-			first.Cache.Hits, second.Cache.Hits)
+			afterFirst.Hits, afterSecond.Hits)
 	}
 	var hits int
 	for i, r := range second.Results {

@@ -39,8 +39,10 @@ var (
 	// pattern whose exact evaluation would expand to too many paths, and
 	// a batch handle that is nil or compiled by another estimator.
 	ErrBadPattern = errors.New("pathsel: invalid pattern")
-	// ErrBadSnapshot reports a corrupt or implausible synopsis blob in
-	// LoadEstimator.
+	// ErrBadSnapshot reports a synopsis blob LoadEstimator refuses: one
+	// that is truncated, breaks a bound or check of the codec, or names a
+	// label NewGraphChecked would refuse — it then also wraps
+	// ErrBadLabelName or ErrDuplicateLabel.
 	ErrBadSnapshot = errors.New("pathsel: corrupt estimator snapshot")
 	// ErrUnknownDataset reports a dataset name GenerateDataset does not
 	// know.

@@ -14,7 +14,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/plan_digest.golden from this tree's behaviour")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/plan_digest.golden and testdata/synopsis.golden from this tree's behaviour")
 
 // goldenPatterns draws the digest's workload: concrete paths and RPQ
 // patterns in equal measure, every length the histogram covers.

@@ -174,22 +174,34 @@ func LoadEdgeList(r io.Reader) (*Graph, error) {
 	return newGraph(g)
 }
 
-// newGraph wraps a builder and indexes its vocabulary: a name the query
-// grammar reads as syntax fails with ErrBadLabelName, a name given twice
-// with ErrDuplicateLabel.
+// newGraph wraps a builder and indexes its vocabulary (newVocab).
 func newGraph(g *graph.Graph) (*Graph, error) {
-	v := vocab{ids: make(map[string]int, g.NumLabels()), names: make([]string, g.NumLabels())}
-	for l := range v.names {
-		name := g.LabelName(l)
-		if !addressable(name) {
-			return nil, fmt.Errorf("%w %q", ErrBadLabelName, name)
-		}
-		if _, dup := v.ids[name]; dup {
-			return nil, fmt.Errorf("%w %q", ErrDuplicateLabel, name)
-		}
-		v.ids[name], v.names[l] = l, name
+	names := make([]string, g.NumLabels())
+	for l := range names {
+		names[l] = g.LabelName(l)
+	}
+	v, err := newVocab(names)
+	if err != nil {
+		return nil, err
 	}
 	return &Graph{vocab: v, n: g.NumVertices(), g: g}, nil
+}
+
+// newVocab indexes a label vocabulary, a built graph's or a loaded
+// synopsis's: a name the query grammar reads as syntax fails with
+// ErrBadLabelName, a name given twice with ErrDuplicateLabel.
+func newVocab(names []string) (vocab, error) {
+	v := vocab{ids: make(map[string]int, len(names)), names: names}
+	for l, name := range names {
+		if !addressable(name) {
+			return vocab{}, fmt.Errorf("%w %q", ErrBadLabelName, name)
+		}
+		if _, dup := v.ids[name]; dup {
+			return vocab{}, fmt.Errorf("%w %q", ErrDuplicateLabel, name)
+		}
+		v.ids[name] = l
+	}
+	return v, nil
 }
 
 // AddEdge inserts a directed labeled edge. It returns an error for unknown
@@ -247,7 +259,8 @@ func (gr *Graph) TrueSelectivity(q string) (int64, error) {
 
 // Config parameterizes Build.
 type Config struct {
-	// MaxPathLength is k, the maximum label-path length covered (≥ 1).
+	// MaxPathLength is k, the maximum label-path length covered (1 to 16,
+	// the longest a saved synopsis holds).
 	MaxPathLength int
 	// Ordering is the domain ordering method (default OrderingSumBased).
 	Ordering string
@@ -394,7 +407,9 @@ type Estimator struct {
 
 // Build computes the exact selectivity distribution of all label paths up
 // to cfg.MaxPathLength, arranges it with the configured ordering, and
-// compresses it into a β-bucket histogram.
+// compresses it into a β-bucket histogram. Before the census it refuses a
+// shape LoadEstimator would: k past 16, a domain past int64, or a
+// sum-based ordering of more than 1<<20 label multisets.
 func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err

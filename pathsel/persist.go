@@ -1,8 +1,6 @@
 package pathsel
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -10,35 +8,16 @@ import (
 	"repro/internal/paths"
 )
 
-// Save serializes the estimator's synopsis — label vocabulary, ordering
-// method, ranking, and bucket list — as a compact versioned binary blob.
-// The build-time ground truth (the census) is deliberately *not* saved:
-// the whole point of the histogram is that estimation needs only the
-// synopsis. Load the result with LoadEstimator.
+// Save writes the estimator's synopsis — label vocabulary, ordering
+// method, ranking and bucket list — as one compact versioned binary blob
+// (the format is internal/core's codec). The build-time ground truth, the
+// census, is deliberately *not* saved: the whole point of the histogram is
+// that estimation needs only the synopsis. Load the result with
+// LoadEstimator.
 //
 // Only the five paper ordering methods with serial histograms are
-// serializable.
-func (e *Estimator) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(e.names)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
-	for _, l := range e.names {
-		n = binary.PutUvarint(buf[:], uint64(len(l)))
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(l); err != nil {
-			return err
-		}
-	}
-	if err := e.ph.Encode(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+// serializable; any other fails, as does a failing writer.
+func (e *Estimator) Save(w io.Writer) error { return core.WriteSynopsis(w, e.names, e.ph) }
 
 // synopsis is the estimator the paper describes — a label vocabulary, a
 // domain ordering and β buckets — and answers by label-name path without
@@ -55,46 +34,21 @@ type synopsis struct {
 // the census that only exists at build time).
 type CompactEstimator struct{ synopsis }
 
-// LoadEstimator reads a synopsis written by Estimator.Save.
+// LoadEstimator reads a synopsis written by Estimator.Save. A blob the
+// codec refuses — truncated, out of its bounds, not a ranking of its
+// vocabulary, buckets that do not partition the domain — or whose
+// vocabulary NewGraphChecked would refuse fails with ErrBadSnapshot,
+// wrapping the cause (ErrBadLabelName and ErrDuplicateLabel among them).
 func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
-	br := bufio.NewReader(r)
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading label count: %w", ErrBadSnapshot, err)
+	names, ph, err := core.ReadSynopsis(r)
+	var v vocab
+	if err == nil {
+		v, err = newVocab(names)
 	}
-	if count == 0 || count > 1<<16 {
-		return nil, fmt.Errorf("%w: implausible label count %d", ErrBadSnapshot, count)
-	}
-	ce := &CompactEstimator{synopsis{vocab: vocab{ids: make(map[string]int, count)}}}
-	for i := 0; i < int(count); i++ {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-		}
-		if n > 1<<12 {
-			return nil, fmt.Errorf("%w: implausible label length %d", ErrBadSnapshot, n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
-		}
-		name := string(b)
-		if _, dup := ce.ids[name]; dup {
-			return nil, fmt.Errorf("%w: duplicate label %q", ErrBadSnapshot, name)
-		}
-		ce.ids[name] = i
-		ce.names = append(ce.names, name)
-	}
-	ph, err := core.ReadPathHistogram(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
 	}
-	if ph.Ordering().NumLabels() != int(count) {
-		return nil, fmt.Errorf("%w: vocabulary size %d disagrees with ordering (%d labels)",
-			ErrBadSnapshot, count, ph.Ordering().NumLabels())
-	}
-	ce.ph = ph
-	return ce, nil
+	return &CompactEstimator{synopsis{vocab: v, ph: ph}}, nil
 }
 
 // parsePath is the vocabulary's, refusing a path longer than the covered
