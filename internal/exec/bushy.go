@@ -206,25 +206,19 @@ func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool) (*PlanTre
 // bushy plans their leaf inputs, and whole subtrees, for free; otherwise
 // it builds its left child, then its right child — so a right child over
 // the same labels as its left adopts what the left just published — and
-// joins them with the sharded relation×relation kernel, recording both
-// inputs as intermediates after the children's own (left subtree's, then
-// right subtree's).
+// joins them with the sharded relation×relation kernel into a relation
+// the step takes, recording both inputs as intermediates after the
+// children's own (left subtree's, then right subtree's), and releasing
+// both once the join has run.
 func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelation, error) {
 	seg := p[t.Lo:t.Hi]
 	if t.IsLeaf() {
 		return x.leaf(seg, t.Start-t.Lo, root)
 	}
-	// A root join that may count (see counts) has no cache to adopt from
-	// and needs no destination: dst stays nil and its step is counted.
 	var room [keyRoom]byte
 	key := x.pathKey(room[:0], seg)
-	var dst *bitset.HybridRelation
-	if !(root && x.counts(key)) {
-		d, hit, err := x.whole(key)
-		if hit || err != nil {
-			return d, err
-		}
-		dst = d
+	if rel, err := x.whole(key); rel != nil || err != nil {
+		return rel, err
 	}
 	l, err := x.tree(p, t.Left, false)
 	if err != nil {
@@ -237,8 +231,9 @@ func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelatio
 	x.ints = append(x.ints, l.Pairs(), r.Pairs())
 	// The joined segment is published like every other: a later zig-zag
 	// over the same labels, a repeat of this subtree, or the whole-segment
-	// fast path can all adopt it.
-	err = x.step(key, false, dst, func() error { return x.join(l.Rows(), dst, r) })
+	// fast path can all adopt it. A root join that may count (see counts)
+	// has no destination.
+	dst, err := x.step(key, false, root && x.counts(key), l.Rows(), r, nil)
 	x.drop(l)
 	x.drop(r)
 	return dst, err

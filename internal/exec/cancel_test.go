@@ -11,6 +11,7 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/paths"
+	"repro/internal/relcache"
 )
 
 // checkedOptions returns options wiring a fresh pool and canceller for an
@@ -222,4 +223,59 @@ func FuzzCancelEquivalence(f *testing.F) {
 			t.Fatalf("pool still reports %d in use", pool.InUse())
 		}
 	})
+}
+
+// TestPoolHoldsNoIdleRelation pins how many pooled relations an execution
+// holds at once, read at every exec.step boundary, where the step's
+// destination is already taken and its inputs are still live: no node
+// takes a relation before a step writes it, and none keeps one a step has
+// read. A zig-zag leaf holds two from any start, cached or not — the
+// segment so far and the next one; a fold holds two at its block-boundary
+// step — the prefix, and the step's destination — having held nothing
+// through a prefix scan that missed, whether its first block is a run or
+// an unrolled element; a bushy join node holds three, its two children
+// and the join.
+func TestPoolHoldsNoIdleRelation(t *testing.T) {
+	g := randomGraph(11, 200, 4, 3000)
+	const a, b, c, d = 0, 1, 2, 3
+	label := func(l int) RPQElem { return RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
+	alt := RPQElem{Labels: []int{c, d}, MinRep: 1, MaxRep: 1}
+	p := paths.Path{a, b, c, d}
+	type planCase struct {
+		name   string
+		plan   *DagPlan
+		cached bool
+		peak   int
+	}
+	var cases []planCase
+	for s := range p {
+		for _, cached := range []bool{false, true} {
+			cases = append(cases, planCase{fmt.Sprintf("zigzag@%d cached=%t", s, cached), startPlan(p, s), cached, 2})
+		}
+	}
+	cases = append(cases,
+		planCase{"a/b/c/(c|d)", zeroPlan(g, &RPQDag{Elems: []RPQElem{label(a), label(b), label(c), alt}}), true, 2},
+		planCase{"a{3}/(c|d)", zeroPlan(g, &RPQDag{Elems: []RPQElem{{Labels: []int{a}, MinRep: 3, MaxRep: 3}, alt}}), true, 2},
+		planCase{"(ab ⋈ cd)", PathPlan(p, &PlanTree{Lo: 0, Hi: 4, Start: -1,
+			Left: &PlanTree{Lo: 0, Hi: 2, Start: 0}, Right: &PlanTree{Lo: 2, Hi: 4, Start: 2}}), true, 3},
+	)
+	for _, tc := range cases {
+		pool := NewRelPool(g.NumVertices(), 0)
+		opt := Options{Pool: pool, Workers: 2}
+		if tc.cached {
+			opt.Cache = relcache.New(relcache.Options{})
+		}
+		steps, peak := 0, 0
+		faultinject.Install(faultinject.NewInjector(faultinject.Rule{
+			Site: "exec.step", Action: faultinject.ActDelay,
+			Wait: func() { steps, peak = steps+1, max(peak, pool.InUse()) }}))
+		_, _, err := Run(g, tc.plan, opt)
+		faultinject.Uninstall()
+		if err != nil || steps == 0 || pool.InUse() != 0 {
+			t.Fatalf("%s: err %v after %d steps, %d relations still checked out", tc.name, err, steps, pool.InUse())
+		}
+		if peak > tc.peak {
+			t.Errorf("%s: %d pooled relations live at a step, want at most %d", tc.name, peak, tc.peak)
+		}
+	}
 }

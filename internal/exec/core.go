@@ -11,12 +11,13 @@ import (
 	"repro/internal/sched"
 )
 
-// This file is the one execution lifecycle behind Run. Every relation a
-// plan node materializes goes through core.take, every join through
-// core.step, and every execution ends in core.finish. The plan's nodes are
-// methods on core — fold and elem (rpq.go), tree (bushy.go), leaf
-// (exec.go) — that nest freely, so a bushy run block inside an RPQ shares
-// the cache view, the live set and the stats of the query it belongs to.
+// This file is the one execution lifecycle behind Run. A relation is
+// taken from the pool by the call that writes it — core.step for every
+// join, core.fill for a base, core.whole for an adoption — and every
+// execution ends in core.finish. The plan's nodes are methods on core —
+// fold and elem (rpq.go), tree (bushy.go), leaf (exec.go) — that nest
+// freely, so a bushy run block inside an RPQ shares the cache view, the
+// live set and the stats of the query it belongs to.
 
 // core is one execution's state: the graph, the options, the execution's
 // view of the segment-relation cache, the set of live pooled relations —
@@ -59,9 +60,13 @@ type core struct {
 }
 
 // newCore returns the execution state for one call. It is a value so
-// that it stays on the caller's stack.
+// that it stays on the caller's stack. A run without Options.Pool draws
+// from a pool of its own, so it too reuses relations from step to step.
 func newCore(g *graph.CSR, opt Options) core {
 	n := g.NumVertices()
+	if opt.Pool == nil {
+		opt.Pool = NewRelPool(n, opt.DensityThreshold)
+	}
 	return core{g: g, opt: opt, n: n, limit: bitset.SparseLimit(n, opt.DensityThreshold),
 		workers: sched.WorkerCount(opt.Workers)}
 }
@@ -75,25 +80,16 @@ func (x *core) stats() sched.Counters {
 	return x.stp.sch.Counters()
 }
 
-// take checks a relation out of the pool and tracks it live. Unpooled
-// executions allocate, and leave what they drop to the garbage collector.
+// take checks a relation out of the pool and adds it to the live set.
 func (x *core) take() *bitset.HybridRelation {
-	if x.opt.Pool == nil {
-		return bitset.NewHybrid(x.n, x.opt.DensityThreshold)
-	}
 	rel := x.opt.Pool.Get()
-	x.track(rel)
-	return rel
-}
-
-// track adds a checked-out relation to the live set.
-func (x *core) track(rel *bitset.HybridRelation) {
 	if x.nheld < len(x.held) {
 		x.held[x.nheld] = rel
 		x.nheld++
 	} else {
 		x.more = append(x.more, rel)
 	}
+	return rel
 }
 
 // eachLive visits the live set.
@@ -108,7 +104,7 @@ func (x *core) eachLive(fn func(*bitset.HybridRelation)) {
 
 // drop releases one live relation back to the pool; nil is no relation.
 func (x *core) drop(rel *bitset.HybridRelation) {
-	if x.opt.Pool == nil || rel == nil {
+	if rel == nil {
 		return
 	}
 	for i, r := range x.held[:x.nheld] {
@@ -185,25 +181,30 @@ func (x *core) counts(key []byte) bool {
 	return !x.opt.KeepResult && key == nil
 }
 
-// fill makes dst the union of the labels' edge relations — the base a
-// plan grows from where there is no relation yet to compose through: a
-// single-label query, a plan's first element, an unrolled element's first
-// power — and prices it. A nil dst counts the base instead (the root's
-// only element, kept by nobody), into x.counted. Single-label relations
-// are near-verbatim CSR copies, which is why the cache never holds them;
-// a label set's is one pass over the vertices that polls the canceller
-// like any step's kernel, and a cancelled pass leaves a partial base that
-// is never priced.
-func (x *core) fill(dst *bitset.HybridRelation, labels []int) error {
+// fill takes a relation and makes it the union of the labels' edge
+// relations — the base a plan grows from where there is no relation yet
+// to compose through: a single-label query, a plan's first element, an
+// unrolled element's first power — and prices it. Counted, it takes
+// nothing and measures the base instead, into x.counted: the root's only
+// element, kept by nobody, or a leaf's start label under a budget.
+// Single-label relations are near-verbatim CSR copies, which is why the
+// cache never holds them; a label set's is one pass over the vertices that
+// polls the canceller like any step's kernel, and a cancelled pass leaves a
+// partial base that is never priced.
+func (x *core) fill(labels []int, counted bool) (*bitset.HybridRelation, error) {
+	var dst *bitset.HybridRelation
+	if !counted {
+		dst = x.take()
+	}
 	if len(labels) == 1 && dst != nil {
 		dst.FillFromCSR(x.g.LabelOperand(labels[0]))
 	} else {
 		x.counted = x.stepper().base(x.g, labels, dst)
 	}
 	if err := x.opt.Cancel.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	return x.price(dst)
+	return dst, x.price(dst)
 }
 
 // stepper returns the core's stepper, building it on first use.
@@ -215,26 +216,30 @@ func (x *core) stepper() *stepper {
 	return x.stp
 }
 
-// cached materializes the relation cached under key into dst and reports
-// whether an adoptable entry existed. A key is the canonical encoding of an
-// element sequence (relcache.AppendElem; a label sequence is the all-plain
-// case, pathKey); a nil key names nothing cacheable. The cache stores each
-// key's relation packed (bitset.Packed) and forward, as every step builds
-// it, so adoption is a verbatim copy — bit-identical to recomputing,
-// because every kernel picks a row's representation purely from its final
+// cached adopts the relation cached under key into dst — into a relation
+// it takes, when dst is nil — and returns it, or nil, taking nothing, when
+// no adoptable entry exists. A key is the canonical encoding of an element
+// sequence (relcache.AppendElem; a label sequence is the all-plain case,
+// pathKey); a nil key names nothing cacheable. The cache stores each key's
+// relation packed (bitset.Packed) and forward, as every step builds it, so
+// adoption is a verbatim copy — bit-identical to recomputing, because
+// every kernel picks a row's representation purely from its final
 // population against dst's promotion limit. Entries from another universe
 // or promotion limit are ignored rather than adopted.
-func (x *core) cached(key []byte, dst *bitset.HybridRelation) bool {
+func (x *core) cached(key []byte, dst *bitset.HybridRelation) *bitset.HybridRelation {
 	if key == nil {
-		return false
+		return nil
 	}
 	rel, ok := x.opt.Cache.GetKey(key)
 	if !ok || rel.Universe() != x.n || rel.SparseMax() != x.limit {
-		return false
+		return nil
+	}
+	if dst == nil {
+		dst = x.take()
 	}
 	rel.CopyInto(dst)
 	x.hits++
-	return true
+	return dst
 }
 
 // publish stores a relation the execution just finished under key and
@@ -246,89 +251,67 @@ func (x *core) publish(key []byte, rel *bitset.HybridRelation) {
 	}
 }
 
-// whole takes a relation and tries the whole-segment fast path every
-// node whose relation has a key starts with: a workload that repeats the
-// segment (or another plan that already joined these labels) left the
-// finished relation in the cache, so the node adopts it without building
-// anything below. On a miss dst is the node's first buffer.
-func (x *core) whole(key []byte) (dst *bitset.HybridRelation, hit bool, err error) {
-	dst = x.take()
-	if x.cached(key, dst) {
-		return dst, true, x.price(dst)
+// whole is the whole-segment fast path every node whose relation has a
+// key starts with: a workload that repeats the segment (or another plan
+// that already joined these labels) left the finished relation in the
+// cache, so the node adopts it, priced, without building anything below.
+// On a miss it returns nil and holds nothing.
+func (x *core) whole(key []byte) (*bitset.HybridRelation, error) {
+	rel := x.cached(key, nil)
+	if rel == nil {
+		return nil, nil
 	}
-	return dst, false, nil
+	return rel, x.price(rel)
 }
 
 // step is the one protocol every join step of every plan shape goes
 // through — a leaf's, a join node's, an unrolled power's, a fold's block
-// boundary: fire the exec.step fault site (chaos tests insert delays and
-// panics here without touching real kernels), check cancellation, adopt
-// the relation under key from the cache — where probe asks for it — or
-// compute it into dst and publish it, then price dst against the budget.
-// A cancelled step's partial destination is discarded, never cached.
-// Every segment is materialized either way, so recorded intermediates are
-// identical to an uncached run. On error dst stays live for finish to
-// release.
+// boundary — and the one place a node takes a step's destination: take a
+// fresh relation (none when counted, the root's final step, see counts),
+// fire the exec.step fault site (chaos tests insert delays and panics here
+// without touching real kernels), check cancellation, adopt the relation
+// under key from the cache — where probe asks for it — or run the step into
+// the relation and publish it, then price it against the budget. The step
+// is left ∘ right, or, right nil, left ∘ (⋃ labels) with the labels'
+// relations read from the graph, never united first; left is the rows of
+// the segment so far with its identity terms (bitset.HybridRelation.Extend),
+// or a label's read in place from the graph. A counted step leaves its
+// outcome in x.counted, and that is what gets priced. A cancelled step's
+// partial destination is discarded, never cached. Every segment is
+// materialized either way, so recorded intermediates are identical to an
+// uncached run. On error the destination stays live for finish to release;
+// otherwise the inputs are the caller's to drop.
 //
 // A key is probed once per segment: a step whose key the node's whole
 // probe or the fold's prefix scan has just missed — a leaf's last step, a
 // join node's, an element's last power, every fold step — passes probe
 // false and only publishes, so each cold segment is one cache miss and
 // one put.
-//
-// A nil dst is the root's counted final step (see counts): there is
-// nothing to adopt into or publish from, compute leaves its outcome in
-// x.counted, and that is what gets priced.
-func (x *core) step(key []byte, probe bool, dst *bitset.HybridRelation, compute func() error) error {
+func (x *core) step(key []byte, probe, counted bool, left bitset.Rows, right *bitset.HybridRelation, labels []int) (*bitset.HybridRelation, error) {
+	var dst *bitset.HybridRelation
+	if !counted {
+		dst = x.take()
+	}
 	faultinject.Fire("exec.step")
 	if err := x.opt.Cancel.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	if dst == nil || !probe || !x.cached(key, dst) {
-		if err := compute(); err != nil {
-			return err
+	if counted || !probe || x.cached(key, dst) == nil {
+		c, err := x.stepper().run(x.g, left, right, labels, dst)
+		if counted {
+			x.counted = c
+		}
+		if err != nil {
+			return nil, err
 		}
 		if err := x.opt.Cancel.Err(); err != nil {
-			return err
+			return nil, err
 		}
-		if dst != nil {
+		if !counted {
 			x.publish(key, dst)
 		}
 	}
-	return x.price(dst)
-}
-
-// compose is the compute of a compose step left ∘ op — left the rows of
-// the segment so far, or, for a leaf's first step, the start label's read
-// from the graph instead of from a copy: built into dst, or counted into
-// x.counted when dst is nil.
-func (x *core) compose(left bitset.Rows, dst *bitset.HybridRelation, op bitset.CSROperand) error {
-	x.stepper().compose(left, op)
-	return x.run(dst)
-}
-
-// through is the compute of a step through a label set, left ∘ (⋃ labels)
-// with left's identity terms (bitset.HybridRelation.Extend): the labels'
-// relations are read from the graph, never united first.
-func (x *core) through(left bitset.Rows, dst *bitset.HybridRelation, labels []int) error {
-	x.stepper().through(x.g, left, labels)
-	return x.run(dst)
-}
-
-// join is the compute of a join step left ∘ r, with left's identity terms:
-// built into dst, or counted into x.counted when dst is nil.
-func (x *core) join(left bitset.Rows, dst, r *bitset.HybridRelation) error {
-	x.stepper().join(left, r)
-	return x.run(dst)
-}
-
-// run carries out the step the stepper was just given.
-func (x *core) run(dst *bitset.HybridRelation) error {
-	c, err := x.stp.run(dst)
-	if dst == nil {
-		x.counted = c
-	}
-	return err
+	return dst, x.price(dst)
 }
 
 // containPanics invokes fn, converting an escaping panic into the same

@@ -46,28 +46,30 @@
 // so Run(g, plan, opt) takes nothing else, and reports the actual
 // intermediate sizes: planning quality is measurable end to end.
 //
-// Run is one execution core (core.go): one step protocol — fire the
-// exec.step fault site, check cancellation, adopt the segment from the
-// relation cache or compute and publish it, price it against the byte
-// budget — and one finish — contain panics as typed errors, release every
-// pooled relation on abort, total the stats. What a step adopts or
-// publishes is named by the key of its element sequence
-// (relcache.AppendElem): a leaf's label segment, and equally an RPQ's
-// element or the prefix of blocks a fold step completes, so a fold resumes
-// after the longest prefix already cached and a repeated query of any
-// shape is one adoption. Plan nodes are methods that
-// nest, and every surviving execution is bit-identical to the dense
-// executor of internal/oracle (or, for an RPQ, to the union of its
+// Run is one execution core (core.go): one step protocol, one call — take
+// the step's destination, fire the exec.step fault site, check
+// cancellation, adopt the segment from the relation cache or compute and
+// publish it, price it against the byte budget — and one finish — contain
+// panics as typed errors, release every pooled relation on abort, total the
+// stats. What a step adopts or publishes is named by the key of its element
+// sequence (relcache.AppendElem): a leaf's label segment, and equally an
+// RPQ's element or the prefix of blocks a fold step completes, so a fold
+// resumes after the longest prefix already cached and a repeated query of
+// any shape is one adoption. Plan nodes are methods that nest, and every
+// surviving execution is bit-identical to the dense executor of
+// internal/oracle (or, for an RPQ, to the union of its
 // expansions). The answer to a query is a count, so unless
 // Options.KeepResult asks for the relation the root node counts its final
 // step instead of building it whenever nothing would publish it — same
 // Stats, same budget boundary, no relation.
 //
 // Execution runs on the hybrid sparse/dense relation substrate
-// (bitset.HybridRelation): two pooled relations double-buffer through the
-// scatter compose kernel (every row, sparse or dense, pushes its targets'
-// CSR rows), the first step reading the start label's rows from the
-// graph's CSR rather than from a copy (bitset.CSROperand.Rows). A
+// (bitset.HybridRelation): every step writes a pooled relation it takes
+// itself, through the scatter compose kernel (every row, sparse or dense,
+// pushes its targets' CSR rows), and the relation it read goes back to
+// the pool once it has run, so a leaf holds at most two at a time; the
+// first step reads the start label's rows from the graph's CSR rather
+// than from a copy (bitset.CSROperand.Rows). A
 // rightward step composes the segment with the next label's CSR, a
 // leftward one joins the previous label's CSR rows with the segment, so
 // every relation is forward, and every row adapts its representation per

@@ -71,21 +71,23 @@ type Options struct {
 	MaxResultBytes int64
 	// Pool, when non-nil, supplies every relation the execution
 	// materializes and reclaims them on completion and on every abort
-	// path. Purely an allocation/leak-hygiene knob — results are
-	// identical with or without it.
+	// path; nil gives the execution a pool of its own, so an unpooled run
+	// reuses relations from step to step too, and a shared pool reuses
+	// them across executions. Purely an allocation/leak-hygiene knob —
+	// results are identical with or without it.
 	Pool *RelPool
-	// KeepResult makes the execution return its result relation, checked
-	// out of Pool for the caller to release with Pool.Put when done
-	// reading. Unset — the default, and what every caller that only wants
-	// the answer |ℓ(G)| and the Stats should leave it — the returned
-	// relation is nil and the result is not built when it need not be:
-	// the root's final join step runs its kernel with no destination,
-	// sinking every row into a bitset.Count, whenever its output would not
-	// be published to Cache — without a cache, that is, whatever the shape
-	// of the last block — and a result that had to be built anyway (a cache
-	// adoption, a published result, a single-label query) is released
-	// before returning. Stats and the MaxResultBytes boundary are identical
-	// either way.
+	// KeepResult makes the execution return its result relation, checked out
+	// of Pool for the caller to release with Pool.Put when done reading — or,
+	// without a Pool, out of the execution's own, when it is the caller's to
+	// drop. Unset — the default, and what every caller that only wants the
+	// answer |ℓ(G)| and the Stats should leave it — the returned relation is
+	// nil and the result is not built when it need not be: the root's final
+	// join step runs its kernel with no destination, sinking every row into a
+	// bitset.Count, whenever its output would not be published to Cache —
+	// without a cache, that is, whatever the shape of the last block — and a
+	// result that had to be built anyway (a cache adoption, a published
+	// result, a single-label query) is released before returning. Stats and
+	// the MaxResultBytes boundary are identical either way.
 	KeepResult bool
 }
 
@@ -140,9 +142,10 @@ type Stats struct {
 // evaluate), so there is no query argument to disagree with it; Run checks
 // the plan's own consistency and panics on a malformed one (a caller bug,
 // not a runtime failure). Execution is entirely on the hybrid sparse/dense
-// substrate: a zig-zag leaf double-buffers two pooled relations through the
-// scatter compose kernel, which pushes each target's CSR row, every row
-// adapting its representation per step; its first step reads the start
+// substrate: a zig-zag leaf grows its segment one step at a time through
+// the scatter compose kernel, which pushes each target's CSR row, each step
+// into a fresh pooled relation and every row adapting its representation
+// per step; its first step reads the start
 // label's rows from the graph, rightward steps compose the segment with
 // the next label's CSR, and leftward steps join the previous label's CSR
 // rows with the segment, so every relation is forward. A join
@@ -198,93 +201,62 @@ func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stat
 }
 
 // leaf builds segment p with the zig-zag plan growing from position
-// start, double-buffering two relations through the core's stepper. Every
-// step builds a forward segment: a rightward one composes the segment so
-// far with the next label's CSR, p[lo:hi) ∘ L(p[hi]), and a leftward one
-// joins the previous label's CSR rows with it, L(p[lo−1]) ∘ p[lo:hi) — a
-// relation×relation join whose left side is read from the graph — so every
-// relation is forward, and every segment is cached as its repeat and
-// every other plan read it. The start label's own relation is never
-// built: the first step reads its rows from the graph, as the left side
-// of a rightward step or, leftward, as the operand the previous label's
-// rows compose with. Its size, the first recorded intermediate, is the
-// label's frequency, and its price under a budget is worked out from its
-// row lengths (fill with no destination), so nothing an execution reports
-// can tell the relation was not there. A root leaf that may count (see
-// counts) counts its last step — the one whose segment is all of p — and
-// returns no relation.
+// start, one step at a time, each into a relation it takes, releasing the
+// segment it read once the step has run. Every step builds a forward
+// segment: a rightward one composes the segment so far with the next
+// label's CSR, p[lo:hi) ∘ L(p[hi]), and a leftward one joins the previous
+// label's CSR rows with it, L(p[lo−1]) ∘ p[lo:hi) — a relation×relation
+// join whose left side is read from the graph — so every relation is
+// forward, and every segment is cached as its repeat and every other plan
+// read it. The start label's own relation is never built: the first step
+// reads its rows from the graph, as the left side of a rightward step or,
+// leftward, as the operand the previous label's rows compose with. Its
+// size, the first recorded intermediate, is the label's frequency, and its
+// price under a budget is worked out from its row lengths (a counted
+// fill), so nothing an execution reports can tell the relation was not
+// there. A root leaf that may count (see counts) counts its last step —
+// the one whose segment is all of p — and returns no relation.
 func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation, error) {
 	var room [keyRoom]byte // every key of the leaf, one at a time
 	key := x.pathKey(room[:0], p)
-	buf, hit, err := x.whole(key)
-	if hit || err != nil {
-		return buf, err
+	if rel, err := x.whole(key); rel != nil || err != nil {
+		return rel, err
 	}
 	if len(p) == 1 {
-		return buf, x.fill(buf, p)
+		return x.fill(p, false)
 	}
 	if x.opt.MaxResultBytes > 0 {
-		if err := x.fill(nil, p[start:start+1]); err != nil {
+		if _, err := x.fill(p[start:start+1], true); err != nil {
 			return nil, err
 		}
 	}
 	first := x.g.LabelOperand(p[start])
 	count := root && x.counts(key)
-	// cur is the segment grown so far, nil until the first step has run;
-	// spare returns the other buffer, taken when a second one is first
-	// needed — a length-2 segment is built with one.
-	var cur *bitset.HybridRelation
-	spare := func() *bitset.HybridRelation {
-		if buf == nil {
-			buf = x.take()
-		}
-		return buf
-	}
-	// grow builds segment p[lo:hi), one label longer than the segment so
-	// far, into the spare buffer and swaps the buffers: left composed with
-	// op, or — right given — joined with right. The segment so far is the
-	// step's recorded intermediate, and the counted last step has no
-	// destination.
-	grow := func(lo, hi int, left bitset.Rows, op bitset.CSROperand, right *bitset.HybridRelation) error {
-		var dst *bitset.HybridRelation
-		if !(count && hi-lo == len(p)) {
-			dst = spare()
-		}
-		in := int64(len(first.Targets))
+	lo, hi := start, start+1
+	var cur *bitset.HybridRelation // p[lo:hi), nil while it is the start label
+	for hi-lo < len(p) {
+		// The segment so far is the step's recorded intermediate.
+		left, in := first.Rows(), int64(len(first.Targets))
 		if cur != nil {
-			in = cur.Pairs()
+			left, in = cur.Rows(), cur.Pairs()
 		}
 		x.ints = append(x.ints, in)
+		// Leftward, a nil cur makes the step compose with the start label.
+		right, labels := cur, p[start:start+1]
+		if hi < len(p) {
+			right, labels = nil, p[hi:hi+1]
+			hi++
+		} else {
+			lo--
+			left = x.g.LabelOperand(p[lo]).Rows()
+		}
 		// The whole segment's key was probed by whole.
-		err := x.step(x.pathKey(room[:0], p[lo:hi]), hi-lo < len(p), dst, func() error {
-			if right != nil {
-				return x.join(left, dst, right)
-			}
-			return x.compose(left, dst, op)
-		})
-		cur, buf = buf, cur
-		return err
-	}
-	for hi := start + 1; hi < len(p); hi++ {
-		left := first.Rows()
-		if cur != nil {
-			left = cur.Rows()
-		}
-		if err := grow(start, hi+1, left, x.g.LabelOperand(p[hi]), nil); err != nil {
+		next, err := x.step(x.pathKey(room[:0], p[lo:hi]), hi-lo < len(p), count && hi-lo == len(p), left, right, labels)
+		if err != nil {
 			return nil, err
 		}
-	}
-	for lo := start - 1; lo >= 0; lo-- {
-		// While the segment is the start label, cur is nil and the step
-		// composes with the start label's CSR.
-		if err := grow(lo, len(p), x.g.LabelOperand(p[lo]).Rows(), first, cur); err != nil {
-			return nil, err
-		}
-	}
-	x.drop(buf)
-	if count {
 		x.drop(cur)
-		return nil, nil
+		cur = next
 	}
 	return cur, nil
 }

@@ -65,12 +65,12 @@ type stepper struct {
 	scratch []*bitset.ComposeScratch // lazily built, indexed by worker
 	cancel  *bitset.CancelFlag       // wired into every scratch; nil when unchecked
 
-	// The current step's operands, set by compose, through or join and
-	// dropped when run returns. The left side is rows — a relation's, or a
-	// label's read in place from the graph (a leaf's first step, and its
-	// leftward steps). The right side is the relation right, or — right
-	// nil — the union of the label operands ops, a list in storage the
-	// stepper keeps across steps, so no step puts one on the heap.
+	// The current step's operands, set and dropped by run. The left side
+	// is rows — a relation's, or a label's read in place from the graph (a
+	// leaf's first step, and its leftward steps). The right side is the
+	// relation right, or — right nil — the union of the label operands
+	// ops, a list in storage the stepper keeps across steps, so no step
+	// puts one on the heap.
 	left  bitset.Rows
 	right *bitset.HybridRelation
 	ops   []bitset.CSROperand
@@ -139,23 +139,6 @@ func (st *stepper) base(g *graph.CSR, labels []int, dst *bitset.HybridRelation) 
 	return bitset.UnionCSR(dst, st.ops, st.scr(0), st.limit)
 }
 
-// compose makes the next step the compose step left ∘ op.
-func (st *stepper) compose(left bitset.Rows, op bitset.CSROperand) {
-	st.left, st.ops = left, append(st.ops[:0], op)
-}
-
-// through makes the next step left ∘ (⋃ labels), a step through a label
-// set: the compose kernel again, over several operands.
-func (st *stepper) through(g *graph.CSR, left bitset.Rows, labels []int) {
-	st.left = left
-	st.labelOps(g, labels)
-}
-
-// join makes the next step the relation×relation join left ∘ right.
-func (st *stepper) join(left bitset.Rows, right *bitset.HybridRelation) {
-	st.left, st.right = left, right
-}
-
 // shard runs the step's kernel over shard i's positions with the given
 // scratch, parking the produced sources — none for a counted step — and
 // the count in the shard's own slots.
@@ -175,33 +158,34 @@ func (st *stepper) runShard(worker int, t shardTask) {
 	st.shard(st.scr(worker), t.idx)
 }
 
-// run carries out the step compose, through or join described: built into
-// dst, or — dst nil — counted, nothing emitted. The left rows are
-// partitioned into as many shards as the floors allow (enough rows and
+// run carries out the step left ∘ right, or — right nil — left ∘ (⋃ labels)
+// through the labels' CSR arrays: built into dst, which is empty (fresh
+// from the pool), or — dst nil — counted, nothing emitted. The left rows
+// are partitioned into as many shards as the floors allow (enough rows and
 // enough pairs — shardGrain weighs both, a join's pairs being its larger
 // side's, since each left row reads right's rows: a leftward leaf's join
-// has a label's rows on the left and the segment on the right): one shard
-// — a small step or a 1-worker configuration — runs on the coordinator
-// without touching the scheduler at all, more run on it in parallel.
-// Either way the shards are adopted in ascending order, so the result —
-// rows, active order and pair count — is the same at every shard count:
-// parallelism is a performance decision per step, never a semantic one,
-// and the same whether the step builds or counts. A shard body that
-// panics (contained by the scheduler) surfaces as the drain's error, the
-// partial destination left unmerged for the caller to discard
-// (core.finish clears it).
-func (st *stepper) run(dst *bitset.HybridRelation) (total bitset.Count, err error) {
+// has a label's rows on the left and the segment on the right): one shard —
+// a small step or a 1-worker configuration — runs on the coordinator
+// without touching the scheduler at all, more run on it in parallel. Either
+// way the shards are adopted in ascending order, so the result — rows,
+// active order and pair count — is the same at every shard count:
+// parallelism is a performance decision per step, never a semantic one, and
+// the same whether the step builds or counts. A shard body that panics
+// (contained by the scheduler) surfaces as the drain's error, the partial
+// destination left unmerged for the caller to discard (core.finish clears
+// it).
+func (st *stepper) run(g *graph.CSR, left bitset.Rows, right *bitset.HybridRelation, labels []int, dst *bitset.HybridRelation) (total bitset.Count, err error) {
 	defer st.end()
-	st.dst = dst
+	st.left, st.right, st.dst = left, right, dst
+	if right == nil {
+		st.labelOps(g, labels)
+	}
 	pairs := st.left.Pairs()
 	if st.right != nil {
 		pairs = max(pairs, st.right.Pairs())
 	}
 	shards := shardGrain.shards(st.left.Len(), pairs, st.sch.Workers())
 	st.partition(st.left.Len(), shards)
-	if dst != nil {
-		dst.Reset()
-	}
 	if shards == 1 {
 		st.shard(st.scr(0), 0)
 	} else if err := st.drain(shards); err != nil {

@@ -249,8 +249,7 @@ func TestAbortedStepLeavesNoStaleRows(t *testing.T) {
 		x := newCore(g, Options{Pool: pool, Workers: tc.workers})
 		faultinject.Install(faultinject.NewInjector(tc.rules...))
 		_, _, err := x.finish(func() (*bitset.HybridRelation, error) {
-			dst := x.take()
-			return dst, x.compose(tc.left.Rows(), dst, ops[0])
+			return x.step(nil, false, false, tc.left.Rows(), nil, []int{0})
 		})
 		faultinject.Uninstall()
 		if err == nil || pool.InUse() != 0 {
@@ -274,7 +273,7 @@ func TestAbortedStepLeavesNoStaleRows(t *testing.T) {
 // to the sequential count.
 func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
 	g := randomGraph(7, 400, 2, 12000)
-	op, left := g.LabelOperand(0), g.LabelOperand(1)
+	left := g.LabelOperand(1)
 	const workers = 4
 	shards := shardGrain.shards(left.Rows().Len(), left.Rows().Pairs(), workers)
 	if shards < 2 {
@@ -290,8 +289,7 @@ func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
 		}
 		st.runShard(w, task)
 	})
-	dst := x.take()
-	err := x.step(nil, false, dst, func() error { return x.compose(left.Rows(), dst, op) })
+	_, err := x.step(nil, false, false, left.Rows(), nil, []int{0})
 	var pe *sched.PanicError
 	if !errors.Is(err, ErrCancelled) || errors.As(err, &pe) {
 		t.Fatalf("cancelled step returned %v, want ErrCancelled and no panic", err)
@@ -302,8 +300,7 @@ func TestCancelMidStepEndsTheRoundNormally(t *testing.T) {
 
 	// count runs the step on s counted, nothing emitted.
 	count := func(s *stepper) (bitset.Count, error) {
-		s.compose(left.Rows(), op)
-		return s.run(nil)
+		return s.run(g, left.Rows(), nil, []int{0}, nil)
 	}
 	seq := newCore(g, Options{Workers: 1})
 	want, err := count(seq.stepper())

@@ -754,24 +754,23 @@ func (x *core) elemKey(buf []byte, e RPQElem) []byte {
 //
 // the powers A^r = A^(r−1) ∘ A up to lo, then skip steps
 // P_r = P_(r−1) ∘ (A ∪ I) = ⋃_{q=lo..r} A^q, the last of which is U. Each
-// step goes through core.step: U under its element key; a power below it
-// under its repeated-label path key, the one a concrete query's segments
-// use, so a `b{2,3}` adopts or publishes the `bb` of a `b/b`. The skip
-// steps below U and multi-label powers have no key and are not published.
+// step goes through core.step, into a relation it takes, and the power it
+// read is released once it has run, so the element holds at most two at a
+// time. The last step's key is U's element key; a power below it has its
+// repeated-label path key, the one a concrete query's segments use, so a
+// `b{2,3}` adopts or publishes the `bb` of a `b/b`. The skip steps below U
+// and multi-label powers have no key and are not published.
 // A root element nobody keeps and nothing publishes (see counts) counts its
 // last step, or its base when it is not unrolled.
 func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 	var room, sroom [keyRoom]byte
 	key := x.elemKey(room[:0], e)
 	count := root && x.counts(key)
-	if e.MaxRep == 1 && count {
-		return nil, x.fill(nil, e.Labels)
+	if rel, err := x.whole(key); rel != nil || err != nil {
+		return rel, err
 	}
-	cur, hit, err := x.whole(key)
-	if hit || err != nil {
-		return cur, err
-	}
-	if err := x.fill(cur, e.Labels); err != nil {
+	cur, err := x.fill(e.Labels, count && e.MaxRep == 1)
+	if err != nil {
 		return nil, err
 	}
 	if e.MaxRep == 1 {
@@ -794,18 +793,14 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 		case r <= lo:
 			stepKey = x.pathKey(sroom[:0], power)
 		}
-		var dst *bitset.HybridRelation
-		if r < e.MaxRep || !count {
-			dst = x.take()
-		}
 		x.ints = append(x.ints, cur.Pairs())
-		left := cur.Extend(false, r > lo)
 		// The element's own key, the last power's, was probed by whole.
-		if err := x.step(stepKey, r < e.MaxRep, dst, func() error { return x.through(left, dst, e.Labels) }); err != nil {
+		next, err := x.step(stepKey, r < e.MaxRep, count && r == e.MaxRep, cur.Extend(false, r > lo), nil, e.Labels)
+		if err != nil {
 			return nil, err
 		}
 		x.drop(cur)
-		cur = dst
+		cur = next
 	}
 	return cur, nil
 }
@@ -836,44 +831,46 @@ func (dp *DagPlan) prefixKeys(buf []byte, ends []int) (key []byte, _ []int) {
 // (whole-segment cache fast path, bushy subtrees, sharded compose —
 // everything applies), an element block through elem — and joined. Either
 // way the ε and skip terms are the step's own (cur.Extend), never a union
-// after it. A plan's only block is the root: its node may count its last
-// step.
+// after it, and the step writes a relation it takes (core.step), after
+// which the prefix and the block it read are released. A plan's only
+// block is the root: its node may count its last step.
 //
 // With a cache a prefix of blocks is a segment like any other, keyed by
 // its element sequence (prefixKeys), and the fold treats it the way a leaf
-// treats its label segments: it probes the prefixes longest first, adopts
-// the longest one cached — R_i; eps_i, a function of
-// the elements alone, is recomputed, which is what makes resuming exact —
-// and folds on from the block after it, and every block-boundary step it
-// does compute goes through core.step under its prefix's key, so R_i is
-// published, the last step's included: the query's repeat is then one
-// probe and one copy, Intermediates empty and Work 0, as a concrete path's
-// is. Without a cache no key is built and the root's last step is counted.
+// treats its label segments: it probes the prefixes longest first,
+// holding nothing until one hits, adopts the longest one cached — R_i;
+// eps_i, a function of the elements alone, is recomputed, which is what
+// makes resuming exact — and folds on from the block after it, and every
+// block-boundary step it does compute goes through core.step under its
+// prefix's key, so R_i is published, the last step's included: the
+// query's repeat is then one probe and one copy, Intermediates empty and
+// Work 0, as a concrete path's is. Without a cache no key is built and the
+// root's last step is counted.
 func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 	nb := len(dp.Blocks)
 	var (
-		cur, spare *bitset.HybridRelation
-		room       [keyRoom]byte
-		endsRoom   [8]int
-		key        []byte // of the whole plan; nil without a cache
-		ends       []int  // key[:ends[i]] is the key of the prefix ending with block i
+		cur      *bitset.HybridRelation
+		room     [keyRoom]byte
+		endsRoom [8]int
+		key      []byte // of the whole plan; nil without a cache
+		ends     []int  // key[:ends[i]] is the key of the prefix ending with block i
 	)
 	eps, from := true, 0
 	if x.opt.Cache != nil && nb > 1 {
 		key, ends = dp.prefixKeys(room[:0], endsRoom[:0])
 		// The one-block prefix is block 0's own relation: its node probes it.
-		spare = x.take()
 		for i := nb - 1; i > 0; i-- {
-			if !x.cached(key[:ends[i]], spare) {
-				continue
-			}
-			if err := x.price(spare); err != nil {
+			rel, err := x.whole(key[:ends[i]])
+			if err != nil {
 				return nil, err
+			}
+			if rel == nil {
+				continue
 			}
 			for j := 0; j <= i; j++ {
 				eps = eps && dp.Blocks[j].skippable()
 			}
-			cur, spare, from = spare, nil, i+1
+			cur, from = rel, i+1
 			break
 		}
 	}
@@ -907,26 +904,13 @@ func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
 		}
 		// The root's last step is R_i itself, so where nothing publishes it,
 		// it is counted, not built: no destination.
-		var dst *bitset.HybridRelation
-		if i < nb-1 || !x.counts(stepKey) {
-			if dst, spare = spare, nil; dst == nil {
-				dst = x.take()
-			}
-		}
-		left := cur.Extend(eps, skip)
-		err := x.step(stepKey, false, dst, func() error {
-			if labels != nil {
-				return x.through(left, dst, labels)
-			}
-			return x.join(left, dst, u)
-		})
+		next, err := x.step(stepKey, false, i == nb-1 && x.counts(stepKey), cur.Extend(eps, skip), u, labels)
 		if err != nil {
 			return nil, err
 		}
 		x.drop(cur)
 		x.drop(u)
-		cur, eps = dst, eps && skip
+		cur, eps = next, eps && skip
 	}
-	x.drop(spare)
 	return cur, nil
 }

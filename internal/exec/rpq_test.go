@@ -216,9 +216,11 @@ func TestFillAllocatesNothing(t *testing.T) {
 	g := randomGraph(3, 300, 4, 3000)
 	opt, pool, _ := checkedOptions(g.NumVertices(), 1)
 	x := newCore(g, opt)
-	dst := x.take()
-	fill := func() {
-		if err := x.fill(dst, []int{0, 1, 2, 3}); err != nil {
+	var dst *bitset.HybridRelation
+	fill := func() { // releases the last base and takes it back from the pool
+		x.drop(dst)
+		var err error
+		if dst, err = x.fill([]int{0, 1, 2, 3}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

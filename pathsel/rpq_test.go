@@ -3,7 +3,9 @@ package pathsel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -376,9 +378,41 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 	return cost, size, ests
 }
 
+// renderRPQ writes a compiled DAG back as a pattern over the vocabulary's
+// label names: an element's labels as a name or a group `(a|b)`, and its
+// repetition as nothing, `?`, `{m}` or `{m,n}`.
+func renderRPQ(v *vocab, d *exec.RPQDag) string {
+	var b strings.Builder
+	for i, e := range d.Elems {
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		names := make([]string, len(e.Labels))
+		for j, l := range e.Labels {
+			names[j] = v.names[l]
+		}
+		if len(names) == 1 {
+			b.WriteString(names[0])
+		} else {
+			fmt.Fprintf(&b, "(%s)", strings.Join(names, "|"))
+		}
+		switch {
+		case e.MinRep == 1 && e.MaxRep == 1:
+		case e.MinRep == 0 && e.MaxRep == 1:
+			b.WriteByte('?')
+		case e.MinRep == e.MaxRep:
+			fmt.Fprintf(&b, "{%d}", e.MinRep)
+		default:
+			fmt.Fprintf(&b, "{%d,%d}", e.MinRep, e.MaxRep)
+		}
+	}
+	return b.String()
+}
+
 // FuzzRPQParse fuzzes the pattern grammar: Compile must never panic, and
 // any pattern it accepts must expose coherent bounds, a plan, and a
-// finite estimate — and a true RPQ's planned DAG, zig-zag and bushy, must
+// finite estimate, and print back (renderRPQ) as a pattern that compiles
+// to the same DAG — and a true RPQ's planned DAG, zig-zag and bushy, must
 // carry exactly the naive planner's estimates.
 func FuzzRPQParse(f *testing.F) {
 	g := batchTestGraph(f, 13, 20, 3, 80)
@@ -410,6 +444,16 @@ func FuzzRPQParse(f *testing.F) {
 		}
 		if x.Plan().Description == "" {
 			t.Fatalf("Compile(%q): empty plan description", pattern)
+		}
+		printed := renderRPQ(&est.vocab, x.dag)
+		again, err := est.Compile(printed)
+		if err != nil {
+			t.Fatalf("Compile(%q) prints as %q, which fails: %v", pattern, printed, err)
+		}
+		if !slices.EqualFunc(again.dag.Elems, x.dag.Elems, func(a, b exec.RPQElem) bool {
+			return slices.Equal(a.Labels, b.Labels) && a.MinRep == b.MinRep && a.MaxRep == b.MaxRep
+		}) {
+			t.Fatalf("Compile(%q) prints as %q, which compiles to %s, not %s", pattern, printed, again.dag.Describe(), x.dag.Describe())
 		}
 		for _, e := range []*Estimator{est, bushy} {
 			x, err := e.Compile(pattern)
