@@ -1,7 +1,10 @@
 // Command pathhist builds a label-path histogram over a graph file and
 // answers selectivity queries, printing estimate vs exact for each query
 // path given as an argument. A built synopsis can be persisted with -save
-// and later queried without the graph via -load.
+// and later queried without the graph via -load. The exact answers come
+// from the graph: each query path is evaluated on it, and -evaluate counts
+// the whole census a second time, since the built estimator keeps only the
+// histogram and the graph.
 //
 // Usage:
 //

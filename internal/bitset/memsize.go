@@ -71,7 +71,8 @@ func cloneOverhead(n, sources int) int {
 //
 // No production code calls it since the relation cache stores Packed
 // (whose CopyInto is the adoption path); the frozen bench/ times it and
-// the equivalence tests use it as the reference. ROADMAP item 1(a).
+// the equivalence tests use it as the reference. ROADMAP items 16(b) and
+// 1′(b) delete it.
 func (h *HybridRelation) CopyInto(dst *HybridRelation) {
 	if dst == h {
 		panic("bitset: CopyInto aliasing dst == receiver")
@@ -114,7 +115,8 @@ func (h *HybridRelation) copyFrom(src rowSource, sparseMax int, pairs int64) {
 // which is why the relation cache stores Pack's result instead.
 //
 // No production code calls it any more: the frozen bench/ times it and
-// tests use it for private copies. ROADMAP item 1(a).
+// tests use it for private copies. ROADMAP items 16(b) and 1′(b) delete
+// it.
 func (h *HybridRelation) Clone() *HybridRelation {
 	c := &HybridRelation{n: h.n, sparseMax: h.sparseMax, rows: make([]hrow, h.n), pairs: h.pairs}
 	if len(h.active) > 0 {

@@ -291,7 +291,7 @@ func TestSynopsisAtTheBounds(t *testing.T) {
 	}
 	// Build refuses before the census.
 	g := dataset.ErdosRenyi(20, 60, dataset.UniformLabels{L: 2}, 2).Freeze()
-	if _, _, err := BuildForGraph(g, ordering.MethodNumAlph, BuilderVOptimal, maxK+1, 4, paths.CensusOptions{}); err == nil {
+	if _, err := BuildForGraph(g, ordering.MethodNumAlph, BuilderVOptimal, maxK+1, 4, paths.CensusOptions{}); err == nil {
 		t.Errorf("BuildForGraph at k = %d should error", maxK+1)
 	}
 }

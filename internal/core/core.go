@@ -84,28 +84,23 @@ func Build(c *paths.Census, ord ordering.Ordering, builder string, beta int) (*P
 }
 
 // BuildForGraph computes the census of g up to k with the given census
-// engine options (worker count, sparse→dense promotion threshold, split
-// granularity) and builds a PathHistogram with the named ordering method.
-// It returns the census too, since callers typically need the ground truth
-// for evaluation. It refuses a shape past the synopsis bounds (see
-// checkShape) before the census is computed.
-func BuildForGraph(g *graph.CSR, method, builder string, k, beta int, opt paths.CensusOptions) (*PathHistogram, *paths.Census, error) {
+// engine options (worker count, sparse→dense promotion threshold) and
+// builds a PathHistogram with the named ordering method; the census is
+// dropped once the histogram is built. It refuses a shape past the
+// synopsis bounds (see checkShape) before the census is computed.
+func BuildForGraph(g *graph.CSR, method, builder string, k, beta int, opt paths.CensusOptions) (*PathHistogram, error) {
 	if err := checkShape(method, g.LabelNames(), k); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ord, err := ordering.ForGraph(method, g, k)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c, err := paths.NewCensusHybridChecked(g, k, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ph, err := Build(c, ord, builder, beta)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ph, c, nil
+	return Build(c, ord, builder, beta)
 }
 
 // Ordering returns the domain ordering in use.

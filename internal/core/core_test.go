@@ -94,20 +94,20 @@ func TestBuildUnknownBuilder(t *testing.T) {
 
 func TestBuildForGraph(t *testing.T) {
 	g := dataset.ErdosRenyi(40, 200, dataset.UniformLabels{L: 3}, 23).Freeze()
-	ph, c, err := BuildForGraph(g, ordering.MethodSumBased, BuilderVOptimal, 2, 8, paths.CensusOptions{})
+	ph, err := BuildForGraph(g, ordering.MethodSumBased, BuilderVOptimal, 2, 8, paths.CensusOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ph.Ordering().Name() != ordering.MethodSumBased {
 		t.Fatal("wrong ordering")
 	}
-	if c.K() != 2 {
-		t.Fatal("census k wrong")
+	if ph.Ordering().K() != 2 || ph.Ordering().Size() != 3+9 {
+		t.Fatalf("domain k = %d, |Lk| = %d, want 2 and 12", ph.Ordering().K(), ph.Ordering().Size())
 	}
-	if _, _, err := BuildForGraph(g, "bogus", BuilderVOptimal, 2, 8, paths.CensusOptions{}); err == nil {
+	if _, err := BuildForGraph(g, "bogus", BuilderVOptimal, 2, 8, paths.CensusOptions{}); err == nil {
 		t.Fatal("bad method should error")
 	}
-	if _, _, err := BuildForGraph(g, ordering.MethodNumAlph, "bogus", 2, 8, paths.CensusOptions{}); err == nil {
+	if _, err := BuildForGraph(g, ordering.MethodNumAlph, "bogus", 2, 8, paths.CensusOptions{}); err == nil {
 		t.Fatal("bad builder should error")
 	}
 }

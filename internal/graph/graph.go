@@ -4,7 +4,8 @@
 // immutable, concurrency-safe CSR (compressed sparse row) form — Freeze
 // and Thaw turn one into the other — and the CSR is all the engines above
 // it read: per label, in the one shape every
-// step kernel consumes (bitset.CSROperand), in O(|V| + |E|) memory.
+// step kernel consumes (bitset.CSROperand), in O(|L|·|V| + |E|) memory —
+// one |V|+1 offset array per label.
 //
 //   - LabelOperand: forward adjacency, built at Freeze — the census and
 //     every step of execution. A label's relation is read in place: the

@@ -36,8 +36,10 @@ var (
 	ErrBadConfig = errors.New("pathsel: invalid configuration")
 	// ErrBadPattern reports a pattern outside the grammar (a malformed
 	// segment or repetition, or one that may match the empty path), a
-	// pattern whose exact evaluation would expand to too many paths, and
-	// a batch handle that is nil or compiled by another estimator.
+	// path query with a segment no label can be called (empty, as in
+	// "a//b", or pattern syntax, as in "a|b"), a pattern whose exact
+	// evaluation would expand to too many paths, and a batch handle that
+	// is nil or compiled by another estimator.
 	ErrBadPattern = errors.New("pathsel: invalid pattern")
 	// ErrBadSnapshot reports a synopsis blob LoadEstimator refuses: one
 	// that is truncated, breaks a bound or check of the codec, or names a

@@ -115,7 +115,10 @@ type vocab struct {
 // clients can form valid queries.
 func (v *vocab) Labels() []string { return append([]string(nil), v.names...) }
 
-// parsePath resolves a "a/b/c" label-name path against the vocabulary.
+// parsePath resolves a "a/b/c" label-name path against the vocabulary. A
+// segment no label can be called — empty, as in "a//b", or pattern syntax,
+// as in "a|b" — is ErrBadPattern; a well-formed name the vocabulary lacks
+// is ErrUnknownLabel.
 func (v *vocab) parsePath(q string) (paths.Path, error) {
 	if q == "" {
 		return nil, ErrEmptyPath
@@ -126,6 +129,9 @@ func (v *vocab) parsePath(q string) (paths.Path, error) {
 		if i == len(q) || q[i] == '/' {
 			name := q[start:i]
 			l, ok := v.ids[name]
+			if !ok && !addressable(name) {
+				return nil, fmt.Errorf("%w: segment %q in path %q names no label", ErrBadPattern, name, q)
+			}
 			if !ok {
 				return nil, fmt.Errorf("%w %q in path %q", ErrUnknownLabel, name, q)
 			}
@@ -283,7 +289,8 @@ type Config struct {
 	// so a step with fewer shards than workers, or a census with fewer
 	// subtrees, starts no idle goroutine.
 	Workers int
-	// DensityThreshold tunes the census's hybrid relation rows: a row
+	// DensityThreshold tunes the hybrid relation rows of the census and
+	// of every execution (Expr.ExecuteCtx, ExecuteExprBatchCtx): a row
 	// (the target set of one source vertex) is kept as a sorted sparse id
 	// list until its population exceeds DensityThreshold × |V|, then
 	// promotes to a dense bit array. ≤ 0 selects the default (1/32, the
@@ -390,19 +397,19 @@ func (c *Config) fill() error {
 // Estimator answers approximate path-selectivity queries from a compact
 // histogram, without access to the original distribution: it is the
 // synopsis LoadEstimator restores (Estimate, EstimatePrefix, Labels,
-// Ordering, Buckets, MaxPathLength), plus the CSR it was built on, which
-// every compiled query executes on, and the build-time census of that CSR
-// behind the True* methods and Evaluate. It is a snapshot: an edge added
-// to the Graph after Build changes none of these, nor the histogram or the
-// cache; Build again to see it.
+// Ordering, Buckets, MaxPathLength, DomainSize), plus the CSR it was built
+// on, which every compiled query executes on and the True* methods and
+// Evaluate compute their exact answers from. The census Build counts is
+// dropped once the histogram is built. The Estimator is a snapshot: an
+// edge added to the Graph after Build changes neither the CSR nor the
+// histogram or the cache; Build again to see it.
 type Estimator struct {
 	synopsis
-	csr    *graph.CSR // the graph as Build froze it
-	census *paths.Census
-	cfg    Config
-	cache  *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
-	pool   *exec.RelPool   // shared relation free list; abort paths drain back into it
-	pl     exec.Planner    // the histogram's planner, cache-aware under a cache and BushyPlans
+	csr   *graph.CSR // the graph as Build froze it
+	cfg   Config
+	cache *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
+	pool  *exec.RelPool   // shared relation free list; abort paths drain back into it
+	pl    exec.Planner    // the histogram's planner, cache-aware under a cache and BushyPlans
 }
 
 // Build computes the exact selectivity distribution of all label paths up
@@ -415,13 +422,12 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 		return nil, err
 	}
 	g := gr.csr()
-	ph, census, err := core.BuildForGraph(g, cfg.Ordering, cfg.Histogram,
-		cfg.MaxPathLength, cfg.Buckets,
-		paths.CensusOptions{Workers: cfg.Workers, DensityThreshold: cfg.DensityThreshold})
+	ph, err := core.BuildForGraph(g, cfg.Ordering, cfg.Histogram,
+		cfg.MaxPathLength, cfg.Buckets, cfg.censusOptions())
 	if err != nil {
 		return nil, err
 	}
-	e := &Estimator{synopsis: synopsis{vocab: gr.vocab, ph: ph}, csr: g, census: census, cfg: cfg}
+	e := &Estimator{synopsis: synopsis{vocab: gr.vocab, ph: ph}, csr: g, cfg: cfg}
 	// One relation pool for the estimator's lifetime: every
 	// Expr.ExecuteCtx / ExecuteExprBatchCtx draws its materialized
 	// relations here and releases them on completion and on every abort
@@ -435,23 +441,32 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	return e, nil
 }
 
+// censusOptions are the census engine's settings: the configured Workers
+// and DensityThreshold.
+func (c *Config) censusOptions() paths.CensusOptions {
+	return paths.CensusOptions{Workers: c.Workers, DensityThreshold: c.DensityThreshold}
+}
+
 // TruePrefixSelectivity returns the exact aggregate selectivity of the
-// path and all of its extensions, from the build-time ground truth.
+// path and all of its extensions up to MaxPathLength. Each call counts a
+// census of the estimator's CSR, at its Workers and DensityThreshold —
+// the cost of a Build's census, not a lookup.
 func (e *Estimator) TruePrefixSelectivity(q string) (int64, error) {
 	p, err := e.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
-	return e.census.PrefixSelectivity(p), nil
+	return paths.NewCensusHybrid(e.csr, e.MaxPathLength(), e.cfg.censusOptions()).PrefixSelectivity(p), nil
 }
 
-// TrueSelectivity returns the exact f(ℓ) recorded at build time.
+// TrueSelectivity returns the exact f(ℓ), evaluating the path on the CSR
+// the estimator was built on.
 func (e *Estimator) TrueSelectivity(q string) (int64, error) {
 	p, err := e.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
-	return e.census.Selectivity(p), nil
+	return paths.Selectivity(e.csr, p), nil
 }
 
 // Accuracy reports estimation quality over the entire path domain.
@@ -466,16 +481,15 @@ type Accuracy struct {
 	Paths int64
 }
 
-// Evaluate measures the estimator against its build-time ground truth.
+// Evaluate measures the estimator against the exact selectivity of every
+// path in Lk. Each call counts a census of the estimator's CSR, at its
+// Workers and DensityThreshold — the cost of a Build's census.
 func (e *Estimator) Evaluate() Accuracy {
-	ev := core.Evaluate(e.ph, e.census)
+	ev := core.Evaluate(e.ph, paths.NewCensusHybrid(e.csr, e.MaxPathLength(), e.cfg.censusOptions()))
 	return Accuracy{
 		MeanErrorRate: ev.MeanErrorRate,
 		MeanQError:    ev.MeanQError,
 		MaxAbsError:   ev.MaxAbsError,
-		Paths:         e.census.Size(),
+		Paths:         e.DomainSize(),
 	}
 }
-
-// DomainSize returns |Lk|.
-func (e *Estimator) DomainSize() int64 { return e.census.Size() }

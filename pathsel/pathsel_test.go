@@ -2,8 +2,12 @@ package pathsel
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/paths"
 )
 
 // socialGraph builds a small deterministic graph for API tests.
@@ -186,6 +190,98 @@ func TestEvaluate(t *testing.T) {
 	}
 	if est.Buckets() < 1 || est.Buckets() > 3 {
 		t.Fatalf("Buckets = %d", est.Buckets())
+	}
+}
+
+// TestExactAnswersEqualTheCensus pins the estimator's exact answers, which
+// it computes from its CSR when asked, to a census the test counts itself,
+// on every Table 3 generator: TrueSelectivity (and the Graph's) on every
+// path of L_k, TruePrefixSelectivity on every label, Evaluate bit for bit
+// against core.Evaluate, and DomainSize on the estimator and on its saved
+// synopsis.
+func TestExactAnswersEqualTheCensus(t *testing.T) {
+	const k = 3
+	for _, name := range DatasetNames() {
+		t.Run(name, func(t *testing.T) {
+			g, err := GenerateDataset(name, 0.02, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est, err := Build(g, Config{MaxPathLength: k, Buckets: 16, Ordering: OrderingLexCard})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := paths.NewCensusHybrid(est.csr, k, paths.CensusOptions{Workers: 1})
+			c.ForEach(func(p paths.Path, f int64) bool {
+				q := p.String(est.csr)
+				if got, err := est.TrueSelectivity(q); err != nil || got != f {
+					t.Errorf("Estimator.TrueSelectivity(%s) = %d, %v, want %d", q, got, err, f)
+				}
+				if got, err := g.TrueSelectivity(q); err != nil || got != f {
+					t.Errorf("Graph.TrueSelectivity(%s) = %d, %v, want %d", q, got, err, f)
+				}
+				if len(p) == 1 {
+					if got, err := est.TruePrefixSelectivity(q); err != nil || got != c.PrefixSelectivity(p) {
+						t.Errorf("TruePrefixSelectivity(%s) = %d, %v, want %d", q, got, err, c.PrefixSelectivity(p))
+					}
+				}
+				return true
+			})
+			ev := core.Evaluate(est.ph, c)
+			if got, want := est.Evaluate(), (Accuracy{ev.MeanErrorRate, ev.MeanQError, ev.MaxAbsError, c.Size()}); got != want {
+				t.Errorf("Evaluate() = %+v, want %+v", got, want)
+			}
+			var buf bytes.Buffer
+			if err := est.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			ce, err := LoadEstimator(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.DomainSize() != c.Size() || ce.DomainSize() != c.Size() {
+				t.Errorf("DomainSize() = %d built, %d loaded, want |L_k| = %d", est.DomainSize(), ce.DomainSize(), c.Size())
+			}
+		})
+	}
+}
+
+// TestMalformedPathIsABadPattern pins that a path query with a segment no
+// label can be called — empty, or pattern syntax — fails every path-query
+// method with ErrBadPattern, while a well-formed name the vocabulary lacks
+// stays ErrUnknownLabel.
+func TestMalformedPathIsABadPattern(t *testing.T) {
+	g := NewGraph(3, []string{"a", "b"})
+	g.AddEdge(0, "a", 1)
+	g.AddEdge(1, "b", 2)
+	est, err := Build(g, Config{MaxPathLength: 3, Buckets: 4, Ordering: OrderingLexAlph})
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := []struct {
+		name string
+		call func(string) error
+	}{
+		{"Estimate", func(q string) error { _, err := est.Estimate(q); return err }},
+		{"EstimatePrefix", func(q string) error { _, err := est.EstimatePrefix(q); return err }},
+		{"Estimator.TrueSelectivity", func(q string) error { _, err := est.TrueSelectivity(q); return err }},
+		{"Graph.TrueSelectivity", func(q string) error { _, err := g.TrueSelectivity(q); return err }},
+	}
+	for _, c := range []struct {
+		q    string
+		want error
+	}{
+		{"a/", ErrBadPattern},
+		{"/a", ErrBadPattern},
+		{"a//b", ErrBadPattern},
+		{"a|b", ErrBadPattern},
+		{"a/c", ErrUnknownLabel},
+	} {
+		for _, m := range methods {
+			if err := m.call(c.q); !errors.Is(err, c.want) {
+				t.Errorf("%s(%q) = %v, want %v", m.name, c.q, err, c.want)
+			}
+		}
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 
 // Save writes the estimator's synopsis — label vocabulary, ordering
 // method, ranking and bucket list — as one compact versioned binary blob
-// (the format is internal/core's codec). The build-time ground truth, the
-// census, is deliberately *not* saved: the whole point of the histogram is
-// that estimation needs only the synopsis. Load the result with
-// LoadEstimator.
+// (the format is internal/core's codec). Neither the CSR nor any exact
+// count is saved: the whole point of the histogram is that estimation
+// needs only the synopsis. Load the result with LoadEstimator.
 //
 // Only the five paper ordering methods with serial histograms are
 // serializable; any other fails, as does a failing writer.
@@ -22,16 +21,16 @@ func (e *Estimator) Save(w io.Writer) error { return core.WriteSynopsis(w, e.nam
 // synopsis is the estimator the paper describes — a label vocabulary, a
 // domain ordering and β buckets — and answers by label-name path without
 // the graph or the census. CompactEstimator is one; an Estimator is one
-// plus the CSR it was built on and the build-time census.
+// plus the CSR it was built on.
 type synopsis struct {
 	vocab
 	ph *core.PathHistogram
 }
 
 // CompactEstimator is a loaded synopsis: it answers Estimate and
-// EstimatePrefix queries by label-name path without the original graph or
-// ground truth (so there is no Evaluate or TrueSelectivity — those need
-// the census that only exists at build time).
+// EstimatePrefix queries by label-name path without the original graph
+// (so there is no Evaluate or TrueSelectivity — those compute exact
+// answers from the graph, which only an Estimator holds).
 type CompactEstimator struct{ synopsis }
 
 // LoadEstimator reads a synopsis written by Estimator.Save. A blob the
@@ -92,6 +91,9 @@ func (s *synopsis) Ordering() string { return s.ph.Ordering().Name() }
 
 // Buckets returns the realized bucket count of the histogram.
 func (s *synopsis) Buckets() int { return s.ph.Buckets() }
+
+// DomainSize returns |Lk|, the number of label paths the histogram covers.
+func (s *synopsis) DomainSize() int64 { return s.ph.Ordering().Size() }
 
 // MaxPathLength returns the covered length bound k: the longest path
 // Estimate accepts, and on an Estimator the longest match Compile accepts.

@@ -179,8 +179,8 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 // per-query deadline and canceller, the plan (Compile's as is, unless the
 // live cache can change it), brownout policy, admission gate, run, stats.
 // It runs on e's CSR, the graph Build froze and counted, so the cache, the
-// census and every execution describe one graph whatever the Graph it came
-// from has since become. The canceller carries ctx into every kernel, and
+// exact answers and every execution describe one graph whatever the Graph
+// it came from has since become. The canceller carries ctx into every kernel, and
 // an already-dead ctx never touches the graph; pol is checked before the
 // admission gate so a brownout degrade costs at most one replan, never a
 // graph access. Only the answer's counters go into ExecStats, so the

@@ -552,8 +552,10 @@ var layerRules = []rule{
 	}},
 	{"an estimator runs on its build snapshot", func(m *module) []string {
 		// An Estimator holds the CSR Build froze and counted, never the
-		// mutable Graph, and only the Graph's own methods and Build freeze
-		// a Graph: nothing freezes one lazily on an execution path.
+		// mutable Graph nor a census — the census lives only inside Build,
+		// and exact answers are computed from the CSR — and only the
+		// Graph's own methods and Build freeze a Graph: nothing freezes one
+		// lazily on an execution path.
 		sel := modulePath + "/pathsel"
 		bad := forbidUses(m, sel, []string{"Graph.csr"}, inPkgs("pathsel"), func(fn *ast.FuncDecl) bool {
 			return recvBase(fn) == "Graph" || (fn != nil && fn.Recv == nil && fn.Name.Name == "Build")
@@ -566,6 +568,10 @@ var layerRules = []rule{
 		if err != nil {
 			return append(bad, err.Error())
 		}
+		census, err := m.member(modulePath+"/internal/paths", "Census")
+		if err != nil {
+			return append(bad, err.Error())
+		}
 		var walk func(t types.Type)
 		walk = func(t types.Type) {
 			st, _ := t.Underlying().(*types.Struct)
@@ -575,8 +581,9 @@ var layerRules = []rule{
 				if p, ok := ft.(*types.Pointer); ok {
 					ft = p.Elem()
 				}
-				if named, ok := ft.(*types.Named); ok && named.Obj() == graph {
-					bad = append(bad, fmt.Sprintf("%s: Estimator holds a Graph in field %s", m.where(fld.Pos()), fld.Name()))
+				named, _ := ft.(*types.Named)
+				if named != nil && (named.Obj() == graph || named.Obj() == census) {
+					bad = append(bad, fmt.Sprintf("%s: Estimator holds a %s in field %s", m.where(fld.Pos()), named.Obj().Name(), fld.Name()))
 				} else if fld.Embedded() {
 					walk(ft)
 				}
