@@ -311,6 +311,10 @@ func BenchmarkCompile(b *testing.B) {
 // every experiment pays once per (dataset, k): the reference census, which
 // builds every path's relation, and under count/ the production engine on
 // one worker, which only counts the deepest level (|L|^k of the paths).
+// The last two are the censuses the benchmark workloads' set-up builds,
+// on their graphs (dataset seed 1), at one worker with allocations
+// reported: estimate_stream's Moreno health 1.0 at k = 6 and
+// exec_uncached's SNAP-ER 0.5 at k = 4.
 func BenchmarkCensus(b *testing.B) {
 	g := dataset.Generate(dataset.Table3()[0], 0.1, 1).Freeze()
 	for _, k := range []int{2, 3, 4} {
@@ -325,6 +329,27 @@ func BenchmarkCensus(b *testing.B) {
 		b.Run(fmt.Sprintf("count/moreno/k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := paths.NewCensusHybrid(g, k, paths.CensusOptions{Workers: 1})
+				if censusTotal(c) == 0 {
+					b.Fatal("empty census")
+				}
+			}
+		})
+	}
+	for _, w := range []struct {
+		name  string
+		spec  int
+		scale float64
+		k     int
+	}{
+		{"estimate_stream/moreno-1.0/k=6", 0, 1.0, 6},
+		{"exec_uncached/snap-er-0.5/k=4", 2, 0.5, 4},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			g := dataset.Generate(dataset.Table3()[w.spec], w.scale, 1).Freeze()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := paths.NewCensusHybrid(g, w.k, paths.CensusOptions{Workers: 1})
 				if censusTotal(c) == 0 {
 					b.Fatal("empty census")
 				}
@@ -452,7 +477,7 @@ func BenchmarkComposeKernels(b *testing.B) {
 		// only reads the size pays.
 		b.Run("count-"+regime.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, c := rel.Rows().ComposeShard(nil, ops, scr, rel.SparseMax(), 0, rel.Sources(), nil); c.Pairs == 0 {
+				if _, c := rel.Rows().ComposeShard(nil, ops, scr, bitset.SparseLimit(op.N, regime.density), 0, rel.Rows().Len(), nil); c.Pairs == 0 {
 					b.Fatal("empty composition")
 				}
 			}
@@ -495,7 +520,7 @@ func BenchmarkDenseSteps(b *testing.B) {
 	})
 	b.Run("count", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, c := left.Rows().ComposeShard(nil, ops, scr, dst.SparseMax(), 0, left.Sources(), nil); c.Pairs == 0 {
+			if _, c := left.Rows().ComposeShard(nil, ops, scr, bitset.SparseLimit(n, 0), 0, left.Rows().Len(), nil); c.Pairs == 0 {
 				b.Fatal("empty composition")
 			}
 		}
@@ -511,7 +536,7 @@ func BenchmarkDenseSteps(b *testing.B) {
 		})
 		b.Run(name+"count", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, c := deep.Rows().ComposeShard(nil, through, scr, dst.SparseMax(), 0, deep.Sources(), nil); c.Pairs == 0 {
+				if _, c := deep.Rows().ComposeShard(nil, through, scr, bitset.SparseLimit(n, 0), 0, deep.Rows().Len(), nil); c.Pairs == 0 {
 					b.Fatal("empty composition")
 				}
 			}
@@ -522,7 +547,7 @@ func BenchmarkDenseSteps(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dst.Reset()
 			var c bitset.Count
-			buf, c = left.Rows().JoinShard(dst, right, scr, dst.SparseMax(), 0, left.Sources(), buf)
+			buf, c = left.Rows().JoinShard(dst, right, scr, bitset.SparseLimit(n, 0), 0, left.Rows().Len(), buf)
 			dst.AdoptShard(buf, c)
 		}
 	})

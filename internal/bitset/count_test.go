@@ -9,11 +9,11 @@ import (
 // built step produced: same pairs, same sources, same clone size.
 func assertCounts(t *testing.T, ctx string, got Count, want *HybridRelation) {
 	t.Helper()
-	if got.Pairs != want.Pairs() || got.Sources != want.Sources() ||
+	if got.Pairs != want.Pairs() || got.Sources != want.Rows().Len() ||
 		got.CloneMemSize(want.n) != want.CloneMemSize() {
 		t.Fatalf("%s: counted pairs/sources/bytes %d/%d/%d, built %d/%d/%d", ctx,
 			got.Pairs, got.Sources, got.CloneMemSize(want.n),
-			want.Pairs(), want.Sources(), want.CloneMemSize())
+			want.Pairs(), want.Rows().Len(), want.CloneMemSize())
 	}
 }
 
@@ -73,7 +73,7 @@ func FuzzCountEquivalence(f *testing.F) {
 		r, _ := RandomHybrid(rng, n, pairsB, db)
 		op := RandomOperand(rng, n, pairsB)
 		scr := NewComposeScratch(n)
-		nact, ns := h.Sources(), int(shards%8)+1
+		nact, ns := h.Rows().Len(), int(shards%8)+1
 		compose := func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
 			return h.Rows().ComposeShard(dst, []CSROperand{op}, scr, h.sparseMax, lo, hi, nil)
 		}
@@ -212,12 +212,12 @@ func TestUnionFillCancelWithinOneWindow(t *testing.T) {
 	scr := NewComposeScratch(n)
 	var flag CancelFlag
 	scr.SetCancel(&flag)
-	if UnionCSR(h, ops, scr, h.sparseMax); h.Sources() != n || h.Pairs() != int64(n) {
-		t.Fatalf("uncancelled fill: %d sources, %d pairs, want %d rows of one pair", h.Sources(), h.Pairs(), n)
+	if UnionCSR(h, ops, scr, h.sparseMax); h.Rows().Len() != n || h.Pairs() != int64(n) {
+		t.Fatalf("uncancelled fill: %d sources, %d pairs, want %d rows of one pair", h.Rows().Len(), h.Pairs(), n)
 	}
 	flag.Set()
-	if UnionCSR(h, ops, scr, h.sparseMax); h.Sources() > cancelCheckInterval {
-		t.Fatalf("cancelled fill ran %d rows, more than one poll window", h.Sources())
+	if UnionCSR(h, ops, scr, h.sparseMax); h.Rows().Len() > cancelCheckInterval {
+		t.Fatalf("cancelled fill ran %d rows, more than one poll window", h.Rows().Len())
 	}
 	assertClean(t, "cancelled fill", scr)
 }

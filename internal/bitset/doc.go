@@ -34,6 +34,14 @@
 //     relation a caller would drop (count.go), exactly as the built one
 //     would be priced. ComposeInto and JoinInto are the one-shard forms.
 //
+//   - Rows.CountLabels is the census's leaf kernel (fused.go): the counted
+//     step through every label at once. FuseOperands lays every label's
+//     CSR out vertex-major, label l's targets offset by l·Npad, so a
+//     target's whole adjacency scatters once into an accumulator of one
+//     Npad-bit stride per label, and one walk of its summary popcounts
+//     every stride into its label's count and clears it. Labels go in
+//     chunks whose strides fit a 64 KiB accumulator.
+//
 //   - Packed is a HybridRelation's immutable snapshot (Pack), the form
 //     the relation cache stores: the same rows in the same forms, flat,
 //     with nothing sized by the universe, read only by copying out

@@ -92,3 +92,14 @@ func RandomHybrid(rng *rand.Rand, n int, pairs int, density float64) (*HybridRel
 	}
 	return HybridFromCSR(CSROperand{N: n, Offsets: offsets, Targets: targets}, density), ps
 }
+
+// FuseOperandsBudget is FuseOperands with budget bits of accumulator in
+// place of the built-in fusedBudget, so the tests can force labels into
+// chunks of one and of any odd size.
+func FuseOperandsBudget(n int, ops []CSROperand, budget int) *FusedOperand {
+	return fuseOperands(n, ops, budget)
+}
+
+// SparseMax returns the relation's sparse→dense promotion limit, the limit
+// a step into it must be run at.
+func (h *HybridRelation) SparseMax() int { return h.sparseMax }

@@ -165,9 +165,6 @@ func (scr *ComposeScratch) unionRow(first []int32, rest []CSROperand, v int) ([]
 // are cached at construction time.
 func (h *HybridRelation) Pairs() int64 { return h.pairs }
 
-// Sources returns the number of sources with at least one target.
-func (h *HybridRelation) Sources() int { return len(h.active) }
-
 // RowCount returns the cached target count of source s.
 func (h *HybridRelation) RowCount(s int) int { return int(h.rows[s].count) }
 

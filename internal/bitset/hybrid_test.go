@@ -142,8 +142,8 @@ func TestHybridResetKeepsNothing(t *testing.T) {
 	op := RandomOperand(rng, 64, 300)
 	h := HybridFromCSR(op, 0.5)
 	h.Reset()
-	if h.Pairs() != 0 || h.Sources() != 0 {
-		t.Fatalf("reset relation not empty: pairs=%d sources=%d", h.Pairs(), h.Sources())
+	if h.Pairs() != 0 || h.Rows().Len() != 0 {
+		t.Fatalf("reset relation not empty: pairs=%d sources=%d", h.Pairs(), h.Rows().Len())
 	}
 	h.ForEachPair(func(s, t2 int) bool {
 		t.Fatalf("reset relation yielded pair (%d,%d)", s, t2)

@@ -109,7 +109,7 @@ func TestJoinShardMatchesSequential(t *testing.T) {
 		shards := 1 + rng.Intn(7)
 		dst := NewHybrid(n, 0)
 		dst.Reset()
-		nact := ha.Sources()
+		nact := ha.Rows().Len()
 		srcs := make([][]int32, shards)
 		counts := make([]Count, shards)
 		for i := 0; i < shards; i++ {
@@ -184,7 +184,7 @@ func FuzzJoinEquivalence(f *testing.F) {
 		ns := int(shards%8) + 1
 		sharded := NewHybrid(n, dd)
 		sharded.Reset()
-		nact := ha.Sources()
+		nact := ha.Rows().Len()
 		scr := NewComposeScratch(n)
 		type res struct {
 			srcs []int32
@@ -251,9 +251,9 @@ func FuzzJoinCSREquivalence(f *testing.F) {
 				t.Fatalf("%s: join from CSR rows differs from the dense reference (n=%d)", ctx, n)
 			}
 			for _, c := range []Count{built, counted} {
-				if c.Pairs != want.Pairs() || c.Sources != dst.Sources() || c.CloneMemSize(n) != dst.CloneMemSize() {
+				if c.Pairs != want.Pairs() || c.Sources != dst.Rows().Len() || c.CloneMemSize(n) != dst.CloneMemSize() {
 					t.Fatalf("%s: count %+v, built relation %d pairs over %d sources, %d bytes",
-						ctx, c, dst.Pairs(), dst.Sources(), dst.CloneMemSize())
+						ctx, c, dst.Pairs(), dst.Rows().Len(), dst.CloneMemSize())
 				}
 			}
 		}

@@ -23,12 +23,6 @@ func SparseLimit(n int, density float64) int {
 	return sparseLimit(n, density)
 }
 
-// SparseMax returns the relation's sparse→dense promotion limit: rows
-// with more targets than this are dense. Together with Universe it
-// identifies the representation regime, so a caller can check that two
-// relations are structurally interchangeable.
-func (h *HybridRelation) SparseMax() int { return h.sparseMax }
-
 // CloneMemSize returns the exact heap footprint a Clone of the relation
 // would occupy, without building one: every slice counted at content
 // length (sparse ids or dense words per each row's current form). It is

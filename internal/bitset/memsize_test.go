@@ -73,7 +73,7 @@ func TestCloneExactSizeReplica(t *testing.T) {
 			if !c.Equal(h) {
 				t.Fatalf("n=%d density=%v: clone pairs differ", n, density)
 			}
-			if c.SparseMax() != h.SparseMax() || c.n != h.n {
+			if c.sparseMax != h.sparseMax || c.n != h.n {
 				t.Fatalf("n=%d density=%v: clone regime differs", n, density)
 			}
 			for v := 0; v < n; v++ {
@@ -112,7 +112,7 @@ func TestCopyIntoReplicaAndReuse(t *testing.T) {
 		// src's representations (it adopts src's promotion limit).
 		dst := NewHybrid(n, 1.0)
 		src.CopyInto(dst)
-		if !dst.Equal(src) || dst.SparseMax() != src.SparseMax() {
+		if !dst.Equal(src) || dst.sparseMax != src.sparseMax {
 			t.Fatalf("n=%d: CopyInto not a replica", n)
 		}
 		for v := 0; v < n; v++ {
@@ -139,7 +139,7 @@ func TestSparseLimitMatchesNewHybrid(t *testing.T) {
 	for _, n := range []int{1, 10, 64, 1000} {
 		for _, density := range []float64{-1, 0, 1e-9, 1.0 / 32, 0.5, 1, 2} {
 			h := NewHybrid(n, density)
-			if got, want := SparseLimit(n, density), h.SparseMax(); got != want {
+			if got, want := SparseLimit(n, density), h.sparseMax; got != want {
 				t.Fatalf("n=%d density=%v: SparseLimit %d != relation sparseMax %d",
 					n, density, got, want)
 			}

@@ -32,10 +32,10 @@ func FuzzPackedEquivalence(f *testing.F) {
 			t.Fatalf("packed to %d bytes, priced at %d", p.MemSize(), size)
 		}
 		if p.CloneMemSize() != src.CloneMemSize() || p.Pairs() != src.Pairs() ||
-			p.Universe() != src.n || p.SparseMax() != src.SparseMax() {
+			p.Universe() != src.n || p.sparseMax != src.sparseMax {
 			t.Fatalf("snapshot reads clone size %d, %d pairs, universe %d, limit %d; source %d, %d, %d, %d",
-				p.CloneMemSize(), p.Pairs(), p.Universe(), p.SparseMax(),
-				src.CloneMemSize(), src.Pairs(), src.n, src.SparseMax())
+				p.CloneMemSize(), p.Pairs(), p.Universe(), p.sparseMax,
+				src.CloneMemSize(), src.Pairs(), src.n, src.sparseMax)
 		}
 		density := regimes[dstRegime%3]
 		got, want := dirty(rng, n, density), dirty(rng, n, density)
@@ -46,8 +46,8 @@ func FuzzPackedEquivalence(f *testing.F) {
 			p.CopyInto(got)
 			keep.CopyInto(want)
 			assertBitIdentical(t, "copied out", got, want)
-			if got.SparseMax() != want.SparseMax() {
-				t.Fatalf("copied out under limit %d, want %d", got.SparseMax(), want.SparseMax())
+			if got.sparseMax != want.sparseMax {
+				t.Fatalf("copied out under limit %d, want %d", got.sparseMax, want.sparseMax)
 			}
 		}
 	})
@@ -67,8 +67,8 @@ func tenPairs(n int) *HybridRelation {
 // entry costs is its pairs and sources, not the graph it came from.
 func TestPackedCostIndependentOfUniverse(t *testing.T) {
 	small, large := tenPairs(100), tenPairs(1000000)
-	if small.Pairs() != 10 || large.Pairs() != 10 || small.Sources() != 2 {
-		t.Fatalf("fixture holds %d and %d pairs over %d sources, want 10, 10, 2", small.Pairs(), large.Pairs(), small.Sources())
+	if small.Pairs() != 10 || large.Pairs() != 10 || small.Rows().Len() != 2 {
+		t.Fatalf("fixture holds %d and %d pairs over %d sources, want 10, 10, 2", small.Pairs(), large.Pairs(), small.Rows().Len())
 	}
 	a, b := small.Pack().MemSize(), large.Pack().MemSize()
 	if a != b || a != small.PackedMemSize() || b != large.PackedMemSize() {
@@ -103,7 +103,7 @@ func TestPackedAllocations(t *testing.T) {
 		src := HybridFromCSR(RandomOperand(rng, c.n, c.edges), c.density)
 		var p *Packed
 		if allocs := testing.AllocsPerRun(20, func() { p = src.Pack() }); allocs > c.maxAllocs {
-			t.Errorf("%s: Pack of %d rows allocates %.0f times, want ≤ %.0f", c.name, src.Sources(), allocs, c.maxAllocs)
+			t.Errorf("%s: Pack of %d rows allocates %.0f times, want ≤ %.0f", c.name, src.Rows().Len(), allocs, c.maxAllocs)
 		}
 		dst := NewHybrid(c.n, c.density)
 		p.CopyInto(dst) // warm: rows grow to their content once

@@ -21,9 +21,9 @@ func pairList(h *HybridRelation) [][2]int {
 // same iteration order with the same aggregates.
 func assertIdentical(t *testing.T, ctx string, got, want *HybridRelation) {
 	t.Helper()
-	if got.Pairs() != want.Pairs() || got.Sources() != want.Sources() {
+	if got.Pairs() != want.Pairs() || got.Rows().Len() != want.Rows().Len() {
 		t.Fatalf("%s: pairs/sources %d/%d != %d/%d",
-			ctx, got.Pairs(), got.Sources(), want.Pairs(), want.Sources())
+			ctx, got.Pairs(), got.Rows().Len(), want.Pairs(), want.Rows().Len())
 	}
 	gp, wp := pairList(got), pairList(want)
 	for i := range wp {
@@ -58,18 +58,18 @@ func TestComposeShardMatchesCompose(t *testing.T) {
 			want := NewHybrid(n, density)
 			h.ComposeInto(want, opB, NewComposeScratch(n))
 			for _, shards := range []int{1, 2, 3, 7} {
-				if shards > h.Sources() && h.Sources() > 0 {
-					shards = h.Sources()
+				if shards > h.Rows().Len() && h.Rows().Len() > 0 {
+					shards = h.Rows().Len()
 				}
 				if shards < 1 {
 					shards = 1
 				}
 				dst := NewHybrid(n, density)
 				dst.Reset()
-				bounds := shardBounds(h.Sources(), shards)
+				bounds := shardBounds(h.Rows().Len(), shards)
 				scr := NewComposeScratch(n)
 				for i := 0; i < shards; i++ {
-					dst.AdoptShard(h.Rows().ComposeShard(dst, []CSROperand{opB}, scr, dst.SparseMax(), bounds[i], bounds[i+1], nil))
+					dst.AdoptShard(h.Rows().ComposeShard(dst, []CSROperand{opB}, scr, dst.sparseMax, bounds[i], bounds[i+1], nil))
 				}
 				assertIdentical(t, "sequential shards", dst, want)
 			}
@@ -93,12 +93,12 @@ func TestComposeShardConcurrent(t *testing.T) {
 			want := NewHybrid(n, density)
 			h.ComposeInto(want, opB, NewComposeScratch(n))
 			shards := 4
-			if h.Sources() < shards {
+			if h.Rows().Len() < shards {
 				continue
 			}
 			dst := NewHybrid(n, density)
 			dst.Reset()
-			bounds := shardBounds(h.Sources(), shards)
+			bounds := shardBounds(h.Rows().Len(), shards)
 			srcs := make([][]int32, shards)
 			counts := make([]Count, shards)
 			var wg sync.WaitGroup
@@ -107,7 +107,7 @@ func TestComposeShardConcurrent(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					srcs[i], counts[i] = h.Rows().ComposeShard(dst, []CSROperand{opB}, NewComposeScratch(n),
-						dst.SparseMax(), bounds[i], bounds[i+1], nil)
+						dst.sparseMax, bounds[i], bounds[i+1], nil)
 				}()
 			}
 			wg.Wait()
@@ -135,9 +135,9 @@ func TestComposeShardReusedDestination(t *testing.T) {
 		want := NewHybrid(n, 0.1)
 		h.ComposeInto(want, opB, NewComposeScratch(n))
 		dst.Reset()
-		bounds := shardBounds(h.Sources(), 3)
+		bounds := shardBounds(h.Rows().Len(), 3)
 		for i := 0; i < 3; i++ {
-			dst.AdoptShard(h.Rows().ComposeShard(dst, []CSROperand{opB}, scr, dst.SparseMax(), bounds[i], bounds[i+1], nil))
+			dst.AdoptShard(h.Rows().ComposeShard(dst, []CSROperand{opB}, scr, dst.sparseMax, bounds[i], bounds[i+1], nil))
 		}
 		assertIdentical(t, "reused dst", dst, want)
 	}
@@ -153,5 +153,5 @@ func TestComposeShardBadRange(t *testing.T) {
 			t.Fatal("out-of-range shard should panic")
 		}
 	}()
-	h.Rows().ComposeShard(dst, []CSROperand{op}, NewComposeScratch(32), dst.SparseMax(), 0, h.Sources()+1, nil)
+	h.Rows().ComposeShard(dst, []CSROperand{op}, NewComposeScratch(32), dst.sparseMax, 0, h.Rows().Len()+1, nil)
 }

@@ -95,12 +95,12 @@ func FuzzComposeUnionEquivalence(f *testing.F) {
 			fillChainRef(base, ops[:size])
 			h.JoinInto(want, base, NewComposeScratch(n))
 			got.Reset()
-			got.AdoptShard(h.Rows().ComposeShard(got, ops[:size], scr, limit, 0, h.Sources(), nil))
+			got.AdoptShard(h.Rows().ComposeShard(got, ops[:size], scr, limit, 0, h.Rows().Len(), nil))
 			assertBitIdentical(t, "through a label set", got, want)
-			assertCounts(t, "through a label set", counted(h.Rows().ComposeShard(nil, ops[:size], scr, limit, 0, h.Sources(), nil)), want)
+			assertCounts(t, "through a label set", counted(h.Rows().ComposeShard(nil, ops[:size], scr, limit, 0, h.Rows().Len(), nil)), want)
 			assertClean(t, "through a label set", scr)
 		}
-		assertSplits(t, "through a label set", got, want, h.Sources(),
+		assertSplits(t, "through a label set", got, want, h.Rows().Len(),
 			func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
 				return h.Rows().ComposeShard(dst, ops, scr, limit, lo, hi, nil)
 			})
@@ -134,7 +134,7 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 		scr := NewComposeScratch(n)
 		HybridFromCSR(a, density).ComposeInto(want, op, NewComposeScratch(n))
 		got.Reset()
-		srcs, c := a.Rows().ComposeShard(got, ops, scr, got.SparseMax(), 0, a.Rows().Len(), nil)
+		srcs, c := a.Rows().ComposeShard(got, ops, scr, got.sparseMax, 0, a.Rows().Len(), nil)
 		if got.AdoptShard(srcs, c); c.Pairs != want.Pairs() {
 			t.Fatalf("first step returned %d pairs, want %d", c.Pairs, want.Pairs())
 		}
@@ -142,7 +142,7 @@ func FuzzComposeCSREquivalence(f *testing.F) {
 		assertClean(t, "first step", scr)
 		assertSplits(t, "first step", got, want, a.Rows().Len(),
 			func(dst *HybridRelation, lo, hi int) ([]int32, Count) {
-				return a.Rows().ComposeShard(dst, ops, scr, got.SparseMax(), lo, hi, nil)
+				return a.Rows().ComposeShard(dst, ops, scr, got.sparseMax, lo, hi, nil)
 			})
 		assertClean(t, "first step shards", scr)
 	})
@@ -193,7 +193,7 @@ func FuzzFusedStepEquivalence(f *testing.F) {
 				eps, skip := terms[0], terms[1]
 				ctx := fmt.Sprintf("%s eps=%t skip=%t", name, eps, skip)
 				want.Reset()
-				want.AdoptShard(step(h.Rows(), want, 0, h.Sources()))
+				want.AdoptShard(step(h.Rows(), want, 0, h.Rows().Len()))
 				if eps {
 					want.UnionWith(x)
 				}
@@ -266,7 +266,7 @@ func TestSummaryWordBoundaries(t *testing.T) {
 		limit := got.sparseMax
 		h.ComposeInto(got, op, scr)
 		assertBitIdentical(t, "compose", got, want)
-		assertCounts(t, "compose", counted(h.Rows().ComposeShard(nil, ops, scr, limit, 0, h.Sources(), nil)), want)
+		assertCounts(t, "compose", counted(h.Rows().ComposeShard(nil, ops, scr, limit, 0, h.Rows().Len(), nil)), want)
 		got.Reset()
 		got.AdoptShard(left.Rows().ComposeShard(got, ops, scr, limit, 0, len(leftRows), nil))
 		assertBitIdentical(t, "first step", got, want)
@@ -275,7 +275,7 @@ func TestSummaryWordBoundaries(t *testing.T) {
 			r := HybridFromCSR(op, rd)
 			h.JoinInto(got, r, scr)
 			assertBitIdentical(t, "join", got, want)
-			assertCounts(t, "join", counted(h.Rows().JoinShard(nil, r, scr, limit, 0, h.Sources(), nil)), want)
+			assertCounts(t, "join", counted(h.Rows().JoinShard(nil, r, scr, limit, 0, h.Rows().Len(), nil)), want)
 		}
 		fillChainRef(base, union)
 		assertCounts(t, "base", UnionCSR(got, union, scr, limit), base)
@@ -308,9 +308,9 @@ func TestStepPreconditions(t *testing.T) {
 		fn()
 	}
 	for name, step := range map[string]func(dst *HybridRelation){
-		"compose": func(dst *HybridRelation) { h.Rows().ComposeShard(dst, ops, scr, limit, 0, h.Sources(), nil) },
+		"compose": func(dst *HybridRelation) { h.Rows().ComposeShard(dst, ops, scr, limit, 0, h.Rows().Len(), nil) },
 		"first":   func(dst *HybridRelation) { op.Rows().ComposeShard(dst, ops, scr, limit, 0, op.Rows().Len(), nil) },
-		"join":    func(dst *HybridRelation) { h.Rows().JoinShard(dst, r, scr, limit, 0, h.Sources(), nil) },
+		"join":    func(dst *HybridRelation) { h.Rows().JoinShard(dst, r, scr, limit, 0, h.Rows().Len(), nil) },
 		"union":   func(dst *HybridRelation) { UnionCSR(dst, ops, scr, limit) },
 	} {
 		expectPanic(name+": other promotion limit", func() { step(NewHybrid(n, 1)) })
@@ -318,9 +318,9 @@ func TestStepPreconditions(t *testing.T) {
 		step(NewHybrid(n, 0.5)) // the step's own regime is accepted
 		step(nil)
 	}
-	expectPanic("compose: dst == left", func() { h.Rows().ComposeShard(h, ops, scr, limit, 0, h.Sources(), nil) })
-	expectPanic("join: dst == left", func() { h.Rows().JoinShard(h, r, scr, limit, 0, h.Sources(), nil) })
-	expectPanic("join: dst == right", func() { h.Rows().JoinShard(r, r, scr, limit, 0, h.Sources(), nil) })
+	expectPanic("compose: dst == left", func() { h.Rows().ComposeShard(h, ops, scr, limit, 0, h.Rows().Len(), nil) })
+	expectPanic("join: dst == left", func() { h.Rows().JoinShard(h, r, scr, limit, 0, h.Rows().Len(), nil) })
+	expectPanic("join: dst == right", func() { h.Rows().JoinShard(r, r, scr, limit, 0, h.Rows().Len(), nil) })
 	mixed := []CSROperand{op, RandomOperand(rng, n+1, 40)}
 	expectPanic("union: operand universes, counted", func() { UnionCSR(nil, mixed, scr, limit) })
 	expectPanic("union: operand universes, built", func() { UnionCSR(NewHybrid(n, 0.5), mixed, scr, limit) })

@@ -97,8 +97,8 @@ func TestPoolLeaksNoRowsAcrossCheckouts(t *testing.T) {
 	limit := bitset.SparseLimit(n, 0)
 	// empty checks one checked-out relation, probing it on scr.
 	empty := func(rel *bitset.HybridRelation, scr *bitset.ComposeScratch) error {
-		if rel.Pairs() != 0 || rel.Sources() != 0 {
-			return fmt.Errorf("checked out holding %d pairs over %d sources", rel.Pairs(), rel.Sources())
+		if rel.Pairs() != 0 || rel.Rows().Len() != 0 {
+			return fmt.Errorf("checked out holding %d pairs over %d sources", rel.Pairs(), rel.Rows().Len())
 		}
 		_, c := rel.Extend(true, false).ComposeShard(nil, ops, scr, limit, 0, n, nil)
 		if want := int64(len(ops[0].Targets)); c.Pairs != want {

@@ -77,12 +77,12 @@ func TestFirstStepShardsAsTheBaseWould(t *testing.T) {
 	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
 	a := g.LabelOperand(0)
 	base := bitset.HybridFromCSR(a, 0)
-	if len(a.Active) != base.Sources() {
-		t.Fatalf("operand lists %d sources, its relation has %d", len(a.Active), base.Sources())
+	if len(a.Active) != base.Rows().Len() {
+		t.Fatalf("operand lists %d sources, its relation has %d", len(a.Active), base.Rows().Len())
 	}
 	for start := range p {
 		for workers := 1; workers <= 8; workers++ {
-			want := int64(shardGrain.shards(base.Sources(), base.Pairs(), workers))
+			want := int64(shardGrain.shards(base.Rows().Len(), base.Pairs(), workers))
 			if want == 1 {
 				want = 0 // a sequential step never reaches the scheduler
 			} else if workers == 4 && want < 2 {

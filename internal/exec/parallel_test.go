@@ -329,8 +329,8 @@ func TestExecuteParallelLargeMerge(t *testing.T) {
 	g := randomGraph(43, 3*largeMerge, 2, 15*largeMerge)
 	p := paths.Path{0, 1, 0}
 	seqRel, seqSt := runPlan(t, g, p, 0, Options{Workers: 1})
-	if seqRel.Sources() < largeMerge {
-		t.Fatalf("graph too small for a large merge: %d sources", seqRel.Sources())
+	if seqRel.Rows().Len() < largeMerge {
+		t.Fatalf("graph too small for a large merge: %d sources", seqRel.Rows().Len())
 	}
 	for _, workers := range []int{2, 4, 16} {
 		rel, st := runPlan(t, g, p, 0, Options{Workers: workers})

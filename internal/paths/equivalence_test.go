@@ -134,6 +134,47 @@ func FuzzCensusEquivalence(f *testing.F) {
 	})
 }
 
+// TestPrefixSelectivityMatchesFullCensus pins PrefixSelectivity, which
+// seeds the engine with one prefix's relation and expands its subtree
+// alone, to the PrefixSelectivity of a full census: on random graphs for
+// every path of the domain, at one and at several workers, and on Moreno
+// health at half estimate_stream's scale, k = 6, for a first label, a deep
+// prefix, a whole path, a length-2 prefix and a prefix whose relation is
+// empty.
+func TestPrefixSelectivityMatchesFullCensus(t *testing.T) {
+	for trial := 0; trial < 8; trial++ {
+		g := randomGraph(int64(400+trial), 10+trial*7, 1+trial%4, 30+trial*40)
+		k := 1 + trial%3
+		full := oracle.NewCensus(g, k)
+		opt := CensusOptions{Workers: 1 + trial%3}
+		full.ForEach(func(p Path, _ int64) bool {
+			if got, want := PrefixSelectivity(g, p, k, opt), full.PrefixSelectivity(p); got != want {
+				t.Fatalf("trial %d: PrefixSelectivity(%s) = %d, full census %d", trial, p.Key(), got, want)
+			}
+			return true
+		})
+	}
+	g := dataset.Generate(dataset.Table3()[0], 0.5, 1).Freeze()
+	const k = 6
+	full := NewCensusHybrid(g, k, CensusOptions{})
+	prefixes := []Path{{0}, {0, 1, 2, 3, 4}, {5, 4, 3, 2, 1, 0}, {2, 2}}
+	full.ForEach(func(p Path, f int64) bool {
+		if f == 0 && len(p) < k {
+			prefixes = append(prefixes, p)
+			return false
+		}
+		return true
+	})
+	if len(prefixes) != 5 {
+		t.Fatalf("no empty prefix shorter than k among %d paths", full.Size())
+	}
+	for _, p := range prefixes {
+		if got, want := PrefixSelectivity(g, p, k, CensusOptions{}), full.PrefixSelectivity(p); got != want {
+			t.Fatalf("Moreno k = 6: PrefixSelectivity(%s) = %d, full census %d", p.Key(), got, want)
+		}
+	}
+}
+
 // TestEvaluateHybridMatchesDense pins the hybrid Evaluate bit-identical to
 // the retired dense evaluator across random graphs, path lengths, and
 // density thresholds.

@@ -15,7 +15,7 @@ func NewCensusSplit(g *graph.CSR, k int, opt CensusOptions, split int64) *Census
 	if split <= 0 {
 		split = splitPairs
 	}
-	c, err := newCensusHybrid(g, k, opt, split)
+	c, err := newCensusHybrid(g, k, opt, split, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -35,12 +35,13 @@ type censusTask struct {
 	rel *bitset.HybridRelation
 }
 
-// censusWorker is one worker's private state: a relation free list and a
-// compose accumulator, indexed by the scheduler's worker id so no
-// synchronization is ever needed.
+// censusWorker is one worker's private state: a relation free list, a
+// compose accumulator and the leaves' fused accumulator, indexed by the
+// scheduler's worker id so no synchronization is ever needed.
 type censusWorker struct {
 	pool    sched.Pool[*bitset.HybridRelation]
 	scratch *bitset.ComposeScratch
+	leaves  *bitset.ComposeScratch
 }
 
 // censusEngine is the census client of the shared work-stealing scheduler
@@ -49,6 +50,7 @@ type censusWorker struct {
 type censusEngine struct {
 	c       *Census
 	ops     []bitset.CSROperand
+	fused   *bitset.FusedOperand // every label's CSR, vertex-major, for the leaves
 	sch     *sched.Scheduler[censusTask]
 	workers []censusWorker
 	split   int64
@@ -63,13 +65,7 @@ type censusEngine struct {
 // internal/oracle (test-only) — the engine changes how frequencies are
 // computed, never their values.
 func NewCensusHybrid(g *graph.CSR, k int, opt CensusOptions) *Census {
-	c, err := NewCensusHybridChecked(g, k, opt)
-	if err != nil {
-		// The census runs no caller code, so the only failure is a
-		// contained worker panic — re-raise it on the caller.
-		panic(fmt.Sprintf("paths: census build failed: %v", err))
-	}
-	return c
+	return mustCensus(newCensusHybrid(g, k, opt, splitPairs, nil))
 }
 
 // NewCensusHybridChecked is NewCensusHybrid with failure containment: a
@@ -80,46 +76,67 @@ func NewCensusHybrid(g *graph.CSR, k int, opt CensusOptions) *Census {
 // relations its dropped tasks held go to the garbage collector with the
 // rest of the failed census.
 func NewCensusHybridChecked(g *graph.CSR, k int, opt CensusOptions) (*Census, error) {
-	return newCensusHybrid(g, k, opt, splitPairs)
+	return newCensusHybrid(g, k, opt, splitPairs, nil)
+}
+
+// PrefixSelectivity returns the census's PrefixSelectivity(p) — Σ f(ℓ) over
+// p and its extensions up to length k — counting p's subtree alone: the
+// engine is seeded with p's relation, so no other prefix is expanded.
+func PrefixSelectivity(g *graph.CSR, p Path, k int, opt CensusOptions) int64 {
+	return mustCensus(newCensusHybrid(g, k, opt, splitPairs, p)).PrefixSelectivity(p)
+}
+
+// mustCensus re-raises a census failure on the caller. The census runs no
+// caller code, so the only failure is a contained worker panic.
+func mustCensus(c *Census, err error) *Census {
+	if err != nil {
+		panic(fmt.Sprintf("paths: census build failed: %v", err))
+	}
+	return c
 }
 
 // newCensusHybrid is NewCensusHybridChecked offering a subtree to the
-// deques once its prefix selectivity reaches split pairs.
-func newCensusHybrid(g *graph.CSR, k int, opt CensusOptions, split int64) (*Census, error) {
+// deques once its prefix selectivity reaches split pairs. A nil prefix
+// seeds one task per first label; a given one seeds its own subtree only,
+// and the other slots stay zero.
+func newCensusHybrid(g *graph.CSR, k int, opt CensusOptions, split int64, prefix Path) (*Census, error) {
 	if k < 1 {
 		panic(fmt.Sprintf("paths: census needs k ≥ 1, got %d", k))
 	}
 	opt.Workers = sched.WorkerCount(opt.Workers)
-	c := &Census{
-		numLabels: g.NumLabels(),
-		k:         k,
-		freq:      make([]int64, combinat.GeometricSum(int64(g.NumLabels()), int64(k))),
-	}
+	n, nl := g.NumVertices(), g.NumLabels()
+	c := &Census{numLabels: nl, k: k, freq: make([]int64, combinat.GeometricSum(int64(nl), int64(k)))}
 	e := &censusEngine{
 		c:       c,
 		ops:     g.Operands(),
 		workers: make([]censusWorker, opt.Workers),
 		split:   split,
 	}
+	e.fused = bitset.FuseOperands(n, e.ops)
 	e.sch = sched.New(opt.Workers, e.runTask)
-	n, density := g.NumVertices(), opt.DensityThreshold
 	for i := range e.workers {
 		e.workers[i] = censusWorker{
-			pool:    sched.Pool[*bitset.HybridRelation]{New: func() *bitset.HybridRelation { return bitset.NewHybrid(n, density) }},
+			pool:    sched.Pool[*bitset.HybridRelation]{New: func() *bitset.HybridRelation { return bitset.NewHybrid(n, opt.DensityThreshold) }},
 			scratch: bitset.NewComposeScratch(n),
+			leaves:  e.fused.NewScratch(),
 		}
 	}
-	// Seed: one task per non-empty first-label subtree, round-robin across
+	// Seed: one task per non-empty seed subtree, round-robin across
 	// deques. Deeper splits happen dynamically as workers expand.
-	for l := 0; l < c.numLabels; l++ {
-		rel := bitset.HybridFromCSR(e.ops[l], opt.DensityThreshold)
-		p := make(Path, 1, k)
-		p[0] = l
-		c.freq[CanonicalIndex(p, c.numLabels, c.k)] = rel.Pairs()
-		if k == 1 || rel.Pairs() == 0 {
+	seeds := []Path{prefix}
+	if prefix == nil {
+		seeds = make([]Path, nl)
+		for l := range seeds {
+			seeds[l] = Path{l}
+		}
+	}
+	for i, s := range seeds {
+		rel := EvaluateWithDensity(g, s, opt.DensityThreshold)
+		c.freq[CanonicalIndex(s, nl, k)] = rel.Pairs()
+		if len(s) == k || rel.Pairs() == 0 {
 			continue
 		}
-		e.sch.Spawn(l, censusTask{p: p, rel: rel})
+		e.sch.Spawn(i, censusTask{p: append(make(Path, 0, k), s...), rel: rel})
 	}
 	if err := e.sch.Drain(); err != nil {
 		return nil, err
@@ -136,32 +153,32 @@ func (e *censusEngine) runTask(worker int, t censusTask) {
 	w.pool.Put(t.rel)
 }
 
-// expand records the frequency of every child of prefix p and either
-// recurses inline (reusing pooled relations) or re-enqueues large subtrees
-// for stealing. The children of a depth k−1 prefix are the trie's leaves —
-// |L|^k of its Σ|L|^i paths — and nothing ever extends them, so that level
-// is counted — the step kernel run with no destination — never built. p
-// must have capacity ≥ k so appends never reallocate.
+// expand records the frequency of every child of prefix p — |L|
+// contiguous slots in canonical order — and either recurses inline
+// (reusing pooled relations) or re-enqueues large subtrees for stealing.
+// The children of a depth k−1 prefix are the trie's leaves — |L|^k of its
+// Σ|L|^i paths — and nothing ever extends them, so that level is counted,
+// never built, and for every label in one pass: CountLabels scatters each
+// target's fused adjacency once and writes all |L| counts. p must have
+// capacity ≥ k so appends never reallocate.
 func (e *censusEngine) expand(worker int, w *censusWorker, p Path, rel *bitset.HybridRelation) {
-	leaves := len(p)+1 == e.c.k
-	for l := 0; l < e.c.numLabels; l++ {
-		cp := append(p, l)
-		if leaves {
-			_, c := rel.Rows().ComposeShard(nil, e.ops[l:l+1], w.scratch, rel.SparseMax(), 0, rel.Sources(), nil)
-			e.c.freq[CanonicalIndex(cp, e.c.numLabels, e.c.k)] = c.Pairs
-			continue
-		}
+	nl := e.c.numLabels
+	base := CanonicalIndex(append(p, 0), nl, e.c.k)
+	if len(p)+1 == e.c.k {
+		rel.Rows().CountLabels(e.fused, w.leaves, e.c.freq[base:base+int64(nl)])
+		return
+	}
+	for l := 0; l < nl; l++ {
 		child := w.pool.Get()
 		pairs := rel.ComposeInto(child, e.ops[l], w.scratch)
-		e.c.freq[CanonicalIndex(cp, e.c.numLabels, e.c.k)] = pairs
+		e.c.freq[base+int64(l)] = pairs
 		if pairs == 0 {
 			w.pool.Put(child)
 			continue
 		}
+		cp := append(p, l)
 		if pairs >= e.split {
-			tp := make(Path, len(cp), e.c.k)
-			copy(tp, cp)
-			e.sch.Spawn(worker, censusTask{p: tp, rel: child})
+			e.sch.Spawn(worker, censusTask{p: append(make(Path, 0, e.c.k), cp...), rel: child})
 		} else {
 			e.expand(worker, w, cp, child)
 			w.pool.Put(child)

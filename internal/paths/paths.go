@@ -13,12 +13,17 @@
 // relations with work-stealing trie parallelism over the shared
 // scheduling layer (internal/sched): subtrees split at any trie depth,
 // so workers are not capped at |L| and skewed first-label distributions
-// do not serialize on one goroutine. Evaluate, Selectivity and
-// UnionSelectivity evaluate single paths on the same substrate. The
-// simple allocating references on dense rows — a sequential trie-DFS
-// census and a forward evaluator — live in internal/oracle, a package
-// only tests import; property and fuzz tests in equivalence_test.go pin
-// every entry point here bit-identical to them.
+// do not serialize on one goroutine. The trie's leaves are counted, never
+// built, and a prefix's |L| leaves in one pass (bitset.Rows.CountLabels)
+// over an operand that fuses every label's CSR vertex-major, built once
+// per census and dropped with it. PrefixSelectivity seeds the same engine
+// with one prefix's relation and counts that subtree alone. Evaluate,
+// Selectivity and UnionSelectivity evaluate single paths on the same
+// substrate. The simple allocating references on dense rows — a
+// sequential trie-DFS census and a forward evaluator — live in
+// internal/oracle, a package only tests import; property and fuzz tests
+// in equivalence_test.go pin every entry point here bit-identical to
+// them.
 //
 // Knobs (CensusOptions):
 //

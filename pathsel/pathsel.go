@@ -448,15 +448,15 @@ func (c *Config) censusOptions() paths.CensusOptions {
 }
 
 // TruePrefixSelectivity returns the exact aggregate selectivity of the
-// path and all of its extensions up to MaxPathLength. Each call counts a
-// census of the estimator's CSR, at its Workers and DensityThreshold —
-// the cost of a Build's census, not a lookup.
+// path and all of its extensions up to MaxPathLength. Each call counts the
+// path's subtree of the census on the estimator's CSR, at its Workers and
+// DensityThreshold — a share of a Build's census, not a lookup.
 func (e *Estimator) TruePrefixSelectivity(q string) (int64, error) {
 	p, err := e.parsePath(q)
 	if err != nil {
 		return 0, err
 	}
-	return paths.NewCensusHybrid(e.csr, e.MaxPathLength(), e.cfg.censusOptions()).PrefixSelectivity(p), nil
+	return paths.PrefixSelectivity(e.csr, p, e.MaxPathLength(), e.cfg.censusOptions()), nil
 }
 
 // TrueSelectivity returns the exact f(ℓ), evaluating the path on the CSR
