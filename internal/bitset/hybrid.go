@@ -354,9 +354,10 @@ func popcount(words []uint64) int {
 }
 
 // emitRow stores the scatter accumulator into dst's row s, choosing the
-// sparse or dense form by dst's threshold. A sparse emit walks the summary
-// in ascending order and drains the words it reads, in O(|V|/4096 + touched
-// words); a dense one copies the accumulator, which the caller then resets.
+// sparse or dense form by dst's threshold. A sparse emit grows the row's
+// id list once to count, then walks the summary in ascending order and
+// drains the words it reads, in O(|V|/4096 + touched words); a dense one
+// copies the accumulator, which the caller then resets.
 // It touches only the row itself — the caller accounts for dst's active
 // list and pair count, so sharded compositions can run rows concurrently.
 func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
@@ -364,7 +365,7 @@ func (scr *ComposeScratch) emitRow(dst *HybridRelation, s int32, count int) {
 	row.count = int32(count)
 	if count <= dst.sparseMax {
 		row.dense = false
-		row.ids = row.ids[:0]
+		row.ids = slices.Grow(row.ids[:0], count)
 		for si, sw := range scr.sum {
 			for ; sw != 0; sw &= sw - 1 {
 				wi := si*wordBits + bits.TrailingZeros64(sw)

@@ -270,7 +270,7 @@ func constEstimator(v float64) Estimator {
 // query costs 30 under any zig-zag plan and 40 under the best bushy
 // split, so linear wins cold. Marking the two halves cached zeroes their
 // build cost, making the balanced join (0+0+10+10 = 20) the winner —
-// the PR-4 "bushy never wins" outcome flips exactly when segments are
+// the "bushy never wins" outcome flips exactly when segments are
 // reusable.
 func TestBushyPlanCacheAware(t *testing.T) {
 	d := PathDag(paths.Path{0, 1, 2, 3})
@@ -280,7 +280,7 @@ func TestBushyPlanCacheAware(t *testing.T) {
 	}
 	warm := Planner{Est: constEstimator(10), Cached: func(seg paths.Path) bool {
 		return len(seg) == 2
-	}}.Replan(cold)
+	}}.Plan(d, 0, true)
 	tree := warm.Blocks[0].Tree
 	if tree.IsLeaf() || warm.Cost != 20 {
 		t.Fatalf("warm planner chose %s at %v, want balanced join at 20", tree.Describe(4), warm.Cost)
@@ -289,7 +289,7 @@ func TestBushyPlanCacheAware(t *testing.T) {
 		t.Fatalf("warm planner split at %d, want 2", tree.Left.Hi)
 	}
 	// A fully cached query is a free leaf — the fast path beats any join.
-	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}.Replan(cold)
+	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}.Plan(d, 0, true)
 	if tree := full.Blocks[0].Tree; !tree.IsLeaf() || full.Cost != 0 {
 		t.Fatalf("fully cached planner chose %s at %v, want free leaf", tree.Describe(4), full.Cost)
 	}

@@ -30,16 +30,17 @@
 // the fold's step (bitset.HybridRelation.Extend), never unions after it.
 // A concrete path is the one-run case and a zig-zag plan is its leaf. The
 // planner costs every candidate from a selectivity
-// estimator — each proper segment of a run asked once, into a table the
-// plan retains — and picks the cheapest: the best zig-zag start, or, bushy,
-// the best tree of a dynamic program over segment splits (bounded by
-// MaxTreeLength) that falls back to the zig-zag winner whenever linear
-// growth is estimated cheaper. Planner.Replan decides a plan again against
-// a changed cache state with no estimator calls. Plan never asks for the
-// whole query — a caller may plan one label past its estimator's reach —
-// so its size is a separate call, Planner.Estimate: one lookup of a
-// concrete path, the sum over at most MaxExpansions expansions, the plan's
-// independence-model ResultEst past that. NewPlanner is the planner a
+// estimator — each proper segment of a run asked once, into one table
+// every search reads — and picks the cheapest: the best zig-zag start, or,
+// bushy, the best tree of a dynamic program over segment splits (bounded
+// by MaxTreeLength) that falls back to the zig-zag winner whenever linear
+// growth is estimated cheaper. A plan is decided once, as Plan builds it,
+// against the cache as it is then; nothing decides it again. Plan never
+// asks for the whole query — a caller may plan one label past its
+// estimator's reach — so its size is a separate call, Planner.Estimate:
+// one lookup of a concrete path, the sum over at most MaxExpansions
+// expansions, the plan's independence-model ResultEst past that.
+// NewPlanner is the planner a
 // caller builds once over its estimator and cache: it sees the cache only
 // under bushy plans, the one search a cached segment can change. A plan
 // carries its query (PathPlan hand-builds one; a forced start is a leaf),

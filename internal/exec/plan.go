@@ -40,11 +40,10 @@ type Planner struct {
 }
 
 // NewPlanner returns the planner a caller builds once over est and the
-// cache it executes against (nil for none), and plans, estimates and
-// replans every query with. Its Cached probes cache.Contains only when
-// there is a cache and bushy is set: only the bushy DP consults cached
-// segments, so any other planner plans as if there were none, and a plan
-// it made never needs deciding again.
+// cache it executes against (nil for none), and plans and estimates every
+// query with. Its Cached probes cache.Contains only when there is a cache
+// and bushy is set: only the bushy DP consults cached segments, so any
+// other planner plans as if there were none.
 func NewPlanner(est Estimator, cache *relcache.Cache, bushy bool) Planner {
 	pl := Planner{Est: est}
 	if cache != nil && bushy {
@@ -57,12 +56,11 @@ func NewPlanner(est Estimator, cache *relcache.Cache, bushy bool) Planner {
 // path — Estimate(p[i:j)) for 0 ≤ i < j ≤ len(p) short of the whole path —
 // each asked of the estimator exactly once: k(k+1)/2 − 1 calls for a
 // length-k path. Every plan search over the path (the zig-zag spread, the
-// bushy DP) is arithmetic over this table, so one table serves them all,
-// and a plan that retains it is replanned against a changed cache state
-// with no estimator calls at all. The whole path is the result, no plan's
-// intermediate, and is never asked: callers plan queries one label longer
-// than their estimator covers. A table is immutable once built and safe to
-// share across goroutines; it retains p, which the caller must not modify.
+// bushy DP) is arithmetic over this table, so one table serves them all.
+// The whole path is the result, no plan's intermediate, and is never
+// asked: callers plan queries one label longer than their estimator
+// covers. A table is immutable once built; it retains p, which the caller
+// must not modify.
 type segTable struct {
 	p paths.Path
 	// est is triangular, indexed by tri: row i holds its len(p)−i segments

@@ -304,19 +304,15 @@ func randomPlanner(seed int64, cachedShare float64) Planner {
 
 // assertPlansMatchReference pins everything the table-driven planner
 // decides about p — the zig-zag cost spread, the chosen zig-zag leaf, the
-// chosen tree and its cost, and the same again when replanned from the
-// retained table — to the reference planner, float for float.
+// chosen tree and its cost — to the reference planner, float for float.
 func assertPlansMatchReference(t *testing.T, pl Planner, p paths.Path) {
 	t.Helper()
 	k := len(p)
 	want := refCosts(pl, p)
 	wantLeaf := &PlanTree{Lo: 0, Hi: k, Start: cheapest(want)}
 	wantTree, wantCost := refChooseTreeWithCost(pl, p)
-	cold := Planner{Est: pl.Est}
-	for name, got := range map[string]*DagPlan{
-		"Plan": pl.Plan(PathDag(p), 0, false), "Replan": pl.Replan(cold.Plan(PathDag(p), 0, false)),
-		"bushy Plan": pl.Plan(PathDag(p), 0, true), "bushy Replan": pl.Replan(cold.Plan(PathDag(p), 0, true)),
-	} {
+	for _, bushy := range []bool{false, true} {
+		name, got := fmt.Sprintf("bushy=%v", bushy), pl.Plan(PathDag(p), 0, bushy)
 		b := got.Blocks[0]
 		if len(got.Blocks) != 1 || !b.Run.Equal(p) || len(b.Costs) != len(want) {
 			t.Fatalf("path %v: %s is not one run block over the path with %d costs", p, name, len(want))
@@ -327,7 +323,7 @@ func assertPlansMatchReference(t *testing.T, pl Planner, p paths.Path) {
 			}
 		}
 		tree, cost := wantLeaf, want[wantLeaf.Start]
-		if got.bushy {
+		if bushy {
 			tree, cost = wantTree, wantCost
 		}
 		if b.Tree.Describe(k) != tree.Describe(k) || got.Cost != cost {
@@ -383,7 +379,7 @@ func TestPlannerMatchesReference(t *testing.T) {
 }
 
 // TestPlanDagMatchesReference is the same for planned DAGs, zig-zag and
-// bushy, planned and replanned.
+// bushy.
 func TestPlanDagMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for seed := int64(0); seed < 200; seed++ {
@@ -395,32 +391,17 @@ func TestPlanDagMatchesReference(t *testing.T) {
 				want := refPlanDag(pl, d, n, bushy)
 				got := pl.Plan(d, n, bushy)
 				assertDagPlanMatchesReference(t, d.Describe(), got, want)
-				// A plan made against another cache state, replanned
-				// against this one, is the plan made against this one.
-				other := randomPlanner(seed, 1).Plan(d, n, bushy)
-				assertDagPlanMatchesReference(t, d.Describe()+" replanned", pl.Replan(other), want)
 			}
 		}
 	}
-}
-
-// countingPlanner wraps pl's estimator with a call counter.
-func countingPlanner(pl Planner, calls *int) Planner {
-	est := pl.Est
-	pl.Est = EstimatorFunc(func(p paths.Path) float64 {
-		*calls++
-		return est.Estimate(p)
-	})
-	return pl
 }
 
 // TestSegmentTableAsksEachSegmentOnce pins the planner's estimator
 // budget: planning a concrete path, zig-zag or bushy, makes one call per
 // proper segment — never the whole path, which no plan materializes as an
 // intermediate and which callers plan one label beyond their estimator's
-// reach — estimating it then makes one call, on the whole path, and
-// replanning asks nothing, with and without a cache view, while choosing
-// what planning from scratch chooses.
+// reach — estimating it then makes one call, on the whole path, and a
+// cache view changes which plan is chosen, never what is asked.
 func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 	for k := 1; k <= 8; k++ {
 		// Distinct labels, so every segment is a distinct label sequence.
@@ -453,14 +434,15 @@ func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 			}
 			for _, share := range []float64{0, 0.5} {
 				scratch := randomPlanner(int64(k), share)
-				calls = 0
-				got := Planner{Est: pl.Est, Cached: scratch.Cached}.Replan(dp)
-				if calls != 0 {
-					t.Fatalf("k=%d bushy=%v: replanning made %d estimator calls", k, bushy, calls)
+				calls, asked, planning = 0, map[string]int{}, true
+				got := Planner{Est: pl.Est, Cached: scratch.Cached}.Plan(d, 0, bushy)
+				if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
+					t.Fatalf("k=%d bushy=%v cached share %v: planning made %d estimator calls over %d segments, want %d",
+						k, bushy, share, calls, len(asked), want)
 				}
 				want := scratch.Plan(PathDag(p), 0, bushy)
 				if got.Describe() != want.Describe() || got.Cost != want.Cost {
-					t.Fatalf("k=%d bushy=%v cached share %v: replanned %s at %v, from scratch %s at %v",
+					t.Fatalf("k=%d bushy=%v cached share %v: planned %s at %v, reference planner %s at %v",
 						k, bushy, share, got.Describe(), got.Cost, want.Describe(), want.Cost)
 				}
 			}
@@ -521,29 +503,6 @@ func TestEstimateSumsExpansions(t *testing.T) {
 		if len(asked) != len(exps) || math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s: %d calls answering %v, want %d answering %v", c.name, len(asked), got, len(exps), want)
 		}
-	}
-}
-
-// TestReplanAsksNothing pins Replan's budget: zero estimator calls, and
-// the input plan untouched.
-func TestReplanAsksNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	for seed := int64(0); seed < 50; seed++ {
-		d := randomDag(rng, 4)
-		var calls int
-		cold := countingPlanner(randomPlanner(seed, 0), &calls)
-		dp := cold.Plan(d, 30, true)
-		before, coldCost := dp.Describe(), dp.Cost
-		calls = 0
-		warm := countingPlanner(randomPlanner(seed, 0.7), &calls)
-		replanned := warm.Replan(dp)
-		if calls != 0 {
-			t.Fatalf("%s: Replan made %d estimator calls", d.Describe(), calls)
-		}
-		if dp.Describe() != before || dp.Cost != coldCost {
-			t.Fatalf("%s: Replan changed its input", d.Describe())
-		}
-		assertDagPlanMatchesReference(t, d.Describe(), replanned, refPlanDag(warm, d, 30, true))
 	}
 }
 

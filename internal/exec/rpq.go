@@ -411,8 +411,7 @@ type DagBlockPlan struct {
 	Tree *PlanTree
 	// Costs is the estimated cost of each of Run's zig-zag plans, indexed
 	// by start position — the spread Tree was chosen over (nil for element
-	// blocks and hand-built plans). It never depends on the cache, so
-	// every replanned copy of the block shares it.
+	// blocks and hand-built plans). It never depends on the cache.
 	Costs []float64
 	// Elem is the element of a complex-element block.
 	Elem RPQElem
@@ -420,11 +419,6 @@ type DagBlockPlan struct {
 	// what the fold join after it consumes. A plan's only block feeds no
 	// join, so there it is left zero and never asked of the estimator.
 	Est float64
-
-	// What Plan asked the estimator, retained so Replan asks nothing: a
-	// run block's segment table, an element block's unroll cost.
-	segs  segTable
-	build float64
 }
 
 // operand returns the label set the fold composes the block through, or
@@ -433,7 +427,7 @@ type DagBlockPlan struct {
 // element that is not unrolled (alternation, wildcard, optional label) —
 // and there is a relation to step from: it is not the plan's first block
 // (i > 0). A prefix that may be empty needs no relation of the block's own
-// either: its eps term is one more target of the step. Planner.decide and
+// either: its eps term is one more target of the step. DagPlan.fold and
 // core.fold both ask here, so what is costed is what is run.
 func (b *DagBlockPlan) operand(i int) []int {
 	switch {
@@ -470,30 +464,25 @@ type DagPlan struct {
 	// n-normalized join); zero for a single-block plan, see
 	// DagBlockPlan.Est.
 	ResultEst float64
-
-	// Plan's arguments, retained for Replan.
-	n     int
-	bushy bool
 }
 
 // PathPlan is the hand-built plan executing the concrete path p under
 // tree, which must span [0, len(p)): a forced zig-zag start is the leaf
-// &PlanTree{Lo: 0, Hi: len(p), Start: s}. It carries no estimates, so it
-// cannot be replanned.
+// &PlanTree{Lo: 0, Hi: len(p), Start: s}. It carries no estimates.
 func PathPlan(p paths.Path, tree *PlanTree) *DagPlan {
-	dp := newPlan(0, false)
+	dp := newPlan()
 	dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: 0, Hi: len(p), Run: p, Tree: tree})
 	return dp
 }
 
 // newPlan allocates an empty plan with room for one block beside it, so
 // the plan of a concrete path — a one-run DAG, the common query — costs
-// one allocation, and so does replanning it per execution.
-func newPlan(n int, bushy bool) *DagPlan {
+// one allocation.
+func newPlan() *DagPlan {
 	a := &struct {
 		dp    DagPlan
 		first [1]DagBlockPlan
-	}{dp: DagPlan{n: n, bushy: bushy}}
+	}{}
 	a.dp.Blocks = a.first[:0]
 	return &a.dp
 }
@@ -610,19 +599,19 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 // otherwise), so cached segments, interior starts, and bushy joins all
 // apply inside a run — and single complex elements, costed by their unroll
 // intermediates. A concrete path is the one-run case, and its plan is
-// exactly the zig-zag/bushy choice over the path. Block relations are
-// folded left-to-right; the fold's size recurrence mirrors the executor's
-// union algebra under the independence model, and every block-boundary
-// join charges both materialized inputs, matching the bushy DP's cost
-// model. n is the vertex universe (join normalization); the DAG must be
-// well-formed (Run checks the plan's copy of it).
+// exactly the zig-zag/bushy choice over the path. Each block's cost is
+// added as it is planned, then the fold's (DagPlan.fold). n is the vertex
+// universe (join normalization); the DAG must be well-formed (Run checks
+// the plan's copy of it). The plan is decided once, against the Cached
+// view as it is now.
 func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
-	dp := newPlan(n, bushy)
+	dp := newPlan()
 	for i := 0; i < len(d.Elems); {
 		e := d.Elems[i]
 		if !e.simple() {
 			est, buildCost := pl.elemEst(e, n)
-			dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est, build: buildCost})
+			dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est})
+			dp.Cost += buildCost
 			i++
 			continue
 		}
@@ -634,27 +623,18 @@ func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
 		for x := range run {
 			run[x] = d.Elems[i+x].Labels[0]
 		}
-		b := DagBlockPlan{Lo: i, Hi: j, Run: run, segs: pl.segments(run)}
-		b.Costs = b.segs.costs
+		segs := pl.segments(run)
+		tree, cost := segs.chooseTree(bushy, pl.Cached)
+		b := DagBlockPlan{Lo: i, Hi: j, Run: run, Tree: tree, Costs: segs.costs}
 		if len(run) < len(d.Elems) {
 			b.Est = pl.Est.Estimate(run)
 		}
 		dp.Blocks = append(dp.Blocks, b)
+		dp.Cost += cost
 		i = j
 	}
-	pl.decide(dp)
+	dp.fold(n)
 	return dp
-}
-
-// Replan plans dp's query again against the planner's current Cached
-// view, from the estimates dp retains: cache probes and arithmetic, no
-// estimator calls. It returns a fresh plan equal to what Plan would return
-// now; dp, which must come from Plan, is left untouched.
-func (pl Planner) Replan(dp *DagPlan) *DagPlan {
-	out := newPlan(dp.n, dp.bushy)
-	out.Blocks = append(out.Blocks, dp.Blocks...)
-	pl.decide(out)
-	return out
 }
 
 // Estimate returns the estimated size of query d, which Plan planned as
@@ -679,30 +659,13 @@ func (pl Planner) Estimate(d *RPQDag, dp *DagPlan) float64 {
 	return est
 }
 
-// decide chooses every run block's tree and prices the plan, from the
-// blocks' retained estimates and the planner's Cached view.
-func (pl Planner) decide(dp *DagPlan) {
-	dp.Cost = 0
-	for i := range dp.Blocks {
-		b := &dp.Blocks[i]
-		if b.Run == nil {
-			dp.Cost += b.build
-			continue
-		}
-		if b.segs.est == nil {
-			panic("exec: plan was not built by Planner.Plan")
-		}
-		var cost float64
-		b.Tree, cost = b.segs.chooseTree(dp.bushy, pl.Cached)
-		dp.Cost += cost
-	}
-	// Fold the block sizes: size_i = size·est/n (join) + est when the
-	// prefix may be empty + size when the block is skippable — the
-	// estimator's image of the executor's R_i recurrence. A join after the
-	// first block consumes both materialized inputs; a block composed
-	// through has no relation of its own to consume, whatever its identity
-	// terms.
-	n := dp.n
+// fold adds the fold's steps to the plan's cost and sets ResultEst from
+// the block sizes: size_i = size·est/n (join) + est when the prefix may be
+// empty + size when the block is skippable — the estimator's image of the
+// executor's R_i recurrence. A join after the first block consumes both
+// materialized inputs; a block composed through has no relation of its
+// own to consume, whatever its identity terms.
+func (dp *DagPlan) fold(n int) {
 	size, eps := 0.0, true
 	for i := range dp.Blocks {
 		b := &dp.Blocks[i]

@@ -154,17 +154,6 @@ func (r *Relation) Equal(o *Relation) bool {
 // positions of its rows read with the identity term, one per vertex.
 func Universe(h *bitset.HybridRelation) int { return h.Extend(true, false).Len() }
 
-// ToRelation converts a hybrid relation to the dense reference
-// representation.
-func ToRelation(h *bitset.HybridRelation) *Relation {
-	r := NewRelation(Universe(h))
-	h.ForEachPair(func(s, t int) bool {
-		r.Add(s, t)
-		return true
-	})
-	return r
-}
-
 // EqualRelation reports whether h contains exactly the pairs of the dense
 // reference relation r.
 func EqualRelation(h *bitset.HybridRelation, r *Relation) bool {

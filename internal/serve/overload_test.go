@@ -547,3 +547,82 @@ func TestDeepestTierDegradesEveryJoin(t *testing.T) {
 		}
 	}
 }
+
+// complete passes one request through the limiter: it takes a slot and
+// gives it back after service, the way a served request does.
+func complete(l *limiter, service time.Duration) {
+	l.mu.Lock()
+	l.admitLocked()
+	l.mu.Unlock()
+	l.release(service)
+}
+
+// TestAdaptiveLimitAIMD drives the adaptive limit's AIMD step with no
+// sleeps — release takes the service time as an argument — and checks the
+// limit after every completion: it moves only on each adaptEvery-th one,
+// decays by max(1, limit/8) down to MinInFlight while the service-time
+// EWMA is over LatencyTarget, grows by 1 up to MaxInFlight while requests
+// queue within target (and not while none queue), and never moves at a
+// LatencyTarget of 0.
+func TestAdaptiveLimitAIMD(t *testing.T) {
+	const target = time.Millisecond
+	// drive runs rounds of adaptEvery completions at service, checking the
+	// limit after each completion against next applied once per round.
+	drive := func(t *testing.T, l *limiter, rounds int, service time.Duration, next func(int) int) int {
+		t.Helper()
+		want := l.stats().Limit
+		for r := 0; r < rounds; r++ {
+			for i := 1; i <= adaptEvery; i++ {
+				complete(l, service)
+				if i == adaptEvery {
+					want = next(want)
+				}
+				if got := l.stats().Limit; got != want {
+					t.Fatalf("round %d, completion %d: limit %d, want %d", r, i, got, want)
+				}
+			}
+		}
+		return want
+	}
+
+	t.Run("decays over target to the floor", func(t *testing.T) {
+		cfg := OverloadConfig{MaxInFlight: 64, MinInFlight: 5, LatencyTarget: target}
+		l := newLimiter(cfg)
+		// 64 → 5 takes 22 decays; the rounds after it hold at the floor.
+		got := drive(t, l, 26, 10*target, func(limit int) int {
+			return max(cfg.MinInFlight, limit-max(1, limit/8))
+		})
+		if got != cfg.MinInFlight {
+			t.Fatalf("limit settled at %d, want the floor %d", got, cfg.MinInFlight)
+		}
+	})
+
+	t.Run("grows while requests queue within target, to the ceiling", func(t *testing.T) {
+		cfg := OverloadConfig{MaxInFlight: 8, MinInFlight: 2, LatencyTarget: target}
+		l := newLimiter(cfg)
+		// Every slot busy, as after a decay to the floor: a completion
+		// frees one under the ceiling's worth in flight, so no queued
+		// request is promoted and the queue stays non-empty.
+		l.mu.Lock()
+		l.limit, l.inFlight = cfg.MinInFlight, cfg.MaxInFlight
+		l.mu.Unlock()
+		same := func(limit int) int { return limit }
+		drive(t, l, 2, target/2, same) // nothing queued: no growth
+		l.mu.Lock()
+		l.queue = append(l.queue, &waiter{ready: make(chan struct{})})
+		l.mu.Unlock()
+		got := drive(t, l, 9, target/2, func(limit int) int { return min(cfg.MaxInFlight, limit+1) })
+		if got != cfg.MaxInFlight {
+			t.Fatalf("limit settled at %d, want the ceiling %d", got, cfg.MaxInFlight)
+		}
+		if st := l.stats(); st.QueueDepth != 1 {
+			t.Fatalf("queue depth %d, want the one request still queued", st.QueueDepth)
+		}
+	})
+
+	t.Run("a zero target pins the limit", func(t *testing.T) {
+		cfg := OverloadConfig{MaxInFlight: 8, MinInFlight: 2}
+		l := newLimiter(cfg)
+		drive(t, l, 4, 10*target, func(limit int) int { return limit })
+	})
+}

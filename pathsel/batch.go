@@ -110,10 +110,12 @@ func (e *Estimator) CacheStats() (CacheStats, bool) {
 // Per-query results are bit-identical to Expr.ExecuteCtx at every
 // BatchOptions.Workers setting and any cache state — caching and
 // concurrency affect only throughput and the per-query
-// CacheHits/CacheMisses accounting. With Config.BushyPlans set, plan
-// *choice* is cache-aware (cached segments are free to build), so a warm
-// cache may pick different — cheaper — plans than a cold one; the
-// results stay identical because every plan computes the same relation.
+// CacheHits/CacheMisses accounting. Each query runs the plan it was
+// compiled with: with Config.BushyPlans set, plan *choice* is cache-aware
+// at Compile (segments cached then are free to build), so a handle
+// compiled warm may carry a different — cheaper — plan than one compiled
+// cold; the results stay identical because every plan computes the same
+// relation.
 //
 // Cancelling ctx stops the batch promptly: in-flight queries are killed
 // through the same cooperative cancellation path as Expr.ExecuteCtx, no

@@ -36,8 +36,9 @@ var (
 	ErrBadConfig = errors.New("pathsel: invalid configuration")
 	// ErrBadPattern reports a pattern outside the grammar (a malformed
 	// segment or repetition, or one that may match the empty path), a
-	// path query with a segment no label can be called (empty, as in
-	// "a//b", or pattern syntax, as in "a|b"), a pattern whose exact
+	// path query the grammar reads as more than one label path (an
+	// alternation "a|b", a wildcard, a repetition, an optional label), a
+	// pattern whose exact
 	// evaluation would expand to too many paths, and a batch handle that
 	// is nil or compiled by another estimator.
 	ErrBadPattern = errors.New("pathsel: invalid pattern")

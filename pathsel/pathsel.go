@@ -115,29 +115,21 @@ type vocab struct {
 // clients can form valid queries.
 func (v *vocab) Labels() []string { return append([]string(nil), v.names...) }
 
-// parsePath resolves a "a/b/c" label-name path against the vocabulary. A
-// segment no label can be called — empty, as in "a//b", or pattern syntax,
-// as in "a|b" — is ErrBadPattern; a well-formed name the vocabulary lacks
-// is ErrUnknownLabel.
+// parsePath resolves a label path against the vocabulary through
+// Compile's grammar (compileRPQ) — "a/b/c", and equally a pattern whose
+// every element is one label taken once, such as "a{1}/(b)/(c|c)". A
+// pattern the grammar refuses fails as Compile does (ErrEmptyPath,
+// ErrBadPattern, ErrUnknownLabel); one it reads as more than one label
+// path — an alternation, a repetition, an optional label, a wildcard over
+// more than one label — is ErrBadPattern.
 func (v *vocab) parsePath(q string) (paths.Path, error) {
-	if q == "" {
-		return nil, ErrEmptyPath
+	d, err := v.compileRPQ(q)
+	if err != nil {
+		return nil, err
 	}
-	var p paths.Path
-	start := 0
-	for i := 0; i <= len(q); i++ {
-		if i == len(q) || q[i] == '/' {
-			name := q[start:i]
-			l, ok := v.ids[name]
-			if !ok && !addressable(name) {
-				return nil, fmt.Errorf("%w: segment %q in path %q names no label", ErrBadPattern, name, q)
-			}
-			if !ok {
-				return nil, fmt.Errorf("%w %q in path %q", ErrUnknownLabel, name, q)
-			}
-			p = append(p, l)
-			start = i + 1
-		}
+	p, ok := d.ConcretePath()
+	if !ok {
+		return nil, fmt.Errorf("%w: pattern %q is not a single label path", ErrBadPattern, q)
 	}
 	return p, nil
 }
@@ -254,7 +246,8 @@ func (gr *Graph) csr() *graph.CSR {
 }
 
 // TrueSelectivity evaluates the path query exactly: the number of distinct
-// vertex pairs connected by the label path (slash-separated label names).
+// vertex pairs connected by the label path (slash-separated label names,
+// in Compile's grammar; see Estimate).
 func (gr *Graph) TrueSelectivity(q string) (int64, error) {
 	p, err := gr.parsePath(q)
 	if err != nil {
@@ -303,9 +296,11 @@ type Config struct {
 	// enumerates every way to split the query into independently built
 	// segments joined pairwise (relation×relation), costing interior
 	// segments from the histogram, and falls back to the best zig-zag
-	// plan whenever linear growth is estimated cheaper. Every plan
-	// produces identical results — this knob only changes which plan is
-	// chosen, and so how much intermediate work execution does.
+	// plan whenever linear growth is estimated cheaper. Under CacheBytes
+	// the search also sees the cache as it is when Compile runs: a
+	// segment cached then is free to build. Every plan produces identical
+	// results — this knob only changes which plan is chosen, and so how
+	// much intermediate work execution does.
 	BushyPlans bool
 	// CacheBytes, when > 0, gives the estimator a persistent
 	// segment-relation cache of that byte budget (internal/relcache):
@@ -327,9 +322,11 @@ type Config struct {
 	// on, which an AddEdge to the Graph afterwards does not change. 0
 	// leaves every execution, single or batched, uncached. Caching never
 	// changes results — adopted relations are bit-identical to recomputed
-	// ones — though with BushyPlans set it can change which plan is
-	// chosen (cached segments cost nothing to build, so warm workloads
-	// favor bushy joins of reusable segments).
+	// ones — though with BushyPlans set it steers the plan Compile
+	// chooses (a segment cached at Compile costs nothing to build, so
+	// queries compiled warm favor bushy joins of reusable segments); a
+	// handle runs the plan it was compiled with whatever the cache holds
+	// by then.
 	CacheBytes int64
 	// CacheShards is the cache's shard count (≤ 0 selects an
 	// 8-shard default). Shards bound lock contention when
@@ -409,7 +406,7 @@ type Estimator struct {
 	cfg   Config
 	cache *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
 	pool  *exec.RelPool   // shared relation free list; abort paths drain back into it
-	pl    exec.Planner    // the histogram's planner, cache-aware under a cache and BushyPlans
+	pl    exec.Planner    // the histogram's planner; under a cache and BushyPlans, Compile plans against it
 }
 
 // Build computes the exact selectivity distribution of all label paths up

@@ -246,10 +246,12 @@ func TestExactAnswersEqualTheCensus(t *testing.T) {
 	}
 }
 
-// TestMalformedPathIsABadPattern pins that a path query with a segment no
-// label can be called — empty, or pattern syntax — fails every path-query
-// method with ErrBadPattern, while a well-formed name the vocabulary lacks
-// stays ErrUnknownLabel.
+// TestMalformedPathIsABadPattern pins the one grammar every string entry
+// point reads with — Compile's: what it refuses each method refuses with
+// the same sentinel; a pattern it reads as more than one label path is
+// ErrBadPattern to every path method and compiles; a path longer than k
+// is ErrPathTooLong wherever k bounds the answer; and a pattern whose
+// every element is one label taken once is that path, answered as it.
 func TestMalformedPathIsABadPattern(t *testing.T) {
 	g := NewGraph(3, []string{"a", "b"})
 	g.AddEdge(0, "a", 1)
@@ -258,28 +260,70 @@ func TestMalformedPathIsABadPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := est.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadEstimator(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	methods := []struct {
-		name string
-		call func(string) error
+		name    string
+		bounded bool // refuses a path longer than k
+		call    func(string) (float64, error)
 	}{
-		{"Estimate", func(q string) error { _, err := est.Estimate(q); return err }},
-		{"EstimatePrefix", func(q string) error { _, err := est.EstimatePrefix(q); return err }},
-		{"Estimator.TrueSelectivity", func(q string) error { _, err := est.TrueSelectivity(q); return err }},
-		{"Graph.TrueSelectivity", func(q string) error { _, err := g.TrueSelectivity(q); return err }},
+		{"Estimate", true, est.Estimate},
+		{"EstimatePrefix", true, est.EstimatePrefix},
+		{"Estimator.TrueSelectivity", true, func(q string) (float64, error) { v, err := est.TrueSelectivity(q); return float64(v), err }},
+		{"Graph.TrueSelectivity", false, func(q string) (float64, error) { v, err := g.TrueSelectivity(q); return float64(v), err }},
+		{"TruePrefixSelectivity", true, func(q string) (float64, error) { v, err := est.TruePrefixSelectivity(q); return float64(v), err }},
+		{"CompactEstimator.Estimate", true, loaded.Estimate},
+		{"CompactEstimator.EstimatePrefix", true, loaded.EstimatePrefix},
+		{"Compile", true, func(q string) (float64, error) {
+			x, err := est.Compile(q)
+			if err != nil {
+				return 0, err
+			}
+			return x.Estimate(), nil
+		}},
 	}
 	for _, c := range []struct {
-		q    string
-		want error
+		q       string
+		want    error
+		pattern bool   // Compile reads it as a pattern and accepts it
+		as      string // the label path an accepted query is answered as
 	}{
-		{"a/", ErrBadPattern},
-		{"/a", ErrBadPattern},
-		{"a//b", ErrBadPattern},
-		{"a|b", ErrBadPattern},
-		{"a/c", ErrUnknownLabel},
+		{q: "a/", want: ErrBadPattern},
+		{q: "/a", want: ErrBadPattern},
+		{q: "a//b", want: ErrBadPattern},
+		{q: "a/c", want: ErrUnknownLabel},
+		{q: "", want: ErrEmptyPath},
+		{q: "a?", want: ErrBadPattern},
+		{q: "a|b", want: ErrBadPattern, pattern: true},
+		{q: "*", want: ErrBadPattern, pattern: true},
+		{q: "(a|b)", want: ErrBadPattern, pattern: true},
+		{q: "a{2}", want: ErrBadPattern, pattern: true},
+		{q: "a/b/a/b", want: ErrPathTooLong, as: "a/b/a/b"},
+		{q: "a{1}", as: "a"},
+		{q: "(a)", as: "a"},
+		{q: "(a|a)/b{1}", as: "a/b"},
 	} {
 		for _, m := range methods {
-			if err := m.call(c.q); !errors.Is(err, c.want) {
-				t.Errorf("%s(%q) = %v, want %v", m.name, c.q, err, c.want)
+			want := c.want
+			if m.name == "Compile" && c.pattern || !m.bounded && errors.Is(want, ErrPathTooLong) {
+				want = nil
+			}
+			got, err := m.call(c.q)
+			if !errors.Is(err, want) {
+				t.Errorf("%s(%q) = %v, want %v", m.name, c.q, err, want)
+				continue
+			}
+			if err != nil || c.pattern {
+				continue
+			}
+			if path, _ := m.call(c.as); got != path {
+				t.Errorf("%s(%q) = %v, but %s(%q) = %v", m.name, c.q, got, m.name, c.as, path)
 			}
 		}
 	}

@@ -50,8 +50,8 @@ func LoadEstimator(r io.Reader) (*CompactEstimator, error) {
 	return &CompactEstimator{synopsis{vocab: v, ph: ph}}, nil
 }
 
-// parsePath is the vocabulary's, refusing a path longer than the covered
-// length k.
+// parsePath is the vocabulary's — Compile's grammar, one label path —
+// refusing a path longer than the covered length k.
 func (s *synopsis) parsePath(q string) (paths.Path, error) {
 	p, err := s.vocab.parsePath(q)
 	if err != nil {
@@ -64,7 +64,11 @@ func (s *synopsis) parsePath(q string) (paths.Path, error) {
 }
 
 // Estimate returns e(ℓ) for a slash-separated label-name path, e.g.
-// "knows/likes/knows".
+// "knows/likes/knows". The path is read with Compile's grammar, so a
+// pattern whose every element is one label taken once — "knows{1}",
+// "(likes)", "(knows|knows)" — is that path; any other pattern (an
+// alternation, a wildcard, a repetition, an optional label) is
+// ErrBadPattern, and Compile is what answers it.
 func (s *synopsis) Estimate(q string) (float64, error) {
 	p, err := s.parsePath(q)
 	if err != nil {

@@ -9,11 +9,13 @@ import (
 	"repro/internal/exec"
 )
 
-// QueryPlan is the join strategy an Estimator chooses for a path query: a
-// zig-zag plan that starts the join at one label position and grows both
-// ways. A length-k query has k candidate plans; the estimator costs each
-// as the sum of its estimated intermediate-result sizes and picks the
-// cheapest, so histogram quality directly becomes plan quality.
+// QueryPlan is the join strategy an Estimator chooses for a path query at
+// Compile: a zig-zag plan that starts the join at one label position and
+// grows both ways. A length-k query has k candidate plans; the estimator
+// costs each as the sum of its estimated intermediate-result sizes and
+// picks the cheapest, so histogram quality directly becomes plan quality.
+// Under Config.BushyPlans and a cache the choice sees the cache as Compile
+// found it; every execution of the compiled query runs this plan.
 type QueryPlan struct {
 	// Start is the label position the join grows from: 0 is the classic
 	// forward (left-to-right) join, k−1 the backward join, interior values
@@ -67,7 +69,7 @@ type ExecStats struct {
 }
 
 // queryPlan is the QueryPlan view of a plan — the one rendering of what
-// exec.Planner.Plan or Replan decided. A concrete path (a single run
+// exec.Planner.Plan decided. A concrete path (a single run
 // block) shows the winner of its candidate zig-zag plans with the cost of
 // every start: the cheapest zig-zag plan, or — under Config.BushyPlans —
 // the cheapest plan tree, which degenerates to the zig-zag winner whenever
@@ -176,14 +178,15 @@ func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
 
 // execute runs one compiled query against the estimator's (possibly nil)
 // segment cache — the one path every execution takes, single or batched:
-// per-query deadline and canceller, the plan (Compile's as is, unless the
-// live cache can change it), brownout policy, admission gate, run, stats.
-// It runs on e's CSR, the graph Build froze and counted, so the cache, the
-// exact answers and every execution describe one graph whatever the Graph
-// it came from has since become. The canceller carries ctx into every kernel, and
-// an already-dead ctx never touches the graph; pol is checked before the
-// admission gate so a brownout degrade costs at most one replan, never a
-// graph access. Only the answer's counters go into ExecStats, so the
+// per-query deadline and canceller, Compile's plan, brownout policy,
+// admission gate, run, stats. It plans nothing: the plan that runs is the
+// one Compile made against the cache as it was then. It runs on e's CSR,
+// the graph Build froze and counted, so the cache, the exact answers and
+// every execution describe one graph whatever the Graph it came from has
+// since become. The canceller carries ctx into every kernel, and an
+// already-dead ctx never touches the graph; pol is checked before the
+// admission gate, and a brownout degrade never touches the graph either.
+// Only the answer's counters go into ExecStats, so the
 // executor is never asked to keep the result relation (exec.Options
 // .KeepResult stays unset): it counts the final step where it can and
 // releases what it had to build.
@@ -195,19 +198,11 @@ func (e *Estimator) execute(ctx context.Context, x *Expr, workers int, pol ExecP
 	}
 	canc, release := exec.NewCancellerContext(ctx)
 	defer release()
-	plan := x.plan
-	if e.pl.Cached != nil {
-		// Compile planned against the cache as it was then; only a planner
-		// that sees a cache can choose differently now. It decides again
-		// from the estimates the plan retains — cache probes and
-		// arithmetic, no histogram lookups.
-		plan = e.queryPlan(e.pl.Replan(plan.dp))
+	if pol.degrades(x.plan) {
+		return degradeTo(x.plan, x.estimate, ErrBrownout)
 	}
-	if pol.degrades(plan) {
-		return degradeTo(plan, x.estimate, ErrBrownout)
-	}
-	if err := e.admit(plan, x.estimate); err != nil {
-		return e.degrade(plan, x.estimate, err)
+	if err := e.admit(x.plan, x.estimate); err != nil {
+		return e.degrade(x.plan, x.estimate, err)
 	}
 	opt := exec.Options{
 		DensityThreshold: e.cfg.DensityThreshold,
@@ -217,9 +212,9 @@ func (e *Estimator) execute(ctx context.Context, x *Expr, workers int, pol ExecP
 		MaxResultBytes:   e.cfg.MaxResultBytes,
 		Pool:             e.pool,
 	}
-	_, st, err := exec.Run(e.csr, plan.dp, opt)
+	_, st, err := exec.Run(e.csr, x.plan.dp, opt)
 	if err != nil {
-		return e.degrade(plan, x.estimate, translateExecErr(err))
+		return e.degrade(x.plan, x.estimate, translateExecErr(err))
 	}
-	return ExecStats{Plan: plan, Stats: st}, nil
+	return ExecStats{Plan: x.plan, Stats: st}, nil
 }

@@ -1,6 +1,9 @@
 package pathsel
 
 import (
+	"context"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -188,5 +191,82 @@ func TestPlanQueryErrors(t *testing.T) {
 	}
 	if _, err := executeQuery(est, ""); err == nil {
 		t.Fatal("empty query should error")
+	}
+}
+
+// samePlan reports whether two plans are one: the same description, start
+// and tree, and the same costs to the bit.
+func samePlan(a, b QueryPlan) bool {
+	bits := func(c []float64) []uint64 {
+		out := make([]uint64, len(c))
+		for i, v := range c {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	return a.Description == b.Description && a.Start == b.Start && a.Tree == b.Tree &&
+		math.Float64bits(a.EstimatedCost) == math.Float64bits(b.EstimatedCost) &&
+		slices.Equal(bits(a.Costs), bits(b.Costs))
+}
+
+// TestCompiledQueryRunsItsCompilePlan pins that an execution runs the plan
+// Compile made and plans nothing itself. A query compiled cold with bushy
+// plans and a cache is linear; once its two halves are cached, a fresh
+// compile of it joins them, yet the handle compiled cold still runs its
+// linear plan — single or batched — and answers what an estimator that
+// never warmed answers.
+func TestCompiledQueryRunsItsCompilePlan(t *testing.T) {
+	g := batchTestGraph(t, 1, 60, 3, 400)
+	cfg := Config{MaxPathLength: 4, Buckets: 8, BushyPlans: true, CacheBytes: DefaultCacheBytes}
+	build := func() *Estimator {
+		est, err := Build(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	const q = "a/b/c/a"
+	ref, err := executeQuery(build(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := build()
+	x, err := est.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.Plan().Tree == nil || !x.Plan().Tree.IsLeaf() {
+		t.Fatalf("cold compile chose %s, want a linear plan", x.Plan().Description)
+	}
+	for _, half := range []string{"a/b", "c/a"} {
+		if _, err := executeQuery(est, half); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh, err := planQuery(est, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Tree.IsLeaf() {
+		t.Fatalf("a compile over the cached halves chose %s, want a join of them", fresh.Description)
+	}
+	st, err := x.ExecuteCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePlan(st.Plan, x.Plan()) {
+		t.Fatalf("execution ran %s at %v, compiled %s at %v",
+			st.Plan.Description, st.Plan.EstimatedCost, x.Plan().Description, x.Plan().EstimatedCost)
+	}
+	if st.Result != ref.Result {
+		t.Fatalf("warm execution answered %d, cold %d", st.Result, ref.Result)
+	}
+	res, err := est.ExecuteExprBatchCtx(context.Background(), []*Expr{x}, BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.Results[0]; r.Err != nil || !samePlan(r.Plan, x.Plan()) || r.Result != ref.Result {
+		t.Fatalf("batched execution ran %s answering %d (%v), compiled %s answering %d",
+			r.Plan.Description, r.Result, r.Err, x.Plan().Description, ref.Result)
 	}
 }

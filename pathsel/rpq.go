@@ -191,21 +191,20 @@ func (v *vocab) patternExpansions(pattern string) ([]paths.Path, error) {
 // (exec.Planner.Estimate) on the planner of the estimator it was compiled
 // by. It is immutable and safe for concurrent use — compile a repeated
 // query (or a whole workload, via ExecuteExprBatchCtx) once and execute the
-// handle many times. An execution whose estimator's planner sees a cache —
-// a cache under Config.BushyPlans — replans against its current state
-// (exec.Planner.Replan: warm segments steer plan choice) from the
-// estimates Compile retained, never reparsing and never asking the
-// histogram again; every other execution runs Compile's plan as is. Both
-// then run it with exec.Run. Compile is the one way to ask: Estimate and
-// Plan read what it decided, ExecuteCtx, ExecuteCtxPolicy and
-// ExecuteExprBatchCtx run it.
+// handle many times. Under Config.BushyPlans and a cache the plan is made
+// against the cache as it is at Compile (warm segments steer plan choice);
+// every execution runs that plan with exec.Run, never reparsing,
+// replanning or asking the histogram again — a query that should see a
+// cache warmed since is compiled again. Compile is the one way to ask:
+// Estimate and Plan read what it decided, ExecuteCtx, ExecuteCtxPolicy and
+// ExecuteExprBatchCtx run it, and the string entry points (Estimate,
+// TrueSelectivity, …) parse with its grammar.
 type Expr struct {
 	est     *Estimator
 	pattern string
 	dag     *exec.RPQDag
-	// plan is the compile-time plan (cold-cache view): executed as is when
-	// no cache is in play, and what planning asked the histogram, retained
-	// so an execution that replans against the live cache asks nothing.
+	// plan is the compile-time plan, made against the cache as it was
+	// then: what every execution runs.
 	plan QueryPlan
 	// estimate is what Estimate returns.
 	estimate float64
@@ -249,18 +248,17 @@ func (x *Expr) Estimate() float64 { return x.estimate }
 
 // Plan returns the compile-time plan: for a concrete path the usual
 // zig-zag/bushy choice with its per-start cost spread, for a true RPQ
-// the planned DAG fold. Cache-aware executions replan against the live
-// cache, so a warm run may execute a cheaper plan than the one reported
-// here.
+// the planned DAG fold. It is the plan every execution of the handle
+// runs (ExecStats.Plan reports it): under Config.BushyPlans and a cache
+// it was chosen against the cache as Compile found it.
 func (x *Expr) Plan() QueryPlan { return x.plan }
 
-// ExecuteCtx carries the compiled query's plan — chosen again against the
-// live cache when one is in play — out on the hybrid execution engine,
-// honoring Config.DensityThreshold, Config.Workers (join steps shard
-// their source rows across that many work-stealing workers; results are
-// bit-identical at every setting) and Config.BushyPlans (a chosen bushy
-// tree builds its segments one after the other and joins them with the
-// sharded relation×relation kernel). The
+// ExecuteCtx carries the compiled query's plan — the one Compile chose —
+// out on the hybrid execution engine, honoring Config.DensityThreshold,
+// Config.Workers (join steps shard their source rows across that many
+// work-stealing workers; results are bit-identical at every setting) and
+// Config.BushyPlans (a chosen bushy tree builds its segments one after the
+// other and joins them with the sharded relation×relation kernel). The
 // result is the number of distinct vertex pairs connected by a path
 // matching the pattern (set semantics; a concrete path degenerates to
 // its selectivity), with the actual intermediate sizes beside it, so
@@ -282,9 +280,9 @@ func (x *Expr) ExecuteCtx(ctx context.Context) (ExecStats, error) {
 }
 
 // ExecuteCtxPolicy is ExecuteCtx under a per-call degradation policy:
-// when pol.DegradeCostAbove is set and the (cache-aware, per-call) plan
-// costs more, the call answers the rounded histogram estimate — marked
-// Degraded with DegradedBy = ErrBrownout — without touching the graph.
+// when pol.DegradeCostAbove is set and the compiled plan costs more, the
+// call answers the rounded histogram estimate — marked Degraded with
+// DegradedBy = ErrBrownout — without touching the graph.
 // The zero policy makes it exactly ExecuteCtx.
 func (x *Expr) ExecuteCtxPolicy(ctx context.Context, pol ExecPolicy) (ExecStats, error) {
 	if ctx == nil {

@@ -522,14 +522,17 @@ var layerRules = []rule{
 		return append(bad, forbidDecls(m, []string{"SuccessorSets", "PredecessorSets"}, "internal/oracle")...)
 	}},
 	{"pathsel reaches the planner through one seam", func(m *module) []string {
-		// pathsel plans, sizes and replans through exec.NewPlanner and the
+		// pathsel plans and sizes through exec.NewPlanner and the
 		// Planner's methods: it builds no Planner and binds no cache view
-		// itself, and only patternExpansions, the exact oracle's route,
-		// enumerates a pattern's expansions.
+		// itself, only Compile plans and sizes a query — an execution runs
+		// the plan Compile made — and only patternExpansions, the exact
+		// oracle's route, enumerates a pattern's expansions.
 		in := inPkgs("pathsel")
 		exec := modulePath + "/internal/exec"
 		bad := forbidUses(m, exec, []string{"RPQDag.Expansions"}, in,
 			func(fn *ast.FuncDecl) bool { return fn != nil && fn.Name.Name == "patternExpansions" })
+		bad = append(bad, forbidUses(m, exec, []string{"Planner.Plan", "Planner.Estimate"}, in,
+			func(fn *ast.FuncDecl) bool { return fn != nil && fn.Name.Name == "Compile" })...)
 		planner, err := m.member(exec, "Planner")
 		if err != nil {
 			return append(bad, err.Error())
@@ -666,7 +669,10 @@ var layerRules = []rule{
 		dead, _ := deadNames(m)
 		var bad []string
 		for _, c := range dead {
-			if !slices.ContainsFunc(testHooks, func(h hook) bool { return h.name == c.name }) {
+			if c.oracle {
+				bad = append(bad, fmt.Sprintf("%s: no file, test files included, uses %s: delete it",
+					m.where(c.obj.Pos()), c.name))
+			} else if !slices.ContainsFunc(testHooks, func(h hook) bool { return h.name == c.name }) {
 				bad = append(bad, fmt.Sprintf("%s: nothing outside the tests uses %s: delete it, or move it into the _test.go file that uses it",
 					m.where(c.obj.Pos()), c.name))
 			}
@@ -810,6 +816,7 @@ type candidate struct {
 	live      bool
 	benchOnly bool     // live only through bench/: no other non-test file uses it
 	testUsers []string // directories of the test files that use it, sorted
+	oracle    bool     // declared in internal/oracle: live when any file uses it
 }
 
 // A hook is an exported name only tests use, kept on purpose: a test
@@ -853,7 +860,6 @@ var benchHooks = []exception{
 	{"internal/exec.Planner.ChooseTreeWithCost", "compat.go: exec.plan_ns"},
 	{"internal/exec.Planner.Costs", "compat.go: exec.plan_ns and exec.plan_regret"},
 	{"internal/exec.Planner.PlanDag", "compat.go: exec.plan_ns"},
-	{"internal/exec.RPQDag.ConcretePath", "bench/'s pools mark a pattern that is one concrete path"},
 	{"internal/graph.CSR.PredecessorOperand", "graph.operands_ms forces it: no step reads the reverse CSR"},
 	{"internal/relcache.Cache.Get", "relcache.get_ns: the path form of GetKey"},
 	{"internal/relcache.Cache.Put", "relcache.put_us: the path form of PutKey"},
@@ -897,7 +903,9 @@ func (m *module) stdInterfaces() []*types.Interface {
 // interface, its method set's member is live, promoted ones included; or
 // when it is an embedded field a live selection passes through.
 // internal/oracle is test-only by design ("oracle stays outside the
-// binary"): it declares no candidate, and its files are counted as tests.
+// binary"): its exported names are candidates live when any file, test
+// files included, uses them, and its files count as tests for every other
+// candidate.
 func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 	all := map[string]*candidate{}
 	byObj := map[types.Object]*candidate{}
@@ -912,8 +920,8 @@ func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 		}
 		info := f.pkg.info
 		add := func(name string, obj types.Object) {
-			if under(f.pkg.dir, "internal") && !under(f.pkg.dir, "internal/oracle") {
-				c := &candidate{name: name, obj: obj}
+			if under(f.pkg.dir, "internal") {
+				c := &candidate{name: name, obj: obj, oracle: under(f.pkg.dir, "internal/oracle")}
 				all[name], byObj[obj] = c, c
 			}
 		}
@@ -963,10 +971,11 @@ func deadNames(m *module) ([]*candidate, map[string]*candidate) {
 	live, benched := map[types.Object]bool{}, map[types.Object]bool{}
 	users := map[types.Object]map[string]bool{}
 	for _, u := range m.uses {
-		if byObj[u.obj] == nil {
-			continue
-		}
+		c := byObj[u.obj]
 		switch {
+		case c == nil:
+		case c.oracle:
+			live[u.obj] = true
 		case u.f.test || under(u.f.pkg.dir, "internal/oracle"):
 			if users[u.obj] == nil {
 				users[u.obj] = map[string]bool{}
@@ -1315,6 +1324,50 @@ func main() { _ = e.Smallest([]int{2, 1}) }
 `,
 		},
 		dead: []string{"internal/e.Unused", "internal/e.minHeap.Peek"},
+	}, {
+		// internal/oracle is test-only: a test's use keeps its name live,
+		// and its own use of another package's name is a test's.
+		name: "an oracle name is live when any file uses it",
+		files: map[string]string{
+			"internal/b/b.go": `// Package b is a fixture.
+package b
+
+func Ref() int { return 1 }
+`,
+			"internal/oracle/oracle.go": `// Package oracle is a fixture.
+package oracle
+
+import "repro/internal/b"
+
+func Used() int { return Helper() }
+
+func Helper() int { return b.Ref() }
+
+func Local() int { return 2 }
+
+func Unused() int { return 3 }
+`,
+			"internal/oracle/oracle_test.go": `package oracle
+
+import "testing"
+
+func TestLocal(t *testing.T) { _ = Local() }
+`,
+			"internal/a/a.go": `// Package a is a fixture.
+package a
+`,
+			"internal/a/a_test.go": `package a
+
+import (
+	"testing"
+
+	"repro/internal/oracle"
+)
+
+func TestUsed(t *testing.T) { _ = oracle.Used() }
+`,
+		},
+		dead: []string{"internal/b.Ref", "internal/oracle.Unused"},
 	}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
