@@ -674,8 +674,8 @@ func BenchmarkElementBase(b *testing.B) {
 		name   string
 		labels []int
 	}{{"pair", all[:2]}, {"wildcard", all}} {
-		plan := &exec.DagPlan{Blocks: []exec.DagBlockPlan{
-			{Lo: 0, Hi: 1, Elem: exec.RPQElem{Labels: c.labels, MinRep: 1, MaxRep: 1}}}}
+		plan := &exec.DagPlan{Elems: []exec.RPQElem{{Labels: c.labels, MinRep: 1, MaxRep: 1}},
+			Tree: &exec.PlanTree{Lo: 0, Hi: 1, Start: -1}}
 		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
 		b.Run("kept/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

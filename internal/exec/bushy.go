@@ -16,81 +16,128 @@ import (
 // space, which is O(k²).
 const MaxTreeLength = 16
 
-// PlanTree is a join plan for a path query segment p[Lo:Hi): either a
-// leaf — the segment is built linearly with the zig-zag plan starting at
-// label position Start — or a bushy join node, whose two children build
-// p[Lo:Mid) and p[Mid:Hi) independently and whose own step joins the two
-// finished relations with the relation×relation kernel
-// (bitset.JoinInto). Leaves generalize the whole zig-zag space: a leaf
-// spanning the full query is exactly a zig-zag plan — Start Lo is the
-// classic forward (left-to-right) plan, Start Hi−1 the backward plan, and
-// interior starts let the join begin at the most selective label, which
-// neither endpoint plan can reach. Join nodes are what zig-zag
-// cannot express — both join inputs are materialized interior segments,
-// so interior-segment selectivity estimates decide the plan's cost.
+// PlanTree is one node of a plan: a plan for the element interval
+// [Lo, Hi) of its query, positions absolute. It is one of four nodes:
+//
+//   - a zig-zag leaf (Left nil, Start ≥ 0) builds a run of plain labels
+//     linearly with the zig-zag plan starting at label position Start;
+//   - an element leaf (Left nil, Start −1) builds one complex element's
+//     relation (core.elem);
+//   - a join node (Left and Right) builds [Lo, Left.Hi) and [Left.Hi, Hi)
+//     independently and joins the two finished relations with the
+//     relation×relation kernel;
+//   - a step node (Left, Right nil) builds [Lo, Hi−1) and composes it
+//     through element Hi−1's labels, read from the graph: the element must
+//     be one step from the graph (MaxRep 1).
+//
+// Leaves generalize the whole zig-zag space: a leaf spanning the full query
+// is exactly a zig-zag plan — Start Lo is the classic forward
+// (left-to-right) plan, Start Hi−1 the backward plan, and interior starts
+// let the join begin at the most selective label, which neither endpoint
+// plan can reach. Join nodes are what zig-zag cannot express — both join
+// inputs are materialized interior segments, so interior-segment
+// selectivity estimates decide the plan's cost. An RPQ's plan is the
+// left-deep chain of join and step nodes its fold implies (Planner.Plan).
+// Where either side of a join or step node may match the empty path, the
+// step carries the matching identity term.
 type PlanTree struct {
-	// Lo, Hi delimit the query segment [Lo, Hi) this subtree builds.
+	// Lo, Hi delimit the element interval [Lo, Hi) this subtree builds.
 	Lo, Hi int
-	// Start is the absolute label position a leaf's zig-zag grows from,
-	// in [Lo, Hi). Join nodes carry −1.
+	// Start is the absolute label position a zig-zag leaf grows from, in
+	// [Lo, Hi). Element leaves and inner nodes carry −1.
 	Start int
-	// Left and Right are the two children of a join node (both nil for a
-	// leaf, both non-nil otherwise); Left builds [Lo, Left.Hi) and Right
-	// builds [Left.Hi, Hi).
+	// Left and Right are the children: both nil for a leaf, Left alone for
+	// a step node, both for a join node; Left builds [Lo, Left.Hi) and
+	// Right builds [Left.Hi, Hi).
 	Left, Right *PlanTree
 }
 
-// IsLeaf reports whether the node builds its segment linearly.
+// IsLeaf reports whether the node builds its interval without children.
 func (t *PlanTree) IsLeaf() bool { return t.Left == nil }
 
-// Describe renders the tree for a length-k query. A leaf spanning the
-// whole query renders as its zig-zag plan name ("forward", "backward",
-// "zigzag@i"); interior leaves render as "[lo,hi)@start" and join nodes
-// as "(left ⋈ right)".
-func (t *PlanTree) Describe(k int) string {
-	if t.IsLeaf() {
-		switch {
-		case t.Lo != 0 || t.Hi != k:
-			return fmt.Sprintf("[%d,%d)@%d", t.Lo, t.Hi, t.Start)
-		case t.Start == 0:
-			return "forward"
-		case t.Start == k-1:
-			return "backward"
-		default:
-			return fmt.Sprintf("zigzag@%d", t.Start)
-		}
+// right returns the node's right side: its right child, or for a step node
+// the leaf over the element it composes through.
+func (t *PlanTree) right() *PlanTree {
+	if t.Right != nil {
+		return t.Right
 	}
-	return "(" + t.Left.Describe(k) + " ⋈ " + t.Right.Describe(k) + ")"
+	return &PlanTree{Lo: t.Hi - 1, Hi: t.Hi, Start: t.Hi - 1}
 }
 
-// validate panics unless the tree is a well-formed plan for segment
-// [lo, hi): spans nest exactly, leaf starts are in range, and join nodes
-// have both children.
-func (t *PlanTree) validate(lo, hi int) {
+// Describe renders the tree of a length-k concrete path. A leaf spanning
+// the whole query renders as its zig-zag plan name ("forward", "backward",
+// "zigzag@i"); interior leaves render as "[lo,hi)@start" and join nodes
+// as "(left ⋈ right)". DagPlan.Describe renders any plan.
+func (t *PlanTree) Describe(k int) string { return t.describe(0, k) }
+
+// describe renders the tree of the run [at, at+k), positions relative to
+// the run.
+func (t *PlanTree) describe(at, k int) string {
+	if t.IsLeaf() {
+		lo, hi, start := t.Lo-at, t.Hi-at, t.Start-at
+		switch {
+		case lo != 0 || hi != k:
+			return fmt.Sprintf("[%d,%d)@%d", lo, hi, start)
+		case start == 0:
+			return "forward"
+		case start == k-1:
+			return "backward"
+		default:
+			return fmt.Sprintf("zigzag@%d", start)
+		}
+	}
+	return "(" + t.Left.describe(at, k) + " ⋈ " + t.right().describe(at, k) + ")"
+}
+
+// validate panics unless the tree is a well-formed plan for the interval
+// [lo, hi) of elems: spans nest exactly, a zig-zag leaf grows from inside
+// a run of plain labels, an element leaf covers one complex element, a step
+// node composes through one element one step from the graph, and a join
+// node's right child starts where its left child ends.
+func (t *PlanTree) validate(elems []RPQElem, lo, hi int) {
 	if t == nil {
 		panic("exec: nil plan tree node")
 	}
 	if t.Lo != lo || t.Hi != hi {
 		panic(fmt.Sprintf("exec: plan tree node spans [%d,%d), expected [%d,%d)", t.Lo, t.Hi, lo, hi))
 	}
-	if t.IsLeaf() {
-		if t.Right != nil {
-			panic("exec: plan tree node with exactly one child")
-		}
+	switch {
+	case t.Left == nil && t.Right != nil:
+		panic("exec: plan tree node with a right child and no left")
+	case t.Left == nil && t.Start >= 0:
 		if t.Start < lo || t.Start >= hi {
 			panic(fmt.Sprintf("exec: leaf start %d out of segment [%d,%d)", t.Start, lo, hi))
 		}
-		return
+		if !plain(elems[lo:hi]) {
+			panic(fmt.Sprintf("exec: zig-zag leaf [%d,%d) over a complex element", lo, hi))
+		}
+	case t.Left == nil:
+		if hi-lo != 1 {
+			panic(fmt.Sprintf("exec: element leaf over %d elements [%d,%d)", hi-lo, lo, hi))
+		}
+		if elems[lo].simple() {
+			panic(fmt.Sprintf("exec: element leaf over plain element %d", lo))
+		}
+	default:
+		m := t.Left.Hi
+		if m <= lo || m >= hi {
+			panic(fmt.Sprintf("exec: plan tree split %d out of segment (%d,%d)", m, lo, hi))
+		}
+		t.Left.validate(elems, lo, m)
+		if t.Right == nil {
+			if m != hi-1 {
+				panic(fmt.Sprintf("exec: step node [%d,%d) composes through %d elements", lo, hi, hi-m))
+			}
+			if elems[m].MaxRep > 1 {
+				panic(fmt.Sprintf("exec: step node composes through element %d, more than one step from the graph", m))
+			}
+			return
+		}
+		if t.Right.Lo != m {
+			panic(fmt.Sprintf("exec: right child starts at %d, not at its left sibling's end %d", t.Right.Lo, m))
+		}
+		t.Right.validate(elems, m, hi)
 	}
-	if t.Right == nil {
-		panic("exec: plan tree node with exactly one child")
-	}
-	m := t.Left.Hi
-	if m <= lo || m >= hi {
-		panic(fmt.Sprintf("exec: plan tree split %d out of segment (%d,%d)", m, lo, hi))
-	}
-	t.Left.validate(lo, m)
-	t.Right.validate(m, hi)
 }
 
 // treeCell is one DP-table entry: the best estimated cost of building
@@ -124,7 +171,8 @@ type treeCell struct {
 func (t segTable) treeDP(cached func(paths.Path) bool) []treeCell {
 	k := len(t.p)
 	dp := make([]treeCell, len(t.est))
-	buf := make([]float64, 2*k)
+	var room [2 * MaxTreeLength]float64 // chooseTree runs the DP up to MaxTreeLength
+	buf := room[:2*k]
 	// right[s] is Σ Est(s, x) over the right ends x seen so far; zig[s] is
 	// the cost on the current segment of the plan starting at s, for s
 	// right of the segment's left end.
@@ -169,71 +217,85 @@ func (t segTable) treeDP(cached func(paths.Path) bool) []treeCell {
 }
 
 // buildTree materializes the DP table's winning plan for segment [i, j)
-// of a length-k path.
-func buildTree(dp []treeCell, k, i, j int) *PlanTree {
+// of a length-k run whose first label is element at of its query.
+func buildTree(dp []treeCell, k, i, j, at int) *PlanTree {
 	c := dp[tri(k, i, j)]
 	if c.split < 0 {
-		return &PlanTree{Lo: i, Hi: j, Start: c.start}
+		return &PlanTree{Lo: at + i, Hi: at + j, Start: at + c.start}
 	}
 	return &PlanTree{
-		Lo: i, Hi: j, Start: -1,
-		Left:  buildTree(dp, k, i, c.split),
-		Right: buildTree(dp, k, c.split, j),
+		Lo: at + i, Hi: at + j, Start: -1,
+		Left:  buildTree(dp, k, i, c.split, at),
+		Right: buildTree(dp, k, c.split, j, at),
 	}
 }
 
-// chooseTree returns the cheapest plan for the table's path, with its
-// estimated cost: the cheapest zig-zag plan as a single leaf, or — when
-// bushy — the cheapest plan tree, searching every way to split the path
-// into independently built segments joined pairwise on top of the linear
-// space. When no bushy decomposition is estimated to beat the best zig-zag
-// plan the tree is a single leaf, and beyond MaxTreeLength the bushy space
-// is not enumerated at all. Arithmetic and cached probes (nil: nothing is
-// cached), no estimator calls.
-func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool) (*PlanTree, float64) {
+// chooseTree returns the cheapest plan for the table's path, the run
+// starting at element at of its query, with its estimated cost: the
+// cheapest zig-zag plan as a single leaf, or — when bushy — the cheapest
+// plan tree, searching every way to split the path into independently
+// built segments joined pairwise on top of the linear space. When no bushy
+// decomposition is estimated to beat the best zig-zag plan the tree is a
+// single leaf, and beyond MaxTreeLength the bushy space is not enumerated
+// at all. Arithmetic and cached probes (nil: nothing is cached), no
+// estimator calls.
+func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool, at int) (*PlanTree, float64) {
 	k := len(t.p)
 	if !bushy || k > MaxTreeLength {
 		start := cheapest(t.costs)
-		return &PlanTree{Lo: 0, Hi: k, Start: start}, t.costs[start]
+		return &PlanTree{Lo: at, Hi: at + k, Start: at + start}, t.costs[start]
 	}
 	dp := t.treeDP(cached)
-	return buildTree(dp, k, 0, k), dp[tri(k, 0, k)].cost
+	return buildTree(dp, k, 0, k, at), dp[tri(k, 0, k)].cost
 }
 
-// tree builds segment p[t.Lo:t.Hi) with the plan tree t. A leaf is a
-// zig-zag plan. A join node whose whole segment is already cached adopts
-// it without building either child — this is how a warm cache gives
-// bushy plans their leaf inputs, and whole subtrees, for free; otherwise
-// it builds its left child, then its right child — so a right child over
-// the same labels as its left adopts what the left just published — and
-// joins them with the sharded relation×relation kernel into a relation
-// the step takes, recording both inputs as intermediates after the
-// children's own (left subtree's, then right subtree's), and releasing
-// both once the join has run.
-func (x *core) tree(p paths.Path, t *PlanTree, root bool) (*bitset.HybridRelation, error) {
-	seg := p[t.Lo:t.Hi]
+// node builds the relation of the element interval elems[t.Lo:t.Hi) with
+// the plan tree t — the one walk every plan runs. A leaf is its builder's:
+// a zig-zag leaf's (leaf), an element leaf's (elem). A join or step node
+// whose interval is already cached adopts it without building anything
+// below it (whole) — this is how a warm cache gives bushy plans their
+// inputs, and whole subtrees, for free, and since a fold chain's nodes
+// probe on the way down, an RPQ resumes after its longest cached prefix.
+// Otherwise the node builds its left child, then its right child — so a
+// right child over the same labels as its left adopts what the left just
+// published — or, a step node, takes the labels of element Hi−1 from the
+// graph, and runs its one step, its identity terms read off the elements:
+// eps when every element left of the split is optional, skip when every
+// one right of it is. It records
+// the step's inputs as intermediates after the children's own and
+// releases them once the step has run. The step publishes the node's
+// relation under the interval's key; a root node that may count (see
+// counts) has no destination.
+func (x *core) node(elems []RPQElem, t *PlanTree, root bool) (*bitset.HybridRelation, error) {
 	if t.IsLeaf() {
-		return x.leaf(seg, t.Start-t.Lo, root)
+		if t.Start < 0 {
+			return x.elem(elems[t.Lo:t.Hi], root)
+		}
+		return x.leaf(elems[t.Lo:t.Hi], t.Start-t.Lo, root)
 	}
 	var room [keyRoom]byte
-	key := x.pathKey(room[:0], seg)
+	key := x.key(room[:0], elems[t.Lo:t.Hi])
 	if rel, err := x.whole(key); rel != nil || err != nil {
 		return rel, err
 	}
-	l, err := x.tree(p, t.Left, false)
+	l, err := x.node(elems, t.Left, false)
 	if err != nil {
 		return nil, err
 	}
-	r, err := x.tree(p, t.Right, false)
-	if err != nil {
-		return nil, err
+	m := t.Left.Hi
+	var r *bitset.HybridRelation
+	var labels []int
+	if t.Right != nil {
+		if r, err = x.node(elems, t.Right, false); err != nil {
+			return nil, err
+		}
+		x.ints = append(x.ints, l.Pairs(), r.Pairs())
+	} else {
+		labels = elems[m].Labels
+		x.ints = append(x.ints, l.Pairs())
 	}
-	x.ints = append(x.ints, l.Pairs(), r.Pairs())
-	// The joined segment is published like every other: a later zig-zag
-	// over the same labels, a repeat of this subtree, or the whole-segment
-	// fast path can all adopt it. A root join that may count (see counts)
-	// has no destination.
-	dst, err := x.step(key, false, root && x.counts(key), l.Rows(), r, nil)
+	left := l.Extend(optional(elems[t.Lo:m]), optional(elems[m:t.Hi]))
+	dst, err := x.step(key, false, root && x.counts(key), left, r, labels)
 	x.drop(l)
 	x.drop(r)
 	return dst, err

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/oracle"
@@ -172,10 +173,10 @@ func TestBushyPlanFallsBack(t *testing.T) {
 	for k := 1; k <= 6; k++ {
 		p := make(paths.Path, k)
 		dp := pl.Plan(PathDag(p), 0, true)
-		if tree := dp.Blocks[0].Tree; !tree.IsLeaf() || tree.Start != 0 {
+		if tree := dp.Tree; !tree.IsLeaf() || tree.Start != 0 {
 			t.Fatalf("k=%d: expected forward leaf, got %s", k, tree.Describe(k))
 		}
-		if want := dp.Blocks[0].Costs[0]; dp.Cost != want {
+		if want := dp.Costs[0]; dp.Cost != want {
 			t.Fatalf("k=%d: Cost %v != forward cost %v", k, dp.Cost, want)
 		}
 	}
@@ -199,7 +200,7 @@ func TestBushyPlanPrefersBushy(t *testing.T) {
 	pl := Planner{Est: est}
 	p := paths.Path{0, 1, 2, 3}
 	dp := pl.Plan(PathDag(p), 0, true)
-	tree := dp.Blocks[0].Tree
+	tree := dp.Tree
 	if tree.IsLeaf() || tree.Left.Hi != 2 || !tree.Left.IsLeaf() || !tree.Right.IsLeaf() {
 		t.Fatalf("expected ([0,2) ⋈ [2,4)) split, got %s", tree.Describe(len(p)))
 	}
@@ -213,49 +214,65 @@ func TestBushyPlanPrefersBushy(t *testing.T) {
 	}
 }
 
-// TestRunValidation pins the malformed-plan panics: a tree that is not a
-// plan for its run, and a plan that is not consistent with itself.
+// TestRunValidation pins the malformed-plan panics, each by its own
+// message: a tree that is not a plan for its elements, and elements that
+// are not a query.
 func TestRunValidation(t *testing.T) {
 	g := randomGraph(5, 20, 2, 40)
-	p := paths.Path{0, 1, 0}
-	leaf := func(k int) *PlanTree { return &PlanTree{Lo: 0, Hi: k, Start: 0} }
-	run := func(lo int, p paths.Path, tree *PlanTree) DagBlockPlan {
-		return DagBlockPlan{Lo: lo, Hi: lo + len(p), Run: p, Tree: tree}
-	}
-	elem := func(lo int, e RPQElem) DagBlockPlan { return DagBlockPlan{Lo: lo, Hi: lo + 1, Elem: e} }
+	path := PathDag(paths.Path{0, 1, 0}).Elems
 	alt := RPQElem{Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}
-	for name, blocks := range map[string][]DagBlockPlan{
-		"wrong span":         {run(0, p, &PlanTree{Lo: 0, Hi: 2, Start: 0})},
-		"start out of range": {run(0, p, &PlanTree{Lo: 0, Hi: 3, Start: 3})},
-		"one child": {run(0, p, &PlanTree{Lo: 0, Hi: 3, Start: -1,
-			Left: &PlanTree{Lo: 0, Hi: 2, Start: 0}})},
-		"child span gap": {run(0, p, &PlanTree{Lo: 0, Hi: 3, Start: -1,
-			Left:  &PlanTree{Lo: 0, Hi: 1, Start: 0},
-			Right: &PlanTree{Lo: 2, Hi: 3, Start: 2}})},
-		"no blocks":                  {},
-		"empty run":                  {run(0, paths.Path{}, leaf(0))},
-		"non-contiguous blocks":      {run(0, p[:1], leaf(1)), elem(2, alt)},
-		"overlapping blocks":         {run(0, p, leaf(3)), elem(2, alt)},
-		"tree not spanning run":      {run(0, p, leaf(2)), elem(3, alt)},
-		"run over too few elements":  {{Lo: 0, Hi: 2, Run: p, Tree: leaf(3)}},
-		"run label out of range":     {run(0, paths.Path{0, 2}, leaf(2))},
-		"element over two elements":  {{Lo: 0, Hi: 2, Elem: alt}},
-		"element label out of range": {elem(0, RPQElem{Labels: []int{0, 2}, MinRep: 1, MaxRep: 1})},
-		"element labels unsorted":    {elem(0, RPQElem{Labels: []int{1, 0}, MinRep: 1, MaxRep: 1})},
-		"element without labels":     {elem(0, RPQElem{MinRep: 1, MaxRep: 1})},
-		"MaxRep below one":           {elem(0, RPQElem{Labels: []int{0}, MinRep: 0, MaxRep: 0})},
-		"MaxRep below MinRep":        {elem(0, RPQElem{Labels: []int{0}, MinRep: 3, MaxRep: 2})},
-		"MaxRep beyond the bound":    {elem(0, RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: MaxRepetition + 1})},
-		"matches the empty path":     {elem(0, RPQElem{Labels: []int{0, 1}, MinRep: 0, MaxRep: 1})},
+	rep := RPQElem{Labels: []int{1}, MinRep: 1, MaxRep: 2}
+	leaf := func(lo, hi int) *PlanTree { return &PlanTree{Lo: lo, Hi: hi, Start: lo} }
+	elem := func(lo int) *PlanTree { return &PlanTree{Lo: lo, Hi: lo + 1, Start: -1} }
+	join := func(l, r *PlanTree) *PlanTree { return &PlanTree{Lo: l.Lo, Hi: r.Hi, Start: -1, Left: l, Right: r} }
+	step := func(l *PlanTree, hi int) *PlanTree { return &PlanTree{Lo: l.Lo, Hi: hi, Start: -1, Left: l} }
+	one := func(e RPQElem) []RPQElem { return []RPQElem{e} }
+	for _, c := range []struct {
+		name  string
+		elems []RPQElem
+		tree  *PlanTree
+		want  string
+	}{
+		{"no elements", nil, leaf(0, 1), "empty plan"},
+		{"no tree", path, nil, "nil plan tree node"},
+		{"tree not spanning the query", path, leaf(0, 2), "spans [0,2), expected [0,3)"},
+		{"start out of range", path, &PlanTree{Lo: 0, Hi: 3, Start: 3}, "leaf start 3 out of segment"},
+		{"right child without a left", path, &PlanTree{Lo: 0, Hi: 3, Start: -1, Right: leaf(1, 3)}, "a right child and no left"},
+		{"split out of segment", path, join(leaf(0, 3), leaf(3, 3)), "split 3 out of segment"},
+		{"right child not at the left's end", path, join(leaf(0, 1), leaf(2, 3)), "right child starts at 2, not at its left sibling's end 1"},
+		{"zig-zag leaf over a complex element", []RPQElem{path[0], alt}, leaf(0, 2), "zig-zag leaf [0,2) over a complex element"},
+		{"element leaf over a plain element", path[:1], elem(0), "element leaf over plain element 0"},
+		{"element leaf over two elements", []RPQElem{alt, alt}, &PlanTree{Lo: 0, Hi: 2, Start: -1}, "element leaf over 2 elements"},
+		{"step node through two elements", path, step(leaf(0, 1), 3), "composes through 2 elements"},
+		{"step node through an unrolled element", []RPQElem{path[0], rep}, step(leaf(0, 1), 2), "more than one step from the graph"},
+		{"label out of range", PathDag(paths.Path{0, 2}).Elems, leaf(0, 2), "label 2 out of range"},
+		{"labels unsorted", one(RPQElem{Labels: []int{1, 0}, MinRep: 1, MaxRep: 1}), elem(0), "not sorted"},
+		{"element without labels", one(RPQElem{MinRep: 1, MaxRep: 1}), elem(0), "has no labels"},
+		{"MaxRep below one", one(RPQElem{Labels: []int{0}, MinRep: 0, MaxRep: 0}), elem(0), "repetition bounds"},
+		{"MaxRep below MinRep", one(RPQElem{Labels: []int{0}, MinRep: 3, MaxRep: 2}), elem(0), "repetition bounds"},
+		{"MaxRep beyond the bound", one(RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: MaxRepetition + 1}), elem(0), "repetition bounds"},
+		{"all-optional plan", []RPQElem{{Labels: []int{0, 1}, MinRep: 0, MaxRep: 1}, {Labels: []int{0}, MinRep: 0, MaxRep: 2}},
+			join(elem(0), elem(1)), "may match the empty path"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
 				}
 			}()
-			Run(g, &DagPlan{Blocks: blocks}, Options{})
+			Run(g, &DagPlan{Elems: c.elems, Tree: c.tree}, Options{})
 		}()
+	}
+	// The shapes these rows break are plans when whole: every node kind,
+	// ε and skip terms included.
+	for _, dp := range []*DagPlan{
+		{Elems: []RPQElem{path[0], alt, rep}, Tree: join(step(leaf(0, 1), 2), elem(2))},
+		{Elems: []RPQElem{{Labels: []int{0}, MinRep: 0, MaxRep: 1}, path[1], path[2]}, Tree: step(step(elem(0), 2), 3)},
+		{Elems: []RPQElem{alt, path[1], path[2]}, Tree: join(elem(0), join(leaf(1, 2), leaf(2, 3)))},
+	} {
+		if _, _, err := Run(g, dp, Options{}); err != nil {
+			t.Errorf("%s: %v", dp.Describe(), err)
+		}
 	}
 }
 

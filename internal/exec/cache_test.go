@@ -275,13 +275,13 @@ func constEstimator(v float64) Estimator {
 func TestBushyPlanCacheAware(t *testing.T) {
 	d := PathDag(paths.Path{0, 1, 2, 3})
 	cold := Planner{Est: constEstimator(10)}.Plan(d, 0, true)
-	if tree := cold.Blocks[0].Tree; !tree.IsLeaf() || cold.Cost != 30 {
+	if tree := cold.Tree; !tree.IsLeaf() || cold.Cost != 30 {
 		t.Fatalf("cold planner chose %s at %v, want linear at 30", tree.Describe(4), cold.Cost)
 	}
 	warm := Planner{Est: constEstimator(10), Cached: func(seg paths.Path) bool {
 		return len(seg) == 2
 	}}.Plan(d, 0, true)
-	tree := warm.Blocks[0].Tree
+	tree := warm.Tree
 	if tree.IsLeaf() || warm.Cost != 20 {
 		t.Fatalf("warm planner chose %s at %v, want balanced join at 20", tree.Describe(4), warm.Cost)
 	}
@@ -290,7 +290,7 @@ func TestBushyPlanCacheAware(t *testing.T) {
 	}
 	// A fully cached query is a free leaf — the fast path beats any join.
 	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}.Plan(d, 0, true)
-	if tree := full.Blocks[0].Tree; !tree.IsLeaf() || full.Cost != 0 {
+	if tree := full.Tree; !tree.IsLeaf() || full.Cost != 0 {
 		t.Fatalf("fully cached planner chose %s at %v, want free leaf", tree.Describe(4), full.Cost)
 	}
 }
@@ -314,7 +314,7 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 		Est:    EstimatorFunc(func(seg paths.Path) float64 { return float64(len(seg) * 100) }),
 		Cached: func(seg paths.Path) bool { return cache.Contains(seg) },
 	}
-	tree := pl.Plan(PathDag(p), 0, true).Blocks[0].Tree
+	tree := pl.Plan(PathDag(p), 0, true).Tree
 	if tree.IsLeaf() {
 		t.Fatalf("warm cache did not flip the plan bushy: %s", tree.Describe(len(p)))
 	}

@@ -13,8 +13,9 @@ import (
 // over Planner.Plan, PathPlan and Run with no logic of its own. Nothing
 // outside bench/ and compat_test.go may reference it (the layer rule
 // "compat.go serves bench/ only" in the module root's rules_test.go).
-// ROADMAP item 1′ deletes this file and compat_test.go once benchmark v2
-// (item 1a) has moved bench/ onto a shim over Run.
+// ROADMAP item 1′(b) deletes this file and compat_test.go once the
+// benchmark's next version (item 16(b)) has moved bench/ onto a shim over
+// Run.
 
 // Plan is a forced zig-zag start: the leaf &PlanTree{Lo: 0, Hi: k, Start:
 // Start} of a length-k path.
@@ -25,12 +26,12 @@ type Plan struct {
 // CheapestPlan is the planner's tie-break rule over a per-start cost slice.
 func CheapestPlan(costs []float64) Plan { return Plan{Start: cheapest(costs)} }
 
-// Costs is DagBlockPlan.Costs of p's plan without the plan.
+// Costs is DagPlan.Costs of p's plan without the plan.
 func (pl Planner) Costs(p paths.Path) []float64 { return pl.segments(p).costs }
 
 // ChooseTreeWithCost is the Tree and Cost of p's bushy plan.
 func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
-	return pl.segments(p).chooseTree(true, pl.Cached)
+	return pl.segments(p).chooseTree(true, pl.Cached, 0)
 }
 
 // PlanDag is Plan.
@@ -49,20 +50,13 @@ func ExecuteTreeChecked(g *graph.CSR, p paths.Path, tree *PlanTree, opt Options)
 // ExecuteDagChecked runs dp, which must have been planned for d. Run
 // executes the plan's own copy of the query, so this is the one place a
 // second copy can disagree with it, and the one check this file makes: it
-// panics unless dp's blocks spell out exactly d's elements — run labels,
-// and an element block's labels and repetition bounds.
+// panics unless dp's elements are exactly d's — labels and repetition
+// bounds.
 func ExecuteDagChecked(g *graph.CSR, d *RPQDag, dp *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
-	var q []RPQElem
-	for _, b := range dp.Blocks {
-		q = append(q, PathDag(b.Run).Elems...)
-		if b.Run == nil {
-			q = append(q, b.Elem)
-		}
-	}
-	if !slices.EqualFunc(q, d.Elems, func(a, b RPQElem) bool {
+	if !slices.EqualFunc(dp.Elems, d.Elems, func(a, b RPQElem) bool {
 		return slices.Equal(a.Labels, b.Labels) && a.MinRep == b.MinRep && a.MaxRep == b.MaxRep
 	}) {
-		panic("exec: dag plan was planned for " + (&RPQDag{Elems: q}).Describe() + ", not " + d.Describe())
+		panic("exec: dag plan was planned for " + (&RPQDag{Elems: dp.Elems}).Describe() + ", not " + d.Describe())
 	}
 	return Run(g, dp, opt)
 }

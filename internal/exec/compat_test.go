@@ -14,7 +14,8 @@ func TestCompatWrappersAreRun(t *testing.T) {
 	g := randomGraph(7, 400, 2, 6000)
 	pl := randomPlanner(4, 0.3)
 	for _, sh := range contractShapes(t, g) {
-		b := sh.plan.Blocks[0]
+		// Every shape's first four elements are its concrete path.
+		p, _ := (&RPQDag{Elems: sh.plan.Elems[:4]}).ConcretePath()
 		want, wantSt, err := Run(g, sh.plan, Options{Workers: 1, KeepResult: true})
 		if err != nil {
 			t.Fatal(err)
@@ -22,11 +23,11 @@ func TestCompatWrappersAreRun(t *testing.T) {
 		got, st := want, wantSt
 		switch sh.name {
 		case "zigzag":
-			got, st, err = ExecutePlanChecked(g, b.Run, Plan{Start: b.Tree.Start}, Options{Workers: 1, KeepResult: true})
+			got, st, err = ExecutePlanChecked(g, p, Plan{Start: sh.plan.Tree.Start}, Options{Workers: 1, KeepResult: true})
 		case "bushy":
-			got, st, err = ExecuteTreeChecked(g, b.Run, b.Tree, Options{Workers: 1, KeepResult: true})
+			got, st, err = ExecuteTreeChecked(g, p, sh.plan.Tree, Options{Workers: 1, KeepResult: true})
 		case "dag":
-			d := &RPQDag{Elems: append(PathDag(b.Run).Elems, sh.plan.Blocks[1].Elem)}
+			d := &RPQDag{Elems: append(PathDag(p).Elems, sh.plan.Elems[4])}
 			got, st, err = ExecuteDagChecked(g, d, sh.plan, Options{Workers: 1, KeepResult: true})
 			if planned, direct := pl.PlanDag(d, 30, true), pl.Plan(d, 30, true); !reflect.DeepEqual(planned, direct) {
 				t.Errorf("PlanDag = %s at %v, Plan = %s at %v", planned.Describe(), planned.Cost, direct.Describe(), direct.Cost)
@@ -35,11 +36,11 @@ func TestCompatWrappersAreRun(t *testing.T) {
 		if err != nil || !got.Equal(want) || !reflect.DeepEqual(st, wantSt) {
 			t.Errorf("%s: wrapper err=%v stats %+v, Run %+v", sh.name, err, st, wantSt)
 		}
-		plan := pl.Plan(PathDag(b.Run), 0, true)
-		if costs := pl.Costs(b.Run); !reflect.DeepEqual(costs, plan.Blocks[0].Costs) || CheapestPlan(costs).Start != cheapest(costs) {
-			t.Errorf("%s: Costs = %v choosing %d, plan's %v", sh.name, costs, CheapestPlan(costs).Start, plan.Blocks[0].Costs)
+		plan := pl.Plan(PathDag(p), 0, true)
+		if costs := pl.Costs(p); !reflect.DeepEqual(costs, plan.Costs) || CheapestPlan(costs).Start != cheapest(costs) {
+			t.Errorf("%s: Costs = %v choosing %d, plan's %v", sh.name, costs, CheapestPlan(costs).Start, plan.Costs)
 		}
-		if tree, cost := pl.ChooseTreeWithCost(b.Run); tree.Describe(4) != plan.Describe() || cost != plan.Cost {
+		if tree, cost := pl.ChooseTreeWithCost(p); tree.Describe(4) != plan.Describe() || cost != plan.Cost {
 			t.Errorf("%s: ChooseTreeWithCost = %s at %v, plan %s at %v", sh.name, tree.Describe(4), cost, plan.Describe(), plan.Cost)
 		}
 	}

@@ -40,10 +40,8 @@ func contractShapes(t *testing.T, g *graph.CSR) []planShape {
 	dense, _ := oracle.ExecuteDense(g, p, oracle.Forward)
 	rep := RPQElem{Labels: []int{0}, MinRep: 1, MaxRep: 2}
 	dag := &RPQDag{Elems: append(PathDag(p).Elems, rep)}
-	dp := &DagPlan{Blocks: []DagBlockPlan{
-		{Lo: 0, Hi: 4, Run: p, Tree: tree},
-		{Lo: 4, Hi: 5, Elem: rep},
-	}}
+	dp := &DagPlan{Elems: dag.Elems, Tree: &PlanTree{Lo: 0, Hi: 5, Start: -1,
+		Left: tree, Right: &PlanTree{Lo: 4, Hi: 5, Start: -1}}}
 	union := expansionUnion(t, g, dag, Options{})
 	isDense := func(rel *bitset.HybridRelation) bool { return oracle.EqualRelation(rel, dense) }
 	return []planShape{

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bitset"
 	"repro/internal/faultinject"
 	"repro/internal/graph"
-	"repro/internal/paths"
 	"repro/internal/relcache"
 	"repro/internal/sched"
 )
@@ -14,10 +13,11 @@ import (
 // This file is the one execution lifecycle behind Run. A relation is
 // taken from the pool by the call that writes it — core.step for every
 // join, core.fill for a base, core.whole for an adoption — and every
-// execution ends in core.finish. The plan's nodes are methods on core —
-// fold and elem (rpq.go), tree (bushy.go), leaf (exec.go) — that nest
-// freely, so a bushy run block inside an RPQ shares the cache view, the
-// live set and the stats of the query it belongs to.
+// execution ends in core.finish. A plan is walked by one method, core.node
+// (bushy.go), which runs every join and step node and hands its leaves to
+// their two builders, core.leaf (exec.go) and core.elem (rpq.go), so a
+// bushy run inside an RPQ shares the cache view, the live set and the stats
+// of the query it belongs to.
 
 // core is one execution's state: the graph, the options, the execution's
 // view of the segment-relation cache, the set of live pooled relations —
@@ -151,20 +151,25 @@ func (x *core) price(rel *bitset.HybridRelation) error {
 }
 
 // keyRoom is the room a node keeps on its stack for the cache keys it
-// encodes: any census-bounded path, and any fold prefix over a handful of
+// encodes: any census-bounded path, and any RPQ prefix over a handful of
 // labels, fits, so probing and publishing allocate nothing; a longer key (a
 // wildcard over hundreds of labels) spills to the heap and stays correct.
 const keyRoom = 64
 
-// pathKey encodes the cache key of segment seg into buf — the one place a
-// label sequence becomes a key (relcache.AppendPath) — or returns nil, no
-// key, when nothing is cached under it: there is no cache, or seg is a
-// single label, whose relation is a CSR read.
-func (x *core) pathKey(buf []byte, seg paths.Path) []byte {
-	if x.opt.Cache == nil || len(seg) < 2 {
+// key encodes the cache key of the element interval elems into buf — the
+// one place an interval becomes a key, relcache.AppendElem per element (a
+// label path's key is the all-plain case) — or returns nil, no key, when
+// nothing is cached under it: there is no cache, or the interval is one
+// label read at most once (a plain label, a?), whose relation is a CSR
+// read.
+func (x *core) key(buf []byte, elems []RPQElem) []byte {
+	if x.opt.Cache == nil || len(elems) == 1 && len(elems[0].Labels) == 1 && elems[0].MaxRep == 1 {
 		return nil
 	}
-	return relcache.AppendPath(buf, seg)
+	for _, e := range elems {
+		buf = relcache.AppendElem(buf, e.Labels, e.MinRep, e.MaxRep)
+	}
+	return buf
 }
 
 // counts reports whether a root node may count its final step — the one
@@ -219,8 +224,7 @@ func (x *core) stepper() *stepper {
 // cached adopts the relation cached under key into dst — into a relation
 // it takes, when dst is nil — and returns it, or nil, taking nothing, when
 // no adoptable entry exists. A key is the canonical encoding of an element
-// sequence (relcache.AppendElem; a label sequence is the all-plain case,
-// pathKey); a nil key names nothing cacheable. The cache stores each key's
+// interval (core.key); a nil key names nothing cacheable. The cache stores each key's
 // relation packed (bitset.Packed) and forward, as every step builds it, so
 // adoption is a verbatim copy — bit-identical to recomputing, because
 // every kernel picks a row's representation purely from its final
@@ -265,8 +269,8 @@ func (x *core) whole(key []byte) (*bitset.HybridRelation, error) {
 }
 
 // step is the one protocol every join step of every plan shape goes
-// through — a leaf's, a join node's, an unrolled power's, a fold's block
-// boundary — and the one place a node takes a step's destination: take a
+// through — a leaf's, a join or step node's, an unrolled power's — and the
+// one place a node takes a step's destination: take a
 // fresh relation (none when counted, the root's final step, see counts),
 // fire the exec.step fault site (chaos tests insert delays and panics here
 // without touching real kernels), check cancellation, adopt the relation
@@ -282,11 +286,10 @@ func (x *core) whole(key []byte) (*bitset.HybridRelation, error) {
 // uncached run. On error the destination stays live for finish to release;
 // otherwise the inputs are the caller's to drop.
 //
-// A key is probed once per segment: a step whose key the node's whole
-// probe or the fold's prefix scan has just missed — a leaf's last step, a
-// join node's, an element's last power, every fold step — passes probe
-// false and only publishes, so each cold segment is one cache miss and
-// one put.
+// A key is probed once per interval: a step whose key the node's whole
+// probe has just missed — a leaf's last step, a join or step node's, an
+// element's last power — passes probe false and only publishes, so each
+// cold interval is one cache miss and one put.
 func (x *core) step(key []byte, probe, counted bool, left bitset.Rows, right *bitset.HybridRelation, labels []int) (*bitset.HybridRelation, error) {
 	var dst *bitset.HybridRelation
 	if !counted {

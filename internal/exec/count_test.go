@@ -95,7 +95,7 @@ func TestKeepResultChangesNothingButTheRelation(t *testing.T) {
 						// single run and a skippable last block included — must
 						// count it, not build it for finish to release.
 						x := newCore(g, opt)
-						if root, err := x.fold(sh.plan); err != nil || root != nil || x.counted.Pairs != st.Result {
+						if root, err := x.node(sh.plan.Elems, sh.plan.Tree, true); err != nil || root != nil || x.counted.Pairs != st.Result {
 							t.Fatalf("%s workers=%d: root built its result (relation=%t counted=%d err=%v), want it counted as %d",
 								sh.name, workers, root != nil, x.counted.Pairs, err, st.Result)
 						}

@@ -16,19 +16,22 @@
 // There is one query form, one plan form, one way to plan and one way to
 // run. A query is an RPQDag — a sequence of elements, each an alternation
 // of labels under a bounded repetition; a concrete path is the DAG of plain
-// labels (PathDag). Planner.Plan decomposes it into a DagPlan: maximal
-// plain-label runs, each planned by a PlanTree whose leaves are zig-zag
-// plans and whose join nodes build their two child segments in turn and
-// join them with the sharded relation×relation kernel
-// (bitset.Rows.JoinShard), and single complex elements built from their
-// alternation's base by a chain of steps through its labels; the blocks
-// fold left to right, and a block after the first that is one step from
-// the graph — a lone label, an alternation, a wildcard, an optional label
-// — is not built at all: the fold composes through its label set
-// (bitset.Rows.ComposeShard over several operands).
-// Where a block may match the empty path, its ε and skip terms are terms of
-// the fold's step (bitset.HybridRelation.Extend), never unions after it.
-// A concrete path is the one-run case and a zig-zag plan is its leaf. The
+// labels (PathDag). A plan is a DagPlan: the query's elements and one
+// PlanTree over their intervals [Lo, Hi), whose nodes are zig-zag leaves
+// over runs of plain labels, element leaves (a complex element built from
+// its alternation's base by a chain of steps through its labels), join
+// nodes that build their two children in turn and join them with the
+// sharded relation×relation kernel (bitset.Rows.JoinShard), and step nodes
+// that compose their child through the labels of one element one step from
+// the graph — a lone label, an alternation, a wildcard, an optional label —
+// without building it (bitset.Rows.ComposeShard over several operands).
+// Where either side of a node may match the empty path, its ε and skip
+// terms are terms of the node's step (bitset.HybridRelation.Extend), never
+// unions after it. Planner.Plan decomposes a query into blocks — maximal
+// plain-label runs, each planned as a zig-zag leaf or a bushy tree, and
+// single complex elements — and folds them left to right into the
+// left-deep chain of join and step nodes; a concrete path is the one-run
+// case, and a zig-zag plan its leaf. The
 // planner costs every candidate from a selectivity
 // estimator — each proper segment of a run asked once, into one table
 // every search reads — and picks the cheapest: the best zig-zag start, or,
@@ -47,16 +50,19 @@
 // so Run(g, plan, opt) takes nothing else, and reports the actual
 // intermediate sizes: planning quality is measurable end to end.
 //
-// Run is one execution core (core.go): one step protocol, one call — take
-// the step's destination, fire the exec.step fault site, check
-// cancellation, adopt the segment from the relation cache or compute and
-// publish it, price it against the byte budget — and one finish — contain
-// panics as typed errors, release every pooled relation on abort, total the
-// stats. What a step adopts or publishes is named by the key of its element
-// sequence (relcache.AppendElem): a leaf's label segment, and equally an
-// RPQ's element or the prefix of blocks a fold step completes, so a fold
-// resumes after the longest prefix already cached and a repeated query of
-// any shape is one adoption. Plan nodes are methods that nest, and every
+// Run is one execution core (core.go): one walk over the plan tree
+// (core.node, which runs every join and step node and hands each leaf to
+// its builder), one step protocol, one call — take the step's destination,
+// fire the exec.step fault site, check cancellation, adopt the interval
+// from the relation cache or compute and publish it, price it against the
+// byte budget — and one finish — contain panics as typed errors, release
+// every pooled relation on abort, total the stats. What a step adopts or
+// publishes is named by the key of its element interval (relcache.AppendElem
+// per element): a leaf's label segment, and equally an RPQ's element or the
+// prefix a fold node completes. A node probes its interval's key before
+// building anything below it, so a walk from the root probes an RPQ's
+// prefixes longest first, resumes after the longest one cached, and a
+// repeated query of any shape is one adoption. Every
 // surviving execution is bit-identical to the dense executor of
 // internal/oracle (or, for an RPQ, to the union of its
 // expansions). The answer to a query is a count, so unless

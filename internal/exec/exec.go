@@ -3,7 +3,6 @@ package exec
 import (
 	"repro/internal/bitset"
 	"repro/internal/graph"
-	"repro/internal/paths"
 	"repro/internal/relcache"
 	"repro/internal/sched"
 )
@@ -99,10 +98,11 @@ type Stats struct {
 	// label's frequency; for a bushy tree it is every segment that is an
 	// input — each leaf's intermediates plus both inputs of each
 	// relation×relation join — in the executor's deterministic post-order.
-	// A step through the graph has one such input: the fold records only
-	// the prefix for a block it composes through (a label set is not a
-	// relation), whether or not the prefix may be empty, and both sides
-	// where it joins a block it had to build; an unrolled element records
+	// A step node has one such input: it records only its child, the prefix
+	// it composes through a label set (a label set is not a relation),
+	// whether or not the prefix may be empty, and a join node both sides,
+	// in an RPQ's fold the prefix and the block it had to build; an
+	// unrolled element records
 	// the input of each of its steps — a power, then the running union of
 	// the powers past its lower bound. A step's ε and skip terms are not
 	// inputs of their own. These are exactly the selectivities of the plan's
@@ -138,10 +138,11 @@ type Stats struct {
 }
 
 // Run carries a plan out over g — the one way to execute a query. A plan
-// is self-describing (its blocks hold the labels and elements they
-// evaluate), so there is no query argument to disagree with it; Run checks
-// the plan's own consistency and panics on a malformed one (a caller bug,
-// not a runtime failure). Execution is entirely on the hybrid sparse/dense
+// is self-describing (it holds its query's elements, which its tree's
+// intervals index), so there is no query argument to disagree with it; Run
+// checks the plan's own consistency and panics on a malformed one (a caller
+// bug, not a runtime failure). One walk runs every node of the tree
+// (core.node). Execution is entirely on the hybrid sparse/dense
 // substrate: a zig-zag leaf grows its segment one step at a time through
 // the scatter compose kernel, which pushes each target's CSR row, each step
 // into a fresh pooled relation and every row adapting its representation
@@ -150,9 +151,10 @@ type Stats struct {
 // the next label's CSR, and leftward steps join the previous label's CSR
 // rows with the segment, so every relation is forward. A join
 // node builds its two segments in turn, left then right, and joins them
-// with the sharded relation×relation kernel; a plan of several blocks
-// folds them left to right, composing through the blocks that are one step
-// from the graph (see rpq.go).
+// with the sharded relation×relation kernel; a step node builds its child
+// and composes it through one element's labels from the graph; an RPQ's
+// plan is the left-deep chain of such nodes that folds its blocks left to
+// right (see rpq.go).
 //
 // Each step runs on Options.Workers work-stealing workers (default
 // GOMAXPROCS): the input relation's source rows are partitioned into
@@ -197,44 +199,45 @@ type Stats struct {
 func Run(g *graph.CSR, plan *DagPlan, opt Options) (*bitset.HybridRelation, Stats, error) {
 	plan.validate(g.NumLabels())
 	x := newCore(g, opt)
-	return x.finish(func() (*bitset.HybridRelation, error) { return x.fold(plan) })
+	return x.finish(func() (*bitset.HybridRelation, error) { return x.node(plan.Elems, plan.Tree, true) })
 }
 
-// leaf builds segment p with the zig-zag plan growing from position
-// start, one step at a time, each into a relation it takes, releasing the
-// segment it read once the step has run. Every step builds a forward
-// segment: a rightward one composes the segment so far with the next
-// label's CSR, p[lo:hi) ∘ L(p[hi]), and a leftward one joins the previous
-// label's CSR rows with it, L(p[lo−1]) ∘ p[lo:hi) — a relation×relation
-// join whose left side is read from the graph — so every relation is
-// forward, and every segment is cached as its repeat and every other plan
-// read it. The start label's own relation is never built: the first step
-// reads its rows from the graph, as the left side of a rightward step or,
-// leftward, as the operand the previous label's rows compose with. Its
-// size, the first recorded intermediate, is the label's frequency, and its
-// price under a budget is worked out from its row lengths (a counted
-// fill), so nothing an execution reports can tell the relation was not
-// there. A root leaf that may count (see counts) counts its last step —
-// the one whose segment is all of p — and returns no relation.
-func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation, error) {
+// leaf builds the run of plain labels run with the zig-zag plan growing
+// from position start, one step at a time, each into a relation it takes,
+// releasing the segment it read once the step has run. Every step builds a
+// forward segment: a rightward one composes the segment so far with the
+// next label's CSR, p[lo:hi) ∘ L(p[hi]), and a leftward one joins the
+// previous label's CSR rows with it, L(p[lo−1]) ∘ p[lo:hi) — a
+// relation×relation join whose left side is read from the graph — so every
+// relation is forward, and every segment is cached as its repeat and every
+// other plan read it. The start label's own relation is never built: the
+// first step reads its rows from the graph, as the left side of a
+// rightward step or, leftward, as the operand the previous label's rows
+// compose with. Its size, the first recorded intermediate, is the label's
+// frequency, and its price under a budget is worked out from its row
+// lengths (a counted fill), so nothing an execution reports can tell the
+// relation was not there. A root leaf that may count (see counts) counts
+// its last step — the one whose segment is the whole run — and returns no
+// relation.
+func (x *core) leaf(run []RPQElem, start int, root bool) (*bitset.HybridRelation, error) {
 	var room [keyRoom]byte // every key of the leaf, one at a time
-	key := x.pathKey(room[:0], p)
+	key := x.key(room[:0], run)
 	if rel, err := x.whole(key); rel != nil || err != nil {
 		return rel, err
 	}
-	if len(p) == 1 {
-		return x.fill(p, false)
+	if len(run) == 1 {
+		return x.fill(run[0].Labels, false)
 	}
 	if x.opt.MaxResultBytes > 0 {
-		if _, err := x.fill(p[start:start+1], true); err != nil {
+		if _, err := x.fill(run[start].Labels, true); err != nil {
 			return nil, err
 		}
 	}
-	first := x.g.LabelOperand(p[start])
+	first := x.g.LabelOperand(run[start].Labels[0])
 	count := root && x.counts(key)
 	lo, hi := start, start+1
-	var cur *bitset.HybridRelation // p[lo:hi), nil while it is the start label
-	for hi-lo < len(p) {
+	var cur *bitset.HybridRelation // run[lo:hi), nil while it is the start label
+	for hi-lo < len(run) {
 		// The segment so far is the step's recorded intermediate.
 		left, in := first.Rows(), int64(len(first.Targets))
 		if cur != nil {
@@ -242,16 +245,16 @@ func (x *core) leaf(p paths.Path, start int, root bool) (*bitset.HybridRelation,
 		}
 		x.ints = append(x.ints, in)
 		// Leftward, a nil cur makes the step compose with the start label.
-		right, labels := cur, p[start:start+1]
-		if hi < len(p) {
-			right, labels = nil, p[hi:hi+1]
+		right, labels := cur, run[start].Labels
+		if hi < len(run) {
+			right, labels = nil, run[hi].Labels
 			hi++
 		} else {
 			lo--
-			left = x.g.LabelOperand(p[lo]).Rows()
+			left = x.g.LabelOperand(run[lo].Labels[0]).Rows()
 		}
-		// The whole segment's key was probed by whole.
-		next, err := x.step(x.pathKey(room[:0], p[lo:hi]), hi-lo < len(p), count && hi-lo == len(p), left, right, labels)
+		// The whole run's key was probed by whole.
+		next, err := x.step(x.key(room[:0], run[lo:hi]), hi-lo < len(run), count && hi-lo == len(run), left, right, labels)
 		if err != nil {
 			return nil, err
 		}

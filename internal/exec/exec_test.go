@@ -190,7 +190,7 @@ func TestPlannerCostsFromExactEstimates(t *testing.T) {
 			p[i] = rng.Intn(3)
 		}
 		// With exact estimates, every plan's cost equals its actual work.
-		plan := pl.Plan(PathDag(p), 0, false).Blocks[0]
+		plan := pl.Plan(PathDag(p), 0, false)
 		for s := 0; s < n; s++ {
 			_, st := runPlan(t, g, p, s, Options{})
 			if got := plan.Costs[s]; got != float64(st.Work) {
@@ -212,7 +212,7 @@ func TestPlannerCostsFromExactEstimates(t *testing.T) {
 
 func TestPlannerTieGoesForward(t *testing.T) {
 	pl := Planner{Est: EstimatorFunc(func(paths.Path) float64 { return 1 })}
-	if pl.Plan(PathDag(paths.Path{0, 1, 2}), 0, false).Blocks[0].Tree.Start != 0 {
+	if pl.Plan(PathDag(paths.Path{0, 1, 2}), 0, false).Tree.Start != 0 {
 		t.Fatal("plan ties should go forward")
 	}
 }

@@ -113,16 +113,17 @@ func TestOperandStepsAllocateNothing(t *testing.T) {
 	alt := zeroPlan(g, &RPQDag{Elems: []RPQElem{label, {Labels: []int{1, 2}, MinRep: 1, MaxRep: 1}}})
 	eps := zeroPlan(g, &RPQDag{Elems: []RPQElem{optional, label}})
 	skip := zeroPlan(g, &RPQDag{Elems: []RPQElem{label, optional}})
+	run01 := PathDag(paths.Path{0, 1}).Elems
 	for _, keep := range []bool{true, false} {
 		opt, pool, _ := checkedOptions(g.NumVertices(), 1)
 		opt.KeepResult = keep
 		x := newCore(g, opt)
 		for name, node := range map[string]func() (*bitset.HybridRelation, error){
-			"first step rightward": func() (*bitset.HybridRelation, error) { return x.leaf(paths.Path{0, 1}, 0, true) },
-			"first step leftward":  func() (*bitset.HybridRelation, error) { return x.leaf(paths.Path{0, 1}, 1, true) },
-			"label/(a|b)":          func() (*bitset.HybridRelation, error) { return x.fold(alt) },
-			"a?/label (eps)":       func() (*bitset.HybridRelation, error) { return x.fold(eps) },
-			"label/a? (skip)":      func() (*bitset.HybridRelation, error) { return x.fold(skip) },
+			"first step rightward": func() (*bitset.HybridRelation, error) { return x.leaf(run01, 0, true) },
+			"first step leftward":  func() (*bitset.HybridRelation, error) { return x.leaf(run01, 1, true) },
+			"label/(a|b)":          func() (*bitset.HybridRelation, error) { return x.node(alt.Elems, alt.Tree, true) },
+			"a?/label (eps)":       func() (*bitset.HybridRelation, error) { return x.node(eps.Elems, eps.Tree, true) },
+			"label/a? (skip)":      func() (*bitset.HybridRelation, error) { return x.node(skip.Elems, skip.Tree, true) },
 		} {
 			run := func() {
 				rel, err := node()

@@ -30,7 +30,7 @@ func TestCheapestTieBreak(t *testing.T) {
 	}
 	// Plan must route through the same rule.
 	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 { return float64(len(p)) })}
-	b := pl.Plan(PathDag(paths.Path{0, 0, 0}), 0, false).Blocks[0]
+	b := pl.Plan(PathDag(paths.Path{0, 0, 0}), 0, false)
 	if got, want := b.Tree.Start, cheapest(b.Costs); got != want {
 		t.Errorf("Plan chose start %d, cheapest(Costs) = %d", got, want)
 	}

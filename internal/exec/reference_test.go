@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/paths"
@@ -152,9 +153,17 @@ func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 // input of a join the executor no longer makes: a block after the first
 // that is one step from the graph (a single label, an element that is not
 // unrolled) is composed through, whether or not the prefix may be empty,
-// and charged its left input only.
+// and charged its left input only. It emits the plan as its tree: the
+// left-deep chain of its blocks, each run under its tree shifted to the
+// run's elements, each element a leaf.
 func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
-	dp := &DagPlan{}
+	type refBlock struct {
+		lo, hi int
+		tree   *PlanTree // nil for an element
+		est    float64
+	}
+	dp := &DagPlan{Elems: d.Elems}
+	var blocks []refBlock
 	for i := 0; i < len(d.Elems); {
 		if d.Elems[i].simple() {
 			j := i
@@ -172,39 +181,48 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 				tree = &PlanTree{Lo: 0, Hi: len(run), Start: start}
 				cost = pl.PlanCost(run, start)
 			}
-			b := DagBlockPlan{Lo: i, Hi: j, Run: run, Tree: tree}
+			b := refBlock{lo: i, hi: j, tree: shiftTree(tree, i)}
 			if len(run) < len(d.Elems) {
-				b.Est = pl.Est.Estimate(run)
+				b.est = pl.Est.Estimate(run)
+			} else {
+				dp.Costs = refCosts(pl, run)
 			}
-			dp.Blocks = append(dp.Blocks, b)
+			blocks = append(blocks, b)
 			dp.Cost += cost
 			i = j
 			continue
 		}
 		e := d.Elems[i]
 		est, buildCost := refElemEst(pl, e, n)
-		dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est})
+		blocks = append(blocks, refBlock{lo: i, hi: i + 1, est: est})
 		dp.Cost += buildCost
 		i++
 	}
 	size, eps := 0.0, true
-	for i, b := range dp.Blocks {
-		skip := b.Run == nil && b.Elem.skippable()
+	for i, b := range blocks {
+		e := d.Elems[b.lo]
+		skip := b.tree == nil && e.skippable()
+		u := b.tree
+		if u == nil {
+			u = &PlanTree{Lo: b.lo, Hi: b.hi, Start: -1}
+		}
 		if i == 0 {
-			size, eps = b.Est, skip
+			dp.Tree, size, eps = u, b.est, skip
 			continue
 		}
-		if oneStep := len(b.Run) == 1 || b.Run == nil && b.Elem.MaxRep == 1; oneStep {
+		if oneStep := b.hi-b.lo == 1 && e.MaxRep == 1; oneStep {
+			dp.Tree = &PlanTree{Lo: 0, Hi: b.hi, Start: -1, Left: dp.Tree}
 			dp.Cost += size
 		} else {
-			dp.Cost += size + b.Est
+			dp.Tree = &PlanTree{Lo: 0, Hi: b.hi, Start: -1, Left: dp.Tree, Right: u}
+			dp.Cost += size + b.est
 		}
 		next := 0.0
 		if n > 0 {
-			next = size * b.Est / float64(n)
+			next = size * b.est / float64(n)
 		}
 		if eps {
-			next += b.Est
+			next += b.est
 		}
 		if skip {
 			next += size
@@ -213,6 +231,18 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 	}
 	dp.ResultEst = size
 	return dp
+}
+
+// shiftTree is a copy of t with every position moved at places right.
+func shiftTree(t *PlanTree, at int) *PlanTree {
+	if t == nil {
+		return nil
+	}
+	c := &PlanTree{Lo: t.Lo + at, Hi: t.Hi + at, Start: t.Start, Left: shiftTree(t.Left, at), Right: shiftTree(t.Right, at)}
+	if t.Start >= 0 {
+		c.Start += at
+	}
+	return c
 }
 
 // refExpansions is RPQDag.Expansions as it was: every path cloned on its
@@ -313,44 +343,37 @@ func assertPlansMatchReference(t *testing.T, pl Planner, p paths.Path) {
 	wantTree, wantCost := refChooseTreeWithCost(pl, p)
 	for _, bushy := range []bool{false, true} {
 		name, got := fmt.Sprintf("bushy=%v", bushy), pl.Plan(PathDag(p), 0, bushy)
-		b := got.Blocks[0]
-		if len(got.Blocks) != 1 || !b.Run.Equal(p) || len(b.Costs) != len(want) {
-			t.Fatalf("path %v: %s is not one run block over the path with %d costs", p, name, len(want))
+		if got.Tree.Lo != 0 || got.Tree.Hi != k || len(got.Costs) != len(want) {
+			t.Fatalf("path %v: %s is not a tree over the path with %d costs", p, name, len(want))
 		}
 		for s := range want {
-			if b.Costs[s] != want[s] {
-				t.Fatalf("path %v: %s Costs[%d] = %v, reference %v", p, name, s, b.Costs[s], want[s])
+			if got.Costs[s] != want[s] {
+				t.Fatalf("path %v: %s Costs[%d] = %v, reference %v", p, name, s, got.Costs[s], want[s])
 			}
 		}
 		tree, cost := wantLeaf, want[wantLeaf.Start]
 		if bushy {
 			tree, cost = wantTree, wantCost
 		}
-		if b.Tree.Describe(k) != tree.Describe(k) || got.Cost != cost {
+		if got.Tree.Describe(k) != tree.Describe(k) || got.Cost != cost {
 			t.Fatalf("path %v: %s = %s at %v, reference %s at %v",
-				p, name, b.Tree.Describe(k), got.Cost, tree.Describe(k), cost)
+				p, name, got.Tree.Describe(k), got.Cost, tree.Describe(k), cost)
 		}
 	}
 }
 
 // assertDagPlanMatchesReference pins a planned DAG to the reference
-// planner: block decomposition, every run block's tree, and the three
+// planner: its tree node for node — the block decomposition, every run's
+// tree, how each block is folded in — the per-start costs and the two
 // estimates, float for float.
 func assertDagPlanMatchesReference(t *testing.T, ctx string, got, want *DagPlan) {
 	t.Helper()
-	if got.Cost != want.Cost || got.ResultEst != want.ResultEst || len(got.Blocks) != len(want.Blocks) {
-		t.Fatalf("%s: plan cost %v result %v over %d blocks, reference %v, %v over %d",
-			ctx, got.Cost, got.ResultEst, len(got.Blocks), want.Cost, want.ResultEst, len(want.Blocks))
+	if got.Cost != want.Cost || got.ResultEst != want.ResultEst || !reflect.DeepEqual(got.Costs, want.Costs) {
+		t.Fatalf("%s: plan cost %v result %v costs %v, reference %v, %v, %v",
+			ctx, got.Cost, got.ResultEst, got.Costs, want.Cost, want.ResultEst, want.Costs)
 	}
-	if got.Describe() != want.Describe() {
+	if got.Describe() != want.Describe() || !reflect.DeepEqual(got.Tree, want.Tree) {
 		t.Fatalf("%s: plan %s, reference %s", ctx, got.Describe(), want.Describe())
-	}
-	for i := range want.Blocks {
-		g, w := got.Blocks[i], want.Blocks[i]
-		if g.Est != w.Est || g.Lo != w.Lo || g.Hi != w.Hi {
-			t.Fatalf("%s: block %d [%d,%d) est %v, reference [%d,%d) est %v",
-				ctx, i, g.Lo, g.Hi, g.Est, w.Lo, w.Hi, w.Est)
-		}
 	}
 }
 

@@ -59,12 +59,34 @@ func denseUnion(t *testing.T, g *graph.CSR, d *RPQDag) *oracle.Relation {
 	return out
 }
 
-// prefixRelation builds R_i — the relation of the plan's first i+1 blocks —
-// without the fold: from the dense reference's union, as a hybrid relation
-// in the executing regime.
-func prefixRelation(t *testing.T, g *graph.CSR, d *RPQDag, dp *DagPlan, i int) *bitset.HybridRelation {
+// blockEnds returns where each block of a zig-zag plan's fold ends, first
+// to last: the Hi of every node on the tree's left spine, bottom up (a
+// zig-zag run is one leaf, so the spine is the fold chain).
+func blockEnds(dp *DagPlan) []int {
+	var ends []int
+	for t := dp.Tree; t != nil; t = t.Left {
+		ends = append(ends, t.Hi)
+	}
+	slices.Reverse(ends)
+	return ends
+}
+
+// elemsKey is the cache key of an element sequence, one
+// relcache.AppendElem per element, as the executor encodes an interval.
+func elemsKey(elems []RPQElem) []byte {
+	var key []byte
+	for _, e := range elems {
+		key = relcache.AppendElem(key, e.Labels, e.MinRep, e.MaxRep)
+	}
+	return key
+}
+
+// prefixRelation builds R_i — the relation of the query's first hi
+// elements — without the fold: from the dense reference's union, as a
+// hybrid relation in the executing regime.
+func prefixRelation(t *testing.T, g *graph.CSR, d *RPQDag, hi int) *bitset.HybridRelation {
 	t.Helper()
-	dense := denseUnion(t, g, &RPQDag{Elems: d.Elems[:dp.Blocks[i].Hi]})
+	dense := denseUnion(t, g, &RPQDag{Elems: d.Elems[:hi]})
 	n := g.NumVertices()
 	op := bitset.CSROperand{N: n, Offsets: make([]int32, n+1)}
 	for s := 0; s < n; s++ {
@@ -110,7 +132,8 @@ func TestFoldResumesFromEveryPrefix(t *testing.T) {
 	g := testGraph(t)
 	for name, d := range resumeShapes() {
 		dp := zeroPlan(g, d)
-		nb := len(dp.Blocks)
+		ends := blockEnds(dp)
+		nb := len(ends)
 		if nb < 2 || nb > 4 {
 			t.Fatalf("%s: %d blocks, want 2–4", name, nb)
 		}
@@ -121,11 +144,10 @@ func TestFoldResumesFromEveryPrefix(t *testing.T) {
 		if answer := denseUnion(t, g, d); !oracle.EqualRelation(want, answer) {
 			t.Fatalf("%s: the uncached run differs from the dense reference", name)
 		}
-		key, ends := dp.prefixKeys(nil, nil)
-		for i := range dp.Blocks {
+		for i, hi := range ends {
 			for _, workers := range []int{1, 4} {
 				cache := relcache.New(relcache.Options{})
-				cache.PutKey(key[:ends[i]], prefixRelation(t, g, d, dp, i))
+				cache.PutKey(elemsKey(d.Elems[:hi]), prefixRelation(t, g, d, hi))
 				got, st, err := Run(g, dp, Options{Workers: workers, Cache: cache, KeepResult: true})
 				if err != nil {
 					t.Fatalf("%s prefix %d workers %d: %v", name, i, workers, err)
@@ -138,8 +160,8 @@ func TestFoldResumesFromEveryPrefix(t *testing.T) {
 				}
 				// Block 0 alone is adopted by its own node, where it has a
 				// key: a single label's relation, a? included, is never cached.
-				b0 := &dp.Blocks[0]
-				adoptable := i > 0 || len(b0.Run) > 1 || (b0.Run == nil && (len(b0.Elem.Labels) > 1 || b0.Elem.MaxRep > 1))
+				e0 := &d.Elems[0]
+				adoptable := i > 0 || ends[0] > 1 || len(e0.Labels) > 1 || e0.MaxRep > 1
 				switch {
 				case adoptable && st.CacheHits != 1:
 					t.Fatalf("%s prefix %d workers %d: %d hits, want the seeded prefix adopted once", name, i, workers, st.CacheHits)
@@ -173,7 +195,6 @@ func TestBudgetBoundaryIsTheSameAdopted(t *testing.T) {
 	all := RPQElem{Labels: []int{0, 1}, MinRep: 1, MaxRep: 1}
 	d := &RPQDag{Elems: []RPQElem{all, all, {Labels: []int{0}, MinRep: 1, MaxRep: 1}}}
 	dp := zeroPlan(g, d)
-	key, ends := dp.prefixKeys(nil, nil)
 	prefix, _, err := Run(g, zeroPlan(g, &RPQDag{Elems: d.Elems[:2]}), Options{KeepResult: true})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +207,7 @@ func TestBudgetBoundaryIsTheSameAdopted(t *testing.T) {
 				opt.KeepResult, opt.MaxResultBytes = keep, budget
 				if adopted {
 					opt.Cache = relcache.New(relcache.Options{})
-					opt.Cache.PutKey(key[:ends[1]], prefix)
+					opt.Cache.PutKey(elemsKey(d.Elems[:2]), prefix)
 				}
 				rel, st, err := Run(g, dp, opt)
 				ctx := fmt.Sprintf("adopted=%t keep=%t budget=%d of %d", adopted, keep, budget, size)

@@ -13,8 +13,9 @@ import (
 
 // This file is the execution layer's query and plan form: a compiled
 // regular-path-query (RPQ) expression DAG — a concrete path is the DAG of
-// plain labels — the one planner that costs and decomposes it, and the
-// fold that executes the plan left-to-right on the hybrid substrate.
+// plain labels — its plan (DagPlan), the one planner that costs and
+// decomposes it into the blocks its fold chains, and the element builder
+// (core.elem) that the plan walk (core.node) runs at an element leaf.
 //
 // The algebra is small and exact. An RPQ is a '/'-separated sequence of
 // elements; each element is a label set (alternation — a single label is
@@ -31,7 +32,8 @@ import (
 // relations of every concrete path the expression expands to, which is
 // what the equivalence tests pin (bit-identical, since every kernel is
 // representation-canonical: a row's form depends on its final count
-// alone). The same law is how the fold runs. For i > 1, R_i is one step
+// alone). The same law is how the fold runs: the plan is the left-deep
+// chain of nodes over the prefixes [0, hi_i), and for i > 1, R_i is one step
 //
 //	R_i = (R_{i-1} ∪ eps_{i-1}·I) ∘ (U_i ∪ skip_i·I), without the I∘I term
 //
@@ -41,8 +43,11 @@ import (
 // When U_i is a single power (MaxRep_i = 1, or a plain label) the step
 // composes through the labels of A_i straight from the graph
 // (bitset.Rows.ComposeShard over several operands) and U_i is never a
-// relation; only the first block's U_1 = R_1, and a U_i that is a union of
-// powers, are built (bitset.UnionCSR for the base) — the latter then joined.
+// relation (a step node); only the first block's U_1 = R_1, and a U_i that is a
+// union of powers, are built (bitset.UnionCSR for the base) — the latter
+// then joined (a join node). The same step joins any two intervals of a
+// query, eps read off the left one and skip off the right one, so the walk
+// runs any interval tree, not only the fold's chain.
 // An unrolled element is itself a chain of such steps,
 //
 //	U = A^lo ∘ (A ∪ I)^(MaxRep−lo),  lo = max(1, MinRep)
@@ -54,9 +59,9 @@ import (
 //
 // R_i and U_i are functions of their elements alone — eps_i too — so with
 // a relation cache they are segments like a concrete path's: keyed by
-// their element sequence (relcache.AppendElem, under which a prefix of
-// plain labels is that label path's key), probed before they are built,
-// published when they are (core.fold, core.elem). A query that repeats is
+// their element interval (core.key: relcache.AppendElem per element, under
+// which a run of plain labels is that label path's key), probed before they
+// are built, published when they are (core.node, core.elem). A query that repeats is
 // then a whole-query hit whatever its shape, and one that shares a prefix
 // or an element with an earlier query starts from it.
 
@@ -173,7 +178,7 @@ func (d *RPQDag) MaxLen() int {
 }
 
 // ConcretePath returns the query's single concrete path when every
-// element is a plain label — the query whose plan is one run block.
+// element is a plain label — the query whose plan is one run's tree.
 func (d *RPQDag) ConcretePath() (paths.Path, bool) {
 	p := make(paths.Path, 0, len(d.Elems))
 	for _, e := range d.Elems {
@@ -396,73 +401,38 @@ func (x *expander) reach(h uint64) bool {
 	return true
 }
 
-// DagBlockPlan is one block of a plan: either a maximal run of
-// plain-label elements (Run non-empty), executed as an ordinary path
-// segment under Tree — a leaf is a zig-zag plan, a join node a bushy
-// tree — or one complex element (Elem), whose relation is built from its
-// alternation's base by a chain of steps through its labels.
-type DagBlockPlan struct {
-	// Lo, Hi delimit the element range [Lo, Hi) of the query this block
-	// covers; complex-element blocks always span exactly one element.
-	Lo, Hi int
-	// Run is the run block's concrete label path (nil for element
-	// blocks); Tree is its plan, spanning [0, len(Run)).
-	Run  paths.Path
-	Tree *PlanTree
-	// Costs is the estimated cost of each of Run's zig-zag plans, indexed
-	// by start position — the spread Tree was chosen over (nil for element
-	// blocks and hand-built plans). It never depends on the cache.
-	Costs []float64
-	// Elem is the element of a complex-element block.
-	Elem RPQElem
-	// Est is the estimated pair count of the block's finished relation,
-	// what the fold join after it consumes. A plan's only block feeds no
-	// join, so there it is left zero and never asked of the estimator.
-	Est float64
-}
-
-// operand returns the label set the fold composes the block through, or
-// nil when the block's relation is materialised and joined. A block is an
-// operand when it is a single step from the graph — a one-label run, or an
-// element that is not unrolled (alternation, wildcard, optional label) —
-// and there is a relation to step from: it is not the plan's first block
-// (i > 0). A prefix that may be empty needs no relation of the block's own
-// either: its eps term is one more target of the step. DagPlan.fold and
-// core.fold both ask here, so what is costed is what is run.
-func (b *DagBlockPlan) operand(i int) []int {
-	switch {
-	case i == 0:
-	case len(b.Run) == 1:
-		return b.Run
-	case b.Run == nil && b.Elem.MaxRep == 1:
-		return b.Elem.Labels
-	}
-	return nil
-}
-
-// skippable reports whether the block may match the empty path.
-func (b *DagBlockPlan) skippable() bool { return b.Run == nil && b.Elem.skippable() }
-
 // DagPlan is a query together with how to execute it — the one plan form:
-// the query's elements decomposed into blocks, each carrying the labels it
-// evaluates, folded left to right. A concrete path is a single run block,
-// a zig-zag plan a single run block whose Tree is a leaf. Build it with
-// Planner.Plan, or by hand from a path and a tree with PathPlan; execute
-// it with Run.
+// the query's elements and one plan tree over their intervals (PlanTree),
+// which Run walks. A concrete path's tree is its zig-zag leaf or its bushy
+// tree. An RPQ's is the left-deep chain of its blocks — maximal
+// plain-label runs, each under its own zig-zag or bushy subtree, and single
+// complex elements — folded left to right: each block after the first is
+// either composed through from the graph (a step node) or built and joined
+// (a join node). Build it with Planner.Plan, or by hand from a path and a
+// tree with PathPlan; execute it with Run.
 type DagPlan struct {
-	Blocks []DagBlockPlan
-	// Cost is the estimated total intermediate volume: run-block plan
-	// costs (the zig-zag/bushy DP objective), the inputs of an unrolled
-	// element's steps — its powers below max(1, MinRep), then the running
-	// union of the powers from there — and the inputs of every step of the
-	// fold: both sides of a block-boundary join, the prefix alone where the
-	// block is composed through, whether or not the prefix may be empty.
-	// A step's ε and skip terms are charged nothing of their own.
+	// Elems is the query's element sequence, whose positions the tree's
+	// intervals are. The plan retains it; the caller must not modify it.
+	Elems []RPQElem
+	// Tree is the plan, spanning [0, len(Elems)).
+	Tree *PlanTree
+	// Costs is the estimated cost of each of a concrete path's zig-zag
+	// plans, indexed by start position — the spread Tree was chosen over.
+	// It never depends on the cache, and is nil for an RPQ and for a
+	// hand-built plan.
+	Costs []float64
+	// Cost is the estimated total intermediate volume: run plan costs (the
+	// zig-zag/bushy DP objective), the inputs of an unrolled element's
+	// steps — its powers below max(1, MinRep), then the running union of the
+	// powers from there — and the inputs of every step of the fold: both
+	// sides of a join node, the prefix alone where a step node composes
+	// through the block, whether or not the prefix may be empty. A step's ε
+	// and skip terms are charged nothing of their own.
 	Cost float64
 	// ResultEst is the estimated pair count of the final relation under
 	// the independence model (exact per-block estimates folded with an
-	// n-normalized join); zero for a single-block plan, see
-	// DagBlockPlan.Est.
+	// n-normalized join); zero for a single-block plan, whose only block
+	// feeds no join and whose size is never asked of the estimator.
 	ResultEst float64
 }
 
@@ -470,80 +440,73 @@ type DagPlan struct {
 // tree, which must span [0, len(p)): a forced zig-zag start is the leaf
 // &PlanTree{Lo: 0, Hi: len(p), Start: s}. It carries no estimates.
 func PathPlan(p paths.Path, tree *PlanTree) *DagPlan {
-	dp := newPlan()
-	dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: 0, Hi: len(p), Run: p, Tree: tree})
-	return dp
+	return &DagPlan{Elems: PathDag(p).Elems, Tree: tree}
 }
 
-// newPlan allocates an empty plan with room for one block beside it, so
-// the plan of a concrete path — a one-run DAG, the common query — costs
-// one allocation.
-func newPlan() *DagPlan {
-	a := &struct {
-		dp    DagPlan
-		first [1]DagBlockPlan
-	}{}
-	a.dp.Blocks = a.first[:0]
-	return &a.dp
+// Describe renders the plan: a run by its tree, positions relative to the
+// run (PlanTree.Describe), an element by itself, and a fold chain flat, its
+// blocks joined by the fold operator — "(b0 ⋈ b1 ⋈ b2)".
+func (dp *DagPlan) Describe() string { return render(dp.Elems, dp.Tree) }
+
+// render renders the subtree t of a plan over elems.
+func render(elems []RPQElem, t *PlanTree) string {
+	switch {
+	case plain(elems[t.Lo:t.Hi]):
+		return t.describe(t.Lo, t.Hi-t.Lo)
+	case t.IsLeaf():
+		return elems[t.Lo].describe()
+	}
+	var room [8]string
+	return "(" + strings.Join(chain(elems, t, room[:0]), " ⋈ ") + ")"
 }
 
-// Describe renders the plan: run blocks by their tree plan, element
-// blocks by their element, joined by the fold operator.
-func (dp *DagPlan) Describe() string {
-	if len(dp.Blocks) == 1 {
-		return dp.Blocks[0].describe()
+// chain appends the renderings of the blocks the fold node t joins, left
+// to right: those of its left chain, then its right block's.
+func chain(elems []RPQElem, t *PlanTree, out []string) []string {
+	if t.IsLeaf() || plain(elems[t.Lo:t.Hi]) {
+		return append(out, render(elems, t))
 	}
-	parts := make([]string, len(dp.Blocks))
-	for i, b := range dp.Blocks {
-		parts[i] = b.describe()
-	}
-	return "(" + strings.Join(parts, " ⋈ ") + ")"
+	return append(chain(elems, t.Left, out), render(elems, t.right()))
 }
 
-func (b DagBlockPlan) describe() string {
-	if b.Run != nil {
-		return b.Tree.Describe(len(b.Run))
+// plain reports whether every element is a plain label: whether the
+// interval is a concrete path.
+func plain(elems []RPQElem) bool {
+	for _, e := range elems {
+		if !e.simple() {
+			return false
+		}
 	}
-	return b.Elem.describe()
+	return true
+}
+
+// optional reports whether every element may match the empty path:
+// whether the interval may.
+func optional(elems []RPQElem) bool {
+	for _, e := range elems {
+		if !e.skippable() {
+			return false
+		}
+	}
+	return true
 }
 
 // validate panics unless the plan is self-consistent over a
-// numLabels-label vocabulary: blocks that tile an element range from 0
-// without gaps, every run block a non-empty in-range label path under a
-// tree that spans it, every element block one well-formed complex
-// element, and at least one block that cannot match the empty path (an
-// all-optional query's relation would include the identity — compilers
-// reject it before a plan exists). A malformed plan is a caller bug, not a
-// runtime failure, matching the executor's precondition contract.
+// numLabels-label vocabulary: well-formed elements, a tree that is a plan
+// for all of them (PlanTree.validate), and at least one element that cannot
+// match the empty path (an all-optional query's relation would include the
+// identity — compilers reject it before a plan exists). A malformed plan is
+// a caller bug, not a runtime failure, matching the executor's precondition
+// contract.
 func (dp *DagPlan) validate(numLabels int) {
-	if dp == nil || len(dp.Blocks) == 0 {
+	if dp == nil || len(dp.Elems) == 0 {
 		panic("exec: empty plan")
 	}
-	at, optional := 0, true
-	for i, b := range dp.Blocks {
-		if b.Lo != at || b.Hi <= b.Lo {
-			panic(fmt.Sprintf("exec: plan block %d spans [%d,%d) at element %d", i, b.Lo, b.Hi, at))
-		}
-		if b.Run != nil {
-			if len(b.Run) != b.Hi-b.Lo {
-				panic(fmt.Sprintf("exec: plan block %d run length %d over %d elements", i, len(b.Run), b.Hi-b.Lo))
-			}
-			for _, l := range b.Run {
-				if l < 0 || l >= numLabels {
-					panic(fmt.Sprintf("exec: plan block %d label %d out of range [0,%d)", i, l, numLabels))
-				}
-			}
-			b.Tree.validate(0, len(b.Run))
-		} else {
-			if b.Hi != b.Lo+1 {
-				panic(fmt.Sprintf("exec: plan element block %d spans %d elements", i, b.Hi-b.Lo))
-			}
-			b.Elem.validate(b.Lo, numLabels)
-		}
-		optional = optional && b.skippable()
-		at = b.Hi
+	for i, e := range dp.Elems {
+		e.validate(i, numLabels)
 	}
-	if optional {
+	dp.Tree.validate(dp.Elems, 0, len(dp.Elems))
+	if optional(dp.Elems) {
 		panic("exec: plan may match the empty path")
 	}
 }
@@ -593,60 +556,73 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 	return est, buildCost
 }
 
+// block is one block of a plan being planned: the element interval
+// [lo, hi) — a maximal plain-label run, or one complex element — its run's
+// plan tree (nil for an element) and its estimated size, what a join after
+// it consumes.
+type block struct {
+	lo, hi int
+	tree   *PlanTree
+	est    float64
+}
+
 // Plan plans a compiled query — the one way to plan. The element sequence
-// is decomposed into maximal plain-label runs — each planned over its
-// segment table (the cheapest plan tree when bushy, the cheapest zig-zag
-// otherwise), so cached segments, interior starts, and bushy joins all
-// apply inside a run — and single complex elements, costed by their unroll
-// intermediates. A concrete path is the one-run case, and its plan is
+// is decomposed into blocks: maximal plain-label runs — each planned over
+// its segment table (the cheapest plan tree when bushy, the cheapest
+// zig-zag otherwise), so cached segments, interior starts, and bushy joins
+// all apply inside a run — and single complex elements, costed by their
+// unroll intermediates; then the blocks are folded into the plan's tree
+// (DagPlan.fold). A concrete path is the one-run case, and its tree is
 // exactly the zig-zag/bushy choice over the path. Each block's cost is
-// added as it is planned, then the fold's (DagPlan.fold). n is the vertex
-// universe (join normalization); the DAG must be well-formed (Run checks
-// the plan's copy of it). The plan is decided once, against the Cached
-// view as it is now.
+// added as it is planned, then the fold's. n is the vertex universe (join
+// normalization); the DAG must be well-formed (Run checks the plan's copy
+// of it). The plan is decided once, against the Cached view as it is now.
 func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
-	dp := newPlan()
+	dp := &DagPlan{Elems: d.Elems}
+	var room [8]block
+	blocks := room[:0]
 	for i := 0; i < len(d.Elems); {
-		e := d.Elems[i]
-		if !e.simple() {
-			est, buildCost := pl.elemEst(e, n)
-			dp.Blocks = append(dp.Blocks, DagBlockPlan{Lo: i, Hi: i + 1, Elem: e, Est: est})
-			dp.Cost += buildCost
-			i++
-			continue
+		b := block{lo: i, hi: i + 1}
+		if e := d.Elems[i]; !e.simple() {
+			var cost float64
+			b.est, cost = pl.elemEst(e, n)
+			dp.Cost += cost
+		} else {
+			for b.hi < len(d.Elems) && d.Elems[b.hi].simple() {
+				b.hi++
+			}
+			run := make(paths.Path, b.hi-i)
+			for x := range run {
+				run[x] = d.Elems[i+x].Labels[0]
+			}
+			segs := pl.segments(run)
+			var cost float64
+			b.tree, cost = segs.chooseTree(bushy, pl.Cached, i)
+			if len(run) == len(d.Elems) {
+				dp.Costs = segs.costs
+			} else {
+				b.est = pl.Est.Estimate(run)
+			}
+			dp.Cost += cost
 		}
-		j := i + 1
-		for j < len(d.Elems) && d.Elems[j].simple() {
-			j++
-		}
-		run := make(paths.Path, j-i)
-		for x := range run {
-			run[x] = d.Elems[i+x].Labels[0]
-		}
-		segs := pl.segments(run)
-		tree, cost := segs.chooseTree(bushy, pl.Cached)
-		b := DagBlockPlan{Lo: i, Hi: j, Run: run, Tree: tree, Costs: segs.costs}
-		if len(run) < len(d.Elems) {
-			b.Est = pl.Est.Estimate(run)
-		}
-		dp.Blocks = append(dp.Blocks, b)
-		dp.Cost += cost
-		i = j
+		blocks = append(blocks, b)
+		i = b.hi
 	}
-	dp.fold(n)
+	dp.fold(blocks, n)
 	return dp
 }
 
 // Estimate returns the estimated size of query d, which Plan planned as
-// dp: one lookup of the run when dp is one run block (a concrete path);
-// otherwise the sum, in Expansions' order, of the estimates of d's
-// concrete expansions when there are at most MaxExpansions of them, and
-// dp.ResultEst, the fold's independence-model size, when there are more.
-// Plan never asks for the whole query — a caller may plan one label beyond
-// its estimator's reach — so this is the one call that does.
+// dp: one lookup of the path when d is a concrete path; otherwise the sum,
+// in Expansions' order, of the estimates of d's concrete expansions when
+// there are at most MaxExpansions of them, and dp.ResultEst, the fold's
+// independence-model size, when there are more. Plan never asks for the
+// whole query — a caller may plan one label beyond its estimator's reach —
+// so this is the one call that does.
 func (pl Planner) Estimate(d *RPQDag, dp *DagPlan) float64 {
-	if len(dp.Blocks) == 1 && dp.Blocks[0].Run != nil {
-		return pl.Est.Estimate(dp.Blocks[0].Run)
+	if dp.Costs != nil {
+		p, _ := d.ConcretePath()
+		return pl.Est.Estimate(p)
 	}
 	exps, ok := d.Expansions(MaxExpansions)
 	if !ok {
@@ -659,32 +635,53 @@ func (pl Planner) Estimate(d *RPQDag, dp *DagPlan) float64 {
 	return est
 }
 
-// fold adds the fold's steps to the plan's cost and sets ResultEst from
-// the block sizes: size_i = size·est/n (join) + est when the prefix may be
-// empty + size when the block is skippable — the estimator's image of the
-// executor's R_i recurrence. A join after the first block consumes both
-// materialized inputs; a block composed through has no relation of its
-// own to consume, whatever its identity terms.
-func (dp *DagPlan) fold(n int) {
+// fold chains the blocks into the plan's tree — the first block's node,
+// then per block after it a node over the prefix so far — adds the fold's
+// steps to the plan's cost and sets ResultEst from the block sizes:
+// size_i = size·est/n (join) + est when the prefix may be empty + size when
+// the block is skippable — the estimator's image of the executor's R_i
+// recurrence. A block one step from the graph —
+// a one-label run, an element that is not unrolled (alternation, wildcard,
+// optional label) — is composed through by a step node: it has no relation
+// of its own, whatever its identity terms, and the step consumes the
+// prefix alone. Any other block is built by its own subtree — a run's
+// tree, an element leaf — and a join node consumes both materialized
+// inputs. The nodes it makes share one allocation.
+func (dp *DagPlan) fold(blocks []block, n int) {
+	var nodes []PlanTree // at most an element leaf and a chain node per block
+	node := func(t PlanTree) *PlanTree {
+		if nodes == nil {
+			nodes = make([]PlanTree, 0, 2*len(blocks))
+		}
+		nodes = append(nodes, t)
+		return &nodes[len(nodes)-1]
+	}
 	size, eps := 0.0, true
-	for i := range dp.Blocks {
-		b := &dp.Blocks[i]
-		skip := b.skippable()
+	for i, b := range blocks {
+		e := &dp.Elems[b.lo]
+		skip := b.tree == nil && e.skippable()
+		through := b.hi-b.lo == 1 && e.MaxRep == 1
+		u := b.tree
+		if u == nil && (i == 0 || !through) {
+			u = node(PlanTree{Lo: b.lo, Hi: b.hi, Start: -1})
+		}
 		if i == 0 {
-			size, eps = b.Est, skip
+			dp.Tree, size, eps = u, b.est, skip
 			continue
 		}
-		if b.operand(i) != nil {
+		if through {
+			dp.Tree = node(PlanTree{Lo: 0, Hi: b.hi, Start: -1, Left: dp.Tree})
 			dp.Cost += size
 		} else {
-			dp.Cost += size + b.Est
+			dp.Tree = node(PlanTree{Lo: 0, Hi: b.hi, Start: -1, Left: dp.Tree, Right: u})
+			dp.Cost += size + b.est
 		}
 		next := 0.0
 		if n > 0 {
-			next = size * b.Est / float64(n)
+			next = size * b.est / float64(n)
 		}
 		if eps {
-			next += b.Est
+			next += b.est
 		}
 		if skip {
 			next += size
@@ -694,23 +691,10 @@ func (dp *DagPlan) fold(n int) {
 	dp.ResultEst = size
 }
 
-// elemKey encodes the one-element cache key of e into buf — what e's
-// finished relation U is published under, and, the encoding being
-// compositional, what a query that starts with e probes as its first
-// prefix. It returns nil, no key, without a cache and for a single label
-// that is not unrolled (a?): its relation is a CSR read, which the cache
-// never holds.
-func (x *core) elemKey(buf []byte, e RPQElem) []byte {
-	if x.opt.Cache == nil || (len(e.Labels) == 1 && e.MaxRep == 1) {
-		return nil
-	}
-	return relcache.AppendElem(buf, e.Labels, e.MinRep, e.MaxRep)
-}
-
 // elem builds one complex element's relation U: adopted whole from the
-// cache where an earlier execution published it under the element's key
-// (elemKey), else built from the alternation base A — the union of its
-// label relations in one pass (core.fill) — by a chain of steps through the
+// cache where an earlier execution published it under the element's key,
+// else built from the alternation base A — the union of its label
+// relations in one pass (core.fill) — by a chain of steps through the
 // label set from the graph,
 //
 //	U = A^lo ∘ (A ∪ I)^(MaxRep−lo),  lo = max(1, MinRep)
@@ -719,15 +703,17 @@ func (x *core) elemKey(buf []byte, e RPQElem) []byte {
 // P_r = P_(r−1) ∘ (A ∪ I) = ⋃_{q=lo..r} A^q, the last of which is U. Each
 // step goes through core.step, into a relation it takes, and the power it
 // read is released once it has run, so the element holds at most two at a
-// time. The last step's key is U's element key; a power below it has its
-// repeated-label path key, the one a concrete query's segments use, so a
+// time. The last step's key is U's element key; a power below it has the
+// key of its repeated label, the one a concrete query's segments use, so a
 // `b{2,3}` adopts or publishes the `bb` of a `b/b`. The skip steps below U
-// and multi-label powers have no key and are not published.
+// and multi-label powers have no key and are not published. one is the
+// element's interval of the query, of length one.
 // A root element nobody keeps and nothing publishes (see counts) counts its
 // last step, or its base when it is not unrolled.
-func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
+func (x *core) elem(one []RPQElem, root bool) (*bitset.HybridRelation, error) {
+	e := &one[0]
 	var room, sroom [keyRoom]byte
-	key := x.elemKey(room[:0], e)
+	key := x.key(room[:0], one)
 	count := root && x.counts(key)
 	if rel, err := x.whole(key); rel != nil || err != nil {
 		return rel, err
@@ -741,20 +727,20 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 		return cur, nil
 	}
 	lo := max(1, e.MinRep)
-	var power paths.Path // the current single-label power as a path
-	if len(e.Labels) == 1 {
-		power = append(make(paths.Path, 0, e.MaxRep), e.Labels[0])
+	var power []byte // the key of the current single-label power, a label path's
+	if x.opt.Cache != nil && len(e.Labels) == 1 {
+		power = relcache.AppendElem(sroom[:0], e.Labels, 1, 1)
 	}
 	for r := 2; r <= e.MaxRep; r++ {
 		if power != nil {
-			power = append(power, e.Labels[0])
+			power = relcache.AppendElem(power, e.Labels, 1, 1)
 		}
 		var stepKey []byte
 		switch {
 		case r == e.MaxRep:
 			stepKey = key
 		case r <= lo:
-			stepKey = x.pathKey(sroom[:0], power)
+			stepKey = power
 		}
 		x.ints = append(x.ints, cur.Pairs())
 		// The element's own key, the last power's, was probed by whole.
@@ -764,116 +750,6 @@ func (x *core) elem(e RPQElem, root bool) (*bitset.HybridRelation, error) {
 		}
 		x.drop(cur)
 		cur = next
-	}
-	return cur, nil
-}
-
-// prefixKeys encodes the cache key of the plan's whole element sequence
-// into buf and appends to ends, per block, where the key of the prefix
-// ending with that block stops: the encoding is compositional, so
-// key[:ends[i]] is the key of R_i — and, for a prefix of plain labels, the
-// very key the concrete segment is cached under.
-func (dp *DagPlan) prefixKeys(buf []byte, ends []int) (key []byte, _ []int) {
-	key = buf
-	for i := range dp.Blocks {
-		if b := &dp.Blocks[i]; b.Run != nil {
-			key = relcache.AppendPath(key, b.Run)
-		} else {
-			key = relcache.AppendElem(key, b.Elem.Labels, b.Elem.MinRep, b.Elem.MaxRep)
-		}
-		ends = append(ends, len(key))
-	}
-	return key, ends
-}
-
-// fold executes a plan: its blocks folded left-to-right by the R_i
-// recurrence above. A block the plan marks as an operand (see
-// DagBlockPlan.operand) is one step cur ∘ (⋃ labels) through the graph — no
-// base is built for it and no relation joined; any other block's relation
-// is built first — a run block through the zig-zag/bushy nodes
-// (whole-segment cache fast path, bushy subtrees, sharded compose —
-// everything applies), an element block through elem — and joined. Either
-// way the ε and skip terms are the step's own (cur.Extend), never a union
-// after it, and the step writes a relation it takes (core.step), after
-// which the prefix and the block it read are released. A plan's only
-// block is the root: its node may count its last step.
-//
-// With a cache a prefix of blocks is a segment like any other, keyed by
-// its element sequence (prefixKeys), and the fold treats it the way a leaf
-// treats its label segments: it probes the prefixes longest first,
-// holding nothing until one hits, adopts the longest one cached — R_i;
-// eps_i, a function of the elements alone, is recomputed, which is what
-// makes resuming exact — and folds on from the block after it, and every
-// block-boundary step it does compute goes through core.step under its
-// prefix's key, so R_i is published, the last step's included: the
-// query's repeat is then one probe and one copy, Intermediates empty and
-// Work 0, as a concrete path's is. Without a cache no key is built and the
-// root's last step is counted.
-func (x *core) fold(dp *DagPlan) (*bitset.HybridRelation, error) {
-	nb := len(dp.Blocks)
-	var (
-		cur      *bitset.HybridRelation
-		room     [keyRoom]byte
-		endsRoom [8]int
-		key      []byte // of the whole plan; nil without a cache
-		ends     []int  // key[:ends[i]] is the key of the prefix ending with block i
-	)
-	eps, from := true, 0
-	if x.opt.Cache != nil && nb > 1 {
-		key, ends = dp.prefixKeys(room[:0], endsRoom[:0])
-		// The one-block prefix is block 0's own relation: its node probes it.
-		for i := nb - 1; i > 0; i-- {
-			rel, err := x.whole(key[:ends[i]])
-			if err != nil {
-				return nil, err
-			}
-			if rel == nil {
-				continue
-			}
-			for j := 0; j <= i; j++ {
-				eps = eps && dp.Blocks[j].skippable()
-			}
-			cur, from = rel, i+1
-			break
-		}
-	}
-	for i := from; i < nb; i++ {
-		b := &dp.Blocks[i]
-		skip := b.skippable()
-		labels := b.operand(i)
-		var u *bitset.HybridRelation
-		if labels == nil {
-			var err error
-			if b.Run != nil {
-				u, err = x.tree(b.Run, b.Tree, nb == 1)
-			} else {
-				u, err = x.elem(b.Elem, nb == 1)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				// R_1 = U_1 (eps_0 is true and R_0 empty).
-				cur, eps = u, skip
-				continue
-			}
-			x.ints = append(x.ints, cur.Pairs(), u.Pairs())
-		} else {
-			x.ints = append(x.ints, cur.Pairs())
-		}
-		var stepKey []byte
-		if key != nil {
-			stepKey = key[:ends[i]]
-		}
-		// The root's last step is R_i itself, so where nothing publishes it,
-		// it is counted, not built: no destination.
-		next, err := x.step(stepKey, false, i == nb-1 && x.counts(stepKey), cur.Extend(eps, skip), u, labels)
-		if err != nil {
-			return nil, err
-		}
-		x.drop(cur)
-		x.drop(u)
-		cur, eps = next, eps && skip
 	}
 	return cur, nil
 }

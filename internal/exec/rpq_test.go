@@ -183,7 +183,9 @@ func TestDagExpansions(t *testing.T) {
 }
 
 // TestPlanRunDecomposition pins the block decomposition: maximal
-// plain-label runs collapse into one planned block.
+// plain-label runs collapse into one planned block, and the fold chains the
+// blocks left-deep — here composing through the alternation and then the
+// one-label run, each a step node.
 func TestPlanRunDecomposition(t *testing.T) {
 	g := testGraph(t)
 	est := EstimatorFunc(func(p paths.Path) float64 { return float64(paths.Selectivity(g, p)) })
@@ -194,14 +196,12 @@ func TestPlanRunDecomposition(t *testing.T) {
 		{Labels: []int{2}, MinRep: 1, MaxRep: 1},
 	}}
 	dp := Planner{Est: est}.Plan(d, g.NumVertices(), true)
-	if len(dp.Blocks) != 3 {
-		t.Fatalf("blocks = %d, want 3 (run[0,2), (1|2), run[3,4))", len(dp.Blocks))
+	root := dp.Tree
+	if root.Right != nil || root.Left == nil || root.Left.Hi != 3 || root.Left.Right != nil {
+		t.Fatalf("plan %s, want step nodes through (1|2) and then the run [3,4)", dp.Describe())
 	}
-	if dp.Blocks[0].Run == nil || len(dp.Blocks[0].Run) != 2 {
-		t.Fatalf("block 0 = %+v, want a length-2 run", dp.Blocks[0])
-	}
-	if dp.Blocks[1].Run != nil {
-		t.Fatalf("block 1 = %+v, want the alternation element", dp.Blocks[1])
+	if run := root.Left.Left; run.Lo != 0 || run.Hi != 2 {
+		t.Fatalf("plan %s, want the run [0,2) as the first block", dp.Describe())
 	}
 	if dp.Cost <= 0 || dp.ResultEst < 0 {
 		t.Fatalf("plan cost %f / est %f not positive", dp.Cost, dp.ResultEst)

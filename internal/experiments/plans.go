@@ -71,7 +71,7 @@ func startPlan(q paths.Path, start int) *exec.DagPlan {
 // chosenTree is the plan tree pl chooses for the concrete path q: the
 // cheapest zig-zag leaf, or the cheapest tree of the bushy space.
 func chosenTree(pl exec.Planner, q paths.Path, bushy bool) *exec.PlanTree {
-	return pl.Plan(exec.PathDag(q), 0, bushy).Blocks[0].Tree
+	return pl.Plan(exec.PathDag(q), 0, bushy).Tree
 }
 
 // PlanQuality is the end-to-end experiment the paper's introduction

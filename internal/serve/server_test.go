@@ -124,6 +124,7 @@ func TestQueryMalformed(t *testing.T) {
 		{"empty segment", ts.URL + "/query?q=a%2F%2Fb", CodeBadPattern},
 		{"unclosed group", ts.URL + "/query?pattern=%28a%7Cb", CodeBadPattern},
 		{"inverted bounds", ts.URL + "/query?pattern=a%7B3%2C1%7D", CodeBadPattern},
+		{"stacked quantifiers", ts.URL + "/query?pattern=a%3F%3F", CodeBadPattern},
 		{"too long", ts.URL + "/query?q=a/a/a/a/a/a", CodeBadRequest},
 	}
 	for _, c := range cases {

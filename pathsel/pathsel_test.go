@@ -300,6 +300,11 @@ func TestMalformedPathIsABadPattern(t *testing.T) {
 		{q: "a/c", want: ErrUnknownLabel},
 		{q: "", want: ErrEmptyPath},
 		{q: "a?", want: ErrBadPattern},
+		{q: "a??", want: ErrBadPattern},
+		{q: "a{2}?", want: ErrBadPattern},
+		{q: "a{1}{2}", want: ErrBadPattern},
+		{q: "a?{2}", want: ErrBadPattern},
+		{q: "a/b??", want: ErrBadPattern},
 		{q: "a|b", want: ErrBadPattern, pattern: true},
 		{q: "*", want: ErrBadPattern, pattern: true},
 		{q: "(a|b)", want: ErrBadPattern, pattern: true},

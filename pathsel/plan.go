@@ -69,24 +69,23 @@ type ExecStats struct {
 }
 
 // queryPlan is the QueryPlan view of a plan — the one rendering of what
-// exec.Planner.Plan decided. A concrete path (a single run
-// block) shows the winner of its candidate zig-zag plans with the cost of
-// every start: the cheapest zig-zag plan, or — under Config.BushyPlans —
-// the cheapest plan tree, which degenerates to the zig-zag winner whenever
+// exec.Planner.Plan decided. A concrete path (a plan with per-start Costs)
+// shows the winner of its candidate zig-zag plans with the cost of every
+// start: the cheapest zig-zag plan, or — under Config.BushyPlans — the
+// cheapest plan tree, which degenerates to the zig-zag winner whenever
 // linear growth is estimated cheaper than every bushy split. A leaf is
 // priced as the zig-zag plan it is even where the planner, seeing its
 // whole segment cached, priced it free. Anything else is an RPQ's fold.
 func (e *Estimator) queryPlan(dp *exec.DagPlan) QueryPlan {
-	b := &dp.Blocks[0]
-	if len(dp.Blocks) > 1 || b.Run == nil {
+	if dp.Costs == nil {
 		return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost, dp: dp}
 	}
-	qp := QueryPlan{Start: b.Tree.Start, Description: dp.Describe(), EstimatedCost: dp.Cost, Costs: b.Costs, dp: dp}
-	if b.Tree.IsLeaf() {
-		qp.EstimatedCost = b.Costs[b.Tree.Start]
+	qp := QueryPlan{Start: dp.Tree.Start, Description: dp.Describe(), EstimatedCost: dp.Cost, Costs: dp.Costs, dp: dp}
+	if dp.Tree.IsLeaf() {
+		qp.EstimatedCost = dp.Costs[dp.Tree.Start]
 	}
 	if e.cfg.BushyPlans {
-		qp.Tree = b.Tree
+		qp.Tree = dp.Tree
 	}
 	return qp
 }

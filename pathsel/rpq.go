@@ -31,8 +31,8 @@ import (
 // DAG. Errors wrap the package sentinels: ErrEmptyPath for an empty
 // pattern, ErrUnknownLabel for unresolvable names, ErrBadPattern for
 // grammar violations (empty segments or branches, unclosed or nested
-// groups, malformed or inverted repetition bounds, all-optional
-// patterns).
+// groups, malformed or inverted repetition bounds, stacked quantifiers,
+// all-optional patterns).
 func (v *vocab) compileRPQ(pattern string) (*exec.RPQDag, error) {
 	if pattern == "" {
 		return nil, fmt.Errorf("%w: empty pattern", ErrEmptyPath)
@@ -91,6 +91,11 @@ func (v *vocab) parseRPQElem(seg, pattern string) (exec.RPQElem, error) {
 		case maxRep > exec.MaxRepetition:
 			return bad("repetition bound %d exceeds %d", maxRep, exec.MaxRepetition)
 		}
+	}
+	if strings.HasSuffix(atom, "?") || strings.HasSuffix(atom, "}") {
+		// No label name ends in either (addressable refuses them), so what
+		// is left is a second quantifier.
+		return bad("stacked quantifiers")
 	}
 	var names []string
 	switch {

@@ -465,14 +465,18 @@ func FuzzRPQParse(f *testing.F) {
 				continue
 			}
 			cost, result, ests := naiveDagPlan(e, x.dag)
-			if dp.Cost != cost || dp.ResultEst != result || len(dp.Blocks) != len(ests) {
-				t.Fatalf("Compile(%q) bushy=%v: plan cost %v result %v over %d blocks, naive %v, %v over %d",
-					pattern, e.cfg.BushyPlans, dp.Cost, dp.ResultEst, len(dp.Blocks), cost, result, len(ests))
-			}
-			for i, b := range dp.Blocks {
-				if b.Est != ests[i] {
-					t.Fatalf("Compile(%q) bushy=%v: block %d est %v, naive %v", pattern, e.cfg.BushyPlans, i, b.Est, ests[i])
+			// The fold chain is the tree's left spine down to the first
+			// block, whose interval is a run or one element.
+			blocks := 1
+			for t := dp.Tree; t.Left != nil; t = t.Left {
+				if _, run := (&exec.RPQDag{Elems: dp.Elems[t.Lo:t.Hi]}).ConcretePath(); run {
+					break
 				}
+				blocks++
+			}
+			if dp.Cost != cost || dp.ResultEst != result || blocks != len(ests) {
+				t.Fatalf("Compile(%q) bushy=%v: plan cost %v result %v over %d blocks, naive %v, %v over %d",
+					pattern, e.cfg.BushyPlans, dp.Cost, dp.ResultEst, blocks, cost, result, len(ests))
 			}
 		}
 	})
