@@ -7,15 +7,6 @@ import (
 	"repro/internal/paths"
 )
 
-// MaxTreeLength bounds the bushy planner's dynamic program. The DP
-// enumerates all O(k²) segments of a length-k query and all O(k) splits
-// and zig-zag starts per segment — O(k²) estimator lookups (the segment
-// table) plus O(k³) arithmetic over it — which is trivial at the
-// census-bounded path lengths (k ≤ 6 in the paper) but deserves a hard
-// edge: beyond this bound the planner falls back to the linear zig-zag
-// space, which is O(k²).
-const MaxTreeLength = 16
-
 // PlanTree is one node of a plan: a plan for the element interval
 // [Lo, Hi) of its query, positions absolute. It is one of four nodes:
 //
@@ -149,45 +140,65 @@ type treeCell struct {
 	start int
 }
 
-// treeDP fills the plan table for t's path: the cell at tri(k, i, j) is
-// the best plan for p[i:j). Cost model: a leaf's cost is its zig-zag
-// plan's (the sum of estimated intermediate-segment selectivities); a
-// join node adds both children's costs plus both children's full-segment
-// estimates, because a bushy join materializes and consumes both inputs
-// (whereas a zig-zag step's right-hand side is a free CSR operand — which
-// is why linear growth wins whenever one side is a single label). A
-// segment cached reports as materialized costs nothing to build. Ties
-// break deterministically: the leaf beats any equal-cost join (falling
-// back to zig-zag when linear wins), and among equal splits or starts the
-// lowest index wins.
+// chooseTree returns the cheapest plan for the table's path, the run
+// starting at element at of its query, with its estimated cost and the
+// per-start cost of every zig-zag plan over the whole run: the cheapest
+// zig-zag plan as a single leaf, or — when bushy — the cheapest plan tree,
+// searching every way to split the path into independently built segments
+// joined pairwise on top of the linear space. Arithmetic and cached probes
+// (nil: nothing is cached), no estimator calls.
+//
+// It is one dynamic program over the path's segments: the best plan for
+// p[i:j) is its cheapest zig-zag leaf or its cheapest split. Cost model: a
+// leaf's cost is its zig-zag plan's (the sum of estimated
+// intermediate-segment selectivities); a join node adds both children's
+// costs plus both children's full-segment estimates, because a bushy join
+// materializes and consumes both inputs (whereas a zig-zag step's
+// right-hand side is a free CSR operand — which is why linear growth wins
+// whenever one side is a single label). A segment cached reports as
+// materialized costs nothing to build. Ties break deterministically: the
+// leaf beats any equal-cost join (falling back to zig-zag when linear
+// wins), and among equal splits or starts the lowest index wins. The
+// linear search is the same program with the cached probe and the splits
+// switched off, pricing only the whole path's leaves, and keeps no cells.
 //
 // Segments are visited right end ascending, left end descending, which
 // makes every leaf cost one addition: the plan starting at s on p[i:j)
 // sums its rightward intermediates p[s:s+1) … first — a running sum per
 // s, advanced once per right end — and then its leftward ones p[s−1:j),
 // p[s−2:j), …, so widening the segment leftward by one label appends one
-// term to the sum it had. Each sum therefore adds the same terms in the
-// same order as segTable.costs does, and every cost is the same float.
-func (t segTable) treeDP(cached func(paths.Path) bool) []treeCell {
+// term to the sum it had. After the last segment, the whole path, those
+// sums are the zig-zag costs: the plan starting at 0 grows only rightward
+// and stops short of the result, and the one starting at s > 0 feeds every
+// rightward segment up to p[s:k) into its first leftward step. With an
+// exact estimator each is the plan's executed Stats.Work.
+func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool, at int) (*PlanTree, float64, []float64) {
 	k := len(t.p)
-	dp := make([]treeCell, len(t.est))
-	var room [2 * MaxTreeLength]float64 // chooseTree runs the DP up to MaxTreeLength
-	buf := room[:2*k]
+	var dp []treeCell
+	if bushy {
+		dp = make([]treeCell, len(t.est))
+	} else {
+		cached = nil
+	}
 	// right[s] is Σ Est(s, x) over the right ends x seen so far; zig[s] is
 	// the cost on the current segment of the plan starting at s, for s
 	// right of the segment's left end.
-	right, zig := buf[:k], buf[k:]
+	right, zig := t.sums[:k], t.sums[k:]
+	var best treeCell
 	for j := 1; j <= k; j++ {
 		for i := j - 1; i >= 0; i-- {
 			// The plan starting at the left end only grows rightward, and
 			// its last extension p[i:j) is the result, not an intermediate.
-			best := treeCell{cost: right[i], split: -1, start: i}
+			best = treeCell{cost: right[i], split: -1, start: i}
 			right[i] += t.est[tri(k, i, j)]
 			if i+1 < j {
 				zig[i+1] = right[i+1]
 				grown := t.est[tri(k, i+1, j)]
 				for s := i + 2; s < j; s++ {
 					zig[s] += grown
+				}
+				if dp == nil && (i > 0 || j < k) {
+					continue // the linear search prices only the whole path
 				}
 				for s := i + 1; s < j; s++ {
 					if zig[s] < best.cost {
@@ -202,7 +213,7 @@ func (t segTable) treeDP(cached func(paths.Path) bool) []treeCell {
 					// consumes it — adoption is free, scanning is not.
 					best.cost = 0
 				}
-				for m := i + 1; m < j; m++ {
+				for m := i + 1; dp != nil && m < j; m++ {
 					c := dp[tri(k, i, m)].cost + dp[tri(k, m, j)].cost +
 						t.est[tri(k, i, m)] + t.est[tri(k, m, j)]
 					if c < best.cost {
@@ -210,10 +221,16 @@ func (t segTable) treeDP(cached func(paths.Path) bool) []treeCell {
 					}
 				}
 			}
-			dp[tri(k, i, j)] = best
+			if dp != nil {
+				dp[tri(k, i, j)] = best
+			}
 		}
 	}
-	return dp
+	zig[0] = right[0] // the plan starting at 0, which only grows rightward
+	if dp == nil {
+		return &PlanTree{Lo: at, Hi: at + k, Start: at + best.start}, best.cost, zig
+	}
+	return buildTree(dp, k, 0, k, at), best.cost, zig
 }
 
 // buildTree materializes the DP table's winning plan for segment [i, j)
@@ -228,25 +245,6 @@ func buildTree(dp []treeCell, k, i, j, at int) *PlanTree {
 		Left:  buildTree(dp, k, i, c.split, at),
 		Right: buildTree(dp, k, c.split, j, at),
 	}
-}
-
-// chooseTree returns the cheapest plan for the table's path, the run
-// starting at element at of its query, with its estimated cost: the
-// cheapest zig-zag plan as a single leaf, or — when bushy — the cheapest
-// plan tree, searching every way to split the path into independently
-// built segments joined pairwise on top of the linear space. When no bushy
-// decomposition is estimated to beat the best zig-zag plan the tree is a
-// single leaf, and beyond MaxTreeLength the bushy space is not enumerated
-// at all. Arithmetic and cached probes (nil: nothing is cached), no
-// estimator calls.
-func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool, at int) (*PlanTree, float64) {
-	k := len(t.p)
-	if !bushy || k > MaxTreeLength {
-		start := cheapest(t.costs)
-		return &PlanTree{Lo: at, Hi: at + k, Start: at + start}, t.costs[start]
-	}
-	dp := t.treeDP(cached)
-	return buildTree(dp, k, 0, k, at), dp[tri(k, 0, k)].cost
 }
 
 // node builds the relation of the element interval elems[t.Lo:t.Hi) with

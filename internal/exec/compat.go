@@ -10,7 +10,8 @@ import (
 
 // This file is everything the frozen bench/ module still compiles against
 // that the package no longer provides: the pre-Run names, each a wrapper
-// over Planner.Plan, PathPlan and Run with no logic of its own. Nothing
+// over Planner.Plan, PathPlan and Run with no logic of its own but
+// cheapest, the tie-break the plan search applies as it prices. Nothing
 // outside bench/ and compat_test.go may reference it (the layer rule
 // "compat.go serves bench/ only" in the module root's rules_test.go).
 // ROADMAP item 1′(b) deletes this file and compat_test.go once the
@@ -26,12 +27,30 @@ type Plan struct {
 // CheapestPlan is the planner's tie-break rule over a per-start cost slice.
 func CheapestPlan(costs []float64) Plan { return Plan{Start: cheapest(costs)} }
 
+// cheapest picks the winning zig-zag start from a per-start cost slice:
+// strictly lower cost wins, and on ties the lowest start index wins — the
+// rule the plan search applies as it prices each start (the forward plan,
+// start 0, wins the all-equal case).
+func cheapest(costs []float64) int {
+	best := 0
+	for s := 1; s < len(costs); s++ {
+		if costs[s] < costs[best] {
+			best = s
+		}
+	}
+	return best
+}
+
 // Costs is DagPlan.Costs of p's plan without the plan.
-func (pl Planner) Costs(p paths.Path) []float64 { return pl.segments(p).costs }
+func (pl Planner) Costs(p paths.Path) []float64 {
+	_, _, costs := pl.segments(p).chooseTree(false, nil, 0)
+	return costs
+}
 
 // ChooseTreeWithCost is the Tree and Cost of p's bushy plan.
 func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
-	return pl.segments(p).chooseTree(true, pl.Cached, 0)
+	tree, cost, _ := pl.segments(p).chooseTree(true, pl.Cached, 0)
+	return tree, cost
 }
 
 // PlanDag is Plan.

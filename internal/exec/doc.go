@@ -34,10 +34,11 @@
 // case, and a zig-zag plan its leaf. The
 // planner costs every candidate from a selectivity
 // estimator — each proper segment of a run asked once, into one table
-// every search reads — and picks the cheapest: the best zig-zag start, or,
-// bushy, the best tree of a dynamic program over segment splits (bounded
-// by MaxTreeLength) that falls back to the zig-zag winner whenever linear
-// growth is estimated cheaper. A plan is decided once, as Plan builds it,
+// the search reads — and picks the cheapest: the best zig-zag start, or,
+// bushy, the best tree of a dynamic program over segment splits that
+// falls back to the zig-zag winner whenever linear growth is estimated
+// cheaper. It is one search: the zig-zag costs are the program's running
+// sums, and the linear search is the program without its splits. A plan is decided once, as Plan builds it,
 // against the cache as it is then; nothing decides it again. Plan never
 // asks for the whole query — a caller may plan one label past its
 // estimator's reach — so its size is a separate call, Planner.Estimate:

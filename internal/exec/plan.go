@@ -55,20 +55,20 @@ func NewPlanner(est Estimator, cache *relcache.Cache, bushy bool) Planner {
 // segTable holds the estimate of every proper contiguous segment of one
 // path — Estimate(p[i:j)) for 0 ≤ i < j ≤ len(p) short of the whole path —
 // each asked of the estimator exactly once: k(k+1)/2 − 1 calls for a
-// length-k path. Every plan search over the path (the zig-zag spread, the
-// bushy DP) is arithmetic over this table, so one table serves them all.
-// The whole path is the result, no plan's intermediate, and is never
-// asked: callers plan queries one label longer than their estimator
-// covers. A table is immutable once built; it retains p, which the caller
-// must not modify.
+// length-k path. The plan search over the path (chooseTree: the zig-zag
+// spread, the bushy DP) is arithmetic over this table. The whole path is
+// the result, no plan's intermediate, and is never asked: callers plan
+// queries one label longer than their estimator covers. The estimates are
+// immutable once built; the table retains p, which the caller must not
+// modify.
 type segTable struct {
 	p paths.Path
 	// est is triangular, indexed by tri: row i holds its len(p)−i segments
-	// in j order. The whole path's slot stays zero and is never read.
+	// in j order. The whole path's slot stays zero.
 	est []float64
-	// costs is the estimated cost of each of the len(p) zig-zag plans,
-	// indexed by start position. It never depends on the cache.
-	costs []float64
+	// sums is the plan search's 2·len(p) running sums; its second half
+	// becomes the per-start zig-zag costs chooseTree returns.
+	sums []float64
 }
 
 // tri indexes the triangular per-segment tables (segTable.est, the bushy
@@ -79,8 +79,8 @@ func tri(k, i, j int) int { return i*k - i*(i-1)/2 + j - i - 1 }
 func (pl Planner) segments(p paths.Path) segTable {
 	k := len(p)
 	n := k * (k + 1) / 2
-	buf := make([]float64, n+k)
-	t := segTable{p: p, est: buf[:n:n], costs: buf[n:]}
+	buf := make([]float64, n+2*k)
+	t := segTable{p: p, est: buf[:n:n], sums: buf[n:]}
 	for i, at := 0, 0; i < k; i++ {
 		for j := i + 1; j <= k; j, at = j+1, at+1 {
 			if j-i < k {
@@ -88,40 +88,5 @@ func (pl Planner) segments(p paths.Path) segTable {
 			}
 		}
 	}
-	// The plan starting at s materializes, and feeds into a join step, its
-	// rightward intermediates p[s:s+1) … p[s:k) — the last only when s > 0;
-	// from the left end it is the result — and then its leftward ones
-	// p[s−1:k) … p[1:k). They are summed in that order, the reference
-	// definition's (PlanCost, reference_test.go), so each cost is the same
-	// float; with an exact estimator it is the plan's executed Stats.Work.
-	for start := range t.costs {
-		var cost float64
-		hi := k
-		if start == 0 {
-			hi = k - 1
-		}
-		for j := start + 1; j <= hi; j++ {
-			cost += t.est[tri(k, start, j)]
-		}
-		for i := start - 1; i >= 1; i-- {
-			cost += t.est[tri(k, i, k)]
-		}
-		t.costs[start] = cost
-	}
 	return t
-}
-
-// cheapest picks the winning zig-zag start from a per-start cost slice:
-// strictly lower cost wins, and on ties the lowest start index wins, so
-// equal-cost plan sets always resolve to the same plan regardless of how
-// the costs were produced. (The forward plan, start 0, therefore still
-// wins the all-equal case.)
-func cheapest(costs []float64) int {
-	best := 0
-	for s := 1; s < len(costs); s++ {
-		if costs[s] < costs[best] {
-			best = s
-		}
-	}
-	return best
 }

@@ -595,11 +595,10 @@ func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
 			for x := range run {
 				run[x] = d.Elems[i+x].Labels[0]
 			}
-			segs := pl.segments(run)
-			var cost float64
-			b.tree, cost = segs.chooseTree(bushy, pl.Cached, i)
+			tree, cost, costs := pl.segments(run).chooseTree(bushy, pl.Cached, i)
+			b.tree = tree
 			if len(run) == len(d.Elems) {
-				dp.Costs = segs.costs
+				dp.Costs = costs
 			} else {
 				b.est = pl.Est.Estimate(run)
 			}

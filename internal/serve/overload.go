@@ -125,6 +125,12 @@ var errShed = errors.New("serve: overloaded")
 
 func (e *shedError) Unwrap() error { return errShed }
 
+// errBrownout marks an answer the brownout tier degraded: its plan cost
+// more than the tier's threshold, so the server answered its histogram
+// estimate without executing it. It is only ever a DegradedBy, never an
+// error answer.
+var errBrownout = errors.New("serve: degraded by brownout")
+
 // errDraining refuses work arriving after StartDrain; it maps to 503 +
 // CodeDraining so load balancers rotate the replica out while in-flight
 // requests finish.
@@ -172,20 +178,20 @@ func newLimiter(cfg OverloadConfig) *limiter {
 	return &limiter{cfg: cfg, limit: cfg.MaxInFlight, lastTick: time.Now()}
 }
 
-// acquire admits the request (returning the brownout policy to execute
-// it under), queues it, or refuses it: a *shedError once the queue
-// cannot serve it in budget, or the request's own context error if it
-// dies while queued. On a nil error the caller owns one in-flight slot
-// and must call release.
-func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
+// acquire admits the request (returning the brownout tier's cost
+// threshold, 0 for none), queues it, or refuses it: a *shedError once
+// the queue cannot serve it in budget, or the request's own context
+// error if it dies while queued. On a nil error the caller owns one
+// in-flight slot and must call release.
+func (l *limiter) acquire(ctx context.Context) (float64, error) {
 	l.mu.Lock()
 	now := time.Now()
 	l.tickLocked(now)
 	if l.inFlight < l.limit && len(l.queue) == 0 {
 		l.admitLocked()
-		pol := l.policyLocked()
+		th := l.costThreshold
 		l.mu.Unlock()
-		return pol, nil
+		return th, nil
 	}
 
 	// No free slot: decide, on arrival, whether the queue can serve this
@@ -200,7 +206,7 @@ func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
 	if len(l.queue) >= l.cfg.QueueLimit || expected > budget || budget <= 0 {
 		err := l.shedLocked(expected, "admission queue over budget")
 		l.mu.Unlock()
-		return pathsel.ExecPolicy{}, err
+		return 0, err
 	}
 	w := &waiter{ready: make(chan struct{})}
 	l.queue = append(l.queue, w)
@@ -213,9 +219,9 @@ func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
 	case <-w.ready:
 		// Promoted: the slot is already ours (counted by the promoter).
 		l.mu.Lock()
-		pol := l.policyLocked()
+		th := l.costThreshold
 		l.mu.Unlock()
-		return pol, nil
+		return th, nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			abandonErr = fmt.Errorf("%w: while queued for admission", pathsel.ErrDeadlineExceeded)
@@ -233,7 +239,7 @@ func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if w.admitted {
-		return l.policyLocked(), nil
+		return l.costThreshold, nil
 	}
 	for i, qw := range l.queue {
 		if qw == w {
@@ -242,9 +248,9 @@ func (l *limiter) acquire(ctx context.Context) (pathsel.ExecPolicy, error) {
 		}
 	}
 	if abandonErr != nil {
-		return pathsel.ExecPolicy{}, abandonErr
+		return 0, abandonErr
 	}
-	return pathsel.ExecPolicy{}, l.shedLocked(l.expectedWaitLocked(len(l.queue)+1), "queue budget expired")
+	return 0, l.shedLocked(l.expectedWaitLocked(len(l.queue)+1), "queue budget expired")
 }
 
 // admitLocked counts one request into an in-flight slot.
@@ -350,12 +356,6 @@ func (l *limiter) recordCost(cost float64) {
 		l.costLn++
 	}
 	l.mu.Unlock()
-}
-
-// policyLocked is the brownout tier rendered as a per-call execution
-// policy.
-func (l *limiter) policyLocked() pathsel.ExecPolicy {
-	return pathsel.ExecPolicy{DegradeCostAbove: l.costThreshold}
 }
 
 // tickLocked advances the brownout state machine when at least

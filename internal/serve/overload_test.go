@@ -6,11 +6,14 @@ package serve
 // recovery, and the leak-hygiene criterion across 100 overload cycles.
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"runtime"
 	"sync"
 	"testing"
@@ -545,6 +548,221 @@ func TestDeepestTierDegradesEveryJoin(t *testing.T) {
 		if th != math.SmallestNonzeroFloat64 {
 			t.Fatalf("ring %v: tier-%d threshold %v, want the smallest positive float so every join degrades", costs, tier, th)
 		}
+	}
+}
+
+// TestBrownoutAnswersTheEstimate pins what a brownout tier answers. A
+// query whose plan costs more than the tier's threshold gets its rounded
+// histogram estimate — the answer Config.DegradeToEstimate gives the same
+// query — with its plan and estimated cost, no work and no cache traffic,
+// marked degraded_by brownout: a concrete path and an RPQ from /query,
+// and the same items inside a /batch whose cheap entry stays exact. Such
+// an entry is answered even when the request's context is dead, and a
+// threshold of 0 degrades nothing.
+func TestBrownoutAnswersTheEstimate(t *testing.T) {
+	g, srv, ts := newOverloadServer(t, pathsel.Config{Workers: 1, CacheBytes: 1 << 20},
+		OverloadConfig{MaxInFlight: 2, Brownout: true})
+	const threshold = 0.5
+	setThreshold := func(th float64) {
+		srv.lim.mu.Lock()
+		srv.lim.costThreshold = th
+		srv.lim.lastTick = time.Now().Add(time.Hour) // no tick recuts it
+		srv.lim.mu.Unlock()
+	}
+	fallback, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 16, MaxPlanCost: 1e-12, DegradeToEstimate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expensive := []string{"a/b/a", "a/(a|b)/a"}
+	// want is the brownout answer to q, as /query's body without latency.
+	want := func(q string) QueryResponse {
+		t.Helper()
+		x, err := srv.est.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx, err := fallback.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := fx.ExecuteCtx(context.Background())
+		if err != nil || !st.Degraded {
+			t.Fatalf("%s under DegradeToEstimate: %+v, %v — want a degraded answer", q, st, err)
+		}
+		plan := x.Plan()
+		if plan.EstimatedCost <= threshold {
+			t.Fatalf("%s costs %v, not above the threshold %v", q, plan.EstimatedCost, threshold)
+		}
+		return QueryResponse{Query: q, Result: st.Result, Plan: plan.Description,
+			EstimatedCost: plan.EstimatedCost, Degraded: true, DegradedBy: CodeBrownout}
+	}
+	exact := func(q string) int64 {
+		t.Helper()
+		x, err := srv.est.Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := x.ExecuteCtx(context.Background())
+		if err != nil || st.Degraded {
+			t.Fatalf("%s in process: %+v, %v", q, st, err)
+		}
+		return st.Result
+	}
+
+	setThreshold(threshold)
+	cheap := exact("a")
+	for _, q := range expensive {
+		var qr QueryResponse
+		if st := getJSON(t, ts.URL+"/query?pattern="+url.QueryEscape(q), &qr); st != http.StatusOK {
+			t.Fatalf("/query %s: status %d, want 200", q, st)
+		}
+		qr.LatencyNs = 0
+		if w := want(q); qr != w {
+			t.Fatalf("/query %s under brownout:\n got  %+v\n want %+v", q, qr, w)
+		}
+	}
+	var free QueryResponse
+	if getJSON(t, ts.URL+"/query?q=a", &free); free.Degraded || free.Result != cheap {
+		t.Fatalf("a free plan under brownout: %+v, want the exact %d", free, cheap)
+	}
+	var ans BatchResponse
+	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: append([]string{"a"}, expensive...)}, &ans); st != http.StatusOK || len(ans.Results) != 3 {
+		t.Fatalf("/batch: status %d with %d items, want 200 with 3", st, len(ans.Results))
+	}
+	if r := ans.Results[0]; r.Degraded || r.Code != "" || r.Result != cheap {
+		t.Fatalf("cheap batch entry: %+v, want the exact %d", r, cheap)
+	}
+	for i, q := range expensive {
+		r := ans.Results[i+1]
+		r.LatencyNs = 0
+		if w := (BatchItem{QueryResponse: want(q)}); r != w {
+			t.Fatalf("batch entry %s:\n got  %+v\n want %+v", q, r, w)
+		}
+	}
+	if c := srv.Counters(); c.Degraded != 4 || c.BrownoutDegraded != 4 || c.OK != 2 {
+		t.Fatalf("counters %+v, want 4 brownout-degraded and 2 exact", c)
+	}
+
+	// A dead request context: the entry over the threshold still answers
+	// its estimate; the one that would execute is cancelled.
+	xs := make([]*pathsel.Expr, 2)
+	if _, err := srv.compile([]string{"a", expensive[0]}, xs); err != nil {
+		t.Fatal(err)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	items := make([]BatchItem, 2)
+	if err := srv.run(dead, xs, 1, items); err != nil {
+		t.Fatal(err)
+	}
+	if items[0].Code != CodeCancelled || items[1].Code != "" || items[1].DegradedBy != CodeBrownout {
+		t.Fatalf("dead context: items %+v, want a cancelled exact entry and a brownout answer", items)
+	}
+
+	setThreshold(0)
+	for _, q := range expensive {
+		var qr QueryResponse
+		if getJSON(t, ts.URL+"/query?pattern="+url.QueryEscape(q), &qr); qr.Degraded || qr.Result != exact(q) {
+			t.Fatalf("/query %s at threshold 0: %+v, want an exact answer", q, qr)
+		}
+	}
+}
+
+// TestBrownoutTierMachine drives the tier state machine on explicit ticks
+// tickEvery apart, with the pressure set by hand — queue occupancy on some
+// ticks, the shed fraction on others — and checks the tier, both
+// hysteresis counters and the cost threshold after every tick: the tier
+// rises one step after exactly brownoutUp ticks at or above brownoutHi
+// and falls one after exactly brownoutDown at or below brownoutLo, within
+// [0, maxBrownoutTier]; a tick inside the band resets both counters; a
+// call before tickEvery has passed changes nothing; and tiers 1 and 2 cut
+// p90 and p50 from the cost ring.
+func TestBrownoutTierMachine(t *testing.T) {
+	const queueLimit = 4
+	l := newLimiter(OverloadConfig{MaxInFlight: 1, QueueLimit: queueLimit, Brownout: true})
+	// The ring holds 1 … 100 in a shuffled order; its nearest-rank cuts at
+	// int(q·(n−1)) are 90 (p90) and 50 (p50).
+	for _, c := range rand.New(rand.NewSource(5)).Perm(100) {
+		l.recordCost(float64(c + 1))
+	}
+	thresholds := [maxBrownoutTier + 1]float64{0, 90, 50, math.SmallestNonzeroFloat64}
+	now := l.lastTick
+	// tick sets the pressure to sig for one tick, on the queue or on the
+	// shed fraction, and runs it.
+	tick := func(sig float64, byShed bool) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		l.queue, l.shedTick, l.admittedTick = l.queue[:0], 0, 0
+		if byShed {
+			l.shedTick, l.admittedTick = int64(sig*queueLimit), int64((1-sig)*queueLimit)
+		}
+		for !byShed && len(l.queue) < int(sig*queueLimit) {
+			l.queue = append(l.queue, &waiter{ready: make(chan struct{})})
+		}
+		now = now.Add(tickEvery)
+		l.tickLocked(now)
+	}
+	check := func(when string, tier, up, down int) {
+		t.Helper()
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.tier != tier || l.upTicks != up || l.downTicks != down || l.costThreshold != thresholds[tier] {
+			t.Fatalf("%s: tier %d, up %d, down %d, threshold %v; want tier %d, up %d, down %d, threshold %v",
+				when, l.tier, l.upTicks, l.downTicks, l.costThreshold, tier, up, down, thresholds[tier])
+		}
+	}
+	const hi, lo, band = brownoutHi, brownoutLo, (brownoutHi + brownoutLo) / 2
+
+	// Up to the deepest tier, exactly brownoutUp ticks at the watermark a
+	// step, and no further.
+	for tier := 0; tier < maxBrownoutTier; tier++ {
+		for i := 1; i < brownoutUp; i++ {
+			tick(hi, i%2 == 0)
+			check(fmt.Sprintf("tier %d, high tick %d", tier, i), tier, i, 0)
+		}
+		tick(hi, true)
+		check(fmt.Sprintf("tier %d, high tick %d", tier, brownoutUp), tier+1, 0, 0)
+	}
+	for i := 1; i <= brownoutUp; i++ {
+		tick(hi, i%2 == 0)
+		check(fmt.Sprintf("deepest tier, high tick %d", i), maxBrownoutTier, i, 0)
+	}
+
+	// A call less than tickEvery after the last tick changes nothing, not
+	// even the pressure it would have read.
+	l.mu.Lock()
+	l.shedTick, l.admittedTick = 1, 3
+	l.tickLocked(now.Add(tickEvery - time.Nanosecond))
+	early := l.shedTick == 1 && l.admittedTick == 3 && l.lastTick.Equal(now)
+	l.mu.Unlock()
+	if !early {
+		t.Fatal("a call before tickEvery had passed ran a tick")
+	}
+	check("an early call", maxBrownoutTier, brownoutUp, 0)
+
+	// The band resets both counters, in either direction.
+	tick(band, true)
+	check("in the band after high ticks", maxBrownoutTier, 0, 0)
+	for i := 1; i < brownoutDown; i++ {
+		tick(lo, false)
+		check(fmt.Sprintf("low tick %d before the band", i), maxBrownoutTier, 0, i)
+	}
+	tick(band, false)
+	check("in the band after low ticks", maxBrownoutTier, 0, 0)
+
+	// Down to tier 0, exactly brownoutDown ticks at the watermark a step,
+	// and no further.
+	for tier := maxBrownoutTier; tier > 0; tier-- {
+		for i := 1; i < brownoutDown; i++ {
+			tick(lo, i%2 == 1)
+			check(fmt.Sprintf("tier %d, low tick %d", tier, i), tier, 0, i)
+		}
+		tick(lo, false)
+		check(fmt.Sprintf("tier %d, low tick %d", tier, brownoutDown), tier-1, 0, 0)
+	}
+	for i := 1; i <= brownoutDown; i++ {
+		tick(lo, i%2 == 1)
+		check(fmt.Sprintf("tier 0, low tick %d", i), 0, 0, i)
 	}
 }
 

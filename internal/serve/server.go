@@ -48,8 +48,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -75,8 +77,9 @@ type QueryResponse struct {
 	// estimator's shared segment-relation cache.
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
-	// Degraded marks a resource-policy kill answered with the histogram
-	// estimate (Config.DegradeToEstimate); DegradedBy names the cause.
+	// Degraded marks an answer given by the histogram estimate — a
+	// resource-policy kill under Config.DegradeToEstimate, or a query the
+	// brownout tier did not execute; DegradedBy names the cause.
 	Degraded   bool   `json:"degraded,omitempty"`
 	DegradedBy string `json:"degraded_by,omitempty"`
 	// LatencyNs is the server-side handling time.
@@ -179,7 +182,7 @@ var wireTable = [...]wireRow{
 	{errShed, http.StatusTooManyRequests, CodeOverloaded, outShed},
 	{errDraining, http.StatusServiceUnavailable, CodeDraining, outOverload},
 	// Brownout is never an error, only the DegradedBy of a 200.
-	{pathsel.ErrBrownout, http.StatusOK, CodeBrownout, outDegraded},
+	{errBrownout, http.StatusOK, CodeBrownout, outDegraded},
 	{nil, http.StatusBadRequest, CodeBadRequest, outBadRequest},
 }
 
@@ -436,24 +439,31 @@ func (s *Server) compile(patterns []string, xs []*pathsel.Expr) (int, error) {
 }
 
 // admit gates one request through drain state and the overload
-// controller: on success the returned policy carries the brownout tier
-// and release must be called when the execution finishes (it feeds the
-// observed service time back into the limiter). With the controller
-// disabled both are trivial and requests flow exactly as before.
-func (s *Server) admit(ctx context.Context) (pathsel.ExecPolicy, func(), error) {
+// controller: on success it returns the brownout tier's cost threshold
+// (0: nothing degrades), and release must be called when the execution
+// finishes (it feeds the observed service time back into the limiter).
+// With the controller disabled both are trivial and requests flow
+// exactly as before.
+func (s *Server) admit(ctx context.Context) (float64, func(), error) {
 	faultinject.Fire("serve.admit")
 	if s.draining.Load() {
-		return pathsel.ExecPolicy{}, nil, errDraining
+		return 0, nil, errDraining
 	}
 	if s.lim == nil {
-		return pathsel.ExecPolicy{}, func() {}, nil
+		return 0, func() {}, nil
 	}
-	pol, err := s.lim.acquire(ctx)
+	threshold, err := s.lim.acquire(ctx)
 	if err != nil {
-		return pathsel.ExecPolicy{}, nil, err
+		return 0, nil, err
 	}
 	start := time.Now()
-	return pol, func() { s.lim.release(time.Since(start)) }, nil
+	return threshold, func() { s.lim.release(time.Since(start)) }, nil
+}
+
+// browned reports whether the brownout threshold (0: none) degrades x:
+// its plan is estimated to cost more.
+func browned(x *pathsel.Expr, threshold float64) bool {
+	return threshold > 0 && x.Plan().EstimatedCost > threshold
 }
 
 // fanOut is how many of a batch's n queries execute concurrently: what
@@ -466,35 +476,49 @@ func fanOut(requested, n int) int {
 
 // run is the admit, execute and account stages for the compiled queries
 // xs, one item each: the whole request occupies a single in-flight slot
-// (shed / drain / queue), every query runs under the slot's brownout
-// policy, and the slot's service time feeds the limiter. A lone query
-// executes inline on the handler goroutine; several go through the
-// estimator's batch executor, workers at a time. A non-nil error refuses
-// the whole request — including a panic contained here, because
-// net/http's own recover would sever the connection, turning an injected
-// serve.admit panic into a client transport error instead of a typed 500.
+// (shed / drain / queue), every query whose plan costs more than the
+// slot's brownout threshold is answered by its estimate, and the slot's
+// service time feeds the limiter. A lone query that executes does so
+// inline on the handler goroutine; otherwise the ones that execute go
+// through the estimator's batch executor, workers at a time, and every
+// item is accounted in input order. A non-nil error refuses the whole
+// request — including a panic contained here, because net/http's own
+// recover would sever the connection, turning an injected serve.admit
+// panic into a client transport error instead of a typed 500.
 func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, workers int, items []BatchItem) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: contained serving-layer panic: %v", pathsel.ErrExecutionFailed, r)
 		}
 	}()
-	pol, release, err := s.admit(ctx)
+	threshold, release, err := s.admit(ctx)
 	if err != nil {
 		return err
 	}
 	defer release()
-	if len(xs) == 1 {
-		st, err := xs[0].ExecuteCtxPolicy(ctx, pol)
-		items[0] = s.account(xs[0].Pattern(), st, err)
+	if x := xs[0]; len(xs) == 1 && !browned(x, threshold) {
+		st, err := x.ExecuteCtx(ctx)
+		items[0] = s.account(x.Pattern(), st, err)
 		return nil
 	}
-	br, err := s.est.ExecuteExprBatchCtx(ctx, xs, pathsel.BatchOptions{Workers: fanOut(workers, len(xs)), Policy: pol})
-	if err != nil {
-		return err
+	var res []pathsel.BatchQueryResult
+	if exact := slices.DeleteFunc(slices.Clone(xs), func(x *pathsel.Expr) bool { return browned(x, threshold) }); len(exact) > 0 {
+		br, err := s.est.ExecuteExprBatchCtx(ctx, exact, pathsel.BatchOptions{Workers: fanOut(workers, len(exact))})
+		if err != nil {
+			return err
+		}
+		res = br.Results
 	}
-	for i, qr := range br.Results {
-		items[i] = s.account(xs[i].Pattern(), qr.ExecStats, qr.Err)
+	for i, x := range xs {
+		if !browned(x, threshold) {
+			items[i] = s.account(x.Pattern(), res[0].ExecStats, res[0].Err)
+			res = res[1:]
+			continue
+		}
+		// The brownout answer: the rounded estimate, nothing executed.
+		st := pathsel.ExecStats{Plan: x.Plan(), Degraded: true, DegradedBy: errBrownout}
+		st.Result = max(0, int64(math.Round(x.Estimate())))
+		items[i] = s.account(x.Pattern(), st, nil)
 	}
 	return nil
 }

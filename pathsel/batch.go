@@ -13,7 +13,9 @@ import (
 // Config.CacheBytes unless told otherwise.
 const DefaultCacheBytes = relcache.DefaultMaxBytes
 
-// BatchOptions tunes one batch execution.
+// BatchOptions tunes one batch execution. A batch executes every query
+// it is given; a caller that answers some by their estimate instead
+// leaves them out of it.
 type BatchOptions struct {
 	// Workers is the most queries executed concurrently: each query is
 	// one task on a work-stealing scheduler (internal/sched) of Workers
@@ -28,11 +30,6 @@ type BatchOptions struct {
 	// queries); at Workers ≤ 1 each query parallelizes its join steps
 	// across Config.Workers as a single execution does.
 	Workers int
-	// Policy is the per-call degradation policy applied to every query
-	// of the batch (see ExecPolicy); the zero value imposes nothing. A
-	// brownout-degraded entry carries a nil Err with
-	// ExecStats.DegradedBy = ErrBrownout, like any degraded answer.
-	Policy ExecPolicy
 }
 
 // CacheStats reports a segment-relation cache's counters: cumulative
@@ -158,7 +155,7 @@ func (e *Estimator) ExecuteExprBatchCtx(ctx context.Context, exprs []*Expr, opt 
 			res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, Err: translateCtxErr(err)}
 			return
 		}
-		st, err := e.execute(ctx, exprs[i], queryWorkers, opt.Policy)
+		st, err := e.execute(ctx, exprs[i], queryWorkers)
 		res.Results[i] = BatchQueryResult{Query: exprs[i].pattern, ExecStats: st, Err: err}
 	})
 	for i := len(exprs) - 1; i >= 0; i-- {

@@ -68,12 +68,6 @@ var (
 	// other than cancellation — a contained worker panic. The wrapped
 	// chain retains the execution layer's error for diagnosis.
 	ErrExecutionFailed = errors.New("pathsel: query execution failed")
-	// ErrBrownout marks an answer degraded by a per-call ExecPolicy: the
-	// chosen plan's estimated cost exceeded ExecPolicy.DegradeCostAbove,
-	// so the histogram estimate was answered without touching the graph.
-	// It only ever appears as ExecStats.DegradedBy — a brownout degrade
-	// is a successful (marked) answer, never an error return.
-	ErrBrownout = errors.New("pathsel: degraded by brownout policy")
 )
 
 // translateExecErr maps the execution layer's typed abort causes onto the

@@ -10,7 +10,11 @@
 // run of plain labels, folded with the pattern's alternations,
 // repetitions and wildcards (Expr.Plan shows the choice) — and
 // Expr.ExecuteCtx carries the chosen plan out on the hybrid execution
-// engine (internal/exec).
+// engine (internal/exec). A compiled Expr knows its estimate and its
+// plan's estimated cost before anything runs, so a caller that would
+// rather answer the estimate than pay for an execution — a server under
+// load (internal/serve's brownout) — decides that itself; the library
+// degrades a query only on its Config's terms (DegradeToEstimate).
 //
 // Typical use:
 //

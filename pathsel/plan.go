@@ -90,28 +90,6 @@ func (e *Estimator) queryPlan(dp *exec.DagPlan) QueryPlan {
 	return qp
 }
 
-// ExecPolicy is a per-call degradation policy, layered on top of the
-// estimator-wide Config knobs by callers whose willingness to pay for
-// exact answers varies request to request — a serving tier under load
-// pressure (brownout) is the intended client. The zero value imposes
-// nothing.
-type ExecPolicy struct {
-	// DegradeCostAbove, when > 0, degrades any query whose chosen plan's
-	// EstimatedCost exceeds it: the call answers the rounded histogram
-	// estimate before any graph access, marked Degraded with DegradedBy
-	// = ErrBrownout. Unlike Config.DegradeToEstimate this does not
-	// require a resource-policy kill and is independent of that flag —
-	// the caller opted into estimate answers for expensive queries on
-	// this call specifically.
-	DegradeCostAbove float64
-}
-
-// degrades reports whether the policy degrades a plan of the given
-// estimated cost.
-func (pol ExecPolicy) degrades(plan QueryPlan) bool {
-	return pol.DegradeCostAbove > 0 && plan.EstimatedCost > pol.DegradeCostAbove
-}
-
 // admissionBytesPerPair prices one projected vertex pair for the
 // admission gate's size projection: a sparse row entry is a 4-byte id,
 // doubled to absorb row headers and dense-promotion slack. Deliberately
@@ -152,44 +130,30 @@ func degradable(cause error) bool {
 
 // degrade resolves a rejected or killed query: under
 // Config.DegradeToEstimate (and a degradable cause) it answers with the
-// rounded histogram estimate est, marked Degraded with the typed cause;
-// otherwise the cause propagates as the error. est is passed in rather
-// than recomputed so compiled RPQs degrade to their compile-time
-// estimate.
-func (e *Estimator) degrade(plan QueryPlan, est float64, cause error) (ExecStats, error) {
+// rounded histogram estimate, marked Degraded with the typed cause;
+// otherwise the cause propagates as the error. The estimate is the one
+// Compile made, so a compiled RPQ degrades to its compile-time estimate.
+func (e *Estimator) degrade(x *Expr, cause error) (ExecStats, error) {
 	if !e.cfg.DegradeToEstimate || !degradable(cause) {
-		return ExecStats{Plan: plan}, cause
+		return ExecStats{Plan: x.plan}, cause
 	}
-	return degradeTo(plan, est, cause)
-}
-
-// degradeTo builds a degraded answer unconditionally: the rounded
-// estimate, marked with the typed cause. Shared by Config-driven
-// degradation (degrade) and policy-driven brownout, which bypasses the
-// Config gate.
-func degradeTo(plan QueryPlan, est float64, cause error) (ExecStats, error) {
-	r := int64(math.Round(est))
-	if r < 0 {
-		r = 0
-	}
-	return ExecStats{Plan: plan, Stats: exec.Stats{Result: r}, Degraded: true, DegradedBy: cause}, nil
+	r := max(0, int64(math.Round(x.estimate)))
+	return ExecStats{Plan: x.plan, Stats: exec.Stats{Result: r}, Degraded: true, DegradedBy: cause}, nil
 }
 
 // execute runs one compiled query against the estimator's (possibly nil)
 // segment cache — the one path every execution takes, single or batched:
-// per-query deadline and canceller, Compile's plan, brownout policy,
-// admission gate, run, stats. It plans nothing: the plan that runs is the
-// one Compile made against the cache as it was then. It runs on e's CSR,
-// the graph Build froze and counted, so the cache, the exact answers and
-// every execution describe one graph whatever the Graph it came from has
-// since become. The canceller carries ctx into every kernel, and an
-// already-dead ctx never touches the graph; pol is checked before the
-// admission gate, and a brownout degrade never touches the graph either.
-// Only the answer's counters go into ExecStats, so the
-// executor is never asked to keep the result relation (exec.Options
-// .KeepResult stays unset): it counts the final step where it can and
-// releases what it had to build.
-func (e *Estimator) execute(ctx context.Context, x *Expr, workers int, pol ExecPolicy) (ExecStats, error) {
+// per-query deadline and canceller, Compile's plan, admission gate, run,
+// stats. It plans nothing: the plan that runs is the one Compile made
+// against the cache as it was then. It runs on e's CSR, the graph Build
+// froze and counted, so the cache, the exact answers and every execution
+// describe one graph whatever the Graph it came from has since become.
+// The canceller carries ctx into every kernel, and an already-dead ctx
+// never touches the graph. Only the answer's counters go into ExecStats,
+// so the executor is never asked to keep the result relation
+// (exec.Options.KeepResult stays unset): it counts the final step where it
+// can and releases what it had to build.
+func (e *Estimator) execute(ctx context.Context, x *Expr, workers int) (ExecStats, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
@@ -197,11 +161,8 @@ func (e *Estimator) execute(ctx context.Context, x *Expr, workers int, pol ExecP
 	}
 	canc, release := exec.NewCancellerContext(ctx)
 	defer release()
-	if pol.degrades(x.plan) {
-		return degradeTo(x.plan, x.estimate, ErrBrownout)
-	}
 	if err := e.admit(x.plan, x.estimate); err != nil {
-		return e.degrade(x.plan, x.estimate, err)
+		return e.degrade(x, err)
 	}
 	opt := exec.Options{
 		DensityThreshold: e.cfg.DensityThreshold,
@@ -213,7 +174,7 @@ func (e *Estimator) execute(ctx context.Context, x *Expr, workers int, pol ExecP
 	}
 	_, st, err := exec.Run(e.csr, x.plan.dp, opt)
 	if err != nil {
-		return e.degrade(x.plan, x.estimate, translateExecErr(err))
+		return e.degrade(x, translateExecErr(err))
 	}
 	return ExecStats{Plan: x.plan, Stats: st}, nil
 }

@@ -157,26 +157,25 @@ func TestTypedSentinels(t *testing.T) {
 	}
 }
 
-// executeCtx is the compile-per-call path under a caller's context and
-// policy.
-func executeCtx(ctx context.Context, e *Estimator, q string, pol ExecPolicy) (ExecStats, error) {
+// executeCtx is the compile-per-call path under a caller's context.
+func executeCtx(ctx context.Context, e *Estimator, q string) (ExecStats, error) {
 	x, err := e.Compile(q)
 	if err != nil {
 		return ExecStats{}, err
 	}
-	return x.ExecuteCtxPolicy(ctx, pol)
+	return x.ExecuteCtx(ctx)
 }
 
 func TestExecuteCtxPreCancelled(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := executeCtx(ctx, e, "a/b/a", ExecPolicy{}); !errors.Is(err, ErrCancelled) {
+	if _, err := executeCtx(ctx, e, "a/b/a"); !errors.Is(err, ErrCancelled) {
 		t.Fatalf("pre-cancelled ctx: %v, want ErrCancelled", err)
 	}
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := executeCtx(dctx, e, "a/b/a", ExecPolicy{}); !errors.Is(err, ErrDeadlineExceeded) {
+	if _, err := executeCtx(dctx, e, "a/b/a"); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline: %v, want ErrDeadlineExceeded", err)
 	}
 	if n := e.pool.InUse(); n != 0 {
@@ -394,81 +393,5 @@ func TestExecuteBatchPerQueryIsolation(t *testing.T) {
 	}
 	if n := e.pool.InUse(); n != 0 {
 		t.Fatalf("pool has %d relations checked out after mixed batch", n)
-	}
-}
-
-// TestExecPolicyBrownout pins the per-call degradation policy: a plan
-// above DegradeCostAbove answers the rounded histogram estimate marked
-// DegradedBy ErrBrownout — without Config.DegradeToEstimate, without
-// touching the graph — while cheap plans and the zero policy execute
-// exactly.
-func TestExecPolicyBrownout(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 1})
-	pol := ExecPolicy{DegradeCostAbove: 0.5}
-
-	// Expensive concrete path: degrades to the estimate, no graph work.
-	st, err := executeCtx(context.Background(), e, "a/b/a", pol)
-	if err != nil {
-		t.Fatalf("brownout query errored: %v", err)
-	}
-	if !st.Degraded || !errors.Is(st.DegradedBy, ErrBrownout) {
-		t.Fatalf("stats = %+v, want Degraded by ErrBrownout", st)
-	}
-	if st.Work != 0 || len(st.Intermediates) != 0 {
-		t.Fatalf("brownout-degraded query did graph work: %+v", st)
-	}
-	want, err := e.Estimate("a/b/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := float64(st.Result) - want; d > 0.5 || d < -0.5 {
-		t.Fatalf("degraded Result = %d, want rounded estimate of %f", st.Result, want)
-	}
-
-	// Cheap plan (single label, zero join cost): unaffected by the policy.
-	st, err = executeCtx(context.Background(), e, "a", pol)
-	if err != nil || st.Degraded {
-		t.Fatalf("cheap query under policy: %+v, %v — want exact answer", st, err)
-	}
-
-	// Zero policy: bit-identical to the plain call, on paths and RPQs.
-	for _, q := range []string{"a/b/a", "a/(a|b)/a"} {
-		plain, err := executeQuery(e, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zero, err := executeCtx(context.Background(), e, q, ExecPolicy{})
-		if err != nil || zero.Degraded || zero.Result != plain.Result {
-			t.Fatalf("zero policy diverged on %s: %+v vs %+v (%v)", q, zero, plain, err)
-		}
-	}
-
-	// A true RPQ (DAG route) degrades through the same policy.
-	x, err := e.Compile("a/(a|b)/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err = x.ExecuteCtxPolicy(context.Background(), pol)
-	if err != nil {
-		t.Fatalf("brownout RPQ errored: %v", err)
-	}
-	if !st.Degraded || !errors.Is(st.DegradedBy, ErrBrownout) || st.Work != 0 {
-		t.Fatalf("RPQ stats = %+v, want work-free Degraded by ErrBrownout", st)
-	}
-
-	// Batch-wide policy: expensive entries degrade with nil Err, cheap
-	// entries stay exact.
-	res, err := executeBatch(e, []string{"a", "a/b/a"}, BatchOptions{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := res.Results[0]; r.Err != nil || r.Degraded {
-		t.Fatalf("cheap batch entry: %+v, %v", r.ExecStats, r.Err)
-	}
-	if r := res.Results[1]; r.Err != nil || !r.Degraded || !errors.Is(r.DegradedBy, ErrBrownout) {
-		t.Fatalf("expensive batch entry: %+v, %v — want Degraded by ErrBrownout", r.ExecStats, r.Err)
-	}
-	if n := e.pool.InUse(); n != 0 {
-		t.Fatalf("pool has %d relations checked out after brownout runs", n)
 	}
 }

@@ -201,9 +201,12 @@ func (v *vocab) patternExpansions(pattern string) ([]paths.Path, error) {
 // every execution runs that plan with exec.Run, never reparsing,
 // replanning or asking the histogram again — a query that should see a
 // cache warmed since is compiled again. Compile is the one way to ask:
-// Estimate and Plan read what it decided, ExecuteCtx, ExecuteCtxPolicy and
+// Estimate and Plan read what it decided, ExecuteCtx and
 // ExecuteExprBatchCtx run it, and the string entry points (Estimate,
-// TrueSelectivity, …) parse with its grammar.
+// TrueSelectivity, …) parse with its grammar. Estimate and
+// Plan().EstimatedCost are known before anything executes: a caller that
+// answers an expensive query by its estimate instead compares the two
+// itself and does not execute it.
 type Expr struct {
 	est     *Estimator
 	pattern string
@@ -281,18 +284,9 @@ func (x *Expr) Plan() QueryPlan { return x.plan }
 // and DegradeToEstimate turning a rejected or killed query into a
 // marked histogram answer.
 func (x *Expr) ExecuteCtx(ctx context.Context) (ExecStats, error) {
-	return x.ExecuteCtxPolicy(ctx, ExecPolicy{})
-}
-
-// ExecuteCtxPolicy is ExecuteCtx under a per-call degradation policy:
-// when pol.DegradeCostAbove is set and the compiled plan costs more, the
-// call answers the rounded histogram estimate — marked Degraded with
-// DegradedBy = ErrBrownout — without touching the graph.
-// The zero policy makes it exactly ExecuteCtx.
-func (x *Expr) ExecuteCtxPolicy(ctx context.Context, pol ExecPolicy) (ExecStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	e := x.est
-	return e.execute(ctx, x, e.cfg.Workers, pol)
+	return e.execute(ctx, x, e.cfg.Workers)
 }

@@ -1101,6 +1101,7 @@ func logSurface(t *testing.T, m *module) {
 		codeLines(m.code(execSel)), codeLines(m.code(execSel, "compat.go")))
 	t.Logf("exported names, internal/exec: %d (%d without compat.go)",
 		exportedNames(m.code(dirs("internal/exec"))), exportedNames(m.code(dirs("internal/exec"), "compat.go")))
+	t.Logf("exported names, pathsel: %d", exportedNames(m.code(dirs("pathsel"))))
 	t.Logf("code lines, internal/experiments + cmd: %d", codeLines(m.code(dirs("internal/experiments", "cmd/..."))))
 	for _, d := range []string{"internal/bitset", "internal/graph", "internal/sched"} {
 		t.Logf("code lines / exported names, %s: %d / %d", d, codeLines(m.code(dirs(d))), exportedNames(m.code(dirs(d))))
