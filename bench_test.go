@@ -67,7 +67,7 @@ func BenchmarkTable2Orderings(b *testing.B) {
 	names := []string{"1", "2", "3"}
 	freq := []int64{20, 100, 80}
 	alph := ordering.AlphabeticalRanking(names)
-	card := ordering.CardinalityRanking(freq)
+	card := ordering.CardinalityRanking(freq, names)
 	ords := map[string]ordering.Ordering{
 		ordering.MethodNumAlph:  ordering.NewNumerical(alph, 2),
 		ordering.MethodNumCard:  ordering.NewNumerical(card, 2),

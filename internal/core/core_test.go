@@ -15,7 +15,7 @@ func testCensus(t *testing.T) (*paths.Census, *ordering.Ranking) {
 	t.Helper()
 	g := dataset.ErdosRenyi(60, 300, dataset.NewZipfLabels(3, 1.0), 17).Freeze()
 	c := oracle.NewCensus(g, 3)
-	return c, ordering.CardinalityRanking(c.LabelFrequencies())
+	return c, ordering.CardinalityRanking(c.LabelFrequencies(), g.LabelNames())
 }
 
 func TestDomainVectorIsPermutation(t *testing.T) {

@@ -397,7 +397,7 @@ func RunTables12() *Tables12Result {
 	freq := []int64{20, 100, 80}
 	k := 2
 	alph := ordering.AlphabeticalRanking(names)
-	card := ordering.CardinalityRanking(freq)
+	card := ordering.CardinalityRanking(freq, names)
 
 	res := &Tables12Result{
 		SummedRanks: map[string]int64{},

@@ -16,7 +16,7 @@ func benchOrderings(numLabels, k int) []Ordering {
 	for i := range freq {
 		freq[i] = int64(rng.Intn(100000))
 	}
-	card := CardinalityRanking(freq)
+	card := CardinalityRanking(freq, paddedNames(numLabels))
 	return []Ordering{
 		NewNumerical(card, k),
 		NewLexicographic(card, k),

@@ -35,7 +35,7 @@ func pathOf(t *testing.T, key string) paths.Path {
 }
 
 func exampleRankings() (alph, card *Ranking) {
-	return AlphabeticalRanking(exampleNames), CardinalityRanking(exampleFreq)
+	return AlphabeticalRanking(exampleNames), CardinalityRanking(exampleFreq, exampleNames)
 }
 
 func TestTable1SummedRanks(t *testing.T) {

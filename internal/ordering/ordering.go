@@ -92,11 +92,12 @@ func PaperMethods() []string {
 }
 
 // ForGraph constructs the named ordering method for a graph: rankings are
-// derived from the graph's label names (alph) or label frequencies (card).
+// derived from the graph's label names (alph) or label frequencies, a tie
+// broken by name (card).
 // Sum-based always uses cardinality ranking, as in the paper.
 func ForGraph(method string, g *graph.CSR, k int) (Ordering, error) {
 	alph := func() *Ranking { return AlphabeticalRanking(g.LabelNames()) }
-	card := func() *Ranking { return CardinalityRanking(g.LabelFrequencies()) }
+	card := func() *Ranking { return CardinalityRanking(g.LabelFrequencies(), g.LabelNames()) }
 	switch method {
 	case MethodNumAlph:
 		return NewNumerical(alph(), k), nil

@@ -1,6 +1,7 @@
 package ordering
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -24,7 +25,7 @@ func TestAlphabeticalRanking(t *testing.T) {
 }
 
 func TestCardinalityRanking(t *testing.T) {
-	r := CardinalityRanking([]int64{20, 100, 80})
+	r := CardinalityRanking([]int64{20, 100, 80}, paddedNames(3))
 	// Least frequent in front: label 0 (f=20) rank 1, label 2 (80) rank 2,
 	// label 1 (100) rank 3 — the paper's example.
 	if r.Rank(0) != 1 || r.Rank(2) != 2 || r.Rank(1) != 3 {
@@ -36,18 +37,28 @@ func TestCardinalityRanking(t *testing.T) {
 }
 
 func TestCardinalityRankingTies(t *testing.T) {
-	r := CardinalityRanking([]int64{5, 5, 1})
+	r := CardinalityRanking([]int64{5, 5, 1}, []string{"y", "x", "z"})
 	if r.Rank(2) != 1 {
 		t.Fatal("least frequent should be rank 1")
 	}
-	// Ties break by label id.
-	if r.Rank(0) != 2 || r.Rank(1) != 3 {
+	// Ties break by name, not by label id: x (label 1) before y (label 0).
+	if r.Rank(1) != 2 || r.Rank(0) != 3 {
 		t.Fatalf("tie-break wrong: %d %d", r.Rank(0), r.Rank(1))
 	}
 }
 
+// paddedNames names n labels "000", "001", … — in id order both as
+// numbers and as strings, so a tie breaks as it would by id.
+func paddedNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("%03d", i)
+	}
+	return names
+}
+
 func TestRankingBijection(t *testing.T) {
-	r := CardinalityRanking([]int64{9, 3, 7, 1, 5})
+	r := CardinalityRanking([]int64{9, 3, 7, 1, 5}, paddedNames(5))
 	for l := 0; l < 5; l++ {
 		if r.Label(r.Rank(l)) != l {
 			t.Fatalf("Label(Rank(%d)) != %d", l, l)
@@ -92,7 +103,7 @@ func allOrderings(numLabels, k int, seed int64) []Ordering {
 		names[i] = string(rune('a' + numLabels - 1 - i)) // reversed names
 	}
 	alph := AlphabeticalRanking(names)
-	card := CardinalityRanking(freq)
+	card := CardinalityRanking(freq, names)
 	return []Ordering{
 		NewNumerical(alph, k),
 		NewNumerical(card, k),
@@ -190,7 +201,7 @@ func TestLexicographicPrefixFirst(t *testing.T) {
 func TestSumBasedStageMonotonicity(t *testing.T) {
 	// Within one length class, summed ranks must be non-decreasing as the
 	// domain index grows — the stage-two property.
-	card := CardinalityRanking([]int64{50, 10, 30, 20})
+	card := CardinalityRanking([]int64{50, 10, 30, 20}, paddedNames(4))
 	ord := NewSumBased(card, 3)
 	sums := map[int][]int64{}
 	for idx := int64(0); idx < ord.Size(); idx++ {

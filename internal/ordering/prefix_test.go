@@ -50,7 +50,7 @@ func TestPrefixRangeSizes(t *testing.T) {
 
 func TestPrefixRangeWithCardRanking(t *testing.T) {
 	// The property must hold under any ranking, not just identity.
-	card := CardinalityRanking([]int64{50, 10, 30})
+	card := CardinalityRanking([]int64{50, 10, 30}, paddedNames(3))
 	ord := NewLexicographic(card, 2)
 	for idx := int64(0); idx < ord.Size(); idx++ {
 		p := ord.Path(idx)

@@ -86,18 +86,20 @@ func AlphabeticalRanking(labelNames []string) *Ranking {
 }
 
 // CardinalityRanking ranks labels by their selectivity f(l), least
-// frequent first (rank 1). Ties break by label id so the ranking is a
-// deterministic bijection.
-func CardinalityRanking(freq []int64) *Ranking {
+// frequent first (rank 1). A tie breaks by display name, in
+// AlphabeticalRanking's order, so — like it — the ranking depends on what
+// a label is called, never on its id.
+func CardinalityRanking(freq []int64, labelNames []string) *Ranking {
 	labels := make([]int, len(freq))
 	for i := range labels {
 		labels[i] = i
 	}
 	sort.SliceStable(labels, func(i, j int) bool {
-		if freq[labels[i]] != freq[labels[j]] {
-			return freq[labels[i]] < freq[labels[j]]
+		a, b := labels[i], labels[j]
+		if freq[a] != freq[b] {
+			return freq[a] < freq[b]
 		}
-		return labels[i] < labels[j]
+		return labelNames[a] < labelNames[b]
 	})
 	return newRanking("card", labels)
 }

@@ -48,7 +48,7 @@ func sumBasedRankings(rng *rand.Rand, numLabels, k int) []*SumBased {
 	}
 	var out []*SumBased
 	for _, r := range []*Ranking{
-		identityRanking(numLabels), AlphabeticalRanking(names), CardinalityRanking(freq), randomRanking(rng, numLabels),
+		identityRanking(numLabels), AlphabeticalRanking(names), CardinalityRanking(freq, names), randomRanking(rng, numLabels),
 	} {
 		out = append(out, NewSumBased(r, k))
 	}

@@ -4,8 +4,8 @@
 // engine package that starts worker goroutines. Its three clients are the
 // selectivity census (paths.NewCensusHybrid), whose subtree tasks split
 // dynamically; a join step's shards (exec.Run), one static round per
-// sharded step; and a batch's queries (pathsel.ExecuteExprBatchCtx), one
-// task per query.
+// sharded step; and a served /batch's queries (internal/serve's
+// Server.run, when it fans out), one task per query.
 //
 // The model is a fixed set of workers, each owning a deque of tasks. A
 // worker pushes and pops at its own deque's tail (LIFO, preserving DFS

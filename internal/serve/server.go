@@ -39,7 +39,8 @@
 //
 // In the layer map (graph → bitset → paths → exec → pathsel → serve)
 // this package sits above the public facade and below cmd; it imports
-// only pathsel, internal/workload and internal/faultinject (for its
+// only pathsel, internal/sched (a /batch's fan-out: one scheduler task
+// per query), internal/workload and internal/faultinject (for its
 // serve.admit fault site).
 package serve
 
@@ -57,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/sched"
 	"repro/pathsel"
 )
 
@@ -460,31 +462,43 @@ func (s *Server) admit(ctx context.Context) (float64, func(), error) {
 	return threshold, func() { s.lim.release(time.Since(start)) }, nil
 }
 
-// browned reports whether the brownout threshold (0: none) degrades x:
-// its plan is estimated to cost more.
-func browned(x *pathsel.Expr, threshold float64) bool {
-	return threshold > 0 && x.Plan().EstimatedCost > threshold
-}
-
 // fanOut is how many of a batch's n queries execute concurrently: what
 // the client asked for (≤ 0 means 1), but never more than the server's
 // cores — the server, not the client, decides how much one admitted slot
-// may run at once.
+// may run at once. Each of those queries executes at the estimator's
+// Config.Workers, so one slot runs at most fanOut × Config.Workers join
+// workers at a time (fanOut under pathserve's default -workers 1).
 func fanOut(requested, n int) int {
 	return max(1, min(requested, n, runtime.GOMAXPROCS(0)))
 }
 
+// execute is the execute stage of one admitted query: under a brownout
+// threshold (0: none) that its plan's estimated cost exceeds, the rounded
+// estimate with nothing executed; otherwise x.ExecuteCtx.
+func execute(ctx context.Context, x *pathsel.Expr, threshold float64) (pathsel.ExecStats, error) {
+	if threshold > 0 && x.Plan().EstimatedCost > threshold {
+		st := pathsel.ExecStats{Plan: x.Plan(), Degraded: true, DegradedBy: errBrownout}
+		st.Result = max(0, int64(math.Round(x.Estimate())))
+		return st, nil
+	}
+	return x.ExecuteCtx(ctx)
+}
+
 // run is the admit, execute and account stages for the compiled queries
 // xs, one item each: the whole request occupies a single in-flight slot
-// (shed / drain / queue), every query whose plan costs more than the
-// slot's brownout threshold is answered by its estimate, and the slot's
-// service time feeds the limiter. A lone query that executes does so
-// inline on the handler goroutine; otherwise the ones that execute go
-// through the estimator's batch executor, workers at a time, and every
-// item is accounted in input order. A non-nil error refuses the whole
-// request — including a panic contained here, because net/http's own
-// recover would sever the connection, turning an injected serve.admit
-// panic into a client transport error instead of a typed 500.
+// (shed / drain / queue), every query is answered by execute under the
+// slot's brownout threshold, and the slot's service time feeds the
+// limiter. At a fan-out of 1 — every /query, and a /batch that asks for
+// at most one worker or reaches a one-core server — the queries run one
+// after another on the handler goroutine. Otherwise each is one task on an internal/sched scheduler
+// of fanOut workers, writing its own outcome slot, and the items are
+// accounted in input order once every task is done, so the counters and
+// the cost window see the sequence the inline pass gives. A non-nil
+// error refuses the whole request: a panic that escapes a task (the
+// scheduler's *sched.PanicError), and one contained here, because
+// net/http's own recover would sever the connection, turning an injected
+// serve.admit panic into a client transport error instead of a typed
+// 500.
 func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, workers int, items []BatchItem) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -496,29 +510,29 @@ func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, workers int, items
 		return err
 	}
 	defer release()
-	if x := xs[0]; len(xs) == 1 && !browned(x, threshold) {
-		st, err := x.ExecuteCtx(ctx)
-		items[0] = s.account(x.Pattern(), st, err)
+	n := fanOut(workers, len(xs))
+	if n == 1 {
+		for i, x := range xs {
+			st, err := execute(ctx, x, threshold)
+			items[i] = s.account(x.Pattern(), st, err)
+		}
 		return nil
 	}
-	var res []pathsel.BatchQueryResult
-	if exact := slices.DeleteFunc(slices.Clone(xs), func(x *pathsel.Expr) bool { return browned(x, threshold) }); len(exact) > 0 {
-		br, err := s.est.ExecuteExprBatchCtx(ctx, exact, pathsel.BatchOptions{Workers: fanOut(workers, len(exact))})
-		if err != nil {
-			return err
-		}
-		res = br.Results
+	// The tasks read their own copy of xs, so a lone query's xs can stay
+	// on its handler's stack.
+	tasks, sts, errs := slices.Clone(xs), make([]pathsel.ExecStats, len(xs)), make([]error, len(xs))
+	sc := sched.New(n, func(_, i int) {
+		sts[i], errs[i] = execute(ctx, tasks[i], threshold)
+	})
+	// Seeded last to first, so every worker pops its share in input order.
+	for i := len(xs) - 1; i >= 0; i-- {
+		sc.Spawn(i, i)
+	}
+	if err := sc.Drain(); err != nil {
+		return fmt.Errorf("%w: %w", pathsel.ErrExecutionFailed, err)
 	}
 	for i, x := range xs {
-		if !browned(x, threshold) {
-			items[i] = s.account(x.Pattern(), res[0].ExecStats, res[0].Err)
-			res = res[1:]
-			continue
-		}
-		// The brownout answer: the rounded estimate, nothing executed.
-		st := pathsel.ExecStats{Plan: x.Plan(), Degraded: true, DegradedBy: errBrownout}
-		st.Result = max(0, int64(math.Round(x.Estimate())))
-		items[i] = s.account(x.Pattern(), st, nil)
+		items[i] = s.account(x.Pattern(), sts[i], errs[i])
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package pathsel
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -40,10 +41,11 @@ func batchWorkload(rng *rand.Rand, labels []string, count, maxLen int) []string 
 	return out
 }
 
-// TestExecuteBatchMatchesExecuteQuery pins the batch executor's per-query
-// results bit-identical to the per-query API, at every worker count 1–8,
-// regardless of cache hit/miss interleaving. Run with -race in CI, this
-// is the determinism property test of the batch layer.
+// TestExecuteBatchMatchesExecuteQuery pins a workload's per-query results,
+// executed concurrently on one cached estimator, bit-identical to the
+// uncached per-query API at every worker count 1–8, regardless of cache
+// hit/miss interleaving. Run with -race in CI, this is the determinism
+// property test of concurrent execution.
 func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 4; trial++ {
@@ -68,15 +70,15 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 				want[i] = st.Result
 			}
 			for workers := 1; workers <= 8; workers++ {
-				res, err := executeBatch(est, queries, BatchOptions{Workers: workers})
+				res, err := executeBatch(context.Background(), est, queries, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Results) != len(queries) {
+				if len(res) != len(queries) {
 					t.Fatalf("trial %d workers %d: %d results for %d queries",
-						trial, workers, len(res.Results), len(queries))
+						trial, workers, len(res), len(queries))
 				}
-				for i, r := range res.Results {
+				for i, r := range res {
 					if r.Query != queries[i] {
 						t.Fatalf("trial %d workers %d: result %d answers %q, want %q",
 							trial, workers, i, r.Query, queries[i])
@@ -100,6 +102,7 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 // patterns on one cached estimator, run concurrently with bushy plans, the
 // queries' CacheHits and CacheMisses sum to the cache's own Hits and
 // Misses — each segment is probed once, and every miss is published.
+// Above one worker the queries' ExecuteCtx calls run concurrently.
 func TestBatchCacheCountersAddUp(t *testing.T) {
 	g := batchTestGraph(t, 17, 60, 3, 400)
 	queries := batchWorkload(rand.New(rand.NewSource(3)), g.Labels(), 40, 4)
@@ -113,11 +116,11 @@ func TestBatchCacheCountersAddUp(t *testing.T) {
 		// and so are the sums.
 		var hits, misses uint64
 		for range 2 {
-			res, err := executeBatch(est, queries, BatchOptions{Workers: workers})
+			res, err := executeBatch(context.Background(), est, queries, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range res.Results {
+			for _, r := range res {
 				if r.Err != nil {
 					t.Fatalf("%q: %v", r.Query, r.Err)
 				}
@@ -128,13 +131,16 @@ func TestBatchCacheCountersAddUp(t *testing.T) {
 				t.Fatalf("%d workers: the queries count %d hits and %d misses, the cache %d and %d",
 					workers, hits, misses, cs.Hits, cs.Misses)
 			}
+			if n := est.pool.InUse(); n != 0 {
+				t.Fatalf("%d workers: pool has %d relations checked out after the batch", workers, n)
+			}
 		}
 	}
 }
 
-// TestExecuteBatchCacheModes covers the two cache regimes a batch can
+// TestExecuteBatchCacheModes covers the two cache regimes a workload can
 // run in — the estimator has no cache, or it has a persistent one — a
-// batch never owns a cache of its own.
+// workload never owns a cache of its own.
 func TestExecuteBatchCacheModes(t *testing.T) {
 	g := batchTestGraph(t, 5, 40, 3, 200)
 	queries := []string{"a/b", "b/c", "a/b", "a/b/c", "a/b/c"}
@@ -144,14 +150,14 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := executeBatch(plain, queries, BatchOptions{})
+	cold, err := executeBatch(context.Background(), plain, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cs, ok := plain.CacheStats(); ok || cs != (CacheStats{}) {
 		t.Fatalf("uncached estimator reported cache stats: %+v", cs)
 	}
-	for _, r := range cold.Results {
+	for _, r := range cold {
 		if r.CacheHits != 0 || r.CacheMisses != 0 {
 			t.Fatalf("uncached query reported cache traffic: %+v", r.ExecStats)
 		}
@@ -166,7 +172,7 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	if _, ok := persistent.CacheStats(); !ok {
 		t.Fatal("Config.CacheBytes did not create a persistent cache")
 	}
-	first, err := executeBatch(persistent, queries, BatchOptions{})
+	first, err := executeBatch(context.Background(), persistent, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +181,12 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 		t.Fatalf("first batch on an empty cache saw no hits from its repeats: %+v", afterFirst)
 	}
 	for i := range queries {
-		if first.Results[i].Result != cold.Results[i].Result {
+		if first[i].Result != cold[i].Result {
 			t.Fatalf("query %d: cached %d != uncached %d", i,
-				first.Results[i].Result, cold.Results[i].Result)
+				first[i].Result, cold[i].Result)
 		}
 	}
-	second, err := executeBatch(persistent, queries, BatchOptions{})
+	second, err := executeBatch(context.Background(), persistent, queries, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,9 +195,9 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 			afterFirst.Hits, afterSecond.Hits)
 	}
 	var hits int
-	for i, r := range second.Results {
+	for i, r := range second {
 		hits += r.CacheHits
-		if r.Result != cold.Results[i].Result {
+		if r.Result != cold[i].Result {
 			t.Fatalf("warm persistent query %d diverged", i)
 		}
 	}
@@ -209,31 +215,11 @@ func TestExecuteBatchCacheModes(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchValidation: a malformed workload fails fast, before
-// anything executes.
-func TestExecuteBatchValidation(t *testing.T) {
-	g := batchTestGraph(t, 6, 20, 2, 60)
-	est, err := Build(g, Config{MaxPathLength: 2, Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := executeBatch(est, []string{"a/b", "nope"}, BatchOptions{}); err == nil {
-		t.Fatal("unknown label accepted")
-	}
-	if _, err := executeBatch(est, []string{"a/b/a"}, BatchOptions{}); err == nil {
-		t.Fatal("over-length query accepted")
-	}
-	res, err := executeBatch(est, nil, BatchOptions{Workers: 4})
-	if err != nil || len(res.Results) != 0 {
-		t.Fatalf("empty workload: %v, %d results", err, len(res.Results))
-	}
-}
-
-// FuzzBatchCacheEquivalence is the batch determinism fuzz target: on an
-// arbitrary small graph and a workload of repeated concrete paths and
-// regular path queries, batch execution — any worker count, shared cache —
-// must report exactly the exact selectivities, which the uncached
-// ExecuteQuery loop reports too, and a second (warm) pass must agree
+// FuzzBatchCacheEquivalence is the workload determinism fuzz target: on
+// an arbitrary small graph and a workload of repeated concrete paths and
+// regular path queries, concurrent ExecuteCtx calls — any worker count,
+// shared cache — must report exactly the exact selectivities, which the
+// uncached ExecuteQuery loop reports too, and a second (warm) pass must agree
 // again; over a roomy cache, where a repeat is a whole-query hit, and over
 // one half the size of what the roomy one ended up holding, where entries
 // are evicted between a query and its repeat and executions resume from
@@ -280,11 +266,11 @@ func FuzzBatchCacheEquivalence(f *testing.F) {
 		w := 1 + int(workers)%8
 		check := func(name string, est *Estimator) {
 			for pass := 0; pass < 2; pass++ {
-				res, err := executeBatch(est, queries, BatchOptions{Workers: w})
+				res, err := executeBatch(context.Background(), est, queries, w)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for i, r := range res.Results {
+				for i, r := range res {
 					if r.Result != want[i] {
 						t.Fatalf("%s cache, pass %d workers %d: query %q result %d, want %d",
 							name, pass, w, r.Query, r.Result, want[i])

@@ -3,6 +3,8 @@ package pathsel
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 )
 
 // The string forms of the Expr API, for tests that ask one-off
@@ -45,12 +47,39 @@ func compileAll(e *Estimator, queries []string) ([]*Expr, error) {
 	return xs, nil
 }
 
-// executeBatch compiles every query before anything executes, so a
-// malformed workload fails with no partial results.
-func executeBatch(e *Estimator, queries []string, opt BatchOptions) (*BatchResult, error) {
+// batchResult is one query's outcome in a workload executeBatch ran.
+type batchResult struct {
+	Query string
+	ExecStats
+	Err error
+}
+
+// executeBatch compiles a workload, then runs every handle's ExecuteCtx
+// under ctx on workers goroutines (≤ 1: one after another, in input
+// order), each query writing its own result slot — a workload is
+// concurrent executions on one estimator, as a server fans a batch out.
+func executeBatch(ctx context.Context, e *Estimator, queries []string, workers int) ([]batchResult, error) {
 	xs, err := compileAll(e, queries)
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecuteExprBatchCtx(context.Background(), xs, opt)
+	res := make([]batchResult, len(xs))
+	var next atomic.Int64
+	run := func() {
+		for i := int(next.Add(1) - 1); i < len(xs); i = int(next.Add(1) - 1) {
+			st, err := xs[i].ExecuteCtx(ctx)
+			res[i] = batchResult{Query: queries[i], ExecStats: st, Err: err}
+		}
+	}
+	var wg sync.WaitGroup
+	for range max(workers, 1) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
+		}()
+	}
+	run()
+	wg.Wait()
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package pathsel
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -11,8 +12,8 @@ import (
 
 // The serving-layer concurrency contract, pinned at the library level:
 // many goroutines hammering one estimator — and its one persistent
-// segment-relation cache — through ExecuteQuery and ExecuteBatch
-// must produce results bit-identical to a single-threaded uncached
+// segment-relation cache — through one-off and concurrent workloads of
+// ExecuteCtx calls must produce results bit-identical to a single-threaded uncached
 // reference, while the cache's byte accounting stays consistent under
 // concurrent LRU mutation. Run with -race in CI; test names match the
 // chaos-leg regex (Concurrent).
@@ -132,8 +133,8 @@ func TestConcurrentQueriesSharedCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentBatchAndQueryMix runs ExecuteBatch workers and
-// ExecuteQuery workers simultaneously against one estimator — the
+// TestConcurrentBatchAndQueryMix runs concurrent workloads and
+// single-query workers simultaneously against one estimator — the
 // serving tier's actual regime when interactive queries overlap batch
 // replays — and asserts exactness and cache accounting both ways.
 func TestConcurrentBatchAndQueryMix(t *testing.T) {
@@ -148,12 +149,12 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			res, err := executeBatch(h.est, batch, BatchOptions{Workers: 2})
+			res, err := executeBatch(context.Background(), h.est, batch, 2)
 			if err != nil {
 				errs <- err
 				return
 			}
-			for _, r := range res.Results {
+			for _, r := range res {
 				if r.Err != nil {
 					errs <- fmt.Errorf("batch worker %d, query %q: %w", w, r.Query, r.Err)
 					return
@@ -187,6 +188,9 @@ func TestConcurrentBatchAndQueryMix(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if n := h.est.pool.InUse(); n != 0 {
+		t.Errorf("pool has %d relations checked out after the concurrent workloads", n)
 	}
 	checkCacheAccounting(t, h.est)
 }

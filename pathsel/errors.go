@@ -1,7 +1,6 @@
 package pathsel
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -37,10 +36,8 @@ var (
 	// ErrBadPattern reports a pattern outside the grammar (a malformed
 	// segment or repetition, or one that may match the empty path), a
 	// path query the grammar reads as more than one label path (an
-	// alternation "a|b", a wildcard, a repetition, an optional label), a
-	// pattern whose exact
-	// evaluation would expand to too many paths, and a batch handle that
-	// is nil or compiled by another estimator.
+	// alternation "a|b", a wildcard, a repetition, an optional label), and
+	// a pattern whose exact evaluation would expand to too many paths.
 	ErrBadPattern = errors.New("pathsel: invalid pattern")
 	// ErrBadSnapshot reports a synopsis blob LoadEstimator refuses: one
 	// that is truncated, breaks a bound or check of the codec, or names a
@@ -87,14 +84,4 @@ func translateExecErr(err error) error {
 	default:
 		return fmt.Errorf("%w: %w", ErrExecutionFailed, err)
 	}
-}
-
-// translateCtxErr maps a context error onto the public sentinels, for
-// queries refused before execution because their context was already
-// dead.
-func translateCtxErr(err error) error {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return ErrDeadlineExceeded
-	}
-	return ErrCancelled
 }

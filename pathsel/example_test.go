@@ -164,12 +164,12 @@ func ExampleExpr_Plan() {
 	// chose zigzag@1 (start 1): work 6, result 1
 }
 
-// ExampleEstimator_ExecuteExprBatchCtx runs a compiled workload twice on
-// an estimator with a segment-relation cache (Config.CacheBytes): the
-// first pass materializes and publishes (and already adopts what its
-// queries share), the second answers every query by a whole-query hit —
-// same results, no intermediate work.
-func ExampleEstimator_ExecuteExprBatchCtx() {
+// ExampleExpr_ExecuteCtx runs a compiled workload twice on an estimator
+// with a segment-relation cache (Config.CacheBytes): the first pass
+// materializes and publishes (and already adopts what its queries share),
+// the second answers every query by a whole-query hit — same results, no
+// intermediate work.
+func ExampleExpr_ExecuteCtx() {
 	g := buildExampleGraph()
 	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 14, CacheBytes: 1 << 20})
 	if err != nil {
@@ -184,23 +184,23 @@ func ExampleEstimator_ExecuteExprBatchCtx() {
 		xs = append(xs, x)
 	}
 	for pass := 1; pass <= 2; pass++ {
-		res, err := est.ExecuteExprBatchCtx(context.Background(), xs, pathsel.BatchOptions{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var work int64
+		var work, result int64
 		whole := 0
-		for _, r := range res.Results {
-			if r.Err != nil {
-				log.Fatal(r.Err)
+		for i, x := range xs {
+			st, err := x.ExecuteCtx(context.Background())
+			if err != nil {
+				log.Fatal(err)
 			}
-			work += r.Work
-			if r.CacheHits > 0 && r.Work == 0 {
+			work += st.Work
+			if st.CacheHits > 0 && st.Work == 0 {
 				whole++
+			}
+			if i == 1 {
+				result = st.Result
 			}
 		}
 		fmt.Printf("pass %d: work %d, whole-query hits %d/%d, %s = %d\n",
-			pass, work, whole, len(xs), res.Results[1].Query, res.Results[1].Result)
+			pass, work, whole, len(xs), xs[1].Pattern(), result)
 	}
 	// Output:
 	// pass 1: work 10, whole-query hits 2/4, knows/likes/knows = 1

@@ -35,14 +35,15 @@ func goldenPatterns(labels []string, count, maxLen int) []string {
 	return out
 }
 
-// digestPlan folds one QueryPlan view into h, floats by their bits.
-func digestPlan(h hash.Hash, p QueryPlan) {
+// digestPlan folds one QueryPlan view into h, floats by their bits, and
+// under bushy planning a concrete path's plan tree.
+func digestPlan(h hash.Hash, p QueryPlan, bushy bool) {
 	fmt.Fprintf(h, "%q %d %x", p.Description, p.Start, math.Float64bits(p.EstimatedCost))
 	for _, c := range p.Costs {
 		fmt.Fprintf(h, " %x", math.Float64bits(c))
 	}
-	if p.Tree != nil {
-		fmt.Fprintf(h, " tree %s", p.Tree.Describe(len(p.Costs)))
+	if bushy && p.Costs != nil {
+		fmt.Fprintf(h, " tree %s", p.dp.Tree.Describe(len(p.Costs)))
 	}
 	fmt.Fprintln(h)
 }
@@ -89,12 +90,12 @@ func TestGoldenPlanDigest(t *testing.T) {
 						t.Fatalf("Compile(%q): %v", p, err)
 					}
 					fmt.Fprintf(h, "%s %x\n", p, math.Float64bits(x.Estimate()))
-					digestPlan(h, x.Plan())
+					digestPlan(h, x.Plan(), bushy)
 					st, err := x.ExecuteCtx(context.Background())
 					if err != nil {
 						t.Fatalf("Execute(%q): %v", p, err)
 					}
-					digestPlan(h, st.Plan)
+					digestPlan(h, st.Plan, bushy)
 					fmt.Fprintf(h, "%d %d %v\n", st.Result, st.Work, st.Intermediates)
 				}
 				fmt.Fprintf(&got, "bushy=%v cache=%s %x\n", bushy, pass, h.Sum(nil))

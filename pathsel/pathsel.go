@@ -277,7 +277,8 @@ type Config struct {
 	// splits label-trie subtrees at any depth, so worker counts above the
 	// label count still help on skewed label distributions — and
 	// Expr.ExecuteCtx's join steps, which shard each intermediate
-	// relation's source rows across the same scheduling substrate. A
+	// relation's source rows across the same scheduling substrate —
+	// every execution at this setting, concurrent ones included. A
 	// query's steps run one after another (a bushy plan's two halves
 	// included), so results, and every ExecStats field but Sched, are
 	// bit-identical at every setting. GOMAXPROCS is re-read at use time
@@ -287,7 +288,7 @@ type Config struct {
 	// subtrees, starts no idle goroutine.
 	Workers int
 	// DensityThreshold tunes the hybrid relation rows of the census and
-	// of every execution (Expr.ExecuteCtx, ExecuteExprBatchCtx): a row
+	// of every execution (Expr.ExecuteCtx): a row
 	// (the target set of one source vertex) is kept as a sorted sparse id
 	// list until its population exceeds DensityThreshold × |V|, then
 	// promotes to a dense bit array. ≤ 0 selects the default (1/32, the
@@ -308,7 +309,7 @@ type Config struct {
 	BushyPlans bool
 	// CacheBytes, when > 0, gives the estimator a persistent
 	// segment-relation cache of that byte budget (internal/relcache):
-	// every Expr.ExecuteCtx and ExecuteExprBatchCtx call then reuses
+	// every Expr.ExecuteCtx call then reuses
 	// segment relations materialized by earlier queries instead of
 	// recomputing them, trading memory for workload throughput. What is
 	// cached is every label segment of length ≥ 2 a concrete path's plan
@@ -324,7 +325,7 @@ type Config struct {
 	// so a megabyte holds hundreds of selective segments whatever |V| is.
 	// The cache is bound to this estimator's graph: the CSR it was built
 	// on, which an AddEdge to the Graph afterwards does not change. 0
-	// leaves every execution, single or batched, uncached. Caching never
+	// leaves every execution uncached. Caching never
 	// changes results — adopted relations are bit-identical to recomputed
 	// ones — though with BushyPlans set it steers the plan Compile
 	// chooses (a segment cached at Compile costs nothing to build, so
@@ -334,14 +335,14 @@ type Config struct {
 	CacheBytes int64
 	// CacheShards is the cache's shard count (≤ 0 selects an
 	// 8-shard default). Shards bound lock contention when
-	// ExecuteExprBatchCtx runs queries concurrently; each shard owns an
-	// equal slice of CacheBytes.
+	// Expr.ExecuteCtx calls run concurrently; each shard owns an equal
+	// slice of CacheBytes.
 	CacheShards int
 
 	// QueryTimeout, when > 0, bounds each executed query's wall-clock
-	// time: every single execution and every query of a batch runs
-	// under a per-query deadline of this duration (intersected with
-	// any caller-supplied context deadline). A query killed by the
+	// time: every execution runs under a per-query deadline of this
+	// duration (intersected with any caller-supplied context deadline).
+	// A query killed by the
 	// timeout returns ErrDeadlineExceeded — or degrades to the histogram
 	// estimate under DegradeToEstimate. Estimation-only methods
 	// (Estimate, EstimatePrefix) never need it: they are a constant-time
@@ -430,7 +431,7 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	}
 	e := &Estimator{synopsis: synopsis{vocab: gr.vocab, ph: ph}, csr: g, cfg: cfg}
 	// One relation pool for the estimator's lifetime: every
-	// Expr.ExecuteCtx / ExecuteExprBatchCtx draws its materialized
+	// Expr.ExecuteCtx draws its materialized
 	// relations here and releases them on completion and on every abort
 	// path, so cancelled queries leave no orphaned buffers behind (and
 	// warm workloads stop allocating).

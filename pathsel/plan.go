@@ -19,24 +19,21 @@ import (
 type QueryPlan struct {
 	// Start is the label position the join grows from: 0 is the classic
 	// forward (left-to-right) join, k−1 the backward join, interior values
-	// start at an estimated-selective label and grow both ways.
+	// start at an estimated-selective label and grow both ways. It is −1
+	// for a bushy plan tree (Config.BushyPlans) and for an RPQ's fold.
 	Start int
-	// Description is "forward", "backward", or "zigzag@i".
+	// Description is "forward", "backward", or "zigzag@i" — for a bushy
+	// plan the rendered tree, for an RPQ "rpq " and its fold.
 	Description string
 	// EstimatedCost is the chosen plan's estimated total intermediate
-	// volume (sum of estimated segment selectivities, in vertex pairs).
+	// volume (sum of estimated segment selectivities, in vertex pairs); a
+	// bushy tree's is never higher than the best zig-zag candidate in
+	// Costs, since the linear space is contained in the tree space.
 	EstimatedCost float64
 	// Costs holds the estimate for every candidate zig-zag plan, indexed
 	// by start position, so callers can see the spread the choice was
 	// made over.
 	Costs []float64
-	// Tree is the chosen plan tree when Config.BushyPlans is set, nil
-	// otherwise. A leaf tree is exactly the zig-zag plan the other fields
-	// describe; a join-node tree is a bushy plan — then Start is −1,
-	// Description renders the tree, and EstimatedCost is the tree's cost
-	// (never higher than the best zig-zag candidate in Costs, since the
-	// linear space is contained in the tree space).
-	Tree *exec.PlanTree
 
 	// dp is the executable plan this is the view of.
 	dp *exec.DagPlan
@@ -76,16 +73,13 @@ type ExecStats struct {
 // linear growth is estimated cheaper than every bushy split. A leaf is
 // priced as the zig-zag plan it is even where the planner, seeing its
 // whole segment cached, priced it free. Anything else is an RPQ's fold.
-func (e *Estimator) queryPlan(dp *exec.DagPlan) QueryPlan {
+func queryPlan(dp *exec.DagPlan) QueryPlan {
 	if dp.Costs == nil {
 		return QueryPlan{Start: -1, Description: "rpq " + dp.Describe(), EstimatedCost: dp.Cost, dp: dp}
 	}
 	qp := QueryPlan{Start: dp.Tree.Start, Description: dp.Describe(), EstimatedCost: dp.Cost, Costs: dp.Costs, dp: dp}
 	if dp.Tree.IsLeaf() {
 		qp.EstimatedCost = dp.Costs[dp.Tree.Start]
-	}
-	if e.cfg.BushyPlans {
-		qp.Tree = dp.Tree
 	}
 	return qp
 }
@@ -142,7 +136,7 @@ func (e *Estimator) degrade(x *Expr, cause error) (ExecStats, error) {
 }
 
 // execute runs one compiled query against the estimator's (possibly nil)
-// segment cache — the one path every execution takes, single or batched:
+// segment cache — the one path every execution takes:
 // per-query deadline and canceller, Compile's plan, admission gate, run,
 // stats. It plans nothing: the plan that runs is the one Compile made
 // against the cache as it was then. It runs on e's CSR, the graph Build
@@ -153,7 +147,7 @@ func (e *Estimator) degrade(x *Expr, cause error) (ExecStats, error) {
 // so the executor is never asked to keep the result relation
 // (exec.Options.KeepResult stays unset): it counts the final step where it
 // can and releases what it had to build.
-func (e *Estimator) execute(ctx context.Context, x *Expr, workers int) (ExecStats, error) {
+func (e *Estimator) execute(ctx context.Context, x *Expr) (ExecStats, error) {
 	if e.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
@@ -166,7 +160,7 @@ func (e *Estimator) execute(ctx context.Context, x *Expr, workers int) (ExecStat
 	}
 	opt := exec.Options{
 		DensityThreshold: e.cfg.DensityThreshold,
-		Workers:          workers,
+		Workers:          e.cfg.Workers,
 		Cache:            e.cache,
 		Cancel:           canc,
 		MaxResultBytes:   e.cfg.MaxResultBytes,

@@ -108,7 +108,7 @@ func TestExecuteQueryHonorsDensityThreshold(t *testing.T) {
 
 // TestBushyPlansMatchLinear pins Config.BushyPlans as a pure performance
 // knob: the same queries must produce the same exact results with and
-// without it, with the plan surfaced through QueryPlan.Tree. The plan
+// without it, with the plan tree the handle runs (dp.Tree). The plan
 // tree's estimated cost can never exceed the best zig-zag candidate —
 // the linear space is contained in the tree space.
 func TestBushyPlansMatchLinear(t *testing.T) {
@@ -136,15 +136,12 @@ func TestBushyPlansMatchLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if lp.Tree != nil {
-			t.Fatalf("query %q: linear config surfaced a plan tree", q)
+		if !lp.dp.Tree.IsLeaf() {
+			t.Fatalf("query %q: linear config chose the bushy %s", q, lp.Description)
 		}
 		bp, err := planQuery(bushy, q)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if bp.Tree == nil {
-			t.Fatalf("query %q: BushyPlans config missing the plan tree", q)
 		}
 		best := bp.Costs[0]
 		for _, c := range bp.Costs[1:] {
@@ -155,8 +152,8 @@ func TestBushyPlansMatchLinear(t *testing.T) {
 		if bp.EstimatedCost > best {
 			t.Fatalf("query %q: tree cost %v exceeds best zig-zag cost %v", q, bp.EstimatedCost, best)
 		}
-		if bp.Tree.IsLeaf() && bp.Start != bp.Tree.Start {
-			t.Fatalf("query %q: leaf tree start %d != plan start %d", q, bp.Tree.Start, bp.Start)
+		if tree := bp.dp.Tree; tree.IsLeaf() && bp.Start != tree.Start || !tree.IsLeaf() && bp.Start != -1 {
+			t.Fatalf("query %q: tree %s starts at %d, plan at %d", q, bp.Description, tree.Start, bp.Start)
 		}
 		lst, err := executeQuery(lin, q)
 		if err != nil {
@@ -204,7 +201,7 @@ func samePlan(a, b QueryPlan) bool {
 		}
 		return out
 	}
-	return a.Description == b.Description && a.Start == b.Start && a.Tree == b.Tree &&
+	return a.Description == b.Description && a.Start == b.Start && a.dp.Tree == b.dp.Tree &&
 		math.Float64bits(a.EstimatedCost) == math.Float64bits(b.EstimatedCost) &&
 		slices.Equal(bits(a.Costs), bits(b.Costs))
 }
@@ -213,8 +210,7 @@ func samePlan(a, b QueryPlan) bool {
 // Compile made and plans nothing itself. A query compiled cold with bushy
 // plans and a cache is linear; once its two halves are cached, a fresh
 // compile of it joins them, yet the handle compiled cold still runs its
-// linear plan — single or batched — and answers what an estimator that
-// never warmed answers.
+// linear plan and answers what an estimator that never warmed answers.
 func TestCompiledQueryRunsItsCompilePlan(t *testing.T) {
 	g := batchTestGraph(t, 1, 60, 3, 400)
 	cfg := Config{MaxPathLength: 4, Buckets: 8, BushyPlans: true, CacheBytes: DefaultCacheBytes}
@@ -235,7 +231,7 @@ func TestCompiledQueryRunsItsCompilePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x.Plan().Tree == nil || !x.Plan().Tree.IsLeaf() {
+	if !x.plan.dp.Tree.IsLeaf() {
 		t.Fatalf("cold compile chose %s, want a linear plan", x.Plan().Description)
 	}
 	for _, half := range []string{"a/b", "c/a"} {
@@ -247,7 +243,7 @@ func TestCompiledQueryRunsItsCompilePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Tree.IsLeaf() {
+	if fresh.dp.Tree.IsLeaf() {
 		t.Fatalf("a compile over the cached halves chose %s, want a join of them", fresh.Description)
 	}
 	st, err := x.ExecuteCtx(context.Background())
@@ -260,13 +256,5 @@ func TestCompiledQueryRunsItsCompilePlan(t *testing.T) {
 	}
 	if st.Result != ref.Result {
 		t.Fatalf("warm execution answered %d, cold %d", st.Result, ref.Result)
-	}
-	res, err := est.ExecuteExprBatchCtx(context.Background(), []*Expr{x}, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := res.Results[0]; r.Err != nil || !samePlan(r.Plan, x.Plan()) || r.Result != ref.Result {
-		t.Fatalf("batched execution ran %s answering %d (%v), compiled %s answering %d",
-			r.Plan.Description, r.Result, r.Err, x.Plan().Description, ref.Result)
 	}
 }

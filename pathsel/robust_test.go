@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/sched"
 )
 
 // robustEstimator builds an estimator over a graph dense enough that
@@ -292,106 +291,107 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 	}
 }
 
-// TestExecuteExprBatchCtxCancel cancels a batch mid-flight and pins the
-// containment contract: executed entries carry real stats, refused
-// entries carry ErrCancelled, nothing leaks, and the whole call returns
-// a complete BatchResult.
-func TestExecuteExprBatchCtxCancel(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 1})
+// The pool hygiene of concurrent executions: a server fans a /batch out
+// as concurrent ExecuteCtx calls on one estimator, so the refusals, the
+// policy kills and the contained panics below run beside sibling
+// queries, and every one of them must hand its relations back.
+
+// TestConcurrentExecutionsCancelled runs a workload under a cancelled
+// context on four goroutines: every entry is refused with ErrCancelled,
+// and nothing stays checked out.
+func TestConcurrentExecutionsCancelled(t *testing.T) {
+	e := robustEstimator(t, Config{Workers: 2})
 	queries := make([]string, 40)
 	for i := range queries {
 		queries[i] = []string{"a/b/a", "b/a/b", "a/a/b"}[i%3]
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // every entry must be refused deterministically
-	xs, err := compileAll(e, queries)
+	cancel()
+	res, err := executeBatch(ctx, e, queries, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecuteExprBatchCtx(ctx, xs, BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != len(queries) {
-		t.Fatalf("got %d results, want %d", len(res.Results), len(queries))
-	}
-	for i, r := range res.Results {
+	for i, r := range res {
 		if !errors.Is(r.Err, ErrCancelled) {
 			t.Fatalf("result %d: Err = %v, want ErrCancelled", i, r.Err)
 		}
 	}
 	if n := e.pool.InUse(); n != 0 {
-		t.Fatalf("pool has %d relations checked out after cancelled batch", n)
+		t.Fatalf("pool has %d relations checked out after the cancelled workload", n)
 	}
 }
 
-// TestExecuteBatchPanicFailsTheBatch pins the batch's own containment: its
-// queries are tasks on a scheduler, so a panic there — outside any query's
-// execution — is contained by the drain, and the batch fails as a whole
-// with ErrExecutionFailed wrapping the *sched.PanicError instead of
-// ending the process. The estimator stays serviceable.
-func TestExecuteBatchPanicFailsTheBatch(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 1})
-	xs, err := compileAll(e, []string{"a/b/a", "b/a/b", "a/a/b", "a", "b/b", "a/b"})
+// TestConcurrentExecutionsAdmissionIsolation pins that a per-query
+// policy kill takes none of its concurrent siblings with it: cheap
+// queries answer exactly, expensive ones carry their own
+// ErrAdmissionDenied.
+func TestConcurrentExecutionsAdmissionIsolation(t *testing.T) {
+	e := robustEstimator(t, Config{Workers: 2, MaxPlanCost: 0.5})
+	queries := []string{"a", "a/b/a", "b", "b/a/b", "a/b", "b/b"}
+	res, err := executeBatch(context.Background(), e, queries, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.NewInjector(faultinject.Rule{Site: "sched.task", Skip: 2, Count: 1, Action: faultinject.ActPanic})
+	for i, r := range res {
+		if len(r.Query) > 1 {
+			if !errors.Is(r.Err, ErrAdmissionDenied) {
+				t.Fatalf("result %d (%s): Err = %v, want ErrAdmissionDenied", i, r.Query, r.Err)
+			}
+			continue
+		}
+		want, err := e.TrueSelectivity(r.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Err != nil || r.Result != want {
+			t.Fatalf("result %d (%s): %d, %v; want %d", i, r.Query, r.Result, r.Err, want)
+		}
+	}
+	if n := e.pool.InUse(); n != 0 {
+		t.Fatalf("pool has %d relations checked out after the mixed workload", n)
+	}
+}
+
+// TestConcurrentExecutionsPanicContainment panics one sharded join step
+// while sibling queries execute: exactly one query comes back with
+// ErrExecutionFailed, the rest answer exactly, and nothing stays checked
+// out.
+func TestConcurrentExecutionsPanicContainment(t *testing.T) {
+	e := robustEstimator(t, Config{Workers: 4})
+	queries := []string{"a/b/a", "b/a/b", "a/a/b", "b/b/a", "a/b/b", "b/a/a"}
+	want := make([]int64, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], err = e.TrueSelectivity(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := faultinject.NewInjector(faultinject.Rule{
+		Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic,
+		PanicValue: "injected shard failure",
+	})
 	faultinject.Install(inj)
 	t.Cleanup(faultinject.Uninstall)
-	res, err := e.ExecuteExprBatchCtx(context.Background(), xs, BatchOptions{Workers: 4})
-	var pe *sched.PanicError
-	if !errors.Is(err, ErrExecutionFailed) || !errors.As(err, &pe) || res != nil {
-		t.Fatalf("batch under a sched.task panic = %v, %v; want ErrExecutionFailed wrapping *sched.PanicError", res, err)
-	}
-	if inj.Triggered("sched.task") != 1 {
-		t.Fatalf("sched.task fired %d times, want 1", inj.Triggered("sched.task"))
-	}
-	if n := e.pool.InUse(); n != 0 {
-		t.Fatalf("pool has %d relations checked out after the failed batch", n)
-	}
-	faultinject.Uninstall()
-	res, err = e.ExecuteExprBatchCtx(context.Background(), xs, BatchOptions{Workers: 4})
-	if err != nil {
-		t.Fatalf("follow-up batch: %v", err)
-	}
-	for i, r := range res.Results {
-		if r.Err != nil {
-			t.Fatalf("follow-up batch entry %d: %v", i, r.Err)
-		}
-	}
-}
-
-// TestExecuteBatchPerQueryIsolation pins that a per-query policy kill
-// never takes the rest of the batch with it: cheap queries succeed
-// exactly as ExecuteQuery would, expensive ones carry their own typed
-// Err.
-func TestExecuteBatchPerQueryIsolation(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 1, MaxPlanCost: 0.5})
-	queries := []string{"a", "a/b/a", "b", "b/a/b", "a/b"}
-	res, err := executeBatch(e, queries, BatchOptions{Workers: 2})
+	res, err := executeBatch(context.Background(), e, queries, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range res.Results {
-		long := len(r.Query) > 1
+	if inj.Triggered("exec.shard") != 1 {
+		t.Fatalf("exec.shard fired %d times, want 1", inj.Triggered("exec.shard"))
+	}
+	failed := 0
+	for i, r := range res {
 		switch {
-		case long && !errors.Is(r.Err, ErrAdmissionDenied):
-			t.Fatalf("result %d (%s): Err = %v, want ErrAdmissionDenied", i, r.Query, r.Err)
-		case !long && r.Err != nil:
-			t.Fatalf("result %d (%s): Err = %v, want nil", i, r.Query, r.Err)
-		}
-		if !long {
-			want, terr := e.TrueSelectivity(r.Query)
-			if terr != nil {
-				t.Fatal(terr)
-			}
-			if r.Result != want {
-				t.Fatalf("result %d (%s): Result = %d, want %d", i, r.Query, r.Result, want)
-			}
+		case errors.Is(r.Err, ErrExecutionFailed):
+			failed++
+		case r.Err != nil || r.Result != want[i]:
+			t.Fatalf("result %d (%s): %d, %v; want %d", i, r.Query, r.Result, r.Err, want[i])
 		}
 	}
+	if failed != 1 {
+		t.Fatalf("%d queries failed, want the one whose shard panicked", failed)
+	}
 	if n := e.pool.InUse(); n != 0 {
-		t.Fatalf("pool has %d relations checked out after mixed batch", n)
+		t.Fatalf("pool has %d relations checked out after the contained panic", n)
 	}
 }

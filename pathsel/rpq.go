@@ -195,14 +195,14 @@ func (v *vocab) patternExpansions(pattern string) ([]paths.Path, error) {
 // DAG, planned once (exec.Planner.Plan) and estimated once
 // (exec.Planner.Estimate) on the planner of the estimator it was compiled
 // by. It is immutable and safe for concurrent use — compile a repeated
-// query (or a whole workload, via ExecuteExprBatchCtx) once and execute the
-// handle many times. Under Config.BushyPlans and a cache the plan is made
+// query once and execute the handle many times, from any number of
+// goroutines. Under Config.BushyPlans and a cache the plan is made
 // against the cache as it is at Compile (warm segments steer plan choice);
 // every execution runs that plan with exec.Run, never reparsing,
 // replanning or asking the histogram again — a query that should see a
 // cache warmed since is compiled again. Compile is the one way to ask:
-// Estimate and Plan read what it decided, ExecuteCtx and
-// ExecuteExprBatchCtx run it, and the string entry points (Estimate,
+// Estimate and Plan read what it decided, ExecuteCtx — the one way to run
+// a compiled query — runs it, and the string entry points (Estimate,
 // TrueSelectivity, …) parse with its grammar. Estimate and
 // Plan().EstimatedCost are known before anything executes: a caller that
 // answers an expensive query by its estimate instead compares the two
@@ -232,7 +232,7 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
 	dp := e.pl.Plan(dag, e.csr.NumVertices(), e.cfg.BushyPlans)
-	return &Expr{est: e, pattern: pattern, dag: dag, plan: e.queryPlan(dp), estimate: e.pl.Estimate(dag, dp)}, nil
+	return &Expr{est: e, pattern: pattern, dag: dag, plan: queryPlan(dp), estimate: e.pl.Estimate(dag, dp)}, nil
 }
 
 // Pattern returns the source pattern.
@@ -283,10 +283,15 @@ func (x *Expr) Plan() QueryPlan { return x.plan }
 // admission gate (MaxPlanCost, MaxResultBytes), the runtime byte budget,
 // and DegradeToEstimate turning a rejected or killed query into a
 // marked histogram answer.
+//
+// Concurrent calls share the estimator's thread-safe segment cache and
+// relation pool, and each answers exactly as it would alone: a workload
+// is many calls (internal/serve's /batch runs them as scheduler tasks),
+// and only the split of cache hits and misses between its queries
+// depends on their interleaving.
 func (x *Expr) ExecuteCtx(ctx context.Context) (ExecStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	e := x.est
-	return e.execute(ctx, x, e.cfg.Workers)
+	return x.est.execute(ctx, x)
 }

@@ -156,88 +156,6 @@ func TestExprExecuteMatchesTrueSelectivity(t *testing.T) {
 	}
 }
 
-// TestExecuteExprBatchMatchesExecute pins the parse-once batch: a batch
-// of compiled handles answers bit-identically to per-handle Execute and
-// to the string batch, at several worker counts.
-func TestExecuteExprBatchMatchesExecute(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	g := batchTestGraph(t, 11, 30, 3, 200)
-	est, err := Build(g, Config{MaxPathLength: 4, Buckets: 8, CacheBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := make([]string, 16)
-	xs := make([]*Expr, len(queries))
-	want := make([]int64, len(queries))
-	for i := range queries {
-		p := randomRPQPattern(rng, g.Labels(), 4)
-		queries[i] = p
-		x, err := est.Compile(p)
-		if err != nil {
-			t.Fatalf("Compile(%q): %v", p, err)
-		}
-		xs[i] = x
-		if want[i], err = g.TruePatternSelectivity(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, workers := range []int{1, 4} {
-		br, err := est.ExecuteExprBatchCtx(context.Background(), xs, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := executeBatch(est, queries, BatchOptions{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			if br.Results[i].Err != nil || sr.Results[i].Err != nil {
-				t.Fatalf("query %d: errs %v / %v", i, br.Results[i].Err, sr.Results[i].Err)
-			}
-			if br.Results[i].Result != want[i] {
-				t.Fatalf("expr batch workers=%d query %q: Result=%d, want %d",
-					workers, queries[i], br.Results[i].Result, want[i])
-			}
-			if sr.Results[i].Result != want[i] {
-				t.Fatalf("string batch workers=%d query %q: Result=%d, want %d",
-					workers, queries[i], sr.Results[i].Result, want[i])
-			}
-			if br.Results[i].Query != queries[i] {
-				t.Fatalf("expr batch query %d echoes %q, want %q", i, br.Results[i].Query, queries[i])
-			}
-		}
-	}
-}
-
-// TestExecuteExprBatchValidation pins the fail-fast checks on compiled
-// batches: nil handles and handles compiled by a different estimator are
-// rejected upfront, naming the offending index.
-func TestExecuteExprBatchValidation(t *testing.T) {
-	g := batchTestGraph(t, 3, 20, 3, 80)
-	est, err := Build(g, Config{MaxPathLength: 3, Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := Build(g, Config{MaxPathLength: 3, Buckets: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := est.Compile("a/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	foreign, err := other.Compile("a/b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := est.ExecuteExprBatchCtx(context.Background(), []*Expr{x, nil}, BatchOptions{}); !errors.Is(err, ErrBadPattern) || !strings.Contains(err.Error(), "query 1") {
-		t.Fatalf("nil handle: err=%v, want ErrBadPattern naming query 1", err)
-	}
-	if _, err := est.ExecuteExprBatchCtx(context.Background(), []*Expr{foreign}, BatchOptions{}); !errors.Is(err, ErrBadPattern) || !strings.Contains(err.Error(), "different estimator") {
-		t.Fatalf("foreign handle: err=%v, want ErrBadPattern (different estimator)", err)
-	}
-}
-
 // TestCompileEstimateMatchesEstimatePattern pins that the compiled
 // handle's Estimate is exactly what the string entry point reports, and
 // that enumerable patterns get the expansion-sum (bag-semantics)

@@ -495,11 +495,14 @@ var layerRules = []rule{
 	}},
 	{"internal/sched starts the engine's workers", func(m *module) []string {
 		// An execution is one strand, and census subtrees, step shards and
-		// a batch's queries are scheduler tasks: no non-test file of
-		// internal/exec, internal/paths or pathsel starts a goroutine or
-		// waits for one, so every engine worker is a scheduler's and a
-		// panic on it is contained.
-		in := inPkgs("internal/exec", "internal/paths", "pathsel")
+		// the server's fan-out of a /batch are scheduler tasks: no non-test
+		// file of internal/exec, internal/paths, pathsel or internal/serve
+		// starts a goroutine or waits for one, so every engine worker is a
+		// scheduler's and a panic on it is contained. The load client
+		// (internal/serve/load.go) is the exception: its replayer workers
+		// are client goroutines, not the engine's.
+		engine := inPkgs("internal/exec", "internal/paths", "pathsel", "internal/serve")
+		in := func(f *file) bool { return engine(f) && f.name != "internal/serve/load.go" }
 		var bad []string
 		for _, g := range m.gos {
 			if !g.f.test && in(g.f) {
