@@ -1,11 +1,11 @@
 // Package sched is the shared scheduling layer of the reproduction
 // (graph → bitset → sched → {paths, exec} → pathsel): a generic
 // work-stealing task scheduler plus per-worker object pooling, and the one
-// engine package that starts worker goroutines. Its three clients are the
+// engine package that starts worker goroutines. Its two clients are the
 // selectivity census (paths.NewCensusHybrid), whose subtree tasks split
-// dynamically; a join step's shards (exec.Run), one static round per
-// sharded step; and a served /batch's queries (internal/serve's
-// Server.run, when it fans out), one task per query.
+// dynamically, and a join step's shards (exec.Run), one static round per
+// sharded step. The server starts none: a request's queries run one after
+// another, each at its estimator's Config.Workers.
 //
 // The model is a fixed set of workers, each owning a deque of tasks. A
 // worker pushes and pops at its own deque's tail (LIFO, preserving DFS

@@ -11,7 +11,6 @@ import (
 	"context"
 	"net/http"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -183,23 +182,12 @@ func TestServeChaosLeakHygiene(t *testing.T) {
 	}
 }
 
-// atLeastProcs raises GOMAXPROCS to n for the test when it is lower, so a
-// /batch that asks for n workers fans out on any host (fanOut grants at
-// most the core count).
-func atLeastProcs(t testing.TB, n int) {
-	if prev := runtime.GOMAXPROCS(0); prev < n {
-		runtime.GOMAXPROCS(n)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
-
 // TestServeBatchCancel runs a batch whose request context is already
-// dead, fanned out and inline: every item answers cancelled — each query
-// took ExecuteCtx's path, admission and then the dead context, and none
-// touched the graph — the counters take one overload per item, and the
-// same server then answers the batch exactly.
+// dead: every item answers cancelled — each query took ExecuteCtx's path,
+// admission and then the dead context, and none touched the graph — the
+// counters take one overload per item, and the same server then answers
+// the batch exactly.
 func TestServeBatchCancel(t *testing.T) {
-	atLeastProcs(t, 4)
 	g, srv, ts := newTestServer(t, pathsel.Config{Workers: 1, CacheBytes: pathsel.DefaultCacheBytes})
 	queries := make([]string, 40)
 	for i := range queries {
@@ -211,26 +199,23 @@ func TestServeBatchCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{4, 1} {
-		before := srv.Counters().Overload
-		items := make([]BatchItem, len(xs))
-		if err := srv.run(ctx, xs, workers, items); err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
+	items := make([]BatchItem, len(xs))
+	if err := srv.run(ctx, xs, items); err != nil {
+		t.Fatal(err)
+	}
+	for i, item := range items {
+		if item.Code != CodeCancelled || item.Query != queries[i] {
+			t.Fatalf("item %d: %+v, want %q cancelled", i, item, queries[i])
 		}
-		for i, item := range items {
-			if item.Code != CodeCancelled || item.Query != queries[i] {
-				t.Fatalf("workers %d, item %d: %+v, want %q cancelled", workers, i, item, queries[i])
-			}
-		}
-		if moved := srv.Counters().Overload - before; moved != int64(len(xs)) {
-			t.Fatalf("workers %d: overload counter moved %d, want %d", workers, moved, len(xs))
-		}
+	}
+	if c := srv.Counters(); c.Overload != int64(len(xs)) {
+		t.Fatalf("overload counter %d, want %d", c.Overload, len(xs))
 	}
 	if cs, _ := srv.est.CacheStats(); cs.Hits+cs.Misses+cs.Puts != 0 {
 		t.Fatalf("a dead batch touched the cache: %+v", cs)
 	}
 	var br BatchResponse
-	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries, Workers: 4}, &br); st != http.StatusOK {
+	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries}, &br); st != http.StatusOK {
 		t.Fatalf("follow-up batch status %d", st)
 	}
 	for i, item := range br.Results {
@@ -244,52 +229,14 @@ func TestServeBatchCancel(t *testing.T) {
 	}
 }
 
-// TestServeBatchPanicFailsTheBatch pins the fan-out's own containment: a
-// /batch's queries are tasks on a scheduler, so a panic there — outside
-// any query's execution — is contained by the drain, and the request is
-// refused whole with a typed 500 instead of ending the process or
-// severing the connection. The server stays serviceable.
-func TestServeBatchPanicFailsTheBatch(t *testing.T) {
-	atLeastProcs(t, 4)
-	_, srv, ts := newTestServer(t, pathsel.Config{Workers: 1})
-	req := BatchRequest{Queries: []string{"a/b/a", "b/a/b", "a/a/b", "a", "b/b", "a/b"}, Workers: 4}
-	inj := faultinject.NewInjector(faultinject.Rule{Site: "sched.task", Skip: 2, Count: 1, Action: faultinject.ActPanic})
-	faultinject.Install(inj)
-	t.Cleanup(faultinject.Uninstall)
-	var er ErrorResponse
-	if st := postJSON(t, ts.URL+"/batch", req, &er); st != http.StatusInternalServerError || er.Code != CodeExecutionFailed {
-		t.Fatalf("batch under a sched.task panic: status %d %+v, want 500 %s", st, er, CodeExecutionFailed)
-	}
-	if !strings.Contains(er.Error, "sched: task body panicked") {
-		t.Fatalf("the refusal does not carry the scheduler's panic: %q", er.Error)
-	}
-	if n := inj.Triggered("sched.task"); n != 1 {
-		t.Fatalf("sched.task fired %d times, want 1", n)
-	}
-	if c := srv.Counters(); c.Failed != 1 || c.OK != 0 {
-		t.Fatalf("a refused batch is one failed item: %+v", c)
-	}
-	faultinject.Uninstall()
-	var br BatchResponse
-	if st := postJSON(t, ts.URL+"/batch", req, &br); st != http.StatusOK {
-		t.Fatalf("follow-up batch status %d", st)
-	}
-	for i, item := range br.Results {
-		if item.Error != "" {
-			t.Fatalf("follow-up batch item %d: %s", i, item.Error)
-		}
-	}
-}
-
 // TestServeBatchPerQueryIsolation pins that a per-query policy kill never
-// takes the rest of a fanned-out batch with it: cheap queries answer
-// exactly, expensive ones carry their own typed code.
+// takes the rest of a batch with it: cheap queries answer exactly,
+// expensive ones carry their own typed code.
 func TestServeBatchPerQueryIsolation(t *testing.T) {
-	atLeastProcs(t, 2)
 	g, srv, ts := newTestServer(t, pathsel.Config{Workers: 1, MaxPlanCost: 0.5})
 	queries := []string{"a", "a/b/a", "b", "b/a/b", "a/b"}
 	var br BatchResponse
-	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries, Workers: 2}, &br); st != http.StatusOK {
+	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries}, &br); st != http.StatusOK {
 		t.Fatalf("/batch status %d", st)
 	}
 	for i, item := range br.Results {

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -20,15 +23,15 @@ import (
 // generator at scale 0.1: under a seeded random permutation of the
 // vertices, what a cached, bushy-planning server answers for a sample of
 // concrete paths and RPQs over the renamed graph πG is the count an
-// uncached, linear in-process Expr.ExecuteCtx gives on G — through /query,
-// and through /batch inline (workers 1) and fanned out (workers 4), each
-// item in its input slot. Every item's cache hits and misses also add up
-// to the cache's own counters.
+// uncached, linear in-process Expr.ExecuteCtx gives on G — through /query
+// and through /batch, each item in its input slot, while three clients
+// share the server's cache at once: one sends every query to /query, two
+// send the whole sample as one /batch each. Every item's cache hits and
+// misses also add up to the cache's own counters.
 //
-// A /batch that answers its items out of order, or a fan-out that drops
-// one, breaks it: the item echoes another query, or none.
+// A /batch that answers its items out of order, or drops one, breaks it:
+// the item echoes another query, or none.
 func TestConcurrentServeMatchesPermutedExecution(t *testing.T) {
-	atLeastProcs(t, 4)
 	const k = 3
 	for i, spec := range dataset.Table3() {
 		t.Run(spec.Name, func(t *testing.T) {
@@ -69,6 +72,39 @@ func TestConcurrentServeMatchesPermutedExecution(t *testing.T) {
 				want[j] = st.Result
 			}
 
+			viaQuery, viaBatch := make([]BatchItem, len(queries)), make([]BatchResponse, 2)
+			body, err := json.Marshal(BatchRequest{Queries: queries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			client := func(send func() error) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := send(); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			client(func() error {
+				for j, q := range queries {
+					if err := fetch200(ts.URL+"/query?pattern="+url.QueryEscape(q), nil, &viaQuery[j]); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			for b := range viaBatch {
+				client(func() error {
+					return fetch200(ts.URL+"/batch", body, &viaBatch[b])
+				})
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
 			var hits, misses int
 			check := func(via string, j int, item BatchItem) {
 				t.Helper()
@@ -77,23 +113,15 @@ func TestConcurrentServeMatchesPermutedExecution(t *testing.T) {
 				}
 				hits, misses = hits+item.CacheHits, misses+item.CacheMisses
 			}
-			for j, q := range queries {
-				var item BatchItem
-				if st := getJSON(t, ts.URL+"/query?pattern="+url.QueryEscape(q), &item); st != http.StatusOK {
-					t.Fatalf("/query %q: status %d (%s)", q, st, item.Error)
-				}
+			for j, item := range viaQuery {
 				check("/query", j, item)
 			}
-			for _, workers := range []int{1, 4} {
-				var br BatchResponse
-				if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries, Workers: workers}, &br); st != http.StatusOK {
-					t.Fatalf("/batch workers %d: status %d", workers, st)
-				}
+			for b, br := range viaBatch {
 				if len(br.Results) != len(queries) {
-					t.Fatalf("/batch workers %d: %d items for %d queries", workers, len(br.Results), len(queries))
+					t.Fatalf("/batch %d: %d items for %d queries", b, len(br.Results), len(queries))
 				}
 				for j, item := range br.Results {
-					check(fmt.Sprintf("/batch workers %d", workers), j, item)
+					check(fmt.Sprintf("/batch %d", b), j, item)
 				}
 			}
 			if cs, _ := est.CacheStats(); uint64(hits) != cs.Hits || uint64(misses) != cs.Misses {
@@ -101,6 +129,28 @@ func TestConcurrentServeMatchesPermutedExecution(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fetch200 GETs u, or POSTs body to it when body is non-nil, and decodes
+// the 200 it must answer into into. It returns its failure rather than
+// failing the test, so a client goroutine other than the test's own can
+// call it.
+func fetch200(u string, body []byte, into any) error {
+	var resp *http.Response
+	var err error
+	if body == nil {
+		resp, err = http.Get(u)
+	} else {
+		resp, err = http.Post(u, "application/json", bytes.NewReader(body))
+	}
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: status %d", u, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(into)
 }
 
 // renamed is g as a pathsel.Graph with vertex v renamed perm[v] (nil: g

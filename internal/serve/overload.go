@@ -149,6 +149,9 @@ type waiter struct {
 // cleverer at the request rates one estimator can serve.
 type limiter struct {
 	cfg OverloadConfig
+	// now is the controller's one clock: every tick, queue budget and
+	// service time reads it (time.Now outside tests).
+	now func() time.Time
 
 	mu       sync.Mutex
 	limit    int
@@ -175,7 +178,9 @@ type limiter struct {
 
 func newLimiter(cfg OverloadConfig) *limiter {
 	cfg = cfg.withDefaults()
-	return &limiter{cfg: cfg, limit: cfg.MaxInFlight, lastTick: time.Now()}
+	l := &limiter{cfg: cfg, now: time.Now, limit: cfg.MaxInFlight}
+	l.lastTick = l.now()
+	return l
 }
 
 // acquire admits the request (returning the brownout tier's cost
@@ -185,7 +190,7 @@ func newLimiter(cfg OverloadConfig) *limiter {
 // in-flight slot and must call release.
 func (l *limiter) acquire(ctx context.Context) (float64, error) {
 	l.mu.Lock()
-	now := time.Now()
+	now := l.now()
 	l.tickLocked(now)
 	if l.inFlight < l.limit && len(l.queue) == 0 {
 		l.admitLocked()
@@ -306,7 +311,7 @@ func (l *limiter) release(service time.Duration) {
 		l.adaptLocked()
 	}
 	l.promoteLocked()
-	l.tickLocked(time.Now())
+	l.tickLocked(l.now())
 	l.mu.Unlock()
 }
 
@@ -429,7 +434,7 @@ func (l *limiter) thresholdLocked() float64 {
 func (l *limiter) hardOverloaded() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.tickLocked(time.Now())
+	l.tickLocked(l.now())
 	return l.tier >= maxBrownoutTier || len(l.queue) >= l.cfg.QueueLimit
 }
 
@@ -470,7 +475,7 @@ type OverloadStats struct {
 func (l *limiter) stats() OverloadStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.tickLocked(time.Now())
+	l.tickLocked(l.now())
 	return OverloadStats{
 		Enabled:       true,
 		Limit:         l.limit,

@@ -99,12 +99,12 @@ func TestOverloadWireContract(t *testing.T) {
 
 	t.Run("degraded by brownout", func(t *testing.T) {
 		_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{MaxInFlight: 2, Brownout: true})
-		// Pre-seed the deepest tier, frozen: no tick comes due for an
-		// hour, and any query with join cost degrades.
+		// Pre-seed the deepest tier, frozen: the clock stands still, so no
+		// tick comes due, and any query with join cost degrades.
 		srv.lim.mu.Lock()
 		srv.lim.tier = maxBrownoutTier
 		srv.lim.costThreshold = 1e-12
-		srv.lim.lastTick = time.Now().Add(time.Hour)
+		srv.lim.now = stoppedAt(srv.lim.lastTick)
 		srv.lim.mu.Unlock()
 		st, qr, _, ra := getWire(t, ts.URL+"/query?q=a/b")
 		if st != http.StatusOK || !qr.Degraded || qr.DegradedBy != CodeBrownout || ra {
@@ -566,7 +566,7 @@ func TestBrownoutAnswersTheEstimate(t *testing.T) {
 	setThreshold := func(th float64) {
 		srv.lim.mu.Lock()
 		srv.lim.costThreshold = th
-		srv.lim.lastTick = time.Now().Add(time.Hour) // no tick recuts it
+		srv.lim.now = stoppedAt(srv.lim.lastTick) // no tick recuts it
 		srv.lim.mu.Unlock()
 	}
 	fallback, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 16, MaxPlanCost: 1e-12, DegradeToEstimate: true})
@@ -652,7 +652,7 @@ func TestBrownoutAnswersTheEstimate(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	items := make([]BatchItem, 2)
-	if err := srv.run(dead, xs, 1, items); err != nil {
+	if err := srv.run(dead, xs, items); err != nil {
 		t.Fatal(err)
 	}
 	if items[0].Code != CodeCancelled || items[1].Code != "" || items[1].DegradedBy != CodeBrownout {

@@ -3,8 +3,8 @@ package serve
 // Pipeline suite: the properties of having one request pipeline — /query
 // and /batch answer the same pattern with the same item and the same
 // counters, the wire table reads the same from both ends, a 400 never
-// touches admission, the /batch body and fan-out are the server's to
-// bound, and the load client retries a shed batch like a shed query.
+// touches admission, the /batch body is the server's to bound, and the
+// load client retries a shed batch like a shed query.
 
 import (
 	"bytes"
@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -39,6 +38,11 @@ func saturate(srv *Server) {
 		srv.lim.queue = append(srv.lim.queue, &waiter{ready: make(chan struct{})})
 	}
 }
+
+// stoppedAt is a limiter clock held still at t. Set at the limiter's
+// lastTick, no brownout tick ever comes due, so nothing recuts the tier
+// or its threshold, and every service time reads zero.
+func stoppedAt(t time.Time) func() time.Time { return func() time.Time { return t } }
 
 // TestQueryBatchParity sends each outcome class through /query and as
 // the items of one /batch and pins the two to the same answer: identical
@@ -66,9 +70,9 @@ func TestQueryBatchParity(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, srv, ts := newOverloadServer(t, c.cfg, brownout)
-			// Every case freezes the tier, so no tick moves it mid-case.
+			// Every case stops the clock, so no tick moves the tier mid-case.
 			srv.lim.mu.Lock()
-			srv.lim.lastTick = time.Now().Add(time.Hour)
+			srv.lim.now = stoppedAt(srv.lim.lastTick)
 			if c.brownout {
 				srv.lim.tier, srv.lim.costThreshold = maxBrownoutTier, 1e-12
 			}
@@ -284,25 +288,6 @@ func TestBatchBodyBounded(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("a full %d-query batch answered %d, want 200", maxBatchQueries, resp.StatusCode)
-	}
-}
-
-// TestFanOutClamp pins that the server bounds a batch's concurrency: the
-// client's wish, at least 1, at most the batch size and the core count.
-func TestFanOutClamp(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	for _, c := range []struct{ requested, n, want int }{
-		{0, 5, 1},
-		{-3, 5, 1},
-		{1, 5, 1},
-		{2, 1, 1},
-		{1024, 1024, procs},
-		{procs + 7, 10 * procs, procs},
-		{procs, procs + 1, procs},
-	} {
-		if got := fanOut(c.requested, c.n); got != c.want {
-			t.Fatalf("fanOut(%d, %d) = %d, want %d (GOMAXPROCS %d)", c.requested, c.n, got, c.want, procs)
-		}
 	}
 }
 

@@ -69,7 +69,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 
 	var br BatchResponse
-	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries, Workers: 2}, &br); st != http.StatusOK {
+	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries}, &br); st != http.StatusOK {
 		t.Fatalf("/batch status %d, want 200", st)
 	}
 	if len(br.Results) != len(queries) {
@@ -117,6 +117,49 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 	if st := postJSON(t, ts.URL+"/batch", over, &er); st != http.StatusBadRequest {
 		t.Fatalf("oversized batch status %d, want 400", st)
+	}
+}
+
+// TestBatchMaterializesSharedSegmentsOnce pins BatchRequest's promise on
+// a cold cache: the queries of one /batch share keyed segments (a/b, b/c,
+// a/b/c twice), and each is built and published once — the items' misses
+// are the cache's puts and its entries — and every item's hits, misses
+// and work are the same on every fresh server, because the queries run in
+// input order.
+func TestBatchMaterializesSharedSegmentsOnce(t *testing.T) {
+	queries := []string{"a/b/c", "a/b/a", "b/c/a", "a/b/c", "(a|b)/b/c"}
+	var first []BatchItem
+	for run := range 20 {
+		g, srv, ts := newTestServer(t, pathsel.Config{Workers: 1, CacheBytes: pathsel.DefaultCacheBytes})
+		var br BatchResponse
+		if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries}, &br); st != http.StatusOK {
+			t.Fatalf("run %d: /batch status %d", run, st)
+		}
+		misses := 0
+		for i, item := range br.Results {
+			want, err := g.TruePatternSelectivity(queries[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if item.Error != "" || item.Result != want {
+				t.Fatalf("run %d, item %d (%s): %+v, want result %d", run, i, queries[i], item, want)
+			}
+			misses += item.CacheMisses
+		}
+		cs, _ := srv.est.CacheStats()
+		if uint64(misses) != cs.Puts || cs.Puts != uint64(cs.Entries) {
+			t.Fatalf("run %d: the items miss %d times, the cache put %d and holds %d entries", run, misses, cs.Puts, cs.Entries)
+		}
+		if run == 0 {
+			first = br.Results
+			continue
+		}
+		for i, item := range br.Results {
+			if a := first[i]; item.CacheHits != a.CacheHits || item.CacheMisses != a.CacheMisses || item.Work != a.Work {
+				t.Fatalf("run %d, item %d (%s): hits/misses/work %d/%d/%d, run 0 read %d/%d/%d", run, i, queries[i],
+					item.CacheHits, item.CacheMisses, item.Work, a.CacheHits, a.CacheMisses, a.Work)
+			}
+		}
 	}
 }
 

@@ -39,9 +39,10 @@
 //
 // In the layer map (graph → bitset → paths → exec → pathsel → serve)
 // this package sits above the public facade and below cmd; it imports
-// only pathsel, internal/sched (a /batch's fan-out: one scheduler task
-// per query), internal/workload and internal/faultinject (for its
-// serve.admit fault site).
+// only pathsel, internal/workload and internal/faultinject (for its
+// serve.admit fault site). A request is one strand: its queries run one
+// after another on the handler goroutine, so the parallelism one
+// admitted slot holds is a single query's Config.Workers.
 package serve
 
 import (
@@ -51,14 +52,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"runtime"
-	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/sched"
 	"repro/pathsel"
 )
 
@@ -458,18 +456,8 @@ func (s *Server) admit(ctx context.Context) (float64, func(), error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	start := time.Now()
-	return threshold, func() { s.lim.release(time.Since(start)) }, nil
-}
-
-// fanOut is how many of a batch's n queries execute concurrently: what
-// the client asked for (≤ 0 means 1), but never more than the server's
-// cores — the server, not the client, decides how much one admitted slot
-// may run at once. Each of those queries executes at the estimator's
-// Config.Workers, so one slot runs at most fanOut × Config.Workers join
-// workers at a time (fanOut under pathserve's default -workers 1).
-func fanOut(requested, n int) int {
-	return max(1, min(requested, n, runtime.GOMAXPROCS(0)))
+	start := s.lim.now()
+	return threshold, func() { s.lim.release(s.lim.now().Sub(start)) }, nil
 }
 
 // execute is the execute stage of one admitted query: under a brownout
@@ -486,20 +474,14 @@ func execute(ctx context.Context, x *pathsel.Expr, threshold float64) (pathsel.E
 
 // run is the admit, execute and account stages for the compiled queries
 // xs, one item each: the whole request occupies a single in-flight slot
-// (shed / drain / queue), every query is answered by execute under the
-// slot's brownout threshold, and the slot's service time feeds the
-// limiter. At a fan-out of 1 — every /query, and a /batch that asks for
-// at most one worker or reaches a one-core server — the queries run one
-// after another on the handler goroutine. Otherwise each is one task on an internal/sched scheduler
-// of fanOut workers, writing its own outcome slot, and the items are
-// accounted in input order once every task is done, so the counters and
-// the cost window see the sequence the inline pass gives. A non-nil
-// error refuses the whole request: a panic that escapes a task (the
-// scheduler's *sched.PanicError), and one contained here, because
-// net/http's own recover would sever the connection, turning an injected
-// serve.admit panic into a client transport error instead of a typed
-// 500.
-func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, workers int, items []BatchItem) (err error) {
+// (shed / drain / queue), its queries run one after another on the
+// handler goroutine, each answered by execute under the slot's brownout
+// threshold and accounted in input order, and the slot's service time
+// feeds the limiter. A non-nil error refuses the whole request: a panic
+// is contained here, because net/http's own recover would sever the
+// connection, turning an injected serve.admit panic into a client
+// transport error instead of a typed 500.
+func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, items []BatchItem) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: contained serving-layer panic: %v", pathsel.ErrExecutionFailed, r)
@@ -510,29 +492,9 @@ func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, workers int, items
 		return err
 	}
 	defer release()
-	n := fanOut(workers, len(xs))
-	if n == 1 {
-		for i, x := range xs {
-			st, err := execute(ctx, x, threshold)
-			items[i] = s.account(x.Pattern(), st, err)
-		}
-		return nil
-	}
-	// The tasks read their own copy of xs, so a lone query's xs can stay
-	// on its handler's stack.
-	tasks, sts, errs := slices.Clone(xs), make([]pathsel.ExecStats, len(xs)), make([]error, len(xs))
-	sc := sched.New(n, func(_, i int) {
-		sts[i], errs[i] = execute(ctx, tasks[i], threshold)
-	})
-	// Seeded last to first, so every worker pops its share in input order.
-	for i := len(xs) - 1; i >= 0; i-- {
-		sc.Spawn(i, i)
-	}
-	if err := sc.Drain(); err != nil {
-		return fmt.Errorf("%w: %w", pathsel.ErrExecutionFailed, err)
-	}
 	for i, x := range xs {
-		items[i] = s.account(x.Pattern(), sts[i], errs[i])
+		st, err := execute(ctx, x, threshold)
+		items[i] = s.account(x.Pattern(), st, err)
 	}
 	return nil
 }
@@ -607,7 +569,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		_, err = s.compile(q[:], x[:])
 	}
 	if err == nil {
-		err = s.run(r.Context(), x[:], 1, item[:])
+		err = s.run(r.Context(), x[:], item[:])
 	}
 	switch {
 	case err != nil:
@@ -621,15 +583,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // BatchRequest is the JSON body of POST /batch: a workload of RPQ
-// patterns executed in one admission slot on the estimator's relation
-// cache, so segments recurring across the batch are materialized once.
+// patterns executed in input order in one admission slot on the
+// estimator's relation cache, so segments recurring across the batch are
+// materialized once. Any other field of the body, such as the "workers"
+// older clients send, is ignored.
 type BatchRequest struct {
 	// Queries are the patterns (same grammar as /query).
 	Queries []string `json:"queries"`
-	// Workers is the number of queries the client would like executed
-	// concurrently (≤ 0 selects 1); the server grants at most its core
-	// count. Results are bit-identical at every setting.
-	Workers int `json:"workers,omitempty"`
 }
 
 // BatchItem is one query's outcome within a batch response: a
@@ -682,7 +642,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponse{Results: make([]BatchItem, len(xs))}
-	if err := s.run(r.Context(), xs, req.Workers, resp.Results); err != nil {
+	if err := s.run(r.Context(), xs, resp.Results); err != nil {
 		s.refuse(w, err)
 		return
 	}

@@ -494,16 +494,27 @@ var layerRules = []rule{
 			inPkgs("internal/exec"), nil)
 	}},
 	{"internal/sched starts the engine's workers", func(m *module) []string {
-		// An execution is one strand, and census subtrees, step shards and
-		// the server's fan-out of a /batch are scheduler tasks: no non-test
-		// file of internal/exec, internal/paths, pathsel or internal/serve
-		// starts a goroutine or waits for one, so every engine worker is a
-		// scheduler's and a panic on it is contained. The load client
+		// An execution is one strand, and census subtrees and step shards
+		// are scheduler tasks: no non-test file of internal/exec,
+		// internal/paths, pathsel or internal/serve starts a goroutine or
+		// waits for one, so every engine worker is a scheduler's and a
+		// panic on it is contained. The load client
 		// (internal/serve/load.go) is the exception: its replayer workers
-		// are client goroutines, not the engine's.
+		// are client goroutines, not the engine's. A request is one strand
+		// too: internal/serve runs its queries one after another and
+		// imports no scheduler, so one admitted slot holds one query's
+		// Config.Workers and no more.
 		engine := inPkgs("internal/exec", "internal/paths", "pathsel", "internal/serve")
 		in := func(f *file) bool { return engine(f) && f.name != "internal/serve/load.go" }
+		serve := inPkgs("internal/serve")
 		var bad []string
+		for _, f := range m.files {
+			for _, is := range f.ast.Imports {
+				if p, _ := strconv.Unquote(is.Path.Value); p == modulePath+"/internal/sched" && !f.test && serve(f) {
+					bad = append(bad, fmt.Sprintf("%s: a non-test file of internal/serve imports %s", m.where(is.Pos()), p))
+				}
+			}
+		}
 		for _, g := range m.gos {
 			if !g.f.test && in(g.f) {
 				bad = append(bad, fmt.Sprintf("%s: %s starts a goroutine", m.where(g.pos), funcName(g.fn)))
