@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"errors"
 	"flag"
 	"io"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 	"repro/pathsel"
@@ -29,10 +31,9 @@ var raceOn bool
 // exact at any run count, so this only bounds the test's time.
 const allocsRuns = 200
 
-// allocsEstimator builds the served path's fixture: internal/serve's test
-// graph (40 vertices, labels a, b and c, 300 seeded random edges), k = 3,
-// β = 16, one worker, with the default relation cache or none.
-func allocsEstimator(t *testing.T, cached bool) *pathsel.Estimator {
+// allocsGraph is the served path's fixture graph: internal/serve's test
+// graph (40 vertices, labels a, b and c, 300 seeded random edges).
+func allocsGraph(t *testing.T) *pathsel.Graph {
 	t.Helper()
 	names := []string{"a", "b", "c"}
 	g := pathsel.NewGraph(40, names)
@@ -42,11 +43,23 @@ func allocsEstimator(t *testing.T, cached bool) *pathsel.Estimator {
 			t.Fatal(err)
 		}
 	}
+	return g
+}
+
+// allocsConfig is the fixture's estimator: k = 3, β = 16, one worker,
+// with the default relation cache or none.
+func allocsConfig(cached bool) pathsel.Config {
 	cfg := pathsel.Config{MaxPathLength: 3, Buckets: 16, Workers: 1}
 	if cached {
 		cfg.CacheBytes = pathsel.DefaultCacheBytes
 	}
-	est, err := pathsel.Build(g, cfg)
+	return cfg
+}
+
+// allocsEstimator builds the fixture's estimator over allocsGraph.
+func allocsEstimator(t *testing.T, cached bool) *pathsel.Estimator {
+	t.Helper()
+	est, err := pathsel.Build(allocsGraph(t), allocsConfig(cached))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +68,14 @@ func allocsEstimator(t *testing.T, cached bool) *pathsel.Estimator {
 
 // TestAllocsGolden pins the allocations of one served query, layer by
 // layer, to testdata/allocs.golden.csv: Compile, Expr.ExecuteCtx and a
-// /query through Server.ServeHTTP for a concrete path and an RPQ, and one
-// /batch of both, each with no cache and on a warm one. A change that
-// adds or removes an allocation on the served path moves a row; -update
-// rewrites the file when that is intended.
+// /query through Server.ServeHTTP for a concrete path and an RPQ, one
+// /batch of both, and a /query of a/b/c under a configured per-query
+// policy (a deadline, a plan-cost gate it passes, degradation on), each
+// with no cache and on a warm one; then, once, Estimate of both patterns
+// (an RPQ is ErrBadPattern there: its row counts the refusal) and one
+// Build of the fixture. A change that adds or removes an allocation on
+// the served path moves a row; -update rewrites the file when that is
+// intended.
 //
 // The collector is off while it counts: a sync.Pool a collection empties
 // would otherwise refill at a random run and move a count.
@@ -76,11 +93,12 @@ func TestAllocsGolden(t *testing.T) {
 		}
 		est := allocsEstimator(t, cached)
 		srv := serve.New(est)
+		policy := serve.NewWithOverload(est, serve.OverloadConfig{QueryTimeout: time.Minute, MaxPlanCost: 1e18, DegradeToEstimate: true})
 		count := func(cell string, f func()) {
 			f() // warms the cache, and any lazily built state
 			rows = append(rows, []string{cell, cache, strconv.FormatFloat(testing.AllocsPerRun(allocsRuns, f), 'f', -1, 64)})
 		}
-		serveOK := func(req func() *http.Request) func() {
+		serveOK := func(srv *serve.Server, req func() *http.Request) func() {
 			return func() {
 				w := httptest.NewRecorder()
 				srv.ServeHTTP(w, req())
@@ -107,15 +125,31 @@ func TestAllocsGolden(t *testing.T) {
 			// The pattern goes unescaped, so the handler's query parse
 			// allocates no unescaped copy of it.
 			query := httptest.NewRequest(http.MethodGet, "/query?pattern="+p, nil)
-			count("ServeHTTP /query "+p, serveOK(func() *http.Request { return query }))
+			count("ServeHTTP /query "+p, serveOK(srv, func() *http.Request { return query }))
 		}
 		body := []byte(`{"queries":["a/b/c","a/(b|c)/a?"]}`)
 		batch := httptest.NewRequest(http.MethodPost, "/batch", nil)
-		count("ServeHTTP /batch a/b/c a/(b|c)/a?", serveOK(func() *http.Request {
+		count("ServeHTTP /batch a/b/c a/(b|c)/a?", serveOK(srv, func() *http.Request {
 			batch.Body = io.NopCloser(bytes.NewReader(body))
 			return batch
 		}))
+		query := httptest.NewRequest(http.MethodGet, "/query?pattern=a/b/c", nil)
+		count("ServeHTTP /query a/b/c policy", serveOK(policy, func() *http.Request { return query }))
 	}
+
+	est, g := allocsEstimator(t, false), allocsGraph(t)
+	for _, p := range patterns {
+		rows = append(rows, []string{"Estimate " + p, "none", strconv.FormatFloat(testing.AllocsPerRun(allocsRuns, func() {
+			if _, err := est.Estimate(p); err != nil && !errors.Is(err, pathsel.ErrBadPattern) {
+				t.Fatal(err)
+			}
+		}), 'f', -1, 64)})
+	}
+	rows = append(rows, []string{"Build", "none", strconv.FormatFloat(testing.AllocsPerRun(allocsRuns, func() {
+		if _, err := pathsel.Build(g, allocsConfig(false)); err != nil {
+			t.Fatal(err)
+		}
+	}), 'f', -1, 64)})
 
 	var got bytes.Buffer
 	w := csv.NewWriter(&got)

@@ -2,16 +2,19 @@
 // builds one pathsel.Estimator — over an edge-list file or a generated
 // Table-3 dataset — and serves it over HTTP (internal/serve), sharing
 // the estimator's statistics, relation pool, and persistent relation
-// cache across every concurrent request. The estimator's resource
-// policy is exposed as flags: -timeout bounds each request, -max-cost
-// and -max-result-bytes gate admission, and -degrade turns kills into
-// degraded 200s carrying the histogram estimate. -max-inflight > 0
-// serves behind the overload controller (serve.NewWithOverload:
-// adaptive concurrency limit, bounded admission queue with predictive
-// shedding, 429 + Retry-After), tuned by -min-inflight,
-// -latency-target, -queue, and -queue-timeout; 0 leaves it off.
-// -brownout additionally degrades expensive queries to estimates under
-// sustained pressure, on the controller's fixed tuning.
+// cache across every concurrent request. The resource policy is exposed
+// as flags: -max-result-bytes is the estimator's byte budget (its size
+// projection gates admission too), and the server's per-query policy
+// (serve.OverloadConfig) is -timeout, which bounds each query, -max-cost,
+// which gates admission on estimated plan cost, and -degrade, which
+// turns refusals and kills into degraded 200s carrying the histogram
+// estimate; these act with the overload controller on or off.
+// -max-inflight > 0 serves behind the overload controller (adaptive
+// concurrency limit, bounded admission queue with predictive shedding,
+// 429 + Retry-After), tuned by -min-inflight, -latency-target, -queue,
+// and -queue-timeout; 0 leaves it off. -brownout additionally degrades
+// expensive queries to estimates under sustained pressure, on the
+// controller's fixed tuning.
 //
 // Usage:
 //
@@ -91,7 +94,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-query deadline (0 = none)")
 	fs.Float64Var(&o.maxCost, "max-cost", 0, "admission bound on estimated plan cost (0 = none)")
 	fs.Int64Var(&o.maxResultBytes, "max-result-bytes", 0, "budget on any materialized relation (0 = none)")
-	fs.BoolVar(&o.degrade, "degrade", false, "answer resource kills with the histogram estimate instead of an error")
+	fs.BoolVar(&o.degrade, "degrade", false, "answer refused and killed queries with the histogram estimate instead of an error")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "overload controller: concurrent execution slots (0 disables the controller)")
 	fs.IntVar(&o.minInFlight, "min-inflight", 0, "overload controller: adaptive limit floor (0 = 1)")
 	fs.DurationVar(&o.latencyTarget, "latency-target", 0, "overload controller: service-time target the in-flight limit adapts toward (0 pins the limit at -max-inflight)")
@@ -105,6 +108,9 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if (o.graph == "") == (o.dataset == "") {
 		return nil, fmt.Errorf("exactly one of -graph or -dataset is required")
+	}
+	if o.timeout < 0 {
+		return nil, fmt.Errorf("-timeout must be ≥ 0, got %v", o.timeout)
 	}
 	if o.maxInFlight <= 0 && (o.minInFlight > 0 || o.latencyTarget > 0 || o.queueLimit > 0 || o.queueTimeout > 0 || o.brownout) {
 		return nil, fmt.Errorf("overload flags need the controller enabled: set -max-inflight > 0")
@@ -134,27 +140,27 @@ func buildServer(o *options) (*serve.Server, *pathsel.Graph, error) {
 		}
 	}
 	est, err := pathsel.Build(g, pathsel.Config{
-		MaxPathLength:     o.k,
-		Buckets:           o.buckets,
-		Workers:           o.workers,
-		BushyPlans:        o.bushy,
-		CacheBytes:        o.cacheBytes,
-		CacheShards:       o.shards,
-		QueryTimeout:      o.timeout,
-		MaxPlanCost:       o.maxCost,
-		MaxResultBytes:    o.maxResultBytes,
-		DegradeToEstimate: o.degrade,
+		MaxPathLength:  o.k,
+		Buckets:        o.buckets,
+		Workers:        o.workers,
+		BushyPlans:     o.bushy,
+		CacheBytes:     o.cacheBytes,
+		CacheShards:    o.shards,
+		MaxResultBytes: o.maxResultBytes,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return serve.NewWithOverload(est, serve.OverloadConfig{
-		MaxInFlight:   o.maxInFlight,
-		MinInFlight:   o.minInFlight,
-		LatencyTarget: o.latencyTarget,
-		QueueLimit:    o.queueLimit,
-		QueueTimeout:  o.queueTimeout,
-		Brownout:      o.brownout,
+		QueryTimeout:      o.timeout,
+		MaxPlanCost:       o.maxCost,
+		DegradeToEstimate: o.degrade,
+		MaxInFlight:       o.maxInFlight,
+		MinInFlight:       o.minInFlight,
+		LatencyTarget:     o.latencyTarget,
+		QueueLimit:        o.queueLimit,
+		QueueTimeout:      o.queueTimeout,
+		Brownout:          o.brownout,
 	}), g, nil
 }
 

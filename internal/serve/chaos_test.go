@@ -118,10 +118,8 @@ func TestServeChaosCacheAllocFailures(t *testing.T) {
 // may still succeed, and recovery must be immediate once the delays
 // stop.
 func TestServeChaosDelayTimeout(t *testing.T) {
-	g, srv, ts := newTestServer(t, pathsel.Config{
-		CacheBytes:   pathsel.DefaultCacheBytes,
-		QueryTimeout: 50 * time.Millisecond,
-	})
+	g, srv, ts := newOverloadServer(t, pathsel.Config{CacheBytes: pathsel.DefaultCacheBytes},
+		OverloadConfig{QueryTimeout: 50 * time.Millisecond})
 	trace := buildTrace(t, g.Labels(), 40, 0, 19)
 
 	faultinject.Install(faultinject.NewInjector(
@@ -233,7 +231,7 @@ func TestServeBatchCancel(t *testing.T) {
 // takes the rest of a batch with it: cheap queries answer exactly,
 // expensive ones carry their own typed code.
 func TestServeBatchPerQueryIsolation(t *testing.T) {
-	g, srv, ts := newTestServer(t, pathsel.Config{Workers: 1, MaxPlanCost: 0.5})
+	g, srv, ts := newOverloadServer(t, pathsel.Config{Workers: 1}, OverloadConfig{MaxPlanCost: 0.5})
 	queries := []string{"a", "a/b/a", "b", "b/a/b", "a/b"}
 	var br BatchResponse
 	if st := postJSON(t, ts.URL+"/batch", BatchRequest{Queries: queries}, &br); st != http.StatusOK {

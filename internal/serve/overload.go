@@ -22,10 +22,33 @@ import (
 	"repro/pathsel"
 )
 
-// OverloadConfig tunes the server-wide overload controller. MaxInFlight
-// ≤ 0 — the zero value — disables it entirely: every request executes
-// immediately, exactly as before the controller existed.
+// OverloadConfig is the server's serving policy: the server-wide
+// overload controller and the per-query policy every executed query
+// answers to. MaxInFlight ≤ 0 — the zero value — disables the
+// controller entirely: every request executes immediately, exactly as
+// before the controller existed. The per-query policy (QueryTimeout,
+// MaxPlanCost, DegradeToEstimate) applies with the controller on or off.
 type OverloadConfig struct {
+	// QueryTimeout, when > 0, bounds each executed query's wall-clock
+	// time: it runs under a deadline of this duration, intersected with
+	// the request's own. A query it kills answers deadline_exceeded (504),
+	// or its estimate under DegradeToEstimate.
+	QueryTimeout time.Duration
+	// MaxPlanCost, when > 0, is the admission gate on estimated plan
+	// cost: a query whose plan's estimated total intermediate volume
+	// (QueryPlan.EstimatedCost, in vertex pairs) exceeds it is refused
+	// with admission_denied (429) before it executes. It prices the plan
+	// Compile already made, so it costs no graph access.
+	MaxPlanCost float64
+	// DegradeToEstimate turns refused and killed queries into answers:
+	// a query refused by MaxPlanCost or the estimator's MaxResultBytes
+	// projection, or killed mid-flight (deadline, byte budget,
+	// cancellation), answers 200 with its rounded histogram estimate,
+	// marked degraded with the cause. An execution failure (a contained
+	// panic) still answers 500: degradation is for resource policy, not
+	// for masking bugs.
+	DegradeToEstimate bool
+
 	// MaxInFlight > 0 enables the controller: at most this many query
 	// executions run concurrently (a /batch counts as one). It is also
 	// the adaptive limit's ceiling.
@@ -127,8 +150,8 @@ func (e *shedError) Unwrap() error { return errShed }
 
 // errBrownout marks an answer the brownout tier degraded: its plan cost
 // more than the tier's threshold, so the server answered its histogram
-// estimate without executing it. It is only ever a DegradedBy, never an
-// error answer.
+// estimate without executing it. It is only ever a degrade cause, never
+// an error answer.
 var errBrownout = errors.New("serve: degraded by brownout")
 
 // errDraining refuses work arriving after StartDrain; it maps to 503 +

@@ -8,6 +8,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -90,7 +91,9 @@ func TestOverloadWireContract(t *testing.T) {
 	})
 
 	t.Run("degraded by admission", func(t *testing.T) {
-		_, _, ts := newOverloadServer(t, pathsel.Config{MaxPlanCost: 1e-12, DegradeToEstimate: true}, inert)
+		oc := inert
+		oc.MaxPlanCost, oc.DegradeToEstimate = 1e-12, true
+		_, _, ts := newOverloadServer(t, pathsel.Config{}, oc)
 		st, qr, _, ra := getWire(t, ts.URL+"/query?q=a/b")
 		if st != http.StatusOK || !qr.Degraded || qr.DegradedBy != CodeAdmissionDenied || ra {
 			t.Fatalf("status %d body %+v retry-after %v, want degraded 200 by %q", st, qr, ra, CodeAdmissionDenied)
@@ -119,7 +122,9 @@ func TestOverloadWireContract(t *testing.T) {
 	})
 
 	t.Run("cost rejection keeps admission_denied without retry-after", func(t *testing.T) {
-		_, _, ts := newOverloadServer(t, pathsel.Config{MaxPlanCost: 1e-12}, inert)
+		oc := inert
+		oc.MaxPlanCost = 1e-12
+		_, _, ts := newOverloadServer(t, pathsel.Config{}, oc)
 		st, _, er, ra := getWire(t, ts.URL+"/query?q=a/b")
 		if st != http.StatusTooManyRequests || er.Code != CodeAdmissionDenied || ra || er.RetryAfterMs != 0 {
 			t.Fatalf("status %d code %q retry-after %v/%d, want plain 429 %q",
@@ -200,7 +205,9 @@ func TestOverloadWireContract(t *testing.T) {
 	})
 
 	t.Run("deadline still 504", func(t *testing.T) {
-		_, _, ts := newOverloadServer(t, pathsel.Config{QueryTimeout: time.Nanosecond}, inert)
+		oc := inert
+		oc.QueryTimeout = time.Nanosecond
+		_, _, ts := newOverloadServer(t, pathsel.Config{}, oc)
 		st, _, er, ra := getWire(t, ts.URL+"/query?q=a/b/c")
 		if st != http.StatusGatewayTimeout || er.Code != CodeDeadline || ra {
 			t.Fatalf("status %d code %q retry-after %v, want plain 504 %q", st, er.Code, ra, CodeDeadline)
@@ -553,14 +560,14 @@ func TestDeepestTierDegradesEveryJoin(t *testing.T) {
 
 // TestBrownoutAnswersTheEstimate pins what a brownout tier answers. A
 // query whose plan costs more than the tier's threshold gets its rounded
-// histogram estimate — the answer Config.DegradeToEstimate gives the same
+// histogram estimate — the answer OverloadConfig.DegradeToEstimate gives the same
 // query — with its plan and estimated cost, no work and no cache traffic,
 // marked degraded_by brownout: a concrete path and an RPQ from /query,
 // and the same items inside a /batch whose cheap entry stays exact. Such
 // an entry is answered even when the request's context is dead, and a
 // threshold of 0 degrades nothing.
 func TestBrownoutAnswersTheEstimate(t *testing.T) {
-	g, srv, ts := newOverloadServer(t, pathsel.Config{Workers: 1, CacheBytes: 1 << 20},
+	_, srv, ts := newOverloadServer(t, pathsel.Config{Workers: 1, CacheBytes: 1 << 20},
 		OverloadConfig{MaxInFlight: 2, Brownout: true})
 	const threshold = 0.5
 	setThreshold := func(th float64) {
@@ -569,10 +576,8 @@ func TestBrownoutAnswersTheEstimate(t *testing.T) {
 		srv.lim.now = stoppedAt(srv.lim.lastTick) // no tick recuts it
 		srv.lim.mu.Unlock()
 	}
-	fallback, err := pathsel.Build(g, pathsel.Config{MaxPathLength: 3, Buckets: 16, MaxPlanCost: 1e-12, DegradeToEstimate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// fallback refuses every join by cost and degrades the refusal.
+	fallback := NewWithOverload(srv.est, OverloadConfig{MaxPlanCost: 1e-12, DegradeToEstimate: true})
 	expensive := []string{"a/b/a", "a/(a|b)/a"}
 	// want is the brownout answer to q, as /query's body without latency.
 	want := func(q string) QueryResponse {
@@ -581,13 +586,9 @@ func TestBrownoutAnswersTheEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx, err := fallback.Compile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := fx.ExecuteCtx(context.Background())
-		if err != nil || !st.Degraded {
-			t.Fatalf("%s under DegradeToEstimate: %+v, %v — want a degraded answer", q, st, err)
+		st, degradedBy, err := fallback.execute(context.Background(), x, 0)
+		if err != nil || !errors.Is(degradedBy, pathsel.ErrAdmissionDenied) {
+			t.Fatalf("%s under DegradeToEstimate: %+v, %v, %v — want a degraded answer", q, st, degradedBy, err)
 		}
 		plan := x.Plan()
 		if plan.EstimatedCost <= threshold {
@@ -603,7 +604,7 @@ func TestBrownoutAnswersTheEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, err := x.ExecuteCtx(context.Background())
-		if err != nil || st.Degraded {
+		if err != nil {
 			t.Fatalf("%s in process: %+v, %v", q, st, err)
 		}
 		return st.Result

@@ -51,25 +51,26 @@ func stoppedAt(t time.Time) func() time.Time { return func() time.Time { return 
 // query) and identical counter movement per item — the batch extension of
 // TestCountersPartitionRequests.
 func TestQueryBatchParity(t *testing.T) {
-	brownout := OverloadConfig{MaxInFlight: 2, Brownout: true}
 	cases := []struct {
 		name     string
-		cfg      pathsel.Config
+		policy   OverloadConfig // the per-query policy; every case runs the controller with brownout on
 		brownout bool
 		pattern  string
 		status   int // /query's; a 400 refuses the whole batch too
 	}{
-		{"ok", pathsel.Config{}, false, "a/(b|c)", http.StatusOK},
-		{"degraded by admission", pathsel.Config{MaxPlanCost: 1e-12, DegradeToEstimate: true}, false, "a/b", http.StatusOK},
-		{"brownout", pathsel.Config{}, true, "a/b", http.StatusOK},
-		{"admission_denied", pathsel.Config{MaxPlanCost: 1e-12}, false, "a/b", http.StatusTooManyRequests},
-		{"deadline", pathsel.Config{QueryTimeout: time.Nanosecond}, false, "a/b/c", http.StatusGatewayTimeout},
-		{"bad_pattern", pathsel.Config{}, false, "b{3,1}", http.StatusBadRequest},
-		{"unknown label", pathsel.Config{}, false, "a/zzz", http.StatusBadRequest},
+		{"ok", OverloadConfig{}, false, "a/(b|c)", http.StatusOK},
+		{"degraded by admission", OverloadConfig{MaxPlanCost: 1e-12, DegradeToEstimate: true}, false, "a/b", http.StatusOK},
+		{"brownout", OverloadConfig{}, true, "a/b", http.StatusOK},
+		{"admission_denied", OverloadConfig{MaxPlanCost: 1e-12}, false, "a/b", http.StatusTooManyRequests},
+		{"deadline", OverloadConfig{QueryTimeout: time.Nanosecond}, false, "a/b/c", http.StatusGatewayTimeout},
+		{"bad_pattern", OverloadConfig{}, false, "b{3,1}", http.StatusBadRequest},
+		{"unknown label", OverloadConfig{}, false, "a/zzz", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, srv, ts := newOverloadServer(t, c.cfg, brownout)
+			oc := c.policy
+			oc.MaxInFlight, oc.Brownout = 2, true
+			_, srv, ts := newOverloadServer(t, pathsel.Config{}, oc)
 			// Every case stops the clock, so no tick moves the tier mid-case.
 			srv.lim.mu.Lock()
 			srv.lim.now = stoppedAt(srv.lim.lastTick)
@@ -164,7 +165,7 @@ func TestWireTableRoundTrips(t *testing.T) {
 		// Server: the cause is accounted in the row's counter alone and
 		// rendered with its code, which names its status.
 		_, srv, _ := newTestServer(t, pathsel.Config{})
-		item := srv.account("", pathsel.ExecStats{}, cause)
+		item := srv.account("", pathsel.ExecStats{}, nil, cause)
 		var want [numOutcomes]int64
 		want[row.counter] = 1
 		for o := range want {

@@ -1,12 +1,13 @@
 // Package serve is the engine's serving layer: an HTTP front end over
 // one persistent pathsel.Estimator, shared — statistics, relation
-// cache, and relation pool alike — by every concurrent request. It
-// turns the library's per-query contract (context cancellation,
-// Config.QueryTimeout deadlines, cost-based admission, degradation to
-// estimate) into wire semantics: each resource-policy outcome maps to a
-// distinct HTTP status code and a typed JSON body, so clients and load
-// balancers can tell an overloaded server (429/503) from a slow query
-// (504) from a bug (500).
+// cache, and relation pool alike — by every concurrent request. It owns
+// the serving policy (OverloadConfig): per-query deadlines, the plan-cost
+// gate, degradation to estimate and the overload controller decide here
+// whether a query executes or answers its estimate, while the library
+// executes and reports. Each resource-policy outcome maps to a distinct
+// HTTP status code and a typed JSON body, so clients and load balancers
+// can tell an overloaded server (429/503) from a slow query (504) from a
+// bug (500).
 //
 // Every request takes one pipeline, in this order:
 //
@@ -16,15 +17,19 @@
 // and encode are the endpoint's own (a query string in and the single
 // item unwrapped onto the HTTP status line out, or a JSON workload in
 // and a list of items out); compile, admit, execute and account are
-// shared (Server.compile, Server.run, Server.account), and the wire
-// contract — which error is which status, code and counter — is the one
-// table wireTable, read by the server and by the load client alike.
+// shared (Server.compile, Server.run, Server.execute, Server.account).
+// Server.execute is the one place that decides whether a query executes
+// or answers its estimate, and why; the wire contract — which error is
+// which status, code and counter — is the one table wireTable, read by
+// the server and by the load client alike.
 //
-// New serves with no overload controller; NewWithOverload puts the
-// server behind one (overload.go: adaptive limit, bounded queue,
-// brownout tiers on fixed tuning), and MaxInFlight ≤ 0 is its one off
-// switch. StartDrain sets the server's one drain flag, which admit
-// checks before the controller.
+// New serves with no serving policy; NewWithOverload serves under an
+// OverloadConfig: the per-query policy (deadline, plan-cost gate,
+// degradation), which acts with or without the controller, and the
+// overload controller (overload.go: adaptive limit, bounded queue,
+// brownout tiers on fixed tuning), whose one off switch is
+// MaxInFlight ≤ 0. StartDrain sets the server's one drain flag, which
+// admit checks before the controller.
 //
 // The package also hosts the open-loop load harness (load.go): a
 // replayer that drives a server with a Zipf-distributed query-arrival
@@ -78,8 +83,9 @@ type QueryResponse struct {
 	CacheHits   int `json:"cache_hits"`
 	CacheMisses int `json:"cache_misses"`
 	// Degraded marks an answer given by the histogram estimate — a
-	// resource-policy kill under Config.DegradeToEstimate, or a query the
-	// brownout tier did not execute; DegradedBy names the cause.
+	// refused or killed query under OverloadConfig.DegradeToEstimate, or
+	// a query the brownout tier did not execute; DegradedBy names the
+	// cause.
 	Degraded   bool   `json:"degraded,omitempty"`
 	DegradedBy string `json:"degraded_by,omitempty"`
 	// LatencyNs is the server-side handling time.
@@ -256,6 +262,7 @@ type StatsResponse struct {
 // construct with New.
 type Server struct {
 	est     *pathsel.Estimator
+	cfg     OverloadConfig // the per-query policy Server.execute reads
 	mux     *http.ServeMux
 	started time.Time
 	// lim is the overload controller; nil when disabled (the default),
@@ -271,19 +278,22 @@ type Server struct {
 	schedTasks, schedSteals, schedParks atomic.Int64
 }
 
-// New wraps est with no overload controller. The estimator's Config
-// decides the serving policy: CacheBytes shares a relation cache across
-// requests, QueryTimeout bounds each request, MaxPlanCost/MaxResultBytes
-// gate admission, and DegradeToEstimate turns kills into degraded 200s.
+// New wraps est with no serving policy: every query executes, under the
+// request's own context alone. The estimator's Config still decides what
+// is the library's — CacheBytes shares a relation cache across requests,
+// and MaxResultBytes bounds every relation a query materializes.
 func New(est *pathsel.Estimator) *Server {
 	return NewWithOverload(est, OverloadConfig{})
 }
 
-// NewWithOverload is New behind the server-wide overload controller
-// (adaptive concurrency limit, bounded admission queue, brownout
-// degradation — see OverloadConfig); MaxInFlight ≤ 0 leaves it off.
+// NewWithOverload is New under the serving policy oc: the per-query
+// policy (QueryTimeout bounds each query, MaxPlanCost gates admission,
+// DegradeToEstimate turns refusals and kills into degraded 200s) and the
+// server-wide overload controller (adaptive concurrency limit, bounded
+// admission queue, brownout degradation), which MaxInFlight ≤ 0 leaves
+// off.
 func NewWithOverload(est *pathsel.Estimator, oc OverloadConfig) *Server {
-	s := &Server{est: est, mux: http.NewServeMux(), started: time.Now()}
+	s := &Server{est: est, cfg: oc, mux: http.NewServeMux(), started: time.Now()}
 	if oc.MaxInFlight > 0 {
 		s.lim = newLimiter(oc)
 	}
@@ -413,7 +423,7 @@ func writeFailure(w http.ResponseWriter, item BatchItem, retry time.Duration) {
 // uncompilable request, an admission refusal (shed, draining, death in
 // the queue), a contained panic — accounted as one item.
 func (s *Server) refuse(w http.ResponseWriter, err error) {
-	writeFailure(w, s.account("", pathsel.ExecStats{}, err), retryHint(err))
+	writeFailure(w, s.account("", pathsel.ExecStats{}, nil, err), retryHint(err))
 }
 
 // enter counts one request in; the returned func counts it out.
@@ -460,27 +470,63 @@ func (s *Server) admit(ctx context.Context) (float64, func(), error) {
 	return threshold, func() { s.lim.release(s.lim.now().Sub(start)) }, nil
 }
 
-// execute is the execute stage of one admitted query: under a brownout
-// threshold (0: none) that its plan's estimated cost exceeds, the rounded
-// estimate with nothing executed; otherwise x.ExecuteCtx.
-func execute(ctx context.Context, x *pathsel.Expr, threshold float64) (pathsel.ExecStats, error) {
-	if threshold > 0 && x.Plan().EstimatedCost > threshold {
-		st := pathsel.ExecStats{Plan: x.Plan(), Degraded: true, DegradedBy: errBrownout}
-		st.Result = max(0, int64(math.Round(x.Estimate())))
-		return st, nil
+// execute is the execute stage of one admitted query, and the one place
+// that decides whether it executes or answers its estimate: a plan whose
+// estimated cost exceeds the brownout threshold (0: none) answers the
+// rounded estimate unexecuted; one past MaxPlanCost is refused with
+// ErrAdmissionDenied; the rest run x.ExecuteCtx, under QueryTimeout when
+// set. Under DegradeToEstimate a refusal or a kill (degradable) answers
+// the rounded estimate too. degradedBy is the cause of an estimate
+// answer, nil for an executed one.
+func (s *Server) execute(ctx context.Context, x *pathsel.Expr, threshold float64) (st pathsel.ExecStats, degradedBy, err error) {
+	cost := x.Plan().EstimatedCost
+	switch {
+	case threshold > 0 && cost > threshold:
+		return estimateOf(x), errBrownout, nil
+	case s.cfg.MaxPlanCost > 0 && cost > s.cfg.MaxPlanCost:
+		st, err = pathsel.ExecStats{Plan: x.Plan()}, fmt.Errorf("%w: estimated plan cost %g exceeds MaxPlanCost %g",
+			pathsel.ErrAdmissionDenied, cost, s.cfg.MaxPlanCost)
+	default:
+		if s.cfg.QueryTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+			defer cancel()
+		}
+		st, err = x.ExecuteCtx(ctx)
 	}
-	return x.ExecuteCtx(ctx)
+	if err != nil && s.cfg.DegradeToEstimate && degradable(err) {
+		return estimateOf(x), err, nil
+	}
+	return st, nil, err
+}
+
+// estimateOf is the answer a query gives instead of executing: its plan
+// and its rounded histogram estimate, the one Compile made — so a
+// compiled RPQ answers its compile-time estimate — and nothing else.
+func estimateOf(x *pathsel.Expr) pathsel.ExecStats {
+	st := pathsel.ExecStats{Plan: x.Plan()}
+	st.Result = max(0, int64(math.Round(x.Estimate())))
+	return st
+}
+
+// degradable reports whether a refusal or kill is a resource-policy
+// outcome DegradeToEstimate may soften into the estimate. Execution
+// failures (contained panics) are excluded: those are bugs to surface,
+// not load to shed.
+func degradable(err error) bool {
+	return errors.Is(err, pathsel.ErrAdmissionDenied) || errors.Is(err, pathsel.ErrDeadlineExceeded) ||
+		errors.Is(err, pathsel.ErrBudgetExceeded) || errors.Is(err, pathsel.ErrCancelled)
 }
 
 // run is the admit, execute and account stages for the compiled queries
 // xs, one item each: the whole request occupies a single in-flight slot
 // (shed / drain / queue), its queries run one after another on the
-// handler goroutine, each answered by execute under the slot's brownout
-// threshold and accounted in input order, and the slot's service time
-// feeds the limiter. A non-nil error refuses the whole request: a panic
-// is contained here, because net/http's own recover would sever the
-// connection, turning an injected serve.admit panic into a client
-// transport error instead of a typed 500.
+// handler goroutine, each answered by Server.execute under the slot's
+// brownout threshold and accounted in input order, and the slot's
+// service time feeds the limiter. A non-nil error refuses the whole
+// request: a panic is contained here, because net/http's own recover
+// would sever the connection, turning an injected serve.admit panic into
+// a client transport error instead of a typed 500.
 func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, items []BatchItem) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -493,18 +539,19 @@ func (s *Server) run(ctx context.Context, xs []*pathsel.Expr, items []BatchItem)
 	}
 	defer release()
 	for i, x := range xs {
-		st, err := execute(ctx, x, threshold)
-		items[i] = s.account(x.Pattern(), st, err)
+		st, degradedBy, err := s.execute(ctx, x, threshold)
+		items[i] = s.account(x.Pattern(), st, degradedBy, err)
 	}
 	return nil
 }
 
 // account is the accounting stage, and the one place an execution's
-// outcome becomes wire data: it renders (st, err) as the item both
-// endpoints answer with and bumps exactly one outcome counter. An
-// answered query (exact or degraded) also feeds its plan cost into the
-// brownout percentile window and its scheduler activity into the totals.
-func (s *Server) account(pattern string, st pathsel.ExecStats, err error) BatchItem {
+// outcome becomes wire data: it renders (st, degradedBy, err) as the item
+// both endpoints answer with — degraded, by that cause, when degradedBy
+// is set — and bumps exactly one outcome counter. An answered query
+// (exact or degraded) also feeds its plan cost into the brownout
+// percentile window and its scheduler activity into the totals.
+func (s *Server) account(pattern string, st pathsel.ExecStats, degradedBy, err error) BatchItem {
 	item := BatchItem{QueryResponse: QueryResponse{
 		Query:         pattern,
 		Result:        st.Result,
@@ -513,15 +560,15 @@ func (s *Server) account(pattern string, st pathsel.ExecStats, err error) BatchI
 		Work:          st.Work,
 		CacheHits:     st.CacheHits,
 		CacheMisses:   st.CacheMisses,
-		Degraded:      st.Degraded,
+		Degraded:      degradedBy != nil,
 	}}
 	out := outOK
 	switch {
 	case err != nil:
 		row := wireOf(err)
 		out, item.Error, item.Code = row.counter, err.Error(), row.code
-	case st.Degraded:
-		out, item.DegradedBy = outDegraded, wireOf(st.DegradedBy).code
+	case degradedBy != nil:
+		out, item.DegradedBy = outDegraded, wireOf(degradedBy).code
 		if item.DegradedBy == CodeBrownout {
 			s.brownoutDegraded.Add(1)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/pathsel"
 )
 
@@ -157,11 +158,11 @@ func TestQueryMalformed(t *testing.T) {
 }
 
 // TestQueryAdmissionKill pins the 429-vs-degraded contract: with an
-// unsatisfiable admission gate, DegradeToEstimate off answers 429 with
+// unsatisfiable plan-cost gate, DegradeToEstimate off answers 429 with
 // the typed code, and on answers 200 with the degraded-estimate body.
 func TestQueryAdmissionKill(t *testing.T) {
 	t.Run("rejected", func(t *testing.T) {
-		_, srv, ts := newTestServer(t, pathsel.Config{MaxPlanCost: 1e-12})
+		_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{MaxPlanCost: 1e-12})
 		var er ErrorResponse
 		if st := getJSON(t, ts.URL+"/query?q=a/b", &er); st != http.StatusTooManyRequests {
 			t.Fatalf("status %d, want 429", st)
@@ -174,7 +175,7 @@ func TestQueryAdmissionKill(t *testing.T) {
 		}
 	})
 	t.Run("degraded", func(t *testing.T) {
-		_, srv, ts := newTestServer(t, pathsel.Config{MaxPlanCost: 1e-12, DegradeToEstimate: true})
+		_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{MaxPlanCost: 1e-12, DegradeToEstimate: true})
 		var qr QueryResponse
 		if st := getJSON(t, ts.URL+"/query?q=a/b", &qr); st != http.StatusOK {
 			t.Fatalf("status %d, want 200 (degraded)", st)
@@ -193,10 +194,10 @@ func TestQueryAdmissionKill(t *testing.T) {
 
 // TestQueryTimeout pins QueryTimeout expiry to 504 (or a degraded 200
 // when DegradeToEstimate is on). A 1ns timeout is expired by the time
-// the estimator checks it, so the kill is deterministic.
+// the execution checks it, so the kill is deterministic.
 func TestQueryTimeout(t *testing.T) {
 	t.Run("expired", func(t *testing.T) {
-		_, srv, ts := newTestServer(t, pathsel.Config{QueryTimeout: time.Nanosecond})
+		_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{QueryTimeout: time.Nanosecond})
 		var er ErrorResponse
 		if st := getJSON(t, ts.URL+"/query?q=a/b/c", &er); st != http.StatusGatewayTimeout {
 			t.Fatalf("status %d, want 504", st)
@@ -209,7 +210,7 @@ func TestQueryTimeout(t *testing.T) {
 		}
 	})
 	t.Run("degraded", func(t *testing.T) {
-		_, _, ts := newTestServer(t, pathsel.Config{QueryTimeout: time.Nanosecond, DegradeToEstimate: true})
+		_, _, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{QueryTimeout: time.Nanosecond, DegradeToEstimate: true})
 		var qr QueryResponse
 		if st := getJSON(t, ts.URL+"/query?q=a/b/c", &qr); st != http.StatusOK {
 			t.Fatalf("status %d, want 200 (degraded)", st)
@@ -218,6 +219,24 @@ func TestQueryTimeout(t *testing.T) {
 			t.Fatalf("want degraded body with cause %q, got %+v", CodeDeadline, qr)
 		}
 	})
+}
+
+// TestDegradeNeverMasksAFailure pins what DegradeToEstimate leaves
+// alone: a contained execution panic answers 500 execution_failed, not
+// the estimate — degradation is for resource policy, not for bugs.
+func TestDegradeNeverMasksAFailure(t *testing.T) {
+	_, srv, ts := newOverloadServer(t, pathsel.Config{}, OverloadConfig{DegradeToEstimate: true})
+	faultinject.Install(faultinject.NewInjector(
+		faultinject.Rule{Site: "exec.step", Count: 1, Action: faultinject.ActPanic},
+	))
+	t.Cleanup(faultinject.Uninstall)
+	var er ErrorResponse
+	if st := getJSON(t, ts.URL+"/query?q=a/b", &er); st != http.StatusInternalServerError || er.Code != CodeExecutionFailed {
+		t.Fatalf("status %d code %q, want 500 %q", st, er.Code, CodeExecutionFailed)
+	}
+	if c := srv.Counters(); c.Failed != 1 || c.Degraded != 0 {
+		t.Fatalf("counters %+v, want one failed and none degraded", c)
+	}
 }
 
 func TestStatsEndpoint(t *testing.T) {

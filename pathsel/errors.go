@@ -52,14 +52,14 @@ var (
 	// cancelled (explicitly, not by deadline).
 	ErrCancelled = errors.New("pathsel: query cancelled")
 	// ErrDeadlineExceeded reports a query killed mid-flight by its
-	// context deadline or Config.QueryTimeout.
+	// context deadline.
 	ErrDeadlineExceeded = errors.New("pathsel: query deadline exceeded")
 	// ErrBudgetExceeded reports a query killed because a materialized
 	// relation outgrew Config.MaxResultBytes.
 	ErrBudgetExceeded = errors.New("pathsel: result size budget exceeded")
 	// ErrAdmissionDenied reports a query rejected before execution by the
-	// cost-based admission gate (Config.MaxPlanCost or the
-	// Config.MaxResultBytes size projection).
+	// Config.MaxResultBytes size projection. internal/serve wraps it for
+	// its own cost gate too, so both refusals answer alike.
 	ErrAdmissionDenied = errors.New("pathsel: query rejected by admission control")
 	// ErrExecutionFailed reports an execution that failed for a reason
 	// other than cancellation — a contained worker panic. The wrapped

@@ -13,8 +13,9 @@
 // engine (internal/exec). A compiled Expr knows its estimate and its
 // plan's estimated cost before anything runs, so a caller that would
 // rather answer the estimate than pay for an execution — a server under
-// load (internal/serve's brownout) — decides that itself; the library
-// degrades a query only on its Config's terms (DegradeToEstimate).
+// load, or one that bounds a query's cost or time (internal/serve) —
+// decides that itself; the library executes and reports, and a query it
+// refuses or kills is an error.
 //
 // Typical use:
 //
@@ -63,7 +64,6 @@ package pathsel
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -339,15 +339,6 @@ type Config struct {
 	// slice of CacheBytes.
 	CacheShards int
 
-	// QueryTimeout, when > 0, bounds each executed query's wall-clock
-	// time: every execution runs under a per-query deadline of this
-	// duration (intersected with any caller-supplied context deadline).
-	// A query killed by the
-	// timeout returns ErrDeadlineExceeded — or degrades to the histogram
-	// estimate under DegradeToEstimate. Estimation-only methods
-	// (Estimate, EstimatePrefix) never need it: they are a constant-time
-	// histogram lookup.
-	QueryTimeout time.Duration
 	// MaxResultBytes, when > 0, bounds the memory of every relation a
 	// query materializes, priced as an exact-size working copy: content
 	// bytes plus 56 per vertex of the graph (the budget's own measure;
@@ -359,22 +350,6 @@ type Config struct {
 	// query is killed with ErrBudgetExceeded the moment one outgrows the
 	// budget.
 	MaxResultBytes int64
-	// MaxPlanCost, when > 0, is the admission gate on estimated plan
-	// cost: a query whose cheapest plan's estimated total intermediate
-	// volume (QueryPlan.EstimatedCost, in vertex pairs) exceeds it is
-	// rejected with ErrAdmissionDenied before execution. Because the
-	// gate prices the plan with the same histogram the planner uses, its
-	// cost is one plan search — no graph access.
-	MaxPlanCost float64
-	// DegradeToEstimate turns rejected and killed queries into degraded
-	// answers instead of errors: when a query is refused by the
-	// admission gate or aborted mid-flight (deadline, budget, context
-	// cancellation), Expr.ExecuteCtx returns the rounded histogram
-	// estimate in ExecStats.Result with ExecStats.Degraded set and the
-	// typed cause in ExecStats.DegradedBy, and a nil error. Execution
-	// *failures* (a contained panic, ErrExecutionFailed) still error:
-	// degradation is for resource policy, not for masking bugs.
-	DegradeToEstimate bool
 }
 
 func (c *Config) fill() error {
@@ -389,9 +364,6 @@ func (c *Config) fill() error {
 	}
 	if c.Buckets < 1 {
 		return fmt.Errorf("%w: Buckets must be ≥ 1, got %d", ErrBadConfig, c.Buckets)
-	}
-	if c.QueryTimeout < 0 {
-		return fmt.Errorf("%w: QueryTimeout must be ≥ 0, got %v", ErrBadConfig, c.QueryTimeout)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package pathsel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 
@@ -39,9 +38,8 @@ type QueryPlan struct {
 	dp *exec.DagPlan
 }
 
-// ExecStats reports an executed query: the plan that ran, what the
-// execution layer measured running it, or the degraded answer given
-// instead.
+// ExecStats reports an executed query: the plan that ran and what the
+// execution layer measured running it.
 type ExecStats struct {
 	// Plan is the strategy that was executed.
 	Plan QueryPlan
@@ -53,16 +51,11 @@ type ExecStats struct {
 	// reports no intermediates and Work 0) and the work-stealing
 	// scheduler's activity (Sched, all zero when no step ran in parallel).
 	exec.Stats
-	// Degraded marks a partial result: the query was rejected by the
-	// admission gate or killed mid-flight under Config.DegradeToEstimate,
-	// and Result holds the rounded histogram estimate instead of the
-	// exact selectivity. Every other field of Stats is zero — the degraded
-	// answer did not (or did not finish) touching the graph.
+	// Degraded is never set: ExecuteCtx answers a refused or killed query
+	// with an error, never with its estimate, and a caller that answers
+	// the estimate instead (internal/serve) marks that answer itself. The
+	// field stays for the benchmark harness, which reads it.
 	Degraded bool
-	// DegradedBy is the typed cause behind a degraded result
-	// (ErrAdmissionDenied, ErrDeadlineExceeded, ErrBudgetExceeded, or
-	// ErrCancelled); nil when Degraded is false.
-	DegradedBy error
 }
 
 // queryPlan is the QueryPlan view of a plan — the one rendering of what
@@ -91,18 +84,12 @@ func queryPlan(dp *exec.DagPlan) QueryPlan {
 // underestimate and then be caught anyway by the runtime budget check.
 const admissionBytesPerPair = 8
 
-// admit is the cost-based admission gate: it prices the chosen plan with
-// the same histogram the planner used and rejects the query before any
-// graph access when the estimated cost exceeds Config.MaxPlanCost, or
-// when the projected peak relation size (the plan's estimated
-// intermediate volume or the query's own estimated selectivity,
-// whichever is larger, at admissionBytesPerPair) exceeds
-// Config.MaxResultBytes.
+// admit is the admission gate on the library's own budget: it rejects
+// the query before any graph access when the projected peak relation
+// size (the plan's estimated intermediate volume or the query's own
+// estimated selectivity, whichever is larger, at admissionBytesPerPair)
+// exceeds Config.MaxResultBytes.
 func (e *Estimator) admit(plan QueryPlan, finalEst float64) error {
-	if e.cfg.MaxPlanCost > 0 && plan.EstimatedCost > e.cfg.MaxPlanCost {
-		return fmt.Errorf("%w: estimated plan cost %g exceeds MaxPlanCost %g",
-			ErrAdmissionDenied, plan.EstimatedCost, e.cfg.MaxPlanCost)
-	}
 	if e.cfg.MaxResultBytes > 0 {
 		proj := int64(math.Ceil(math.Max(plan.EstimatedCost, finalEst))) * admissionBytesPerPair
 		if proj > e.cfg.MaxResultBytes {
@@ -113,50 +100,23 @@ func (e *Estimator) admit(plan QueryPlan, finalEst float64) error {
 	return nil
 }
 
-// degradable reports whether an abort cause is a resource-policy kill
-// that Config.DegradeToEstimate may soften into a histogram answer.
-// Execution failures (contained panics) are excluded: those are bugs to
-// surface, not load to shed.
-func degradable(cause error) bool {
-	return errors.Is(cause, ErrAdmissionDenied) || errors.Is(cause, ErrDeadlineExceeded) ||
-		errors.Is(cause, ErrBudgetExceeded) || errors.Is(cause, ErrCancelled)
-}
-
-// degrade resolves a rejected or killed query: under
-// Config.DegradeToEstimate (and a degradable cause) it answers with the
-// rounded histogram estimate, marked Degraded with the typed cause;
-// otherwise the cause propagates as the error. The estimate is the one
-// Compile made, so a compiled RPQ degrades to its compile-time estimate.
-func (e *Estimator) degrade(x *Expr, cause error) (ExecStats, error) {
-	if !e.cfg.DegradeToEstimate || !degradable(cause) {
-		return ExecStats{Plan: x.plan}, cause
-	}
-	r := max(0, int64(math.Round(x.estimate)))
-	return ExecStats{Plan: x.plan, Stats: exec.Stats{Result: r}, Degraded: true, DegradedBy: cause}, nil
-}
-
 // execute runs one compiled query against the estimator's (possibly nil)
-// segment cache — the one path every execution takes:
-// per-query deadline and canceller, Compile's plan, admission gate, run,
-// stats. It plans nothing: the plan that runs is the one Compile made
-// against the cache as it was then. It runs on e's CSR, the graph Build
-// froze and counted, so the cache, the exact answers and every execution
-// describe one graph whatever the Graph it came from has since become.
-// The canceller carries ctx into every kernel, and an already-dead ctx
-// never touches the graph. Only the answer's counters go into ExecStats,
-// so the executor is never asked to keep the result relation
-// (exec.Options.KeepResult stays unset): it counts the final step where it
-// can and releases what it had to build.
+// segment cache — the one path every execution takes: canceller,
+// admission gate, Compile's plan, stats. It plans nothing: the plan that
+// runs is the one Compile made against the cache as it was then. It runs
+// on e's CSR, the graph Build froze and counted, so the cache, the exact
+// answers and every execution describe one graph whatever the Graph it
+// came from has since become. The canceller carries ctx into every
+// kernel, and an already-dead ctx never touches the graph. A refusal or
+// a kill is an error, with the plan beside it. Only the answer's counters
+// go into ExecStats, so the executor is never asked to keep the result
+// relation (exec.Options.KeepResult stays unset): it counts the final
+// step where it can and releases what it had to build.
 func (e *Estimator) execute(ctx context.Context, x *Expr) (ExecStats, error) {
-	if e.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.QueryTimeout)
-		defer cancel()
-	}
 	canc, release := exec.NewCancellerContext(ctx)
 	defer release()
 	if err := e.admit(x.plan, x.estimate); err != nil {
-		return e.degrade(x, err)
+		return ExecStats{Plan: x.plan}, err
 	}
 	opt := exec.Options{
 		DensityThreshold: e.cfg.DensityThreshold,
@@ -168,7 +128,7 @@ func (e *Estimator) execute(ctx context.Context, x *Expr) (ExecStats, error) {
 	}
 	_, st, err := exec.Run(e.csr, x.plan.dp, opt)
 	if err != nil {
-		return e.degrade(x, translateExecErr(err))
+		return ExecStats{Plan: x.plan}, translateExecErr(err)
 	}
 	return ExecStats{Plan: x.plan, Stats: st}, nil
 }

@@ -145,9 +145,6 @@ func TestTypedSentinels(t *testing.T) {
 	if _, err := Build(gr, Config{MaxPathLength: 0, Buckets: 4}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Build k=0: %v, want ErrBadConfig", err)
 	}
-	if _, err := Build(gr, Config{MaxPathLength: 2, Buckets: 4, QueryTimeout: -time.Second}); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("Build negative timeout: %v, want ErrBadConfig", err)
-	}
 	if _, err := GenerateDataset("no-such-dataset", 1, 1); !errors.Is(err, ErrUnknownDataset) {
 		t.Errorf("GenerateDataset unknown: %v, want ErrUnknownDataset", err)
 	}
@@ -183,70 +180,63 @@ func TestExecuteCtxPreCancelled(t *testing.T) {
 }
 
 // TestQueryTimeout kills a query mid-flight with an injected per-step
-// delay and pins both outcomes: the typed error, and — under
-// DegradeToEstimate — the degraded histogram answer.
+// delay under a context deadline: the typed error with the plan beside
+// it, no estimate in Result, and every relation handed back.
 func TestQueryTimeout(t *testing.T) {
 	faultinject.Install(faultinject.NewInjector(faultinject.Rule{
 		Site: "exec.step", Action: faultinject.ActDelay, Delay: 10 * time.Millisecond,
 	}))
 	defer faultinject.Uninstall()
 
-	e := robustEstimator(t, Config{Workers: 2, QueryTimeout: 3 * time.Millisecond})
-	if _, err := executeQuery(e, "a/b/a"); !errors.Is(err, ErrDeadlineExceeded) {
+	e := robustEstimator(t, Config{Workers: 2})
+	x, err := e.Compile("a/b/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Millisecond)
+	defer cancel()
+	st, err := x.ExecuteCtx(ctx)
+	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("timed-out query: %v, want ErrDeadlineExceeded", err)
+	}
+	if st.Result != 0 || st.Degraded || st.Plan.Description != x.Plan().Description {
+		t.Fatalf("timed-out query answered %+v, want its plan and no result", st)
 	}
 	if n := e.pool.InUse(); n != 0 {
 		t.Fatalf("pool has %d relations checked out after timeout", n)
 	}
+}
 
-	e.cfg.DegradeToEstimate = true
-	st, err := executeQuery(e, "a/b/a")
-	if err != nil {
-		t.Fatalf("degraded query errored: %v", err)
-	}
-	if !st.Degraded || !errors.Is(st.DegradedBy, ErrDeadlineExceeded) {
-		t.Fatalf("degraded stats = %+v, want Degraded by ErrDeadlineExceeded", st)
-	}
-	want, err := e.Estimate("a/b/a")
+// TestAdmissionGate pins the MaxResultBytes size projection: a query
+// whose histogram-projected peak relation fits the budget runs exactly,
+// and one that would outgrow it is refused with ErrAdmissionDenied before
+// any graph access — an error with the plan beside it, never an estimate
+// in Result.
+func TestAdmissionGate(t *testing.T) {
+	e := robustEstimator(t, Config{Workers: 1, MaxResultBytes: admissionTestBudget})
+	want, err := e.TrueSelectivity("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := float64(st.Result) - want; d > 0.5 || d < -0.5 {
-		t.Fatalf("degraded Result = %d, want rounded estimate of %f", st.Result, want)
+	if st, err := executeQuery(e, "a"); err != nil || st.Result != want {
+		t.Fatalf("single-label query: %+v, %v; want the exact %d", st, err, want)
 	}
-	if n := e.pool.InUse(); n != 0 {
-		t.Fatalf("pool has %d relations checked out after degraded timeout", n)
-	}
-}
-
-func TestAdmissionGate(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 1, MaxPlanCost: 0.5})
-	// Single-label queries have no join steps (estimated cost 0) and must
-	// pass the plan-cost gate; multi-label queries on this dense graph
-	// estimate far above 0.5 and must be refused without execution.
-	if _, err := executeQuery(e, "a"); err != nil {
-		t.Fatalf("single-label query refused: %v", err)
-	}
-	_, err := executeQuery(e, "a/b/a")
+	st, err := executeQuery(e, "a/b/a")
 	if !errors.Is(err, ErrAdmissionDenied) {
 		t.Fatalf("expensive query: %v, want ErrAdmissionDenied", err)
 	}
-
-	e.cfg.DegradeToEstimate = true
-	st, err := executeQuery(e, "a/b/a")
-	if err != nil {
-		t.Fatalf("degraded admission errored: %v", err)
-	}
-	if !st.Degraded || !errors.Is(st.DegradedBy, ErrAdmissionDenied) {
-		t.Fatalf("degraded stats = %+v, want Degraded by ErrAdmissionDenied", st)
-	}
-	if st.Work != 0 || len(st.Intermediates) != 0 {
-		t.Fatalf("admission-refused query did work: %+v", st)
+	if st.Result != 0 || st.Degraded || st.Work != 0 || len(st.Intermediates) != 0 || st.Plan.Description == "" {
+		t.Fatalf("admission-refused query answered %+v, want its plan and nothing else", st)
 	}
 	if n := e.pool.InUse(); n != 0 {
 		t.Fatalf("pool has %d relations checked out after admission denials", n)
 	}
 }
+
+// admissionTestBudget is a MaxResultBytes the robust graph's single
+// labels fit, at admission and at runtime, and its joins' projections do
+// not.
+const admissionTestBudget = 1 << 16
 
 func TestResultByteBudget(t *testing.T) {
 	e := robustEstimator(t, Config{Workers: 2, MaxResultBytes: 64})
@@ -263,10 +253,9 @@ func TestResultByteBudget(t *testing.T) {
 
 // TestExecuteQueryPanicContainment injects a worker panic into a sharded
 // join step through the public API: the query must come back as a typed
-// ErrExecutionFailed — never a crash — and must not degrade (panics are
-// bugs, not load).
+// ErrExecutionFailed — never a crash.
 func TestExecuteQueryPanicContainment(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 4, DegradeToEstimate: true})
+	e := robustEstimator(t, Config{Workers: 4})
 	inj := faultinject.NewInjector(faultinject.Rule{
 		Site: "exec.shard", Skip: 1, Count: 1, Action: faultinject.ActPanic,
 		PanicValue: "injected shard failure",
@@ -291,10 +280,10 @@ func TestExecuteQueryPanicContainment(t *testing.T) {
 	}
 }
 
-// The pool hygiene of concurrent executions: a server fans a /batch out
-// as concurrent ExecuteCtx calls on one estimator, so the refusals, the
-// policy kills and the contained panics below run beside sibling
-// queries, and every one of them must hand its relations back.
+// The pool hygiene of concurrent executions: a server runs its concurrent
+// requests as concurrent ExecuteCtx calls on one estimator, so the
+// refusals, the policy kills and the contained panics below run beside
+// sibling queries, and every one of them must hand its relations back.
 
 // TestConcurrentExecutionsCancelled runs a workload under a cancelled
 // context on four goroutines: every entry is refused with ErrCancelled,
@@ -322,11 +311,11 @@ func TestConcurrentExecutionsCancelled(t *testing.T) {
 }
 
 // TestConcurrentExecutionsAdmissionIsolation pins that a per-query
-// policy kill takes none of its concurrent siblings with it: cheap
-// queries answer exactly, expensive ones carry their own
-// ErrAdmissionDenied.
+// refusal by the MaxResultBytes projection takes none of its concurrent
+// siblings with it: cheap queries answer exactly, expensive ones carry
+// their own ErrAdmissionDenied.
 func TestConcurrentExecutionsAdmissionIsolation(t *testing.T) {
-	e := robustEstimator(t, Config{Workers: 2, MaxPlanCost: 0.5})
+	e := robustEstimator(t, Config{Workers: 2, MaxResultBytes: admissionTestBudget})
 	queries := []string{"a", "a/b/a", "b", "b/a/b", "a/b", "b/b"}
 	res, err := executeBatch(context.Background(), e, queries, 4)
 	if err != nil {

@@ -278,15 +278,16 @@ func (x *Expr) Plan() QueryPlan { return x.plan }
 // query mid-flight — the abort reaches every join-step worker through
 // the execution layer's cooperative flag within a bounded amount of
 // kernel work, pooled relations are released, and the call returns
-// ErrCancelled or ErrDeadlineExceeded. The resource-policy knobs apply
-// on top: Config.QueryTimeout as a per-query deadline, the cost-based
-// admission gate (MaxPlanCost, MaxResultBytes), the runtime byte budget,
-// and DegradeToEstimate turning a rejected or killed query into a
-// marked histogram answer.
+// ErrCancelled or ErrDeadlineExceeded. Config.MaxResultBytes applies on
+// top, twice: its size projection refuses a query before any graph
+// access (ErrAdmissionDenied), and its runtime budget kills one whose
+// relation outgrows it (ErrBudgetExceeded). Every refusal or kill is an
+// error, never an estimate in Result: a caller that would rather answer
+// the estimate (internal/serve under DegradeToEstimate) does so itself.
 //
 // Concurrent calls share the estimator's thread-safe segment cache and
 // relation pool, and each answers exactly as it would alone: a workload
-// is many calls (internal/serve's /batch runs them as scheduler tasks),
+// is many calls (internal/serve's /batch runs them one after another),
 // and only the split of cache hits and misses between its queries
 // depends on their interleaving.
 func (x *Expr) ExecuteCtx(ctx context.Context) (ExecStats, error) {

@@ -751,6 +751,19 @@ var layerRules = []rule{
 		bad := forbidUses(m, modulePath+"/internal/bitset", []string{"HybridRelation.ReverseInto"}, outsideBench, nil)
 		return append(bad, forbidUses(m, modulePath+"/internal/graph", []string{"CSR.PredecessorOperand"}, outsideBench, nil)...)
 	}},
+	{"the server decides what answers the estimate", func(m *module) []string {
+		// pathsel executes and reports: a refused or killed query is an
+		// error, never an estimate in ExecStats. Whether a query answers
+		// its estimate instead — brownout, the plan-cost gate, a deadline,
+		// degradation — is internal/serve's execute stage alone, which
+		// hands the cause to its accounting itself: outside the frozen
+		// bench/, which reads it, no non-test file reads or writes
+		// ExecStats.Degraded, and no package but internal/serve declares
+		// degradable.
+		outsideBench := func(f *file) bool { return !under(f.name, "bench") }
+		bad := forbidUses(m, modulePath+"/pathsel", []string{"ExecStats.Degraded"}, outsideBench, nil)
+		return append(bad, forbidDecls(m, []string{"degradable"}, "internal/serve")...)
+	}},
 }
 
 // An option is an exported field of an exported struct type whose name
