@@ -15,7 +15,7 @@
 //	serveload ... -rate 500 -arrival onoff -burst-on 50ms -burst-off 150ms # bursty ON/OFF arrivals
 //	serveload ... -rate 500 -arrival gamma -gamma-shape 0.3                # clumped Gamma arrivals
 //	serveload ... -retries 2 -retry-base 5ms                               # retry sheds, honoring Retry-After
-//	serveload ... -rpq                                                     # RPQ-pattern pool against /query?pattern=
+//	serveload ... -rpq                                                     # RPQ-pattern pool against /query?q=
 //	serveload ... -batch 16                                                # group arrivals into POST /batch requests
 //	serveload ... -json report.json                                        # machine-readable report
 //

@@ -222,7 +222,7 @@ func ReadSynopsis(in io.Reader) ([]string, *PathHistogram, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ord, err := orderingFromMethod(method, rank, k)
+	ord, err := ordering.ForRanking(method, rank, k)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -246,19 +246,4 @@ func ReadSynopsis(in io.Reader) ([]string, *PathHistogram, error) {
 		return nil, nil, err
 	}
 	return names, ph, nil
-}
-
-// orderingFromMethod reconstructs an ordering rule from its method name
-// and a ranking.
-func orderingFromMethod(method string, rank *ordering.Ranking, k int) (ordering.Ordering, error) {
-	switch {
-	case strings.HasPrefix(method, "num-"):
-		return ordering.NewNumerical(rank, k), nil
-	case strings.HasPrefix(method, "lex-"):
-		return ordering.NewLexicographic(rank, k), nil
-	case strings.HasPrefix(method, "sum-"): // MethodSumBased among them
-		return ordering.NewSumBased(rank, k), nil
-	default:
-		return nil, fmt.Errorf("core: unknown ordering method %q", method)
-	}
 }

@@ -208,20 +208,6 @@ func TestEstimatePrefixCore(t *testing.T) {
 	}
 }
 
-func TestOrderingFromMethodValidation(t *testing.T) {
-	rank := ordering.AlphabeticalRanking([]string{"a", "b", "c"})
-	if _, err := orderingFromMethod("bogus", rank, 2); err == nil {
-		t.Fatal("unknown method should error")
-	}
-	ord, err := orderingFromMethod("sum-id", rank, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ord.(*ordering.SumBased); !ok {
-		t.Fatal("sum-* should reconstruct a SumBased ordering")
-	}
-}
-
 // TestSynopsisAtTheBounds saves and loads the largest shapes the bounds
 // accept — the widest vocabulary at the longest k whose domain fits int64,
 // two labels at k = maxK, a name of maxName bytes — as one-bucket

@@ -160,7 +160,9 @@ type treeCell struct {
 // leaf beats any equal-cost join (falling back to zig-zag when linear
 // wins), and among equal splits or starts the lowest index wins. The
 // linear search is the same program with the cached probe and the splits
-// switched off, pricing only the whole path's leaves, and keeps no cells.
+// switched off, pricing only the whole path's leaves, and keeps no cells;
+// dropping the probe here is the one place a planner's cache view is
+// ignored (NewPlanner binds it whenever there is a cache).
 //
 // Segments are visited right end ascending, left end descending, which
 // makes every leaf cost one addition: the plan starting at s on p[i:j)

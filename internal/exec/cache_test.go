@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitset"
@@ -10,26 +11,31 @@ import (
 	"repro/internal/relcache"
 )
 
-// TestNewPlannerSeesTheCacheOnlyWhenBushy pins NewPlanner's binding: no
-// cache view without a cache or without bushy plans — only the bushy DP
-// consults one — and with both, a view that answers what the cache holds
-// now, before and after a segment is published.
-func TestNewPlannerSeesTheCacheOnlyWhenBushy(t *testing.T) {
-	est := EstimatorFunc(func(paths.Path) float64 { return 1 })
-	cache := relcache.New(relcache.Options{})
-	for _, pl := range []Planner{NewPlanner(est, nil, false), NewPlanner(est, nil, true), NewPlanner(est, cache, false)} {
-		if pl.Cached != nil {
-			t.Fatal("a planner without a cache or without bushy plans sees a cache")
-		}
-	}
-	pl := NewPlanner(est, cache, true)
-	p := paths.Path{0, 1}
-	if pl.Cached == nil || pl.Cached(p) || pl.Cached(p) != cache.Contains(p) {
-		t.Fatal("a bushy planner over an empty cache does not agree with it")
+// TestOnlyTheBushySearchSeesTheCache pins the one bushy gate,
+// segTable.chooseTree's: NewPlanner binds a view of any cache it is given
+// — one that answers what the cache holds now, before and after a segment
+// is published — and a linear search ignores it: over a cache holding the
+// whole path it plans exactly as a planner bound to none, tree, Cost and
+// Costs, while the bushy search prices that segment at 0.
+func TestOnlyTheBushySearchSeesTheCache(t *testing.T) {
+	est := EstimatorFunc(func(p paths.Path) float64 { return float64(len(p) + p[0]) })
+	p := paths.Path{0, 1, 2}
+	bare, cache := NewPlanner(est, nil), relcache.New(relcache.Options{})
+	pl := NewPlanner(est, cache)
+	if bare.Cached != nil || pl.Cached == nil || pl.Cached(p) {
+		t.Fatal("a planner sees a cache it was not given, or a segment its cache does not hold")
 	}
 	cache.PutKey(relcache.AppendPath(nil, p), bitset.NewHybrid(4, 0))
-	if !pl.Cached(p) || pl.Cached(paths.Path{1, 0}) || !cache.Contains(p) {
-		t.Fatal("a bushy planner does not see a segment published after it was built")
+	if !pl.Cached(p) || pl.Cached(p[:2]) {
+		t.Fatal("a planner does not see a segment published after it was built")
+	}
+	got, want := pl.Plan(PathDag(p), 0, false), bare.Plan(PathDag(p), 0, false)
+	if !reflect.DeepEqual(got.Tree, want.Tree) || got.Cost != want.Cost || !reflect.DeepEqual(got.Costs, want.Costs) || want.Cost == 0 {
+		t.Fatalf("over a cached path a linear plan is %s at %v %v; with no cache %s at %v %v",
+			got.Describe(), got.Cost, got.Costs, want.Describe(), want.Cost, want.Costs)
+	}
+	if b := pl.Plan(PathDag(p), 0, true); b.Cost != 0 || !reflect.DeepEqual(b.Costs, want.Costs) {
+		t.Fatalf("a bushy plan over a cached path costs %v with costs %v, want 0 and %v", b.Cost, b.Costs, want.Costs)
 	}
 }
 

@@ -45,8 +45,8 @@
 // one lookup of a concrete path, the sum over at most MaxExpansions
 // expansions, the plan's independence-model ResultEst past that.
 // NewPlanner is the planner a
-// caller builds once over its estimator and cache: it sees the cache only
-// under bushy plans, the one search a cached segment can change. A plan
+// caller builds once over its estimator and cache; only a bushy search
+// reads the cache, the one search a cached segment can change. A plan
 // carries its query (PathPlan hand-builds one; a forced start is a leaf),
 // so Run(g, plan, opt) takes nothing else, and reports the actual
 // intermediate sizes: planning quality is measurable end to end.

@@ -52,8 +52,8 @@ type Options struct {
 	// cancellable: the executor consults it at every join step, and its
 	// kernel flag is wired into every compose scratch so even one huge
 	// step aborts with bounded latency. A cancelled execution returns
-	// the canceller's cause (ErrCancelled, ErrDeadlineExceeded, or
-	// ErrBudgetExceeded).
+	// the canceller's cause, ErrCancelled or ErrDeadlineExceeded
+	// (ErrBudgetExceeded comes from MaxResultBytes, never a canceller).
 	Cancel *Canceller
 	// MaxResultBytes, when > 0, bounds every relation the execution works
 	// on, priced at clone size (bitset.HybridRelation.CloneMemSize: row

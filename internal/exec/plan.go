@@ -41,12 +41,13 @@ type Planner struct {
 
 // NewPlanner returns the planner a caller builds once over est and the
 // cache it executes against (nil for none), and plans and estimates every
-// query with. Its Cached probes cache.Contains only when there is a cache
-// and bushy is set: only the bushy DP consults cached segments, so any
-// other planner plans as if there were none.
-func NewPlanner(est Estimator, cache *relcache.Cache, bushy bool) Planner {
+// query with. Its Cached probes cache.Contains whenever there is a cache;
+// whether a plan consults it is the search's decision alone
+// (segTable.chooseTree): the bushy DP does, and a linear search plans as
+// if there were none.
+func NewPlanner(est Estimator, cache *relcache.Cache) Planner {
 	pl := Planner{Est: est}
-	if cache != nil && bushy {
+	if cache != nil {
 		pl.Cached = cache.Contains
 	}
 	return pl

@@ -556,69 +556,111 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 	return est, buildCost
 }
 
-// block is one block of a plan being planned: the element interval
-// [lo, hi) — a maximal plain-label run, or one complex element — its run's
-// plan tree (nil for an element) and its estimated size, what a join after
-// it consumes.
-type block struct {
-	lo, hi int
-	tree   *PlanTree
-	est    float64
-}
-
-// Plan plans a compiled query — the one way to plan. The element sequence
-// is decomposed into blocks: maximal plain-label runs — each planned over
+// Plan plans a compiled query — the one way to plan — in one pass over
+// its blocks, left to right: maximal plain-label runs — each planned over
 // its segment table (the cheapest plan tree when bushy, the cheapest
 // zig-zag otherwise), so cached segments, interior starts, and bushy joins
 // all apply inside a run — and single complex elements, costed by their
-// unroll intermediates; then the blocks are folded into the plan's tree
-// (DagPlan.fold). A concrete path is the one-run case, and its tree is
-// exactly the zig-zag/bushy choice over the path. Each block's cost is
-// added as it is planned, then the fold's. n is the vertex universe (join
-// normalization); the DAG must be well-formed (Run checks the plan's copy
-// of it). The plan is decided once, against the Cached view as it is now.
+// unroll intermediates. Each block is chained onto the prefix before it as
+// it is planned: the first block's node, then per block after it a node
+// over the prefix so far. A block one step from the graph — a one-label
+// run, an element that is not unrolled (alternation, wildcard, optional
+// label) — is composed through by a step node: it has no relation of its
+// own, whatever its identity terms, and the step consumes the prefix alone.
+// Any other block is built by its own subtree — a run's tree, an element
+// leaf — and a join node consumes both materialized inputs. A concrete
+// path is the one-run case, and its tree is exactly the zig-zag/bushy
+// choice over the path.
+//
+// The plan's Cost sums the blocks' costs, then the chain's steps — in
+// that order, so steps keeps the latter until the last block is priced;
+// its ResultEst folds the block sizes: size_i = size·est/n (join) + est when
+// the prefix may be empty + size when the block is skippable — the
+// estimator's image of the executor's R_i recurrence. n is the vertex
+// universe (join normalization); the DAG must be well-formed (Run checks
+// the plan's copy of it). The plan is decided once, against the Cached
+// view as it is now.
 func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
 	dp := &DagPlan{Elems: d.Elems}
-	var room [8]block
-	blocks := room[:0]
-	for i := 0; i < len(d.Elems); {
-		b := block{lo: i, hi: i + 1}
-		if e := d.Elems[i]; !e.simple() {
-			var cost float64
-			b.est, cost = pl.elemEst(e, n)
-			dp.Cost += cost
+	// The chain's nodes share one allocation: at most an element leaf and
+	// a chain node per block, and a block spans at least one element.
+	var nodes []PlanTree
+	node := func(t PlanTree) *PlanTree {
+		if nodes == nil {
+			nodes = make([]PlanTree, 0, 2*len(d.Elems))
+		}
+		nodes = append(nodes, t)
+		return &nodes[len(nodes)-1]
+	}
+	steps := make([]float64, 0, 8) // each chain step's inputs
+	size, eps := 0.0, true
+	for lo, hi := 0, 1; lo < len(d.Elems); lo, hi = hi, hi+1 {
+		e := &d.Elems[lo]
+		var u *PlanTree // the block's run tree; nil for an element
+		var est, cost float64
+		if !e.simple() {
+			est, cost = pl.elemEst(*e, n)
 		} else {
-			for b.hi < len(d.Elems) && d.Elems[b.hi].simple() {
-				b.hi++
+			for hi < len(d.Elems) && d.Elems[hi].simple() {
+				hi++
 			}
-			run := make(paths.Path, b.hi-i)
+			run := make(paths.Path, hi-lo)
 			for x := range run {
-				run[x] = d.Elems[i+x].Labels[0]
+				run[x] = d.Elems[lo+x].Labels[0]
 			}
-			tree, cost, costs := pl.segments(run).chooseTree(bushy, pl.Cached, i)
-			b.tree = tree
+			var costs []float64
+			u, cost, costs = pl.segments(run).chooseTree(bushy, pl.Cached, lo)
 			if len(run) == len(d.Elems) {
 				dp.Costs = costs
 			} else {
-				b.est = pl.Est.Estimate(run)
+				est = pl.Est.Estimate(run)
 			}
-			dp.Cost += cost
 		}
-		blocks = append(blocks, b)
-		i = b.hi
+		dp.Cost += cost
+		skip := u == nil && e.skippable()
+		through := hi-lo == 1 && e.MaxRep == 1
+		if u == nil && (lo == 0 || !through) {
+			u = node(PlanTree{Lo: lo, Hi: hi, Start: -1})
+		}
+		if lo == 0 {
+			dp.Tree, size, eps = u, est, skip
+			continue
+		}
+		if through {
+			dp.Tree = node(PlanTree{Lo: 0, Hi: hi, Start: -1, Left: dp.Tree})
+			steps = append(steps, size)
+		} else {
+			dp.Tree = node(PlanTree{Lo: 0, Hi: hi, Start: -1, Left: dp.Tree, Right: u})
+			steps = append(steps, size+est)
+		}
+		next := 0.0
+		if n > 0 {
+			next = size * est / float64(n)
+		}
+		if eps {
+			next += est
+		}
+		if skip {
+			next += size
+		}
+		size, eps = next, eps && skip
 	}
-	dp.fold(blocks, n)
+	for _, c := range steps {
+		dp.Cost += c
+	}
+	dp.ResultEst = size
 	return dp
 }
 
-// Estimate returns the estimated size of query d, which Plan planned as
-// dp: one lookup of the path when d is a concrete path; otherwise the sum,
-// in Expansions' order, of the estimates of d's concrete expansions when
-// there are at most MaxExpansions of them, and dp.ResultEst, the fold's
+// Estimate returns the estimated size of the query Plan planned as dp:
+// one lookup of the path when it is a concrete path; otherwise the sum,
+// in Expansions' order, of the estimates of its concrete expansions when
+// there are at most MaxExpansions of them, and dp.ResultEst, the chain's
 // independence-model size, when there are more. Plan never asks for the
 // whole query — a caller may plan one label beyond its estimator's reach —
 // so this is the one call that does.
-func (pl Planner) Estimate(d *RPQDag, dp *DagPlan) float64 {
+func (pl Planner) Estimate(dp *DagPlan) float64 {
+	d := RPQDag{Elems: dp.Elems}
 	if dp.Costs != nil {
 		p, _ := d.ConcretePath()
 		return pl.Est.Estimate(p)
@@ -632,62 +674,6 @@ func (pl Planner) Estimate(d *RPQDag, dp *DagPlan) float64 {
 		est += pl.Est.Estimate(p)
 	}
 	return est
-}
-
-// fold chains the blocks into the plan's tree — the first block's node,
-// then per block after it a node over the prefix so far — adds the fold's
-// steps to the plan's cost and sets ResultEst from the block sizes:
-// size_i = size·est/n (join) + est when the prefix may be empty + size when
-// the block is skippable — the estimator's image of the executor's R_i
-// recurrence. A block one step from the graph —
-// a one-label run, an element that is not unrolled (alternation, wildcard,
-// optional label) — is composed through by a step node: it has no relation
-// of its own, whatever its identity terms, and the step consumes the
-// prefix alone. Any other block is built by its own subtree — a run's
-// tree, an element leaf — and a join node consumes both materialized
-// inputs. The nodes it makes share one allocation.
-func (dp *DagPlan) fold(blocks []block, n int) {
-	var nodes []PlanTree // at most an element leaf and a chain node per block
-	node := func(t PlanTree) *PlanTree {
-		if nodes == nil {
-			nodes = make([]PlanTree, 0, 2*len(blocks))
-		}
-		nodes = append(nodes, t)
-		return &nodes[len(nodes)-1]
-	}
-	size, eps := 0.0, true
-	for i, b := range blocks {
-		e := &dp.Elems[b.lo]
-		skip := b.tree == nil && e.skippable()
-		through := b.hi-b.lo == 1 && e.MaxRep == 1
-		u := b.tree
-		if u == nil && (i == 0 || !through) {
-			u = node(PlanTree{Lo: b.lo, Hi: b.hi, Start: -1})
-		}
-		if i == 0 {
-			dp.Tree, size, eps = u, b.est, skip
-			continue
-		}
-		if through {
-			dp.Tree = node(PlanTree{Lo: 0, Hi: b.hi, Start: -1, Left: dp.Tree})
-			dp.Cost += size
-		} else {
-			dp.Tree = node(PlanTree{Lo: 0, Hi: b.hi, Start: -1, Left: dp.Tree, Right: u})
-			dp.Cost += size + b.est
-		}
-		next := 0.0
-		if n > 0 {
-			next = size * b.est / float64(n)
-		}
-		if eps {
-			next += b.est
-		}
-		if skip {
-			next += size
-		}
-		size, eps = next, eps && skip
-	}
-	dp.ResultEst = size
 }
 
 // elem builds one complex element's relation U: adopted whole from the

@@ -396,7 +396,6 @@ func RunTables12() *Tables12Result {
 	names := []string{"1", "2", "3"}
 	freq := []int64{20, 100, 80}
 	k := 2
-	alph := ordering.AlphabeticalRanking(names)
 	card := ordering.CardinalityRanking(freq, names)
 
 	res := &Tables12Result{
@@ -419,14 +418,8 @@ func RunTables12() *Tables12Result {
 		}
 		res.SummedRanks[p.Key()] = sum
 	}
-	ords := map[string]ordering.Ordering{
-		ordering.MethodNumAlph:  ordering.NewNumerical(alph, k),
-		ordering.MethodNumCard:  ordering.NewNumerical(card, k),
-		ordering.MethodLexAlph:  ordering.NewLexicographic(alph, k),
-		ordering.MethodLexCard:  ordering.NewLexicographic(card, k),
-		ordering.MethodSumBased: ordering.NewSumBased(card, k),
-	}
-	for name, ord := range ords {
+	for _, name := range ordering.PaperMethods() {
+		ord, _ := ordering.ForLabels(name, names, freq, k) // a paper method always constructs
 		row := make([]string, ord.Size())
 		for idx := int64(0); idx < ord.Size(); idx++ {
 			row[idx] = ord.Path(idx).Key()

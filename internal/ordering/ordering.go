@@ -2,6 +2,7 @@ package ordering
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/combinat"
 	"repro/internal/graph"
@@ -91,25 +92,41 @@ func PaperMethods() []string {
 	return []string{MethodNumAlph, MethodNumCard, MethodLexAlph, MethodLexCard, MethodSumBased}
 }
 
-// ForGraph constructs the named ordering method for a graph: rankings are
-// derived from the graph's label names (alph) or label frequencies, a tie
-// broken by name (card).
-// Sum-based always uses cardinality ranking, as in the paper.
+// ForGraph is ForLabels over g's label names and frequencies.
 func ForGraph(method string, g *graph.CSR, k int) (Ordering, error) {
-	alph := func() *Ranking { return AlphabeticalRanking(g.LabelNames()) }
-	card := func() *Ranking { return CardinalityRanking(g.LabelFrequencies(), g.LabelNames()) }
+	return ForLabels(method, g.LabelNames(), g.LabelFrequencies(), k)
+}
+
+// ForLabels constructs the named ordering method, one of PaperMethods, for
+// a vocabulary: its ranking is derived from the label names (alph) or the
+// label frequencies, a tie broken by name (card). Sum-based always uses
+// cardinality ranking, as in the paper.
+func ForLabels(method string, names []string, freq []int64, k int) (Ordering, error) {
 	switch method {
-	case MethodNumAlph:
-		return NewNumerical(alph(), k), nil
-	case MethodNumCard:
-		return NewNumerical(card(), k), nil
-	case MethodLexAlph:
-		return NewLexicographic(alph(), k), nil
-	case MethodLexCard:
-		return NewLexicographic(card(), k), nil
-	case MethodSumBased:
-		return NewSumBased(card(), k), nil
-	default:
-		return nil, fmt.Errorf("ordering: unknown method %q", method)
+	case MethodNumAlph, MethodLexAlph:
+		return ForRanking(method, AlphabeticalRanking(names), k)
+	case MethodNumCard, MethodLexCard, MethodSumBased:
+		return ForRanking(method, CardinalityRanking(freq, names), k)
 	}
+	return nil, unknownMethod(method)
+}
+
+// ForRanking constructs the rule family a method name starts with —
+// "num-", "lex-" or "sum-", as every serializable ordering's Name does —
+// over a given ranking: how a stored synopsis, which keeps its ranking,
+// rebuilds its ordering.
+func ForRanking(method string, rank *Ranking, k int) (Ordering, error) {
+	switch {
+	case strings.HasPrefix(method, "num-"):
+		return NewNumerical(rank, k), nil
+	case strings.HasPrefix(method, "lex-"):
+		return NewLexicographic(rank, k), nil
+	case strings.HasPrefix(method, "sum-"): // MethodSumBased among them
+		return NewSumBased(rank, k), nil
+	}
+	return nil, unknownMethod(method)
+}
+
+func unknownMethod(method string) error {
+	return fmt.Errorf("ordering: unknown ordering method %q", method)
 }

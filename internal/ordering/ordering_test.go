@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -244,6 +245,34 @@ func TestForGraph(t *testing.T) {
 	}
 	if _, err := ForGraph("nonsense", g, 3); err == nil {
 		t.Fatal("unknown method should error")
+	}
+}
+
+// TestForRankingValidation pins the two constructors' reading of a method
+// name: ForRanking takes the rule family by its prefix, whatever ranking a
+// synopsis stored, ForLabels only the paper's five names, and both refuse
+// any other name with the text a loaded synopsis's refusal is matched by.
+func TestForRankingValidation(t *testing.T) {
+	rank := AlphabeticalRanking([]string{"a", "b", "c"})
+	ord, err := ForRanking("sum-id", rank, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ord.(*SumBased); !ok {
+		t.Fatal("sum-* should construct a SumBased ordering")
+	}
+	for name, construct := range map[string]func(string) error{
+		"ForRanking": func(m string) error { _, err := ForRanking(m, rank, 2); return err },
+		"ForLabels":  func(m string) error { _, err := ForLabels(m, []string{"a", "b"}, []int64{1, 2}, 2); return err },
+	} {
+		for _, m := range []string{"bogus", "", "num"} {
+			if err := construct(m); err == nil || !strings.Contains(err.Error(), "unknown ordering method") {
+				t.Errorf("%s(%q) = %v, want an unknown ordering method", name, m, err)
+			}
+		}
+	}
+	if _, err := ForLabels("sum-id", []string{"a"}, []int64{1}, 2); err == nil {
+		t.Error("ForLabels constructs a method that is not the paper's")
 	}
 }
 

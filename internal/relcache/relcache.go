@@ -86,7 +86,7 @@
 // warm workload's concurrent readers share every shard — and only Put
 // takes the write side. Lock acquisitions try the uncontended fast path
 // first and fall back to a timed wait whose duration feeds per-shard
-// lock-wait tallies (Stats.LockWaitNs, Stats.ShardLockWaitNs), so shard
+// lock-wait tallies (summed as Stats.LockWaitNs), so shard
 // contention is observable in production stats, not just in mutex
 // profiles.
 //
@@ -151,10 +151,6 @@ type Stats struct {
 	// locks (read and write side), summed across shards. Zero under an
 	// uncontended workload — the fast path never starts a timer.
 	LockWaitNs int64
-	// ShardLockWaitNs breaks LockWaitNs down by shard, exposing skew: one
-	// hot shard (a popular segment hashing with its neighbors) shows up
-	// here while the aggregate still looks tame.
-	ShardLockWaitNs []int64
 }
 
 // entry is one cached relation. used is the recency stamp — the cache
@@ -474,7 +470,6 @@ func (c *Cache) Stats() Stats {
 		Rejected:  c.rejected.Load(),
 		Shards:    len(c.shards),
 	}
-	st.ShardLockWaitNs = make([]int64, len(c.shards))
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.rlock()
@@ -482,9 +477,7 @@ func (c *Cache) Stats() Stats {
 		sh.mu.RUnlock()
 		st.Bytes += sh.bytes.Load()
 		st.MaxBytes += sh.cap
-		w := sh.waitNs.Load()
-		st.ShardLockWaitNs[i] = w
-		st.LockWaitNs += w
+		st.LockWaitNs += sh.waitNs.Load()
 	}
 	return st
 }

@@ -120,21 +120,9 @@ type LatencySummary struct {
 
 // LoadReport is one load run's outcome.
 type LoadReport struct {
-	// Queries is the trace length; the outcome counters below partition
-	// it.
-	Queries    int   `json:"queries"`
-	OK         int64 `json:"ok"`
-	Degraded   int64 `json:"degraded"`
-	BadRequest int64 `json:"bad_request"`
-	Rejected   int64 `json:"rejected"`
-	Overload   int64 `json:"overload"`
-	Timeout    int64 `json:"timeout"`
-	Failed     int64 `json:"failed"`
-	// Shed counts arrivals whose final answer was an overload shed (429
-	// + code "overloaded" + Retry-After) — kept apart from Rejected,
-	// the per-query cost gate, because sheds say "the server was busy"
-	// while rejections say "the query was expensive".
-	Shed int64 `json:"shed"`
+	// Queries is the trace length; the outcome counters partition it.
+	Queries int `json:"queries"`
+	Outcomes
 	// DegradedBrownout counts the subset of Degraded answered with
 	// degraded_by == "brownout" — load-driven estimates rather than the
 	// query's own resource policy.
@@ -323,14 +311,7 @@ func RunLoad(baseURL string, trace []TimedQuery, opt LoadOptions) (*LoadReport, 
 	close(jobs)
 	wg.Wait()
 
-	rep.OK = counts[outOK]
-	rep.Degraded = counts[outDegraded]
-	rep.BadRequest = counts[outBadRequest]
-	rep.Rejected = counts[outRejected]
-	rep.Overload = counts[outOverload]
-	rep.Timeout = counts[outTimeout]
-	rep.Failed = counts[outFailed]
-	rep.Shed = counts[outShed]
+	rep.Outcomes = outcomesOf(func(o outcome) int64 { return counts[o] })
 	rep.ElapsedNs = time.Since(start).Nanoseconds()
 	if rep.ElapsedNs > 0 {
 		rep.QPS = float64(rep.Queries) / (float64(rep.ElapsedNs) / float64(time.Second))

@@ -17,7 +17,7 @@ import (
 	"repro/pathsel"
 )
 
-var updatePolicyWire = flag.Bool("update", false, "rewrite testdata/policy_wire.golden from this tree's behaviour")
+var updateGoldens = flag.Bool("update", false, "rewrite the testdata goldens from this tree's behaviour")
 
 const policyWireGolden = "testdata/policy_wire.golden"
 
@@ -89,7 +89,7 @@ func TestPolicyWireGolden(t *testing.T) {
 		fmt.Fprintf(&got, "counters %s\n", counters)
 	}
 
-	if *updatePolicyWire {
+	if *updateGoldens {
 		if err := os.WriteFile(policyWireGolden, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -212,11 +212,10 @@ func wireByCode(code string) *wireRow {
 	return nil
 }
 
-// Counters is a snapshot of the server's request accounting, reported
-// by /stats and asserted by the end-to-end tests.
-type Counters struct {
-	Requests   int64 `json:"requests"`
-	Batches    int64 `json:"batches"`
+// Outcomes counts answered items by their outcome, one field per counter
+// a wireTable row names; Counters and LoadReport embed it, so the server
+// and the load client report the same fields under the same names.
+type Outcomes struct {
 	OK         int64 `json:"ok"`
 	Degraded   int64 `json:"degraded"`
 	BadRequest int64 `json:"bad_request"`
@@ -224,11 +223,30 @@ type Counters struct {
 	Overload   int64 `json:"overload"` // budget exceeded / cancelled / draining (503)
 	Timeout    int64 `json:"timeout"`  // deadline exceeded (504)
 	Failed     int64 `json:"failed"`   // execution failed (500)
-	// Shed counts requests refused by the overload controller (429 +
-	// Retry-After); BrownoutDegraded counts answers the brownout
-	// controller degraded to estimates (a subset of Degraded). Both stay
-	// zero with the controller disabled.
-	Shed             int64 `json:"shed"`
+	// Shed counts refusals by the overload controller (429 + code
+	// "overloaded" + Retry-After) — kept apart from Rejected, the
+	// per-query cost gate, because a shed says "the server was busy"
+	// while a rejection says "the query was expensive". Zero with the
+	// controller disabled.
+	Shed int64 `json:"shed"`
+}
+
+// outcomesOf lays each outcome's count n(o) out as Outcomes.
+func outcomesOf(n func(o outcome) int64) Outcomes {
+	return Outcomes{
+		OK: n(outOK), Degraded: n(outDegraded), BadRequest: n(outBadRequest), Rejected: n(outRejected),
+		Overload: n(outOverload), Timeout: n(outTimeout), Failed: n(outFailed), Shed: n(outShed),
+	}
+}
+
+// Counters is a snapshot of the server's request accounting, reported
+// by /stats and asserted by the end-to-end tests.
+type Counters struct {
+	Requests int64 `json:"requests"`
+	Batches  int64 `json:"batches"`
+	Outcomes
+	// BrownoutDegraded counts answers the brownout controller degraded to
+	// estimates (a subset of Degraded); zero with the controller disabled.
 	BrownoutDegraded int64 `json:"brownout_degraded"`
 	InFlight         int64 `json:"in_flight"`
 	// Scheduler activity summed over every successfully answered query:
@@ -319,14 +337,7 @@ func (s *Server) Counters() Counters {
 	return Counters{
 		Requests:         s.requests.Load(),
 		Batches:          s.batches.Load(),
-		OK:               s.outcomes[outOK].Load(),
-		Degraded:         s.outcomes[outDegraded].Load(),
-		BadRequest:       s.outcomes[outBadRequest].Load(),
-		Rejected:         s.outcomes[outRejected].Load(),
-		Overload:         s.outcomes[outOverload].Load(),
-		Timeout:          s.outcomes[outTimeout].Load(),
-		Failed:           s.outcomes[outFailed].Load(),
-		Shed:             s.outcomes[outShed].Load(),
+		Outcomes:         outcomesOf(func(o outcome) int64 { return s.outcomes[o].Load() }),
 		BrownoutDegraded: s.brownoutDegraded.Load(),
 		InFlight:         s.inFlight.Load(),
 		SchedTasks:       s.schedTasks.Load(),

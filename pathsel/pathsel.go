@@ -383,7 +383,7 @@ type Estimator struct {
 	cfg   Config
 	cache *relcache.Cache // persistent segment-relation cache; nil unless Config.CacheBytes > 0
 	pool  *exec.RelPool   // shared relation free list; abort paths drain back into it
-	pl    exec.Planner    // the histogram's planner; under a cache and BushyPlans, Compile plans against it
+	pl    exec.Planner    // the histogram's planner, over the cache when there is one
 }
 
 // Build computes the exact selectivity distribution of all label paths up
@@ -411,7 +411,7 @@ func Build(gr *Graph, cfg Config) (*Estimator, error) {
 	if cfg.CacheBytes > 0 {
 		e.cache = relcache.New(relcache.Options{MaxBytes: cfg.CacheBytes, Shards: cfg.CacheShards})
 	}
-	e.pl = exec.NewPlanner(ph, e.cache, cfg.BushyPlans)
+	e.pl = exec.NewPlanner(ph, e.cache)
 	return e, nil
 }
 

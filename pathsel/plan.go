@@ -79,9 +79,10 @@ func queryPlan(dp *exec.DagPlan) QueryPlan {
 
 // admissionBytesPerPair prices one projected vertex pair for the
 // admission gate's size projection: a sparse row entry is a 4-byte id,
-// doubled to absorb row headers and dense-promotion slack. Deliberately
-// conservative — admission may overestimate and reject, never
-// underestimate and then be caught anyway by the runtime budget check.
+// doubled to absorb dense-promotion slack. The projection prices pairs
+// alone, so it can underestimate: the runtime budget prices clone size,
+// which adds a row header per vertex (56 B on 64-bit hosts) before any
+// pair, and a query the gate admits may still end in ErrBudgetExceeded.
 const admissionBytesPerPair = 8
 
 // admit is the admission gate on the library's own budget: it rejects

@@ -232,7 +232,7 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
 	dp := e.pl.Plan(dag, e.csr.NumVertices(), e.cfg.BushyPlans)
-	return &Expr{est: e, pattern: pattern, dag: dag, plan: queryPlan(dp), estimate: e.pl.Estimate(dag, dp)}, nil
+	return &Expr{est: e, pattern: pattern, dag: dag, plan: queryPlan(dp), estimate: e.pl.Estimate(dp)}, nil
 }
 
 // Pattern returns the source pattern.

@@ -751,6 +751,14 @@ var layerRules = []rule{
 		bad := forbidUses(m, modulePath+"/internal/bitset", []string{"HybridRelation.ReverseInto"}, outsideBench, nil)
 		return append(bad, forbidUses(m, modulePath+"/internal/graph", []string{"CSR.PredecessorOperand"}, outsideBench, nil)...)
 	}},
+	{"the ordering-method table lives in internal/ordering", func(m *module) []string {
+		// A method name maps to its rule family and ranking in one place,
+		// ordering.ForLabels and ForRanking (a synopsis's stored ranking):
+		// outside internal/ordering and bench/, which times the rules one
+		// by one, no non-test file calls a rule's constructor.
+		in := func(f *file) bool { return !f.inDir("internal/ordering") && !under(f.name, "bench") }
+		return forbidUses(m, modulePath+"/internal/ordering", []string{"NewNumerical", "NewLexicographic", "NewSumBased"}, in, nil)
+	}},
 	{"the server decides what answers the estimate", func(m *module) []string {
 		// pathsel executes and reports: a refused or killed query is an
 		// error, never an estimate in ExecStats. Whether a query answers
