@@ -257,7 +257,7 @@ func BenchmarkOrderingIndex(b *testing.B) {
 
 // BenchmarkCompile measures what an optimiser pays per query it consults
 // the histogram about — parse, the k(k+1)/2 − 1 segment estimates, the
-// zig-zag spread and the bushy DP — at the paper's k = 6 with sum-based +
+// zig-zag spread and the plan-tree DP — at the paper's k = 6 with sum-based +
 // V-Optimal: the estimate_stream workload's operation, here with
 // allocations counted. An RPQ's estimate also sums the histogram over its
 // expansions: at most 72 of them under rpq, and 9 324 under rpq-wide
@@ -269,7 +269,7 @@ func BenchmarkCompile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: k, Buckets: 1024, BushyPlans: true})
+	est, err := pathsel.Build(g, pathsel.Config{MaxPathLength: k, Buckets: 1024})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -707,7 +707,7 @@ func BenchmarkFoldThrough(b *testing.B) {
 		{"optional", []exec.RPQElem{label, {Labels: []int{1}, MinRep: 0, MaxRep: 1}}},
 		{"label", []exec.RPQElem{alt, label}},
 	} {
-		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices(), false)
+		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices())
 		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
 	}
 }
@@ -734,7 +734,7 @@ func BenchmarkFoldFused(b *testing.B) {
 		{"unrolled", []exec.RPQElem{rep}},
 		{"unrolled-after", []exec.RPQElem{label(1), rep}},
 	} {
-		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices(), false)
+		plan := zero.Plan(&exec.RPQDag{Elems: c.elems}, g.NumVertices())
 		b.Run(c.name, func(b *testing.B) { benchPlan(b, g, pool, plan) })
 	}
 }
@@ -918,7 +918,7 @@ func BenchmarkFoldCached(b *testing.B) {
 	label := func(l int) exec.RPQElem { return exec.RPQElem{Labels: []int{l}, MinRep: 1, MaxRep: 1} }
 	zero := exec.Planner{Est: exec.EstimatorFunc(func(paths.Path) float64 { return 0 })}
 	plan := func(elems []exec.RPQElem) *exec.DagPlan {
-		return zero.Plan(&exec.RPQDag{Elems: elems}, g.NumVertices(), false)
+		return zero.Plan(&exec.RPQDag{Elems: elems}, g.NumVertices())
 	}
 	run := func(b *testing.B, dp *exec.DagPlan, cache *relcache.Cache, hits int) {
 		_, st, err := exec.Run(g, dp, exec.Options{Workers: 1, Pool: pool, Cache: cache})

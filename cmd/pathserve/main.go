@@ -57,7 +57,6 @@ type options struct {
 	buckets int
 
 	workers    int
-	bushy      bool
 	cacheBytes int64
 	shards     int
 
@@ -88,7 +87,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.k, "k", 3, "maximum path length served")
 	fs.IntVar(&o.buckets, "buckets", 64, "histogram bucket budget")
 	fs.IntVar(&o.workers, "workers", 1, "per-query join parallelism (serving saturates cores with request parallelism; raise only for lone heavy queries)")
-	fs.BoolVar(&o.bushy, "bushy", false, "enable bushy plan search")
 	fs.Int64Var(&o.cacheBytes, "cache-bytes", pathsel.DefaultCacheBytes, "persistent relation cache capacity (0 disables)")
 	fs.IntVar(&o.shards, "cache-shards", 0, "relation cache shard count (0 = default)")
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-query deadline (0 = none)")
@@ -143,7 +141,6 @@ func buildServer(o *options) (*serve.Server, *pathsel.Graph, error) {
 		MaxPathLength:  o.k,
 		Buckets:        o.buckets,
 		Workers:        o.workers,
-		BushyPlans:     o.bushy,
 		CacheBytes:     o.cacheBytes,
 		CacheShards:    o.shards,
 		MaxResultBytes: o.maxResultBytes,

@@ -132,37 +132,34 @@ func (t *PlanTree) validate(elems []RPQElem, lo, hi int) {
 }
 
 // treeCell is one DP-table entry: the best estimated cost of building
-// segment [i, j), and how — split < 0 means a linear leaf with the given
-// absolute zig-zag start; otherwise a bushy join at the split position.
+// segment [i, j), and how — split < 0 means a zig-zag leaf with the given
+// absolute start; otherwise a join at the split position.
 type treeCell struct {
 	cost  float64
 	split int
 	start int
 }
 
-// chooseTree returns the cheapest plan for the table's path, the run
+// chooseTree returns the cheapest plan tree for the table's path, the run
 // starting at element at of its query, with its estimated cost and the
-// per-start cost of every zig-zag plan over the whole run: the cheapest
-// zig-zag plan as a single leaf, or — when bushy — the cheapest plan tree,
-// searching every way to split the path into independently built segments
-// joined pairwise on top of the linear space. Arithmetic and cached probes
-// (nil: nothing is cached), no estimator calls.
+// per-start cost of every zig-zag plan over the whole run: it searches
+// every way to split the path into independently built segments joined
+// pairwise, with every zig-zag leaf of every segment among the
+// candidates. Arithmetic and cached probes (nil: nothing is cached), no
+// estimator calls.
 //
 // It is one dynamic program over the path's segments: the best plan for
 // p[i:j) is its cheapest zig-zag leaf or its cheapest split. Cost model: a
 // leaf's cost is its zig-zag plan's (the sum of estimated
 // intermediate-segment selectivities); a join node adds both children's
-// costs plus both children's full-segment estimates, because a bushy join
+// costs plus both children's full-segment estimates, because a join
 // materializes and consumes both inputs (whereas a zig-zag step's
 // right-hand side is a free CSR operand — which is why linear growth wins
 // whenever one side is a single label). A segment cached reports as
 // materialized costs nothing to build. Ties break deterministically: the
-// leaf beats any equal-cost join (falling back to zig-zag when linear
-// wins), and among equal splits or starts the lowest index wins. The
-// linear search is the same program with the cached probe and the splits
-// switched off, pricing only the whole path's leaves, and keeps no cells;
-// dropping the probe here is the one place a planner's cache view is
-// ignored (NewPlanner binds it whenever there is a cache).
+// leaf beats any equal-cost join, and among equal splits or starts the
+// lowest index wins. The table of cells lives on the stack while the run
+// has at most 16 labels, the longest a histogram covers.
 //
 // Segments are visited right end ascending, left end descending, which
 // makes every leaf cost one addition: the plan starting at s on p[i:j)
@@ -174,33 +171,28 @@ type treeCell struct {
 // and stops short of the result, and the one starting at s > 0 feeds every
 // rightward segment up to p[s:k) into its first leftward step. With an
 // exact estimator each is the plan's executed Stats.Work.
-func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool, at int) (*PlanTree, float64, []float64) {
+func (t segTable) chooseTree(cached func(paths.Path) bool, at int) (*PlanTree, float64, []float64) {
 	k := len(t.p)
-	var dp []treeCell
-	if bushy {
+	var room [16 * 17 / 2]treeCell
+	dp := room[:]
+	if len(t.est) > len(dp) {
 		dp = make([]treeCell, len(t.est))
-	} else {
-		cached = nil
 	}
 	// right[s] is Σ Est(s, x) over the right ends x seen so far; zig[s] is
 	// the cost on the current segment of the plan starting at s, for s
 	// right of the segment's left end.
 	right, zig := t.sums[:k], t.sums[k:]
-	var best treeCell
 	for j := 1; j <= k; j++ {
 		for i := j - 1; i >= 0; i-- {
 			// The plan starting at the left end only grows rightward, and
 			// its last extension p[i:j) is the result, not an intermediate.
-			best = treeCell{cost: right[i], split: -1, start: i}
+			best := treeCell{cost: right[i], split: -1, start: i}
 			right[i] += t.est[tri(k, i, j)]
 			if i+1 < j {
 				zig[i+1] = right[i+1]
 				grown := t.est[tri(k, i+1, j)]
 				for s := i + 2; s < j; s++ {
 					zig[s] += grown
-				}
-				if dp == nil && (i > 0 || j < k) {
-					continue // the linear search prices only the whole path
 				}
 				for s := i + 1; s < j; s++ {
 					if zig[s] < best.cost {
@@ -215,7 +207,7 @@ func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool, at int) (
 					// consumes it — adoption is free, scanning is not.
 					best.cost = 0
 				}
-				for m := i + 1; dp != nil && m < j; m++ {
+				for m := i + 1; m < j; m++ {
 					c := dp[tri(k, i, m)].cost + dp[tri(k, m, j)].cost +
 						t.est[tri(k, i, m)] + t.est[tri(k, m, j)]
 					if c < best.cost {
@@ -223,16 +215,11 @@ func (t segTable) chooseTree(bushy bool, cached func(paths.Path) bool, at int) (
 					}
 				}
 			}
-			if dp != nil {
-				dp[tri(k, i, j)] = best
-			}
+			dp[tri(k, i, j)] = best
 		}
 	}
 	zig[0] = right[0] // the plan starting at 0, which only grows rightward
-	if dp == nil {
-		return &PlanTree{Lo: at, Hi: at + k, Start: at + best.start}, best.cost, zig
-	}
-	return buildTree(dp, k, 0, k, at), best.cost, zig
+	return buildTree(dp, k, 0, k, at), dp[tri(k, 0, k)].cost, zig
 }
 
 // buildTree materializes the DP table's winning plan for segment [i, j)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,7 +146,7 @@ func TestPlanCostMatchesExecutedWork(t *testing.T) {
 			for i := range p {
 				p[i] = rng.Intn(labels)
 			}
-			dp := pl.Plan(PathDag(p), 0, true)
+			dp := pl.Plan(PathDag(p), 0)
 			_, st, err := Run(g, dp, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +157,7 @@ func TestPlanCostMatchesExecutedWork(t *testing.T) {
 			}
 			// The tree plan can never be estimated worse than the best
 			// zig-zag plan — the leaf space is contained in the tree space.
-			if lin := pl.Plan(PathDag(p), 0, false).Cost; dp.Cost > lin {
+			if lin := slices.Min(dp.Costs); dp.Cost > lin {
 				t.Fatalf("trial %d path %v: tree cost %v exceeds linear cost %v", trial, p, dp.Cost, lin)
 			}
 		}
@@ -172,7 +173,7 @@ func TestBushyPlanFallsBack(t *testing.T) {
 	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 { return 7 })}
 	for k := 1; k <= 6; k++ {
 		p := make(paths.Path, k)
-		dp := pl.Plan(PathDag(p), 0, true)
+		dp := pl.Plan(PathDag(p), 0)
 		if tree := dp.Tree; !tree.IsLeaf() || tree.Start != 0 {
 			t.Fatalf("k=%d: expected forward leaf, got %s", k, tree.Describe(k))
 		}
@@ -199,7 +200,7 @@ func TestBushyPlanPrefersBushy(t *testing.T) {
 	})
 	pl := Planner{Est: est}
 	p := paths.Path{0, 1, 2, 3}
-	dp := pl.Plan(PathDag(p), 0, true)
+	dp := pl.Plan(PathDag(p), 0)
 	tree := dp.Tree
 	if tree.IsLeaf() || tree.Left.Hi != 2 || !tree.Left.IsLeaf() || !tree.Right.IsLeaf() {
 		t.Fatalf("expected ([0,2) ⋈ [2,4)) split, got %s", tree.Describe(len(p)))
@@ -209,7 +210,7 @@ func TestBushyPlanPrefersBushy(t *testing.T) {
 	if dp.Cost != 22 {
 		t.Fatalf("bushy Cost = %v, want 22", dp.Cost)
 	}
-	if got := pl.Plan(PathDag(p), 0, false).Cost; got != 111 {
+	if got := slices.Min(dp.Costs); got != 111 {
 		t.Fatalf("best linear cost = %v, want 111", got)
 	}
 }

@@ -11,31 +11,58 @@ import (
 	"repro/internal/relcache"
 )
 
-// TestOnlyTheBushySearchSeesTheCache pins the one bushy gate,
-// segTable.chooseTree's: NewPlanner binds a view of any cache it is given
-// — one that answers what the cache holds now, before and after a segment
-// is published — and a linear search ignores it: over a cache holding the
-// whole path it plans exactly as a planner bound to none, tree, Cost and
-// Costs, while the bushy search prices that segment at 0.
-func TestOnlyTheBushySearchSeesTheCache(t *testing.T) {
-	est := EstimatorFunc(func(p paths.Path) float64 { return float64(len(p) + p[0]) })
-	p := paths.Path{0, 1, 2}
+// TestNewPlannerPricesCachedSegmentsFree pins the planner's cache view:
+// NewPlanner binds a view of any cache it is given — one that answers what
+// the cache holds now, before and after a segment is published — and
+// every plan prices a segment cached then at 0 to build, asking the
+// estimator nothing a planner with no cache does not ask: over cached
+// halves the balanced join costs only its two consumed inputs, over a
+// cached whole path the plan is a free leaf, and the per-start zig-zag
+// Costs never move.
+func TestNewPlannerPricesCachedSegmentsFree(t *testing.T) {
+	calls := 0
+	est := EstimatorFunc(func(paths.Path) float64 { calls++; return 10 })
+	p := paths.Path{0, 1, 2, 3}
 	bare, cache := NewPlanner(est, nil), relcache.New(relcache.Options{})
 	pl := NewPlanner(est, cache)
 	if bare.Cached != nil || pl.Cached == nil || pl.Cached(p) {
 		t.Fatal("a planner sees a cache it was not given, or a segment its cache does not hold")
 	}
-	cache.PutKey(relcache.AppendPath(nil, p), bitset.NewHybrid(4, 0))
-	if !pl.Cached(p) || pl.Cached(p[:2]) {
+	plan := func(pl Planner) (*DagPlan, int) {
+		calls = 0
+		dp := pl.Plan(PathDag(p), 0)
+		return dp, calls
+	}
+	want, asked := plan(bare)
+	if !want.Tree.IsLeaf() || want.Cost != 30 || asked != 9 {
+		t.Fatalf("with no cache: %s at %v after %d estimates, want a leaf at 30 after 9", want.Describe(), want.Cost, asked)
+	}
+	cache.PutKey(relcache.AppendPath(nil, p[:2]), bitset.NewHybrid(4, 0))
+	cache.PutKey(relcache.AppendPath(nil, p[2:]), bitset.NewHybrid(4, 0))
+	if !pl.Cached(p[:2]) || !pl.Cached(p[2:]) || pl.Cached(p) {
 		t.Fatal("a planner does not see a segment published after it was built")
 	}
-	got, want := pl.Plan(PathDag(p), 0, false), bare.Plan(PathDag(p), 0, false)
-	if !reflect.DeepEqual(got.Tree, want.Tree) || got.Cost != want.Cost || !reflect.DeepEqual(got.Costs, want.Costs) || want.Cost == 0 {
-		t.Fatalf("over a cached path a linear plan is %s at %v %v; with no cache %s at %v %v",
-			got.Describe(), got.Cost, got.Costs, want.Describe(), want.Cost, want.Costs)
-	}
-	if b := pl.Plan(PathDag(p), 0, true); b.Cost != 0 || !reflect.DeepEqual(b.Costs, want.Costs) {
-		t.Fatalf("a bushy plan over a cached path costs %v with costs %v, want 0 and %v", b.Cost, b.Costs, want.Costs)
+	for _, c := range []struct {
+		what  string
+		key   paths.Path // published before planning; nil for none
+		cost  float64
+		split int // the root's split; 0 for a leaf
+	}{
+		{"cached halves", nil, 20, 2},
+		{"a cached whole path", p, 0, 0},
+	} {
+		if c.key != nil {
+			cache.PutKey(relcache.AppendPath(nil, c.key), bitset.NewHybrid(4, 0))
+		}
+		got, n := plan(pl)
+		split := 0
+		if !got.Tree.IsLeaf() {
+			split = got.Tree.Left.Hi
+		}
+		if got.Cost != c.cost || split != c.split || n != asked || !reflect.DeepEqual(got.Costs, want.Costs) {
+			t.Fatalf("over %s: %s at %v (costs %v) after %d estimates, want split %d at %v (costs %v) after %d",
+				c.what, got.Describe(), got.Cost, got.Costs, n, c.split, c.cost, want.Costs, asked)
+		}
 	}
 }
 
@@ -280,13 +307,13 @@ func constEstimator(v float64) Estimator {
 // reusable.
 func TestBushyPlanCacheAware(t *testing.T) {
 	d := PathDag(paths.Path{0, 1, 2, 3})
-	cold := Planner{Est: constEstimator(10)}.Plan(d, 0, true)
+	cold := Planner{Est: constEstimator(10)}.Plan(d, 0)
 	if tree := cold.Tree; !tree.IsLeaf() || cold.Cost != 30 {
 		t.Fatalf("cold planner chose %s at %v, want linear at 30", tree.Describe(4), cold.Cost)
 	}
 	warm := Planner{Est: constEstimator(10), Cached: func(seg paths.Path) bool {
 		return len(seg) == 2
-	}}.Plan(d, 0, true)
+	}}.Plan(d, 0)
 	tree := warm.Tree
 	if tree.IsLeaf() || warm.Cost != 20 {
 		t.Fatalf("warm planner chose %s at %v, want balanced join at 20", tree.Describe(4), warm.Cost)
@@ -295,7 +322,7 @@ func TestBushyPlanCacheAware(t *testing.T) {
 		t.Fatalf("warm planner split at %d, want 2", tree.Left.Hi)
 	}
 	// A fully cached query is a free leaf — the fast path beats any join.
-	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}.Plan(d, 0, true)
+	full := Planner{Est: constEstimator(10), Cached: func(paths.Path) bool { return true }}.Plan(d, 0)
 	if tree := full.Tree; !tree.IsLeaf() || full.Cost != 0 {
 		t.Fatalf("fully cached planner chose %s at %v, want free leaf", tree.Describe(4), full.Cost)
 	}
@@ -320,7 +347,7 @@ func TestExecuteTreeCacheAwarePlansMatch(t *testing.T) {
 		Est:    EstimatorFunc(func(seg paths.Path) float64 { return float64(len(seg) * 100) }),
 		Cached: func(seg paths.Path) bool { return cache.Contains(seg) },
 	}
-	tree := pl.Plan(PathDag(p), 0, true).Tree
+	tree := pl.Plan(PathDag(p), 0).Tree
 	if tree.IsLeaf() {
 		t.Fatalf("warm cache did not flip the plan bushy: %s", tree.Describe(len(p)))
 	}

@@ -43,18 +43,19 @@ func cheapest(costs []float64) int {
 
 // Costs is DagPlan.Costs of p's plan without the plan.
 func (pl Planner) Costs(p paths.Path) []float64 {
-	_, _, costs := pl.segments(p).chooseTree(false, nil, 0)
+	_, _, costs := pl.segments(p).chooseTree(nil, 0)
 	return costs
 }
 
-// ChooseTreeWithCost is the Tree and Cost of p's bushy plan.
+// ChooseTreeWithCost is the Tree and Cost of p's plan.
 func (pl Planner) ChooseTreeWithCost(p paths.Path) (*PlanTree, float64) {
-	tree, cost, _ := pl.segments(p).chooseTree(true, pl.Cached, 0)
+	tree, cost, _ := pl.segments(p).chooseTree(pl.Cached, 0)
 	return tree, cost
 }
 
-// PlanDag is Plan.
-func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan { return pl.Plan(d, n, bushy) }
+// PlanDag is Plan; bushy is ignored, since every plan is searched over
+// the plan-tree space.
+func (pl Planner) PlanDag(d *RPQDag, n int, bushy bool) *DagPlan { return pl.Plan(d, n) }
 
 // ExecutePlanChecked runs p from a forced zig-zag start.
 func ExecutePlanChecked(g *graph.CSR, p paths.Path, plan Plan, opt Options) (*bitset.HybridRelation, Stats, error) {

@@ -29,14 +29,17 @@ func TestCompatWrappersAreRun(t *testing.T) {
 		case "dag":
 			d := &RPQDag{Elems: append(PathDag(p).Elems, sh.plan.Elems[4])}
 			got, st, err = ExecuteDagChecked(g, d, sh.plan, Options{Workers: 1, KeepResult: true})
-			if planned, direct := pl.PlanDag(d, 30, true), pl.Plan(d, 30, true); !reflect.DeepEqual(planned, direct) {
-				t.Errorf("PlanDag = %s at %v, Plan = %s at %v", planned.Describe(), planned.Cost, direct.Describe(), direct.Cost)
+			direct := pl.Plan(d, 30)
+			for _, bushy := range []bool{false, true} {
+				if planned := pl.PlanDag(d, 30, bushy); !reflect.DeepEqual(planned, direct) {
+					t.Errorf("PlanDag(bushy=%v) = %s at %v, Plan = %s at %v", bushy, planned.Describe(), planned.Cost, direct.Describe(), direct.Cost)
+				}
 			}
 		}
 		if err != nil || !got.Equal(want) || !reflect.DeepEqual(st, wantSt) {
 			t.Errorf("%s: wrapper err=%v stats %+v, Run %+v", sh.name, err, st, wantSt)
 		}
-		plan := pl.Plan(PathDag(p), 0, true)
+		plan := pl.Plan(PathDag(p), 0)
 		if costs := pl.Costs(p); !reflect.DeepEqual(costs, plan.Costs) || CheapestPlan(costs).Start != cheapest(costs) {
 			t.Errorf("%s: Costs = %v choosing %d, plan's %v", sh.name, costs, CheapestPlan(costs).Start, plan.Costs)
 		}
@@ -70,7 +73,7 @@ func TestCheapestTieBreak(t *testing.T) {
 	}
 	// Plan must route through the same rule.
 	pl := Planner{Est: EstimatorFunc(func(p paths.Path) float64 { return float64(len(p)) })}
-	b := pl.Plan(PathDag(paths.Path{0, 0, 0}), 0, false)
+	b := pl.Plan(PathDag(paths.Path{0, 0, 0}), 0)
 	if got, want := b.Tree.Start, cheapest(b.Costs); got != want {
 		t.Errorf("Plan chose start %d, cheapest(Costs) = %d", got, want)
 	}

@@ -28,25 +28,23 @@
 // Where either side of a node may match the empty path, its ε and skip
 // terms are terms of the node's step (bitset.HybridRelation.Extend), never
 // unions after it. Planner.Plan decomposes a query into blocks — maximal
-// plain-label runs, each planned as a zig-zag leaf or a bushy tree, and
-// single complex elements — and folds them left to right into the
-// left-deep chain of join and step nodes; a concrete path is the one-run
-// case, and a zig-zag plan its leaf. The
-// planner costs every candidate from a selectivity
+// plain-label runs, each planned as a plan tree, and single complex
+// elements — and folds them left to right into the left-deep chain of
+// join and step nodes; a concrete path is the one-run case, and a zig-zag
+// plan its leaf. The planner costs every candidate from a selectivity
 // estimator — each proper segment of a run asked once, into one table
-// the search reads — and picks the cheapest: the best zig-zag start, or,
-// bushy, the best tree of a dynamic program over segment splits that
-// falls back to the zig-zag winner whenever linear growth is estimated
-// cheaper. It is one search: the zig-zag costs are the program's running
-// sums, and the linear search is the program without its splits. A plan is decided once, as Plan builds it,
-// against the cache as it is then; nothing decides it again. Plan never
-// asks for the whole query — a caller may plan one label past its
-// estimator's reach — so its size is a separate call, Planner.Estimate:
-// one lookup of a concrete path, the sum over at most MaxExpansions
-// expansions, the plan's independence-model ResultEst past that.
-// NewPlanner is the planner a
-// caller builds once over its estimator and cache; only a bushy search
-// reads the cache, the one search a cached segment can change. A plan
+// the search reads — and picks the cheapest tree of one dynamic program
+// over segment splits, which keeps the zig-zag winner whenever linear
+// growth is estimated cheaper. There is one plan space: the zig-zag costs
+// are the program's running sums, and every leaf of every segment is a
+// candidate. A plan is decided once, as Plan builds it, against the cache
+// as it is then; nothing decides it again. Plan never asks for the whole
+// query — a caller may plan one label past its estimator's reach — so its
+// size is a separate call, Planner.Estimate: one lookup of a concrete
+// path, the sum over at most MaxExpansions expansions, the plan's
+// independence-model ResultEst past that. NewPlanner is the planner a
+// caller builds once over its estimator and cache; every plan it makes
+// prices a segment cached at planning time as free to build. A plan
 // carries its query (PathPlan hand-builds one; a forced start is a leaf),
 // so Run(g, plan, opt) takes nothing else, and reports the actual
 // intermediate sizes: planning quality is measurable end to end.

@@ -30,11 +30,11 @@ const paperScaleEnv = "CENSUS_PAPER_SCALE"
 //   - every zig-zag start of sampled concrete paths, against the mirrored
 //     start of the reverse path — a leftward step on one side is a
 //     rightward one on the other;
-//   - the bushy plan a random estimator picks for each path and for its
+//   - the plan tree a random estimator picks for each path and for its
 //     reverse;
-//   - sampled RPQs with their element order reversed, under a zig-zag and
-//     a bushy planner: an optional element after a prefix is a skip term on
-//     one side and an ε term on the other.
+//   - sampled RPQs with their element order reversed, under a zero and a
+//     random estimator: an optional element after a prefix is a skip term
+//     on one side and an ε term on the other.
 //
 // A leftward step that joins its two sides in the wrong order, or a join
 // node that drops its skip term, breaks it. Rows run at scale 0.1, k = 3,
@@ -92,22 +92,22 @@ func checkReversal(t *testing.T, g *graph.Graph, k int, seed int64) {
 			for s := range p {
 				check(fmt.Sprintf("path %v start %d", p, s), startPlan(p, s), startPlan(r, length-1-s))
 			}
-			bp, br := pl.Plan(PathDag(p), n, true), pl.Plan(PathDag(r), n, true)
+			bp, br := pl.Plan(PathDag(p), n), pl.Plan(PathDag(r), n)
 			if !bp.Tree.IsLeaf() {
 				joins++
 			}
-			check(fmt.Sprintf("path %v bushy", p), bp, br)
+			check(fmt.Sprintf("path %v planned", p), bp, br)
 		}
 	}
 	if joins == 0 {
-		t.Errorf("no sampled path was planned bushy: the join nodes went unchecked")
+		t.Errorf("no sampled path was planned as a join: the join nodes went unchecked")
 	}
 	for i := 0; i < reversalSamples; i++ {
 		d := randomRPQ(rng, nl, 2+rng.Intn(k-1))
 		r := &RPQDag{Elems: slices.Clone(d.Elems)}
 		slices.Reverse(r.Elems)
 		check("rpq "+d.Describe(), zeroPlan(fwd, d), zeroPlan(bwd, r))
-		check("bushy rpq "+d.Describe(), pl.Plan(d, n, true), pl.Plan(r, n, true))
+		check("planned rpq "+d.Describe(), pl.Plan(d, n), pl.Plan(r, n))
 	}
 }
 

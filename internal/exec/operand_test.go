@@ -165,7 +165,7 @@ func TestFoldRecordsNoInputItNeverBuilt(t *testing.T) {
 		// target of the step through it, so b is still not built.
 		{&RPQDag{Elems: []RPQElem{{Labels: []int{0}, MinRep: 0, MaxRep: 1}, label(1)}}, 1},
 	} {
-		dp := Planner{Est: est}.Plan(c.d, g.NumVertices(), false)
+		dp := Planner{Est: est}.Plan(c.d, g.NumVertices())
 		_, st, err := Run(g, dp, Options{})
 		if err != nil {
 			t.Fatal(err)

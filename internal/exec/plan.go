@@ -19,32 +19,31 @@ type EstimatorFunc func(p paths.Path) float64
 func (f EstimatorFunc) Estimate(p paths.Path) float64 { return f(p) }
 
 // Planner chooses join plans from selectivity estimates. A length-k query
-// has k zig-zag plans (one per start position); the planner costs each as
-// the sum of its estimated intermediate-segment selectivities and picks
-// the cheapest, so the spread between the k costs is exactly where
-// estimator quality turns into plan quality.
+// has k zig-zag plans (one per start position) and every tree of joins
+// over zig-zag leaves of its segments; the planner costs each as the sum
+// of its estimated intermediate-segment selectivities and picks the
+// cheapest, so the spread between the costs is exactly where estimator
+// quality turns into plan quality.
 type Planner struct {
 	Est Estimator
 	// Cached, when non-nil, reports whether a segment's finished relation
-	// is already materialized in the execution
-	// layer's segment-relation cache (internal/relcache). The bushy DP
-	// then treats such segments as zero-build-cost
-	// leaves — the executor adopts them whole — which is what lets bushy
-	// trees win on warm workloads: a join of two cached segments costs
-	// only its consume estimates, while linear growth still pays for
-	// every uncached intermediate. The probe must not perturb the cache
-	// (relcache.Cache.Contains is side-effect-free). Plan choice becomes
-	// cache-state-dependent under this field; results never do — every
-	// plan produces the identical relation.
+	// is already materialized in the execution layer's segment-relation
+	// cache (internal/relcache). The plan search then treats such
+	// segments as zero-build-cost leaves — the executor adopts them whole
+	// — which is what lets join trees win on warm workloads: a join of two
+	// cached segments costs only its consume estimates, while linear
+	// growth still pays for every uncached intermediate. The probe must
+	// not perturb the cache (relcache.Cache.Contains is side-effect-free).
+	// Plan choice becomes cache-state-dependent under this field; results
+	// never do — every plan produces the identical relation.
 	Cached func(p paths.Path) bool
 }
 
 // NewPlanner returns the planner a caller builds once over est and the
 // cache it executes against (nil for none), and plans and estimates every
-// query with. Its Cached probes cache.Contains whenever there is a cache;
-// whether a plan consults it is the search's decision alone
-// (segTable.chooseTree): the bushy DP does, and a linear search plans as
-// if there were none.
+// query with. Its Cached probes cache.Contains whenever there is a cache,
+// so every plan prices a segment cached at planning time at 0 and asks
+// the estimator nothing more for it.
 func NewPlanner(est Estimator, cache *relcache.Cache) Planner {
 	pl := Planner{Est: est}
 	if cache != nil {
@@ -57,7 +56,7 @@ func NewPlanner(est Estimator, cache *relcache.Cache) Planner {
 // path — Estimate(p[i:j)) for 0 ≤ i < j ≤ len(p) short of the whole path —
 // each asked of the estimator exactly once: k(k+1)/2 − 1 calls for a
 // length-k path. The plan search over the path (chooseTree: the zig-zag
-// spread, the bushy DP) is arithmetic over this table. The whole path is
+// spread and the plan-tree DP) is arithmetic over this table. The whole path is
 // the result, no plan's intermediate, and is never asked: callers plan
 // queries one label longer than their estimator covers. The estimates are
 // immutable once built; the table retains p, which the caller must not
@@ -72,8 +71,8 @@ type segTable struct {
 	sums []float64
 }
 
-// tri indexes the triangular per-segment tables (segTable.est, the bushy
-// DP's cells) of a length-k path: segment [i, j), 0 ≤ i < j ≤ k.
+// tri indexes the triangular per-segment tables (segTable.est, the plan
+// search's cells) of a length-k path: segment [i, j), 0 ≤ i < j ≤ k.
 func tri(k, i, j int) int { return i*k - i*(i-1)/2 + j - i - 1 }
 
 // segments fills p's segment table from the planner's estimator.

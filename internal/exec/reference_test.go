@@ -164,7 +164,7 @@ func refElemEst(pl Planner, e RPQElem, n int) (est float64, buildCost float64) {
 // and charged its left input only. It emits the plan as its tree: the
 // left-deep chain of its blocks, each run under its tree shifted to the
 // run's elements, each element a leaf.
-func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
+func refPlanDag(pl Planner, d *RPQDag, n int) *DagPlan {
 	type refBlock struct {
 		lo, hi int
 		tree   *PlanTree // nil for an element
@@ -180,15 +180,7 @@ func refPlanDag(pl Planner, d *RPQDag, n int, bushy bool) *DagPlan {
 				run = append(run, d.Elems[j].Labels[0])
 				j++
 			}
-			var tree *PlanTree
-			var cost float64
-			if bushy {
-				tree, cost = refChooseTreeWithCost(pl, run)
-			} else {
-				start := refCheapest(refCosts(pl, run))
-				tree = &PlanTree{Lo: 0, Hi: len(run), Start: start}
-				cost = pl.PlanCost(run, start)
-			}
+			tree, cost := refChooseTreeWithCost(pl, run)
 			b := refBlock{lo: i, hi: j, tree: shiftTree(tree, i)}
 			if len(run) < len(d.Elems) {
 				b.est = pl.Est.Estimate(run)
@@ -341,32 +333,29 @@ func randomPlanner(seed int64, cachedShare float64) Planner {
 }
 
 // assertPlansMatchReference pins everything the table-driven planner
-// decides about p — the zig-zag cost spread, the chosen zig-zag leaf, the
-// chosen tree and its cost — to the reference planner, float for float.
+// decides about p — the zig-zag cost spread, the chosen tree and its cost
+// — to the reference planner, float for float, and the tree's cost to at
+// most the cheapest zig-zag plan's.
 func assertPlansMatchReference(t *testing.T, pl Planner, p paths.Path) {
 	t.Helper()
 	k := len(p)
 	want := refCosts(pl, p)
-	wantLeaf := &PlanTree{Lo: 0, Hi: k, Start: refCheapest(want)}
 	wantTree, wantCost := refChooseTreeWithCost(pl, p)
-	for _, bushy := range []bool{false, true} {
-		name, got := fmt.Sprintf("bushy=%v", bushy), pl.Plan(PathDag(p), 0, bushy)
-		if got.Tree.Lo != 0 || got.Tree.Hi != k || len(got.Costs) != len(want) {
-			t.Fatalf("path %v: %s is not a tree over the path with %d costs", p, name, len(want))
+	got := pl.Plan(PathDag(p), 0)
+	if got.Tree.Lo != 0 || got.Tree.Hi != k || len(got.Costs) != len(want) {
+		t.Fatalf("path %v: the plan is not a tree over the path with %d costs", p, len(want))
+	}
+	for s := range want {
+		if got.Costs[s] != want[s] {
+			t.Fatalf("path %v: Costs[%d] = %v, reference %v", p, s, got.Costs[s], want[s])
 		}
-		for s := range want {
-			if got.Costs[s] != want[s] {
-				t.Fatalf("path %v: %s Costs[%d] = %v, reference %v", p, name, s, got.Costs[s], want[s])
-			}
-		}
-		tree, cost := wantLeaf, want[wantLeaf.Start]
-		if bushy {
-			tree, cost = wantTree, wantCost
-		}
-		if got.Tree.Describe(k) != tree.Describe(k) || got.Cost != cost {
-			t.Fatalf("path %v: %s = %s at %v, reference %s at %v",
-				p, name, got.Tree.Describe(k), got.Cost, tree.Describe(k), cost)
-		}
+	}
+	if got.Tree.Describe(k) != wantTree.Describe(k) || got.Cost != wantCost {
+		t.Fatalf("path %v: plan %s at %v, reference %s at %v",
+			p, got.Tree.Describe(k), got.Cost, wantTree.Describe(k), wantCost)
+	}
+	if lin := want[refCheapest(want)]; got.Cost > lin {
+		t.Fatalf("path %v: plan %s at %v costs more than the cheapest zig-zag plan at %v", p, got.Tree.Describe(k), got.Cost, lin)
 	}
 }
 
@@ -409,20 +398,15 @@ func TestPlannerMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlanDagMatchesReference is the same for planned DAGs, zig-zag and
-// bushy.
+// TestPlanDagMatchesReference is the same for planned DAGs.
 func TestPlanDagMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for seed := int64(0); seed < 200; seed++ {
 		d := randomDag(rng, 4)
 		n := rng.Intn(50)
-		for _, bushy := range []bool{false, true} {
-			for _, share := range []float64{0, 0.5} {
-				pl := randomPlanner(seed, share)
-				want := refPlanDag(pl, d, n, bushy)
-				got := pl.Plan(d, n, bushy)
-				assertDagPlanMatchesReference(t, d.Describe(), got, want)
-			}
+		for _, share := range []float64{0, 0.5} {
+			pl := randomPlanner(seed, share)
+			assertDagPlanMatchesReference(t, d.Describe(), pl.Plan(d, n), refPlanDag(pl, d, n))
 		}
 	}
 	// Chains of three to seven blocks, longer than any executed DAG, on
@@ -438,19 +422,17 @@ func TestPlanDagMatchesReference(t *testing.T) {
 			}
 			d.Elems = append(d.Elems, e)
 		}
-		for _, bushy := range []bool{false, true} {
-			pl := randomPlanner(2*seed, 0.3)
-			assertDagPlanMatchesReference(t, d.Describe(), pl.Plan(d, 100, bushy), refPlanDag(pl, d, 100, bushy))
-		}
+		pl := randomPlanner(2*seed, 0.3)
+		assertDagPlanMatchesReference(t, d.Describe(), pl.Plan(d, 100), refPlanDag(pl, d, 100))
 	}
 }
 
 // TestSegmentTableAsksEachSegmentOnce pins the planner's estimator
-// budget: planning a concrete path, zig-zag or bushy, makes one call per
-// proper segment — never the whole path, which no plan materializes as an
-// intermediate and which callers plan one label beyond their estimator's
-// reach — estimating it then makes one call, on the whole path, and a
-// cache view changes which plan is chosen, never what is asked.
+// budget: planning a concrete path makes one call per proper segment —
+// never the whole path, which no plan materializes as an intermediate and
+// which callers plan one label beyond their estimator's reach —
+// estimating it then makes one call, on the whole path, and a cache view
+// changes which plan is chosen, never what is asked.
 func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 	for k := 1; k <= 8; k++ {
 		// Distinct labels, so every segment is a distinct label sequence.
@@ -458,42 +440,40 @@ func TestSegmentTableAsksEachSegmentOnce(t *testing.T) {
 		for i := range p {
 			p[i] = i
 		}
-		for _, bushy := range []bool{false, true} {
-			calls, asked, planning := 0, map[string]int{}, true
-			pl := randomPlanner(int64(k), 0)
-			est := pl.Est
-			pl.Est = EstimatorFunc(func(q paths.Path) float64 {
-				if planning && len(q) == k {
-					panic("the whole path was estimated")
-				}
-				calls++
-				asked[q.Key()]++
-				return est.Estimate(q)
-			})
-			d := PathDag(p)
-			dp := pl.Plan(d, 0, bushy)
+		calls, asked, planning := 0, map[string]int{}, true
+		pl := randomPlanner(int64(k), 0)
+		est := pl.Est
+		pl.Est = EstimatorFunc(func(q paths.Path) float64 {
+			if planning && len(q) == k {
+				panic("the whole path was estimated")
+			}
+			calls++
+			asked[q.Key()]++
+			return est.Estimate(q)
+		})
+		d := PathDag(p)
+		dp := pl.Plan(d, 0)
+		if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
+			t.Fatalf("k=%d: planning made %d estimator calls over %d segments, want %d",
+				k, calls, len(asked), want)
+		}
+		calls, asked, planning = 0, map[string]int{}, false
+		if got, want := pl.Estimate(dp), est.Estimate(p); calls != 1 || asked[p.Key()] != 1 || got != want {
+			t.Fatalf("k=%d: Estimate made %d calls, %d on the whole path, answering %v for %v",
+				k, calls, asked[p.Key()], got, want)
+		}
+		for _, share := range []float64{0, 0.5} {
+			scratch := randomPlanner(int64(k), share)
+			calls, asked, planning = 0, map[string]int{}, true
+			got := Planner{Est: pl.Est, Cached: scratch.Cached}.Plan(d, 0)
 			if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
-				t.Fatalf("k=%d bushy=%v: planning made %d estimator calls over %d segments, want %d",
-					k, bushy, calls, len(asked), want)
+				t.Fatalf("k=%d cached share %v: planning made %d estimator calls over %d segments, want %d",
+					k, share, calls, len(asked), want)
 			}
-			calls, asked, planning = 0, map[string]int{}, false
-			if got, want := pl.Estimate(dp), est.Estimate(p); calls != 1 || asked[p.Key()] != 1 || got != want {
-				t.Fatalf("k=%d bushy=%v: Estimate made %d calls, %d on the whole path, answering %v for %v",
-					k, bushy, calls, asked[p.Key()], got, want)
-			}
-			for _, share := range []float64{0, 0.5} {
-				scratch := randomPlanner(int64(k), share)
-				calls, asked, planning = 0, map[string]int{}, true
-				got := Planner{Est: pl.Est, Cached: scratch.Cached}.Plan(d, 0, bushy)
-				if want := k*(k+1)/2 - 1; calls != want || len(asked) != want {
-					t.Fatalf("k=%d bushy=%v cached share %v: planning made %d estimator calls over %d segments, want %d",
-						k, bushy, share, calls, len(asked), want)
-				}
-				want := scratch.Plan(PathDag(p), 0, bushy)
-				if got.Describe() != want.Describe() || got.Cost != want.Cost {
-					t.Fatalf("k=%d bushy=%v cached share %v: planned %s at %v, reference planner %s at %v",
-						k, bushy, share, got.Describe(), got.Cost, want.Describe(), want.Cost)
-				}
+			want := scratch.Plan(PathDag(p), 0)
+			if got.Describe() != want.Describe() || got.Cost != want.Cost {
+				t.Fatalf("k=%d cached share %v: planned %s at %v, reference planner %s at %v",
+					k, share, got.Describe(), got.Cost, want.Describe(), want.Cost)
 			}
 		}
 	}
@@ -526,7 +506,7 @@ func TestEstimateSumsExpansions(t *testing.T) {
 		var asked []paths.Path
 		pl := randomPlanner(6, 0) // 53-bit estimates: a reordered sum differs
 		est := pl.Est
-		dp := pl.Plan(c.d, 1000, true)
+		dp := pl.Plan(c.d, 1000)
 		pl.Est = EstimatorFunc(func(q paths.Path) float64 {
 			asked = append(asked, q.Clone())
 			return est.Estimate(q)

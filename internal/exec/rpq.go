@@ -403,9 +403,9 @@ func (x *expander) reach(h uint64) bool {
 
 // DagPlan is a query together with how to execute it — the one plan form:
 // the query's elements and one plan tree over their intervals (PlanTree),
-// which Run walks. A concrete path's tree is its zig-zag leaf or its bushy
-// tree. An RPQ's is the left-deep chain of its blocks — maximal
-// plain-label runs, each under its own zig-zag or bushy subtree, and single
+// which Run walks. A concrete path's tree is a zig-zag leaf or a tree of
+// joins over them. An RPQ's is the left-deep chain of its blocks — maximal
+// plain-label runs, each under its own plan tree, and single
 // complex elements — folded left to right: each block after the first is
 // either composed through from the graph (a step node) or built and joined
 // (a join node). Build it with Planner.Plan, or by hand from a path and a
@@ -422,7 +422,7 @@ type DagPlan struct {
 	// hand-built plan.
 	Costs []float64
 	// Cost is the estimated total intermediate volume: run plan costs (the
-	// zig-zag/bushy DP objective), the inputs of an unrolled element's
+	// plan-tree DP objective), the inputs of an unrolled element's
 	// steps — its powers below max(1, MinRep), then the running union of the
 	// powers from there — and the inputs of every step of the fold: both
 	// sides of a join node, the prefix alone where a step node composes
@@ -558,9 +558,9 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 
 // Plan plans a compiled query — the one way to plan — in one pass over
 // its blocks, left to right: maximal plain-label runs — each planned over
-// its segment table (the cheapest plan tree when bushy, the cheapest
-// zig-zag otherwise), so cached segments, interior starts, and bushy joins
-// all apply inside a run — and single complex elements, costed by their
+// its segment table as the cheapest plan tree, so cached segments,
+// interior starts, and bushy joins all apply inside a run — and single
+// complex elements, costed by their
 // unroll intermediates. Each block is chained onto the prefix before it as
 // it is planned: the first block's node, then per block after it a node
 // over the prefix so far. A block one step from the graph — a one-label
@@ -569,8 +569,8 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 // own, whatever its identity terms, and the step consumes the prefix alone.
 // Any other block is built by its own subtree — a run's tree, an element
 // leaf — and a join node consumes both materialized inputs. A concrete
-// path is the one-run case, and its tree is exactly the zig-zag/bushy
-// choice over the path.
+// path is the one-run case, and its tree is exactly the plan-tree choice
+// over the path.
 //
 // The plan's Cost sums the blocks' costs, then the chain's steps — in
 // that order, so steps keeps the latter until the last block is priced;
@@ -580,7 +580,7 @@ func (pl Planner) elemEst(e RPQElem, n int) (est float64, buildCost float64) {
 // universe (join normalization); the DAG must be well-formed (Run checks
 // the plan's copy of it). The plan is decided once, against the Cached
 // view as it is now.
-func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
+func (pl Planner) Plan(d *RPQDag, n int) *DagPlan {
 	dp := &DagPlan{Elems: d.Elems}
 	// The chain's nodes share one allocation: at most an element leaf and
 	// a chain node per block, and a block spans at least one element.
@@ -609,7 +609,7 @@ func (pl Planner) Plan(d *RPQDag, n int, bushy bool) *DagPlan {
 				run[x] = d.Elems[lo+x].Labels[0]
 			}
 			var costs []float64
-			u, cost, costs = pl.segments(run).chooseTree(bushy, pl.Cached, lo)
+			u, cost, costs = pl.segments(run).chooseTree(pl.Cached, lo)
 			if len(run) == len(d.Elems) {
 				dp.Costs = costs
 			} else {

@@ -71,19 +71,16 @@ func TestExecuteDagMatchesExpansionUnion(t *testing.T) {
 		d := randomDag(rng, g.NumLabels())
 		want := expansionUnion(t, g, d, Options{})
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, bushy := range []bool{false, true} {
-				dp := Planner{Est: est}.Plan(d, g.NumVertices(), bushy)
-				got, st, err := Run(g, dp, Options{Workers: workers, KeepResult: true})
-				if err != nil {
-					t.Fatalf("dag %s workers=%d bushy=%v: %v", d.Describe(), workers, bushy, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("dag %s workers=%d bushy=%v: result differs from expansion union",
-						d.Describe(), workers, bushy)
-				}
-				if st.Result != want.Pairs() {
-					t.Fatalf("dag %s: Result %d != %d", d.Describe(), st.Result, want.Pairs())
-				}
+			dp := Planner{Est: est}.Plan(d, g.NumVertices())
+			got, st, err := Run(g, dp, Options{Workers: workers, KeepResult: true})
+			if err != nil {
+				t.Fatalf("dag %s workers=%d: %v", d.Describe(), workers, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("dag %s workers=%d: result differs from expansion union", d.Describe(), workers)
+			}
+			if st.Result != want.Pairs() {
+				t.Fatalf("dag %s: Result %d != %d", d.Describe(), st.Result, want.Pairs())
 			}
 		}
 		// Zero-estimate (every run forward) and cache-warmed runs must
@@ -195,7 +192,7 @@ func TestPlanRunDecomposition(t *testing.T) {
 		{Labels: []int{1, 2}, MinRep: 1, MaxRep: 1},
 		{Labels: []int{2}, MinRep: 1, MaxRep: 1},
 	}}
-	dp := Planner{Est: est}.Plan(d, g.NumVertices(), true)
+	dp := Planner{Est: est}.Plan(d, g.NumVertices())
 	root := dp.Tree
 	if root.Right != nil || root.Left == nil || root.Left.Hi != 3 || root.Left.Right != nil {
 		t.Fatalf("plan %s, want step nodes through (1|2) and then the run [3,4)", dp.Describe())

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -24,8 +25,8 @@ type PlanCell struct {
 	// plans) — 1.0 means estimation errors never cost any actual work.
 	WorkRatio float64
 	// TreeAgreement and TreeWorkRatio are the same two measurements over
-	// the bushy space: the planner's bushy Plan against the oracle's best
-	// plan tree (every shape enumerated and executed).
+	// the tree space: the planner's Plan against the oracle's best plan
+	// tree (every shape enumerated and executed).
 	TreeAgreement float64
 	TreeWorkRatio float64
 	// OracleBushyWins is workload-level (identical in every cell): the
@@ -66,12 +67,6 @@ func enumerateTrees(lo, hi int) []*exec.PlanTree {
 // startPlan is the hand-built plan running q as the zig-zag from start.
 func startPlan(q paths.Path, start int) *exec.DagPlan {
 	return exec.PathPlan(q, &exec.PlanTree{Lo: 0, Hi: len(q), Start: start})
-}
-
-// chosenTree is the plan tree pl chooses for the concrete path q: the
-// cheapest zig-zag leaf, or the cheapest tree of the bushy space.
-func chosenTree(pl exec.Planner, q paths.Path, bushy bool) *exec.PlanTree {
-	return pl.Plan(exec.PathDag(q), 0, bushy).Tree
 }
 
 // PlanQuality is the end-to-end experiment the paper's introduction
@@ -178,7 +173,7 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 	}
 	cacheWins := 0
 	for _, q := range queries {
-		if !chosenTree(exactPlanner, q, true).IsLeaf() {
+		if !exactPlanner.Plan(exec.PathDag(q), 0).Tree.IsLeaf() {
 			cacheWins++
 		}
 	}
@@ -194,14 +189,18 @@ func PlanQuality(opt Options) ([]PlanCell, error) {
 		agree, treeAgree := 0, 0
 		var chosenWork, optimalWork, chosenTreeWork, optimalTreeWork int64
 		for i, q := range queries {
-			w := works[i][chosenTree(planner, q, false).Start]
+			// One plan answers both spaces: its tree is the tree-space
+			// choice, and the lowest-index minimum of its per-start costs
+			// — the planner's tie rule — the zig-zag one.
+			dp := planner.Plan(exec.PathDag(q), 0)
+			w := works[i][slices.Index(dp.Costs, slices.Min(dp.Costs))]
 			if w == optima[i] {
 				agree++
 			}
 			chosenWork += w
 			optimalWork += optima[i]
 
-			tw, ok := treeWorks[i][chosenTree(planner, q, true).Describe(k)]
+			tw, ok := treeWorks[i][dp.Tree.Describe(k)]
 			if !ok {
 				panic("experiments: chosen tree outside the enumerated shape space")
 			}

@@ -21,9 +21,9 @@ import (
 // TestConcurrentServeMatchesPermutedExecution checks a relation the
 // serving layer must keep, without a reference, on every Table 3
 // generator at scale 0.1: under a seeded random permutation of the
-// vertices, what a cached, bushy-planning server answers for a sample of
-// concrete paths and RPQs over the renamed graph πG is the count an
-// uncached, linear in-process Expr.ExecuteCtx gives on G — through /query
+// vertices, what a cached server, planning against its cache, answers for
+// a sample of concrete paths and RPQs over the renamed graph πG is the
+// count an uncached in-process Expr.ExecuteCtx gives on G — through /query
 // and through /batch, each item in its input slot, while three clients
 // share the server's cache at once: one sends every query to /query, two
 // send the whole sample as one /batch each. Every item's cache hits and
@@ -42,7 +42,7 @@ func TestConcurrentServeMatchesPermutedExecution(t *testing.T) {
 				t.Fatal(err)
 			}
 			est, err := pathsel.Build(renamed(t, g, rng.Perm(g.NumVertices())), pathsel.Config{
-				MaxPathLength: k, Buckets: 64, Workers: 2, BushyPlans: true, CacheBytes: pathsel.DefaultCacheBytes,
+				MaxPathLength: k, Buckets: 64, Workers: 2, CacheBytes: pathsel.DefaultCacheBytes,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -50,48 +50,46 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 4; trial++ {
 		g := batchTestGraph(t, int64(trial), 20+rng.Intn(60), 2+rng.Intn(3), 150+rng.Intn(200))
-		for _, bushy := range []bool{false, true} {
-			ref, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, BushyPlans: bushy})
+		ref, err := Build(g, Config{MaxPathLength: 3, Buckets: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, CacheBytes: DefaultCacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := batchWorkload(rng, g.Labels(), 30, 3)
+		// Reference: the per-query API on an estimator without a cache.
+		want := make([]int64, len(queries))
+		for i, q := range queries {
+			st, err := executeQuery(ref, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			est, err := Build(g, Config{MaxPathLength: 3, Buckets: 8, BushyPlans: bushy, CacheBytes: DefaultCacheBytes})
+			want[i] = st.Result
+		}
+		for workers := 1; workers <= 8; workers++ {
+			res, err := executeBatch(context.Background(), est, queries, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			queries := batchWorkload(rng, g.Labels(), 30, 3)
-			// Reference: the per-query API on an estimator without a cache.
-			want := make([]int64, len(queries))
-			for i, q := range queries {
-				st, err := executeQuery(ref, q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[i] = st.Result
+			if len(res) != len(queries) {
+				t.Fatalf("trial %d workers %d: %d results for %d queries",
+					trial, workers, len(res), len(queries))
 			}
-			for workers := 1; workers <= 8; workers++ {
-				res, err := executeBatch(context.Background(), est, queries, workers)
-				if err != nil {
-					t.Fatal(err)
+			for i, r := range res {
+				if r.Query != queries[i] {
+					t.Fatalf("trial %d workers %d: result %d answers %q, want %q",
+						trial, workers, i, r.Query, queries[i])
 				}
-				if len(res) != len(queries) {
-					t.Fatalf("trial %d workers %d: %d results for %d queries",
-						trial, workers, len(res), len(queries))
+				if r.Result != want[i] {
+					t.Fatalf("trial %d workers %d: query %q result %d, want %d",
+						trial, workers, r.Query, r.Result, want[i])
 				}
-				for i, r := range res {
-					if r.Query != queries[i] {
-						t.Fatalf("trial %d workers %d: result %d answers %q, want %q",
-							trial, workers, i, r.Query, queries[i])
-					}
-					if r.Result != want[i] {
-						t.Fatalf("trial %d workers %d bushy %v: query %q result %d, want %d",
-							trial, workers, bushy, r.Query, r.Result, want[i])
-					}
-				}
-				if cs, ok := est.CacheStats(); !ok || cs.Hits == 0 {
-					t.Fatalf("trial %d workers %d: repeated workload never hit the cache (stats %+v)",
-						trial, workers, cs)
-				}
+			}
+			if cs, ok := est.CacheStats(); !ok || cs.Hits == 0 {
+				t.Fatalf("trial %d workers %d: repeated workload never hit the cache (stats %+v)",
+					trial, workers, cs)
 			}
 		}
 	}
@@ -99,7 +97,7 @@ func TestExecuteBatchMatchesExecuteQuery(t *testing.T) {
 
 // TestBatchCacheCountersAddUp pins that the per-query cache counters
 // account for every cache probe: over a seeded batch of concrete paths and
-// patterns on one cached estimator, run concurrently with bushy plans, the
+// patterns on one cached estimator, run concurrently, the
 // queries' CacheHits and CacheMisses sum to the cache's own Hits and
 // Misses — each segment is probed once, and every miss is published.
 // Above one worker the queries' ExecuteCtx calls run concurrently.
@@ -108,7 +106,7 @@ func TestBatchCacheCountersAddUp(t *testing.T) {
 	queries := batchWorkload(rand.New(rand.NewSource(3)), g.Labels(), 40, 4)
 	queries = append(queries, "a/(b|c)/a{1,2}/b/c", "(a|b)/c?/a", "a/(b|c)/a{1,2}/b/c", "b{2,3}/a")
 	for _, workers := range []int{1, 4} {
-		est, err := Build(g, Config{MaxPathLength: 6, Buckets: 8, BushyPlans: true, CacheBytes: DefaultCacheBytes})
+		est, err := Build(g, Config{MaxPathLength: 6, Buckets: 8, CacheBytes: DefaultCacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +230,7 @@ func FuzzBatchCacheEquivalence(f *testing.F) {
 		v := 2 + int(vertices)%100
 		l := 1 + int(labels)%5
 		g := batchTestGraph(t, seed, v, l, 1+int(edges)%(4*v))
-		cfg := Config{MaxPathLength: 3, Buckets: 6, BushyPlans: seed%2 == 0}
+		cfg := Config{MaxPathLength: 3, Buckets: 6}
 		build := func(cacheBytes int64, shards int) *Estimator {
 			cfg.CacheBytes, cfg.CacheShards = cacheBytes, shards
 			est, err := Build(g, cfg)

@@ -36,13 +36,13 @@ func goldenPatterns(labels []string, count, maxLen int) []string {
 }
 
 // digestPlan folds one QueryPlan view into h, floats by their bits, and
-// under bushy planning a concrete path's plan tree.
-func digestPlan(h hash.Hash, p QueryPlan, bushy bool) {
+// a concrete path's plan tree.
+func digestPlan(h hash.Hash, p QueryPlan) {
 	fmt.Fprintf(h, "%q %d %x", p.Description, p.Start, math.Float64bits(p.EstimatedCost))
 	for _, c := range p.Costs {
 		fmt.Fprintf(h, " %x", math.Float64bits(c))
 	}
-	if bushy && p.Costs != nil {
+	if p.Costs != nil {
 		fmt.Fprintf(h, " tree %s", p.dp.Tree.Describe(len(p.Costs)))
 	}
 	fmt.Fprintln(h)
@@ -51,60 +51,56 @@ func digestPlan(h hash.Hash, p QueryPlan, bushy bool) {
 // TestGoldenPlanDigest pins the whole estimate → plan → execute chain to
 // a committed digest: the serialized synopsis, and for 3 000 seeded
 // patterns the estimate, the compile-time plan with its per-start costs,
-// and the executed plan, Result, Work and Intermediates — linear and
-// bushy, uncached, and over a cache small enough to evict, cold then
-// warm. Everything digested is a deterministic function of the seed
-// (one worker, so publish order is fixed), so any refactor of the
-// planner or executor must leave the file untouched; -update rewrites it.
+// and the executed plan, Result, Work and Intermediates — uncached, and
+// over a cache small enough to evict, cold then warm. Everything digested
+// is a deterministic function of the seed (one worker, so publish order
+// is fixed), so any refactor of the planner or executor must leave the
+// file untouched; -update rewrites it.
 func TestGoldenPlanDigest(t *testing.T) {
 	const path = "testdata/plan_digest.golden"
 	const maxLen = 5
 	g := batchTestGraph(t, 31, 60, 4, 420)
 	patterns := goldenPatterns(g.Labels(), 3000, maxLen)
 	var got strings.Builder
-	for _, bushy := range []bool{false, true} {
-		for _, cacheBytes := range []int64{0, 96 << 10} {
-			est, err := Build(g, Config{
-				MaxPathLength: maxLen, Buckets: 48, Workers: 1,
-				BushyPlans: bushy, CacheBytes: cacheBytes, CacheShards: 2,
-			})
-			if err != nil {
+	for _, cacheBytes := range []int64{0, 96 << 10} {
+		est, err := Build(g, Config{
+			MaxPathLength: maxLen, Buckets: 48, Workers: 1,
+			CacheBytes: cacheBytes, CacheShards: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		passes := []string{"cold", "warm"}
+		if cacheBytes == 0 {
+			var blob bytes.Buffer
+			if err := est.Save(&blob); err != nil {
 				t.Fatal(err)
 			}
-			if !bushy && cacheBytes == 0 {
-				var blob bytes.Buffer
-				if err := est.Save(&blob); err != nil {
-					t.Fatal(err)
+			fmt.Fprintf(&got, "save %x\n", sha256.Sum256(blob.Bytes()))
+			passes = []string{"off"}
+		}
+		for _, pass := range passes {
+			h := sha256.New()
+			for _, p := range patterns {
+				x, err := est.Compile(p)
+				if err != nil {
+					t.Fatalf("Compile(%q): %v", p, err)
 				}
-				fmt.Fprintf(&got, "save %x\n", sha256.Sum256(blob.Bytes()))
-			}
-			passes := []string{"off"}
-			if cacheBytes > 0 {
-				passes = []string{"cold", "warm"}
-			}
-			for _, pass := range passes {
-				h := sha256.New()
-				for _, p := range patterns {
-					x, err := est.Compile(p)
-					if err != nil {
-						t.Fatalf("Compile(%q): %v", p, err)
-					}
-					fmt.Fprintf(h, "%s %x\n", p, math.Float64bits(x.Estimate()))
-					digestPlan(h, x.Plan(), bushy)
-					st, err := x.ExecuteCtx(context.Background())
-					if err != nil {
-						t.Fatalf("Execute(%q): %v", p, err)
-					}
-					digestPlan(h, st.Plan, bushy)
-					fmt.Fprintf(h, "%d %d %v\n", st.Result, st.Work, st.Intermediates)
+				fmt.Fprintf(h, "%s %x\n", p, math.Float64bits(x.Estimate()))
+				digestPlan(h, x.Plan())
+				st, err := x.ExecuteCtx(context.Background())
+				if err != nil {
+					t.Fatalf("Execute(%q): %v", p, err)
 				}
-				fmt.Fprintf(&got, "bushy=%v cache=%s %x\n", bushy, pass, h.Sum(nil))
+				digestPlan(h, st.Plan)
+				fmt.Fprintf(h, "%d %d %v\n", st.Result, st.Work, st.Intermediates)
 			}
-			// The cached configurations exist to evict: a budget the
-			// patterns' segments fit into would pin only the hit path.
-			if st, cached := est.CacheStats(); cached && st.Evictions == 0 {
-				t.Errorf("bushy=%v: %d bytes of cache held all %d entries without evicting", bushy, cacheBytes, st.Entries)
-			}
+			fmt.Fprintf(&got, "cache=%s %x\n", pass, h.Sum(nil))
+		}
+		// The cached configuration exists to evict: a budget the
+		// patterns' segments fit into would pin only the hit path.
+		if st, cached := est.CacheStats(); cached && st.Evictions == 0 {
+			t.Errorf("%d bytes of cache held all %d entries without evicting", cacheBytes, st.Entries)
 		}
 	}
 	if *updateGolden {

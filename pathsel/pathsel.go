@@ -6,8 +6,9 @@
 // Selectivity Estimation", EDBT 2018). Beyond estimation it exposes the
 // end-to-end loop the paper motivates: Compile parses a label path or a
 // regular path query and plans it from histogram estimates — the cheapest
-// zig-zag join plan, or bushy plan tree under Config.BushyPlans, for each
-// run of plain labels, folded with the pattern's alternations,
+// plan tree (a zig-zag join plan, or a join of segments built
+// independently) for each run of plain labels, folded with the pattern's
+// alternations,
 // repetitions and wildcards (Expr.Plan shows the choice) — and
 // Expr.ExecuteCtx carries the chosen plan out on the hybrid execution
 // engine (internal/exec). A compiled Expr knows its estimate and its
@@ -296,16 +297,8 @@ type Config struct {
 	// sparse. Purely a performance knob — results are identical at any
 	// setting.
 	DensityThreshold float64
-	// BushyPlans widens Compile's plan search from the k linear zig-zag
-	// plans to the full bushy plan-tree space: a dynamic program
-	// enumerates every way to split the query into independently built
-	// segments joined pairwise (relation×relation), costing interior
-	// segments from the histogram, and falls back to the best zig-zag
-	// plan whenever linear growth is estimated cheaper. Under CacheBytes
-	// the search also sees the cache as it is when Compile runs: a
-	// segment cached then is free to build. Every plan produces identical
-	// results — this knob only changes which plan is chosen, and so how
-	// much intermediate work execution does.
+	// Deprecated: ignored; every Compile searches the plan-tree space.
+	// ROADMAP item 16(b) deletes it.
 	BushyPlans bool
 	// CacheBytes, when > 0, gives the estimator a persistent
 	// segment-relation cache of that byte budget (internal/relcache):
@@ -327,11 +320,10 @@ type Config struct {
 	// on, which an AddEdge to the Graph afterwards does not change. 0
 	// leaves every execution uncached. Caching never
 	// changes results — adopted relations are bit-identical to recomputed
-	// ones — though with BushyPlans set it steers the plan Compile
-	// chooses (a segment cached at Compile costs nothing to build, so
-	// queries compiled warm favor bushy joins of reusable segments); a
-	// handle runs the plan it was compiled with whatever the cache holds
-	// by then.
+	// ones — though it steers the plan Compile chooses (a segment cached
+	// at Compile costs nothing to build, so queries compiled warm favor
+	// joins of reusable segments); a handle runs the plan it was compiled
+	// with whatever the cache holds by then.
 	CacheBytes int64
 	// CacheShards is the cache's shard count (≤ 0 selects an
 	// 8-shard default). Shards bound lock contention when

@@ -10,24 +10,25 @@ import (
 
 // QueryPlan is the join strategy an Estimator chooses for a path query at
 // Compile: a zig-zag plan that starts the join at one label position and
-// grows both ways. A length-k query has k candidate plans; the estimator
-// costs each as the sum of its estimated intermediate-result sizes and
-// picks the cheapest, so histogram quality directly becomes plan quality.
-// Under Config.BushyPlans and a cache the choice sees the cache as Compile
-// found it; every execution of the compiled query runs this plan.
+// grows both ways, or a tree joining segments built independently. A
+// length-k query has k zig-zag candidates and every tree over them; the
+// estimator costs each as the sum of its estimated intermediate-result
+// sizes and picks the cheapest, so histogram quality directly becomes
+// plan quality. Under a cache the choice sees the cache as Compile found
+// it; every execution of the compiled query runs this plan.
 type QueryPlan struct {
 	// Start is the label position the join grows from: 0 is the classic
 	// forward (left-to-right) join, k−1 the backward join, interior values
 	// start at an estimated-selective label and grow both ways. It is −1
-	// for a bushy plan tree (Config.BushyPlans) and for an RPQ's fold.
+	// for a join tree and for an RPQ's fold.
 	Start int
-	// Description is "forward", "backward", or "zigzag@i" — for a bushy
-	// plan the rendered tree, for an RPQ "rpq " and its fold.
+	// Description is "forward", "backward", or "zigzag@i" — for a join
+	// tree the rendered tree, for an RPQ "rpq " and its fold.
 	Description string
 	// EstimatedCost is the chosen plan's estimated total intermediate
 	// volume (sum of estimated segment selectivities, in vertex pairs); a
-	// bushy tree's is never higher than the best zig-zag candidate in
-	// Costs, since the linear space is contained in the tree space.
+	// join tree's is never higher than the best zig-zag candidate in
+	// Costs, since the linear plans are leaves of the tree space.
 	EstimatedCost float64
 	// Costs holds the estimate for every candidate zig-zag plan, indexed
 	// by start position, so callers can see the spread the choice was
@@ -60,10 +61,9 @@ type ExecStats struct {
 
 // queryPlan is the QueryPlan view of a plan — the one rendering of what
 // exec.Planner.Plan decided. A concrete path (a plan with per-start Costs)
-// shows the winner of its candidate zig-zag plans with the cost of every
-// start: the cheapest zig-zag plan, or — under Config.BushyPlans — the
-// cheapest plan tree, which degenerates to the zig-zag winner whenever
-// linear growth is estimated cheaper than every bushy split. A leaf is
+// shows the cheapest plan tree with the cost of every zig-zag start; the
+// tree degenerates to the zig-zag winner whenever linear growth is
+// estimated cheaper than every split. A leaf is
 // priced as the zig-zag plan it is even where the planner, seeing its
 // whole segment cached, priced it free. Anything else is an RPQ's fold.
 func queryPlan(dp *exec.DagPlan) QueryPlan {

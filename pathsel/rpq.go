@@ -196,8 +196,8 @@ func (v *vocab) patternExpansions(pattern string) ([]paths.Path, error) {
 // (exec.Planner.Estimate) on the planner of the estimator it was compiled
 // by. It is immutable and safe for concurrent use — compile a repeated
 // query once and execute the handle many times, from any number of
-// goroutines. Under Config.BushyPlans and a cache the plan is made
-// against the cache as it is at Compile (warm segments steer plan choice);
+// goroutines. Under a cache the plan is made against the cache as it is
+// at Compile (warm segments steer plan choice);
 // every execution runs that plan with exec.Run, never reparsing,
 // replanning or asking the histogram again — a query that should see a
 // cache warmed since is compiled again. Compile is the one way to ask:
@@ -231,7 +231,7 @@ func (e *Estimator) Compile(pattern string) (*Expr, error) {
 		return nil, fmt.Errorf("%w: pattern %q may match paths up to length %d, beyond %d",
 			ErrPathTooLong, pattern, ml, e.cfg.MaxPathLength)
 	}
-	dp := e.pl.Plan(dag, e.csr.NumVertices(), e.cfg.BushyPlans)
+	dp := e.pl.Plan(dag, e.csr.NumVertices())
 	return &Expr{est: e, pattern: pattern, dag: dag, plan: queryPlan(dp), estimate: e.pl.Estimate(dp)}, nil
 }
 
@@ -254,19 +254,19 @@ func (x *Expr) MaxLen() int { return x.dag.MaxLen() }
 // asked.
 func (x *Expr) Estimate() float64 { return x.estimate }
 
-// Plan returns the compile-time plan: for a concrete path the usual
-// zig-zag/bushy choice with its per-start cost spread, for a true RPQ
-// the planned DAG fold. It is the plan every execution of the handle
-// runs (ExecStats.Plan reports it): under Config.BushyPlans and a cache
-// it was chosen against the cache as Compile found it.
+// Plan returns the compile-time plan: for a concrete path the cheapest
+// plan tree with its per-start zig-zag cost spread, for a true RPQ the
+// planned DAG fold. It is the plan every execution of the handle runs
+// (ExecStats.Plan reports it): under a cache it was chosen against the
+// cache as Compile found it.
 func (x *Expr) Plan() QueryPlan { return x.plan }
 
 // ExecuteCtx carries the compiled query's plan — the one Compile chose —
 // out on the hybrid execution engine, honoring Config.DensityThreshold,
 // Config.Workers (join steps shard their source rows across that many
-// work-stealing workers; results are bit-identical at every setting) and
-// Config.BushyPlans (a chosen bushy tree builds its segments one after the
-// other and joins them with the sharded relation×relation kernel). The
+// work-stealing workers; results are bit-identical at every setting); a
+// chosen join tree builds its segments one after the other and joins them
+// with the sharded relation×relation kernel. The
 // result is the number of distinct vertex pairs connected by a path
 // matching the pattern (set semantics; a concrete path degenerates to
 // its selectivity), with the actual intermediate sizes beside it, so

@@ -106,7 +106,7 @@ func randomRPQPattern(rng *rand.Rand, labels []string, maxLen int) string {
 // TestExprExecuteMatchesTrueSelectivity is the end-to-end property test:
 // a compiled RPQ's execution result equals the exact set-semantics
 // oracle (union of enumerated expansions) at every worker count, cold
-// and warm, linear and bushy. Run with -race in CI this also exercises
+// and warm. Run with -race in CI this also exercises
 // the shared-cache adoption path under concurrency.
 func TestExprExecuteMatchesTrueSelectivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
@@ -116,41 +116,39 @@ func TestExprExecuteMatchesTrueSelectivity(t *testing.T) {
 		patterns[i] = randomRPQPattern(rng, g.Labels(), 4)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		for _, bushy := range []bool{false, true} {
-			est, err := Build(g, Config{
-				MaxPathLength: 4, Buckets: 8,
-				Workers: workers, BushyPlans: bushy, CacheBytes: 1 << 20,
-			})
+		est, err := Build(g, Config{
+			MaxPathLength: 4, Buckets: 8,
+			Workers: workers, CacheBytes: 1 << 20,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range patterns {
+			want, err := g.TruePatternSelectivity(p)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("oracle %q: %v", p, err)
 			}
-			for _, p := range patterns {
-				want, err := g.TruePatternSelectivity(p)
+			x, err := est.Compile(p)
+			if err != nil {
+				t.Fatalf("Compile(%q): %v", p, err)
+			}
+			for pass := 0; pass < 2; pass++ { // cold then warm
+				st, err := x.ExecuteCtx(context.Background())
 				if err != nil {
-					t.Fatalf("oracle %q: %v", p, err)
-				}
-				x, err := est.Compile(p)
-				if err != nil {
-					t.Fatalf("Compile(%q): %v", p, err)
-				}
-				for pass := 0; pass < 2; pass++ { // cold then warm
-					st, err := x.ExecuteCtx(context.Background())
-					if err != nil {
-						t.Fatalf("Execute(%q) workers=%d bushy=%v pass=%d: %v", p, workers, bushy, pass, err)
-					}
-					if st.Result != want {
-						t.Fatalf("Execute(%q) workers=%d bushy=%v pass=%d: Result=%d, want %d",
-							p, workers, bushy, pass, st.Result, want)
-					}
-				}
-				// The string entry point answers identically.
-				st, err := executeQuery(est, p)
-				if err != nil {
-					t.Fatalf("ExecuteQuery(%q): %v", p, err)
+					t.Fatalf("Execute(%q) workers=%d pass=%d: %v", p, workers, pass, err)
 				}
 				if st.Result != want {
-					t.Fatalf("ExecuteQuery(%q): Result=%d, want %d", p, st.Result, want)
+					t.Fatalf("Execute(%q) workers=%d pass=%d: Result=%d, want %d",
+						p, workers, pass, st.Result, want)
 				}
+			}
+			// The string entry point answers identically.
+			st, err := executeQuery(est, p)
+			if err != nil {
+				t.Fatalf("ExecuteQuery(%q): %v", p, err)
+			}
+			if st.Result != want {
+				t.Fatalf("ExecuteQuery(%q): Result=%d, want %d", p, st.Result, want)
 			}
 		}
 	}
@@ -231,7 +229,7 @@ func naiveDagPlan(e *Estimator, d *exec.RPQDag) (cost, result float64, ests []fl
 		for s := 1; s < len(p); s++ {
 			c = min(c, zigzag(p, s))
 		}
-		for m := 1; m < len(p) && e.cfg.BushyPlans; m++ {
+		for m := 1; m < len(p); m++ {
 			c = min(c, best(p[:m])+best(p[m:])+e.ph.Estimate(p[:m])+e.ph.Estimate(p[m:]))
 		}
 		return c
@@ -330,15 +328,11 @@ func renderRPQ(v *vocab, d *exec.RPQDag) string {
 // FuzzRPQParse fuzzes the pattern grammar: Compile must never panic, and
 // any pattern it accepts must expose coherent bounds, a plan, and a
 // finite estimate, and print back (renderRPQ) as a pattern that compiles
-// to the same DAG — and a true RPQ's planned DAG, zig-zag and bushy, must
-// carry exactly the naive planner's estimates.
+// to the same DAG — and a true RPQ's planned DAG must carry exactly the
+// naive planner's estimates.
 func FuzzRPQParse(f *testing.F) {
 	g := batchTestGraph(f, 13, 20, 3, 80)
 	est, err := Build(g, Config{MaxPathLength: 4, Buckets: 4})
-	if err != nil {
-		f.Fatal(err)
-	}
-	bushy, err := Build(g, Config{MaxPathLength: 4, Buckets: 4, BushyPlans: true})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -373,29 +367,23 @@ func FuzzRPQParse(f *testing.F) {
 		}) {
 			t.Fatalf("Compile(%q) prints as %q, which compiles to %s, not %s", pattern, printed, again.dag.Describe(), x.dag.Describe())
 		}
-		for _, e := range []*Estimator{est, bushy} {
-			x, err := e.Compile(pattern)
-			if err != nil {
-				t.Fatalf("Compile(%q) under BushyPlans=%v: %v", pattern, e.cfg.BushyPlans, err)
+		if _, ok := x.dag.ConcretePath(); ok {
+			return
+		}
+		dp := x.plan.dp
+		cost, result, ests := naiveDagPlan(est, x.dag)
+		// The fold chain is the tree's left spine down to the first
+		// block, whose interval is a run or one element.
+		blocks := 1
+		for t := dp.Tree; t.Left != nil; t = t.Left {
+			if _, run := (&exec.RPQDag{Elems: dp.Elems[t.Lo:t.Hi]}).ConcretePath(); run {
+				break
 			}
-			dp := x.plan.dp
-			if _, ok := x.dag.ConcretePath(); ok {
-				continue
-			}
-			cost, result, ests := naiveDagPlan(e, x.dag)
-			// The fold chain is the tree's left spine down to the first
-			// block, whose interval is a run or one element.
-			blocks := 1
-			for t := dp.Tree; t.Left != nil; t = t.Left {
-				if _, run := (&exec.RPQDag{Elems: dp.Elems[t.Lo:t.Hi]}).ConcretePath(); run {
-					break
-				}
-				blocks++
-			}
-			if dp.Cost != cost || dp.ResultEst != result || blocks != len(ests) {
-				t.Fatalf("Compile(%q) bushy=%v: plan cost %v result %v over %d blocks, naive %v, %v over %d",
-					pattern, e.cfg.BushyPlans, dp.Cost, dp.ResultEst, blocks, cost, result, len(ests))
-			}
+			blocks++
+		}
+		if dp.Cost != cost || dp.ResultEst != result || blocks != len(ests) {
+			t.Fatalf("Compile(%q): plan cost %v result %v over %d blocks, naive %v, %v over %d",
+				pattern, dp.Cost, dp.ResultEst, blocks, cost, result, len(ests))
 		}
 	})
 }

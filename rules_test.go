@@ -751,6 +751,16 @@ var layerRules = []rule{
 		bad := forbidUses(m, modulePath+"/internal/bitset", []string{"HybridRelation.ReverseInto"}, outsideBench, nil)
 		return append(bad, forbidUses(m, modulePath+"/internal/graph", []string{"CSR.PredecessorOperand"}, outsideBench, nil)...)
 	}},
+	{"every Compile searches the plan-tree space", func(m *module) []string {
+		// One plan space: every Compile plans each run as the cheapest
+		// plan tree, with the estimator's cache in view. Config.BushyPlans,
+		// which once narrowed the search to the zig-zag leaves, is ignored
+		// and stays only because the frozen bench/ sets and reads it
+		// (ROADMAP item 16(b) deletes it): outside bench/, no non-test file
+		// uses it.
+		outsideBench := func(f *file) bool { return !under(f.name, "bench") }
+		return forbidUses(m, modulePath+"/pathsel", []string{"Config.BushyPlans"}, outsideBench, nil)
+	}},
 	{"the ordering-method table lives in internal/ordering", func(m *module) []string {
 		// A method name maps to its rule family and ranking in one place,
 		// ordering.ForLabels and ForRanking (a synopsis's stored ranking):
